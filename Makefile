@@ -9,7 +9,7 @@ GO ?= go
 # coverage durably improves; never lower it to make a PR pass.
 COVER_BASELINE ?= 75.0
 
-.PHONY: test race analyze bench cover fuzz-smoke memprofile ingest-smoke load-smoke wire-smoke distbuild-smoke clean
+.PHONY: test race analyze bench benchmark-smoke cover fuzz-smoke memprofile ingest-smoke load-smoke wire-smoke distbuild-smoke clean
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -73,12 +73,12 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x . > bench.out || { cat bench.out; exit 1; }
 	$(GO) test -run='^$$' -bench='^(BenchmarkEngineClosenessCached|BenchmarkEngineTopCloseness|BenchmarkEngineDoJSON|BenchmarkEngineDoWire|BenchmarkEngineWireEncode|BenchmarkEngineWireDecode|BenchmarkEngineDoAllocs|BenchmarkHIPIndexQuery|BenchmarkCatalogDo(Direct|Batch)?|BenchmarkCatalogSwap|BenchmarkIngestInsert)$$' -benchtime=2000x . >> bench.out || { cat bench.out; exit 1; }
 	$(GO) test -run='^$$' -bench='^(BenchmarkSketchSetLoad|BenchmarkHIPIndexBuild|BenchmarkIngestInsertBatch$$|BenchmarkIngestFreezePublish$$)' -benchtime=100x . >> bench.out || { cat bench.out; exit 1; }
-	$(GO) test -run='^$$' -bench='^(BenchmarkEngineClosenessBatch|BenchmarkSketchSetCodec)$$' -benchtime=5x . >> bench.out || { cat bench.out; exit 1; }
+	$(GO) test -run='^$$' -bench='^(BenchmarkEngineClosenessBatch|BenchmarkSketchSetCodec|BenchmarkBuildPipeline)$$' -benchtime=5x . >> bench.out || { cat bench.out; exit 1; }
 	$(GO) test -run='^$$' -bench='^(BenchmarkHTTPShardRoundtrip|BenchmarkCoordinatorScatterFrame)$$' -benchtime=100x ./cmd/adsserver >> bench.out || { cat bench.out; exit 1; }
 	$(GO) test -run='^$$' -bench='^BenchmarkDistBuild(1Worker|4Workers)$$' -benchtime=5x ./internal/distbuild >> bench.out || { cat bench.out; exit 1; }
 	cat bench.out
 	awk 'BEGIN { print "[" } \
-	  /^Benchmark(Engine|SketchSet|HIPIndex|Catalog|Ingest|HTTPShard|Coordinator|DistBuild)/ { \
+	  /^Benchmark(Engine|SketchSet|HIPIndex|Catalog|Ingest|HTTPShard|Coordinator|DistBuild|BuildPipeline)/ { \
 	    if (!($$1 in row)) order[++m] = $$1; \
 	    row[$$1] = $$0 \
 	  } \
@@ -88,6 +88,7 @@ bench:
 	      if (n++) printf ",\n"; \
 	      printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", f[1], f[2], f[3]; \
 	      for (i = 4; i <= nf; i++) if (f[i] == "allocs/op") printf ", \"allocs_per_op\": %s", f[i-1]; \
+	      for (i = 4; i <= nf; i++) if (f[i] == "edges/s") printf ", \"edges_per_s\": %s", f[i-1]; \
 	      printf "}" \
 	    } \
 	    printf ",\n  {\"name\": \"BenchmarkSketchSetCodec/before-buffer-reuse\", \"iterations\": 1, \"ns_per_op\": $(CODEC_BASELINE_NS)},\n"; \
@@ -96,6 +97,14 @@ bench:
 	    printf "  {\"name\": \"BenchmarkEngineDoAllocs/before-columnar-frames\", \"iterations\": 5, \"ns_per_op\": $(ENGINEDO_PRE_FRAMES_NS), \"allocs_per_op\": $(ENGINEDO_PRE_FRAMES_ALLOCS)}\n]\n" }' \
 	  bench.out > BENCH_engine.json
 	@cat BENCH_engine.json
+
+# Two seconds of the repository benchmark's build workload (bench/,
+# BENCHMARK.json) as a correctness smoke, not a measurement: the run
+# exits non-zero — failing the target and CI — when a distbuild
+# partition is not byte-identical to SplitSketchSet of a single-process
+# Build, an NRMSE leaves 1.4×1/sqrt(2k−2), or any operation fails.
+benchmark-smoke:
+	$(GO) run ./bench --workload build_offline --seed 1 --seconds 2 --trace 0
 
 # Heap profile of the steady-state serving hot path (Engine.Do with a
 # warm cache): chase allocation regressions with

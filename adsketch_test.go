@@ -2,6 +2,7 @@ package adsketch_test
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -277,5 +278,40 @@ func TestFacadeHarmonicFromBalls(t *testing.T) {
 	}
 	if hi > 3*lo {
 		t.Errorf("symmetric graph harmonic spread too wide: [%g, %g]", lo, hi)
+	}
+}
+
+// Construction state must grow with the entries a node actually holds,
+// not be preallocated as n·k slots: 200,000 isolated nodes hold one entry
+// each, whatever k is (n·k slots of 16 bytes would be 205 MB here).
+func TestBuildIsolatedNodesMemory(t *testing.T) {
+	g := adsketch.NewGraphBuilder(200000, false).Build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	set, err := adsketch.Build(g, adsketch.WithK(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := set.TotalEntries(); got != 200000 {
+		t.Fatalf("TotalEntries = %d, want 200000", got)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 64 {
+		t.Errorf("Build of 200,000 isolated nodes at k=64 allocated %.1f MB, want < 64", mb)
+	}
+}
+
+// The default build's object count is pinned at what the per-node sorted
+// lists it replaced cost (22,060 allocations for this graph at commit
+// 68471e5, PR 17); the threshold-head kernel lands near 10,000.
+func TestBuildAllocsPinned(t *testing.T) {
+	g := adsketch.PreferentialAttachment(2000, 4, 7)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := adsketch.Build(g, adsketch.WithK(16)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 22060 {
+		t.Errorf("default Build allocated %.0f objects, more than the 22,060 it did before the threshold-head kernel", allocs)
 	}
 }

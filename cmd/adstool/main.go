@@ -159,7 +159,7 @@ func buildFlags(fs *flag.FlagSet) (path *string, directed *bool, opts func() ([]
 	eps := fs.Float64("eps", -1, "(1+eps)-approximate construction (>= 0 enables)")
 	weights := fs.String("weights", "", "comma-separated per-node weights (Section 9)")
 	priority := fs.Bool("priority", false, "priority (Sequential Poisson) ranks for -weights")
-	parallel := fs.Int("parallel", 0, "construction workers (0 = GOMAXPROCS)")
+	parallel := fs.Int("parallel", 0, "construction workers (0 = default: bottom-k builds sequentially, k-mins/k-partition passes use GOMAXPROCS)")
 	opts = func() ([]adsketch.Option, error) {
 		out := []adsketch.Option{adsketch.WithK(*k), adsketch.WithSeed(*seed)}
 		switch *flavor {

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"adsketch/internal/graph"
@@ -157,24 +158,29 @@ func BuildSetParallel(g *graph.Graph, o Options, algo Algorithm, workers int) (*
 	if algo == AlgoDP && g.Weighted() {
 		return nil, fmt.Errorf("core: the DP builder requires an unweighted graph; use LocalUpdates or PrunedDijkstra")
 	}
-	runner, err := runnerFor(g, algo, workers)
+	run, err := runnerFor(g, algo, workers)
 	if err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
+	return buildSet(g.NumNodes(), o, run, workers)
+}
+
+// buildSet assembles the flavor's frame over n nodes from elementary
+// passes of run.
+func buildSet(n int, o Options, run runner, workers int) (*Set, error) {
 	switch o.Flavor {
 	case sketch.BottomK:
-		lists := runner(runSpec{k: o.K, rank: o.rankFn(0)})
+		lists := run(runSpec{k: o.K, rank: o.rankFn(0)})
 		return &Set{frame: freezeFrame(kindUniform, o, 0, 0, 1, 0, lists)}, nil
 	case sketch.KMins:
 		perRun := parallelRuns(o.K, workers, func(h int) [][]Entry {
-			return runner(runSpec{k: 1, rank: o.rankFn(h)})
+			return run(runSpec{k: 1, rank: o.rankFn(h)})
 		})
 		return &Set{frame: freezeFrame(kindUniform, o, 0, 0, o.K, 0, segmentMajor(perRun, n))}, nil
 	case sketch.KPartition:
 		src := o.Source()
 		perRun := parallelRuns(o.K, workers, func(b int) [][]Entry {
-			return runner(runSpec{
+			return run(runSpec{
 				k:    1,
 				rank: o.rankFn(0),
 				include: func(v int32) bool {
@@ -293,109 +299,241 @@ func bruteForceRun(g *graph.Graph, s runSpec) [][]Entry {
 	return lists
 }
 
-// partialADS is the under-construction entry list of one node, kept in
-// canonical order so "how many entries precede (d, node)" is a binary
-// search.
-type partialADS []Entry
-
-// countBefore returns the number of entries that precede e canonically.
-func (p partialADS) countBefore(e Entry) int {
-	return sort.Search(len(p), func(i int) bool { return !p[i].before(e) })
+// rankOrder returns the pass's candidates sorted by (rank, node) — the
+// order Algorithm 1 processes them in — and the rank of every candidate,
+// indexed by node.
+func (s runSpec) rankOrder(n int) (cands []int32, ranks []float64) {
+	cands = make([]int32, 0, n)
+	ranks = make([]float64, n)
+	for v := int32(0); int(v) < n; v++ {
+		if s.candidate(v) {
+			cands = append(cands, v)
+			ranks[v] = s.rank(v)
+		}
+	}
+	slices.SortFunc(cands, func(a, b int32) int {
+		if c := cmp.Compare(ranks[a], ranks[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return cands, ranks
 }
 
-// insertAt inserts e at position i.
-func (p *partialADS) insertAt(i int, e Entry) {
-	*p = append(*p, Entry{})
-	copy((*p)[i+1:], (*p)[i:])
-	(*p)[i] = e
+// sameRankEnd returns the end of the run of equal-rank candidates that
+// starts at cands[i].
+func sameRankEnd(cands []int32, ranks []float64, i int) int {
+	j := i + 1
+	for j < len(cands) && ranks[cands[j]] == ranks[cands[i]] {
+		j++
+	}
+	return j
+}
+
+// adsKey is an entry's canonical sort key; the rank is a function of the
+// node and is attached when the pass freezes.
+type adsKey struct {
+	dist float64
+	node int32
+}
+
+// offer is one candidate insertion not yet applied: entry (dist, node) for
+// the sketch of v.
+type offer struct {
+	v, node int32
+	dist    float64
+}
+
+// pruneState is the under-construction output of one Algorithm 1 pass.
+//
+// Candidates arrive in increasing rank, so every entry a node already
+// holds has a smaller rank than the one on offer, and the offer belongs in
+// the sketch iff fewer than k held entries precede it canonically — iff
+// it precedes the node's k-th canonically-smallest entry.  That entry's
+// key is the node's threshold, kept in two dense columns so the prune
+// test is one comparison that never touches a list.
+//
+// heads[v] holds v's (up to) k canonically-smallest entries in ascending
+// order; its last slot, once it has k, is the threshold.  An accepted
+// offer sorts before the threshold, so it lands in the head and pushes
+// the old threshold out, onto the tail.  A node's threshold never rises,
+// so the entries it pushes out arrive on the tail in descending canonical
+// order, each above everything still in the head: the finished list is
+// the head followed by the node's tail entries, latest first.  All nodes
+// share one tail, so an insertion searches and moves at most k slots and
+// appends one record, however long the node's list has grown.
+type pruneState struct {
+	k       int
+	thrDist []float64 // +Inf while the node holds fewer than k entries
+	thrNode []int32
+	heads   [][]adsKey // grown on demand: most nodes of a sparse graph never hold k
+	tail    [][]offer  // chunks, in push order
+}
+
+func newPruneState(n, k int) *pruneState {
+	st := &pruneState{
+		k:       k,
+		thrDist: make([]float64, n),
+		thrNode: make([]int32, n),
+		heads:   make([][]adsKey, n),
+	}
+	for v := range st.thrDist {
+		st.thrDist[v] = graph.Infinity
+	}
+	return st
+}
+
+// accepts reports whether entry (d, u) precedes v's threshold.
+func (st *pruneState) accepts(v int32, d float64, u int32) bool {
+	t := st.thrDist[v]
+	return d < t || (d == t && u < st.thrNode[v])
+}
+
+// insert adds an accepted entry to v's head.
+func (st *pruneState) insert(v int32, d float64, u int32) {
+	h := st.heads[v]
+	if len(h) == st.k {
+		st.pushTail(offer{v: v, node: h[st.k-1].node, dist: h[st.k-1].dist})
+	} else {
+		h = append(h, adsKey{})
+		st.heads[v] = h
+	}
+	i := len(h) - 1
+	for i > 0 && (d < h[i-1].dist || (d == h[i-1].dist && u < h[i-1].node)) {
+		h[i] = h[i-1]
+		i--
+	}
+	h[i] = adsKey{dist: d, node: u}
+	if len(h) == st.k {
+		st.thrDist[v], st.thrNode[v] = h[st.k-1].dist, h[st.k-1].node
+	}
+}
+
+// tailChunk is the tail's allocation unit, in records (64 KB).  Chunks,
+// not one appended slice, because growing a slice this long by copying
+// would allocate several times its final size.
+const tailChunk = 1 << 12
+
+func (st *pruneState) pushTail(o offer) {
+	last := len(st.tail) - 1
+	if last < 0 || len(st.tail[last]) == tailChunk {
+		st.tail = append(st.tail, make([]offer, 0, tailChunk))
+		last++
+	}
+	st.tail[last] = append(st.tail[last], o)
+}
+
+// run is candidate u's pruned traversal: every node it reaches either
+// takes the entry and is expanded, or prunes the search there.
+func (st *pruneState) run(vis *graph.Visitor, u int32) {
+	vis.Start(u)
+	for v, d, ok := vis.Next(); ok; v, d, ok = vis.Next() {
+		if st.accepts(v, d, u) {
+			st.insert(v, d, u)
+			vis.Expand(v, d)
+		}
+	}
+}
+
+// collect is run with the insertions appended to buf instead of applied,
+// leaving the state untouched.  It prunes against fewer entries than run
+// would have — never wrongly, and apply rejects the surplus.
+func (st *pruneState) collect(vis *graph.Visitor, u int32, buf []offer) []offer {
+	vis.Start(u)
+	for v, d, ok := vis.Next(); ok; v, d, ok = vis.Next() {
+		if st.accepts(v, d, u) {
+			buf = append(buf, offer{v: v, node: u, dist: d})
+			vis.Expand(v, d)
+		}
+	}
+	return buf
+}
+
+// apply replays the collected offers of members equal-rank candidates
+// through the test run makes.  Under the strict-inequality inclusion rule
+// an equal-rank entry blocks an offer exactly when it precedes it
+// canonically, so a node's offers must be replayed in canonical order;
+// one candidate's offers go to distinct nodes and need no ordering.
+func (st *pruneState) apply(offers []offer, members int) {
+	if members > 1 {
+		slices.SortFunc(offers, func(a, b offer) int {
+			if c := cmp.Compare(a.v, b.v); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.dist, b.dist); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.node, b.node)
+		})
+	}
+	for _, o := range offers {
+		if st.accepts(o.v, o.dist, o.node) {
+			st.insert(o.v, o.dist, o.node)
+		}
+	}
+}
+
+// freeze returns every node's entries in canonical order with ranks
+// attached, carved from one allocation.
+func (st *pruneState) freeze(ranks []float64) [][]Entry {
+	size := make([]int, len(st.heads))
+	total := 0
+	for v, h := range st.heads {
+		size[v] = len(h)
+		total += len(h)
+	}
+	for _, chunk := range st.tail {
+		for _, o := range chunk {
+			size[o.v]++
+		}
+		total += len(chunk)
+	}
+	arena := make([]Entry, total)
+	out := make([][]Entry, len(st.heads))
+	for v, h := range st.heads {
+		out[v], arena = arena[:0:size[v]], arena[size[v]:]
+		for _, e := range h {
+			out[v] = append(out[v], Entry{Node: e.node, Dist: e.dist, Rank: ranks[e.node]})
+		}
+	}
+	// Backwards through the tail is ascending order within every node.
+	for c := len(st.tail) - 1; c >= 0; c-- {
+		chunk := st.tail[c]
+		for i := len(chunk) - 1; i >= 0; i-- {
+			o := chunk[i]
+			out[o.v] = append(out[o.v], Entry{Node: o.node, Dist: o.dist, Rank: ranks[o.node]})
+		}
+	}
+	return out
 }
 
 // prunedDijkstraRun is Algorithm 1 generalized to one runSpec pass.
 // Candidates are processed in increasing rank order; each runs a pruned
-// Dijkstra on the transpose graph, so that reaching v at distance d means
-// d = d(v -> candidate) in g.  A visited node v inserts the candidate
-// exactly when fewer than k current entries precede it canonically (all
-// current entries have strictly smaller rank, having been processed
-// earlier), and prunes otherwise.
+// traversal of the transpose graph, so that reaching v at distance d means
+// d = d(v -> candidate) in g.
 //
 // Ties in rank values (possible with base-b rounding) are handled by
-// processing equal-rank candidates as a group whose insertions are
-// buffered and applied per node in canonical order when the group
-// finishes.  Under the strict-inequality inclusion rule an equal-rank
-// entry blocks a candidate exactly when it canonically precedes it, so
-// each buffered insertion is re-validated at flush time against both the
-// pre-group entries (strictly smaller rank) and the group insertions
-// already accepted at that node (equal rank, canonically earlier); the
-// test in both cases is "fewer than k canonically-earlier entries".
-// Pruning during the traversal uses only pre-group entries, which prunes
-// slightly less than possible but never incorrectly.
+// collecting the offers of an equal-rank group against the pre-group
+// state and applying them together when the group finishes.
 func prunedDijkstraRun(g *graph.Graph, s runSpec) [][]Entry {
 	n := g.NumNodes()
-	lists := make([]partialADS, n)
-	// Sort candidates by (rank, node) for determinism.
-	cands := make([]int32, 0, n)
-	for v := int32(0); int(v) < n; v++ {
-		if s.candidate(v) {
-			cands = append(cands, v)
-		}
-	}
-	ranks := make([]float64, n)
-	for _, v := range cands {
-		ranks[v] = s.rank(v)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if ranks[cands[i]] != ranks[cands[j]] {
-			return ranks[cands[i]] < ranks[cands[j]]
-		}
-		return cands[i] < cands[j]
-	})
-	tr := g.Transpose()
-	vis := graph.NewVisitor(tr)
-	type pending struct {
-		v int32
-		e Entry
-	}
-	var buffer []pending
-	flush := func() {
-		// Apply buffered insertions of an equal-rank group per node in
-		// canonical order, re-validating each against the entries present
-		// at its position (pre-group entries plus already-accepted group
-		// members, all of which canonically precede it and have rank <=
-		// the group rank).
-		sort.Slice(buffer, func(i, j int) bool {
-			if buffer[i].v != buffer[j].v {
-				return buffer[i].v < buffer[j].v
+	cands, ranks := s.rankOrder(n)
+	st := newPruneState(n, s.k)
+	vis := graph.NewVisitor(g.Transpose())
+	var group []offer
+	for i := 0; i < len(cands); {
+		j := sameRankEnd(cands, ranks, i)
+		if j == i+1 {
+			// Full-precision ranks are unique: the common case.
+			st.run(vis, cands[i])
+		} else {
+			group = group[:0]
+			for _, u := range cands[i:j] {
+				group = st.collect(vis, u, group)
 			}
-			return buffer[i].e.before(buffer[j].e)
-		})
-		for _, p := range buffer {
-			pos := lists[p.v].countBefore(p.e)
-			if pos < s.k {
-				lists[p.v].insertAt(pos, p.e)
-			}
+			st.apply(group, j-i)
 		}
-		buffer = buffer[:0]
+		i = j
 	}
-	for i, u := range cands {
-		if i > 0 && ranks[cands[i-1]] != ranks[u] {
-			flush()
-		}
-		ru := ranks[u]
-		vis.Run(u, func(v int32, d float64) bool {
-			e := Entry{Node: u, Dist: d, Rank: ru}
-			if lists[v].countBefore(e) >= s.k {
-				return false // prune: k closer entries with smaller rank
-			}
-			buffer = append(buffer, pending{v: v, e: e})
-			return true
-		})
-		// Full-precision ranks are unique, so the common case flushes
-		// after every candidate (group size 1).
-	}
-	flush()
-	out := make([][]Entry, n)
-	for v := range lists {
-		out[v] = lists[v]
-	}
-	return out
+	return st.freeze(ranks)
 }

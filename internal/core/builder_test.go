@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"adsketch/internal/graph"
@@ -408,3 +410,104 @@ func TestBuildersEmptyGraph(t *testing.T) {
 }
 
 func graphPathForTest(n int) *graph.Graph { return graph.Path(n) }
+
+// randomSmallGraph draws a graph of at most 40 nodes that is sparse enough
+// to be disconnected about as often as not, with self-loops and duplicate
+// edges, and — when weighted — edge lengths from {1,2,3}, so that many
+// distinct paths have exactly equal length.
+func randomSmallGraph(rng *rand.Rand) *graph.Graph {
+	n := 1 + rng.Intn(40)
+	weighted := rng.Intn(2) == 0
+	b := graph.NewBuilder(n, rng.Intn(2) == 0)
+	var u, v int32
+	for i, m := 0, rng.Intn(3*n); i < m; i++ {
+		switch rng.Intn(8) {
+		case 0: // self-loop
+			u = int32(rng.Intn(n))
+			v = u
+		case 1: // duplicate of the previous edge (a new length if weighted)
+		default:
+			u, v = int32(rng.Intn(n)), int32(rng.Intn(n))
+		}
+		if weighted {
+			b.AddWeightedEdge(u, v, float64(1+rng.Intn(3)))
+		} else {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.Build()
+}
+
+// TestPrunedDijkstraDifferential is the Algorithm 1 slice of the
+// construction oracle: on random small graphs, every way of running the
+// pruned kernel must serialize to the bytes of the definitional
+// brute-force build, across flavors, k, rank ties (base-b) and both
+// Section 9 weighted schemes.
+func TestPrunedDijkstraDifferential(t *testing.T) {
+	graphs := 300
+	if testing.Short() {
+		graphs = 40
+	}
+	type run = func(*graph.Graph, runSpec) [][]Entry
+	parallel := func(batch, workers int) run {
+		return func(g *graph.Graph, s runSpec) [][]Entry {
+			return prunedDijkstraParallelRun(g, s, batch, workers)
+		}
+	}
+	variants := []struct {
+		name string
+		run  run
+	}{
+		{"sequential", prunedDijkstraRun},
+		{"parallel/workers=1/batch=1", parallel(1, 1)},
+		{"parallel/workers=1/batch=7", parallel(7, 1)},
+		{"parallel/workers=3/batch=1", parallel(1, 3)},
+		{"parallel/workers=3/batch=7", parallel(7, 3)},
+	}
+	v3 := func(s AnySet) []byte {
+		var buf bytes.Buffer
+		if _, err := WriteSketchSetV3(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for seed := 0; seed < graphs; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		g := randomSmallGraph(rng)
+		n := g.NumNodes()
+		beta := make([]float64, n)
+		for v := range beta {
+			beta[v] = []float64{0.5, 1, 2}[rng.Intn(3)]
+		}
+		desc := fmt.Sprintf("graph seed %d (n=%d arcs=%d directed=%v weighted=%v)",
+			seed, n, g.NumArcs(), g.Directed(), g.Weighted())
+		for _, k := range []int{1, 2, 5} {
+			for _, fl := range allFlavors() {
+				for _, baseB := range []float64{0, 2} {
+					o := Options{K: k, Flavor: fl, Seed: uint64(seed), BaseB: baseB}
+					build := func(r run) []byte {
+						set, err := buildSet(n, o, func(s runSpec) [][]Entry { return r(g, s) }, 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return v3(set)
+					}
+					want := build(bruteForceRun)
+					for _, vr := range variants {
+						if !bytes.Equal(build(vr.run), want) {
+							t.Fatalf("%s, %v k=%d b=%g: %s differs from brute force", desc, fl, k, baseB, vr.name)
+						}
+					}
+				}
+			}
+			for _, scheme := range []WeightScheme{ExponentialWeights, PriorityWeights} {
+				want := v3(weightedSetFrom(g, k, uint64(seed), beta, scheme, bruteForceRun))
+				for _, vr := range variants {
+					if !bytes.Equal(v3(weightedSetFrom(g, k, uint64(seed), beta, scheme, vr.run)), want) {
+						t.Fatalf("%s, weighted %v k=%d: %s differs from brute force", desc, scheme, k, vr.name)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,8 +1,28 @@
 package core
 
 import (
+	"sort"
+
 	"adsketch/internal/graph"
 )
+
+// partialADS is the under-construction entry list of one node for the
+// builders that insert out of rank order (LocalUpdates, the approximate
+// construction), kept in canonical order so "how many entries precede
+// (d, node)" is a binary search.
+type partialADS []Entry
+
+// countBefore returns the number of entries that precede e canonically.
+func (p partialADS) countBefore(e Entry) int {
+	return sort.Search(len(p), func(i int) bool { return !p[i].before(e) })
+}
+
+// insertAt inserts e at position i.
+func (p *partialADS) insertAt(i int, e Entry) {
+	*p = append(*p, Entry{})
+	copy((*p)[i+1:], (*p)[i:])
+	(*p)[i] = e
+}
 
 // localUpdatesRun is Algorithm 2 (LOCALUPDATES): node-centric construction
 // for weighted graphs, suitable for synchronized (Pregel/MapReduce-style)

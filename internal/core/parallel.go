@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"adsketch/internal/graph"
@@ -10,13 +9,12 @@ import (
 
 // prunedDijkstraParallelRun is the Appendix B.4 parallelization of
 // Algorithm 1: candidates, sorted by rank, are processed in batches; the
-// Dijkstras of one batch run concurrently, pruning only against entries
-// from earlier batches (strictly smaller ranks), which prunes less than
-// the sequential algorithm but never incorrectly.  When a batch finishes,
-// its buffered candidate insertions are applied per node in (rank,
-// canonical) order with the sequential builder's inclusion test;
-// over-generated candidates are rejected there, so the result is
-// identical to the sequential construction.
+// traversals of one batch run concurrently, pruning only against the
+// thresholds earlier batches left (strictly smaller ranks), which prunes
+// less than the sequential algorithm but never incorrectly.  When a batch
+// finishes, its collected offers are applied in rank order through the
+// sequential builder's test; over-generated offers are rejected there, so
+// the result is identical to the sequential construction.
 //
 // Correctness sketch: a batch candidate that belongs to the final ADS of v
 // is never pruned on its way to v (its blockers would also block it at v);
@@ -26,11 +24,6 @@ import (
 // was pruned are ones the recursion would reject anyway).  The batch
 // depth trades pruning efficiency for parallelism: each batch member's
 // traversal misses at most batchSize-1 ranks of pruning state.
-type candidateInsert struct {
-	v int32
-	e Entry
-}
-
 func prunedDijkstraParallelRun(g *graph.Graph, s runSpec, batchSize, workers int) [][]Entry {
 	n := g.NumNodes()
 	if workers <= 0 {
@@ -39,98 +32,60 @@ func prunedDijkstraParallelRun(g *graph.Graph, s runSpec, batchSize, workers int
 	if batchSize <= 0 {
 		batchSize = 4 * workers
 	}
-	lists := make([]partialADS, n)
-	cands := make([]int32, 0, n)
-	for v := int32(0); int(v) < n; v++ {
-		if s.candidate(v) {
-			cands = append(cands, v)
-		}
-	}
-	ranks := make([]float64, n)
-	for _, v := range cands {
-		ranks[v] = s.rank(v)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if ranks[cands[i]] != ranks[cands[j]] {
-			return ranks[cands[i]] < ranks[cands[j]]
-		}
-		return cands[i] < cands[j]
-	})
+	cands, ranks := s.rankOrder(n)
+	st := newPruneState(n, s.k)
 	tr := g.Transpose()
 
-	visitors := make([]*graph.Visitor, workers)
-	for w := range visitors {
-		visitors[w] = graph.NewVisitor(tr)
+	// The workers live for the whole run.  Between a batch's sends and its
+	// wg.Wait they only read st and each write their own offers slot; the
+	// reconciliation below runs while they are parked on the channel.
+	var offers [][]offer // offers[i]: what batch member i collected
+	next := make(chan int)
+	var wg, exited sync.WaitGroup
+	var batch []int32
+	for w := 0; w < workers; w++ {
+		vis := graph.NewVisitor(tr)
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			for i := range next {
+				offers[i] = st.collect(vis, batch[i], offers[i][:0])
+				wg.Done()
+			}
+		}()
 	}
 
+	var group []offer
 	for start := 0; start < len(cands); {
-		end := start + batchSize
-		if end > len(cands) {
-			end = len(cands)
-		}
 		// Keep equal-rank groups inside one batch so that pre-batch
 		// entries always have strictly smaller ranks.
-		for end < len(cands) && ranks[cands[end]] == ranks[cands[end-1]] {
-			end++
-		}
-		batch := cands[start:end]
+		end := sameRankEnd(cands, ranks, min(start+batchSize, len(cands))-1)
+		batch = cands[start:end]
 		start = end
-		buffers := make([][]candidateInsert, workers)
-		var wg sync.WaitGroup
-		next := make(chan int32)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				vis := visitors[w]
-				for u := range next {
-					ru := ranks[u]
-					vis.Run(u, func(v int32, d float64) bool {
-						e := Entry{Node: u, Dist: d, Rank: ru}
-						if lists[v].countBefore(e) >= s.k {
-							return false
-						}
-						buffers[w] = append(buffers[w], candidateInsert{v: v, e: e})
-						return true
-					})
-				}
-			}(w)
+		for len(offers) < len(batch) {
+			offers = append(offers, nil)
 		}
-		for _, u := range batch {
-			next <- u
+		wg.Add(len(batch))
+		for i := range batch {
+			next <- i
 		}
-		close(next)
 		wg.Wait()
 
-		// Reconcile: per node, apply the batch candidates in (rank,
-		// canonical) order.  Every already-present entry then has rank <=
-		// the candidate's (strictly smaller, except same-rank candidates
-		// applied earlier in canonical order), so the sequential builder's
-		// test applies unchanged: insert iff fewer than k entries precede
-		// the candidate canonically.
-		var all []candidateInsert
-		for _, b := range buffers {
-			all = append(all, b...)
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].v != all[j].v {
-				return all[i].v < all[j].v
+		for i := 0; i < len(batch); {
+			j := sameRankEnd(batch, ranks, i)
+			if j == i+1 {
+				st.apply(offers[i], 1)
+			} else {
+				group = group[:0]
+				for _, o := range offers[i:j] {
+					group = append(group, o...)
+				}
+				st.apply(group, j-i)
 			}
-			if all[i].e.Rank != all[j].e.Rank {
-				return all[i].e.Rank < all[j].e.Rank
-			}
-			return all[i].e.before(all[j].e)
-		})
-		for _, c := range all {
-			if pos := lists[c.v].countBefore(c.e); pos < s.k {
-				lists[c.v].insertAt(pos, c.e)
-			}
+			i = j
 		}
 	}
-
-	out := make([][]Entry, n)
-	for v := range lists {
-		out[v] = lists[v]
-	}
-	return out
+	close(next)
+	exited.Wait()
+	return st.freeze(ranks)
 }

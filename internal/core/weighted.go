@@ -216,18 +216,25 @@ func buildWeighted(g *graph.Graph, k int, seed uint64, beta []float64, scheme We
 			return nil, fmt.Errorf("core: beta[%d] = %g, must be positive", v, b)
 		}
 	}
+	return weightedSetFrom(g, k, seed, beta, scheme, prunedDijkstraRun), nil
+}
+
+// weightedSetFrom runs one bottom-k pass of run over the scheme's
+// weight-biased ranks and freezes it with the per-entry weights.
+func weightedSetFrom(g *graph.Graph, k int, seed uint64, beta []float64, scheme WeightScheme,
+	run func(*graph.Graph, runSpec) [][]Entry) *WeightedSet {
 	src := rank.NewSource(seed)
 	rk := func(v int32) float64 { return src.ExpRank(int64(v), beta[v]) }
 	if scheme == PriorityWeights {
 		rk = func(v int32) float64 { return src.PriorityRank(int64(v), beta[v]) }
 	}
-	lists := prunedDijkstraRun(g, runSpec{k: k, rank: rk})
+	lists := run(g, runSpec{k: k, rank: rk})
 	f := freezeFrame(kindWeighted, Options{K: k}, scheme, 0, 1, 0, lists)
 	f.beta = make([]float64, len(f.node))
 	for i, v := range f.node {
 		f.beta[i] = beta[v]
 	}
-	return &WeightedSet{frame: f}, nil
+	return &WeightedSet{frame: f}
 }
 
 // WeightedSet holds the weighted sketches of all nodes of one graph, as

@@ -208,56 +208,80 @@ func TestDistancesUnifiedView(t *testing.T) {
 	}
 }
 
-func TestVisitAscendingOrderAndPrune(t *testing.T) {
-	g := Path(6)
-	var order []int32
-	var dists []float64
-	VisitAscending(g, 2, func(v int32, d float64) bool {
-		order = append(order, v)
-		dists = append(dists, d)
-		return true
-	})
-	if len(order) != 6 {
-		t.Fatalf("visited %d nodes, want 6", len(order))
-	}
-	for i := 1; i < len(dists); i++ {
-		if dists[i] < dists[i-1] {
-			t.Fatal("distances not non-decreasing")
+// visitAll drives one Visitor traversal, expanding the nodes keep accepts.
+func visitAll(vis *Visitor, src int32, keep func(v int32, d float64) bool) {
+	vis.Start(src)
+	for v, d, ok := vis.Next(); ok; v, d, ok = vis.Next() {
+		if keep(v, d) {
+			vis.Expand(v, d)
 		}
 	}
-	if order[0] != 2 || dists[0] != 0 {
-		t.Errorf("first visit = (%d,%g), want (2,0)", order[0], dists[0])
-	}
+}
 
-	// Pruning at node 3 must stop the rightward expansion past it.
-	var visited []int32
-	VisitAscending(g, 2, func(v int32, d float64) bool {
-		visited = append(visited, v)
-		return v != 3
-	})
-	for _, v := range visited {
-		if v > 3 {
-			t.Errorf("node %d visited despite pruning at 3", v)
+func TestVisitAscendingOrderAndPrune(t *testing.T) {
+	for name, g := range map[string]*Graph{
+		"bfs":      Path(6),
+		"dijkstra": WithRandomWeights(Path(6), 1, 4, 9),
+	} {
+		vis := NewVisitor(g)
+		var order []int32
+		var dists []float64
+		visitAll(vis, 2, func(v int32, d float64) bool {
+			order = append(order, v)
+			dists = append(dists, d)
+			return true
+		})
+		if len(order) != 6 {
+			t.Fatalf("%s: visited %d nodes, want 6", name, len(order))
+		}
+		for i := 1; i < len(dists); i++ {
+			if dists[i] < dists[i-1] {
+				t.Fatalf("%s: distances not non-decreasing", name)
+			}
+		}
+		if order[0] != 2 || dists[0] != 0 {
+			t.Errorf("%s: first visit = (%d,%g), want (2,0)", name, order[0], dists[0])
+		}
+
+		// Pruning at node 3 must stop the rightward expansion past it.
+		var visited []int32
+		visitAll(vis, 2, func(v int32, d float64) bool {
+			visited = append(visited, v)
+			return v != 3
+		})
+		for _, v := range visited {
+			if v > 3 {
+				t.Errorf("%s: node %d visited despite pruning at 3", name, v)
+			}
 		}
 	}
 }
 
 func TestVisitorReuse(t *testing.T) {
-	g := GNP(300, 0.02, false, 3)
-	vis := NewVisitor(g)
-	for _, src := range []int32{0, 5, 250} {
-		want := Distances(g, src)
-		got := make([]float64, g.NumNodes())
-		for i := range got {
-			got[i] = Infinity
-		}
-		vis.Run(src, func(v int32, d float64) bool {
-			got[v] = d
-			return true
-		})
-		for v := range want {
-			if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
-				t.Fatalf("src %d node %d: visitor %g, Distances %g", src, v, got[v], want[v])
+	unweighted := GNP(300, 0.02, false, 3)
+	for name, g := range map[string]*Graph{
+		"bfs":      unweighted,
+		"dijkstra": WithRandomWeights(unweighted, 1, 8, 4),
+	} {
+		vis := NewVisitor(g)
+		// The abandoned traversal must leave nothing behind for the next.
+		vis.Start(7)
+		vis.Next()
+		vis.Expand(7, 0)
+		for _, src := range []int32{0, 5, 250} {
+			want := Distances(g, src)
+			got := make([]float64, g.NumNodes())
+			for i := range got {
+				got[i] = Infinity
+			}
+			visitAll(vis, src, func(v int32, d float64) bool {
+				got[v] = d
+				return true
+			})
+			for v := range want {
+				if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
+					t.Fatalf("%s: src %d node %d: visitor %g, Distances %g", name, src, v, got[v], want[v])
+				}
 			}
 		}
 	}

@@ -126,26 +126,39 @@ func Distances(g *Graph, src int32) []float64 {
 	return dist
 }
 
-// VisitAscending runs a Dijkstra traversal from src and calls visit for each
-// settled node in non-decreasing distance order (src itself first, at
-// distance 0).  If visit returns false the traversal is pruned at that node:
-// its out-edges are not relaxed.  This is the primitive Algorithm 1
-// (PrunedDijkstra) needs — the ADS construction prunes the search at nodes
-// whose sketch the new rank cannot improve.
+// Visitor performs repeated pruned shortest-path traversals over one graph
+// while reusing its buffers: a FIFO BFS over integer hops when the graph
+// is unweighted, a lazy-deletion heap Dijkstra otherwise.  This is the
+// primitive Algorithm 1 (PrunedDijkstra) needs — the ADS construction
+// prunes the search at nodes whose sketch the new rank cannot improve.
 //
-// The scratch slices dist and heap state are allocated per call; callers
-// doing n traversals (as the ADS builder does) should use the Visitor type
-// to reuse allocations.
-func VisitAscending(g *Graph, src int32, visit func(v int32, d float64) bool) {
-	vis := NewVisitor(g)
-	vis.Run(src, visit)
-}
-
-// Visitor performs repeated pruned Dijkstra traversals over one graph while
-// reusing its internal buffers.  It is not safe for concurrent use; create
-// one Visitor per goroutine.
+// A traversal is pulled, not pushed, so the caller's per-node step runs
+// inline in its own loop instead of behind a callback:
+//
+//	vis.Start(src)
+//	for v, d, ok := vis.Next(); ok; v, d, ok = vis.Next() {
+//		if keep(v, d) {
+//			vis.Expand(v, d)
+//		}
+//	}
+//
+// Next yields each reached node once, in non-decreasing distance order
+// (src first, at distance 0); a node the caller does not Expand is pruned:
+// its out-edges are not relaxed.  BFS is exact here for the same reason
+// Dijkstra is: nodes leave the queue in non-decreasing hop count, so the
+// first expanded node to reach v does so over a shortest unpruned path.
+//
+// A Visitor is not safe for concurrent use; create one per goroutine.
 type Visitor struct {
-	g     *Graph
+	g *Graph
+
+	// Unweighted: hops[v] is -1 until v is queued.  queue[head:] is the
+	// frontier; the whole queue is the list of marks Start must clear.
+	hops  []int32
+	queue []int32
+	head  int
+
+	// Weighted.
 	dist  []float64
 	dirty []int32 // nodes whose dist needs resetting
 	heap  distHeap
@@ -153,45 +166,85 @@ type Visitor struct {
 
 // NewVisitor returns a Visitor over g.
 func NewVisitor(g *Graph) *Visitor {
-	d := make([]float64, g.NumNodes())
-	for i := range d {
-		d[i] = Infinity
+	vis := &Visitor{g: g}
+	if g.Weighted() {
+		vis.dist = make([]float64, g.NumNodes())
+		for i := range vis.dist {
+			vis.dist[i] = Infinity
+		}
+	} else {
+		vis.hops = make([]int32, g.NumNodes())
+		for i := range vis.hops {
+			vis.hops[i] = -1
+		}
 	}
-	return &Visitor{g: g, dist: d}
+	return vis
 }
 
-// Run performs one traversal from src; see VisitAscending for the contract.
-func (vis *Visitor) Run(src int32, visit func(v int32, d float64) bool) {
-	g := vis.g
+// Start begins a traversal from src, discarding whatever is left of the
+// previous one.
+func (vis *Visitor) Start(src int32) {
+	if vis.hops != nil {
+		for _, v := range vis.queue {
+			vis.hops[v] = -1
+		}
+		vis.hops[src] = 0
+		vis.queue = append(vis.queue[:0], src)
+		vis.head = 0
+		return
+	}
+	for _, v := range vis.dirty {
+		vis.dist[v] = Infinity
+	}
 	vis.heap.d = vis.heap.d[:0]
 	vis.heap.v = vis.heap.v[:0]
 	vis.dist[src] = 0
 	vis.dirty = append(vis.dirty[:0], src)
 	vis.heap.push(0, src)
-	for vis.heap.len() > 0 {
-		d, u := vis.heap.pop()
-		if d > vis.dist[u] {
-			continue
+}
+
+// Next returns the next reached node and its distance from the source;
+// ok is false once the traversal is exhausted.
+func (vis *Visitor) Next() (v int32, d float64, ok bool) {
+	if vis.hops != nil {
+		if vis.head == len(vis.queue) {
+			return 0, 0, false
 		}
-		if !visit(u, d) {
-			continue // pruned: do not relax out-edges
-		}
-		ns, ws := g.Neighbors(u)
-		for i, v := range ns {
-			w := 1.0
-			if ws != nil {
-				w = ws[i]
-			}
-			if nd := d + w; nd < vis.dist[v] {
-				if vis.dist[v] == Infinity {
-					vis.dirty = append(vis.dirty, v)
-				}
-				vis.dist[v] = nd
-				vis.heap.push(nd, v)
-			}
-		}
+		v = vis.queue[vis.head]
+		vis.head++
+		return v, float64(vis.hops[v]), true
 	}
-	for _, v := range vis.dirty {
-		vis.dist[v] = Infinity
+	for vis.heap.len() > 0 {
+		d, v = vis.heap.pop()
+		if d > vis.dist[v] {
+			continue // stale entry
+		}
+		return v, d, true
+	}
+	return 0, 0, false
+}
+
+// Expand relaxes the out-edges of v, which Next just returned at
+// distance d.
+func (vis *Visitor) Expand(v int32, d float64) {
+	ns, ws := vis.g.Neighbors(v)
+	if vis.hops != nil {
+		h := vis.hops[v] + 1
+		for _, w := range ns {
+			if vis.hops[w] < 0 {
+				vis.hops[w] = h
+				vis.queue = append(vis.queue, w)
+			}
+		}
+		return
+	}
+	for i, w := range ns {
+		if nd := d + ws[i]; nd < vis.dist[w] {
+			if vis.dist[w] == Infinity {
+				vis.dirty = append(vis.dirty, w)
+			}
+			vis.dist[w] = nd
+			vis.heap.push(nd, w)
+		}
 	}
 }

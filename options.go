@@ -181,19 +181,22 @@ func WithApproxEps(eps float64) Option {
 
 // WithParallelism bounds the number of worker goroutines used by the
 // parallel parts of the construction: the per-permutation and per-bucket
-// runs of k-mins / k-partition, and AlgoPrunedDijkstraParallel batches.
-// With workers > 1 and no explicit WithAlgorithm, a bottom-k build
-// selects AlgoPrunedDijkstraParallel (whose output is identical to the
-// sequential algorithm's).  0 (the default) means GOMAXPROCS; the built
-// sketches are identical for every parallelism level.  Asking for
-// workers > 1 where the construction has no parallel dimension — a
-// weighted or approximate build, or bottom-k with an explicitly
-// sequential algorithm — is rejected with ErrIncompatibleOptions rather
-// than silently running serially.
+// passes of k-mins / k-partition, and AlgoPrunedDijkstraParallel batches.
+// 0 (the default) lets those parts use GOMAXPROCS workers — but a bottom-k
+// build has no such part unless it is asked for: by default it runs the
+// sequential Algorithm 1 on one goroutine whatever GOMAXPROCS is.  With
+// workers > 1 and no explicit WithAlgorithm, a bottom-k build selects
+// AlgoPrunedDijkstraParallel, whose output is identical and which, at 2
+// workers, is no faster than the sequential kernel (see
+// BenchmarkParallelBuilder).  The built sketches are identical for every
+// parallelism level.  Asking for workers > 1 where the construction has
+// no parallel dimension — a weighted or approximate build, or bottom-k
+// with an explicitly sequential algorithm — is rejected with
+// ErrIncompatibleOptions rather than silently running serially.
 func WithParallelism(workers int) Option {
 	return func(c *buildConfig) error {
 		if workers < 0 {
-			return fmt.Errorf("%w: WithParallelism(%d), workers must be >= 0 (0 = GOMAXPROCS)", ErrBadOption, workers)
+			return fmt.Errorf("%w: WithParallelism(%d), workers must be >= 0 (0 = the default)", ErrBadOption, workers)
 		}
 		c.parallelism = workers
 		return nil
@@ -273,6 +276,11 @@ func flavorName(f Flavor) string {
 //	set, err := adsketch.Build(g, adsketch.WithFlavor(adsketch.KMins), adsketch.WithBaseB(2))
 //	set, err := adsketch.Build(g, adsketch.WithNodeWeights(beta)) // weighted cardinalities
 //	set, err := adsketch.Build(g, adsketch.WithApproxEps(0.25))   // (1+ε)-approximate
+//
+// A bottom-k build (the default flavor) runs on the calling goroutine
+// unless WithParallelism(workers > 1) or AlgoPrunedDijkstraParallel asks
+// otherwise; k-mins and k-partition builds spread their k passes over
+// GOMAXPROCS workers unless WithParallelism bounds them.
 //
 // For backward sketches on directed graphs, pass g.Transpose().  Invalid
 // option values return an error matching ErrBadOption; unsupported
