@@ -22,6 +22,7 @@ package adsketch_test
 
 import (
 	"context"
+	"io"
 	"math"
 	"testing"
 
@@ -431,7 +432,8 @@ func BenchmarkParallelBuilder(b *testing.B) {
 // — so a `go test -bench` number can be read against its core.build_s and
 // e2e.build_edges_per_s.  One row per construction the benchmark graph
 // admits: the default, Section 9 node weights, k-mins (16 bottom-1
-// passes), and the batch-parallel variant at 2 workers.
+// passes), and the batch-parallel variant at 2 workers.  B/node is its
+// sketch_bytes_per_node for the row's set.
 func BenchmarkBuildPipeline(b *testing.B) {
 	g := graph.PreferentialAttachment(10000, 5, 1)
 	beta := make([]float64, g.NumNodes())
@@ -450,12 +452,22 @@ func BenchmarkBuildPipeline(b *testing.B) {
 		opts := append([]adsketch.Option{adsketch.WithK(16), adsketch.WithSeed(42)}, c.opts...)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var set adsketch.SketchSet
 			for i := 0; i < b.N; i++ {
-				if _, err := adsketch.Build(g, opts...); err != nil {
+				var err error
+				if set, err = adsketch.Build(g, opts...); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(g.NumEdges())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+			// What the repo benchmark calls sketch_bytes_per_node: the v3
+			// file of the built set over its node count.
+			b.StopTimer()
+			size, err := adsketch.WriteSketchSetV3(io.Discard, set)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(size)/float64(g.NumNodes()), "B/node")
 		})
 	}
 }

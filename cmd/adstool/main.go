@@ -358,20 +358,46 @@ func runMerge(args []string) error {
 
 // runConvert rewrites any sketch file (v1, v2, or v3; whole set or
 // partition) into the columnar v3 format that OpenSketchFile reads with
-// O(1) allocations and `adsserver -mmap` maps zero-copy.
+// O(1) allocations and `adsserver -mmap` maps zero-copy.  A file that
+// stores its ranks (written before they were derived) is rewritten
+// rank-free once every stored rank is verified against the seed: the
+// header's for a uniform file, -seed for a weighted or approximate one,
+// whose old headers recorded none.
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	in := fs.String("sketches", "", "sketch file to convert (required; any version, whole set or partition)")
 	out := fs.String("out", "", "output v3 sketch file (required)")
+	seed := fs.Uint64("seed", 0, "rank seed a weighted or approximate file with stored ranks was built with; given it, the ranks are verified and the output is rank-free")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("convert: -sketches and -out are required")
 	}
+	seedGiven := false
+	fs.Visit(func(f *flag.Flag) { seedGiven = seedGiven || f.Name == "seed" })
 	sf, err := adsketch.OpenSketchFile(*in)
 	if err != nil {
 		return err
 	}
 	defer sf.Close()
+	ranks := "derived"
+	if sf.RanksStored() {
+		set := sf.Set()
+		if p := sf.Partition(); p != nil {
+			set = p.Set()
+		}
+		u, uniform := set.(*adsketch.Set)
+		if uniform && seedGiven && u.Options().Seed != *seed {
+			return fmt.Errorf("convert: -seed %d given, but the header of %s records seed %d", *seed, *in, u.Options().Seed)
+		}
+		if uniform || seedGiven {
+			if err := sf.DeriveRanks(*seed); err != nil {
+				return fmt.Errorf("convert: %s would not keep its estimates without its rank column: %w", *in, err)
+			}
+			ranks = "derived (stored column verified and dropped)"
+		} else {
+			ranks = "stored (the file records no seed; pass -seed to verify and drop the column)"
+		}
+	}
 	g, err := os.Create(*out)
 	if err != nil {
 		return err
@@ -388,7 +414,7 @@ func runConvert(args []string) error {
 	if err != nil {
 		return fmt.Errorf("writing %s: %w", *out, err)
 	}
-	fmt.Printf("converted %s -> %s (%d bytes, format v%d)\n", *in, *out, n, adsketch.SketchFormatVersionColumnar)
+	fmt.Printf("converted %s -> %s (%d bytes, format v%d, ranks %s)\n", *in, *out, n, adsketch.SketchFormatVersionColumnar, ranks)
 	return nil
 }
 
@@ -440,11 +466,21 @@ func runInfo(args []string) error {
 	case *adsketch.WeightedSet:
 		fmt.Printf("kind            weighted\n")
 		fmt.Printf("k               %d\n", x.K())
+		fmt.Printf("seed            %s\n", seedOf(sf, x.Seed()))
 		fmt.Printf("scheme          %v\n", x.Scheme())
 	case *adsketch.ApproxSet:
 		fmt.Printf("kind            approximate\n")
 		fmt.Printf("k               %d\n", x.K())
+		fmt.Printf("seed            %s\n", seedOf(sf, x.Seed()))
 		fmt.Printf("epsilon         %g\n", x.Epsilon())
+	}
+	switch {
+	case !sf.RanksStored():
+		fmt.Printf("ranks           derived\n")
+	case sf.Version() == adsketch.SketchFormatVersionColumnar:
+		fmt.Printf("ranks           stored (pre-PR-19 file)\n")
+	default:
+		fmt.Printf("ranks           stored (a v%d weighted/approximate body records no seed)\n", sf.Version())
 	}
 	if p := sf.Partition(); p != nil {
 		fmt.Printf("partition       %d of %d\n", p.Index(), p.Count())
@@ -459,6 +495,15 @@ func runInfo(args []string) error {
 		fmt.Printf("bytes/node      %.1f\n", float64(st.Size())/float64(nodes))
 	}
 	return nil
+}
+
+// seedOf renders the seed of a weighted or approximate set: files that
+// store their ranks predate its being recorded.
+func seedOf(sf *adsketch.SketchFile, seed uint64) string {
+	if sf.RanksStored() {
+		return "not recorded"
+	}
+	return strconv.FormatUint(seed, 10)
 }
 
 // loadOrBuild returns sketches from -sketches when given, else builds.

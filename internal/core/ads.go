@@ -24,9 +24,11 @@
 // # Storage model
 //
 // Entries are stored columnarly: a built set owns one Frame (offsets plus
-// parallel node/dist/rank columns shared by all sketches), and the sketch
-// types here are lightweight views over column slices.  Standalone
-// sketches (NewADS + Offer) own private columns that grow in place.
+// parallel node/dist columns shared by all sketches), and the sketch
+// types here are lightweight views over column slices that derive an
+// entry's rank from the set's seed when asked for it.  Standalone
+// sketches (NewADS + Offer) own private columns, ranks included, that
+// grow in place.
 package core
 
 import (
@@ -133,23 +135,6 @@ func (a *ADS) SizeWithin(d float64) int {
 	return sort.Search(a.c.len(), func(i int) bool { return a.c.dist[i] > d })
 }
 
-// thresholdBefore returns the k-th smallest rank among the first m ranks
-// (1 if m < k).  Because the ADS contains every node of Φ_<j that passed
-// its own threshold, and those are exactly the candidates with the k
-// smallest ranks, this equals kth_r(Φ_<j ∩ ADS) from Lemma 5.1.
-func thresholdBefore(ranks []float64, m, k int) float64 {
-	if m < k {
-		return 1
-	}
-	// Maintain the k smallest among ranks[:m].  m is small in practice
-	// (entries are logarithmic); a max-heap over k slots keeps this cheap.
-	h := newMaxHeap(k)
-	for i := 0; i < m; i++ {
-		h.offer(ranks[i])
-	}
-	return h.max()
-}
-
 // AppendInOrder appends an entry that is known to (a) come after all
 // current entries in canonical order and (b) satisfy the inclusion
 // condition.  Builders that generate candidates in canonical order
@@ -177,8 +162,21 @@ func (a *ADS) Offer(e Entry) bool {
 // Threshold returns the k-th smallest rank over all current entries (1 if
 // fewer than k).  A future candidate (which necessarily comes later in
 // canonical order) is included iff its rank is strictly below this value.
+// Because the ADS contains every node of Φ_<j that passed its own
+// threshold, and those are exactly the candidates with the k smallest
+// ranks, this equals kth_r(Φ_<j ∩ ADS) from Lemma 5.1.
 func (a *ADS) Threshold() float64 {
-	return thresholdBefore(a.c.rank, a.c.len(), a.k)
+	n := a.c.len()
+	if n < a.k {
+		return 1
+	}
+	// n is small in practice (entries are logarithmic); a max-heap over k
+	// slots keeps this cheap.
+	h := newMaxHeap(a.k)
+	for i := 0; i < n; i++ {
+		h.offer(a.c.rankAt(i))
+	}
+	return h.max()
 }
 
 // MinHashWithin extracts the bottom-k MinHash sketch of N_d(owner): the k
@@ -190,10 +188,9 @@ func (a *ADS) MinHashWithin(d float64) []float64 {
 	m := a.SizeWithin(d)
 	h := newMaxHeap(a.k)
 	for i := 0; i < m; i++ {
-		h.offer(a.c.rank[i])
+		h.offer(a.c.rankAt(i))
 	}
-	out := h.sorted()
-	return out
+	return h.sorted()
 }
 
 // EstimateNeighborhood returns the basic bottom-k estimate of n_d
@@ -216,7 +213,7 @@ func (a *ADS) EstimateNeighborhood(d float64) float64 {
 // P(rounded rank of j < t) = t exactly (Section 5.6), so the inverse
 // probability is again 1/threshold.
 func (a *ADS) HIPEntries() []WeightedEntry {
-	w := hipWeightsBottomK(a.c, a.k, newMaxHeap(a.k), make([]float64, 0, a.c.len()))
+	w := hipWeightsBottomK(a.c.ranks(), a.k, newMaxHeap(a.k), make([]float64, 0, a.c.len()))
 	out := make([]WeightedEntry, a.c.len())
 	for i := range out {
 		out[i] = WeightedEntry{Node: a.c.node[i], Dist: a.c.dist[i], Weight: w[i]}

@@ -34,6 +34,10 @@ type ApproxSet struct {
 // K returns the sketch parameter.
 func (s *ApproxSet) K() int { return s.frame.opts.K }
 
+// Seed returns the seed of the rank permutation (0 for a set loaded from
+// a file that did not record it).
+func (s *ApproxSet) Seed() uint64 { return s.frame.opts.Seed }
+
 // Epsilon returns the distance slack.
 func (s *ApproxSet) Epsilon() float64 { return s.frame.eps }
 
@@ -135,7 +139,7 @@ func BuildApproxSet(g *graph.Graph, k int, seed uint64, eps float64) (*ApproxSet
 	for v := range lists {
 		out[v] = lists[v]
 	}
-	return &ApproxSet{frame: freezeFrame(kindApprox, Options{K: k}, 0, eps, 1, 0, out)}, nil
+	return &ApproxSet{frame: freezeFrame(kindApprox, Options{K: k, Seed: seed}, 0, eps, 1, 0, out)}, nil
 }
 
 // CheckApproxSlack measures how far node u's approximate sketch is from

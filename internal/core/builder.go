@@ -43,17 +43,8 @@ func (o Options) Source() rank.Source { return rank.NewSource(o.Seed) }
 // rankFn returns the rank function for permutation perm (only k-mins uses
 // perm > 0), with base-b rounding applied when configured.
 func (o Options) rankFn(perm int) func(int32) float64 {
-	src := o.Source()
-	base := func(v int32) float64 { return src.Rank(int64(v)) }
-	if o.Flavor == sketch.KMins {
-		base = func(v int32) float64 { return src.RankAt(perm, int64(v)) }
-	}
-	if o.BaseB > 1 {
-		d := rank.NewBaseB(o.BaseB)
-		inner := base
-		return func(v int32) float64 { return d.Round(inner(v)) }
-	}
-	return base
+	by := newRanker(kindUniform, o, 0)
+	return func(v int32) float64 { return by.rank(perm, v, 0) }
 }
 
 // Algorithm selects an ADS construction algorithm (Section 3).
@@ -129,6 +120,15 @@ func (s *Set) SketchOf(v int32) Sketch { return s.frame.viewSketch(int(v)) }
 // BottomK returns node v's sketch as a bottom-k ADS; it panics if the set
 // was built with a different flavor.
 func (s *Set) BottomK(v int32) *ADS { return s.frame.viewSketch(int(v)).(*ADS) }
+
+// Columns returns node v's entries as (node, dist) column views, in
+// storage order (canonical within each segment) — the allocation-free
+// scan for callers that know the ranks already.  The slices alias the
+// set's storage and must not be modified.
+func (s *Set) Columns(v int32) (nodes []int32, dists []float64) {
+	lo, hi := s.frame.span(int(v))
+	return s.frame.node[lo:hi:hi], s.frame.dist[lo:hi:hi]
+}
 
 // Index returns local node v's columnar HIP query index, sharing the
 // frame's index arena — the zero-rebuild path batch serving uses.

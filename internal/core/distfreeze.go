@@ -39,7 +39,8 @@ func partRange(index, count, total int, lists int) (lo, hi int32, err error) {
 
 // FreezePartitionBottomK assembles one partition's per-node entry lists
 // (lists[i] belongs to global node lo+i, in canonical order, satisfying
-// the bottom-k inclusion condition) into a *Partition.  Serializing it
+// the bottom-k inclusion condition, with the ranks o derives) into a
+// *Partition.  Serializing it
 // with WritePartitionV3 yields exactly the bytes of the corresponding
 // SplitSketchSet slice of a whole-set build producing the same entries.
 func FreezePartitionBottomK(o Options, index, count, total int, lists [][]Entry) (*Partition, error) {
@@ -53,23 +54,18 @@ func FreezePartitionBottomK(o Options, index, count, total int, lists [][]Entry)
 	if err != nil {
 		return nil, err
 	}
-	s := &Set{frame: freezeFrame(kindUniform, o, 0, 0, 1, lo, lists)}
-	for i := range lists {
-		if len(lists[i]) == 0 {
-			return nil, fmt.Errorf("core: FreezePartitionBottomK: node %d has no entries", lo+int32(i))
-		}
-		if err := s.frame.viewADS(i).Validate(); err != nil {
-			return nil, fmt.Errorf("core: FreezePartitionBottomK: %w", err)
-		}
+	f := freezeFrame(kindUniform, o, 0, 0, 1, lo, lists)
+	if err := f.validateFrozen("FreezePartitionBottomK", lists); err != nil {
+		return nil, err
 	}
-	return &Partition{index: index, count: count, lo: lo, hi: hi, total: total, set: s}, nil
+	return &Partition{index: index, count: count, lo: lo, hi: hi, total: total, set: &Set{frame: f}}, nil
 }
 
 // FreezePartitionWeighted is FreezePartitionBottomK for weight-biased
-// ranks.  betas runs parallel to lists: betas[i][j] is the node weight
-// β of entry lists[i][j].Node (each entry's weight travels with it, so
-// a worker never needs the global weight vector).
-func FreezePartitionWeighted(k int, scheme WeightScheme, index, count, total int, lists [][]Entry, betas [][]float64) (*Partition, error) {
+// ranks drawn from seed.  betas runs parallel to lists: betas[i][j] is
+// the node weight β of entry lists[i][j].Node (each entry's weight
+// travels with it, so a worker never needs the global weight vector).
+func FreezePartitionWeighted(k int, seed uint64, scheme WeightScheme, index, count, total int, lists [][]Entry, betas [][]float64) (*Partition, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1")
 	}
@@ -83,7 +79,7 @@ func FreezePartitionWeighted(k int, scheme WeightScheme, index, count, total int
 	if len(betas) != len(lists) {
 		return nil, fmt.Errorf("core: FreezePartitionWeighted: %d beta lists for %d entry lists", len(betas), len(lists))
 	}
-	f := freezeFrame(kindWeighted, Options{K: k}, scheme, 0, 1, lo, lists)
+	f := freezeFrame(kindWeighted, Options{K: k, Seed: seed}, scheme, 0, 1, lo, lists)
 	f.beta = make([]float64, len(f.node))
 	pos := 0
 	for i := range lists {
@@ -93,23 +89,19 @@ func FreezePartitionWeighted(k int, scheme WeightScheme, index, count, total int
 		}
 		pos += copy(f.beta[pos:], betas[i])
 	}
-	for i := range lists {
-		if len(lists[i]) == 0 {
-			return nil, fmt.Errorf("core: FreezePartitionWeighted: node %d has no entries", lo+int32(i))
-		}
-		if err := f.viewWeighted(i).Validate(); err != nil {
-			return nil, fmt.Errorf("core: FreezePartitionWeighted: %w", err)
-		}
+	if err := f.validateFrozen("FreezePartitionWeighted", lists); err != nil {
+		return nil, err
 	}
 	return &Partition{index: index, count: count, lo: lo, hi: hi, total: total, set: &WeightedSet{frame: f}}, nil
 }
 
 // FreezePartitionApprox assembles one partition of a (1+ε)-approximate
-// set.  The relaxed acceptance rule means approximate entry lists need
-// not satisfy the strict bottom-k inclusion condition, so validation
-// checks what BuildApproxSet guarantees: canonical order, the owner
-// first at distance 0, and finite non-negative distances.
-func FreezePartitionApprox(k int, eps float64, index, count, total int, lists [][]Entry) (*Partition, error) {
+// set with ranks drawn from seed.  The relaxed acceptance rule means
+// approximate entry lists need not satisfy the strict bottom-k inclusion
+// condition, so validation checks what BuildApproxSet guarantees:
+// canonical order, distinct nodes, the owner first at distance 0, and
+// finite non-negative distances.
+func FreezePartitionApprox(k int, seed uint64, eps float64, index, count, total int, lists [][]Entry) (*Partition, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1")
 	}
@@ -120,23 +112,9 @@ func FreezePartitionApprox(k int, eps float64, index, count, total int, lists []
 	if err != nil {
 		return nil, err
 	}
-	for i, l := range lists {
-		owner := lo + int32(i)
-		if len(l) == 0 {
-			return nil, fmt.Errorf("core: FreezePartitionApprox: node %d has no entries", owner)
-		}
-		if l[0].Node != owner || l[0].Dist != 0 {
-			return nil, fmt.Errorf("core: FreezePartitionApprox: node %d does not start with itself at distance 0", owner)
-		}
-		for j, e := range l {
-			if e.Dist < 0 || math.IsNaN(e.Dist) || math.IsInf(e.Dist, 1) {
-				return nil, fmt.Errorf("core: FreezePartitionApprox: node %d entry %d has distance %g", owner, j, e.Dist)
-			}
-			if j > 0 && !l[j-1].before(e) {
-				return nil, fmt.Errorf("core: FreezePartitionApprox: node %d entries %d,%d out of canonical order", owner, j-1, j)
-			}
-		}
+	f := freezeFrame(kindApprox, Options{K: k, Seed: seed}, 0, eps, 1, lo, lists)
+	if err := f.validateFrozen("FreezePartitionApprox", lists); err != nil {
+		return nil, err
 	}
-	f := freezeFrame(kindApprox, Options{K: k}, 0, eps, 1, lo, lists)
 	return &Partition{index: index, count: count, lo: lo, hi: hi, total: total, set: &ApproxSet{frame: f}}, nil
 }

@@ -13,17 +13,9 @@ import (
 // material a distributed worker would have maintained for that range.
 func frameLists(f *Frame, lo, hi int) (lists [][]Entry, betas [][]float64) {
 	for v := lo; v < hi; v++ {
-		a, b := f.off[v], f.off[v+1]
-		var l []Entry
-		var bl []float64
-		for i := a; i < b; i++ {
-			l = append(l, Entry{Node: f.node[i], Dist: f.dist[i], Rank: f.rank[i]})
-			if f.beta != nil {
-				bl = append(bl, f.beta[i])
-			}
-		}
-		lists = append(lists, l)
-		betas = append(betas, bl)
+		c := f.segAt(v, 0)
+		lists = append(lists, c.entries())
+		betas = append(betas, append([]float64(nil), c.beta...))
 	}
 	return lists, betas
 }
@@ -63,10 +55,10 @@ func TestFreezePartitionByteParity(t *testing.T) {
 			return FreezePartitionBottomK(uni.Options(), index, count, 60, lists)
 		}},
 		{"weighted", wtd, wtd.frame, func(index, count int, lists [][]Entry, betas [][]float64) (*Partition, error) {
-			return FreezePartitionWeighted(8, ExponentialWeights, index, count, 60, lists, betas)
+			return FreezePartitionWeighted(8, 42, ExponentialWeights, index, count, 60, lists, betas)
 		}},
 		{"approx", apx, apx.frame, func(index, count int, lists [][]Entry, _ [][]float64) (*Partition, error) {
-			return FreezePartitionApprox(8, 0.25, index, count, 60, lists)
+			return FreezePartitionApprox(8, 42, 0.25, index, count, 60, lists)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,14 +104,14 @@ func TestFreezePartitionRejects(t *testing.T) {
 	if _, err := FreezePartitionBottomK(o, 0, 2, 4, good); err == nil {
 		t.Error("wrong list count accepted (1 list for a 2-node range)")
 	}
-	if _, err := FreezePartitionApprox(2, -0.5, 0, 4, 4, good); err == nil {
+	if _, err := FreezePartitionApprox(2, 1, -0.5, 0, 4, 4, good); err == nil {
 		t.Error("negative epsilon accepted")
 	}
 	bad := [][]Entry{{{Node: 3, Dist: 1, Rank: 0.5}}} // node 0's list must start with itself
-	if _, err := FreezePartitionApprox(2, 0.1, 0, 4, 4, bad); err == nil {
+	if _, err := FreezePartitionApprox(2, 1, 0.1, 0, 4, 4, bad); err == nil {
 		t.Error("list not starting with owner accepted")
 	}
-	if _, err := FreezePartitionWeighted(2, ExponentialWeights, 0, 4, 4, good, [][]float64{}); err == nil {
+	if _, err := FreezePartitionWeighted(2, 1, ExponentialWeights, 0, 4, 4, good, [][]float64{}); err == nil {
 		t.Error("mismatched beta list count accepted")
 	}
 }

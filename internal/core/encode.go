@@ -36,6 +36,11 @@ import (
 // nodes lo..hi-1 of a totalNodes-node set split into count node-range
 // shards.  Partitions do not nest.
 //
+// Versions 1 and 2 store each entry's rank.  The writers derive it and a
+// uniform file's ranks are checked against its seed on load and dropped;
+// weighted and approximate bodies record no seed, so theirs load as a
+// stored column (see Frame).
+//
 // Version 1 is the legacy uniform-only format (no kind field); readers
 // still accept it.  Version 3 (framecodec.go) serializes the columnar
 // frame verbatim — the serving format OpenSketchFile reads with O(1)
@@ -146,8 +151,13 @@ func growBuf(buf *[]byte, n int) []byte {
 // entry of every node; per-field binary.Write reflection is far too slow
 // for multi-million-entry sets).
 type setEncoder struct {
-	bw  *bufio.Writer
-	buf []byte
+	bw    *bufio.Writer
+	buf   []byte
+	ranks rankScratch // the ranks the format stores are derived through it
+}
+
+func newSetEncoder(w io.Writer) *setEncoder {
+	return &setEncoder{bw: bufio.NewWriter(w)}
 }
 
 func (e *setEncoder) u32(v uint32) error {
@@ -164,6 +174,23 @@ func (e *setEncoder) u64(v uint64) error {
 	return err
 }
 
+// node writes the length-prefixed entry lists of local node v, one per
+// segment, with β when the frame is weighted.
+func (e *setEncoder) node(f *Frame, v int) error {
+	for _, c := range f.ranked(&e.ranks, v) {
+		var err error
+		if f.kind == kindWeighted {
+			err = e.weightedEntriesCols(c)
+		} else {
+			err = e.entriesCols(c)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // entriesCols writes one length-prefixed entry list from columns as a
 // single buffer write.
 func (e *setEncoder) entriesCols(c cols) error {
@@ -174,7 +201,7 @@ func (e *setEncoder) entriesCols(c cols) error {
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(c.node[i]))
 		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(c.dist[i]))
-		binary.LittleEndian.PutUint64(buf[off+12:], math.Float64bits(c.rank[i]))
+		binary.LittleEndian.PutUint64(buf[off+12:], math.Float64bits(c.rankAt(i)))
 		off += entryWireSize
 	}
 	_, err := e.bw.Write(buf)
@@ -182,7 +209,7 @@ func (e *setEncoder) entriesCols(c cols) error {
 }
 
 // weightedEntriesCols writes one length-prefixed (entry, beta) list.
-func (e *setEncoder) weightedEntriesCols(c cols, beta []float64) error {
+func (e *setEncoder) weightedEntriesCols(c cols) error {
 	n := c.len()
 	buf := growBuf(&e.buf, 4+n*weightedEntryWireSize)
 	binary.LittleEndian.PutUint32(buf, uint32(n))
@@ -190,8 +217,8 @@ func (e *setEncoder) weightedEntriesCols(c cols, beta []float64) error {
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(c.node[i]))
 		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(c.dist[i]))
-		binary.LittleEndian.PutUint64(buf[off+12:], math.Float64bits(c.rank[i]))
-		binary.LittleEndian.PutUint64(buf[off+20:], math.Float64bits(beta[i]))
+		binary.LittleEndian.PutUint64(buf[off+12:], math.Float64bits(c.rankAt(i)))
+		binary.LittleEndian.PutUint64(buf[off+20:], math.Float64bits(c.beta[i]))
 		off += weightedEntryWireSize
 	}
 	_, err := e.bw.Write(buf)
@@ -220,12 +247,6 @@ func encodeSetBody(e *setEncoder, s AnySet) error {
 				return err
 			}
 		}
-		for i := 0; i < f.n*f.segs; i++ {
-			if err := e.entriesCols(f.segAt(i/f.segs, i%f.segs)); err != nil {
-				return err
-			}
-		}
-		return nil
 	case kindWeighted:
 		hdr := []error{
 			e.u32(kindWeighted),
@@ -238,13 +259,6 @@ func encodeSetBody(e *setEncoder, s AnySet) error {
 				return err
 			}
 		}
-		for v := 0; v < f.n; v++ {
-			lo, hi := f.span(v)
-			if err := e.weightedEntriesCols(f.segAt(v, 0), f.beta[lo:hi]); err != nil {
-				return err
-			}
-		}
-		return nil
 	case kindApprox:
 		hdr := []error{
 			e.u32(kindApprox),
@@ -257,21 +271,21 @@ func encodeSetBody(e *setEncoder, s AnySet) error {
 				return err
 			}
 		}
-		for v := 0; v < f.n; v++ {
-			if err := e.entriesCols(f.segAt(v, 0)); err != nil {
-				return err
-			}
-		}
-		return nil
 	default:
 		return fmt.Errorf("core: cannot encode sketch set kind %d", f.kind)
 	}
+	for v := 0; v < f.n; v++ {
+		if err := e.node(f, v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeSetFile writes one whole-set file: magic, version, body.
 func writeSetFile(w io.Writer, s AnySet) (int64, error) {
 	cw := &countingWriter{w: w}
-	e := &setEncoder{bw: bufio.NewWriter(cw)}
+	e := newSetEncoder(cw)
 	if _, err := e.bw.WriteString(encodeMagic); err != nil {
 		return cw.n, err
 	}
@@ -361,34 +375,47 @@ func (d *setDecoder) header(fields ...any) error {
 // columns, so the v2 decode path builds the columnar frame without an
 // intermediate per-node entry slice.  closeSeg records a segment
 // boundary; frame seals the result.
+//
+// The format stores a rank per entry.  A uniform body records the seed
+// that derives it, so the decoded rank is checked against by and dropped;
+// weighted and approximate bodies record none, so theirs (by == nil) are
+// kept as the frame's stored column.
 type frameAccum struct {
 	off  []int64
 	node []int32
 	dist []float64
-	rank []float64
 	beta []float64
+	rank []float64
+	by   *ranker
+	memo rankScratch
 }
 
-func newFrameAccum(segHint int) *frameAccum {
-	a := &frameAccum{off: make([]int64, 1, segHint+1)}
-	a.off[0] = 0
-	return a
+func newFrameAccum(segHint int, by *ranker) *frameAccum {
+	return &frameAccum{off: make([]int64, 1, segHint+1), rank: []float64{}, by: by}
 }
 
 func (a *frameAccum) closeSeg() { a.off = append(a.off, int64(len(a.node))) }
 
 func (a *frameAccum) frame(kind uint32, opts Options, scheme WeightScheme, eps float64, segs int, base int32) *Frame {
-	return &Frame{
+	f := &Frame{
 		kind: kind, opts: opts, scheme: scheme, eps: eps,
 		segs: segs, n: (len(a.off) - 1) / segs, base: base,
-		off: a.off, node: a.node, dist: a.dist, rank: a.rank, beta: a.beta,
+		off: a.off, node: a.node, dist: a.dist, beta: a.beta,
 	}
+	if a.by != nil {
+		f.by = *a.by
+	} else {
+		f.rank = a.rank
+	}
+	return f
 }
 
-// entriesInto reads one length-prefixed entry list into the accumulator,
-// decoding in bounded chunks so a corrupted length cannot drive a huge
-// allocation (column growth is amortized append, never an up-front claim).
-func (d *setDecoder) entriesInto(owner int32, a *frameAccum) error {
+// entriesInto reads one length-prefixed entry list — permutation perm of
+// owner's sketch, with a β per entry when weighted — into the
+// accumulator, decoding in bounded chunks so a corrupted length cannot
+// drive a huge allocation (column growth is amortized append, never an
+// up-front claim).
+func (d *setDecoder) entriesInto(owner int32, perm int, weighted bool, a *frameAccum) error {
 	n, err := d.u32()
 	if err != nil {
 		return fmt.Errorf("core: reading sketch of node %d: %w", owner, err)
@@ -396,50 +423,39 @@ func (d *setDecoder) entriesInto(owner int32, a *frameAccum) error {
 	if n > 1<<28 {
 		return fmt.Errorf("core: implausible entry count %d for node %d", n, owner)
 	}
-	for remaining := int(n); remaining > 0; {
-		chunk := remaining
-		if chunk > maxEntryPrealloc {
-			chunk = maxEntryPrealloc
-		}
-		buf, err := d.read(chunk * entryWireSize)
-		if err != nil {
-			return fmt.Errorf("core: reading sketch of node %d: %w", owner, err)
-		}
-		for off := 0; off < len(buf); off += entryWireSize {
-			a.node = append(a.node, int32(binary.LittleEndian.Uint32(buf[off:])))
-			a.dist = append(a.dist, math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:])))
-			a.rank = append(a.rank, math.Float64frombits(binary.LittleEndian.Uint64(buf[off+12:])))
-		}
-		remaining -= chunk
-	}
-	a.closeSeg()
-	return nil
-}
-
-// weightedEntriesInto reads one length-prefixed (entry, beta) list into
-// the accumulator.
-func (d *setDecoder) weightedEntriesInto(owner int32, a *frameAccum) error {
-	n, err := d.u32()
-	if err != nil {
-		return fmt.Errorf("core: reading sketch of node %d: %w", owner, err)
-	}
-	if n > 1<<28 {
-		return fmt.Errorf("core: implausible entry count %d for node %d", n, owner)
+	size := entryWireSize
+	if weighted {
+		size = weightedEntryWireSize
 	}
 	for remaining := int(n); remaining > 0; {
 		chunk := remaining
 		if chunk > maxEntryPrealloc {
 			chunk = maxEntryPrealloc
 		}
-		buf, err := d.read(chunk * weightedEntryWireSize)
+		buf, err := d.read(chunk * size)
 		if err != nil {
 			return fmt.Errorf("core: reading sketch of node %d: %w", owner, err)
 		}
-		for off := 0; off < len(buf); off += weightedEntryWireSize {
+		start := len(a.node)
+		for off := 0; off < len(buf); off += size {
 			a.node = append(a.node, int32(binary.LittleEndian.Uint32(buf[off:])))
 			a.dist = append(a.dist, math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:])))
 			a.rank = append(a.rank, math.Float64frombits(binary.LittleEndian.Uint64(buf[off+12:])))
-			a.beta = append(a.beta, math.Float64frombits(binary.LittleEndian.Uint64(buf[off+20:])))
+			if weighted {
+				a.beta = append(a.beta, math.Float64frombits(binary.LittleEndian.Uint64(buf[off+20:])))
+			}
+		}
+		if a.by != nil {
+			// Check the chunk's ranks against the seed, and drop them.
+			want := a.memo.grow(chunk)
+			a.memo.derive(want, a.by, perm, a.node[start:], nil)
+			for i, r := range a.rank {
+				if r != want[i] {
+					return fmt.Errorf("core: corrupt sketch file: sketch of node %d stores rank %g for node %d, its seed derives %g",
+						owner, r, a.node[start+i], want[i])
+				}
+			}
+			a.rank = a.rank[:0]
 		}
 		remaining -= chunk
 	}
@@ -534,21 +550,6 @@ func decodeSetBodyKind(d *setDecoder, kind uint32, base int32) (AnySet, error) {
 	}
 }
 
-// validateView checks a decoded sketch view's structural invariants.
-func validateView(s Sketch) error {
-	switch x := s.(type) {
-	case *ADS:
-		return x.Validate()
-	case *WeightedADS:
-		return x.Validate()
-	case *KMinsADS:
-		return x.Validate()
-	case *KPartitionADS:
-		return x.Validate()
-	}
-	return nil
-}
-
 // readUniformBody parses the shared uniform body (everything after the
 // version/kind prefix, identical in versions 1 and 2) into a frame-backed
 // set.  Sketch owners are base..base+numNodes-1 (base is 0 for whole-set
@@ -585,22 +586,32 @@ func readUniformBody(d *setDecoder, base int32) (*Set, error) {
 	// Decode straight into growing frame columns; the segment-count hint
 	// is capped so a corrupted node count fails at the first short read
 	// instead of provoking one huge up-front allocation.
-	acc := newFrameAccum(minInt(int(numNodes)*segs, maxEntryPrealloc))
+	by := newRanker(kindUniform, o, 0)
+	acc := newFrameAccum(minInt(int(numNodes)*segs, maxEntryPrealloc), &by)
 	for v := uint32(0); v < numNodes; v++ {
 		owner := base + int32(v)
 		for s := 0; s < segs; s++ {
-			if err := d.entriesInto(owner, acc); err != nil {
+			if err := d.entriesInto(owner, s, false, acc); err != nil {
 				return nil, err
 			}
 		}
 	}
-	set := &Set{frame: acc.frame(kindUniform, o, 0, 0, segs, base)}
-	for v := 0; v < int(numNodes); v++ {
-		if err := validateView(set.frame.viewSketch(v)); err != nil {
-			return nil, fmt.Errorf("core: corrupt sketch file: %w", err)
+	f := acc.frame(kindUniform, o, 0, 0, segs, base)
+	if err := validateDecoded(f, &acc.memo); err != nil {
+		return nil, err
+	}
+	return &Set{frame: f}, nil
+}
+
+// validateDecoded checks the structural invariants of every sketch of a
+// decoded frame.
+func validateDecoded(f *Frame, s *rankScratch) error {
+	for v := 0; v < f.n; v++ {
+		if err := f.validate(s, v, nil); err != nil {
+			return fmt.Errorf("core: corrupt sketch file: %w", err)
 		}
 	}
-	return set, nil
+	return nil
 }
 
 func readWeightedBody(d *setDecoder, base int32) (*WeightedSet, error) {
@@ -617,21 +628,17 @@ func readWeightedBody(d *setDecoder, base int32) (*WeightedSet, error) {
 	if numNodes > 1<<30 {
 		return nil, fmt.Errorf("core: implausible node count %d", numNodes)
 	}
-	acc := newFrameAccum(minInt(int(numNodes), maxEntryPrealloc))
+	acc := newFrameAccum(minInt(int(numNodes), maxEntryPrealloc), nil)
 	for v := uint32(0); v < numNodes; v++ {
-		owner := base + int32(v)
-		if err := d.weightedEntriesInto(owner, acc); err != nil {
+		if err := d.entriesInto(base+int32(v), 0, true, acc); err != nil {
 			return nil, err
 		}
 	}
 	f := acc.frame(kindWeighted, Options{K: int(k)}, WeightScheme(scheme), 0, 1, base)
-	set := &WeightedSet{frame: f}
-	for v := 0; v < int(numNodes); v++ {
-		if err := f.viewWeighted(v).Validate(); err != nil {
-			return nil, fmt.Errorf("core: corrupt sketch file: %w", err)
-		}
+	if err := validateDecoded(f, &acc.memo); err != nil {
+		return nil, err
 	}
-	return set, nil
+	return &WeightedSet{frame: f}, nil
 }
 
 func readApproxBody(d *setDecoder, base int32) (*ApproxSet, error) {
@@ -650,21 +657,15 @@ func readApproxBody(d *setDecoder, base int32) (*ApproxSet, error) {
 	if numNodes > 1<<30 {
 		return nil, fmt.Errorf("core: implausible node count %d", numNodes)
 	}
-	acc := newFrameAccum(minInt(int(numNodes), maxEntryPrealloc))
+	acc := newFrameAccum(minInt(int(numNodes), maxEntryPrealloc), nil)
 	for v := uint32(0); v < numNodes; v++ {
-		owner := base + int32(v)
-		if err := d.entriesInto(owner, acc); err != nil {
+		if err := d.entriesInto(base+int32(v), 0, false, acc); err != nil {
 			return nil, err
 		}
 	}
 	f := acc.frame(kindApprox, Options{K: int(k)}, 0, eps, 1, base)
-	for v := 0; v < int(numNodes); v++ {
-		// Approximate sketches relax the exact inclusion rule (entries may
-		// be justified by an ε-slack window that the final state no longer
-		// exhibits), so only the rank-independent invariants are checked.
-		if err := validateApproxView(f.viewADS(v)); err != nil {
-			return nil, fmt.Errorf("core: corrupt sketch file: %w", err)
-		}
+	if err := validateDecoded(f, &acc.memo); err != nil {
+		return nil, err
 	}
 	return &ApproxSet{frame: f}, nil
 }
@@ -678,7 +679,10 @@ func minInt(a, b int) int {
 
 // validateApproxView checks the invariants an approximate sketch
 // guarantees regardless of ε: canonical order, distinct nodes, and the
-// owner as first entry at distance 0.
+// owner as first entry at distance 0.  Approximate sketches relax the
+// exact inclusion rule (entries may be justified by an ε-slack window
+// that the final state no longer exhibits), so only the rank-independent
+// invariants are checked.
 func validateApproxView(a *ADS) error {
 	owner, n := a.node, a.c.len()
 	seen := make(map[int32]bool, n)
@@ -712,7 +716,7 @@ func validateApproxView(a *ADS) error {
 // Deprecated: use (*Set).WriteTo, which writes the current versioned
 // format shared by all set kinds.
 func WriteSet(w io.Writer, s *Set) error {
-	e := &setEncoder{bw: bufio.NewWriter(w)}
+	e := newSetEncoder(w)
 	if _, err := e.bw.WriteString(encodeMagic); err != nil {
 		return err
 	}
@@ -730,8 +734,8 @@ func WriteSet(w io.Writer, s *Set) error {
 			return err
 		}
 	}
-	for i := 0; i < f.n*f.segs; i++ {
-		if err := e.entriesCols(f.segAt(i/f.segs, i%f.segs)); err != nil {
+	for v := 0; v < f.n; v++ {
+		if err := e.node(f, v); err != nil {
 			return err
 		}
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
+	"adsketch/internal/rank"
 	"adsketch/internal/sketch"
 )
 
@@ -18,35 +20,135 @@ import (
 // partitions is offset slicing, and the version-3 codec serializes the
 // columns verbatim, so opening a prebuilt file is O(columns) work (and
 // zero copies when mmapped).
+//
+// A frame holds (node, dist) pairs — and β for weighted sets — but no
+// ranks: a rank is a pure function of the seed and the node (and of β,
+// which travels with the entry), so it is derived when asked for.  The
+// one exception is a frame opened from a file written before ranks were
+// derived, which may not even record its seed: its stored rank column is
+// viewed in place and used instead.  rank != nil is the only predicate.
 
-// cols is one columnar entry list: the node/dist/rank columns of a
-// contiguous entry range, in canonical (distance, node ID) order.  A cols
-// either views a frame's shared columns (frozen sketches) or owns private
-// slices (standalone sketches built incrementally via Offer).
+// ranker derives the rank of an entry from what its frame records: the
+// seed, the flavor and base of a uniform set, the scheme of a weighted
+// one.  It is the arithmetic the builders draw ranks with (Options.rankFn
+// is built on it), so a derived rank is bit-equal to the one the entry
+// was sampled under.
+type ranker struct {
+	src      rank.Source
+	kmins    bool // one permutation per segment
+	rounded  bool // base-b ranks
+	base     rank.BaseB
+	weighted bool
+	scheme   WeightScheme
+}
+
+func newRanker(kind uint32, o Options, scheme WeightScheme) ranker {
+	r := ranker{src: o.Source()}
+	switch kind {
+	case kindWeighted:
+		r.weighted, r.scheme = true, scheme
+	case kindUniform:
+		r.kmins = o.Flavor == sketch.KMins
+		if o.BaseB > 1 {
+			r.rounded, r.base = true, rank.NewBaseB(o.BaseB)
+		}
+	}
+	return r
+}
+
+// rank returns the rank of node under permutation perm (k-mins only)
+// and node weight beta (weighted sets only).
+func (r *ranker) rank(perm int, node int32, beta float64) float64 {
+	if r.weighted {
+		if r.scheme == PriorityWeights {
+			return r.src.PriorityRank(int64(node), beta)
+		}
+		return r.src.ExpRank(int64(node), beta)
+	}
+	var x float64
+	if r.kmins {
+		x = r.src.RankAt(perm, int64(node))
+	} else {
+		x = r.src.Rank(int64(node))
+	}
+	if r.rounded {
+		x = r.base.Round(x)
+	}
+	return x
+}
+
+// cols is one columnar entry list: the node/dist columns of a contiguous
+// entry range, in canonical (distance, node ID) order.  A cols either
+// views a frame's shared columns (frozen sketches) or owns private slices
+// (standalone sketches built incrementally via Offer).  Its ranks are
+// stored when rank is non-nil — standalone sketches, and the frames of
+// files written before ranks were derived — and derived through by
+// otherwise.
 type cols struct {
 	node []int32
 	dist []float64
 	rank []float64
+	beta []float64 // weighted sketches: β per entry
+	by   *ranker
+	perm int // which permutation the list samples: its segment, for k-mins
 }
 
-func (c cols) len() int { return len(c.node) }
+func (c *cols) len() int { return len(c.node) }
+
+// rankAt returns the rank of entry i.
+func (c *cols) rankAt(i int) float64 {
+	if c.rank != nil {
+		return c.rank[i]
+	}
+	var b float64
+	if c.beta != nil {
+		b = c.beta[i]
+	}
+	return c.by.rank(c.perm, c.node[i], b)
+}
+
+// ranks returns the rank of every entry: the stored column, or a fresh
+// slice of derived ones.
+func (c *cols) ranks() []float64 {
+	if c.rank != nil {
+		return c.rank
+	}
+	out := make([]float64, len(c.node))
+	for i := range out {
+		out[i] = c.rankAt(i)
+	}
+	return out
+}
 
 // at returns entry i as a value.
-func (c cols) at(i int) Entry {
-	return Entry{Node: c.node[i], Dist: c.dist[i], Rank: c.rank[i]}
+func (c *cols) at(i int) Entry {
+	return Entry{Node: c.node[i], Dist: c.dist[i], Rank: c.rankAt(i)}
+}
+
+// before reports whether entry i of c precedes entry j of d in the
+// canonical order.
+func (c *cols) before(i int, d *cols, j int) bool {
+	if c.dist[i] != d.dist[j] {
+		return c.dist[i] < d.dist[j]
+	}
+	return c.node[i] < d.node[j]
 }
 
 // push appends an entry.  Views into a frame arena are sliced with full
 // capacity bounds, so pushing onto one reallocates instead of corrupting
-// the shared columns.
+// the shared columns; a view that was deriving its ranks stores them
+// first, as the pushed one has to be.
 func (c *cols) push(e Entry) {
+	if len(c.node) > 0 {
+		c.rank = c.ranks()
+	}
 	c.node = append(c.node, e.Node)
 	c.dist = append(c.dist, e.Dist)
 	c.rank = append(c.rank, e.Rank)
 }
 
 // entries materializes the columns as an entry slice.
-func (c cols) entries() []Entry {
+func (c *cols) entries() []Entry {
 	out := make([]Entry, len(c.node))
 	for i := range out {
 		out[i] = c.at(i)
@@ -86,15 +188,18 @@ type Frame struct {
 	off    []int64 // len n*segs+1, absolute entry positions
 	node   []int32
 	dist   []float64
-	rank   []float64
 	beta   []float64 // weighted sets: β per entry, parallel to the columns
+	by     ranker    // derives the ranks
+	rank   []float64 // non-nil only for a file written before ranks were derived: its stored ranks, used instead of by
 
 	hipOnce sync.Once
 	hip     *hipArena
 }
 
 // freezeFrame assembles per-segment entry lists (node-major: segment s of
-// node v is lists[v*segs+s]) into one frame.
+// node v is lists[v*segs+s]) into one frame.  The entries' Rank fields are
+// not kept: callers that did not draw them from opts themselves check
+// them against the frame's (validate).
 func freezeFrame(kind uint32, opts Options, scheme WeightScheme, eps float64, segs int, base int32, lists [][]Entry) *Frame {
 	total := 0
 	for _, l := range lists {
@@ -106,7 +211,7 @@ func freezeFrame(kind uint32, opts Options, scheme WeightScheme, eps float64, se
 		off:  make([]int64, len(lists)+1),
 		node: make([]int32, total),
 		dist: make([]float64, total),
-		rank: make([]float64, total),
+		by:   newRanker(kind, opts, scheme),
 	}
 	pos := 0
 	for i, l := range lists {
@@ -114,7 +219,6 @@ func freezeFrame(kind uint32, opts Options, scheme WeightScheme, eps float64, se
 		for _, e := range l {
 			f.node[pos] = e.Node
 			f.dist[pos] = e.Dist
-			f.rank[pos] = e.Rank
 			pos++
 		}
 	}
@@ -137,11 +241,19 @@ func (f *Frame) owner(local int) int32 { return f.base + int32(local) }
 func (f *Frame) segAt(local, s int) cols {
 	lo := f.off[local*f.segs+s]
 	hi := f.off[local*f.segs+s+1]
-	return cols{
+	c := cols{
 		node: f.node[lo:hi:hi],
 		dist: f.dist[lo:hi:hi],
-		rank: f.rank[lo:hi:hi],
+		by:   &f.by,
+		perm: s,
 	}
+	if f.rank != nil {
+		c.rank = f.rank[lo:hi:hi]
+	}
+	if f.beta != nil {
+		c.beta = f.beta[lo:hi:hi]
+	}
+	return c
 }
 
 // span returns the absolute entry range of local node v across all its
@@ -157,17 +269,9 @@ func (f *Frame) viewSketch(local int) Sketch {
 	}
 	switch f.opts.Flavor {
 	case sketch.KMins:
-		a := &KMinsADS{k: f.opts.K, node: f.owner(local), perms: make([]cols, f.opts.K)}
-		for h := range a.perms {
-			a.perms[h] = f.segAt(local, h)
-		}
-		return a
+		return &KMinsADS{k: f.opts.K, node: f.owner(local), perms: f.segViews(local)}
 	case sketch.KPartition:
-		a := &KPartitionADS{k: f.opts.K, node: f.owner(local), buckets: make([]cols, f.opts.K)}
-		for b := range a.buckets {
-			a.buckets[b] = f.segAt(local, b)
-		}
-		return a
+		return &KPartitionADS{k: f.opts.K, node: f.owner(local), buckets: f.segViews(local)}
 	default:
 		return f.viewADS(local)
 	}
@@ -178,12 +282,16 @@ func (f *Frame) viewADS(local int) *ADS {
 }
 
 func (f *Frame) viewWeighted(local int) *WeightedADS {
-	lo, hi := f.span(local)
-	return &WeightedADS{
-		k: f.opts.K, node: f.owner(local), scheme: f.scheme,
-		c:    f.segAt(local, 0),
-		beta: f.beta[lo:hi:hi],
+	return &WeightedADS{k: f.opts.K, node: f.owner(local), scheme: f.scheme, c: f.segAt(local, 0)}
+}
+
+// segViews returns the per-segment column views of local node v.
+func (f *Frame) segViews(local int) []cols {
+	segs := make([]cols, f.segs)
+	for s := range segs {
+		segs[s] = f.segAt(local, s)
 	}
+	return segs
 }
 
 // slice returns the sub-frame of local nodes [lo, hi): re-sliced offsets
@@ -193,12 +301,13 @@ func (f *Frame) slice(lo, hi int) *Frame {
 		kind: f.kind, opts: f.opts, scheme: f.scheme, eps: f.eps,
 		segs: f.segs, n: hi - lo, base: f.base + int32(lo),
 		off:  f.off[lo*f.segs : hi*f.segs+1 : hi*f.segs+1],
-		node: f.node, dist: f.dist, rank: f.rank, beta: f.beta,
+		node: f.node, dist: f.dist, beta: f.beta, by: f.by, rank: f.rank,
 	}
 }
 
 // mergeFrames concatenates frames (already validated to be a consistent,
-// ordered split) into one whole frame with compact columns.
+// ordered split, all deriving their ranks or all storing them) into one
+// whole frame with compact columns.
 func mergeFrames(frames []*Frame) *Frame {
 	first := frames[0]
 	total, nodes := 0, 0
@@ -212,19 +321,24 @@ func mergeFrames(frames []*Frame) *Frame {
 		off:  make([]int64, nodes*first.segs+1),
 		node: make([]int32, total),
 		dist: make([]float64, total),
-		rank: make([]float64, total),
+		by:   first.by,
 	}
 	if first.kind == kindWeighted {
 		out.beta = make([]float64, total)
+	}
+	if first.rank != nil {
+		out.rank = make([]float64, total)
 	}
 	pos, seg := int64(0), 0
 	for _, f := range frames {
 		flo, fhi := f.off[0], f.off[len(f.off)-1]
 		copy(out.node[pos:], f.node[flo:fhi])
 		copy(out.dist[pos:], f.dist[flo:fhi])
-		copy(out.rank[pos:], f.rank[flo:fhi])
 		if out.beta != nil {
 			copy(out.beta[pos:], f.beta[flo:fhi])
+		}
+		if out.rank != nil {
+			copy(out.rank[pos:], f.rank[flo:fhi])
 		}
 		for i := 0; i < f.n*f.segs; i++ {
 			out.off[seg] = pos + (f.off[i] - flo)
@@ -234,6 +348,108 @@ func mergeFrames(frames []*Frame) *Frame {
 	}
 	out.off[seg] = pos
 	return out
+}
+
+// rankMemoSlots sizes the memo rankScratch derives through.  It is fixed —
+// independent of the node count and of how many nodes a partition's
+// entries name — so deriving costs a frame O(1) memory.  A sketch samples
+// node j with probability ~k/π_vj, so the nodes that fill most entries
+// are few and stay resident.
+const rankMemoSlots = 1 << 14
+
+// rankScratch serves the loops that read every rank of a frame (the HIP
+// arena build, freeze-time validation, the version-1/2 codec): one node's
+// ranks at a time, in one reused buffer, through a direct-mapped
+// (perm, node, β) → rank memo, so they pay a hash per distinct node rather
+// than per entry and allocate nothing per node.  The zero value is ready
+// to use, and serves one frame: the memo does not key on the ranker.
+type rankScratch struct {
+	memo *[rankMemoSlots]rankMemoSlot
+	buf  []float64
+	segs []cols
+}
+
+type rankMemoSlot struct {
+	key  uint64 // perm<<32 + node + 1: zero is empty
+	beta float64
+	rank float64
+}
+
+// grow returns the scratch buffer, resized to n ranks.
+func (s *rankScratch) grow(n int) []float64 {
+	if cap(s.buf) < n {
+		s.buf = make([]float64, n)
+	}
+	return s.buf[:n]
+}
+
+// derive fills dst with the ranks by gives nodes under permutation perm
+// (and the node weights betas, when non-nil), through the memo.
+func (s *rankScratch) derive(dst []float64, by *ranker, perm int, nodes []int32, betas []float64) {
+	if s.memo == nil {
+		s.memo = new([rankMemoSlots]rankMemoSlot)
+	}
+	mix, hi := uint32(perm)*0x9e3779b1, uint64(perm)<<32+1
+	for j, node := range nodes {
+		var beta float64
+		if betas != nil {
+			beta = betas[j]
+		}
+		key := hi + uint64(uint32(node))
+		m := &s.memo[(uint32(node)+mix)%rankMemoSlots]
+		if m.key != key || m.beta != beta {
+			*m = rankMemoSlot{key: key, beta: beta, rank: by.rank(perm, node, beta)}
+		}
+		dst[j] = m.rank
+	}
+}
+
+// ranked returns the segment views of local node v with their ranks
+// filled in — views of the stored column where there is one, of s.buf
+// otherwise — valid until the next call.
+func (f *Frame) ranked(s *rankScratch, local int) []cols {
+	segs := s.segs[:0]
+	for i := 0; i < f.segs; i++ {
+		segs = append(segs, f.segAt(local, i))
+	}
+	s.segs = segs
+	if f.rank != nil {
+		return segs
+	}
+	lo, hi := f.span(local)
+	buf := s.grow(int(hi - lo))
+	for i := range segs {
+		c := &segs[i]
+		c.rank, buf = buf[:c.len():c.len()], buf[c.len():]
+		s.derive(c.rank, c.by, c.perm, c.node, c.beta)
+	}
+	return segs
+}
+
+// validate checks the structural invariants of local node v's sketch.
+// given, when non-nil, is the caller-built entry list the node was frozen
+// from: its Rank fields, which the frame did not keep, must be the ones
+// the frame derives, so that a frame cannot disagree with its own seed.
+func (f *Frame) validate(s *rankScratch, local int, given []Entry) error {
+	segs := f.ranked(s, local)
+	k, owner := f.opts.K, f.owner(local)
+	for i, e := range given {
+		if r := segs[0].rank[i]; e.Rank != r {
+			return fmt.Errorf("core: ADS(%d) entry %d (node %d) has rank %g, the set's seed derives %g", owner, i, e.Node, e.Rank, r)
+		}
+	}
+	switch {
+	case f.kind == kindWeighted:
+		return (&WeightedADS{k: k, node: owner, scheme: f.scheme, c: segs[0]}).Validate()
+	case f.kind == kindApprox:
+		return validateApproxView(&ADS{k: k, node: owner, c: segs[0]})
+	case f.opts.Flavor == sketch.KMins:
+		return (&KMinsADS{k: k, node: owner, perms: segs}).Validate()
+	case f.opts.Flavor == sketch.KPartition:
+		return (&KPartitionADS{k: k, node: owner, buckets: segs}).Validate()
+	default:
+		return (&ADS{k: k, node: owner, c: segs[0]}).Validate()
+	}
 }
 
 // hipArena is a frame's columnar HIP query index: every node's index is a
@@ -285,17 +501,16 @@ func (f *Frame) buildHIP() {
 		a.hdist = make([]float64, 0, e)
 	}
 	h := newMaxHeap(f.opts.K)
+	var ranks rankScratch
 	for v := 0; v < f.n; v++ {
 		hlo, ulo := len(a.hw), len(a.udist)
+		segs := f.ranked(&ranks, v)
 		if single {
-			c := f.segAt(v, 0)
-			h.reset()
 			switch f.kind {
 			case kindWeighted:
-				blo, bhi := f.span(v)
-				a.hw = hipWeightsWeighted(c, f.beta[blo:bhi], f.scheme, f.opts.K, h, a.hw)
+				a.hw = hipWeightsWeighted(segs[0].rank, segs[0].beta, f.scheme, f.opts.K, h, a.hw)
 			default:
-				a.hw = hipWeightsBottomK(c, f.opts.K, h, a.hw)
+				a.hw = hipWeightsBottomK(segs[0].rank, f.opts.K, h, a.hw)
 			}
 		} else {
 			emit := func(node int32, dist, w float64) {
@@ -304,9 +519,9 @@ func (f *Frame) buildHIP() {
 				a.hw = append(a.hw, w)
 			}
 			if f.opts.Flavor == sketch.KMins {
-				hipMergeKMins(f.segViews(v), emit)
+				hipMergeKMins(segs, emit)
 			} else {
-				hipMergeKPartition(f.segViews(v), emit)
+				hipMergeKPartition(segs, emit)
 			}
 		}
 		// Prefix sums per unique distance, in canonical order.
@@ -351,27 +566,18 @@ func (f *Frame) buildHIP() {
 	f.hip = a
 }
 
-// segViews returns the per-segment column views of local node v.
-func (f *Frame) segViews(local int) []cols {
-	segs := make([]cols, f.segs)
-	for s := range segs {
-		segs[s] = f.segAt(local, s)
-	}
-	return segs
-}
-
 // hipWeightsBottomK appends the HIP adjusted weights of a bottom-k entry
-// list (Lemma 5.1: 1/τ with τ the k-th smallest preceding rank) to out.
-// h is caller-provided scratch, reset before use.
-func hipWeightsBottomK(c cols, k int, h *maxHeap, out []float64) []float64 {
+// list with the given ranks (Lemma 5.1: 1/τ with τ the k-th smallest
+// preceding rank) to out.  h is caller-provided scratch, reset before use.
+func hipWeightsBottomK(ranks []float64, k int, h *maxHeap, out []float64) []float64 {
 	h.reset()
-	for i := 0; i < len(c.rank); i++ {
+	for _, r := range ranks {
 		tau := 1.0
 		if h.size() >= k {
 			tau = h.max()
 		}
 		out = append(out, 1/tau)
-		h.offer(c.rank[i])
+		h.offer(r)
 	}
 	return out
 }
@@ -379,9 +585,9 @@ func hipWeightsBottomK(c cols, k int, h *maxHeap, out []float64) []float64 {
 // hipWeightsWeighted appends the Section 9 adjusted weights β/p (p the
 // scheme's inclusion probability against the k-th smallest preceding
 // biased rank) to out.
-func hipWeightsWeighted(c cols, beta []float64, scheme WeightScheme, k int, h *maxHeap, out []float64) []float64 {
+func hipWeightsWeighted(ranks, beta []float64, scheme WeightScheme, k int, h *maxHeap, out []float64) []float64 {
 	h.reset()
-	for i := 0; i < len(c.rank); i++ {
+	for i, r := range ranks {
 		b := beta[i]
 		w := b
 		if h.size() >= k {
@@ -389,7 +595,7 @@ func hipWeightsWeighted(c cols, beta []float64, scheme WeightScheme, k int, h *m
 			w = b / weightedInclusionProb(scheme, b, tau)
 		}
 		out = append(out, w)
-		h.offer(c.rank[i])
+		h.offer(r)
 	}
 	return out
 }

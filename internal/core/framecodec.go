@@ -15,8 +15,8 @@ import (
 
 // Version-3 sketch files: the on-disk layout is the in-memory frame
 // layout.  After a fixed little-endian header come the raw columns —
-// offsets, nodes, dists, ranks (and betas for weighted sets) — each
-// padded to 8-byte alignment:
+// offsets, nodes, dists (and betas for weighted sets) — each padded to
+// 8-byte alignment:
 //
 //	magic "ADSK" | version u32 = 3 | kind u32 | flags u32 |
 //	[kind 3 only: index u32 | count u32 | lo u32 | hi u32 |
@@ -24,8 +24,16 @@ import (
 //	k u32 | flavor u32 | seed u64 | baseB f64 | scheme u32 | segs u32 |
 //	eps f64 | numNodes u64 | numEntries u64 | reserved u64 |
 //	offsets (numNodes*segs+1)×i64 | nodes numEntries×i32 | pad |
-//	dists numEntries×f64 | ranks numEntries×f64 |
+//	dists numEntries×f64 |
+//	[ranks numEntries×f64, unless flags bit 1 is set] |
 //	[betas numEntries×f64, when flags bit 0 is set]
+//
+// Flags bit 1 says the ranks are derived: the file has no rank column,
+// and its header's seed (recorded for every kind) re-derives them.  Every
+// file written since ranks became derived sets it.  A file without it was
+// written before: it opens the same way with its stored column viewed in
+// place and used instead of derivation (its weighted and approximate
+// headers never recorded a seed), and is written back the way it is held.
 //
 // Encoding is therefore near-memcpy, and decoding a trusted file is
 // O(columns): validate the header and the offsets monotonicity, then view
@@ -46,7 +54,8 @@ const (
 	framePartHdrSize   = 24 // index, count, lo, hi, total, innerKind
 	frameHdrSize       = 64 // k .. reserved
 
-	frameFlagBeta = 1 << 0
+	frameFlagBeta         = 1 << 0
+	frameFlagDerivedRanks = 1 << 1 // no rank column: ranks derive from the header's seed
 )
 
 // nativeLittleEndian reports whether the host stores integers the way the
@@ -94,13 +103,20 @@ func (h *frameHdr) headerSize() int64 {
 	return s
 }
 
+// storesRanks reports whether the file carries a rank column: it was
+// written before ranks were derived.
+func (h *frameHdr) storesRanks() bool { return h.flags&frameFlagDerivedRanks == 0 }
+
 // numSegs returns the offsets-array segment count.
 func (h *frameHdr) numSegs() int64 { return int64(h.n) * int64(h.segs) }
 
 // bodySize returns the total byte length of the columns.
 func (h *frameHdr) bodySize() int64 {
 	e := int64(h.numEntries)
-	s := (h.numSegs()+1)*8 + pad8(e*4) + e*8 + e*8
+	s := (h.numSegs()+1)*8 + pad8(e*4) + e*8
+	if h.storesRanks() {
+		s += e * 8
+	}
 	if h.flags&frameFlagBeta != 0 {
 		s += e * 8
 	}
@@ -112,7 +128,7 @@ func pad8(n int64) int64 { return (n + 7) &^ 7 }
 // validate checks every header field against the format's invariants,
 // so a corrupted file errors out before any column is touched.
 func (h *frameHdr) validate() error {
-	if h.flags&^uint32(frameFlagBeta) != 0 {
+	if h.flags&^uint32(frameFlagBeta|frameFlagDerivedRanks) != 0 {
 		return fmt.Errorf("core: sketch file has unknown flags %#x", h.flags)
 	}
 	switch h.setKind() {
@@ -195,6 +211,9 @@ func headerOf(f *Frame, part *Partition) frameHdr {
 	}
 	if f.kind == kindWeighted {
 		h.flags |= frameFlagBeta
+	}
+	if f.rank == nil {
+		h.flags |= frameFlagDerivedRanks
 	}
 	if part != nil {
 		h.innerKind = f.kind
@@ -301,8 +320,10 @@ func writeFrameV3(w io.Writer, f *Frame, part *Partition) (int64, error) {
 	if err := writeF64s(f.dist[base : base+int64(e)]); err != nil {
 		return cw.n, err
 	}
-	if err := writeF64s(f.rank[base : base+int64(e)]); err != nil {
-		return cw.n, err
+	if f.rank != nil {
+		if err := writeF64s(f.rank[base : base+int64(e)]); err != nil {
+			return cw.n, err
+		}
 	}
 	if h.flags&frameFlagBeta != 0 {
 		if err := writeF64s(f.beta[base : base+int64(e)]); err != nil {
@@ -444,17 +465,22 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 func frameFromHdr(h frameHdr) *Frame {
 	f := &Frame{
 		kind: h.setKind(),
-		opts: Options{K: int(h.k), Flavor: sketch.Flavor(h.flavor), Seed: h.seed, BaseB: h.baseB},
+		opts: Options{K: int(h.k), Seed: h.seed},
 		segs: int(h.segs),
 		n:    int(h.n),
 	}
 	switch f.kind {
+	case kindUniform:
+		f.opts.Flavor, f.opts.BaseB = sketch.Flavor(h.flavor), h.baseB
 	case kindWeighted:
-		f.opts = Options{K: int(h.k)}
 		f.scheme = WeightScheme(h.scheme)
 	case kindApprox:
-		f.opts = Options{K: int(h.k)}
 		f.eps = h.eps
+	}
+	if h.storesRanks() {
+		f.rank = []float64{} // the readers view or read the column into it
+	} else {
+		f.by = newRanker(f.kind, f.opts, f.scheme)
 	}
 	if h.partitioned() {
 		f.base = int32(h.lo)
@@ -508,19 +534,29 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 	nSegs := h.numSegs()
 	e := int64(h.numEntries)
 	zeroCopy := nativeLittleEndian && aligned8(body)
-	offB := body[:(nSegs+1)*8]
-	nodeB := body[(nSegs+1)*8:][:e*4]
-	distB := body[(nSegs+1)*8+pad8(e*4):][:e*8]
-	rankB := body[(nSegs+1)*8+pad8(e*4)+e*8:][:e*8]
-	var betaB []byte
+	// The body-size check above is what licenses every slice below.
+	next := func(n int64) []byte {
+		b := body[:n]
+		body = body[n:]
+		return b
+	}
+	offB := next((nSegs + 1) * 8)
+	nodeB := next(pad8(e * 4))[:e*4]
+	distB := next(e * 8)
+	var rankB, betaB []byte
+	if h.storesRanks() {
+		rankB = next(e * 8)
+	}
 	if h.flags&frameFlagBeta != 0 {
-		betaB = body[(nSegs+1)*8+pad8(e*4)+2*e*8:][:e*8]
+		betaB = next(e * 8)
 	}
 	if zeroCopy {
 		f.off = viewI64s(offB, nSegs+1)
 		f.node = viewI32s(nodeB, e)
 		f.dist = viewF64s(distB, e)
-		f.rank = viewF64s(rankB, e)
+		if len(rankB) > 0 {
+			f.rank = viewF64s(rankB, e)
+		}
 		if betaB != nil {
 			f.beta = viewF64s(betaB, e)
 		}
@@ -534,17 +570,19 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 		for i := range f.node {
 			f.node[i] = int32(le.Uint32(nodeB[i*4:]))
 		}
-		f.dist = make([]float64, e)
-		f.rank = make([]float64, e)
-		for i := range f.dist {
-			f.dist[i] = math.Float64frombits(le.Uint64(distB[i*8:]))
-			f.rank[i] = math.Float64frombits(le.Uint64(rankB[i*8:]))
+		decodeF64s := func(b []byte) []float64 {
+			out := make([]float64, e)
+			for i := range out {
+				out[i] = math.Float64frombits(le.Uint64(b[i*8:]))
+			}
+			return out
+		}
+		f.dist = decodeF64s(distB)
+		if len(rankB) > 0 {
+			f.rank = decodeF64s(rankB)
 		}
 		if betaB != nil {
-			f.beta = make([]float64, e)
-			for i := range f.beta {
-				f.beta[i] = math.Float64frombits(le.Uint64(betaB[i*8:]))
-			}
+			f.beta = decodeF64s(betaB)
 		}
 	}
 	if err := validateOffsets(f.off, e); err != nil {
@@ -623,13 +661,21 @@ func readFrameFile(d *setDecoder) (AnySet, *Partition, error) {
 	if f.dist, err = readF64sChunked(d, e); err != nil {
 		return nil, nil, err
 	}
-	if f.rank, err = readF64sChunked(d, e); err != nil {
-		return nil, nil, err
+	if h.storesRanks() {
+		if f.rank, err = readF64sChunked(d, e); err != nil {
+			return nil, nil, err
+		}
 	}
 	if h.flags&frameFlagBeta != 0 {
 		if f.beta, err = readF64sChunked(d, e); err != nil {
 			return nil, nil, err
 		}
+	}
+	// The columns end the file, as the zero-copy opener's body-size check
+	// requires: a surplus means the header misdescribes them (a rank
+	// column under a header that says there is none would be read as β).
+	if _, err := d.read(1); err != io.EOF {
+		return nil, nil, fmt.Errorf("core: sketch file continues past the %d bytes its header implies", h.headerSize()+h.bodySize())
 	}
 	set, err := setFromFrame(f)
 	if err != nil {
@@ -742,6 +788,66 @@ func (s *SketchFile) Partition() *Partition { return s.part }
 // Version returns the codec version the file was stored in (1, 2, or
 // EncodeVersionV3).
 func (s *SketchFile) Version() int { return s.version }
+
+// frame returns the frame of the file's set or partition.
+func (s *SketchFile) frame() *Frame {
+	set := s.set
+	if s.part != nil {
+		set = s.part.set
+	}
+	f, _ := frameOf(set) // every opener produces one of frameOf's three kinds
+	return f
+}
+
+// RanksStored reports whether the file was written before ranks were
+// derived, and so is served from its stored rank column; DeriveRanks
+// upgrades it.
+func (s *SketchFile) RanksStored() bool { return s.frame().rank != nil }
+
+// DeriveRanks drops the stored rank column of a file for which
+// RanksStored, after checking that every stored rank is bit-equal to the
+// one derived in its place — so no estimate moves — and is a no-op
+// otherwise.  A uniform file derives from its header's seed; the weighted
+// and approximate files of that time recorded none, and derive from seed.
+// The first entry that disagrees is returned as an error and the file
+// stays as it was.  Writing the file afterwards writes it rank-free.
+func (s *SketchFile) DeriveRanks(seed uint64) error {
+	old := s.frame()
+	if old.rank == nil {
+		return nil
+	}
+	f := old.slice(0, old.n) // the same columns, without the ranks
+	f.rank = nil
+	if f.kind != kindUniform {
+		f.opts.Seed = seed
+	}
+	f.by = newRanker(f.kind, f.opts, f.scheme)
+	var ranks rankScratch
+	for v := 0; v < f.n; v++ {
+		lo, _ := f.span(v)
+		for _, c := range f.ranked(&ranks, v) {
+			for i, r := range c.rank {
+				if stored := old.rank[lo]; stored != r {
+					return fmt.Errorf("core: sketch of node %d, entry %d (node %d): stored rank %g, seed %d derives %g",
+						f.owner(v), i, c.node[i], stored, f.opts.Seed, r)
+				}
+				lo++
+			}
+		}
+	}
+	set, err := setFromFrame(f)
+	if err != nil {
+		return err
+	}
+	if s.part != nil {
+		p := *s.part
+		p.set = set
+		s.part = &p
+	} else {
+		s.set = set
+	}
+	return nil
+}
 
 // Mapped reports whether the columns view an mmap'd region (in which
 // case the final Close/Release invalidates every sketch and index

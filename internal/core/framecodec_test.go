@@ -359,6 +359,12 @@ func FuzzOpenSketchFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(part.Bytes())
+	// Every kind both ways: rank-free, and with the stored rank column of
+	// files written before ranks were derived.
+	for _, data := range v3Files(f) {
+		f.Add(data)
+		f.Add(legacyV3(f, data))
+	}
 	f.Add([]byte("ADSK"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		set, p, err := openFrameBytes(data)

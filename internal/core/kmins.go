@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"adsketch/internal/sketch"
 )
@@ -61,7 +62,7 @@ func (a *KMinsADS) OfferAt(h int, e Entry) bool {
 		if !p.at(n - 1).before(e) {
 			panic(fmt.Sprintf("core: OfferAt out of order: %+v after %+v", e, p.at(n-1)))
 		}
-		if e.Rank >= p.rank[n-1] {
+		if e.Rank >= p.rankAt(n-1) {
 			return false
 		}
 	}
@@ -76,11 +77,9 @@ func (a *KMinsADS) MinsWithin(d float64) []float64 {
 	mins := make([]float64, a.k)
 	for h, p := range a.perms {
 		mins[h] = 1
-		for i := 0; i < p.len(); i++ {
-			if p.dist[i] > d {
-				break
-			}
-			mins[h] = p.rank[i] // prefix minima are decreasing
+		// Prefix minima are decreasing: the last entry within d holds it.
+		if m := sort.Search(p.len(), func(i int) bool { return p.dist[i] > d }); m > 0 {
+			mins[h] = p.rankAt(m - 1)
 		}
 	}
 	return mins
@@ -114,27 +113,27 @@ func hipMergeKMins(perms []cols, emit func(node int32, dist, w float64)) {
 			if c >= perms[h].len() {
 				continue
 			}
-			if best < 0 || perms[h].at(c).before(perms[best].at(cursors[best])) {
+			if best < 0 || perms[h].before(c, &perms[best], cursors[best]) {
 				best = h
 			}
 		}
 		if best < 0 {
 			break
 		}
-		e := perms[best].at(cursors[best])
-		// HIP probability before updating the minima with e itself.
+		node, dist := perms[best].node[cursors[best]], perms[best].dist[cursors[best]]
+		// HIP probability before updating the minima with the entry itself.
 		prod := 1.0
 		for _, m := range curMin {
 			prod *= 1 - m
 		}
 		tau := 1 - prod
-		emit(e.Node, e.Dist, 1/tau)
-		// Consume e from every permutation where it appears (same node can
-		// be the new minimum of several permutations at once).
+		emit(node, dist, 1/tau)
+		// Consume the entry from every permutation where it appears (same
+		// node can be the new minimum of several permutations at once).
 		for h := range cursors {
 			c := cursors[h]
-			if c < perms[h].len() && perms[h].node[c] == e.Node && perms[h].dist[c] == e.Dist {
-				curMin[h] = perms[h].rank[c]
+			if c < perms[h].len() && perms[h].node[c] == node && perms[h].dist[c] == dist {
+				curMin[h] = perms[h].rankAt(c)
 				cursors[h]++
 			}
 		}
@@ -155,10 +154,10 @@ func (a *KMinsADS) HIPEntries() []WeightedEntry {
 func (a *KMinsADS) Validate() error {
 	for h, p := range a.perms {
 		for i := 1; i < p.len(); i++ {
-			if !p.at(i - 1).before(p.at(i)) {
+			if !p.before(i-1, &p, i) {
 				return fmt.Errorf("core: k-mins ADS(%d) perm %d out of order at %d", a.node, h, i)
 			}
-			if p.rank[i] >= p.rank[i-1] {
+			if p.rankAt(i) >= p.rankAt(i-1) {
 				return fmt.Errorf("core: k-mins ADS(%d) perm %d rank not decreasing at %d", a.node, h, i)
 			}
 		}

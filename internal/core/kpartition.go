@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"adsketch/internal/sketch"
 )
@@ -59,7 +60,7 @@ func (a *KPartitionADS) OfferAt(b int, e Entry) bool {
 		if !p.at(n - 1).before(e) {
 			panic(fmt.Sprintf("core: OfferAt out of order: %+v after %+v", e, p.at(n-1)))
 		}
-		if e.Rank >= p.rank[n-1] {
+		if e.Rank >= p.rankAt(n-1) {
 			return false
 		}
 	}
@@ -73,11 +74,8 @@ func (a *KPartitionADS) MinsWithin(d float64) []float64 {
 	mins := make([]float64, a.k)
 	for b, p := range a.buckets {
 		mins[b] = 1
-		for i := 0; i < p.len(); i++ {
-			if p.dist[i] > d {
-				break
-			}
-			mins[b] = p.rank[i]
+		if m := sort.Search(p.len(), func(i int) bool { return p.dist[i] > d }); m > 0 {
+			mins[b] = p.rankAt(m - 1)
 		}
 	}
 	return mins
@@ -112,7 +110,7 @@ func hipMergeKPartition(buckets []cols, emit func(node int32, dist, w float64)) 
 			if c >= buckets[b].len() {
 				continue
 			}
-			if best < 0 || buckets[b].at(c).before(buckets[best].at(cursors[best])) {
+			if best < 0 || buckets[b].before(c, &buckets[best], cursors[best]) {
 				best = b
 			}
 		}
@@ -143,10 +141,10 @@ func (a *KPartitionADS) HIPEntries() []WeightedEntry {
 func (a *KPartitionADS) Validate() error {
 	for b, p := range a.buckets {
 		for i := 1; i < p.len(); i++ {
-			if !p.at(i - 1).before(p.at(i)) {
+			if !p.before(i-1, &p, i) {
 				return fmt.Errorf("core: k-partition ADS(%d) bucket %d out of order at %d", a.node, b, i)
 			}
-			if p.rank[i] >= p.rank[i-1] {
+			if p.rankAt(i) >= p.rankAt(i-1) {
 				return fmt.Errorf("core: k-partition ADS(%d) bucket %d rank not decreasing at %d", a.node, b, i)
 			}
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 )
@@ -70,7 +69,7 @@ func (p *Partition) SketchAt(v int32) (Sketch, error) {
 // io.WriterTo.
 func (p *Partition) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
-	e := &setEncoder{bw: bufio.NewWriter(cw)}
+	e := newSetEncoder(cw)
 	if _, err := e.bw.WriteString(encodeMagic); err != nil {
 		return cw.n, err
 	}
@@ -248,55 +247,35 @@ func MergeSketchSets(parts []*Partition) (AnySet, error) {
 // and parameter consistency.
 func concatPartitions(byIndex []*Partition, total int) (AnySet, error) {
 	frames := make([]*Frame, len(byIndex))
-	switch first := byIndex[0].set.(type) {
-	case *Set:
-		for i, p := range byIndex {
-			x, ok := p.set.(*Set)
-			if !ok {
-				return nil, fmt.Errorf("core: partition %d holds a %T, partition 0 a %T", p.index, p.set, first)
-			}
-			if x.frame.opts != first.frame.opts {
-				return nil, fmt.Errorf("core: partition %d built with %+v, partition 0 with %+v", p.index, x.frame.opts, first.frame.opts)
-			}
-			frames[i] = x.frame
-		}
-		return &Set{frame: mergeFrames(frames)}, nil
-	case *WeightedSet:
-		scheme, schemeKnown := ExponentialWeights, false
-		for i, p := range byIndex {
-			x, ok := p.set.(*WeightedSet)
-			if !ok {
-				return nil, fmt.Errorf("core: partition %d holds a %T, partition 0 a %T", p.index, p.set, first)
-			}
-			if x.K() != first.K() {
-				return nil, fmt.Errorf("core: partition %d has k=%d, partition 0 k=%d", p.index, x.K(), first.K())
-			}
-			if x.NumNodes() > 0 {
-				if !schemeKnown {
-					scheme, schemeKnown = x.Scheme(), true
-				} else if x.Scheme() != scheme {
-					return nil, fmt.Errorf("core: partition %d uses %v ranks, earlier partitions %v", p.index, x.Scheme(), scheme)
-				}
-			}
-			frames[i] = x.frame
-		}
-		return &WeightedSet{frame: mergeFrames(frames)}, nil
-	case *ApproxSet:
-		for i, p := range byIndex {
-			x, ok := p.set.(*ApproxSet)
-			if !ok {
-				return nil, fmt.Errorf("core: partition %d holds a %T, partition 0 a %T", p.index, p.set, first)
-			}
-			if x.K() != first.K() || x.Epsilon() != first.Epsilon() {
-				return nil, fmt.Errorf("core: partition %d has (k=%d, eps=%g), partition 0 (k=%d, eps=%g)",
-					p.index, x.K(), x.Epsilon(), first.K(), first.Epsilon())
-			}
-			frames[i] = x.frame
-		}
-		return &ApproxSet{frame: mergeFrames(frames)}, nil
-	default:
-		return nil, fmt.Errorf("core: cannot merge sketch set type %T", first)
+	first, err := frameOf(byIndex[0].set)
+	if err != nil {
+		return nil, fmt.Errorf("core: cannot merge sketch set type %T", byIndex[0].set)
 	}
+	scheme, schemeKnown := ExponentialWeights, false
+	for i, p := range byIndex {
+		f, err := frameOf(p.set)
+		if err != nil || f.kind != first.kind {
+			return nil, fmt.Errorf("core: partition %d holds a %T, partition 0 a %T", p.index, p.set, byIndex[0].set)
+		}
+		// The merged frame takes its ranks the way partition 0 holds them,
+		// so every partition has to hold them that way, under that seed.
+		if f.opts != first.opts || f.eps != first.eps {
+			return nil, fmt.Errorf("core: partition %d built with %+v (eps=%g), partition 0 with %+v (eps=%g)",
+				p.index, f.opts, f.eps, first.opts, first.eps)
+		}
+		if (f.rank != nil) != (first.rank != nil) {
+			return nil, fmt.Errorf("core: partition %d and partition 0 disagree on whether their ranks are stored or derived; convert the older file first", p.index)
+		}
+		if f.kind == kindWeighted && f.n > 0 {
+			if !schemeKnown {
+				scheme, schemeKnown = f.scheme, true
+			} else if f.scheme != scheme {
+				return nil, fmt.Errorf("core: partition %d uses %v ranks, earlier partitions %v", p.index, f.scheme, scheme)
+			}
+		}
+		frames[i] = f
+	}
+	return setFromFrame(mergeFrames(frames))
 }
 
 // ADSFromEntries reconstructs a bottom-k ADS from transported entries

@@ -1,0 +1,496 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"adsketch/internal/graph"
+	"adsketch/internal/sketch"
+)
+
+// legacyV3 rewrites a rank-free version-3 file the way files were laid out
+// before ranks were derived: flag bit 1 clear, a rank column after the
+// dists, and — for weighted and approximate sets — no seed in the header.
+// It is the test-only writer of the layout the readers stay compatible
+// with.
+func legacyV3(t testing.TB, data []byte) []byte {
+	t.Helper()
+	set, part, err := openFrameBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part != nil {
+		set = part.set
+	}
+	f, _ := frameOf(set)
+	h := headerOf(f, part)
+	var rs rankScratch
+	ranks := make([]byte, 0, 8*f.totalEntries())
+	for v := 0; v < f.n; v++ {
+		for _, c := range f.ranked(&rs, v) {
+			for _, r := range c.rank {
+				ranks = binary.LittleEndian.AppendUint64(ranks, math.Float64bits(r))
+			}
+		}
+	}
+	h.flags &^= frameFlagDerivedRanks
+	if f.kind != kindUniform {
+		h.seed = 0
+	}
+	e := int64(h.numEntries)
+	ranksAt := h.headerSize() + (h.numSegs()+1)*8 + pad8(e*4) + e*8
+	out := h.appendHeader(nil)
+	out = append(out, data[h.headerSize():ranksAt]...)
+	out = append(out, ranks...)
+	return append(out, data[ranksAt:]...)
+}
+
+// v3Files returns the rank-free file of every set kind and of one
+// partition.
+func v3Files(t testing.TB) map[string][]byte {
+	t.Helper()
+	g := graph.PreferentialAttachment(60, 3, 9)
+	beta := make([]float64, g.NumNodes())
+	for i := range beta {
+		beta[i] = 1 + float64(i%7)
+	}
+	uniform, err := BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kmins, err := BuildSet(g, Options{K: 3, Flavor: sketch.KMins, Seed: 42, BaseB: 2}, AlgoPrunedDijkstra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weighted, err := BuildPriorityWeightedSet(g, 4, 42, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx, err := BuildApproxSet(g, 4, 42, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for name, set := range map[string]AnySet{"uniform": uniform, "kmins-base2": kmins, "weighted": weighted, "approx": approx} {
+		var buf bytes.Buffer
+		if _, err := WriteSketchSetV3(&buf, set); err != nil {
+			t.Fatal(err)
+		}
+		files[name] = buf.Bytes()
+	}
+	parts, err := SplitSketchSet(weighted, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := WritePartitionV3(&buf, parts[1]); err != nil {
+		t.Fatal(err)
+	}
+	files["weighted-partition"] = buf.Bytes()
+	return files
+}
+
+// TestV3Layout pins what a file costs: the header, the offsets, and 12
+// bytes an entry (20 with β) — the pin that keeps a column from coming
+// back.
+func TestV3Layout(t *testing.T) {
+	for name, data := range v3Files(t) {
+		set, part, err := openFrameBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header := int64(framePreambleSize + frameHdrSize)
+		if part != nil {
+			set, header = part.set, header+framePartHdrSize
+		}
+		f, _ := frameOf(set)
+		e := int64(f.totalEntries())
+		want := header + 8*int64(f.n*f.segs+1) + pad8(4*e) + 8*e
+		if f.kind == kindWeighted {
+			want += 8 * e
+		}
+		if int64(len(data)) != want {
+			t.Errorf("%s: file is %d bytes, want %d (n=%d segs=%d e=%d)", name, len(data), want, f.n, f.segs, e)
+		}
+		if f.rank != nil || binary.LittleEndian.Uint32(data[12:])&frameFlagDerivedRanks == 0 {
+			t.Errorf("%s: written with a rank column", name)
+		}
+		if got := int64(len(legacyV3(t, data))); got != want+8*e {
+			t.Errorf("%s: the legacy layout is %d bytes, want %d", name, got, want+8*e)
+		}
+	}
+}
+
+// TestV3LegacyRankColumn: a file written before ranks were derived opens
+// through every reader with its stored column in use, answers exactly like
+// the rank-free file of the same set, and is written back as it is held.
+func TestV3LegacyRankColumn(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range v3Files(t) {
+		legacy := legacyV3(t, data)
+		path := filepath.Join(dir, name+".ads")
+		if err := os.WriteFile(path, legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, wantPart, err := openFrameBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantPart != nil {
+			want = wantPart.set
+		}
+		type opened struct {
+			set  AnySet
+			part *Partition
+		}
+		readers := map[string]func() opened{
+			"OpenSketchFile": func() opened {
+				sf, err := OpenSketchFile(path)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !sf.RanksStored() {
+					t.Errorf("%s: OpenSketchFile does not report the stored column", name)
+				}
+				return opened{sf.Set(), sf.Partition()}
+			},
+			"MmapSketchFile": func() opened {
+				sf, err := MmapSketchFile(path)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				t.Cleanup(func() { sf.Close() })
+				if mmapSupported && !sf.Mapped() {
+					t.Errorf("%s: legacy file not mapped", name)
+				}
+				return opened{sf.Set(), sf.Partition()}
+			},
+			"ReadSketchFile": func() opened {
+				set, part, err := ReadSketchFile(bytes.NewReader(legacy))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return opened{set, part}
+			},
+		}
+		for reader, open := range readers {
+			got := open()
+			if (got.part != nil) != (wantPart != nil) {
+				t.Fatalf("%s via %s: partition envelope lost", name, reader)
+			}
+			set := got.set
+			if got.part != nil {
+				set = got.part.set
+			}
+			f, wf := frameOfSet(t, set), frameOfSet(t, want)
+			if f.rank == nil {
+				t.Fatalf("%s via %s: stored rank column not in use", name, reader)
+			}
+			// Closeness, harmonic and neighborhood of every node — and so
+			// any top-k over them — bit for bit, and every rank behind them.
+			for v := int32(0); int(v) < want.NumNodes(); v++ {
+				a, b := wf.Index(v), f.Index(v)
+				if a.Closeness() != b.Closeness() || a.Harmonic() != b.Harmonic() || a.Neighborhood(2) != b.Neighborhood(2) {
+					t.Fatalf("%s via %s: node %d answers differ from the rank-free file's", name, reader, v)
+				}
+				wantSegs, gotSegs := wf.segViews(int(v)), f.segViews(int(v))
+				for s := range wantSegs {
+					for i := 0; i < wantSegs[s].len(); i++ {
+						if wantSegs[s].at(i) != gotSegs[s].at(i) {
+							t.Fatalf("%s via %s: node %d segment %d entry %d: %+v, rank-free file %+v",
+								name, reader, v, s, i, gotSegs[s].at(i), wantSegs[s].at(i))
+						}
+					}
+				}
+			}
+			if u, ok := set.(*Set); ok && u.frame.opts.Flavor == sketch.BottomK {
+				w := want.(*Set)
+				if NeighborhoodJaccard(u.BottomK(0), 2, u.BottomK(41), 2) != NeighborhoodJaccard(w.BottomK(0), 2, w.BottomK(41), 2) {
+					t.Fatalf("%s via %s: jaccard differs from the rank-free file's", name, reader)
+				}
+			}
+			var back bytes.Buffer
+			if got.part != nil {
+				_, err = WritePartitionV3(&back, got.part)
+			} else {
+				_, err = WriteSketchSetV3(&back, got.set)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(back.Bytes(), legacy) {
+				t.Fatalf("%s via %s: does not round-trip to its own bytes", name, reader)
+			}
+		}
+	}
+}
+
+func frameOfSet(t *testing.T, s AnySet) *Frame {
+	t.Helper()
+	f, err := frameOf(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestV3BodySizeGuardsColumns: a header that misdescribes which columns
+// follow is caught by the body-size check before any column is viewed,
+// and the streaming reader agrees.
+func TestV3BodySizeGuardsColumns(t *testing.T) {
+	files := v3Files(t)
+	flags := func(b []byte, clear, set uint32) []byte {
+		b = append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(b[12:], binary.LittleEndian.Uint32(b[12:])&^clear|set)
+		return b
+	}
+	weighted := files["weighted"]
+	entries := int(binary.LittleEndian.Uint64(weighted[framePreambleSize+48:]))
+	for name, data := range map[string][]byte{
+		"flagged with a rank column's surplus": flags(legacyV3(t, files["uniform"]), 0, frameFlagDerivedRanks),
+		"flag-less, one column short":          flags(files["uniform"], frameFlagDerivedRanks, 0),
+		"flagged weighted without β":           weighted[:len(weighted)-8*entries],
+	} {
+		if _, _, err := openFrameBytes(data); err == nil || !strings.Contains(err.Error(), "header implies") {
+			t.Errorf("%s: zero-copy open: got %v, want the body-size error", name, err)
+		}
+		if _, _, err := ReadSketchFile(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted by the streaming reader", name)
+		}
+	}
+}
+
+// TestFreezeRejectsForeignRank: a frame keeps no ranks, so the freeze paths
+// that take caller-built lists refuse an entry whose Rank is not the one
+// the seed derives — a frame cannot disagree with its own seed.
+func TestFreezeRejectsForeignRank(t *testing.T) {
+	g := graph.PreferentialAttachment(30, 3, 9)
+	beta := make([]float64, 30)
+	for i := range beta {
+		beta[i] = 1 + float64(i%3)
+	}
+	o := Options{K: 4, Seed: 42}
+	uniform, err := BuildSet(g, o, AlgoPrunedDijkstra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weighted, err := BuildWeightedSet(g, 4, 42, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx, err := BuildApproxSet(g, 4, 42, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		frame  *Frame
+		freeze func(lists [][]Entry, betas [][]float64) error
+	}{
+		{"FreezeBottomK", uniform.frame, func(lists [][]Entry, _ [][]float64) error {
+			_, err := FreezeBottomK(o, lists)
+			return err
+		}},
+		{"FreezeBottomKOver", uniform.frame, func(lists [][]Entry, _ [][]float64) error {
+			_, err := FreezeBottomKOver(uniform, 30, map[int32][]Entry{7: lists[7]})
+			return err
+		}},
+		{"FreezePartitionBottomK", uniform.frame, func(lists [][]Entry, _ [][]float64) error {
+			_, err := FreezePartitionBottomK(o, 0, 1, 30, lists)
+			return err
+		}},
+		{"FreezePartitionWeighted", weighted.frame, func(lists [][]Entry, betas [][]float64) error {
+			_, err := FreezePartitionWeighted(4, 42, ExponentialWeights, 0, 1, 30, lists, betas)
+			return err
+		}},
+		{"FreezePartitionApprox", approx.frame, func(lists [][]Entry, _ [][]float64) error {
+			_, err := FreezePartitionApprox(4, 42, 0.25, 0, 1, 30, lists)
+			return err
+		}},
+	} {
+		lists, betas := frameLists(tc.frame, 0, 30)
+		if err := tc.freeze(lists, betas); err != nil {
+			t.Fatalf("%s: the builder's own lists refused: %v", tc.name, err)
+		}
+		// A rank that still passes every structural check: the next float up.
+		e := &lists[7][len(lists[7])-1]
+		e.Rank = math.Nextafter(e.Rank, 0)
+		if err := tc.freeze(lists, betas); err == nil || !strings.Contains(err.Error(), "seed derives") {
+			t.Errorf("%s: foreign rank: got %v, want a refusal naming the derived rank", tc.name, err)
+		}
+	}
+	// Another seed's ranks are foreign as a whole.
+	lists, _ := frameLists(uniform.frame, 0, 30)
+	if _, err := FreezeBottomK(Options{K: 4, Seed: 43}, lists); err == nil {
+		t.Error("FreezeBottomK accepted lists built under another seed")
+	}
+}
+
+// TestDeriveRanksUpgrade is `adstool convert` on a file with stored ranks:
+// with the right seed (the header's for a uniform file) the column is
+// verified and dropped and the file becomes, byte for byte, the rank-free
+// one; with the wrong seed, or one rank off, it is refused by the first
+// mismatching entry and stays as it was.
+func TestDeriveRanksUpgrade(t *testing.T) {
+	dir := t.TempDir()
+	open := func(name string, data []byte) *SketchFile {
+		path := filepath.Join(dir, name+".ads")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sf, err := OpenSketchFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sf
+	}
+	write := func(sf *SketchFile) []byte {
+		var buf bytes.Buffer
+		var err error
+		if p := sf.Partition(); p != nil {
+			_, err = WritePartitionV3(&buf, p)
+		} else {
+			_, err = WriteSketchSetV3(&buf, sf.Set())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for name, data := range v3Files(t) {
+		legacy := legacyV3(t, data)
+		seed := uint64(42)
+		if name == "uniform" || name == "kmins-base2" {
+			seed = 7 // ignored: a uniform header records its own
+		}
+		sf := open(name, legacy)
+		if err := sf.DeriveRanks(seed); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sf.RanksStored() || !bytes.Equal(write(sf), data) {
+			t.Errorf("%s: upgraded file is not the rank-free file", name)
+		}
+		if err := sf.DeriveRanks(seed); err != nil {
+			t.Errorf("%s: upgrading a rank-free file: %v", name, err)
+		}
+
+		// One stored rank off by an ulp, halfway through the column.
+		h, _, err := parseFrameHdr(legacy[8:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := int64(h.numEntries)
+		at := h.headerSize() + (h.numSegs()+1)*8 + pad8(e*4) + e*8 + e/2*8
+		bad := append([]byte(nil), legacy...)
+		bad[at] ^= 1
+		sf = open(name, bad)
+		err = sf.DeriveRanks(seed)
+		if err == nil || !strings.Contains(err.Error(), "entry") || !sf.RanksStored() || !bytes.Equal(write(sf), bad) {
+			t.Errorf("%s: tampered rank: got %v (stored=%v), want a refusal naming the entry and the file left alone", name, err, sf.RanksStored())
+		}
+		if h.setKind() != kindUniform {
+			sf = open(name, legacy)
+			if err := sf.DeriveRanks(43); err == nil || !sf.RanksStored() {
+				t.Errorf("%s: wrong seed: got %v, want a refusal", name, err)
+			}
+		}
+	}
+}
+
+// TestMergeRefusesMixedRanks: partitions that disagree on their seed, or
+// on whether their ranks are stored or derived, do not merge — the merged
+// frame would silently take partition 0's.
+func TestMergeRefusesMixedRanks(t *testing.T) {
+	g := graph.PreferentialAttachment(40, 3, 9)
+	beta := make([]float64, 40)
+	for i := range beta {
+		beta[i] = 1 + float64(i%3)
+	}
+	split := func(seed uint64) []*Partition {
+		set, err := BuildWeightedSet(g, 4, seed, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := SplitSketchSet(set, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parts
+	}
+	a, b := split(42), split(43)
+	if _, err := MergeSketchSets(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeSketchSets([]*Partition{a[0], b[1]}); err == nil {
+		t.Error("merged weighted partitions built under different seeds")
+	}
+	// A uniform header keeps its seed either way, so only the rank column
+	// tells these two apart.
+	uniform, err := BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := SplitSketchSet(uniform, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := WritePartitionV3(&buf, u[1]); err != nil {
+		t.Fatal(err)
+	}
+	_, stored, err := openFrameBytes(legacyV3(t, buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeSketchSets([]*Partition{u[0], stored}); err == nil || !strings.Contains(err.Error(), "stored or derived") {
+		t.Errorf("merging a partition that stores its ranks with one that derives them: got %v, want a refusal", err)
+	}
+}
+
+// TestFreezeOverMatchesFreeze: freezing a few lists over a base is the set
+// FreezeBottomK assembles from every list — over a base that derives its
+// ranks (runs of untouched nodes block-copied), over one opened from a
+// file that stores them (every list re-checked), with nodes the base
+// lacks.
+func TestFreezeOverMatchesFreeze(t *testing.T) {
+	o := Options{K: 4, Seed: 42}
+	base, err := BuildSet(graph.PreferentialAttachment(30, 3, 9), o, AlgoPrunedDijkstra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists, _ := frameLists(base.frame, 0, 30)
+	changed := map[int32][]Entry{}
+	for _, v := range []int32{0, 3, 4, 17, 29} {
+		changed[v] = lists[v]
+	}
+	for v := int32(30); v < 33; v++ { // three isolated newcomers
+		l := []Entry{{Node: v, Dist: 0, Rank: o.rankFn(0)(v)}}
+		lists, changed[v] = append(lists, l), l
+	}
+	want, err := FreezeBottomK(o, lists)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _, err := openFrameBytes(legacyV3(t, v3Bytes(t, base)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, base := range map[string]*Set{"derived base": base, "stored base": stored.(*Set)} {
+		got, err := FreezeBottomKOver(base, 33, changed)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(v3Bytes(t, got), v3Bytes(t, want)) {
+			t.Errorf("%s: frozen set differs from FreezeBottomK of the same lists", name)
+		}
+	}
+	delete(changed, 31)
+	if _, err := FreezeBottomKOver(base, 33, changed); err == nil {
+		t.Error("froze a set whose new node 31 has no entries")
+	}
+}

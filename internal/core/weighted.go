@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"adsketch/internal/graph"
-	"adsketch/internal/rank"
 	"adsketch/internal/sketch"
 )
 
@@ -62,8 +61,7 @@ type WeightedADS struct {
 	k      int
 	node   int32
 	scheme WeightScheme
-	c      cols
-	beta   []float64 // β of each entry, parallel to the columns
+	c      cols // with the β of each entry in c.beta
 }
 
 // NewWeightedADS returns an empty weighted bottom-k ADS owned by node,
@@ -118,14 +116,14 @@ func (a *WeightedADS) Offer(e Entry, beta float64) bool {
 		panic(fmt.Sprintf("core: node weight %g must be positive", beta))
 	}
 	h := newMaxHeap(a.k)
-	for _, x := range a.c.rank {
-		h.offer(x)
+	for i, n := 0, a.c.len(); i < n; i++ {
+		h.offer(a.c.rankAt(i))
 	}
 	if h.size() >= a.k && e.Rank >= h.max() {
 		return false
 	}
 	a.c.push(e)
-	a.beta = append(a.beta, beta)
+	a.c.beta = append(a.c.beta, beta)
 	return true
 }
 
@@ -136,7 +134,7 @@ func (a *WeightedADS) Offer(e Entry, beta float64) bool {
 // priority ranks.  Summing weights over Dist <= d estimates the weighted
 // neighborhood cardinality.
 func (a *WeightedADS) HIPEntries() []WeightedEntry {
-	w := hipWeightsWeighted(a.c, a.beta, a.scheme, a.k, newMaxHeap(a.k), make([]float64, 0, a.c.len()))
+	w := hipWeightsWeighted(a.c.ranks(), a.c.beta, a.scheme, a.k, newMaxHeap(a.k), make([]float64, 0, a.c.len()))
 	out := make([]WeightedEntry, a.c.len())
 	for i := range out {
 		out[i] = WeightedEntry{Node: a.c.node[i], Dist: a.c.dist[i], Weight: w[i]}
@@ -149,8 +147,8 @@ func (a *WeightedADS) HIPEntries() []WeightedEntry {
 // entry, and positive finite per-entry weights.  It returns the first
 // violation found.
 func (a *WeightedADS) Validate() error {
-	if len(a.beta) != a.c.len() {
-		return fmt.Errorf("core: WeightedADS(%d) has %d weights for %d entries", a.node, len(a.beta), a.c.len())
+	if len(a.c.beta) != a.c.len() {
+		return fmt.Errorf("core: WeightedADS(%d) has %d weights for %d entries", a.node, len(a.c.beta), a.c.len())
 	}
 	h := newMaxHeap(a.k)
 	for i, n := 0, a.c.len(); i < n; i++ {
@@ -158,7 +156,7 @@ func (a *WeightedADS) Validate() error {
 		if i > 0 && !a.c.at(i-1).before(e) {
 			return fmt.Errorf("core: WeightedADS(%d) entries %d,%d out of canonical order", a.node, i-1, i)
 		}
-		if b := a.beta[i]; !(b > 0) || math.IsInf(b, 1) {
+		if b := a.c.beta[i]; !(b > 0) || math.IsInf(b, 1) {
 			return fmt.Errorf("core: WeightedADS(%d) entry %d has weight %g, want finite and positive", a.node, i, b)
 		}
 		if h.size() >= a.k && e.Rank >= h.max() {
@@ -223,13 +221,10 @@ func buildWeighted(g *graph.Graph, k int, seed uint64, beta []float64, scheme We
 // weight-biased ranks and freezes it with the per-entry weights.
 func weightedSetFrom(g *graph.Graph, k int, seed uint64, beta []float64, scheme WeightScheme,
 	run func(*graph.Graph, runSpec) [][]Entry) *WeightedSet {
-	src := rank.NewSource(seed)
-	rk := func(v int32) float64 { return src.ExpRank(int64(v), beta[v]) }
-	if scheme == PriorityWeights {
-		rk = func(v int32) float64 { return src.PriorityRank(int64(v), beta[v]) }
-	}
-	lists := run(g, runSpec{k: k, rank: rk})
-	f := freezeFrame(kindWeighted, Options{K: k}, scheme, 0, 1, 0, lists)
+	o := Options{K: k, Seed: seed}
+	by := newRanker(kindWeighted, o, scheme)
+	lists := run(g, runSpec{k: k, rank: func(v int32) float64 { return by.rank(0, v, beta[v]) }})
+	f := freezeFrame(kindWeighted, o, scheme, 0, 1, 0, lists)
 	f.beta = make([]float64, len(f.node))
 	for i, v := range f.node {
 		f.beta[i] = beta[v]
@@ -245,6 +240,10 @@ type WeightedSet struct {
 
 // K returns the sketch parameter.
 func (s *WeightedSet) K() int { return s.frame.opts.K }
+
+// Seed returns the seed of the shared permutation the biased ranks were
+// drawn from (0 for a set loaded from a file that did not record it).
+func (s *WeightedSet) Seed() uint64 { return s.frame.opts.Seed }
 
 // NumNodes returns the number of sketches.
 func (s *WeightedSet) NumNodes() int { return s.frame.n }

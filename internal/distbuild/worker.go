@@ -435,10 +435,10 @@ func (w *Worker) Freeze(ctx context.Context) ([]byte, error) {
 		opts := core.Options{K: w.spec.K, Flavor: sketch.BottomK, Seed: w.spec.Seed}
 		p, err = core.FreezePartitionBottomK(opts, w.spec.Index, w.spec.Parts, w.spec.N, w.lists)
 	case KindWeighted:
-		p, err = core.FreezePartitionWeighted(w.spec.K, core.WeightScheme(w.spec.Scheme),
+		p, err = core.FreezePartitionWeighted(w.spec.K, w.spec.Seed, core.WeightScheme(w.spec.Scheme),
 			w.spec.Index, w.spec.Parts, w.spec.N, w.lists, w.betas)
 	case KindApprox:
-		p, err = core.FreezePartitionApprox(w.spec.K, w.spec.Eps,
+		p, err = core.FreezePartitionApprox(w.spec.K, w.spec.Seed, w.spec.Eps,
 			w.spec.Index, w.spec.Parts, w.spec.N, w.lists)
 	default:
 		err = fmt.Errorf("distbuild: unknown kind %d", int(w.kind))

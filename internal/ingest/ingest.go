@@ -72,6 +72,7 @@ type Maintainer struct {
 
 	n       int
 	in      [][]arc
+	rank    []float64 // rank of every node, beside the adjacency: the base set stores none
 	base    *core.Set
 	overlay map[int32][]core.Entry
 
@@ -130,6 +131,7 @@ func New(g *graph.Graph, base *core.Set, opts ...Option) (*Maintainer, error) {
 		directed: g.Directed(),
 		n:        g.NumNodes(),
 		in:       make([][]arc, g.NumNodes()),
+		rank:     make([]float64, g.NumNodes()),
 		base:     base,
 		overlay:  make(map[int32][]core.Entry),
 		heap:     kheap{k: o.K, v: make([]float64, 0, o.K)},
@@ -144,6 +146,19 @@ func New(g *graph.Graph, base *core.Set, opts ...Option) (*Maintainer, error) {
 	}
 	if m.counterB > 1 {
 		m.counters = make([]*counter.Morris, m.n)
+	}
+	for v := range m.rank {
+		m.rank[v] = m.src.Rank(int64(v))
+	}
+	// Base entries are looked up in rank by node; a set opened from an
+	// unvalidated file can name anything.
+	for v := 0; v < m.n; v++ {
+		nodes, _ := base.Columns(int32(v))
+		for _, u := range nodes {
+			if u < 0 || int(u) >= m.n {
+				return nil, fmt.Errorf("ingest: base sketch of node %d names node %d outside [0, %d)", v, u, m.n)
+			}
+		}
 	}
 	// Reverse adjacency: arcs u->v land in in[v].  For undirected graphs
 	// every edge is stored as two arcs, so this also yields the (identical)
@@ -204,7 +219,8 @@ func (m *Maintainer) grow(n int) {
 	for ; m.n < n; m.n++ {
 		v := int32(m.n)
 		m.in = append(m.in, nil)
-		m.overlay[v] = []core.Entry{{Node: v, Dist: 0, Rank: m.src.Rank(int64(v))}}
+		m.rank = append(m.rank, m.src.Rank(int64(v)))
+		m.overlay[v] = []core.Entry{{Node: v, Dist: 0, Rank: m.rank[v]}}
 		if m.counters != nil {
 			m.counters = append(m.counters, nil)
 		}
@@ -215,13 +231,9 @@ func (m *Maintainer) grow(n int) {
 // ADS(v) shifted by the arc length (v's own distance-0 entry covers v
 // itself).
 func (m *Maintainer) seed(u, v int32, w float64) {
-	sl, ads := m.viewOf(v)
-	if ads != nil {
-		for i, n := 0, ads.Size(); i < n; i++ {
-			e := ads.EntryAt(i)
-			m.push(candidate{X: u, E: core.Entry{Node: e.Node, Dist: e.Dist + w, Rank: e.Rank}})
-		}
-		return
+	sl, nodes, dists := m.viewOf(v)
+	for i, node := range nodes {
+		m.push(candidate{X: u, E: core.Entry{Node: node, Dist: dists[i] + w, Rank: m.rank[node]}})
 	}
 	for _, e := range sl {
 		m.push(candidate{X: u, E: core.Entry{Node: e.Node, Dist: e.Dist + w, Rank: e.Rank}})
@@ -255,13 +267,15 @@ func (m *Maintainer) drain() {
 }
 
 // viewOf returns node x's current entries: the overlay slice when the node
-// has pending deltas, else a view of the base set.  Exactly one return is
-// non-nil (new nodes always enter the overlay in grow).
-func (m *Maintainer) viewOf(x int32) ([]core.Entry, *core.ADS) {
+// has pending deltas, else the base set's (node, dist) columns, whose ranks
+// are m.rank's.  Exactly one is non-empty (new nodes always enter the
+// overlay in grow).
+func (m *Maintainer) viewOf(x int32) (sl []core.Entry, nodes []int32, dists []float64) {
 	if sl, ok := m.overlay[x]; ok {
-		return sl, nil
+		return sl, nil, nil
 	}
-	return nil, m.base.BottomK(x)
+	nodes, dists = m.base.Columns(x)
+	return nil, nodes, dists
 }
 
 // before is the canonical (distance, node ID) order of core.
@@ -277,14 +291,11 @@ func before(a, b core.Entry) bool {
 // later entries whose ranks stop winning) when it wins.  It reports
 // whether the sketch changed.
 func (m *Maintainer) offer(x int32, e core.Entry) bool {
-	sl, ads := m.viewOf(x)
-	size := len(sl)
-	if ads != nil {
-		size = ads.Size()
-	}
+	sl, nodes, dists := m.viewOf(x)
+	size := len(sl) + len(nodes)
 	at := func(i int) core.Entry {
-		if ads != nil {
-			return ads.EntryAt(i)
+		if sl == nil {
+			return core.Entry{Node: nodes[i], Dist: dists[i], Rank: m.rank[nodes[i]]}
 		}
 		return sl[i]
 	}
@@ -324,8 +335,11 @@ func (m *Maintainer) offer(x int32, e core.Entry) bool {
 	}
 	// Accepted: materialize the node in the overlay and apply the change.
 	lst := sl
-	if ads != nil {
-		lst = ads.Entries()
+	if lst == nil {
+		lst = make([]core.Entry, size, size+1)
+		for i := range lst {
+			lst[i] = at(i)
+		}
 	}
 	if old >= 0 {
 		lst = append(lst[:old], lst[old+1:]...)
@@ -391,26 +405,21 @@ func (m *Maintainer) Entries(x int32) []core.Entry {
 	if x < 0 || int(x) >= m.n {
 		return nil
 	}
-	sl, ads := m.viewOf(x)
-	if ads != nil {
-		return ads.Entries()
+	sl, nodes, dists := m.viewOf(x)
+	out := append(make([]core.Entry, 0, len(sl)+len(nodes)), sl...)
+	for i, node := range nodes {
+		out = append(out, core.Entry{Node: node, Dist: dists[i], Rank: m.rank[node]})
 	}
-	return append([]core.Entry(nil), sl...)
+	return out
 }
 
 // Freeze assembles base + overlay into a new frozen sketch set, re-bases
 // the maintainer on it, and clears the overlay.  The returned set is
-// exactly what core.BuildSet would produce for the current graph.
+// exactly what core.BuildSet would produce for the current graph.  Its
+// cost follows the overlay: only those lists are validated, and the rest
+// of the base is copied as it stands.
 func (m *Maintainer) Freeze() (*core.Set, error) {
-	lists := make([][]core.Entry, m.n)
-	for v := 0; v < m.n; v++ {
-		if sl, ok := m.overlay[int32(v)]; ok {
-			lists[v] = sl
-		} else {
-			lists[v] = m.base.BottomK(int32(v)).Entries()
-		}
-	}
-	set, err := core.FreezeBottomK(m.opts, lists)
+	set, err := core.FreezeBottomKOver(m.base, m.n, m.overlay)
 	if err != nil {
 		return nil, err
 	}

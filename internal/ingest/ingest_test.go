@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"adsketch/internal/core"
@@ -258,6 +259,21 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(g, mustBuild(t, g, core.Options{K: 2, Seed: 1}), WithUpdateCounters(1)); err == nil {
 		t.Fatal("WithUpdateCounters(1) accepted")
+	}
+	// A v3 file's entries are trusted on open; the maintainer indexes its
+	// rank table by them, so it checks.  Node 0's second entry, renamed:
+	var file bytes.Buffer
+	if _, err := core.WriteSketchSetV3(&file, mustBuild(t, g, core.Options{K: 2, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	const header, offsets = 80, 8 * (10 + 1)
+	binary.LittleEndian.PutUint32(file.Bytes()[header+offsets+4:], 1000)
+	foreign, err := core.ReadSketchSet(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(g, foreign.(*core.Set)); err == nil {
+		t.Fatal("New accepted a base whose sketches name a node the graph lacks")
 	}
 }
 
