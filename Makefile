@@ -42,22 +42,12 @@ analyze:
 # redirect (not a pipe) keeps `go test`'s exit status, so a crashing
 # benchmark fails the target — and CI.
 #
-# CODEC_BASELINE_NS pins the pre-optimization BenchmarkSketchSetCodec
-# measurement (reflection-based binary.Write per field, PR 2) so every
-# BENCH_engine.json carries the before/after pair for the buffer-reuse
-# codec rewrite.
-#
 # The *_PRE_FRAMES baselines pin the measurements taken immediately
 # before the columnar-frame refactor (per-node entry slices, append-grown
-# per-node HIPIndex, v2-only codec), so the load-path and index-build
-# rows always ship with their before/after pair:
-#   - loading a 5000-node k=16 set was a 24.3 ms v2 decode (15018
-#     allocs); v3 open and v3 mmap now serve the same set in O(1) allocs;
+# per-node HIPIndex), so the index-build and dispatch rows always ship
+# with their before/after pair:
 #   - building every HIP index cost 94836 allocations (~19 per node);
 #   - steady-state Engine.Do was 2956 ns and 8 allocs per request.
-CODEC_BASELINE_NS = 1283536377
-LOAD_PRE_FRAMES_NS = 24302517
-LOAD_PRE_FRAMES_ALLOCS = 15018
 HIPBUILD_PRE_FRAMES_NS = 26416967
 HIPBUILD_PRE_FRAMES_ALLOCS = 94836
 ENGINEDO_PRE_FRAMES_NS = 2956
@@ -92,9 +82,7 @@ bench:
 	      for (i = 4; i <= nf; i++) if (f[i] == "B/node") printf ", \"bytes_per_node\": %s", f[i-1]; \
 	      printf "}" \
 	    } \
-	    printf ",\n  {\"name\": \"BenchmarkSketchSetCodec/before-buffer-reuse\", \"iterations\": 1, \"ns_per_op\": $(CODEC_BASELINE_NS)},\n"; \
-	    printf "  {\"name\": \"BenchmarkSketchSetLoad/v2-decode/before-columnar-frames\", \"iterations\": 5, \"ns_per_op\": $(LOAD_PRE_FRAMES_NS), \"allocs_per_op\": $(LOAD_PRE_FRAMES_ALLOCS)},\n"; \
-	    printf "  {\"name\": \"BenchmarkHIPIndexBuild/before-columnar-frames\", \"iterations\": 5, \"ns_per_op\": $(HIPBUILD_PRE_FRAMES_NS), \"allocs_per_op\": $(HIPBUILD_PRE_FRAMES_ALLOCS)},\n"; \
+	    printf ",\n  {\"name\": \"BenchmarkHIPIndexBuild/before-columnar-frames\", \"iterations\": 5, \"ns_per_op\": $(HIPBUILD_PRE_FRAMES_NS), \"allocs_per_op\": $(HIPBUILD_PRE_FRAMES_ALLOCS)},\n"; \
 	    printf "  {\"name\": \"BenchmarkEngineDoAllocs/before-columnar-frames\", \"iterations\": 5, \"ns_per_op\": $(ENGINEDO_PRE_FRAMES_NS), \"allocs_per_op\": $(ENGINEDO_PRE_FRAMES_ALLOCS)}\n]\n" }' \
 	  bench.out > BENCH_engine.json
 	@cat BENCH_engine.json
@@ -125,8 +113,10 @@ cover:
 	awk -v t="$$total" -v b="$(COVER_BASELINE)" 'BEGIN { exit !(t+0 >= b+0) }' || { \
 	  echo "coverage $$total% fell below the $(COVER_BASELINE)% baseline" >&2; exit 1; }
 
-# A few seconds of coverage-guided fuzzing on the codec, wire-protocol,
-# and graph-IO parsers — enough to catch decoder regressions fast.
+# A few seconds of coverage-guided fuzzing on the sketch-file readers
+# (the v3 parser, the read-only v2 decoder, the write/read fixed point),
+# the wire-protocol and the graph-IO parsers — enough to catch decoder
+# regressions fast.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzReadSketchSet' -fuzztime=5s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='FuzzReadSet$$' -fuzztime=5s ./internal/core/
@@ -242,12 +232,11 @@ wire-smoke:
 # End-to-end distributed-build smoke: four adsserver -buildworker
 # processes build the SNAP fixture over the wire transport for every
 # sketch kind (uniform, weighted, approx).  Each kind's partition files
-# must be byte-identical to a single-process `adstool build -save`,
-# converted to v3 (`-seed`: the v2 file `-save` writes has no seed field
-# for weighted and approximate sets, so their ranks are verified against
-# it and dropped) and split with `adstool split -v3`; each kind's
-# partitions are then served behind a scatter-gather coordinator and
-# must answer a query.
+# must be byte-identical to a single-process `adstool build -save` split
+# with `adstool split`, and must `adstool merge` back into exactly that
+# file, which `adstool convert` leaves as it is; each kind's partitions
+# are then served behind a scatter-gather coordinator and must answer a
+# query.
 distbuild-smoke:
 	$(GO) build -o adsserver.smoke ./cmd/adsserver
 	$(GO) build -o adstool.smoke ./cmd/adstool
@@ -277,12 +266,15 @@ distbuild-smoke:
 	./adstool.smoke build -graph $$tmp/graph.txt -k 8 -seed 42 -weights $$weights -save $$tmp/whole_weighted.ads >/dev/null; \
 	./adstool.smoke build -graph $$tmp/graph.txt -k 8 -seed 42 -eps 0.25 -save $$tmp/whole_approx.ads >/dev/null; \
 	for kind in uniform weighted approx; do \
-	  ./adstool.smoke convert -sketches $$tmp/whole_$$kind.ads -seed 42 -out $$tmp/whole_$$kind.v3.ads >/dev/null; \
-	  ./adstool.smoke split -sketches $$tmp/whole_$$kind.v3.ads -partitions 4 -out $$tmp/ref_$$kind -v3 >/dev/null; \
+	  ./adstool.smoke split -sketches $$tmp/whole_$$kind.ads -partitions 4 -out $$tmp/ref_$$kind >/dev/null; \
 	  for i in 0 1 2 3; do \
 	    cmp $$tmp/ref_$$kind.p$${i}of4.ads $$tmp/dist_$$kind.p$${i}of4.ads || { \
 	      echo "distbuild-smoke: $$kind partition $$i differs from the single-process split" >&2; exit 1; }; \
 	  done; \
+	  ./adstool.smoke merge -out $$tmp/merged_$$kind.ads $$tmp/dist_$$kind.p[0-3]of4.ads >/dev/null; \
+	  cmp $$tmp/merged_$$kind.ads $$tmp/whole_$$kind.ads || { echo "distbuild-smoke: merged $$kind partitions differ from build -save" >&2; exit 1; }; \
+	  ./adstool.smoke convert -sketches $$tmp/whole_$$kind.ads -out $$tmp/converted_$$kind.ads >/dev/null; \
+	  cmp $$tmp/converted_$$kind.ads $$tmp/whole_$$kind.ads || { echo "distbuild-smoke: convert changed a $$kind build -save file" >&2; exit 1; }; \
 	  echo "distbuild-smoke: $$kind partitions byte-identical; serving them"; \
 	  surls=""; \
 	  for i in 0 1 2 3; do \

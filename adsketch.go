@@ -57,11 +57,15 @@
 // set kind serializes through SketchSet.WriteTo / ReadSketchSet, so a
 // production process can build once, persist, and serve the protocol
 // over any transport.  Sets are stored as columnar frames (one offsets
-// array plus shared entry columns per set); WriteSketchSetV3 persists
-// that layout verbatim, and OpenSketchFile / MmapSketchFile serve it
-// back with O(1) allocations or zero copies.  cmd/adsserver is the
-// reference HTTP server (POST /v1/query, worker mode with -mmap); see
-// README.md for the wire shapes.
+// array plus shared entry columns per set), and there is one file
+// format: every writer persists that layout verbatim (version 3, no rank
+// column — ranks re-derive from the recorded seed).  ReadSketchSet
+// validates every sketch of what it reads; OpenSketchFile /
+// MmapSketchFile trust the file and serve it back with O(1) allocations
+// or zero copies.  Version-2 files of earlier releases still open
+// everywhere, read-only; `adstool convert` upgrades them.  cmd/adsserver
+// is the reference HTTP server (POST /v1/query, worker mode with -mmap);
+// see README.md for the wire shapes.
 //
 // # Serving fleets of datasets
 //
@@ -174,23 +178,21 @@ type Ranked = centrality.Ranked
 // entry; it implements SketchSet.
 type ApproxSet = core.ApproxSet
 
-// SketchFormatVersion is the streaming sketch file format version written
-// by SketchSet.WriteTo and read back by ReadSketchSet.
+// SketchFormatVersion is the sketch file format version: the columnar
+// (frame-layout) format every writer emits — SketchSet.WriteTo,
+// Partition.WriteTo, WriteSketchSetV3 / WritePartitionV3 — and
+// OpenSketchFile / MmapSketchFile serve zero-copy.
 const SketchFormatVersion = core.EncodeVersion
-
-// SketchFormatVersionColumnar is the columnar (frame-layout) sketch file
-// format version written by WriteSketchSetV3 / WritePartitionV3 and
-// served zero-copy by OpenSketchFile / MmapSketchFile.
-const SketchFormatVersionColumnar = core.EncodeVersionV3
 
 // SketchFile is an opened sketch file: exactly one of a whole set or a
 // partition, plus the backing mmap region when the file was mapped.
 type SketchFile = core.SketchFile
 
-// OpenSketchFile opens a sketch file of any version.  Version-3
-// (columnar) files are read in one call and their columns viewed in
-// place — O(1) allocations per set; version-1/2 files fall back to the
-// streaming decoder.
+// OpenSketchFile opens a sketch file, trusting it: the current
+// (version-3, columnar) format is read in one call and its columns viewed
+// in place — O(1) allocations per set, no per-sketch validation (use
+// ReadSketchFile for a file of unknown origin).  Version-2 files of
+// earlier releases fall back to the streaming decoder.
 func OpenSketchFile(path string) (*SketchFile, error) { return core.OpenSketchFile(path) }
 
 // MmapSketchFile opens a version-3 sketch file by mapping it into memory
@@ -203,7 +205,8 @@ func MmapSketchFile(path string) (*SketchFile, error) { return core.MmapSketchFi
 // WriteSketchSetV3 serializes a whole sketch set in the columnar
 // version-3 format: a fixed header followed by the raw frame columns, so
 // encoding is near-memcpy and decoding O(columns).  Estimates from the
-// reloaded set are bit-for-bit those of the original.
+// reloaded set are bit-for-bit those of the original.  set.WriteTo(w)
+// writes the same bytes.
 func WriteSketchSetV3(w io.Writer, set SketchSet) (int64, error) {
 	s, ok := set.(core.AnySet)
 	if !ok {
@@ -214,6 +217,7 @@ func WriteSketchSetV3(w io.Writer, set SketchSet) (int64, error) {
 
 // WritePartitionV3 serializes one partition in the columnar version-3
 // format — the shard file an `adsserver -mmap` worker opens.
+// p.WriteTo(w) writes the same bytes.
 func WritePartitionV3(w io.Writer, p *Partition) (int64, error) {
 	return core.WritePartitionV3(w, p)
 }
@@ -251,8 +255,8 @@ func MergeSketchSets(parts []*Partition) (SketchSet, error) {
 func ReadPartition(r io.Reader) (*Partition, error) { return core.ReadPartition(r) }
 
 // ReadSketchFile reads either kind of sketch file — a whole set or a
-// partition — returning exactly one of the two.  Serving processes that
-// accept both (cmd/adsserver) load through this.
+// partition — from a stream, validating every sketch, and returns exactly
+// one of the two.
 func ReadSketchFile(r io.Reader) (SketchSet, *Partition, error) {
 	set, part, err := core.ReadSketchFile(r)
 	if err != nil {
@@ -264,21 +268,9 @@ func ReadSketchFile(r io.Reader) (SketchSet, *Partition, error) {
 // ReadSketchSet deserializes a sketch set written by any SketchSet's
 // WriteTo method (build once, query many), validating every sketch's
 // structural invariants.  The dynamic type of the result is *Set,
-// *WeightedSet, or *ApproxSet according to the stored kind; legacy
-// version-1 files (WriteSketches) load as *Set.
+// *WeightedSet, or *ApproxSet according to the stored kind.  Version-2
+// files of earlier releases are read too; version 1 is refused.
 func ReadSketchSet(r io.Reader) (SketchSet, error) { return core.ReadSketchSet(r) }
-
-// WriteSketches serializes a uniform sketch set in the legacy version-1
-// format.
-//
-// Deprecated: use set.WriteTo(w), which writes the current versioned
-// format covering all three set kinds (uniform, weighted, approximate).
-func WriteSketches(w io.Writer, set *Set) error { return core.WriteSet(w, set) }
-
-// ReadSketches deserializes a uniform sketch set.
-//
-// Deprecated: use ReadSketchSet, which restores any set kind.
-func ReadSketches(r io.Reader) (*Set, error) { return core.ReadSet(r) }
 
 // NeighborhoodJaccard estimates the Jaccard similarity of N_da(a) and
 // N_db(b) from two coordinated bottom-k sketches (same build seed).

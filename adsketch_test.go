@@ -2,6 +2,7 @@ package adsketch_test
 
 import (
 	"math"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -165,8 +166,7 @@ func TestFacadeSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniform, ok := set.(*adsketch.Set)
-	if !ok {
+	if _, ok := set.(*adsketch.Set); !ok {
 		t.Fatalf("uniform build returned %T", set)
 	}
 	var buf strings.Builder
@@ -187,17 +187,18 @@ func TestFacadeSerialization(t *testing.T) {
 			t.Fatalf("node %d: estimates differ after round trip: %g vs %g", v, a, b)
 		}
 	}
-	// Legacy v1 files written by the deprecated WriteSketches still load.
-	var legacy strings.Builder
-	if err := adsketch.WriteSketches(&legacy, uniform); err != nil {
-		t.Fatal(err)
-	}
-	old, err := adsketch.ReadSketchSet(strings.NewReader(legacy.String()))
+	// A version-2 file of an earlier release still loads.
+	f, err := os.Open("internal/core/testdata/uniform_v2_k8.ads")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.TotalEntries() != set.TotalEntries() {
-		t.Error("legacy v1 round trip lost entries")
+	defer f.Close()
+	old, err := adsketch.ReadSketchSet(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := old.(*adsketch.Set); !ok || old.NumNodes() != 200 || old.K() != 8 {
+		t.Errorf("v2 fixture loaded as %T with %d nodes, k=%d; want *adsketch.Set, 200, 8", old, old.NumNodes(), old.K())
 	}
 }
 

@@ -371,7 +371,7 @@ func TestCatalogMmapSwapUnderLoad(t *testing.T) {
 	if err := cat.Attach("d", adsketch.MmapSource(pathA)); err != nil {
 		t.Fatal(err)
 	}
-	if st := statsOf(t, cat, "d"); !st.Mmap || st.FileVersion != adsketch.SketchFormatVersionColumnar {
+	if st := statsOf(t, cat, "d"); !st.Mmap || st.FileVersion != adsketch.SketchFormatVersion {
 		t.Fatalf("mmap attach stats: %+v", st)
 	}
 	ctx := context.Background()

@@ -258,7 +258,7 @@ func TestDatasetAdminEndpoints(t *testing.T) {
 	}
 	ds := datasetNamed(t, st, adsketch.DefaultDataset)
 	if ds.Version != 1 || !ds.Resident || ds.Meta == nil || ds.Meta.TotalNodes != 400 ||
-		ds.Path != pathA || ds.FileVersion != adsketch.SketchFormatVersionColumnar {
+		ds.Path != pathA || ds.FileVersion != adsketch.SketchFormatVersion {
 		t.Fatalf("default dataset stats: %+v", ds)
 	}
 

@@ -70,37 +70,11 @@ func buildSplitFiles(t *testing.T) (whole string, parts []string, set adsketch.S
 	return whole, parts, set
 }
 
-// buildSplitFilesV3 writes the same split as buildSplitFiles in the
-// columnar v3 format — the prebuilt shard files an -mmap worker opens.
-func buildSplitFilesV3(t *testing.T, set adsketch.SketchSet) []string {
-	t.Helper()
-	split, err := adsketch.SplitSketchSet(set, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	var parts []string
-	for _, p := range split {
-		name := filepath.Join(dir, "part"+string(rune('0'+p.Index()))+".v3.ads")
-		pf, err := os.Create(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := adsketch.WritePartitionV3(pf, p); err != nil {
-			t.Fatal(err)
-		}
-		pf.Close()
-		parts = append(parts, name)
-	}
-	return parts
-}
-
-// TestMmapWorkerParity: workers serving prebuilt kind-3 v3 shard files
-// through -mmap must answer byte-identically to the in-memory workers
-// over the v2 partition files, both directly and behind a coordinator.
+// TestMmapWorkerParity: workers serving the shard files `adstool split`
+// writes through -mmap must answer byte-identically to workers that read
+// the same files into memory, both directly and behind a coordinator.
 func TestMmapWorkerParity(t *testing.T) {
-	whole, v2parts, set := buildSplitFiles(t)
-	v3parts := buildSplitFilesV3(t, set)
+	whole, parts, _ := buildSplitFiles(t)
 	single, _ := serveFile(t, whole, 0)
 
 	body, err := json.Marshal(e2eRequests())
@@ -122,14 +96,14 @@ func TestMmapWorkerParity(t *testing.T) {
 	}
 
 	var memURLs, mmapURLs []string
-	for i := range v2parts {
-		mem, mode := serveFile(t, v2parts[i], 0)
+	for i := range parts {
+		mem, mode := serveFile(t, parts[i], 0)
 		if mode != "shard" {
-			t.Fatalf("v2 partition file %d served in %q mode", i, mode)
+			t.Fatalf("partition file %d served in %q mode", i, mode)
 		}
-		mm, mode := serveFileMmap(t, v3parts[i], 0, true)
+		mm, mode := serveFileMmap(t, parts[i], 0, true)
 		if mode != "shard" {
-			t.Fatalf("mmap'd v3 partition file %d served in %q mode", i, mode)
+			t.Fatalf("mmap'd partition file %d served in %q mode", i, mode)
 		}
 		memURLs = append(memURLs, mem.URL)
 		mmapURLs = append(mmapURLs, mm.URL)

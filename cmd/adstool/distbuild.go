@@ -18,10 +18,9 @@ import (
 // runDistBuild drives a partition-parallel build: P workers — in-process
 // with -dist, or remote adsserver -buildworker processes with -workers —
 // each construct the sketches of one node range and freeze them straight
-// to a v3 partition file.  The output files are byte-identical to
-// `adstool build -save`, `adstool convert -seed` and `adstool split -v3`
-// in a row, so they drop into the same adsserver -mmap / coordinator
-// serving setup.
+// to a partition file.  The output files are byte-identical to `adstool
+// build -save` followed by `adstool split`, so they drop into the same
+// adsserver -mmap / coordinator serving setup.
 func runDistBuild(fs *flag.FlagSet, path string, directed bool, dist int, workers, out string) error {
 	if dist != 0 && workers != "" {
 		return fmt.Errorf("build: -dist and -workers are mutually exclusive")

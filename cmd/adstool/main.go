@@ -8,8 +8,8 @@
 //	adstool build -graph graph.txt -k 16 -seed 42 -save sketches.ads
 //	adstool split -sketches sketches.ads -partitions 4 -out sketches
 //	adstool merge -out sketches.ads sketches.p0of4.ads sketches.p1of4.ads ...
-//	adstool convert -sketches sketches.ads -out sketches.v3.ads
-//	adstool info sketches.v3.ads
+//	adstool convert -sketches old-release.ads -out sketches.ads
+//	adstool info sketches.ads
 //	adstool query -graph graph.txt -sketches sketches.ads -node 17 -d 3
 //	adstool query -remote http://localhost:8080 -node 17 -d 3
 //	adstool query -remote http://localhost:8080 -dataset nightly -node 17 -d 3
@@ -19,8 +19,10 @@
 //
 // split partitions a sketch file by node ID into P independently
 // servable shard files (one adsserver worker each); merge reassembles a
-// complete split bit-for-bit.  Graphs are whitespace edge lists ("u v"
-// or "u v w" per line, '#' comments); "-" reads stdin.
+// complete split bit-for-bit; convert upgrades a file written by an
+// earlier release to the one format every subcommand writes.  Graphs are
+// whitespace edge lists ("u v" or "u v w" per line, '#' comments); "-"
+// reads stdin.
 package main
 
 import (
@@ -245,18 +247,31 @@ func runBuild(args []string) error {
 	fmt.Printf("total entries %d (%.1f per node; Lemma 2.2 predicts ~k(1+ln n-ln k))\n",
 		set.TotalEntries(), float64(set.TotalEntries())/float64(g.NumNodes()))
 	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		n, err := set.WriteTo(f)
+		n, err := writeSketchFile(*save, set.WriteTo)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("sketches saved to %s (%d bytes, format v%d)\n", *save, n, adsketch.SketchFormatVersion)
 	}
 	return nil
+}
+
+// writeSketchFile creates path, lets write fill it, and closes it.  A
+// failed Close (full disk, NFS) is a failed write: the bytes may not be
+// there.
+func writeSketchFile(path string, write func(io.Writer) (int64, error)) (int64, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	n, err := write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return n, fmt.Errorf("writing %s: %w", path, err)
+	}
+	return n, nil
 }
 
 // runSplit partitions a sketch file by node ID into independently
@@ -266,7 +281,6 @@ func runSplit(args []string) error {
 	sketchPath := fs.String("sketches", "", "sketch file to split (required)")
 	partitions := fs.Int("partitions", 2, "number of node-range partitions")
 	out := fs.String("out", "", "output prefix (default: -sketches without its extension)")
-	v3 := fs.Bool("v3", false, "write columnar v3 shard files (what adsserver -mmap serves)")
 	fs.Parse(args)
 	if *sketchPath == "" {
 		return fmt.Errorf("split: -sketches is required")
@@ -290,21 +304,9 @@ func runSplit(args []string) error {
 	}
 	for _, p := range parts {
 		name := fmt.Sprintf("%s.p%dof%d.ads", prefix, p.Index(), p.Count())
-		g, err := os.Create(name)
+		n, err := writeSketchFile(name, p.WriteTo)
 		if err != nil {
 			return err
-		}
-		var n int64
-		if *v3 {
-			n, err = adsketch.WritePartitionV3(g, p)
-		} else {
-			n, err = p.WriteTo(g)
-		}
-		if cerr := g.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing %s: %w", name, err)
 		}
 		fmt.Printf("partition %d/%d: nodes [%d, %d) -> %s (%d bytes)\n",
 			p.Index(), p.Count(), p.Lo(), p.Hi(), name, n)
@@ -340,32 +342,26 @@ func runMerge(args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := os.Create(*out)
+	n, err := writeSketchFile(*out, set.WriteTo)
 	if err != nil {
 		return err
-	}
-	n, err := set.WriteTo(g)
-	if cerr := g.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", *out, err)
 	}
 	fmt.Printf("merged %d partitions (%d nodes, k=%d) -> %s (%d bytes)\n",
 		len(parts), set.NumNodes(), set.K(), *out, n)
 	return nil
 }
 
-// runConvert rewrites any sketch file (v1, v2, or v3; whole set or
-// partition) into the columnar v3 format that OpenSketchFile reads with
-// O(1) allocations and `adsserver -mmap` maps zero-copy.  A file that
-// stores its ranks (written before they were derived) is rewritten
-// rank-free once every stored rank is verified against the seed: the
-// header's for a uniform file, -seed for a weighted or approximate one,
-// whose old headers recorded none.
+// runConvert upgrades a sketch file of an earlier release (v2, or a v3
+// that stores its ranks; whole set or partition) to what every writer now
+// emits: the rank-free columnar v3 that OpenSketchFile reads with O(1)
+// allocations and `adsserver -mmap` maps zero-copy.  A file that stores
+// its ranks is rewritten rank-free once every stored rank is verified
+// against the seed: the header's for a uniform file, -seed for a weighted
+// or approximate one, whose old headers recorded none.  On a current file
+// it is the identity.
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	in := fs.String("sketches", "", "sketch file to convert (required; any version, whole set or partition)")
+	in := fs.String("sketches", "", "sketch file to convert (required; v2 or v3, whole set or partition)")
 	out := fs.String("out", "", "output v3 sketch file (required)")
 	seed := fs.Uint64("seed", 0, "rank seed a weighted or approximate file with stored ranks was built with; given it, the ranks are verified and the output is rank-free")
 	fs.Parse(args)
@@ -398,23 +394,15 @@ func runConvert(args []string) error {
 			ranks = "stored (the file records no seed; pass -seed to verify and drop the column)"
 		}
 	}
-	g, err := os.Create(*out)
+	var src io.WriterTo = sf.Set()
+	if p := sf.Partition(); p != nil {
+		src = p
+	}
+	n, err := writeSketchFile(*out, src.WriteTo)
 	if err != nil {
 		return err
 	}
-	var n int64
-	if p := sf.Partition(); p != nil {
-		n, err = adsketch.WritePartitionV3(g, p)
-	} else {
-		n, err = adsketch.WriteSketchSetV3(g, sf.Set())
-	}
-	if cerr := g.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", *out, err)
-	}
-	fmt.Printf("converted %s -> %s (%d bytes, format v%d, ranks %s)\n", *in, *out, n, adsketch.SketchFormatVersionColumnar, ranks)
+	fmt.Printf("converted %s -> %s (%d bytes, format v%d, ranks %s)\n", *in, *out, n, adsketch.SketchFormatVersion, ranks)
 	return nil
 }
 
@@ -477,7 +465,7 @@ func runInfo(args []string) error {
 	switch {
 	case !sf.RanksStored():
 		fmt.Printf("ranks           derived\n")
-	case sf.Version() == adsketch.SketchFormatVersionColumnar:
+	case sf.Version() == adsketch.SketchFormatVersion:
 		fmt.Printf("ranks           stored (pre-PR-19 file)\n")
 	default:
 		fmt.Printf("ranks           stored (a v%d weighted/approximate body records no seed)\n", sf.Version())

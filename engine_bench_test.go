@@ -94,8 +94,9 @@ func BenchmarkEngineDoJSON(b *testing.B) {
 	}
 }
 
-// BenchmarkSketchSetCodec: serialize + reload the whole set (the build
-// artifact adsserver loads at startup).
+// BenchmarkSketchSetCodec: write the whole set as a v3 file and read it
+// back through the validating stream reader — the `adstool build -save`,
+// `adstool query -sketches` cycle.
 func BenchmarkSketchSetCodec(b *testing.B) {
 	set, _ := benchEngine(b)
 	var buf bytes.Buffer

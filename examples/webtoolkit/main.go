@@ -38,8 +38,9 @@ func main() {
 	fwd, bwd := fwdSet.(*adsketch.Set), bwdSet.(*adsketch.Set)
 
 	// Persistence round trip: serialize the forward set and reload it.
-	// WriteTo/ReadSketchSet is the versioned format every set kind
-	// shares — the same file cmd/adsserver loads for serving.
+	// WriteTo writes the one sketch file format, shared by every set
+	// kind — the file cmd/adsserver serves, mmap'd or read in — and
+	// ReadSketchSet reads it back, validating every sketch.
 	var buf bytes.Buffer
 	size, err := fwd.WriteTo(&buf)
 	if err != nil {

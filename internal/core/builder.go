@@ -31,7 +31,7 @@ func (o Options) validate() error {
 	if o.K < 1 {
 		return fmt.Errorf("core: Options.K = %d, must be >= 1", o.K)
 	}
-	if o.BaseB != 0 && o.BaseB <= 1 {
+	if o.BaseB != 0 && !(o.BaseB > 1) { // !(>) rather than <=: NaN is not a base
 		return fmt.Errorf("core: Options.BaseB = %g, must be > 1 (or 0 for full ranks)", o.BaseB)
 	}
 	return nil

@@ -10,11 +10,14 @@ import (
 	"adsketch/internal/sketch"
 )
 
-// Binary persistence for sketch sets.  Building sketches is the expensive
-// step (one near-linear pass over the graph); queries are cheap.  The
-// format lets a pipeline build once and serve many query processes.
+// The kind-agnostic set interface (AnySet, frameOf, setFromFrame), the
+// stream readers over it, and the read-only decoder of version-2 files.
+// Everything this tree writes is version 3 (framecodec.go), which has one
+// parser, openFrameBytes; the stream readers here hand it the bytes and
+// then validate every sketch.
 //
-// Version 2 covers every set kind behind one header:
+// Version 2 is the per-entry stream the writers emitted before the
+// columnar frame became the file format.  It is decoded, never written:
 //
 //	magic "ADSK" | version u32 = 2 | kind u32 |
 //	kind-specific header | per-node payloads
@@ -36,29 +39,23 @@ import (
 // nodes lo..hi-1 of a totalNodes-node set split into count node-range
 // shards.  Partitions do not nest.
 //
-// Versions 1 and 2 store each entry's rank.  The writers derive it and a
-// uniform file's ranks are checked against its seed on load and dropped;
-// weighted and approximate bodies record no seed, so theirs load as a
-// stored column (see Frame).
-//
-// Version 1 is the legacy uniform-only format (no kind field); readers
-// still accept it.  Version 3 (framecodec.go) serializes the columnar
-// frame verbatim — the serving format OpenSketchFile reads with O(1)
-// allocations (or maps with zero copies).  All integers are
+// Version 2 stores each entry's rank.  A uniform file's ranks are checked
+// against its seed on load and dropped; weighted and approximate bodies
+// record no seed, so theirs load as a stored column (see Frame) until
+// SketchFile.DeriveRanks is given the seed.  All integers are
 // little-endian.  Whatever the stored version, loading produces
 // frame-backed sets.
 
 const (
-	encodeMagic   = "ADSK"
-	encodeVersion = 1
+	encodeMagic = "ADSK"
+	// v2EncodeVersion is the version number of the files the decoder in
+	// this file reads.
+	v2EncodeVersion = 2
 	// maxCodecK bounds the sketch parameter a file may claim, so a
 	// corrupted header cannot drive huge per-node allocations.
 	maxCodecK = 1 << 20
 	// maxCodecPartitions bounds the partition count a file may claim.
 	maxCodecPartitions = 1 << 20
-	// EncodeVersion is the current streaming sketch file format version
-	// written by the WriteTo methods.
-	EncodeVersion = 2
 )
 
 // Set kinds stored in the version-2 and version-3 headers.
@@ -69,7 +66,7 @@ const (
 	kindPartition
 )
 
-// Wire sizes of one entry record.
+// Wire sizes of one version-2 entry record.
 const (
 	entryWireSize         = 4 + 8 + 8     // node, dist, rank
 	weightedEntryWireSize = 4 + 8 + 8 + 8 // node, dist, rank, beta
@@ -124,19 +121,6 @@ func setFromFrame(f *Frame) (AnySet, error) {
 	}
 }
 
-// countingWriter tracks how many bytes passed through, so WriteTo can
-// satisfy the io.WriterTo contract.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // growBuf returns *buf resized to n bytes, reallocating only when the
 // capacity is short — the codec's per-call scratch, reused across nodes.
 func growBuf(buf *[]byte, n int) []byte {
@@ -146,172 +130,19 @@ func growBuf(buf *[]byte, n int) []byte {
 	return (*buf)[:n]
 }
 
-// setEncoder writes the binary format through one buffered writer with a
-// single reusable scratch buffer (the codec hot path serializes every
-// entry of every node; per-field binary.Write reflection is far too slow
-// for multi-million-entry sets).
-type setEncoder struct {
-	bw    *bufio.Writer
-	buf   []byte
-	ranks rankScratch // the ranks the format stores are derived through it
-}
+// WriteTo serializes the set in the version-3 format, exactly as
+// WriteSketchSetV3 does.  It implements io.WriterTo; the returned count is
+// the number of bytes written.
+func (s *Set) WriteTo(w io.Writer) (int64, error) { return writeFrameV3(w, s.frame, nil) }
 
-func newSetEncoder(w io.Writer) *setEncoder {
-	return &setEncoder{bw: bufio.NewWriter(w)}
-}
+// WriteTo serializes the weighted set in the version-3 format.
+func (s *WeightedSet) WriteTo(w io.Writer) (int64, error) { return writeFrameV3(w, s.frame, nil) }
 
-func (e *setEncoder) u32(v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := e.bw.Write(b[:])
-	return err
-}
+// WriteTo serializes the approximate set in the version-3 format.
+func (s *ApproxSet) WriteTo(w io.Writer) (int64, error) { return writeFrameV3(w, s.frame, nil) }
 
-func (e *setEncoder) u64(v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := e.bw.Write(b[:])
-	return err
-}
-
-// node writes the length-prefixed entry lists of local node v, one per
-// segment, with β when the frame is weighted.
-func (e *setEncoder) node(f *Frame, v int) error {
-	for _, c := range f.ranked(&e.ranks, v) {
-		var err error
-		if f.kind == kindWeighted {
-			err = e.weightedEntriesCols(c)
-		} else {
-			err = e.entriesCols(c)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// entriesCols writes one length-prefixed entry list from columns as a
-// single buffer write.
-func (e *setEncoder) entriesCols(c cols) error {
-	n := c.len()
-	buf := growBuf(&e.buf, 4+n*entryWireSize)
-	binary.LittleEndian.PutUint32(buf, uint32(n))
-	off := 4
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(c.node[i]))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(c.dist[i]))
-		binary.LittleEndian.PutUint64(buf[off+12:], math.Float64bits(c.rankAt(i)))
-		off += entryWireSize
-	}
-	_, err := e.bw.Write(buf)
-	return err
-}
-
-// weightedEntriesCols writes one length-prefixed (entry, beta) list.
-func (e *setEncoder) weightedEntriesCols(c cols) error {
-	n := c.len()
-	buf := growBuf(&e.buf, 4+n*weightedEntryWireSize)
-	binary.LittleEndian.PutUint32(buf, uint32(n))
-	off := 4
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(c.node[i]))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(c.dist[i]))
-		binary.LittleEndian.PutUint64(buf[off+12:], math.Float64bits(c.rankAt(i)))
-		binary.LittleEndian.PutUint64(buf[off+20:], math.Float64bits(c.beta[i]))
-		off += weightedEntryWireSize
-	}
-	_, err := e.bw.Write(buf)
-	return err
-}
-
-// encodeSetBody writes a set's body — kind, kind header, payloads — the
-// part shared between whole-set files and the partition envelope.
-func encodeSetBody(e *setEncoder, s AnySet) error {
-	f, err := frameOf(s)
-	if err != nil {
-		return err
-	}
-	switch f.kind {
-	case kindUniform:
-		hdr := []error{
-			e.u32(kindUniform),
-			e.u32(uint32(f.opts.K)),
-			e.u32(uint32(f.opts.Flavor)),
-			e.u64(f.opts.Seed),
-			e.u64(math.Float64bits(f.opts.BaseB)),
-			e.u32(uint32(f.n)),
-		}
-		for _, err := range hdr {
-			if err != nil {
-				return err
-			}
-		}
-	case kindWeighted:
-		hdr := []error{
-			e.u32(kindWeighted),
-			e.u32(uint32(f.opts.K)),
-			e.u32(uint32(f.scheme)),
-			e.u32(uint32(f.n)),
-		}
-		for _, err := range hdr {
-			if err != nil {
-				return err
-			}
-		}
-	case kindApprox:
-		hdr := []error{
-			e.u32(kindApprox),
-			e.u32(uint32(f.opts.K)),
-			e.u64(math.Float64bits(f.eps)),
-			e.u32(uint32(f.n)),
-		}
-		for _, err := range hdr {
-			if err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("core: cannot encode sketch set kind %d", f.kind)
-	}
-	for v := 0; v < f.n; v++ {
-		if err := e.node(f, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeSetFile writes one whole-set file: magic, version, body.
-func writeSetFile(w io.Writer, s AnySet) (int64, error) {
-	cw := &countingWriter{w: w}
-	e := newSetEncoder(cw)
-	if _, err := e.bw.WriteString(encodeMagic); err != nil {
-		return cw.n, err
-	}
-	if err := e.u32(EncodeVersion); err != nil {
-		return cw.n, err
-	}
-	if err := encodeSetBody(e, s); err != nil {
-		return cw.n, err
-	}
-	if err := e.bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// WriteTo serializes the set in the version-2 format.  It implements
-// io.WriterTo; the returned count is the number of bytes written.
-func (s *Set) WriteTo(w io.Writer) (int64, error) { return writeSetFile(w, s) }
-
-// WriteTo serializes the weighted set in the version-2 format.
-func (s *WeightedSet) WriteTo(w io.Writer) (int64, error) { return writeSetFile(w, s) }
-
-// WriteTo serializes the approximate set in the version-2 format.
-func (s *ApproxSet) WriteTo(w io.Writer) (int64, error) { return writeSetFile(w, s) }
-
-// setDecoder reads the binary format through one reusable scratch buffer.
+// setDecoder reads the version-2 format through one reusable scratch
+// buffer.
 type setDecoder struct {
 	r   io.Reader
 	buf []byte
@@ -479,10 +310,7 @@ func readAny(r io.Reader) (AnySet, *Partition, error) {
 		return nil, nil, fmt.Errorf("core: reading sketch file version: %w", err)
 	}
 	switch version {
-	case 1:
-		set, err := readUniformBody(d, 0)
-		return set, nil, err
-	case EncodeVersion:
+	case v2EncodeVersion:
 		kind, err := d.u32()
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: reading sketch file kind: %w", err)
@@ -493,20 +321,21 @@ func readAny(r io.Reader) (AnySet, *Partition, error) {
 		}
 		set, err := decodeSetBodyKind(d, kind, 0)
 		return set, nil, err
-	case frameEncodeVersion:
-		return readFrameFile(d)
+	case EncodeVersion:
+		return readFrameStream(d.r)
 	default:
-		return nil, nil, fmt.Errorf("core: sketch file version %d, supported versions are 1, %d and %d",
-			version, EncodeVersion, frameEncodeVersion)
+		return nil, nil, fmt.Errorf("core: sketch file version %d, supported versions are %d and %d",
+			version, v2EncodeVersion, EncodeVersion)
 	}
 }
 
 // ReadSketchSet deserializes a whole sketch set written by any WriteTo
-// method (or the legacy version-1 WriteSet), validating the structural
-// invariants of every sketch.  The dynamic type of the result is *Set,
-// *WeightedSet, or *ApproxSet according to the stored kind.  Partition
-// files are refused; read those with ReadPartition (or merge them back
-// with MergeSketchSets / adstool merge).
+// method (or by the version-2 writers of earlier releases), validating the
+// structural invariants of every sketch — unlike OpenSketchFile, which
+// trusts the file.  The dynamic type of the result is *Set, *WeightedSet,
+// or *ApproxSet according to the stored kind.  Partition files are
+// refused; read those with ReadPartition (or merge them back with
+// MergeSketchSets / adstool merge).
 func ReadSketchSet(r io.Reader) (AnySet, error) {
 	set, part, err := readAny(r)
 	if err != nil {
@@ -518,9 +347,9 @@ func ReadSketchSet(r io.Reader) (AnySet, error) {
 	return set, nil
 }
 
-// ReadSketchFile reads either kind of sketch file, returning exactly one
-// of a whole set or a partition — what a serving process that accepts
-// both uses at startup.
+// ReadSketchFile reads either kind of sketch file from a stream,
+// validating every sketch like ReadSketchSet, and returns exactly one of a
+// whole set or a partition.
 func ReadSketchFile(r io.Reader) (AnySet, *Partition, error) {
 	return readAny(r)
 }
@@ -550,10 +379,10 @@ func decodeSetBodyKind(d *setDecoder, kind uint32, base int32) (AnySet, error) {
 	}
 }
 
-// readUniformBody parses the shared uniform body (everything after the
-// version/kind prefix, identical in versions 1 and 2) into a frame-backed
-// set.  Sketch owners are base..base+numNodes-1 (base is 0 for whole-set
-// files and the node-range start for partitions).
+// readUniformBody parses the uniform body (everything after the
+// version/kind prefix) into a frame-backed set.  Sketch owners are
+// base..base+numNodes-1 (base is 0 for whole-set files and the node-range
+// start for partitions).
 func readUniformBody(d *setDecoder, base int32) (*Set, error) {
 	var k, flavor, numNodes uint32
 	var seed, baseBits uint64
@@ -708,52 +537,4 @@ func validateApproxView(a *ADS) error {
 		return fmt.Errorf("core: approx ADS(%d) does not start with the owner at distance 0", owner)
 	}
 	return nil
-}
-
-// WriteSet serializes a uniform sketch set in the legacy version-1
-// format.
-//
-// Deprecated: use (*Set).WriteTo, which writes the current versioned
-// format shared by all set kinds.
-func WriteSet(w io.Writer, s *Set) error {
-	e := newSetEncoder(w)
-	if _, err := e.bw.WriteString(encodeMagic); err != nil {
-		return err
-	}
-	f := s.frame
-	hdr := []error{
-		e.u32(encodeVersion),
-		e.u32(uint32(f.opts.K)),
-		e.u32(uint32(f.opts.Flavor)),
-		e.u64(f.opts.Seed),
-		e.u64(math.Float64bits(f.opts.BaseB)),
-		e.u32(uint32(f.n)),
-	}
-	for _, err := range hdr {
-		if err != nil {
-			return err
-		}
-	}
-	for v := 0; v < f.n; v++ {
-		if err := e.node(f, v); err != nil {
-			return err
-		}
-	}
-	return e.bw.Flush()
-}
-
-// ReadSet deserializes a uniform sketch set written by WriteSet or
-// (*Set).WriteTo, validating every sketch's structural invariants.
-//
-// Deprecated: use ReadSketchSet, which restores any set kind.
-func ReadSet(r io.Reader) (*Set, error) {
-	set, err := ReadSketchSet(r)
-	if err != nil {
-		return nil, err
-	}
-	uniform, ok := set.(*Set)
-	if !ok {
-		return nil, fmt.Errorf("core: sketch file holds a %T, not a uniform set; use ReadSketchSet", set)
-	}
-	return uniform, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"adsketch/internal/graph"
@@ -23,13 +24,14 @@ func TestEncodeRoundTripAllFlavors(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := WriteSet(&buf, set); err != nil {
+			if _, err := set.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadSet(&buf)
+			read, err := ReadSketchSet(&buf)
 			if err != nil {
 				t.Fatalf("%v baseB=%g: %v", fl, baseB, err)
 			}
+			got := read.(*Set)
 			if got.Options() != set.Options() {
 				t.Fatalf("options changed: %+v vs %+v", got.Options(), set.Options())
 			}
@@ -41,45 +43,48 @@ func TestEncodeRoundTripAllFlavors(t *testing.T) {
 	}
 }
 
+// The stream reader must refuse damaged input of both formats it reads:
+// the version-3 bytes WriteTo emits, and a version-2 file of an earlier
+// release (a committed fixture — nothing writes that format any more).
 func TestEncodeDetectsCorruption(t *testing.T) {
 	g := graph.Path(20)
 	set, err := BuildSet(g, Options{K: 3, Flavor: sketch.BottomK, Seed: 1}, AlgoDP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteSet(&buf, set); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	// Wrong magic.
-	bad := append([]byte("NOPE"), data[4:]...)
-	if _, err := ReadSet(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// Wrong version.
-	bad = append([]byte(nil), data...)
-	bad[4] = 99
-	if _, err := ReadSet(bytes.NewReader(bad)); err == nil {
-		t.Error("bad version accepted")
-	}
-	// Truncated.
-	if _, err := ReadSet(bytes.NewReader(data[:len(data)/2])); err == nil {
-		t.Error("truncated file accepted")
-	}
-	// Flip a rank byte somewhere in the payload: either the structural
-	// validation catches it or the read fails.
-	bad = append([]byte(nil), data...)
-	bad[len(bad)-3] ^= 0xff
-	if _, err := ReadSet(bytes.NewReader(bad)); err == nil {
-		// A flipped low-order rank byte can still satisfy the invariant;
-		// accept that, but the common case should error.  Try flipping a
-		// high-impact byte instead.
-		bad2 := append([]byte(nil), data...)
-		bad2[len(bad2)-1] ^= 0x7f
-		if _, err := ReadSet(bytes.NewReader(bad2)); err == nil {
-			t.Log("corruption not detected by invariant (rank flip kept order); acceptable")
+	for name, tc := range map[string]struct {
+		data      []byte
+		firstNode int // where the first entry of the first sketch — its owner — is named
+	}{
+		"v3": {v3Bytes(t, set), framePreambleSize + frameHdrSize + 8*(20+1)},
+		"v2": {v2Fixtures[0].read(t), 12 + 28 + 4}, // prefix, uniform header, entry count
+	} {
+		data := tc.data
+		if _, err := ReadSketchSet(bytes.NewReader(data)); err != nil {
+			t.Fatalf("%s: intact file refused: %v", name, err)
+		}
+		// Wrong magic.
+		bad := append([]byte("NOPE"), data[4:]...)
+		if _, err := ReadSketchSet(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s: bad magic accepted", name)
+		}
+		// Wrong version — and version 1, which is no longer read.
+		for _, v := range []byte{99, 1} {
+			bad = append([]byte(nil), data...)
+			bad[4] = v
+			if _, err := ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "supported versions are 2 and 3") {
+				t.Errorf("%s: version %d: got %v, want the unsupported-version error", name, v, err)
+			}
+		}
+		// Truncated.
+		if _, err := ReadSketchSet(bytes.NewReader(data[:len(data)/2])); err == nil {
+			t.Errorf("%s: truncated file accepted", name)
+		}
+		// An entry renamed: the per-sketch validation catches it.
+		bad = append([]byte(nil), data...)
+		bad[tc.firstNode] ^= 1
+		if _, err := ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "corrupt sketch file") {
+			t.Errorf("%s: renamed entry: got %v, want a corrupt-file error", name, err)
 		}
 	}
 }
@@ -91,10 +96,10 @@ func TestEncodeEmptyGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSet(&buf, set); err != nil {
+	if _, err := set.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSet(&buf)
+	got, err := ReadSketchSet(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

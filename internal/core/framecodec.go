@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -40,19 +41,18 @@ import (
 // the columns in place.  OpenSketchFile reads the file once and performs
 // O(1) allocations per set; MmapSketchFile maps it (on linux) so even the
 // read is deferred to page faults — a worker serving a prebuilt shard
-// file starts in microseconds.  Files written by versions 1 and 2 remain
+// file starts in microseconds.  Files written by version 2 remain
 // readable everywhere and are converted to frames on load.
 
-// EncodeVersionV3 is the columnar sketch file format version written by
-// WriteSketchSetV3 / WritePartitionV3 and opened zero-copy by
-// OpenSketchFile / MmapSketchFile.
-const EncodeVersionV3 = frameEncodeVersion
+// EncodeVersion is the sketch file format version: the one every writer
+// emits (the WriteTo methods, WriteSketchSetV3 / WritePartitionV3) and
+// OpenSketchFile / MmapSketchFile open zero-copy.
+const EncodeVersion = 3
 
 const (
-	frameEncodeVersion = 3
-	framePreambleSize  = 16 // magic, version, kind, flags
-	framePartHdrSize   = 24 // index, count, lo, hi, total, innerKind
-	frameHdrSize       = 64 // k .. reserved
+	framePreambleSize = 16 // magic, version, kind, flags
+	framePartHdrSize  = 24 // index, count, lo, hi, total, innerKind
+	frameHdrSize      = 64 // k .. reserved
 
 	frameFlagBeta         = 1 << 0
 	frameFlagDerivedRanks = 1 << 1 // no rank column: ranks derive from the header's seed
@@ -231,7 +231,7 @@ func headerOf(f *Frame, part *Partition) frameHdr {
 func (h *frameHdr) appendHeader(buf []byte) []byte {
 	le := binary.LittleEndian
 	buf = append(buf, encodeMagic...)
-	buf = le.AppendUint32(buf, frameEncodeVersion)
+	buf = le.AppendUint32(buf, EncodeVersion)
 	buf = le.AppendUint32(buf, h.kind)
 	buf = le.AppendUint32(buf, h.flags)
 	if h.partitioned() {
@@ -253,6 +253,19 @@ func (h *frameHdr) appendHeader(buf []byte) []byte {
 	buf = le.AppendUint64(buf, h.numEntries)
 	buf = le.AppendUint64(buf, 0) // reserved
 	return buf
+}
+
+// countingWriter tracks how many bytes passed through, so WriteTo can
+// satisfy the io.WriterTo contract.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // writeFrameV3 writes a frame (and optional partition envelope) in the
@@ -519,8 +532,8 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 	if string(data[:4]) != encodeMagic {
 		return nil, nil, fmt.Errorf("core: not a sketch file (magic %q)", data[:4])
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != frameEncodeVersion {
-		return nil, nil, fmt.Errorf("core: sketch file version %d, want %d", v, frameEncodeVersion)
+	if v := binary.LittleEndian.Uint32(data[4:]); v != EncodeVersion {
+		return nil, nil, fmt.Errorf("core: sketch file version %d, want %d", v, EncodeVersion)
 	}
 	h, consumed, err := parseFrameHdr(data[8:])
 	if err != nil {
@@ -605,148 +618,31 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 	}, nil
 }
 
-// readFrameFile decodes a version-3 file from a stream (the magic and
-// version already consumed by readAny).  This is the portable path for
-// ReadSketchSet / ReadSketchFile on arbitrary readers; serving processes
-// use OpenSketchFile / MmapSketchFile, which avoid the copies.
-func readFrameFile(d *setDecoder) (AnySet, *Partition, error) {
-	// Accumulate the fixed header with exact reads: kind+flags, then the
-	// partition envelope only when kind says so, then the frame fields.
-	// The capacity covers the largest (partitioned) header.
-	hdrLen := framePreambleSize - 8 + framePartHdrSize + frameHdrSize
-	head := make([]byte, 0, hdrLen)
-	kf, err := d.read(8) // kind, flags
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: reading sketch file header: %w", err)
+// readFrameStream reads a version-3 file from a stream whose magic and
+// version readAny has consumed.  The stream is read to its end before
+// anything is parsed, so allocation follows the bytes that arrived, never
+// a header's claim; openFrameBytes parses them, and — unlike the file
+// openers, which trust what the operator built — every sketch is then
+// validated.
+func readFrameStream(r io.Reader) (AnySet, *Partition, error) {
+	buf := bytes.NewBuffer(binary.LittleEndian.AppendUint32([]byte(encodeMagic), EncodeVersion))
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, nil, fmt.Errorf("core: reading sketch file: %w", err)
 	}
-	head = append(head, kf...)
-	if binary.LittleEndian.Uint32(head) == kindPartition {
-		p, err := d.read(framePartHdrSize)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: reading partition header: %w", err)
-		}
-		head = append(head, p...)
-	}
-	fh, err := d.read(frameHdrSize)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: reading sketch file header: %w", err)
-	}
-	head = append(head, fh...)
-	h, _, err := parseFrameHdr(head)
+	set, part, err := openFrameBytes(buf.Bytes())
 	if err != nil {
 		return nil, nil, err
 	}
-	f := frameFromHdr(h)
-	nSegs := h.numSegs()
-	e := int64(h.numEntries)
-	// Columns are read in bounded chunks with capped preallocation, so a
-	// corrupted count fails at the first short read instead of allocating
-	// its claim up front.
-	f.off, err = readI64sChunked(d, nSegs+1)
-	if err != nil {
+	inner := set
+	if part != nil {
+		inner = part.set
+	}
+	f, _ := frameOf(inner) // openFrameBytes produces one of frameOf's three kinds
+	var ranks rankScratch
+	if err := validateDecoded(f, &ranks); err != nil {
 		return nil, nil, err
 	}
-	if err := validateOffsets(f.off, e); err != nil {
-		return nil, nil, err
-	}
-	f.node, err = readI32sChunked(d, e)
-	if err != nil {
-		return nil, nil, err
-	}
-	if pad := pad8(e*4) - e*4; pad > 0 {
-		if _, err := d.read(int(pad)); err != nil {
-			return nil, nil, fmt.Errorf("core: reading sketch file padding: %w", err)
-		}
-	}
-	if f.dist, err = readF64sChunked(d, e); err != nil {
-		return nil, nil, err
-	}
-	if h.storesRanks() {
-		if f.rank, err = readF64sChunked(d, e); err != nil {
-			return nil, nil, err
-		}
-	}
-	if h.flags&frameFlagBeta != 0 {
-		if f.beta, err = readF64sChunked(d, e); err != nil {
-			return nil, nil, err
-		}
-	}
-	// The columns end the file, as the zero-copy opener's body-size check
-	// requires: a surplus means the header misdescribes them (a rank
-	// column under a header that says there is none would be read as β).
-	if _, err := d.read(1); err != io.EOF {
-		return nil, nil, fmt.Errorf("core: sketch file continues past the %d bytes its header implies", h.headerSize()+h.bodySize())
-	}
-	set, err := setFromFrame(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !h.partitioned() {
-		return set, nil, nil
-	}
-	return nil, &Partition{
-		index: int(h.index),
-		count: int(h.count),
-		lo:    int32(h.lo),
-		hi:    int32(h.hi),
-		total: int(h.total),
-		set:   set,
-	}, nil
-}
-
-func readI64sChunked(d *setDecoder, n int64) ([]int64, error) {
-	out := make([]int64, 0, minInt64(n, maxEntryPrealloc))
-	for read := int64(0); read < n; {
-		chunk := minInt64(n-read, maxEntryPrealloc)
-		buf, err := d.read(int(chunk) * 8)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading sketch file column: %w", err)
-		}
-		for i := int64(0); i < chunk; i++ {
-			out = append(out, int64(binary.LittleEndian.Uint64(buf[i*8:])))
-		}
-		read += chunk
-	}
-	return out, nil
-}
-
-func readF64sChunked(d *setDecoder, n int64) ([]float64, error) {
-	out := make([]float64, 0, minInt64(n, maxEntryPrealloc))
-	for read := int64(0); read < n; {
-		chunk := minInt64(n-read, maxEntryPrealloc)
-		buf, err := d.read(int(chunk) * 8)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading sketch file column: %w", err)
-		}
-		for i := int64(0); i < chunk; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:])))
-		}
-		read += chunk
-	}
-	return out, nil
-}
-
-func readI32sChunked(d *setDecoder, n int64) ([]int32, error) {
-	out := make([]int32, 0, minInt64(n, maxEntryPrealloc))
-	for read := int64(0); read < n; {
-		chunk := minInt64(n-read, maxEntryPrealloc)
-		buf, err := d.read(int(chunk) * 4)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading sketch file column: %w", err)
-		}
-		for i := int64(0); i < chunk; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(buf[i*4:])))
-		}
-		read += chunk
-	}
-	return out, nil
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return set, part, nil
 }
 
 // SketchFile is an opened sketch file: exactly one of a whole set or a
@@ -785,8 +681,8 @@ func (s *SketchFile) Set() AnySet { return s.set }
 // Partition returns the partition, or nil for a whole-set file.
 func (s *SketchFile) Partition() *Partition { return s.part }
 
-// Version returns the codec version the file was stored in (1, 2, or
-// EncodeVersionV3).
+// Version returns the codec version the file was stored in (2 or
+// EncodeVersion).
 func (s *SketchFile) Version() int { return s.version }
 
 // frame returns the frame of the file's set or partition.
@@ -913,11 +809,12 @@ func (s *SketchFile) Close() error {
 	return s.Release()
 }
 
-// OpenSketchFile opens a sketch file of any version.  Version-3 files are
-// read in one call and their columns viewed in place — O(1) allocations
-// per set on little-endian hosts.  Versions 1 and 2 are decoded through
-// the streaming reader (and converted to frames on load) without holding
-// the raw file in memory alongside the decoded set.
+// OpenSketchFile opens a sketch file.  Version-3 files — everything the
+// writers emit — are read in one call and their columns viewed in place:
+// O(1) allocations per set on little-endian hosts, and no per-sketch
+// validation (the stream readers do that).  Version-2 files are decoded
+// through the streaming reader (and converted to frames on load) without
+// holding the raw file in memory alongside the decoded set.
 func OpenSketchFile(path string) (*SketchFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -938,7 +835,7 @@ func OpenSketchFile(path string) (*SketchFile, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newSketchFile(set, part, frameEncodeVersion, nil), nil
+		return newSketchFile(set, part, EncodeVersion, nil), nil
 	}
 	// Not a v3 file (or too short to tell): stream-decode from the start;
 	// the reader produces the precise error for garbage input.
@@ -955,7 +852,7 @@ func OpenSketchFile(path string) (*SketchFile, error) {
 // MmapSketchFile opens a version-3 sketch file by mapping it into memory:
 // no column is read until it is queried, so a worker serving a prebuilt
 // shard starts in near-constant time regardless of file size.  On
-// platforms without mmap support — or for version-1/2 files, which need
+// platforms without mmap support — or for version-2 files, which need
 // decoding anyway — it falls back to OpenSketchFile.
 func MmapSketchFile(path string) (*SketchFile, error) {
 	if !mmapSupported {
@@ -983,11 +880,11 @@ func MmapSketchFile(path string) (*SketchFile, error) {
 		munmapFile(data)
 		return nil, err
 	}
-	return newSketchFile(set, part, frameEncodeVersion, data), nil
+	return newSketchFile(set, part, EncodeVersion, data), nil
 }
 
 // isFrameFile reports whether the bytes begin a version-3 file.
 func isFrameFile(data []byte) bool {
 	return len(data) >= 8 && string(data[:4]) == encodeMagic &&
-		binary.LittleEndian.Uint32(data[4:]) == frameEncodeVersion
+		binary.LittleEndian.Uint32(data[4:]) == EncodeVersion
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adsketch/internal/graph"
@@ -51,18 +53,9 @@ func frameKinds(t *testing.T) map[string]AnySet {
 	return out
 }
 
-// v2Bytes is the canonical comparison key: two sets serializing to the
-// same version-2 bytes hold bit-identical sketches.
-func v2Bytes(t *testing.T, s AnySet) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func v3Bytes(t *testing.T, s AnySet) []byte {
+// v3Bytes is the canonical comparison key: two sets serializing to the
+// same version-3 bytes hold bit-identical sketches.
+func v3Bytes(t testing.TB, s AnySet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	n, err := WriteSketchSetV3(&buf, s)
@@ -75,6 +68,21 @@ func v3Bytes(t *testing.T, s AnySet) []byte {
 	return buf.Bytes()
 }
 
+// fileBytes serializes whichever of a whole set or a partition a reader
+// returned.
+func fileBytes(t testing.TB, set AnySet, part *Partition) []byte {
+	t.Helper()
+	var src io.WriterTo = set
+	if part != nil {
+		src = part
+	}
+	var buf bytes.Buffer
+	if _, err := src.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestFrameCodecRoundTrip: every set kind must survive the v3 codec
 // bit-for-bit, through both the streaming reader and the zero-copy file
 // opener.
@@ -82,7 +90,6 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for name, set := range frameKinds(t) {
 		t.Run(name, func(t *testing.T) {
-			want := v2Bytes(t, set)
 			data := v3Bytes(t, set)
 
 			// Streaming path (ReadSketchSet on arbitrary readers).
@@ -90,8 +97,8 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stream read: %v", err)
 			}
-			if got := v2Bytes(t, streamed); !bytes.Equal(got, want) {
-				t.Fatalf("streamed v3 round trip differs from original (%d vs %d bytes)", len(got), len(want))
+			if got := v3Bytes(t, streamed); !bytes.Equal(got, data) {
+				t.Fatalf("streamed v3 round trip differs from original (%d vs %d bytes)", len(got), len(data))
 			}
 
 			// Zero-copy path.
@@ -107,7 +114,7 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 				t.Fatal("whole-set file opened as partition")
 			}
 			opened := sf.Set()
-			if got := v2Bytes(t, opened); !bytes.Equal(got, want) {
+			if got := v3Bytes(t, opened); !bytes.Equal(got, data) {
 				t.Fatalf("opened v3 round trip differs from original")
 			}
 			// Estimates (and therefore HIP weights) must be bit-identical.
@@ -126,7 +133,7 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 func TestPartitionV3RoundTrip(t *testing.T) {
 	for name, set := range frameKinds(t) {
 		t.Run(name, func(t *testing.T) {
-			want := v2Bytes(t, set)
+			want := v3Bytes(t, set)
 			parts, err := SplitSketchSet(set, 3)
 			if err != nil {
 				t.Fatal(err)
@@ -164,7 +171,7 @@ func TestPartitionV3RoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := v2Bytes(t, merged); !bytes.Equal(got, want) {
+			if got := v3Bytes(t, merged); !bytes.Equal(got, want) {
 				t.Fatal("merge of reloaded v3 partitions differs from original")
 			}
 		})
@@ -225,8 +232,7 @@ func TestMmapSketchFile(t *testing.T) {
 	if mmapSupported && !sf.Mapped() {
 		t.Error("v3 file not mapped on a platform with mmap support")
 	}
-	want := v2Bytes(t, set)
-	if got := v2Bytes(t, sf.Set().(AnySet)); !bytes.Equal(got, want) {
+	if got := v3Bytes(t, sf.Set()); !bytes.Equal(got, v3Bytes(t, set)) {
 		t.Fatal("mmap'd set differs from original")
 	}
 	if err := sf.Close(); err != nil {
@@ -236,63 +242,135 @@ func TestMmapSketchFile(t *testing.T) {
 		t.Error("Set() still accessible after Close")
 	}
 	// v2 files go through the decode fallback and are not mapped.
-	v2path := filepath.Join(t.TempDir(), "v2.ads")
-	f, err := os.Create(v2path)
+	fx := v2Fixtures[0]
+	sf2, err := MmapSketchFile(fx.path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := set.WriteTo(f); err != nil {
-		t.Fatal(err)
+	if sf2.Mapped() || sf2.Version() != 2 {
+		t.Errorf("v2 file reported as mapped=%v, version %d", sf2.Mapped(), sf2.Version())
 	}
-	f.Close()
-	sf2, err := MmapSketchFile(v2path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sf2.Mapped() {
-		t.Error("v2 file reported as mapped")
-	}
-	if got := v2Bytes(t, sf2.Set().(AnySet)); !bytes.Equal(got, want) {
-		t.Fatal("v2 fallback set differs from original")
+	if got := v3Bytes(t, sf2.Set()); !bytes.Equal(got, fx.want(t)) {
+		t.Fatal("v2 fallback set differs from a fresh build")
 	}
 }
 
-// TestV2FixtureBackCompat reads the committed pre-refactor version-2
-// file: it must load through every reader, and a fresh deterministic
-// build must still serialize to exactly those bytes (pinning both the
-// builders and the v2 writer across the columnar refactor).
+// v2Fixture is a committed version-2 file — recorded with the `adstool
+// build -save` / `split` of the last release that wrote the format;
+// nothing in this tree can — and the fresh deterministic build it must
+// still equal.
+type v2Fixture struct {
+	file   string
+	stored bool // a weighted or approximate v2 body records no seed: its ranks load as a column
+	part   int  // the index the file holds of a 2-way split of its build, or -1 for the whole set
+	build  func(g *graph.Graph, beta []float64) (AnySet, error)
+}
+
+// Every fixture but the first is `gen -type ba -n 60 -m 3 -seed 9` built
+// with `-k 4 -seed 42` and, where weighted, weights 1+i%7.
+var v2Fixtures = []v2Fixture{
+	{"uniform_v2_k8.ads", false, -1, func(*graph.Graph, []float64) (AnySet, error) {
+		return BuildSet(graph.PreferentialAttachment(200, 3, 7), Options{K: 8, Seed: 42}, AlgoPrunedDijkstra)
+	}},
+	{"kmins_base2_v2_k4.ads", false, -1, func(g *graph.Graph, _ []float64) (AnySet, error) {
+		return BuildSet(g, Options{K: 4, Flavor: sketch.KMins, Seed: 42, BaseB: 2}, AlgoPrunedDijkstra)
+	}},
+	{"weighted_v2_k4.ads", true, -1, func(g *graph.Graph, beta []float64) (AnySet, error) {
+		return BuildWeightedSet(g, 4, 42, beta)
+	}},
+	{"priority_v2_k4.ads", true, -1, func(g *graph.Graph, beta []float64) (AnySet, error) {
+		return BuildPriorityWeightedSet(g, 4, 42, beta)
+	}},
+	{"approx_v2_k4.ads", true, -1, func(g *graph.Graph, _ []float64) (AnySet, error) {
+		return BuildApproxSet(g, 4, 42, 0.25)
+	}},
+	{"weighted_v2_k4.p1of2.ads", true, 1, func(g *graph.Graph, beta []float64) (AnySet, error) {
+		return BuildWeightedSet(g, 4, 42, beta)
+	}},
+}
+
+func (fx v2Fixture) path() string { return filepath.Join("testdata", fx.file) }
+
+func (fx v2Fixture) read(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(fx.path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// want returns the version-3 bytes of the fixture's fresh build (of its
+// partition of the build, for a partition fixture).
+func (fx v2Fixture) want(t testing.TB) []byte {
+	t.Helper()
+	g := graph.PreferentialAttachment(60, 3, 9)
+	beta := make([]float64, g.NumNodes())
+	for i := range beta {
+		beta[i] = 1 + float64(i%7)
+	}
+	set, err := fx.build(g, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fx.part < 0 {
+		return v3Bytes(t, set)
+	}
+	parts, err := SplitSketchSet(set, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fileBytes(t, nil, parts[fx.part])
+}
+
+// TestV2FixtureBackCompat: every committed version-2 file opens through
+// all three entry points, as the kind and with the ranks its format
+// implies, and — once its ranks are derived — is byte for byte the
+// version-3 file of a fresh deterministic build, so neither the decoder
+// nor the builders have moved since the files were recorded.
 func TestV2FixtureBackCompat(t *testing.T) {
-	const fixture = "testdata/uniform_v2_k8.ads"
-	data, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := ReadSketchSet(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("reading committed v2 fixture: %v", err)
-	}
-	if set.NumNodes() != 200 || set.K() != 8 {
-		t.Fatalf("fixture holds %d nodes, k=%d; want 200, 8", set.NumNodes(), set.K())
-	}
-	sf, err := OpenSketchFile(fixture)
-	if err != nil {
-		t.Fatalf("OpenSketchFile on v2 fixture: %v", err)
-	}
-	if !bytes.Equal(v2Bytes(t, sf.Set()), data) {
-		t.Error("v2 fixture does not round trip through OpenSketchFile")
-	}
-	g := graph.PreferentialAttachment(200, 3, 7)
-	rebuilt, err := BuildSet(g, Options{K: 8, Seed: 42}, AlgoPrunedDijkstra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v2Bytes(t, rebuilt), data) {
-		t.Error("fresh deterministic build no longer matches the committed v2 bytes")
+	for _, fx := range v2Fixtures {
+		want := fx.want(t)
+		streamSet, streamPart, err := ReadSketchFile(bytes.NewReader(fx.read(t)))
+		if err != nil {
+			t.Fatalf("%s: ReadSketchFile: %v", fx.file, err)
+		}
+		opened, err := OpenSketchFile(fx.path())
+		if err != nil {
+			t.Fatalf("%s: OpenSketchFile: %v", fx.file, err)
+		}
+		mapped, err := MmapSketchFile(fx.path())
+		if err != nil {
+			t.Fatalf("%s: MmapSketchFile: %v", fx.file, err)
+		}
+		streamed := newSketchFile(streamSet, streamPart, 2, nil)
+		for reader, sf := range map[string]*SketchFile{"ReadSketchFile": streamed, "OpenSketchFile": opened, "MmapSketchFile": mapped} {
+			if sf.Mapped() || sf.Version() != 2 {
+				t.Errorf("%s via %s: mapped=%v version=%d, want an unmapped version-2 file", fx.file, reader, sf.Mapped(), sf.Version())
+			}
+			if (sf.Partition() != nil) != (fx.part >= 0) {
+				t.Fatalf("%s via %s: partition envelope lost or invented", fx.file, reader)
+			}
+			if sf.RanksStored() != fx.stored {
+				t.Errorf("%s via %s: RanksStored() = %v, want %v", fx.file, reader, sf.RanksStored(), fx.stored)
+			}
+			if f := sf.frame(); !fx.stored && f.opts.Seed != 42 {
+				t.Errorf("%s via %s: seed %d, want the header's 42", fx.file, reader, f.opts.Seed)
+			}
+			if err := sf.DeriveRanks(42); err != nil {
+				t.Fatalf("%s via %s: %v", fx.file, reader, err)
+			}
+			if got := fileBytes(t, sf.Set(), sf.Partition()); !bytes.Equal(got, want) {
+				t.Errorf("%s via %s: upgraded file is not the v3 file of a fresh build (%d vs %d bytes)", fx.file, reader, len(got), len(want))
+			}
+			sf.Close()
+		}
 	}
 }
 
 // TestOpenFrameBytesRejectsCorruption: header and offset corruption must
-// error out, never panic or over-allocate.
+// error out, never panic or over-allocate — through the parser, and
+// through the stream reader that hands it the bytes.
 func TestOpenFrameBytesRejectsCorruption(t *testing.T) {
 	g := graph.PreferentialAttachment(60, 3, 9)
 	set, err := BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
@@ -309,6 +387,9 @@ func TestOpenFrameBytesRejectsCorruption(t *testing.T) {
 		fn(b)
 		if _, _, err := openFrameBytes(b); err == nil {
 			t.Errorf("%s: corruption accepted", name)
+		}
+		if _, _, err := ReadSketchFile(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: corruption accepted by the stream reader", name)
 		}
 	}
 	mutate("bad magic", func(b []byte) { b[0] = 'X' })
@@ -333,12 +414,71 @@ func TestOpenFrameBytesRejectsCorruption(t *testing.T) {
 		if _, _, err := openFrameBytes(b); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+		if _, _, err := ReadSketchFile(bytes.NewReader(b)); err == nil {
+			t.Errorf("truncation at %d accepted by the stream reader", cut)
+		}
+	}
+	// A plausible claim — 2^29 nodes, 4 GB of offsets — over a 100-byte
+	// stream: refused by the body-size check, with nothing allocated for it.
+	b := append([]byte(nil), valid[:100]...)
+	le.PutUint64(b[16+40:], 1<<29)
+	if _, _, err := ReadSketchFile(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "header implies") {
+		t.Errorf("2^29 nodes over 100 bytes: got %v, want the body-size error", err)
 	}
 }
 
-// FuzzOpenSketchFile drives the v3 zero-copy parser with arbitrary
-// bytes: it must never panic or allocate according to unvalidated header
-// claims, and anything it accepts must behave like a sketch set.
+// TestStreamReadersValidateOpenersTrust: the stream readers take input of
+// unknown origin and check every sketch; the file openers serve what the
+// operator built and look at nothing beyond the header and the offsets.
+// One entry of an otherwise intact v3 file renamed tells them apart.
+func TestStreamReadersValidateOpenersTrust(t *testing.T) {
+	set, err := BuildSet(graph.Cycle(10), Options{K: 2, Seed: 1}, AlgoPrunedDijkstra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := SplitSketchSet(set, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const offsets = 8 * (10 + 1)
+	for name, tc := range map[string]struct {
+		data   []byte
+		header int
+		read   func(io.Reader) error // the reader that takes only this kind of file
+	}{
+		"set": {fileBytes(t, set, nil), framePreambleSize + frameHdrSize,
+			func(r io.Reader) error { _, err := ReadSketchSet(r); return err }},
+		"partition": {fileBytes(t, nil, parts[0]), framePreambleSize + framePartHdrSize + frameHdrSize,
+			func(r io.Reader) error { _, err := ReadPartition(r); return err }},
+	} {
+		// Node 0's second entry, renamed.
+		binary.LittleEndian.PutUint32(tc.data[tc.header+offsets+4:], 1000)
+		_, _, err := ReadSketchFile(bytes.NewReader(tc.data))
+		for reader, err := range map[string]error{"ReadSketchFile": err, "its own reader": tc.read(bytes.NewReader(tc.data))} {
+			if err == nil || !strings.Contains(err.Error(), "corrupt sketch file") {
+				t.Errorf("%s via %s: got %v, want a corrupt-file refusal", name, reader, err)
+			}
+		}
+		path := filepath.Join(t.TempDir(), name+".ads")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for opener, open := range map[string]func(string) (*SketchFile, error){"OpenSketchFile": OpenSketchFile, "MmapSketchFile": MmapSketchFile} {
+			sf, err := open(path)
+			if err != nil {
+				t.Errorf("%s via %s: %v, want the file trusted", name, opener, err)
+				continue
+			}
+			sf.Close()
+		}
+	}
+}
+
+// FuzzOpenSketchFile drives the one v3 parser with arbitrary bytes: it
+// must never panic or allocate according to unvalidated header claims,
+// anything it accepts must behave like a sketch set, and the stream
+// reader — the same parser plus per-sketch validation — accepts a subset
+// of what it accepts, as the same sets.
 func FuzzOpenSketchFile(f *testing.F) {
 	g := graph.PreferentialAttachment(40, 3, 9)
 	set, err := BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
@@ -368,11 +508,18 @@ func FuzzOpenSketchFile(f *testing.F) {
 	f.Add([]byte("ADSK"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		set, p, err := openFrameBytes(data)
+		sset, sp, serr := ReadSketchFile(bytes.NewReader(data))
 		if err != nil {
+			if serr == nil && isFrameFile(data) {
+				t.Fatalf("the stream reader accepted what the parser refuses: %v", err)
+			}
 			return
 		}
 		if (set == nil) == (p == nil) {
 			t.Fatal("accepted bytes yielded neither set nor partition")
+		}
+		if serr == nil && !bytes.Equal(fileBytes(t, sset, sp), fileBytes(t, set, p)) {
+			t.Fatal("the stream reader and the parser read different sets from the same bytes")
 		}
 		if p != nil {
 			set = p.Set()
@@ -384,9 +531,5 @@ func FuzzOpenSketchFile(f *testing.F) {
 			_ = set.SketchOf(int32(v)).HIPEntries()
 		}
 		_ = set.TotalEntries()
-		// The streaming reader must agree on acceptance.
-		if _, _, serr := ReadSketchFile(bytes.NewReader(data)); serr != nil {
-			t.Fatalf("zero-copy parser accepted what the streaming reader rejects: %v", serr)
-		}
 	})
 }

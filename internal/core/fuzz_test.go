@@ -2,89 +2,76 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
-
-	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
-// FuzzReadSet: arbitrary bytes must never panic the sketch-set decoder; it
-// either errors or yields a set whose sketches all pass validation (the
-// decoder validates internally, so success implies structural soundness).
-func FuzzReadSet(f *testing.F) {
-	// Seed with a genuine encoding and a few mutations.
-	g := graph.Path(10)
-	set, err := BuildSet(g, Options{K: 2, Flavor: sketch.BottomK, Seed: 1}, AlgoDP)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteSet(&buf, set); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+// addDamaged seeds f with a valid file, four truncations of it and one
+// byte flip.
+func addDamaged(f *testing.F, valid []byte) {
 	f.Add(valid)
-	for _, cut := range []int{1, 4, 8, len(valid) / 2} {
-		if cut < len(valid) {
-			f.Add(valid[:cut])
-		}
+	for _, cut := range []int{5, 9, 13, len(valid) / 2} {
+		f.Add(valid[:cut])
 	}
 	mut := append([]byte(nil), valid...)
 	mut[len(mut)/2] ^= 0xff
 	f.Add(mut)
+}
+
+// FuzzReadSet: whatever the stream reader accepts — whole set or
+// partition, either format — is a fixed point of the writer: it
+// re-serializes, reads back, and re-serializes to the same bytes.  That is
+// the upgrade path of a version-2 file, under hostile input.
+func FuzzReadSet(f *testing.F) {
+	files := v3Files(f)
+	addDamaged(f, files["weighted-partition"])
+	for _, fx := range v2Fixtures {
+		if fx.part >= 0 {
+			addDamaged(f, fx.read(f))
+		}
+	}
 	f.Add([]byte("ADSK"))
 	f.Add([]byte{})
+	// An empty version-2 uniform set whose base-b is NaN.  The v2 decoder
+	// once took it, and WriteTo turned it into a file no reader took back.
+	le := binary.LittleEndian
+	nan := le.AppendUint32([]byte("ADSK"), 2)
+	nan = le.AppendUint32(nan, kindUniform)
+	nan = le.AppendUint32(nan, 1)                            // k
+	nan = le.AppendUint32(nan, 0)                            // flavor
+	nan = le.AppendUint64(nan, 42)                           // seed
+	nan = le.AppendUint64(nan, math.Float64bits(math.NaN())) // baseB
+	nan = le.AppendUint32(nan, 0)                            // numNodes
+	f.Add(nan)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadSet(bytes.NewReader(data))
+		set, part, err := ReadSketchFile(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		for v := 0; v < got.NumNodes(); v++ {
-			s := got.Sketch(int32(v))
-			// Reading the HIP entries of whatever decoded must not panic.
-			_ = s.HIPEntries()
+		first := fileBytes(t, set, part)
+		set, part, err = ReadSketchFile(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("the writer's output of an accepted file is refused: %v", err)
+		}
+		if !bytes.Equal(fileBytes(t, set, part), first) {
+			t.Fatal("an accepted file is not a fixed point of write and read")
 		}
 	})
 }
 
 // FuzzReadSketchSet: arbitrary bytes must never panic the universal
-// (all-kinds) decoder; it either errors or yields a set whose sketches
-// pass validation and answer estimator queries without panicking.
+// (all-kinds, both-formats) decoder; it either errors or yields a set
+// whose sketches pass validation and answer estimator queries without
+// panicking.
 func FuzzReadSketchSet(f *testing.F) {
-	// Seed with genuine version-2 encodings of all three set kinds, plus
-	// truncations and mutations of each.
-	g := graph.WithRandomWeights(graph.GNP(12, 0.3, false, 2), 1, 3, 3)
-	uniform, err := BuildSet(g, Options{K: 2, Flavor: sketch.BottomK, Seed: 1}, AlgoPrunedDijkstra)
-	if err != nil {
-		f.Fatal(err)
+	// Seed with the version-3 file of every kind and the committed
+	// version-2 files, plus truncations and mutations of each.
+	for _, data := range v3Files(f) {
+		addDamaged(f, data)
 	}
-	beta := make([]float64, g.NumNodes())
-	for i := range beta {
-		beta[i] = 1 + float64(i%3)
-	}
-	weighted, err := BuildWeightedSet(g, 2, 1, beta)
-	if err != nil {
-		f.Fatal(err)
-	}
-	approx, err := BuildApproxSet(g, 2, 1, 0.25)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, set := range []AnySet{uniform, weighted, approx} {
-		var buf bytes.Buffer
-		if _, err := set.WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		valid := buf.Bytes()
-		f.Add(valid)
-		for _, cut := range []int{5, 9, 13, len(valid) / 2} {
-			if cut < len(valid) {
-				f.Add(valid[:cut])
-			}
-		}
-		mut := append([]byte(nil), valid...)
-		mut[len(mut)/2] ^= 0xff
-		f.Add(mut)
+	for _, fx := range v2Fixtures {
+		addDamaged(f, fx.read(f))
 	}
 	f.Add([]byte("ADSK"))
 	f.Add([]byte{})

@@ -9,7 +9,7 @@ import (
 // fit one serving process, so a sketch set splits by node ID into P
 // contiguous shards: partition i owns the sketches of global nodes
 // [i·n/P, (i+1)·n/P).  Each partition is independently serializable (the
-// kind-3 envelope of the v2 codec carries the partition header: index,
+// kind-3 envelope of the file format carries the partition header: index,
 // count, node range, total nodes), loads independently into a shard
 // serving process, and the full split merges back bit-for-bit into the
 // original set.  Entries inside a partition's sketches keep their global
@@ -64,40 +64,13 @@ func (p *Partition) SketchAt(v int32) (Sketch, error) {
 	return p.set.SketchOf(v - p.lo), nil
 }
 
-// WriteTo serializes the partition in the version-2 format (kind 3): the
-// partition header followed by the inner set's body.  It implements
-// io.WriterTo.
-func (p *Partition) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	e := newSetEncoder(cw)
-	if _, err := e.bw.WriteString(encodeMagic); err != nil {
-		return cw.n, err
-	}
-	hdr := []error{
-		e.u32(EncodeVersion),
-		e.u32(kindPartition),
-		e.u32(uint32(p.index)),
-		e.u32(uint32(p.count)),
-		e.u32(uint32(p.lo)),
-		e.u32(uint32(p.hi)),
-		e.u32(uint32(p.total)),
-	}
-	for _, err := range hdr {
-		if err != nil {
-			return cw.n, err
-		}
-	}
-	if err := encodeSetBody(e, p.set); err != nil {
-		return cw.n, err
-	}
-	if err := e.bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
+// WriteTo serializes the partition in the version-3 format (the partition
+// envelope followed by the inner set's columns), exactly as
+// WritePartitionV3 does.  It implements io.WriterTo.
+func (p *Partition) WriteTo(w io.Writer) (int64, error) { return WritePartitionV3(w, p) }
 
 // readPartitionBody parses everything after the magic/version/kind
-// prefix of a partition file.
+// prefix of a version-2 partition file.
 func readPartitionBody(d *setDecoder) (*Partition, error) {
 	var index, count, lo, hi, total uint32
 	if err := d.header(&index, &count, &lo, &hi, &total); err != nil {
@@ -158,24 +131,16 @@ func SplitSketchSet(s AnySet, parts int) ([]*Partition, error) {
 	if parts > n && !(n == 0 && parts == 1) {
 		return nil, fmt.Errorf("core: cannot split %d nodes into %d partitions", n, parts)
 	}
-	// Splitting a columnar frame is offset re-slicing: the sub-frames
-	// share the parent's entry columns, so no entry is copied.
-	slice := func(lo, hi int) (AnySet, error) {
-		switch x := s.(type) {
-		case *Set:
-			return &Set{frame: x.frame.slice(lo, hi)}, nil
-		case *WeightedSet:
-			return &WeightedSet{frame: x.frame.slice(lo, hi)}, nil
-		case *ApproxSet:
-			return &ApproxSet{frame: x.frame.slice(lo, hi)}, nil
-		default:
-			return nil, fmt.Errorf("core: cannot split sketch set type %T", s)
-		}
+	f, err := frameOf(s)
+	if err != nil {
+		return nil, fmt.Errorf("core: cannot split sketch set type %T", s)
 	}
 	out := make([]*Partition, parts)
 	for i := 0; i < parts; i++ {
 		lo, hi := i*n/parts, (i+1)*n/parts
-		sub, err := slice(lo, hi)
+		// Splitting a columnar frame is offset re-slicing: the sub-frame
+		// shares the parent's entry columns, so no entry is copied.
+		sub, err := setFromFrame(f.slice(lo, hi))
 		if err != nil {
 			return nil, err
 		}

@@ -43,22 +43,13 @@ func splitKinds(t *testing.T) map[string]AnySet {
 	return map[string]AnySet{"uniform": uniform, "weighted": weighted, "approx": approx}
 }
 
-func setBytes(t *testing.T, s AnySet) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // A split must cover every node exactly once, alias the original
 // sketches, and merge back into a set serializing bit-for-bit like the
 // original — for every set kind.
 func TestSplitMergeRoundTrip(t *testing.T) {
 	for kind, set := range splitKinds(t) {
 		t.Run(kind, func(t *testing.T) {
-			original := setBytes(t, set)
+			original := fileBytes(t, set, nil)
 			for _, p := range []int{1, 3, 4, 150} {
 				parts, err := SplitSketchSet(set, p)
 				if err != nil {
@@ -98,7 +89,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("merge %d: %v", p, err)
 				}
-				if got := setBytes(t, merged); !bytes.Equal(got, original) {
+				if got := fileBytes(t, merged, nil); !bytes.Equal(got, original) {
 					t.Fatalf("split %d: merged serialization differs from original (%d vs %d bytes)", p, len(got), len(original))
 				}
 			}
@@ -111,7 +102,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 func TestPartitionCodecRoundTrip(t *testing.T) {
 	for kind, set := range splitKinds(t) {
 		t.Run(kind, func(t *testing.T) {
-			original := setBytes(t, set)
+			original := fileBytes(t, set, nil)
 			parts, err := SplitSketchSet(set, 4)
 			if err != nil {
 				t.Fatal(err)
@@ -144,7 +135,7 @@ func TestPartitionCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := setBytes(t, merged); !bytes.Equal(got, original) {
+			if got := fileBytes(t, merged, nil); !bytes.Equal(got, original) {
 				t.Fatal("codec round trip + merge differs from original serialization")
 			}
 		})
@@ -258,29 +249,39 @@ func TestPartitionFileDetection(t *testing.T) {
 }
 
 // Truncated or header-corrupted partition files must error, not panic or
-// over-allocate.
+// over-allocate — the version-3 files WriteTo emits and a version-2 one of
+// an earlier release alike.
 func TestPartitionCorruption(t *testing.T) {
 	set := buildUniform(t, Options{K: 4, Seed: 1})
 	parts, err := SplitSketchSet(set, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := parts[0].WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	type input struct {
+		raw   []byte
+		count int // offset of the partition count: after magic, version, kind, [v3: flags,] index
 	}
-	raw := buf.Bytes()
-	for _, n := range []int{5, 12, 20, len(raw) / 2, len(raw) - 1} {
-		if _, err := ReadPartition(bytes.NewReader(raw[:n])); err == nil {
-			t.Errorf("truncation to %d bytes read successfully", n)
+	inputs := map[string]input{"v3": {fileBytes(t, nil, parts[0]), 20}}
+	for _, fx := range v2Fixtures {
+		if fx.part >= 0 {
+			inputs[fx.file] = input{fx.read(t), 16}
 		}
 	}
-	// Corrupt the partition count field (offset: magic 4 + version 4 +
-	// kind 4 + index 4 = 16).
-	bad := append([]byte(nil), raw...)
-	bad[16], bad[17], bad[18], bad[19] = 0xff, 0xff, 0xff, 0xff
-	if _, err := ReadPartition(bytes.NewReader(bad)); err == nil {
-		t.Error("implausible partition count read successfully")
+	for name, tc := range inputs {
+		raw := tc.raw
+		if _, err := ReadPartition(bytes.NewReader(raw)); err != nil {
+			t.Fatalf("%s: intact partition refused: %v", name, err)
+		}
+		for _, n := range []int{5, 12, 20, len(raw) / 2, len(raw) - 1} {
+			if _, err := ReadPartition(bytes.NewReader(raw[:n])); err == nil {
+				t.Errorf("%s: truncation to %d bytes read successfully", name, n)
+			}
+		}
+		bad := append([]byte(nil), raw...)
+		copy(bad[tc.count:], []byte{0xff, 0xff, 0xff, 0xff})
+		if _, err := ReadPartition(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "partition count") {
+			t.Errorf("%s: implausible partition count: got %v", name, err)
+		}
 	}
 }
 

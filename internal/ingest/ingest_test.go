@@ -3,6 +3,8 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"adsketch/internal/core"
@@ -268,11 +270,16 @@ func TestNewValidation(t *testing.T) {
 	}
 	const header, offsets = 80, 8 * (10 + 1)
 	binary.LittleEndian.PutUint32(file.Bytes()[header+offsets+4:], 1000)
-	foreign, err := core.ReadSketchSet(&file)
+	path := filepath.Join(t.TempDir(), "foreign.ads")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := core.OpenSketchFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(g, foreign.(*core.Set)); err == nil {
+	defer foreign.Close()
+	if _, err := New(g, foreign.Set().(*core.Set)); err == nil {
 		t.Fatal("New accepted a base whose sketches name a node the graph lacks")
 	}
 }

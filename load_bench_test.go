@@ -2,9 +2,8 @@ package adsketch_test
 
 // Serving-startup and index-build benchmarks: how fast a prebuilt sketch
 // set gets from bytes on disk to answering queries, and what the steady
-// state costs.  `make bench` renders these into BENCH_engine.json next to
-// the pinned pre-refactor baselines, so the load-path trajectory stays
-// honest across PRs.
+// state costs.  `make bench` renders these into BENCH_engine.json, so the
+// load-path trajectory stays honest across PRs.
 
 import (
 	"bytes"
@@ -29,27 +28,24 @@ func loadBenchSet(b *testing.B) adsketch.SketchSet {
 	return set
 }
 
-// BenchmarkSketchSetLoad measures the three ways a serving process gets a
-// sketch set into memory: the v2 per-entry decode (every node's sketch
-// rebuilt and validated), the v3 columnar open (one read, O(1)
-// allocations), and the v3 mmap open (no read at all until pages fault).
+// BenchmarkSketchSetLoad measures the three ways a process gets a sketch
+// file into memory: the validating stream read (the whole file read, then
+// every node's sketch checked — what adstool and adsload do), the trusted
+// open (one read, O(1) allocations), and the mmap open (no read at all
+// until pages fault).  The first beside the second is what validation
+// costs.
 func BenchmarkSketchSetLoad(b *testing.B) {
 	set := loadBenchSet(b)
-	var v2 bytes.Buffer
-	if _, err := set.WriteTo(&v2); err != nil {
-		b.Fatal(err)
-	}
-
 	var v3 bytes.Buffer
-	if _, err := adsketch.WriteSketchSetV3(&v3, set); err != nil {
+	if _, err := set.WriteTo(&v3); err != nil {
 		b.Fatal(err)
 	}
 
-	b.Run("v2-decode", func(b *testing.B) {
-		b.SetBytes(int64(v2.Len()))
+	b.Run("stream-validate", func(b *testing.B) {
+		b.SetBytes(int64(v3.Len()))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := adsketch.ReadSketchSet(bytes.NewReader(v2.Bytes())); err != nil {
+			if _, err := adsketch.ReadSketchSet(bytes.NewReader(v3.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}

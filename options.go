@@ -40,9 +40,10 @@ type SketchSet interface {
 	SketchOf(v int32) NodeSketch
 	// TotalEntries returns the summed entry count over all sketches.
 	TotalEntries() int
-	// WriteTo serializes the set in the versioned binary sketch format
-	// (SketchFormatVersion); ReadSketchSet restores it, whatever the
-	// kind.  It implements io.WriterTo.
+	// WriteTo serializes the set in the binary sketch file format
+	// (SketchFormatVersion, the columnar layout OpenSketchFile and
+	// MmapSketchFile serve in place); ReadSketchSet restores it,
+	// whatever the kind.  It implements io.WriterTo.
 	WriteTo(w io.Writer) (int64, error)
 }
 

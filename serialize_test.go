@@ -2,11 +2,17 @@ package adsketch_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"adsketch"
+	"adsketch/internal/distbuild"
 )
 
 // buildAllKinds returns one sketch set of each kind over the same graph.
@@ -106,47 +112,145 @@ func TestWriteToReadSketchSetRoundTrip(t *testing.T) {
 	}
 }
 
+// Bad headers are refused in both formats the reader takes: the version-3
+// bytes WriteTo emits and a committed version-2 file of an earlier
+// release.
 func TestReadSketchSetRejectsBadHeaders(t *testing.T) {
-	sets := buildAllKinds(t)
 	var buf bytes.Buffer
-	if _, err := sets["uniform"].WriteTo(&buf); err != nil {
+	if _, err := buildAllKinds(t)["uniform"].WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-
-	// Wrong magic.
-	bad := append([]byte("NOPE"), data[4:]...)
-	if _, err := adsketch.ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Errorf("bad magic: %v", err)
+	v2, err := os.ReadFile("internal/core/testdata/weighted_v2_k4.ads")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Unsupported version.
-	bad = append([]byte(nil), data...)
-	bad[4] = 99
-	if _, err := adsketch.ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("bad version: %v", err)
-	}
-	// Unknown kind.
-	bad = append([]byte(nil), data...)
-	bad[8] = 77
-	if _, err := adsketch.ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "kind") {
-		t.Errorf("bad kind: %v", err)
-	}
-	// Truncated.
-	if _, err := adsketch.ReadSketchSet(bytes.NewReader(data[:len(data)/3])); err == nil {
-		t.Error("truncated file accepted")
+	for name, data := range map[string][]byte{"v3": buf.Bytes(), "v2": v2} {
+		if _, err := adsketch.ReadSketchSet(bytes.NewReader(data)); err != nil {
+			t.Fatalf("%s: intact file refused: %v", name, err)
+		}
+		// Wrong magic.
+		bad := append([]byte("NOPE"), data[4:]...)
+		if _, err := adsketch.ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Errorf("%s: bad magic: %v", name, err)
+		}
+		// Unsupported versions: an unknown one, and 1, which is no longer read.
+		for _, v := range []byte{99, 1} {
+			bad = append([]byte(nil), data...)
+			bad[4] = v
+			if _, err := adsketch.ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "supported versions are 2 and 3") {
+				t.Errorf("%s: version %d: %v", name, v, err)
+			}
+		}
+		// Unknown kind.
+		bad = append([]byte(nil), data...)
+		bad[8] = 77
+		if _, err := adsketch.ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "kind") {
+			t.Errorf("%s: bad kind: %v", name, err)
+		}
+		// Truncated.
+		if _, err := adsketch.ReadSketchSet(bytes.NewReader(data[:len(data)/3])); err == nil {
+			t.Errorf("%s: truncated file accepted", name)
+		}
 	}
 	// Empty.
 	if _, err := adsketch.ReadSketchSet(bytes.NewReader(nil)); err == nil {
 		t.Error("empty file accepted")
 	}
+}
 
-	// The deprecated uniform-only reader refuses non-uniform kinds with a
-	// pointer to ReadSketchSet.
-	var wbuf bytes.Buffer
-	if _, err := sets["weighted"].WriteTo(&wbuf); err != nil {
+// TestEveryWriterEmitsV3: there is one file format.  WriteTo is
+// WriteSketchSetV3 / WritePartitionV3 byte for byte, for every set kind,
+// and whatever writes a sketch file — the WriteTo methods, an Ingestor's
+// publish directory, a distributed build's Freeze — writes version 3 with
+// derived ranks and the seed that derives them.
+func TestEveryWriterEmitsV3(t *testing.T) {
+	checkHeader := func(name string, data []byte, partition bool) {
+		t.Helper()
+		seedAt := 16 + 8 // preamble; k, flavor
+		if partition {
+			seedAt += 24
+		}
+		le := binary.LittleEndian
+		switch {
+		case len(data) < seedAt+8 || string(data[:4]) != "ADSK" || le.Uint32(data[4:]) != adsketch.SketchFormatVersion:
+			t.Errorf("%s: does not start ADSK | %d", name, adsketch.SketchFormatVersion)
+		case le.Uint32(data[12:])&2 == 0:
+			t.Errorf("%s: derived-ranks flag clear: the file stores a rank column", name)
+		case le.Uint64(data[seedAt:]) == 0:
+			t.Errorf("%s: no seed recorded", name)
+		}
+	}
+	for name, set := range buildAllKinds(t) {
+		var a, b bytes.Buffer
+		if _, err := set.WriteTo(&a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := adsketch.WriteSketchSetV3(&b, set); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: WriteTo and WriteSketchSetV3 differ", name)
+		}
+		checkHeader(name, a.Bytes(), false)
+		parts, err := adsketch.SplitSketchSet(set, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Reset()
+		b.Reset()
+		if _, err := parts[1].WriteTo(&a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := adsketch.WritePartitionV3(&b, parts[1]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: Partition.WriteTo and WritePartitionV3 differ", name)
+		}
+		checkHeader(name+" partition", a.Bytes(), true)
+	}
+
+	// An Ingestor's published file.
+	cat, err := adsketch.NewCatalog()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := adsketch.ReadSketches(bytes.NewReader(wbuf.Bytes())); err == nil || !strings.Contains(err.Error(), "ReadSketchSet") {
-		t.Errorf("ReadSketches on weighted file: %v", err)
+	defer cat.Close()
+	ing, err := adsketch.NewEmptyIngestor(false, 4, 9, adsketch.WithPublish(cat, "filed"), adsketch.WithPublishDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges bytes.Buffer
+	for i := int32(0); i < 20; i++ {
+		if err := ing.Insert(i, (i+1)%20); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(&edges, i, (i+1)%20)
+	}
+	res, err := ing.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	published, err := os.ReadFile(res.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkHeader("ingestor publish dir", published, false)
+
+	// A distributed build's partition blobs, over the same cycle.
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, edges.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	exs, err := distbuild.NewLocalExchangers(distbuild.Spec{Path: path, N: 20, K: 4, Seed: 9, Kind: distbuild.KindApprox, Eps: 0.25, Parts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := distbuild.Run(context.Background(), exs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, blob := range built.Partitions {
+		checkHeader(fmt.Sprintf("distbuild partition %d", i), blob, true)
 	}
 }
