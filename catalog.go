@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"adsketch/internal/catalog"
+	"adsketch/internal/core"
 )
 
 // The dataset-management layer.  An Engine (or Coordinator) serves one
@@ -269,16 +270,13 @@ func serveMode(be ShardBackend) string {
 	return "single"
 }
 
-// datasetCost estimates a set's resident bytes from its column layout:
-// per entry, node (4) + dist (8) + rank (8), plus the beta column for
-// weighted sets, plus the offsets array.  A budgeting estimate, not an
-// accounting.
+// datasetCost is what a set's frame holds resident: offsets, nodes, the
+// distance step code, and β for weighted sets — the file's size less its
+// header.  The HIP index arena its first query builds is reported
+// (DatasetStats.IndexBytes), not budgeted.
 func datasetCost(set SketchSet) int64 {
-	per := int64(20)
-	if _, ok := set.(*WeightedSet); ok {
-		per += 8
-	}
-	return int64(set.TotalEntries())*per + int64(set.NumNodes()+1)*8
+	frame, _ := core.MemoryOf(set)
+	return frame
 }
 
 // Attach registers a new dataset under name, materializing it
@@ -531,6 +529,12 @@ type DatasetStats struct {
 	// Cache is the version's index-cache snapshot, when its backend
 	// reports one (nil while evicted or for remote backends).
 	Cache *CacheStats `json:"cache,omitempty"`
+	// IndexBytes is the heap the version's HIP index arena holds beyond
+	// Bytes — built by the version's first query, so 0 until then, and
+	// for backends that are not a local Engine — and IndexBytesPerNode
+	// the same per served node.
+	IndexBytes        int64   `json:"index_bytes,omitempty"`
+	IndexBytesPerNode float64 `json:"index_bytes_per_node,omitempty"`
 }
 
 // CatalogStats is a point-in-time snapshot of the whole catalog.
@@ -575,6 +579,10 @@ func (c *Catalog) Stats() CatalogStats {
 			if cs, ok := v.be.(cacheStatser); ok {
 				cache := cs.CacheStats()
 				ds.Cache = &cache
+			}
+			if e, ok := v.be.(*Engine); ok && meta.Hi > meta.Lo {
+				ds.IndexBytes = e.IndexBytes()
+				ds.IndexBytesPerNode = float64(ds.IndexBytes) / float64(meta.Hi-meta.Lo)
 			}
 		}
 		out.Datasets = append(out.Datasets, ds)

@@ -215,4 +215,14 @@ func TestServerHealthAndStats(t *testing.T) {
 	if st.Cache.Shards != 4 || st.Cache.Built == 0 || st.Cache.Hits+st.Cache.Misses == 0 {
 		t.Errorf("statsz cache: %+v", st.Cache)
 	}
+	// Serving memory: the query built the HIP index arena, sized by entries
+	// (one adjusted weight each) and distance steps, not by 5 columns of
+	// entries: under 8 bytes an entry plus 512 a node.
+	if len(st.Datasets) != 1 {
+		t.Fatalf("statsz datasets: %+v", st.Datasets)
+	}
+	ds := st.Datasets[0]
+	if ds.IndexBytes <= 0 || ds.IndexBytesPerNode != float64(ds.IndexBytes)/400 || ds.IndexBytes > int64(8*st.TotalEntries+512*400) {
+		t.Errorf("statsz serving memory: index %d B (%.1f B/node) for %d entries", ds.IndexBytes, ds.IndexBytesPerNode, st.TotalEntries)
+	}
 }

@@ -466,7 +466,7 @@ func runInfo(args []string) error {
 	case !sf.RanksStored():
 		fmt.Printf("ranks           derived\n")
 	case sf.Version() == adsketch.SketchFormatVersion:
-		fmt.Printf("ranks           stored (pre-PR-19 file)\n")
+		fmt.Printf("ranks           stored (convert -seed verifies and drops them)\n")
 	default:
 		fmt.Printf("ranks           stored (a v%d weighted/approximate body records no seed)\n", sf.Version())
 	}
@@ -481,6 +481,24 @@ func runInfo(args []string) error {
 	if nodes > 0 {
 		fmt.Printf("entries/node    %.1f\n", float64(entries)/float64(nodes))
 		fmt.Printf("bytes/node      %.1f\n", float64(st.Size())/float64(nodes))
+	}
+	// The set as it is held, which is how convert would write it: a file
+	// from before distances were step-coded differs from that on disk.
+	var held int64
+	cols := sf.ColumnBytes()
+	for _, c := range cols {
+		held += c.Bytes
+		if c.Name == "steps" && nodes > 0 {
+			fmt.Printf("distances       steps (%.1f/node)\n", float64(c.Bytes/8)/float64(nodes))
+		}
+	}
+	if held != st.Size() {
+		fmt.Printf("columns         as convert would write them, %d bytes:\n", held)
+	} else {
+		fmt.Printf("columns\n")
+	}
+	for _, c := range cols {
+		fmt.Printf("  %-13s %d\n", c.Name, c.Bytes)
 	}
 	return nil
 }

@@ -198,6 +198,15 @@ type CacheStats = query.CacheStats
 // hits, misses) — the payload of the adsserver /statsz endpoint.
 func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }
 
+// IndexBytes returns the heap held by the HIP index arena behind the
+// engine's set — serving memory that the sketch file's size does not
+// show.  The set's first query builds the arena; it is 0 until then, and
+// for sets not built or loaded by this package.
+func (e *Engine) IndexBytes() int64 {
+	_, index := core.MemoryOf(e.set)
+	return index
+}
+
 // batch evaluates f on the cached index of every queried node with the
 // engine's worker pool.  On error (including context cancellation) the
 // partial results are discarded.

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"unsafe"
 )
 
 type frameHdr struct {
@@ -66,4 +67,47 @@ func explicitEncode(h frameHdr) []byte {
 // unkeyedPlain is fine: payload is not a wire-header type.
 func unkeyedPlain() payload {
 	return payload{1, 2}
+}
+
+// hostLittleEndian stands for the host byte-order probe.
+var hostLittleEndian = true
+
+// u64Bytes is a raw byte view of a typed column: the wire's bytes only
+// on a little-endian host.
+func u64Bytes(v []uint64) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
+}
+
+// guardedColumn is the required form: raw on little-endian hosts,
+// explicit little-endian words otherwise.
+func guardedColumn(w io.Writer, words []uint64) error {
+	if hostLittleEndian && len(words) > 0 {
+		_, err := w.Write(u64Bytes(words))
+		return err
+	}
+	buf := make([]byte, 8*len(words))
+	for i, x := range words {
+		binary.LittleEndian.PutUint64(buf[i*8:], x)
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// unguardedColumn writes host memory whatever the host.
+func unguardedColumn(w io.Writer, words []uint64) error {
+	_, err := w.Write(u64Bytes(words)) // want `raw column write u64Bytes without a byte-order guard`
+	return err
+}
+
+// wrongBranch reaches the raw view on the big-endian side.
+func wrongBranch(w io.Writer, words []uint64) error {
+	if hostLittleEndian {
+		return nil
+	} else {
+		_, err := w.Write(u64Bytes(words)) // want `raw column write u64Bytes without a byte-order guard`
+		return err
+	}
 }

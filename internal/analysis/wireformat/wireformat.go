@@ -13,7 +13,14 @@
 //     //adsvet:ignore wireformat <reason>);
 //   - unkeyed (positional) literals of wire-header structs (type names
 //     ending in Hdr/Header) — inserting a header field would silently
-//     shift every later field into the wrong slot.
+//     shift every later field into the wrong slot;
+//   - raw column writes without a byte-order guard: a call to one of the
+//     package's raw byte views of a typed slice (a function built on
+//     unsafe.Slice((*byte)(unsafe.Pointer(..)), ..) — i64Bytes, f64Bytes,
+//     u64Bytes for the step-bit words) outside the then-branch of an `if`
+//     on the little-endian host probe.  Memory is the wire's bytes only
+//     on a little-endian host; every column — bit words included — goes
+//     through binary.LittleEndian otherwise.
 //
 // Scope is per file, judged by filename keywords (codec, serialize,
 // protocol, wire, encode, decode) — except in a package whose import
@@ -61,21 +68,110 @@ func pkgInScope(pkg *types.Package) bool {
 // headerTypeRE matches wire-header struct type names.
 var headerTypeRE = regexp.MustCompile(`(?i)(hdr|header)$`)
 
+// hostProbeRE matches the identifier of a little-endian host probe.
+var hostProbeRE = regexp.MustCompile(`(?i)little_?endian`)
+
 func run(pass *analysis.Pass) error {
 	wholePkg := pkgInScope(pass.Pkg)
+	views := rawByteViews(pass)
 	for _, f := range pass.Files {
 		filename := pass.Fset.Position(f.Pos()).Filename
 		if (!wholePkg && !fileInScope(filename)) || pass.InTestFile(f.Pos()) {
 			continue
 		}
-		checkFile(pass, f)
+		checkFile(pass, f, views)
 	}
 	return nil
 }
 
-func checkFile(pass *analysis.Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
+// rawByteViews returns the package's functions that hand back the memory
+// of a typed slice as bytes: those whose body holds
+// unsafe.Slice((*byte)(unsafe.Pointer(..)), ..).  They may live in any
+// file; what is checked is where wire-format files call them.
+func rawByteViews(pass *analysis.Pass) map[types.Object]bool {
+	views := map[types.Object]bool{}
+	isUnsafe := func(e ast.Expr, name string) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != name {
+			return false
+		}
+		id, ok := sel.X.(*ast.Ident)
+		if !ok {
+			return false
+		}
+		pkg, ok := pass.TypesInfo.ObjectOf(id).(*types.PkgName)
+		return ok && pkg.Imported().Path() == "unsafe"
+	}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 2 || !isUnsafe(call.Fun, "Slice") {
+					return true
+				}
+				// (*byte)(unsafe.Pointer(..))
+				conv, ok := call.Args[0].(*ast.CallExpr)
+				if !ok || len(conv.Args) != 1 {
+					return true
+				}
+				ptr, ok := pass.TypesInfo.TypeOf(conv.Fun).(*types.Pointer)
+				if !ok {
+					return true
+				}
+				if b, ok := ptr.Elem().(*types.Basic); ok && b.Kind() == types.Byte {
+					if inner, ok := conv.Args[0].(*ast.CallExpr); ok && isUnsafe(inner.Fun, "Pointer") {
+						views[pass.TypesInfo.ObjectOf(fn.Name)] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return views
+}
+
+func checkFile(pass *analysis.Pass, f *ast.File, views map[types.Object]bool) {
+	visit(pass, f, views, false)
+}
+
+// namesHostProbe reports whether a condition mentions the little-endian
+// host probe.
+func namesHostProbe(cond ast.Expr) bool {
+	probe := false
+	ast.Inspect(cond, func(c ast.Node) bool {
+		if id, ok := c.(*ast.Ident); ok && hostProbeRE.MatchString(id.Name) {
+			probe = true
+		}
+		return !probe
+	})
+	return probe
+}
+
+// visit checks the tree under root; guarded says it sits in the
+// then-branch of an `if` on the host probe.
+func visit(pass *analysis.Pass, root ast.Node, views map[types.Object]bool, guarded bool) {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			if !guarded && namesHostProbe(n.Cond) {
+				if n.Init != nil {
+					visit(pass, n.Init, views, false)
+				}
+				visit(pass, n.Cond, views, false)
+				visit(pass, n.Body, views, true)
+				if n.Else != nil {
+					visit(pass, n.Else, views, false)
+				}
+				return false
+			}
+		case *ast.CallExpr:
+			if id := calleeIdent(n); id != nil && views[pass.TypesInfo.ObjectOf(id)] && !guarded {
+				pass.Reportf(n.Pos(), "raw column write %s without a byte-order guard: memory is the wire's bytes only on a little-endian host — call it under `if` on the little-endian probe and encode through binary.LittleEndian otherwise", id.Name)
+			}
 		case *ast.SelectorExpr:
 			obj := pass.TypesInfo.ObjectOf(n.Sel)
 			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "encoding/binary" {
@@ -92,6 +188,17 @@ func checkFile(pass *analysis.Pass, f *ast.File) {
 		}
 		return true
 	})
+}
+
+// calleeIdent returns the identifier a call names, if it names one.
+func calleeIdent(call *ast.CallExpr) *ast.Ident {
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		return fn
+	case *ast.SelectorExpr:
+		return fn.Sel
+	}
+	return nil
 }
 
 // checkHeaderLit flags positional fields in a wire-header literal.

@@ -23,12 +23,13 @@
 //
 // # Storage model
 //
-// Entries are stored columnarly: a built set owns one Frame (offsets plus
-// parallel node/dist columns shared by all sketches), and the sketch
-// types here are lightweight views over column slices that derive an
-// entry's rank from the set's seed when asked for it.  Standalone
-// sketches (NewADS + Offer) own private columns, ranks included, that
-// grow in place.
+// Entries are stored columnarly: a built set owns one Frame (offsets, a
+// node column and a step code of the distances — a bit per entry, a float
+// per distinct distance of a sketch — shared by all sketches), and the
+// sketch types here are lightweight views over column slices that derive
+// an entry's rank from the set's seed, and decode its distance from the
+// steps, when asked for it.  Standalone sketches (NewADS + Offer) own
+// private columns, distances and ranks included, that grow in place.
 package core
 
 import (
@@ -132,7 +133,7 @@ func (a *ADS) EntryAt(i int) Entry { return a.c.at(i) }
 // SizeWithin returns |{entries with Dist <= d}|, the input of the size-only
 // estimator (Section 8).
 func (a *ADS) SizeWithin(d float64) int {
-	return sort.Search(a.c.len(), func(i int) bool { return a.c.dist[i] > d })
+	return a.c.sizeWithin(d)
 }
 
 // AppendInOrder appends an entry that is known to (a) come after all
@@ -214,11 +215,7 @@ func (a *ADS) EstimateNeighborhood(d float64) float64 {
 // probability is again 1/threshold.
 func (a *ADS) HIPEntries() []WeightedEntry {
 	w := hipWeightsBottomK(a.c.ranks(), a.k, newMaxHeap(a.k), make([]float64, 0, a.c.len()))
-	out := make([]WeightedEntry, a.c.len())
-	for i := range out {
-		out[i] = WeightedEntry{Node: a.c.node[i], Dist: a.c.dist[i], Weight: w[i]}
-	}
-	return out
+	return a.c.weighted(w)
 }
 
 // Validate checks the structural invariants: canonical order and the
@@ -238,7 +235,7 @@ func (a *ADS) Validate() error {
 		h.offer(e.Rank)
 	}
 	if a.c.len() > 0 {
-		if a.c.node[0] != a.node || a.c.dist[0] != 0 {
+		if a.c.node[0] != a.node || a.c.distAt(0) != 0 {
 			return fmt.Errorf("core: ADS(%d) does not start with the owner at distance 0", a.node)
 		}
 	}

@@ -121,13 +121,15 @@ func (s *Set) SketchOf(v int32) Sketch { return s.frame.viewSketch(int(v)) }
 // was built with a different flavor.
 func (s *Set) BottomK(v int32) *ADS { return s.frame.viewSketch(int(v)).(*ADS) }
 
-// Columns returns node v's entries as (node, dist) column views, in
-// storage order (canonical within each segment) — the allocation-free
-// scan for callers that know the ranks already.  The slices alias the
-// set's storage and must not be modified.
-func (s *Set) Columns(v int32) (nodes []int32, dists []float64) {
-	lo, hi := s.frame.span(int(v))
-	return s.frame.node[lo:hi:hi], s.frame.dist[lo:hi:hi]
+// Columns returns a bottom-k set's node v as column views — its entries'
+// nodes in canonical order, and their distances as the frame holds them,
+// step-coded, for the caller to walk by Runs — the allocation-free scan
+// for callers that know the ranks already.  Both alias the set's storage
+// and must not be modified.
+func (s *Set) Columns(v int32) (nodes []int32, dists StepDists) {
+	f := s.frame
+	lo, hi := f.span(int(v))
+	return f.node[lo:hi:hi], StepDists{first: f.first, lo: lo, steps: f.step[f.rank1(lo):f.rank1(hi)]}
 }
 
 // Index returns local node v's columnar HIP query index, sharing the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"adsketch/internal/sketch"
 )
@@ -105,6 +106,18 @@ func frameOf(s AnySet) (*Frame, error) {
 	default:
 		return nil, fmt.Errorf("core: cannot encode sketch set type %T", s)
 	}
+}
+
+// MemoryOf reports what serving a set holds in memory (heap, or mapping
+// for an mmap'd file): frame is its columns — offsets, nodes, distance
+// step code, β — and index the HIP index arena its first query builds, 0
+// until then.  Both are 0 for a set that is not frame-backed.
+func MemoryOf(s AnySet) (frame, index int64) {
+	f, err := frameOf(s)
+	if err != nil {
+		return 0, 0
+	}
+	return f.bytes(), f.indexBytes()
 }
 
 // setFromFrame wraps a decoded frame in the set type matching its kind.
@@ -231,8 +244,9 @@ func (a *frameAccum) frame(kind uint32, opts Options, scheme WeightScheme, eps f
 	f := &Frame{
 		kind: kind, opts: opts, scheme: scheme, eps: eps,
 		segs: segs, n: (len(a.off) - 1) / segs, base: base,
-		off: a.off, node: a.node, dist: a.dist, beta: a.beta,
+		off: a.off, node: a.node, beta: a.beta,
 	}
+	f.setSteps(stepCode(a.off, a.dist))
 	if a.by != nil {
 		f.by = *a.by
 	} else {
@@ -322,7 +336,15 @@ func readAny(r io.Reader) (AnySet, *Partition, error) {
 		set, err := decodeSetBodyKind(d, kind, 0)
 		return set, nil, err
 	case EncodeVersion:
-		return readFrameStream(d.r)
+		// A regular file says how much is coming; anything else is read as
+		// it arrives.
+		var size int64
+		if f, ok := r.(*os.File); ok {
+			if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
+				size = st.Size()
+			}
+		}
+		return readFrameStream(d.r, size)
 	default:
 		return nil, nil, fmt.Errorf("core: sketch file version %d, supported versions are %d and %d",
 			version, v2EncodeVersion, EncodeVersion)
@@ -533,7 +555,7 @@ func validateApproxView(a *ADS) error {
 			return fmt.Errorf("core: approx ADS(%d) entry %d has invalid rank %g", owner, i, e.Rank)
 		}
 	}
-	if n > 0 && (a.c.node[0] != owner || a.c.dist[0] != 0) {
+	if n > 0 && (a.c.node[0] != owner || a.c.distAt(0) != 0) {
 		return fmt.Errorf("core: approx ADS(%d) does not start with the owner at distance 0", owner)
 	}
 	return nil

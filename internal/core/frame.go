@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"adsketch/internal/rank"
 	"adsketch/internal/sketch"
@@ -21,12 +24,18 @@ import (
 // columns verbatim, so opening a prebuilt file is O(columns) work (and
 // zero copies when mmapped).
 //
-// A frame holds (node, dist) pairs — and β for weighted sets — but no
-// ranks: a rank is a pure function of the seed and the node (and of β,
-// which travels with the entry), so it is derived when asked for.  The
-// one exception is a frame opened from a file written before ranks were
+// A frame holds, per entry, a node (4 bytes), one bit of distance step
+// code (stepcode.go) and — for weighted sets — β; per distinct distance
+// of a segment, one float; and no ranks.  Distances are a staircase in
+// canonical order, so they are stored as its steps: entry i's distance is
+// step[number of set bits of first up to and including i, less one].  A
+// rank is a pure function of the seed and the node (and of β, which
+// travels with the entry), so it is derived when asked for.  The one
+// exception is a frame opened from a file written before ranks were
 // derived, which may not even record its seed: its stored rank column is
 // viewed in place and used instead.  rank != nil is the only predicate.
+// There is no such exception for distances: a file that stores one per
+// entry is step-coded when it is opened.
 
 // ranker derives the rank of an entry from what its frame records: the
 // seed, the flavor and base of a uniform set, the scheme of a weighted
@@ -77,16 +86,19 @@ func (r *ranker) rank(perm int, node int32, beta float64) float64 {
 	return x
 }
 
-// cols is one columnar entry list: the node/dist columns of a contiguous
-// entry range, in canonical (distance, node ID) order.  A cols either
-// views a frame's shared columns (frozen sketches) or owns private slices
+// cols is one columnar entry list: the columns of a contiguous entry
+// range, in canonical (distance, node ID) order.  A cols either views a
+// frame's shared columns (frozen sketches) or owns private slices
 // (standalone sketches built incrementally via Offer).  Its ranks are
 // stored when rank is non-nil — standalone sketches, and the frames of
 // files written before ranks were derived — and derived through by
-// otherwise.
+// otherwise.  Its distances are per entry when dist is non-nil — a
+// standalone sketch's own column, or the scratch Frame.ranked fills for
+// whole-node loops — and read off the frame's step code sd otherwise.
 type cols struct {
 	node []int32
 	dist []float64
+	sd   StepDists
 	rank []float64
 	beta []float64 // weighted sketches: β per entry
 	by   *ranker
@@ -94,6 +106,41 @@ type cols struct {
 }
 
 func (c *cols) len() int { return len(c.node) }
+
+// distAt returns the distance of entry i.
+func (c *cols) distAt(i int) float64 {
+	if c.dist != nil {
+		return c.dist[i]
+	}
+	return c.sd.at(i)
+}
+
+// dists returns the distance of every entry: the per-entry column, or a
+// fresh slice expanded from the steps.
+func (c *cols) dists() []float64 {
+	if c.dist != nil || len(c.node) == 0 {
+		return c.dist
+	}
+	out := make([]float64, len(c.node))
+	c.sd.expand(out)
+	return out
+}
+
+// withDists returns copies of the lists with per-entry distances in
+// place, for a cursor merge that reads them at random.
+func withDists(lists []cols) []cols {
+	out := make([]cols, len(lists))
+	for i, c := range lists {
+		c.dist = c.dists()
+		out[i] = c
+	}
+	return out
+}
+
+// sizeWithin returns the number of entries at distance <= d.
+func (c *cols) sizeWithin(d float64) int {
+	return sort.Search(c.len(), func(i int) bool { return c.distAt(i) > d })
+}
 
 // rankAt returns the rank of entry i.
 func (c *cols) rankAt(i int) float64 {
@@ -122,26 +169,29 @@ func (c *cols) ranks() []float64 {
 
 // at returns entry i as a value.
 func (c *cols) at(i int) Entry {
-	return Entry{Node: c.node[i], Dist: c.dist[i], Rank: c.rankAt(i)}
+	return Entry{Node: c.node[i], Dist: c.distAt(i), Rank: c.rankAt(i)}
 }
 
 // before reports whether entry i of c precedes entry j of d in the
 // canonical order.
 func (c *cols) before(i int, d *cols, j int) bool {
-	if c.dist[i] != d.dist[j] {
-		return c.dist[i] < d.dist[j]
+	if a, b := c.distAt(i), d.distAt(j); a != b {
+		return a < b
 	}
 	return c.node[i] < d.node[j]
 }
 
 // push appends an entry.  Views into a frame arena are sliced with full
 // capacity bounds, so pushing onto one reallocates instead of corrupting
-// the shared columns; a view that was deriving its ranks stores them
-// first, as the pushed one has to be.
+// the shared columns; a view that was deriving its ranks or reading a
+// step code stores ranks and distances first, as the pushed ones have to
+// be.
 func (c *cols) push(e Entry) {
 	if len(c.node) > 0 {
 		c.rank = c.ranks()
+		c.dist = c.dists()
 	}
+	c.sd = StepDists{}
 	c.node = append(c.node, e.Node)
 	c.dist = append(c.dist, e.Dist)
 	c.rank = append(c.rank, e.Rank)
@@ -150,8 +200,19 @@ func (c *cols) push(e Entry) {
 // entries materializes the columns as an entry slice.
 func (c *cols) entries() []Entry {
 	out := make([]Entry, len(c.node))
+	dist := c.dists()
 	for i := range out {
-		out[i] = c.at(i)
+		out[i] = Entry{Node: c.node[i], Dist: dist[i], Rank: c.rankAt(i)}
+	}
+	return out
+}
+
+// weighted pairs the entries with the adjusted weights w.
+func (c *cols) weighted(w []float64) []WeightedEntry {
+	out := make([]WeightedEntry, len(c.node))
+	dist := c.dists()
+	for i := range out {
+		out[i] = WeightedEntry{Node: c.node[i], Dist: dist[i], Weight: w[i]}
 	}
 	return out
 }
@@ -174,9 +235,10 @@ func colsFromEntries(entries []Entry) cols {
 // per node (1 for bottom-k/weighted/approximate, k for the per-permutation
 // and per-bucket lists of k-mins and k-partition), described by an offsets
 // array over shared entry columns.  Offsets are absolute positions into
-// the columns, so slicing a frame to a node range (partitioning) is a
-// re-slice of offsets — no entry moves.  base is the global ID of local
-// node 0 (non-zero for partition frames).
+// the columns (and into the bit vector first), so slicing a frame to a
+// node range (partitioning) is a re-slice of offsets — no entry moves —
+// and the steps of the entries from position p on start at step[rank1(p)].
+// base is the global ID of local node 0 (non-zero for partition frames).
 type Frame struct {
 	kind   uint32 // kindUniform, kindWeighted, kindApprox
 	opts   Options
@@ -187,13 +249,15 @@ type Frame struct {
 	base   int32
 	off    []int64 // len n*segs+1, absolute entry positions
 	node   []int32
-	dist   []float64
-	beta   []float64 // weighted sets: β per entry, parallel to the columns
+	first  []uint64  // one bit per entry: set where a distance step starts
+	samp   []int64   // sampled popcounts of first, for rank1
+	step   []float64 // one distance per set bit of first
+	beta   []float64 // weighted sets: β per entry, parallel to node
 	by     ranker    // derives the ranks
 	rank   []float64 // non-nil only for a file written before ranks were derived: its stored ranks, used instead of by
 
 	hipOnce sync.Once
-	hip     *hipArena
+	hip     atomic.Pointer[hipArena] // set once, by hipOnce
 }
 
 // freezeFrame assembles per-segment entry lists (node-major: segment s of
@@ -210,20 +274,47 @@ func freezeFrame(kind uint32, opts Options, scheme WeightScheme, eps float64, se
 		segs: segs, n: len(lists) / segs, base: base,
 		off:  make([]int64, len(lists)+1),
 		node: make([]int32, total),
-		dist: make([]float64, total),
 		by:   newRanker(kind, opts, scheme),
 	}
-	pos := 0
+	// One pass over the entries marks and counts the distance steps; the
+	// step column, sized exactly, is then filled from the marked entries
+	// alone — a handful per sketch when distances are hop counts.
+	first, steps := make([]uint64, bitWords(int64(total))), 0
+	pos := int64(0)
 	for i, l := range lists {
-		f.off[i] = int64(pos)
-		for _, e := range l {
+		f.off[i] = pos
+		for j, e := range l {
 			f.node[pos] = e.Node
-			f.dist[pos] = e.Dist
+			if j == 0 || e.Dist != l[j-1].Dist {
+				setBit(first, pos)
+				steps++
+			}
 			pos++
 		}
 	}
-	f.off[len(lists)] = int64(pos)
+	f.off[len(lists)] = pos
+	step := make([]float64, 0, steps)
+	for i, l := range lists {
+		marks := StepDists{first: first, lo: f.off[i]}
+		for j := 0; j < len(l); j = marks.runEnd(j, len(l)) {
+			step = append(step, l[j].Dist)
+		}
+	}
+	f.setSteps(first, step)
 	return f
+}
+
+// setSteps installs the frame's step code and indexes it for rank1; it
+// returns the number of set bits of first.
+func (f *Frame) setSteps(first []uint64, step []float64) (marked int64) {
+	f.first, f.step = first, step
+	f.samp, marked = sampleRanks(first)
+	return marked
+}
+
+// stepRange returns the range of step that the frame's own entries use.
+func (f *Frame) stepRange() (lo, hi int64) {
+	return f.rank1(f.off[0]), f.rank1(f.off[len(f.off)-1])
 }
 
 // totalEntries returns the entry count of the frame's own node range
@@ -240,10 +331,17 @@ func (f *Frame) owner(local int) int32 { return f.base + int32(local) }
 // neighboring sketch.
 func (f *Frame) segAt(local, s int) cols {
 	lo := f.off[local*f.segs+s]
-	hi := f.off[local*f.segs+s+1]
+	return f.segOver(lo, f.off[local*f.segs+s+1], f.rank1(lo), s)
+}
+
+// segOver is segAt for the entry range [lo, hi) whose steps start at
+// step[slo] — which segAt looks up, and a caller still assembling the
+// frame knows.
+func (f *Frame) segOver(lo, hi, slo int64, s int) cols {
+	shi := slo + int64(countBits(f.first, lo, hi))
 	c := cols{
 		node: f.node[lo:hi:hi],
-		dist: f.dist[lo:hi:hi],
+		sd:   StepDists{first: f.first, lo: lo, steps: f.step[slo:shi:shi]},
 		by:   &f.by,
 		perm: s,
 	}
@@ -301,7 +399,8 @@ func (f *Frame) slice(lo, hi int) *Frame {
 		kind: f.kind, opts: f.opts, scheme: f.scheme, eps: f.eps,
 		segs: f.segs, n: hi - lo, base: f.base + int32(lo),
 		off:  f.off[lo*f.segs : hi*f.segs+1 : hi*f.segs+1],
-		node: f.node, dist: f.dist, beta: f.beta, by: f.by, rank: f.rank,
+		node: f.node, first: f.first, samp: f.samp, step: f.step,
+		beta: f.beta, by: f.by, rank: f.rank,
 	}
 }
 
@@ -310,9 +409,11 @@ func (f *Frame) slice(lo, hi int) *Frame {
 // whole frame with compact columns.
 func mergeFrames(frames []*Frame) *Frame {
 	first := frames[0]
-	total, nodes := 0, 0
+	total, steps, nodes := int64(0), int64(0), 0
 	for _, f := range frames {
-		total += f.totalEntries()
+		total += int64(f.totalEntries())
+		slo, shi := f.stepRange()
+		steps += shi - slo
 		nodes += f.n
 	}
 	out := &Frame{
@@ -320,9 +421,9 @@ func mergeFrames(frames []*Frame) *Frame {
 		segs: first.segs, n: nodes, base: 0,
 		off:  make([]int64, nodes*first.segs+1),
 		node: make([]int32, total),
-		dist: make([]float64, total),
 		by:   first.by,
 	}
+	marks, step := make([]uint64, bitWords(total)), make([]float64, 0, steps)
 	if first.kind == kindWeighted {
 		out.beta = make([]float64, total)
 	}
@@ -333,7 +434,9 @@ func mergeFrames(frames []*Frame) *Frame {
 	for _, f := range frames {
 		flo, fhi := f.off[0], f.off[len(f.off)-1]
 		copy(out.node[pos:], f.node[flo:fhi])
-		copy(out.dist[pos:], f.dist[flo:fhi])
+		copyBits(marks, pos, f.first, flo, fhi-flo)
+		slo, shi := f.stepRange()
+		step = append(step, f.step[slo:shi]...)
 		if out.beta != nil {
 			copy(out.beta[pos:], f.beta[flo:fhi])
 		}
@@ -347,6 +450,7 @@ func mergeFrames(frames []*Frame) *Frame {
 		pos += fhi - flo
 	}
 	out.off[seg] = pos
+	out.setSteps(marks, step)
 	return out
 }
 
@@ -366,6 +470,7 @@ const rankMemoSlots = 1 << 14
 type rankScratch struct {
 	memo *[rankMemoSlots]rankMemoSlot
 	buf  []float64
+	dbuf []float64 // the per-entry distances ranked expands
 	segs []cols
 }
 
@@ -376,11 +481,15 @@ type rankMemoSlot struct {
 }
 
 // grow returns the scratch buffer, resized to n ranks.
-func (s *rankScratch) grow(n int) []float64 {
-	if cap(s.buf) < n {
-		s.buf = make([]float64, n)
+func (s *rankScratch) grow(n int) []float64 { return growFloats(&s.buf, n) }
+
+// growFloats returns *buf resized to n, reallocating only when the
+// capacity is short.
+func growFloats(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
 	}
-	return s.buf[:n]
+	return (*buf)[:n]
 }
 
 // derive fills dst with the ranks by gives nodes under permutation perm
@@ -404,24 +513,39 @@ func (s *rankScratch) derive(dst []float64, by *ranker, perm int, nodes []int32,
 	}
 }
 
-// ranked returns the segment views of local node v with their ranks
-// filled in — views of the stored column where there is one, of s.buf
-// otherwise — valid until the next call.
+// ranked returns the segment views of local node v with their ranks and
+// per-entry distances filled in — ranks view the stored column where
+// there is one and s.buf otherwise, distances are expanded from the steps
+// into s.dbuf — valid until the next call.
 func (f *Frame) ranked(s *rankScratch, local int) []cols {
 	segs := s.segs[:0]
 	for i := 0; i < f.segs; i++ {
 		segs = append(segs, f.segAt(local, i))
 	}
+	return f.filled(s, segs)
+}
+
+// filled is ranked over views the caller has made: it keeps segs as the
+// scratch's view list and fills in their ranks and distances.
+func (f *Frame) filled(s *rankScratch, segs []cols) []cols {
 	s.segs = segs
-	if f.rank != nil {
-		return segs
+	n := 0
+	for i := range segs {
+		n += segs[i].len()
 	}
-	lo, hi := f.span(local)
-	buf := s.grow(int(hi - lo))
+	dbuf := growFloats(&s.dbuf, n)
+	var buf []float64
+	if f.rank == nil {
+		buf = s.grow(n)
+	}
 	for i := range segs {
 		c := &segs[i]
-		c.rank, buf = buf[:c.len():c.len()], buf[c.len():]
-		s.derive(c.rank, c.by, c.perm, c.node, c.beta)
+		c.dist, dbuf = dbuf[:c.len():c.len()], dbuf[c.len():]
+		c.sd.expand(c.dist)
+		if f.rank == nil {
+			c.rank, buf = buf[:c.len():c.len()], buf[c.len():]
+			s.derive(c.rank, c.by, c.perm, c.node, c.beta)
+		}
 	}
 	return segs
 }
@@ -431,25 +555,44 @@ func (f *Frame) ranked(s *rankScratch, local int) []cols {
 // from: its Rank fields, which the frame did not keep, must be the ones
 // the frame derives, so that a frame cannot disagree with its own seed.
 func (f *Frame) validate(s *rankScratch, local int, given []Entry) error {
-	segs := f.ranked(s, local)
+	return f.validateSegs(f.ranked(s, local), local, given)
+}
+
+// validateSegs is validate over local node v's filled views.
+func (f *Frame) validateSegs(segs []cols, local int, given []Entry) error {
 	k, owner := f.opts.K, f.owner(local)
 	for i, e := range given {
 		if r := segs[0].rank[i]; e.Rank != r {
 			return fmt.Errorf("core: ADS(%d) entry %d (node %d) has rank %g, the set's seed derives %g", owner, i, e.Node, e.Rank, r)
 		}
 	}
+	var err error
 	switch {
 	case f.kind == kindWeighted:
-		return (&WeightedADS{k: k, node: owner, scheme: f.scheme, c: segs[0]}).Validate()
+		err = (&WeightedADS{k: k, node: owner, scheme: f.scheme, c: segs[0]}).Validate()
 	case f.kind == kindApprox:
-		return validateApproxView(&ADS{k: k, node: owner, c: segs[0]})
+		err = validateApproxView(&ADS{k: k, node: owner, c: segs[0]})
 	case f.opts.Flavor == sketch.KMins:
-		return (&KMinsADS{k: k, node: owner, perms: segs}).Validate()
+		err = (&KMinsADS{k: k, node: owner, perms: segs}).Validate()
 	case f.opts.Flavor == sketch.KPartition:
-		return (&KPartitionADS{k: k, node: owner, buckets: segs}).Validate()
+		err = (&KPartitionADS{k: k, node: owner, buckets: segs}).Validate()
 	default:
-		return (&ADS{k: k, node: owner, c: segs[0]}).Validate()
+		err = (&ADS{k: k, node: owner, c: segs[0]}).Validate()
 	}
+	if err != nil {
+		return err
+	}
+	// The entries are in canonical order; so must their code be — maximal
+	// runs, hence strictly ascending steps — or equal entries would not
+	// mean equal bytes.  Only a file can get this wrong.
+	for _, c := range segs {
+		for j, d := range c.sd.steps {
+			if !(d >= 0) || j > 0 && d == c.sd.steps[j-1] {
+				return fmt.Errorf("core: ADS(%d) has a redundant or invalid distance step %g at %d", owner, d, j)
+			}
+		}
+	}
+	return nil
 }
 
 // hipArena is a frame's columnar HIP query index: every node's index is a
@@ -460,17 +603,24 @@ func (f *Frame) validate(s *rankScratch, local int, given []Entry) error {
 // weight/distance sums the closeness and harmonic readouts need).
 type hipArena struct {
 	views []HIPIndex
-	// HIP entries in canonical order.  For single-segment frames the
-	// node/dist columns alias the frame's; for k-mins / k-partition they
-	// hold the per-node cursor merge of the segments.
-	hnode []int32
-	hdist []float64
-	hw    []float64
-	// per-unique-distance prefix-sum columns
-	udist []float64
-	cum   []float64
-	cumD  []float64
-	cumH  []float64
+	// HIP entries in canonical order.  For single-segment frames they are
+	// the frame's own — node column, step bits and steps are aliased, not
+	// copied; for k-mins / k-partition hnode and merged hold the per-node
+	// cursor merge of the segments, step-coded like a frame.
+	hnode  []int32
+	merged stepWriter
+	hw     []float64
+	// per-unique-distance prefix-sum columns, parallel to the steps
+	cum  []float64
+	cumD []float64
+	cumH []float64
+}
+
+// bytes returns the heap the arena holds beyond the frame it indexes.
+func (a *hipArena) bytes() int64 {
+	return int64(cap(a.views))*int64(unsafe.Sizeof(HIPIndex{})) +
+		4*int64(cap(a.hnode)) + 8*int64(cap(a.merged.first)+cap(a.merged.step)+
+		cap(a.hw)+cap(a.cum)+cap(a.cumD)+cap(a.cumH))
 }
 
 // Index returns the columnar HIP query index of local node v, building
@@ -478,33 +628,36 @@ type hipArena struct {
 // immutable view, safe to share between goroutines.
 func (f *Frame) Index(local int32) *HIPIndex {
 	f.hipOnce.Do(f.buildHIP)
-	return &f.hip.views[local]
+	return &f.hip.Load().views[local]
 }
 
 // buildHIP fills the arena.  All accumulations scan entries in canonical
 // order with the same operations as the per-sketch HIP estimators, so
 // every readout is bit-identical to NewHIPIndex over the corresponding
-// view.
+// view.  The prefix-sum columns hold one slot per distance step, so they
+// are sized by the frame's step count, not its entry count.
 func (f *Frame) buildHIP() {
 	e := f.totalEntries()
+	slo, shi := f.stepRange()
+	steps := int(shi - slo) // of the merged lists too: a merged distance is some segment's step
 	a := &hipArena{
 		views: make([]HIPIndex, f.n),
 		hw:    make([]float64, 0, e),
-		udist: make([]float64, 0, e),
-		cum:   make([]float64, 0, e),
-		cumD:  make([]float64, 0, e),
-		cumH:  make([]float64, 0, e),
+		cum:   make([]float64, 0, steps),
+		cumD:  make([]float64, 0, steps),
+		cumH:  make([]float64, 0, steps),
 	}
 	single := f.segs == 1
 	if !single {
 		a.hnode = make([]int32, 0, e)
-		a.hdist = make([]float64, 0, e)
+		a.merged = newStepWriter(e, steps)
 	}
 	h := newMaxHeap(f.opts.K)
 	var ranks rankScratch
 	for v := 0; v < f.n; v++ {
-		hlo, ulo := len(a.hw), len(a.udist)
+		hlo, ulo := len(a.hw), len(a.cum)
 		segs := f.ranked(&ranks, v)
+		x := &a.views[v]
 		if single {
 			switch f.kind {
 			case kindWeighted:
@@ -512,10 +665,12 @@ func (f *Frame) buildHIP() {
 			default:
 				a.hw = hipWeightsBottomK(segs[0].rank, f.opts.K, h, a.hw)
 			}
+			x.enode, x.sd = segs[0].node, segs[0].sd
 		} else {
+			a.merged.segment()
 			emit := func(node int32, dist, w float64) {
+				a.merged.add(int64(len(a.hnode)), dist)
 				a.hnode = append(a.hnode, node)
-				a.hdist = append(a.hdist, dist)
 				a.hw = append(a.hw, w)
 			}
 			if f.opts.Flavor == sketch.KMins {
@@ -523,47 +678,42 @@ func (f *Frame) buildHIP() {
 			} else {
 				hipMergeKPartition(segs, emit)
 			}
+			m := &a.merged
+			x.enode = a.hnode[hlo:len(a.hnode):len(a.hnode)]
+			x.sd = StepDists{first: m.first, lo: int64(hlo), steps: m.step[ulo:len(m.step):len(m.step)]}
 		}
-		// Prefix sums per unique distance, in canonical order.
-		var hd []float64
-		if single {
-			lo, hi := f.span(v)
-			hd = f.dist[lo:hi]
-		} else {
-			hd = a.hdist[hlo:]
-		}
-		hw := a.hw[hlo:]
-		total, totalD, totalH := 0.0, 0.0, 0.0
-		for i := 0; i < len(hd); {
-			d := hd[i]
-			for i < len(hd) && hd[i] == d {
-				total += hw[i]
-				totalD += hw[i] * hd[i]
-				totalH += hw[i] * KernelHarmonic(hd[i])
-				i++
-			}
-			a.udist = append(a.udist, d)
-			a.cum = append(a.cum, total)
-			a.cumD = append(a.cumD, totalD)
-			a.cumH = append(a.cumH, totalH)
-		}
-		a.views[v] = HIPIndex{
-			ew:    a.hw[hlo:len(a.hw):len(a.hw)],
-			dists: a.udist[ulo:len(a.udist):len(a.udist)],
-			cum:   a.cum[ulo:len(a.cum):len(a.cum)],
-			cumD:  a.cumD[ulo:len(a.cumD):len(a.cumD)],
-			cumH:  a.cumH[ulo:len(a.cumH):len(a.cumH)],
-		}
-		if single {
-			lo, hi := f.span(v)
-			a.views[v].enode = f.node[lo:hi:hi]
-			a.views[v].edist = f.dist[lo:hi:hi]
-		} else {
-			a.views[v].enode = a.hnode[hlo:len(a.hnode):len(a.hnode)]
-			a.views[v].edist = a.hdist[hlo:len(a.hdist):len(a.hdist)]
-		}
+		x.ew = a.hw[hlo:len(a.hw):len(a.hw)]
+		a.cum, a.cumD, a.cumH = x.sd.prefixSums(x.ew, a.cum, a.cumD, a.cumH)
+		x.cum = a.cum[ulo:len(a.cum):len(a.cum)]
+		x.cumD = a.cumD[ulo:len(a.cumD):len(a.cumD)]
+		x.cumH = a.cumH[ulo:len(a.cumH):len(a.cumH)]
 	}
-	f.hip = a
+	f.hip.Store(a)
+}
+
+// indexBytes returns what serving the frame costs beyond the frame: the
+// heap held by its HIP index arena, or 0 while no query has built it.
+func (f *Frame) indexBytes() int64 {
+	if a := f.hip.Load(); a != nil {
+		return a.bytes()
+	}
+	return 0
+}
+
+// bytes returns the heap (or mapping) the frame's own node range
+// occupies: offsets, nodes, step bits, steps, and β or stored ranks where
+// held.
+func (f *Frame) bytes() int64 {
+	e := int64(f.totalEntries())
+	slo, shi := f.stepRange()
+	b := 8*int64(len(f.off)) + 4*e + 8*bitWords(e) + 8*(shi-slo)
+	if f.beta != nil {
+		b += 8 * e
+	}
+	if f.rank != nil {
+		b += 8 * e
+	}
+	return b
 }
 
 // hipWeightsBottomK appends the HIP adjusted weights of a bottom-k entry

@@ -16,32 +16,46 @@ import (
 
 // Version-3 sketch files: the on-disk layout is the in-memory frame
 // layout.  After a fixed little-endian header come the raw columns —
-// offsets, nodes, dists (and betas for weighted sets) — each padded to
-// 8-byte alignment:
+// offsets, nodes, the distance step code (and betas for weighted sets) —
+// each padded to 8-byte alignment:
 //
 //	magic "ADSK" | version u32 = 3 | kind u32 | flags u32 |
 //	[kind 3 only: index u32 | count u32 | lo u32 | hi u32 |
 //	              total u32 | innerKind u32] |
 //	k u32 | flavor u32 | seed u64 | baseB f64 | scheme u32 | segs u32 |
-//	eps f64 | numNodes u64 | numEntries u64 | reserved u64 |
+//	eps f64 | numNodes u64 | numEntries u64 | numSteps u64 |
 //	offsets (numNodes*segs+1)×i64 | nodes numEntries×i32 | pad |
-//	dists numEntries×f64 |
+//	first ceil(numEntries/64)×u64 | steps numSteps×f64,
+//	    when flags bit 2 is set — else dists numEntries×f64 |
 //	[ranks numEntries×f64, unless flags bit 1 is set] |
 //	[betas numEntries×f64, when flags bit 0 is set]
+//
+// Flags bit 2 says the distances are step-coded (stepcode.go): bit i of
+// first — bit i%64 of word i/64, counted from the least significant — is
+// set where entry i's distance differs from its predecessor's in the
+// segment, always at a segment start and never past numEntries; steps
+// holds one distance per set bit, so numSteps (the header word that used
+// to be reserved, and is 0 without the bit) is the popcount of first.
+// The code is canonical — steps ascend strictly within a segment — so
+// equal entries are equal bytes.  Every writer sets the bit.  A file
+// without it stores a distance per entry and is step-coded, in one pass,
+// when it is opened; writing it back writes it step-coded.
 //
 // Flags bit 1 says the ranks are derived: the file has no rank column,
 // and its header's seed (recorded for every kind) re-derives them.  Every
 // file written since ranks became derived sets it.  A file without it was
 // written before: it opens the same way with its stored column viewed in
 // place and used instead of derivation (its weighted and approximate
-// headers never recorded a seed), and is written back the way it is held.
+// headers never recorded a seed), and keeps that column when written
+// back.
 //
 // Encoding is therefore near-memcpy, and decoding a trusted file is
-// O(columns): validate the header and the offsets monotonicity, then view
-// the columns in place.  OpenSketchFile reads the file once and performs
-// O(1) allocations per set; MmapSketchFile maps it (on linux) so even the
-// read is deferred to page faults — a worker serving a prebuilt shard
-// file starts in microseconds.  Files written by version 2 remain
+// O(columns): validate the header, the offsets monotonicity and the step
+// bits against the step count, then view the columns in place.
+// OpenSketchFile reads the file once and performs O(1) allocations per
+// set; MmapSketchFile maps it (on linux) so even the read is deferred to
+// page faults — a worker serving a prebuilt shard file starts in
+// microseconds.  Files written by version 2 remain
 // readable everywhere and are converted to frames on load.
 
 // EncodeVersion is the sketch file format version: the one every writer
@@ -56,6 +70,7 @@ const (
 
 	frameFlagBeta         = 1 << 0
 	frameFlagDerivedRanks = 1 << 1 // no rank column: ranks derive from the header's seed
+	frameFlagStepDists    = 1 << 2 // distances are step-coded: first bits + numSteps steps
 )
 
 // nativeLittleEndian reports whether the host stores integers the way the
@@ -79,6 +94,7 @@ type frameHdr struct {
 	scheme, segs  uint32
 	eps           float64
 	n, numEntries uint64
+	numSteps      uint64 // 0 unless flags has frameFlagStepDists
 }
 
 // partitioned reports whether the file carries the partition envelope.
@@ -107,13 +123,22 @@ func (h *frameHdr) headerSize() int64 {
 // written before ranks were derived.
 func (h *frameHdr) storesRanks() bool { return h.flags&frameFlagDerivedRanks == 0 }
 
+// stepCoded reports whether the file holds its distances as a step code
+// rather than one per entry.
+func (h *frameHdr) stepCoded() bool { return h.flags&frameFlagStepDists != 0 }
+
 // numSegs returns the offsets-array segment count.
 func (h *frameHdr) numSegs() int64 { return int64(h.n) * int64(h.segs) }
 
 // bodySize returns the total byte length of the columns.
 func (h *frameHdr) bodySize() int64 {
 	e := int64(h.numEntries)
-	s := (h.numSegs()+1)*8 + pad8(e*4) + e*8
+	s := (h.numSegs()+1)*8 + pad8(e*4)
+	if h.stepCoded() {
+		s += (bitWords(e) + int64(h.numSteps)) * 8
+	} else {
+		s += e * 8
+	}
 	if h.storesRanks() {
 		s += e * 8
 	}
@@ -128,7 +153,7 @@ func pad8(n int64) int64 { return (n + 7) &^ 7 }
 // validate checks every header field against the format's invariants,
 // so a corrupted file errors out before any column is touched.
 func (h *frameHdr) validate() error {
-	if h.flags&^uint32(frameFlagBeta|frameFlagDerivedRanks) != 0 {
+	if h.flags&^uint32(frameFlagBeta|frameFlagDerivedRanks|frameFlagStepDists) != 0 {
 		return fmt.Errorf("core: sketch file has unknown flags %#x", h.flags)
 	}
 	switch h.setKind() {
@@ -191,6 +216,10 @@ func (h *frameHdr) validate() error {
 	if h.numEntries > 1<<40 {
 		return fmt.Errorf("core: implausible entry count %d", h.numEntries)
 	}
+	// At most one step an entry; this also keeps bodySize from overflowing.
+	if h.numSteps > h.numEntries || !h.stepCoded() && h.numSteps != 0 {
+		return fmt.Errorf("core: sketch file claims %d distance steps for %d entries (flags %#x)", h.numSteps, h.numEntries, h.flags)
+	}
 	return nil
 }
 
@@ -209,6 +238,9 @@ func headerOf(f *Frame, part *Partition) frameHdr {
 		n:          uint64(f.n),
 		numEntries: uint64(f.totalEntries()),
 	}
+	slo, shi := f.stepRange()
+	h.numSteps = uint64(shi - slo)
+	h.flags |= frameFlagStepDists
 	if f.kind == kindWeighted {
 		h.flags |= frameFlagBeta
 	}
@@ -251,7 +283,7 @@ func (h *frameHdr) appendHeader(buf []byte) []byte {
 	buf = le.AppendUint64(buf, math.Float64bits(h.eps))
 	buf = le.AppendUint64(buf, h.n)
 	buf = le.AppendUint64(buf, h.numEntries)
-	buf = le.AppendUint64(buf, 0) // reserved
+	buf = le.AppendUint64(buf, h.numSteps)
 	return buf
 }
 
@@ -293,6 +325,16 @@ func writeFrameV3(w io.Writer, f *Frame, part *Partition) (int64, error) {
 		}
 		return writeRaw(bw, buf)
 	}
+	writeU64s := func(vals []uint64) error {
+		if nativeLittleEndian {
+			return writeRaw(bw, u64Bytes(vals))
+		}
+		buf := growBuf(&scratch, len(vals)*8)
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(buf[i*8:], v)
+		}
+		return writeRaw(bw, buf)
+	}
 	writeF64s := func(vals []float64) error {
 		if nativeLittleEndian {
 			return writeRaw(bw, f64Bytes(vals))
@@ -330,7 +372,19 @@ func writeFrameV3(w io.Writer, f *Frame, part *Partition) (int64, error) {
 	if err := writeI32s(f.node[base : base+int64(e)]); err != nil {
 		return cw.n, err
 	}
-	if err := writeF64s(f.dist[base : base+int64(e)]); err != nil {
+	// The entries' step bits start at bit 0 of the file's vector: a frame
+	// that owns its vector from there writes the words as they are, a
+	// partition's slice of a shared one is shifted out first.
+	first := f.first
+	if base != 0 || int64(len(first)) != bitWords(int64(e)) || countBits(first, int64(e), int64(len(first))*64) != 0 {
+		first = make([]uint64, bitWords(int64(e)))
+		copyBits(first, 0, f.first, base, int64(e))
+	}
+	if err := writeU64s(first); err != nil {
+		return cw.n, err
+	}
+	slo, _ := f.stepRange()
+	if err := writeF64s(f.step[slo : slo+int64(h.numSteps)]); err != nil {
 		return cw.n, err
 	}
 	if f.rank != nil {
@@ -386,6 +440,13 @@ func i64Bytes(v []int64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
 }
 
+func u64Bytes(v []uint64) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
+}
+
 func f64Bytes(v []float64) []byte {
 	if len(v) == 0 {
 		return nil
@@ -414,6 +475,13 @@ func viewI64s(b []byte, n int64) []int64 {
 		return nil
 	}
 	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
+}
+
+func viewU64s(b []byte, n int64) []uint64 {
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
 }
 
 func viewF64s(b []byte, n int64) []float64 {
@@ -467,6 +535,7 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 	h.eps = math.Float64frombits(le.Uint64(data[pos+32:]))
 	h.n = le.Uint64(data[pos+40:])
 	h.numEntries = le.Uint64(data[pos+48:])
+	h.numSteps = le.Uint64(data[pos+56:])
 	pos += frameHdrSize
 	if err := h.validate(); err != nil {
 		return h, 0, err
@@ -519,6 +588,24 @@ func validateOffsets(off []int64, numEntries int64) error {
 	return nil
 }
 
+// validateSteps checks what licenses indexing the step column by the
+// popcount of the bits: as many set bits (marked) as steps, none past the
+// last entry, and one at the start of every non-empty segment.
+func validateSteps(off []int64, first []uint64, numEntries, marked, numSteps int64) error {
+	if marked != numSteps {
+		return fmt.Errorf("core: sketch file marks %d distance steps, header claims %d", marked, numSteps)
+	}
+	if countBits(first, numEntries, int64(len(first))*64) != 0 {
+		return fmt.Errorf("core: sketch file marks distance steps past its last entry")
+	}
+	for i := 0; i+1 < len(off); i++ {
+		if off[i] < off[i+1] && !bitAt(first, off[i]) {
+			return fmt.Errorf("core: sketch file segment %d does not start a distance step", i)
+		}
+	}
+	return nil
+}
+
 // openFrameBytes parses a complete version-3 file held in memory (heap or
 // mmap), viewing the columns in place when the host is little-endian and
 // the buffer 8-aligned, and copying them otherwise.  It performs O(1)
@@ -555,7 +642,12 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 	}
 	offB := next((nSegs + 1) * 8)
 	nodeB := next(pad8(e * 4))[:e*4]
-	distB := next(e * 8)
+	var firstB, stepB, distB []byte
+	if h.stepCoded() {
+		firstB, stepB = next(bitWords(e)*8), next(int64(h.numSteps)*8)
+	} else {
+		distB = next(e * 8)
+	}
 	var rankB, betaB []byte
 	if h.storesRanks() {
 		rankB = next(e * 8)
@@ -563,10 +655,13 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 	if h.flags&frameFlagBeta != 0 {
 		betaB = next(e * 8)
 	}
+	var dist []float64 // a file from before distances were step-coded
 	if zeroCopy {
 		f.off = viewI64s(offB, nSegs+1)
 		f.node = viewI32s(nodeB, e)
-		f.dist = viewF64s(distB, e)
+		f.first = viewU64s(firstB, int64(len(firstB)/8))
+		f.step = viewF64s(stepB, int64(len(stepB)/8))
+		dist = viewF64s(distB, int64(len(distB)/8))
 		if len(rankB) > 0 {
 			f.rank = viewF64s(rankB, e)
 		}
@@ -584,13 +679,18 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 			f.node[i] = int32(le.Uint32(nodeB[i*4:]))
 		}
 		decodeF64s := func(b []byte) []float64 {
-			out := make([]float64, e)
+			out := make([]float64, len(b)/8)
 			for i := range out {
 				out[i] = math.Float64frombits(le.Uint64(b[i*8:]))
 			}
 			return out
 		}
-		f.dist = decodeF64s(distB)
+		f.first = make([]uint64, len(firstB)/8)
+		for i := range f.first {
+			f.first[i] = le.Uint64(firstB[i*8:])
+		}
+		f.step = decodeF64s(stepB)
+		dist = decodeF64s(distB)
 		if len(rankB) > 0 {
 			f.rank = decodeF64s(rankB)
 		}
@@ -600,6 +700,13 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 	}
 	if err := validateOffsets(f.off, e); err != nil {
 		return nil, nil, err
+	}
+	if h.stepCoded() {
+		if err := validateSteps(f.off, f.first, e, f.setSteps(f.first, f.step), int64(h.numSteps)); err != nil {
+			return nil, nil, err
+		}
+	} else {
+		f.setSteps(stepCode(f.off, dist))
 	}
 	set, err := setFromFrame(f)
 	if err != nil {
@@ -621,11 +728,16 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 // readFrameStream reads a version-3 file from a stream whose magic and
 // version readAny has consumed.  The stream is read to its end before
 // anything is parsed, so allocation follows the bytes that arrived, never
-// a header's claim; openFrameBytes parses them, and — unlike the file
-// openers, which trust what the operator built — every sketch is then
-// validated.
-func readFrameStream(r io.Reader) (AnySet, *Partition, error) {
-	buf := bytes.NewBuffer(binary.LittleEndian.AppendUint32([]byte(encodeMagic), EncodeVersion))
+// a header's claim: into one buffer of size bytes when the caller knows
+// the stream is a file of that size (the file system's word, not the
+// data's), by doubling otherwise.  openFrameBytes parses them, and —
+// unlike the file openers, which trust what the operator built — every
+// sketch is then validated.
+func readFrameStream(r io.Reader, size int64) (AnySet, *Partition, error) {
+	// ReadFrom keeps bytes.MinRead free while it reads: with that much
+	// slack a file of the stated size never grows the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	buf.Write(binary.LittleEndian.AppendUint32([]byte(encodeMagic), EncodeVersion))
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, nil, fmt.Errorf("core: reading sketch file: %w", err)
 	}
@@ -693,6 +805,35 @@ func (s *SketchFile) frame() *Frame {
 	}
 	f, _ := frameOf(set) // every opener produces one of frameOf's three kinds
 	return f
+}
+
+// ColumnSize is the byte cost of one part of a version-3 file.
+type ColumnSize struct {
+	Name  string
+	Bytes int64
+}
+
+// ColumnBytes lists what each part of the file costs when written in the
+// current layout, in file order: header, offsets, nodes, step bits, steps
+// (8 bytes a distance step), then ranks and betas where held.  A file
+// opened from an older layout is held — and so reported — step-coded.
+func (s *SketchFile) ColumnBytes() []ColumnSize {
+	h := headerOf(s.frame(), s.part)
+	e := int64(h.numEntries)
+	out := []ColumnSize{
+		{"header", h.headerSize()},
+		{"offsets", (h.numSegs() + 1) * 8},
+		{"nodes", pad8(e * 4)},
+		{"step bits", bitWords(e) * 8},
+		{"steps", int64(h.numSteps) * 8},
+	}
+	if h.storesRanks() {
+		out = append(out, ColumnSize{"ranks", e * 8})
+	}
+	if h.flags&frameFlagBeta != 0 {
+		out = append(out, ColumnSize{"betas", e * 8})
+	}
+	return out
 }
 
 // RanksStored reports whether the file was written before ranks were

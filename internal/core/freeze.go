@@ -52,9 +52,9 @@ func (f *Frame) validateFrozen(op string, lists [][]Entry) error {
 // nodes, node v's entries being changed[v] where present and base's
 // otherwise (every node base lacks must be present).  Only the changed
 // lists are checked and validated — base's were when it was frozen — and
-// the (node, dist) runs of unchanged nodes are block-copied from base's
-// columns, contiguous nodes in one copy, so the cost follows the change,
-// not the set.  The result is the set FreezeBottomK would return for the
+// the entries of unchanged nodes are block-copied from base's columns —
+// node range, step-bit range, step range — contiguous nodes in one copy,
+// so the cost follows the change, not the set.  The result is the set FreezeBottomK would return for the
 // same lists.
 func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error) {
 	bf := base.frame
@@ -96,9 +96,14 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		kind: kindUniform, opts: bf.opts, segs: 1, n: n,
 		off:  make([]int64, n+1),
 		node: make([]int32, total),
-		dist: make([]float64, total),
 		by:   bf.by,
 	}
+	// The step column starts at the base's size and grows by append: an
+	// exact count would cost a pass over every changed list, and a few
+	// changed sketches barely move it.
+	slo, shi := bf.stepRange()
+	w := newStepWriter(total, int(shi-slo))
+	f.first = w.first
 	pos := int64(0)
 	// keep copies base nodes [from, to), none of them changed.
 	keep := func(from, to int) error {
@@ -110,7 +115,8 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		}
 		lo, hi := bf.off[from], bf.off[to]
 		copy(f.node[pos:], bf.node[lo:hi])
-		copy(f.dist[pos:], bf.dist[lo:hi])
+		copyBits(w.first, pos, bf.first, lo, hi-lo)
+		w.step = append(w.step, bf.step[bf.rank1(lo):bf.rank1(hi)]...)
 		for v := from; v < to; v++ {
 			f.off[v] = pos + bf.off[v] - lo
 		}
@@ -127,12 +133,20 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		if len(l) == 0 {
 			return nil, fmt.Errorf("core: FreezeBottomKOver: node %d has no entries (every node holds itself at distance 0)", v)
 		}
+		start, steps := pos, int64(len(w.step))
 		f.off[v], f.off[v+1] = pos, pos+int64(len(l))
+		w.segment()
 		for _, e := range l {
-			f.node[pos], f.dist[pos] = e.Node, e.Dist
+			f.node[pos] = e.Node
+			w.add(pos, e.Dist)
 			pos++
 		}
-		if err := f.validate(&ranks, int(v), l); err != nil {
+		// Checked while the list is still in cache, through a view of what
+		// was just written: the frame cannot look its steps up until it is
+		// whole.
+		f.step = w.step
+		view := f.filled(&ranks, append(ranks.segs[:0], f.segOver(start, pos, steps, 0)))
+		if err := f.validateSegs(view, int(v), l); err != nil {
 			return nil, fmt.Errorf("core: FreezeBottomKOver: %w", err)
 		}
 		next = int(v) + 1
@@ -141,5 +155,6 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		return nil, err
 	}
 	f.off[n] = pos
+	f.setSteps(w.first, w.step)
 	return &Set{frame: f}, nil
 }

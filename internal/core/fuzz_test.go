@@ -73,6 +73,12 @@ func FuzzReadSketchSet(f *testing.F) {
 	for _, fx := range v2Fixtures {
 		addDamaged(f, fx.read(f))
 	}
+	// The step code's own failure modes: counts, bits and steps that
+	// disagree, and well-formed codes over invalid distances.
+	_, hostile, _ := hostileStepFiles(f)
+	for _, data := range hostile {
+		f.Add(data)
+	}
 	f.Add([]byte("ADSK"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -16,21 +16,24 @@ import "sort"
 // the adjusted weights of included nodes with distance d" — the index
 // stores exactly that distance -> cumulative weight mapping.
 //
-// Storage is columnar.  An index built standalone (NewHIPIndex) owns its
-// columns, preallocated to exact size; the indexes of a frame-backed set
-// (Frame.Index, what Engine serves) are views into one arena shared by
-// the whole set, so serving a million nodes does not cost five slices per
-// node.
+// Storage is columnar, and the entry distances are step-coded the way a
+// frame's are (stepcode.go): the unique distances are the steps.  An index
+// built standalone (NewHIPIndex) owns its columns, preallocated to exact
+// size; the indexes of a frame-backed set (Frame.Index, what Engine
+// serves) are views into the frame — nodes, step bits and steps are the
+// frame's own columns — and into one arena shared by the whole set, which
+// holds a weight per entry and the three prefix sums per step, so serving
+// a million nodes does not cost seven slices per node, nor a column of
+// entries' size per prefix sum.
 //
 // All accumulations scan the entries in canonical order, so every readout
 // is bit-identical to the corresponding direct estimator (EstimateQ,
 // EstimateCentrality, EstimateNeighborhoodHIP) on the same sketch.
 type HIPIndex struct {
 	enode []int32   // HIP entry nodes, canonical order
-	edist []float64 // HIP entry distances, parallel to enode
 	ew    []float64 // HIP adjusted weights, parallel to enode
-	dists []float64 // unique entry distances, ascending
-	cum   []float64 // cum[i]: total adjusted weight at distance <= dists[i]
+	sd    StepDists // HIP entry distances, step-coded: sd.steps are the unique distances, ascending
+	cum   []float64 // cum[i]: total adjusted weight at distance <= sd.steps[i]
 	cumD  []float64 // prefix sums of weight * distance
 	cumH  []float64 // prefix sums of weight / distance (0 at distance 0)
 }
@@ -49,60 +52,72 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 	}
 	idx := &HIPIndex{
 		enode: make([]int32, len(entries)),
-		edist: make([]float64, len(entries)),
 		ew:    make([]float64, len(entries)),
-		dists: make([]float64, 0, unique),
 		cum:   make([]float64, 0, unique),
 		cumD:  make([]float64, 0, unique),
 		cumH:  make([]float64, 0, unique),
 	}
+	w := newStepWriter(len(entries), unique)
 	for i, e := range entries {
 		idx.enode[i] = e.Node
-		idx.edist[i] = e.Dist
 		idx.ew[i] = e.Weight
+		w.add(int64(i), e.Dist)
 	}
-	total, totalD, totalH := 0.0, 0.0, 0.0
-	for i := 0; i < len(entries); {
-		d := entries[i].Dist
-		for i < len(entries) && entries[i].Dist == d {
-			total += entries[i].Weight
-			totalD += entries[i].Weight * entries[i].Dist
-			totalH += entries[i].Weight * KernelHarmonic(entries[i].Dist)
-			i++
-		}
-		idx.dists = append(idx.dists, d)
-		idx.cum = append(idx.cum, total)
-		idx.cumD = append(idx.cumD, totalD)
-		idx.cumH = append(idx.cumH, totalH)
-	}
+	idx.sd = StepDists{first: w.first, steps: w.step}
+	idx.cum, idx.cumD, idx.cumH = idx.sd.prefixSums(idx.ew, idx.cum, idx.cumD, idx.cumH)
 	return idx
+}
+
+// prefixSums appends to the three columns, per step of s, the running
+// totals of w, w·distance and w·(1/distance) over the entries up to the
+// step's last; w runs parallel to the entries.
+func (s StepDists) prefixSums(w, cum, cumD, cumH []float64) (_, _, _ []float64) {
+	total, totalD, totalH := 0.0, 0.0, 0.0
+	for i, j := 0, 0; i < len(w); j++ {
+		end, d := s.runEnd(i, len(w)), s.steps[j]
+		inv := KernelHarmonic(d)
+		for _, wi := range w[i:end] {
+			total += wi
+			totalD += wi * d
+			totalH += wi * inv
+		}
+		cum, cumD, cumH = append(cum, total), append(cumD, totalD), append(cumH, totalH)
+		i = end
+	}
+	return cum, cumD, cumH
 }
 
 // Len returns the number of indexed HIP entries.
 func (x *HIPIndex) Len() int { return len(x.enode) }
 
 // Entries materializes the indexed HIP entries in canonical order (a
-// fresh copy; the index stores them columnarly — iterate with Len and
-// EntryAt to avoid the allocation).
+// fresh copy; the index stores them columnarly).
 func (x *HIPIndex) Entries() []WeightedEntry {
 	out := make([]WeightedEntry, len(x.enode))
+	j := -1
 	for i := range out {
-		out[i] = x.EntryAt(i)
+		if x.sd.starts(i) {
+			j++
+		}
+		out[i] = WeightedEntry{Node: x.enode[i], Dist: x.sd.steps[j], Weight: x.ew[i]}
 	}
 	return out
 }
 
-// EntryAt returns indexed HIP entry i in canonical order.
+// EntryAt returns indexed HIP entry i in canonical order.  The distance
+// is decoded from the step code, so scanning every entry is cheaper
+// through Entries or EstimateQ.
 func (x *HIPIndex) EntryAt(i int) WeightedEntry {
-	return WeightedEntry{Node: x.enode[i], Dist: x.edist[i], Weight: x.ew[i]}
+	return WeightedEntry{Node: x.enode[i], Dist: x.sd.at(i), Weight: x.ew[i]}
 }
 
 // search returns the position of the last indexed distance <= d, or -1.
 func (x *HIPIndex) search(d float64) int {
-	i := sort.SearchFloat64s(x.dists, d)
+	dists := x.sd.steps
+	i := sort.SearchFloat64s(dists, d)
 	// SearchFloat64s returns the first index with dists[i] >= d; include
 	// an exact match.
-	if i < len(x.dists) && x.dists[i] == d {
+	if i < len(dists) && dists[i] == d {
 		return i
 	}
 	return i - 1
@@ -167,15 +182,19 @@ func (x *HIPIndex) Harmonic() float64 {
 // EstimateQ(s, g) on the indexed sketch.
 func (x *HIPIndex) EstimateQ(g func(node int32, dist float64) float64) float64 {
 	sum := 0.0
+	j := -1
 	for i := range x.ew {
-		sum += x.ew[i] * g(x.enode[i], x.edist[i])
+		if x.sd.starts(i) {
+			j++
+		}
+		sum += x.ew[i] * g(x.enode[i], x.sd.steps[j])
 	}
 	return sum
 }
 
 // Distances returns the unique entry distances, ascending (the points at
 // which the neighborhood estimate steps).
-func (x *HIPIndex) Distances() []float64 { return x.dists }
+func (x *HIPIndex) Distances() []float64 { return x.sd.steps }
 
 // QuantileDistance returns the smallest indexed distance d whose estimated
 // neighborhood reaches fraction q of the total — the sketch analogue of a
@@ -189,5 +208,5 @@ func (x *HIPIndex) QuantileDistance(q float64) float64 {
 	if i == len(x.cum) {
 		i = len(x.cum) - 1
 	}
-	return x.dists[i]
+	return x.sd.steps[i]
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"adsketch/internal/sketch"
 )
@@ -74,7 +73,7 @@ func (a *KPartitionADS) MinsWithin(d float64) []float64 {
 	mins := make([]float64, a.k)
 	for b, p := range a.buckets {
 		mins[b] = 1
-		if m := sort.Search(p.len(), func(i int) bool { return p.dist[i] > d }); m > 0 {
+		if m := p.sizeWithin(d); m > 0 {
 			mins[b] = p.rankAt(m - 1)
 		}
 	}
@@ -130,7 +129,7 @@ func hipMergeKPartition(buckets []cols, emit func(node int32, dist, w float64)) 
 // hipMergeKPartition.
 func (a *KPartitionADS) HIPEntries() []WeightedEntry {
 	var out []WeightedEntry
-	hipMergeKPartition(a.buckets, func(node int32, dist, w float64) {
+	hipMergeKPartition(withDists(a.buckets), func(node int32, dist, w float64) {
 		out = append(out, WeightedEntry{Node: node, Dist: dist, Weight: w})
 	})
 	return out

@@ -13,12 +13,19 @@ import (
 	"adsketch/internal/sketch"
 )
 
-// legacyV3 rewrites a rank-free version-3 file the way files were laid out
-// before ranks were derived: flag bit 1 clear, a rank column after the
-// dists, and — for weighted and approximate sets — no seed in the header.
-// It is the test-only writer of the layout the readers stay compatible
-// with.
-func legacyV3(t testing.TB, data []byte) []byte {
+// legacyV3 rewrites a version-3 file the way files were laid out before
+// ranks were derived: flag bits 1 and 2 clear, a distance per entry, a
+// rank column after them, and — for weighted and approximate sets — no
+// seed in the header.  With perEntryV3 it is the test-only writer of the
+// layouts the readers stay compatible with.
+func legacyV3(t testing.TB, data []byte) []byte { return oldV3(t, data, true) }
+
+// perEntryV3 rewrites a version-3 file the way files were laid out
+// between ranks becoming derived and distances becoming step-coded: flag
+// bit 2 clear, a distance per entry.
+func perEntryV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false) }
+
+func oldV3(t testing.TB, data []byte, storeRanks bool) []byte {
 	t.Helper()
 	set, part, err := openFrameBytes(data)
 	if err != nil {
@@ -29,25 +36,44 @@ func legacyV3(t testing.TB, data []byte) []byte {
 	}
 	f, _ := frameOf(set)
 	h := headerOf(f, part)
+	h.flags &^= frameFlagStepDists
+	h.numSteps = 0
+	if storeRanks {
+		h.flags &^= frameFlagDerivedRanks
+		if f.kind != kindUniform {
+			h.seed = 0
+		}
+	}
+	le := binary.LittleEndian
+	out := h.appendHeader(nil)
+	for _, o := range f.off {
+		out = le.AppendUint64(out, uint64(o-f.off[0]))
+	}
+	lo, hi := f.off[0], f.off[len(f.off)-1]
+	for _, u := range f.node[lo:hi] {
+		out = le.AppendUint32(out, uint32(u))
+	}
+	out = append(out, make([]byte, pad8(4*(hi-lo))-4*(hi-lo))...)
 	var rs rankScratch
-	ranks := make([]byte, 0, 8*f.totalEntries())
+	var dists, ranks []byte
 	for v := 0; v < f.n; v++ {
 		for _, c := range f.ranked(&rs, v) {
-			for _, r := range c.rank {
-				ranks = binary.LittleEndian.AppendUint64(ranks, math.Float64bits(r))
+			for i, r := range c.rank {
+				dists = le.AppendUint64(dists, math.Float64bits(c.dist[i]))
+				ranks = le.AppendUint64(ranks, math.Float64bits(r))
 			}
 		}
 	}
-	h.flags &^= frameFlagDerivedRanks
-	if f.kind != kindUniform {
-		h.seed = 0
+	out = append(out, dists...)
+	if storeRanks {
+		out = append(out, ranks...)
 	}
-	e := int64(h.numEntries)
-	ranksAt := h.headerSize() + (h.numSegs()+1)*8 + pad8(e*4) + e*8
-	out := h.appendHeader(nil)
-	out = append(out, data[h.headerSize():ranksAt]...)
-	out = append(out, ranks...)
-	return append(out, data[ranksAt:]...)
+	if f.beta != nil {
+		for _, b := range f.beta[lo:hi] {
+			out = le.AppendUint64(out, math.Float64bits(b))
+		}
+	}
+	return out
 }
 
 // v3Files returns the rank-free file of every set kind and of one
@@ -95,9 +121,9 @@ func v3Files(t testing.TB) map[string][]byte {
 	return files
 }
 
-// TestV3Layout pins what a file costs: the header, the offsets, and 12
-// bytes an entry (20 with β) — the pin that keeps a column from coming
-// back.
+// TestV3Layout pins what a file costs: the header, the offsets, 4 bytes
+// and one bit an entry (8 more with β), and 8 bytes a distance step — the
+// pin that keeps a column from coming back.
 func TestV3Layout(t *testing.T) {
 	for name, data := range v3Files(t) {
 		set, part, err := openFrameBytes(data)
@@ -110,25 +136,40 @@ func TestV3Layout(t *testing.T) {
 		}
 		f, _ := frameOf(set)
 		e := int64(f.totalEntries())
-		want := header + 8*int64(f.n*f.segs+1) + pad8(4*e) + 8*e
+		steps := int64(0)
+		for v := 0; v < f.n; v++ {
+			for _, c := range f.segViews(v) {
+				steps += int64(countSteps(c.entries()))
+			}
+		}
+		fixed := header + 8*int64(f.n*f.segs+1) + pad8(4*e)
 		if f.kind == kindWeighted {
-			want += 8 * e
+			fixed += 8 * e
 		}
+		want := fixed + 8*((e+63)/64) + 8*steps
 		if int64(len(data)) != want {
-			t.Errorf("%s: file is %d bytes, want %d (n=%d segs=%d e=%d)", name, len(data), want, f.n, f.segs, e)
+			t.Errorf("%s: file is %d bytes, want %d (n=%d segs=%d e=%d steps=%d)", name, len(data), want, f.n, f.segs, e, steps)
 		}
-		if f.rank != nil || binary.LittleEndian.Uint32(data[12:])&frameFlagDerivedRanks == 0 {
+		flags := binary.LittleEndian.Uint32(data[12:])
+		if f.rank != nil || flags&frameFlagDerivedRanks == 0 {
 			t.Errorf("%s: written with a rank column", name)
 		}
-		if got := int64(len(legacyV3(t, data))); got != want+8*e {
-			t.Errorf("%s: the legacy layout is %d bytes, want %d", name, got, want+8*e)
+		if flags&frameFlagStepDists == 0 || binary.LittleEndian.Uint64(data[header-8:]) != uint64(steps) {
+			t.Errorf("%s: written without the step code, or with the wrong step count in its header", name)
+		}
+		if got := int64(len(perEntryV3(t, data))); got != fixed+8*e {
+			t.Errorf("%s: the per-entry layout is %d bytes, want %d", name, got, fixed+8*e)
+		}
+		if got := int64(len(legacyV3(t, data))); got != fixed+16*e {
+			t.Errorf("%s: the legacy layout is %d bytes, want %d", name, got, fixed+16*e)
 		}
 	}
 }
 
 // TestV3LegacyRankColumn: a file written before ranks were derived opens
 // through every reader with its stored column in use, answers exactly like
-// the rank-free file of the same set, and is written back as it is held.
+// the rank-free file of the same set, and is written back as it is held:
+// ranks stored, distances step-coded like every frame's.
 func TestV3LegacyRankColumn(t *testing.T) {
 	dir := t.TempDir()
 	for name, data := range v3Files(t) {
@@ -223,8 +264,18 @@ func TestV3LegacyRankColumn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(back.Bytes(), legacy) {
-				t.Fatalf("%s via %s: does not round-trip to its own bytes", name, reader)
+			if flags := binary.LittleEndian.Uint32(back.Bytes()[12:]); flags&frameFlagDerivedRanks != 0 || flags&frameFlagStepDists == 0 {
+				t.Fatalf("%s via %s: written back with flags %#x, want stored ranks and step-coded distances", name, reader, flags)
+			}
+			if want := len(data) + 8*f.totalEntries(); back.Len() != want {
+				t.Fatalf("%s via %s: written back as %d bytes, want the rank-free file plus a rank column, %d", name, reader, back.Len(), want)
+			}
+			again, againPart, err := ReadSketchFile(bytes.NewReader(back.Bytes()))
+			if err != nil {
+				t.Fatalf("%s via %s: written-back file: %v", name, reader, err)
+			}
+			if !bytes.Equal(fileBytes(t, again, againPart), back.Bytes()) {
+				t.Fatalf("%s via %s: the written-back file does not round-trip to its own bytes", name, reader)
 			}
 		}
 	}
@@ -388,9 +439,10 @@ func TestDeriveRanksUpgrade(t *testing.T) {
 		at := h.headerSize() + (h.numSegs()+1)*8 + pad8(e*4) + e*8 + e/2*8
 		bad := append([]byte(nil), legacy...)
 		bad[at] ^= 1
+		held := write(open(name, bad)) // the tampered file as a frame holds it: distances step-coded
 		sf = open(name, bad)
 		err = sf.DeriveRanks(seed)
-		if err == nil || !strings.Contains(err.Error(), "entry") || !sf.RanksStored() || !bytes.Equal(write(sf), bad) {
+		if err == nil || !strings.Contains(err.Error(), "entry") || !sf.RanksStored() || !bytes.Equal(write(sf), held) {
 			t.Errorf("%s: tampered rank: got %v (stored=%v), want a refusal naming the entry and the file left alone", name, err, sf.RanksStored())
 		}
 		if h.setKind() != kindUniform {

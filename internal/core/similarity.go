@@ -185,16 +185,16 @@ func GreedyInfluenceSeeds(set *Set, candidates []int32, numSeeds int, d float64)
 // nodes act as beacons present in most sketches.
 func DistanceUpperBound(a, b *ADS) float64 {
 	distA := make(map[int32]float64, a.Size())
-	for i, n := 0, a.Size(); i < n; i++ {
-		node, dist := a.c.node[i], a.c.dist[i]
+	for i, dist := range a.c.dists() {
+		node := a.c.node[i]
 		if d, ok := distA[node]; !ok || dist < d {
 			distA[node] = dist
 		}
 	}
 	best := math.Inf(1)
-	for i, n := 0, b.Size(); i < n; i++ {
-		if d, ok := distA[b.c.node[i]]; ok && d+b.c.dist[i] < best {
-			best = d + b.c.dist[i]
+	for i, dist := range b.c.dists() {
+		if d, ok := distA[b.c.node[i]]; ok && d+dist < best {
+			best = d + dist
 		}
 	}
 	return best

@@ -135,11 +135,7 @@ func (a *WeightedADS) Offer(e Entry, beta float64) bool {
 // neighborhood cardinality.
 func (a *WeightedADS) HIPEntries() []WeightedEntry {
 	w := hipWeightsWeighted(a.c.ranks(), a.c.beta, a.scheme, a.k, newMaxHeap(a.k), make([]float64, 0, a.c.len()))
-	out := make([]WeightedEntry, a.c.len())
-	for i := range out {
-		out[i] = WeightedEntry{Node: a.c.node[i], Dist: a.c.dist[i], Weight: w[i]}
-	}
-	return out
+	return a.c.weighted(w)
 }
 
 // Validate checks the structural invariants: canonical order, the
@@ -166,7 +162,7 @@ func (a *WeightedADS) Validate() error {
 		h.offer(e.Rank)
 	}
 	if a.c.len() > 0 {
-		if a.c.node[0] != a.node || a.c.dist[0] != 0 {
+		if a.c.node[0] != a.node || a.c.distAt(0) != 0 {
 			return fmt.Errorf("core: WeightedADS(%d) does not start with the owner at distance 0", a.node)
 		}
 	}

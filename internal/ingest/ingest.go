@@ -231,13 +231,9 @@ func (m *Maintainer) grow(n int) {
 // ADS(v) shifted by the arc length (v's own distance-0 entry covers v
 // itself).
 func (m *Maintainer) seed(u, v int32, w float64) {
-	sl, nodes, dists := m.viewOf(v)
-	for i, node := range nodes {
-		m.push(candidate{X: u, E: core.Entry{Node: node, Dist: dists[i] + w, Rank: m.rank[node]}})
-	}
-	for _, e := range sl {
+	m.each(v, func(e core.Entry) {
 		m.push(candidate{X: u, E: core.Entry{Node: e.Node, Dist: e.Dist + w, Rank: e.Rank}})
-	}
+	})
 }
 
 func (m *Maintainer) push(c candidate) {
@@ -266,16 +262,24 @@ func (m *Maintainer) drain() {
 	}
 }
 
-// viewOf returns node x's current entries: the overlay slice when the node
-// has pending deltas, else the base set's (node, dist) columns, whose ranks
-// are m.rank's.  Exactly one is non-empty (new nodes always enter the
-// overlay in grow).
-func (m *Maintainer) viewOf(x int32) (sl []core.Entry, nodes []int32, dists []float64) {
+// each calls fn with node x's current entries in canonical order: the
+// overlay list when the node has pending deltas (new nodes always enter
+// the overlay in grow), else the base set's columns, whose ranks are
+// m.rank's and whose distances are walked run by run off the step code.
+func (m *Maintainer) each(x int32, fn func(core.Entry)) {
 	if sl, ok := m.overlay[x]; ok {
-		return sl, nil, nil
+		for _, e := range sl {
+			fn(e)
+		}
+		return
 	}
-	nodes, dists = m.base.Columns(x)
-	return nil, nodes, dists
+	nodes, dists := m.base.Columns(x)
+	dists.Runs(len(nodes), func(from, to int, d float64) bool {
+		for _, u := range nodes[from:to] {
+			fn(core.Entry{Node: u, Dist: d, Rank: m.rank[u]})
+		}
+		return true
+	})
 }
 
 // before is the canonical (distance, node ID) order of core.
@@ -286,39 +290,25 @@ func before(a, b core.Entry) bool {
 	return a.Node < b.Node
 }
 
-// offer tests candidate e against node x's sketch, applying it (insert,
-// possibly replacing a worse entry for the same node, possibly evicting
-// later entries whose ranks stop winning) when it wins.  It reports
-// whether the sketch changed.
-func (m *Maintainer) offer(x int32, e core.Entry) bool {
-	sl, nodes, dists := m.viewOf(x)
-	size := len(sl) + len(nodes)
-	at := func(i int) core.Entry {
-		if sl == nil {
-			return core.Entry{Node: nodes[i], Dist: dists[i], Rank: m.rank[nodes[i]]}
-		}
-		return sl[i]
-	}
-	// One scan finds the canonical insertion position, the k smallest ranks
-	// among entries preceding e (the inclusion threshold of Lemma 5.1), and
-	// an existing entry for the same node.  Such an entry can only sit at or
-	// after the insertion position: were it before, its distance would be
-	// smaller and the candidate already rejected.
-	k := m.opts.K
-	pos, old := -1, -1
-	h := &m.heap
-	h.reset()
-	for i := 0; i < size; i++ {
-		ent := at(i)
+// scanList is the first half of offer over an overlay list: one scan finds
+// the canonical insertion position of e, offers m.heap the ranks of the
+// entries preceding it (the k smallest are the inclusion threshold of
+// Lemma 5.1), and finds an existing entry for the same node, -1 when
+// there is none.  Such an entry can only sit at or after the insertion
+// position: were it before, its distance would be smaller and the
+// candidate no improvement, which is reported as ok = false.
+func (m *Maintainer) scanList(sl []core.Entry, e core.Entry) (pos, old int, ok bool) {
+	pos, old = -1, -1
+	for i, ent := range sl {
 		if ent.Node == e.Node {
 			if ent.Dist <= e.Dist {
-				return false // no improvement
+				return 0, 0, false
 			}
 			old = i
 		}
 		if pos < 0 {
 			if before(ent, e) {
-				h.offer(ent.Rank)
+				m.heap.offer(ent.Rank)
 			} else {
 				pos = i
 			}
@@ -328,18 +318,84 @@ func (m *Maintainer) offer(x int32, e core.Entry) bool {
 		}
 	}
 	if pos < 0 {
-		pos = size
+		pos = len(sl)
+	}
+	return pos, old, true
+}
+
+// scanBase is scanList over a base node's columns, walked by runs of equal
+// distance, so that an entry costs a node comparison and — before e — a
+// heap offer, never a distance: a run is wholly before e, wholly after it
+// (where only an entry for e's node is looked for), or shares e's distance
+// and splits at e's node ID.
+func (m *Maintainer) scanBase(nodes []int32, dists core.StepDists, e core.Entry) (pos, old int, ok bool) {
+	pos, old, ok = -1, -1, true
+	dists.Runs(len(nodes), func(from, to int, d float64) bool {
+		run := nodes[from:to]
+		if pos < 0 && d > e.Dist {
+			pos = from
+		}
+		switch {
+		case pos >= 0:
+			for i, u := range run {
+				if u == e.Node {
+					old = from + i
+					return false
+				}
+			}
+		case d < e.Dist:
+			for _, u := range run {
+				if u == e.Node {
+					ok = false
+					return false
+				}
+				m.heap.offer(m.rank[u])
+			}
+		default: // d == e.Dist, and node IDs ascend along the run
+			for i, u := range run {
+				if u >= e.Node {
+					ok = u > e.Node
+					pos = from + i
+					return ok
+				}
+				m.heap.offer(m.rank[u])
+			}
+		}
+		return true
+	})
+	if pos < 0 {
+		pos = len(nodes)
+	}
+	return pos, old, ok
+}
+
+// offer tests candidate e against node x's sketch, applying it (insert,
+// possibly replacing a worse entry for the same node, possibly evicting
+// later entries whose ranks stop winning) when it wins.  It reports
+// whether the sketch changed.
+func (m *Maintainer) offer(x int32, e core.Entry) bool {
+	k := m.opts.K
+	h := &m.heap
+	h.reset()
+	sl, inOverlay := m.overlay[x]
+	var pos, old int
+	var ok bool
+	if inOverlay {
+		pos, old, ok = m.scanList(sl, e)
+	} else {
+		nodes, dists := m.base.Columns(x)
+		pos, old, ok = m.scanBase(nodes, dists, e)
+	}
+	if !ok {
+		return false // no improvement
 	}
 	if h.size() >= k && e.Rank >= h.max() {
 		return false // fails inclusion; fails everywhere upstream too
 	}
 	// Accepted: materialize the node in the overlay and apply the change.
 	lst := sl
-	if lst == nil {
-		lst = make([]core.Entry, size, size+1)
-		for i := range lst {
-			lst[i] = at(i)
-		}
+	if !inOverlay {
+		lst = m.Entries(x)
 	}
 	if old >= 0 {
 		lst = append(lst[:old], lst[old+1:]...)
@@ -405,11 +461,14 @@ func (m *Maintainer) Entries(x int32) []core.Entry {
 	if x < 0 || int(x) >= m.n {
 		return nil
 	}
-	sl, nodes, dists := m.viewOf(x)
-	out := append(make([]core.Entry, 0, len(sl)+len(nodes)), sl...)
-	for i, node := range nodes {
-		out = append(out, core.Entry{Node: node, Dist: dists[i], Rank: m.rank[node]})
+	sl, ok := m.overlay[x]
+	size := len(sl)
+	if !ok {
+		nodes, _ := m.base.Columns(x)
+		size = len(nodes)
 	}
+	out := make([]core.Entry, 0, size+1) // room for the entry offer is about to insert
+	m.each(x, func(e core.Entry) { out = append(out, e) })
 	return out
 }
 

@@ -112,16 +112,25 @@ func BenchmarkHIPIndexBuild(b *testing.B) {
 	path := benchFilePath(b, "hip.v3.ads", v3.Bytes())
 	b.Run("frame-arena", func(b *testing.B) {
 		b.ReportAllocs()
+		var cold *adsketch.Set
 		for i := 0; i < b.N; i++ {
 			sf, err := adsketch.OpenSketchFile(path)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cold := sf.Set().(*adsketch.Set)
+			cold = sf.Set().(*adsketch.Set)
 			for v := 0; v < n; v++ {
 				_ = cold.Index(int32(v))
 			}
 		}
+		// Serving memory per node: the frame (the file's columns) and the
+		// index arena beside it, which no file size shows.
+		eng, err := adsketch.NewEngine(cold)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(v3.Len())/float64(n), "frame-B/node")
+		b.ReportMetric(float64(eng.IndexBytes())/float64(n), "arena-B/node")
 	})
 }
 
