@@ -270,8 +270,8 @@ func serveMode(be ShardBackend) string {
 	return "single"
 }
 
-// datasetCost is what a set's frame holds resident: offsets, nodes, the
-// distance step code, and β for weighted sets — the file's size less its
+// datasetCost is what a set's frame holds resident: offsets, packed
+// nodes, the distance step code, and β for weighted sets — the file's size less its
 // header.  The HIP index arena its first query builds is reported
 // (DatasetStats.IndexBytes), not budgeted.
 func datasetCost(set SketchSet) int64 {

@@ -483,13 +483,21 @@ func runInfo(args []string) error {
 		fmt.Printf("bytes/node      %.1f\n", float64(st.Size())/float64(nodes))
 	}
 	// The set as it is held, which is how convert would write it: a file
-	// from before distances were step-coded differs from that on disk.
+	// from before distances were step-coded or node IDs packed differs from
+	// that on disk, and is listed both ways.
 	var held int64
 	cols := sf.ColumnBytes()
 	for _, c := range cols {
 		held += c.Bytes
 		if c.Name == "steps" && nodes > 0 {
 			fmt.Printf("distances       steps (%.1f/node)\n", float64(c.Bytes/8)/float64(nodes))
+		}
+	}
+	fmt.Printf("node IDs        packed (%d bits/entry)\n", sf.NodeBits())
+	if stored := sf.StoredColumnBytes(); stored != nil {
+		fmt.Printf("columns         on disk, an older layout:\n")
+		for _, c := range stored {
+			fmt.Printf("  %-13s %d\n", c.Name, c.Bytes)
 		}
 	}
 	if held != st.Size() {

@@ -111,3 +111,25 @@ func wrongBranch(w io.Writer, words []uint64) error {
 		return err
 	}
 }
+
+// packedColumn is the shape of the bit-packed node column: a partition's
+// bits shifted down to bit 0 of a vector of their own, which is then a
+// column of words like any other and goes out through the guard.
+func packedColumn(w io.Writer, words []uint64, shift uint) error {
+	out := make([]uint64, len(words))
+	for i, x := range words {
+		out[i] = x >> shift
+	}
+	return guardedColumn(w, out)
+}
+
+// packedColumnRaw writes the words it has just assembled as they lie in
+// memory: assembled here or not, they are host-order.
+func packedColumnRaw(w io.Writer, words []uint64, shift uint) error {
+	out := make([]uint64, len(words))
+	for i, x := range words {
+		out[i] = x >> shift
+	}
+	_, err := w.Write(u64Bytes(out)) // want `raw column write u64Bytes without a byte-order guard`
+	return err
+}

@@ -17,10 +17,12 @@
 //   - raw column writes without a byte-order guard: a call to one of the
 //     package's raw byte views of a typed slice (a function built on
 //     unsafe.Slice((*byte)(unsafe.Pointer(..)), ..) — i64Bytes, f64Bytes,
-//     u64Bytes for the step-bit words) outside the then-branch of an `if`
-//     on the little-endian host probe.  Memory is the wire's bytes only
-//     on a little-endian host; every column — bit words included — goes
-//     through binary.LittleEndian otherwise.
+//     u64Bytes for the step-bit words and the bit-packed node IDs)
+//     outside the then-branch of an `if` on the little-endian host
+//     probe.  Memory is the wire's bytes only on a little-endian host;
+//     every column — the words of a bit vector or of a packed column
+//     included, whether the frame's own or a shifted copy made for the
+//     write — goes through binary.LittleEndian otherwise.
 //
 // Scope is per file, judged by filename keywords (codec, serialize,
 // protocol, wire, encode, decode) — except in a package whose import

@@ -24,12 +24,14 @@
 // # Storage model
 //
 // Entries are stored columnarly: a built set owns one Frame (offsets, a
-// node column and a step code of the distances — a bit per entry, a float
-// per distinct distance of a sketch — shared by all sketches), and the
-// sketch types here are lightweight views over column slices that derive
-// an entry's rank from the set's seed, and decode its distance from the
-// steps, when asked for it.  Standalone sketches (NewADS + Offer) own
-// private columns, distances and ranks included, that grow in place.
+// node column bit-packed at the width the set's node count needs and a
+// step code of the distances — a bit per entry, a float per distinct
+// distance of a sketch — shared by all sketches), and the sketch types
+// here are lightweight views over the columns that derive an entry's rank
+// from the set's seed, and decode its node from the packed bits and its
+// distance from the steps, when asked for it.  Standalone sketches
+// (NewADS + Offer) own private columns, plain nodes, distances and ranks
+// included, that grow in place.
 package core
 
 import (
@@ -222,10 +224,14 @@ func (a *ADS) HIPEntries() []WeightedEntry {
 // inclusion condition (each entry's rank strictly below the k-th smallest
 // rank among prior entries).  It returns the first violation found.
 func (a *ADS) Validate() error {
+	// Whole columns, not an entry at a time: slices a filled view already
+	// has, unpacked once otherwise.
+	nodes, dists, ranks := a.c.nodes(), a.c.dists(), a.c.ranks()
 	h := newMaxHeap(a.k)
-	for i, n := 0, a.c.len(); i < n; i++ {
-		e := a.c.at(i)
-		if i > 0 && !a.c.at(i-1).before(e) {
+	var prev Entry
+	for i, r := range ranks {
+		e := Entry{Node: nodes[i], Dist: dists[i], Rank: r}
+		if i > 0 && !prev.before(e) {
 			return fmt.Errorf("core: ADS(%d) entries %d,%d out of canonical order", a.node, i-1, i)
 		}
 		if h.size() >= a.k && e.Rank >= h.max() {
@@ -233,11 +239,10 @@ func (a *ADS) Validate() error {
 				a.node, i, e.Node, e.Rank, h.max())
 		}
 		h.offer(e.Rank)
+		prev = e
 	}
-	if a.c.len() > 0 {
-		if a.c.node[0] != a.node || a.c.distAt(0) != 0 {
-			return fmt.Errorf("core: ADS(%d) does not start with the owner at distance 0", a.node)
-		}
+	if len(nodes) > 0 && (nodes[0] != a.node || dists[0] != 0) {
+		return fmt.Errorf("core: ADS(%d) does not start with the owner at distance 0", a.node)
 	}
 	return nil
 }

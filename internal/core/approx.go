@@ -139,7 +139,7 @@ func BuildApproxSet(g *graph.Graph, k int, seed uint64, eps float64) (*ApproxSet
 	for v := range lists {
 		out[v] = lists[v]
 	}
-	return &ApproxSet{frame: freezeFrame(kindApprox, Options{K: k, Seed: seed}, 0, eps, 1, 0, out)}, nil
+	return &ApproxSet{frame: freezeWhole(kindApprox, Options{K: k, Seed: seed}, 0, eps, 1, out)}, nil
 }
 
 // CheckApproxSlack measures how far node u's approximate sketch is from

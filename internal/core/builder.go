@@ -122,14 +122,14 @@ func (s *Set) SketchOf(v int32) Sketch { return s.frame.viewSketch(int(v)) }
 func (s *Set) BottomK(v int32) *ADS { return s.frame.viewSketch(int(v)).(*ADS) }
 
 // Columns returns a bottom-k set's node v as column views — its entries'
-// nodes in canonical order, and their distances as the frame holds them,
-// step-coded, for the caller to walk by Runs — the allocation-free scan
-// for callers that know the ranks already.  Both alias the set's storage
-// and must not be modified.
-func (s *Set) Columns(v int32) (nodes []int32, dists StepDists) {
+// nodes in canonical order and their distances, both as the frame holds
+// them, bit-packed and step-coded, for the caller to walk by Runs and read
+// by At or AppendTo — the allocation-free scan for callers that know the
+// ranks already.  Both alias the set's storage.
+func (s *Set) Columns(v int32) (nodes Nodes, dists StepDists) {
 	f := s.frame
 	lo, hi := f.span(int(v))
-	return f.node[lo:hi:hi], StepDists{first: f.first, lo: lo, steps: f.step[f.rank1(lo):f.rank1(hi)]}
+	return f.node.view(lo, hi), StepDists{first: f.first, lo: lo, steps: f.step[f.rank1(lo):f.rank1(hi)]}
 }
 
 // Index returns local node v's columnar HIP query index, sharing the
@@ -173,12 +173,12 @@ func buildSet(n int, o Options, run runner, workers int) (*Set, error) {
 	switch o.Flavor {
 	case sketch.BottomK:
 		lists := run(runSpec{k: o.K, rank: o.rankFn(0)})
-		return &Set{frame: freezeFrame(kindUniform, o, 0, 0, 1, 0, lists)}, nil
+		return &Set{frame: freezeWhole(kindUniform, o, 0, 0, 1, lists)}, nil
 	case sketch.KMins:
 		perRun := parallelRuns(o.K, workers, func(h int) [][]Entry {
 			return run(runSpec{k: 1, rank: o.rankFn(h)})
 		})
-		return &Set{frame: freezeFrame(kindUniform, o, 0, 0, o.K, 0, segmentMajor(perRun, n))}, nil
+		return &Set{frame: freezeWhole(kindUniform, o, 0, 0, o.K, segmentMajor(perRun, n))}, nil
 	case sketch.KPartition:
 		src := o.Source()
 		perRun := parallelRuns(o.K, workers, func(b int) [][]Entry {
@@ -190,7 +190,7 @@ func buildSet(n int, o Options, run runner, workers int) (*Set, error) {
 				},
 			})
 		})
-		return &Set{frame: freezeFrame(kindUniform, o, 0, 0, o.K, 0, segmentMajor(perRun, n))}, nil
+		return &Set{frame: freezeWhole(kindUniform, o, 0, 0, o.K, segmentMajor(perRun, n))}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown flavor %v", o.Flavor)
 	}

@@ -54,7 +54,7 @@ func FreezePartitionBottomK(o Options, index, count, total int, lists [][]Entry)
 	if err != nil {
 		return nil, err
 	}
-	f := freezeFrame(kindUniform, o, 0, 0, 1, lo, lists)
+	f := freezeFrame(kindUniform, o, 0, 0, 1, lo, total, lists)
 	if err := f.validateFrozen("FreezePartitionBottomK", lists); err != nil {
 		return nil, err
 	}
@@ -79,8 +79,8 @@ func FreezePartitionWeighted(k int, seed uint64, scheme WeightScheme, index, cou
 	if len(betas) != len(lists) {
 		return nil, fmt.Errorf("core: FreezePartitionWeighted: %d beta lists for %d entry lists", len(betas), len(lists))
 	}
-	f := freezeFrame(kindWeighted, Options{K: k, Seed: seed}, scheme, 0, 1, lo, lists)
-	f.beta = make([]float64, len(f.node))
+	f := freezeFrame(kindWeighted, Options{K: k, Seed: seed}, scheme, 0, 1, lo, total, lists)
+	f.beta = make([]float64, f.totalEntries())
 	pos := 0
 	for i := range lists {
 		if len(betas[i]) != len(lists[i]) {
@@ -112,7 +112,7 @@ func FreezePartitionApprox(k int, seed uint64, eps float64, index, count, total 
 	if err != nil {
 		return nil, err
 	}
-	f := freezeFrame(kindApprox, Options{K: k, Seed: seed}, 0, eps, 1, lo, lists)
+	f := freezeFrame(kindApprox, Options{K: k, Seed: seed}, 0, eps, 1, lo, total, lists)
 	if err := f.validateFrozen("FreezePartitionApprox", lists); err != nil {
 		return nil, err
 	}

@@ -109,9 +109,9 @@ func frameOf(s AnySet) (*Frame, error) {
 }
 
 // MemoryOf reports what serving a set holds in memory (heap, or mapping
-// for an mmap'd file): frame is its columns — offsets, nodes, distance
-// step code, β — and index the HIP index arena its first query builds, 0
-// until then.  Both are 0 for a set that is not frame-backed.
+// for an mmap'd file): frame is its columns — offsets, packed nodes,
+// distance step code, β — and index the HIP index arena its first query
+// builds, 0 until then.  Both are 0 for a set that is not frame-backed.
 func MemoryOf(s AnySet) (frame, index int64) {
 	f, err := frameOf(s)
 	if err != nil {
@@ -218,7 +218,8 @@ func (d *setDecoder) header(fields ...any) error {
 // frameAccum accumulates decoded entries directly into growing frame
 // columns, so the v2 decode path builds the columnar frame without an
 // intermediate per-node entry slice.  closeSeg records a segment
-// boundary; frame seals the result.
+// boundary; frame seals the result, which is where the plain node and
+// distance columns the body is decoded into are packed and step-coded.
 //
 // The format stores a rank per entry.  A uniform body records the seed
 // that derives it, so the decoded rank is checked against by and dropped;
@@ -240,11 +241,25 @@ func newFrameAccum(segHint int, by *ranker) *frameAccum {
 
 func (a *frameAccum) closeSeg() { a.off = append(a.off, int64(len(a.node))) }
 
-func (a *frameAccum) frame(kind uint32, opts Options, scheme WeightScheme, eps float64, segs int, base int32) *Frame {
+// wholeSet is the total a version-2 body that is no partition's is decoded
+// under: its own node count.
+const wholeSet = -1
+
+// frame seals the accumulated columns as nodes base... of a total-node set
+// (wholeSet: of the nodes accumulated), packing the node IDs and
+// step-coding the distances as it does.
+func (a *frameAccum) frame(kind uint32, opts Options, scheme WeightScheme, eps float64, segs int, base int32, total int) (*Frame, error) {
 	f := &Frame{
 		kind: kind, opts: opts, scheme: scheme, eps: eps,
-		segs: segs, n: (len(a.off) - 1) / segs, base: base,
-		off: a.off, node: a.node, beta: a.beta,
+		segs: segs, n: (len(a.off) - 1) / segs, base: base, total: total,
+		off: a.off, beta: a.beta,
+	}
+	if total == wholeSet {
+		f.total = f.n
+	}
+	var err error
+	if f.node, err = packColumn(a.node, f.total); err != nil {
+		return nil, fmt.Errorf("core: corrupt sketch file: %w", err)
 	}
 	f.setSteps(stepCode(a.off, a.dist))
 	if a.by != nil {
@@ -252,7 +267,7 @@ func (a *frameAccum) frame(kind uint32, opts Options, scheme WeightScheme, eps f
 	} else {
 		f.rank = a.rank
 	}
-	return f
+	return f, nil
 }
 
 // entriesInto reads one length-prefixed entry list — permutation perm of
@@ -333,7 +348,7 @@ func readAny(r io.Reader) (AnySet, *Partition, error) {
 			p, err := readPartitionBody(d)
 			return nil, p, err
 		}
-		set, err := decodeSetBodyKind(d, kind, 0)
+		set, err := decodeSetBodyKind(d, kind, 0, wholeSet)
 		return set, nil, err
 	case EncodeVersion:
 		// A regular file says how much is coming; anything else is read as
@@ -377,23 +392,24 @@ func ReadSketchFile(r io.Reader) (AnySet, *Partition, error) {
 }
 
 // decodeSetBody reads a set body (kind, kind header, payloads) with
-// sketch owners offset by base — the inner payload of a partition file.
-func decodeSetBody(d *setDecoder, base int32) (AnySet, error) {
+// sketch owners offset by base in a set of total nodes — the inner payload
+// of a partition file.
+func decodeSetBody(d *setDecoder, base int32, total int) (AnySet, error) {
 	kind, err := d.u32()
 	if err != nil {
 		return nil, fmt.Errorf("core: reading sketch file kind: %w", err)
 	}
-	return decodeSetBodyKind(d, kind, base)
+	return decodeSetBodyKind(d, kind, base, total)
 }
 
-func decodeSetBodyKind(d *setDecoder, kind uint32, base int32) (AnySet, error) {
+func decodeSetBodyKind(d *setDecoder, kind uint32, base int32, total int) (AnySet, error) {
 	switch kind {
 	case kindUniform:
-		return readUniformBody(d, base)
+		return readUniformBody(d, base, total)
 	case kindWeighted:
-		return readWeightedBody(d, base)
+		return readWeightedBody(d, base, total)
 	case kindApprox:
-		return readApproxBody(d, base)
+		return readApproxBody(d, base, total)
 	case kindPartition:
 		return nil, fmt.Errorf("core: sketch partitions cannot nest")
 	default:
@@ -403,9 +419,9 @@ func decodeSetBodyKind(d *setDecoder, kind uint32, base int32) (AnySet, error) {
 
 // readUniformBody parses the uniform body (everything after the
 // version/kind prefix) into a frame-backed set.  Sketch owners are
-// base..base+numNodes-1 (base is 0 for whole-set files and the node-range
-// start for partitions).
-func readUniformBody(d *setDecoder, base int32) (*Set, error) {
+// base..base+numNodes-1 of a total-node set (0 and wholeSet for whole-set
+// files, the envelope's node-range start and total for partitions).
+func readUniformBody(d *setDecoder, base int32, total int) (*Set, error) {
 	var k, flavor, numNodes uint32
 	var seed, baseBits uint64
 	if err := d.header(&k, &flavor, &seed, &baseBits, &numNodes); err != nil {
@@ -447,7 +463,10 @@ func readUniformBody(d *setDecoder, base int32) (*Set, error) {
 			}
 		}
 	}
-	f := acc.frame(kindUniform, o, 0, 0, segs, base)
+	f, err := acc.frame(kindUniform, o, 0, 0, segs, base, total)
+	if err != nil {
+		return nil, err
+	}
 	if err := validateDecoded(f, &acc.memo); err != nil {
 		return nil, err
 	}
@@ -465,7 +484,7 @@ func validateDecoded(f *Frame, s *rankScratch) error {
 	return nil
 }
 
-func readWeightedBody(d *setDecoder, base int32) (*WeightedSet, error) {
+func readWeightedBody(d *setDecoder, base int32, total int) (*WeightedSet, error) {
 	var k, scheme, numNodes uint32
 	if err := d.header(&k, &scheme, &numNodes); err != nil {
 		return nil, fmt.Errorf("core: reading sketch file header: %w", err)
@@ -485,14 +504,17 @@ func readWeightedBody(d *setDecoder, base int32) (*WeightedSet, error) {
 			return nil, err
 		}
 	}
-	f := acc.frame(kindWeighted, Options{K: int(k)}, WeightScheme(scheme), 0, 1, base)
+	f, err := acc.frame(kindWeighted, Options{K: int(k)}, WeightScheme(scheme), 0, 1, base, total)
+	if err != nil {
+		return nil, err
+	}
 	if err := validateDecoded(f, &acc.memo); err != nil {
 		return nil, err
 	}
 	return &WeightedSet{frame: f}, nil
 }
 
-func readApproxBody(d *setDecoder, base int32) (*ApproxSet, error) {
+func readApproxBody(d *setDecoder, base int32, total int) (*ApproxSet, error) {
 	var k, numNodes uint32
 	var epsBits uint64
 	if err := d.header(&k, &epsBits, &numNodes); err != nil {
@@ -514,7 +536,10 @@ func readApproxBody(d *setDecoder, base int32) (*ApproxSet, error) {
 			return nil, err
 		}
 	}
-	f := acc.frame(kindApprox, Options{K: int(k)}, 0, eps, 1, base)
+	f, err := acc.frame(kindApprox, Options{K: int(k)}, 0, eps, 1, base, total)
+	if err != nil {
+		return nil, err
+	}
 	if err := validateDecoded(f, &acc.memo); err != nil {
 		return nil, err
 	}
@@ -555,7 +580,7 @@ func validateApproxView(a *ADS) error {
 			return fmt.Errorf("core: approx ADS(%d) entry %d has invalid rank %g", owner, i, e.Rank)
 		}
 	}
-	if n > 0 && (a.c.node[0] != owner || a.c.distAt(0) != 0) {
+	if n > 0 && (a.c.nodeAt(0) != owner || a.c.distAt(0) != 0) {
 		return fmt.Errorf("core: approx ADS(%d) does not start with the owner at distance 0", owner)
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,18 +25,21 @@ import (
 // columns verbatim, so opening a prebuilt file is O(columns) work (and
 // zero copies when mmapped).
 //
-// A frame holds, per entry, a node (4 bytes), one bit of distance step
-// code (stepcode.go) and — for weighted sets — β; per distinct distance
-// of a segment, one float; and no ranks.  Distances are a staircase in
-// canonical order, so they are stored as its steps: entry i's distance is
-// step[number of set bits of first up to and including i, less one].  A
-// rank is a pure function of the seed and the node (and of β, which
-// travels with the entry), so it is derived when asked for.  The one
-// exception is a frame opened from a file written before ranks were
-// derived, which may not even record its seed: its stored rank column is
-// viewed in place and used instead.  rank != nil is the only predicate.
-// There is no such exception for distances: a file that stores one per
-// entry is step-coded when it is opened.
+// A frame holds, per entry, a node ID in the ⌈log₂ total⌉ bits an ID of
+// its set needs (nodepack.go: 14 bits at ten thousand nodes, bit-packed
+// back to back), one bit of distance step code (stepcode.go) and — for
+// weighted sets — β; per distinct distance of a segment, one float; and
+// no ranks.  Distances are a staircase in canonical order, so they are
+// stored as its steps: entry i's distance is step[number of set bits of
+// first up to and including i, less one].  A rank is a pure function of
+// the seed and the node (and of β, which travels with the entry), so it
+// is derived when asked for.  The one exception is a frame opened from a
+// file written before ranks were derived, which may not even record its
+// seed: its stored rank column is viewed in place and used instead.
+// rank != nil is the only predicate.  There is no such exception for
+// distances or nodes: a file that stores a distance per entry is
+// step-coded, and one that stores 32 bits an ID is packed, when it is
+// opened.
 
 // ranker derives the rank of an entry from what its frame records: the
 // seed, the flavor and base of a uniform set, the scheme of a weighted
@@ -92,11 +96,13 @@ func (r *ranker) rank(perm int, node int32, beta float64) float64 {
 // (standalone sketches built incrementally via Offer).  Its ranks are
 // stored when rank is non-nil — standalone sketches, and the frames of
 // files written before ranks were derived — and derived through by
-// otherwise.  Its distances are per entry when dist is non-nil — a
-// standalone sketch's own column, or the scratch Frame.ranked fills for
-// whole-node loops — and read off the frame's step code sd otherwise.
+// otherwise.  Its nodes and distances are per entry when node and dist
+// are non-nil — a standalone sketch's own columns, or the scratch
+// Frame.ranked fills for whole-node loops — and read off the frame's
+// packed node column pn and step code sd otherwise.
 type cols struct {
 	node []int32
+	pn   Nodes
 	dist []float64
 	sd   StepDists
 	rank []float64
@@ -105,7 +111,29 @@ type cols struct {
 	perm int // which permutation the list samples: its segment, for k-mins
 }
 
-func (c *cols) len() int { return len(c.node) }
+func (c *cols) len() int {
+	if c.node != nil {
+		return len(c.node)
+	}
+	return c.pn.n
+}
+
+// nodeAt returns the node of entry i.
+func (c *cols) nodeAt(i int) int32 {
+	if c.node != nil {
+		return c.node[i]
+	}
+	return c.pn.At(i)
+}
+
+// nodes returns the node of every entry: the per-entry column, or a fresh
+// slice unpacked from the frame's.
+func (c *cols) nodes() []int32 {
+	if c.node != nil || c.pn.n == 0 {
+		return c.node
+	}
+	return c.pn.AppendTo(make([]int32, 0, c.pn.n), 0, c.pn.n)
+}
 
 // distAt returns the distance of entry i.
 func (c *cols) distAt(i int) float64 {
@@ -118,20 +146,20 @@ func (c *cols) distAt(i int) float64 {
 // dists returns the distance of every entry: the per-entry column, or a
 // fresh slice expanded from the steps.
 func (c *cols) dists() []float64 {
-	if c.dist != nil || len(c.node) == 0 {
+	if c.dist != nil || c.len() == 0 {
 		return c.dist
 	}
-	out := make([]float64, len(c.node))
+	out := make([]float64, c.len())
 	c.sd.expand(out)
 	return out
 }
 
-// withDists returns copies of the lists with per-entry distances in
-// place, for a cursor merge that reads them at random.
-func withDists(lists []cols) []cols {
+// unpacked returns copies of the lists with per-entry nodes and distances
+// in place, for a cursor merge that reads them at random.
+func unpacked(lists []cols) []cols {
 	out := make([]cols, len(lists))
 	for i, c := range lists {
-		c.dist = c.dists()
+		c.node, c.dist = c.nodes(), c.dists()
 		out[i] = c
 	}
 	return out
@@ -151,7 +179,7 @@ func (c *cols) rankAt(i int) float64 {
 	if c.beta != nil {
 		b = c.beta[i]
 	}
-	return c.by.rank(c.perm, c.node[i], b)
+	return c.by.rank(c.perm, c.nodeAt(i), b)
 }
 
 // ranks returns the rank of every entry: the stored column, or a fresh
@@ -160,7 +188,7 @@ func (c *cols) ranks() []float64 {
 	if c.rank != nil {
 		return c.rank
 	}
-	out := make([]float64, len(c.node))
+	out := make([]float64, c.len())
 	for i := range out {
 		out[i] = c.rankAt(i)
 	}
@@ -169,7 +197,7 @@ func (c *cols) ranks() []float64 {
 
 // at returns entry i as a value.
 func (c *cols) at(i int) Entry {
-	return Entry{Node: c.node[i], Dist: c.distAt(i), Rank: c.rankAt(i)}
+	return Entry{Node: c.nodeAt(i), Dist: c.distAt(i), Rank: c.rankAt(i)}
 }
 
 // before reports whether entry i of c precedes entry j of d in the
@@ -178,20 +206,21 @@ func (c *cols) before(i int, d *cols, j int) bool {
 	if a, b := c.distAt(i), d.distAt(j); a != b {
 		return a < b
 	}
-	return c.node[i] < d.node[j]
+	return c.nodeAt(i) < d.nodeAt(j)
 }
 
 // push appends an entry.  Views into a frame arena are sliced with full
 // capacity bounds, so pushing onto one reallocates instead of corrupting
-// the shared columns; a view that was deriving its ranks or reading a
-// step code stores ranks and distances first, as the pushed ones have to
-// be.
+// the shared columns; a view that was deriving its ranks or reading the
+// frame's packed nodes and step code stores ranks, nodes and distances
+// first, as the pushed ones have to be.
 func (c *cols) push(e Entry) {
-	if len(c.node) > 0 {
+	if c.len() > 0 {
 		c.rank = c.ranks()
 		c.dist = c.dists()
+		c.node = c.nodes()
 	}
-	c.sd = StepDists{}
+	c.sd, c.pn = StepDists{}, Nodes{}
 	c.node = append(c.node, e.Node)
 	c.dist = append(c.dist, e.Dist)
 	c.rank = append(c.rank, e.Rank)
@@ -199,20 +228,20 @@ func (c *cols) push(e Entry) {
 
 // entries materializes the columns as an entry slice.
 func (c *cols) entries() []Entry {
-	out := make([]Entry, len(c.node))
+	out := make([]Entry, c.len())
 	dist := c.dists()
 	for i := range out {
-		out[i] = Entry{Node: c.node[i], Dist: dist[i], Rank: c.rankAt(i)}
+		out[i] = Entry{Node: c.nodeAt(i), Dist: dist[i], Rank: c.rankAt(i)}
 	}
 	return out
 }
 
 // weighted pairs the entries with the adjusted weights w.
 func (c *cols) weighted(w []float64) []WeightedEntry {
-	out := make([]WeightedEntry, len(c.node))
+	out := make([]WeightedEntry, c.len())
 	dist := c.dists()
 	for i := range out {
-		out[i] = WeightedEntry{Node: c.node[i], Dist: dist[i], Weight: w[i]}
+		out[i] = WeightedEntry{Node: c.nodeAt(i), Dist: dist[i], Weight: w[i]}
 	}
 	return out
 }
@@ -235,10 +264,13 @@ func colsFromEntries(entries []Entry) cols {
 // per node (1 for bottom-k/weighted/approximate, k for the per-permutation
 // and per-bucket lists of k-mins and k-partition), described by an offsets
 // array over shared entry columns.  Offsets are absolute positions into
-// the columns (and into the bit vector first), so slicing a frame to a
-// node range (partitioning) is a re-slice of offsets — no entry moves —
-// and the steps of the entries from position p on start at step[rank1(p)].
-// base is the global ID of local node 0 (non-zero for partition frames).
+// the columns (entry p's ID is bits [p·w, (p+1)·w) of node, its step bit
+// is bit p of first), so slicing a frame to a node range (partitioning) is
+// a re-slice of offsets — no entry moves — and the steps of the entries
+// from position p on start at step[rank1(p)].  base is the global ID of
+// local node 0 (non-zero for partition frames) and total the node count
+// of the whole set the frame is (a range of): what its entries' IDs are
+// below, and so what fixes their width.
 type Frame struct {
 	kind   uint32 // kindUniform, kindWeighted, kindApprox
 	opts   Options
@@ -247,44 +279,53 @@ type Frame struct {
 	segs   int
 	n      int
 	base   int32
-	off    []int64 // len n*segs+1, absolute entry positions
-	node   []int32
-	first  []uint64  // one bit per entry: set where a distance step starts
-	samp   []int64   // sampled popcounts of first, for rank1
-	step   []float64 // one distance per set bit of first
-	beta   []float64 // weighted sets: β per entry, parallel to node
-	by     ranker    // derives the ranks
-	rank   []float64 // non-nil only for a file written before ranks were derived: its stored ranks, used instead of by
+	total  int
+	off    []int64    // len n*segs+1, absolute entry positions
+	node   nodeColumn // nodeWidth(total) bits per entry, packed
+	first  []uint64   // one bit per entry: set where a distance step starts
+	samp   []int64    // sampled popcounts of first, for rank1
+	step   []float64  // one distance per set bit of first
+	beta   []float64  // weighted sets: β per entry, parallel to node
+	by     ranker     // derives the ranks
+	rank   []float64  // non-nil only for a file written before ranks were derived: its stored ranks, used instead of by
 
 	hipOnce sync.Once
 	hip     atomic.Pointer[hipArena] // set once, by hipOnce
 }
 
+// freezeWhole is freezeFrame for a whole set: local node 0 is node 0, and
+// the lists are all there are.
+func freezeWhole(kind uint32, opts Options, scheme WeightScheme, eps float64, segs int, lists [][]Entry) *Frame {
+	return freezeFrame(kind, opts, scheme, eps, segs, 0, len(lists)/segs, lists)
+}
+
 // freezeFrame assembles per-segment entry lists (node-major: segment s of
-// node v is lists[v*segs+s]) into one frame.  The entries' Rank fields are
-// not kept: callers that did not draw them from opts themselves check
-// them against the frame's (validate).
-func freezeFrame(kind uint32, opts Options, scheme WeightScheme, eps float64, segs int, base int32, lists [][]Entry) *Frame {
-	total := 0
+// node v is lists[v*segs+s]) of nodes base... of a total-node set into one
+// frame.  The entries' Rank fields are not kept, and a Node outside the
+// set loses its high bits: callers that did not draw them from opts and
+// the set themselves check them against the frame's (validate).
+func freezeFrame(kind uint32, opts Options, scheme WeightScheme, eps float64, segs int, base int32, total int, lists [][]Entry) *Frame {
+	entries := 0
 	for _, l := range lists {
-		total += len(l)
+		entries += len(l)
 	}
 	f := &Frame{
 		kind: kind, opts: opts, scheme: scheme, eps: eps,
-		segs: segs, n: len(lists) / segs, base: base,
+		segs: segs, n: len(lists) / segs, base: base, total: total,
 		off:  make([]int64, len(lists)+1),
-		node: make([]int32, total),
+		node: makeNodeColumn(int64(entries), nodeWidth(total)),
 		by:   newRanker(kind, opts, scheme),
 	}
-	// One pass over the entries marks and counts the distance steps; the
-	// step column, sized exactly, is then filled from the marked entries
-	// alone — a handful per sketch when distances are hop counts.
-	first, steps := make([]uint64, bitWords(int64(total))), 0
+	// One pass over the entries packs the nodes and marks and counts the
+	// distance steps; the step column, sized exactly, is then filled from
+	// the marked entries alone — a handful per sketch when distances are
+	// hop counts.
+	first, steps := make([]uint64, bitWords(int64(entries))), 0
 	pos := int64(0)
 	for i, l := range lists {
 		f.off[i] = pos
 		for j, e := range l {
-			f.node[pos] = e.Node
+			f.node.put(pos, e.Node)
 			if j == 0 || e.Dist != l[j-1].Dist {
 				setBit(first, pos)
 				steps++
@@ -326,6 +367,9 @@ func (f *Frame) totalEntries() int {
 // owner returns the global ID of local node v.
 func (f *Frame) owner(local int) int32 { return f.base + int32(local) }
 
+// width returns the bits per ID of the node column: nodeWidth(f.total).
+func (f *Frame) width() uint { return f.node.w }
+
 // segAt returns segment s of local node v as a column view.  The slices
 // carry full capacity bounds so an (erroneous) append cannot overwrite a
 // neighboring sketch.
@@ -340,7 +384,7 @@ func (f *Frame) segAt(local, s int) cols {
 func (f *Frame) segOver(lo, hi, slo int64, s int) cols {
 	shi := slo + int64(countBits(f.first, lo, hi))
 	c := cols{
-		node: f.node[lo:hi:hi],
+		pn:   f.node.view(lo, hi),
 		sd:   StepDists{first: f.first, lo: lo, steps: f.step[slo:shi:shi]},
 		by:   &f.by,
 		perm: s,
@@ -397,7 +441,7 @@ func (f *Frame) segViews(local int) []cols {
 func (f *Frame) slice(lo, hi int) *Frame {
 	return &Frame{
 		kind: f.kind, opts: f.opts, scheme: f.scheme, eps: f.eps,
-		segs: f.segs, n: hi - lo, base: f.base + int32(lo),
+		segs: f.segs, n: hi - lo, base: f.base + int32(lo), total: f.total,
 		off:  f.off[lo*f.segs : hi*f.segs+1 : hi*f.segs+1],
 		node: f.node, first: f.first, samp: f.samp, step: f.step,
 		beta: f.beta, by: f.by, rank: f.rank,
@@ -406,7 +450,8 @@ func (f *Frame) slice(lo, hi int) *Frame {
 
 // mergeFrames concatenates frames (already validated to be a consistent,
 // ordered split, all deriving their ranks or all storing them) into one
-// whole frame with compact columns.
+// whole frame with compact columns.  The partitions of a split share the
+// whole set's ID width, so their node ranges are copied as bit ranges.
 func mergeFrames(frames []*Frame) *Frame {
 	first := frames[0]
 	total, steps, nodes := int64(0), int64(0), 0
@@ -418,9 +463,9 @@ func mergeFrames(frames []*Frame) *Frame {
 	}
 	out := &Frame{
 		kind: first.kind, opts: first.opts, scheme: first.scheme, eps: first.eps,
-		segs: first.segs, n: nodes, base: 0,
+		segs: first.segs, n: nodes, base: 0, total: nodes,
 		off:  make([]int64, nodes*first.segs+1),
-		node: make([]int32, total),
+		node: makeNodeColumn(total, nodeWidth(nodes)),
 		by:   first.by,
 	}
 	marks, step := make([]uint64, bitWords(total)), make([]float64, 0, steps)
@@ -433,7 +478,7 @@ func mergeFrames(frames []*Frame) *Frame {
 	pos, seg := int64(0), 0
 	for _, f := range frames {
 		flo, fhi := f.off[0], f.off[len(f.off)-1]
-		copy(out.node[pos:], f.node[flo:fhi])
+		out.node.copyFrom(pos, &f.node, flo, fhi-flo)
 		copyBits(marks, pos, f.first, flo, fhi-flo)
 		slo, shi := f.stepRange()
 		step = append(step, f.step[slo:shi]...)
@@ -462,7 +507,7 @@ func mergeFrames(frames []*Frame) *Frame {
 const rankMemoSlots = 1 << 14
 
 // rankScratch serves the loops that read every rank of a frame (the HIP
-// arena build, freeze-time validation, the version-1/2 codec): one node's
+// arena build, freeze-time validation, the version-2 decoder): one node's
 // ranks at a time, in one reused buffer, through a direct-mapped
 // (perm, node, β) → rank memo, so they pay a hash per distinct node rather
 // than per entry and allocate nothing per node.  The zero value is ready
@@ -471,6 +516,7 @@ type rankScratch struct {
 	memo *[rankMemoSlots]rankMemoSlot
 	buf  []float64
 	dbuf []float64 // the per-entry distances ranked expands
+	nbuf []int32   // the per-entry nodes ranked unpacks
 	segs []cols
 }
 
@@ -514,9 +560,10 @@ func (s *rankScratch) derive(dst []float64, by *ranker, perm int, nodes []int32,
 }
 
 // ranked returns the segment views of local node v with their ranks and
-// per-entry distances filled in — ranks view the stored column where
-// there is one and s.buf otherwise, distances are expanded from the steps
-// into s.dbuf — valid until the next call.
+// per-entry nodes and distances filled in — ranks view the stored column
+// where there is one and s.buf otherwise, nodes are unpacked into s.nbuf
+// and distances expanded from the steps into s.dbuf — valid until the next
+// call.  The views' pn and sd still alias the frame.
 func (f *Frame) ranked(s *rankScratch, local int) []cols {
 	segs := s.segs[:0]
 	for i := 0; i < f.segs; i++ {
@@ -526,20 +573,25 @@ func (f *Frame) ranked(s *rankScratch, local int) []cols {
 }
 
 // filled is ranked over views the caller has made: it keeps segs as the
-// scratch's view list and fills in their ranks and distances.
+// scratch's view list and fills in their ranks, nodes and distances.
 func (f *Frame) filled(s *rankScratch, segs []cols) []cols {
 	s.segs = segs
 	n := 0
 	for i := range segs {
-		n += segs[i].len()
+		n += segs[i].pn.n
 	}
 	dbuf := growFloats(&s.dbuf, n)
+	s.nbuf = slices.Grow(s.nbuf[:0], n)
+	nbuf := s.nbuf
 	var buf []float64
 	if f.rank == nil {
 		buf = s.grow(n)
 	}
 	for i := range segs {
 		c := &segs[i]
+		from := len(nbuf)
+		nbuf = c.pn.AppendTo(nbuf, 0, c.pn.n)
+		c.node = nbuf[from:len(nbuf):len(nbuf)]
 		c.dist, dbuf = dbuf[:c.len():c.len()], dbuf[c.len():]
 		c.sd.expand(c.dist)
 		if f.rank == nil {
@@ -562,8 +614,20 @@ func (f *Frame) validate(s *rankScratch, local int, given []Entry) error {
 func (f *Frame) validateSegs(segs []cols, local int, given []Entry) error {
 	k, owner := f.opts.K, f.owner(local)
 	for i, e := range given {
+		if u := segs[0].node[i]; e.Node != u {
+			return fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", owner, i, e.Node, f.total)
+		}
 		if r := segs[0].rank[i]; e.Rank != r {
 			return fmt.Errorf("core: ADS(%d) entry %d (node %d) has rank %g, the set's seed derives %g", owner, i, e.Node, e.Rank, r)
+		}
+	}
+	// An ID is stored in the bits the largest of the set needs, which can
+	// spell a larger one still.
+	for _, c := range segs {
+		for i, u := range c.node {
+			if int(u) >= f.total {
+				return fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", owner, i, u, f.total)
+			}
 		}
 	}
 	var err error
@@ -606,8 +670,9 @@ type hipArena struct {
 	// HIP entries in canonical order.  For single-segment frames they are
 	// the frame's own — node column, step bits and steps are aliased, not
 	// copied; for k-mins / k-partition hnode and merged hold the per-node
-	// cursor merge of the segments, step-coded like a frame.
-	hnode  []int32
+	// cursor merge of the segments, packed at the frame's width and
+	// step-coded like a frame.
+	hnode  nodeColumn
 	merged stepWriter
 	hw     []float64
 	// per-unique-distance prefix-sum columns, parallel to the steps
@@ -619,8 +684,8 @@ type hipArena struct {
 // bytes returns the heap the arena holds beyond the frame it indexes.
 func (a *hipArena) bytes() int64 {
 	return int64(cap(a.views))*int64(unsafe.Sizeof(HIPIndex{})) +
-		4*int64(cap(a.hnode)) + 8*int64(cap(a.merged.first)+cap(a.merged.step)+
-		cap(a.hw)+cap(a.cum)+cap(a.cumD)+cap(a.cumH))
+		8*int64(cap(a.hnode.words)+cap(a.merged.first)+cap(a.merged.step)+
+			cap(a.hw)+cap(a.cum)+cap(a.cumD)+cap(a.cumH))
 }
 
 // Index returns the columnar HIP query index of local node v, building
@@ -649,7 +714,7 @@ func (f *Frame) buildHIP() {
 	}
 	single := f.segs == 1
 	if !single {
-		a.hnode = make([]int32, 0, e)
+		a.hnode = makeNodeColumn(int64(e), f.width())
 		a.merged = newStepWriter(e, steps)
 	}
 	h := newMaxHeap(f.opts.K)
@@ -665,13 +730,14 @@ func (f *Frame) buildHIP() {
 			default:
 				a.hw = hipWeightsBottomK(segs[0].rank, f.opts.K, h, a.hw)
 			}
-			x.enode, x.sd = segs[0].node, segs[0].sd
+			x.enode, x.sd = segs[0].pn, segs[0].sd // the frame's words, not the scratch
 		} else {
 			a.merged.segment()
-			emit := func(node int32, dist, w float64) {
-				a.merged.add(int64(len(a.hnode)), dist)
-				a.hnode = append(a.hnode, node)
-				a.hw = append(a.hw, w)
+			emit := func(node int32, dist, weight float64) {
+				pos := int64(len(a.hw))
+				a.merged.add(pos, dist)
+				a.hnode.put(pos, node)
+				a.hw = append(a.hw, weight)
 			}
 			if f.opts.Flavor == sketch.KMins {
 				hipMergeKMins(segs, emit)
@@ -679,7 +745,7 @@ func (f *Frame) buildHIP() {
 				hipMergeKPartition(segs, emit)
 			}
 			m := &a.merged
-			x.enode = a.hnode[hlo:len(a.hnode):len(a.hnode)]
+			x.enode = a.hnode.view(int64(hlo), int64(len(a.hw)))
 			x.sd = StepDists{first: m.first, lo: int64(hlo), steps: m.step[ulo:len(m.step):len(m.step)]}
 		}
 		x.ew = a.hw[hlo:len(a.hw):len(a.hw)]
@@ -701,12 +767,12 @@ func (f *Frame) indexBytes() int64 {
 }
 
 // bytes returns the heap (or mapping) the frame's own node range
-// occupies: offsets, nodes, step bits, steps, and β or stored ranks where
-// held.
+// occupies: offsets, packed nodes, step bits, steps, and β or stored ranks
+// where held.
 func (f *Frame) bytes() int64 {
 	e := int64(f.totalEntries())
 	slo, shi := f.stepRange()
-	b := 8*int64(len(f.off)) + 4*e + 8*bitWords(e) + 8*(shi-slo)
+	b := 8*int64(len(f.off)) + 8*packedWords(e, f.width()) + 8*bitWords(e) + 8*(shi-slo)
 	if f.beta != nil {
 		b += 8 * e
 	}

@@ -16,19 +16,37 @@ import (
 
 // Version-3 sketch files: the on-disk layout is the in-memory frame
 // layout.  After a fixed little-endian header come the raw columns —
-// offsets, nodes, the distance step code (and betas for weighted sets) —
-// each padded to 8-byte alignment:
+// offsets, packed nodes, the distance step code (and betas for weighted
+// sets) — every one a whole number of 8-byte words:
 //
 //	magic "ADSK" | version u32 = 3 | kind u32 | flags u32 |
 //	[kind 3 only: index u32 | count u32 | lo u32 | hi u32 |
 //	              total u32 | innerKind u32] |
 //	k u32 | flavor u32 | seed u64 | baseB f64 | scheme u32 | segs u32 |
 //	eps f64 | numNodes u64 | numEntries u64 | numSteps u64 |
-//	offsets (numNodes*segs+1)×i64 | nodes numEntries×i32 | pad |
+//	offsets (numNodes*segs+1)×i64 |
+//	nodes ceil(numEntries·w/64)×u64, when flags bit 3 is set —
+//	    else nodes numEntries×i32 | pad |
 //	first ceil(numEntries/64)×u64 | steps numSteps×f64,
 //	    when flags bit 2 is set — else dists numEntries×f64 |
 //	[ranks numEntries×f64, unless flags bit 1 is set] |
 //	[betas numEntries×f64, when flags bit 0 is set]
+//
+// so a file is header + 8·(numNodes·segs+1) + 8·ceil(numEntries·w/64) +
+// 8·ceil(numEntries/64) + 8·numSteps bytes, plus 8·numEntries of betas
+// when weighted.
+//
+// Flags bit 3 says the node IDs are bit-packed (nodepack.go): entry i's ID
+// is bits [i·w, (i+1)·w) of the nodes column — bit b of the column being
+// bit b%64 of word b/64, counted from the least significant — where
+// w = max(1, bitlen(total−1)) and total is the node count of the whole
+// set: numNodes, or the envelope's total in a partition file.  The width
+// is derived, never stored, so equal entries are equal bytes; the bits
+// past numEntries·w are zero.  Every writer sets the bit.  A file without
+// it stores 32 bits an ID and is packed, in one pass, when it is opened;
+// writing it back writes it packed.  A reader from before the bit refuses
+// a file that has it ("unknown flags"), as it must: it would take the
+// packed column for a 32-bit one.
 //
 // Flags bit 2 says the distances are step-coded (stepcode.go): bit i of
 // first — bit i%64 of word i/64, counted from the least significant — is
@@ -50,8 +68,12 @@ import (
 // back.
 //
 // Encoding is therefore near-memcpy, and decoding a trusted file is
-// O(columns): validate the header, the offsets monotonicity and the step
-// bits against the step count, then view the columns in place.
+// O(columns): validate the header, the body size it implies, the offsets'
+// monotonicity, the step bits against the step count, and that no node or
+// step bit is set past the last entry, then view the columns in place.
+// What the openers do not check is inside the columns — an ID at or above
+// total, entries out of order, a non-canonical step — which is the stream
+// readers' (ReadSketchSet, ReadPartition, ReadSketchFile) to refuse.
 // OpenSketchFile reads the file once and performs O(1) allocations per
 // set; MmapSketchFile maps it (on linux) so even the read is deferred to
 // page faults — a worker serving a prebuilt shard file starts in
@@ -71,6 +93,7 @@ const (
 	frameFlagBeta         = 1 << 0
 	frameFlagDerivedRanks = 1 << 1 // no rank column: ranks derive from the header's seed
 	frameFlagStepDists    = 1 << 2 // distances are step-coded: first bits + numSteps steps
+	frameFlagPackedNodes  = 1 << 3 // node IDs are packed at the width the set's node count fixes
 )
 
 // nativeLittleEndian reports whether the host stores integers the way the
@@ -127,13 +150,35 @@ func (h *frameHdr) storesRanks() bool { return h.flags&frameFlagDerivedRanks == 
 // rather than one per entry.
 func (h *frameHdr) stepCoded() bool { return h.flags&frameFlagStepDists != 0 }
 
+// packedNodes reports whether the file holds its node IDs bit-packed
+// rather than as 32-bit integers.
+func (h *frameHdr) packedNodes() bool { return h.flags&frameFlagPackedNodes != 0 }
+
+// totalNodes returns the node count of the whole set the file is (a
+// partition of): what its entries' IDs are below.
+func (h *frameHdr) totalNodes() int {
+	if h.partitioned() {
+		return int(h.total)
+	}
+	return int(h.n)
+}
+
+// nodesSize returns the byte length of the nodes column.
+func (h *frameHdr) nodesSize() int64 {
+	e := int64(h.numEntries)
+	if h.packedNodes() {
+		return packedWords(e, nodeWidth(h.totalNodes())) * 8
+	}
+	return pad8(e * 4)
+}
+
 // numSegs returns the offsets-array segment count.
 func (h *frameHdr) numSegs() int64 { return int64(h.n) * int64(h.segs) }
 
 // bodySize returns the total byte length of the columns.
 func (h *frameHdr) bodySize() int64 {
 	e := int64(h.numEntries)
-	s := (h.numSegs()+1)*8 + pad8(e*4)
+	s := (h.numSegs()+1)*8 + h.nodesSize()
 	if h.stepCoded() {
 		s += (bitWords(e) + int64(h.numSteps)) * 8
 	} else {
@@ -153,7 +198,7 @@ func pad8(n int64) int64 { return (n + 7) &^ 7 }
 // validate checks every header field against the format's invariants,
 // so a corrupted file errors out before any column is touched.
 func (h *frameHdr) validate() error {
-	if h.flags&^uint32(frameFlagBeta|frameFlagDerivedRanks|frameFlagStepDists) != 0 {
+	if h.flags&^uint32(frameFlagBeta|frameFlagDerivedRanks|frameFlagStepDists|frameFlagPackedNodes) != 0 {
 		return fmt.Errorf("core: sketch file has unknown flags %#x", h.flags)
 	}
 	switch h.setKind() {
@@ -240,7 +285,7 @@ func headerOf(f *Frame, part *Partition) frameHdr {
 	}
 	slo, shi := f.stepRange()
 	h.numSteps = uint64(shi - slo)
-	h.flags |= frameFlagStepDists
+	h.flags |= frameFlagStepDists | frameFlagPackedNodes
 	if f.kind == kindWeighted {
 		h.flags |= frameFlagBeta
 	}
@@ -345,42 +390,17 @@ func writeFrameV3(w io.Writer, f *Frame, part *Partition) (int64, error) {
 		}
 		return writeRaw(bw, buf)
 	}
-	writeI32s := func(vals []int32) error {
-		if nativeLittleEndian {
-			if err := writeRaw(bw, i32Bytes(vals)); err != nil {
-				return err
-			}
-		} else {
-			buf := growBuf(&scratch, len(vals)*4)
-			for i, v := range vals {
-				binary.LittleEndian.PutUint32(buf[i*4:], uint32(v))
-			}
-			if err := writeRaw(bw, buf); err != nil {
-				return err
-			}
-		}
-		// pad to 8-byte alignment
-		if pad := pad8(int64(len(vals))*4) - int64(len(vals))*4; pad > 0 {
-			var zero [8]byte
-			return writeRaw(bw, zero[:pad])
-		}
-		return nil
-	}
 	if err := writeI64s(f.off, base); err != nil {
 		return cw.n, err
 	}
-	if err := writeI32s(f.node[base : base+int64(e)]); err != nil {
+	// The entries' node bits and step bits start at bit 0 of the file's
+	// columns: a frame that owns its columns from there writes the words as
+	// they are, a partition's slice of shared ones is shifted out first.
+	width := int64(f.width())
+	if err := writeU64s(bitsFrom(f.node.words, base*width, int64(e)*width)); err != nil {
 		return cw.n, err
 	}
-	// The entries' step bits start at bit 0 of the file's vector: a frame
-	// that owns its vector from there writes the words as they are, a
-	// partition's slice of a shared one is shifted out first.
-	first := f.first
-	if base != 0 || int64(len(first)) != bitWords(int64(e)) || countBits(first, int64(e), int64(len(first))*64) != 0 {
-		first = make([]uint64, bitWords(int64(e)))
-		copyBits(first, 0, f.first, base, int64(e))
-	}
-	if err := writeU64s(first); err != nil {
+	if err := writeU64s(bitsFrom(f.first, base, int64(e))); err != nil {
 		return cw.n, err
 	}
 	slo, _ := f.stepRange()
@@ -401,6 +421,17 @@ func writeFrameV3(w io.Writer, f *Frame, part *Partition) (int64, error) {
 		return cw.n, err
 	}
 	return cw.n, nil
+}
+
+// bitsFrom returns bits [from, from+n) of v as a vector of its own: v
+// itself when it holds exactly those, a shifted copy otherwise.
+func bitsFrom(v []uint64, from, n int64) []uint64 {
+	if from == 0 && int64(len(v)) == bitWords(n) && tailClear(v, n) {
+		return v
+	}
+	out := make([]uint64, bitWords(n))
+	copyBits(out, 0, v, from, n)
+	return out
 }
 
 func writeRaw(bw *bufio.Writer, b []byte) error {
@@ -452,13 +483,6 @@ func f64Bytes(v []float64) []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
-}
-
-func i32Bytes(v []int32) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4)
 }
 
 // Typed views of raw bytes — the zero-copy direction.  Callers must have
@@ -546,11 +570,13 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 // frameFromHdr assembles the in-memory frame for a validated header.
 func frameFromHdr(h frameHdr) *Frame {
 	f := &Frame{
-		kind: h.setKind(),
-		opts: Options{K: int(h.k), Seed: h.seed},
-		segs: int(h.segs),
-		n:    int(h.n),
+		kind:  h.setKind(),
+		opts:  Options{K: int(h.k), Seed: h.seed},
+		segs:  int(h.segs),
+		n:     int(h.n),
+		total: h.totalNodes(),
 	}
+	f.node.w = nodeWidth(f.total)
 	switch f.kind {
 	case kindUniform:
 		f.opts.Flavor, f.opts.BaseB = sketch.Flavor(h.flavor), h.baseB
@@ -595,7 +621,7 @@ func validateSteps(off []int64, first []uint64, numEntries, marked, numSteps int
 	if marked != numSteps {
 		return fmt.Errorf("core: sketch file marks %d distance steps, header claims %d", marked, numSteps)
 	}
-	if countBits(first, numEntries, int64(len(first))*64) != 0 {
+	if !tailClear(first, numEntries) {
 		return fmt.Errorf("core: sketch file marks distance steps past its last entry")
 	}
 	for i := 0; i+1 < len(off); i++ {
@@ -641,7 +667,7 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 		return b
 	}
 	offB := next((nSegs + 1) * 8)
-	nodeB := next(pad8(e * 4))[:e*4]
+	nodeB := next(h.nodesSize())
 	var firstB, stepB, distB []byte
 	if h.stepCoded() {
 		firstB, stepB = next(bitWords(e)*8), next(int64(h.numSteps)*8)
@@ -656,9 +682,14 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 		betaB = next(e * 8)
 	}
 	var dist []float64 // a file from before distances were step-coded
+	var ids []int32    // a file from before node IDs were packed
 	if zeroCopy {
 		f.off = viewI64s(offB, nSegs+1)
-		f.node = viewI32s(nodeB, e)
+		if h.packedNodes() {
+			f.node.words = viewU64s(nodeB, int64(len(nodeB)/8))
+		} else {
+			ids = viewI32s(nodeB, e)
+		}
 		f.first = viewU64s(firstB, int64(len(firstB)/8))
 		f.step = viewF64s(stepB, int64(len(stepB)/8))
 		dist = viewF64s(distB, int64(len(distB)/8))
@@ -674,9 +705,20 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 		for i := range f.off {
 			f.off[i] = int64(le.Uint64(offB[i*8:]))
 		}
-		f.node = make([]int32, e)
-		for i := range f.node {
-			f.node[i] = int32(le.Uint32(nodeB[i*4:]))
+		decodeU64s := func(b []byte) []uint64 {
+			out := make([]uint64, len(b)/8)
+			for i := range out {
+				out[i] = le.Uint64(b[i*8:])
+			}
+			return out
+		}
+		if h.packedNodes() {
+			f.node.words = decodeU64s(nodeB)
+		} else {
+			ids = make([]int32, e)
+			for i := range ids {
+				ids[i] = int32(le.Uint32(nodeB[i*4:]))
+			}
 		}
 		decodeF64s := func(b []byte) []float64 {
 			out := make([]float64, len(b)/8)
@@ -685,10 +727,7 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 			}
 			return out
 		}
-		f.first = make([]uint64, len(firstB)/8)
-		for i := range f.first {
-			f.first[i] = le.Uint64(firstB[i*8:])
-		}
+		f.first = decodeU64s(firstB)
 		f.step = decodeF64s(stepB)
 		dist = decodeF64s(distB)
 		if len(rankB) > 0 {
@@ -699,6 +738,13 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 		}
 	}
 	if err := validateOffsets(f.off, e); err != nil {
+		return nil, nil, err
+	}
+	if h.packedNodes() {
+		if !tailClear(f.node.words, e*int64(f.width())) {
+			return nil, nil, fmt.Errorf("core: sketch file has node bits past its last entry")
+		}
+	} else if f.node, err = packColumn(ids, f.total); err != nil {
 		return nil, nil, err
 	}
 	if h.stepCoded() {
@@ -771,6 +817,11 @@ type SketchFile struct {
 	part    *Partition
 	version int
 	mapped  []byte // non-nil iff the columns view an mmap region
+	// The flags a version-3 file was opened under, which may describe an
+	// older layout than the frame is held in; onDisk is false for a file
+	// that was streamed in.
+	storedFlags uint32
+	onDisk      bool
 
 	// refs counts live references: the opener's (dropped by Close) plus
 	// one per outstanding Retain.  The reference that drops it to zero
@@ -784,6 +835,15 @@ type SketchFile struct {
 func newSketchFile(set AnySet, part *Partition, version int, mapped []byte) *SketchFile {
 	s := &SketchFile{set: set, part: part, version: version, mapped: mapped}
 	s.refs.Store(1)
+	return s
+}
+
+// newFrameFile is newSketchFile for the version-3 file data that
+// openFrameBytes has accepted; it keeps the flags the file was opened
+// under.
+func newFrameFile(set AnySet, part *Partition, data, mapped []byte) *SketchFile {
+	s := newSketchFile(set, part, EncodeVersion, mapped)
+	s.storedFlags, s.onDisk = binary.LittleEndian.Uint32(data[12:]), true
 	return s
 }
 
@@ -814,18 +874,44 @@ type ColumnSize struct {
 }
 
 // ColumnBytes lists what each part of the file costs when written in the
-// current layout, in file order: header, offsets, nodes, step bits, steps
-// (8 bytes a distance step), then ranks and betas where held.  A file
-// opened from an older layout is held — and so reported — step-coded.
+// current layout, in file order: header, offsets, nodes (NodeBits bits an
+// entry, rounded up to a word), step bits, steps (8 bytes a distance
+// step), then ranks and betas where held.  A file opened from an older
+// layout is held — and so reported — packed and step-coded;
+// StoredColumnBytes reports it as it is on disk.
 func (s *SketchFile) ColumnBytes() []ColumnSize {
 	h := headerOf(s.frame(), s.part)
+	return h.columns()
+}
+
+// StoredColumnBytes lists what each part of the file costs on disk, in
+// file order, when that is not ColumnBytes: for a version-3 file opened
+// from an older layout.  It returns nil otherwise (a version-2 file has no
+// columns).
+func (s *SketchFile) StoredColumnBytes() []ColumnSize {
+	h := headerOf(s.frame(), s.part)
+	if !s.onDisk || s.storedFlags == h.flags {
+		return nil
+	}
+	h.flags = s.storedFlags
+	if !h.stepCoded() {
+		h.numSteps = 0
+	}
+	return h.columns()
+}
+
+// columns lists the parts of a file with this header, in file order.
+func (h *frameHdr) columns() []ColumnSize {
 	e := int64(h.numEntries)
 	out := []ColumnSize{
 		{"header", h.headerSize()},
 		{"offsets", (h.numSegs() + 1) * 8},
-		{"nodes", pad8(e * 4)},
-		{"step bits", bitWords(e) * 8},
-		{"steps", int64(h.numSteps) * 8},
+		{"nodes", h.nodesSize()},
+	}
+	if h.stepCoded() {
+		out = append(out, ColumnSize{"step bits", bitWords(e) * 8}, ColumnSize{"steps", int64(h.numSteps) * 8})
+	} else {
+		out = append(out, ColumnSize{"distances", e * 8})
 	}
 	if h.storesRanks() {
 		out = append(out, ColumnSize{"ranks", e * 8})
@@ -835,6 +921,10 @@ func (s *SketchFile) ColumnBytes() []ColumnSize {
 	}
 	return out
 }
+
+// NodeBits returns the bits an entry's node ID takes in the node column
+// as the current layout writes it: what the set's node count needs.
+func (s *SketchFile) NodeBits() int { return int(s.frame().width()) }
 
 // RanksStored reports whether the file was written before ranks were
 // derived, and so is served from its stored rank column; DeriveRanks
@@ -976,7 +1066,7 @@ func OpenSketchFile(path string) (*SketchFile, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newSketchFile(set, part, EncodeVersion, nil), nil
+		return newFrameFile(set, part, data, nil), nil
 	}
 	// Not a v3 file (or too short to tell): stream-decode from the start;
 	// the reader produces the precise error for garbage input.
@@ -1021,7 +1111,7 @@ func MmapSketchFile(path string) (*SketchFile, error) {
 		munmapFile(data)
 		return nil, err
 	}
-	return newSketchFile(set, part, EncodeVersion, data), nil
+	return newFrameFile(set, part, data, data), nil
 }
 
 // isFrameFile reports whether the bytes begin a version-3 file.

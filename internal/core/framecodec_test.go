@@ -205,7 +205,8 @@ func TestOpenSketchFileAllocs(t *testing.T) {
 		})
 	}
 	// 10 since the step code: the file, its parse, and one more than before
-	// for the sampled popcounts that locate a segment's steps.
+	// for the sampled popcounts that locate a segment's steps.  The packed
+	// node column is viewed in place like the 32-bit one was, and adds none.
 	small, large := openAllocs(50), openAllocs(2000)
 	if small > 10 {
 		t.Errorf("opening a v3 set costs %.0f allocations, want at most 10", small)
@@ -501,18 +502,26 @@ func FuzzOpenSketchFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(part.Bytes())
-	// Every kind three ways: as written now, with a distance per entry as
-	// written before step coding, and with the stored rank column of files
-	// written before ranks were derived.
+	// Every kind four ways: as written now, with 32 bits a node ID as
+	// written before IDs were packed, with a distance per entry as written
+	// before step coding, and with the stored rank column of files written
+	// before ranks were derived.
 	for _, data := range v3Files(f) {
 		f.Add(data)
+		f.Add(wideV3(f, data))
 		f.Add(perEntryV3(f, data))
 		f.Add(legacyV3(f, data))
 	}
-	// Every way the step code can lie.
+	// Every way the step code and the packed node column can lie.
 	_, hostile, _ := hostileStepFiles(f)
 	for _, data := range hostile {
 		f.Add(data)
+	}
+	small, hostile, _ := hostileNodeFiles(f)
+	for _, files := range []map[string][]byte{small, hostile} {
+		for _, data := range files {
+			f.Add(data)
+		}
 	}
 	f.Add([]byte("ADSK"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -24,7 +24,7 @@ func FreezeBottomK(o Options, lists [][]Entry) (*Set, error) {
 	if o.Flavor != sketch.BottomK {
 		return nil, fmt.Errorf("core: FreezeBottomK requires the bottom-k flavor, got %v", o.Flavor)
 	}
-	f := freezeFrame(kindUniform, o, 0, 0, 1, 0, lists)
+	f := freezeWhole(kindUniform, o, 0, 0, 1, lists)
 	if err := f.validateFrozen("FreezeBottomK", lists); err != nil {
 		return nil, err
 	}
@@ -53,9 +53,11 @@ func (f *Frame) validateFrozen(op string, lists [][]Entry) error {
 // otherwise (every node base lacks must be present).  Only the changed
 // lists are checked and validated — base's were when it was frozen — and
 // the entries of unchanged nodes are block-copied from base's columns —
-// node range, step-bit range, step range — contiguous nodes in one copy,
-// so the cost follows the change, not the set.  The result is the set FreezeBottomK would return for the
-// same lists.
+// node-bit range, step-bit range, step range — contiguous nodes in one
+// copy, so the cost follows the change, not the set; the one exception is
+// a freeze whose n needs a bit more per ID than base's, which re-packs the
+// unchanged IDs once.  The result is the set FreezeBottomK would return
+// for the same lists.
 func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error) {
 	bf := base.frame
 	if bf.opts.Flavor != sketch.BottomK {
@@ -93,9 +95,9 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 	}
 	slices.Sort(nodes)
 	f := &Frame{
-		kind: kindUniform, opts: bf.opts, segs: 1, n: n,
+		kind: kindUniform, opts: bf.opts, segs: 1, n: n, total: n,
 		off:  make([]int64, n+1),
-		node: make([]int32, total),
+		node: makeNodeColumn(int64(total), nodeWidth(n)),
 		by:   bf.by,
 	}
 	// The step column starts at the base's size and grows by append: an
@@ -114,7 +116,7 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 			return fmt.Errorf("core: FreezeBottomKOver: node %d has no entries (every node holds itself at distance 0)", max(from, bf.n))
 		}
 		lo, hi := bf.off[from], bf.off[to]
-		copy(f.node[pos:], bf.node[lo:hi])
+		f.node.copyFrom(pos, &bf.node, lo, hi-lo)
 		copyBits(w.first, pos, bf.first, lo, hi-lo)
 		w.step = append(w.step, bf.step[bf.rank1(lo):bf.rank1(hi)]...)
 		for v := from; v < to; v++ {
@@ -137,7 +139,7 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		f.off[v], f.off[v+1] = pos, pos+int64(len(l))
 		w.segment()
 		for _, e := range l {
-			f.node[pos] = e.Node
+			f.node.put(pos, e.Node)
 			w.add(pos, e.Dist)
 			pos++
 		}

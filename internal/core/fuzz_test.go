@@ -79,6 +79,14 @@ func FuzzReadSketchSet(f *testing.F) {
 	for _, data := range hostile {
 		f.Add(data)
 	}
+	// And the packed node column's: bits past the last ID, a column a word
+	// off, IDs the set does not have, the smallest sets.
+	small, hostile, _ := hostileNodeFiles(f)
+	for _, files := range []map[string][]byte{small, hostile} {
+		for _, data := range files {
+			f.Add(data)
+		}
+	}
 	f.Add([]byte("ADSK"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -16,12 +16,13 @@ import "sort"
 // the adjusted weights of included nodes with distance d" — the index
 // stores exactly that distance -> cumulative weight mapping.
 //
-// Storage is columnar, and the entry distances are step-coded the way a
-// frame's are (stepcode.go): the unique distances are the steps.  An index
-// built standalone (NewHIPIndex) owns its columns, preallocated to exact
-// size; the indexes of a frame-backed set (Frame.Index, what Engine
-// serves) are views into the frame — nodes, step bits and steps are the
-// frame's own columns — and into one arena shared by the whole set, which
+// Storage is columnar, the entry nodes bit-packed (nodepack.go) and the
+// entry distances step-coded (stepcode.go) the way a frame's are: the
+// unique distances are the steps.  An index built standalone
+// (NewHIPIndex) owns its columns, preallocated to exact size; the indexes
+// of a frame-backed set (Frame.Index, what Engine serves) are views into
+// the frame — nodes, step bits and steps are the frame's own columns —
+// and into one arena shared by the whole set, which
 // holds a weight per entry and the three prefix sums per step, so serving
 // a million nodes does not cost seven slices per node, nor a column of
 // entries' size per prefix sum.
@@ -30,7 +31,7 @@ import "sort"
 // is bit-identical to the corresponding direct estimator (EstimateQ,
 // EstimateCentrality, EstimateNeighborhoodHIP) on the same sketch.
 type HIPIndex struct {
-	enode []int32   // HIP entry nodes, canonical order
+	enode Nodes     // HIP entry nodes, canonical order, packed
 	ew    []float64 // HIP adjusted weights, parallel to enode
 	sd    StepDists // HIP entry distances, step-coded: sd.steps are the unique distances, ascending
 	cum   []float64 // cum[i]: total adjusted weight at distance <= sd.steps[i]
@@ -50,8 +51,10 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 			unique++
 		}
 	}
+	// 32 bits an ID: a standalone sketch's nodes can be any int32.
+	nodes := makeNodeColumn(int64(len(entries)), 32)
 	idx := &HIPIndex{
-		enode: make([]int32, len(entries)),
+		enode: nodes.view(0, int64(len(entries))),
 		ew:    make([]float64, len(entries)),
 		cum:   make([]float64, 0, unique),
 		cumD:  make([]float64, 0, unique),
@@ -59,7 +62,7 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 	}
 	w := newStepWriter(len(entries), unique)
 	for i, e := range entries {
-		idx.enode[i] = e.Node
+		nodes.put(int64(i), e.Node)
 		idx.ew[i] = e.Weight
 		w.add(int64(i), e.Dist)
 	}
@@ -88,18 +91,18 @@ func (s StepDists) prefixSums(w, cum, cumD, cumH []float64) (_, _, _ []float64) 
 }
 
 // Len returns the number of indexed HIP entries.
-func (x *HIPIndex) Len() int { return len(x.enode) }
+func (x *HIPIndex) Len() int { return x.enode.n }
 
 // Entries materializes the indexed HIP entries in canonical order (a
 // fresh copy; the index stores them columnarly).
 func (x *HIPIndex) Entries() []WeightedEntry {
-	out := make([]WeightedEntry, len(x.enode))
+	out := make([]WeightedEntry, x.enode.n)
 	j := -1
 	for i := range out {
 		if x.sd.starts(i) {
 			j++
 		}
-		out[i] = WeightedEntry{Node: x.enode[i], Dist: x.sd.steps[j], Weight: x.ew[i]}
+		out[i] = WeightedEntry{Node: x.enode.At(i), Dist: x.sd.steps[j], Weight: x.ew[i]}
 	}
 	return out
 }
@@ -108,7 +111,7 @@ func (x *HIPIndex) Entries() []WeightedEntry {
 // is decoded from the step code, so scanning every entry is cheaper
 // through Entries or EstimateQ.
 func (x *HIPIndex) EntryAt(i int) WeightedEntry {
-	return WeightedEntry{Node: x.enode[i], Dist: x.sd.at(i), Weight: x.ew[i]}
+	return WeightedEntry{Node: x.enode.At(i), Dist: x.sd.at(i), Weight: x.ew[i]}
 }
 
 // search returns the position of the last indexed distance <= d, or -1.
@@ -187,7 +190,7 @@ func (x *HIPIndex) EstimateQ(g func(node int32, dist float64) float64) float64 {
 		if x.sd.starts(i) {
 			j++
 		}
-		sum += x.ew[i] * g(x.enode[i], x.sd.steps[j])
+		sum += x.ew[i] * g(x.enode.At(i), x.sd.steps[j])
 	}
 	return sum
 }

@@ -119,7 +119,7 @@ func hipMergeKMins(perms []cols, emit func(node int32, dist, w float64)) {
 		if best < 0 {
 			break
 		}
-		node, dist := perms[best].node[cursors[best]], perms[best].distAt(cursors[best])
+		node, dist := perms[best].nodeAt(cursors[best]), perms[best].distAt(cursors[best])
 		// HIP probability before updating the minima with the entry itself.
 		prod := 1.0
 		for _, m := range curMin {
@@ -131,7 +131,7 @@ func hipMergeKMins(perms []cols, emit func(node int32, dist, w float64)) {
 		// node can be the new minimum of several permutations at once).
 		for h := range cursors {
 			c := cursors[h]
-			if c < perms[h].len() && perms[h].node[c] == node && perms[h].distAt(c) == dist {
+			if c < perms[h].len() && perms[h].nodeAt(c) == node && perms[h].distAt(c) == dist {
 				curMin[h] = perms[h].rankAt(c)
 				cursors[h]++
 			}
@@ -142,7 +142,7 @@ func hipMergeKMins(perms []cols, emit func(node int32, dist, w float64)) {
 // HIPEntries computes adjusted weights by equation (7); see hipMergeKMins.
 func (a *KMinsADS) HIPEntries() []WeightedEntry {
 	var out []WeightedEntry
-	hipMergeKMins(withDists(a.perms), func(node int32, dist, w float64) {
+	hipMergeKMins(unpacked(a.perms), func(node int32, dist, w float64) {
 		out = append(out, WeightedEntry{Node: node, Dist: dist, Weight: w})
 	})
 	return out
@@ -160,7 +160,7 @@ func (a *KMinsADS) Validate() error {
 				return fmt.Errorf("core: k-mins ADS(%d) perm %d rank not decreasing at %d", a.node, h, i)
 			}
 		}
-		if p.len() > 0 && (p.node[0] != a.node || p.distAt(0) != 0) {
+		if p.len() > 0 && (p.nodeAt(0) != a.node || p.distAt(0) != 0) {
 			return fmt.Errorf("core: k-mins ADS(%d) perm %d does not start with owner", a.node, h)
 		}
 	}

@@ -129,7 +129,7 @@ func hipMergeKPartition(buckets []cols, emit func(node int32, dist, w float64)) 
 // hipMergeKPartition.
 func (a *KPartitionADS) HIPEntries() []WeightedEntry {
 	var out []WeightedEntry
-	hipMergeKPartition(withDists(a.buckets), func(node int32, dist, w float64) {
+	hipMergeKPartition(unpacked(a.buckets), func(node int32, dist, w float64) {
 		out = append(out, WeightedEntry{Node: node, Dist: dist, Weight: w})
 	})
 	return out

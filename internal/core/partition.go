@@ -86,7 +86,7 @@ func readPartitionBody(d *setDecoder) (*Partition, error) {
 	case lo > hi || hi > total:
 		return nil, fmt.Errorf("core: partition node range [%d, %d) outside [0, %d)", lo, hi, total)
 	}
-	set, err := decodeSetBody(d, int32(lo))
+	set, err := decodeSetBody(d, int32(lo), int(total))
 	if err != nil {
 		return nil, err
 	}

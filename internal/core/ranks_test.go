@@ -14,18 +14,23 @@ import (
 )
 
 // legacyV3 rewrites a version-3 file the way files were laid out before
-// ranks were derived: flag bits 1 and 2 clear, a distance per entry, a
-// rank column after them, and — for weighted and approximate sets — no
-// seed in the header.  With perEntryV3 it is the test-only writer of the
-// layouts the readers stay compatible with.
-func legacyV3(t testing.TB, data []byte) []byte { return oldV3(t, data, true) }
+// ranks were derived: flag bits 1, 2 and 3 clear, 32 bits a node ID, a
+// distance per entry, a rank column after them, and — for weighted and
+// approximate sets — no seed in the header.  With perEntryV3 and wideV3 it
+// is the test-only writer of the layouts the readers stay compatible with.
+func legacyV3(t testing.TB, data []byte) []byte { return oldV3(t, data, true, false) }
 
 // perEntryV3 rewrites a version-3 file the way files were laid out
 // between ranks becoming derived and distances becoming step-coded: flag
-// bit 2 clear, a distance per entry.
-func perEntryV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false) }
+// bits 2 and 3 clear, 32 bits a node ID, a distance per entry.
+func perEntryV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, false) }
 
-func oldV3(t testing.TB, data []byte, storeRanks bool) []byte {
+// wideV3 rewrites a version-3 file the way files were laid out between
+// distances becoming step-coded and node IDs becoming packed: flag bit 3
+// clear, 32 bits a node ID.
+func wideV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, true) }
+
+func oldV3(t testing.TB, data []byte, storeRanks, stepCoded bool) []byte {
 	t.Helper()
 	set, part, err := openFrameBytes(data)
 	if err != nil {
@@ -36,8 +41,11 @@ func oldV3(t testing.TB, data []byte, storeRanks bool) []byte {
 	}
 	f, _ := frameOf(set)
 	h := headerOf(f, part)
-	h.flags &^= frameFlagStepDists
-	h.numSteps = 0
+	h.flags &^= frameFlagPackedNodes
+	if !stepCoded {
+		h.flags &^= frameFlagStepDists
+		h.numSteps = 0
+	}
 	if storeRanks {
 		h.flags &^= frameFlagDerivedRanks
 		if f.kind != kindUniform {
@@ -50,21 +58,32 @@ func oldV3(t testing.TB, data []byte, storeRanks bool) []byte {
 		out = le.AppendUint64(out, uint64(o-f.off[0]))
 	}
 	lo, hi := f.off[0], f.off[len(f.off)-1]
-	for _, u := range f.node[lo:hi] {
-		out = le.AppendUint32(out, uint32(u))
-	}
-	out = append(out, make([]byte, pad8(4*(hi-lo))-4*(hi-lo))...)
 	var rs rankScratch
-	var dists, ranks []byte
+	var nodes, dists, ranks, steps []byte
+	first := make([]uint64, bitWords(hi-lo))
 	for v := 0; v < f.n; v++ {
 		for _, c := range f.ranked(&rs, v) {
 			for i, r := range c.rank {
+				if i == 0 || c.dist[i] != c.dist[i-1] {
+					setBit(first, int64(len(nodes)/4))
+					steps = le.AppendUint64(steps, math.Float64bits(c.dist[i]))
+				}
+				nodes = le.AppendUint32(nodes, uint32(c.node[i]))
 				dists = le.AppendUint64(dists, math.Float64bits(c.dist[i]))
 				ranks = le.AppendUint64(ranks, math.Float64bits(r))
 			}
 		}
 	}
-	out = append(out, dists...)
+	out = append(out, nodes...)
+	out = append(out, make([]byte, pad8(4*(hi-lo))-4*(hi-lo))...)
+	if stepCoded {
+		for _, w := range first {
+			out = le.AppendUint64(out, w)
+		}
+		out = append(out, steps...)
+	} else {
+		out = append(out, dists...)
+	}
 	if storeRanks {
 		out = append(out, ranks...)
 	}
@@ -121,9 +140,10 @@ func v3Files(t testing.TB) map[string][]byte {
 	return files
 }
 
-// TestV3Layout pins what a file costs: the header, the offsets, 4 bytes
-// and one bit an entry (8 more with β), and 8 bytes a distance step — the
-// pin that keeps a column from coming back.
+// TestV3Layout pins what a file costs: the header, the offsets, the bits
+// of the largest node ID and one more an entry (8 bytes more with β), each
+// rounded up to a word for the set, and 8 bytes a distance step — the pin
+// that keeps a column from coming back or growing.
 func TestV3Layout(t *testing.T) {
 	for name, data := range v3Files(t) {
 		set, part, err := openFrameBytes(data)
@@ -142,15 +162,25 @@ func TestV3Layout(t *testing.T) {
 				steps += int64(countSteps(c.entries()))
 			}
 		}
-		fixed := header + 8*int64(f.n*f.segs+1) + pad8(4*e)
+		fixed := header + 8*int64(f.n*f.segs+1)
 		if f.kind == kindWeighted {
 			fixed += 8 * e
 		}
-		want := fixed + 8*((e+63)/64) + 8*steps
+		if f.total != 60 {
+			t.Fatalf("%s: frame of a %d-node set, want 60", name, f.total)
+		}
+		want := fixed + 8*((e*6+63)/64) + 8*((e+63)/64) + 8*steps // 60 nodes: 6 bits an ID
 		if int64(len(data)) != want {
 			t.Errorf("%s: file is %d bytes, want %d (n=%d segs=%d e=%d steps=%d)", name, len(data), want, f.n, f.segs, e, steps)
 		}
 		flags := binary.LittleEndian.Uint32(data[12:])
+		if flags&frameFlagPackedNodes == 0 {
+			t.Errorf("%s: written without packed nodes", name)
+		}
+		fixed += pad8(4 * e) // the layouts before it: 32 bits an ID
+		if got := int64(len(wideV3(t, data))); got != fixed+8*((e+63)/64)+8*steps || got <= want {
+			t.Errorf("%s: the 32-bit-ID layout is %d bytes, want %d and more than %d", name, got, fixed+8*((e+63)/64)+8*steps, want)
+		}
 		if f.rank != nil || flags&frameFlagDerivedRanks == 0 {
 			t.Errorf("%s: written with a rank column", name)
 		}
@@ -281,7 +311,7 @@ func TestV3LegacyRankColumn(t *testing.T) {
 	}
 }
 
-func frameOfSet(t *testing.T, s AnySet) *Frame {
+func frameOfSet(t testing.TB, s AnySet) *Frame {
 	t.Helper()
 	f, err := frameOf(s)
 	if err != nil {

@@ -186,14 +186,14 @@ func GreedyInfluenceSeeds(set *Set, candidates []int32, numSeeds int, d float64)
 func DistanceUpperBound(a, b *ADS) float64 {
 	distA := make(map[int32]float64, a.Size())
 	for i, dist := range a.c.dists() {
-		node := a.c.node[i]
+		node := a.c.nodeAt(i)
 		if d, ok := distA[node]; !ok || dist < d {
 			distA[node] = dist
 		}
 	}
 	best := math.Inf(1)
 	for i, dist := range b.c.dists() {
-		if d, ok := distA[b.c.node[i]]; ok && d+dist < best {
+		if d, ok := distA[b.c.nodeAt(i)]; ok && d+dist < best {
 			best = d + dist
 		}
 	}

@@ -97,23 +97,51 @@ func countBits(w []uint64, from, to int64) int {
 	return n
 }
 
-// copyBits ORs n bits of src starting at srcPos into dst starting at
-// dstPos; the destination range must be clear.
+// tailClear reports whether the bits of w from position n on are all zero.
+func tailClear(w []uint64, n int64) bool {
+	return countBits(w, n, int64(len(w))*64) == 0
+}
+
+// copyBits copies n bits of src starting at srcPos to dst starting at
+// dstPos; the destination range must be clear.  Between a head and a tail
+// of under a word each, every destination word is two source words
+// shifted together — what a block copy of packed node IDs spends its time
+// in.
 func copyBits(dst []uint64, dstPos int64, src []uint64, srcPos, n int64) {
-	for n > 0 {
-		// Take up to a word from src, bounded by both word boundaries.
-		so, do := uint(srcPos)&63, uint(dstPos)&63
-		take := int64(64 - max(so, do))
-		if take > n {
-			take = n
-		}
-		chunk := src[srcPos>>6] >> so
-		if take < 64 {
-			chunk &= 1<<uint(take) - 1
-		}
-		dst[dstPos>>6] |= chunk << do
+	if do := dstPos & 63; do != 0 && n > 0 {
+		take := min(64-do, n)
+		dst[dstPos>>6] |= readBits(src, srcPos, take) << uint(do)
 		srcPos, dstPos, n = srcPos+take, dstPos+take, n-take
 	}
+	if words := n >> 6; words > 0 {
+		d, sw, so := dst[dstPos>>6:][:words], srcPos>>6, uint(srcPos)&63
+		if so == 0 {
+			copy(d, src[sw:])
+		} else {
+			in := src[sw : sw+words+1]
+			for i := range d {
+				d[i] = in[i]>>so | in[i+1]<<(64-so)
+			}
+		}
+		srcPos, dstPos, n = srcPos+words<<6, dstPos+words<<6, n&63
+	}
+	if n > 0 {
+		dst[dstPos>>6] |= readBits(src, srcPos, n)
+	}
+}
+
+// readBits returns the n <= 64 bits of src from position pos, in the low
+// bits of a word.
+func readBits(src []uint64, pos, n int64) uint64 {
+	k, sh := pos>>6, uint(pos)&63
+	x := src[k] >> sh
+	if int64(sh)+n > 64 {
+		x |= src[k+1] << (64 - sh)
+	}
+	if n < 64 {
+		x &= 1<<uint(n) - 1
+	}
+	return x
 }
 
 // rankSampleWords is the sampling interval of a frame's popcount index:

@@ -18,17 +18,33 @@ import (
 // canonicalV3 is the reference encoder: the version-3 bytes of the entry
 // lists (node-major segments, with β lists for a weighted set) under
 // header h, written value by value and bit by bit with none of the
-// writer's block copies, shifts or rank look-ups.
+// writer's block copies, shifts or rank look-ups.  The width of a node ID
+// is spelled out here rather than taken from nodeWidth: the smallest w,
+// at least 1, with total-1 < 2^w.
 func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 	le := binary.LittleEndian
-	var off, nodes, steps, beta []byte
-	var bits []uint64
+	var off, steps, beta []byte
+	var nodes, bits []uint64
 	pos := uint64(0)
 	h.numSteps = 0
+	total := h.n
+	if h.kind == kindPartition {
+		total = uint64(h.total)
+	}
+	w := uint64(1)
+	for total > 1<<w {
+		w++
+	}
 	for s, l := range lists {
 		off = le.AppendUint64(off, pos)
 		for i, e := range l {
-			nodes = le.AppendUint32(nodes, uint32(e.Node))
+			for b := uint64(0); b < w; b++ {
+				at := pos*w + b
+				if at%64 == 0 {
+					nodes = append(nodes, 0)
+				}
+				nodes[at/64] |= uint64(e.Node) >> b & 1 << (at % 64)
+			}
 			if pos%64 == 0 {
 				bits = append(bits, 0)
 			}
@@ -45,10 +61,11 @@ func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 	}
 	off = le.AppendUint64(off, pos)
 	h.numEntries = pos
-	h.flags |= frameFlagStepDists
+	h.flags |= frameFlagStepDists | frameFlagPackedNodes
 	out := append(h.appendHeader(nil), off...)
-	out = append(out, nodes...)
-	out = append(out, make([]byte, pad8(int64(len(nodes)))-int64(len(nodes)))...)
+	for _, w := range nodes {
+		out = le.AppendUint64(out, w)
+	}
 	for _, w := range bits {
 		out = le.AppendUint64(out, w)
 	}
@@ -170,8 +187,8 @@ func TestStepCodeCanonicalBytes(t *testing.T) {
 
 // TestFreezeOverCanonicalBytes: FreezeBottomKOver with random changed
 // sets — single nodes, runs, the first and last node, newcomers — block
-// copies node, bit and step ranges at every alignment and still writes
-// the canonical encoding of the lists it was given.
+// copies node-bit, step-bit and step ranges at every alignment and still
+// writes the canonical encoding of the lists it was given.
 func TestFreezeOverCanonicalBytes(t *testing.T) {
 	for name, lengths := range map[string]bool{"hops": false, "lengths": true} {
 		g0 := graph.PreferentialAttachment(90, 3, 9)
@@ -231,9 +248,34 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 // TestStepCodeWorstCaseSize: when no two entries of a sketch share a
 // distance the code pays its bit per entry and nothing else — under 2% of
 // the per-entry layout for bottom-k, under 5% for k-mins with its short
-// segments.
+// segments — and whatever the distances, a file is header + offsets +
+// 8·ceil(e·w/64) + 8·ceil(e/64) + 8·steps (+ 8·e of β) bytes, never more
+// than the same entries took with 32 bits an ID.
 func TestStepCodeWorstCaseSize(t *testing.T) {
 	sets := stepKinds(t)
+	for name, set := range sets {
+		f := frameOfSet(t, set)
+		data := v3Bytes(t, set)
+		lists, _ := segmentLists(f)
+		e, steps := int64(f.totalEntries()), int64(0)
+		for _, l := range lists {
+			steps += int64(countSteps(l))
+		}
+		w := int64(7) // 120 nodes
+		if f.total != 120 || f.width() != uint(w) {
+			t.Fatalf("%s: %d nodes at %d bits an ID, want 120 at 7", name, f.total, f.width())
+		}
+		want := int64(framePreambleSize+frameHdrSize) + 8*int64(len(lists)+1) + 8*((e*w+63)/64) + 8*((e+63)/64) + 8*steps
+		if f.beta != nil {
+			want += 8 * e
+		}
+		if int64(len(data)) != want {
+			t.Errorf("%s: %d bytes, want %d (e=%d steps=%d)", name, len(data), want, e, steps)
+		}
+		if wide := len(wideV3(t, data)); len(data) > wide {
+			t.Errorf("%s: %d bytes packed, %d with 32 bits an ID", name, len(data), wide)
+		}
+	}
 	for name, limit := range map[string]float64{"lengths-bottomk": 1.02, "lengths-weighted": 1.02, "lengths-kmins": 1.05, "kmins": 1.05} {
 		data := v3Bytes(t, sets[name])
 		before := len(perEntryV3(t, data))
@@ -248,52 +290,67 @@ func TestStepCodeWorstCaseSize(t *testing.T) {
 	}
 }
 
-// v3DistFixture is a committed version-3 file in the layout the last
-// release before step coding wrote — a distance per entry, flags bit 2
-// clear — recorded with that release's `adstool build -save` / `split`;
+// v3Fixture is a committed version-3 file in a layout an earlier release
+// wrote, recorded with that release's `adstool build -save` / `split`;
 // nothing in this tree writes it.
-type v3DistFixture struct {
+type v3Fixture struct {
 	file  string
 	part  int // the index the file holds of a 2-way split of its build, or -1
 	build func(g *graph.Graph, beta []float64) (AnySet, error)
 }
 
-// All are `gen -type ba -n 60 -m 3 -seed 9` built with `-k 4 -seed 42`
-// and, where weighted, weights 1+i%7.
-var v3DistFixtures = []v3DistFixture{
-	{"uniform_v3dist_k4.ads", -1, func(g *graph.Graph, _ []float64) (AnySet, error) {
+// v3Fixtures names the four committed files of one earlier layout, tag
+// being what their names carry for it.  All are `gen -type ba -n 60 -m 3
+// -seed 9` built with `-k 4 -seed 42` and, where weighted, weights 1+i%7.
+func v3Fixtures(tag string) []v3Fixture {
+	uniform := func(g *graph.Graph, _ []float64) (AnySet, error) {
 		return BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
-	}},
-	{"uniform_v3dist_k4.p1of2.ads", 1, func(g *graph.Graph, _ []float64) (AnySet, error) {
-		return BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
-	}},
-	{"weighted_v3dist_k4.ads", -1, func(g *graph.Graph, beta []float64) (AnySet, error) {
-		return BuildWeightedSet(g, 4, 42, beta)
-	}},
-	{"kmins_base2_v3dist_k4.ads", -1, func(g *graph.Graph, _ []float64) (AnySet, error) {
-		return BuildSet(g, Options{K: 4, Flavor: sketch.KMins, Seed: 42, BaseB: 2}, AlgoPrunedDijkstra)
-	}},
+	}
+	return []v3Fixture{
+		{"uniform_" + tag + "_k4.ads", -1, uniform},
+		{"uniform_" + tag + "_k4.p1of2.ads", 1, uniform},
+		{"weighted_" + tag + "_k4.ads", -1, func(g *graph.Graph, beta []float64) (AnySet, error) {
+			return BuildWeightedSet(g, 4, 42, beta)
+		}},
+		{"kmins_base2_" + tag + "_k4.ads", -1, func(g *graph.Graph, _ []float64) (AnySet, error) {
+			return BuildSet(g, Options{K: 4, Flavor: sketch.KMins, Seed: 42, BaseB: 2}, AlgoPrunedDijkstra)
+		}},
+	}
 }
 
-// TestV3PerEntryDistFixtures: every committed per-entry-distance file
-// opens through all three entry points, answers bit for bit like a fresh
-// build, and is written back as the bytes a fresh build writes — which is
-// what `adstool convert` does with it, no flag needed.  The fixtures also
-// pin the test-only perEntryV3 writer to what that release really wrote.
+// TestV3PerEntryDistFixtures: the files of the last release before step
+// coding — a distance per entry, 32 bits a node ID, flags bits 2 and 3
+// clear.
 func TestV3PerEntryDistFixtures(t *testing.T) {
+	checkV3Fixtures(t, v3Fixtures("v3dist"), frameFlagDerivedRanks, perEntryV3)
+}
+
+// TestV3WideNodeFixtures: the files of the last release before node IDs
+// were packed — step-coded, 32 bits a node ID, flags bit 3 clear.
+func TestV3WideNodeFixtures(t *testing.T) {
+	checkV3Fixtures(t, v3Fixtures("v3step"), frameFlagDerivedRanks|frameFlagStepDists, wideV3)
+}
+
+// checkV3Fixtures: every committed file of an earlier layout (its flags,
+// less the β bit, being layout) opens through all three entry points,
+// answers bit for bit like a fresh build, entry for entry, and is written
+// back as the bytes a fresh build writes — which is what `adstool convert`
+// does with it, no flag needed.  The fixtures also pin rewrite, the
+// test-only writer of that layout, to what the release really wrote.
+func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite func(testing.TB, []byte) []byte) {
 	g := graph.PreferentialAttachment(60, 3, 9)
 	beta := make([]float64, g.NumNodes())
 	for i := range beta {
 		beta[i] = 1 + float64(i%7)
 	}
-	for _, fx := range v3DistFixtures {
+	for _, fx := range fixtures {
 		path := filepath.Join("testdata", fx.file)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if flags := binary.LittleEndian.Uint32(data[12:]); flags&frameFlagStepDists != 0 || flags&frameFlagDerivedRanks == 0 {
-			t.Fatalf("%s: flags %#x: not a rank-free per-entry-distance file", fx.file, flags)
+		if flags := binary.LittleEndian.Uint32(data[12:]); flags&^frameFlagBeta != layout {
+			t.Fatalf("%s: flags %#x: not a file of the layout with flags %#x", fx.file, flags, layout)
 		}
 		fresh, err := fx.build(g, beta)
 		if err != nil {
@@ -307,11 +364,11 @@ func TestV3PerEntryDistFixtures(t *testing.T) {
 			}
 			fresh, want = parts[fx.part].set, fileBytes(t, nil, parts[fx.part])
 		}
-		if !bytes.Equal(perEntryV3(t, want), data) {
-			t.Errorf("%s: perEntryV3 of a fresh build is not the committed file", fx.file)
+		if !bytes.Equal(rewrite(t, want), data) {
+			t.Errorf("%s: the test's writer of that layout does not turn a fresh build into the committed file", fx.file)
 		}
 		if len(want) >= len(data) {
-			t.Errorf("%s: %d bytes step-coded, %d as committed", fx.file, len(want), len(data))
+			t.Errorf("%s: %d bytes as written now, %d as committed", fx.file, len(want), len(data))
 		}
 		streamSet, streamPart, err := ReadSketchFile(bytes.NewReader(data))
 		if err != nil {
@@ -384,7 +441,7 @@ func hostileStepFiles(t testing.TB) (valid []byte, damaged map[string][]byte, tr
 		t.Fatalf("the seed set has %d entries, %d in node 0: pick one with padding bits and a longer first sketch", e, f.off[1])
 	}
 	stepsAt := int64(framePreambleSize + frameHdrSize - 8)
-	bitsAt := int64(framePreambleSize+frameHdrSize) + 8*int64(f.n+1) + pad8(4*e)
+	bitsAt := int64(framePreambleSize+frameHdrSize) + 8*int64(f.n+1) + 8*packedWords(e, f.width())
 	firstStepAt := bitsAt + 8*bitWords(e)
 	flip := func(b []byte, bit int64) { b[bitsAt+bit/8] ^= 1 << (bit % 8) }
 	step := func(b []byte, i int64, d float64) { le.PutUint64(b[firstStepAt+8*i:], math.Float64bits(d)) }
@@ -435,6 +492,15 @@ func TestStepCodeRejectsHostileInput(t *testing.T) {
 	if _, _, err := openFrameBytes(valid); err != nil {
 		t.Fatal(err)
 	}
+	checkHostileFiles(t, damaged, trusted)
+}
+
+// checkHostileFiles: the parser refuses every damaged file marked trusted,
+// the stream reader refuses them all — as corrupt, when only it does —
+// and the file openers refuse the trusted ones without allocating beyond
+// the bytes that arrived.
+func checkHostileFiles(t *testing.T, damaged map[string][]byte, trusted map[string]bool) {
+	t.Helper()
 	dir := t.TempDir()
 	for name, data := range damaged {
 		_, _, err := openFrameBytes(data)
@@ -548,7 +614,7 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 			e := int64(f.totalEntries())
 			// A weight an entry and three sums a step, plus the views; a merged
 			// arena also holds its own nodes, bits and steps.
-			if frame < 4*e || index < 8*e || index > 12*e+int64(f.n)*256+32*int64(len(f.step))+e/8+64 {
+			if frame < e*int64(f.width())/8 || index < 8*e || index > 12*e+int64(f.n)*256+32*int64(len(f.step))+e/8+64 {
 				t.Errorf("%s: frame %d B, index %d B for %d entries, %d nodes, %d steps", name, frame, index, e, f.n, len(f.step))
 			}
 			for v := 0; v < f.n; v++ {

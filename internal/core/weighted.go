@@ -162,7 +162,7 @@ func (a *WeightedADS) Validate() error {
 		h.offer(e.Rank)
 	}
 	if a.c.len() > 0 {
-		if a.c.node[0] != a.node || a.c.distAt(0) != 0 {
+		if a.c.nodeAt(0) != a.node || a.c.distAt(0) != 0 {
 			return fmt.Errorf("core: WeightedADS(%d) does not start with the owner at distance 0", a.node)
 		}
 	}
@@ -220,10 +220,12 @@ func weightedSetFrom(g *graph.Graph, k int, seed uint64, beta []float64, scheme 
 	o := Options{K: k, Seed: seed}
 	by := newRanker(kindWeighted, o, scheme)
 	lists := run(g, runSpec{k: k, rank: func(v int32) float64 { return by.rank(0, v, beta[v]) }})
-	f := freezeFrame(kindWeighted, o, scheme, 0, 1, 0, lists)
-	f.beta = make([]float64, len(f.node))
-	for i, v := range f.node {
-		f.beta[i] = beta[v]
+	f := freezeWhole(kindWeighted, o, scheme, 0, 1, lists)
+	f.beta = make([]float64, 0, f.totalEntries())
+	for _, l := range lists {
+		for _, e := range l {
+			f.beta = append(f.beta, beta[e.Node])
+		}
 	}
 	return &WeightedSet{frame: f}
 }

@@ -154,8 +154,8 @@ func New(g *graph.Graph, base *core.Set, opts ...Option) (*Maintainer, error) {
 	// unvalidated file can name anything.
 	for v := 0; v < m.n; v++ {
 		nodes, _ := base.Columns(int32(v))
-		for _, u := range nodes {
-			if u < 0 || int(u) >= m.n {
+		for i := 0; i < nodes.Len(); i++ {
+			if u := nodes.At(i); u < 0 || int(u) >= m.n {
 				return nil, fmt.Errorf("ingest: base sketch of node %d names node %d outside [0, %d)", v, u, m.n)
 			}
 		}
@@ -274,8 +274,9 @@ func (m *Maintainer) each(x int32, fn func(core.Entry)) {
 		return
 	}
 	nodes, dists := m.base.Columns(x)
-	dists.Runs(len(nodes), func(from, to int, d float64) bool {
-		for _, u := range nodes[from:to] {
+	dists.Runs(nodes.Len(), func(from, to int, d float64) bool {
+		for i := from; i < to; i++ {
+			u := nodes.At(i)
 			fn(core.Entry{Node: u, Dist: d, Rank: m.rank[u]})
 		}
 		return true
@@ -328,23 +329,23 @@ func (m *Maintainer) scanList(sl []core.Entry, e core.Entry) (pos, old int, ok b
 // heap offer, never a distance: a run is wholly before e, wholly after it
 // (where only an entry for e's node is looked for), or shares e's distance
 // and splits at e's node ID.
-func (m *Maintainer) scanBase(nodes []int32, dists core.StepDists, e core.Entry) (pos, old int, ok bool) {
+func (m *Maintainer) scanBase(nodes core.Nodes, dists core.StepDists, e core.Entry) (pos, old int, ok bool) {
 	pos, old, ok = -1, -1, true
-	dists.Runs(len(nodes), func(from, to int, d float64) bool {
-		run := nodes[from:to]
+	dists.Runs(nodes.Len(), func(from, to int, d float64) bool {
 		if pos < 0 && d > e.Dist {
 			pos = from
 		}
 		switch {
 		case pos >= 0:
-			for i, u := range run {
-				if u == e.Node {
-					old = from + i
+			for i := from; i < to; i++ {
+				if nodes.At(i) == e.Node {
+					old = i
 					return false
 				}
 			}
 		case d < e.Dist:
-			for _, u := range run {
+			for i := from; i < to; i++ {
+				u := nodes.At(i)
 				if u == e.Node {
 					ok = false
 					return false
@@ -352,10 +353,11 @@ func (m *Maintainer) scanBase(nodes []int32, dists core.StepDists, e core.Entry)
 				m.heap.offer(m.rank[u])
 			}
 		default: // d == e.Dist, and node IDs ascend along the run
-			for i, u := range run {
+			for i := from; i < to; i++ {
+				u := nodes.At(i)
 				if u >= e.Node {
 					ok = u > e.Node
-					pos = from + i
+					pos = i
 					return ok
 				}
 				m.heap.offer(m.rank[u])
@@ -364,7 +366,7 @@ func (m *Maintainer) scanBase(nodes []int32, dists core.StepDists, e core.Entry)
 		return true
 	})
 	if pos < 0 {
-		pos = len(nodes)
+		pos = nodes.Len()
 	}
 	return pos, old, ok
 }
@@ -465,7 +467,7 @@ func (m *Maintainer) Entries(x int32) []core.Entry {
 	size := len(sl)
 	if !ok {
 		nodes, _ := m.base.Columns(x)
-		size = len(nodes)
+		size = nodes.Len()
 	}
 	out := make([]core.Entry, 0, size+1) // room for the entry offer is about to insert
 	m.each(x, func(e core.Entry) { out = append(out, e) })

@@ -242,6 +242,34 @@ func TestRepeatedFreeze(t *testing.T) {
 	}
 }
 
+// TestFreezeAcrossIDWidths: a frozen set stores node IDs in the bits its
+// node count needs, so a stream that grows the graph one node at a time and
+// freezes after every edge re-packs the base each time the count crosses a
+// power of two — and every freeze is still byte for byte the fresh build.
+func TestFreezeAcrossIDWidths(t *testing.T) {
+	o := core.Options{K: 4, Seed: 8}
+	empty := graph.NewBuilder(0, false).Build()
+	m, err := New(empty, mustBuild(t, empty, o))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var edges []edge
+	for v := int32(1); v <= 70; v++ {
+		edges = append(edges, edge{u: v / 3, v: v}) // a ternary tree: node v arrives with edge v
+		if err := m.Insert(v/3, v); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		frozen, err := m.Freeze()
+		if err != nil {
+			t.Fatalf("Freeze at %d nodes: %v", v+1, err)
+		}
+		full := mustBuild(t, buildPrefix(int(v)+1, false, false, edges, len(edges)), o)
+		if !bytes.Equal(serialize(t, frozen), serialize(t, full)) {
+			t.Fatalf("the freeze at %d nodes differs from a full rebuild", v+1)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	g := graph.Cycle(10)
 	if _, err := New(nil, nil); err == nil {

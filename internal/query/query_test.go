@@ -149,37 +149,57 @@ func TestForEachVisitsEverything(t *testing.T) {
 	}
 }
 
+// TestForEachPropagatesError: the fifth call fails.  Every later call
+// waits until it has (a no-op fn would let the other workers drain all
+// 1000 items while the failing goroutine sits between counting its call
+// and returning the error) and then fails too, so each of the other
+// workers makes at most one call after the failure, whenever ForEach's
+// stop flag becomes visible to it.
 func TestForEachPropagatesError(t *testing.T) {
+	const workers = 4
 	boom := errors.New("boom")
+	failed := make(chan struct{})
 	var calls atomic.Int64
-	err := ForEach(context.Background(), 4, 1000, func(i int) error {
-		if calls.Add(1) == 5 {
-			return boom
+	err := ForEach(context.Background(), workers, 1000, func(i int) error {
+		switch n := calls.Add(1); {
+		case n < 5:
+			return nil
+		case n == 5:
+			close(failed)
+		default:
+			<-failed
 		}
-		return nil
+		return boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if n := calls.Load(); n >= 1000 {
+	if n := calls.Load(); n > 5+workers {
 		t.Errorf("no early stop: %d calls", n)
 	}
 }
 
+// TestForEachHonorsCancellation: the hundredth call cancels.  Every later
+// call waits until it has, so a worker that made one finds the context
+// cancelled before it claims another item.
 func TestForEachHonorsCancellation(t *testing.T) {
+	const workers = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	err := ForEach(ctx, 2, 1<<20, func(i int) error {
-		if calls.Add(1) == 100 {
+	err := ForEach(ctx, workers, 1<<20, func(i int) error {
+		switch n := calls.Add(1); {
+		case n == 100:
 			cancel()
+		case n > 100:
+			<-ctx.Done()
 		}
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if n := calls.Load(); n >= 1<<20 {
-		t.Error("no early stop on cancellation")
+	if n := calls.Load(); n > 100+workers {
+		t.Errorf("no early stop on cancellation: %d calls", n)
 	}
 	// Zero items: just reports the context state.
 	if err := ForEach(ctx, 2, 0, nil); !errors.Is(err, context.Canceled) {
