@@ -70,75 +70,11 @@ func BuildApproxSet(g *graph.Graph, k int, seed uint64, eps float64) (*ApproxSet
 		return nil, fmt.Errorf("core: epsilon must be >= 0")
 	}
 	src := rank.NewSource(seed)
-	rk := func(v int32) float64 { return src.Rank(int64(v)) }
-	n := g.NumNodes()
-	lists := make([]partialADS, n)
-	tr := g.Transpose()
-
-	type msg struct {
-		to int32
-		e  Entry
-	}
-	var inbox []msg
-	send := func(u int32, e Entry) {
-		ins, ws := tr.Neighbors(u)
-		for i, v := range ins {
-			w := 1.0
-			if ws != nil {
-				w = ws[i]
-			}
-			inbox = append(inbox, msg{to: v, e: Entry{Node: e.Node, Dist: e.Dist + w, Rank: e.Rank}})
-		}
-	}
-	h := newMaxHeap(k) // scratch, reused across insertions
-	insert := func(v int32, e Entry) bool {
-		p := &lists[v]
-		for i := range *p {
-			if (*p)[i].Node == e.Node {
-				if (*p)[i].Dist <= e.Dist*(1+eps) {
-					return false // existing entry is good enough
-				}
-				copy((*p)[i:], (*p)[i+1:])
-				*p = (*p)[:len(*p)-1]
-				break
-			}
-		}
-		// Relaxed threshold: compare against the k-th smallest rank among
-		// entries within distance a(1+ε).
-		limit := e.Dist * (1 + eps)
-		h.reset()
-		for _, x := range *p {
-			if x.Dist <= limit {
-				h.offer(x.Rank)
-			}
-		}
-		if h.size() >= k && e.Rank >= h.max() {
-			return false
-		}
-		pos := p.countBefore(e)
-		p.insertAt(pos, e)
-		return true
-	}
-
-	for v := int32(0); int(v) < n; v++ {
-		e := Entry{Node: v, Dist: 0, Rank: rk(v)}
-		lists[v] = partialADS{e}
-		send(v, e)
-	}
-	for len(inbox) > 0 {
-		batch := inbox
-		inbox = nil
-		for _, m := range batch {
-			if insert(m.to, m.e) {
-				send(m.to, m.e)
-			}
-		}
-	}
-
-	out := make([][]Entry, n)
-	for v := range lists {
-		out[v] = lists[v]
-	}
+	kern := NewOfferKernel(k)
+	spec := runSpec{k: k, rank: func(v int32) float64 { return src.Rank(int64(v)) }}
+	out := messageRounds(g, spec, func(list []Entry, e Entry) ([]Entry, bool) {
+		return kern.OfferApprox(list, e, eps)
+	})
 	return &ApproxSet{frame: freezeWhole(kindApprox, Options{K: k, Seed: seed}, 0, eps, 1, out)}, nil
 }
 
@@ -157,6 +93,7 @@ func CheckApproxSlack(g *graph.Graph, set *ApproxSet, u int32, seed uint64) floa
 		members[e.Node] = true
 	}
 	worst := 1.0
+	h := newMaxHeap(set.K())
 	for _, nd := range graph.NearestOrder(g, u) {
 		if members[nd.Node] || nd.Dist == 0 {
 			continue
@@ -164,7 +101,7 @@ func CheckApproxSlack(g *graph.Graph, set *ApproxSet, u int32, seed uint64) floa
 		r := src.Rank(int64(nd.Node))
 		// Find the smallest window within which k entries of smaller rank
 		// exist; the needed slack is that window over the true distance.
-		h := newMaxHeap(set.K())
+		h.reset()
 		justified := false
 		for _, e := range entries { // canonical order = ascending dist
 			if e.Rank < r {

@@ -411,38 +411,11 @@ func TestBuildersEmptyGraph(t *testing.T) {
 
 func graphPathForTest(n int) *graph.Graph { return graph.Path(n) }
 
-// randomSmallGraph draws a graph of at most 40 nodes that is sparse enough
-// to be disconnected about as often as not, with self-loops and duplicate
-// edges, and — when weighted — edge lengths from {1,2,3}, so that many
-// distinct paths have exactly equal length.
-func randomSmallGraph(rng *rand.Rand) *graph.Graph {
-	n := 1 + rng.Intn(40)
-	weighted := rng.Intn(2) == 0
-	b := graph.NewBuilder(n, rng.Intn(2) == 0)
-	var u, v int32
-	for i, m := 0, rng.Intn(3*n); i < m; i++ {
-		switch rng.Intn(8) {
-		case 0: // self-loop
-			u = int32(rng.Intn(n))
-			v = u
-		case 1: // duplicate of the previous edge (a new length if weighted)
-		default:
-			u, v = int32(rng.Intn(n)), int32(rng.Intn(n))
-		}
-		if weighted {
-			b.AddWeightedEdge(u, v, float64(1+rng.Intn(3)))
-		} else {
-			b.AddEdge(u, v)
-		}
-	}
-	return b.Build()
-}
-
-// TestPrunedDijkstraDifferential is the Algorithm 1 slice of the
-// construction oracle: on random small graphs, every way of running the
-// pruned kernel must serialize to the bytes of the definitional
-// brute-force build, across flavors, k, rank ties (base-b) and both
-// Section 9 weighted schemes.
+// TestPrunedDijkstraDifferential is the Algorithm 1 and Algorithm 2 slice
+// of the construction oracle: on random small graphs, every way of running
+// the pruned kernel, and LocalUpdates over the offer kernel, must serialize
+// to the bytes of the definitional brute-force build, across flavors, k,
+// rank ties (base-b) and both Section 9 weighted schemes.
 func TestPrunedDijkstraDifferential(t *testing.T) {
 	graphs := 300
 	if testing.Short() {
@@ -463,6 +436,7 @@ func TestPrunedDijkstraDifferential(t *testing.T) {
 		{"parallel/workers=1/batch=7", parallel(7, 1)},
 		{"parallel/workers=3/batch=1", parallel(1, 3)},
 		{"parallel/workers=3/batch=7", parallel(7, 3)},
+		{"localUpdates", localUpdatesRun},
 	}
 	v3 := func(s AnySet) []byte {
 		var buf bytes.Buffer
@@ -473,7 +447,7 @@ func TestPrunedDijkstraDifferential(t *testing.T) {
 	}
 	for seed := 0; seed < graphs; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		g := randomSmallGraph(rng)
+		g := graph.RandomSmall(rng)
 		n := g.NumNodes()
 		beta := make([]float64, n)
 		for v := range beta {

@@ -2,10 +2,11 @@ package distbuild
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"adsketch/internal/cluster"
 	"adsketch/internal/core"
@@ -38,9 +39,9 @@ type Worker struct {
 
 	in    [][]arc        // in-arcs of owned nodes, local index
 	lists [][]core.Entry // entry lists of owned nodes, local index
-	betas [][]float64    // per-entry node weights, parallel to lists (weighted only)
+	betas [][]float64    // per-entry node weights, parallel to lists (nil columns unless weighted)
 
-	h      kheap
+	kern   core.OfferKernel
 	inited bool
 	frozen bool
 	stats  Stats
@@ -68,7 +69,7 @@ func NewWorker(spec WorkerSpec) (*Worker, error) {
 		hi:     r.Hi,
 		router: router,
 		src:    rank.NewSource(spec.Seed),
-		h:      kheap{k: spec.K, v: make([]float64, 0, spec.K)},
+		kern:   core.NewOfferKernel(spec.K),
 	}, nil
 }
 
@@ -159,26 +160,20 @@ func (w *Worker) Init(ctx context.Context) ([][]Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	for x := range w.in {
-		a := w.in[x]
-		sort.Slice(a, func(i, j int) bool {
-			if a[i].From != a[j].From {
-				return a[i].From < a[j].From
-			}
-			return a[i].W < a[j].W
+	for _, a := range w.in {
+		slices.SortFunc(a, func(x, y arc) int {
+			return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.W, y.W))
 		})
 	}
 
 	w.lists = make([][]core.Entry, local)
-	if w.kind == KindWeighted {
-		w.betas = make([][]float64, local)
-	}
+	w.betas = make([][]float64, local)
 	outs := make([][]Candidate, w.spec.Parts)
 	for v := w.lo; v < w.hi; v++ {
 		li := int(v - w.lo)
 		rk := w.rankOf(v)
 		w.lists[li] = []core.Entry{{Node: v, Dist: 0, Rank: rk}}
-		if w.betas != nil {
+		if w.kind == KindWeighted {
 			w.betas[li] = []float64{w.spec.Beta[li]}
 		}
 		for i, a := range w.in[li] {
@@ -219,17 +214,16 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 		w.stats.MaxInbox = len(inbox)
 	}
 	if w.kind == KindApprox {
-		sort.Slice(inbox, func(i, j int) bool { return keyLess(inbox[i].Key, inbox[j].Key) })
+		slices.SortFunc(inbox, func(a, b Candidate) int { return slices.Compare(a.Key, b.Key) })
 	} else {
-		sort.Slice(inbox, func(i, j int) bool {
-			a, b := &inbox[i], &inbox[j]
-			if a.Dist != b.Dist {
-				return a.Dist < b.Dist
+		slices.SortFunc(inbox, func(a, b Candidate) int {
+			switch {
+			case a.Dist != b.Dist:
+				return cmp.Compare(a.Dist, b.Dist)
+			case a.Target != b.Target:
+				return cmp.Compare(a.Target, b.Target)
 			}
-			if a.Target != b.Target {
-				return a.Target < b.Target
-			}
-			return a.Node < b.Node
+			return cmp.Compare(a.Node, b.Node)
 		})
 	}
 	outs := make([][]Candidate, w.spec.Parts)
@@ -242,11 +236,16 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 		w.stats.Offers++
 		li := int(c.Target - w.lo)
 		e := core.Entry{Node: c.Node, Dist: c.Dist, Rank: c.Rank}
+		// The build kind's rule, both core.OfferKernel's: the relaxed (1+ε)
+		// acceptance, or the exact insert-and-clean-up with c.Beta carried
+		// into the parallel weight column of a weighted build.
 		var ok bool
 		if w.kind == KindApprox {
-			ok = w.insertApprox(li, e)
+			w.lists[li], ok = w.kern.OfferApprox(w.lists[li], e, w.spec.Eps)
 		} else {
-			ok = w.offer(li, e, c.Beta)
+			var evicted int
+			w.lists[li], w.betas[li], evicted, ok = w.kern.Offer(w.lists[li], w.betas[li], e, c.Beta)
+			w.stats.Evictions += int64(evicted)
 		}
 		if !ok {
 			continue
@@ -268,150 +267,6 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 		}
 	}
 	return outs, nil
-}
-
-// keyLess is the lexicographic order of lineage keys.  All keys of one
-// round have equal length; the length tiebreak only matters for
-// malformed mixed input and keeps the order total.
-func keyLess(a, b []uint64) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-// before is the canonical (distance, node ID) order of core.
-func before(a, b core.Entry) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	return a.Node < b.Node
-}
-
-// offer tests candidate e against owned list li with the exact bottom-k
-// win rules — the same single-scan insert/evict the incremental
-// maintainer (ingest.Maintainer.offer) proved bit-compatible with the
-// static builders.  beta is e's node weight, carried into the parallel
-// weight column on acceptance.
-func (w *Worker) offer(li int, e core.Entry, beta float64) bool {
-	lst := w.lists[li]
-	k := w.spec.K
-	pos, old := -1, -1
-	h := &w.h
-	h.reset()
-	for i := 0; i < len(lst); i++ {
-		ent := lst[i]
-		if ent.Node == e.Node {
-			if ent.Dist <= e.Dist {
-				return false // no improvement
-			}
-			old = i
-		}
-		if pos < 0 {
-			if before(ent, e) {
-				h.offer(ent.Rank)
-			} else {
-				pos = i
-			}
-		}
-		if pos >= 0 && old >= 0 {
-			break
-		}
-	}
-	if pos < 0 {
-		pos = len(lst)
-	}
-	if h.size() >= k && e.Rank >= h.max() {
-		return false // fails inclusion; fails everywhere upstream too
-	}
-	weighted := w.betas != nil
-	var bl []float64
-	if weighted {
-		bl = w.betas[li]
-	}
-	// An existing entry for the same node sits at or after the insertion
-	// position (its distance is larger), so deleting it never shifts pos.
-	if old >= 0 {
-		lst = append(lst[:old], lst[old+1:]...)
-		if weighted {
-			bl = append(bl[:old], bl[old+1:]...)
-		}
-	}
-	lst = append(lst, core.Entry{})
-	copy(lst[pos+1:], lst[pos:])
-	lst[pos] = e
-	if weighted {
-		bl = append(bl, 0)
-		copy(bl[pos+1:], bl[pos:])
-		bl[pos] = beta
-	}
-	// Re-filter the suffix: drop entries whose rank no longer beats the
-	// k-th smallest preceding rank.
-	h.offer(e.Rank)
-	out := lst[:pos+1]
-	var bout []float64
-	if weighted {
-		bout = bl[:pos+1]
-	}
-	for i := pos + 1; i < len(lst); i++ {
-		ent := lst[i]
-		if h.size() >= k && ent.Rank >= h.max() {
-			w.stats.Evictions++
-			continue
-		}
-		h.offer(ent.Rank)
-		out = append(out, ent)
-		if weighted {
-			bout = append(bout, bl[i])
-		}
-	}
-	w.lists[li] = out
-	if weighted {
-		w.betas[li] = bout
-	}
-	return true
-}
-
-// insertApprox tests candidate e against owned list li with the relaxed
-// (1+ε) acceptance rule, replicating core.BuildApproxSet's insert
-// exactly: an existing entry within slack rejects, the inclusion
-// threshold counts only entries within distance e.Dist·(1+ε), and an
-// acceptance never evicts other nodes' entries.
-func (w *Worker) insertApprox(li int, e core.Entry) bool {
-	p := &w.lists[li]
-	eps := w.spec.Eps
-	for i := range *p {
-		if (*p)[i].Node == e.Node {
-			if (*p)[i].Dist <= e.Dist*(1+eps) {
-				return false // existing entry is good enough
-			}
-			copy((*p)[i:], (*p)[i+1:])
-			*p = (*p)[:len(*p)-1]
-			break
-		}
-	}
-	limit := e.Dist * (1 + eps)
-	h := &w.h
-	h.reset()
-	for _, x := range *p {
-		if x.Dist <= limit {
-			h.offer(x.Rank)
-		}
-	}
-	if h.size() >= w.spec.K && e.Rank >= h.max() {
-		return false
-	}
-	pos := sort.Search(len(*p), func(i int) bool { return !before((*p)[i], e) })
-	*p = append(*p, core.Entry{})
-	copy((*p)[pos+1:], (*p)[pos:])
-	(*p)[pos] = e
-	return true
 }
 
 // Freeze assembles the owned lists into a v3 partition file and returns
@@ -451,51 +306,4 @@ func (w *Worker) Freeze(ctx context.Context) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// kheap keeps the k smallest ranks offered, exposing their maximum —
-// the same structure core's builders and ingest's maintainer prune by.
-type kheap struct {
-	k int
-	v []float64
-}
-
-func (h *kheap) reset()       { h.v = h.v[:0] }
-func (h *kheap) size() int    { return len(h.v) }
-func (h *kheap) max() float64 { return h.v[0] }
-
-func (h *kheap) offer(x float64) {
-	if len(h.v) < h.k {
-		h.v = append(h.v, x)
-		i := len(h.v) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if h.v[p] >= h.v[i] {
-				break
-			}
-			h.v[p], h.v[i] = h.v[i], h.v[p]
-			i = p
-		}
-		return
-	}
-	if x >= h.v[0] {
-		return
-	}
-	h.v[0] = x
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h.v) && h.v[l] > h.v[big] {
-			big = l
-		}
-		if r < len(h.v) && h.v[r] > h.v[big] {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h.v[i], h.v[big] = h.v[big], h.v[i]
-		i = big
-	}
 }

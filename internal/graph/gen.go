@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/rand"
 
 	"adsketch/internal/rank"
 )
@@ -265,5 +266,32 @@ func WithRandomWeights(g *Graph, lo, hi float64, seed uint64) *Graph {
 		w := lo + (hi-lo)*src.Rank(key)
 		b.AddWeightedEdge(u, v, w)
 	})
+	return b.Build()
+}
+
+// RandomSmall draws the construction oracle's test graph: at most 40 nodes,
+// directed or not, sparse enough to be disconnected about as often as not,
+// with self-loops and duplicate edges, and — when weighted — edge lengths
+// from {1,2,3}, so that many distinct paths have exactly equal length.
+func RandomSmall(rng *rand.Rand) *Graph {
+	n := 1 + rng.Intn(40)
+	weighted := rng.Intn(2) == 0
+	b := NewBuilder(n, rng.Intn(2) == 0)
+	var u, v int32
+	for i, m := 0, rng.Intn(3*n); i < m; i++ {
+		switch rng.Intn(8) {
+		case 0: // self-loop
+			u = int32(rng.Intn(n))
+			v = u
+		case 1: // duplicate of the previous edge (a new length if weighted)
+		default:
+			u, v = int32(rng.Intn(n)), int32(rng.Intn(n))
+		}
+		if weighted {
+			b.AddWeightedEdge(u, v, float64(1+rng.Intn(3)))
+		} else {
+			b.AddEdge(u, v)
+		}
+	}
 	return b.Build()
 }

@@ -4,8 +4,11 @@
 // (node, dist, rank) candidate.  The Maintainer keeps a frozen base set
 // (built by core.BuildSet or a previous Freeze) plus a per-node overlay of
 // updated entry lists, and propagates candidates along reverse edges with
-// the same bottom-k win rules the static builders use — so a Freeze is
+// the bottom-k win rule of Algorithm 2 (core.OfferKernel, the copy
+// LocalUpdates and the distributed build call too) — so a Freeze is
 // bit-for-bit the set a full rebuild of the final graph would produce.
+// The package's own part of the rule is scanBase, which feeds the kernel
+// from a frozen base's packed columns without materializing them.
 //
 // # Candidate propagation
 //
@@ -77,7 +80,7 @@ type Maintainer struct {
 	overlay map[int32][]core.Entry
 
 	queue []candidate
-	heap  kheap
+	kern  core.OfferKernel
 
 	edges     int64
 	offers    int64
@@ -134,7 +137,7 @@ func New(g *graph.Graph, base *core.Set, opts ...Option) (*Maintainer, error) {
 		rank:     make([]float64, g.NumNodes()),
 		base:     base,
 		overlay:  make(map[int32][]core.Entry),
-		heap:     kheap{k: o.K, v: make([]float64, 0, o.K)},
+		kern:     core.NewOfferKernel(o.K),
 	}
 	for _, opt := range opts {
 		if opt == nil {
@@ -283,53 +286,13 @@ func (m *Maintainer) each(x int32, fn func(core.Entry)) {
 	})
 }
 
-// before is the canonical (distance, node ID) order of core.
-func before(a, b core.Entry) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	return a.Node < b.Node
-}
-
-// scanList is the first half of offer over an overlay list: one scan finds
-// the canonical insertion position of e, offers m.heap the ranks of the
-// entries preceding it (the k smallest are the inclusion threshold of
-// Lemma 5.1), and finds an existing entry for the same node, -1 when
-// there is none.  Such an entry can only sit at or after the insertion
-// position: were it before, its distance would be smaller and the
-// candidate no improvement, which is reported as ok = false.
-func (m *Maintainer) scanList(sl []core.Entry, e core.Entry) (pos, old int, ok bool) {
-	pos, old = -1, -1
-	for i, ent := range sl {
-		if ent.Node == e.Node {
-			if ent.Dist <= e.Dist {
-				return 0, 0, false
-			}
-			old = i
-		}
-		if pos < 0 {
-			if before(ent, e) {
-				m.heap.offer(ent.Rank)
-			} else {
-				pos = i
-			}
-		}
-		if pos >= 0 && old >= 0 {
-			break
-		}
-	}
-	if pos < 0 {
-		pos = len(sl)
-	}
-	return pos, old, true
-}
-
-// scanBase is scanList over a base node's columns, walked by runs of equal
-// distance, so that an entry costs a node comparison and — before e — a
-// heap offer, never a distance: a run is wholly before e, wholly after it
-// (where only an entry for e's node is looked for), or shares e's distance
-// and splits at e's node ID.
+// scanBase is the kernel's Scan over a base node's columns, walked by runs
+// of equal distance, so that an entry costs a node comparison and — before
+// e — a witnessed rank, never a distance: a run is wholly before e, wholly
+// after it (where only an entry for e's node is looked for), or shares e's
+// distance and splits at e's node ID.
 func (m *Maintainer) scanBase(nodes core.Nodes, dists core.StepDists, e core.Entry) (pos, old int, ok bool) {
+	m.kern.Reset()
 	pos, old, ok = -1, -1, true
 	dists.Runs(nodes.Len(), func(from, to int, d float64) bool {
 		if pos < 0 && d > e.Dist {
@@ -350,7 +313,7 @@ func (m *Maintainer) scanBase(nodes core.Nodes, dists core.StepDists, e core.Ent
 					ok = false
 					return false
 				}
-				m.heap.offer(m.rank[u])
+				m.kern.Witness(m.rank[u])
 			}
 		default: // d == e.Dist, and node IDs ascend along the run
 			for i := from; i < to; i++ {
@@ -360,7 +323,7 @@ func (m *Maintainer) scanBase(nodes core.Nodes, dists core.StepDists, e core.Ent
 					pos = i
 					return ok
 				}
-				m.heap.offer(m.rank[u])
+				m.kern.Witness(m.rank[u])
 			}
 		}
 		return true
@@ -368,58 +331,34 @@ func (m *Maintainer) scanBase(nodes core.Nodes, dists core.StepDists, e core.Ent
 	if pos < 0 {
 		pos = nodes.Len()
 	}
-	return pos, old, ok
+	return pos, old, ok && m.kern.Admits(e.Rank)
 }
 
-// offer tests candidate e against node x's sketch, applying it (insert,
-// possibly replacing a worse entry for the same node, possibly evicting
-// later entries whose ranks stop winning) when it wins.  It reports
-// whether the sketch changed.
+// offer tests candidate e against node x's sketch with the kernel's rule,
+// applying it (insert, possibly replacing a worse entry for the same node,
+// possibly evicting later entries whose ranks stop winning) when it wins.
+// It reports whether the sketch changed; a rejected candidate — no
+// improvement, or k smaller ranks before it — fails everywhere upstream too.
 func (m *Maintainer) offer(x int32, e core.Entry) bool {
-	k := m.opts.K
-	h := &m.heap
-	h.reset()
-	sl, inOverlay := m.overlay[x]
+	lst, inOverlay := m.overlay[x]
 	var pos, old int
 	var ok bool
 	if inOverlay {
-		pos, old, ok = m.scanList(sl, e)
+		pos, old, ok = m.kern.Scan(lst, e)
 	} else {
 		nodes, dists := m.base.Columns(x)
 		pos, old, ok = m.scanBase(nodes, dists, e)
 	}
 	if !ok {
-		return false // no improvement
-	}
-	if h.size() >= k && e.Rank >= h.max() {
-		return false // fails inclusion; fails everywhere upstream too
+		return false
 	}
 	// Accepted: materialize the node in the overlay and apply the change.
-	lst := sl
 	if !inOverlay {
 		lst = m.Entries(x)
 	}
-	if old >= 0 {
-		lst = append(lst[:old], lst[old+1:]...)
-	}
-	lst = append(lst, core.Entry{})
-	copy(lst[pos+1:], lst[pos:])
-	lst[pos] = e
-	// Re-filter the suffix: continue the threshold scan past the insertion,
-	// dropping entries whose rank no longer beats the k-th smallest
-	// preceding rank.
-	h.offer(e.Rank)
-	out := lst[:pos+1]
-	for i := pos + 1; i < len(lst); i++ {
-		ent := lst[i]
-		if h.size() >= k && ent.Rank >= h.max() {
-			m.evictions++
-			continue
-		}
-		h.offer(ent.Rank)
-		out = append(out, ent)
-	}
-	m.overlay[x] = out
+	lst, _, evicted := m.kern.Apply(lst, nil, pos, old, e, 0)
+	m.overlay[x] = lst
+	m.evictions += int64(evicted)
 	return true
 }
 
@@ -525,51 +464,4 @@ func (m *Maintainer) Stats() Stats {
 		st.OverlayEntries += len(sl)
 	}
 	return st
-}
-
-// kheap keeps the k smallest ranks offered, exposing their maximum — the
-// same structure core's builders prune by.
-type kheap struct {
-	k int
-	v []float64
-}
-
-func (h *kheap) reset()       { h.v = h.v[:0] }
-func (h *kheap) size() int    { return len(h.v) }
-func (h *kheap) max() float64 { return h.v[0] }
-
-func (h *kheap) offer(x float64) {
-	if len(h.v) < h.k {
-		h.v = append(h.v, x)
-		i := len(h.v) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if h.v[p] >= h.v[i] {
-				break
-			}
-			h.v[p], h.v[i] = h.v[i], h.v[p]
-			i = p
-		}
-		return
-	}
-	if x >= h.v[0] {
-		return
-	}
-	h.v[0] = x
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h.v) && h.v[l] > h.v[big] {
-			big = l
-		}
-		if r < len(h.v) && h.v[r] > h.v[big] {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h.v[i], h.v[big] = h.v[big], h.v[i]
-		i = big
-	}
 }

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -207,6 +208,51 @@ func TestParityOrderIndependence(t *testing.T) {
 	}
 	if !bytes.Equal(forward, freezeWith(rev)) {
 		t.Fatal("frozen sets differ between forward and reversed edge order")
+	}
+}
+
+// TestParityDifferentialReplay is the ingest slice of the construction
+// oracle (core's TestPrunedDijkstraDifferential): on the same random small
+// graphs — directed or not, tied lengths, disconnected, self-loops,
+// duplicate edges — replaying the edges in a seeded random order onto the
+// edgeless node set, with a freeze halfway so that offers scan both overlay
+// lists and a frozen base's columns, ends at the bytes of a full build.
+func TestParityDifferentialReplay(t *testing.T) {
+	graphs := 300
+	if testing.Short() {
+		graphs = 40
+	}
+	for seed := 0; seed < graphs; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		g := graph.RandomSmall(rng)
+		edges := edgesOf(g)
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		edgeless := graph.NewBuilder(g.NumNodes(), g.Directed()).Build()
+		for _, k := range []int{1, 2, 5} {
+			o := core.Options{K: k, Seed: uint64(seed)}
+			m, err := New(edgeless, mustBuild(t, edgeless, o))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			for i, e := range edges {
+				if err := m.InsertWeighted(e.u, e.v, e.w); err != nil {
+					t.Fatalf("graph seed %d: insert %d: %v", seed, i, err)
+				}
+				if i == len(edges)/2 {
+					if _, err := m.Freeze(); err != nil {
+						t.Fatalf("graph seed %d: Freeze at edge %d: %v", seed, i, err)
+					}
+				}
+			}
+			frozen, err := m.Freeze()
+			if err != nil {
+				t.Fatalf("graph seed %d: Freeze: %v", seed, err)
+			}
+			if !bytes.Equal(serialize(t, frozen), serialize(t, mustBuild(t, g, o))) {
+				t.Fatalf("graph seed %d (n=%d arcs=%d directed=%v weighted=%v) k=%d: replay differs from a full build",
+					seed, g.NumNodes(), g.NumArcs(), g.Directed(), g.Weighted(), k)
+			}
+		}
 	}
 }
 
