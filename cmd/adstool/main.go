@@ -483,15 +483,21 @@ func runInfo(args []string) error {
 		fmt.Printf("bytes/node      %.1f\n", float64(st.Size())/float64(nodes))
 	}
 	// The set as it is held, which is how convert would write it: a file
-	// from before distances were step-coded or node IDs packed differs from
-	// that on disk, and is listed both ways.
+	// from before distances were step-coded, node IDs packed or the offsets
+	// and steps made compact differs from that on disk, and is listed both
+	// ways.
 	var held int64
 	cols := sf.ColumnBytes()
 	for _, c := range cols {
 		held += c.Bytes
-		if c.Name == "steps" && nodes > 0 {
-			fmt.Printf("distances       steps (%.1f/node)\n", float64(c.Bytes/8)/float64(nodes))
+	}
+	fmt.Printf("offsets         packed (%d bits)\n", sf.OffsetBits())
+	if steps, distinct := sf.DistanceSteps(); nodes > 0 {
+		over := ""
+		if distinct > 0 {
+			over = fmt.Sprintf(" over %d values", distinct)
 		}
+		fmt.Printf("distances       steps (%.1f/node)%s\n", float64(steps)/float64(nodes), over)
 	}
 	fmt.Printf("node IDs        packed (%d bits/entry)\n", sf.NodeBits())
 	if stored := sf.StoredColumnBytes(); stored != nil {

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"unsafe"
 )
 
@@ -131,5 +132,58 @@ func packedColumnRaw(w io.Writer, words []uint64, shift uint) error {
 		out[i] = x >> shift
 	}
 	_, err := w.Write(u64Bytes(out)) // want `raw column write u64Bytes without a byte-order guard`
+	return err
+}
+
+// packedOffsets is the shape of the packed offsets column: a partition's
+// window on its parent's offsets rebased to 0 and packed again at the
+// width its own entry count needs — words assembled for the write, and so
+// through the guard like the frame's own.
+func packedOffsets(w io.Writer, offs []uint64, base uint64, width uint) error {
+	out := make([]uint64, (uint(len(offs))*width+63)/64)
+	for i, o := range offs {
+		bit := uint(i) * width
+		out[bit/64] |= (o - base) << (bit % 64)
+		if bit%64+width > 64 {
+			out[bit/64+1] |= (o - base) >> (64 - bit%64)
+		}
+	}
+	return guardedColumn(w, out)
+}
+
+// f64Bytes is the raw byte view of a float column.
+func f64Bytes(v []float64) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
+}
+
+// codedSteps is the shape of the dictionary-coded step column: the packed
+// codes, then the dictionary of distances they index.  Both are columns of
+// words; the dictionary's raw view stays inside the little-endian branch.
+func codedSteps(w io.Writer, codes []uint64, dict []float64) error {
+	if err := guardedColumn(w, codes); err != nil {
+		return err
+	}
+	if hostLittleEndian {
+		_, err := w.Write(f64Bytes(dict))
+		return err
+	}
+	buf := make([]byte, 8*len(dict))
+	for i, d := range dict {
+		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(d))
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// codedStepsRaw takes the dictionary for too small to matter: six floats
+// in host order are six floats a big-endian host writes backwards.
+func codedStepsRaw(w io.Writer, codes []uint64, dict []float64) error {
+	if err := guardedColumn(w, codes); err != nil {
+		return err
+	}
+	_, err := w.Write(f64Bytes(dict)) // want `raw column write f64Bytes without a byte-order guard`
 	return err
 }

@@ -16,8 +16,9 @@
 //     shift every later field into the wrong slot;
 //   - raw column writes without a byte-order guard: a call to one of the
 //     package's raw byte views of a typed slice (a function built on
-//     unsafe.Slice((*byte)(unsafe.Pointer(..)), ..) — i64Bytes, f64Bytes,
-//     u64Bytes for the step-bit words and the bit-packed node IDs)
+//     unsafe.Slice((*byte)(unsafe.Pointer(..)), ..) — f64Bytes for the
+//     dictionary of distances, the raw steps and β, u64Bytes for the
+//     step-bit words and the bit-packed node IDs, offsets and step codes)
 //     outside the then-branch of an `if` on the little-endian host
 //     probe.  Memory is the wire's bytes only on a little-endian host;
 //     every column — the words of a bit vector or of a packed column

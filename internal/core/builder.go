@@ -129,7 +129,8 @@ func (s *Set) BottomK(v int32) *ADS { return s.frame.viewSketch(int(v)).(*ADS) }
 func (s *Set) Columns(v int32) (nodes Nodes, dists StepDists) {
 	f := s.frame
 	lo, hi := f.span(int(v))
-	return f.node.view(lo, hi), StepDists{first: f.first, lo: lo, steps: f.step[f.rank1(lo):f.rank1(hi)]}
+	slo := f.rank1(lo)
+	return f.node.view(lo, hi), StepDists{first: f.first, lo: lo, col: &f.steps, slo: slo, n: int(f.rank1(hi) - slo)}
 }
 
 // Index returns local node v's columnar HIP query index, sharing the

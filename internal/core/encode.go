@@ -218,8 +218,8 @@ func (d *setDecoder) header(fields ...any) error {
 // frameAccum accumulates decoded entries directly into growing frame
 // columns, so the v2 decode path builds the columnar frame without an
 // intermediate per-node entry slice.  closeSeg records a segment
-// boundary; frame seals the result, which is where the plain node and
-// distance columns the body is decoded into are packed and step-coded.
+// boundary; frame seals the result, which is where the plain offset, node
+// and distance columns the body is decoded into are packed and step-coded.
 //
 // The format stores a rank per entry.  A uniform body records the seed
 // that derives it, so the decoded rank is checked against by and dropped;
@@ -252,7 +252,7 @@ func (a *frameAccum) frame(kind uint32, opts Options, scheme WeightScheme, eps f
 	f := &Frame{
 		kind: kind, opts: opts, scheme: scheme, eps: eps,
 		segs: segs, n: (len(a.off) - 1) / segs, base: base, total: total,
-		off: a.off, beta: a.beta,
+		beta: a.beta,
 	}
 	if total == wholeSet {
 		f.total = f.n
@@ -261,7 +261,10 @@ func (a *frameAccum) frame(kind uint32, opts Options, scheme WeightScheme, eps f
 	if f.node, err = packColumn(a.node, f.total); err != nil {
 		return nil, fmt.Errorf("core: corrupt sketch file: %w", err)
 	}
-	f.setSteps(stepCode(a.off, a.dist))
+	if f.off, err = packOffsets(a.off, int64(len(a.node))); err != nil {
+		return nil, fmt.Errorf("core: corrupt sketch file: %w", err)
+	}
+	f.setSteps(stepCode(&f.off, int64(len(a.off)-1), a.dist))
 	if a.by != nil {
 		f.by = *a.by
 	} else {

@@ -56,7 +56,7 @@ func TestEncodeDetectsCorruption(t *testing.T) {
 		data      []byte
 		firstNode int // where the first entry of the first sketch — its owner — is named
 	}{
-		"v3": {v3Bytes(t, set), framePreambleSize + frameHdrSize + 8*(20+1)},
+		"v3": {v3Bytes(t, set), int(splitV3(t, v3Bytes(t, set)).nodesAt)},
 		"v2": {v2Fixtures[0].read(t), 12 + 28 + 4}, // prefix, uniform header, entry count
 	} {
 		data := tc.data

@@ -28,18 +28,22 @@ import (
 // A frame holds, per entry, a node ID in the ⌈log₂ total⌉ bits an ID of
 // its set needs (nodepack.go: 14 bits at ten thousand nodes, bit-packed
 // back to back), one bit of distance step code (stepcode.go) and — for
-// weighted sets — β; per distinct distance of a segment, one float; and
-// no ranks.  Distances are a staircase in canonical order, so they are
-// stored as its steps: entry i's distance is step[number of set bits of
-// first up to and including i, less one].  A rank is a pure function of
+// weighted sets — β; per distinct distance of a segment, one step: a code
+// of a few bits into the frame's dictionary of distances where they are
+// few, a float where they are not; per segment, an offset in the bits an
+// entry position needs; and no ranks.  No integer column is wider than
+// the frame's own counts make it (nodepack.go).  Distances are a
+// staircase in canonical order, so they are stored as its steps: entry
+// i's distance is that of step number [set bits of first up to and
+// including i, less one].  A rank is a pure function of
 // the seed and the node (and of β, which travels with the entry), so it
 // is derived when asked for.  The one exception is a frame opened from a
 // file written before ranks were derived, which may not even record its
 // seed: its stored rank column is viewed in place and used instead.
 // rank != nil is the only predicate.  There is no such exception for
-// distances or nodes: a file that stores a distance per entry is
-// step-coded, and one that stores 32 bits an ID is packed, when it is
-// opened.
+// distances, nodes or offsets: a file that stores a distance per entry is
+// step-coded, and one that stores 32 bits an ID, 64 bits an offset or a
+// float per step is packed, when it is opened.
 
 // ranker derives the rank of an entry from what its frame records: the
 // seed, the flavor and base of a uniform set, the scheme of a weighted
@@ -263,11 +267,13 @@ func colsFromEntries(entries []Entry) cols {
 // Frame is the frozen columnar storage of one sketch set: segs segments
 // per node (1 for bottom-k/weighted/approximate, k for the per-permutation
 // and per-bucket lists of k-mins and k-partition), described by an offsets
-// array over shared entry columns.  Offsets are absolute positions into
+// column over shared entry columns.  Offsets are absolute positions into
 // the columns (entry p's ID is bits [p·w, (p+1)·w) of node, its step bit
 // is bit p of first), so slicing a frame to a node range (partitioning) is
-// a re-slice of offsets — no entry moves — and the steps of the entries
-// from position p on start at step[rank1(p)].  base is the global ID of
+// a window on the offsets — off0 moves, no entry does — and the steps of
+// the entries from position p on start at step rank1(p).  A slice also
+// shares its parent's step column, dictionary and all; only a written
+// partition carries the dictionary of its own steps.  base is the global ID of
 // local node 0 (non-zero for partition frames) and total the node count
 // of the whole set the frame is (a range of): what its entries' IDs are
 // below, and so what fixes their width.
@@ -280,14 +286,15 @@ type Frame struct {
 	n      int
 	base   int32
 	total  int
-	off    []int64    // len n*segs+1, absolute entry positions
-	node   nodeColumn // nodeWidth(total) bits per entry, packed
-	first  []uint64   // one bit per entry: set where a distance step starts
-	samp   []int64    // sampled popcounts of first, for rank1
-	step   []float64  // one distance per set bit of first
-	beta   []float64  // weighted sets: β per entry, parallel to node
-	by     ranker     // derives the ranks
-	rank   []float64  // non-nil only for a file written before ranks were derived: its stored ranks, used instead of by
+	off    packedColumn // absolute entry positions, offsetWidth(the column's last) bits each, packed
+	off0   int64        // position in off of local node 0's first offset; n*segs+1 of them are the frame's
+	node   packedColumn // nodeWidth(total) bits per entry, packed
+	first  []uint64     // one bit per entry: set where a distance step starts
+	samp   []int64      // sampled popcounts of first, for rank1
+	steps  stepColumn   // one distance per set bit of first
+	beta   []float64    // weighted sets: β per entry, parallel to node
+	by     ranker       // derives the ranks
+	rank   []float64    // non-nil only for a file written before ranks were derived: its stored ranks, used instead of by
 
 	hipOnce sync.Once
 	hip     atomic.Pointer[hipArena] // set once, by hipOnce
@@ -312,8 +319,8 @@ func freezeFrame(kind uint32, opts Options, scheme WeightScheme, eps float64, se
 	f := &Frame{
 		kind: kind, opts: opts, scheme: scheme, eps: eps,
 		segs: segs, n: len(lists) / segs, base: base, total: total,
-		off:  make([]int64, len(lists)+1),
-		node: makeNodeColumn(int64(entries), nodeWidth(total)),
+		off:  makePackedColumn(int64(len(lists)+1), offsetWidth(int64(entries))),
+		node: makePackedColumn(int64(entries), nodeWidth(total)),
 		by:   newRanker(kind, opts, scheme),
 	}
 	// One pass over the entries packs the nodes and marks and counts the
@@ -323,9 +330,9 @@ func freezeFrame(kind uint32, opts Options, scheme WeightScheme, eps float64, se
 	first, steps := make([]uint64, bitWords(int64(entries))), 0
 	pos := int64(0)
 	for i, l := range lists {
-		f.off[i] = pos
+		f.off.put(int64(i), uint64(pos))
 		for j, e := range l {
-			f.node.put(pos, e.Node)
+			f.node.put(pos, nodeBits(e.Node))
 			if j == 0 || e.Dist != l[j-1].Dist {
 				setBit(first, pos)
 				steps++
@@ -333,35 +340,83 @@ func freezeFrame(kind uint32, opts Options, scheme WeightScheme, eps float64, se
 			pos++
 		}
 	}
-	f.off[len(lists)] = pos
+	f.off.put(int64(len(lists)), uint64(pos))
 	step := make([]float64, 0, steps)
-	for i, l := range lists {
-		marks := StepDists{first: first, lo: f.off[i]}
+	pos = 0
+	for _, l := range lists {
+		marks := StepDists{first: first, lo: pos}
 		for j := 0; j < len(l); j = marks.runEnd(j, len(l)) {
 			step = append(step, l[j].Dist)
 		}
+		pos += int64(len(l))
 	}
 	f.setSteps(first, step)
 	return f
 }
 
-// setSteps installs the frame's step code and indexes it for rank1; it
-// returns the number of set bits of first.
-func (f *Frame) setSteps(first []uint64, step []float64) (marked int64) {
-	f.first, f.step = first, step
-	f.samp, marked = sampleRanks(first)
-	return marked
+// setSteps installs the frame's step code — the bits, and the canonical
+// column of the steps step (makeStepColumn) — and indexes the bits for
+// rank1.
+func (f *Frame) setSteps(first []uint64, step []float64) {
+	f.first, f.steps = first, makeStepColumn(step)
+	f.samp, _ = sampleRanks(first)
 }
 
-// stepRange returns the range of step that the frame's own entries use.
+// ownSteps returns the frame's steps as a column of their own: the
+// frame's, when its node range uses all of it, and otherwise — a slice of
+// a larger frame, whose dictionary may hold distances only its siblings
+// reach — the canonical column of just those steps, which is what a
+// partition file carries.
+func (f *Frame) ownSteps() *stepColumn {
+	slo, shi := f.stepRange()
+	if slo == 0 && shi == f.steps.n {
+		return &f.steps
+	}
+	own := makeStepColumn(f.steps.appendRaw(make([]float64, 0, shi-slo), slo, shi))
+	return &own
+}
+
+// ownOffsets returns the frame's offsets as a column of their own, from 0:
+// the frame's, when they are that already, and otherwise — a slice's
+// window on its parent's — rebased and packed at the width the frame's own
+// entry count needs, so that a sliced partition is written as the bytes of
+// one that was loaded or frozen by itself.
+func (f *Frame) ownOffsets() *packedColumn {
+	lo, hi := f.entryRange()
+	n := int64(f.numOffsets())
+	if f.off0 == 0 && lo == 0 && f.off.w == offsetWidth(hi) && f.off.holds(n) {
+		return &f.off
+	}
+	own := makePackedColumn(n, offsetWidth(hi-lo))
+	for i := int64(0); i < n; i++ {
+		own.put(i, f.off.get(f.off0+i)-uint64(lo))
+	}
+	return &own
+}
+
+// offAt returns offset i of the frame: the position of the first entry of
+// segment i of its own node range, or the end of its last.
+func (f *Frame) offAt(i int) int64 { return int64(f.off.get(f.off0 + int64(i))) }
+
+// numOffsets returns the frame's offset count.
+func (f *Frame) numOffsets() int { return f.n*f.segs + 1 }
+
+// entryRange returns the range of entry positions of the frame's own node
+// range.
+func (f *Frame) entryRange() (lo, hi int64) { return f.offAt(0), f.offAt(f.n * f.segs) }
+
+// stepRange returns the range of the step column that the frame's own
+// entries use.
 func (f *Frame) stepRange() (lo, hi int64) {
-	return f.rank1(f.off[0]), f.rank1(f.off[len(f.off)-1])
+	elo, ehi := f.entryRange()
+	return f.rank1(elo), f.rank1(ehi)
 }
 
 // totalEntries returns the entry count of the frame's own node range
 // (the columns may be shared with sibling partition frames).
 func (f *Frame) totalEntries() int {
-	return int(f.off[len(f.off)-1] - f.off[0])
+	lo, hi := f.entryRange()
+	return int(hi - lo)
 }
 
 // owner returns the global ID of local node v.
@@ -374,18 +429,17 @@ func (f *Frame) width() uint { return f.node.w }
 // carry full capacity bounds so an (erroneous) append cannot overwrite a
 // neighboring sketch.
 func (f *Frame) segAt(local, s int) cols {
-	lo := f.off[local*f.segs+s]
-	return f.segOver(lo, f.off[local*f.segs+s+1], f.rank1(lo), s)
+	lo := f.offAt(local*f.segs + s)
+	return f.segOver(lo, f.offAt(local*f.segs+s+1), f.rank1(lo), s)
 }
 
 // segOver is segAt for the entry range [lo, hi) whose steps start at
-// step[slo] — which segAt looks up, and a caller still assembling the
+// step slo — which segAt looks up, and a caller still assembling the
 // frame knows.
 func (f *Frame) segOver(lo, hi, slo int64, s int) cols {
-	shi := slo + int64(countBits(f.first, lo, hi))
 	c := cols{
 		pn:   f.node.view(lo, hi),
-		sd:   StepDists{first: f.first, lo: lo, steps: f.step[slo:shi:shi]},
+		sd:   StepDists{first: f.first, lo: lo, col: &f.steps, slo: slo, n: countBits(f.first, lo, hi)},
 		by:   &f.by,
 		perm: s,
 	}
@@ -401,7 +455,7 @@ func (f *Frame) segOver(lo, hi, slo int64, s int) cols {
 // span returns the absolute entry range of local node v across all its
 // segments.
 func (f *Frame) span(local int) (lo, hi int64) {
-	return f.off[local*f.segs], f.off[(local+1)*f.segs]
+	return f.offAt(local * f.segs), f.offAt((local + 1) * f.segs)
 }
 
 // viewSketch constructs the flavor-appropriate view of local node v.
@@ -436,14 +490,15 @@ func (f *Frame) segViews(local int) []cols {
 	return segs
 }
 
-// slice returns the sub-frame of local nodes [lo, hi): re-sliced offsets
-// over the same shared columns.  No entry data is allocated or copied.
+// slice returns the sub-frame of local nodes [lo, hi): a window on the
+// offsets over the same shared columns.  No entry data is allocated or
+// copied.
 func (f *Frame) slice(lo, hi int) *Frame {
 	return &Frame{
 		kind: f.kind, opts: f.opts, scheme: f.scheme, eps: f.eps,
 		segs: f.segs, n: hi - lo, base: f.base + int32(lo), total: f.total,
-		off:  f.off[lo*f.segs : hi*f.segs+1 : hi*f.segs+1],
-		node: f.node, first: f.first, samp: f.samp, step: f.step,
+		off: f.off, off0: f.off0 + int64(lo*f.segs),
+		node: f.node, first: f.first, samp: f.samp, steps: f.steps,
 		beta: f.beta, by: f.by, rank: f.rank,
 	}
 }
@@ -451,7 +506,9 @@ func (f *Frame) slice(lo, hi int) *Frame {
 // mergeFrames concatenates frames (already validated to be a consistent,
 // ordered split, all deriving their ranks or all storing them) into one
 // whole frame with compact columns.  The partitions of a split share the
-// whole set's ID width, so their node ranges are copied as bit ranges.
+// whole set's ID width, so their node ranges are copied as bit ranges;
+// their steps may be coded through as many dictionaries as there are
+// frames, so they are read back as distances and coded afresh.
 func mergeFrames(frames []*Frame) *Frame {
 	first := frames[0]
 	total, steps, nodes := int64(0), int64(0), 0
@@ -464,8 +521,8 @@ func mergeFrames(frames []*Frame) *Frame {
 	out := &Frame{
 		kind: first.kind, opts: first.opts, scheme: first.scheme, eps: first.eps,
 		segs: first.segs, n: nodes, base: 0, total: nodes,
-		off:  make([]int64, nodes*first.segs+1),
-		node: makeNodeColumn(total, nodeWidth(nodes)),
+		off:  makePackedColumn(int64(nodes*first.segs+1), offsetWidth(total)),
+		node: makePackedColumn(total, nodeWidth(nodes)),
 		by:   first.by,
 	}
 	marks, step := make([]uint64, bitWords(total)), make([]float64, 0, steps)
@@ -475,13 +532,13 @@ func mergeFrames(frames []*Frame) *Frame {
 	if first.rank != nil {
 		out.rank = make([]float64, total)
 	}
-	pos, seg := int64(0), 0
+	pos, seg := int64(0), int64(0)
 	for _, f := range frames {
-		flo, fhi := f.off[0], f.off[len(f.off)-1]
+		flo, fhi := f.entryRange()
 		out.node.copyFrom(pos, &f.node, flo, fhi-flo)
 		copyBits(marks, pos, f.first, flo, fhi-flo)
 		slo, shi := f.stepRange()
-		step = append(step, f.step[slo:shi]...)
+		step = f.steps.appendRaw(step, slo, shi)
 		if out.beta != nil {
 			copy(out.beta[pos:], f.beta[flo:fhi])
 		}
@@ -489,12 +546,12 @@ func mergeFrames(frames []*Frame) *Frame {
 			copy(out.rank[pos:], f.rank[flo:fhi])
 		}
 		for i := 0; i < f.n*f.segs; i++ {
-			out.off[seg] = pos + (f.off[i] - flo)
+			out.off.put(seg, uint64(pos+f.offAt(i)-flo))
 			seg++
 		}
 		pos += fhi - flo
 	}
-	out.off[seg] = pos
+	out.off.put(seg, uint64(pos))
 	out.setSteps(marks, step)
 	return out
 }
@@ -650,8 +707,8 @@ func (f *Frame) validateSegs(segs []cols, local int, given []Entry) error {
 	// runs, hence strictly ascending steps — or equal entries would not
 	// mean equal bytes.  Only a file can get this wrong.
 	for _, c := range segs {
-		for j, d := range c.sd.steps {
-			if !(d >= 0) || j > 0 && d == c.sd.steps[j-1] {
+		for j := 0; j < c.sd.n; j++ {
+			if d := c.sd.step(j); !(d >= 0) || j > 0 && d == c.sd.step(j-1) {
 				return fmt.Errorf("core: ADS(%d) has a redundant or invalid distance step %g at %d", owner, d, j)
 			}
 		}
@@ -672,8 +729,8 @@ type hipArena struct {
 	// copied; for k-mins / k-partition hnode and merged hold the per-node
 	// cursor merge of the segments, packed at the frame's width and
 	// step-coded like a frame.
-	hnode  nodeColumn
-	merged stepWriter
+	hnode  packedColumn
+	merged stepWriter // raw: a merge does not know its distances beforehand
 	hw     []float64
 	// per-unique-distance prefix-sum columns, parallel to the steps
 	cum  []float64
@@ -684,7 +741,7 @@ type hipArena struct {
 // bytes returns the heap the arena holds beyond the frame it indexes.
 func (a *hipArena) bytes() int64 {
 	return int64(cap(a.views))*int64(unsafe.Sizeof(HIPIndex{})) +
-		8*int64(cap(a.hnode.words)+cap(a.merged.first)+cap(a.merged.step)+
+		8*int64(cap(a.hnode.words)+cap(a.merged.first)+cap(a.merged.steps.raw)+
 			cap(a.hw)+cap(a.cum)+cap(a.cumD)+cap(a.cumH))
 }
 
@@ -714,8 +771,8 @@ func (f *Frame) buildHIP() {
 	}
 	single := f.segs == 1
 	if !single {
-		a.hnode = makeNodeColumn(int64(e), f.width())
-		a.merged = newStepWriter(e, steps)
+		a.hnode = makePackedColumn(int64(e), f.width())
+		a.merged = newStepWriter(e, nil, int64(steps))
 	}
 	h := newMaxHeap(f.opts.K)
 	var ranks rankScratch
@@ -736,7 +793,7 @@ func (f *Frame) buildHIP() {
 			emit := func(node int32, dist, weight float64) {
 				pos := int64(len(a.hw))
 				a.merged.add(pos, dist)
-				a.hnode.put(pos, node)
+				a.hnode.put(pos, nodeBits(node))
 				a.hw = append(a.hw, weight)
 			}
 			if f.opts.Flavor == sketch.KMins {
@@ -746,7 +803,7 @@ func (f *Frame) buildHIP() {
 			}
 			m := &a.merged
 			x.enode = a.hnode.view(int64(hlo), int64(len(a.hw)))
-			x.sd = StepDists{first: m.first, lo: int64(hlo), steps: m.step[ulo:len(m.step):len(m.step)]}
+			x.sd = StepDists{first: m.first, lo: int64(hlo), col: &m.steps, slo: int64(ulo), n: int(m.steps.n) - ulo}
 		}
 		x.ew = a.hw[hlo:len(a.hw):len(a.hw)]
 		a.cum, a.cumD, a.cumH = x.sd.prefixSums(x.ew, a.cum, a.cumD, a.cumH)
@@ -767,12 +824,19 @@ func (f *Frame) indexBytes() int64 {
 }
 
 // bytes returns the heap (or mapping) the frame's own node range
-// occupies: offsets, packed nodes, step bits, steps, and β or stored ranks
-// where held.
+// occupies: offsets, packed nodes, step bits and their popcount samples
+// (heap even under a mapping), the steps — codes and dictionary, or raw —
+// and β or stored ranks where held.
 func (f *Frame) bytes() int64 {
 	e := int64(f.totalEntries())
 	slo, shi := f.stepRange()
-	b := 8*int64(len(f.off)) + 8*packedWords(e, f.width()) + 8*bitWords(e) + 8*(shi-slo)
+	b := 8*packedWords(int64(f.numOffsets()), f.off.w) + 8*packedWords(e, f.width()) +
+		8*bitWords(e) + 8*(bitWords(e)/rankSampleWords+1)
+	if c := &f.steps; c.dict != nil {
+		b += 8*packedWords(shi-slo, c.code.w) + 8*int64(len(c.dict)+len(c.uses))
+	} else {
+		b += 8 * (shi - slo)
+	}
 	if f.beta != nil {
 		b += 8 * e
 	}

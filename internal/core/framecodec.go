@@ -24,40 +24,61 @@ import (
 //	              total u32 | innerKind u32] |
 //	k u32 | flavor u32 | seed u64 | baseB f64 | scheme u32 | segs u32 |
 //	eps f64 | numNodes u64 | numEntries u64 | numSteps u64 |
-//	offsets (numNodes*segs+1)×i64 |
+//	[numDistinct u64, when flags bit 4 is set] |
+//	offsets ceil((numNodes·segs+1)·wo/64)×u64, when flags bit 4 is set —
+//	    else offsets (numNodes·segs+1)×i64 |
 //	nodes ceil(numEntries·w/64)×u64, when flags bit 3 is set —
 //	    else nodes numEntries×i32 | pad |
-//	first ceil(numEntries/64)×u64 | steps numSteps×f64,
+//	first ceil(numEntries/64)×u64 |
+//	    codes ceil(numSteps·wc/64)×u64 | dict numDistinct×f64,
+//	        when numDistinct > 0 — else steps numSteps×f64,
 //	    when flags bit 2 is set — else dists numEntries×f64 |
 //	[ranks numEntries×f64, unless flags bit 1 is set] |
 //	[betas numEntries×f64, when flags bit 0 is set]
 //
-// so a file is header + 8·(numNodes·segs+1) + 8·ceil(numEntries·w/64) +
-// 8·ceil(numEntries/64) + 8·numSteps bytes, plus 8·numEntries of betas
-// when weighted.
+// so a file as every writer writes it is 88 bytes of header (112 for a
+// partition) + 8·ceil((numNodes·segs+1)·wo/64) + 8·ceil(numEntries·w/64) +
+// 8·ceil(numEntries/64) + either 8·ceil(numSteps·wc/64) + 8·numDistinct
+// or 8·numSteps, plus 8·numEntries of betas when weighted.  The widths
+// are derived from the header's counts and stored nowhere:
 //
-// Flags bit 3 says the node IDs are bit-packed (nodepack.go): entry i's ID
-// is bits [i·w, (i+1)·w) of the nodes column — bit b of the column being
-// bit b%64 of word b/64, counted from the least significant — where
-// w = max(1, bitlen(total−1)) and total is the node count of the whole
-// set: numNodes, or the envelope's total in a partition file.  The width
-// is derived, never stored, so equal entries are equal bytes; the bits
-// past numEntries·w are zero.  Every writer sets the bit.  A file without
-// it stores 32 bits an ID and is packed, in one pass, when it is opened;
-// writing it back writes it packed.  A reader from before the bit refuses
-// a file that has it ("unknown flags"), as it must: it would take the
-// packed column for a 32-bit one.
+//	w  = max(1, bitlen(total−1)), total the node count of the whole set
+//	     (numNodes, or the envelope's total in a partition file)
+//	wo = max(1, bitlen(numEntries))
+//	wc = max(1, bitlen(numDistinct−1))
+//
+// and bit b of a packed column is bit b%64 of word b/64, counted from the
+// least significant; the bits past a column's last value are zero.
+//
+// Flags bit 4 says the columns are compact: the header has the numDistinct
+// word, the offsets are packed at wo bits, and the distance steps are
+// codes into a dictionary when numDistinct > 0 (stepcode.go) — dict is
+// then exactly the distinct step values, strictly ascending, every one in
+// use, and step j's distance is dict[code j].  The dictionary is used iff
+// it is strictly smaller, numDistinct + ceil(numSteps·wc/64) < numSteps,
+// which the values decide and no option does, so equal entries are still
+// equal bytes; numDistinct = 0 means raw steps.  The bit implies bits 2
+// and 3.  Every writer sets it.  A file without it stores 64 bits an
+// offset and a float a step and is packed and coded, in one pass, when it
+// is opened; writing it back writes it compact.  A reader from before the
+// bit refuses a file that has it ("unknown flags"), as it must: it would
+// take the header for eight bytes shorter than it is.
+//
+// Flags bit 3 says the node IDs are bit-packed (nodepack.go) at w bits.
+// Every writer sets the bit.  A file without it stores 32 bits an ID and
+// is packed, in one pass, when it is opened; writing it back writes it
+// packed.  A reader from before the bit refuses a file that has it, as it
+// must: it would take the packed column for a 32-bit one.
 //
 // Flags bit 2 says the distances are step-coded (stepcode.go): bit i of
-// first — bit i%64 of word i/64, counted from the least significant — is
-// set where entry i's distance differs from its predecessor's in the
-// segment, always at a segment start and never past numEntries; steps
-// holds one distance per set bit, so numSteps (the header word that used
-// to be reserved, and is 0 without the bit) is the popcount of first.
-// The code is canonical — steps ascend strictly within a segment — so
-// equal entries are equal bytes.  Every writer sets the bit.  A file
-// without it stores a distance per entry and is step-coded, in one pass,
-// when it is opened; writing it back writes it step-coded.
+// first is set where entry i's distance differs from its predecessor's in
+// the segment, always at a segment start and never past numEntries; there
+// is one step per set bit, so numSteps (the header word that used to be
+// reserved, and is 0 without the bit) is the popcount of first.  The code
+// is canonical — steps ascend strictly within a segment — so equal entries
+// are equal bytes.  Every writer sets the bit.  A file without it stores a
+// distance per entry and is step-coded, in one pass, when it is opened;
+// writing it back writes it step-coded.
 //
 // Flags bit 1 says the ranks are derived: the file has no rank column,
 // and its header's seed (recorded for every kind) re-derives them.  Every
@@ -67,13 +88,19 @@ import (
 // headers never recorded a seed), and keeps that column when written
 // back.
 //
+// Flags bit 0 says there is a β per entry: set for weighted sets and no
+// others.
+//
 // Encoding is therefore near-memcpy, and decoding a trusted file is
 // O(columns): validate the header, the body size it implies, the offsets'
-// monotonicity, the step bits against the step count, and that no node or
-// step bit is set past the last entry, then view the columns in place.
-// What the openers do not check is inside the columns — an ID at or above
-// total, entries out of order, a non-canonical step — which is the stream
-// readers' (ReadSketchSet, ReadPartition, ReadSketchFile) to refuse.
+// monotonicity, the step bits against the step count, that the dictionary
+// ascends, and that no bit of a packed column is set past its last value,
+// then view the columns in place.  What the openers do not check is inside
+// the columns — an ID at or above total, entries out of order, a
+// non-canonical step, a code past the dictionary (which reads as its last
+// value, never out of range), a dictionary value no step uses, raw steps a
+// dictionary would have beaten — which is the stream readers'
+// (ReadSketchSet, ReadPartition, ReadSketchFile) to refuse.
 // OpenSketchFile reads the file once and performs O(1) allocations per
 // set; MmapSketchFile maps it (on linux) so even the read is deferred to
 // page faults — a worker serving a prebuilt shard file starts in
@@ -88,12 +115,15 @@ const EncodeVersion = 3
 const (
 	framePreambleSize = 16 // magic, version, kind, flags
 	framePartHdrSize  = 24 // index, count, lo, hi, total, innerKind
-	frameHdrSize      = 64 // k .. reserved
+	frameHdrSize      = 64 // k .. numSteps; numDistinct follows under frameFlagCompact
 
 	frameFlagBeta         = 1 << 0
 	frameFlagDerivedRanks = 1 << 1 // no rank column: ranks derive from the header's seed
 	frameFlagStepDists    = 1 << 2 // distances are step-coded: first bits + numSteps steps
 	frameFlagPackedNodes  = 1 << 3 // node IDs are packed at the width the set's node count fixes
+	frameFlagCompact      = 1 << 4 // numDistinct in the header, packed offsets, steps coded through a dictionary when numDistinct > 0
+
+	frameFlagsKnown = frameFlagBeta | frameFlagDerivedRanks | frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact
 )
 
 // nativeLittleEndian reports whether the host stores integers the way the
@@ -118,6 +148,7 @@ type frameHdr struct {
 	eps           float64
 	n, numEntries uint64
 	numSteps      uint64 // 0 unless flags has frameFlagStepDists
+	numDistinct   uint64 // the dictionary's size; 0 for raw steps, and unless flags has frameFlagCompact
 }
 
 // partitioned reports whether the file carries the partition envelope.
@@ -139,6 +170,9 @@ func (h *frameHdr) headerSize() int64 {
 	if h.partitioned() {
 		s += framePartHdrSize
 	}
+	if h.compact() {
+		s += 8
+	}
 	return s
 }
 
@@ -153,6 +187,10 @@ func (h *frameHdr) stepCoded() bool { return h.flags&frameFlagStepDists != 0 }
 // packedNodes reports whether the file holds its node IDs bit-packed
 // rather than as 32-bit integers.
 func (h *frameHdr) packedNodes() bool { return h.flags&frameFlagPackedNodes != 0 }
+
+// compact reports whether the file has the numDistinct header word, packs
+// its offsets and may code its steps through a dictionary.
+func (h *frameHdr) compact() bool { return h.flags&frameFlagCompact != 0 }
 
 // totalNodes returns the node count of the whole set the file is (a
 // partition of): what its entries' IDs are below.
@@ -175,12 +213,37 @@ func (h *frameHdr) nodesSize() int64 {
 // numSegs returns the offsets-array segment count.
 func (h *frameHdr) numSegs() int64 { return int64(h.n) * int64(h.segs) }
 
+// offsetsSize returns the byte length of the offsets column.
+func (h *frameHdr) offsetsSize() int64 {
+	if h.compact() {
+		return packedWords(h.numSegs()+1, offsetWidth(int64(h.numEntries))) * 8
+	}
+	return (h.numSegs() + 1) * 8
+}
+
+// codesSize returns the byte length of the step codes: 0 for raw steps.
+func (h *frameHdr) codesSize() int64 {
+	if h.numDistinct == 0 {
+		return 0
+	}
+	return packedWords(int64(h.numSteps), widthBelow(int64(h.numDistinct))) * 8
+}
+
+// stepsSize returns the byte length of the step distances: the
+// dictionary's, or the raw steps'.
+func (h *frameHdr) stepsSize() int64 {
+	if h.numDistinct == 0 {
+		return int64(h.numSteps) * 8
+	}
+	return int64(h.numDistinct) * 8
+}
+
 // bodySize returns the total byte length of the columns.
 func (h *frameHdr) bodySize() int64 {
 	e := int64(h.numEntries)
-	s := (h.numSegs()+1)*8 + h.nodesSize()
+	s := h.offsetsSize() + h.nodesSize()
 	if h.stepCoded() {
-		s += (bitWords(e) + int64(h.numSteps)) * 8
+		s += bitWords(e)*8 + h.codesSize() + h.stepsSize()
 	} else {
 		s += e * 8
 	}
@@ -198,8 +261,11 @@ func pad8(n int64) int64 { return (n + 7) &^ 7 }
 // validate checks every header field against the format's invariants,
 // so a corrupted file errors out before any column is touched.
 func (h *frameHdr) validate() error {
-	if h.flags&^uint32(frameFlagBeta|frameFlagDerivedRanks|frameFlagStepDists|frameFlagPackedNodes) != 0 {
+	if h.flags&^uint32(frameFlagsKnown) != 0 {
 		return fmt.Errorf("core: sketch file has unknown flags %#x", h.flags)
+	}
+	if h.compact() && !(h.stepCoded() && h.packedNodes()) {
+		return fmt.Errorf("core: sketch file has compact columns over an older layout (flags %#x)", h.flags)
 	}
 	switch h.setKind() {
 	case kindUniform, kindWeighted, kindApprox:
@@ -265,12 +331,21 @@ func (h *frameHdr) validate() error {
 	if h.numSteps > h.numEntries || !h.stepCoded() && h.numSteps != 0 {
 		return fmt.Errorf("core: sketch file claims %d distance steps for %d entries (flags %#x)", h.numSteps, h.numEntries, h.flags)
 	}
+	// A dictionary is there only where it is the smaller form; this also
+	// bounds it by the steps.
+	if h.numDistinct != 0 && (h.numDistinct > h.numSteps || !dictWins(int64(h.numDistinct), int64(h.numSteps))) {
+		return fmt.Errorf("core: sketch file codes %d distance steps through %d values, which is no smaller than the steps", h.numSteps, h.numDistinct)
+	}
 	return nil
 }
 
 // headerOf extracts the version-3 header of a frame (and optional
 // partition envelope) for writing.
-func headerOf(f *Frame, part *Partition) frameHdr {
+func headerOf(f *Frame, part *Partition) frameHdr { return headerWith(f, part, f.ownSteps()) }
+
+// headerWith is headerOf for a caller that holds own, f.ownSteps(),
+// already.
+func headerWith(f *Frame, part *Partition, own *stepColumn) frameHdr {
 	h := frameHdr{
 		kind:       f.kind,
 		k:          uint32(f.opts.K),
@@ -283,9 +358,8 @@ func headerOf(f *Frame, part *Partition) frameHdr {
 		n:          uint64(f.n),
 		numEntries: uint64(f.totalEntries()),
 	}
-	slo, shi := f.stepRange()
-	h.numSteps = uint64(shi - slo)
-	h.flags |= frameFlagStepDists | frameFlagPackedNodes
+	h.numSteps, h.numDistinct = uint64(own.n), uint64(len(own.dict))
+	h.flags |= frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact
 	if f.kind == kindWeighted {
 		h.flags |= frameFlagBeta
 	}
@@ -304,7 +378,7 @@ func headerOf(f *Frame, part *Partition) frameHdr {
 	return h
 }
 
-// appendHeader renders the header (preamble through reserved field).
+// appendHeader renders the header (preamble through the last count).
 func (h *frameHdr) appendHeader(buf []byte) []byte {
 	le := binary.LittleEndian
 	buf = append(buf, encodeMagic...)
@@ -329,6 +403,9 @@ func (h *frameHdr) appendHeader(buf []byte) []byte {
 	buf = le.AppendUint64(buf, h.n)
 	buf = le.AppendUint64(buf, h.numEntries)
 	buf = le.AppendUint64(buf, h.numSteps)
+	if h.compact() {
+		buf = le.AppendUint64(buf, h.numDistinct)
+	}
 	return buf
 }
 
@@ -349,27 +426,14 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // version-3 format.  On little-endian hosts every column is one Write of
 // the slice's underlying bytes — near-memcpy.
 func writeFrameV3(w io.Writer, f *Frame, part *Partition) (int64, error) {
-	h := headerOf(f, part)
+	steps := f.ownSteps()
+	h := headerWith(f, part, steps)
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
 	if _, err := bw.Write(h.appendHeader(make([]byte, 0, h.headerSize()))); err != nil {
 		return cw.n, err
 	}
-	// Offsets are rebased to 0 so a sliced partition frame round-trips to
-	// the same bytes as an independently loaded one.
-	base := f.off[0]
-	e := f.totalEntries()
 	var scratch []byte
-	writeI64s := func(vals []int64, rebase int64) error {
-		if nativeLittleEndian && rebase == 0 {
-			return writeRaw(bw, i64Bytes(vals))
-		}
-		buf := growBuf(&scratch, len(vals)*8)
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(buf[i*8:], uint64(v-rebase))
-		}
-		return writeRaw(bw, buf)
-	}
 	writeU64s := func(vals []uint64) error {
 		if nativeLittleEndian {
 			return writeRaw(bw, u64Bytes(vals))
@@ -390,30 +454,40 @@ func writeFrameV3(w io.Writer, f *Frame, part *Partition) (int64, error) {
 		}
 		return writeRaw(bw, buf)
 	}
-	if err := writeI64s(f.off, base); err != nil {
+	// Offsets count from 0, and the steps are coded through the dictionary
+	// of their own values, so a sliced partition frame is written as the
+	// bytes of an independently loaded or frozen one (ownOffsets, ownSteps).
+	if err := writeU64s(f.ownOffsets().words); err != nil {
 		return cw.n, err
 	}
 	// The entries' node bits and step bits start at bit 0 of the file's
 	// columns: a frame that owns its columns from there writes the words as
 	// they are, a partition's slice of shared ones is shifted out first.
+	base, e := f.offAt(0), int64(f.totalEntries())
 	width := int64(f.width())
-	if err := writeU64s(bitsFrom(f.node.words, base*width, int64(e)*width)); err != nil {
+	if err := writeU64s(bitsFrom(f.node.words, base*width, e*width)); err != nil {
 		return cw.n, err
 	}
-	if err := writeU64s(bitsFrom(f.first, base, int64(e))); err != nil {
+	if err := writeU64s(bitsFrom(f.first, base, e)); err != nil {
 		return cw.n, err
 	}
-	slo, _ := f.stepRange()
-	if err := writeF64s(f.step[slo : slo+int64(h.numSteps)]); err != nil {
+	dists := steps.raw
+	if steps.dict != nil {
+		if err := writeU64s(steps.code.words); err != nil {
+			return cw.n, err
+		}
+		dists = steps.dict
+	}
+	if err := writeF64s(dists); err != nil {
 		return cw.n, err
 	}
 	if f.rank != nil {
-		if err := writeF64s(f.rank[base : base+int64(e)]); err != nil {
+		if err := writeF64s(f.rank[base : base+e]); err != nil {
 			return cw.n, err
 		}
 	}
 	if h.flags&frameFlagBeta != 0 {
-		if err := writeF64s(f.beta[base : base+int64(e)]); err != nil {
+		if err := writeF64s(f.beta[base : base+e]); err != nil {
 			return cw.n, err
 		}
 	}
@@ -464,13 +538,6 @@ func WritePartitionV3(w io.Writer, p *Partition) (int64, error) {
 // Raw byte views of column slices, used on little-endian hosts where the
 // in-memory representation equals the wire representation.
 
-func i64Bytes(v []int64) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
-}
-
 func u64Bytes(v []uint64) []byte {
 	if len(v) == 0 {
 		return nil
@@ -492,13 +559,6 @@ func f64Bytes(v []float64) []byte {
 
 func aligned8(b []byte) bool {
 	return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%8 == 0
-}
-
-func viewI64s(b []byte, n int64) []int64 {
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
 }
 
 func viewU64s(b []byte, n int64) []uint64 {
@@ -561,6 +621,13 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 	h.numEntries = le.Uint64(data[pos+48:])
 	h.numSteps = le.Uint64(data[pos+56:])
 	pos += frameHdrSize
+	if h.compact() {
+		if len(data) < pos+8 {
+			return h, 0, fmt.Errorf("core: truncated sketch file header")
+		}
+		h.numDistinct = le.Uint64(data[pos:])
+		pos += 8
+	}
 	if err := h.validate(); err != nil {
 		return h, 0, err
 	}
@@ -576,7 +643,7 @@ func frameFromHdr(h frameHdr) *Frame {
 		n:     int(h.n),
 		total: h.totalNodes(),
 	}
-	f.node.w = nodeWidth(f.total)
+	f.node.w, f.off.w = nodeWidth(f.total), offsetWidth(int64(h.numEntries))
 	switch f.kind {
 	case kindUniform:
 		f.opts.Flavor, f.opts.BaseB = sketch.Flavor(h.flavor), h.baseB
@@ -596,37 +663,59 @@ func frameFromHdr(h frameHdr) *Frame {
 	return f
 }
 
-// validateOffsets checks that the offsets column is monotonic and covers
-// exactly the entry columns; everything else about a version-3 file is
-// trusted (it is a serving-format for files the operator built).
-func validateOffsets(off []int64, numEntries int64) error {
-	if len(off) == 0 || off[0] != 0 {
+// validateOffsets checks that the n offsets are monotonic and cover
+// exactly the entry columns, and — of a step-coded file, first being its
+// step bits — that every non-empty segment starts a distance step;
+// everything else about a version-3 file is trusted (it is a
+// serving-format for files the operator built).
+func validateOffsets(off *packedColumn, n, numEntries int64, first []uint64) error {
+	if !off.holds(n) {
+		return fmt.Errorf("core: sketch file has offset bits past its last offset")
+	}
+	if off.get(0) != 0 {
 		return fmt.Errorf("core: sketch file offsets do not start at 0")
 	}
-	for i := 1; i < len(off); i++ {
-		if off[i] < off[i-1] {
+	prev := int64(0)
+	for i := int64(1); i < n; i++ {
+		o := int64(off.get(i))
+		if o < prev {
 			return fmt.Errorf("core: sketch file offsets decrease at %d", i)
 		}
+		// prev < o <= numEntries is checked before prev indexes the bits.
+		if prev < o && o <= numEntries && first != nil && !bitAt(first, prev) {
+			return fmt.Errorf("core: sketch file segment %d does not start a distance step", i-1)
+		}
+		prev = o
 	}
-	if off[len(off)-1] != numEntries {
-		return fmt.Errorf("core: sketch file offsets end at %d, want %d entries", off[len(off)-1], numEntries)
+	if prev != numEntries {
+		return fmt.Errorf("core: sketch file offsets end at %d, want %d entries", prev, numEntries)
 	}
 	return nil
 }
 
-// validateSteps checks what licenses indexing the step column by the
-// popcount of the bits: as many set bits (marked) as steps, none past the
-// last entry, and one at the start of every non-empty segment.
-func validateSteps(off []int64, first []uint64, numEntries, marked, numSteps int64) error {
+// validateSteps checks, with validateOffsets, what licenses indexing the
+// step column by the popcount of the bits: as many set bits (marked) as
+// steps, and none past the last entry.
+func validateSteps(first []uint64, numEntries, marked, numSteps int64) error {
 	if marked != numSteps {
 		return fmt.Errorf("core: sketch file marks %d distance steps, header claims %d", marked, numSteps)
 	}
 	if !tailClear(first, numEntries) {
 		return fmt.Errorf("core: sketch file marks distance steps past its last entry")
 	}
-	for i := 0; i+1 < len(off); i++ {
-		if off[i] < off[i+1] && !bitAt(first, off[i]) {
-			return fmt.Errorf("core: sketch file segment %d does not start a distance step", i)
+	return nil
+}
+
+// validateDict checks that no code bit is set past the last step and that
+// the dictionary is one: non-negative and strictly ascending.  The codes
+// themselves are trusted like any entry (stepColumn.codeAt).
+func validateDict(c *stepColumn) error {
+	if !c.code.holds(c.n) {
+		return fmt.Errorf("core: sketch file has distance code bits past its last step")
+	}
+	for i, d := range c.dict {
+		if !(d >= 0) || i > 0 && !(d > c.dict[i-1]) {
+			return fmt.Errorf("core: sketch file's distance dictionary does not ascend at %d (%g)", i, d)
 		}
 	}
 	return nil
@@ -657,7 +746,7 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 		return nil, nil, fmt.Errorf("core: sketch file body holds %d bytes, header implies %d", len(body), h.bodySize())
 	}
 	f := frameFromHdr(h)
-	nSegs := h.numSegs()
+	nOff := h.numSegs() + 1
 	e := int64(h.numEntries)
 	zeroCopy := nativeLittleEndian && aligned8(body)
 	// The body-size check above is what licenses every slice below.
@@ -666,11 +755,11 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 		body = body[n:]
 		return b
 	}
-	offB := next((nSegs + 1) * 8)
+	offB := next(h.offsetsSize())
 	nodeB := next(h.nodesSize())
-	var firstB, stepB, distB []byte
+	var firstB, codeB, stepB, distB []byte
 	if h.stepCoded() {
-		firstB, stepB = next(bitWords(e)*8), next(int64(h.numSteps)*8)
+		firstB, codeB, stepB = next(bitWords(e)*8), next(h.codesSize()), next(h.stepsSize())
 	} else {
 		distB = next(e * 8)
 	}
@@ -681,78 +770,89 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 	if h.flags&frameFlagBeta != 0 {
 		betaB = next(e * 8)
 	}
-	var dist []float64 // a file from before distances were step-coded
-	var ids []int32    // a file from before node IDs were packed
-	if zeroCopy {
-		f.off = viewI64s(offB, nSegs+1)
-		if h.packedNodes() {
-			f.node.words = viewU64s(nodeB, int64(len(nodeB)/8))
-		} else {
-			ids = viewI32s(nodeB, e)
-		}
-		f.first = viewU64s(firstB, int64(len(firstB)/8))
-		f.step = viewF64s(stepB, int64(len(stepB)/8))
-		dist = viewF64s(distB, int64(len(distB)/8))
-		if len(rankB) > 0 {
-			f.rank = viewF64s(rankB, e)
-		}
-		if betaB != nil {
-			f.beta = viewF64s(betaB, e)
-		}
-	} else {
+	// Every column is 8-byte words of one of two kinds.
+	u64s := func(b []byte) []uint64 { return viewU64s(b, int64(len(b)/8)) }
+	f64s := func(b []byte) []float64 { return viewF64s(b, int64(len(b)/8)) }
+	if !zeroCopy {
 		le := binary.LittleEndian
-		f.off = make([]int64, nSegs+1)
-		for i := range f.off {
-			f.off[i] = int64(le.Uint64(offB[i*8:]))
-		}
-		decodeU64s := func(b []byte) []uint64 {
+		u64s = func(b []byte) []uint64 {
 			out := make([]uint64, len(b)/8)
 			for i := range out {
 				out[i] = le.Uint64(b[i*8:])
 			}
 			return out
 		}
-		if h.packedNodes() {
-			f.node.words = decodeU64s(nodeB)
-		} else {
-			ids = make([]int32, e)
-			for i := range ids {
-				ids[i] = int32(le.Uint32(nodeB[i*4:]))
-			}
-		}
-		decodeF64s := func(b []byte) []float64 {
+		f64s = func(b []byte) []float64 {
 			out := make([]float64, len(b)/8)
 			for i := range out {
 				out[i] = math.Float64frombits(le.Uint64(b[i*8:]))
 			}
 			return out
 		}
-		f.first = decodeU64s(firstB)
-		f.step = decodeF64s(stepB)
-		dist = decodeF64s(distB)
-		if len(rankB) > 0 {
-			f.rank = decodeF64s(rankB)
-		}
-		if betaB != nil {
-			f.beta = decodeF64s(betaB)
+	}
+	if h.compact() {
+		f.off.words = u64s(offB)
+	} else {
+		// A file from before offsets were packed.
+		if f.off, err = packOffsets(u64s(offB), e); err != nil {
+			return nil, nil, err
 		}
 	}
-	if err := validateOffsets(f.off, e); err != nil {
+	if h.stepCoded() {
+		f.first = u64s(firstB)
+	}
+	if err := validateOffsets(&f.off, nOff, e, f.first); err != nil {
 		return nil, nil, err
 	}
 	if h.packedNodes() {
-		if !tailClear(f.node.words, e*int64(f.width())) {
+		f.node.words = u64s(nodeB)
+		if !f.node.holds(e) {
 			return nil, nil, fmt.Errorf("core: sketch file has node bits past its last entry")
 		}
-	} else if f.node, err = packColumn(ids, f.total); err != nil {
-		return nil, nil, err
-	}
-	if h.stepCoded() {
-		if err := validateSteps(f.off, f.first, e, f.setSteps(f.first, f.step), int64(h.numSteps)); err != nil {
+	} else {
+		// A file from before node IDs were packed.
+		var ids []int32
+		if zeroCopy {
+			ids = viewI32s(nodeB, e)
+		} else {
+			ids = make([]int32, e)
+			for i := range ids {
+				ids[i] = int32(binary.LittleEndian.Uint32(nodeB[i*4:]))
+			}
+		}
+		if f.node, err = packColumn(ids, f.total); err != nil {
 			return nil, nil, err
 		}
+	}
+	if h.stepCoded() {
+		var marked int64
+		f.samp, marked = sampleRanks(f.first)
+		if err := validateSteps(f.first, e, marked, int64(h.numSteps)); err != nil {
+			return nil, nil, err
+		}
+		switch {
+		case h.numDistinct > 0:
+			c := &f.steps
+			c.n, c.dict = int64(h.numSteps), f64s(stepB)
+			c.code = packedColumn{words: u64s(codeB), w: widthBelow(int64(h.numDistinct))}
+			if err := validateDict(c); err != nil {
+				return nil, nil, err
+			}
+		case h.compact():
+			f.steps = stepColumn{n: int64(h.numSteps), raw: f64s(stepB)}
+		default:
+			// A file from before steps were coded through a dictionary.
+			f.steps = makeStepColumn(f64s(stepB))
+		}
 	} else {
-		f.setSteps(stepCode(f.off, dist))
+		// A file from before distances were step-coded.
+		f.setSteps(stepCode(&f.off, nOff-1, f64s(distB)))
+	}
+	if len(rankB) > 0 {
+		f.rank = f64s(rankB)
+	}
+	if betaB != nil {
+		f.beta = f64s(betaB)
 	}
 	set, err := setFromFrame(f)
 	if err != nil {
@@ -799,6 +899,11 @@ func readFrameStream(r io.Reader, size int64) (AnySet, *Partition, error) {
 	var ranks rankScratch
 	if err := validateDecoded(f, &ranks); err != nil {
 		return nil, nil, err
+	}
+	// A frame coded here, from an older layout, is canonical by
+	// construction; a compact file's coding is its own claim.
+	if !f.steps.canonical() {
+		return nil, nil, fmt.Errorf("core: corrupt sketch file: its %d distance steps are not in their one encoding (%d dictionary values)", f.steps.n, len(f.steps.dict))
 	}
 	return set, part, nil
 }
@@ -874,11 +979,13 @@ type ColumnSize struct {
 }
 
 // ColumnBytes lists what each part of the file costs when written in the
-// current layout, in file order: header, offsets, nodes (NodeBits bits an
-// entry, rounded up to a word), step bits, steps (8 bytes a distance
-// step), then ranks and betas where held.  A file opened from an older
-// layout is held — and so reported — packed and step-coded;
-// StoredColumnBytes reports it as it is on disk.
+// current layout, in file order: header, offsets (OffsetBits bits each),
+// nodes (NodeBits bits an entry), step bits, then either step codes and
+// the dictionary of distances they index or, where a dictionary would be
+// no smaller, steps (8 bytes a distance step), then ranks and betas where
+// held — every packed column rounded up to a word.  A file opened from an
+// older layout is held — and so reported — compact; StoredColumnBytes
+// reports it as it is on disk.
 func (s *SketchFile) ColumnBytes() []ColumnSize {
 	h := headerOf(s.frame(), s.part)
 	return h.columns()
@@ -897,6 +1004,9 @@ func (s *SketchFile) StoredColumnBytes() []ColumnSize {
 	if !h.stepCoded() {
 		h.numSteps = 0
 	}
+	if !h.compact() {
+		h.numDistinct = 0
+	}
 	return h.columns()
 }
 
@@ -905,13 +1015,16 @@ func (h *frameHdr) columns() []ColumnSize {
 	e := int64(h.numEntries)
 	out := []ColumnSize{
 		{"header", h.headerSize()},
-		{"offsets", (h.numSegs() + 1) * 8},
+		{"offsets", h.offsetsSize()},
 		{"nodes", h.nodesSize()},
 	}
-	if h.stepCoded() {
-		out = append(out, ColumnSize{"step bits", bitWords(e) * 8}, ColumnSize{"steps", int64(h.numSteps) * 8})
-	} else {
+	switch {
+	case !h.stepCoded():
 		out = append(out, ColumnSize{"distances", e * 8})
+	case h.numDistinct > 0:
+		out = append(out, ColumnSize{"step bits", bitWords(e) * 8}, ColumnSize{"step codes", h.codesSize()}, ColumnSize{"dictionary", h.stepsSize()})
+	default:
+		out = append(out, ColumnSize{"step bits", bitWords(e) * 8}, ColumnSize{"steps", h.stepsSize()})
 	}
 	if h.storesRanks() {
 		out = append(out, ColumnSize{"ranks", e * 8})
@@ -925,6 +1038,19 @@ func (h *frameHdr) columns() []ColumnSize {
 // NodeBits returns the bits an entry's node ID takes in the node column
 // as the current layout writes it: what the set's node count needs.
 func (s *SketchFile) NodeBits() int { return int(s.frame().width()) }
+
+// OffsetBits returns the bits an offset takes in the offsets column as
+// the current layout writes it: what the file's entry count needs.
+func (s *SketchFile) OffsetBits() int { return int(offsetWidth(int64(s.frame().totalEntries()))) }
+
+// DistanceSteps returns how many distance steps the file's sketches have
+// in all, and how many distinct distances the current layout codes them
+// through — 0 when it writes a float a step, because a dictionary would
+// be no smaller.
+func (s *SketchFile) DistanceSteps() (steps, distinct int64) {
+	own := s.frame().ownSteps()
+	return own.n, int64(len(own.dict))
+}
 
 // RanksStored reports whether the file was written before ranks were
 // derived, and so is served from its stored rank column; DeriveRanks

@@ -206,7 +206,8 @@ func TestOpenSketchFileAllocs(t *testing.T) {
 	}
 	// 10 since the step code: the file, its parse, and one more than before
 	// for the sampled popcounts that locate a segment's steps.  The packed
-	// node column is viewed in place like the 32-bit one was, and adds none.
+	// columns — node IDs, offsets, step codes — and the dictionary are viewed
+	// in place like the plain ones were, and add none.
 	small, large := openAllocs(50), openAllocs(2000)
 	if small > 10 {
 		t.Errorf("opening a v3 set costs %.0f allocations, want at most 10", small)
@@ -403,15 +404,16 @@ func TestOpenFrameBytesRejectsCorruption(t *testing.T) {
 	mutate("huge node count", func(b []byte) { le.PutUint64(b[16+40:], 1<<40) })
 	mutate("huge entry count", func(b []byte) { le.PutUint64(b[16+48:], 1<<50) })
 	mutate("segs mismatch", func(b []byte) { le.PutUint32(b[16+28:], 3) })
-	mutate("offsets decrease", func(b []byte) {
-		le.PutUint64(b[framePreambleSize+frameHdrSize+8:], ^uint64(0)) // offsets[1] = -1
-	})
-	mutate("offsets overrun", func(b []byte) {
-		// Last offset claims more entries than the columns hold.
-		nSegs := int64(60)
-		pos := int64(framePreambleSize+frameHdrSize) + nSegs*8
-		le.PutUint64(b[pos:], 1<<30)
-	})
+	rebuilt := func(fn func(p *v3Parts)) func(b []byte) {
+		return func(b []byte) {
+			p := splitV3(t, b)
+			fn(&p)
+			copy(b, p.bytes())
+		}
+	}
+	mutate("offsets decrease", rebuilt(func(p *v3Parts) { p.offs[1] = 1<<testWidth(p.h.numEntries+1) - 1 }))
+	// Last offset claims other than the entries the columns hold.
+	mutate("offsets overrun", rebuilt(func(p *v3Parts) { p.offs[60] ^= 1 }))
 	for _, cut := range []int{1, 8, 15, 16 + frameHdrSize - 1, len(valid) / 2, len(valid) - 1} {
 		b := valid[:cut]
 		if _, _, err := openFrameBytes(b); err == nil {
@@ -443,19 +445,15 @@ func TestStreamReadersValidateOpenersTrust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const offsets = 8 * (10 + 1)
 	for name, tc := range map[string]struct {
-		data   []byte
-		header int
-		read   func(io.Reader) error // the reader that takes only this kind of file
+		data []byte
+		read func(io.Reader) error // the reader that takes only this kind of file
 	}{
-		"set": {fileBytes(t, set, nil), framePreambleSize + frameHdrSize,
-			func(r io.Reader) error { _, err := ReadSketchSet(r); return err }},
-		"partition": {fileBytes(t, nil, parts[0]), framePreambleSize + framePartHdrSize + frameHdrSize,
-			func(r io.Reader) error { _, err := ReadPartition(r); return err }},
+		"set":       {fileBytes(t, set, nil), func(r io.Reader) error { _, err := ReadSketchSet(r); return err }},
+		"partition": {fileBytes(t, nil, parts[0]), func(r io.Reader) error { _, err := ReadPartition(r); return err }},
 	} {
-		// Node 0's second entry, renamed.
-		binary.LittleEndian.PutUint32(tc.data[tc.header+offsets+4:], 1000)
+		// Node 0's second entry (4 bits an ID), renamed.
+		tc.data[splitV3(t, tc.data).nodesAt] ^= 0x30
 		_, _, err := ReadSketchFile(bytes.NewReader(tc.data))
 		for reader, err := range map[string]error{"ReadSketchFile": err, "its own reader": tc.read(bytes.NewReader(tc.data))} {
 			if err == nil || !strings.Contains(err.Error(), "corrupt sketch file") {
@@ -502,23 +500,27 @@ func FuzzOpenSketchFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(part.Bytes())
-	// Every kind four ways: as written now, with 32 bits a node ID as
-	// written before IDs were packed, with a distance per entry as written
-	// before step coding, and with the stored rank column of files written
-	// before ranks were derived.
+	// Every kind five ways: as written now, with 64 bits an offset and a
+	// float a step as written before the compact columns, with 32 bits a
+	// node ID as written before IDs were packed, with a distance per entry
+	// as written before step coding, and with the stored rank column of
+	// files written before ranks were derived.
 	for _, data := range v3Files(f) {
 		f.Add(data)
+		f.Add(plainV3(f, data))
 		f.Add(wideV3(f, data))
 		f.Add(perEntryV3(f, data))
 		f.Add(legacyV3(f, data))
 	}
-	// Every way the step code and the packed node column can lie.
+	// Every way the step code, the packed node column and the compact
+	// columns can lie.
 	_, hostile, _ := hostileStepFiles(f)
 	for _, data := range hostile {
 		f.Add(data)
 	}
 	small, hostile, _ := hostileNodeFiles(f)
-	for _, files := range []map[string][]byte{small, hostile} {
+	compact, lies, _ := hostileCompactFiles(f)
+	for _, files := range []map[string][]byte{small, hostile, compact, lies} {
 		for _, data := range files {
 			f.Add(data)
 		}

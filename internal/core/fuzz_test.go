@@ -82,7 +82,11 @@ func FuzzReadSketchSet(f *testing.F) {
 	// And the packed node column's: bits past the last ID, a column a word
 	// off, IDs the set does not have, the smallest sets.
 	small, hostile, _ := hostileNodeFiles(f)
-	for _, files := range []map[string][]byte{small, hostile} {
+	// And the compact columns': a dictionary that is not one, codes outside
+	// it, offsets that are not offsets, bits past a column's last value,
+	// counts that overflow.
+	compact, lies, _ := hostileCompactFiles(f)
+	for _, files := range []map[string][]byte{small, hostile, compact, lies} {
 		for _, data := range files {
 			f.Add(data)
 		}

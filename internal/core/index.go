@@ -19,10 +19,11 @@ import "sort"
 // Storage is columnar, the entry nodes bit-packed (nodepack.go) and the
 // entry distances step-coded (stepcode.go) the way a frame's are: the
 // unique distances are the steps.  An index built standalone
-// (NewHIPIndex) owns its columns, preallocated to exact size; the indexes
-// of a frame-backed set (Frame.Index, what Engine serves) are views into
-// the frame — nodes, step bits and steps are the frame's own columns —
-// and into one arena shared by the whole set, which
+// (NewHIPIndex) owns its columns, preallocated to exact size, its steps
+// raw; the indexes of a frame-backed set (Frame.Index, what Engine
+// serves) are views into the frame — nodes, step bits and steps, which
+// may be codes into the frame's dictionary of distances, are the frame's
+// own columns — and into one arena shared by the whole set, which
 // holds a weight per entry and the three prefix sums per step, so serving
 // a million nodes does not cost seven slices per node, nor a column of
 // entries' size per prefix sum.
@@ -33,7 +34,7 @@ import "sort"
 type HIPIndex struct {
 	enode Nodes     // HIP entry nodes, canonical order, packed
 	ew    []float64 // HIP adjusted weights, parallel to enode
-	sd    StepDists // HIP entry distances, step-coded: sd.steps are the unique distances, ascending
+	sd    StepDists // HIP entry distances, step-coded: its steps are the unique distances, ascending
 	cum   []float64 // cum[i]: total adjusted weight at distance <= sd.steps[i]
 	cumD  []float64 // prefix sums of weight * distance
 	cumH  []float64 // prefix sums of weight / distance (0 at distance 0)
@@ -52,7 +53,7 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 		}
 	}
 	// 32 bits an ID: a standalone sketch's nodes can be any int32.
-	nodes := makeNodeColumn(int64(len(entries)), 32)
+	nodes := makePackedColumn(int64(len(entries)), 32)
 	idx := &HIPIndex{
 		enode: nodes.view(0, int64(len(entries))),
 		ew:    make([]float64, len(entries)),
@@ -60,13 +61,13 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 		cumD:  make([]float64, 0, unique),
 		cumH:  make([]float64, 0, unique),
 	}
-	w := newStepWriter(len(entries), unique)
+	w := newStepWriter(len(entries), nil, int64(unique))
 	for i, e := range entries {
-		nodes.put(int64(i), e.Node)
+		nodes.put(int64(i), nodeBits(e.Node))
 		idx.ew[i] = e.Weight
 		w.add(int64(i), e.Dist)
 	}
-	idx.sd = StepDists{first: w.first, steps: w.step}
+	idx.sd = StepDists{first: w.first, col: &w.steps, n: unique}
 	idx.cum, idx.cumD, idx.cumH = idx.sd.prefixSums(idx.ew, idx.cum, idx.cumD, idx.cumH)
 	return idx
 }
@@ -77,7 +78,7 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 func (s StepDists) prefixSums(w, cum, cumD, cumH []float64) (_, _, _ []float64) {
 	total, totalD, totalH := 0.0, 0.0, 0.0
 	for i, j := 0, 0; i < len(w); j++ {
-		end, d := s.runEnd(i, len(w)), s.steps[j]
+		end, d := s.runEnd(i, len(w)), s.step(j)
 		inv := KernelHarmonic(d)
 		for _, wi := range w[i:end] {
 			total += wi
@@ -97,12 +98,13 @@ func (x *HIPIndex) Len() int { return x.enode.n }
 // fresh copy; the index stores them columnarly).
 func (x *HIPIndex) Entries() []WeightedEntry {
 	out := make([]WeightedEntry, x.enode.n)
-	j := -1
+	j, d := -1, 0.0
 	for i := range out {
 		if x.sd.starts(i) {
 			j++
+			d = x.sd.step(j)
 		}
-		out[i] = WeightedEntry{Node: x.enode.At(i), Dist: x.sd.steps[j], Weight: x.ew[i]}
+		out[i] = WeightedEntry{Node: x.enode.At(i), Dist: d, Weight: x.ew[i]}
 	}
 	return out
 }
@@ -115,16 +117,7 @@ func (x *HIPIndex) EntryAt(i int) WeightedEntry {
 }
 
 // search returns the position of the last indexed distance <= d, or -1.
-func (x *HIPIndex) search(d float64) int {
-	dists := x.sd.steps
-	i := sort.SearchFloat64s(dists, d)
-	// SearchFloat64s returns the first index with dists[i] >= d; include
-	// an exact match.
-	if i < len(dists) && dists[i] == d {
-		return i
-	}
-	return i - 1
-}
+func (x *HIPIndex) search(d float64) int { return x.sd.searchLE(d) }
 
 // Neighborhood returns the HIP estimate of n_d: the cumulative adjusted
 // weight at distance <= d.
@@ -185,19 +178,22 @@ func (x *HIPIndex) Harmonic() float64 {
 // EstimateQ(s, g) on the indexed sketch.
 func (x *HIPIndex) EstimateQ(g func(node int32, dist float64) float64) float64 {
 	sum := 0.0
-	j := -1
+	j, d := -1, 0.0
 	for i := range x.ew {
 		if x.sd.starts(i) {
 			j++
+			d = x.sd.step(j)
 		}
-		sum += x.ew[i] * g(x.enode.At(i), x.sd.steps[j])
+		sum += x.ew[i] * g(x.enode.At(i), d)
 	}
 	return sum
 }
 
 // Distances returns the unique entry distances, ascending (the points at
-// which the neighborhood estimate steps).
-func (x *HIPIndex) Distances() []float64 { return x.sd.steps }
+// which the neighborhood estimate steps): the index's own column where it
+// holds them as floats, a fresh slice where it holds codes into its
+// frame's dictionary.  Callers must not modify it.
+func (x *HIPIndex) Distances() []float64 { return x.sd.steps() }
 
 // QuantileDistance returns the smallest indexed distance d whose estimated
 // neighborhood reaches fraction q of the total — the sketch analogue of a
@@ -211,5 +207,5 @@ func (x *HIPIndex) QuantileDistance(q float64) float64 {
 	if i == len(x.cum) {
 		i = len(x.cum) - 1
 	}
-	return x.sd.steps[i]
+	return x.sd.step(i)
 }

@@ -6,70 +6,86 @@ import (
 	"slices"
 )
 
-// Bit-packed node IDs.  An entry names a node of its set, and a set of
-// total nodes has IDs of nodeWidth(total) bits, not 32 — 14 at ten
-// thousand nodes — so a frame stores them at that width, back to back:
-// entry i's ID is bits [i·w, (i+1)·w) of the column, numbered like the
-// step bits (stepcode.go) from the least significant bit of word 0, an ID
-// that straddles two words continuing in the low bits of the next.  The
-// width is a function of the node count alone and is recorded nowhere, so
-// an entry list has one encoding.  Access is O(1): a shift and a mask, and
-// a second word for the IDs that straddle.
+// Bit-packed integer columns.  Every integer column of a frame — the node
+// IDs of its entries, the offsets of its segments, the dictionary codes of
+// its distance steps (stepcode.go) — holds values below a bound the frame's
+// header counts fix, so it is stored at the width that bound needs, not at
+// 32 or 64 bits: value i is bits [i·w, (i+1)·w) of the column, numbered
+// like the step bits from the least significant bit of word 0, a value that
+// straddles two words continuing in the low bits of the next.
+//
+//	column      value bound                      w at PA(10000,5), k=16
+//	node IDs    total, the whole set's nodes     14
+//	offsets     numEntries + 1                   21
+//	step codes  numDistinct, the dictionary's    3
+//
+// The width is a function of the bound alone and is recorded nowhere, so a
+// list of values has one encoding; the bits past the last value are zero.
+// Access is O(1): a shift and a mask, and a second word for the values
+// that straddle.
 
-// nodeWidth returns the bits per ID in the node column of a set of total
-// nodes (the whole set's count, for a partition): enough for total-1, and
-// at least 1.
-func nodeWidth(total int) uint {
-	if total <= 2 {
+// widthBelow returns the bits per value of a column whose values are all
+// below bound: enough for bound-1, and at least 1.
+func widthBelow(bound int64) uint {
+	if bound <= 2 {
 		return 1
 	}
-	return uint(bits.Len(uint(total - 1)))
+	return uint(bits.Len64(uint64(bound - 1)))
 }
 
-// packedWords returns the word count of a column of e IDs of w bits.
-func packedWords(e int64, w uint) int64 { return bitWords(e * int64(w)) }
+// nodeWidth returns the bits per ID in the node column of a set of total
+// nodes (the whole set's count, for a partition).
+func nodeWidth(total int) uint { return widthBelow(int64(total)) }
 
-// nodeColumn is a packed ID column and the width it is packed at.  Every
-// view of the column points at the one nodeColumn its frame (or index
-// arena) holds, so a view costs what a slice header does.
-type nodeColumn struct {
+// offsetWidth returns the bits per offset in the offsets column of a frame
+// of numEntries entries: an offset is an entry position, or numEntries.
+func offsetWidth(numEntries int64) uint { return widthBelow(numEntries + 1) }
+
+// packedWords returns the word count of a column of n values of w bits.
+func packedWords(n int64, w uint) int64 { return bitWords(n * int64(w)) }
+
+// packedColumn is a bit-packed column and the width it is packed at.
+// Every view of a frame's column points at the one packedColumn the frame
+// (or index arena) holds, so a view costs what a slice header does.
+type packedColumn struct {
 	words []uint64
-	w     uint // bits per ID, 1..32
+	w     uint // bits per value, 1..63
 }
 
-// makeNodeColumn returns a clear column for e IDs of w bits.
-func makeNodeColumn(e int64, w uint) nodeColumn {
-	return nodeColumn{words: make([]uint64, packedWords(e, w)), w: w}
+// makePackedColumn returns a clear column for n values of w bits.
+func makePackedColumn(n int64, w uint) packedColumn {
+	return packedColumn{words: make([]uint64, packedWords(n, w)), w: w}
 }
 
-// get returns ID i.
-func (c *nodeColumn) get(i int64) int32 {
+// get returns value i.
+func (c *packedColumn) get(i int64) uint64 {
 	bit := uint64(i) * uint64(c.w)
 	k, sh := bit>>6, uint(bit&63)
 	x := c.words[k] >> sh
 	if sh+c.w > 64 {
 		x |= c.words[k+1] << (64 - sh)
 	}
-	return int32(x & (1<<c.w - 1))
+	return x & (1<<c.w - 1)
 }
 
-// put stores id as ID i, whose slot is clear.  An id that does not fit
-// loses its high bits: callers that did not draw it from the set's own
-// node range compare what they read back.
-func (c *nodeColumn) put(i int64, id int32) {
+// put stores x as value i, whose slot is clear.  An x that does not fit
+// loses its high bits: callers that did not draw it from below the
+// column's bound compare what they read back.
+func (c *packedColumn) put(i int64, x uint64) {
 	bit := uint64(i) * uint64(c.w)
 	k, sh := bit>>6, uint(bit&63)
-	x := uint64(uint32(id)) & (1<<c.w - 1)
+	x &= 1<<c.w - 1
 	c.words[k] |= x << sh
 	if sh+c.w > 64 {
 		c.words[k+1] |= x >> (64 - sh)
 	}
 }
 
-// copyFrom copies n IDs from position spos of src to position dpos, whose
-// slots are clear: one bit range when the widths agree, ID by ID when this
-// column's node count has crossed a power of two since src was packed.
-func (c *nodeColumn) copyFrom(dpos int64, src *nodeColumn, spos, n int64) {
+// copyFrom copies n values from position spos of src to position dpos,
+// whose slots are clear: one bit range when the widths agree, value by
+// value when this column's bound has crossed a power of two since src was
+// packed.
+func (c *packedColumn) copyFrom(dpos int64, src *packedColumn, spos, n int64) {
 	if c.w == src.w {
 		w := int64(c.w)
 		copyBits(c.words, dpos*w, src.words, spos*w, n*w)
@@ -80,19 +96,43 @@ func (c *nodeColumn) copyFrom(dpos int64, src *nodeColumn, spos, n int64) {
 	}
 }
 
-// view returns the entry range [lo, hi) of the column.
-func (c *nodeColumn) view(lo, hi int64) Nodes { return Nodes{col: c, lo: lo, n: int(hi - lo)} }
+// holds reports whether the column is exactly the encoding of n values:
+// the words n values take, and no bit set past the last.
+func (c *packedColumn) holds(n int64) bool {
+	return int64(len(c.words)) == packedWords(n, c.w) && tailClear(c.words, n*int64(c.w))
+}
+
+// view returns the entry range [lo, hi) of a node column.
+func (c *packedColumn) view(lo, hi int64) Nodes { return Nodes{col: c, lo: lo, n: int(hi - lo)} }
+
+// nodeBits returns a node ID as the value a node column stores.
+func nodeBits(id int32) uint64 { return uint64(uint32(id)) }
 
 // packColumn packs a plain ID column of a set of total nodes — the one
 // pass that turns a file written before IDs were packed into the frame
 // layout.  An ID outside [0, total) has no encoding and is an error.
-func packColumn(ids []int32, total int) (nodeColumn, error) {
-	c := makeNodeColumn(int64(len(ids)), nodeWidth(total))
+func packColumn(ids []int32, total int) (packedColumn, error) {
+	c := makePackedColumn(int64(len(ids)), nodeWidth(total))
 	for i, id := range ids {
 		if uint32(id) >= uint32(total) {
-			return nodeColumn{}, fmt.Errorf("core: sketch file entry %d names node %d outside [0, %d)", i, id, total)
+			return packedColumn{}, fmt.Errorf("core: sketch file entry %d names node %d outside [0, %d)", i, id, total)
 		}
-		c.put(int64(i), id)
+		c.put(int64(i), nodeBits(id))
+	}
+	return c, nil
+}
+
+// packOffsets packs a plain offsets column of a frame of numEntries
+// entries — the one pass that turns a file written before offsets were
+// packed, or a decoded version-2 body, into the frame layout.  An offset
+// outside [0, numEntries] has no encoding and is an error.
+func packOffsets[T int64 | uint64](off []T, numEntries int64) (packedColumn, error) {
+	c := makePackedColumn(int64(len(off)), offsetWidth(numEntries))
+	for i, o := range off {
+		if uint64(o) > uint64(numEntries) {
+			return packedColumn{}, fmt.Errorf("core: sketch file offset %d is %d, outside [0, %d]", i, int64(o), numEntries)
+		}
+		c.put(int64(i), uint64(o))
 	}
 	return c, nil
 }
@@ -101,8 +141,8 @@ func packColumn(ids []int32, total int) (nodeColumn, error) {
 // its frame's column from the list's first entry.  It aliases the frame's
 // storage.
 type Nodes struct {
-	col *nodeColumn // the frame's column; nil for the empty zero value
-	lo  int64       // position of the list's entry 0 in it, in entries
+	col *packedColumn // the frame's column; nil for the empty zero value
+	lo  int64         // position of the list's entry 0 in it, in entries
 	n   int
 }
 
@@ -110,7 +150,7 @@ type Nodes struct {
 func (p Nodes) Len() int { return p.n }
 
 // At returns the node of entry i.
-func (p Nodes) At(i int) int32 { return p.col.get(p.lo + int64(i)) }
+func (p Nodes) At(i int) int32 { return int32(p.col.get(p.lo + int64(i))) }
 
 // AppendTo appends the nodes of entries [from, to) to dst — the way to
 // read a run of them, an equal-distance run of StepDists.Runs or a whole

@@ -24,9 +24,9 @@ func TestNodesViewMatchesSlice(t *testing.T) {
 			ids[i] = int32(rng.Uint64() & (1<<w - 1)) // w = 32: any int32, negatives too
 		}
 		ids[0], ids[1] = int32(uint32(1<<w-1)), 0 // every bit of the width, then none
-		col := makeNodeColumn(int64(len(ids)), w)
+		col := makePackedColumn(int64(len(ids)), w)
 		for i, id := range ids {
-			col.put(int64(i), id)
+			col.put(int64(i), nodeBits(id))
 		}
 		if !tailClear(col.words, int64(len(ids))*int64(w)) {
 			t.Fatalf("w=%d: bits past the last ID", w)
@@ -57,10 +57,10 @@ func TestNodesViewMatchesSlice(t *testing.T) {
 		// (ID by ID), to every destination alignment.
 		for _, dw := range []uint{w, min(w+1, 32), 32} {
 			for dpos := int64(0); dpos < 70; dpos += 3 {
-				dst := makeNodeColumn(dpos+200, dw)
+				dst := makePackedColumn(dpos+200, dw)
 				dst.copyFrom(dpos, &col, 5, 200)
 				for i := int64(0); i < 200; i++ {
-					if got := dst.get(dpos + i); got != ids[5+i] {
+					if got := int32(dst.get(dpos + i)); got != ids[5+i] {
 						t.Fatalf("copy w=%d→%d to %d: ID %d is %d, want %d", w, dw, dpos, i, got, ids[5+i])
 					}
 				}
@@ -232,7 +232,7 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 		fn(b)
 		return b
 	}
-	for name, hdr := range map[string]int64{"whole": framePreambleSize + frameHdrSize, "partition": framePreambleSize + framePartHdrSize + frameHdrSize} {
+	for _, name := range []string{"whole", "partition"} {
 		data := valid[name]
 		f := set.frame
 		if name == "partition" {
@@ -242,7 +242,7 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 			t.Fatalf("%s: %d nodes at %d bits an ID, want 61 at 6", name, f.total, f.width())
 		}
 		e := int64(f.totalEntries())
-		nodesAt := hdr + 8*int64(f.n+1)
+		nodesAt := splitV3(t, data).nodesAt
 		words := packedWords(e, 6)
 		if e*6%64 == 0 {
 			t.Fatalf("%s: %d entries leave no spare bits in the last word of the nodes", name, e)
@@ -284,8 +284,9 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 	}
 	// The smallest sets: one bit an ID, whatever the count.
 	one := valid["one node"]
-	add("one node: an ID of 1 in a set of 1", false, edit(one, func(b []byte) { b[framePreambleSize+frameHdrSize+16] |= 1 }))
-	add("one node: a node bit past the only entry", true, edit(one, func(b []byte) { b[framePreambleSize+frameHdrSize+16] |= 2 }))
+	oneNodesAt := splitV3(t, one).nodesAt
+	add("one node: an ID of 1 in a set of 1", false, edit(one, func(b []byte) { b[oneNodesAt] |= 1 }))
+	add("one node: a node bit past the only entry", true, edit(one, func(b []byte) { b[oneNodesAt] |= 2 }))
 	add("no nodes: a word of nodes", true, append(append([]byte(nil), valid["no nodes"]...), make([]byte, 8)...))
 	return valid, damaged, trusted
 }
@@ -319,9 +320,9 @@ func TestPackedNodesRejectHostileInput(t *testing.T) {
 
 // BenchmarkNodesAppendTo: unpacking sketch-sized lists of 14-bit IDs.
 func BenchmarkNodesAppendTo(b *testing.B) {
-	col := makeNodeColumn(1<<20, 14)
+	col := makePackedColumn(1<<20, 14)
 	for i := int64(0); i < 1<<20; i++ {
-		col.put(i, int32(i*2654435761%10000))
+		col.put(i, uint64(i*2654435761%10000))
 	}
 	buf := make([]int32, 0, 127)
 	b.SetBytes(127 * 4)

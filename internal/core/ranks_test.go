@@ -16,21 +16,28 @@ import (
 // legacyV3 rewrites a version-3 file the way files were laid out before
 // ranks were derived: flag bits 1, 2 and 3 clear, 32 bits a node ID, a
 // distance per entry, a rank column after them, and — for weighted and
-// approximate sets — no seed in the header.  With perEntryV3 and wideV3 it
-// is the test-only writer of the layouts the readers stay compatible with.
-func legacyV3(t testing.TB, data []byte) []byte { return oldV3(t, data, true, false) }
+// approximate sets — no seed in the header.  With perEntryV3, wideV3 and
+// plainV3 it is the test-only writer of the layouts the readers stay
+// compatible with; none of them has flag bit 4, so all store 64 bits an
+// offset and a float a step.
+func legacyV3(t testing.TB, data []byte) []byte { return oldV3(t, data, true, false, false) }
 
 // perEntryV3 rewrites a version-3 file the way files were laid out
 // between ranks becoming derived and distances becoming step-coded: flag
 // bits 2 and 3 clear, 32 bits a node ID, a distance per entry.
-func perEntryV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, false) }
+func perEntryV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, false, false) }
 
 // wideV3 rewrites a version-3 file the way files were laid out between
 // distances becoming step-coded and node IDs becoming packed: flag bit 3
 // clear, 32 bits a node ID.
-func wideV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, true) }
+func wideV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, true, false) }
 
-func oldV3(t testing.TB, data []byte, storeRanks, stepCoded bool) []byte {
+// plainV3 rewrites a version-3 file the way files were laid out between
+// node IDs becoming packed and the last 64-bit columns following them:
+// flag bit 4 clear, 64 bits an offset, a float a step, no numDistinct.
+func plainV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, true, true) }
+
+func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte {
 	t.Helper()
 	set, part, err := openFrameBytes(data)
 	if err != nil {
@@ -41,7 +48,11 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded bool) []byte {
 	}
 	f, _ := frameOf(set)
 	h := headerOf(f, part)
-	h.flags &^= frameFlagPackedNodes
+	h.flags &^= frameFlagCompact
+	h.numDistinct = 0
+	if !packed {
+		h.flags &^= frameFlagPackedNodes
+	}
 	if !stepCoded {
 		h.flags &^= frameFlagStepDists
 		h.numSteps = 0
@@ -54,10 +65,10 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded bool) []byte {
 	}
 	le := binary.LittleEndian
 	out := h.appendHeader(nil)
-	for _, o := range f.off {
-		out = le.AppendUint64(out, uint64(o-f.off[0]))
+	lo, hi := f.entryRange()
+	for i := 0; i < f.numOffsets(); i++ {
+		out = le.AppendUint64(out, uint64(f.offAt(i)-lo))
 	}
-	lo, hi := f.off[0], f.off[len(f.off)-1]
 	var rs rankScratch
 	var nodes, dists, ranks, steps []byte
 	first := make([]uint64, bitWords(hi-lo))
@@ -74,8 +85,15 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded bool) []byte {
 			}
 		}
 	}
-	out = append(out, nodes...)
-	out = append(out, make([]byte, pad8(4*(hi-lo))-4*(hi-lo))...)
+	if packed {
+		width := int64(f.width())
+		for _, w := range bitsFrom(f.node.words, lo*width, (hi-lo)*width) {
+			out = le.AppendUint64(out, w)
+		}
+	} else {
+		out = append(out, nodes...)
+		out = append(out, make([]byte, pad8(4*(hi-lo))-4*(hi-lo))...)
+	}
 	if stepCoded {
 		for _, w := range first {
 			out = le.AppendUint64(out, w)
@@ -140,9 +158,11 @@ func v3Files(t testing.TB) map[string][]byte {
 	return files
 }
 
-// TestV3Layout pins what a file costs: the header, the offsets, the bits
-// of the largest node ID and one more an entry (8 bytes more with β), each
-// rounded up to a word for the set, and 8 bytes a distance step — the pin
+// TestV3Layout pins what a file costs: the header, and — each rounded up
+// to a word for the set — the offsets in the bits of the entry count, the
+// bits of the largest node ID and one more an entry (8 bytes more with β),
+// and the distance steps as codes in the bits of their distinct count and
+// that many floats, or as a float each where that is no larger — the pin
 // that keeps a column from coming back or growing.
 func TestV3Layout(t *testing.T) {
 	for name, data := range v3Files(t) {
@@ -156,37 +176,34 @@ func TestV3Layout(t *testing.T) {
 		}
 		f, _ := frameOf(set)
 		e := int64(f.totalEntries())
-		steps := int64(0)
-		for v := 0; v < f.n; v++ {
-			for _, c := range f.segViews(v) {
-				steps += int64(countSteps(c.entries()))
-			}
+		if f.total != 60 || f.width() != 6 {
+			t.Fatalf("%s: frame of a %d-node set at %d bits an ID, want 60 at 6", name, f.total, f.width())
 		}
-		fixed := header + 8*int64(f.n*f.segs+1)
-		if f.kind == kindWeighted {
-			fixed += 8 * e
-		}
-		if f.total != 60 {
-			t.Fatalf("%s: frame of a %d-node set, want 60", name, f.total)
-		}
-		want := fixed + 8*((e*6+63)/64) + 8*((e+63)/64) + 8*steps // 60 nodes: 6 bits an ID
+		want, plain, steps, coded := referenceSizes(f, part != nil)
 		if int64(len(data)) != want {
-			t.Errorf("%s: file is %d bytes, want %d (n=%d segs=%d e=%d steps=%d)", name, len(data), want, f.n, f.segs, e, steps)
+			t.Errorf("%s: file is %d bytes, want %d (n=%d segs=%d e=%d steps=%d distinct=%d)", name, len(data), want, f.n, f.segs, e, steps, coded)
 		}
 		flags := binary.LittleEndian.Uint32(data[12:])
-		if flags&frameFlagPackedNodes == 0 {
-			t.Errorf("%s: written without packed nodes", name)
-		}
-		fixed += pad8(4 * e) // the layouts before it: 32 bits an ID
-		if got := int64(len(wideV3(t, data))); got != fixed+8*((e+63)/64)+8*steps || got <= want {
-			t.Errorf("%s: the 32-bit-ID layout is %d bytes, want %d and more than %d", name, got, fixed+8*((e+63)/64)+8*steps, want)
+		if flags&frameFlagPackedNodes == 0 || flags&frameFlagCompact == 0 {
+			t.Errorf("%s: written without packed nodes or compact columns (flags %#x)", name, flags)
 		}
 		if f.rank != nil || flags&frameFlagDerivedRanks == 0 {
 			t.Errorf("%s: written with a rank column", name)
 		}
-		if flags&frameFlagStepDists == 0 || binary.LittleEndian.Uint64(data[header-8:]) != uint64(steps) {
-			t.Errorf("%s: written without the step code, or with the wrong step count in its header", name)
+		if flags&frameFlagStepDists == 0 || binary.LittleEndian.Uint64(data[header-8:]) != uint64(steps) || binary.LittleEndian.Uint64(data[header:]) != uint64(coded) {
+			t.Errorf("%s: written without the step code, or with the wrong step or dictionary count in its header", name)
 		}
+		// The layouts before it: 64 bits an offset and a float a step...
+		if got := int64(len(plainV3(t, data))); got != plain || got <= want {
+			t.Errorf("%s: the layout before compact columns is %d bytes, want %d and more than %d", name, got, plain, want)
+		}
+		// ... 32 bits an ID ...
+		bits := 8 * ((e + 63) / 64)
+		fixed := plain - 8*((e*6+63)/64) - bits - 8*steps + pad8(4*e)
+		if got := int64(len(wideV3(t, data))); got != fixed+bits+8*steps || got <= plain {
+			t.Errorf("%s: the 32-bit-ID layout is %d bytes, want %d and more than %d", name, got, fixed+bits+8*steps, plain)
+		}
+		// ... a distance an entry, and a rank.
 		if got := int64(len(perEntryV3(t, data))); got != fixed+8*e {
 			t.Errorf("%s: the per-entry layout is %d bytes, want %d", name, got, fixed+8*e)
 		}

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,58 +20,80 @@ import (
 // canonicalV3 is the reference encoder: the version-3 bytes of the entry
 // lists (node-major segments, with β lists for a weighted set) under
 // header h, written value by value and bit by bit with none of the
-// writer's block copies, shifts or rank look-ups.  The width of a node ID
-// is spelled out here rather than taken from nodeWidth: the smallest w,
-// at least 1, with total-1 < 2^w.
+// writer's block copies, shifts, rank look-ups or use counts.  The width of
+// a packed column is spelled out here rather than taken from widthBelow —
+// the smallest w, at least 1, with every value below 2^w — and the
+// dictionary is its own pass: collect the steps, sort, drop repeats, and
+// use it iff that is strictly fewer bytes.
 func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 	le := binary.LittleEndian
-	var off, steps, beta []byte
-	var nodes, bits []uint64
-	pos := uint64(0)
-	h.numSteps = 0
-	total := h.n
-	if h.kind == kindPartition {
-		total = uint64(h.total)
+	width := func(bound uint64) uint64 {
+		w := uint64(1)
+		for bound > 1<<w {
+			w++
+		}
+		return w
 	}
-	w := uint64(1)
-	for total > 1<<w {
-		w++
-	}
-	for s, l := range lists {
-		off = le.AppendUint64(off, pos)
-		for i, e := range l {
+	pack := func(vals []uint64, w uint64) (out []byte) {
+		words := make([]uint64, (uint64(len(vals))*w+63)/64)
+		for i, v := range vals {
 			for b := uint64(0); b < w; b++ {
-				at := pos*w + b
-				if at%64 == 0 {
-					nodes = append(nodes, 0)
-				}
-				nodes[at/64] |= uint64(e.Node) >> b & 1 << (at % 64)
+				at := uint64(i)*w + b
+				words[at/64] |= v >> b & 1 << (at % 64)
 			}
-			if pos%64 == 0 {
-				bits = append(bits, 0)
-			}
+		}
+		for _, x := range words {
+			out = le.AppendUint64(out, x)
+		}
+		return out
+	}
+	var beta []byte
+	var offs, nodes, marks []uint64
+	var steps []float64
+	for s, l := range lists {
+		offs = append(offs, uint64(len(nodes)))
+		for i, e := range l {
+			nodes = append(nodes, uint64(uint32(e.Node)))
 			if i == 0 || e.Dist != l[i-1].Dist {
-				bits[pos/64] |= 1 << (pos % 64)
-				steps = le.AppendUint64(steps, math.Float64bits(e.Dist))
-				h.numSteps++
+				marks = append(marks, 1)
+				steps = append(steps, e.Dist)
+			} else {
+				marks = append(marks, 0)
 			}
 			if betas != nil {
 				beta = le.AppendUint64(beta, math.Float64bits(betas[s][i]))
 			}
-			pos++
 		}
 	}
-	off = le.AppendUint64(off, pos)
-	h.numEntries = pos
-	h.flags |= frameFlagStepDists | frameFlagPackedNodes
-	out := append(h.appendHeader(nil), off...)
-	for _, w := range nodes {
-		out = le.AppendUint64(out, w)
+	offs = append(offs, uint64(len(nodes)))
+	dict := append([]float64(nil), steps...)
+	sort.Float64s(dict)
+	dict = dedupe(dict)
+	total := h.n
+	if h.kind == kindPartition {
+		total = uint64(h.total)
 	}
-	for _, w := range bits {
-		out = le.AppendUint64(out, w)
+	h.numEntries, h.numSteps, h.numDistinct = uint64(len(nodes)), uint64(len(steps)), 0
+	var stepBytes []byte
+	if codeWords := (uint64(len(steps))*width(uint64(len(dict))) + 63) / 64; 8*uint64(len(dict))+8*codeWords < 8*uint64(len(steps)) {
+		h.numDistinct = uint64(len(dict))
+		codes := make([]uint64, len(steps))
+		for j, d := range steps {
+			for dict[codes[j]] != d {
+				codes[j]++
+			}
+		}
+		stepBytes = pack(codes, width(uint64(len(dict))))
+		steps = dict
 	}
-	out = append(out, steps...)
+	for _, d := range steps {
+		stepBytes = le.AppendUint64(stepBytes, math.Float64bits(d))
+	}
+	h.flags |= frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact
+	out := append(h.appendHeader(nil), pack(offs, width(uint64(len(nodes))+1))...)
+	out = append(out, pack(nodes, width(total))...)
+	out = append(out, pack(marks, 1)...)
+	out = append(out, stepBytes...)
 	return append(out, beta...)
 }
 
@@ -99,37 +123,45 @@ func segmentLists(f *Frame) (lists [][]Entry, betas [][]float64) {
 	return lists, betas
 }
 
-// stepKinds is frameKinds twice over: on an unweighted graph, where a
-// hundred entries share a handful of distances, and with random edge
-// lengths, where every distance of a sketch is its own step.
+// stepKinds is frameKinds three times over: on an unweighted graph, where a
+// hundred entries share a handful of distances and a whole frame's steps
+// go through a dictionary of them; with random edge lengths, where every
+// distance of a sketch is its own step, but the sketch of its other end
+// has it too, so that a dictionary of half as many values as steps still
+// wins; and with random lengths on a directed graph, where no two steps of
+// the frame agree and they stay raw.
 func stepKinds(t *testing.T) map[string]AnySet {
 	out := frameKinds(t)
-	g := graph.WithRandomWeights(graph.PreferentialAttachment(120, 3, 9), 0.25, 4, 11)
-	for name, o := range map[string]Options{
-		"lengths-bottomk":    {K: 8, Seed: 42},
-		"lengths-kmins":      {K: 4, Flavor: sketch.KMins, Seed: 42},
-		"lengths-kpartition": {K: 4, Flavor: sketch.KPartition, Seed: 42},
+	for prefix, g := range map[string]*graph.Graph{
+		"lengths-":  graph.WithRandomWeights(graph.PreferentialAttachment(120, 3, 9), 0.25, 4, 11),
+		"directed-": graph.WithRandomWeights(graph.GNP(120, 0.05, true, 9), 0.25, 4, 11),
 	} {
-		set, err := BuildSet(g, o, AlgoPrunedDijkstra)
+		for name, o := range map[string]Options{
+			"bottomk":    {K: 8, Seed: 42},
+			"kmins":      {K: 4, Flavor: sketch.KMins, Seed: 42},
+			"kpartition": {K: 4, Flavor: sketch.KPartition, Seed: 42},
+		} {
+			set, err := BuildSet(g, o, AlgoPrunedDijkstra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[prefix+name] = set
+		}
+		beta := make([]float64, g.NumNodes())
+		for i := range beta {
+			beta[i] = 1 + float64(i%7)
+		}
+		weighted, err := BuildWeightedSet(g, 8, 42, beta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[name] = set
+		out[prefix+"weighted"] = weighted
+		approx, err := BuildApproxSet(g, 8, 42, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[prefix+"approx"] = approx
 	}
-	beta := make([]float64, g.NumNodes())
-	for i := range beta {
-		beta[i] = 1 + float64(i%7)
-	}
-	weighted, err := BuildWeightedSet(g, 8, 42, beta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["lengths-weighted"] = weighted
-	approx, err := BuildApproxSet(g, 8, 42, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["lengths-approx"] = approx
 	return out
 }
 
@@ -138,7 +170,12 @@ func stepKinds(t *testing.T) map[string]AnySet {
 // — its file is the canonical encoding of its entry lists, so equal
 // entries are equal bytes wherever they were put together.
 func TestStepCodeCanonicalBytes(t *testing.T) {
-	for name, set := range stepKinds(t) {
+	sets := stepKinds(t)
+	// A path and as many isolated nodes after it: the second half of a
+	// two-way split has distance 0 alone, so the dictionary its file
+	// carries is a strict subset of the one its slice shares in memory.
+	sets["path and isolated nodes"] = pathSetPlus(t, 8, 8, Options{K: 8, Seed: 42})
+	for name, set := range sets {
 		f := frameOfSet(t, set)
 		lists, betas := segmentLists(f)
 		want := canonicalV3(headerOf(f, nil), lists, betas)
@@ -157,6 +194,11 @@ func TestStepCodeCanonicalBytes(t *testing.T) {
 				got := fileBytes(t, nil, part)
 				if !bytes.Equal(got, wantPart) {
 					t.Fatalf("%s: partition %d/%d is not the canonical encoding of its entries", name, part.index, p)
+				}
+				if name == "path and isolated nodes" && p == 2 {
+					if whole, own := len(pf.steps.dict), splitV3(t, got).h.numDistinct; whole != 8 || own != []uint64{8, 1}[part.index] {
+						t.Fatalf("%s: partition %d/2 shares a dictionary of %d distances and writes one of %d", name, part.index, whole, own)
+					}
 				}
 				back, err := ReadPartition(bytes.NewReader(got))
 				if err != nil {
@@ -188,13 +230,23 @@ func TestStepCodeCanonicalBytes(t *testing.T) {
 // TestFreezeOverCanonicalBytes: FreezeBottomKOver with random changed
 // sets — single nodes, runs, the first and last node, newcomers — block
 // copies node-bit, step-bit and step ranges at every alignment and still
-// writes the canonical encoding of the lists it was given.
+// writes the canonical encoding of the lists it was given: over hop
+// distances, where a window seldom moves the dictionary and the codes are
+// bit-copied; over random lengths, where every window retires values and
+// brings new ones, so every kept code is looked up again; and over random
+// lengths on a directed graph, where the steps are raw and stay raw on the
+// strength of a bound — or, over a base that came from a file and has
+// none, of a recount.
 func TestFreezeOverCanonicalBytes(t *testing.T) {
-	for name, lengths := range map[string]bool{"hops": false, "lengths": true} {
+	for _, name := range []string{"hops", "lengths", "directed"} {
 		g0 := graph.PreferentialAttachment(90, 3, 9)
 		g1 := graph.PreferentialAttachment(90, 4, 5) // other sketches for the same nodes, same ranks
-		if lengths {
+		switch name {
+		case "lengths":
 			g0, g1 = graph.WithRandomWeights(g0, 0.25, 4, 11), graph.WithRandomWeights(g1, 0.25, 4, 12)
+		case "directed":
+			g0 = graph.WithRandomWeights(graph.GNP(90, 0.06, true, 9), 0.25, 4, 11)
+			g1 = graph.WithRandomWeights(graph.GNP(90, 0.08, true, 5), 0.25, 4, 12)
 		}
 		o := Options{K: 8, Seed: 42}
 		base, err := BuildSet(g0, o, AlgoPrunedDijkstra)
@@ -205,9 +257,21 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if raw := base.frame.steps.dict == nil; raw != (name == "directed") || raw && base.frame.steps.dlo == 0 {
+			t.Fatalf("%s: the base's steps go through %d values (raw with a bound of %d)", name, len(base.frame.steps.dict), base.frame.steps.dlo)
+		}
+		// The same base through a file: no use counts, no bound.
+		loaded, err := ReadSketchSet(bytes.NewReader(v3Bytes(t, base)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := &loaded.(*Set).frame.steps; c.uses != nil || c.dlo != 0 {
+			t.Fatalf("%s: a frame from a file has use counts or a bound", name)
+		}
 		baseLists, _ := segmentLists(base.frame)
 		otherLists, _ := segmentLists(other.frame)
 		rng := rand.New(rand.NewSource(7))
+		moved := 0
 		for trial := 0; trial < 40; trial++ {
 			n := 90 + rng.Intn(3)
 			lists := append([][]Entry(nil), baseLists...)
@@ -225,7 +289,11 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 					lists[v], changed[int32(v)] = otherLists[v], otherLists[v]
 				}
 			}
-			got, err := FreezeBottomKOver(base, n, changed)
+			from := base
+			if trial%4 == 3 {
+				from = loaded.(*Set)
+			}
+			got, err := FreezeBottomKOver(from, n, changed)
 			if err != nil {
 				t.Fatalf("%s trial %d: %v", name, trial, err)
 			}
@@ -233,6 +301,9 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 			h.n = uint64(n)
 			if !bytes.Equal(v3Bytes(t, got), canonicalV3(h, lists, nil)) {
 				t.Fatalf("%s trial %d: freezing %d changed nodes over the base is not the canonical encoding", name, trial, len(changed))
+			}
+			if !slices.Equal(got.frame.steps.dict, base.frame.steps.dict) {
+				moved++
 			}
 			// And it is a base like any other.
 			if trial%8 == 0 {
@@ -242,49 +313,98 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 				}
 			}
 		}
+		if (name == "lengths") != (moved > 30) || name == "directed" && moved != 0 {
+			t.Errorf("%s: %d of 40 windows moved the dictionary", name, moved)
+		}
+	}
+	// The windows a dictionary makes new, on paths whose sketches (k past
+	// the node count) hold every node: an n-node path has n distances and n²
+	// entries, so growing it by its next node adds a farther distance,
+	// cutting its last node off retires the largest, and the counts cross
+	// what the code and offset widths turn on — 2→3 and 4→5 distances, 32
+	// and 64 entries.
+	o := Options{K: 16, Seed: 42}
+	for n := 2; n <= 10; n++ {
+		for name, sets := range map[string][2]*Set{
+			"grown by its next node": {pathSetPlus(t, n-1, 1, o), pathSet(t, n, o)},
+			"its last node cut off":  {pathSet(t, n, o), pathSetPlus(t, n-1, 1, o)},
+		} {
+			base, fresh := sets[0], sets[1]
+			lists, _ := segmentLists(fresh.frame)
+			changed := map[int32][]Entry{}
+			for v := 0; v < n; v++ {
+				if c := base.frame.segAt(v, 0); !slices.Equal(c.entries(), lists[v]) {
+					changed[int32(v)] = lists[v]
+				}
+			}
+			got, err := FreezeBottomKOver(base, n, changed)
+			if err != nil {
+				t.Fatalf("a path of %d, %s: %v", n, name, err)
+			}
+			if !bytes.Equal(v3Bytes(t, got), canonicalV3(headerOf(fresh.frame, nil), lists, nil)) || !bytes.Equal(v3Bytes(t, got), v3Bytes(t, fresh)) {
+				t.Fatalf("a path of %d, %s (%d → %d distances, %d → %d entries), is not the canonical encoding", n, name,
+					base.frame.steps.n, fresh.frame.steps.n, base.frame.totalEntries(), fresh.frame.totalEntries())
+			}
+		}
+		if f := pathSet(t, n, o).frame; f.totalEntries() != n*n || len(distinctSteps(f.steps.appendRaw(nil, 0, f.steps.n))) != n {
+			t.Fatalf("a path of %d has %d entries", n, f.totalEntries())
+		}
 	}
 }
 
-// TestStepCodeWorstCaseSize: when no two entries of a sketch share a
-// distance the code pays its bit per entry and nothing else — under 2% of
-// the per-entry layout for bottom-k, under 5% for k-mins with its short
-// segments — and whatever the distances, a file is header + offsets +
-// 8·ceil(e·w/64) + 8·ceil(e/64) + 8·steps (+ 8·e of β) bytes, never more
-// than the same entries took with 32 bits an ID.
+// TestStepCodeWorstCaseSize: whatever the distances, a file is what
+// referenceSizes works out from the entries, and never more than the same
+// entries took with 64 bits an offset and a float a step, bar the header
+// word that counts the dictionary — nor than with 32 bits an ID.  When no
+// two steps of a whole set share a distance (random lengths on a directed
+// graph: an undirected one has every distance from both ends) the steps
+// stay raw and the step code pays its bit per entry and nothing else —
+// under 2% of the per-entry layout for bottom-k, under 5% for the short
+// segments of k-partition and k-mins.  Hop distances, the usual case, go through a
+// dictionary of a handful of values: at least 12% under the layout before
+// it for bottom-k, under half the per-entry one.
 func TestStepCodeWorstCaseSize(t *testing.T) {
 	sets := stepKinds(t)
 	for name, set := range sets {
 		f := frameOfSet(t, set)
 		data := v3Bytes(t, set)
-		lists, _ := segmentLists(f)
-		e, steps := int64(f.totalEntries()), int64(0)
-		for _, l := range lists {
-			steps += int64(countSteps(l))
-		}
-		w := int64(7) // 120 nodes
-		if f.total != 120 || f.width() != uint(w) {
+		if f.total != 120 || f.width() != 7 {
 			t.Fatalf("%s: %d nodes at %d bits an ID, want 120 at 7", name, f.total, f.width())
 		}
-		want := int64(framePreambleSize+frameHdrSize) + 8*int64(len(lists)+1) + 8*((e*w+63)/64) + 8*((e+63)/64) + 8*steps
-		if f.beta != nil {
-			want += 8 * e
-		}
+		want, plain, steps, coded := referenceSizes(f, false)
 		if int64(len(data)) != want {
-			t.Errorf("%s: %d bytes, want %d (e=%d steps=%d)", name, len(data), want, e, steps)
+			t.Errorf("%s: %d bytes, want %d (e=%d steps=%d distinct=%d)", name, len(data), want, f.totalEntries(), steps, coded)
+		}
+		if before := int64(len(plainV3(t, data))); before != plain || int64(len(data)) > before+8 {
+			t.Errorf("%s: %d bytes compact, %d (want %d) with 64 bits an offset and a float a step", name, len(data), before, plain)
 		}
 		if wide := len(wideV3(t, data)); len(data) > wide {
 			t.Errorf("%s: %d bytes packed, %d with 32 bits an ID", name, len(data), wide)
 		}
+		// Which form the steps take is the values' to decide: raw for the
+		// single-segment directed sets, where every step is its own value
+		// (k-mins meets the same pair of nodes under several permutations),
+		// coded wherever distances are hops.
+		switch {
+		case name == "directed-bottomk" || name == "directed-weighted" || name == "directed-approx":
+			if coded != 0 || steps != int64(f.totalEntries()) {
+				t.Errorf("%s: %d steps of %d entries coded through %d values, want all distinct and raw", name, steps, f.totalEntries(), coded)
+			}
+		case !strings.Contains(name, "-") && coded == 0:
+			t.Errorf("%s: %d hop-distance steps left raw", name, steps)
+		}
 	}
-	for name, limit := range map[string]float64{"lengths-bottomk": 1.02, "lengths-weighted": 1.02, "lengths-kmins": 1.05, "kmins": 1.05} {
+	for name, limit := range map[string]float64{"directed-bottomk": 1.02, "directed-weighted": 1.02, "lengths-kpartition": 1.05, "kmins": 1.05} {
 		data := v3Bytes(t, sets[name])
 		before := len(perEntryV3(t, data))
 		if float64(len(data)) > limit*float64(before) {
 			t.Errorf("%s: %d bytes step-coded, %d with a distance per entry: more than %.0f%% larger", name, len(data), before, 100*(limit-1))
 		}
 	}
-	// The usual case, for scale: hop distances.
 	data := v3Bytes(t, sets["bottomk"])
+	if before := len(plainV3(t, data)); float64(len(data)) > 0.88*float64(before) {
+		t.Errorf("bottomk on an unweighted graph: %d bytes compact, %d before: want at least 12%% smaller", len(data), before)
+	}
 	if before := len(perEntryV3(t, data)); 2*len(data) > before {
 		t.Errorf("bottomk on an unweighted graph: %d bytes step-coded, %d per entry: want under half", len(data), before)
 	}
@@ -329,6 +449,13 @@ func TestV3PerEntryDistFixtures(t *testing.T) {
 // were packed — step-coded, 32 bits a node ID, flags bit 3 clear.
 func TestV3WideNodeFixtures(t *testing.T) {
 	checkV3Fixtures(t, v3Fixtures("v3step"), frameFlagDerivedRanks|frameFlagStepDists, wideV3)
+}
+
+// TestV3WideColumnFixtures: the files of the last release before the
+// compact columns — step-coded, packed IDs, 64 bits an offset and a float
+// a step, flags bit 4 clear.
+func TestV3WideColumnFixtures(t *testing.T) {
+	checkV3Fixtures(t, v3Fixtures("v3pack"), frameFlagDerivedRanks|frameFlagStepDists|frameFlagPackedNodes, plainV3)
 }
 
 // checkV3Fixtures: every committed file of an earlier layout (its flags,
@@ -422,32 +549,26 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 // damage the file openers must catch too (it would index the step column
 // out of step); the rest leaves a well-formed code over invalid or
 // non-canonical distances, which is the validating stream readers' to
-// refuse.
+// refuse.  The file's steps go through a dictionary; hostileCompactFiles
+// has the ways that can lie, and the same damage to raw steps.
 func hostileStepFiles(t testing.TB) (valid []byte, damaged map[string][]byte, trusted map[string]bool) {
 	t.Helper()
 	set, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := WriteSketchSetV3(&buf, set); err != nil {
-		t.Fatal(err)
-	}
-	valid = buf.Bytes()
+	valid = v3Bytes(t, set)
 	le := binary.LittleEndian
-	f := set.frame
-	e := int64(f.totalEntries())
-	if e%64 == 0 || f.off[1] < 3 {
-		t.Fatalf("the seed set has %d entries, %d in node 0: pick one with padding bits and a longer first sketch", e, f.off[1])
+	whole := splitV3(t, valid)
+	e, steps := int64(whole.h.numEntries), whole.h.numSteps
+	if e%64 == 0 || whole.offs[1] < 3 || whole.h.numDistinct == 0 {
+		t.Fatalf("the seed set has %d entries, %d in node 0, %d dictionary values: pick one with padding bits, a longer first sketch and a dictionary", e, whole.offs[1], whole.h.numDistinct)
 	}
 	stepsAt := int64(framePreambleSize + frameHdrSize - 8)
-	bitsAt := int64(framePreambleSize+frameHdrSize) + 8*int64(f.n+1) + 8*packedWords(e, f.width())
-	firstStepAt := bitsAt + 8*bitWords(e)
-	flip := func(b []byte, bit int64) { b[bitsAt+bit/8] ^= 1 << (bit % 8) }
-	step := func(b []byte, i int64, d float64) { le.PutUint64(b[firstStepAt+8*i:], math.Float64bits(d)) }
+	flip := func(b []byte, bit int64) { b[whole.bitsAt+bit/8] ^= 1 << (bit % 8) }
 	// Node 0's sketch: owner at 0, then neighbours at 1, then at 2: a clear
 	// bit inside the run at distance 1 is position 2.
-	if bitAt(f.first, 2) || !bitAt(f.first, 1) || len(f.segAt(0, 0).sd.steps) < 3 {
+	if f := set.frame; bitAt(f.first, 2) || !bitAt(f.first, 1) || f.segAt(0, 0).sd.n < 3 {
 		t.Fatal("the seed set's first sketch does not have the assumed shape")
 	}
 	damaged, trusted = map[string][]byte{}, map[string]bool{}
@@ -458,28 +579,30 @@ func hostileStepFiles(t testing.TB) (valid []byte, damaged map[string][]byte, tr
 	}
 	add("one bit more than steps", true, func(b []byte) { flip(b, 2) })
 	add("one bit fewer than steps", true, func(b []byte) { flip(b, 1) })
-	add("clear bit at a segment start", true, func(b []byte) { flip(b, f.off[1]); flip(b, 2) })
+	add("clear bit at a segment start", true, func(b []byte) { flip(b, int64(whole.offs[1])); flip(b, 2) })
 	add("set bit in the padding", true, func(b []byte) { flip(b, e) })
 	add("set bit in the padding, count kept", true, func(b []byte) { flip(b, e); flip(b, 1) })
 	add("step count past the entries", true, func(b []byte) { le.PutUint64(b[stepsAt:], uint64(e)+1) })
 	add("step count overflowing the body", true, func(b []byte) { le.PutUint64(b[stepsAt:], 1<<61) })
-	add("step count one short", true, func(b []byte) { le.PutUint64(b[stepsAt:], uint64(len(f.step))-1) })
+	add("step count one short", true, func(b []byte) { le.PutUint64(b[stepsAt:], steps-1) })
 	add("step count with the flag clear", true, func(b []byte) {
 		le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagStepDists)
 	})
-	add("equal steps", false, func(b []byte) { step(b, 2, 1) })
-	add("decreasing steps", false, func(b []byte) { step(b, 1, 2); step(b, 2, 1) })
-	add("NaN step", false, func(b []byte) { step(b, 1, math.NaN()) })
-	add("negative step", false, func(b []byte) { step(b, 0, -1) })
+	rebuilt := func(name string, fn func(p *v3Parts)) {
+		p := splitV3(t, valid)
+		fn(&p)
+		damaged[name], trusted[name] = p.bytes(), false
+	}
+	rebuilt("equal steps", func(p *v3Parts) { p.codes[2] = p.codes[1] })
+	rebuilt("decreasing steps", func(p *v3Parts) { p.codes[1], p.codes[2] = p.codes[2], p.codes[1] })
 	// A redundant step: the run at distance 1 split in two, by a bit and an
 	// inserted step.  Entry order and every distance stay what they were;
 	// only the encoding stops being canonical.
-	split := append([]byte(nil), valid[:firstStepAt+16]...)
-	split = le.AppendUint64(split, math.Float64bits(1))
-	split = append(split, valid[firstStepAt+16:]...)
-	flip(split, 2)
-	le.PutUint64(split[stepsAt:], uint64(len(f.step))+1)
-	damaged["split run"], trusted["split run"] = split, false
+	rebuilt("split run", func(p *v3Parts) {
+		p.bits[2/8] ^= 1 << 2
+		p.codes = append(p.codes[:2], p.codes[1:]...)
+		p.h.numSteps++
+	})
 	return valid, damaged, trusted
 }
 
@@ -614,8 +737,8 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 			e := int64(f.totalEntries())
 			// A weight an entry and three sums a step, plus the views; a merged
 			// arena also holds its own nodes, bits and steps.
-			if frame < e*int64(f.width())/8 || index < 8*e || index > 12*e+int64(f.n)*256+32*int64(len(f.step))+e/8+64 {
-				t.Errorf("%s: frame %d B, index %d B for %d entries, %d nodes, %d steps", name, frame, index, e, f.n, len(f.step))
+			if frame < e*int64(f.width())/8 || index < 8*e || index > 12*e+int64(f.n)*256+32*f.steps.n+e/8+64 {
+				t.Errorf("%s: frame %d B, index %d B for %d entries, %d nodes, %d steps", name, frame, index, e, f.n, f.steps.n)
 			}
 			for v := 0; v < f.n; v++ {
 				got, want := f.Index(int32(v)), NewHIPIndex(f.viewSketch(v))

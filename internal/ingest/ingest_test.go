@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -342,7 +343,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := core.WriteSketchSetV3(&file, mustBuild(t, g, core.Options{K: 2, Seed: 1})); err != nil {
 		t.Fatal(err)
 	}
-	const header, offsets = 80, 8 * (10 + 1)
+	// After the 88-byte header, 11 offsets in the bits of the entry count.
+	entries := mustBuild(t, g, core.Options{K: 2, Seed: 1}).TotalEntries()
+	header, offsets := 88, 8*((11*bits.Len(uint(entries))+63)/64)
 	binary.LittleEndian.PutUint32(file.Bytes()[header+offsets+4:], 1000)
 	path := filepath.Join(t.TempDir(), "foreign.ads")
 	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
