@@ -9,7 +9,7 @@ GO ?= go
 # coverage durably improves; never lower it to make a PR pass.
 COVER_BASELINE ?= 75.0
 
-.PHONY: test loc race analyze bench benchmark-smoke cover fuzz-smoke memprofile ingest-smoke load-smoke wire-smoke distbuild-smoke clean
+.PHONY: test loc race cpus analyze bench benchmark-smoke cover fuzz-smoke memprofile ingest-smoke load-smoke wire-smoke distbuild-smoke clean
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -26,6 +26,13 @@ loc:
 # that might grow some — a hand-picked allowlist rots silently.
 race:
 	$(GO) test -race ./...
+
+# The construction and index schedules under one, two and four cores: the
+# calling-goroutine path, the reference machine's split, and node ranges
+# that do not divide the way the batches do.  Every count must produce the
+# same bytes, which these tests compare against brute force or each other.
+cpus:
+	$(GO) test -cpu 1,2,4 -run 'Differential|ParallelBuilder|BuildersAgree|FrameIndex|HIPIndex' ./internal/core
 
 # Static-analysis gate, also a required CI step: gofmt, the standard vet
 # suite, the repo's own invariant analyzers (cmd/adsvet — detorder,

@@ -148,7 +148,8 @@ const (
 // Algorithm selects a construction algorithm (Section 3).
 type Algorithm = core.Algorithm
 
-// Construction algorithms.
+// Construction algorithms.  AlgoPrunedDijkstraParallel is a deprecated
+// synonym of AlgoPrunedDijkstra, which uses WithParallelism by itself.
 const (
 	AlgoPrunedDijkstra         = core.AlgoPrunedDijkstra
 	AlgoDP                     = core.AlgoDP

@@ -397,24 +397,24 @@ func itoa(i int) string {
 	return string(buf[p:])
 }
 
-// Parallel builder scaling (Appendix B.4): identical output, and — a
-// negative result, kept — no lower wall clock.  Measured on a 2-core VM
-// (6 alternating runs at -benchtime=3x, medians): sequential 126 ms, batch-
-// parallel 137 ms at 1 worker (1.09×) and 130 ms at 2 workers (1.04×); on
-// BenchmarkBuildPipeline's graph 303 ms against 316 ms.  Only the
-// traversals of a batch run concurrently: applying their offers, the
-// freeze and the weaker pruning inside a batch are serial or extra work,
-// and together they are about half of a build whose prune test is one
-// comparison.
+// Algorithm 1 against its worker count (Appendix B.4; core's runBatches):
+// identical output at every count.  Measured on a 2-core VM (3 runs at
+// -benchtime=10x): 84–89 ms at 1 worker, the loop on the calling goroutine,
+// 59–65 ms at 2 and 58–63 ms at 4, which two cores cannot tell from 2; on
+// BenchmarkBuildPipeline's graph 205–227 ms against 133–148 ms.  The
+// batches collect 13% more offers than they apply (stale thresholds prune
+// less), and rank order, freezeFrame's column packing and the barriers —
+// two a batch — stay on one core.  (The batch-of-8 schedule this replaced
+// measured 1.04–1.09× slower than sequential; CHANGES.md, PR 18.)
 func BenchmarkParallelBuilder(b *testing.B) {
 	g := graph.PreferentialAttachment(5000, 4, 7)
 	for _, c := range []struct {
 		name string
 		opts []adsketch.Option
 	}{
-		{"PrunedDijkstra", []adsketch.Option{adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra)}},
-		{"PrunedDijkstraParallel/workers=1", []adsketch.Option{adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstraParallel), adsketch.WithParallelism(1)}},
-		{"PrunedDijkstraParallel/workers=2", []adsketch.Option{adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstraParallel), adsketch.WithParallelism(2)}},
+		{"workers=1", []adsketch.Option{adsketch.WithParallelism(1)}},
+		{"workers=2", []adsketch.Option{adsketch.WithParallelism(2)}},
+		{"workers=4", []adsketch.Option{adsketch.WithParallelism(4)}},
 	} {
 		opts := append([]adsketch.Option{adsketch.WithK(16), adsketch.WithSeed(42)}, c.opts...)
 		b.Run(c.name, func(b *testing.B) {
@@ -431,9 +431,9 @@ func BenchmarkParallelBuilder(b *testing.B) {
 // (bench/) builds — PreferentialAttachment(10000,5,1), k=16, rank seed 42
 // — so a `go test -bench` number can be read against its core.build_s and
 // e2e.build_edges_per_s.  One row per construction the benchmark graph
-// admits: the default, Section 9 node weights, k-mins (16 bottom-1
-// passes), and the batch-parallel variant at 2 workers.  B/node is its
-// sketch_bytes_per_node for the row's set.
+// admits: the default (GOMAXPROCS workers), Section 9 node weights, k-mins
+// (16 bottom-1 passes), and the default on the calling goroutine alone.
+// B/node is its sketch_bytes_per_node for the row's set.
 func BenchmarkBuildPipeline(b *testing.B) {
 	g := graph.PreferentialAttachment(10000, 5, 1)
 	beta := make([]float64, g.NumNodes())
@@ -447,7 +447,7 @@ func BenchmarkBuildPipeline(b *testing.B) {
 		{"default", nil},
 		{"WithNodeWeights", []adsketch.Option{adsketch.WithNodeWeights(beta)}},
 		{"KMins", []adsketch.Option{adsketch.WithFlavor(adsketch.KMins)}},
-		{"WithParallelism2", []adsketch.Option{adsketch.WithParallelism(2)}},
+		{"WithParallelism1", []adsketch.Option{adsketch.WithParallelism(1)}},
 	} {
 		opts := append([]adsketch.Option{adsketch.WithK(16), adsketch.WithSeed(42)}, c.opts...)
 		b.Run(c.name, func(b *testing.B) {

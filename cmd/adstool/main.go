@@ -156,12 +156,12 @@ func buildFlags(fs *flag.FlagSet) (path *string, directed *bool, opts func() ([]
 	k := fs.Int("k", 16, "sketch parameter")
 	seed := fs.Uint64("seed", 42, "rank seed")
 	flavor := fs.String("flavor", "bottomk", "bottomk, kmins, kpartition")
-	algo := fs.String("algo", "dijkstra", "dijkstra, dp, local, brute, pardijkstra")
+	algo := fs.String("algo", "dijkstra", "dijkstra, dp, local, brute (pardijkstra: deprecated synonym of dijkstra)")
 	baseB := fs.Float64("baseb", 0, "base-b rank rounding (> 1; 0 = full precision)")
 	eps := fs.Float64("eps", -1, "(1+eps)-approximate construction (>= 0 enables)")
 	weights := fs.String("weights", "", "comma-separated per-node weights (Section 9)")
 	priority := fs.Bool("priority", false, "priority (Sequential Poisson) ranks for -weights")
-	parallel := fs.Int("parallel", 0, "construction workers (0 = default: bottom-k builds sequentially, k-mins/k-partition passes use GOMAXPROCS)")
+	parallel := fs.Int("parallel", 0, "construction workers (0 = GOMAXPROCS; 1 = one goroutine; the sketches are the same for every count)")
 	opts = func() ([]adsketch.Option, error) {
 		out := []adsketch.Option{adsketch.WithK(*k), adsketch.WithSeed(*seed)}
 		switch *flavor {
@@ -174,15 +174,13 @@ func buildFlags(fs *flag.FlagSet) (path *string, directed *bool, opts func() ([]
 			return nil, fmt.Errorf("unknown flavor %q", *flavor)
 		}
 		switch *algo {
-		case "dijkstra":
+		case "dijkstra", "pardijkstra":
 		case "dp":
 			out = append(out, adsketch.WithAlgorithm(adsketch.AlgoDP))
 		case "local":
 			out = append(out, adsketch.WithAlgorithm(adsketch.AlgoLocalUpdates))
 		case "brute":
 			out = append(out, adsketch.WithAlgorithm(adsketch.AlgoBruteForce))
-		case "pardijkstra":
-			out = append(out, adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstraParallel))
 		default:
 			return nil, fmt.Errorf("unknown algorithm %q", *algo)
 		}

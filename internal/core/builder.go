@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 
 	"adsketch/internal/graph"
 	"adsketch/internal/rank"
@@ -54,7 +53,9 @@ type Algorithm int
 const (
 	// AlgoPrunedDijkstra is Algorithm 1: one pruned Dijkstra per node in
 	// increasing rank order, on the transpose graph.  Works on weighted
-	// and unweighted graphs.
+	// and unweighted graphs.  With more than one worker a bottom-k pass
+	// traverses in rank-ordered batches and applies their offers
+	// partitioned by node (runBatches), to the same output byte for byte.
 	AlgoPrunedDijkstra Algorithm = iota
 	// AlgoDP is the node-centric dynamic-programming (Bellman–Ford round)
 	// computation for unweighted graphs; entries are inserted in
@@ -69,10 +70,9 @@ const (
 	// nearest-neighbor order.  Quadratic; the reference the fast
 	// algorithms are tested against.
 	AlgoBruteForce
-	// AlgoPrunedDijkstraParallel is the Appendix B.4 batch-parallel
-	// variant of Algorithm 1: rank-ordered batches of candidates run
-	// their pruned Dijkstras concurrently and are reconciled per batch.
-	// Identical output to AlgoPrunedDijkstra.
+	// AlgoPrunedDijkstraParallel is a deprecated synonym of
+	// AlgoPrunedDijkstra, which is parallel by itself; it selects the
+	// same runner.
 	AlgoPrunedDijkstraParallel
 )
 
@@ -150,10 +150,12 @@ func BuildSet(g *graph.Graph, o Options, algo Algorithm) (*Set, error) {
 }
 
 // BuildSetParallel is BuildSet with an explicit worker bound for the
-// parallel parts of the construction (the per-permutation / per-bucket
-// runs of k-mins and k-partition, and the batch-parallel Dijkstra).
-// workers <= 0 means GOMAXPROCS.  The output is identical for every
-// worker count.
+// parallel dimension of the construction: the candidate batches of a
+// bottom-k PrunedDijkstra build, and the per-permutation / per-bucket
+// passes of k-mins and k-partition, whatever the algorithm — each pass
+// then runs its kernel on one goroutine, so workers are never squared.
+// workers <= 0 means GOMAXPROCS; 1 is the calling goroutine.  The output
+// is identical for every worker count.
 func BuildSetParallel(g *graph.Graph, o Options, algo Algorithm, workers int) (*Set, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -161,7 +163,11 @@ func BuildSetParallel(g *graph.Graph, o Options, algo Algorithm, workers int) (*
 	if algo == AlgoDP && g.Weighted() {
 		return nil, fmt.Errorf("core: the DP builder requires an unweighted graph; use LocalUpdates or PrunedDijkstra")
 	}
-	run, err := runnerFor(g, algo, workers)
+	inner := workers
+	if o.Flavor != sketch.BottomK {
+		inner = 1
+	}
+	run, err := runnerFor(g, algo, inner)
 	if err != nil {
 		return nil, err
 	}
@@ -227,54 +233,29 @@ func (s runSpec) candidate(v int32) bool {
 // returns, for every node, its entry list in canonical order.
 type runner func(runSpec) [][]Entry
 
+// runnerFor binds algo to g; only Algorithm 1 has a use for workers.
 func runnerFor(g *graph.Graph, algo Algorithm, workers int) (runner, error) {
 	switch algo {
-	case AlgoPrunedDijkstra:
-		return func(s runSpec) [][]Entry { return prunedDijkstraRun(g, s) }, nil
+	case AlgoPrunedDijkstra, AlgoPrunedDijkstraParallel:
+		return func(s runSpec) [][]Entry { return prunedDijkstraRun(g, s, workers) }, nil
 	case AlgoDP:
 		return func(s runSpec) [][]Entry { return dpRun(g, s) }, nil
 	case AlgoLocalUpdates:
 		return func(s runSpec) [][]Entry { return localUpdatesRun(g, s) }, nil
 	case AlgoBruteForce:
 		return func(s runSpec) [][]Entry { return bruteForceRun(g, s) }, nil
-	case AlgoPrunedDijkstraParallel:
-		return func(s runSpec) [][]Entry { return prunedDijkstraParallelRun(g, s, 0, workers) }, nil
 	}
 	return nil, fmt.Errorf("core: unknown algorithm %v", algo)
 }
 
 // parallelRuns executes fn(0..k-1) across the given number of workers
-// (<= 0 means GOMAXPROCS).
+// (<= 0 means GOMAXPROCS; 1 is the calling goroutine).
 func parallelRuns(k, workers int, fn func(int) [][]Entry) [][][]Entry {
 	out := make([][][]Entry, k)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 {
-		for i := 0; i < k; i++ {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < k; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	fanOutItems(min(workers, k), k, func(_, i int) { out[i] = fn(i) })
 	return out
 }
 
@@ -364,13 +345,15 @@ type offer struct {
 // order, each above everything still in the head: the finished list is
 // the head followed by the node's tail entries, latest first.  All nodes
 // share one tail, so an insertion searches and moves at most k slots and
-// appends one record, however long the node's list has grown.
+// appends one record, however long the node's list has grown.  (When
+// several goroutines build, runBatches gives each node range a pruneState
+// over the same thresholds and heads with a tail of its own.)
 type pruneState struct {
 	k       int
 	thrDist []float64 // +Inf while the node holds fewer than k entries
 	thrNode []int32
 	heads   [][]adsKey // grown on demand: most nodes of a sparse graph never hold k
-	tail    [][]offer  // chunks, in push order
+	tail    offerLog
 }
 
 func newPruneState(n, k int) *pruneState {
@@ -396,7 +379,7 @@ func (st *pruneState) accepts(v int32, d float64, u int32) bool {
 func (st *pruneState) insert(v int32, d float64, u int32) {
 	h := st.heads[v]
 	if len(h) == st.k {
-		st.pushTail(offer{v: v, node: h[st.k-1].node, dist: h[st.k-1].dist})
+		st.tail.push(offer{v: v, node: h[st.k-1].node, dist: h[st.k-1].dist})
 	} else {
 		h = append(h, adsKey{})
 		st.heads[v] = h
@@ -412,18 +395,42 @@ func (st *pruneState) insert(v int32, d float64, u int32) {
 	}
 }
 
-// tailChunk is the tail's allocation unit, in records (64 KB).  Chunks,
-// not one appended slice, because growing a slice this long by copying
-// would allocate several times its final size.
-const tailChunk = 1 << 12
+// offerLog is a sequence of offers in push order, held in chunks of
+// logChunk records (4 KB) — not one appended slice, because growing a
+// slice this long by copying would allocate several times its final size —
+// which reset keeps, so a log refilled every batch allocates its fullest.
+type offerLog struct {
+	chunks [][]offer
+	n      int // offers held: chunks[i>>logShift][i&(logChunk-1)] for i < n
+}
 
-func (st *pruneState) pushTail(o offer) {
-	last := len(st.tail) - 1
-	if last < 0 || len(st.tail[last]) == tailChunk {
-		st.tail = append(st.tail, make([]offer, 0, tailChunk))
-		last++
+const (
+	logShift = 8
+	logChunk = 1 << logShift
+)
+
+func (l *offerLog) push(o offer) {
+	c := l.n >> logShift
+	if c == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]offer, logChunk))
 	}
-	st.tail[last] = append(st.tail[last], o)
+	l.chunks[c][l.n&(logChunk-1)] = o
+	l.n++
+}
+
+func (l *offerLog) at(i int) offer { return l.chunks[i>>logShift][i&(logChunk-1)] }
+
+func (l *offerLog) reset() { l.n = 0 }
+
+// appendTo appends the offers at positions [lo, hi) to dst.
+func (l *offerLog) appendTo(dst []offer, lo, hi int) []offer {
+	for lo < hi {
+		i := lo & (logChunk - 1)
+		end := min(logChunk, i+hi-lo)
+		dst = append(dst, l.chunks[lo>>logShift][i:end]...)
+		lo += end - i
+	}
+	return dst
 }
 
 // run is candidate u's pruned traversal: every node it reaches either
@@ -438,18 +445,18 @@ func (st *pruneState) run(vis *graph.Visitor, u int32) {
 	}
 }
 
-// collect is run with the insertions appended to buf instead of applied,
-// leaving the state untouched.  It prunes against fewer entries than run
-// would have — never wrongly, and apply rejects the surplus.
-func (st *pruneState) collect(vis *graph.Visitor, u int32, buf []offer) []offer {
+// collect is run with the insertions logged instead of applied — an offer
+// for v under v's partition of len(logs) node ranges — leaving the state
+// untouched.  It prunes against fewer entries than run would have — never
+// wrongly, and apply rejects the surplus.
+func (st *pruneState) collect(vis *graph.Visitor, u int32, logs []offerLog) {
 	vis.Start(u)
 	for v, d, ok := vis.Next(); ok; v, d, ok = vis.Next() {
 		if st.accepts(v, d, u) {
-			buf = append(buf, offer{v: v, node: u, dist: d})
+			logs[partOf(v, len(logs), len(st.thrDist))].push(offer{v: v, node: u, dist: d})
 			vis.Expand(v, d)
 		}
 	}
-	return buf
 }
 
 // apply replays the collected offers of members equal-rank candidates
@@ -476,53 +483,29 @@ func (st *pruneState) apply(offers []offer, members int) {
 	}
 }
 
-// freeze returns every node's entries in canonical order with ranks
-// attached, carved from one allocation.
-func (st *pruneState) freeze(ranks []float64) [][]Entry {
-	size := make([]int, len(st.heads))
-	total := 0
-	for v, h := range st.heads {
-		size[v] = len(h)
-		total += len(h)
-	}
-	for _, chunk := range st.tail {
-		for _, o := range chunk {
-			size[o.v]++
-		}
-		total += len(chunk)
-	}
-	arena := make([]Entry, total)
-	out := make([][]Entry, len(st.heads))
-	for v, h := range st.heads {
-		out[v], arena = arena[:0:size[v]], arena[size[v]:]
-		for _, e := range h {
-			out[v] = append(out[v], Entry{Node: e.node, Dist: e.dist, Rank: ranks[e.node]})
-		}
-	}
-	// Backwards through the tail is ascending order within every node.
-	for c := len(st.tail) - 1; c >= 0; c-- {
-		chunk := st.tail[c]
-		for i := len(chunk) - 1; i >= 0; i-- {
-			o := chunk[i]
-			out[o.v] = append(out[o.v], Entry{Node: o.node, Dist: o.dist, Rank: ranks[o.node]})
-		}
-	}
-	return out
-}
-
 // prunedDijkstraRun is Algorithm 1 generalized to one runSpec pass.
 // Candidates are processed in increasing rank order; each runs a pruned
 // traversal of the transpose graph, so that reaching v at distance d means
-// d = d(v -> candidate) in g.
+// d = d(v -> candidate) in g.  With one worker that is a loop on the
+// calling goroutine; with more (workers <= 0 means GOMAXPROCS) it is
+// runBatches, whose output is the same.
 //
 // Ties in rank values (possible with base-b rounding) are handled by
 // collecting the offers of an equal-rank group against the pre-group
 // state and applying them together when the group finishes.
-func prunedDijkstraRun(g *graph.Graph, s runSpec) [][]Entry {
+func prunedDijkstraRun(g *graph.Graph, s runSpec, workers int) [][]Entry {
 	n := g.NumNodes()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	cands, ranks := s.rankOrder(n)
+	if workers = min(workers, n); workers > 1 {
+		parts, _ := runBatches(g.Transpose(), cands, ranks, s.k, workers)
+		return freezeParts(parts, ranks)
+	}
 	st := newPruneState(n, s.k)
 	vis := graph.NewVisitor(g.Transpose())
+	log := make([]offerLog, 1)
 	var group []offer
 	for i := 0; i < len(cands); {
 		j := sameRankEnd(cands, ranks, i)
@@ -530,13 +513,14 @@ func prunedDijkstraRun(g *graph.Graph, s runSpec) [][]Entry {
 			// Full-precision ranks are unique: the common case.
 			st.run(vis, cands[i])
 		} else {
-			group = group[:0]
+			log[0].reset()
 			for _, u := range cands[i:j] {
-				group = st.collect(vis, u, group)
+				st.collect(vis, u, log)
 			}
+			group = log[0].appendTo(group[:0], 0, log[0].n)
 			st.apply(group, j-i)
 		}
 		i = j
 	}
-	return st.freeze(ranks)
+	return freezeParts([]*pruneState{st}, ranks)
 }

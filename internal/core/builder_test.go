@@ -422,20 +422,19 @@ func TestPrunedDijkstraDifferential(t *testing.T) {
 		graphs = 40
 	}
 	type run = func(*graph.Graph, runSpec) [][]Entry
-	parallel := func(batch, workers int) run {
-		return func(g *graph.Graph, s runSpec) [][]Entry {
-			return prunedDijkstraParallelRun(g, s, batch, workers)
-		}
+	pruned := func(workers int) run {
+		return func(g *graph.Graph, s runSpec) [][]Entry { return prunedDijkstraRun(g, s, workers) }
 	}
+	// 8 workers are more than the nodes of one RandomSmall graph in six,
+	// and of the two graphs that lead the sweep: no node, and one.
 	variants := []struct {
 		name string
 		run  run
 	}{
-		{"sequential", prunedDijkstraRun},
-		{"parallel/workers=1/batch=1", parallel(1, 1)},
-		{"parallel/workers=1/batch=7", parallel(7, 1)},
-		{"parallel/workers=3/batch=1", parallel(1, 3)},
-		{"parallel/workers=3/batch=7", parallel(7, 3)},
+		{"pruned/workers=1", pruned(1)},
+		{"pruned/workers=2", pruned(2)},
+		{"pruned/workers=3", pruned(3)},
+		{"pruned/workers=8", pruned(8)},
 		{"localUpdates", localUpdatesRun},
 	}
 	v3 := func(s AnySet) []byte {
@@ -445,9 +444,12 @@ func TestPrunedDijkstraDifferential(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	for seed := 0; seed < graphs; seed++ {
+	for seed := -2; seed < graphs; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		g := graph.RandomSmall(rng)
+		g := graph.NewBuilder(seed+2, false).Build() // seeds -2 and -1: no node, and one
+		if seed >= 0 {
+			g = graph.RandomSmall(rng)
+		}
 		n := g.NumNodes()
 		beta := make([]float64, n)
 		for v := range beta {

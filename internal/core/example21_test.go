@@ -95,7 +95,7 @@ func TestPaperExample21(t *testing.T) {
 		name string
 		run  func(*graph.Graph, runSpec) [][]Entry
 	}{
-		{"prunedDijkstra", prunedDijkstraRun},
+		{"prunedDijkstra", func(g *graph.Graph, s runSpec) [][]Entry { return prunedDijkstraRun(g, s, 0) }},
 		{"localUpdates", localUpdatesRun},
 	} {
 		got := algo.run(g1, runSpec{k: 1, rank: rankFn})

@@ -269,18 +269,74 @@ func TestParallelBuilderMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelBuilderBatchSizes pins what the batch schedule costs on the
+// benchmark's graph — PA(10000,5), graph seed 1, k=16, rank seed 42: the
+// offers its stale thresholds collect against the entries that survive
+// (TestBenchmarkFrameBytes' count), and the number of batches.  The counts
+// depend on the batch rule alone, so they are the same for every worker
+// count, and a change in them is a change of the schedule.
 func TestParallelBuilderBatchSizes(t *testing.T) {
-	g := graph.GNP(100, 0.05, false, 5)
-	ref, err := BuildSet(g, Options{K: 6, Flavor: sketch.BottomK, Seed: 2}, AlgoPrunedDijkstra)
-	if err != nil {
-		t.Fatal(err)
+	g := graph.PreferentialAttachment(10000, 5, 1)
+	cands, ranks := runSpec{k: 16, rank: (Options{K: 16, Seed: 42}).rankFn(0)}.rankOrder(g.NumNodes())
+	batches := 0
+	for start := 0; start < len(cands); start = batchEnd(cands, ranks, 16, start) {
+		batches++
 	}
-	for _, batch := range []int{1, 3, 17, 1000} {
-		spec := runSpec{k: 6, rank: (Options{K: 6, Seed: 2}).rankFn(0)}
-		lists := prunedDijkstraParallelRun(g, spec, batch, 2)
-		for v := int32(0); int(v) < g.NumNodes(); v++ {
-			equalEntryLists(t, fmt.Sprintf("batch=%d node %d", batch, v),
-				ref.BottomK(v).Entries(), lists[v])
+	if batches != 27 {
+		t.Errorf("%d batches, want 27", batches)
+	}
+	for _, workers := range []int{2, 3} {
+		parts, collected := runBatches(g.Transpose(), cands, ranks, 16, workers)
+		applied := 0
+		for _, l := range freezeParts(parts, ranks) {
+			applied += len(l)
+		}
+		if collected != 1441592 || applied != 1272677 {
+			t.Errorf("workers=%d: %d offers collected for %d applied, want 1441592 for 1272677", workers, collected, applied)
+		}
+	}
+}
+
+// TestBatchEnd checks the batch rule on its own: the batches tile the
+// candidates, the first is the first k, a batch grows by a quarter of what
+// precedes it, and no equal-rank group straddles a boundary.
+func TestBatchEnd(t *testing.T) {
+	for _, baseB := range []float64{0, 2} {
+		for _, n := range []int{0, 1, 5, 16, 17, 1000} {
+			for _, k := range []int{1, 4, 16} {
+				cands, ranks := runSpec{k: k, rank: (Options{K: k, Seed: 7, BaseB: baseB}).rankFn(0)}.rankOrder(n)
+				start := 0
+				for start < n {
+					end := batchEnd(cands, ranks, k, start)
+					want := min(start+max(k, start/4), n)
+					switch {
+					case end <= start || end > n || end < want:
+						t.Fatalf("b=%g n=%d k=%d: batch [%d, %d), want it to end at %d or a rank tie later", baseB, n, k, start, end, want)
+					case end > want && ranks[cands[end-1]] != ranks[cands[want-1]]:
+						t.Fatalf("b=%g n=%d k=%d: batch [%d, %d) runs past %d without a rank tie", baseB, n, k, start, end, want)
+					case end < n && ranks[cands[end]] == ranks[cands[end-1]]:
+						t.Fatalf("b=%g n=%d k=%d: batch [%d, %d) splits an equal-rank group", baseB, n, k, start, end)
+					}
+					start = end
+				}
+			}
+		}
+	}
+}
+
+// TestPartOfInvertsNodeRange: the partition a collected offer is logged
+// under is the one whose worker owns the node.
+func TestPartOfInvertsNodeRange(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 40, 1000} {
+		for parts := 1; parts <= min(n, 9); parts++ {
+			for p := 0; p < parts; p++ {
+				lo, hi := nodeRange(p, parts, n)
+				for v := lo; v < hi; v++ {
+					if got := partOf(int32(v), parts, n); got != p {
+						t.Fatalf("n=%d parts=%d: node %d of range %d [%d, %d) maps to partition %d", n, parts, v, p, lo, hi, got)
+					}
+				}
+			}
 		}
 	}
 }

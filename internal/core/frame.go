@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -758,60 +759,80 @@ func (f *Frame) Index(local int32) *HIPIndex {
 // every readout is bit-identical to NewHIPIndex over the corresponding
 // view.  The prefix-sum columns hold one slot per distance step, so they
 // are sized by the frame's step count, not its entry count.
+//
+// In a single-segment frame a node's HIP entries are its entries, so the
+// frame's offsets and step ranks fix where its weights and sums go, and
+// GOMAXPROCS contiguous node ranges are filled concurrently, by the same
+// operations in the same order per node.  How long a k-mins / k-partition
+// node's merged list is only the merge finds out: those stay sequential.
 func (f *Frame) buildHIP() {
 	e := f.totalEntries()
+	elo, _ := f.entryRange()
 	slo, shi := f.stepRange()
 	steps := int(shi - slo) // of the merged lists too: a merged distance is some segment's step
 	a := &hipArena{
 		views: make([]HIPIndex, f.n),
-		hw:    make([]float64, 0, e),
-		cum:   make([]float64, 0, steps),
-		cumD:  make([]float64, 0, steps),
-		cumH:  make([]float64, 0, steps),
+		hw:    make([]float64, e),
+		cum:   make([]float64, steps),
+		cumD:  make([]float64, steps),
+		cumH:  make([]float64, steps),
 	}
-	single := f.segs == 1
-	if !single {
+	ranges := 1
+	if f.segs == 1 {
+		ranges = max(1, min(runtime.GOMAXPROCS(0), f.n))
+	} else {
 		a.hnode = makePackedColumn(int64(e), f.width())
 		a.merged = newStepWriter(e, nil, int64(steps))
 	}
-	h := newMaxHeap(f.opts.K)
-	var ranks rankScratch
-	for v := 0; v < f.n; v++ {
-		hlo, ulo := len(a.hw), len(a.cum)
-		segs := f.ranked(&ranks, v)
-		x := &a.views[v]
-		if single {
-			switch f.kind {
-			case kindWeighted:
-				a.hw = hipWeightsWeighted(segs[0].rank, segs[0].beta, f.scheme, f.opts.K, h, a.hw)
-			default:
-				a.hw = hipWeightsBottomK(segs[0].rank, f.opts.K, h, a.hw)
-			}
-			x.enode, x.sd = segs[0].pn, segs[0].sd // the frame's words, not the scratch
-		} else {
-			a.merged.segment()
-			emit := func(node int32, dist, weight float64) {
-				pos := int64(len(a.hw))
-				a.merged.add(pos, dist)
-				a.hnode.put(pos, nodeBits(node))
-				a.hw = append(a.hw, weight)
-			}
-			if f.opts.Flavor == sketch.KMins {
-				hipMergeKMins(segs, emit)
-			} else {
-				hipMergeKPartition(segs, emit)
-			}
-			m := &a.merged
-			x.enode = a.hnode.view(int64(hlo), int64(len(a.hw)))
-			x.sd = StepDists{first: m.first, lo: int64(hlo), col: &m.steps, slo: int64(ulo), n: int(m.steps.n) - ulo}
+	fanOut(ranges, func(r int) {
+		h := newMaxHeap(f.opts.K)
+		var ranks rankScratch
+		vlo, vhi := nodeRange(r, ranges, f.n)
+		lo := f.offAt(vlo * f.segs)
+		hpos, upos := int(lo-elo), int(f.rank1(lo)-slo)
+		for v := vlo; v < vhi; v++ {
+			hpos, upos = f.indexNode(a, v, hpos, upos, h, &ranks)
 		}
-		x.ew = a.hw[hlo:len(a.hw):len(a.hw)]
-		a.cum, a.cumD, a.cumH = x.sd.prefixSums(x.ew, a.cum, a.cumD, a.cumH)
-		x.cum = a.cum[ulo:len(a.cum):len(a.cum)]
-		x.cumD = a.cumD[ulo:len(a.cumD):len(a.cumD)]
-		x.cumH = a.cumH[ulo:len(a.cumH):len(a.cumH)]
-	}
+	})
 	f.hip.Store(a)
+}
+
+// indexNode fills local node v's view, its HIP weights from position hpos
+// of the arena's entry column and its prefix sums from upos of the step
+// columns, and returns where they end — where the next node's start.
+func (f *Frame) indexNode(a *hipArena, v, hpos, upos int, h *maxHeap, ranks *rankScratch) (hend, uend int) {
+	segs := f.ranked(ranks, v)
+	x := &a.views[v]
+	hw := a.hw[hpos:hpos]
+	if f.segs == 1 {
+		switch f.kind {
+		case kindWeighted:
+			hw = hipWeightsWeighted(segs[0].rank, segs[0].beta, f.scheme, f.opts.K, h, hw)
+		default:
+			hw = hipWeightsBottomK(segs[0].rank, f.opts.K, h, hw)
+		}
+		x.enode, x.sd = segs[0].pn, segs[0].sd // the frame's words, not the scratch
+	} else {
+		m := &a.merged
+		m.segment()
+		emit := func(node int32, dist, weight float64) {
+			pos := int64(hpos + len(hw))
+			m.add(pos, dist)
+			a.hnode.put(pos, nodeBits(node))
+			hw = append(hw, weight)
+		}
+		if f.opts.Flavor == sketch.KMins {
+			hipMergeKMins(segs, emit)
+		} else {
+			hipMergeKPartition(segs, emit)
+		}
+		x.enode = a.hnode.view(int64(hpos), int64(hpos+len(hw)))
+		x.sd = StepDists{first: m.first, lo: int64(hpos), col: &m.steps, slo: int64(upos), n: int(m.steps.n) - upos}
+	}
+	hend, uend = hpos+len(hw), upos+x.sd.n
+	x.ew = hw[:len(hw):len(hw)]
+	x.cum, x.cumD, x.cumH = x.sd.prefixSums(x.ew, a.cum[upos:upos:uend], a.cumD[upos:upos:uend], a.cumH[upos:upos:uend])
+	return hend, uend
 }
 
 // indexBytes returns what serving the frame costs beyond the frame: the

@@ -769,3 +769,51 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 		}
 	}
 }
+
+// TestHIPIndexArenaAcrossCoreCounts: the arena a frame builds on one core and
+// the one it builds on four, over node ranges filled concurrently, are the
+// same columns — every weight, every prefix sum, every view — for whole
+// frames and for the middle partition of a three-way split, whose entries
+// and steps start past zero.  Uniform, weighted and approximate frames have
+// one segment and are split into ranges; k-mins and k-partition frames,
+// whose merged lengths are not known before the merge, are built on the
+// calling goroutine under either setting and must only not notice.
+func TestHIPIndexArenaAcrossCoreCounts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	arenaAt := func(f *Frame, procs int) *hipArena {
+		runtime.GOMAXPROCS(procs)
+		cold := f.slice(0, f.n)
+		cold.Index(0)
+		return cold.hip.Load()
+	}
+	for name, set := range stepKinds(t) {
+		parts, err := SplitSketchSet(set, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []AnySet{set, parts[1].set} {
+			f := frameOfSet(t, s)
+			one, four := arenaAt(f, 1), arenaAt(f, 4)
+			if !slices.Equal(one.hw, four.hw) || !slices.Equal(one.cum, four.cum) ||
+				!slices.Equal(one.cumD, four.cumD) || !slices.Equal(one.cumH, four.cumH) {
+				t.Fatalf("%s from node %d: the arena's columns differ between 1 and 4 cores", name, f.base)
+			}
+			for v := range one.views {
+				a, b := &one.views[v], &four.views[v]
+				if !slices.Equal(a.Entries(), b.Entries()) || !slices.Equal(a.Distances(), b.Distances()) ||
+					!slices.Equal(a.cum, b.cum) || !slices.Equal(a.cumD, b.cumD) || !slices.Equal(a.cumH, b.cumH) {
+					t.Fatalf("%s node %d: the index differs between 1 and 4 cores", name, f.owner(v))
+				}
+				for _, d := range a.Distances() {
+					if a.Neighborhood(d) != b.Neighborhood(d) || a.SumDistancesWithin(d) != b.SumDistancesWithin(d) {
+						t.Fatalf("%s node %d: distance %g reads out differently on 1 and 4 cores", name, f.owner(v), d)
+					}
+				}
+				if a.Total() != b.Total() || a.Closeness() != b.Closeness() || a.Harmonic() != b.Harmonic() ||
+					a.QuantileDistance(0.5) != b.QuantileDistance(0.5) {
+					t.Fatalf("%s node %d: totals differ between 1 and 4 cores", name, f.owner(v))
+				}
+			}
+		}
+	}
+}

@@ -189,16 +189,19 @@ func (a *WeightedADS) EstimateCentrality(alpha func(float64) float64) float64 {
 // PrunedDijkstra with exponential ranks.  beta[v] is the weight of node v
 // and must be positive.
 func BuildWeightedSet(g *graph.Graph, k int, seed uint64, beta []float64) (*WeightedSet, error) {
-	return buildWeighted(g, k, seed, beta, ExponentialWeights)
+	return BuildWeightedSetParallel(g, k, seed, beta, ExponentialWeights, 0)
 }
 
 // BuildPriorityWeightedSet is BuildWeightedSet with Sequential Poisson
 // (priority) ranks r(i) = r'(i)/β(i) — the Section 9 alternative.
 func BuildPriorityWeightedSet(g *graph.Graph, k int, seed uint64, beta []float64) (*WeightedSet, error) {
-	return buildWeighted(g, k, seed, beta, PriorityWeights)
+	return BuildWeightedSetParallel(g, k, seed, beta, PriorityWeights, 0)
 }
 
-func buildWeighted(g *graph.Graph, k int, seed uint64, beta []float64, scheme WeightScheme) (*WeightedSet, error) {
+// BuildWeightedSetParallel is BuildWeightedSet under either scheme with
+// BuildSetParallel's worker bound for the PrunedDijkstra pass: <= 0 means
+// GOMAXPROCS, and the output is identical for every worker count.
+func BuildWeightedSetParallel(g *graph.Graph, k int, seed uint64, beta []float64, scheme WeightScheme, workers int) (*WeightedSet, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1")
 	}
@@ -210,7 +213,8 @@ func buildWeighted(g *graph.Graph, k int, seed uint64, beta []float64, scheme We
 			return nil, fmt.Errorf("core: beta[%d] = %g, must be positive", v, b)
 		}
 	}
-	return weightedSetFrom(g, k, seed, beta, scheme, prunedDijkstraRun), nil
+	run := func(g *graph.Graph, s runSpec) [][]Entry { return prunedDijkstraRun(g, s, workers) }
+	return weightedSetFrom(g, k, seed, beta, scheme, run), nil
 }
 
 // weightedSetFrom runs one bottom-k pass of run over the scheme's

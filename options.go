@@ -111,15 +111,20 @@ func WithFlavor(f Flavor) Option {
 // WithAlgorithm selects the construction algorithm (Section 3).  Default
 // AlgoPrunedDijkstra.  Only AlgoLocalUpdates is compatible with
 // WithApproxEps, and only AlgoPrunedDijkstra with WithNodeWeights.
+// AlgoPrunedDijkstraParallel is a deprecated synonym of
+// AlgoPrunedDijkstra.
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *buildConfig) error {
 		switch a {
-		case AlgoPrunedDijkstra, AlgoDP, AlgoLocalUpdates, AlgoBruteForce, AlgoPrunedDijkstraParallel:
-			c.algo = a
-			c.algoSet = true
-			return nil
+		case AlgoPrunedDijkstra, AlgoDP, AlgoLocalUpdates, AlgoBruteForce:
+		case AlgoPrunedDijkstraParallel:
+			a = AlgoPrunedDijkstra
+		default:
+			return fmt.Errorf("%w: WithAlgorithm(%v), unknown algorithm", ErrBadOption, a)
 		}
-		return fmt.Errorf("%w: WithAlgorithm(%v), unknown algorithm", ErrBadOption, a)
+		c.algo = a
+		c.algoSet = true
+		return nil
 	}
 }
 
@@ -180,20 +185,18 @@ func WithApproxEps(eps float64) Option {
 	}
 }
 
-// WithParallelism bounds the number of worker goroutines used by the
-// parallel parts of the construction: the per-permutation and per-bucket
-// passes of k-mins / k-partition, and AlgoPrunedDijkstraParallel batches.
-// 0 (the default) lets those parts use GOMAXPROCS workers — but a bottom-k
-// build has no such part unless it is asked for: by default it runs the
-// sequential Algorithm 1 on one goroutine whatever GOMAXPROCS is.  With
-// workers > 1 and no explicit WithAlgorithm, a bottom-k build selects
-// AlgoPrunedDijkstraParallel, whose output is identical and which, at 2
-// workers, is no faster than the sequential kernel (see
-// BenchmarkParallelBuilder).  The built sketches are identical for every
-// parallelism level.  Asking for workers > 1 where the construction has
-// no parallel dimension — a weighted or approximate build, or bottom-k
-// with an explicitly sequential algorithm — is rejected with
-// ErrIncompatibleOptions rather than silently running serially.
+// WithParallelism bounds the number of worker goroutines of the
+// construction: the candidate batches of Algorithm 1 in a bottom-k or
+// weighted build with AlgoPrunedDijkstra, and the per-permutation and
+// per-bucket passes of k-mins / k-partition (each on one goroutine, so
+// workers are never squared).  0 (the default) means GOMAXPROCS; 1 keeps
+// the whole build on the calling goroutine.  The built sketches are
+// byte-identical for every level; on 2 cores the default builds
+// PA(10000,5) at k=16 in about two thirds of the one-worker time
+// (BenchmarkBuildPipeline).  Asking for workers > 1 where the
+// construction has no parallel dimension — an approximate build, or
+// bottom-k with AlgoDP, AlgoLocalUpdates or AlgoBruteForce — is rejected
+// with ErrIncompatibleOptions rather than silently running serially.
 func WithParallelism(workers int) Option {
 	return func(c *buildConfig) error {
 		if workers < 0 {
@@ -246,10 +249,8 @@ func (c *buildConfig) check(g *Graph) error {
 		switch {
 		case c.approx:
 			return fmt.Errorf("%w: WithParallelism: the approximate construction is sequential", ErrIncompatibleOptions)
-		case c.weights != nil:
-			return fmt.Errorf("%w: WithParallelism: the weighted construction is sequential", ErrIncompatibleOptions)
-		case c.flavor == BottomK && c.algoSet && c.algo != AlgoPrunedDijkstraParallel:
-			return fmt.Errorf("%w: WithParallelism: a bottom-k build with %v is sequential; use AlgoPrunedDijkstraParallel or drop the option", ErrIncompatibleOptions, c.algo)
+		case c.flavor == BottomK && c.algo != AlgoPrunedDijkstra:
+			return fmt.Errorf("%w: WithParallelism: a bottom-k build with %v is sequential; use AlgoPrunedDijkstra or drop the option", ErrIncompatibleOptions, c.algo)
 		}
 	}
 	return nil
@@ -278,10 +279,10 @@ func flavorName(f Flavor) string {
 //	set, err := adsketch.Build(g, adsketch.WithNodeWeights(beta)) // weighted cardinalities
 //	set, err := adsketch.Build(g, adsketch.WithApproxEps(0.25))   // (1+ε)-approximate
 //
-// A bottom-k build (the default flavor) runs on the calling goroutine
-// unless WithParallelism(workers > 1) or AlgoPrunedDijkstraParallel asks
-// otherwise; k-mins and k-partition builds spread their k passes over
-// GOMAXPROCS workers unless WithParallelism bounds them.
+// The default build uses GOMAXPROCS goroutines — a bottom-k or weighted
+// build for the candidate batches of Algorithm 1, a k-mins or k-partition
+// build for its k passes — unless WithParallelism bounds them; its output
+// does not depend on how many.
 //
 // For backward sketches on directed graphs, pass g.Transpose().  Invalid
 // option values return an error matching ErrBadOption; unsupported
@@ -309,21 +310,16 @@ func Build(g *Graph, opts ...Option) (SketchSet, error) {
 		}
 		return set, nil
 	case cfg.weights != nil:
-		build := core.BuildWeightedSet
+		scheme := core.ExponentialWeights
 		if cfg.priority {
-			build = core.BuildPriorityWeightedSet
+			scheme = core.PriorityWeights
 		}
-		set, err := build(g, cfg.k, cfg.seed, cfg.weights)
+		set, err := core.BuildWeightedSetParallel(g, cfg.k, cfg.seed, cfg.weights, scheme, cfg.parallelism)
 		if err != nil {
 			return nil, err
 		}
 		return set, nil
 	default:
-		if cfg.parallelism > 1 && !cfg.algoSet && cfg.flavor == BottomK {
-			// Honor the requested parallelism: the batch-parallel variant
-			// produces output identical to the sequential default.
-			cfg.algo = AlgoPrunedDijkstraParallel
-		}
 		o := core.Options{K: cfg.k, Flavor: cfg.flavor, Seed: cfg.seed, BaseB: cfg.baseB}
 		set, err := core.BuildSetParallel(g, o, cfg.algo, cfg.parallelism)
 		if err != nil {

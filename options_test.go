@@ -59,9 +59,6 @@ func TestBuildOptionValidation(t *testing.T) {
 		{"approx+parallelism", []adsketch.Option{
 			adsketch.WithApproxEps(0.1), adsketch.WithParallelism(3),
 		}, adsketch.ErrIncompatibleOptions},
-		{"weights+parallelism", []adsketch.Option{
-			adsketch.WithNodeWeights(beta), adsketch.WithParallelism(3),
-		}, adsketch.ErrIncompatibleOptions},
 		{"sequential algo+parallelism", []adsketch.Option{
 			adsketch.WithAlgorithm(adsketch.AlgoBruteForce), adsketch.WithParallelism(3),
 		}, adsketch.ErrIncompatibleOptions},
@@ -100,8 +97,11 @@ func TestBuildAcceptsCompatibleCombinations(t *testing.T) {
 		{adsketch.WithNodeWeights(beta), adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra)},
 		{adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()},
 		{adsketch.WithApproxEps(0), adsketch.WithAlgorithm(adsketch.AlgoLocalUpdates)},
-		{adsketch.WithParallelism(4)}, // auto-selects the batch-parallel builder
-		{adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstraParallel), adsketch.WithParallelism(2)},
+		{adsketch.WithParallelism(4)},
+		{adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra), adsketch.WithParallelism(2)},
+		{adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstraParallel), adsketch.WithParallelism(2)}, // the deprecated synonym
+		{adsketch.WithNodeWeights(beta), adsketch.WithParallelism(3)},
+		{adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks(), adsketch.WithParallelism(1)},
 	}
 	for i, opts := range cases {
 		set, err := adsketch.Build(g, opts...)
@@ -189,19 +189,29 @@ func TestBuildParityParallelismInvariant(t *testing.T) {
 			t.Errorf("parallelism %d changed the built sketches", workers)
 		}
 	}
-	// A default bottom-k build with parallelism > 1 auto-selects the
-	// batch-parallel builder, whose output is identical to the serial one.
-	serial, err := adsketch.Build(g, adsketch.WithK(3), adsketch.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
+	// A bottom-k build, uniform or weighted, batches Algorithm 1 across
+	// its workers; one worker is the loop on the calling goroutine.
+	beta := make([]float64, g.NumNodes())
+	for i := range beta {
+		beta[i] = 0.5 + float64(i%7)
 	}
-	parallel, err := adsketch.Build(g, adsketch.WithK(3), adsketch.WithSeed(1),
-		adsketch.WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serialize(t, serial.(*adsketch.Set)), serialize(t, parallel.(*adsketch.Set))) {
-		t.Error("auto-parallel bottom-k build differs from the serial default")
+	for name, opts := range map[string][]adsketch.Option{
+		"bottom-k": {adsketch.WithK(3), adsketch.WithSeed(1)},
+		"weighted": {adsketch.WithK(3), adsketch.WithSeed(1), adsketch.WithNodeWeights(beta)},
+	} {
+		serial, err := adsketch.Build(g, append(opts, adsketch.WithParallelism(1))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 2, 4} {
+			parallel, err := adsketch.Build(g, append(opts, adsketch.WithParallelism(workers))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(serialize(t, serial), serialize(t, parallel)) {
+				t.Errorf("%s: parallelism %d changed the built sketches", name, workers)
+			}
+		}
 	}
 }
 
