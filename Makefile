@@ -1,6 +1,4 @@
-# Development entry points.  CI runs `make bench` as its perf smoke: one
-# iteration of every benchmark, with the Engine serving-path numbers
-# emitted as BENCH_engine.json to seed the performance trajectory.
+# Development entry points.
 
 GO ?= go
 
@@ -9,7 +7,7 @@ GO ?= go
 # coverage durably improves; never lower it to make a PR pass.
 COVER_BASELINE ?= 75.0
 
-.PHONY: test loc race cpus analyze bench benchmark-smoke cover fuzz-smoke memprofile ingest-smoke load-smoke wire-smoke distbuild-smoke clean
+.PHONY: test loc race cpus analyze benchmark-smoke cover fuzz-smoke memprofile ingest-smoke load-smoke wire-smoke distbuild-smoke clean
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -50,56 +48,6 @@ analyze:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "analyze: staticcheck not installed; skipped (CI runs the pinned version)"; fi
 
-# One pass over every benchmark (regression smoke, not measurement), then
-# the BenchmarkEngine*/BenchmarkSketchSet* lines rendered as JSON.  The
-# redirect (not a pipe) keeps `go test`'s exit status, so a crashing
-# benchmark fails the target — and CI.
-#
-# The *_PRE_FRAMES baselines pin the measurements taken immediately
-# before the columnar-frame refactor (per-node entry slices, append-grown
-# per-node HIPIndex), so the index-build and dispatch rows always ship
-# with their before/after pair:
-#   - building every HIP index cost 94836 allocations (~19 per node);
-#   - steady-state Engine.Do was 2956 ns and 8 allocs per request.
-HIPBUILD_PRE_FRAMES_NS = 26416967
-HIPBUILD_PRE_FRAMES_ALLOCS = 94836
-ENGINEDO_PRE_FRAMES_NS = 2956
-ENGINEDO_PRE_FRAMES_ALLOCS = 8
-# Every benchmark that lands in BENCH_engine.json gets a second,
-# multi-iteration pass: at -benchtime=1x the numbers are first-request
-# warmup artifacts (cold caches, first-touch page faults, one-shot
-# allocations), not steady state.  The reruns are tiered by per-op cost
-# so the target stays a smoke (fast ops 2000x, medium 100x, heavy 5x).
-# The awk below dedupes by benchmark name keeping the LAST occurrence,
-# so the rerun rows override the 1x rows in BENCH_engine.json.
-bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x . > bench.out || { cat bench.out; exit 1; }
-	$(GO) test -run='^$$' -bench='^(BenchmarkEngineClosenessCached|BenchmarkEngineTopCloseness|BenchmarkEngineDoJSON|BenchmarkEngineDoWire|BenchmarkEngineWireEncode|BenchmarkEngineWireDecode|BenchmarkEngineDoAllocs|BenchmarkHIPIndexQuery|BenchmarkCatalogDo(Direct|Batch)?|BenchmarkCatalogSwap|BenchmarkIngestInsert)$$' -benchtime=2000x . >> bench.out || { cat bench.out; exit 1; }
-	$(GO) test -run='^$$' -bench='^(BenchmarkSketchSetLoad|BenchmarkHIPIndexBuild|BenchmarkIngestInsertBatch$$|BenchmarkIngestFreezePublish$$)' -benchtime=100x . >> bench.out || { cat bench.out; exit 1; }
-	$(GO) test -run='^$$' -bench='^(BenchmarkEngineClosenessBatch|BenchmarkSketchSetCodec|BenchmarkBuildPipeline)$$' -benchtime=5x . >> bench.out || { cat bench.out; exit 1; }
-	$(GO) test -run='^$$' -bench='^(BenchmarkHTTPShardRoundtrip|BenchmarkCoordinatorScatterFrame)$$' -benchtime=100x ./cmd/adsserver >> bench.out || { cat bench.out; exit 1; }
-	$(GO) test -run='^$$' -bench='^BenchmarkDistBuild(1Worker|4Workers)$$' -benchtime=5x ./internal/distbuild >> bench.out || { cat bench.out; exit 1; }
-	cat bench.out
-	awk 'BEGIN { print "[" } \
-	  /^Benchmark(Engine|SketchSet|HIPIndex|Catalog|Ingest|HTTPShard|Coordinator|DistBuild|BuildPipeline)/ { \
-	    if (!($$1 in row)) order[++m] = $$1; \
-	    row[$$1] = $$0 \
-	  } \
-	  END { \
-	    for (j = 1; j <= m; j++) { \
-	      nf = split(row[order[j]], f, /[ \t]+/); \
-	      if (n++) printf ",\n"; \
-	      printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", f[1], f[2], f[3]; \
-	      for (i = 4; i <= nf; i++) if (f[i] == "allocs/op") printf ", \"allocs_per_op\": %s", f[i-1]; \
-	      for (i = 4; i <= nf; i++) if (f[i] == "edges/s") printf ", \"edges_per_s\": %s", f[i-1]; \
-	      for (i = 4; i <= nf; i++) if (f[i] == "B/node") printf ", \"bytes_per_node\": %s", f[i-1]; \
-	      printf "}" \
-	    } \
-	    printf ",\n  {\"name\": \"BenchmarkHIPIndexBuild/before-columnar-frames\", \"iterations\": 5, \"ns_per_op\": $(HIPBUILD_PRE_FRAMES_NS), \"allocs_per_op\": $(HIPBUILD_PRE_FRAMES_ALLOCS)},\n"; \
-	    printf "  {\"name\": \"BenchmarkEngineDoAllocs/before-columnar-frames\", \"iterations\": 5, \"ns_per_op\": $(ENGINEDO_PRE_FRAMES_NS), \"allocs_per_op\": $(ENGINEDO_PRE_FRAMES_ALLOCS)}\n]\n" }' \
-	  bench.out > BENCH_engine.json
-	@cat BENCH_engine.json
-
 # Two seconds of the repository benchmark's build workload (bench/,
 # BENCHMARK.json) as a correctness smoke, not a measurement: the run
 # exits non-zero — failing the target and CI — when a distbuild
@@ -127,9 +75,9 @@ cover:
 	  echo "coverage $$total% fell below the $(COVER_BASELINE)% baseline" >&2; exit 1; }
 
 # A few seconds of coverage-guided fuzzing on the sketch-file readers
-# (the v3 parser, the read-only v2 decoder, the write/read fixed point),
-# the wire-protocol and the graph-IO parsers — enough to catch decoder
-# regressions fast.
+# (the v3 parser, the legacy decoder of older files, the write/read fixed
+# point), the wire-protocol and the graph-IO parsers — enough to catch
+# decoder regressions fast.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzReadSketchSet' -fuzztime=5s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='FuzzReadSet$$' -fuzztime=5s ./internal/core/
@@ -306,4 +254,4 @@ distbuild-smoke:
 	rm -f adsserver.smoke adstool.smoke
 
 clean:
-	rm -f bench.out coverage.out engine_do.memprofile adsketch.test adsserver.smoke adstool.smoke adsload.smoke adsvet.bin wire_smoke.json
+	rm -f coverage.out engine_do.memprofile adsketch.test adsserver.smoke adstool.smoke adsload.smoke adsvet.bin wire_smoke.json

@@ -62,8 +62,12 @@
 // column — ranks re-derive from the recorded seed).  ReadSketchSet
 // validates every sketch of what it reads; OpenSketchFile /
 // MmapSketchFile trust the file and serve it back with O(1) allocations
-// or zero copies.  Version-2 files of earlier releases still open
-// everywhere, read-only; `adstool convert` upgrades them.  cmd/adsserver
+// or zero copies.  Files of earlier releases — version 2, and the older
+// version-3 layouts — still open everywhere through one legacy decoder:
+// copied, validated, never mapped.  A weighted or approximate one that
+// stores its ranks records no seed, and is read with the seed it was
+// built with (ReadSketchFileWithSeed); `adstool convert` rewrites any of
+// them in the current layout.  cmd/adsserver
 // is the reference HTTP server (POST /v1/query, worker mode with -mmap);
 // see README.md for the wire shapes.
 //
@@ -190,14 +194,16 @@ const SketchFormatVersion = core.EncodeVersion
 type SketchFile = core.SketchFile
 
 // OpenSketchFile opens a sketch file, trusting it: the current
-// (version-3, columnar) format is read in one call and its columns viewed
+// (version-3, columnar) layout is read in one call and its columns viewed
 // in place — O(1) allocations per set, no per-sketch validation (use
-// ReadSketchFile for a file of unknown origin).  Version-2 files of
-// earlier releases fall back to the streaming decoder.
+// ReadSketchFile for a file of unknown origin).  A file of an earlier
+// release goes through the validating legacy decoder, as ReadSketchFile
+// reads it.
 func OpenSketchFile(path string) (*SketchFile, error) { return core.OpenSketchFile(path) }
 
-// MmapSketchFile opens a version-3 sketch file by mapping it into memory
-// (on linux; elsewhere it degrades to OpenSketchFile): no column is read
+// MmapSketchFile opens a sketch file of the current layout by mapping it
+// into memory (on linux; for any other file, or elsewhere, it degrades to
+// OpenSketchFile): no column is read
 // until queried, so a serving process starts in near-constant time
 // regardless of file size.  Close the returned file only after all
 // sketches and indexes derived from it are out of use.
@@ -266,11 +272,25 @@ func ReadSketchFile(r io.Reader) (SketchSet, *Partition, error) {
 	return set, part, nil
 }
 
+// ReadSketchFileWithSeed is ReadSketchFile for a weighted or approximate
+// file of an earlier release, which stores its ranks but records no seed
+// (and which ReadSketchFile refuses): every stored rank is checked against
+// the one seed derives, and the set derives them from it.  A file that
+// records its seed is read under that one, as ReadSketchFile reads it.
+func ReadSketchFileWithSeed(r io.Reader, seed uint64) (SketchSet, *Partition, error) {
+	set, part, err := core.ReadSketchFileWithSeed(r, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return set, part, nil
+}
+
 // ReadSketchSet deserializes a sketch set written by any SketchSet's
 // WriteTo method (build once, query many), validating every sketch's
 // structural invariants.  The dynamic type of the result is *Set,
-// *WeightedSet, or *ApproxSet according to the stored kind.  Version-2
-// files of earlier releases are read too; version 1 is refused.
+// *WeightedSet, or *ApproxSet according to the stored kind.  Files of
+// earlier releases are read too (see ReadSketchFileWithSeed for the ones
+// that need their seed); version 1 is refused.
 func ReadSketchSet(r io.Reader) (SketchSet, error) { return core.ReadSketchSet(r) }
 
 // NeighborhoodJaccard estimates the Jaccard similarity of N_da(a) and

@@ -1,13 +1,13 @@
 package adsketch_test
 
-// Catalog serving-path benchmarks, part of the BENCH_engine.json
-// trajectory: BenchmarkCatalogDo against BenchmarkCatalogDoDirect
+// Catalog serving-path benchmarks: BenchmarkCatalogDo against
+// BenchmarkCatalogDoDirect
 // measures the routing overhead of the dataset layer (pin a ref-counted
 // version, dispatch, unpin) over a bare Engine.Do — measured at
 // ~1.6µs vs ~1.4µs per warm closeness request (≈200ns routing, same
 // 8 allocs), so earlier single-iteration readings of 11.8µs vs 4.4µs
 // were first-request warmup artifacts, not steady-state routing cost;
-// pin these with a multi-iteration run (see the Makefile bench target).
+// read these from a multi-iteration run (-benchtime 2000x).
 // BenchmarkCatalogDoBatch covers the DoBatch single-dataset fast path
 // (the pin lives in locals; no per-batch map), and BenchmarkCatalogSwap
 // prices a hot swap (build + publish + retire of an Engine over a

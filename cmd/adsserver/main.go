@@ -120,7 +120,7 @@ func main() {
 	addr := fs.String("addr", ":8080", "listen address")
 	shards := fs.Int("shards", 0, "index cache shards per engine (0 = auto-size to GOMAXPROCS)")
 	parallel := fs.Int("parallel", 0, "worker goroutines per batch query (0 = GOMAXPROCS)")
-	useMmap := fs.Bool("mmap", false, "mmap sketch files instead of reading them in (near-zero startup; every file the tools write qualifies — a v2 file of an earlier release is decoded instead, see adstool convert)")
+	useMmap := fs.Bool("mmap", false, "mmap sketch files instead of reading them in (near-zero startup; every file the tools write qualifies — a file of an earlier release is decoded instead, see adstool convert)")
 	memBudget := fs.Int64("mem-budget", 0, "resident-memory budget in bytes for the catalog; idle file-backed datasets are evicted LRU and reload on demand (0 = unlimited)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries after SIGINT/SIGTERM")
 	ingestOn := fs.Bool("ingest", false, "enable POST /v1/ingest/{dataset}: accept edge batches, maintain sketches incrementally, publish frozen versions into the catalog")

@@ -254,19 +254,30 @@ func runBuild(args []string) error {
 	return nil
 }
 
-// writeSketchFile creates path, lets write fill it, and closes it.  A
-// failed Close (full disk, NFS) is a failed write: the bytes may not be
-// there.
+// writeSketchFile lets write fill a temporary file beside path, syncs it,
+// and renames it over path, so a file that `adsserver -mmap` is serving
+// is replaced, never changed in place or truncated under its mapping (a
+// read past a truncated mapping is a SIGBUS), and a failed write — of the
+// bytes, the sync or the close (full disk, NFS) — leaves path as it was
+// and no temporary file behind.
 func writeSketchFile(path string, write func(io.Writer) (int64, error)) (int64, error) {
-	f, err := os.Create(path)
+	tmp := fmt.Sprintf("%s.%d.tmp", path, os.Getpid())
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return 0, err
 	}
 	n, err := write(f)
+	if err == nil {
+		err = f.Sync()
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
+		os.Remove(tmp)
 		return n, fmt.Errorf("writing %s: %w", path, err)
 	}
 	return n, nil
@@ -349,58 +360,53 @@ func runMerge(args []string) error {
 	return nil
 }
 
-// runConvert upgrades a sketch file of an earlier release (v2, or a v3
-// that stores its ranks; whole set or partition) to what every writer now
-// emits: the rank-free columnar v3 that OpenSketchFile reads with O(1)
-// allocations and `adsserver -mmap` maps zero-copy.  A file that stores
-// its ranks is rewritten rank-free once every stored rank is verified
-// against the seed: the header's for a uniform file, -seed for a weighted
-// or approximate one, whose old headers recorded none.  On a current file
-// it is the identity.
+// runConvert rewrites a sketch file of any earlier release (v2, or an
+// older v3 layout; whole set or partition) as every writer now emits it:
+// the columnar v3 that OpenSketchFile reads with O(1) allocations and
+// `adsserver -mmap` maps zero-copy.  The file is read by the validating
+// stream reader, so stored ranks are checked against the seed that derives
+// them: the one the file records, or -seed for a weighted or approximate
+// file that stores its ranks, which records none.  A -seed that
+// contradicts a recorded seed is an error.  On a current file it is the
+// identity.
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	in := fs.String("sketches", "", "sketch file to convert (required; v2 or v3, whole set or partition)")
 	out := fs.String("out", "", "output v3 sketch file (required)")
-	seed := fs.Uint64("seed", 0, "rank seed a weighted or approximate file with stored ranks was built with; given it, the ranks are verified and the output is rank-free")
+	seed := fs.Uint64("seed", 0, "rank seed the file was built with: required for a weighted or approximate file that stores its ranks, and checked against the seed any other file records")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("convert: -sketches and -out are required")
 	}
 	seedGiven := false
 	fs.Visit(func(f *flag.Flag) { seedGiven = seedGiven || f.Name == "seed" })
-	sf, err := adsketch.OpenSketchFile(*in)
+	f, err := os.Open(*in)
 	if err != nil {
 		return err
 	}
-	defer sf.Close()
-	ranks := "derived"
-	if sf.RanksStored() {
-		set := sf.Set()
-		if p := sf.Partition(); p != nil {
-			set = p.Set()
-		}
-		u, uniform := set.(*adsketch.Set)
-		if uniform && seedGiven && u.Options().Seed != *seed {
-			return fmt.Errorf("convert: -seed %d given, but the header of %s records seed %d", *seed, *in, u.Options().Seed)
-		}
-		if uniform || seedGiven {
-			if err := sf.DeriveRanks(*seed); err != nil {
-				return fmt.Errorf("convert: %s would not keep its estimates without its rank column: %w", *in, err)
-			}
-			ranks = "derived (stored column verified and dropped)"
-		} else {
-			ranks = "stored (the file records no seed; pass -seed to verify and drop the column)"
-		}
+	var set adsketch.SketchSet
+	var part *adsketch.Partition
+	if seedGiven {
+		set, part, err = adsketch.ReadSketchFileWithSeed(f, *seed)
+	} else {
+		set, part, err = adsketch.ReadSketchFile(f)
 	}
-	var src io.WriterTo = sf.Set()
-	if p := sf.Partition(); p != nil {
-		src = p
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("convert: %s: %w", *in, err)
+	}
+	var src io.WriterTo = set
+	if part != nil {
+		src, set = part, part.Set()
+	}
+	if recorded := seedOf(set); seedGiven && recorded != *seed {
+		return fmt.Errorf("convert: -seed %d given, but %s records seed %d", *seed, *in, recorded)
 	}
 	n, err := writeSketchFile(*out, src.WriteTo)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("converted %s -> %s (%d bytes, format v%d, ranks %s)\n", *in, *out, n, adsketch.SketchFormatVersion, ranks)
+	fmt.Printf("converted %s -> %s (%d bytes, format v%d, seed %d)\n", *in, *out, n, adsketch.SketchFormatVersion, seedOf(set))
 	return nil
 }
 
@@ -452,21 +458,13 @@ func runInfo(args []string) error {
 	case *adsketch.WeightedSet:
 		fmt.Printf("kind            weighted\n")
 		fmt.Printf("k               %d\n", x.K())
-		fmt.Printf("seed            %s\n", seedOf(sf, x.Seed()))
+		fmt.Printf("seed            %d\n", x.Seed())
 		fmt.Printf("scheme          %v\n", x.Scheme())
 	case *adsketch.ApproxSet:
 		fmt.Printf("kind            approximate\n")
 		fmt.Printf("k               %d\n", x.K())
-		fmt.Printf("seed            %s\n", seedOf(sf, x.Seed()))
+		fmt.Printf("seed            %d\n", x.Seed())
 		fmt.Printf("epsilon         %g\n", x.Epsilon())
-	}
-	switch {
-	case !sf.RanksStored():
-		fmt.Printf("ranks           derived\n")
-	case sf.Version() == adsketch.SketchFormatVersion:
-		fmt.Printf("ranks           stored (convert -seed verifies and drops them)\n")
-	default:
-		fmt.Printf("ranks           stored (a v%d weighted/approximate body records no seed)\n", sf.Version())
 	}
 	if p := sf.Partition(); p != nil {
 		fmt.Printf("partition       %d of %d\n", p.Index(), p.Count())
@@ -480,10 +478,8 @@ func runInfo(args []string) error {
 		fmt.Printf("entries/node    %.1f\n", float64(entries)/float64(nodes))
 		fmt.Printf("bytes/node      %.1f\n", float64(st.Size())/float64(nodes))
 	}
-	// The set as it is held, which is how convert would write it: a file
-	// from before distances were step-coded, node IDs packed or the offsets
-	// and steps made compact differs from that on disk, and is listed both
-	// ways.
+	// The set as it is held, which is how convert would write it: a file of
+	// an earlier release differs from that on disk.
 	var held int64
 	cols := sf.ColumnBytes()
 	for _, c := range cols {
@@ -498,12 +494,6 @@ func runInfo(args []string) error {
 		fmt.Printf("distances       steps (%.1f/node)%s\n", float64(steps)/float64(nodes), over)
 	}
 	fmt.Printf("node IDs        packed (%d bits/entry)\n", sf.NodeBits())
-	if stored := sf.StoredColumnBytes(); stored != nil {
-		fmt.Printf("columns         on disk, an older layout:\n")
-		for _, c := range stored {
-			fmt.Printf("  %-13s %d\n", c.Name, c.Bytes)
-		}
-	}
 	if held != st.Size() {
 		fmt.Printf("columns         as convert would write them, %d bytes:\n", held)
 	} else {
@@ -515,13 +505,17 @@ func runInfo(args []string) error {
 	return nil
 }
 
-// seedOf renders the seed of a weighted or approximate set: files that
-// store their ranks predate its being recorded.
-func seedOf(sf *adsketch.SketchFile, seed uint64) string {
-	if sf.RanksStored() {
-		return "not recorded"
+// seedOf returns the rank seed of a set of any kind.
+func seedOf(set adsketch.SketchSet) uint64 {
+	switch x := set.(type) {
+	case *adsketch.Set:
+		return x.Options().Seed
+	case *adsketch.WeightedSet:
+		return x.Seed()
+	case *adsketch.ApproxSet:
+		return x.Seed()
 	}
-	return strconv.FormatUint(seed, 10)
+	return 0
 }
 
 // loadOrBuild returns sketches from -sketches when given, else builds.

@@ -1,8 +1,8 @@
 package adsketch_test
 
 // Serving-path benchmarks: the Engine hot paths the wire protocol rides
-// on.  `make bench` runs these once (-benchtime=1x) and emits
-// BENCH_engine.json, the perf-trajectory artifact CI watches.
+// on.  CI runs every benchmark once (-benchtime 1x) as a smoke; the
+// repository benchmark (bench/, BENCHMARK.json) is what measures.
 
 import (
 	"bytes"

@@ -1,7 +1,6 @@
 package adsketch_test
 
-// Streaming-ingest benchmarks, part of the BENCH_engine.json trajectory:
-// BenchmarkIngestInsert prices one edge insertion into a warm maintainer
+// Streaming-ingest benchmarks: BenchmarkIngestInsert prices one edge insertion into a warm maintainer
 // (candidate propagation, amortized over a long random stream),
 // BenchmarkIngestInsertBatch the batched variant, and
 // BenchmarkIngestFreezePublish a full freeze-and-publish cycle (freeze

@@ -24,7 +24,7 @@ type v3Parts struct {
 	bits  []byte
 	codes []uint64  // one per step, when the header has a dictionary
 	dists []float64 // the dictionary, or the raw steps
-	tail  []byte    // ranks, betas
+	tail  []byte    // betas
 
 	// Where the columns start in the file the parts were split from.
 	offsAt, nodesAt, bitsAt, codesAt, distsAt int64
@@ -62,15 +62,15 @@ func testPack(vals []uint64, w uint64) []byte {
 	return out
 }
 
-// splitV3 takes a compact, step-coded version-3 file apart.
+// splitV3 takes a version-3 file of the current layout apart.
 func splitV3(t testing.TB, data []byte) v3Parts {
 	t.Helper()
 	h, consumed, err := parseFrameHdr(data[8:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.compact() || int64(len(data)) != int64(8+consumed)+h.bodySize() {
-		t.Fatalf("splitV3: flags %#x, %d bytes for a body of %d", h.flags, len(data), h.bodySize())
+	if int64(len(data)) != int64(8+consumed)+h.bodySize() {
+		t.Fatalf("splitV3: %d bytes for a body of %d", len(data), h.bodySize())
 	}
 	p := v3Parts{h: h}
 	pos := int64(8 + consumed)

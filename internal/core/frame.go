@@ -36,15 +36,11 @@ import (
 // the frame's own counts make it (nodepack.go).  Distances are a
 // staircase in canonical order, so they are stored as its steps: entry
 // i's distance is that of step number [set bits of first up to and
-// including i, less one].  A rank is a pure function of
-// the seed and the node (and of β, which travels with the entry), so it
-// is derived when asked for.  The one exception is a frame opened from a
-// file written before ranks were derived, which may not even record its
-// seed: its stored rank column is viewed in place and used instead.
-// rank != nil is the only predicate.  There is no such exception for
-// distances, nodes or offsets: a file that stores a distance per entry is
-// step-coded, and one that stores 32 bits an ID, 64 bits an offset or a
-// float per step is packed, when it is opened.
+// including i, less one].  A rank is a pure function of the seed and the
+// node (and of β, which travels with the entry), so it is derived when
+// asked for.  A file of an older layout, which may store ranks, distances
+// per entry or wider columns, is read into entry lists and frozen like a
+// build's (legacy.go).
 
 // ranker derives the rank of an entry from what its frame records: the
 // seed, the flavor and base of a uniform set, the scheme of a weighted
@@ -98,13 +94,11 @@ func (r *ranker) rank(perm int, node int32, beta float64) float64 {
 // cols is one columnar entry list: the columns of a contiguous entry
 // range, in canonical (distance, node ID) order.  A cols either views a
 // frame's shared columns (frozen sketches) or owns private slices
-// (standalone sketches built incrementally via Offer).  Its ranks are
-// stored when rank is non-nil — standalone sketches, and the frames of
-// files written before ranks were derived — and derived through by
-// otherwise.  Its nodes and distances are per entry when node and dist
-// are non-nil — a standalone sketch's own columns, or the scratch
-// Frame.ranked fills for whole-node loops — and read off the frame's
-// packed node column pn and step code sd otherwise.
+// (standalone sketches built incrementally via Offer).  Its ranks,
+// nodes and distances are per entry when rank, node and dist are non-nil
+// — a standalone sketch's own columns, or the scratch Frame.ranked fills
+// for whole-node loops — and otherwise derived through by and read off
+// the frame's packed node column pn and step code sd.
 type cols struct {
 	node []int32
 	pn   Nodes
@@ -295,7 +289,6 @@ type Frame struct {
 	steps  stepColumn   // one distance per set bit of first
 	beta   []float64    // weighted sets: β per entry, parallel to node
 	by     ranker       // derives the ranks
-	rank   []float64    // non-nil only for a file written before ranks were derived: its stored ranks, used instead of by
 
 	hipOnce sync.Once
 	hip     atomic.Pointer[hipArena] // set once, by hipOnce
@@ -444,9 +437,6 @@ func (f *Frame) segOver(lo, hi, slo int64, s int) cols {
 		by:   &f.by,
 		perm: s,
 	}
-	if f.rank != nil {
-		c.rank = f.rank[lo:hi:hi]
-	}
 	if f.beta != nil {
 		c.beta = f.beta[lo:hi:hi]
 	}
@@ -500,16 +490,16 @@ func (f *Frame) slice(lo, hi int) *Frame {
 		segs: f.segs, n: hi - lo, base: f.base + int32(lo), total: f.total,
 		off: f.off, off0: f.off0 + int64(lo*f.segs),
 		node: f.node, first: f.first, samp: f.samp, steps: f.steps,
-		beta: f.beta, by: f.by, rank: f.rank,
+		beta: f.beta, by: f.by,
 	}
 }
 
 // mergeFrames concatenates frames (already validated to be a consistent,
-// ordered split, all deriving their ranks or all storing them) into one
-// whole frame with compact columns.  The partitions of a split share the
-// whole set's ID width, so their node ranges are copied as bit ranges;
-// their steps may be coded through as many dictionaries as there are
-// frames, so they are read back as distances and coded afresh.
+// ordered split) into one whole frame with compact columns.  The
+// partitions of a split share the whole set's ID width, so their node
+// ranges are copied as bit ranges; their steps may be coded through as
+// many dictionaries as there are frames, so they are read back as
+// distances and coded afresh.
 func mergeFrames(frames []*Frame) *Frame {
 	first := frames[0]
 	total, steps, nodes := int64(0), int64(0), 0
@@ -530,9 +520,6 @@ func mergeFrames(frames []*Frame) *Frame {
 	if first.kind == kindWeighted {
 		out.beta = make([]float64, total)
 	}
-	if first.rank != nil {
-		out.rank = make([]float64, total)
-	}
 	pos, seg := int64(0), int64(0)
 	for _, f := range frames {
 		flo, fhi := f.entryRange()
@@ -542,9 +529,6 @@ func mergeFrames(frames []*Frame) *Frame {
 		step = f.steps.appendRaw(step, slo, shi)
 		if out.beta != nil {
 			copy(out.beta[pos:], f.beta[flo:fhi])
-		}
-		if out.rank != nil {
-			copy(out.rank[pos:], f.rank[flo:fhi])
 		}
 		for i := 0; i < f.n*f.segs; i++ {
 			out.off.put(seg, uint64(pos+f.offAt(i)-flo))
@@ -565,11 +549,11 @@ func mergeFrames(frames []*Frame) *Frame {
 const rankMemoSlots = 1 << 14
 
 // rankScratch serves the loops that read every rank of a frame (the HIP
-// arena build, freeze-time validation, the version-2 decoder): one node's
-// ranks at a time, in one reused buffer, through a direct-mapped
-// (perm, node, β) → rank memo, so they pay a hash per distinct node rather
-// than per entry and allocate nothing per node.  The zero value is ready
-// to use, and serves one frame: the memo does not key on the ranker.
+// arena build, freeze-time validation): one node's ranks at a time, in
+// one reused buffer, through a direct-mapped (perm, node, β) → rank memo,
+// so they pay a hash per distinct node rather than per entry and allocate
+// nothing per node.  The zero value is ready to use, and serves one frame:
+// the memo does not key on the ranker.
 type rankScratch struct {
 	memo *[rankMemoSlots]rankMemoSlot
 	buf  []float64
@@ -618,10 +602,10 @@ func (s *rankScratch) derive(dst []float64, by *ranker, perm int, nodes []int32,
 }
 
 // ranked returns the segment views of local node v with their ranks and
-// per-entry nodes and distances filled in — ranks view the stored column
-// where there is one and s.buf otherwise, nodes are unpacked into s.nbuf
-// and distances expanded from the steps into s.dbuf — valid until the next
-// call.  The views' pn and sd still alias the frame.
+// per-entry nodes and distances filled in — ranks derived into s.buf,
+// nodes unpacked into s.nbuf and distances expanded from the steps into
+// s.dbuf — valid until the next call.  The views' pn and sd still alias
+// the frame.
 func (f *Frame) ranked(s *rankScratch, local int) []cols {
 	segs := s.segs[:0]
 	for i := 0; i < f.segs; i++ {
@@ -640,11 +624,7 @@ func (f *Frame) filled(s *rankScratch, segs []cols) []cols {
 	}
 	dbuf := growFloats(&s.dbuf, n)
 	s.nbuf = slices.Grow(s.nbuf[:0], n)
-	nbuf := s.nbuf
-	var buf []float64
-	if f.rank == nil {
-		buf = s.grow(n)
-	}
+	nbuf, buf := s.nbuf, s.grow(n)
 	for i := range segs {
 		c := &segs[i]
 		from := len(nbuf)
@@ -652,31 +632,32 @@ func (f *Frame) filled(s *rankScratch, segs []cols) []cols {
 		c.node = nbuf[from:len(nbuf):len(nbuf)]
 		c.dist, dbuf = dbuf[:c.len():c.len()], dbuf[c.len():]
 		c.sd.expand(c.dist)
-		if f.rank == nil {
-			c.rank, buf = buf[:c.len():c.len()], buf[c.len():]
-			s.derive(c.rank, c.by, c.perm, c.node, c.beta)
-		}
+		c.rank, buf = buf[:c.len():c.len()], buf[c.len():]
+		s.derive(c.rank, c.by, c.perm, c.node, c.beta)
 	}
 	return segs
 }
 
 // validate checks the structural invariants of local node v's sketch.
-// given, when non-nil, is the caller-built entry list the node was frozen
-// from: its Rank fields, which the frame did not keep, must be the ones
-// the frame derives, so that a frame cannot disagree with its own seed.
-func (f *Frame) validate(s *rankScratch, local int, given []Entry) error {
+// given, when non-nil, is the caller-built entry list of every segment the
+// node was frozen from: their Rank fields, which the frame did not keep,
+// must be the ones the frame derives, so that a frame cannot disagree with
+// its own seed.
+func (f *Frame) validate(s *rankScratch, local int, given [][]Entry) error {
 	return f.validateSegs(f.ranked(s, local), local, given)
 }
 
 // validateSegs is validate over local node v's filled views.
-func (f *Frame) validateSegs(segs []cols, local int, given []Entry) error {
+func (f *Frame) validateSegs(segs []cols, local int, given [][]Entry) error {
 	k, owner := f.opts.K, f.owner(local)
-	for i, e := range given {
-		if u := segs[0].node[i]; e.Node != u {
-			return fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", owner, i, e.Node, f.total)
-		}
-		if r := segs[0].rank[i]; e.Rank != r {
-			return fmt.Errorf("core: ADS(%d) entry %d (node %d) has rank %g, the set's seed derives %g", owner, i, e.Node, e.Rank, r)
+	for s, l := range given {
+		for i, e := range l {
+			if u := segs[s].node[i]; e.Node != u {
+				return fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", owner, i, e.Node, f.total)
+			}
+			if r := segs[s].rank[i]; e.Rank != r {
+				return fmt.Errorf("core: ADS(%d) segment %d entry %d (node %d) has rank %g, the set's seed derives %g (seed %d)", owner, s, i, e.Node, e.Rank, r, f.opts.Seed)
+			}
 		}
 	}
 	// An ID is stored in the bits the largest of the set needs, which can
@@ -847,7 +828,7 @@ func (f *Frame) indexBytes() int64 {
 // bytes returns the heap (or mapping) the frame's own node range
 // occupies: offsets, packed nodes, step bits and their popcount samples
 // (heap even under a mapping), the steps — codes and dictionary, or raw —
-// and β or stored ranks where held.
+// and β where held.
 func (f *Frame) bytes() int64 {
 	e := int64(f.totalEntries())
 	slo, shi := f.stepRange()
@@ -859,9 +840,6 @@ func (f *Frame) bytes() int64 {
 		b += 8 * (shi - slo)
 	}
 	if f.beta != nil {
-		b += 8 * e
-	}
-	if f.rank != nil {
 		b += 8 * e
 	}
 	return b

@@ -16,28 +16,24 @@ import (
 
 // Version-3 sketch files: the on-disk layout is the in-memory frame
 // layout.  After a fixed little-endian header come the raw columns —
-// offsets, packed nodes, the distance step code (and betas for weighted
-// sets) — every one a whole number of 8-byte words:
+// packed offsets, packed nodes, the distance step code (and betas for
+// weighted sets) — every one a whole number of 8-byte words:
 //
 //	magic "ADSK" | version u32 = 3 | kind u32 | flags u32 |
 //	[kind 3 only: index u32 | count u32 | lo u32 | hi u32 |
 //	              total u32 | innerKind u32] |
 //	k u32 | flavor u32 | seed u64 | baseB f64 | scheme u32 | segs u32 |
 //	eps f64 | numNodes u64 | numEntries u64 | numSteps u64 |
-//	[numDistinct u64, when flags bit 4 is set] |
-//	offsets ceil((numNodes·segs+1)·wo/64)×u64, when flags bit 4 is set —
-//	    else offsets (numNodes·segs+1)×i64 |
-//	nodes ceil(numEntries·w/64)×u64, when flags bit 3 is set —
-//	    else nodes numEntries×i32 | pad |
+//	numDistinct u64 |
+//	offsets ceil((numNodes·segs+1)·wo/64)×u64 |
+//	nodes ceil(numEntries·w/64)×u64 |
 //	first ceil(numEntries/64)×u64 |
-//	    codes ceil(numSteps·wc/64)×u64 | dict numDistinct×f64,
-//	        when numDistinct > 0 — else steps numSteps×f64,
-//	    when flags bit 2 is set — else dists numEntries×f64 |
-//	[ranks numEntries×f64, unless flags bit 1 is set] |
+//	codes ceil(numSteps·wc/64)×u64 | dict numDistinct×f64,
+//	    when numDistinct > 0 — else steps numSteps×f64 |
 //	[betas numEntries×f64, when flags bit 0 is set]
 //
-// so a file as every writer writes it is 88 bytes of header (112 for a
-// partition) + 8·ceil((numNodes·segs+1)·wo/64) + 8·ceil(numEntries·w/64) +
+// so a file is 88 bytes of header (112 for a partition) +
+// 8·ceil((numNodes·segs+1)·wo/64) + 8·ceil(numEntries·w/64) +
 // 8·ceil(numEntries/64) + either 8·ceil(numSteps·wc/64) + 8·numDistinct
 // or 8·numSteps, plus 8·numEntries of betas when weighted.  The widths
 // are derived from the header's counts and stored nowhere:
@@ -50,46 +46,27 @@ import (
 // and bit b of a packed column is bit b%64 of word b/64, counted from the
 // least significant; the bits past a column's last value are zero.
 //
-// Flags bit 4 says the columns are compact: the header has the numDistinct
-// word, the offsets are packed at wo bits, and the distance steps are
-// codes into a dictionary when numDistinct > 0 (stepcode.go) — dict is
-// then exactly the distinct step values, strictly ascending, every one in
-// use, and step j's distance is dict[code j].  The dictionary is used iff
-// it is strictly smaller, numDistinct + ceil(numSteps·wc/64) < numSteps,
-// which the values decide and no option does, so equal entries are still
-// equal bytes; numDistinct = 0 means raw steps.  The bit implies bits 2
-// and 3.  Every writer sets it.  A file without it stores 64 bits an
-// offset and a float a step and is packed and coded, in one pass, when it
-// is opened; writing it back writes it compact.  A reader from before the
-// bit refuses a file that has it ("unknown flags"), as it must: it would
-// take the header for eight bytes shorter than it is.
+// The distances are step-coded (stepcode.go): bit i of first is set where
+// entry i's distance differs from its predecessor's in the segment, always
+// at a segment start and never past numEntries, and there is one step per
+// set bit, so numSteps is the popcount of first.  The code is canonical —
+// steps ascend strictly within a segment — so equal entries are equal
+// bytes.  The steps are codes into a dictionary when numDistinct > 0: dict
+// is then exactly the distinct step values, strictly ascending, every one
+// in use, and step j's distance is dict[code j].  The dictionary is used
+// iff it is strictly smaller, numDistinct + ceil(numSteps·wc/64) <
+// numSteps, which the values decide and no option does; numDistinct = 0
+// means raw steps.  A file holds no ranks: a rank is a pure function of
+// the header's seed (recorded for every kind) and the node.
 //
-// Flags bit 3 says the node IDs are bit-packed (nodepack.go) at w bits.
-// Every writer sets the bit.  A file without it stores 32 bits an ID and
-// is packed, in one pass, when it is opened; writing it back writes it
-// packed.  A reader from before the bit refuses a file that has it, as it
-// must: it would take the packed column for a 32-bit one.
-//
-// Flags bit 2 says the distances are step-coded (stepcode.go): bit i of
-// first is set where entry i's distance differs from its predecessor's in
-// the segment, always at a segment start and never past numEntries; there
-// is one step per set bit, so numSteps (the header word that used to be
-// reserved, and is 0 without the bit) is the popcount of first.  The code
-// is canonical — steps ascend strictly within a segment — so equal entries
-// are equal bytes.  Every writer sets the bit.  A file without it stores a
-// distance per entry and is step-coded, in one pass, when it is opened;
-// writing it back writes it step-coded.
-//
-// Flags bit 1 says the ranks are derived: the file has no rank column,
-// and its header's seed (recorded for every kind) re-derives them.  Every
-// file written since ranks became derived sets it.  A file without it was
-// written before: it opens the same way with its stored column viewed in
-// place and used instead of derivation (its weighted and approximate
-// headers never recorded a seed), and keeps that column when written
-// back.
-//
-// Flags bit 0 says there is a β per entry: set for weighted sets and no
-// others.
+// The flags are frameFlagsLayout, plus bit 0 — a β per entry — for
+// weighted sets and no others.  Bits 1 to 4 name the steps by which the
+// layout became this one: ranks derived rather than stored (1), distances
+// step-coded (2), node IDs packed (3), and the numDistinct word with
+// packed offsets and dictionary-coded steps (4).  A file without all four
+// is of an older layout, which openFrameBytes refuses and the openers read
+// through the legacy decoder (legacy.go) instead; a reader from before a
+// bit refuses a file that has it ("unknown flags"), as it must.
 //
 // Encoding is therefore near-memcpy, and decoding a trusted file is
 // O(columns): validate the header, the body size it implies, the offsets'
@@ -104,8 +81,8 @@ import (
 // OpenSketchFile reads the file once and performs O(1) allocations per
 // set; MmapSketchFile maps it (on linux) so even the read is deferred to
 // page faults — a worker serving a prebuilt shard file starts in
-// microseconds.  Files written by version 2 remain
-// readable everywhere and are converted to frames on load.
+// microseconds.  Files of an older layout, and version-2 files, still open
+// everywhere: copied, never mapped, and validated like any stream.
 
 // EncodeVersion is the sketch file format version: the one every writer
 // emits (the WriteTo methods, WriteSketchSetV3 / WritePartitionV3) and
@@ -115,7 +92,7 @@ const EncodeVersion = 3
 const (
 	framePreambleSize = 16 // magic, version, kind, flags
 	framePartHdrSize  = 24 // index, count, lo, hi, total, innerKind
-	frameHdrSize      = 64 // k .. numSteps; numDistinct follows under frameFlagCompact
+	frameHdrSize      = 64 // k .. numSteps, which every layout has; numDistinct follows in the current one
 
 	frameFlagBeta         = 1 << 0
 	frameFlagDerivedRanks = 1 << 1 // no rank column: ranks derive from the header's seed
@@ -123,7 +100,10 @@ const (
 	frameFlagPackedNodes  = 1 << 3 // node IDs are packed at the width the set's node count fixes
 	frameFlagCompact      = 1 << 4 // numDistinct in the header, packed offsets, steps coded through a dictionary when numDistinct > 0
 
-	frameFlagsKnown = frameFlagBeta | frameFlagDerivedRanks | frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact
+	// frameFlagsLayout is the flags of the one layout every writer emits
+	// and openFrameBytes views, less β.
+	frameFlagsLayout = frameFlagDerivedRanks | frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact
+	frameFlagsKnown  = frameFlagBeta | frameFlagsLayout
 )
 
 // nativeLittleEndian reports whether the host stores integers the way the
@@ -147,8 +127,8 @@ type frameHdr struct {
 	scheme, segs  uint32
 	eps           float64
 	n, numEntries uint64
-	numSteps      uint64 // 0 unless flags has frameFlagStepDists
-	numDistinct   uint64 // the dictionary's size; 0 for raw steps, and unless flags has frameFlagCompact
+	numSteps      uint64
+	numDistinct   uint64 // the dictionary's size; 0 for raw steps, and in an older layout
 }
 
 // partitioned reports whether the file carries the partition envelope.
@@ -166,31 +146,12 @@ func (h *frameHdr) setKind() uint32 {
 // headerSize returns the byte length of everything before the offsets
 // column.
 func (h *frameHdr) headerSize() int64 {
-	s := int64(framePreambleSize + frameHdrSize)
+	s := int64(framePreambleSize + frameHdrSize + 8)
 	if h.partitioned() {
 		s += framePartHdrSize
 	}
-	if h.compact() {
-		s += 8
-	}
 	return s
 }
-
-// storesRanks reports whether the file carries a rank column: it was
-// written before ranks were derived.
-func (h *frameHdr) storesRanks() bool { return h.flags&frameFlagDerivedRanks == 0 }
-
-// stepCoded reports whether the file holds its distances as a step code
-// rather than one per entry.
-func (h *frameHdr) stepCoded() bool { return h.flags&frameFlagStepDists != 0 }
-
-// packedNodes reports whether the file holds its node IDs bit-packed
-// rather than as 32-bit integers.
-func (h *frameHdr) packedNodes() bool { return h.flags&frameFlagPackedNodes != 0 }
-
-// compact reports whether the file has the numDistinct header word, packs
-// its offsets and may code its steps through a dictionary.
-func (h *frameHdr) compact() bool { return h.flags&frameFlagCompact != 0 }
 
 // totalNodes returns the node count of the whole set the file is (a
 // partition of): what its entries' IDs are below.
@@ -203,11 +164,7 @@ func (h *frameHdr) totalNodes() int {
 
 // nodesSize returns the byte length of the nodes column.
 func (h *frameHdr) nodesSize() int64 {
-	e := int64(h.numEntries)
-	if h.packedNodes() {
-		return packedWords(e, nodeWidth(h.totalNodes())) * 8
-	}
-	return pad8(e * 4)
+	return packedWords(int64(h.numEntries), nodeWidth(h.totalNodes())) * 8
 }
 
 // numSegs returns the offsets-array segment count.
@@ -215,10 +172,7 @@ func (h *frameHdr) numSegs() int64 { return int64(h.n) * int64(h.segs) }
 
 // offsetsSize returns the byte length of the offsets column.
 func (h *frameHdr) offsetsSize() int64 {
-	if h.compact() {
-		return packedWords(h.numSegs()+1, offsetWidth(int64(h.numEntries))) * 8
-	}
-	return (h.numSegs() + 1) * 8
+	return packedWords(h.numSegs()+1, offsetWidth(int64(h.numEntries))) * 8
 }
 
 // codesSize returns the byte length of the step codes: 0 for raw steps.
@@ -241,31 +195,33 @@ func (h *frameHdr) stepsSize() int64 {
 // bodySize returns the total byte length of the columns.
 func (h *frameHdr) bodySize() int64 {
 	e := int64(h.numEntries)
-	s := h.offsetsSize() + h.nodesSize()
-	if h.stepCoded() {
-		s += bitWords(e)*8 + h.codesSize() + h.stepsSize()
-	} else {
-		s += e * 8
-	}
-	if h.storesRanks() {
-		s += e * 8
-	}
+	s := h.offsetsSize() + h.nodesSize() + bitWords(e)*8 + h.codesSize() + h.stepsSize()
 	if h.flags&frameFlagBeta != 0 {
 		s += e * 8
 	}
 	return s
 }
 
-func pad8(n int64) int64 { return (n + 7) &^ 7 }
+// validateEnvelope checks a partition envelope, of either version.
+func (h *frameHdr) validateEnvelope() error {
+	switch {
+	case h.count < 1 || h.count > maxCodecPartitions:
+		return fmt.Errorf("core: implausible partition count %d", h.count)
+	case h.index >= h.count:
+		return fmt.Errorf("core: partition index %d out of range [0, %d)", h.index, h.count)
+	case h.total > 1<<30:
+		return fmt.Errorf("core: implausible node count %d", h.total)
+	case h.lo > h.hi || h.hi > h.total:
+		return fmt.Errorf("core: partition node range [%d, %d) outside [0, %d)", h.lo, h.hi, h.total)
+	}
+	return nil
+}
 
-// validate checks every header field against the format's invariants,
-// so a corrupted file errors out before any column is touched.
+// validate checks every header field against the format's invariants, of
+// any layout, so a corrupted file errors out before any column is touched.
 func (h *frameHdr) validate() error {
 	if h.flags&^uint32(frameFlagsKnown) != 0 {
 		return fmt.Errorf("core: sketch file has unknown flags %#x", h.flags)
-	}
-	if h.compact() && !(h.stepCoded() && h.packedNodes()) {
-		return fmt.Errorf("core: sketch file has compact columns over an older layout (flags %#x)", h.flags)
 	}
 	switch h.setKind() {
 	case kindUniform, kindWeighted, kindApprox:
@@ -275,15 +231,8 @@ func (h *frameHdr) validate() error {
 		return fmt.Errorf("core: sketch file has unknown kind %d", h.setKind())
 	}
 	if h.partitioned() {
-		switch {
-		case h.count < 1 || h.count > maxCodecPartitions:
-			return fmt.Errorf("core: implausible partition count %d", h.count)
-		case h.index >= h.count:
-			return fmt.Errorf("core: partition index %d out of range [0, %d)", h.index, h.count)
-		case h.total > 1<<30:
-			return fmt.Errorf("core: implausible node count %d", h.total)
-		case h.lo > h.hi || h.hi > h.total:
-			return fmt.Errorf("core: partition node range [%d, %d) outside [0, %d)", h.lo, h.hi, h.total)
+		if err := h.validateEnvelope(); err != nil {
+			return err
 		}
 		if uint64(h.hi-h.lo) != h.n {
 			return fmt.Errorf("core: partition claims nodes [%d, %d) but holds %d sketches", h.lo, h.hi, h.n)
@@ -328,8 +277,8 @@ func (h *frameHdr) validate() error {
 		return fmt.Errorf("core: implausible entry count %d", h.numEntries)
 	}
 	// At most one step an entry; this also keeps bodySize from overflowing.
-	if h.numSteps > h.numEntries || !h.stepCoded() && h.numSteps != 0 {
-		return fmt.Errorf("core: sketch file claims %d distance steps for %d entries (flags %#x)", h.numSteps, h.numEntries, h.flags)
+	if h.numSteps > h.numEntries {
+		return fmt.Errorf("core: sketch file claims %d distance steps for %d entries", h.numSteps, h.numEntries)
 	}
 	// A dictionary is there only where it is the smaller form; this also
 	// bounds it by the steps.
@@ -359,12 +308,9 @@ func headerWith(f *Frame, part *Partition, own *stepColumn) frameHdr {
 		numEntries: uint64(f.totalEntries()),
 	}
 	h.numSteps, h.numDistinct = uint64(own.n), uint64(len(own.dict))
-	h.flags |= frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact
+	h.flags = frameFlagsLayout
 	if f.kind == kindWeighted {
 		h.flags |= frameFlagBeta
-	}
-	if f.rank == nil {
-		h.flags |= frameFlagDerivedRanks
 	}
 	if part != nil {
 		h.innerKind = f.kind
@@ -403,10 +349,7 @@ func (h *frameHdr) appendHeader(buf []byte) []byte {
 	buf = le.AppendUint64(buf, h.n)
 	buf = le.AppendUint64(buf, h.numEntries)
 	buf = le.AppendUint64(buf, h.numSteps)
-	if h.compact() {
-		buf = le.AppendUint64(buf, h.numDistinct)
-	}
-	return buf
+	return le.AppendUint64(buf, h.numDistinct)
 }
 
 // countingWriter tracks how many bytes passed through, so WriteTo can
@@ -480,11 +423,6 @@ func writeFrameV3(w io.Writer, f *Frame, part *Partition) (int64, error) {
 	}
 	if err := writeF64s(dists); err != nil {
 		return cw.n, err
-	}
-	if f.rank != nil {
-		if err := writeF64s(f.rank[base : base+e]); err != nil {
-			return cw.n, err
-		}
 	}
 	if h.flags&frameFlagBeta != 0 {
 		if err := writeF64s(f.beta[base : base+e]); err != nil {
@@ -575,18 +513,32 @@ func viewF64s(b []byte, n int64) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
 }
 
-func viewI32s(b []byte, n int64) []int32 {
-	if n == 0 {
-		return nil
+// parseFrameHdr parses and validates the header of a version-3 file of the
+// current layout.  data starts at the kind field (magic and version
+// already consumed); it returns the header and the number of header bytes
+// consumed from data.  A file of an older layout is refused: the legacy
+// decoder reads those.
+func parseFrameHdr(data []byte) (frameHdr, int, error) {
+	h, pos, err := readFrameHdr(data)
+	if err != nil {
+		return h, 0, err
 	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
+	if h.flags&^frameFlagBeta != frameFlagsLayout {
+		return h, 0, fmt.Errorf("core: sketch file has flags %#x, not the current layout's %#x: a file of an older layout opens through the legacy decoder, and `adstool convert` rewrites it", h.flags, frameFlagsLayout)
+	}
+	if len(data) < pos+8 {
+		return h, 0, fmt.Errorf("core: truncated sketch file header")
+	}
+	h.numDistinct = binary.LittleEndian.Uint64(data[pos:])
+	if err := h.validate(); err != nil {
+		return h, 0, err
+	}
+	return h, pos + 8, nil
 }
 
-// parseFrameHdr parses and validates the fixed header of a version-3
-// file.  data starts at the kind field (magic and version already
-// consumed); it returns the header and the number of header bytes
-// consumed from data.
-func parseFrameHdr(data []byte) (frameHdr, int, error) {
+// readFrameHdr reads the header fields every version-3 layout has, through
+// numSteps, without validating them.
+func readFrameHdr(data []byte) (frameHdr, int, error) {
 	le := binary.LittleEndian
 	var h frameHdr
 	if len(data) < 8 {
@@ -620,21 +572,11 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 	h.n = le.Uint64(data[pos+40:])
 	h.numEntries = le.Uint64(data[pos+48:])
 	h.numSteps = le.Uint64(data[pos+56:])
-	pos += frameHdrSize
-	if h.compact() {
-		if len(data) < pos+8 {
-			return h, 0, fmt.Errorf("core: truncated sketch file header")
-		}
-		h.numDistinct = le.Uint64(data[pos:])
-		pos += 8
-	}
-	if err := h.validate(); err != nil {
-		return h, 0, err
-	}
-	return h, pos, nil
+	return h, pos + frameHdrSize, nil
 }
 
-// frameFromHdr assembles the in-memory frame for a validated header.
+// frameFromHdr returns the in-memory frame, no column yet, of a validated
+// header.
 func frameFromHdr(h frameHdr) *Frame {
 	f := &Frame{
 		kind:  h.setKind(),
@@ -652,22 +594,35 @@ func frameFromHdr(h frameHdr) *Frame {
 	case kindApprox:
 		f.eps = h.eps
 	}
-	if h.storesRanks() {
-		f.rank = []float64{} // the readers view or read the column into it
-	} else {
-		f.by = newRanker(f.kind, f.opts, f.scheme)
-	}
+	f.by = newRanker(f.kind, f.opts, f.scheme)
 	if h.partitioned() {
 		f.base = int32(h.lo)
 	}
 	return f
 }
 
+// wrap returns the set of a frame read under h, or — when h has the
+// partition envelope — the partition holding it.
+func (h *frameHdr) wrap(f *Frame) (AnySet, *Partition, error) {
+	set, err := setFromFrame(f)
+	if err != nil || !h.partitioned() {
+		return set, nil, err
+	}
+	return nil, &Partition{
+		index: int(h.index),
+		count: int(h.count),
+		lo:    int32(h.lo),
+		hi:    int32(h.hi),
+		total: int(h.total),
+		set:   set,
+	}, nil
+}
+
 // validateOffsets checks that the n offsets are monotonic and cover
-// exactly the entry columns, and — of a step-coded file, first being its
-// step bits — that every non-empty segment starts a distance step;
-// everything else about a version-3 file is trusted (it is a
-// serving-format for files the operator built).
+// exactly the entry columns, and — first being the step bits — that every
+// non-empty segment starts a distance step; everything else about a
+// version-3 file is trusted (it is a serving-format for files the operator
+// built).
 func validateOffsets(off *packedColumn, n, numEntries int64, first []uint64) error {
 	if !off.holds(n) {
 		return fmt.Errorf("core: sketch file has offset bits past its last offset")
@@ -682,7 +637,7 @@ func validateOffsets(off *packedColumn, n, numEntries int64, first []uint64) err
 			return fmt.Errorf("core: sketch file offsets decrease at %d", i)
 		}
 		// prev < o <= numEntries is checked before prev indexes the bits.
-		if prev < o && o <= numEntries && first != nil && !bitAt(first, prev) {
+		if prev < o && o <= numEntries && !bitAt(first, prev) {
 			return fmt.Errorf("core: sketch file segment %d does not start a distance step", i-1)
 		}
 		prev = o
@@ -746,34 +701,18 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 		return nil, nil, fmt.Errorf("core: sketch file body holds %d bytes, header implies %d", len(body), h.bodySize())
 	}
 	f := frameFromHdr(h)
-	nOff := h.numSegs() + 1
 	e := int64(h.numEntries)
-	zeroCopy := nativeLittleEndian && aligned8(body)
 	// The body-size check above is what licenses every slice below.
 	next := func(n int64) []byte {
 		b := body[:n]
 		body = body[n:]
 		return b
 	}
-	offB := next(h.offsetsSize())
-	nodeB := next(h.nodesSize())
-	var firstB, codeB, stepB, distB []byte
-	if h.stepCoded() {
-		firstB, codeB, stepB = next(bitWords(e)*8), next(h.codesSize()), next(h.stepsSize())
-	} else {
-		distB = next(e * 8)
-	}
-	var rankB, betaB []byte
-	if h.storesRanks() {
-		rankB = next(e * 8)
-	}
-	if h.flags&frameFlagBeta != 0 {
-		betaB = next(e * 8)
-	}
-	// Every column is 8-byte words of one of two kinds.
+	// Every column is 8-byte words of one of two kinds, viewed in place when
+	// the host is little-endian and the buffer 8-aligned.
 	u64s := func(b []byte) []uint64 { return viewU64s(b, int64(len(b)/8)) }
 	f64s := func(b []byte) []float64 { return viewF64s(b, int64(len(b)/8)) }
-	if !zeroCopy {
+	if !nativeLittleEndian || !aligned8(body) {
 		le := binary.LittleEndian
 		u64s = func(b []byte) []uint64 {
 			out := make([]uint64, len(b)/8)
@@ -790,85 +729,35 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 			return out
 		}
 	}
-	if h.compact() {
-		f.off.words = u64s(offB)
-	} else {
-		// A file from before offsets were packed.
-		if f.off, err = packOffsets(u64s(offB), e); err != nil {
-			return nil, nil, err
-		}
-	}
-	if h.stepCoded() {
-		f.first = u64s(firstB)
-	}
-	if err := validateOffsets(&f.off, nOff, e, f.first); err != nil {
+	f.off.words = u64s(next(h.offsetsSize()))
+	f.node.words = u64s(next(h.nodesSize()))
+	f.first = u64s(next(bitWords(e) * 8))
+	if err := validateOffsets(&f.off, h.numSegs()+1, e, f.first); err != nil {
 		return nil, nil, err
 	}
-	if h.packedNodes() {
-		f.node.words = u64s(nodeB)
-		if !f.node.holds(e) {
-			return nil, nil, fmt.Errorf("core: sketch file has node bits past its last entry")
-		}
-	} else {
-		// A file from before node IDs were packed.
-		var ids []int32
-		if zeroCopy {
-			ids = viewI32s(nodeB, e)
-		} else {
-			ids = make([]int32, e)
-			for i := range ids {
-				ids[i] = int32(binary.LittleEndian.Uint32(nodeB[i*4:]))
-			}
-		}
-		if f.node, err = packColumn(ids, f.total); err != nil {
-			return nil, nil, err
-		}
+	if !f.node.holds(e) {
+		return nil, nil, fmt.Errorf("core: sketch file has node bits past its last entry")
 	}
-	if h.stepCoded() {
-		var marked int64
-		f.samp, marked = sampleRanks(f.first)
-		if err := validateSteps(f.first, e, marked, int64(h.numSteps)); err != nil {
-			return nil, nil, err
-		}
-		switch {
-		case h.numDistinct > 0:
-			c := &f.steps
-			c.n, c.dict = int64(h.numSteps), f64s(stepB)
-			c.code = packedColumn{words: u64s(codeB), w: widthBelow(int64(h.numDistinct))}
-			if err := validateDict(c); err != nil {
-				return nil, nil, err
-			}
-		case h.compact():
-			f.steps = stepColumn{n: int64(h.numSteps), raw: f64s(stepB)}
-		default:
-			// A file from before steps were coded through a dictionary.
-			f.steps = makeStepColumn(f64s(stepB))
-		}
-	} else {
-		// A file from before distances were step-coded.
-		f.setSteps(stepCode(&f.off, nOff-1, f64s(distB)))
-	}
-	if len(rankB) > 0 {
-		f.rank = f64s(rankB)
-	}
-	if betaB != nil {
-		f.beta = f64s(betaB)
-	}
-	set, err := setFromFrame(f)
-	if err != nil {
+	var marked int64
+	f.samp, marked = sampleRanks(f.first)
+	if err := validateSteps(f.first, e, marked, int64(h.numSteps)); err != nil {
 		return nil, nil, err
 	}
-	if !h.partitioned() {
-		return set, nil, nil
+	c := &f.steps
+	c.n = int64(h.numSteps)
+	if h.numDistinct > 0 {
+		c.code = packedColumn{words: u64s(next(h.codesSize())), w: widthBelow(int64(h.numDistinct))}
+		c.dict = f64s(next(h.stepsSize()))
+		if err := validateDict(c); err != nil {
+			return nil, nil, err
+		}
+	} else {
+		c.raw = f64s(next(h.stepsSize()))
 	}
-	return nil, &Partition{
-		index: int(h.index),
-		count: int(h.count),
-		lo:    int32(h.lo),
-		hi:    int32(h.hi),
-		total: int(h.total),
-		set:   set,
-	}, nil
+	if h.flags&frameFlagBeta != 0 {
+		f.beta = f64s(next(e * 8))
+	}
+	return h.wrap(f)
 }
 
 // readFrameStream reads a version-3 file from a stream whose magic and
@@ -876,16 +765,20 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 // anything is parsed, so allocation follows the bytes that arrived, never
 // a header's claim: into one buffer of size bytes when the caller knows
 // the stream is a file of that size (the file system's word, not the
-// data's), by doubling otherwise.  openFrameBytes parses them, and —
-// unlike the file openers, which trust what the operator built — every
-// sketch is then validated.
-func readFrameStream(r io.Reader, size int64) (AnySet, *Partition, error) {
+// data's), by doubling otherwise.  openFrameBytes parses a file of the
+// current layout, and — unlike the file openers, which trust what the
+// operator built — every sketch is then validated; the legacy decoder
+// reads any other, with seed for the ranks of one that records none.
+func readFrameStream(r io.Reader, size int64, seed *uint64) (AnySet, *Partition, error) {
 	// ReadFrom keeps bytes.MinRead free while it reads: with that much
 	// slack a file of the stated size never grows the buffer.
 	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
 	buf.Write(binary.LittleEndian.AppendUint32([]byte(encodeMagic), EncodeVersion))
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, nil, fmt.Errorf("core: reading sketch file: %w", err)
+	}
+	if !currentLayout(buf.Bytes()) {
+		return readRetiredV3(buf.Bytes(), seed)
 	}
 	set, part, err := openFrameBytes(buf.Bytes())
 	if err != nil {
@@ -896,12 +789,9 @@ func readFrameStream(r io.Reader, size int64) (AnySet, *Partition, error) {
 		inner = part.set
 	}
 	f, _ := frameOf(inner) // openFrameBytes produces one of frameOf's three kinds
-	var ranks rankScratch
-	if err := validateDecoded(f, &ranks); err != nil {
+	if err := validateDecoded(f, nil); err != nil {
 		return nil, nil, err
 	}
-	// A frame coded here, from an older layout, is canonical by
-	// construction; a compact file's coding is its own claim.
 	if !f.steps.canonical() {
 		return nil, nil, fmt.Errorf("core: corrupt sketch file: its %d distance steps are not in their one encoding (%d dictionary values)", f.steps.n, len(f.steps.dict))
 	}
@@ -922,11 +812,6 @@ type SketchFile struct {
 	part    *Partition
 	version int
 	mapped  []byte // non-nil iff the columns view an mmap region
-	// The flags a version-3 file was opened under, which may describe an
-	// older layout than the frame is held in; onDisk is false for a file
-	// that was streamed in.
-	storedFlags uint32
-	onDisk      bool
 
 	// refs counts live references: the opener's (dropped by Close) plus
 	// one per outstanding Retain.  The reference that drops it to zero
@@ -940,15 +825,6 @@ type SketchFile struct {
 func newSketchFile(set AnySet, part *Partition, version int, mapped []byte) *SketchFile {
 	s := &SketchFile{set: set, part: part, version: version, mapped: mapped}
 	s.refs.Store(1)
-	return s
-}
-
-// newFrameFile is newSketchFile for the version-3 file data that
-// openFrameBytes has accepted; it keeps the flags the file was opened
-// under.
-func newFrameFile(set AnySet, part *Partition, data, mapped []byte) *SketchFile {
-	s := newSketchFile(set, part, EncodeVersion, mapped)
-	s.storedFlags, s.onDisk = binary.LittleEndian.Uint32(data[12:]), true
 	return s
 }
 
@@ -982,31 +858,11 @@ type ColumnSize struct {
 // current layout, in file order: header, offsets (OffsetBits bits each),
 // nodes (NodeBits bits an entry), step bits, then either step codes and
 // the dictionary of distances they index or, where a dictionary would be
-// no smaller, steps (8 bytes a distance step), then ranks and betas where
-// held — every packed column rounded up to a word.  A file opened from an
-// older layout is held — and so reported — compact; StoredColumnBytes
-// reports it as it is on disk.
+// no smaller, steps (8 bytes a distance step), then betas where held —
+// every packed column rounded up to a word.  A file opened from an older
+// layout is held — and so reported — as convert would write it.
 func (s *SketchFile) ColumnBytes() []ColumnSize {
 	h := headerOf(s.frame(), s.part)
-	return h.columns()
-}
-
-// StoredColumnBytes lists what each part of the file costs on disk, in
-// file order, when that is not ColumnBytes: for a version-3 file opened
-// from an older layout.  It returns nil otherwise (a version-2 file has no
-// columns).
-func (s *SketchFile) StoredColumnBytes() []ColumnSize {
-	h := headerOf(s.frame(), s.part)
-	if !s.onDisk || s.storedFlags == h.flags {
-		return nil
-	}
-	h.flags = s.storedFlags
-	if !h.stepCoded() {
-		h.numSteps = 0
-	}
-	if !h.compact() {
-		h.numDistinct = 0
-	}
 	return h.columns()
 }
 
@@ -1017,17 +873,12 @@ func (h *frameHdr) columns() []ColumnSize {
 		{"header", h.headerSize()},
 		{"offsets", h.offsetsSize()},
 		{"nodes", h.nodesSize()},
+		{"step bits", bitWords(e) * 8},
 	}
-	switch {
-	case !h.stepCoded():
-		out = append(out, ColumnSize{"distances", e * 8})
-	case h.numDistinct > 0:
-		out = append(out, ColumnSize{"step bits", bitWords(e) * 8}, ColumnSize{"step codes", h.codesSize()}, ColumnSize{"dictionary", h.stepsSize()})
-	default:
-		out = append(out, ColumnSize{"step bits", bitWords(e) * 8}, ColumnSize{"steps", h.stepsSize()})
-	}
-	if h.storesRanks() {
-		out = append(out, ColumnSize{"ranks", e * 8})
+	if h.numDistinct > 0 {
+		out = append(out, ColumnSize{"step codes", h.codesSize()}, ColumnSize{"dictionary", h.stepsSize()})
+	} else {
+		out = append(out, ColumnSize{"steps", h.stepsSize()})
 	}
 	if h.flags&frameFlagBeta != 0 {
 		out = append(out, ColumnSize{"betas", e * 8})
@@ -1050,56 +901,6 @@ func (s *SketchFile) OffsetBits() int { return int(offsetWidth(int64(s.frame().t
 func (s *SketchFile) DistanceSteps() (steps, distinct int64) {
 	own := s.frame().ownSteps()
 	return own.n, int64(len(own.dict))
-}
-
-// RanksStored reports whether the file was written before ranks were
-// derived, and so is served from its stored rank column; DeriveRanks
-// upgrades it.
-func (s *SketchFile) RanksStored() bool { return s.frame().rank != nil }
-
-// DeriveRanks drops the stored rank column of a file for which
-// RanksStored, after checking that every stored rank is bit-equal to the
-// one derived in its place — so no estimate moves — and is a no-op
-// otherwise.  A uniform file derives from its header's seed; the weighted
-// and approximate files of that time recorded none, and derive from seed.
-// The first entry that disagrees is returned as an error and the file
-// stays as it was.  Writing the file afterwards writes it rank-free.
-func (s *SketchFile) DeriveRanks(seed uint64) error {
-	old := s.frame()
-	if old.rank == nil {
-		return nil
-	}
-	f := old.slice(0, old.n) // the same columns, without the ranks
-	f.rank = nil
-	if f.kind != kindUniform {
-		f.opts.Seed = seed
-	}
-	f.by = newRanker(f.kind, f.opts, f.scheme)
-	var ranks rankScratch
-	for v := 0; v < f.n; v++ {
-		lo, _ := f.span(v)
-		for _, c := range f.ranked(&ranks, v) {
-			for i, r := range c.rank {
-				if stored := old.rank[lo]; stored != r {
-					return fmt.Errorf("core: sketch of node %d, entry %d (node %d): stored rank %g, seed %d derives %g",
-						f.owner(v), i, c.node[i], stored, f.opts.Seed, r)
-				}
-				lo++
-			}
-		}
-	}
-	set, err := setFromFrame(f)
-	if err != nil {
-		return err
-	}
-	if s.part != nil {
-		p := *s.part
-		p.set = set
-		s.part = &p
-	} else {
-		s.set = set
-	}
-	return nil
 }
 
 // Mapped reports whether the columns view an mmap'd region (in which
@@ -1166,20 +967,21 @@ func (s *SketchFile) Close() error {
 	return s.Release()
 }
 
-// OpenSketchFile opens a sketch file.  Version-3 files — everything the
-// writers emit — are read in one call and their columns viewed in place:
-// O(1) allocations per set on little-endian hosts, and no per-sketch
-// validation (the stream readers do that).  Version-2 files are decoded
-// through the streaming reader (and converted to frames on load) without
-// holding the raw file in memory alongside the decoded set.
+// OpenSketchFile opens a sketch file.  A version-3 file of the current
+// layout — everything the writers emit — is read in one call and its
+// columns viewed in place: O(1) allocations per set on little-endian
+// hosts, and no per-sketch validation (the stream readers do that).  Any
+// other file goes through the stream reader: one of an older layout, or of
+// version 2, is read by the legacy decoder, and refused when it stores its
+// ranks but records no seed (ReadSketchFileWithSeed reads it).
 func OpenSketchFile(path string) (*SketchFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var head [8]byte
-	if _, err := io.ReadFull(f, head[:]); err == nil && isFrameFile(head[:]) {
+	var head [framePreambleSize]byte
+	if _, err := io.ReadFull(f, head[:]); err == nil && currentLayout(head[:]) {
 		st, err := f.Stat()
 		if err != nil {
 			return nil, err
@@ -1192,25 +994,25 @@ func OpenSketchFile(path string) (*SketchFile, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newFrameFile(set, part, data, nil), nil
+		return newSketchFile(set, part, EncodeVersion, nil), nil
 	}
-	// Not a v3 file (or too short to tell): stream-decode from the start;
-	// the reader produces the precise error for garbage input.
+	// Read from the start; the reader produces the precise error for
+	// garbage input.
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	set, part, err := readAny(f)
+	set, part, err := readAny(f, nil)
 	if err != nil {
 		return nil, err
 	}
 	return newSketchFile(set, part, int(binary.LittleEndian.Uint32(head[4:])), nil), nil
 }
 
-// MmapSketchFile opens a version-3 sketch file by mapping it into memory:
-// no column is read until it is queried, so a worker serving a prebuilt
-// shard starts in near-constant time regardless of file size.  On
-// platforms without mmap support — or for version-2 files, which need
-// decoding anyway — it falls back to OpenSketchFile.
+// MmapSketchFile opens a version-3 sketch file of the current layout by
+// mapping it into memory: no column is read until it is queried, so a
+// worker serving a prebuilt shard starts in near-constant time regardless
+// of file size.  On platforms without mmap support — or for any other
+// file, which needs decoding anyway — it falls back to OpenSketchFile.
 func MmapSketchFile(path string) (*SketchFile, error) {
 	if !mmapSupported {
 		return OpenSketchFile(path)
@@ -1224,8 +1026,8 @@ func MmapSketchFile(path string) (*SketchFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	var head [8]byte
-	if _, err := io.ReadFull(fl, head[:]); err != nil || !isFrameFile(head[:]) {
+	var head [framePreambleSize]byte
+	if _, err := io.ReadFull(fl, head[:]); err != nil || !currentLayout(head[:]) {
 		return OpenSketchFile(path)
 	}
 	data, err := mmapFile(fl, int(st.Size()))
@@ -1237,11 +1039,13 @@ func MmapSketchFile(path string) (*SketchFile, error) {
 		munmapFile(data)
 		return nil, err
 	}
-	return newFrameFile(set, part, data, data), nil
+	return newSketchFile(set, part, EncodeVersion, data), nil
 }
 
-// isFrameFile reports whether the bytes begin a version-3 file.
-func isFrameFile(data []byte) bool {
-	return len(data) >= 8 && string(data[:4]) == encodeMagic &&
-		binary.LittleEndian.Uint32(data[4:]) == EncodeVersion
+// currentLayout reports whether the bytes begin a version-3 file of the
+// layout openFrameBytes views.
+func currentLayout(data []byte) bool {
+	return len(data) >= framePreambleSize && string(data[:4]) == encodeMagic &&
+		binary.LittleEndian.Uint32(data[4:]) == EncodeVersion &&
+		binary.LittleEndian.Uint32(data[12:])&^frameFlagBeta == frameFlagsLayout
 }

@@ -265,7 +265,7 @@ func TestMmapSketchFile(t *testing.T) {
 // still equal.
 type v2Fixture struct {
 	file   string
-	stored bool // a weighted or approximate v2 body records no seed: its ranks load as a column
+	stored bool // a weighted or approximate v2 body records no seed: it is read under seed 42, or refused
 	part   int  // the index the file holds of a 2-way split of its build, or -1 for the whole set
 	build  func(g *graph.Graph, beta []float64) (AnySet, error)
 }
@@ -328,44 +328,32 @@ func (fx v2Fixture) want(t testing.TB) []byte {
 }
 
 // TestV2FixtureBackCompat: every committed version-2 file opens through
-// all three entry points, as the kind and with the ranks its format
-// implies, and — once its ranks are derived — is byte for byte the
-// version-3 file of a fresh deterministic build, so neither the decoder
-// nor the builders have moved since the files were recorded.
+// all three entry points — through the legacy door: unmapped, as version
+// 2 — and is byte for byte the version-3 file of a fresh deterministic
+// build, so neither the decoder nor the builders have moved since the
+// files were recorded.  A weighted or approximate one records no seed:
+// every reader refuses it, naming the command that takes one, and read
+// with seed 42 it is the build's file.
 func TestV2FixtureBackCompat(t *testing.T) {
 	for _, fx := range v2Fixtures {
 		want := fx.want(t)
-		streamSet, streamPart, err := ReadSketchFile(bytes.NewReader(fx.read(t)))
-		if err != nil {
-			t.Fatalf("%s: ReadSketchFile: %v", fx.file, err)
+		if fx.stored {
+			checkNeedsSeed(t, fx.file, fx.path())
+			set, part, err := ReadSketchFileWithSeed(bytes.NewReader(fx.read(t)), 42)
+			if err != nil {
+				t.Fatalf("%s: with seed 42: %v", fx.file, err)
+			}
+			if got := fileBytes(t, set, part); !bytes.Equal(got, want) {
+				t.Errorf("%s: with seed 42, not the v3 file of a fresh build (%d vs %d bytes)", fx.file, len(got), len(want))
+			}
+			continue
 		}
-		opened, err := OpenSketchFile(fx.path())
-		if err != nil {
-			t.Fatalf("%s: OpenSketchFile: %v", fx.file, err)
-		}
-		mapped, err := MmapSketchFile(fx.path())
-		if err != nil {
-			t.Fatalf("%s: MmapSketchFile: %v", fx.file, err)
-		}
-		streamed := newSketchFile(streamSet, streamPart, 2, nil)
-		for reader, sf := range map[string]*SketchFile{"ReadSketchFile": streamed, "OpenSketchFile": opened, "MmapSketchFile": mapped} {
-			if sf.Mapped() || sf.Version() != 2 {
-				t.Errorf("%s via %s: mapped=%v version=%d, want an unmapped version-2 file", fx.file, reader, sf.Mapped(), sf.Version())
-			}
-			if (sf.Partition() != nil) != (fx.part >= 0) {
-				t.Fatalf("%s via %s: partition envelope lost or invented", fx.file, reader)
-			}
-			if sf.RanksStored() != fx.stored {
-				t.Errorf("%s via %s: RanksStored() = %v, want %v", fx.file, reader, sf.RanksStored(), fx.stored)
-			}
-			if f := sf.frame(); !fx.stored && f.opts.Seed != 42 {
-				t.Errorf("%s via %s: seed %d, want the header's 42", fx.file, reader, f.opts.Seed)
-			}
-			if err := sf.DeriveRanks(42); err != nil {
-				t.Fatalf("%s via %s: %v", fx.file, reader, err)
+		for reader, sf := range openAll(t, fx.path()) {
+			if sf.Mapped() || sf.Version() != 2 || (sf.Partition() != nil) != (fx.part >= 0) {
+				t.Errorf("%s via %s: mapped=%v version=%d partition=%v, want an unmapped version-2 file", fx.file, reader, sf.Mapped(), sf.Version(), sf.Partition() != nil)
 			}
 			if got := fileBytes(t, sf.Set(), sf.Partition()); !bytes.Equal(got, want) {
-				t.Errorf("%s via %s: upgraded file is not the v3 file of a fresh build (%d vs %d bytes)", fx.file, reader, len(got), len(want))
+				t.Errorf("%s via %s: not the v3 file of a fresh build (%d vs %d bytes)", fx.file, reader, len(got), len(want))
 			}
 			sf.Close()
 		}
@@ -477,9 +465,9 @@ func TestStreamReadersValidateOpenersTrust(t *testing.T) {
 
 // FuzzOpenSketchFile drives the one v3 parser with arbitrary bytes: it
 // must never panic or allocate according to unvalidated header claims,
-// anything it accepts must behave like a sketch set, and the stream
-// reader — the same parser plus per-sketch validation — accepts a subset
-// of what it accepts, as the same sets.
+// anything it accepts must behave like a sketch set, and of a file of the
+// current layout the stream reader — the same parser plus per-sketch
+// validation — accepts a subset of what it accepts, as the same sets.
 func FuzzOpenSketchFile(f *testing.F) {
 	g := graph.PreferentialAttachment(40, 3, 9)
 	set, err := BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
@@ -500,11 +488,8 @@ func FuzzOpenSketchFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(part.Bytes())
-	// Every kind five ways: as written now, with 64 bits an offset and a
-	// float a step as written before the compact columns, with 32 bits a
-	// node ID as written before IDs were packed, with a distance per entry
-	// as written before step coding, and with the stored rank column of
-	// files written before ranks were derived.
+	// Every kind five ways: as written now, and in the four retired
+	// layouts the parser refuses.
 	for _, data := range v3Files(f) {
 		f.Add(data)
 		f.Add(plainV3(f, data))
@@ -530,7 +515,7 @@ func FuzzOpenSketchFile(f *testing.F) {
 		set, p, err := openFrameBytes(data)
 		sset, sp, serr := ReadSketchFile(bytes.NewReader(data))
 		if err != nil {
-			if serr == nil && isFrameFile(data) {
+			if serr == nil && currentLayout(data) {
 				t.Fatalf("the stream reader accepted what the parser refuses: %v", err)
 			}
 			return

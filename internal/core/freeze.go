@@ -41,7 +41,7 @@ func (f *Frame) validateFrozen(op string, lists [][]Entry) error {
 		if len(l) == 0 {
 			return fmt.Errorf("core: %s: node %d has no entries (every node holds itself at distance 0)", op, f.owner(v))
 		}
-		if err := f.validate(&ranks, v, l); err != nil {
+		if err := f.validate(&ranks, v, lists[v:v+1]); err != nil {
 			return fmt.Errorf("core: %s: %w", op, err)
 		}
 	}
@@ -67,20 +67,6 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 	}
 	if bf.base != 0 || n < bf.n {
 		return nil, fmt.Errorf("core: FreezeBottomKOver: base must be a whole set of at most %d nodes, got nodes [%d, %d)", n, bf.base, int(bf.base)+bf.n)
-	}
-	if bf.rank != nil {
-		// A base from a file written before ranks were derived: nothing has
-		// checked its stored ranks against its seed, so every list is.
-		lists := make([][]Entry, n)
-		for v := range lists {
-			if l, ok := changed[int32(v)]; ok {
-				lists[v] = l
-			} else if v < bf.n {
-				c := bf.segAt(v, 0)
-				lists[v] = c.entries()
-			}
-		}
-		return FreezeBottomK(bf.opts, lists)
 	}
 	nodes := make([]int32, 0, len(changed))
 	total := bf.totalEntries()
@@ -150,7 +136,7 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		// whole.
 		f.steps = w.steps
 		view := f.filled(&ranks, append(ranks.segs[:0], f.segOver(start, pos, steps, 0)))
-		if err := f.validateSegs(view, int(v), l); err != nil {
+		if err := f.validateSegs(view, int(v), [][]Entry{l}); err != nil {
 			return nil, fmt.Errorf("core: FreezeBottomKOver: %w", err)
 		}
 		next = int(v) + 1

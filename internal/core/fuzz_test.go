@@ -20,16 +20,17 @@ func addDamaged(f *testing.F, valid []byte) {
 }
 
 // FuzzReadSet: whatever the stream reader accepts — whole set or
-// partition, either format — is a fixed point of the writer: it
-// re-serializes, reads back, and re-serializes to the same bytes.  That is
-// the upgrade path of a version-2 file, under hostile input.
+// partition, any version and layout, without a seed or under seed 42, the
+// one a weighted or approximate file of an earlier release needs — is a
+// fixed point of the writer: it re-serializes, reads back, and
+// re-serializes to the same bytes.  That is the upgrade path of an older
+// file, `adstool convert`, under hostile input.
 func FuzzReadSet(f *testing.F) {
 	files := v3Files(f)
 	addDamaged(f, files["weighted-partition"])
+	addDamaged(f, legacyV3(f, files["weighted-partition"]))
 	for _, fx := range v2Fixtures {
-		if fx.part >= 0 {
-			addDamaged(f, fx.read(f))
-		}
+		addDamaged(f, fx.read(f))
 	}
 	f.Add([]byte("ADSK"))
 	f.Add([]byte{})
@@ -44,18 +45,21 @@ func FuzzReadSet(f *testing.F) {
 	nan = le.AppendUint64(nan, math.Float64bits(math.NaN())) // baseB
 	nan = le.AppendUint32(nan, 0)                            // numNodes
 	f.Add(nan)
+	seed := uint64(42)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		set, part, err := ReadSketchFile(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		first := fileBytes(t, set, part)
-		set, part, err = ReadSketchFile(bytes.NewReader(first))
-		if err != nil {
-			t.Fatalf("the writer's output of an accepted file is refused: %v", err)
-		}
-		if !bytes.Equal(fileBytes(t, set, part), first) {
-			t.Fatal("an accepted file is not a fixed point of write and read")
+		for _, seed := range []*uint64{nil, &seed} {
+			set, part, err := readAny(bytes.NewReader(data), seed)
+			if err != nil {
+				continue
+			}
+			first := fileBytes(t, set, part)
+			set, part, err = ReadSketchFile(bytes.NewReader(first))
+			if err != nil {
+				t.Fatalf("the writer's output of an accepted file is refused: %v", err)
+			}
+			if !bytes.Equal(fileBytes(t, set, part), first) {
+				t.Fatal("an accepted file is not a fixed point of write and read")
+			}
 		}
 	})
 }

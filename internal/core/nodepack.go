@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 )
@@ -107,35 +106,6 @@ func (c *packedColumn) view(lo, hi int64) Nodes { return Nodes{col: c, lo: lo, n
 
 // nodeBits returns a node ID as the value a node column stores.
 func nodeBits(id int32) uint64 { return uint64(uint32(id)) }
-
-// packColumn packs a plain ID column of a set of total nodes — the one
-// pass that turns a file written before IDs were packed into the frame
-// layout.  An ID outside [0, total) has no encoding and is an error.
-func packColumn(ids []int32, total int) (packedColumn, error) {
-	c := makePackedColumn(int64(len(ids)), nodeWidth(total))
-	for i, id := range ids {
-		if uint32(id) >= uint32(total) {
-			return packedColumn{}, fmt.Errorf("core: sketch file entry %d names node %d outside [0, %d)", i, id, total)
-		}
-		c.put(int64(i), nodeBits(id))
-	}
-	return c, nil
-}
-
-// packOffsets packs a plain offsets column of a frame of numEntries
-// entries — the one pass that turns a file written before offsets were
-// packed, or a decoded version-2 body, into the frame layout.  An offset
-// outside [0, numEntries] has no encoding and is an error.
-func packOffsets[T int64 | uint64](off []T, numEntries int64) (packedColumn, error) {
-	c := makePackedColumn(int64(len(off)), offsetWidth(numEntries))
-	for i, o := range off {
-		if uint64(o) > uint64(numEntries) {
-			return packedColumn{}, fmt.Errorf("core: sketch file offset %d is %d, outside [0, %d]", i, int64(o), numEntries)
-		}
-		c.put(int64(i), uint64(o))
-	}
-	return c, nil
-}
 
 // Nodes is the node column of one entry list in packed form: a view of
 // its frame's column from the list's first entry.  It aliases the frame's

@@ -69,46 +69,12 @@ func (p *Partition) SketchAt(v int32) (Sketch, error) {
 // WritePartitionV3 does.  It implements io.WriterTo.
 func (p *Partition) WriteTo(w io.Writer) (int64, error) { return WritePartitionV3(w, p) }
 
-// readPartitionBody parses everything after the magic/version/kind
-// prefix of a version-2 partition file.
-func readPartitionBody(d *setDecoder) (*Partition, error) {
-	var index, count, lo, hi, total uint32
-	if err := d.header(&index, &count, &lo, &hi, &total); err != nil {
-		return nil, fmt.Errorf("core: reading partition header: %w", err)
-	}
-	switch {
-	case count < 1 || count > maxCodecPartitions:
-		return nil, fmt.Errorf("core: implausible partition count %d", count)
-	case index >= count:
-		return nil, fmt.Errorf("core: partition index %d out of range [0, %d)", index, count)
-	case total > 1<<30:
-		return nil, fmt.Errorf("core: implausible node count %d", total)
-	case lo > hi || hi > total:
-		return nil, fmt.Errorf("core: partition node range [%d, %d) outside [0, %d)", lo, hi, total)
-	}
-	set, err := decodeSetBody(d, int32(lo), int(total))
-	if err != nil {
-		return nil, err
-	}
-	if set.NumNodes() != int(hi-lo) {
-		return nil, fmt.Errorf("core: partition claims nodes [%d, %d) but holds %d sketches", lo, hi, set.NumNodes())
-	}
-	return &Partition{
-		index: int(index),
-		count: int(count),
-		lo:    int32(lo),
-		hi:    int32(hi),
-		total: int(total),
-		set:   set,
-	}, nil
-}
-
 // ReadPartition deserializes one partition written by Partition.WriteTo,
 // validating the partition header and every sketch's structural
 // invariants.  Whole-set files are refused; read those with
 // ReadSketchSet.
 func ReadPartition(r io.Reader) (*Partition, error) {
-	set, part, err := readAny(r)
+	set, part, err := readAny(r, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -222,14 +188,11 @@ func concatPartitions(byIndex []*Partition, total int) (AnySet, error) {
 		if err != nil || f.kind != first.kind {
 			return nil, fmt.Errorf("core: partition %d holds a %T, partition 0 a %T", p.index, p.set, byIndex[0].set)
 		}
-		// The merged frame takes its ranks the way partition 0 holds them,
-		// so every partition has to hold them that way, under that seed.
+		// The merged frame derives its ranks from partition 0's seed, so every
+		// partition has to derive them from that seed.
 		if f.opts != first.opts || f.eps != first.eps {
 			return nil, fmt.Errorf("core: partition %d built with %+v (eps=%g), partition 0 with %+v (eps=%g)",
 				p.index, f.opts, f.eps, first.opts, first.eps)
-		}
-		if (f.rank != nil) != (first.rank != nil) {
-			return nil, fmt.Errorf("core: partition %d and partition 0 disagree on whether their ranks are stored or derived; convert the older file first", p.index)
 		}
 		if f.kind == kindWeighted && f.n > 0 {
 			if !schemeKnown {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -250,7 +251,7 @@ func TestPartitionFileDetection(t *testing.T) {
 
 // Truncated or header-corrupted partition files must error, not panic or
 // over-allocate — the version-3 files WriteTo emits and a version-2 one of
-// an earlier release alike.
+// an earlier release alike (read under its seed, which it does not record).
 func TestPartitionCorruption(t *testing.T) {
 	set := buildUniform(t, Options{K: 4, Seed: 1})
 	parts, err := SplitSketchSet(set, 2)
@@ -267,19 +268,26 @@ func TestPartitionCorruption(t *testing.T) {
 			inputs[fx.file] = input{fx.read(t), 16}
 		}
 	}
+	read := func(b []byte) error {
+		_, part, err := ReadSketchFileWithSeed(bytes.NewReader(b), 42)
+		if err == nil && part == nil {
+			err = fmt.Errorf("read a whole set")
+		}
+		return err
+	}
 	for name, tc := range inputs {
 		raw := tc.raw
-		if _, err := ReadPartition(bytes.NewReader(raw)); err != nil {
+		if err := read(raw); err != nil {
 			t.Fatalf("%s: intact partition refused: %v", name, err)
 		}
 		for _, n := range []int{5, 12, 20, len(raw) / 2, len(raw) - 1} {
-			if _, err := ReadPartition(bytes.NewReader(raw[:n])); err == nil {
+			if err := read(raw[:n]); err == nil {
 				t.Errorf("%s: truncation to %d bytes read successfully", name, n)
 			}
 		}
 		bad := append([]byte(nil), raw...)
 		copy(bad[tc.count:], []byte{0xff, 0xff, 0xff, 0xff})
-		if _, err := ReadPartition(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "partition count") {
+		if err := read(bad); err == nil || !strings.Contains(err.Error(), "partition count") {
 			t.Errorf("%s: implausible partition count: got %v", name, err)
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -17,9 +15,9 @@ import (
 // ranks were derived: flag bits 1, 2 and 3 clear, 32 bits a node ID, a
 // distance per entry, a rank column after them, and — for weighted and
 // approximate sets — no seed in the header.  With perEntryV3, wideV3 and
-// plainV3 it is the test-only writer of the layouts the readers stay
-// compatible with; none of them has flag bit 4, so all store 64 bits an
-// offset and a float a step.
+// plainV3 it is the test-only writer of the retired layouts the legacy
+// decoder reads; none of them has flag bit 4, so all have no numDistinct
+// word and store 64 bits an offset and a float a step.
 func legacyV3(t testing.TB, data []byte) []byte { return oldV3(t, data, true, false, false) }
 
 // perEntryV3 rewrites a version-3 file the way files were laid out
@@ -65,6 +63,7 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte
 	}
 	le := binary.LittleEndian
 	out := h.appendHeader(nil)
+	out = out[:len(out)-8] // no numDistinct
 	lo, hi := f.entryRange()
 	for i := 0; i < f.numOffsets(); i++ {
 		out = le.AppendUint64(out, uint64(f.offAt(i)-lo))
@@ -187,7 +186,7 @@ func TestV3Layout(t *testing.T) {
 		if flags&frameFlagPackedNodes == 0 || flags&frameFlagCompact == 0 {
 			t.Errorf("%s: written without packed nodes or compact columns (flags %#x)", name, flags)
 		}
-		if f.rank != nil || flags&frameFlagDerivedRanks == 0 {
+		if flags&frameFlagDerivedRanks == 0 {
 			t.Errorf("%s: written with a rank column", name)
 		}
 		if flags&frameFlagStepDists == 0 || binary.LittleEndian.Uint64(data[header-8:]) != uint64(steps) || binary.LittleEndian.Uint64(data[header:]) != uint64(coded) {
@@ -213,121 +212,6 @@ func TestV3Layout(t *testing.T) {
 	}
 }
 
-// TestV3LegacyRankColumn: a file written before ranks were derived opens
-// through every reader with its stored column in use, answers exactly like
-// the rank-free file of the same set, and is written back as it is held:
-// ranks stored, distances step-coded like every frame's.
-func TestV3LegacyRankColumn(t *testing.T) {
-	dir := t.TempDir()
-	for name, data := range v3Files(t) {
-		legacy := legacyV3(t, data)
-		path := filepath.Join(dir, name+".ads")
-		if err := os.WriteFile(path, legacy, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		want, wantPart, err := openFrameBytes(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantPart != nil {
-			want = wantPart.set
-		}
-		type opened struct {
-			set  AnySet
-			part *Partition
-		}
-		readers := map[string]func() opened{
-			"OpenSketchFile": func() opened {
-				sf, err := OpenSketchFile(path)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !sf.RanksStored() {
-					t.Errorf("%s: OpenSketchFile does not report the stored column", name)
-				}
-				return opened{sf.Set(), sf.Partition()}
-			},
-			"MmapSketchFile": func() opened {
-				sf, err := MmapSketchFile(path)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				t.Cleanup(func() { sf.Close() })
-				if mmapSupported && !sf.Mapped() {
-					t.Errorf("%s: legacy file not mapped", name)
-				}
-				return opened{sf.Set(), sf.Partition()}
-			},
-			"ReadSketchFile": func() opened {
-				set, part, err := ReadSketchFile(bytes.NewReader(legacy))
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				return opened{set, part}
-			},
-		}
-		for reader, open := range readers {
-			got := open()
-			if (got.part != nil) != (wantPart != nil) {
-				t.Fatalf("%s via %s: partition envelope lost", name, reader)
-			}
-			set := got.set
-			if got.part != nil {
-				set = got.part.set
-			}
-			f, wf := frameOfSet(t, set), frameOfSet(t, want)
-			if f.rank == nil {
-				t.Fatalf("%s via %s: stored rank column not in use", name, reader)
-			}
-			// Closeness, harmonic and neighborhood of every node — and so
-			// any top-k over them — bit for bit, and every rank behind them.
-			for v := int32(0); int(v) < want.NumNodes(); v++ {
-				a, b := wf.Index(v), f.Index(v)
-				if a.Closeness() != b.Closeness() || a.Harmonic() != b.Harmonic() || a.Neighborhood(2) != b.Neighborhood(2) {
-					t.Fatalf("%s via %s: node %d answers differ from the rank-free file's", name, reader, v)
-				}
-				wantSegs, gotSegs := wf.segViews(int(v)), f.segViews(int(v))
-				for s := range wantSegs {
-					for i := 0; i < wantSegs[s].len(); i++ {
-						if wantSegs[s].at(i) != gotSegs[s].at(i) {
-							t.Fatalf("%s via %s: node %d segment %d entry %d: %+v, rank-free file %+v",
-								name, reader, v, s, i, gotSegs[s].at(i), wantSegs[s].at(i))
-						}
-					}
-				}
-			}
-			if u, ok := set.(*Set); ok && u.frame.opts.Flavor == sketch.BottomK {
-				w := want.(*Set)
-				if NeighborhoodJaccard(u.BottomK(0), 2, u.BottomK(41), 2) != NeighborhoodJaccard(w.BottomK(0), 2, w.BottomK(41), 2) {
-					t.Fatalf("%s via %s: jaccard differs from the rank-free file's", name, reader)
-				}
-			}
-			var back bytes.Buffer
-			if got.part != nil {
-				_, err = WritePartitionV3(&back, got.part)
-			} else {
-				_, err = WriteSketchSetV3(&back, got.set)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if flags := binary.LittleEndian.Uint32(back.Bytes()[12:]); flags&frameFlagDerivedRanks != 0 || flags&frameFlagStepDists == 0 {
-				t.Fatalf("%s via %s: written back with flags %#x, want stored ranks and step-coded distances", name, reader, flags)
-			}
-			if want := len(data) + 8*f.totalEntries(); back.Len() != want {
-				t.Fatalf("%s via %s: written back as %d bytes, want the rank-free file plus a rank column, %d", name, reader, back.Len(), want)
-			}
-			again, againPart, err := ReadSketchFile(bytes.NewReader(back.Bytes()))
-			if err != nil {
-				t.Fatalf("%s via %s: written-back file: %v", name, reader, err)
-			}
-			if !bytes.Equal(fileBytes(t, again, againPart), back.Bytes()) {
-				t.Fatalf("%s via %s: the written-back file does not round-trip to its own bytes", name, reader)
-			}
-		}
-	}
-}
-
 func frameOfSet(t testing.TB, s AnySet) *Frame {
 	t.Helper()
 	f, err := frameOf(s)
@@ -338,8 +222,9 @@ func frameOfSet(t testing.TB, s AnySet) *Frame {
 }
 
 // TestV3BodySizeGuardsColumns: a header that misdescribes which columns
-// follow is caught by the body-size check before any column is viewed,
-// and the streaming reader agrees.
+// follow is caught by the body-size check before any column is read — by
+// the parser in the current layout, by the legacy decoder in an older one
+// — and the streaming reader agrees.
 func TestV3BodySizeGuardsColumns(t *testing.T) {
 	files := v3Files(t)
 	flags := func(b []byte, clear, set uint32) []byte {
@@ -349,15 +234,22 @@ func TestV3BodySizeGuardsColumns(t *testing.T) {
 	}
 	weighted := files["weighted"]
 	entries := int(binary.LittleEndian.Uint64(weighted[framePreambleSize+48:]))
-	for name, data := range map[string][]byte{
-		"flagged with a rank column's surplus": flags(legacyV3(t, files["uniform"]), 0, frameFlagDerivedRanks),
-		"flag-less, one column short":          flags(files["uniform"], frameFlagDerivedRanks, 0),
-		"flagged weighted without β":           weighted[:len(weighted)-8*entries],
+	for name, tc := range map[string]struct {
+		data   []byte
+		legacy bool
+	}{
+		"flagged with a rank column's surplus": {flags(legacyV3(t, files["uniform"]), 0, frameFlagDerivedRanks), true},
+		"flag-less, one column short":          {flags(perEntryV3(t, files["uniform"]), frameFlagDerivedRanks, 0), true},
+		"flagged weighted without β":           {weighted[:len(weighted)-8*entries], false},
 	} {
-		if _, _, err := openFrameBytes(data); err == nil || !strings.Contains(err.Error(), "header implies") {
-			t.Errorf("%s: zero-copy open: got %v, want the body-size error", name, err)
+		open := openFrameBytes
+		if tc.legacy {
+			open = func(b []byte) (AnySet, *Partition, error) { return readRetiredV3(b, nil) }
 		}
-		if _, _, err := ReadSketchFile(bytes.NewReader(data)); err == nil {
+		if _, _, err := open(tc.data); err == nil || !strings.Contains(err.Error(), "header implies") {
+			t.Errorf("%s: got %v, want the body-size error", name, err)
+		}
+		if _, _, err := ReadSketchFile(bytes.NewReader(tc.data)); err == nil {
 			t.Errorf("%s: accepted by the streaming reader", name)
 		}
 	}
@@ -429,81 +321,10 @@ func TestFreezeRejectsForeignRank(t *testing.T) {
 	}
 }
 
-// TestDeriveRanksUpgrade is `adstool convert` on a file with stored ranks:
-// with the right seed (the header's for a uniform file) the column is
-// verified and dropped and the file becomes, byte for byte, the rank-free
-// one; with the wrong seed, or one rank off, it is refused by the first
-// mismatching entry and stays as it was.
-func TestDeriveRanksUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	open := func(name string, data []byte) *SketchFile {
-		path := filepath.Join(dir, name+".ads")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		sf, err := OpenSketchFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sf
-	}
-	write := func(sf *SketchFile) []byte {
-		var buf bytes.Buffer
-		var err error
-		if p := sf.Partition(); p != nil {
-			_, err = WritePartitionV3(&buf, p)
-		} else {
-			_, err = WriteSketchSetV3(&buf, sf.Set())
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	for name, data := range v3Files(t) {
-		legacy := legacyV3(t, data)
-		seed := uint64(42)
-		if name == "uniform" || name == "kmins-base2" {
-			seed = 7 // ignored: a uniform header records its own
-		}
-		sf := open(name, legacy)
-		if err := sf.DeriveRanks(seed); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if sf.RanksStored() || !bytes.Equal(write(sf), data) {
-			t.Errorf("%s: upgraded file is not the rank-free file", name)
-		}
-		if err := sf.DeriveRanks(seed); err != nil {
-			t.Errorf("%s: upgrading a rank-free file: %v", name, err)
-		}
-
-		// One stored rank off by an ulp, halfway through the column.
-		h, _, err := parseFrameHdr(legacy[8:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := int64(h.numEntries)
-		at := h.headerSize() + (h.numSegs()+1)*8 + pad8(e*4) + e*8 + e/2*8
-		bad := append([]byte(nil), legacy...)
-		bad[at] ^= 1
-		held := write(open(name, bad)) // the tampered file as a frame holds it: distances step-coded
-		sf = open(name, bad)
-		err = sf.DeriveRanks(seed)
-		if err == nil || !strings.Contains(err.Error(), "entry") || !sf.RanksStored() || !bytes.Equal(write(sf), held) {
-			t.Errorf("%s: tampered rank: got %v (stored=%v), want a refusal naming the entry and the file left alone", name, err, sf.RanksStored())
-		}
-		if h.setKind() != kindUniform {
-			sf = open(name, legacy)
-			if err := sf.DeriveRanks(43); err == nil || !sf.RanksStored() {
-				t.Errorf("%s: wrong seed: got %v, want a refusal", name, err)
-			}
-		}
-	}
-}
-
-// TestMergeRefusesMixedRanks: partitions that disagree on their seed, or
-// on whether their ranks are stored or derived, do not merge — the merged
-// frame would silently take partition 0's.
+// TestMergeRefusesMixedRanks: partitions that disagree on their seed do
+// not merge — the merged frame would silently take partition 0's — and one
+// read from a file that stored its ranks derives them like any other, so
+// it merges back into the whole set.
 func TestMergeRefusesMixedRanks(t *testing.T) {
 	g := graph.PreferentialAttachment(40, 3, 9)
 	beta := make([]float64, 40)
@@ -528,8 +349,6 @@ func TestMergeRefusesMixedRanks(t *testing.T) {
 	if _, err := MergeSketchSets([]*Partition{a[0], b[1]}); err == nil {
 		t.Error("merged weighted partitions built under different seeds")
 	}
-	// A uniform header keeps its seed either way, so only the rank column
-	// tells these two apart.
 	uniform, err := BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
@@ -542,20 +361,20 @@ func TestMergeRefusesMixedRanks(t *testing.T) {
 	if _, err := WritePartitionV3(&buf, u[1]); err != nil {
 		t.Fatal(err)
 	}
-	_, stored, err := openFrameBytes(legacyV3(t, buf.Bytes()))
+	_, stored, err := readRetiredV3(legacyV3(t, buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeSketchSets([]*Partition{u[0], stored}); err == nil || !strings.Contains(err.Error(), "stored or derived") {
-		t.Errorf("merging a partition that stores its ranks with one that derives them: got %v, want a refusal", err)
+	merged, err := MergeSketchSets([]*Partition{u[0], stored})
+	if err != nil || !bytes.Equal(v3Bytes(t, merged), v3Bytes(t, uniform)) {
+		t.Errorf("merging a partition read from a file that stored its ranks: got %v, want the whole set", err)
 	}
 }
 
 // TestFreezeOverMatchesFreeze: freezing a few lists over a base is the set
-// FreezeBottomK assembles from every list — over a base that derives its
-// ranks (runs of untouched nodes block-copied), over one opened from a
-// file that stores them (every list re-checked), with nodes the base
-// lacks.
+// FreezeBottomK assembles from every list — runs of untouched nodes
+// block-copied — over a built base and over one read through the legacy
+// door from a file that stored its ranks, with nodes the base lacks.
 func TestFreezeOverMatchesFreeze(t *testing.T) {
 	o := Options{K: 4, Seed: 42}
 	base, err := BuildSet(graph.PreferentialAttachment(30, 3, 9), o, AlgoPrunedDijkstra)
@@ -575,7 +394,7 @@ func TestFreezeOverMatchesFreeze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, _, err := openFrameBytes(legacyV3(t, v3Bytes(t, base)))
+	stored, _, err := readRetiredV3(legacyV3(t, v3Bytes(t, base)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -450,29 +450,3 @@ func (w *stepWriter) start(pos int64, d float64) {
 	w.steps.add(d)
 	w.open, w.last = true, d
 }
-
-// stepCode codes a per-entry distance column whose n segments are bounded
-// by the n+1 offsets off (the first of them 0) — the one pass that turns a
-// file written before distances were step-coded into the frame layout.
-func stepCode(off *packedColumn, n int64, dist []float64) ([]uint64, []float64) {
-	steps := int64(0)
-	for s, lo := int64(0), int64(0); s < n; s++ {
-		hi := int64(off.get(s + 1))
-		for i := lo; i < hi; i++ {
-			if i == lo || dist[i] != dist[i-1] {
-				steps++
-			}
-		}
-		lo = hi
-	}
-	w := newStepWriter(len(dist), nil, steps)
-	for s, lo := int64(0), int64(0); s < n; s++ {
-		hi := int64(off.get(s + 1))
-		w.segment()
-		for i := lo; i < hi; i++ {
-			w.add(i, dist[i])
-		}
-		lo = hi
-	}
-	return w.first, w.steps.raw
-}

@@ -459,7 +459,8 @@ func TestV3WideColumnFixtures(t *testing.T) {
 }
 
 // checkV3Fixtures: every committed file of an earlier layout (its flags,
-// less the β bit, being layout) opens through all three entry points,
+// less the β bit, being layout) is refused by the parser, opens through
+// all three entry points by the legacy door — unmapped, as version 3 —
 // answers bit for bit like a fresh build, entry for entry, and is written
 // back as the bytes a fresh build writes — which is what `adstool convert`
 // does with it, no flag needed.  The fixtures also pin rewrite, the
@@ -497,26 +498,13 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 		if len(want) >= len(data) {
 			t.Errorf("%s: %d bytes as written now, %d as committed", fx.file, len(want), len(data))
 		}
-		streamSet, streamPart, err := ReadSketchFile(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: ReadSketchFile: %v", fx.file, err)
+		if _, _, err := openFrameBytes(data); err == nil || !strings.Contains(err.Error(), "adstool convert") {
+			t.Errorf("%s: parser: %v, want a refusal naming adstool convert", fx.file, err)
 		}
-		opened, err := OpenSketchFile(path)
-		if err != nil {
-			t.Fatalf("%s: OpenSketchFile: %v", fx.file, err)
-		}
-		mapped, err := MmapSketchFile(path)
-		if err != nil {
-			t.Fatalf("%s: MmapSketchFile: %v", fx.file, err)
-		}
-		if mmapSupported && !mapped.Mapped() {
-			t.Errorf("%s: not mapped", fx.file)
-		}
-		streamed := newSketchFile(streamSet, streamPart, EncodeVersion, nil)
 		wf := frameOfSet(t, fresh)
-		for reader, sf := range map[string]*SketchFile{"ReadSketchFile": streamed, "OpenSketchFile": opened, "MmapSketchFile": mapped} {
-			if sf.Version() != EncodeVersion || sf.RanksStored() || (sf.Partition() != nil) != (fx.part >= 0) {
-				t.Fatalf("%s via %s: version %d, ranks stored %v, partition %v", fx.file, reader, sf.Version(), sf.RanksStored(), sf.Partition() != nil)
+		for reader, sf := range openAll(t, path) {
+			if sf.Version() != EncodeVersion || sf.Mapped() || (sf.Partition() != nil) != (fx.part >= 0) {
+				t.Fatalf("%s via %s: version %d, mapped %v, partition %v", fx.file, reader, sf.Version(), sf.Mapped(), sf.Partition() != nil)
 			}
 			f := sf.frame()
 			for v := int32(0); int(v) < wf.n; v++ {

@@ -2,8 +2,7 @@ package adsketch_test
 
 // Serving-startup and index-build benchmarks: how fast a prebuilt sketch
 // set gets from bytes on disk to answering queries, and what the steady
-// state costs.  `make bench` renders these into BENCH_engine.json, so the
-// load-path trajectory stays honest across PRs.
+// state costs.
 
 import (
 	"bytes"

@@ -114,13 +114,24 @@ func TestWriteToReadSketchSetRoundTrip(t *testing.T) {
 
 // Bad headers are refused in both formats the reader takes: the version-3
 // bytes WriteTo emits and a committed version-2 file of an earlier
-// release.
+// release.  A weighted one of those records no seed, and is refused
+// without one, naming the command that takes it.
 func TestReadSketchSetRejectsBadHeaders(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := buildAllKinds(t)["uniform"].WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := os.ReadFile("internal/core/testdata/weighted_v2_k4.ads")
+	weighted, err := os.ReadFile("internal/core/testdata/weighted_v2_k4.ads")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := adsketch.ReadSketchSet(bytes.NewReader(weighted)); err == nil || !strings.Contains(err.Error(), "adstool convert -seed") {
+		t.Errorf("weighted v2 without its seed: %v", err)
+	}
+	if set, _, err := adsketch.ReadSketchFileWithSeed(bytes.NewReader(weighted), 42); err != nil || set.NumNodes() != 60 {
+		t.Errorf("weighted v2 under seed 42: %v", err)
+	}
+	v2, err := os.ReadFile("internal/core/testdata/kmins_base2_v2_k4.ads")
 	if err != nil {
 		t.Fatal(err)
 	}
