@@ -65,9 +65,9 @@
 // or zero copies.  Files of earlier releases — version 2, and the older
 // version-3 layouts — still open everywhere through one legacy decoder:
 // copied, validated, never mapped.  A weighted or approximate one that
-// stores its ranks records no seed, and is read with the seed it was
-// built with (ReadSketchFileWithSeed); `adstool convert` rewrites any of
-// them in the current layout.  cmd/adsserver
+// stores its ranks records no seed, and is rewritten with the seed it
+// was built with (`adstool convert -seed`); `adstool convert` rewrites any
+// of them in the current layout.  cmd/adsserver
 // is the reference HTTP server (POST /v1/query, worker mode with -mmap);
 // see README.md for the wire shapes.
 //
@@ -272,25 +272,13 @@ func ReadSketchFile(r io.Reader) (SketchSet, *Partition, error) {
 	return set, part, nil
 }
 
-// ReadSketchFileWithSeed is ReadSketchFile for a weighted or approximate
-// file of an earlier release, which stores its ranks but records no seed
-// (and which ReadSketchFile refuses): every stored rank is checked against
-// the one seed derives, and the set derives them from it.  A file that
-// records its seed is read under that one, as ReadSketchFile reads it.
-func ReadSketchFileWithSeed(r io.Reader, seed uint64) (SketchSet, *Partition, error) {
-	set, part, err := core.ReadSketchFileWithSeed(r, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return set, part, nil
-}
-
 // ReadSketchSet deserializes a sketch set written by any SketchSet's
 // WriteTo method (build once, query many), validating every sketch's
 // structural invariants.  The dynamic type of the result is *Set,
 // *WeightedSet, or *ApproxSet according to the stored kind.  Files of
-// earlier releases are read too (see ReadSketchFileWithSeed for the ones
-// that need their seed); version 1 is refused.
+// earlier releases are read too, except a weighted or approximate one that
+// stores its ranks, which `adstool convert -seed` rewrites; version 1 is
+// refused.
 func ReadSketchSet(r io.Reader) (SketchSet, error) { return core.ReadSketchSet(r) }
 
 // NeighborhoodJaccard estimates the Jaccard similarity of N_da(a) and

@@ -35,11 +35,13 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
 	"adsketch"
+	"adsketch/internal/core"
 	"adsketch/internal/graph"
 )
 
@@ -259,14 +261,28 @@ func runBuild(args []string) error {
 // is replaced, never changed in place or truncated under its mapping (a
 // read past a truncated mapping is a SIGBUS), and a failed write — of the
 // bytes, the sync or the close (full disk, NFS) — leaves path as it was
-// and no temporary file behind.
+// and no temporary file behind.  As with an in-place write, a symlink's
+// target is what gets replaced, and a replaced file keeps its mode.
 func writeSketchFile(path string, write func(io.Writer) (int64, error)) (int64, error) {
-	tmp := fmt.Sprintf("%s.%d.tmp", path, os.Getpid())
+	target, mode := path, os.FileMode(0)
+	if real, err := filepath.EvalSymlinks(path); err == nil {
+		target = real
+		if st, err := os.Stat(real); err == nil {
+			mode = st.Mode().Perm()
+		}
+	}
+	tmp := fmt.Sprintf("%s.%d.tmp", target, os.Getpid())
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return 0, err
 	}
-	n, err := write(f)
+	if mode != 0 {
+		err = f.Chmod(mode)
+	}
+	n := int64(0)
+	if err == nil {
+		n, err = write(f)
+	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -274,7 +290,7 @@ func writeSketchFile(path string, write func(io.Writer) (int64, error)) (int64, 
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(tmp, target)
 	}
 	if err != nil {
 		os.Remove(tmp)
@@ -387,7 +403,7 @@ func runConvert(args []string) error {
 	var set adsketch.SketchSet
 	var part *adsketch.Partition
 	if seedGiven {
-		set, part, err = adsketch.ReadSketchFileWithSeed(f, *seed)
+		set, part, err = core.ReadSketchFileWithSeed(f, *seed)
 	} else {
 		set, part, err = adsketch.ReadSketchFile(f)
 	}
@@ -398,9 +414,6 @@ func runConvert(args []string) error {
 	var src io.WriterTo = set
 	if part != nil {
 		src, set = part, part.Set()
-	}
-	if recorded := seedOf(set); seedGiven && recorded != *seed {
-		return fmt.Errorf("convert: -seed %d given, but %s records seed %d", *seed, *in, recorded)
 	}
 	n, err := writeSketchFile(*out, src.WriteTo)
 	if err != nil {

@@ -78,6 +78,43 @@ func TestWriteSketchFileReplacesAtomically(t *testing.T) {
 	}
 }
 
+// TestWriteSketchFileKeepsModeAndLink: the replacement keeps the mode of
+// the file it replaces, and a write through a symlink replaces the file the
+// link names, leaving the link in place.
+func TestWriteSketchFileKeepsModeAndLink(t *testing.T) {
+	set, err := adsketch.Build(adsketch.PreferentialAttachment(50, 2, 1), adsketch.WithK(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	real, link := filepath.Join(dir, "real.ads"), filepath.Join(dir, "link.ads")
+	if err := os.WriteFile(real, nil, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(real, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("real.ads", link); err != nil {
+		t.Skip("no symlinks here:", err)
+	}
+	if _, err := writeSketchFile(link, set.WriteTo); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Lstat(link); err != nil || st.Mode()&os.ModeSymlink == 0 {
+		t.Errorf("the link was replaced (%v)", err)
+	}
+	st, err := os.Stat(real)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mode().Perm() != 0o640 {
+		t.Errorf("mode %v, want 0640", st.Mode().Perm())
+	}
+	if data, _ := os.ReadFile(real); !bytes.Equal(data, fileOf(t, set)) {
+		t.Error("the linked file does not hold the written set")
+	}
+}
+
 // TestConvertSeed: convert reads a weighted or approximate file that stores
 // its ranks under -seed, and refuses it without one, naming the flag; a
 // -seed that contradicts the seed a file records is an error for every

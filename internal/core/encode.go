@@ -173,10 +173,20 @@ func ReadSketchFile(r io.Reader) (AnySet, *Partition, error) {
 // release that stores its ranks but records no seed — a weighted or
 // approximate one, which ReadSketchFile refuses: every stored rank is
 // checked against the one seed derives, and the set derives them from it.
-// A file that records its seed is read under that seed, as ReadSketchFile
-// reads it.
+// A file that records a seed other than seed is refused.
 func ReadSketchFileWithSeed(r io.Reader, seed uint64) (AnySet, *Partition, error) {
-	return readAny(r, &seed)
+	set, part, err := readAny(r, &seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	inner := set
+	if part != nil {
+		inner = part.set
+	}
+	if f, _ := frameOf(inner); f.opts.Seed != seed {
+		return nil, nil, fmt.Errorf("core: seed %d given, but the sketch file records seed %d", seed, f.opts.Seed)
+	}
+	return set, part, nil
 }
 
 // validateDecoded checks the structural invariants of every sketch of a
