@@ -162,15 +162,15 @@ load-smoke:
 	echo "load-smoke: OK"
 	rm -f adsserver.smoke adstool.smoke adsload.smoke
 
-# Wire-to-wire latency gate for the binary protocol: a single-worker
-# topology served in-process (adsload -inproc), every request paying the
-# full frame encode/decode on both legs, a cache-hitting single-node mix
-# (closeness1).  In-process rather than loopback TCP because on small CI
-# machines the kernel's loopback round trip alone dwarfs the 100µs
-# budget — the gate pins the serving path the binary protocol owns,
-# while load-smoke keeps covering the real HTTP topology.  The JSON run
-# afterwards lands in the same artifact as the comparison row; the p50/
-# p95/p99 JSON lines are kept in wire_smoke.json for CI to upload.
+# Wire-to-wire smoke for the binary protocol: a single-worker topology
+# served in-process (adsload -inproc), every request paying the full frame
+# encode/decode on both legs, a cache-hitting single-node mix
+# (closeness1).  The gate is on counts — no failed request, at least 1000
+# answered — not on an absolute latency, which on a shared machine
+# measures its other tenants; load-smoke keeps covering the real HTTP
+# topology.  The p50/p95/p99 of both transports (the JSON run is the
+# comparison row) are printed and kept in wire_smoke.json for CI to
+# upload, not gated.
 wire-smoke:
 	$(GO) build -o adstool.smoke ./cmd/adstool
 	$(GO) build -o adsload.smoke ./cmd/adsload
@@ -180,9 +180,9 @@ wire-smoke:
 	./adstool.smoke gen -type ba -n 2000 -m 3 -seed 7 > $$tmp/graph.txt; \
 	./adstool.smoke build -graph $$tmp/graph.txt -k 8 -seed 42 -save $$tmp/whole.ads >/dev/null; \
 	./adsload.smoke -inproc $$tmp/whole.ads -proto binary -mix closeness1=1 -rps 2000 -duration 1s >/dev/null; \
-	echo "wire-smoke: binary frames, cached single-node queries, p99 < 100us gate"; \
+	echo "wire-smoke: binary frames, cached single-node queries, gated on 0 errors and >= 1000 answers"; \
 	./adsload.smoke -inproc $$tmp/whole.ads -proto binary -mix closeness1=1 -rps 2000 -duration 3s \
-	  -json -gate -slo-p99 100us -slo-error-rate 0 -slo-min-done 1000 | tee $$tmp/wire.out; \
+	  -json -gate -slo-error-rate 0 -slo-min-done 1000 | tee $$tmp/wire.out; \
 	echo "wire-smoke: same mix over the JSON transport, for the comparison row"; \
 	./adsload.smoke -inproc $$tmp/whole.ads -proto json -mix closeness1=1 -rps 2000 -duration 3s -json \
 	  | tee -a $$tmp/wire.out; \

@@ -93,7 +93,6 @@
 package adsketch
 
 import (
-	"fmt"
 	"io"
 
 	"adsketch/internal/anf"
@@ -162,14 +161,13 @@ const (
 	AlgoPrunedDijkstraParallel = core.AlgoPrunedDijkstraParallel
 )
 
-// Set holds the sketches of all nodes of one graph, built with uniform
-// (coordinated) ranks; it implements SketchSet and additionally supports
-// serialization and the coordinated cross-sketch operations.
+// Set holds the sketches of all nodes of one graph, of any kind — uniform
+// ranks of any flavor, the Section 9 weighted ranks, or the
+// (1+ε)-approximate construction of Section 3, whose updates per entry are
+// at most log_{1+ε}(n·w_max/w_min) — which Params reports.  It is the one
+// implementation of SketchSet, and the uniform bottom-k sets additionally
+// support the coordinated cross-sketch operations.
 type Set = core.Set
-
-// WeightedSet holds the Section 9 weighted sketches of all nodes of one
-// graph; it implements SketchSet.
-type WeightedSet = core.WeightedSet
 
 // NodeSketch is the per-node query interface shared by all flavors.
 type NodeSketch = core.Sketch
@@ -177,11 +175,6 @@ type NodeSketch = core.Sketch
 // Ranked is one node with its centrality score, as returned by the
 // top-N queries of Engine and Centrality.
 type Ranked = centrality.Ranked
-
-// ApproxSet holds (1+ε)-approximate bottom-k sketches (Section 3), whose
-// construction performs at most log_{1+ε}(n·w_max/w_min) updates per
-// entry; it implements SketchSet.
-type ApproxSet = core.ApproxSet
 
 // SketchFormatVersion is the sketch file format version: the columnar
 // (frame-layout) format every writer emits — SketchSet.WriteTo,
@@ -215,19 +208,17 @@ func MmapSketchFile(path string) (*SketchFile, error) { return core.MmapSketchFi
 // reloaded set are bit-for-bit those of the original.  set.WriteTo(w)
 // writes the same bytes.
 func WriteSketchSetV3(w io.Writer, set SketchSet) (int64, error) {
-	s, ok := set.(core.AnySet)
-	if !ok {
-		return 0, fmt.Errorf("adsketch: cannot serialize sketch set type %T", set)
+	s, err := setOf(set)
+	if err != nil {
+		return 0, err
 	}
-	return core.WriteSketchSetV3(w, s)
+	return s.WriteTo(w)
 }
 
 // WritePartitionV3 serializes one partition in the columnar version-3
 // format — the shard file an `adsserver -mmap` worker opens.
 // p.WriteTo(w) writes the same bytes.
-func WritePartitionV3(w io.Writer, p *Partition) (int64, error) {
-	return core.WritePartitionV3(w, p)
-}
+func WritePartitionV3(w io.Writer, p *Partition) (int64, error) { return p.WriteTo(w) }
 
 // Partition is one contiguous node-range shard of a split sketch set:
 // the sketches of global nodes [Lo, Hi) of a TotalNodes-node set split
@@ -243,19 +234,17 @@ type Partition = core.Partition
 // computed from a partition equals the whole-set one, because entries
 // keep their global node IDs.
 func SplitSketchSet(set SketchSet, parts int) ([]*Partition, error) {
-	return core.SplitSketchSet(set, parts)
+	s, err := setOf(set)
+	if err != nil {
+		return nil, err
+	}
+	return core.SplitSketchSet(s, parts)
 }
 
 // MergeSketchSets reassembles a complete split (in any order) back into
 // one whole set whose serialization is bit-for-bit identical to the
 // original's.
-func MergeSketchSets(parts []*Partition) (SketchSet, error) {
-	set, err := core.MergeSketchSets(parts)
-	if err != nil {
-		return nil, err
-	}
-	return set, nil
-}
+func MergeSketchSets(parts []*Partition) (*Set, error) { return core.MergeSketchSets(parts) }
 
 // ReadPartition deserializes one partition written by Partition.WriteTo,
 // validating the partition header and every sketch's invariants.
@@ -264,22 +253,20 @@ func ReadPartition(r io.Reader) (*Partition, error) { return core.ReadPartition(
 // ReadSketchFile reads either kind of sketch file — a whole set or a
 // partition — from a stream, validating every sketch, and returns exactly
 // one of the two.
-func ReadSketchFile(r io.Reader) (SketchSet, *Partition, error) {
-	set, part, err := core.ReadSketchFile(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return set, part, nil
-}
+func ReadSketchFile(r io.Reader) (*Set, *Partition, error) { return core.ReadSketchFile(r) }
 
-// ReadSketchSet deserializes a sketch set written by any SketchSet's
-// WriteTo method (build once, query many), validating every sketch's
-// structural invariants.  The dynamic type of the result is *Set,
-// *WeightedSet, or *ApproxSet according to the stored kind.  Files of
-// earlier releases are read too, except a weighted or approximate one that
-// stores its ranks, which `adstool convert -seed` rewrites; version 1 is
-// refused.
-func ReadSketchSet(r io.Reader) (SketchSet, error) { return core.ReadSketchSet(r) }
+// ReadSketchSet deserializes a sketch set of any kind written by
+// SketchSet.WriteTo (build once, query many), validating every sketch's
+// structural invariants; the result is a *Set.  Files of earlier releases
+// are read too, except a weighted or approximate one that stores its
+// ranks, which `adstool convert -seed` rewrites; version 1 is refused.
+func ReadSketchSet(r io.Reader) (SketchSet, error) {
+	set, err := core.ReadSketchSet(r)
+	if err != nil {
+		return nil, err
+	}
+	return set, nil
+}
 
 // NeighborhoodJaccard estimates the Jaccard similarity of N_da(a) and
 // N_db(b) from two coordinated bottom-k sketches (same build seed).

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adsketch"
+	"adsketch/internal/core"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -97,12 +98,12 @@ func TestFacadeWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, ok := set.(*adsketch.WeightedSet)
+	ws, ok := set.(*adsketch.Set).Sketch(0).(*core.WeightedADS)
 	if !ok {
-		t.Fatalf("weighted build returned %T", set)
+		t.Fatalf("weighted build holds %T sketches", set.SketchOf(0))
 	}
 	// Total weight within the whole cycle is 100.
-	got := ws.Sketch(0).EstimateNeighborhoodWeight(100)
+	got := ws.EstimateNeighborhoodWeight(100)
 	if math.Abs(got-100)/100 > 0.6 {
 		t.Errorf("weighted reachability = %g, want ~100", got)
 	}
@@ -227,12 +228,9 @@ func TestFacadeApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, ok := built.(*adsketch.ApproxSet)
-	if !ok {
-		t.Fatalf("approximate build returned %T", built)
-	}
-	if set.Epsilon() != 0.25 || set.K() != 4 {
-		t.Error("accessors")
+	set := built.(*adsketch.Set)
+	if p := set.Params(); p.Kind != core.KindApprox || p.Eps != 0.25 || set.K() != 4 {
+		t.Errorf("accessors: %+v", p)
 	}
 	est := adsketch.EstimateNeighborhoodHIP(set.SketchOf(0), math.Inf(1))
 	if est <= 0 {

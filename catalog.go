@@ -181,7 +181,7 @@ func checkDatasetName(name string) error {
 // opener compiles a Source into the registry's open callback and
 // reports whether the source is reloadable (evictable under a budget).
 func (c *Catalog) opener(src Source) (catalog.Opener[dataset], bool, error) {
-	wrap := func(set SketchSet) (ShardBackend, error) {
+	wrap := func(set *Set) (ShardBackend, error) {
 		if src.partitions > 1 {
 			return NewPartitionedEngine(set, src.partitions, c.engineOpts...)
 		}
@@ -189,10 +189,10 @@ func (c *Catalog) opener(src Source) (catalog.Opener[dataset], bool, error) {
 	}
 	switch src.kind {
 	case "set":
-		if src.set == nil {
-			return nil, false, fmt.Errorf("%w: SetSource(nil)", ErrBadOption)
+		set, err := setOf(src.set)
+		if err != nil {
+			return nil, false, err
 		}
-		set := src.set
 		return func() (dataset, int64, func(), error) {
 			be, err := wrap(set)
 			if err != nil {
@@ -274,7 +274,7 @@ func serveMode(be ShardBackend) string {
 // nodes, the distance step code, and β for weighted sets — the file's size less its
 // header.  The HIP index arena its first query builds is reported
 // (DatasetStats.IndexBytes), not budgeted.
-func datasetCost(set SketchSet) int64 {
+func datasetCost(set *Set) int64 {
 	frame, _ := core.MemoryOf(set)
 	return frame
 }

@@ -1017,11 +1017,12 @@ func (c *Coordinator) mergeTopKScatter(q *TopKQuery, lists [][]Ranked, errs []er
 
 // requireCoordinated gates the cross-sketch queries (jaccard, influence,
 // distance_bound, sketch fetches): they need uniform-rank bottom-k
-// coordinated sketches.
-func (c *Coordinator) requireCoordinated() error {
-	if c.kind != KindUniform || c.flavor != FlavorBottomK {
-		return fmt.Errorf("%w: requires uniform-rank bottom-k coordinated sketches, coordinator serves %s/%s sketches",
-			ErrUnsupportedQuery, c.kind, c.flavor)
+// coordinated sketches, which an approximate set — bottom-k at full
+// precision — does not hold either.
+func requireCoordinated(m ShardMeta) error {
+	if m.Kind != KindUniform || m.Flavor != FlavorBottomK {
+		return fmt.Errorf("%w: requires uniform-rank bottom-k coordinated sketches, the set holds %s/%s sketches",
+			ErrUnsupportedQuery, m.Kind, m.Flavor)
 	}
 	return nil
 }
@@ -1030,7 +1031,7 @@ func (c *Coordinator) requireCoordinated() error {
 // nodes, one sketch-query batch per owning shard, scattered
 // concurrently.
 func (c *Coordinator) fetchSketches(ctx context.Context, nodes []int32) (map[int32]*core.ADS, error) {
-	if err := c.requireCoordinated(); err != nil {
+	if err := requireCoordinated(c.Meta()); err != nil {
 		return nil, err
 	}
 	if err := query.CheckNodes(c.total, nodes); err != nil {

@@ -400,7 +400,7 @@ func runConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	var set adsketch.SketchSet
+	var set *adsketch.Set
 	var part *adsketch.Partition
 	if seedGiven {
 		set, part, err = core.ReadSketchFileWithSeed(f, *seed)
@@ -419,7 +419,7 @@ func runConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("converted %s -> %s (%d bytes, format v%d, seed %d)\n", *in, *out, n, adsketch.SketchFormatVersion, seedOf(set))
+	fmt.Printf("converted %s -> %s (%d bytes, format v%d, seed %d)\n", *in, *out, n, adsketch.SketchFormatVersion, set.Params().Seed)
 	return nil
 }
 
@@ -449,35 +449,24 @@ func runInfo(args []string) error {
 	fmt.Printf("file            %s\n", path)
 	fmt.Printf("bytes           %d\n", st.Size())
 	fmt.Printf("codec version   %d\n", sf.Version())
-	switch x := set.(type) {
-	case *adsketch.Set:
-		o := x.Options()
-		flavor := "bottomk"
-		switch o.Flavor {
-		case adsketch.KMins:
-			flavor = "kmins"
-		case adsketch.KPartition:
-			flavor = "kpartition"
-		}
-		fmt.Printf("kind            uniform\n")
-		fmt.Printf("flavor          %s\n", flavor)
-		fmt.Printf("k               %d\n", o.K)
-		fmt.Printf("seed            %d\n", o.Seed)
-		if o.BaseB != 0 {
-			fmt.Printf("base-b          %g\n", o.BaseB)
+	p := set.Params()
+	fmt.Printf("kind            %v\n", p.Kind)
+	if p.Kind == core.KindUniform {
+		fmt.Printf("flavor          %s\n", strings.ReplaceAll(p.Flavor.String(), "-", ""))
+	}
+	fmt.Printf("k               %d\n", p.K)
+	fmt.Printf("seed            %d\n", p.Seed)
+	switch p.Kind {
+	case core.KindUniform:
+		if p.BaseB != 0 {
+			fmt.Printf("base-b          %g\n", p.BaseB)
 		} else {
 			fmt.Printf("base-b          full precision\n")
 		}
-	case *adsketch.WeightedSet:
-		fmt.Printf("kind            weighted\n")
-		fmt.Printf("k               %d\n", x.K())
-		fmt.Printf("seed            %d\n", x.Seed())
-		fmt.Printf("scheme          %v\n", x.Scheme())
-	case *adsketch.ApproxSet:
-		fmt.Printf("kind            approximate\n")
-		fmt.Printf("k               %d\n", x.K())
-		fmt.Printf("seed            %d\n", x.Seed())
-		fmt.Printf("epsilon         %g\n", x.Epsilon())
+	case core.KindWeighted:
+		fmt.Printf("scheme          %v\n", p.Scheme)
+	case core.KindApprox:
+		fmt.Printf("epsilon         %g\n", p.Eps)
 	}
 	if p := sf.Partition(); p != nil {
 		fmt.Printf("partition       %d of %d\n", p.Index(), p.Count())
@@ -518,19 +507,6 @@ func runInfo(args []string) error {
 	return nil
 }
 
-// seedOf returns the rank seed of a set of any kind.
-func seedOf(set adsketch.SketchSet) uint64 {
-	switch x := set.(type) {
-	case *adsketch.Set:
-		return x.Options().Seed
-	case *adsketch.WeightedSet:
-		return x.Seed()
-	case *adsketch.ApproxSet:
-		return x.Seed()
-	}
-	return 0
-}
-
 // loadOrBuild returns sketches from -sketches when given, else builds.
 func loadOrBuild(sketchPath string, g *adsketch.Graph, opts func() ([]adsketch.Option, error)) (adsketch.SketchSet, error) {
 	if sketchPath != "" {
@@ -563,9 +539,9 @@ func runInfluence(args []string) error {
 	if err != nil {
 		return err
 	}
-	uniform, ok := set.(*adsketch.Set)
-	if !ok {
-		return fmt.Errorf("influence requires uniform-rank (coordinated) sketches")
+	uniform := set.(*adsketch.Set)
+	if p := uniform.Params(); p.Kind != core.KindUniform || p.Flavor != adsketch.BottomK {
+		return fmt.Errorf("influence requires uniform-rank (coordinated) bottom-k sketches")
 	}
 	chosen, coverage := adsketch.GreedyInfluenceSeeds(uniform, nil, *seeds, *d)
 	fmt.Printf("greedy %d-seed set for radius %g: %v\n", *seeds, *d, chosen)

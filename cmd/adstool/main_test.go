@@ -115,6 +115,106 @@ func TestWriteSketchFileKeepsModeAndLink(t *testing.T) {
 	}
 }
 
+// infoLines runs `adstool info path` and returns its "name  value" lines
+// keyed by name.
+func infoLines(t *testing.T, path string) map[string]string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = runInfo([]string{path})
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if err != nil {
+		t.Fatalf("info %s: %v", path, err)
+	}
+	lines := map[string]string{}
+	for _, l := range strings.Split(string(out), "\n") {
+		if len(l) > 16 && l[0] != ' ' {
+			lines[strings.TrimSpace(l[:16])] = strings.TrimSpace(l[16:])
+		}
+	}
+	return lines
+}
+
+// TestInfo: `adstool info` names each kind's parameters — and only its
+// own — for a file of every kind, and the partition header of a shard.
+func TestInfo(t *testing.T) {
+	g := adsketch.PreferentialAttachment(60, 2, 3)
+	beta := make([]float64, 60)
+	for i := range beta {
+		beta[i] = 1 + float64(i%3)
+	}
+	dir := t.TempDir()
+	write := func(name string, w io.WriterTo) string {
+		path := filepath.Join(dir, name)
+		if _, err := writeSketchFile(path, w.WriteTo); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	build := func(opts ...adsketch.Option) adsketch.SketchSet {
+		set, err := adsketch.Build(g, append([]adsketch.Option{adsketch.WithK(4), adsketch.WithSeed(9)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set
+	}
+	approx := build(adsketch.WithApproxEps(0.5))
+	parts, err := adsketch.SplitSketchSet(approx, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	common := map[string]string{"k": "4", "seed": "9", "codec version": "3"}
+	for _, tc := range []struct {
+		path   string
+		want   map[string]string
+		absent []string
+	}{
+		{write("bottomk.ads", build()),
+			map[string]string{"kind": "uniform", "flavor": "bottomk", "base-b": "full precision", "nodes": "60"},
+			[]string{"scheme", "epsilon", "partition", "node range"}},
+		{write("kmins.ads", build(adsketch.WithFlavor(adsketch.KMins), adsketch.WithBaseB(2))),
+			map[string]string{"kind": "uniform", "flavor": "kmins", "base-b": "2"},
+			[]string{"scheme", "epsilon"}},
+		{write("kpartition.ads", build(adsketch.WithFlavor(adsketch.KPartition))),
+			map[string]string{"kind": "uniform", "flavor": "kpartition", "base-b": "full precision"},
+			[]string{"scheme", "epsilon"}},
+		{write("weighted.ads", build(adsketch.WithNodeWeights(beta))),
+			map[string]string{"kind": "weighted", "scheme": "exponential"},
+			[]string{"flavor", "base-b", "epsilon"}},
+		{write("priority.ads", build(adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks())),
+			map[string]string{"kind": "weighted", "scheme": "priority"},
+			[]string{"flavor", "base-b", "epsilon"}},
+		{write("approx.ads", approx),
+			map[string]string{"kind": "approximate", "epsilon": "0.5", "nodes": "60"},
+			[]string{"flavor", "base-b", "scheme", "partition"}},
+		{write("approx.p1of3.ads", parts[1]),
+			map[string]string{"kind": "approximate", "epsilon": "0.5", "partition": "1 of 3",
+				"node range": "[20, 40)", "total nodes": "60", "nodes": "20"},
+			[]string{"flavor", "scheme"}},
+	} {
+		got := infoLines(t, tc.path)
+		for name, want := range common {
+			tc.want[name] = want
+		}
+		for name, want := range tc.want {
+			if got[name] != want {
+				t.Errorf("%s: %s %q, want %q", filepath.Base(tc.path), name, got[name], want)
+			}
+		}
+		for _, name := range tc.absent {
+			if v, ok := got[name]; ok {
+				t.Errorf("%s: prints %s %q", filepath.Base(tc.path), name, v)
+			}
+		}
+	}
+}
+
 // TestConvertSeed: convert reads a weighted or approximate file that stores
 // its ranks under -seed, and refuses it without one, naming the flag; a
 // -seed that contradicts the seed a file records is an error for every

@@ -31,7 +31,7 @@ import (
 // multiple goroutines, and its estimates equal the per-call estimators
 // (Centrality, EstimateNeighborhoodHIP, EstimateQ) on the same sketches.
 type Engine struct {
-	set     SketchSet
+	set     *Set
 	lo      int32 // global ID of local sketch 0 (non-zero for shard engines)
 	total   int   // global node count (== set.NumNodes() for whole sets)
 	meta    ShardMeta
@@ -69,9 +69,10 @@ func WithShards(n int) EngineOption {
 }
 
 // newEngine finishes Engine construction shared by NewEngine and
-// NewShardEngine: option application, meta, and the index cache over the
-// local sketches.
-func newEngine(e *Engine, meta ShardMeta, opts []EngineOption) (*Engine, error) {
+// NewShardEngine: option application, the set's part of meta, and the
+// index cache over the local sketches.
+func newEngine(set *Set, meta ShardMeta, opts []EngineOption) (*Engine, error) {
+	e := &Engine{set: set, lo: meta.Lo, total: meta.TotalNodes}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, fmt.Errorf("%w: nil EngineOption", ErrBadOption)
@@ -80,33 +81,31 @@ func newEngine(e *Engine, meta ShardMeta, opts []EngineOption) (*Engine, error) 
 			return nil, err
 		}
 	}
+	p := set.Params()
+	meta.K, meta.Kind, meta.Flavor = p.K, p.Kind.String(), FlavorBottomK
+	switch p.Flavor {
+	case BottomK:
+	case KMins:
+		meta.Flavor = FlavorKMins
+	case KPartition:
+		meta.Flavor = FlavorKPartition
+	}
 	e.meta = meta
-	set := e.set
-	// Cache slots are local indices: global node v lives in slot v - lo.
-	// Frame-backed sets (every set built or loaded by this package) hand
-	// out views into one columnar index arena shared by the whole set —
-	// no per-node allocation; the generic path rebuilds an index from the
-	// sketch for externally implemented SketchSets.
-	build := func(local int32) *core.HIPIndex {
-		return core.NewHIPIndex(set.SketchOf(local))
-	}
-	if is, ok := set.(interface{ Index(v int32) *core.HIPIndex }); ok {
-		build = is.Index
-	}
-	e.cache = query.NewIndexCache(set.NumNodes(), e.shards, build)
+	// Cache slots are local indices: global node v lives in slot v - lo,
+	// a view into the index arena shared by the whole set.
+	e.cache = query.NewIndexCache(set.NumNodes(), e.shards, set.Index)
 	return e, nil
 }
 
 // NewEngine wraps a whole sketch set (of any kind: uniform, weighted, or
 // approximate) for batch serving.
 func NewEngine(set SketchSet, opts ...EngineOption) (*Engine, error) {
-	n := set.NumNodes()
-	meta := ShardMeta{
-		Index: 0, Count: 1,
-		Lo: 0, Hi: int32(n), TotalNodes: n,
-		K: set.K(), Kind: kindOf(set), Flavor: flavorOf(set),
+	s, err := setOf(set)
+	if err != nil {
+		return nil, err
 	}
-	return newEngine(&Engine{set: set, lo: 0, total: n}, meta, opts)
+	n := s.NumNodes()
+	return newEngine(s, ShardMeta{Count: 1, Hi: int32(n), TotalNodes: n}, opts)
 }
 
 // NewShardEngine wraps one partition of a split sketch set for batch
@@ -118,13 +117,8 @@ func NewShardEngine(p *Partition, opts ...EngineOption) (*Engine, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: nil Partition", ErrBadOption)
 	}
-	set := SketchSet(p.Set())
-	meta := ShardMeta{
-		Index: p.Index(), Count: p.Count(),
-		Lo: p.Lo(), Hi: p.Hi(), TotalNodes: p.TotalNodes(),
-		K: set.K(), Kind: kindOf(set), Flavor: flavorOf(set),
-	}
-	return newEngine(&Engine{set: set, lo: p.Lo(), total: p.TotalNodes()}, meta, opts)
+	meta := ShardMeta{Index: p.Index(), Count: p.Count(), Lo: p.Lo(), Hi: p.Hi(), TotalNodes: p.TotalNodes()}
+	return newEngine(p.Set(), meta, opts)
 }
 
 // NewPartitionedEngine splits the set by node ID into the given number
@@ -200,8 +194,7 @@ func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }
 
 // IndexBytes returns the heap held by the HIP index arena behind the
 // engine's set — serving memory that the sketch file's size does not
-// show.  The set's first query builds the arena; it is 0 until then, and
-// for sets not built or loaded by this package.
+// show.  The set's first query builds the arena; it is 0 until then.
 func (e *Engine) IndexBytes() int64 {
 	_, index := core.MemoryOf(e.set)
 	return index
@@ -317,32 +310,4 @@ func (e *Engine) topBy(ctx context.Context, n int, score func(*core.HIPIndex) fl
 		out[i] = Ranked{Node: e.lo + int32(v), Score: scores[v]}
 	}
 	return out, nil
-}
-
-// kindOf names a sketch set's kind for serving metadata.
-func kindOf(set SketchSet) string {
-	switch set.(type) {
-	case *WeightedSet:
-		return KindWeighted
-	case *ApproxSet:
-		return KindApproximate
-	default:
-		return KindUniform
-	}
-}
-
-// flavorOf names a sketch set's MinHash flavor for serving metadata.
-// Weighted and approximate sets are bottom-k by construction.
-func flavorOf(set SketchSet) string {
-	if s, ok := set.(*Set); ok {
-		switch s.Options().Flavor {
-		case BottomK:
-			return FlavorBottomK
-		case KMins:
-			return FlavorKMins
-		case KPartition:
-			return FlavorKPartition
-		}
-	}
-	return FlavorBottomK
 }

@@ -1,6 +1,7 @@
 package adsketch_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -23,6 +24,64 @@ func buildEngine(t *testing.T, opts ...adsketch.EngineOption) (*adsketch.Graph, 
 		t.Fatal(err)
 	}
 	return g, set, eng
+}
+
+// TestEngineMetaPerKind pins the kind, flavor and k every construction
+// reports through Engine.Meta — for the built set, the set read back from
+// its file, and a shard engine over one partition of it.
+func TestEngineMetaPerKind(t *testing.T) {
+	g := adsketch.PreferentialAttachment(60, 2, 3)
+	beta := make([]float64, 60)
+	for i := range beta {
+		beta[i] = 1 + float64(i%3)
+	}
+	for _, tc := range []struct {
+		name         string
+		opts         []adsketch.Option
+		kind, flavor string
+	}{
+		{"bottomk", nil, adsketch.KindUniform, adsketch.FlavorBottomK},
+		{"kmins", []adsketch.Option{adsketch.WithFlavor(adsketch.KMins)}, adsketch.KindUniform, adsketch.FlavorKMins},
+		{"kpartition", []adsketch.Option{adsketch.WithFlavor(adsketch.KPartition)}, adsketch.KindUniform, adsketch.FlavorKPartition},
+		{"base-b", []adsketch.Option{adsketch.WithBaseB(2)}, adsketch.KindUniform, adsketch.FlavorBottomK},
+		{"weighted-exp", []adsketch.Option{adsketch.WithNodeWeights(beta)}, adsketch.KindWeighted, adsketch.FlavorBottomK},
+		{"weighted-priority", []adsketch.Option{adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()}, adsketch.KindWeighted, adsketch.FlavorBottomK},
+		{"approx", []adsketch.Option{adsketch.WithApproxEps(0.25)}, adsketch.KindApproximate, adsketch.FlavorBottomK},
+	} {
+		set, err := adsketch.Build(g, append([]adsketch.Option{adsketch.WithK(4), adsketch.WithSeed(5)}, tc.opts...)...)
+		if err != nil {
+			t.Fatal(tc.name, err)
+		}
+		var file bytes.Buffer
+		if _, err := set.WriteTo(&file); err != nil {
+			t.Fatal(tc.name, err)
+		}
+		read, err := adsketch.ReadSketchSet(&file)
+		if err != nil {
+			t.Fatal(tc.name, err)
+		}
+		parts, err := adsketch.SplitSketchSet(set, 2)
+		if err != nil {
+			t.Fatal(tc.name, err)
+		}
+		built, err := adsketch.NewEngine(set)
+		if err != nil {
+			t.Fatal(tc.name, err)
+		}
+		loaded, err := adsketch.NewEngine(read)
+		if err != nil {
+			t.Fatal(tc.name, err)
+		}
+		shard, err := adsketch.NewShardEngine(parts[1])
+		if err != nil {
+			t.Fatal(tc.name, err)
+		}
+		for _, eng := range []*adsketch.Engine{built, loaded, shard} {
+			if m := eng.Meta(); m.Kind != tc.kind || m.Flavor != tc.flavor || m.K != 4 {
+				t.Errorf("%s: meta kind %q flavor %q k %d, want %q %q 4", tc.name, m.Kind, m.Flavor, m.K, tc.kind, tc.flavor)
+			}
+		}
+	}
 }
 
 // Engine batch answers must be bit-for-bit identical to the per-call

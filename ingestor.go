@@ -163,9 +163,12 @@ func WithIngestCounters(b float64) IngestorOption {
 // graph g evolves.  The set must be a uniform bottom-k set with
 // full-precision ranks built from g; g and set are not mutated.
 func NewIngestor(g *Graph, set SketchSet, opts ...IngestorOption) (*Ingestor, error) {
-	cs, ok := set.(*Set)
-	if !ok {
-		return nil, fmt.Errorf("%w: streaming ingest supports uniform bottom-k sets, got %T", ErrIncompatibleOptions, set)
+	cs, err := setOf(set)
+	if err != nil {
+		return nil, err
+	}
+	if p := cs.Params(); p.Kind != core.KindUniform || p.Flavor != BottomK || p.BaseB != 0 {
+		return nil, fmt.Errorf("%w: streaming ingest supports uniform bottom-k sets at full precision, got %+v", ErrIncompatibleOptions, p)
 	}
 	var c ingestorConfig
 	for _, opt := range opts {
@@ -320,7 +323,7 @@ func (in *Ingestor) freezeLocked() (*FreezeResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("adsketch: writing frozen version: %w", err)
 		}
-		if _, err := core.WriteSketchSetV3(f, set); err != nil {
+		if _, err := set.WriteTo(f); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("adsketch: writing frozen version: %w", err)
 		}

@@ -3,6 +3,7 @@ package adsketch_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"testing"
 	"time"
@@ -208,9 +209,9 @@ func TestIngestorPublishDir(t *testing.T) {
 		if err != nil {
 			t.Fatalf("published file unreadable: %v", err)
 		}
-		fset, ok := sf.Set().(*adsketch.Set)
-		if !ok {
-			t.Fatalf("published file holds %T, want *adsketch.Set", sf.Set())
+		fset := sf.Set()
+		if fset == nil {
+			t.Fatal("published file holds a partition, want a whole set")
 		}
 		if !bytes.Equal(serializeSet(t, fset), serializeSet(t, res.Set)) {
 			t.Fatal("published file differs from the frozen set")
@@ -320,5 +321,13 @@ func TestIngestorOptionErrors(t *testing.T) {
 	}
 	if _, err := adsketch.NewIngestor(g, kset); err == nil {
 		t.Fatal("NewIngestor accepted a k-mins set")
+	}
+	// Bottom-k at full precision, but not uniform ranks.
+	aset, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(1), adsketch.WithApproxEps(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := adsketch.NewIngestor(g, aset); !errors.Is(err, adsketch.ErrIncompatibleOptions) {
+		t.Fatalf("NewIngestor over an approximate set: %v, want ErrIncompatibleOptions", err)
 	}
 }

@@ -5,8 +5,8 @@
 //
 //  1. Enum switches: a switch whose tag is a module-local named type
 //     with a declared constant set (≥2 constants, e.g. sketch flavors,
-//     ANF readouts) must either cover every constant or carry an
-//     explicit default — silently falling through on a new kind is how
+//     set kinds, ANF readouts) must either cover every constant or carry
+//     an explicit default — silently falling through on a new kind is how
 //     a new sketch flavor serves wrong answers instead of
 //     ErrUnsupportedQuery.  Constants are compared by value, so
 //     re-exported aliases (root-package KMins for sketch.KMins) count.

@@ -1,5 +1,5 @@
-// Package kinds is a kindswitch fixture: a sketch-flavor enum and a
-// Request envelope with query pointer fields.
+// Package kinds is a kindswitch fixture: a sketch-flavor enum, a set-kind
+// enum over uint32, and a Request envelope with query pointer fields.
 package kinds
 
 import "errors"
@@ -46,6 +46,37 @@ func withDefault(f Flavor) (string, error) {
 	default:
 		return "", ErrUnsupportedQuery
 	}
+}
+
+// Kind is a set-kind enum over the uint32 a file header codes it in.
+type Kind uint32
+
+const (
+	KindUniform Kind = iota
+	KindWeighted
+	KindApprox
+)
+
+// kindName forgets approximate sets.
+func kindName(k Kind) string {
+	switch k { // want `switch on Kind is not exhaustive: missing KindApprox`
+	case KindUniform:
+		return "uniform"
+	case KindWeighted:
+		return "weighted"
+	}
+	return ""
+}
+
+// kindCode covers every kind, one through a conversion.
+func kindCode(k Kind) uint32 {
+	switch k {
+	case KindUniform, KindWeighted:
+		return uint32(k)
+	case Kind(2):
+		return 2
+	}
+	return 0
 }
 
 // nonEnum switches on a plain int: not an enum, not checked.

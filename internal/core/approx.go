@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"adsketch/internal/graph"
@@ -25,57 +24,18 @@ import (
 // the worst observed slack exactly, and the tests pin it; in practice it
 // stays very close to the single-(1+ε) the paper states.
 
-// ApproxSet holds (1+ε)-approximate bottom-k sketches, as views over one
-// shared columnar frame.
-type ApproxSet struct {
-	frame *Frame
-}
-
-// K returns the sketch parameter.
-func (s *ApproxSet) K() int { return s.frame.opts.K }
-
-// Seed returns the seed of the rank permutation (0 for a set loaded from
-// a file that did not record it).
-func (s *ApproxSet) Seed() uint64 { return s.frame.opts.Seed }
-
-// Epsilon returns the distance slack.
-func (s *ApproxSet) Epsilon() float64 { return s.frame.eps }
-
-// NumNodes returns the number of sketches.
-func (s *ApproxSet) NumNodes() int { return s.frame.n }
-
-// Sketch returns node v's approximate sketch view.  The entries satisfy
-// the relaxed invariant; HIP weights computed from them estimate
-// cardinalities of neighborhoods at distance known up to (1+ε).
-func (s *ApproxSet) Sketch(v int32) *ADS { return s.frame.viewADS(int(v)) }
-
-// SketchOf returns node v's sketch through the flavor-agnostic query
-// interface shared by all set kinds.
-func (s *ApproxSet) SketchOf(v int32) Sketch { return s.frame.viewADS(int(v)) }
-
-// Index returns local node v's columnar HIP query index, sharing the
-// frame's index arena.
-func (s *ApproxSet) Index(v int32) *HIPIndex { return s.frame.Index(v) }
-
-// TotalEntries sums entry counts.
-func (s *ApproxSet) TotalEntries() int { return s.frame.totalEntries() }
-
 // BuildApproxSet computes (1+ε)-approximate bottom-k sketches with the
 // LocalUpdates message-passing scheme.
-func BuildApproxSet(g *graph.Graph, k int, seed uint64, eps float64) (*ApproxSet, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1")
+func BuildApproxSet(g *graph.Graph, k int, seed uint64, eps float64) (*Set, error) {
+	p := Params{Kind: KindApprox, Options: Options{K: k, Seed: seed}, Eps: eps}
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
-	if eps < 0 {
-		return nil, fmt.Errorf("core: epsilon must be >= 0")
-	}
-	src := rank.NewSource(seed)
 	kern := NewOfferKernel(k)
-	spec := runSpec{k: k, rank: func(v int32) float64 { return src.Rank(int64(v)) }}
-	out := messageRounds(g, spec, func(list []Entry, e Entry) ([]Entry, bool) {
+	out := messageRounds(g, runSpec{k: k, rank: p.rankFn(0)}, func(list []Entry, e Entry) ([]Entry, bool) {
 		return kern.OfferApprox(list, e, eps)
 	})
-	return &ApproxSet{frame: freezeWhole(kindApprox, Options{K: k, Seed: seed}, 0, eps, 1, out)}, nil
+	return &Set{frame: freezeWhole(p, out)}, nil
 }
 
 // CheckApproxSlack measures how far node u's approximate sketch is from
@@ -84,9 +44,9 @@ func BuildApproxSet(g *graph.Graph, k int, seed uint64, eps float64) (*ApproxSet
 // entries with distance <= s·d_uv, and returns the maximum over all
 // absent v.  A return of 1 means the sketch satisfies the exact-ADS
 // exclusion rule; the paper's remark corresponds to a bound of 1+ε.
-func CheckApproxSlack(g *graph.Graph, set *ApproxSet, u int32, seed uint64) float64 {
+func CheckApproxSlack(g *graph.Graph, set *Set, u int32, seed uint64) float64 {
 	src := rank.NewSource(seed)
-	a := set.Sketch(u)
+	a := set.BottomK(u)
 	entries := a.Entries() // one materialized copy, reused across the scan
 	members := make(map[int32]bool, a.Size())
 	for _, e := range entries {

@@ -3,6 +3,8 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"io"
+	"math"
 	"runtime"
 	"slices"
 
@@ -42,8 +44,94 @@ func (o Options) Source() rank.Source { return rank.NewSource(o.Seed) }
 // rankFn returns the rank function for permutation perm (only k-mins uses
 // perm > 0), with base-b rounding applied when configured.
 func (o Options) rankFn(perm int) func(int32) float64 {
-	by := newRanker(kindUniform, o, 0)
+	by := newRanker(Params{Kind: KindUniform, Options: o})
 	return func(v int32) float64 { return by.rank(perm, v, 0) }
+}
+
+// Kind names the rank distribution of a set's sketches — the one thing,
+// with the inclusion probability it implies, in which the three kinds of
+// bottom-k sketch in canonical order differ.  Its values are the kind
+// codes of the file header.
+type Kind uint32
+
+// Set kinds.
+const (
+	// KindUniform sets hold uniform ranks, of any flavor and base.
+	KindUniform Kind = iota
+	// KindWeighted sets hold the Section 9 weight-biased ranks.
+	KindWeighted
+	// KindApprox sets hold uniform ranks under the (1+ε)-approximate
+	// construction of Section 3.
+	KindApprox
+)
+
+// String returns the kind's name, the one the serving metadata carries.
+func (k Kind) String() string {
+	switch k {
+	case KindUniform:
+		return "uniform"
+	case KindWeighted:
+		return "weighted"
+	case KindApprox:
+		return "approximate"
+	}
+	return fmt.Sprintf("Kind(%d)", uint32(k))
+}
+
+// Params describes a sketch set: what the file header records of it.
+// Options holds k and the seed, and the flavor and base of a uniform set —
+// a weighted or approximate set is bottom-k at full precision — Scheme
+// the weighted sampling scheme, and Eps the approximate distance slack;
+// a field the kind does not use is zero.
+type Params struct {
+	Kind Kind
+	Options
+	Scheme WeightScheme
+	Eps    float64
+}
+
+// validate is the one check of a set's parameters, for the builders and
+// the file readers alike.
+func (p Params) validate() error {
+	if err := p.Options.validate(); err != nil {
+		return err
+	}
+	// own is p less what the kind does not have.
+	own := Params{Kind: p.Kind, Options: Options{K: p.K, Seed: p.Seed}}
+	switch p.Kind {
+	case KindUniform:
+		switch p.Flavor {
+		case sketch.BottomK, sketch.KMins, sketch.KPartition:
+		default:
+			return fmt.Errorf("core: unknown flavor %d", int(p.Flavor))
+		}
+		own.Flavor, own.BaseB = p.Flavor, p.BaseB
+	case KindWeighted:
+		if p.Scheme != ExponentialWeights && p.Scheme != PriorityWeights {
+			return fmt.Errorf("core: unknown weight scheme %d", int(p.Scheme))
+		}
+		own.Scheme = p.Scheme
+	case KindApprox:
+		if p.Eps < 0 || math.IsNaN(p.Eps) || math.IsInf(p.Eps, 1) {
+			return fmt.Errorf("core: invalid epsilon %g", p.Eps)
+		}
+		own.Eps = p.Eps
+	default:
+		return fmt.Errorf("core: unknown set kind %d", uint32(p.Kind))
+	}
+	if p != own {
+		return fmt.Errorf("core: %+v sets a field a %v set does not have", p, p.Kind)
+	}
+	return nil
+}
+
+// segs returns the entry lists per node: one per permutation of a k-mins
+// set and one per bucket of a k-partition set, one otherwise.
+func (p Params) segs() int {
+	if p.Flavor == sketch.KMins || p.Flavor == sketch.KPartition {
+		return p.K
+	}
+	return 1
 }
 
 // Algorithm selects an ADS construction algorithm (Section 3).
@@ -92,33 +180,33 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Set holds the sketches of all nodes of one graph, built with shared
-// (coordinated) ranks, stored as one columnar frame; the sketches
-// returned by Sketch/SketchOf/BottomK are lightweight views over the
-// frame's columns.
+// Set holds the sketches of all nodes of one graph, of any kind, built
+// with shared (coordinated) ranks and stored as one columnar frame; the
+// sketches returned by Sketch/SketchOf/BottomK are lightweight views over
+// the frame's columns.
 type Set struct {
 	frame *Frame
 }
 
-// Options returns the build options.
-func (s *Set) Options() Options { return s.frame.opts }
+// Params returns what the set is: its kind and parameters.
+func (s *Set) Params() Params { return s.frame.p }
 
 // K returns the sketch parameter.
-func (s *Set) K() int { return s.frame.opts.K }
+func (s *Set) K() int { return s.frame.p.K }
 
 // NumNodes returns the number of sketches.
 func (s *Set) NumNodes() int { return s.frame.n }
 
-// Sketch returns node v's sketch view.
+// Sketch returns node v's sketch view, of the type the kind and flavor
+// make it: *ADS for bottom-k and approximate sets, *WeightedADS,
+// *KMinsADS or *KPartitionADS.
 func (s *Set) Sketch(v int32) Sketch { return s.frame.viewSketch(int(v)) }
 
-// SketchOf returns node v's sketch through the flavor-agnostic query
-// interface; it is the method shared by all set kinds (uniform, weighted,
-// approximate), allowing them to be used interchangeably by query layers.
+// SketchOf is Sketch, the method of the query layers' set interface.
 func (s *Set) SketchOf(v int32) Sketch { return s.frame.viewSketch(int(v)) }
 
 // BottomK returns node v's sketch as a bottom-k ADS; it panics if the set
-// was built with a different flavor.
+// holds another type of sketch.
 func (s *Set) BottomK(v int32) *ADS { return s.frame.viewSketch(int(v)).(*ADS) }
 
 // Columns returns a bottom-k set's node v as column views — its entries'
@@ -142,6 +230,11 @@ func (s *Set) Index(v int32) *HIPIndex { return s.frame.Index(v) }
 // With columnar storage this is an offsets lookup, not a scan.
 func (s *Set) TotalEntries() int { return s.frame.totalEntries() }
 
+// WriteTo serializes the set in the version-3 format (framecodec.go).  It
+// implements io.WriterTo; the returned count is the number of bytes
+// written.
+func (s *Set) WriteTo(w io.Writer) (int64, error) { return writeFrameV3(w, s.frame, nil) }
+
 // BuildSet computes the (forward) ADS of every node of g using the chosen
 // algorithm.  For directed graphs pass g for forward sketches (distances
 // measured from the sketch owner) or g.Transpose() for backward sketches.
@@ -157,7 +250,8 @@ func BuildSet(g *graph.Graph, o Options, algo Algorithm) (*Set, error) {
 // workers <= 0 means GOMAXPROCS; 1 is the calling goroutine.  The output
 // is identical for every worker count.
 func BuildSetParallel(g *graph.Graph, o Options, algo Algorithm, workers int) (*Set, error) {
-	if err := o.validate(); err != nil {
+	p := Params{Kind: KindUniform, Options: o}
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	if algo == AlgoDP && g.Weighted() {
@@ -171,36 +265,33 @@ func BuildSetParallel(g *graph.Graph, o Options, algo Algorithm, workers int) (*
 	if err != nil {
 		return nil, err
 	}
-	return buildSet(g.NumNodes(), o, run, workers)
+	return buildSet(g.NumNodes(), p, run, workers), nil
 }
 
-// buildSet assembles the flavor's frame over n nodes from elementary
-// passes of run.
-func buildSet(n int, o Options, run runner, workers int) (*Set, error) {
-	switch o.Flavor {
+// buildSet assembles the frame of a uniform set of a valid p over n nodes
+// from elementary passes of run.
+func buildSet(n int, p Params, run runner, workers int) *Set {
+	var lists [][]Entry
+	switch p.Flavor {
 	case sketch.BottomK:
-		lists := run(runSpec{k: o.K, rank: o.rankFn(0)})
-		return &Set{frame: freezeWhole(kindUniform, o, 0, 0, 1, lists)}, nil
+		lists = run(runSpec{k: p.K, rank: p.rankFn(0)})
 	case sketch.KMins:
-		perRun := parallelRuns(o.K, workers, func(h int) [][]Entry {
-			return run(runSpec{k: 1, rank: o.rankFn(h)})
-		})
-		return &Set{frame: freezeWhole(kindUniform, o, 0, 0, o.K, segmentMajor(perRun, n))}, nil
+		lists = segmentMajor(parallelRuns(p.K, workers, func(h int) [][]Entry {
+			return run(runSpec{k: 1, rank: p.rankFn(h)})
+		}), n)
 	case sketch.KPartition:
-		src := o.Source()
-		perRun := parallelRuns(o.K, workers, func(b int) [][]Entry {
+		src := p.Source()
+		lists = segmentMajor(parallelRuns(p.K, workers, func(b int) [][]Entry {
 			return run(runSpec{
 				k:    1,
-				rank: o.rankFn(0),
+				rank: p.rankFn(0),
 				include: func(v int32) bool {
-					return src.Bucket(int64(v), o.K) == b
+					return src.Bucket(int64(v), p.K) == b
 				},
 			})
-		})
-		return &Set{frame: freezeWhole(kindUniform, o, 0, 0, o.K, segmentMajor(perRun, n))}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown flavor %v", o.Flavor)
+		}), n)
 	}
+	return &Set{frame: freezeWhole(p, lists)}
 }
 
 // segmentMajor reorders per-run entry lists (perRun[s][v]) into the

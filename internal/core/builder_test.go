@@ -310,7 +310,7 @@ func TestSetAccessors(t *testing.T) {
 	if set.NumNodes() != 10 {
 		t.Errorf("NumNodes = %d", set.NumNodes())
 	}
-	if set.Options() != o {
+	if set.Params().Options != o {
 		t.Error("Options not retained")
 	}
 	total := 0
@@ -437,9 +437,9 @@ func TestPrunedDijkstraDifferential(t *testing.T) {
 		{"pruned/workers=8", pruned(8)},
 		{"localUpdates", localUpdatesRun},
 	}
-	v3 := func(s AnySet) []byte {
+	v3 := func(s *Set) []byte {
 		var buf bytes.Buffer
-		if _, err := WriteSketchSetV3(&buf, s); err != nil {
+		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -460,13 +460,9 @@ func TestPrunedDijkstraDifferential(t *testing.T) {
 		for _, k := range []int{1, 2, 5} {
 			for _, fl := range allFlavors() {
 				for _, baseB := range []float64{0, 2} {
-					o := Options{K: k, Flavor: fl, Seed: uint64(seed), BaseB: baseB}
+					p := Params{Kind: KindUniform, Options: Options{K: k, Flavor: fl, Seed: uint64(seed), BaseB: baseB}}
 					build := func(r run) []byte {
-						set, err := buildSet(n, o, func(s runSpec) [][]Entry { return r(g, s) }, 1)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return v3(set)
+						return v3(buildSet(n, p, func(s runSpec) [][]Entry { return r(g, s) }, 1))
 					}
 					want := build(bruteForceRun)
 					for _, vr := range variants {
@@ -477,9 +473,10 @@ func TestPrunedDijkstraDifferential(t *testing.T) {
 				}
 			}
 			for _, scheme := range []WeightScheme{ExponentialWeights, PriorityWeights} {
-				want := v3(weightedSetFrom(g, k, uint64(seed), beta, scheme, bruteForceRun))
+				p := Params{Kind: KindWeighted, Options: Options{K: k, Seed: uint64(seed)}, Scheme: scheme}
+				want := v3(weightedSetFrom(g, p, beta, bruteForceRun))
 				for _, vr := range variants {
-					if !bytes.Equal(v3(weightedSetFrom(g, k, uint64(seed), beta, scheme, vr.run)), want) {
+					if !bytes.Equal(v3(weightedSetFrom(g, p, beta, vr.run)), want) {
 						t.Fatalf("%s, weighted %v k=%d: %s differs from brute force", desc, scheme, k, vr.name)
 					}
 				}

@@ -196,6 +196,10 @@ func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, truste
 		})
 		rebuilt("codes that decrease within a segment", false, from, func(p *v3Parts) { p.codes[1], p.codes[2] = p.codes[2], p.codes[1] })
 		rebuilt("codes that repeat within a segment", false, from, func(p *v3Parts) { p.codes[2] = p.codes[1] })
+		// A uniform set has no weight scheme or epsilon (Params.validate).
+		at := distinctAt - frameHdrSize
+		edit("a weight scheme on a uniform set", true, from, func(b []byte) { le.PutUint32(b[at+24:], uint32(PriorityWeights)) })
+		edit("an epsilon on a uniform set", true, from, func(b []byte) { le.PutUint64(b[at+32:], math.Float64bits(0.5)) })
 		// The header's counts place every column after them.
 		edit("more values than steps", true, from, func(b []byte) { le.PutUint64(b[distinctAt:], steps+1) })
 		edit("no dictionary over codes", true, from, func(b []byte) { le.PutUint64(b[distinctAt:], 0) })
@@ -279,9 +283,9 @@ func referenceSizes(f *Frame, partition bool) (compact, plain, steps, coded int6
 	if partition {
 		header += framePartHdrSize
 	}
-	e, nOff := int64(f.totalEntries()), int64(f.n*f.segs+1)
+	e, nOff := int64(f.totalEntries()), int64(f.n*f.segs()+1)
 	entries := 8*words(e, testWidth(uint64(f.total))) + 8*words(e, 1)
-	if f.kind == kindWeighted {
+	if f.p.Kind == KindWeighted {
 		entries += 8 * e
 	}
 	stepBytes := 8 * steps
@@ -323,7 +327,7 @@ func TestCompactColumnsRejectHostileInput(t *testing.T) {
 			t.Errorf("%s: the test does not put the file back together as it was", name)
 		}
 	}
-	if len(damaged) != 79 {
+	if len(damaged) != 83 {
 		t.Errorf("only %d damaged files: some cases share a name", len(damaged))
 	}
 	checkHostileFiles(t, damaged, trusted)

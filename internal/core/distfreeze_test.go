@@ -46,21 +46,9 @@ func TestFreezePartitionByteParity(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name  string
-		set   AnySet
-		frame *Frame
-		make  func(index, count int, lists [][]Entry, betas [][]float64) (*Partition, error)
-	}{
-		{"uniform", uni, uni.frame, func(index, count int, lists [][]Entry, _ [][]float64) (*Partition, error) {
-			return FreezePartitionBottomK(uni.Options(), index, count, 60, lists)
-		}},
-		{"weighted", wtd, wtd.frame, func(index, count int, lists [][]Entry, betas [][]float64) (*Partition, error) {
-			return FreezePartitionWeighted(8, 42, ExponentialWeights, index, count, 60, lists, betas)
-		}},
-		{"approx", apx, apx.frame, func(index, count int, lists [][]Entry, _ [][]float64) (*Partition, error) {
-			return FreezePartitionApprox(8, 42, 0.25, index, count, 60, lists)
-		}},
-	} {
+		name string
+		set  *Set
+	}{{"uniform", uni}, {"weighted", wtd}, {"approx", apx}} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, count := range []int{1, 3, 4} {
 				parts, err := SplitSketchSet(tc.set, count)
@@ -68,16 +56,16 @@ func TestFreezePartitionByteParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				for index, want := range parts {
-					lists, betas := frameLists(tc.frame, int(want.Lo()), int(want.Hi()))
-					got, err := tc.make(index, count, lists, betas)
+					lists, betas := frameLists(tc.set.frame, int(want.Lo()), int(want.Hi()))
+					got, err := FreezePartition(tc.set.Params(), index, count, 60, lists, betas)
 					if err != nil {
 						t.Fatalf("count=%d index=%d: %v", count, index, err)
 					}
 					var wb, gb bytes.Buffer
-					if _, err := WritePartitionV3(&wb, want); err != nil {
+					if _, err := want.WriteTo(&wb); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := WritePartitionV3(&gb, got); err != nil {
+					if _, err := got.WriteTo(&gb); err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
@@ -94,24 +82,34 @@ func TestFreezePartitionByteParity(t *testing.T) {
 // wrong list counts, and malformed entry lists.
 func TestFreezePartitionRejects(t *testing.T) {
 	o := Options{K: 2, Flavor: sketch.BottomK, Seed: 1}
+	uniform := Params{Kind: KindUniform, Options: o}
+	approx := func(eps float64) Params { return Params{Kind: KindApprox, Options: Options{K: 2, Seed: 1}, Eps: eps} }
 	good := [][]Entry{{{Node: 0, Dist: 0, Rank: 0.5}}}
-	if _, err := FreezePartitionBottomK(o, 0, 0, 4, good); err == nil {
+	if _, err := FreezePartition(uniform, 0, 0, 4, good, nil); err == nil {
 		t.Error("count=0 accepted")
 	}
-	if _, err := FreezePartitionBottomK(o, 2, 2, 4, good); err == nil {
+	if _, err := FreezePartition(uniform, 2, 2, 4, good, nil); err == nil {
 		t.Error("index out of range accepted")
 	}
-	if _, err := FreezePartitionBottomK(o, 0, 2, 4, good); err == nil {
+	if _, err := FreezePartition(uniform, 0, 2, 4, good, nil); err == nil {
 		t.Error("wrong list count accepted (1 list for a 2-node range)")
 	}
-	if _, err := FreezePartitionApprox(2, 1, -0.5, 0, 4, 4, good); err == nil {
+	if _, err := FreezePartition(approx(-0.5), 0, 4, 4, good, nil); err == nil {
 		t.Error("negative epsilon accepted")
 	}
 	bad := [][]Entry{{{Node: 3, Dist: 1, Rank: 0.5}}} // node 0's list must start with itself
-	if _, err := FreezePartitionApprox(2, 1, 0.1, 0, 4, 4, bad); err == nil {
+	if _, err := FreezePartition(approx(0.1), 0, 4, 4, bad, nil); err == nil {
 		t.Error("list not starting with owner accepted")
 	}
-	if _, err := FreezePartitionWeighted(2, 1, ExponentialWeights, 0, 4, 4, good, [][]float64{}); err == nil {
+	weighted := Params{Kind: KindWeighted, Options: Options{K: 2, Seed: 1}}
+	if _, err := FreezePartition(weighted, 0, 4, 4, good, [][]float64{}); err == nil {
 		t.Error("mismatched beta list count accepted")
+	}
+	kmins := Params{Kind: KindUniform, Options: Options{K: 2, Flavor: sketch.KMins, Seed: 1}}
+	if _, err := FreezePartition(kmins, 0, 4, 4, good, nil); err == nil {
+		t.Error("a k-mins set's one list per node accepted")
+	}
+	if _, err := FreezePartition(Params{Kind: KindApprox, Options: o, Scheme: PriorityWeights}, 0, 4, 4, good, nil); err == nil {
+		t.Error("an approximate set with a weight scheme accepted")
 	}
 }

@@ -8,8 +8,7 @@ import (
 	"os"
 )
 
-// The kind-agnostic set interface (AnySet, frameOf, setFromFrame) and the
-// stream readers over it.  Everything this tree writes is version 3
+// The stream readers.  Everything this tree writes is version 3
 // (framecodec.go), which has one parser, openFrameBytes; the stream
 // readers hand it the bytes of a file of the current layout and then
 // validate every sketch, and hand any other file to the legacy decoder
@@ -27,69 +26,15 @@ const (
 	maxCodecPartitions = 1 << 20
 )
 
-// Set kinds stored in the version-2 and version-3 headers.
-const (
-	kindUniform uint32 = iota
-	kindWeighted
-	kindApprox
-	kindPartition
-)
-
-// AnySet is the kind-agnostic view of a sketch set that the codec can
-// persist and restore: *Set, *WeightedSet, or *ApproxSet.
-type AnySet interface {
-	NumNodes() int
-	K() int
-	SketchOf(v int32) Sketch
-	TotalEntries() int
-	WriteTo(w io.Writer) (int64, error)
-}
-
-var (
-	_ AnySet = (*Set)(nil)
-	_ AnySet = (*WeightedSet)(nil)
-	_ AnySet = (*ApproxSet)(nil)
-)
-
-// frameOf returns the columnar frame backing any of the three set kinds.
-func frameOf(s AnySet) (*Frame, error) {
-	switch x := s.(type) {
-	case *Set:
-		return x.frame, nil
-	case *WeightedSet:
-		return x.frame, nil
-	case *ApproxSet:
-		return x.frame, nil
-	default:
-		return nil, fmt.Errorf("core: cannot encode sketch set type %T", s)
-	}
-}
+// kindPartition is the kind code of a file that holds a partition: the
+// set's own Kind follows in the envelope.
+const kindPartition uint32 = 3
 
 // MemoryOf reports what serving a set holds in memory (heap, or mapping
 // for an mmap'd file): frame is its columns — offsets, packed nodes,
 // distance step code, β — and index the HIP index arena its first query
-// builds, 0 until then.  Both are 0 for a set that is not frame-backed.
-func MemoryOf(s AnySet) (frame, index int64) {
-	f, err := frameOf(s)
-	if err != nil {
-		return 0, 0
-	}
-	return f.bytes(), f.indexBytes()
-}
-
-// setFromFrame wraps a decoded frame in the set type matching its kind.
-func setFromFrame(f *Frame) (AnySet, error) {
-	switch f.kind {
-	case kindUniform:
-		return &Set{frame: f}, nil
-	case kindWeighted:
-		return &WeightedSet{frame: f}, nil
-	case kindApprox:
-		return &ApproxSet{frame: f}, nil
-	default:
-		return nil, fmt.Errorf("core: sketch file has unknown kind %d", f.kind)
-	}
-}
+// builds, 0 until then.
+func MemoryOf(s *Set) (frame, index int64) { return s.frame.bytes(), s.frame.indexBytes() }
 
 // growBuf returns *buf resized to n bytes, reallocating only when the
 // capacity is short — the codec's per-call scratch, reused across nodes.
@@ -100,21 +45,10 @@ func growBuf(buf *[]byte, n int) []byte {
 	return (*buf)[:n]
 }
 
-// WriteTo serializes the set in the version-3 format, exactly as
-// WriteSketchSetV3 does.  It implements io.WriterTo; the returned count is
-// the number of bytes written.
-func (s *Set) WriteTo(w io.Writer) (int64, error) { return writeFrameV3(w, s.frame, nil) }
-
-// WriteTo serializes the weighted set in the version-3 format.
-func (s *WeightedSet) WriteTo(w io.Writer) (int64, error) { return writeFrameV3(w, s.frame, nil) }
-
-// WriteTo serializes the approximate set in the version-3 format.
-func (s *ApproxSet) WriteTo(w io.Writer) (int64, error) { return writeFrameV3(w, s.frame, nil) }
-
 // readAny parses any sketch file — whole set or partition — and returns
 // exactly one of the two.  seed, when non-nil, derives the ranks of a file
 // that stores them but records no seed.
-func readAny(r io.Reader, seed *uint64) (AnySet, *Partition, error) {
+func readAny(r io.Reader, seed *uint64) (*Set, *Partition, error) {
 	var head [8]byte
 	if _, err := io.ReadFull(r, head[:4]); err != nil {
 		return nil, nil, fmt.Errorf("core: reading sketch file magic: %w", err)
@@ -144,14 +78,13 @@ func readAny(r io.Reader, seed *uint64) (AnySet, *Partition, error) {
 	}
 }
 
-// ReadSketchSet deserializes a whole sketch set written by any WriteTo
-// method (or by the version-2 writers of earlier releases), validating the
-// structural invariants of every sketch — unlike OpenSketchFile, which
-// trusts the file.  The dynamic type of the result is *Set, *WeightedSet,
-// or *ApproxSet according to the stored kind.  Partition files are
-// refused; read those with ReadPartition (or merge them back with
-// MergeSketchSets / adstool merge).
-func ReadSketchSet(r io.Reader) (AnySet, error) {
+// ReadSketchSet deserializes a whole sketch set of any kind written by
+// Set.WriteTo (or by the version-2 writers of earlier releases),
+// validating the structural invariants of every sketch — unlike
+// OpenSketchFile, which trusts the file.  Partition files are refused;
+// read those with ReadPartition (or merge them back with MergeSketchSets /
+// adstool merge).
+func ReadSketchSet(r io.Reader) (*Set, error) {
 	set, part, err := readAny(r, nil)
 	if err != nil {
 		return nil, err
@@ -165,7 +98,7 @@ func ReadSketchSet(r io.Reader) (AnySet, error) {
 // ReadSketchFile reads either kind of sketch file from a stream,
 // validating every sketch like ReadSketchSet, and returns exactly one of a
 // whole set or a partition.
-func ReadSketchFile(r io.Reader) (AnySet, *Partition, error) {
+func ReadSketchFile(r io.Reader) (*Set, *Partition, error) {
 	return readAny(r, nil)
 }
 
@@ -174,19 +107,24 @@ func ReadSketchFile(r io.Reader) (AnySet, *Partition, error) {
 // approximate one, which ReadSketchFile refuses: every stored rank is
 // checked against the one seed derives, and the set derives them from it.
 // A file that records a seed other than seed is refused.
-func ReadSketchFileWithSeed(r io.Reader, seed uint64) (AnySet, *Partition, error) {
+func ReadSketchFileWithSeed(r io.Reader, seed uint64) (*Set, *Partition, error) {
 	set, part, err := readAny(r, &seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	inner := set
-	if part != nil {
-		inner = part.set
-	}
-	if f, _ := frameOf(inner); f.opts.Seed != seed {
-		return nil, nil, fmt.Errorf("core: seed %d given, but the sketch file records seed %d", seed, f.opts.Seed)
+	if recorded := fileFrame(set, part).p.Seed; recorded != seed {
+		return nil, nil, fmt.Errorf("core: seed %d given, but the sketch file records seed %d", seed, recorded)
 	}
 	return set, part, nil
+}
+
+// fileFrame returns the frame of what a file holds: exactly one of a whole
+// set and a partition.
+func fileFrame(set *Set, part *Partition) *Frame {
+	if part != nil {
+		return part.set.frame
+	}
+	return set.frame
 }
 
 // validateDecoded checks the structural invariants of every sketch of a
@@ -198,7 +136,7 @@ func validateDecoded(f *Frame, lists [][]Entry) error {
 	for v := 0; v < f.n; v++ {
 		var given [][]Entry
 		if lists != nil {
-			given = lists[v*f.segs : (v+1)*f.segs]
+			given = lists[v*f.segs() : (v+1)*f.segs()]
 		}
 		if err := f.validate(&ranks, v, given); err != nil {
 			return fmt.Errorf("core: corrupt sketch file: %w", err)

@@ -463,7 +463,7 @@ func TestWeightedADSUnbiased(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc.Add(set.Sketch(9).EstimateNeighborhoodWeight(d))
+		acc.Add(set.Sketch(9).(*WeightedADS).EstimateNeighborhoodWeight(d))
 	}
 	if bias := acc.Bias(); math.Abs(bias) > 0.05 {
 		t.Errorf("weighted neighborhood bias = %+.3f (exact %g)", bias, exact)
@@ -488,7 +488,7 @@ func TestWeightedADSFavorsHeavyNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range set.Sketch(0).Entries() {
+		for _, e := range set.Sketch(0).(*WeightedADS).Entries() {
 			if e.Node == 42 {
 				counts++
 			}
@@ -627,7 +627,7 @@ func TestPriorityWeightedADSUnbiased(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc.Add(set.Sketch(9).EstimateNeighborhoodWeight(d))
+		acc.Add(set.Sketch(9).(*WeightedADS).EstimateNeighborhoodWeight(d))
 	}
 	if bias := acc.Bias(); math.Abs(bias) > 0.05 {
 		t.Errorf("priority weighted bias = %+.3f (exact %g)", bias, exact)

@@ -31,9 +31,9 @@ func TestEncodeRoundTripAllFlavors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v baseB=%g: %v", fl, baseB, err)
 			}
-			got := read.(*Set)
-			if got.Options() != set.Options() {
-				t.Fatalf("options changed: %+v vs %+v", got.Options(), set.Options())
+			got := read
+			if got.Params() != set.Params() {
+				t.Fatalf("options changed: %+v vs %+v", got.Params(), set.Params())
 			}
 			for v := int32(0); int(v) < g.NumNodes(); v++ {
 				equalSketches(t, fmt.Sprintf("roundtrip %v node %d", fl, v),
@@ -395,7 +395,7 @@ func TestApproxSetEpsZeroMatchesExact(t *testing.T) {
 	// the exact one (stale entries may linger but valid ones are present).
 	for v := int32(0); int(v) < g.NumNodes(); v++ {
 		members := map[int32]float64{}
-		for _, e := range set.Sketch(v).Entries() {
+		for _, e := range set.BottomK(v).Entries() {
 			members[e.Node] = e.Dist
 		}
 		for _, e := range exact.BottomK(v).Entries() {

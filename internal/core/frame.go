@@ -56,16 +56,12 @@ type ranker struct {
 	scheme   WeightScheme
 }
 
-func newRanker(kind uint32, o Options, scheme WeightScheme) ranker {
-	r := ranker{src: o.Source()}
-	switch kind {
-	case kindWeighted:
-		r.weighted, r.scheme = true, scheme
-	case kindUniform:
-		r.kmins = o.Flavor == sketch.KMins
-		if o.BaseB > 1 {
-			r.rounded, r.base = true, rank.NewBaseB(o.BaseB)
-		}
+// newRanker returns the ranker of a set of a valid p, whose unused fields
+// are zero.
+func newRanker(p Params) ranker {
+	r := ranker{src: p.Source(), kmins: p.Flavor == sketch.KMins, weighted: p.Kind == KindWeighted, scheme: p.Scheme}
+	if p.BaseB > 1 {
+		r.rounded, r.base = true, rank.NewBaseB(p.BaseB)
 	}
 	return r
 }
@@ -259,7 +255,7 @@ func colsFromEntries(entries []Entry) cols {
 	return c
 }
 
-// Frame is the frozen columnar storage of one sketch set: segs segments
+// Frame is the frozen columnar storage of one sketch set: segs() segments
 // per node (1 for bottom-k/weighted/approximate, k for the per-permutation
 // and per-bucket lists of k-mins and k-partition), described by an offsets
 // column over shared entry columns.  Offsets are absolute positions into
@@ -273,49 +269,48 @@ func colsFromEntries(entries []Entry) cols {
 // of the whole set the frame is (a range of): what its entries' IDs are
 // below, and so what fixes their width.
 type Frame struct {
-	kind   uint32 // kindUniform, kindWeighted, kindApprox
-	opts   Options
-	scheme WeightScheme // weighted sets
-	eps    float64      // approximate sets
-	segs   int
-	n      int
-	base   int32
-	total  int
-	off    packedColumn // absolute entry positions, offsetWidth(the column's last) bits each, packed
-	off0   int64        // position in off of local node 0's first offset; n*segs+1 of them are the frame's
-	node   packedColumn // nodeWidth(total) bits per entry, packed
-	first  []uint64     // one bit per entry: set where a distance step starts
-	samp   []int64      // sampled popcounts of first, for rank1
-	steps  stepColumn   // one distance per set bit of first
-	beta   []float64    // weighted sets: β per entry, parallel to node
-	by     ranker       // derives the ranks
+	p     Params // what the set is; segs and the ranker derive from it
+	n     int
+	base  int32
+	total int
+	off   packedColumn // absolute entry positions, offsetWidth(the column's last) bits each, packed
+	off0  int64        // position in off of local node 0's first offset; n*segs+1 of them are the frame's
+	node  packedColumn // nodeWidth(total) bits per entry, packed
+	first []uint64     // one bit per entry: set where a distance step starts
+	samp  []int64      // sampled popcounts of first, for rank1
+	steps stepColumn   // one distance per set bit of first
+	beta  []float64    // weighted sets: β per entry, parallel to node
+	by    ranker       // derives the ranks
 
 	hipOnce sync.Once
 	hip     atomic.Pointer[hipArena] // set once, by hipOnce
 }
 
+// segs returns the segments per node.
+func (f *Frame) segs() int { return f.p.segs() }
+
 // freezeWhole is freezeFrame for a whole set: local node 0 is node 0, and
 // the lists are all there are.
-func freezeWhole(kind uint32, opts Options, scheme WeightScheme, eps float64, segs int, lists [][]Entry) *Frame {
-	return freezeFrame(kind, opts, scheme, eps, segs, 0, len(lists)/segs, lists)
+func freezeWhole(p Params, lists [][]Entry) *Frame {
+	return freezeFrame(p, 0, len(lists)/p.segs(), lists)
 }
 
 // freezeFrame assembles per-segment entry lists (node-major: segment s of
-// node v is lists[v*segs+s]) of nodes base... of a total-node set into one
-// frame.  The entries' Rank fields are not kept, and a Node outside the
-// set loses its high bits: callers that did not draw them from opts and
-// the set themselves check them against the frame's (validate).
-func freezeFrame(kind uint32, opts Options, scheme WeightScheme, eps float64, segs int, base int32, total int, lists [][]Entry) *Frame {
+// node v is lists[v*segs+s]) of nodes base... of a total-node set of
+// parameters p into one frame.  The entries' Rank fields are not kept, and
+// a Node outside the set loses its high bits: callers that did not draw
+// them from p and the set themselves check them against the frame's
+// (validate).
+func freezeFrame(p Params, base int32, total int, lists [][]Entry) *Frame {
 	entries := 0
 	for _, l := range lists {
 		entries += len(l)
 	}
 	f := &Frame{
-		kind: kind, opts: opts, scheme: scheme, eps: eps,
-		segs: segs, n: len(lists) / segs, base: base, total: total,
+		p: p, n: len(lists) / p.segs(), base: base, total: total,
 		off:  makePackedColumn(int64(len(lists)+1), offsetWidth(int64(entries))),
 		node: makePackedColumn(int64(entries), nodeWidth(total)),
-		by:   newRanker(kind, opts, scheme),
+		by:   newRanker(p),
 	}
 	// One pass over the entries packs the nodes and marks and counts the
 	// distance steps; the step column, sized exactly, is then filled from
@@ -393,11 +388,11 @@ func (f *Frame) ownOffsets() *packedColumn {
 func (f *Frame) offAt(i int) int64 { return int64(f.off.get(f.off0 + int64(i))) }
 
 // numOffsets returns the frame's offset count.
-func (f *Frame) numOffsets() int { return f.n*f.segs + 1 }
+func (f *Frame) numOffsets() int { return f.n*f.segs() + 1 }
 
 // entryRange returns the range of entry positions of the frame's own node
 // range.
-func (f *Frame) entryRange() (lo, hi int64) { return f.offAt(0), f.offAt(f.n * f.segs) }
+func (f *Frame) entryRange() (lo, hi int64) { return f.offAt(0), f.offAt(f.n * f.segs()) }
 
 // stepRange returns the range of the step column that the frame's own
 // entries use.
@@ -423,8 +418,8 @@ func (f *Frame) width() uint { return f.node.w }
 // carry full capacity bounds so an (erroneous) append cannot overwrite a
 // neighboring sketch.
 func (f *Frame) segAt(local, s int) cols {
-	lo := f.offAt(local*f.segs + s)
-	return f.segOver(lo, f.offAt(local*f.segs+s+1), f.rank1(lo), s)
+	lo := f.offAt(local*f.segs() + s)
+	return f.segOver(lo, f.offAt(local*f.segs()+s+1), f.rank1(lo), s)
 }
 
 // segOver is segAt for the entry range [lo, hi) whose steps start at
@@ -446,35 +441,27 @@ func (f *Frame) segOver(lo, hi, slo int64, s int) cols {
 // span returns the absolute entry range of local node v across all its
 // segments.
 func (f *Frame) span(local int) (lo, hi int64) {
-	return f.offAt(local * f.segs), f.offAt((local + 1) * f.segs)
+	return f.offAt(local * f.segs()), f.offAt((local + 1) * f.segs())
 }
 
-// viewSketch constructs the flavor-appropriate view of local node v.
+// viewSketch constructs the kind's and flavor's view of local node v.
 func (f *Frame) viewSketch(local int) Sketch {
-	if f.kind == kindWeighted {
-		return f.viewWeighted(local)
-	}
-	switch f.opts.Flavor {
-	case sketch.KMins:
-		return &KMinsADS{k: f.opts.K, node: f.owner(local), perms: f.segViews(local)}
-	case sketch.KPartition:
-		return &KPartitionADS{k: f.opts.K, node: f.owner(local), buckets: f.segViews(local)}
+	k, owner := f.p.K, f.owner(local)
+	switch {
+	case f.p.Kind == KindWeighted:
+		return &WeightedADS{k: k, node: owner, scheme: f.p.Scheme, c: f.segAt(local, 0)}
+	case f.p.Flavor == sketch.KMins:
+		return &KMinsADS{k: k, node: owner, perms: f.segViews(local)}
+	case f.p.Flavor == sketch.KPartition:
+		return &KPartitionADS{k: k, node: owner, buckets: f.segViews(local)}
 	default:
-		return f.viewADS(local)
+		return &ADS{k: k, node: owner, c: f.segAt(local, 0)}
 	}
-}
-
-func (f *Frame) viewADS(local int) *ADS {
-	return &ADS{k: f.opts.K, node: f.owner(local), c: f.segAt(local, 0)}
-}
-
-func (f *Frame) viewWeighted(local int) *WeightedADS {
-	return &WeightedADS{k: f.opts.K, node: f.owner(local), scheme: f.scheme, c: f.segAt(local, 0)}
 }
 
 // segViews returns the per-segment column views of local node v.
 func (f *Frame) segViews(local int) []cols {
-	segs := make([]cols, f.segs)
+	segs := make([]cols, f.segs())
 	for s := range segs {
 		segs[s] = f.segAt(local, s)
 	}
@@ -486,9 +473,8 @@ func (f *Frame) segViews(local int) []cols {
 // copied.
 func (f *Frame) slice(lo, hi int) *Frame {
 	return &Frame{
-		kind: f.kind, opts: f.opts, scheme: f.scheme, eps: f.eps,
-		segs: f.segs, n: hi - lo, base: f.base + int32(lo), total: f.total,
-		off: f.off, off0: f.off0 + int64(lo*f.segs),
+		p: f.p, n: hi - lo, base: f.base + int32(lo), total: f.total,
+		off: f.off, off0: f.off0 + int64(lo*f.segs()),
 		node: f.node, first: f.first, samp: f.samp, steps: f.steps,
 		beta: f.beta, by: f.by,
 	}
@@ -510,14 +496,13 @@ func mergeFrames(frames []*Frame) *Frame {
 		nodes += f.n
 	}
 	out := &Frame{
-		kind: first.kind, opts: first.opts, scheme: first.scheme, eps: first.eps,
-		segs: first.segs, n: nodes, base: 0, total: nodes,
-		off:  makePackedColumn(int64(nodes*first.segs+1), offsetWidth(total)),
+		p: first.p, n: nodes, base: 0, total: nodes,
+		off:  makePackedColumn(int64(nodes*first.segs()+1), offsetWidth(total)),
 		node: makePackedColumn(total, nodeWidth(nodes)),
 		by:   first.by,
 	}
 	marks, step := make([]uint64, bitWords(total)), make([]float64, 0, steps)
-	if first.kind == kindWeighted {
+	if first.p.Kind == KindWeighted {
 		out.beta = make([]float64, total)
 	}
 	pos, seg := int64(0), int64(0)
@@ -530,7 +515,7 @@ func mergeFrames(frames []*Frame) *Frame {
 		if out.beta != nil {
 			copy(out.beta[pos:], f.beta[flo:fhi])
 		}
-		for i := 0; i < f.n*f.segs; i++ {
+		for i := 0; i < f.n*f.segs(); i++ {
 			out.off.put(seg, uint64(pos+f.offAt(i)-flo))
 			seg++
 		}
@@ -608,7 +593,7 @@ func (s *rankScratch) derive(dst []float64, by *ranker, perm int, nodes []int32,
 // the frame.
 func (f *Frame) ranked(s *rankScratch, local int) []cols {
 	segs := s.segs[:0]
-	for i := 0; i < f.segs; i++ {
+	for i := 0; i < f.segs(); i++ {
 		segs = append(segs, f.segAt(local, i))
 	}
 	return f.filled(s, segs)
@@ -649,14 +634,14 @@ func (f *Frame) validate(s *rankScratch, local int, given [][]Entry) error {
 
 // validateSegs is validate over local node v's filled views.
 func (f *Frame) validateSegs(segs []cols, local int, given [][]Entry) error {
-	k, owner := f.opts.K, f.owner(local)
+	k, owner := f.p.K, f.owner(local)
 	for s, l := range given {
 		for i, e := range l {
 			if u := segs[s].node[i]; e.Node != u {
 				return fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", owner, i, e.Node, f.total)
 			}
 			if r := segs[s].rank[i]; e.Rank != r {
-				return fmt.Errorf("core: ADS(%d) segment %d entry %d (node %d) has rank %g, the set's seed derives %g (seed %d)", owner, s, i, e.Node, e.Rank, r, f.opts.Seed)
+				return fmt.Errorf("core: ADS(%d) segment %d entry %d (node %d) has rank %g, the set's seed derives %g (seed %d)", owner, s, i, e.Node, e.Rank, r, f.p.Seed)
 			}
 		}
 	}
@@ -671,13 +656,13 @@ func (f *Frame) validateSegs(segs []cols, local int, given [][]Entry) error {
 	}
 	var err error
 	switch {
-	case f.kind == kindWeighted:
-		err = (&WeightedADS{k: k, node: owner, scheme: f.scheme, c: segs[0]}).Validate()
-	case f.kind == kindApprox:
+	case f.p.Kind == KindWeighted:
+		err = (&WeightedADS{k: k, node: owner, scheme: f.p.Scheme, c: segs[0]}).Validate()
+	case f.p.Kind == KindApprox:
 		err = validateApproxView(&ADS{k: k, node: owner, c: segs[0]})
-	case f.opts.Flavor == sketch.KMins:
+	case f.p.Flavor == sketch.KMins:
 		err = (&KMinsADS{k: k, node: owner, perms: segs}).Validate()
-	case f.opts.Flavor == sketch.KPartition:
+	case f.p.Flavor == sketch.KPartition:
 		err = (&KPartitionADS{k: k, node: owner, buckets: segs}).Validate()
 	default:
 		err = (&ADS{k: k, node: owner, c: segs[0]}).Validate()
@@ -759,17 +744,17 @@ func (f *Frame) buildHIP() {
 		cumH:  make([]float64, steps),
 	}
 	ranges := 1
-	if f.segs == 1 {
+	if f.segs() == 1 {
 		ranges = max(1, min(runtime.GOMAXPROCS(0), f.n))
 	} else {
 		a.hnode = makePackedColumn(int64(e), f.width())
 		a.merged = newStepWriter(e, nil, int64(steps))
 	}
 	fanOut(ranges, func(r int) {
-		h := newMaxHeap(f.opts.K)
+		h := newMaxHeap(f.p.K)
 		var ranks rankScratch
 		vlo, vhi := nodeRange(r, ranges, f.n)
-		lo := f.offAt(vlo * f.segs)
+		lo := f.offAt(vlo * f.segs())
 		hpos, upos := int(lo-elo), int(f.rank1(lo)-slo)
 		for v := vlo; v < vhi; v++ {
 			hpos, upos = f.indexNode(a, v, hpos, upos, h, &ranks)
@@ -785,12 +770,11 @@ func (f *Frame) indexNode(a *hipArena, v, hpos, upos int, h *maxHeap, ranks *ran
 	segs := f.ranked(ranks, v)
 	x := &a.views[v]
 	hw := a.hw[hpos:hpos]
-	if f.segs == 1 {
-		switch f.kind {
-		case kindWeighted:
-			hw = hipWeightsWeighted(segs[0].rank, segs[0].beta, f.scheme, f.opts.K, h, hw)
-		default:
-			hw = hipWeightsBottomK(segs[0].rank, f.opts.K, h, hw)
+	if f.segs() == 1 {
+		if f.p.Kind == KindWeighted {
+			hw = hipWeightsWeighted(segs[0].rank, segs[0].beta, f.p.Scheme, f.p.K, h, hw)
+		} else {
+			hw = hipWeightsBottomK(segs[0].rank, f.p.K, h, hw)
 		}
 		x.enode, x.sd = segs[0].pn, segs[0].sd // the frame's words, not the scratch
 	} else {
@@ -802,7 +786,7 @@ func (f *Frame) indexNode(a *hipArena, v, hpos, upos int, h *maxHeap, ranks *ran
 			a.hnode.put(pos, nodeBits(node))
 			hw = append(hw, weight)
 		}
-		if f.opts.Flavor == sketch.KMins {
+		if f.p.Flavor == sketch.KMins {
 			hipMergeKMins(segs, emit)
 		} else {
 			hipMergeKPartition(segs, emit)

@@ -85,7 +85,7 @@ import (
 // everywhere: copied, never mapped, and validated like any stream.
 
 // EncodeVersion is the sketch file format version: the one every writer
-// emits (the WriteTo methods, WriteSketchSetV3 / WritePartitionV3) and
+// emits (Set.WriteTo, Partition.WriteTo) and
 // OpenSketchFile / MmapSketchFile open zero-copy.
 const EncodeVersion = 3
 
@@ -202,19 +202,20 @@ func (h *frameHdr) bodySize() int64 {
 	return s
 }
 
-// validateEnvelope checks a partition envelope, of either version.
+// validateEnvelope checks a partition envelope, of either version: the
+// range it claims must be the one its position in the split gives it.
 func (h *frameHdr) validateEnvelope() error {
-	switch {
-	case h.count < 1 || h.count > maxCodecPartitions:
-		return fmt.Errorf("core: implausible partition count %d", h.count)
-	case h.index >= h.count:
-		return fmt.Errorf("core: partition index %d out of range [0, %d)", h.index, h.count)
-	case h.total > 1<<30:
-		return fmt.Errorf("core: implausible node count %d", h.total)
-	case h.lo > h.hi || h.hi > h.total:
-		return fmt.Errorf("core: partition node range [%d, %d) outside [0, %d)", h.lo, h.hi, h.total)
+	return checkPartRange(int(h.index), int(h.count), int(h.total), int64(h.lo), int64(h.hi))
+}
+
+// params returns the set parameters the header records.
+func (h *frameHdr) params() Params {
+	return Params{
+		Kind:    Kind(h.setKind()),
+		Options: Options{K: int(h.k), Flavor: sketch.Flavor(h.flavor), Seed: h.seed, BaseB: h.baseB},
+		Scheme:  WeightScheme(h.scheme),
+		Eps:     h.eps,
 	}
-	return nil
 }
 
 // validate checks every header field against the format's invariants, of
@@ -223,12 +224,8 @@ func (h *frameHdr) validate() error {
 	if h.flags&^uint32(frameFlagsKnown) != 0 {
 		return fmt.Errorf("core: sketch file has unknown flags %#x", h.flags)
 	}
-	switch h.setKind() {
-	case kindUniform, kindWeighted, kindApprox:
-	case kindPartition:
+	if h.setKind() == kindPartition {
 		return fmt.Errorf("core: sketch partitions cannot nest")
-	default:
-		return fmt.Errorf("core: sketch file has unknown kind %d", h.setKind())
 	}
 	if h.partitioned() {
 		if err := h.validateEnvelope(); err != nil {
@@ -238,40 +235,21 @@ func (h *frameHdr) validate() error {
 			return fmt.Errorf("core: partition claims nodes [%d, %d) but holds %d sketches", h.lo, h.hi, h.n)
 		}
 	}
-	if h.k < 1 || h.k > maxCodecK {
+	if h.k > maxCodecK {
 		return fmt.Errorf("core: implausible sketch parameter k=%d", h.k)
 	}
 	if h.n > 1<<30 {
 		return fmt.Errorf("core: implausible node count %d", h.n)
 	}
-	wantSegs := uint32(1)
-	switch h.setKind() {
-	case kindUniform:
-		switch sketch.Flavor(h.flavor) {
-		case sketch.BottomK:
-		case sketch.KMins, sketch.KPartition:
-			wantSegs = h.k
-		default:
-			return fmt.Errorf("core: sketch file has unknown flavor %d", h.flavor)
-		}
-		if h.baseB != 0 && !(h.baseB > 1) {
-			return fmt.Errorf("core: sketch file has invalid base %g", h.baseB)
-		}
-	case kindWeighted:
-		if h.scheme != uint32(ExponentialWeights) && h.scheme != uint32(PriorityWeights) {
-			return fmt.Errorf("core: sketch file has unknown weight scheme %d", h.scheme)
-		}
-	case kindApprox:
-		if h.eps < 0 || math.IsNaN(h.eps) || math.IsInf(h.eps, 1) {
-			return fmt.Errorf("core: sketch file has invalid epsilon %g", h.eps)
-		}
+	p := h.params()
+	if err := p.validate(); err != nil {
+		return err
 	}
-	if h.segs != wantSegs {
-		return fmt.Errorf("core: sketch file claims %d segments per node, want %d", h.segs, wantSegs)
+	if h.segs != uint32(p.segs()) {
+		return fmt.Errorf("core: sketch file claims %d segments per node, want %d", h.segs, p.segs())
 	}
-	hasBeta := h.flags&frameFlagBeta != 0
-	if hasBeta != (h.setKind() == kindWeighted) {
-		return fmt.Errorf("core: sketch file beta column mismatch (kind %d, flags %#x)", h.setKind(), h.flags)
+	if hasBeta := h.flags&frameFlagBeta != 0; hasBeta != (p.Kind == KindWeighted) {
+		return fmt.Errorf("core: sketch file beta column mismatch (kind %v, flags %#x)", p.Kind, h.flags)
 	}
 	if h.numEntries > 1<<40 {
 		return fmt.Errorf("core: implausible entry count %d", h.numEntries)
@@ -296,24 +274,24 @@ func headerOf(f *Frame, part *Partition) frameHdr { return headerWith(f, part, f
 // already.
 func headerWith(f *Frame, part *Partition, own *stepColumn) frameHdr {
 	h := frameHdr{
-		kind:       f.kind,
-		k:          uint32(f.opts.K),
-		flavor:     uint32(f.opts.Flavor),
-		seed:       f.opts.Seed,
-		baseB:      f.opts.BaseB,
-		scheme:     uint32(f.scheme),
-		segs:       uint32(f.segs),
-		eps:        f.eps,
+		kind:       uint32(f.p.Kind),
+		k:          uint32(f.p.K),
+		flavor:     uint32(f.p.Flavor),
+		seed:       f.p.Seed,
+		baseB:      f.p.BaseB,
+		scheme:     uint32(f.p.Scheme),
+		segs:       uint32(f.segs()),
+		eps:        f.p.Eps,
 		n:          uint64(f.n),
 		numEntries: uint64(f.totalEntries()),
 	}
 	h.numSteps, h.numDistinct = uint64(own.n), uint64(len(own.dict))
 	h.flags = frameFlagsLayout
-	if f.kind == kindWeighted {
+	if f.p.Kind == KindWeighted {
 		h.flags |= frameFlagBeta
 	}
 	if part != nil {
-		h.innerKind = f.kind
+		h.innerKind = h.kind
 		h.kind = kindPartition
 		h.index = uint32(part.Index())
 		h.count = uint32(part.Count())
@@ -451,28 +429,6 @@ func writeRaw(bw *bufio.Writer, b []byte) error {
 	return err
 }
 
-// WriteSketchSetV3 serializes a whole sketch set in the version-3
-// columnar format.  The estimates computed from the reloaded set are
-// bit-for-bit those of the original.
-func WriteSketchSetV3(w io.Writer, s AnySet) (int64, error) {
-	f, err := frameOf(s)
-	if err != nil {
-		return 0, err
-	}
-	return writeFrameV3(w, f, nil)
-}
-
-// WritePartitionV3 serializes one partition in the version-3 columnar
-// format (the partition envelope followed by the frame columns) — the
-// shard file an mmap-serving worker opens.
-func WritePartitionV3(w io.Writer, p *Partition) (int64, error) {
-	f, err := frameOf(p.Set())
-	if err != nil {
-		return 0, err
-	}
-	return writeFrameV3(w, f, p)
-}
-
 // Raw byte views of column slices, used on little-endian hosts where the
 // in-memory representation equals the wire representation.
 
@@ -578,23 +534,9 @@ func readFrameHdr(data []byte) (frameHdr, int, error) {
 // frameFromHdr returns the in-memory frame, no column yet, of a validated
 // header.
 func frameFromHdr(h frameHdr) *Frame {
-	f := &Frame{
-		kind:  h.setKind(),
-		opts:  Options{K: int(h.k), Seed: h.seed},
-		segs:  int(h.segs),
-		n:     int(h.n),
-		total: h.totalNodes(),
-	}
+	p := h.params()
+	f := &Frame{p: p, n: int(h.n), total: h.totalNodes(), by: newRanker(p)}
 	f.node.w, f.off.w = nodeWidth(f.total), offsetWidth(int64(h.numEntries))
-	switch f.kind {
-	case kindUniform:
-		f.opts.Flavor, f.opts.BaseB = sketch.Flavor(h.flavor), h.baseB
-	case kindWeighted:
-		f.scheme = WeightScheme(h.scheme)
-	case kindApprox:
-		f.eps = h.eps
-	}
-	f.by = newRanker(f.kind, f.opts, f.scheme)
 	if h.partitioned() {
 		f.base = int32(h.lo)
 	}
@@ -603,10 +545,10 @@ func frameFromHdr(h frameHdr) *Frame {
 
 // wrap returns the set of a frame read under h, or — when h has the
 // partition envelope — the partition holding it.
-func (h *frameHdr) wrap(f *Frame) (AnySet, *Partition, error) {
-	set, err := setFromFrame(f)
-	if err != nil || !h.partitioned() {
-		return set, nil, err
+func (h *frameHdr) wrap(f *Frame) (*Set, *Partition) {
+	set := &Set{frame: f}
+	if !h.partitioned() {
+		return set, nil
 	}
 	return nil, &Partition{
 		index: int(h.index),
@@ -615,7 +557,7 @@ func (h *frameHdr) wrap(f *Frame) (AnySet, *Partition, error) {
 		hi:    int32(h.hi),
 		total: int(h.total),
 		set:   set,
-	}, nil
+	}
 }
 
 // validateOffsets checks that the n offsets are monotonic and cover
@@ -682,7 +624,7 @@ func validateDict(c *stepColumn) error {
 // allocations on the zero-copy path and never allocates proportionally to
 // corrupt header claims: every count is bounds-checked against len(data)
 // first.
-func openFrameBytes(data []byte) (AnySet, *Partition, error) {
+func openFrameBytes(data []byte) (*Set, *Partition, error) {
 	if len(data) < framePreambleSize {
 		return nil, nil, fmt.Errorf("core: truncated sketch file")
 	}
@@ -757,7 +699,8 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 	if h.flags&frameFlagBeta != 0 {
 		f.beta = f64s(next(e * 8))
 	}
-	return h.wrap(f)
+	set, part := h.wrap(f)
+	return set, part, nil
 }
 
 // readFrameStream reads a version-3 file from a stream whose magic and
@@ -769,7 +712,7 @@ func openFrameBytes(data []byte) (AnySet, *Partition, error) {
 // current layout, and — unlike the file openers, which trust what the
 // operator built — every sketch is then validated; the legacy decoder
 // reads any other, with seed for the ranks of one that records none.
-func readFrameStream(r io.Reader, size int64, seed *uint64) (AnySet, *Partition, error) {
+func readFrameStream(r io.Reader, size int64, seed *uint64) (*Set, *Partition, error) {
 	// ReadFrom keeps bytes.MinRead free while it reads: with that much
 	// slack a file of the stated size never grows the buffer.
 	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
@@ -784,11 +727,7 @@ func readFrameStream(r io.Reader, size int64, seed *uint64) (AnySet, *Partition,
 	if err != nil {
 		return nil, nil, err
 	}
-	inner := set
-	if part != nil {
-		inner = part.set
-	}
-	f, _ := frameOf(inner) // openFrameBytes produces one of frameOf's three kinds
+	f := fileFrame(set, part)
 	if err := validateDecoded(f, nil); err != nil {
 		return nil, nil, err
 	}
@@ -808,7 +747,7 @@ func readFrameStream(r io.Reader, size int64, seed *uint64) (AnySet, *Partition,
 // owner's release — only marks the file draining.  The munmap happens
 // when the last reference drops, whichever call that is.
 type SketchFile struct {
-	set     AnySet
+	set     *Set
 	part    *Partition
 	version int
 	mapped  []byte // non-nil iff the columns view an mmap region
@@ -822,14 +761,14 @@ type SketchFile struct {
 
 // newSketchFile assembles an opened file holding the opener's single
 // reference.
-func newSketchFile(set AnySet, part *Partition, version int, mapped []byte) *SketchFile {
+func newSketchFile(set *Set, part *Partition, version int, mapped []byte) *SketchFile {
 	s := &SketchFile{set: set, part: part, version: version, mapped: mapped}
 	s.refs.Store(1)
 	return s
 }
 
 // Set returns the whole set, or nil for a partition file.
-func (s *SketchFile) Set() AnySet { return s.set }
+func (s *SketchFile) Set() *Set { return s.set }
 
 // Partition returns the partition, or nil for a whole-set file.
 func (s *SketchFile) Partition() *Partition { return s.part }
@@ -839,14 +778,7 @@ func (s *SketchFile) Partition() *Partition { return s.part }
 func (s *SketchFile) Version() int { return s.version }
 
 // frame returns the frame of the file's set or partition.
-func (s *SketchFile) frame() *Frame {
-	set := s.set
-	if s.part != nil {
-		set = s.part.set
-	}
-	f, _ := frameOf(set) // every opener produces one of frameOf's three kinds
-	return f
-}
+func (s *SketchFile) frame() *Frame { return fileFrame(s.set, s.part) }
 
 // ColumnSize is the byte cost of one part of a version-3 file.
 type ColumnSize struct {

@@ -15,10 +15,10 @@ import (
 )
 
 // frameKinds builds one set of every kind/flavor the codec must carry.
-func frameKinds(t *testing.T) map[string]AnySet {
+func frameKinds(t *testing.T) map[string]*Set {
 	t.Helper()
 	g := graph.PreferentialAttachment(120, 3, 9)
-	out := map[string]AnySet{}
+	out := map[string]*Set{}
 	for name, o := range map[string]Options{
 		"bottomk":    {K: 8, Seed: 42},
 		"kmins":      {K: 4, Flavor: sketch.KMins, Seed: 42},
@@ -55,22 +55,22 @@ func frameKinds(t *testing.T) map[string]AnySet {
 
 // v3Bytes is the canonical comparison key: two sets serializing to the
 // same version-3 bytes hold bit-identical sketches.
-func v3Bytes(t testing.TB, s AnySet) []byte {
+func v3Bytes(t testing.TB, s *Set) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	n, err := WriteSketchSetV3(&buf, s)
+	n, err := s.WriteTo(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
-		t.Fatalf("WriteSketchSetV3 reported %d bytes, wrote %d", n, buf.Len())
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
 	return buf.Bytes()
 }
 
 // fileBytes serializes whichever of a whole set or a partition a reader
 // returned.
-func fileBytes(t testing.TB, set AnySet, part *Partition) []byte {
+func fileBytes(t testing.TB, set *Set, part *Partition) []byte {
 	t.Helper()
 	var src io.WriterTo = set
 	if part != nil {
@@ -141,7 +141,7 @@ func TestPartitionV3RoundTrip(t *testing.T) {
 			reloaded := make([]*Partition, len(parts))
 			for i, p := range parts {
 				var buf bytes.Buffer
-				if _, err := WritePartitionV3(&buf, p); err != nil {
+				if _, err := p.WriteTo(&buf); err != nil {
 					t.Fatal(err)
 				}
 				// Stream path.
@@ -267,28 +267,28 @@ type v2Fixture struct {
 	file   string
 	stored bool // a weighted or approximate v2 body records no seed: it is read under seed 42, or refused
 	part   int  // the index the file holds of a 2-way split of its build, or -1 for the whole set
-	build  func(g *graph.Graph, beta []float64) (AnySet, error)
+	build  func(g *graph.Graph, beta []float64) (*Set, error)
 }
 
 // Every fixture but the first is `gen -type ba -n 60 -m 3 -seed 9` built
 // with `-k 4 -seed 42` and, where weighted, weights 1+i%7.
 var v2Fixtures = []v2Fixture{
-	{"uniform_v2_k8.ads", false, -1, func(*graph.Graph, []float64) (AnySet, error) {
+	{"uniform_v2_k8.ads", false, -1, func(*graph.Graph, []float64) (*Set, error) {
 		return BuildSet(graph.PreferentialAttachment(200, 3, 7), Options{K: 8, Seed: 42}, AlgoPrunedDijkstra)
 	}},
-	{"kmins_base2_v2_k4.ads", false, -1, func(g *graph.Graph, _ []float64) (AnySet, error) {
+	{"kmins_base2_v2_k4.ads", false, -1, func(g *graph.Graph, _ []float64) (*Set, error) {
 		return BuildSet(g, Options{K: 4, Flavor: sketch.KMins, Seed: 42, BaseB: 2}, AlgoPrunedDijkstra)
 	}},
-	{"weighted_v2_k4.ads", true, -1, func(g *graph.Graph, beta []float64) (AnySet, error) {
+	{"weighted_v2_k4.ads", true, -1, func(g *graph.Graph, beta []float64) (*Set, error) {
 		return BuildWeightedSet(g, 4, 42, beta)
 	}},
-	{"priority_v2_k4.ads", true, -1, func(g *graph.Graph, beta []float64) (AnySet, error) {
+	{"priority_v2_k4.ads", true, -1, func(g *graph.Graph, beta []float64) (*Set, error) {
 		return BuildPriorityWeightedSet(g, 4, 42, beta)
 	}},
-	{"approx_v2_k4.ads", true, -1, func(g *graph.Graph, _ []float64) (AnySet, error) {
+	{"approx_v2_k4.ads", true, -1, func(g *graph.Graph, _ []float64) (*Set, error) {
 		return BuildApproxSet(g, 4, 42, 0.25)
 	}},
-	{"weighted_v2_k4.p1of2.ads", true, 1, func(g *graph.Graph, beta []float64) (AnySet, error) {
+	{"weighted_v2_k4.p1of2.ads", true, 1, func(g *graph.Graph, beta []float64) (*Set, error) {
 		return BuildWeightedSet(g, 4, 42, beta)
 	}},
 }
@@ -475,7 +475,7 @@ func FuzzOpenSketchFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	var whole bytes.Buffer
-	if _, err := WriteSketchSetV3(&whole, set); err != nil {
+	if _, err := set.WriteTo(&whole); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(whole.Bytes())
@@ -484,7 +484,7 @@ func FuzzOpenSketchFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	var part bytes.Buffer
-	if _, err := WritePartitionV3(&part, parts[1]); err != nil {
+	if _, err := parts[1].WriteTo(&part); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(part.Bytes())

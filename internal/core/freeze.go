@@ -12,40 +12,16 @@ import (
 // frozen bottom-k sketch set.  lists[v] must hold node v's entries in
 // canonical (distance, node ID) order, satisfy the bottom-k inclusion
 // condition, and carry the ranks o derives (a frame keeps no ranks, so one
-// that o would not reproduce is refused).  The frame layout is identical
-// to BuildSet's, so a frozen set serializes (WriteSketchSetV3) bit-for-bit
-// like a full rebuild that yields the same entries.
-//
-// Only the bottom-k flavor has a single-segment frame that this raw
-// assembly can produce; other flavors return an error.
+// that o would not reproduce is refused).  It is FreezePartition for the
+// one partition of a whole uniform set, so the frame is BuildSet's, and a
+// frozen set serializes bit-for-bit like a full rebuild that yields the
+// same entries.
 func FreezeBottomK(o Options, lists [][]Entry) (*Set, error) {
-	if err := o.validate(); err != nil {
+	p, err := FreezePartition(Params{Kind: KindUniform, Options: o}, 0, 1, len(lists), lists, nil)
+	if err != nil {
 		return nil, err
 	}
-	if o.Flavor != sketch.BottomK {
-		return nil, fmt.Errorf("core: FreezeBottomK requires the bottom-k flavor, got %v", o.Flavor)
-	}
-	f := freezeWhole(kindUniform, o, 0, 0, 1, lists)
-	if err := f.validateFrozen("FreezeBottomK", lists); err != nil {
-		return nil, err
-	}
-	return &Set{frame: f}, nil
-}
-
-// validateFrozen checks every sketch of a single-segment frame just frozen
-// from caller-built lists: non-empty, structurally valid, and carrying the
-// ranks the frame derives.
-func (f *Frame) validateFrozen(op string, lists [][]Entry) error {
-	var ranks rankScratch
-	for v, l := range lists {
-		if len(l) == 0 {
-			return fmt.Errorf("core: %s: node %d has no entries (every node holds itself at distance 0)", op, f.owner(v))
-		}
-		if err := f.validate(&ranks, v, lists[v:v+1]); err != nil {
-			return fmt.Errorf("core: %s: %w", op, err)
-		}
-	}
-	return nil
+	return p.set, nil
 }
 
 // FreezeBottomKOver is FreezeBottomK for a set that differs from an
@@ -62,8 +38,8 @@ func (f *Frame) validateFrozen(op string, lists [][]Entry) error {
 // is the set FreezeBottomK would return for the same lists.
 func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error) {
 	bf := base.frame
-	if bf.opts.Flavor != sketch.BottomK {
-		return nil, fmt.Errorf("core: FreezeBottomKOver requires the bottom-k flavor, got %v", bf.opts.Flavor)
+	if bf.p.Kind != KindUniform || bf.p.Flavor != sketch.BottomK {
+		return nil, fmt.Errorf("core: FreezeBottomKOver requires a uniform bottom-k set, got a %v %v one", bf.p.Kind, bf.p.Flavor)
 	}
 	if bf.base != 0 || n < bf.n {
 		return nil, fmt.Errorf("core: FreezeBottomKOver: base must be a whole set of at most %d nodes, got nodes [%d, %d)", n, bf.base, int(bf.base)+bf.n)
@@ -83,7 +59,7 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 	}
 	slices.Sort(nodes)
 	f := &Frame{
-		kind: kindUniform, opts: bf.opts, segs: 1, n: n, total: n,
+		p: bf.p, n: n, total: n,
 		off:  makePackedColumn(int64(n+1), offsetWidth(int64(total))),
 		node: makePackedColumn(int64(total), nodeWidth(n)),
 		by:   bf.by,

@@ -38,7 +38,7 @@ func FuzzReadSet(f *testing.F) {
 	// once took it, and WriteTo turned it into a file no reader took back.
 	le := binary.LittleEndian
 	nan := le.AppendUint32([]byte("ADSK"), 2)
-	nan = le.AppendUint32(nan, kindUniform)
+	nan = le.AppendUint32(nan, uint32(KindUniform))
 	nan = le.AppendUint32(nan, 1)                            // k
 	nan = le.AppendUint32(nan, 0)                            // flavor
 	nan = le.AppendUint64(nan, 42)                           // seed

@@ -76,22 +76,22 @@ func pad8(n int64) int64 { return (n + 7) &^ 7 }
 // says the lists carry the file's ranks: they are then checked against the
 // ones the frame derives — from seed when the file records none.
 func freezeLegacy(like *Frame, lists [][]Entry, beta []float64, stored bool, seed *uint64) (*Frame, error) {
-	opts := like.opts
-	if stored && like.kind != kindUniform {
+	p := like.p
+	if stored && p.Kind != KindUniform {
 		if seed == nil {
 			return nil, fmt.Errorf("core: the sketch file stores its ranks but records no seed, as weighted and approximate files of earlier releases do: rewrite it with `adstool convert -seed <the seed it was built with>`")
 		}
-		opts.Seed = *seed
+		p.Seed = *seed
 	}
 	// freezeFrame keeps the bits of an ID its column has room for.
 	for i, l := range lists {
 		for j, e := range l {
 			if uint32(e.Node) >= uint32(like.total) {
-				return nil, fmt.Errorf("core: corrupt sketch file: ADS(%d) entry %d names node %d outside [0, %d)", like.base+int32(i/like.segs), j, e.Node, like.total)
+				return nil, fmt.Errorf("core: corrupt sketch file: ADS(%d) entry %d names node %d outside [0, %d)", like.base+int32(i/like.segs()), j, e.Node, like.total)
 			}
 		}
 	}
-	f := freezeFrame(like.kind, opts, like.scheme, like.eps, like.segs, like.base, like.total, lists)
+	f := freezeFrame(p, like.base, like.total, lists)
 	f.beta = beta
 	if !stored {
 		lists = nil
@@ -104,7 +104,7 @@ func freezeLegacy(like *Frame, lists [][]Entry, beta []float64, stored bool, see
 
 // readRetiredV3 reads a complete version-3 file of a retired layout, data
 // starting at its magic.
-func readRetiredV3(data []byte, seed *uint64) (AnySet, *Partition, error) {
+func readRetiredV3(data []byte, seed *uint64) (*Set, *Partition, error) {
 	h, pos, err := readFrameHdr(data[8:])
 	if err != nil {
 		return nil, nil, err
@@ -199,7 +199,8 @@ func readRetiredV3(data []byte, seed *uint64) (AnySet, *Partition, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return h.wrap(f)
+	set, part := h.wrap(f)
+	return set, part, nil
 }
 
 // setDecoder reads the version-2 format through one reusable scratch
@@ -248,12 +249,12 @@ func (d *setDecoder) header(fields ...any) error {
 }
 
 // readV2 reads a version-2 file after its magic and version.
-func readV2(d *setDecoder, seed *uint64) (AnySet, *Partition, error) {
+func readV2(d *setDecoder, seed *uint64) (*Set, *Partition, error) {
 	var h frameHdr
 	if err := d.header(&h.kind); err != nil {
 		return nil, nil, fmt.Errorf("core: reading sketch file kind: %w", err)
 	}
-	like := &Frame{kind: h.kind, segs: 1}
+	kind := h.kind
 	if h.partitioned() {
 		if err := d.header(&h.index, &h.count, &h.lo, &h.hi, &h.total); err != nil {
 			return nil, nil, fmt.Errorf("core: reading partition header: %w", err)
@@ -261,69 +262,58 @@ func readV2(d *setDecoder, seed *uint64) (AnySet, *Partition, error) {
 		if err := h.validateEnvelope(); err != nil {
 			return nil, nil, err
 		}
-		if err := d.header(&like.kind); err != nil {
+		if err := d.header(&kind); err != nil {
 			return nil, nil, fmt.Errorf("core: reading sketch file kind: %w", err)
 		}
-		like.base, like.total = int32(h.lo), int(h.total)
 	}
+	p := Params{Kind: Kind(kind)}
 	var k, numNodes uint32
 	var err error
-	switch like.kind {
-	case kindUniform:
+	switch p.Kind {
+	case KindUniform:
 		var flavor uint32
 		var baseBits uint64
-		err = d.header(&k, &flavor, &like.opts.Seed, &baseBits, &numNodes)
-		like.opts.Flavor, like.opts.BaseB = sketch.Flavor(flavor), math.Float64frombits(baseBits)
-	case kindWeighted:
+		err = d.header(&k, &flavor, &p.Seed, &baseBits, &numNodes)
+		p.Flavor, p.BaseB = sketch.Flavor(flavor), math.Float64frombits(baseBits)
+	case KindWeighted:
 		var scheme uint32
 		err = d.header(&k, &scheme, &numNodes)
-		like.scheme = WeightScheme(scheme)
-	case kindApprox:
+		p.Scheme = WeightScheme(scheme)
+	case KindApprox:
 		var epsBits uint64
 		err = d.header(&k, &epsBits, &numNodes)
-		like.eps = math.Float64frombits(epsBits)
-	case kindPartition:
+		p.Eps = math.Float64frombits(epsBits)
+	case Kind(kindPartition):
 		return nil, nil, fmt.Errorf("core: sketch partitions cannot nest")
 	default:
-		return nil, nil, fmt.Errorf("core: sketch file has unknown kind %d", like.kind)
+		return nil, nil, fmt.Errorf("core: sketch file has unknown kind %d", kind)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: reading sketch file header: %w", err)
 	}
-	like.opts.K = int(k)
-	if err := like.opts.validate(); err != nil {
-		return nil, nil, err
-	}
+	p.K = int(k)
 	switch {
 	case k > maxCodecK:
 		return nil, nil, fmt.Errorf("core: implausible sketch parameter k=%d", k)
 	case numNodes > 1<<30:
 		return nil, nil, fmt.Errorf("core: implausible node count %d", numNodes)
-	case like.scheme != ExponentialWeights && like.scheme != PriorityWeights:
-		return nil, nil, fmt.Errorf("core: sketch file has unknown weight scheme %d", like.scheme)
-	case like.eps < 0 || math.IsNaN(like.eps) || math.IsInf(like.eps, 1):
-		return nil, nil, fmt.Errorf("core: sketch file has invalid epsilon %g", like.eps)
 	case h.partitioned() && numNodes != h.hi-h.lo:
 		return nil, nil, fmt.Errorf("core: partition claims nodes [%d, %d) but holds %d sketches", h.lo, h.hi, numNodes)
 	}
-	if like.kind == kindUniform {
-		switch like.opts.Flavor {
-		case sketch.BottomK:
-		case sketch.KMins, sketch.KPartition:
-			like.segs = like.opts.K
-		default:
-			return nil, nil, fmt.Errorf("core: sketch file has unknown flavor %d", like.opts.Flavor)
-		}
+	if err := p.validate(); err != nil {
+		return nil, nil, err
 	}
-	if !h.partitioned() {
-		like.total = int(numNodes)
+	like := &Frame{p: p, total: int(numNodes)}
+	if h.partitioned() {
+		like.base, like.total = int32(h.lo), int(h.total)
 	}
 	// The list count is capped so a corrupted node count fails at the first
 	// short read instead of provoking one huge up-front allocation.
-	lists := make([][]Entry, 0, min(int(numNodes)*like.segs, maxEntryPrealloc))
+	segs := p.segs()
+	lists := make([][]Entry, 0, min(int(numNodes)*segs, maxEntryPrealloc))
 	var beta []float64
-	for i := 0; i < int(numNodes)*like.segs; i++ {
-		l, err := d.entries(like.base+int32(i/like.segs), like.kind == kindWeighted, &beta)
+	for i := 0; i < int(numNodes)*segs; i++ {
+		l, err := d.entries(like.base+int32(i/segs), p.Kind == KindWeighted, &beta)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -333,7 +323,8 @@ func readV2(d *setDecoder, seed *uint64) (AnySet, *Partition, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return h.wrap(f)
+	set, part := h.wrap(f)
+	return set, part, nil
 }
 
 // entries reads one length-prefixed entry list of owner's sketch — with a

@@ -132,13 +132,13 @@ func TestLegacyDoorChecksStoredRanks(t *testing.T) {
 	// rankAt returns where legacyV3's file of set stores the rank of entry
 	// i of segment s of node v.
 	rankAt := func(set string, v, s, i int) int {
-		f := frameOfSet(t, openedSet(t, files[set]))
+		f := openedSet(t, files[set]).frame
 		h, pos, err := readFrameHdr(legacy[set][8:])
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := int64(h.numEntries)
-		return 8 + pos + int(8*(h.numSegs()+1)+pad8(4*e)+8*e+8*(f.offAt(v*f.segs+s)+int64(i)))
+		return 8 + pos + int(8*(h.numSegs()+1)+pad8(4*e)+8*e+8*(f.offAt(v*f.segs()+s)+int64(i)))
 	}
 	v2kmins := readFixture(t, "kmins_base2_v2_k4.ads")
 	// Version 2: 40 bytes of header, then node 0's first permutation — a
@@ -180,7 +180,7 @@ func TestLegacyDoorChecksStoredRanks(t *testing.T) {
 
 // openedSet returns the set, or the partition's set, a file of the
 // current layout holds.
-func openedSet(t testing.TB, data []byte) AnySet {
+func openedSet(t testing.TB, data []byte) *Set {
 	t.Helper()
 	set, part, err := openFrameBytes(data)
 	if err != nil {

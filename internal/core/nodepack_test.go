@@ -134,9 +134,9 @@ func TestNodeWidthBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, part := range parts {
-			pl, _ := segmentLists(frameOfSet(t, part.set))
+			pl, _ := segmentLists(part.set.frame)
 			data := fileBytes(t, nil, part)
-			if !bytes.Equal(data, canonicalV3(headerOf(frameOfSet(t, part.set), part), pl, nil)) {
+			if !bytes.Equal(data, canonicalV3(headerOf(part.set.frame, part), pl, nil)) {
 				t.Fatalf("n=%d: partition %d is not the canonical encoding at the whole set's width", n, i)
 			}
 			if parts[i], err = ReadPartition(bytes.NewReader(data)); err != nil {
@@ -198,8 +198,8 @@ func TestFreezeRejectsForeignNode(t *testing.T) {
 		if _, err := FreezeBottomKOver(set, 5, map[int32][]Entry{2: l}); err == nil || !strings.Contains(err.Error(), "outside [0, 5)") {
 			t.Errorf("FreezeBottomKOver with node %d: %v", foreign, err)
 		}
-		if _, err := FreezePartitionBottomK(o, 1, 2, 5, bad[2:]); err == nil || !strings.Contains(err.Error(), "outside [0, 5)") {
-			t.Errorf("FreezePartitionBottomK with node %d: %v", foreign, err)
+		if _, err := FreezePartition(Params{Kind: KindUniform, Options: o}, 1, 2, 5, bad[2:], nil); err == nil || !strings.Contains(err.Error(), "outside [0, 5)") {
+			t.Errorf("FreezePartition with node %d: %v", foreign, err)
 		}
 	}
 }
@@ -236,7 +236,7 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 		data := valid[name]
 		f := set.frame
 		if name == "partition" {
-			f = frameOfSet(t, parts[1].set)
+			f = parts[1].set.frame
 		}
 		if f.total != 61 || f.width() != 6 {
 			t.Fatalf("%s: %d nodes at %d bits an ID, want 61 at 6", name, f.total, f.width())

@@ -24,7 +24,7 @@ type Partition struct {
 	index, count int
 	lo, hi       int32
 	total        int
-	set          AnySet
+	set          *Set
 }
 
 // Index returns the partition's position in the split, in [0, Count).
@@ -48,9 +48,9 @@ func (p *Partition) NumLocal() int { return int(p.hi - p.lo) }
 // K returns the sketch parameter.
 func (p *Partition) K() int { return p.set.K() }
 
-// Set returns the inner, locally indexed sketch set (*Set, *WeightedSet,
-// or *ApproxSet; sketch i is owned by global node Lo+i).
-func (p *Partition) Set() AnySet { return p.set }
+// Set returns the inner, locally indexed sketch set: sketch i is owned by
+// global node Lo+i.
+func (p *Partition) Set() *Set { return p.set }
 
 // Contains reports whether the partition owns global node v.
 func (p *Partition) Contains(v int32) bool { return v >= p.lo && v < p.hi }
@@ -65,21 +65,21 @@ func (p *Partition) SketchAt(v int32) (Sketch, error) {
 }
 
 // WriteTo serializes the partition in the version-3 format (the partition
-// envelope followed by the inner set's columns), exactly as
-// WritePartitionV3 does.  It implements io.WriterTo.
-func (p *Partition) WriteTo(w io.Writer) (int64, error) { return WritePartitionV3(w, p) }
+// envelope followed by the inner set's columns) — the shard file an
+// mmap-serving worker opens.  It implements io.WriterTo.
+func (p *Partition) WriteTo(w io.Writer) (int64, error) { return writeFrameV3(w, p.set.frame, p) }
 
 // ReadPartition deserializes one partition written by Partition.WriteTo,
 // validating the partition header and every sketch's structural
 // invariants.  Whole-set files are refused; read those with
 // ReadSketchSet.
 func ReadPartition(r io.Reader) (*Partition, error) {
-	set, part, err := readAny(r, nil)
+	_, part, err := readAny(r, nil)
 	if err != nil {
 		return nil, err
 	}
 	if part == nil {
-		return nil, fmt.Errorf("core: file holds a whole %T, not a partition; use ReadSketchSet", set)
+		return nil, fmt.Errorf("core: file holds a whole set, not a partition; use ReadSketchSet")
 	}
 	return part, nil
 }
@@ -89,35 +89,18 @@ func ReadPartition(r io.Reader) (*Partition, error) {
 // The partitions alias the set's sketches — splitting allocates no sketch
 // data — and MergeSketchSets reassembles them into a set whose
 // serialization is bit-for-bit identical to the original's.
-func SplitSketchSet(s AnySet, parts int) ([]*Partition, error) {
+func SplitSketchSet(s *Set, parts int) ([]*Partition, error) {
 	n := s.NumNodes()
-	if parts < 1 {
-		return nil, fmt.Errorf("core: cannot split into %d partitions, want >= 1", parts)
-	}
-	if parts > n && !(n == 0 && parts == 1) {
-		return nil, fmt.Errorf("core: cannot split %d nodes into %d partitions", n, parts)
-	}
-	f, err := frameOf(s)
-	if err != nil {
-		return nil, fmt.Errorf("core: cannot split sketch set type %T", s)
+	if _, _, err := partRange(0, parts, n); err != nil {
+		return nil, fmt.Errorf("core: SplitSketchSet: %w", err)
 	}
 	out := make([]*Partition, parts)
-	for i := 0; i < parts; i++ {
-		lo, hi := i*n/parts, (i+1)*n/parts
+	for i := range out {
 		// Splitting a columnar frame is offset re-slicing: the sub-frame
 		// shares the parent's entry columns, so no entry is copied.
-		sub, err := setFromFrame(f.slice(lo, hi))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = &Partition{
-			index: i,
-			count: parts,
-			lo:    int32(lo),
-			hi:    int32(hi),
-			total: n,
-			set:   sub,
-		}
+		lo, hi, _ := partRange(i, parts, n)
+		sub := &Set{frame: s.frame.slice(int(lo), int(hi))}
+		out[i] = &Partition{index: i, count: parts, lo: lo, hi: hi, total: n, set: sub}
 	}
 	return out, nil
 }
@@ -125,10 +108,9 @@ func SplitSketchSet(s AnySet, parts int) ([]*Partition, error) {
 // MergeSketchSets reassembles a complete split back into one whole set.
 // The partitions may arrive in any order; the merge validates that they
 // form exactly one split (consistent count and total, indexes 0..P-1,
-// contiguous ranges covering every node, equal sketch parameters) and
-// returns a set of the same dynamic kind whose serialization is
-// bit-for-bit identical to the original's.
-func MergeSketchSets(parts []*Partition) (AnySet, error) {
+// the ranges SplitSketchSet cuts, equal Params) and returns a set
+// whose serialization is bit-for-bit identical to the original's.
+func MergeSketchSets(parts []*Partition) (*Set, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("core: no partitions to merge")
 	}
@@ -137,33 +119,31 @@ func MergeSketchSets(parts []*Partition) (AnySet, error) {
 	if count != len(parts) {
 		return nil, fmt.Errorf("core: have %d partitions of a %d-way split", len(parts), count)
 	}
+	// count partitions of distinct indexes, each over its canonical range,
+	// cover every node once.
 	for _, p := range parts {
 		if p.count != count || p.total != total {
 			return nil, fmt.Errorf("core: partition %d belongs to a different split (%d partitions of %d nodes, want %d of %d)",
 				p.index, p.count, p.total, count, total)
 		}
-		if p.index < 0 || p.index >= count {
-			return nil, fmt.Errorf("core: partition index %d out of range [0, %d)", p.index, count)
+		if err := checkPartRange(p.index, count, total, int64(p.lo), int64(p.hi)); err != nil {
+			return nil, err
 		}
 		if byIndex[p.index] != nil {
 			return nil, fmt.Errorf("core: duplicate partition %d", p.index)
 		}
 		byIndex[p.index] = p
 	}
-	expect := int32(0)
+	// The merged frame derives its ranks from partition 0's parameters, so
+	// every partition has to have them, empty ones included.
+	frames := make([]*Frame, len(byIndex))
+	first := byIndex[0].set.frame.p
 	for i, p := range byIndex {
-		if p.lo != expect {
-			return nil, fmt.Errorf("core: partition %d covers nodes [%d, %d), want to start at %d", i, p.lo, p.hi, expect)
+		if frames[i] = p.set.frame; frames[i].p != first {
+			return nil, fmt.Errorf("core: partition %d holds a set of %+v, partition 0 one of %+v", i, frames[i].p, first)
 		}
-		expect = p.hi
 	}
-	if int(expect) != total {
-		return nil, fmt.Errorf("core: partitions cover nodes [0, %d) of %d", expect, total)
-	}
-	merged, err := concatPartitions(byIndex, total)
-	if err != nil {
-		return nil, err
-	}
+	merged := &Set{frame: mergeFrames(frames)}
 	// Cross-check the sketch owners against their global positions, so a
 	// merge of tampered partitions cannot silently misattribute sketches.
 	for v := 0; v < total; v++ {
@@ -172,38 +152,6 @@ func MergeSketchSets(parts []*Partition) (AnySet, error) {
 		}
 	}
 	return merged, nil
-}
-
-// concatPartitions concatenates the partitions' frames, validating kind
-// and parameter consistency.
-func concatPartitions(byIndex []*Partition, total int) (AnySet, error) {
-	frames := make([]*Frame, len(byIndex))
-	first, err := frameOf(byIndex[0].set)
-	if err != nil {
-		return nil, fmt.Errorf("core: cannot merge sketch set type %T", byIndex[0].set)
-	}
-	scheme, schemeKnown := ExponentialWeights, false
-	for i, p := range byIndex {
-		f, err := frameOf(p.set)
-		if err != nil || f.kind != first.kind {
-			return nil, fmt.Errorf("core: partition %d holds a %T, partition 0 a %T", p.index, p.set, byIndex[0].set)
-		}
-		// The merged frame derives its ranks from partition 0's seed, so every
-		// partition has to derive them from that seed.
-		if f.opts != first.opts || f.eps != first.eps {
-			return nil, fmt.Errorf("core: partition %d built with %+v (eps=%g), partition 0 with %+v (eps=%g)",
-				p.index, f.opts, f.eps, first.opts, first.eps)
-		}
-		if f.kind == kindWeighted && f.n > 0 {
-			if !schemeKnown {
-				scheme, schemeKnown = f.scheme, true
-			} else if f.scheme != scheme {
-				return nil, fmt.Errorf("core: partition %d uses %v ranks, earlier partitions %v", p.index, f.scheme, scheme)
-			}
-		}
-		frames[i] = f
-	}
-	return setFromFrame(mergeFrames(frames))
 }
 
 // ADSFromEntries reconstructs a bottom-k ADS from transported entries

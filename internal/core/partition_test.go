@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,7 +24,7 @@ func buildUniform(t *testing.T, o Options) *Set {
 }
 
 // splitKinds builds one set of every kind for the split/merge tests.
-func splitKinds(t *testing.T) map[string]AnySet {
+func splitKinds(t *testing.T) map[string]*Set {
 	t.Helper()
 	g := graph.PreferentialAttachment(150, 3, 5)
 	uniform, err := BuildSet(g, Options{K: 8, Seed: 42}, AlgoPrunedDijkstra)
@@ -41,7 +43,7 @@ func splitKinds(t *testing.T) map[string]AnySet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]AnySet{"uniform": uniform, "weighted": weighted, "approx": approx}
+	return map[string]*Set{"uniform": uniform, "weighted": weighted, "approx": approx}
 }
 
 // A split must cover every node exactly once, alias the original
@@ -212,6 +214,69 @@ func TestMergeValidation(t *testing.T) {
 	}
 	if _, err := MergeSketchSets([]*Partition{parts[0], other[1]}); err == nil {
 		t.Error("merging partitions of different splits succeeded")
+	}
+}
+
+// TestSplitOfForeignParts: partitions that no split of one set produces —
+// a range other than the one their position gives them, or Params other
+// than partition 0's — are refused by the file readers, naming the range,
+// and by the merge.  The case that once merged: a 1-node weighted set
+// "split" two ways, partition 0 covering [0, 0) of a priority-rank set
+// and partition 1 [0, 1) of an exponential one, merged under partition
+// 0's priority ranks and derived the wrong rank for node 0.
+func TestSplitOfForeignParts(t *testing.T) {
+	weighted := func(n int, scheme WeightScheme) *Set {
+		beta := make([]float64, n)
+		for i := range beta {
+			beta[i] = 1 + float64(i)
+		}
+		set, err := BuildWeightedSetParallel(graph.NewBuilder(n, false).Build(), 4, 42, beta, scheme, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set
+	}
+	part := func(set *Set, index, count, lo, hi int) *Partition {
+		return &Partition{index: index, count: count, lo: int32(lo), hi: int32(hi), total: set.NumNodes(),
+			set: &Set{frame: set.frame.slice(lo, hi)}}
+	}
+	for _, tc := range []struct {
+		name    string
+		parts   []*Partition
+		refused []string // the range each file claims, named by its readers
+	}{
+		{"1 node in 2", []*Partition{part(weighted(1, PriorityWeights), 0, 2, 0, 0), part(weighted(1, ExponentialWeights), 1, 2, 0, 1)},
+			[]string{"[0, 0)", "[0, 1)"}},
+		{"2 nodes off the split's ranges", []*Partition{part(weighted(2, ExponentialWeights), 0, 2, 0, 0), part(weighted(2, ExponentialWeights), 1, 2, 0, 2)},
+			[]string{"[0, 0)", "[0, 2)"}},
+	} {
+		for i, p := range tc.parts {
+			path := filepath.Join(t.TempDir(), "part.ads")
+			if err := os.WriteFile(path, fileBytes(t, nil, p), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadPartition(bytes.NewReader(fileBytes(t, nil, p))); err == nil || !strings.Contains(err.Error(), tc.refused[i]) {
+				t.Errorf("%s: ReadPartition of partition %d: %v, want a refusal naming %s", tc.name, i, err, tc.refused[i])
+			}
+			if _, err := OpenSketchFile(path); err == nil || !strings.Contains(err.Error(), tc.refused[i]) {
+				t.Errorf("%s: OpenSketchFile of partition %d: %v, want a refusal naming %s", tc.name, i, err, tc.refused[i])
+			}
+		}
+		if _, err := MergeSketchSets(tc.parts); err == nil {
+			t.Errorf("%s: merged", tc.name)
+		}
+	}
+	// On the split's own ranges, the Params must agree.
+	exp, err := SplitSketchSet(weighted(3, ExponentialWeights), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prio, err := SplitSketchSet(weighted(3, PriorityWeights), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeSketchSets([]*Partition{prio[0], exp[1]}); err == nil || !strings.Contains(err.Error(), "Scheme:exponential") {
+		t.Errorf("merge of priority and exponential partitions: %v", err)
 	}
 }
 

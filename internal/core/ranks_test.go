@@ -41,10 +41,7 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part != nil {
-		set = part.set
-	}
-	f, _ := frameOf(set)
+	f := fileFrame(set, part)
 	h := headerOf(f, part)
 	h.flags &^= frameFlagCompact
 	h.numDistinct = 0
@@ -57,7 +54,7 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte
 	}
 	if storeRanks {
 		h.flags &^= frameFlagDerivedRanks
-		if f.kind != kindUniform {
+		if f.p.Kind != KindUniform {
 			h.seed = 0
 		}
 	}
@@ -138,9 +135,9 @@ func v3Files(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	files := map[string][]byte{}
-	for name, set := range map[string]AnySet{"uniform": uniform, "kmins-base2": kmins, "weighted": weighted, "approx": approx} {
+	for name, set := range map[string]*Set{"uniform": uniform, "kmins-base2": kmins, "weighted": weighted, "approx": approx} {
 		var buf bytes.Buffer
-		if _, err := WriteSketchSetV3(&buf, set); err != nil {
+		if _, err := set.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		files[name] = buf.Bytes()
@@ -150,7 +147,7 @@ func v3Files(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := WritePartitionV3(&buf, parts[1]); err != nil {
+	if _, err := parts[1].WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	files["weighted-partition"] = buf.Bytes()
@@ -171,16 +168,16 @@ func TestV3Layout(t *testing.T) {
 		}
 		header := int64(framePreambleSize + frameHdrSize)
 		if part != nil {
-			set, header = part.set, header+framePartHdrSize
+			header += framePartHdrSize
 		}
-		f, _ := frameOf(set)
+		f := fileFrame(set, part)
 		e := int64(f.totalEntries())
 		if f.total != 60 || f.width() != 6 {
 			t.Fatalf("%s: frame of a %d-node set at %d bits an ID, want 60 at 6", name, f.total, f.width())
 		}
 		want, plain, steps, coded := referenceSizes(f, part != nil)
 		if int64(len(data)) != want {
-			t.Errorf("%s: file is %d bytes, want %d (n=%d segs=%d e=%d steps=%d distinct=%d)", name, len(data), want, f.n, f.segs, e, steps, coded)
+			t.Errorf("%s: file is %d bytes, want %d (n=%d segs=%d e=%d steps=%d distinct=%d)", name, len(data), want, f.n, f.segs(), e, steps, coded)
 		}
 		flags := binary.LittleEndian.Uint32(data[12:])
 		if flags&frameFlagPackedNodes == 0 || flags&frameFlagCompact == 0 {
@@ -212,15 +209,6 @@ func TestV3Layout(t *testing.T) {
 	}
 }
 
-func frameOfSet(t testing.TB, s AnySet) *Frame {
-	t.Helper()
-	f, err := frameOf(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 // TestV3BodySizeGuardsColumns: a header that misdescribes which columns
 // follow is caught by the body-size check before any column is read — by
 // the parser in the current layout, by the legacy decoder in an older one
@@ -244,7 +232,7 @@ func TestV3BodySizeGuardsColumns(t *testing.T) {
 	} {
 		open := openFrameBytes
 		if tc.legacy {
-			open = func(b []byte) (AnySet, *Partition, error) { return readRetiredV3(b, nil) }
+			open = func(b []byte) (*Set, *Partition, error) { return readRetiredV3(b, nil) }
 		}
 		if _, _, err := open(tc.data); err == nil || !strings.Contains(err.Error(), "header implies") {
 			t.Errorf("%s: got %v, want the body-size error", name, err)
@@ -277,6 +265,12 @@ func TestFreezeRejectsForeignRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	partition := func(set *Set) func([][]Entry, [][]float64) error {
+		return func(lists [][]Entry, betas [][]float64) error {
+			_, err := FreezePartition(set.Params(), 0, 1, 30, lists, betas)
+			return err
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		frame  *Frame
@@ -290,18 +284,9 @@ func TestFreezeRejectsForeignRank(t *testing.T) {
 			_, err := FreezeBottomKOver(uniform, 30, map[int32][]Entry{7: lists[7]})
 			return err
 		}},
-		{"FreezePartitionBottomK", uniform.frame, func(lists [][]Entry, _ [][]float64) error {
-			_, err := FreezePartitionBottomK(o, 0, 1, 30, lists)
-			return err
-		}},
-		{"FreezePartitionWeighted", weighted.frame, func(lists [][]Entry, betas [][]float64) error {
-			_, err := FreezePartitionWeighted(4, 42, ExponentialWeights, 0, 1, 30, lists, betas)
-			return err
-		}},
-		{"FreezePartitionApprox", approx.frame, func(lists [][]Entry, _ [][]float64) error {
-			_, err := FreezePartitionApprox(4, 42, 0.25, 0, 1, 30, lists)
-			return err
-		}},
+		{"FreezePartition, uniform", uniform.frame, partition(uniform)},
+		{"FreezePartition, weighted", weighted.frame, partition(weighted)},
+		{"FreezePartition, approximate", approx.frame, partition(approx)},
 	} {
 		lists, betas := frameLists(tc.frame, 0, 30)
 		if err := tc.freeze(lists, betas); err != nil {
@@ -358,7 +343,7 @@ func TestMergeRefusesMixedRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := WritePartitionV3(&buf, u[1]); err != nil {
+	if _, err := u[1].WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	_, stored, err := readRetiredV3(legacyV3(t, buf.Bytes()), nil)
@@ -398,7 +383,7 @@ func TestFreezeOverMatchesFreeze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, base := range map[string]*Set{"derived base": base, "stored base": stored.(*Set)} {
+	for name, base := range map[string]*Set{"derived base": base, "stored base": stored} {
 		got, err := FreezeBottomKOver(base, 33, changed)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

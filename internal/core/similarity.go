@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"adsketch/internal/sketch"
 )
 
 // Cross-sketch applications enabled by coordination (Section 1): because
@@ -112,11 +114,7 @@ func UnionNeighborhoodEstimate(set *Set, seeds []int32, d float64) float64 {
 	}
 	sketches := make([]*ADS, len(seeds))
 	for i, s := range seeds {
-		a, ok := set.Sketch(s).(*ADS)
-		if !ok {
-			panic("core: union estimates require bottom-k sketches")
-		}
-		sketches[i] = a
+		sketches[i] = set.coordinated(s)
 	}
 	return UnionNeighborhoodSketches(set.K(), sketches, d)
 }
@@ -166,14 +164,16 @@ func GreedyInfluenceSeeds(set *Set, candidates []int32, numSeeds int, d float64)
 			candidates[i] = int32(i)
 		}
 	}
-	lookup := func(v int32) *ADS {
-		a, ok := set.Sketch(v).(*ADS)
-		if !ok {
-			panic("core: union estimates require bottom-k sketches")
-		}
-		return a
+	return GreedyInfluenceSketches(set.K(), set.coordinated, candidates, numSeeds, d)
+}
+
+// coordinated returns node v's sketch of a uniform bottom-k set, the
+// coordinated sketches union estimates combine; it panics on any other.
+func (s *Set) coordinated(v int32) *ADS {
+	if p := s.Params(); p.Kind != KindUniform || p.Flavor != sketch.BottomK {
+		panic("core: union estimates require uniform bottom-k sketches")
 	}
-	return GreedyInfluenceSketches(set.K(), lookup, candidates, numSeeds, d)
+	return s.BottomK(v)
 }
 
 // DistanceUpperBound estimates an upper bound on d(a.owner, b.owner) from

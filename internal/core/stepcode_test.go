@@ -130,7 +130,7 @@ func segmentLists(f *Frame) (lists [][]Entry, betas [][]float64) {
 // has it too, so that a dictionary of half as many values as steps still
 // wins; and with random lengths on a directed graph, where no two steps of
 // the frame agree and they stay raw.
-func stepKinds(t *testing.T) map[string]AnySet {
+func stepKinds(t *testing.T) map[string]*Set {
 	out := frameKinds(t)
 	for prefix, g := range map[string]*graph.Graph{
 		"lengths-":  graph.WithRandomWeights(graph.PreferentialAttachment(120, 3, 9), 0.25, 4, 11),
@@ -176,7 +176,7 @@ func TestStepCodeCanonicalBytes(t *testing.T) {
 	// carries is a strict subset of the one its slice shares in memory.
 	sets["path and isolated nodes"] = pathSetPlus(t, 8, 8, Options{K: 8, Seed: 42})
 	for name, set := range sets {
-		f := frameOfSet(t, set)
+		f := set.frame
 		lists, betas := segmentLists(f)
 		want := canonicalV3(headerOf(f, nil), lists, betas)
 		if got := v3Bytes(t, set); !bytes.Equal(got, want) {
@@ -188,7 +188,7 @@ func TestStepCodeCanonicalBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, part := range parts {
-				pf := frameOfSet(t, part.set)
+				pf := part.set.frame
 				plists, pbetas := segmentLists(pf)
 				wantPart := canonicalV3(headerOf(pf, part), plists, pbetas)
 				got := fileBytes(t, nil, part)
@@ -265,7 +265,7 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c := &loaded.(*Set).frame.steps; c.uses != nil || c.dlo != 0 {
+		if c := &loaded.frame.steps; c.uses != nil || c.dlo != 0 {
 			t.Fatalf("%s: a frame from a file has use counts or a bound", name)
 		}
 		baseLists, _ := segmentLists(base.frame)
@@ -291,7 +291,7 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 			}
 			from := base
 			if trial%4 == 3 {
-				from = loaded.(*Set)
+				from = loaded
 			}
 			got, err := FreezeBottomKOver(from, n, changed)
 			if err != nil {
@@ -366,7 +366,7 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 func TestStepCodeWorstCaseSize(t *testing.T) {
 	sets := stepKinds(t)
 	for name, set := range sets {
-		f := frameOfSet(t, set)
+		f := set.frame
 		data := v3Bytes(t, set)
 		if f.total != 120 || f.width() != 7 {
 			t.Fatalf("%s: %d nodes at %d bits an ID, want 120 at 7", name, f.total, f.width())
@@ -416,23 +416,23 @@ func TestStepCodeWorstCaseSize(t *testing.T) {
 type v3Fixture struct {
 	file  string
 	part  int // the index the file holds of a 2-way split of its build, or -1
-	build func(g *graph.Graph, beta []float64) (AnySet, error)
+	build func(g *graph.Graph, beta []float64) (*Set, error)
 }
 
 // v3Fixtures names the four committed files of one earlier layout, tag
 // being what their names carry for it.  All are `gen -type ba -n 60 -m 3
 // -seed 9` built with `-k 4 -seed 42` and, where weighted, weights 1+i%7.
 func v3Fixtures(tag string) []v3Fixture {
-	uniform := func(g *graph.Graph, _ []float64) (AnySet, error) {
+	uniform := func(g *graph.Graph, _ []float64) (*Set, error) {
 		return BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
 	}
 	return []v3Fixture{
 		{"uniform_" + tag + "_k4.ads", -1, uniform},
 		{"uniform_" + tag + "_k4.p1of2.ads", 1, uniform},
-		{"weighted_" + tag + "_k4.ads", -1, func(g *graph.Graph, beta []float64) (AnySet, error) {
+		{"weighted_" + tag + "_k4.ads", -1, func(g *graph.Graph, beta []float64) (*Set, error) {
 			return BuildWeightedSet(g, 4, 42, beta)
 		}},
-		{"kmins_base2_" + tag + "_k4.ads", -1, func(g *graph.Graph, _ []float64) (AnySet, error) {
+		{"kmins_base2_" + tag + "_k4.ads", -1, func(g *graph.Graph, _ []float64) (*Set, error) {
 			return BuildSet(g, Options{K: 4, Flavor: sketch.KMins, Seed: 42, BaseB: 2}, AlgoPrunedDijkstra)
 		}},
 	}
@@ -501,7 +501,7 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 		if _, _, err := openFrameBytes(data); err == nil || !strings.Contains(err.Error(), "adstool convert") {
 			t.Errorf("%s: parser: %v, want a refusal naming adstool convert", fx.file, err)
 		}
-		wf := frameOfSet(t, fresh)
+		wf := fresh.frame
 		for reader, sf := range openAll(t, path) {
 			if sf.Version() != EncodeVersion || sf.Mapped() || (sf.Partition() != nil) != (fx.part >= 0) {
 				t.Fatalf("%s via %s: version %d, mapped %v, partition %v", fx.file, reader, sf.Version(), sf.Mapped(), sf.Partition() != nil)
@@ -703,8 +703,8 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []AnySet{set, parts[1].set} {
-			f := frameOfSet(t, s)
+		for _, s := range []*Set{set, parts[1].set} {
+			f := s.frame
 			if _, index := MemoryOf(s); index != 0 {
 				t.Fatalf("%s: %d index bytes before any query", name, index)
 			}
@@ -779,8 +779,8 @@ func TestHIPIndexArenaAcrossCoreCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []AnySet{set, parts[1].set} {
-			f := frameOfSet(t, s)
+		for _, s := range []*Set{set, parts[1].set} {
+			f := s.frame
 			one, four := arenaAt(f, 1), arenaAt(f, 4)
 			if !slices.Equal(one.hw, four.hw) || !slices.Equal(one.cum, four.cum) ||
 				!slices.Equal(one.cumD, four.cumD) || !slices.Equal(one.cumH, four.cumH) {

@@ -188,22 +188,23 @@ func (a *WeightedADS) EstimateCentrality(alpha func(float64) float64) float64 {
 // BuildWeightedSet computes the weighted bottom-k ADS of every node using
 // PrunedDijkstra with exponential ranks.  beta[v] is the weight of node v
 // and must be positive.
-func BuildWeightedSet(g *graph.Graph, k int, seed uint64, beta []float64) (*WeightedSet, error) {
+func BuildWeightedSet(g *graph.Graph, k int, seed uint64, beta []float64) (*Set, error) {
 	return BuildWeightedSetParallel(g, k, seed, beta, ExponentialWeights, 0)
 }
 
 // BuildPriorityWeightedSet is BuildWeightedSet with Sequential Poisson
 // (priority) ranks r(i) = r'(i)/β(i) — the Section 9 alternative.
-func BuildPriorityWeightedSet(g *graph.Graph, k int, seed uint64, beta []float64) (*WeightedSet, error) {
+func BuildPriorityWeightedSet(g *graph.Graph, k int, seed uint64, beta []float64) (*Set, error) {
 	return BuildWeightedSetParallel(g, k, seed, beta, PriorityWeights, 0)
 }
 
 // BuildWeightedSetParallel is BuildWeightedSet under either scheme with
 // BuildSetParallel's worker bound for the PrunedDijkstra pass: <= 0 means
 // GOMAXPROCS, and the output is identical for every worker count.
-func BuildWeightedSetParallel(g *graph.Graph, k int, seed uint64, beta []float64, scheme WeightScheme, workers int) (*WeightedSet, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1")
+func BuildWeightedSetParallel(g *graph.Graph, k int, seed uint64, beta []float64, scheme WeightScheme, workers int) (*Set, error) {
+	p := Params{Kind: KindWeighted, Options: Options{K: k, Seed: seed}, Scheme: scheme}
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
 	if len(beta) != g.NumNodes() {
 		return nil, fmt.Errorf("core: beta has %d weights for %d nodes", len(beta), g.NumNodes())
@@ -214,58 +215,23 @@ func BuildWeightedSetParallel(g *graph.Graph, k int, seed uint64, beta []float64
 		}
 	}
 	run := func(g *graph.Graph, s runSpec) [][]Entry { return prunedDijkstraRun(g, s, workers) }
-	return weightedSetFrom(g, k, seed, beta, scheme, run), nil
+	return weightedSetFrom(g, p, beta, run), nil
 }
 
-// weightedSetFrom runs one bottom-k pass of run over the scheme's
-// weight-biased ranks and freezes it with the per-entry weights.
-func weightedSetFrom(g *graph.Graph, k int, seed uint64, beta []float64, scheme WeightScheme,
-	run func(*graph.Graph, runSpec) [][]Entry) *WeightedSet {
-	o := Options{K: k, Seed: seed}
-	by := newRanker(kindWeighted, o, scheme)
-	lists := run(g, runSpec{k: k, rank: func(v int32) float64 { return by.rank(0, v, beta[v]) }})
-	f := freezeWhole(kindWeighted, o, scheme, 0, 1, lists)
+// weightedSetFrom runs one bottom-k pass of run over the weight-biased
+// ranks of p and freezes it with the per-entry weights.
+func weightedSetFrom(g *graph.Graph, p Params, beta []float64, run func(*graph.Graph, runSpec) [][]Entry) *Set {
+	by := newRanker(p)
+	lists := run(g, runSpec{k: p.K, rank: func(v int32) float64 { return by.rank(0, v, beta[v]) }})
+	f := freezeWhole(p, lists)
 	f.beta = make([]float64, 0, f.totalEntries())
 	for _, l := range lists {
 		for _, e := range l {
 			f.beta = append(f.beta, beta[e.Node])
 		}
 	}
-	return &WeightedSet{frame: f}
+	return &Set{frame: f}
 }
-
-// WeightedSet holds the weighted sketches of all nodes of one graph, as
-// views over one shared columnar frame.
-type WeightedSet struct {
-	frame *Frame
-}
-
-// K returns the sketch parameter.
-func (s *WeightedSet) K() int { return s.frame.opts.K }
-
-// Seed returns the seed of the shared permutation the biased ranks were
-// drawn from (0 for a set loaded from a file that did not record it).
-func (s *WeightedSet) Seed() uint64 { return s.frame.opts.Seed }
-
-// NumNodes returns the number of sketches.
-func (s *WeightedSet) NumNodes() int { return s.frame.n }
-
-// Scheme returns the weighted sampling scheme the set was built under.
-func (s *WeightedSet) Scheme() WeightScheme { return s.frame.scheme }
-
-// Sketch returns node v's weighted ADS view.
-func (s *WeightedSet) Sketch(v int32) *WeightedADS { return s.frame.viewWeighted(int(v)) }
-
-// SketchOf returns node v's sketch through the flavor-agnostic query
-// interface shared by all set kinds.
-func (s *WeightedSet) SketchOf(v int32) Sketch { return s.frame.viewWeighted(int(v)) }
-
-// Index returns local node v's columnar HIP query index, sharing the
-// frame's index arena.
-func (s *WeightedSet) Index(v int32) *HIPIndex { return s.frame.Index(v) }
-
-// TotalEntries returns the summed entry count over all sketches.
-func (s *WeightedSet) TotalEntries() int { return s.frame.totalEntries() }
 
 // ExactNeighborhoodWeight computes Σ_{j: d_vj <= d} β(j) exactly (ground
 // truth for tests and benchmarks).

@@ -44,8 +44,8 @@ func writeGraph(t *testing.T, g *graph.Graph) (string, *graph.Graph) {
 }
 
 // refPartitionBytes builds the single-process reference: the set split
-// into parts partitions, each serialized with WritePartitionV3.
-func refPartitionBytes(t *testing.T, set core.AnySet, parts int) [][]byte {
+// into parts partitions, each serialized with Partition.WriteTo.
+func refPartitionBytes(t *testing.T, set *core.Set, parts int) [][]byte {
 	t.Helper()
 	ps, err := core.SplitSketchSet(set, parts)
 	if err != nil {
@@ -54,7 +54,7 @@ func refPartitionBytes(t *testing.T, set core.AnySet, parts int) [][]byte {
 	out := make([][]byte, parts)
 	for i, p := range ps {
 		var buf bytes.Buffer
-		if _, err := core.WritePartitionV3(&buf, p); err != nil {
+		if _, err := p.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		out[i] = buf.Bytes()
@@ -62,7 +62,7 @@ func refPartitionBytes(t *testing.T, set core.AnySet, parts int) [][]byte {
 	return out
 }
 
-func buildReference(t *testing.T, g *graph.Graph, spec Spec) core.AnySet {
+func buildReference(t *testing.T, g *graph.Graph, spec Spec) *core.Set {
 	t.Helper()
 	switch spec.Kind {
 	case KindUniform:
@@ -73,7 +73,7 @@ func buildReference(t *testing.T, g *graph.Graph, spec Spec) core.AnySet {
 		return s
 	case KindWeighted:
 		var (
-			s   *core.WeightedSet
+			s   *core.Set
 			err error
 		)
 		if spec.Scheme == core.PriorityWeights {

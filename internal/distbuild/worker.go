@@ -12,7 +12,6 @@ import (
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
 	"adsketch/internal/rank"
-	"adsketch/internal/sketch"
 )
 
 // arc is one reverse-adjacency edge of an owned node: the node has an
@@ -270,7 +269,7 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 }
 
 // Freeze assembles the owned lists into a v3 partition file and returns
-// its bytes — byte-identical to WritePartitionV3 over the corresponding
+// its bytes — byte-identical to Partition.WriteTo of the corresponding
 // SplitSketchSet slice of a single-process build.  The worker cannot be
 // stepped afterwards.
 func (w *Worker) Freeze(ctx context.Context) ([]byte, error) {
@@ -281,28 +280,22 @@ func (w *Worker) Freeze(ctx context.Context) ([]byte, error) {
 		return nil, err
 	}
 	w.frozen = true
-	var (
-		p   *core.Partition
-		err error
-	)
+	p := core.Params{Kind: core.KindUniform, Options: core.Options{K: w.spec.K, Seed: w.spec.Seed}}
 	switch w.kind {
 	case KindUniform:
-		opts := core.Options{K: w.spec.K, Flavor: sketch.BottomK, Seed: w.spec.Seed}
-		p, err = core.FreezePartitionBottomK(opts, w.spec.Index, w.spec.Parts, w.spec.N, w.lists)
 	case KindWeighted:
-		p, err = core.FreezePartitionWeighted(w.spec.K, w.spec.Seed, core.WeightScheme(w.spec.Scheme),
-			w.spec.Index, w.spec.Parts, w.spec.N, w.lists, w.betas)
+		p.Kind, p.Scheme = core.KindWeighted, core.WeightScheme(w.spec.Scheme)
 	case KindApprox:
-		p, err = core.FreezePartitionApprox(w.spec.K, w.spec.Seed, w.spec.Eps,
-			w.spec.Index, w.spec.Parts, w.spec.N, w.lists)
+		p.Kind, p.Eps = core.KindApprox, w.spec.Eps
 	default:
-		err = fmt.Errorf("distbuild: unknown kind %d", int(w.kind))
+		return nil, fmt.Errorf("distbuild: unknown kind %d", int(w.kind))
 	}
+	part, err := core.FreezePartition(p, w.spec.Index, w.spec.Parts, w.spec.N, w.lists, w.betas)
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if _, err := core.WritePartitionV3(&buf, p); err != nil {
+	if _, err := part.WriteTo(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -110,21 +110,19 @@ func WithUpdateCounters(b float64) Option {
 }
 
 // New returns a maintainer over the given graph and its built sketch set.
-// The set must have been built from g (same node count) with the bottom-k
-// flavor and full-precision ranks.  g's directedness fixes how future
+// The set must have been built from g (same node count), a uniform bottom-k
+// set with full-precision ranks.  g's directedness fixes how future
 // insertions are interpreted.  The maintainer copies the reverse adjacency
 // and never mutates g or base.
 func New(g *graph.Graph, base *core.Set, opts ...Option) (*Maintainer, error) {
 	if g == nil || base == nil {
 		return nil, fmt.Errorf("ingest: nil graph or base set")
 	}
-	o := base.Options()
-	if o.Flavor != sketch.BottomK {
-		return nil, fmt.Errorf("ingest: incremental maintenance supports the bottom-k flavor, set has %v", o.Flavor)
+	p := base.Params()
+	if p.Kind != core.KindUniform || p.Flavor != sketch.BottomK || p.BaseB != 0 {
+		return nil, fmt.Errorf("ingest: incremental maintenance supports uniform bottom-k sets at full precision, base set is %v %v at base %g", p.Kind, p.Flavor, p.BaseB)
 	}
-	if o.BaseB != 0 {
-		return nil, fmt.Errorf("ingest: incremental maintenance requires full-precision ranks, set has base-%g rounding", o.BaseB)
-	}
+	o := p.Options
 	if g.NumNodes() != base.NumNodes() {
 		return nil, fmt.Errorf("ingest: graph has %d nodes but base set has %d", g.NumNodes(), base.NumNodes())
 	}

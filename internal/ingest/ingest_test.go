@@ -89,8 +89,8 @@ func checkEntriesEqual(t *testing.T, m *Maintainer, ref *core.Set, step int) {
 func serialize(t *testing.T, s *core.Set) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := core.WriteSketchSetV3(&buf, s); err != nil {
-		t.Fatalf("WriteSketchSetV3: %v", err)
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -340,7 +340,7 @@ func TestNewValidation(t *testing.T) {
 	// A v3 file's entries are trusted on open; the maintainer indexes its
 	// rank table by them, so it checks.  Node 0's second entry, renamed:
 	var file bytes.Buffer
-	if _, err := core.WriteSketchSetV3(&file, mustBuild(t, g, core.Options{K: 2, Seed: 1})); err != nil {
+	if _, err := mustBuild(t, g, core.Options{K: 2, Seed: 1}).WriteTo(&file); err != nil {
 		t.Fatal(err)
 	}
 	// After the 88-byte header, 11 offsets in the bits of the entry count.
@@ -356,7 +356,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer foreign.Close()
-	if _, err := New(g, foreign.Set().(*core.Set)); err == nil {
+	if _, err := New(g, foreign.Set()); err == nil {
 		t.Fatal("New accepted a base whose sketches name a node the graph lacks")
 	}
 }

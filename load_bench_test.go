@@ -117,7 +117,7 @@ func BenchmarkHIPIndexBuild(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cold = sf.Set().(*adsketch.Set)
+			cold = sf.Set()
 			for v := 0; v < n; v++ {
 				_ = cold.Index(int32(v))
 			}

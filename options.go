@@ -27,10 +27,9 @@ const DefaultK = 16
 // SketchSet is the unified result of Build: a per-node collection of
 // All-Distances Sketches queryable through the shared NodeSketch
 // interface, whatever the construction (uniform, weighted, approximate).
-// The dynamic type exposes construction-specific extras: *Set (uniform
-// ranks; serialization, coordinated cross-sketch operations),
-// *WeightedSet (Section 9 weighted ranks), *ApproxSet ((1+ε)-approximate
-// sketches, Section 3).
+// Its one implementation is *Set, whose Params say which construction it
+// was; the functions that take a SketchSet refuse any other with
+// ErrBadOption.
 type SketchSet interface {
 	// NumNodes returns the number of sketches (one per graph node).
 	NumNodes() int
@@ -47,11 +46,13 @@ type SketchSet interface {
 	WriteTo(w io.Writer) (int64, error)
 }
 
-var (
-	_ SketchSet = (*Set)(nil)
-	_ SketchSet = (*WeightedSet)(nil)
-	_ SketchSet = (*ApproxSet)(nil)
-)
+// setOf is the door from SketchSet to the *Set behind it.
+func setOf(set SketchSet) (*Set, error) {
+	if s, ok := set.(*Set); ok && s != nil {
+		return s, nil
+	}
+	return nil, fmt.Errorf("%w: sketch set %T is not one Build or a reader returned", ErrBadOption, set)
+}
 
 // buildConfig is the resolved option state of one Build call.
 type buildConfig struct {
@@ -302,29 +303,23 @@ func Build(g *Graph, opts ...Option) (SketchSet, error) {
 	if err := cfg.check(g); err != nil {
 		return nil, err
 	}
+	var set *Set
+	var err error
 	switch {
 	case cfg.approx:
-		set, err := core.BuildApproxSet(g, cfg.k, cfg.seed, cfg.eps)
-		if err != nil {
-			return nil, err
-		}
-		return set, nil
+		set, err = core.BuildApproxSet(g, cfg.k, cfg.seed, cfg.eps)
 	case cfg.weights != nil:
 		scheme := core.ExponentialWeights
 		if cfg.priority {
 			scheme = core.PriorityWeights
 		}
-		set, err := core.BuildWeightedSetParallel(g, cfg.k, cfg.seed, cfg.weights, scheme, cfg.parallelism)
-		if err != nil {
-			return nil, err
-		}
-		return set, nil
+		set, err = core.BuildWeightedSetParallel(g, cfg.k, cfg.seed, cfg.weights, scheme, cfg.parallelism)
 	default:
 		o := core.Options{K: cfg.k, Flavor: cfg.flavor, Seed: cfg.seed, BaseB: cfg.baseB}
-		set, err := core.BuildSetParallel(g, o, cfg.algo, cfg.parallelism)
-		if err != nil {
-			return nil, err
-		}
-		return set, nil
+		set, err = core.BuildSetParallel(g, o, cfg.algo, cfg.parallelism)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return set, nil
 }

@@ -239,12 +239,12 @@ func TestBuildParityWeighted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws, ok := built.(*adsketch.WeightedSet)
-			if !ok {
-				t.Fatalf("Build returned %T, want *adsketch.WeightedSet", built)
+			ws := built.(*adsketch.Set)
+			if ws.Params() != legacy.Params() {
+				t.Fatalf("Build made a set of %+v, want %+v", ws.Params(), legacy.Params())
 			}
 			for v := int32(0); int(v) < g.NumNodes(); v++ {
-				a, b := legacy.Sketch(v).Entries(), ws.Sketch(v).Entries()
+				a, b := legacy.Sketch(v).(*core.WeightedADS).Entries(), ws.Sketch(v).(*core.WeightedADS).Entries()
 				if len(a) != len(b) {
 					t.Fatalf("node %d: %d vs %d entries", v, len(a), len(b))
 				}
@@ -269,15 +269,12 @@ func TestBuildParityApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, ok := built.(*adsketch.ApproxSet)
-	if !ok {
-		t.Fatalf("Build returned %T, want *adsketch.ApproxSet", built)
-	}
-	if as.Epsilon() != legacy.Epsilon() || as.K() != legacy.K() {
-		t.Fatal("accessors differ")
+	as := built.(*adsketch.Set)
+	if as.Params() != legacy.Params() {
+		t.Fatalf("Build made a set of %+v, want %+v", as.Params(), legacy.Params())
 	}
 	for v := int32(0); int(v) < g.NumNodes(); v++ {
-		a, b := legacy.Sketch(v).Entries(), as.Sketch(v).Entries()
+		a, b := legacy.BottomK(v).Entries(), as.BottomK(v).Entries()
 		if len(a) != len(b) {
 			t.Fatalf("node %d: %d vs %d entries", v, len(a), len(b))
 		}

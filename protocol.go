@@ -526,7 +526,7 @@ func (q *InfluenceQuery) validate() error {
 }
 
 func (q *InfluenceQuery) evaluate(ctx context.Context, e *Engine) (Response, error) {
-	if _, err := e.uniformSet(); err != nil {
+	if err := requireCoordinated(e.meta); err != nil {
 		return Response{}, err
 	}
 	if len(q.Seeds) > 0 {
@@ -566,7 +566,7 @@ func (q *InfluenceQuery) evaluate(ctx context.Context, e *Engine) (Response, err
 }
 
 func (q *InfluenceQuery) scatter(ctx context.Context, c *Coordinator, partial bool) (Response, error) {
-	if err := c.requireCoordinated(); err != nil {
+	if err := requireCoordinated(c.Meta()); err != nil {
 		return Response{}, err
 	}
 	if len(q.Seeds) > 0 {
@@ -687,7 +687,7 @@ func (q *SketchQuery) evaluate(ctx context.Context, e *Engine) (Response, error)
 }
 
 func (q *SketchQuery) scatter(ctx context.Context, c *Coordinator, partial bool) (Response, error) {
-	if err := c.requireCoordinated(); err != nil {
+	if err := requireCoordinated(c.Meta()); err != nil {
 		return Response{}, err
 	}
 	if err := query.CheckNodes(c.total, []int32{q.Node}); err != nil {
@@ -708,31 +708,16 @@ func (q *SketchQuery) scatter(ctx context.Context, c *Coordinator, partial bool)
 	return Response{Entries: resp.Entries, Merge: meta}, nil
 }
 
-// uniformSet returns the engine's set as a uniform-rank *Set, or an
-// error matching ErrUnsupportedQuery.
-func (e *Engine) uniformSet() (*Set, error) {
-	set, ok := e.set.(*Set)
-	if !ok {
-		return nil, fmt.Errorf("%w: requires uniform-rank coordinated sketches, engine holds %T", ErrUnsupportedQuery, e.set)
-	}
-	return set, nil
-}
-
 // bottomK returns (global) node v's sketch as a bottom-k ADS from a
-// uniform set, validating the node and flavor.
+// uniform-rank set, validating the node and the set.
 func (e *Engine) bottomK(v int32) (*core.ADS, error) {
-	set, err := e.uniformSet()
-	if err != nil {
+	if err := requireCoordinated(e.meta); err != nil {
 		return nil, err
 	}
 	if err := e.checkNodes([]int32{v}); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	a, ok := set.Sketch(v - e.lo).(*core.ADS)
-	if !ok {
-		return nil, fmt.Errorf("%w: requires bottom-k sketches, set holds %T", ErrUnsupportedQuery, set.Sketch(v-e.lo))
-	}
-	return a, nil
+	return e.set.BottomK(v - e.lo), nil
 }
 
 // Do answers one protocol request.  The request must carry exactly one

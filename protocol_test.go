@@ -205,13 +205,19 @@ func TestProtocolOverAllSetKinds(t *testing.T) {
 				t.Errorf("%s node %d: %v, want %v", name, i, s, want)
 			}
 		}
-		_, err = eng.Do(context.Background(), adsketch.Request{Jaccard: &adsketch.JaccardQuery{A: 0, RadiusA: 1, B: 1, RadiusB: 1}})
-		if !errors.Is(err, adsketch.ErrUnsupportedQuery) {
-			t.Errorf("%s jaccard error = %v, want ErrUnsupportedQuery", name, err)
-		}
-		_, err = eng.Do(context.Background(), adsketch.Request{Influence: &adsketch.InfluenceQuery{NumSeeds: 2, Radius: 1}})
-		if !errors.Is(err, adsketch.ErrUnsupportedQuery) {
-			t.Errorf("%s influence error = %v, want ErrUnsupportedQuery", name, err)
+		// The cross-sketch queries need uniform coordinated ranks: an
+		// approximate set is bottom-k at full precision, and still refused.
+		for _, req := range []adsketch.Request{
+			{Jaccard: &adsketch.JaccardQuery{A: 0, RadiusA: 1, B: 1, RadiusB: 1}},
+			{Influence: &adsketch.InfluenceQuery{NumSeeds: 2, Radius: 1}},
+			{Influence: &adsketch.InfluenceQuery{Seeds: []int32{0}, Radius: 1}},
+			{DistanceBound: &adsketch.DistanceBoundQuery{A: 0, B: 1}},
+			{Sketch: &adsketch.SketchQuery{Node: 0}},
+		} {
+			q, _ := req.Query()
+			if _, err := eng.Do(context.Background(), req); !errors.Is(err, adsketch.ErrUnsupportedQuery) {
+				t.Errorf("%s %T error = %v, want ErrUnsupportedQuery", name, q, err)
+			}
 		}
 	}
 }

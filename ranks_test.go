@@ -222,7 +222,7 @@ func TestFrameRanksDerived(t *testing.T) {
 			if err := a.Validate(); err != nil && c.name != "approx" {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			if _, uniform := c.set.(*adsketch.Set); uniform {
+			if c.set.(*adsketch.Set).Params().Kind == core.KindUniform {
 				resp, err := eng.Do(context.Background(), adsketch.Request{Sketch: &adsketch.SketchQuery{Node: v}})
 				if err != nil {
 					t.Fatal(err)

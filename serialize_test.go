@@ -85,28 +85,9 @@ func TestWriteToReadSketchSetRoundTrip(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 				t.Error("re-serialization differs")
 			}
-			// The dynamic kind survives.
-			switch set.(type) {
-			case *adsketch.Set:
-				if _, ok := got.(*adsketch.Set); !ok {
-					t.Errorf("kind changed: %T -> %T", set, got)
-				}
-			case *adsketch.WeightedSet:
-				ws, ok := got.(*adsketch.WeightedSet)
-				if !ok {
-					t.Fatalf("kind changed: %T -> %T", set, got)
-				}
-				if want := set.(*adsketch.WeightedSet).Sketch(0).Scheme(); ws.Sketch(0).Scheme() != want {
-					t.Errorf("weight scheme changed: %v -> %v", want, ws.Sketch(0).Scheme())
-				}
-			case *adsketch.ApproxSet:
-				as, ok := got.(*adsketch.ApproxSet)
-				if !ok {
-					t.Fatalf("kind changed: %T -> %T", set, got)
-				}
-				if want := set.(*adsketch.ApproxSet).Epsilon(); as.Epsilon() != want {
-					t.Errorf("epsilon changed: %g -> %g", want, as.Epsilon())
-				}
+			// The kind and its parameters — scheme, epsilon — survive.
+			if want, got := set.(*adsketch.Set).Params(), got.(*adsketch.Set).Params(); got != want {
+				t.Errorf("parameters changed: %+v -> %+v", want, got)
 			}
 		})
 	}
