@@ -371,106 +371,92 @@ func (c *Coordinator) CacheStats() CacheStats {
 	return st
 }
 
-// Do answers one protocol request by scatter-gather over the shards.
-// Semantics, errors, and results are identical to Engine.Do over the
-// unpartitioned set; when req.Explain is set, the response additionally
-// carries the merge metadata.
+// Do answers one protocol request by scatter-gather over the shards: it
+// is a batch of one through DoBatch's planner, so semantics, errors, and
+// results are identical to Engine.Do over the unpartitioned set.  A
+// failure is the error value itself — its errors.Is class and its
+// "shard N:" tag survive — and when several shards fail under
+// PolicyFail it names the first in routing order.  When req.Explain is
+// set, the response additionally carries the merge metadata.
 func (c *Coordinator) Do(ctx context.Context, req Request) (Response, error) {
-	q, err := req.Query()
+	resps, errs, err := c.do(ctx, []Request{req})
 	if err != nil {
 		return Response{}, err
 	}
-	if err := q.validate(); err != nil {
-		return Response{}, err
-	}
-	partial, err := req.partialPolicy()
-	if err != nil {
-		return Response{}, err
-	}
-	resp, err := q.scatter(ctx, c, partial)
-	if err != nil {
-		return Response{}, err
-	}
-	if !req.Explain {
-		resp.Merge = nil
-	}
-	resp.ID = req.ID
-	resp.Kind = q.kind()
-	return resp, nil
+	return resps[0], errs[0]
 }
 
 // DoBatch answers a batch of protocol requests with the semantics of
 // Engine.DoBatch: per-request failures are reported inline, and the call
 // fails only when ctx is done.
 //
-// Unlike the sequential per-request loop, DoBatch plans the whole batch
-// first and sends each shard ONE multi-request frame covering every
-// sub-request the batch routes to it (the wire DoBatch array form), so a
-// scatter costs one round trip per shard instead of one per (request,
-// shard) pair.  The merges go through the same helpers as the unbatched
-// scatters, so every response is byte-identical to what c.Do would have
-// produced.  The pairwise coordinated kinds (jaccard, influence,
-// distance_bound, sketch) keep the per-request path: their fan-out is
-// data-dependent sketch fetching, not a per-shard sub-request.
+// One planner serves DoBatch and Do: it plans the whole batch first and
+// sends each shard ONE multi-request frame covering every sub-request
+// the batch routes to it (the wire DoBatch array form), so a scatter
+// costs one round trip per shard instead of one per (request, shard)
+// pair.  The pairwise coordinated kinds (jaccard, influence,
+// distance_bound, sketch) are evaluated after that scatter, one request
+// at a time: their fan-out is data-dependent sketch fetching, not a
+// per-shard sub-request.
 func (c *Coordinator) DoBatch(ctx context.Context, reqs []Request) ([]Response, error) {
-	if len(reqs) < 2 {
-		return doBatch(ctx, reqs, c.Do)
+	out, errs, err := c.do(ctx, reqs)
+	if err != nil {
+		return nil, err
 	}
-	return c.doBatchScatter(ctx, reqs)
+	for i, e := range errs {
+		if e != nil {
+			out[i] = Response{ID: reqs[i].ID, Error: e.Error()}
+		}
+	}
+	return out, nil
 }
 
 // batchPlan is one request's routing inside a batched scatter.
 type batchPlan struct {
-	err     error      // pre-scatter failure (validation, routing)
-	do      bool       // answer via c.Do (pairwise kinds)
-	score   scoreQuery // set for the per-node-scores family
-	topk    *TopKQuery // set for topk
-	partial bool       // resolved failure policy
+	q       Query
+	err     error // pre-scatter failure (validation, routing)
+	partial bool  // resolved failure policy
 	subs    []cluster.Sub
 	slots   []int // per sub (score) or per shard (topk): index into that shard's frame
 }
 
-func (c *Coordinator) doBatchScatter(ctx context.Context, reqs []Request) ([]Response, error) {
+// do is the one coordinator path: plan every request, scatter one batched
+// call per shard, merge each request's answer.  It returns a response or
+// an error per request; only a cancelled ctx fails the whole call.
+func (c *Coordinator) do(ctx context.Context, reqs []Request) ([]Response, []error, error) {
 	// Plan: validate each request and append its sub-requests to the
 	// owning shards' frames, remembering each sub's slot.
 	plans := make([]batchPlan, len(reqs))
 	perShard := make([][]Request, len(c.shards))
 	for i := range reqs {
 		p := &plans[i]
-		q, err := reqs[i].Query()
-		if err != nil {
-			p.err = err
+		if p.q, p.err = reqs[i].Query(); p.err != nil {
 			continue
 		}
-		if err := q.validate(); err != nil {
-			p.err = err
+		if p.err = p.q.validate(); p.err != nil {
 			continue
 		}
-		if p.partial, err = reqs[i].partialPolicy(); err != nil {
-			p.err = err
+		if p.partial, p.err = reqs[i].partialPolicy(); p.err != nil {
 			continue
 		}
-		switch q := q.(type) {
+		switch q := p.q.(type) {
 		case scoreQuery:
-			if p.subs, err = c.planScoreSubs(q.scoreNodes()); err != nil {
-				p.err = err
+			if p.subs, p.err = c.planNodes(q.scoreNodes()); p.err != nil {
 				continue
 			}
-			p.score = q
 			p.slots = make([]int, len(p.subs))
 			for j, sub := range p.subs {
 				p.slots[j] = len(perShard[sub.Shard])
 				perShard[sub.Shard] = append(perShard[sub.Shard], q.subRequest(sub.Nodes))
 			}
 		case *TopKQuery:
-			p.topk = q
+			// Every shard returns its own top-min(K, owned); the union
+			// contains every global top-K member, so the merge is exhaustive.
 			p.slots = make([]int, len(c.shards))
 			for s := range c.shards {
 				p.slots[s] = len(perShard[s])
 				perShard[s] = append(perShard[s], Request{TopK: q})
 			}
-		default:
-			p.do = true
 		}
 	}
 
@@ -478,110 +464,92 @@ func (c *Coordinator) doBatchScatter(ctx context.Context, reqs []Request) ([]Res
 	// under the usual failure semantics (timeout, retries, replicas,
 	// hedging).  A shard-level failure is recorded, not fatal — which
 	// requests it fails, and how, is a per-request policy decision.
-	shardResps := make([][]Response, len(c.shards))
-	shardErrs := make([]error, len(c.shards))
-	var active []int
+	answers := make([]shardAnswer, len(c.shards))
+	active := make([]int, 0, len(c.shards))
 	for s := range perShard {
 		if len(perShard[s]) > 0 {
 			active = append(active, s)
 		}
 	}
 	if len(active) > 0 {
-		errs, err := cluster.ScatterAll(ctx, len(active), func(j int) error {
-			s := active[j]
-			resps, err := c.doShardBatch(ctx, s, perShard[s])
-			if err != nil {
-				return c.shardErr(s, err)
-			}
-			if len(resps) != len(perShard[s]) {
-				return c.shardErr(s, fmt.Errorf("worker answered %d of %d batched requests", len(resps), len(perShard[s])))
-			}
-			shardResps[s] = resps
-			return nil
+		_, err := cluster.ScatterAll(ctx, len(active), func(j int) error {
+			a := &answers[active[j]]
+			a.resps, a.err = c.doShardBatch(ctx, active[j], perShard[active[j]])
+			return a.err
 		})
 		if err != nil {
-			return nil, err // the whole scatter was cancelled
-		}
-		for j, e := range errs {
-			shardErrs[active[j]] = e
+			return nil, nil, err // the whole scatter was cancelled
 		}
 	}
 
-	// Merge: reassemble each request's response from its slots, through
-	// the same merge helpers as the unbatched scatters.
+	// Merge: reassemble each request's response from its slots.
 	out := make([]Response, len(reqs))
+	errs := make([]error, len(reqs))
 	for i := range reqs {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		p := &plans[i]
 		var resp Response
-		var err error
-		switch {
-		case p.err != nil:
-			err = p.err
-		case p.do:
-			resp, err = c.Do(ctx, reqs[i])
-		case p.score != nil:
-			nodes := p.score.scoreNodes()
-			cols := make([][]float64, len(p.subs))
-			errs := make([]error, len(p.subs))
-			for j, sub := range p.subs {
-				cols[j], errs[j] = batchSlot(c, sub.Shard, p.slots[j], shardResps, shardErrs, Response.scoreCol)
-			}
-			if resp, err = c.mergeScoreScatter(nodes, p.subs, cols, errs, p.partial); err == nil {
-				c.finalizeBatched(&resp, &reqs[i], p.score)
-			}
-		default:
-			lists := make([][]Ranked, len(c.shards))
-			errs := make([]error, len(c.shards))
-			for s := range c.shards {
-				lists[s], errs[s] = batchSlot(c, s, p.slots[s], shardResps, shardErrs, Response.rankingCol)
-			}
-			if resp, err = c.mergeTopKScatter(p.topk, lists, errs, p.partial); err == nil {
-				c.finalizeBatched(&resp, &reqs[i], p.topk)
+		err := p.err
+		if err == nil {
+			switch q := p.q.(type) {
+			case scoreQuery:
+				cols := make([][]float64, len(p.subs))
+				subErrs := make([]error, len(p.subs))
+				for j, sub := range p.subs {
+					r, e := c.slot(sub.Shard, p.slots[j], answers)
+					cols[j], subErrs[j] = r.Scores, e
+				}
+				resp, err = c.mergeScoreScatter(q.scoreNodes(), p.subs, cols, subErrs, p.partial)
+			case *TopKQuery:
+				lists := make([][]Ranked, len(c.shards))
+				subErrs := make([]error, len(c.shards))
+				for s := range c.shards {
+					r, e := c.slot(s, p.slots[s], answers)
+					lists[s], subErrs[s] = r.Ranking, e
+				}
+				resp, err = c.mergeTopKScatter(q, lists, subErrs, p.partial)
+			default:
+				resp, err = q.(pairwiseQuery).scatter(ctx, c)
 			}
 		}
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			}
-			out[i] = Response{ID: reqs[i].ID, Error: err.Error()}
+			errs[i] = err
 			continue
 		}
+		if !reqs[i].Explain {
+			resp.Merge = nil
+		}
+		resp.ID = reqs[i].ID
+		resp.Kind = p.q.kind()
 		out[i] = resp
 	}
-	return out, nil
+	return out, errs, nil
 }
 
-// scoreCol and rankingCol pick a merge column off a shard response.
-func (r Response) scoreCol() []float64  { return r.Scores }
-func (r Response) rankingCol() []Ranked { return r.Ranking }
+// shardAnswer is one shard's outcome in a batched scatter.
+type shardAnswer struct {
+	resps []Response
+	err   error
+}
 
-// batchSlot extracts one sub-request's payload column from its shard's
-// batched response, reconstructing the error the unbatched scatter
-// would have seen: a shard-level failure keeps its shardErr wrapping,
-// and a per-request failure the worker reported inline gets the same
-// "shard N:" tag the single-request hop gives it.
-func batchSlot[T any](c *Coordinator, shard, slot int, shardResps [][]Response, shardErrs []error, col func(Response) T) (T, error) {
-	var zero T
-	if err := shardErrs[shard]; err != nil {
-		return zero, err
+// slot returns one sub-request's answer from its shard's batched
+// response: the shard-level failure, already tagged "shard N:" by
+// doShardBatch, or a per-request failure the worker reported inline,
+// given the same tag.
+func (c *Coordinator) slot(shard, slot int, answers []shardAnswer) (Response, error) {
+	if err := answers[shard].err; err != nil {
+		return Response{}, err
 	}
-	resp := shardResps[shard][slot]
+	resp := answers[shard].resps[slot]
 	if resp.Error != "" {
-		return zero, fmt.Errorf("shard %d: %s", c.shards[shard].Meta().Index, resp.Error)
+		return Response{}, fmt.Errorf("shard %d: %s", c.shards[shard].Meta().Index, resp.Error)
 	}
-	return col(resp), nil
-}
-
-// finalizeBatched applies c.Do's response envelope to a batched merge.
-func (c *Coordinator) finalizeBatched(resp *Response, req *Request, q Query) {
-	if !req.Explain {
-		resp.Merge = nil
-	}
-	resp.ID = req.ID
-	resp.Kind = q.kind()
+	return resp, nil
 }
 
 // mergeMeta records which shards a scatter consulted.
@@ -646,17 +614,16 @@ func retryableShardErr(err error) bool {
 	return true
 }
 
-// attemptShard makes one attempt against one backend under the
+// attemptShard makes one batched attempt against one backend under the
 // per-attempt deadline, maintaining the error/timeout counters.
-func attemptShard[T any](ctx context.Context, c *Coordinator, part int, be ShardBackend,
-	invoke func(context.Context, ShardBackend) (T, error)) (T, error) {
+func (c *Coordinator) attemptShard(ctx context.Context, part int, be ShardBackend, reqs []Request) ([]Response, error) {
 	actx := ctx
 	if c.cfg.timeout > 0 {
 		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(ctx, c.cfg.timeout)
 		defer cancel()
 	}
-	v, err := invoke(actx, be)
+	resps, err := be.DoBatch(actx, reqs)
 	if err != nil {
 		st := &c.stats[part]
 		st.errors.Add(1)
@@ -665,7 +632,7 @@ func attemptShard[T any](ctx context.Context, c *Coordinator, part int, be Shard
 			err = fmt.Errorf("attempt exceeded the %v shard deadline: %w", c.cfg.timeout, err)
 		}
 	}
-	return v, err
+	return resps, err
 }
 
 // chainShard tries the given backends sequentially — every backend in
@@ -673,9 +640,7 @@ func attemptShard[T any](ctx context.Context, c *Coordinator, part int, be Shard
 // failed attempts — returning the first success or the first error
 // observed once the budget is spent.  Deterministic protocol errors and
 // parent-context cancellation stop the chain immediately.
-func chainShard[T any](ctx context.Context, c *Coordinator, part int, backends []ShardBackend,
-	invoke func(context.Context, ShardBackend) (T, error)) (T, error) {
-	var zero T
+func (c *Coordinator) chainShard(ctx context.Context, part int, backends []ShardBackend, reqs []Request) ([]Response, error) {
 	var firstErr error
 	st := &c.stats[part]
 	attempt := 0
@@ -688,28 +653,28 @@ func chainShard[T any](ctx context.Context, c *Coordinator, part int, backends [
 					select {
 					case <-ctx.Done():
 						t.Stop()
-						return zero, firstOf(firstErr, ctx.Err())
+						return nil, firstOf(firstErr, ctx.Err())
 					case <-t.C:
 					}
 				}
 			}
 			attempt++
-			v, err := attemptShard(ctx, c, part, be, invoke)
+			resps, err := c.attemptShard(ctx, part, be, reqs)
 			if err == nil {
-				return v, nil
+				return resps, nil
 			}
 			if firstErr == nil {
 				firstErr = err
 			}
 			if !retryableShardErr(err) {
-				return zero, err
+				return nil, err
 			}
 			if ctx.Err() != nil {
-				return zero, firstErr
+				return nil, firstErr
 			}
 		}
 	}
-	return zero, firstErr
+	return nil, firstErr
 }
 
 // backoffDelay is the sleep before retry attempt n (1-based beyond the
@@ -732,27 +697,32 @@ func firstOf(err, fallback error) error {
 	return fallback
 }
 
-// shardCall is every scatter leg's entry point: it calls partition
-// part's replica group under the coordinator's failure semantics —
-// per-attempt deadline, bounded retries with backoff, sequential replica
-// failover, and (when WithHedgeDelay armed it) a hedged concurrent
-// replica request racing a slow primary.
-func shardCall[T any](ctx context.Context, c *Coordinator, part int,
-	invoke func(context.Context, ShardBackend) (T, error)) (T, error) {
+// doShardBatch is every scatter leg's entry point: it answers one request
+// batch on partition part's replica group under the coordinator's
+// failure semantics — per-attempt deadline, bounded retries with
+// backoff, sequential replica failover, and (when WithHedgeDelay armed
+// it) a hedged concurrent replica request racing a slow primary.
+// Protocol queries are read-only, so a retried or hedged batch is safe
+// to repeat.  A failure comes back tagged with the shard's partition.
+func (c *Coordinator) doShardBatch(ctx context.Context, part int, reqs []Request) ([]Response, error) {
 	st := &c.stats[part]
 	st.calls.Add(1)
 	group := c.groups[part]
-	var v T
+	var resps []Response
 	var err error
 	if c.cfg.hedge > 0 && len(group) > 1 {
-		v, err = hedgedCall(ctx, c, part, invoke)
+		resps, err = c.hedgedCall(ctx, part, reqs)
 	} else {
-		v, err = chainShard(ctx, c, part, group, invoke)
+		resps, err = c.chainShard(ctx, part, group, reqs)
 	}
 	if err != nil {
 		st.failures.Add(1)
+		return nil, c.shardErr(part, err)
 	}
-	return v, err
+	if len(resps) != len(reqs) {
+		return nil, c.shardErr(part, fmt.Errorf("worker answered %d of %d batched requests", len(resps), len(reqs)))
+	}
+	return resps, nil
 }
 
 // hedgedCall races the primary chain against a delayed replica chain:
@@ -760,12 +730,11 @@ func shardCall[T any](ctx context.Context, c *Coordinator, part int,
 // hedge delay (or immediately, as failover, when the primary chain
 // fails first), and the first success wins.  Both chains share the
 // parent context; the loser is cancelled.
-func hedgedCall[T any](ctx context.Context, c *Coordinator, part int,
-	invoke func(context.Context, ShardBackend) (T, error)) (T, error) {
+func (c *Coordinator) hedgedCall(ctx context.Context, part int, reqs []Request) ([]Response, error) {
 	group := c.groups[part]
 	st := &c.stats[part]
 	type result struct {
-		v      T
+		resps  []Response
 		err    error
 		hedged bool
 	}
@@ -773,8 +742,8 @@ func hedgedCall[T any](ctx context.Context, c *Coordinator, part int,
 	defer cancel()
 	ch := make(chan result, 2) // buffered: the losing chain must not leak
 	run := func(backends []ShardBackend, hedged bool) {
-		v, err := chainShard(cctx, c, part, backends, invoke)
-		ch <- result{v, err, hedged}
+		resps, err := c.chainShard(cctx, part, backends, reqs)
+		ch <- result{resps, err, hedged}
 	}
 	go run(group[:1], false)
 	timer := time.NewTimer(c.cfg.hedge)
@@ -805,7 +774,7 @@ func hedgedCall[T any](ctx context.Context, c *Coordinator, part int,
 			if r.hedged {
 				st.hedgeWins.Add(1)
 			}
-			return r.v, nil
+			return r.resps, nil
 		}
 		if firstErr == nil {
 			firstErr = r.err
@@ -817,74 +786,12 @@ func hedgedCall[T any](ctx context.Context, c *Coordinator, part int,
 			launch()
 		}
 	}
-	var zero T
-	return zero, firstErr
+	return nil, firstErr
 }
 
-// doShard answers one request on partition part under the failure
-// semantics (timeout, retries, replicas, hedging).
-func (c *Coordinator) doShard(ctx context.Context, part int, req Request) (Response, error) {
-	return shardCall(ctx, c, part, func(ctx context.Context, be ShardBackend) (Response, error) {
-		return be.Do(ctx, req)
-	})
-}
-
-// doShardBatch answers one request batch on partition part under the
-// failure semantics.  Protocol queries are read-only, so a retried or
-// hedged batch is safe to repeat.
-func (c *Coordinator) doShardBatch(ctx context.Context, part int, reqs []Request) ([]Response, error) {
-	return shardCall(ctx, c, part, func(ctx context.Context, be ShardBackend) ([]Response, error) {
-		return be.DoBatch(ctx, reqs)
-	})
-}
-
-// scatterScores fans a per-node query out to the shards owning its
-// nodes (mk builds the per-shard request from a node subset) and merges
-// the partial score vectors back into request order.  Under the
-// "partial" policy a failed shard degrades the answer instead of
-// failing it: its nodes' scores stay 0 and are listed in
-// Response.Missing, Response.Partial is set, and the merge metadata
-// names the failed partitions.  When every shard answers, the fault
-// path is never taken and the response is byte-identical to the fail
-// policy's.
-func (c *Coordinator) scatterScores(ctx context.Context, q scoreQuery, partialPolicy bool) (Response, error) {
-	nodes := q.scoreNodes()
-	subs, err := c.planScoreSubs(nodes)
-	if err != nil {
-		return Response{}, err
-	}
-	cols := make([][]float64, len(subs))
-	if !partialPolicy {
-		err = cluster.Scatter(ctx, len(subs), func(i int) error {
-			resp, err := c.doShard(ctx, subs[i].Shard, q.subRequest(subs[i].Nodes))
-			if err != nil {
-				return c.shardErr(subs[i].Shard, err)
-			}
-			cols[i] = resp.Scores
-			return nil
-		})
-		if err != nil {
-			return Response{}, err
-		}
-		return c.mergeScoreScatter(nodes, subs, cols, nil, false)
-	}
-	errs, err := cluster.ScatterAll(ctx, len(subs), func(i int) error {
-		resp, err := c.doShard(ctx, subs[i].Shard, q.subRequest(subs[i].Nodes))
-		if err != nil {
-			return c.shardErr(subs[i].Shard, err)
-		}
-		cols[i] = resp.Scores
-		return nil
-	})
-	if err != nil {
-		return Response{}, err // the whole scatter was cancelled
-	}
-	return c.mergeScoreScatter(nodes, subs, cols, errs, true)
-}
-
-// planScoreSubs validates a score query's nodes and routes them to their
-// owning shards.
-func (c *Coordinator) planScoreSubs(nodes []int32) ([]cluster.Sub, error) {
+// planNodes validates a query's nodes and routes them to their owning
+// shards.
+func (c *Coordinator) planNodes(nodes []int32) ([]cluster.Sub, error) {
 	if err := query.CheckNodes(c.total, nodes); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -896,19 +803,17 @@ func (c *Coordinator) planScoreSubs(nodes []int32) ([]cluster.Sub, error) {
 }
 
 // mergeScoreScatter splices the per-sub score columns of one scatter
-// back into request order under the failure policy.  errs[i] reports sub
-// i's outcome; a nil errs means every sub answered.  Both scatterScores
-// and the batched fan-out of DoBatch merge through here, which is what
-// keeps a batched query byte-identical to the unbatched one.
+// back into request order under the failure policy; errs[i] reports sub
+// i's outcome.  Under the "partial" policy a failed shard degrades the
+// answer instead of failing it: its nodes' scores stay 0 and are listed
+// in Response.Missing, Response.Partial is set, and the merge metadata
+// names the failed partitions.  When every shard answers, the response
+// is byte-identical to the fail policy's.
 func (c *Coordinator) mergeScoreScatter(nodes []int32, subs []cluster.Sub, cols [][]float64, errs []error, partialPolicy bool) (Response, error) {
 	ok := make([]bool, len(subs))
 	var failed []int
 	var firstErr error
-	for i := range subs {
-		var e error
-		if errs != nil {
-			e = errs[i]
-		}
+	for i, e := range errs {
 		ok[i] = e == nil
 		if e != nil {
 			failed = append(failed, c.shards[subs[i].Shard].Meta().Index)
@@ -946,51 +851,15 @@ func (c *Coordinator) mergeScoreScatter(nodes []int32, subs []cluster.Sub, cols 
 	return Response{Scores: scores, Missing: missing, Partial: len(failed) > 0, Merge: meta}, nil
 }
 
-// scatterTopK fans a topk query to every shard and merges the per-shard
-// rankings into the global top-k.  Under the "partial" policy the
-// rankings of the shards that answered still merge — the answer may
-// miss members owned by a failed shard, so it is flagged Partial and
-// the merge metadata names the failed partitions.
-func (c *Coordinator) scatterTopK(ctx context.Context, q *TopKQuery, partialPolicy bool) (Response, error) {
-	lists := make([][]Ranked, len(c.shards))
-	if !partialPolicy {
-		err := cluster.Scatter(ctx, len(c.shards), func(i int) error {
-			resp, err := c.doShard(ctx, i, Request{TopK: q})
-			if err != nil {
-				return c.shardErr(i, err)
-			}
-			lists[i] = resp.Ranking
-			return nil
-		})
-		if err != nil {
-			return Response{}, err
-		}
-		return c.mergeTopKScatter(q, lists, nil, false)
-	}
-	errs, err := cluster.ScatterAll(ctx, len(c.shards), func(i int) error {
-		resp, err := c.doShard(ctx, i, Request{TopK: q})
-		if err != nil {
-			return c.shardErr(i, err)
-		}
-		lists[i] = resp.Ranking
-		return nil
-	})
-	if err != nil {
-		return Response{}, err
-	}
-	return c.mergeTopKScatter(q, lists, errs, true)
-}
-
-// mergeTopKScatter merges per-shard rankings under the failure policy;
-// the shared merge of scatterTopK and the batched fan-out of DoBatch.
+// mergeTopKScatter merges per-shard rankings into the global top-k under
+// the failure policy.  Under the "partial" policy the rankings of the
+// shards that answered still merge — the answer may miss members owned
+// by a failed shard, so it is flagged Partial and the merge metadata
+// names the failed partitions.
 func (c *Coordinator) mergeTopKScatter(q *TopKQuery, lists [][]Ranked, errs []error, partialPolicy bool) (Response, error) {
 	var failed []int
 	var firstErr error
-	for i := range lists {
-		var e error
-		if errs != nil {
-			e = errs[i]
-		}
+	for i, e := range errs {
 		if e != nil {
 			lists[i] = nil
 			failed = append(failed, c.shards[i].Meta().Index)
@@ -1034,12 +903,9 @@ func (c *Coordinator) fetchSketches(ctx context.Context, nodes []int32) (map[int
 	if err := requireCoordinated(c.Meta()); err != nil {
 		return nil, err
 	}
-	if err := query.CheckNodes(c.total, nodes); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	subs, err := c.router.Plan(nodes)
+	subs, err := c.planNodes(nodes)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, err
 	}
 	out := make(map[int32]*core.ADS, len(nodes))
 	var mu sync.Mutex
@@ -1050,10 +916,7 @@ func (c *Coordinator) fetchSketches(ctx context.Context, nodes []int32) (map[int
 		}
 		resps, err := c.doShardBatch(ctx, subs[i].Shard, reqs)
 		if err != nil {
-			return c.shardErr(subs[i].Shard, err)
-		}
-		if len(resps) != len(reqs) {
-			return c.shardErr(subs[i].Shard, fmt.Errorf("returned %d responses for %d sketch fetches", len(resps), len(reqs)))
+			return err
 		}
 		fetched := make([]*core.ADS, len(resps))
 		for j, r := range resps {

@@ -29,6 +29,7 @@ type faultShard struct {
 	failRemaining int           // fail this many calls, then recover
 	dead          bool          // fail every call
 	delay         time.Duration // sleep (context-aware) before answering
+	err           error         // the injected fault; errInjected when nil
 	calls         int
 }
 
@@ -38,7 +39,7 @@ var errInjected = errors.New("injected shard fault")
 func (f *faultShard) begin(ctx context.Context) error {
 	f.mu.Lock()
 	f.calls++
-	dead, delay := f.dead, f.delay
+	dead, delay, injected := f.dead, f.delay, f.err
 	failNow := false
 	if f.failRemaining > 0 {
 		f.failRemaining--
@@ -46,6 +47,9 @@ func (f *faultShard) begin(ctx context.Context) error {
 	}
 	f.mu.Unlock()
 	if dead || failNow {
+		if injected != nil {
+			return injected
+		}
 		return errInjected
 	}
 	if delay > 0 {
@@ -500,6 +504,137 @@ func TestPartialPolicyBatch(t *testing.T) {
 	}
 	if resps[3].Error == "" || !strings.Contains(resps[3].Error, "shard 3") {
 		t.Errorf("fail-policy topk in batch: %+v", resps[3])
+	}
+}
+
+// TestSingleRequestContract pins what a caller of Coordinator.Do sees for
+// the per-node and topk kinds under both policies, with shard 1 of 2
+// healthy, dead, past its deadline, or refusing the call as a bad
+// request: Do's response — or its error text — equals DoBatch's answer
+// to the request alone and to the same request in the middle of a
+// 3-request batch, and a fail-policy error keeps its errors.Is class and
+// the "shard 1:" tag.
+func TestSingleRequestContract(t *testing.T) {
+	_, set, _ := buildEngine(t)
+	engines := shardEngines(t, set, 2) // shard 1 owns nodes [200, 400)
+	kinds := []adsketch.Request{
+		{ID: "cl", Closeness: &adsketch.ClosenessQuery{Nodes: []int32{399, 0, 250, 17}}},
+		{ID: "ha", Harmonic: &adsketch.HarmonicQuery{Nodes: []int32{3, 301}}},
+		{ID: "nb", Neighborhood: &adsketch.NeighborhoodQuery{Radius: 2, Nodes: []int32{200, 199}}},
+		{ID: "ck", CentralityKernel: &adsketch.CentralityKernelQuery{Kernel: adsketch.KernelNameExponential, Nodes: []int32{7, 388}}},
+		{ID: "tk", TopK: &adsketch.TopKQuery{Metric: adsketch.MetricHarmonic, K: 6}},
+	}
+	ctx := context.Background()
+	// Build both shards' indexes before any deadline is armed.
+	warm, err := adsketch.NewCoordinator(engines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.DoBatch(ctx, kinds); err != nil {
+		t.Fatal(err)
+	}
+	faults := []struct {
+		name   string
+		inject func(f *faultShard)
+		class  error // what a fail-policy error matches; nil when healthy
+	}{
+		{"healthy", func(*faultShard) {}, nil},
+		{"dead", (*faultShard).kill, errInjected},
+		{"timeout", func(f *faultShard) { f.delay = time.Minute }, context.DeadlineExceeded},
+		{"badrequest", func(f *faultShard) {
+			f.err = fmt.Errorf("shard-side rejection: %w", adsketch.ErrBadRequest)
+			f.kill()
+		}, adsketch.ErrBadRequest},
+	}
+	marshal := func(r adsketch.Response) string {
+		b, _ := json.Marshal(r)
+		return string(b)
+	}
+	for _, fault := range faults {
+		wrapped, fs := wrapFaulty(engines)
+		fault.inject(fs[1])
+		coord, err := adsketch.NewCoordinator(wrapped, adsketch.WithShardTimeout(50*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, base := range kinds {
+			for _, policy := range []string{adsketch.PolicyFail, adsketch.PolicyPartial} {
+				req := base
+				req.Policy = policy
+				req.Explain = true
+				name := fault.name + "/" + req.ID + "/" + policy
+				failing := fault.class != nil && policy == adsketch.PolicyFail
+				want, err := coord.Do(ctx, req)
+				if (err != nil) != failing {
+					t.Errorf("%s: Do error = %v, want failure %v", name, err, failing)
+					continue
+				}
+				if err != nil {
+					if !errors.Is(err, fault.class) {
+						t.Errorf("%s: Do error %v does not match %v", name, err, fault.class)
+					}
+					if !strings.HasPrefix(err.Error(), "shard 1: ") {
+						t.Errorf("%s: Do error %q lacks the shard 1 tag", name, err)
+					}
+					want = adsketch.Response{ID: req.ID, Error: err.Error()}
+				} else if want.Partial != (fault.class != nil) {
+					t.Errorf("%s: Partial = %v under fault %q", name, want.Partial, fault.name)
+				}
+				alone, err := coord.DoBatch(ctx, []adsketch.Request{req})
+				if err != nil || len(alone) != 1 {
+					t.Fatalf("%s: DoBatch of one: %d responses, %v", name, len(alone), err)
+				}
+				if got := marshal(alone[0]); got != marshal(want) {
+					t.Errorf("%s: DoBatch of one differs from Do:\n  batch %s\n  do    %s", name, got, marshal(want))
+				}
+				three, err := coord.DoBatch(ctx, []adsketch.Request{
+					{ID: "f0", Closeness: &adsketch.ClosenessQuery{Nodes: []int32{5}}},
+					req,
+					{ID: "f2", TopK: &adsketch.TopKQuery{Metric: adsketch.MetricCloseness, K: 3}, Policy: adsketch.PolicyPartial},
+				})
+				if err != nil || len(three) != 3 {
+					t.Fatalf("%s: DoBatch of three: %d responses, %v", name, len(three), err)
+				}
+				if got := marshal(three[1]); got != marshal(want) {
+					t.Errorf("%s: slot 1 of a 3-request DoBatch differs from Do:\n  batch %s\n  do    %s", name, got, marshal(want))
+				}
+			}
+		}
+	}
+}
+
+// With every consulted shard failing under PolicyFail, the error names
+// the first failed shard in routing order — not whichever failed first
+// in time — for Do and DoBatch alike.
+func TestFailPolicyNamesFirstShardInRoutingOrder(t *testing.T) {
+	_, set, _ := buildEngine(t)
+	wrapped, faults := wrapFaulty(shardEngines(t, set, 2))
+	for _, f := range faults {
+		f.kill()
+	}
+	coord, err := adsketch.NewCoordinator(wrapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		req  adsketch.Request
+		want string
+	}{
+		{adsketch.Request{TopK: &adsketch.TopKQuery{Metric: adsketch.MetricCloseness, K: 5}}, "shard 0: "},
+		{adsketch.Request{Closeness: &adsketch.ClosenessQuery{Nodes: []int32{0, 399}}}, "shard 0: "},
+		{adsketch.Request{Closeness: &adsketch.ClosenessQuery{Nodes: []int32{399, 0}}}, "shard 1: "},
+	} {
+		for range 10 {
+			_, err := coord.Do(ctx, tc.req)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) || !errors.Is(err, errInjected) {
+				t.Fatalf("Do error = %v, want the injected fault tagged %q", err, tc.want)
+			}
+			resps, err := coord.DoBatch(ctx, []adsketch.Request{tc.req})
+			if err != nil || !strings.HasPrefix(resps[0].Error, tc.want) {
+				t.Fatalf("DoBatch = %+v, %v, want an error tagged %q", resps, err, tc.want)
+			}
+		}
 	}
 }
 

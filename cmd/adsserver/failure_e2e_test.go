@@ -68,13 +68,18 @@ func fakeWorkerMeta() adsketch.ShardMeta {
 	}
 }
 
+// serveFakeMeta answers /v1/meta with fakeWorkerMeta, advertising the
+// binary framing as every worker build does.
+func serveFakeMeta(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set(protoHeader, advertisedProtocols)
+	writeJSON(w, http.StatusOK, fakeWorkerMeta())
+}
+
 // fakeWorker serves a real /v1/meta and delegates /v1/query to fn.
 func fakeWorker(t *testing.T, fn http.HandlerFunc) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/meta", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, fakeWorkerMeta())
-	})
+	mux.HandleFunc("GET /v1/meta", serveFakeMeta)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -97,7 +102,7 @@ func TestHTTPShardErrorPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := s.Do(context.Background(), adsketch.Request{}); err == nil ||
-			!strings.Contains(err.Error(), "decoding worker response") {
+			!strings.Contains(err.Error(), "decoding worker batch response") {
 			t.Errorf("Do over truncated JSON: %v", err)
 		}
 		if _, err := s.DoBatch(context.Background(), nil); err == nil ||
@@ -188,9 +193,7 @@ func TestCrossHopStatusPreservation(t *testing.T) {
 func TestProberEjectsAndReadmits(t *testing.T) {
 	var sick atomic.Bool
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/meta", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, fakeWorkerMeta())
-	})
+	mux.HandleFunc("GET /v1/meta", serveFakeMeta)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		if sick.Load() {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "dead"})

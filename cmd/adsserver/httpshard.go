@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,14 +26,12 @@ const maxShardRespBytes = 64 << 20
 // /v1/query exactly as any other client's would, so a worker needs no
 // coordinator-specific surface.
 //
-// The wire format is negotiated at dial: a worker whose /v1/meta
-// advertises the binary framing (Ads-Protocols) gets binary frames,
-// anything else — including every pre-binary worker build — gets JSON.
+// The hop speaks binary frames only: dialing refuses a worker whose
+// /v1/meta does not advertise the binary framing (Ads-Protocols).
 type httpShard struct {
 	base   string
 	meta   adsketch.ShardMeta
 	client *http.Client
-	binary bool // negotiated at dial; false = JSON fallback
 }
 
 var _ adsketch.ShardBackend = (*httpShard)(nil)
@@ -62,13 +61,11 @@ type clusterConfig struct {
 	retryBackoff  time.Duration // delay before the first shard retry
 	hedgeDelay    time.Duration // hedge a second replica after this wait (0 = off)
 	probeInterval time.Duration // /healthz polling interval (0 = no probing)
-	workerProto   string        // "auto" (binary when advertised) or "json" (force fallback)
 }
 
 // clusterDefaults is the production posture: bounded dials, a generous
 // per-shard deadline with one retry, hedging off (it needs replicas and
-// an explicit latency target), probing off (opt in via -probe-interval),
-// binary framing wherever workers advertise it.
+// an explicit latency target), probing off (opt in via -probe-interval).
 func clusterDefaults() clusterConfig {
 	return clusterConfig{
 		dialTimeout:  5 * time.Second,
@@ -77,7 +74,6 @@ func clusterDefaults() clusterConfig {
 		shardTimeout: 15 * time.Second,
 		shardRetries: 1,
 		retryBackoff: 50 * time.Millisecond,
-		workerProto:  "auto",
 	}
 }
 
@@ -93,15 +89,21 @@ func (c clusterConfig) coordinatorOptions() []adsketch.CoordinatorOption {
 // dialShard connects to a worker and reads its serving identity, with a
 // per-attempt timeout and bounded retries — a worker that is still
 // binding its listener gets a grace period, while a wrong URL fails in
-// seconds instead of wedging startup on a default TCP timeout.
+// seconds instead of wedging startup on a default TCP timeout.  A worker
+// that answers without advertising the binary framing is refused at
+// once: the coordinator speaks nothing else to its workers.
 func dialShard(base string, cfg clusterConfig) (*httpShard, error) {
 	s := &httpShard{
 		base:   strings.TrimSuffix(base, "/"),
 		client: &http.Client{Timeout: 60 * time.Second, Transport: shardTransport},
 	}
-	var err error
 	for attempt := 0; ; attempt++ {
-		if err = s.fetchMeta(cfg.dialTimeout, cfg.workerProto != "json"); err == nil {
+		protocols, err := s.fetchMeta(cfg.dialTimeout)
+		if err == nil {
+			if !strings.Contains(protocols, wire.ContentType) {
+				return nil, fmt.Errorf("dialing shard %s: /v1/meta advertises %s %q, want %s (the coordinator speaks only binary frames to workers)",
+					s.base, protoHeader, protocols, wire.ContentType)
+			}
 			return s, nil
 		}
 		if attempt >= cfg.dialRetries {
@@ -115,10 +117,9 @@ func dialShard(base string, cfg clusterConfig) (*httpShard, error) {
 	}
 }
 
-// fetchMeta performs one /v1/meta attempt under its own deadline and,
-// when allowed, negotiates the binary framing off the worker's protocol
-// advertisement.
-func (s *httpShard) fetchMeta(timeout time.Duration, allowBinary bool) error {
+// fetchMeta performs one /v1/meta attempt under its own deadline and
+// returns the worker's protocol advertisement.
+func (s *httpShard) fetchMeta(timeout time.Duration) (string, error) {
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -127,40 +128,39 @@ func (s *httpShard) fetchMeta(timeout time.Duration, allowBinary bool) error {
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+"/v1/meta", nil)
 	if err != nil {
-		return fmt.Errorf("dialing shard %s: %w", s.base, err)
+		return "", fmt.Errorf("dialing shard %s: %w", s.base, err)
 	}
 	resp, err := s.client.Do(req)
 	if err != nil {
-		return fmt.Errorf("dialing shard %s: %w", s.base, err)
+		return "", fmt.Errorf("dialing shard %s: %w", s.base, err)
 	}
 	defer resp.Body.Close()
 	payload, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return fmt.Errorf("dialing shard %s: %w", s.base, err)
+		return "", fmt.Errorf("dialing shard %s: %w", s.base, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("dialing shard %s: %s: %s", s.base, resp.Status, strings.TrimSpace(string(payload)))
+		return "", fmt.Errorf("dialing shard %s: %s: %s", s.base, resp.Status, strings.TrimSpace(string(payload)))
 	}
 	if err := json.Unmarshal(payload, &s.meta); err != nil {
-		return fmt.Errorf("dialing shard %s: decoding /v1/meta: %v", s.base, err)
+		return "", fmt.Errorf("dialing shard %s: decoding /v1/meta: %v", s.base, err)
 	}
-	s.binary = allowBinary && strings.Contains(resp.Header.Get(protoHeader), wire.ContentType)
-	return nil
+	return resp.Header.Get(protoHeader), nil
 }
 
 func (s *httpShard) Meta() adsketch.ShardMeta { return s.meta }
 
-// post sends one /v1/query body and fills out with the response
+// post sends one binary /v1/query frame and fills out with the response
 // payload.  out is a pooled buffer the caller owns; its capacity is
 // reused across calls instead of io.ReadAll's fresh allocation, and the
 // read is capped at maxShardRespBytes (an oversized payload is cut off
 // there and fails decoding).
-func (s *httpShard) post(ctx context.Context, contentType string, body []byte, out *wire.Buf) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+"/v1/query", bytes.NewReader(body))
+func (s *httpShard) post(ctx context.Context, frame []byte, out *wire.Buf) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+"/v1/query", bytes.NewReader(frame))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", wire.ContentType)
 	resp, err := s.client.Do(req)
 	if err != nil {
 		return err
@@ -206,61 +206,33 @@ func shardStatusErr(status int, payload []byte) error {
 	}
 }
 
+// Do answers one request as a batch of one.  A failure the worker
+// reports inline arrives as its message only: the coordinator itself
+// calls DoBatch, and tags such failures with the shard.
 func (s *httpShard) Do(ctx context.Context, req adsketch.Request) (adsketch.Response, error) {
-	out := wire.Get()
-	defer out.Free()
-	if s.binary {
-		frame := wire.Get()
-		defer frame.Free()
-		wire.EncodeRequest(frame, &req)
-		if err := s.post(ctx, wire.ContentType, frame.B, out); err != nil {
-			return adsketch.Response{}, err
-		}
-		resp, err := wire.DecodeResponse(out.B)
-		if err != nil {
-			return adsketch.Response{}, fmt.Errorf("decoding worker response: %v", err)
-		}
-		return resp, nil
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
+	resps, err := s.DoBatch(ctx, []adsketch.Request{req})
+	switch {
+	case err != nil:
 		return adsketch.Response{}, err
+	case len(resps) != 1:
+		return adsketch.Response{}, fmt.Errorf("worker answered %d responses to one request", len(resps))
+	case resps[0].Error != "":
+		return adsketch.Response{}, errors.New(resps[0].Error)
 	}
-	if err := s.post(ctx, "application/json", body, out); err != nil {
-		return adsketch.Response{}, err
-	}
-	var resp adsketch.Response
-	if err := json.Unmarshal(out.B, &resp); err != nil {
-		return adsketch.Response{}, fmt.Errorf("decoding worker response: %v", err)
-	}
-	return resp, nil
+	return resps[0], nil
 }
 
 func (s *httpShard) DoBatch(ctx context.Context, reqs []adsketch.Request) ([]adsketch.Response, error) {
+	frame := wire.Get()
+	defer frame.Free()
+	wire.EncodeRequests(frame, reqs)
 	out := wire.Get()
 	defer out.Free()
-	if s.binary {
-		frame := wire.Get()
-		defer frame.Free()
-		wire.EncodeRequests(frame, reqs)
-		if err := s.post(ctx, wire.ContentType, frame.B, out); err != nil {
-			return nil, err
-		}
-		resps, _, err := wire.DecodeResponses(out.B)
-		if err != nil {
-			return nil, fmt.Errorf("decoding worker batch response: %v", err)
-		}
-		return resps, nil
+	if err := s.post(ctx, frame.B, out); err != nil {
+		return nil, err
 	}
-	body, err := json.Marshal(reqs)
+	resps, _, err := wire.DecodeResponses(out.B)
 	if err != nil {
-		return nil, err
-	}
-	if err := s.post(ctx, "application/json", body, out); err != nil {
-		return nil, err
-	}
-	var resps []adsketch.Response
-	if err := json.Unmarshal(out.B, &resps); err != nil {
 		return nil, fmt.Errorf("decoding worker batch response: %v", err)
 	}
 	return resps, nil

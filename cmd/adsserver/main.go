@@ -137,14 +137,9 @@ func main() {
 	fs.DurationVar(&ccfg.retryBackoff, "retry-backoff", ccfg.retryBackoff, "delay before the first shard retry (doubles per attempt, capped at 1s)")
 	fs.DurationVar(&ccfg.hedgeDelay, "hedge-delay", ccfg.hedgeDelay, "send a hedged request to a partition replica after this wait (0 = off; needs '|' replicas in -workers)")
 	fs.DurationVar(&ccfg.probeInterval, "probe-interval", ccfg.probeInterval, "poll every worker's /healthz on this interval, ejecting dead workers from rotation (0 = off)")
-	fs.StringVar(&ccfg.workerProto, "worker-proto", ccfg.workerProto, "wire format for worker calls: auto (binary frames when the worker advertises them) or json (force the fallback)")
 	faultInject := fs.Bool("fault-inject", false, "expose POST /debugz/fault to inject latency or unavailability into this server (load-testing only; never enable in production)")
 	buildWorker := fs.Bool("buildworker", false, "enable the distributed-build worker endpoints POST /v1/build/{init,step,freeze}; a build driver (adstool build -workers ...) configures this process with its partition of an edge list and drives the construction rounds")
 	fs.Parse(os.Args[1:])
-	if ccfg.workerProto != "auto" && ccfg.workerProto != "json" {
-		fmt.Fprintln(os.Stderr, "adsserver: -worker-proto must be auto or json")
-		os.Exit(2)
-	}
 	if *sketchPath == "" && *workers == "" && len(datasets) == 0 && !*ingestOn && !*buildWorker {
 		fmt.Fprintln(os.Stderr, "adsserver: at least one of -sketches, -workers, -dataset, -ingest, or -buildworker is required")
 		fs.Usage()

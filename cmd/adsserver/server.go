@@ -25,8 +25,8 @@ const maxBodyBytes = 16 << 20
 
 // protoHeader is the response header /v1/meta uses to advertise the
 // transports this server speaks on /v1/query.  A coordinator dialing a
-// worker switches to the binary framing when the advertisement names it;
-// old workers never send the header, so negotiation degrades to JSON.
+// worker refuses it unless the advertisement names the binary framing,
+// the only encoding of the coordinator→worker hop.
 const protoHeader = "Ads-Protocols"
 
 // advertisedProtocols lists the /v1/query content types this build
@@ -352,8 +352,8 @@ func (s *server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer d.Release()
-	// Advertise the query transports so a dialing coordinator can
-	// negotiate the binary framing; JSON-only builds never send this.
+	// Advertise the query transports: a dialing coordinator refuses a
+	// worker whose advertisement lacks the binary framing.
 	w.Header().Set(protoHeader, advertisedProtocols)
 	writeJSON(w, http.StatusOK, d.Backend().Meta())
 }

@@ -1,8 +1,8 @@
 package main
 
 // Transport benchmarks over real HTTP loopback: what one coordinator
-// hop costs under each wire format, and what the batched frame saves a
-// scatter over per-request fan-out.
+// hop costs, and what the batched frame saves a scatter over
+// per-request fan-out.
 
 import (
 	"context"
@@ -77,14 +77,17 @@ func benchTopology(b *testing.B) (whole *httptest.Server, workers []*httptest.Se
 	return benchTopoOnce.whole, benchTopoOnce.workers
 }
 
-// BenchmarkHTTPShardRoundtrip: one coordinator-to-worker hop, JSON
-// fallback vs negotiated binary framing, same request.
+// BenchmarkHTTPShardRoundtrip: one coordinator-to-worker hop over binary
+// frames, the only encoding the hop speaks.
 func BenchmarkHTTPShardRoundtrip(b *testing.B) {
 	whole, _ := benchTopology(b)
 	req := adsketch.Request{Closeness: &adsketch.ClosenessQuery{Nodes: []int32{0, 17, 123, 999}}}
 	ctx := context.Background()
-	run := func(b *testing.B, s *httpShard) {
-		b.Helper()
+	b.Run("binary", func(b *testing.B) {
+		s, err := dialShard(whole.URL, clusterDefaults())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := s.Do(ctx, req); err != nil { // warm the connection
 			b.Fatal(err)
 		}
@@ -95,25 +98,6 @@ func BenchmarkHTTPShardRoundtrip(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("json", func(b *testing.B) {
-		cfg := clusterDefaults()
-		cfg.workerProto = "json"
-		s, err := dialShard(whole.URL, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, s)
-	})
-	b.Run("binary", func(b *testing.B) {
-		s, err := dialShard(whole.URL, clusterDefaults())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !s.binary {
-			b.Fatal("worker did not negotiate binary framing")
-		}
-		run(b, s)
 	})
 }
 

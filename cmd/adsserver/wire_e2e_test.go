@@ -1,10 +1,9 @@
 package main
 
 // End-to-end tests of the binary wire protocol over real HTTP: a
-// binary client must get byte-identical answers to a JSON client, the
-// coordinator must negotiate binary framing with workers that advertise
-// it, and — the mixed-version guarantee — fall back to JSON against
-// workers that don't, without changing a single answer.
+// binary client must get byte-identical answers to a JSON client, and
+// the coordinator speaks binary frames to its workers — a worker that
+// does not advertise them is refused at dial.
 
 import (
 	"bytes"
@@ -13,8 +12,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httputil"
-	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -172,159 +169,75 @@ func TestBinaryEndpointErrorsStayJSON(t *testing.T) {
 	}
 }
 
-// TestShardProtocolNegotiation: dialing a binary-capable worker under
-// the default config negotiates binary framing; -worker-proto json
-// forces the fallback; both transports answer identically.
+// TestShardProtocolNegotiation: dialing a worker that advertises the
+// binary framing succeeds, and the binary hop answers exactly what the
+// worker's public JSON edge answers, batched and single.
 func TestShardProtocolNegotiation(t *testing.T) {
 	_, parts, _ := buildSplitFiles(t)
 	worker, _ := serveFile(t, parts[0], 0)
-
-	auto, err := dialShard(worker.URL, clusterDefaults())
+	s, err := dialShard(worker.URL, clusterDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !auto.binary {
-		t.Fatal("dial against an advertising worker did not negotiate binary framing")
-	}
-	jcfg := clusterDefaults()
-	jcfg.workerProto = "json"
-	forced, err := dialShard(worker.URL, jcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.binary {
-		t.Fatal("-worker-proto json still negotiated binary framing")
-	}
-
 	ctx := context.Background()
-	req := adsketch.Request{ID: "own", Closeness: &adsketch.ClosenessQuery{Nodes: []int32{auto.meta.Lo}}}
-	a, err := auto.Do(ctx, req)
+	req := adsketch.Request{ID: "own", Closeness: &adsketch.ClosenessQuery{Nodes: []int32{s.meta.Lo}}}
+	batch := []adsketch.Request{req, {ID: "sk", Sketch: &adsketch.SketchQuery{Node: s.meta.Lo}}}
+	got, err := s.DoBatch(ctx, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := forced.Do(ctx, req)
+	body, err := json.Marshal(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aJSON, _ := json.Marshal(a)
-	jJSON, _ := json.Marshal(j)
-	if !bytes.Equal(aJSON, jJSON) {
-		t.Errorf("binary shard call differs from JSON:\n  binary %s\n  json   %s", aJSON, jJSON)
+	status, _, want := postRaw(t, worker.URL, "application/json", body)
+	if status != http.StatusOK {
+		t.Fatalf("JSON batch: status %d: %s", status, want)
 	}
-
-	batch := []adsketch.Request{req, {ID: "sk", Sketch: &adsketch.SketchQuery{Node: auto.meta.Lo}}}
-	ab, err := auto.DoBatch(ctx, batch)
+	gotJSON, _ := json.Marshal(got)
+	if !bytes.Equal(gotJSON, bytes.TrimSpace(want)) {
+		t.Errorf("binary shard batch differs from the JSON edge:\n  binary %s\n  json   %s", gotJSON, want)
+	}
+	one, err := s.Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := forced.DoBatch(ctx, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	abJSON, _ := json.Marshal(ab)
-	jbJSON, _ := json.Marshal(jb)
-	if !bytes.Equal(abJSON, jbJSON) {
-		t.Errorf("binary shard batch differs from JSON:\n  binary %s\n  json   %s", abJSON, jbJSON)
+	oneJSON, _ := json.Marshal(one)
+	firstJSON, _ := json.Marshal(got[0])
+	if !bytes.Equal(oneJSON, firstJSON) {
+		t.Errorf("single shard call differs from its batch slot:\n  single %s\n  batch  %s", oneJSON, firstJSON)
 	}
 }
 
-// legacyWorker fronts a real worker with a proxy that behaves like a
-// pre-binary build: no protocol advertisement on /v1/meta, and a 400
-// for any binary-framed body.  The returned counter observes how many
-// binary requests leaked through the negotiation.
-func legacyWorker(t *testing.T, worker *httptest.Server) (*httptest.Server, *atomic.Int64) {
-	t.Helper()
-	target, err := url.Parse(worker.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := httputil.NewSingleHostReverseProxy(target)
-	rp.ModifyResponse = func(resp *http.Response) error {
-		resp.Header.Del(protoHeader)
-		return nil
-	}
-	var binaryHits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if isBinaryContentType(r.Header.Get("Content-Type")) {
-			binaryHits.Add(1)
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding request: invalid character"})
-			return
-		}
-		rp.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	return ts, &binaryHits
-}
+// TestDialRefusesJSONOnlyWorker: a worker whose /v1/meta does not
+// advertise the binary framing — a build that predates it, or a proxy
+// that strips the header — is refused at dial with an error naming it,
+// without a retry and without a single query reaching it, so a
+// coordinator over it never starts.
+func TestDialRefusesJSONOnlyWorker(t *testing.T) {
+	var metas, queries atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/meta", func(w http.ResponseWriter, r *http.Request) {
+		metas.Add(1)
+		writeJSON(w, http.StatusOK, fakeWorkerMeta())
+	})
+	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
+		queries.Add(1)
+	})
+	legacy := httptest.NewServer(mux)
+	t.Cleanup(legacy.Close)
 
-// TestMixedVersionFallback: a binary-capable coordinator dialing
-// JSON-only workers must negotiate down to JSON and keep answering
-// byte-identically to a single server — no binary frame may ever reach
-// the legacy workers.
-func TestMixedVersionFallback(t *testing.T) {
-	whole, parts, _ := buildSplitFiles(t)
-	single, _ := serveFile(t, whole, 0)
-
-	var legacyURLs []string
-	var counters []*atomic.Int64
-	for _, p := range parts {
-		w, mode := serveFile(t, p, 0)
-		if mode != "shard" {
-			t.Fatalf("partition served in %q mode", mode)
-		}
-		legacy, hits := legacyWorker(t, w)
-		legacyURLs = append(legacyURLs, legacy.URL)
-		counters = append(counters, hits)
+	_, err := dialShard(legacy.URL, clusterDefaults())
+	if err == nil || !strings.Contains(err.Error(), legacy.URL) || !strings.Contains(err.Error(), wire.ContentType) {
+		t.Fatalf("dialing a JSON-only worker: err = %v, want a refusal naming %s and %s", err, legacy.URL, wire.ContentType)
 	}
-	coordBE, _, err := dialWorkers(legacyURLs, clusterDefaults())
-	if err != nil {
-		t.Fatal(err)
+	if n := metas.Load(); n != 1 {
+		t.Errorf("refused worker's /v1/meta fetched %d times, want 1 (a refusal is not retried)", n)
 	}
-	coord := serveBackend(t, coordBE)
-
-	body, err := json.Marshal(e2eRequests())
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := dialWorkers([]string{legacy.URL}, clusterDefaults()); err == nil {
+		t.Error("coordinator started over a JSON-only worker")
 	}
-	status, _, wantPayload := postRaw(t, single.URL, "application/json", body)
-	if status != http.StatusOK {
-		t.Fatalf("single server: status %d: %s", status, wantPayload)
-	}
-	status, _, gotPayload := postRaw(t, coord.URL, "application/json", body)
-	if status != http.StatusOK {
-		t.Fatalf("coordinator over legacy workers: status %d: %s", status, gotPayload)
-	}
-	if !bytes.Equal(gotPayload, wantPayload) {
-		t.Errorf("coordinator over legacy workers differs from single server:\n  coordinator %s\n  single      %s",
-			gotPayload, wantPayload)
-	}
-
-	// The client side of the coordinator may also speak binary — the
-	// fallback is per-hop, not end-to-end.
-	buf := wire.Get()
-	defer buf.Free()
-	wire.EncodeRequests(buf, e2eRequests())
-	status, ctype, binPayload := postRaw(t, coord.URL, wire.ContentType, buf.B)
-	if status != http.StatusOK {
-		t.Fatalf("binary client over legacy workers: status %d: %s", status, binPayload)
-	}
-	if ctype != wire.ContentType {
-		t.Fatalf("binary client response Content-Type = %q", ctype)
-	}
-	resps, _, err := wire.DecodeResponses(binPayload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reenc, err := json.Marshal(resps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reenc, bytes.TrimSpace(wantPayload)) {
-		t.Errorf("binary client answers over legacy workers differ:\n  binary %s\n  single %s", reenc, wantPayload)
-	}
-
-	for i, hits := range counters {
-		if n := hits.Load(); n != 0 {
-			t.Errorf("legacy worker %d received %d binary-framed requests; negotiation leaked", i, n)
-		}
+	if n := queries.Load(); n != 0 {
+		t.Errorf("refused worker received %d queries", n)
 	}
 }

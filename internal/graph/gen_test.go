@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -267,5 +268,56 @@ func TestReadEdgeListCommentsAndBlank(t *testing.T) {
 	}
 	if g.NumNodes() != 3 || g.NumEdges() != 2 {
 		t.Errorf("nodes=%d edges=%d", g.NumNodes(), g.NumEdges())
+	}
+}
+
+// ReadEdgeList refuses a node count above max(2^20, 64 × edge lines)
+// before allocating anything node-sized, naming the ID, the edge count
+// and the limit; the largest count at the boundary still parses, in both
+// regimes of the bound.
+func TestReadEdgeListNodeLimit(t *testing.T) {
+	_, err := ReadEdgeList(strings.NewReader("2000000010 0\n"), false)
+	if err == nil {
+		t.Fatal("a 2·10⁹-node edge list of one line was accepted")
+	}
+	for _, want := range []string{"node ID 2000000010", "1 edge lines", "at most 1048576", "relabel"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not mention %q", err, want)
+		}
+	}
+	// edges lines in all: a path over the first edges-1 IDs, then 0–id.
+	list := func(edges int, id int) string {
+		var sb strings.Builder
+		for i := 0; i < edges-1; i++ {
+			fmt.Fprintf(&sb, "%d %d\n", i, i+1)
+		}
+		fmt.Fprintf(&sb, "0 %d\n", id)
+		return sb.String()
+	}
+	for _, edges := range []int{1, 20000} {
+		limit := max(1<<20, 64*edges)
+		g, err := ReadEdgeList(strings.NewReader(list(edges, limit-1)), false)
+		if err != nil {
+			t.Fatalf("%d edge lines, %d nodes (the limit): %v", edges, limit, err)
+		}
+		if g.NumNodes() != limit || g.NumEdges() != edges {
+			t.Errorf("%d edge lines at the limit: %d nodes, %d edges", edges, g.NumNodes(), g.NumEdges())
+		}
+		if _, err := ReadEdgeList(strings.NewReader(list(edges, limit)), false); err == nil {
+			t.Errorf("%d edge lines, %d nodes (one past the limit) accepted", edges, limit+1)
+		}
+	}
+	// The benchmark's graph, PA(10000, 5), round-trips unchanged.
+	pa := PreferentialAttachment(10000, 5, 1)
+	var sb strings.Builder
+	if err := WriteEdgeList(&sb, pa); err != nil {
+		t.Fatal(err)
+	}
+	g, err := ReadEdgeList(strings.NewReader(sb.String()), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != pa.NumNodes() || g.NumEdges() != pa.NumEdges() {
+		t.Errorf("PA(10000, 5): %d nodes, %d edges read back from %d, %d", g.NumNodes(), g.NumEdges(), pa.NumNodes(), pa.NumEdges())
 	}
 }

@@ -6,10 +6,21 @@ import (
 	"io"
 )
 
+// Edge-list density bound: ReadEdgeList sizes the graph from the largest
+// ID it reads, so it refuses a node count above max(minNodeLimit,
+// nodesPerEdgeLine × edge lines) — a graph's storage stays within a
+// constant multiple of its input, and one line naming node 2·10⁹ cannot
+// ask for tens of gigabytes of per-node arrays.
+const (
+	minNodeLimit     = 1 << 20
+	nodesPerEdgeLine = 64
+)
+
 // ReadEdgeList parses a whitespace-separated edge list: one edge per line as
 // "u v" or "u v w", with '#' or '%' comment lines ignored.  Node IDs must be
 // non-negative integers; the node count is one more than the largest ID
-// seen.  The directed flag controls how edges are interpreted.
+// seen, and must not exceed max(2²⁰, 64 × edge lines).  The directed flag
+// controls how edges are interpreted.
 func ReadEdgeList(r io.Reader, directed bool) (*Graph, error) {
 	type line struct {
 		u, v int32
@@ -31,7 +42,12 @@ func ReadEdgeList(r io.Reader, directed bool) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := NewBuilder(int(maxID+1), directed)
+	n := int(maxID) + 1
+	if limit := max(minNodeLimit, nodesPerEdgeLine*len(lines)); n > limit {
+		return nil, fmt.Errorf("graph: node ID %d needs %d nodes but %d edge lines allow at most %d (max(2^20, 64 per edge line)); relabel the IDs densely as 0..n-1",
+			maxID, n, len(lines), limit)
+	}
+	b := NewBuilder(n, directed)
 	for _, ln := range lines {
 		if ln.hasW {
 			b.AddWeightedEdge(ln.u, ln.v, ln.w)

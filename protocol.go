@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"adsketch/internal/core"
-	"adsketch/internal/query"
 )
 
 // The wire query protocol: every distance-based query the package
@@ -35,7 +34,9 @@ var (
 // set or shard) and Coordinator.Do (scatter-gather).  The
 // implementations are the *Query types of this package; the interface is
 // closed (its methods are unexported) so the wire protocol stays in sync
-// with the server.
+// with the server.  A coordinator plans every kind through one batched
+// path: topk and the scoreQuery family as per-shard sub-requests, the
+// pairwiseQuery family by its own coordinated evaluation.
 type Query interface {
 	// kind is the stable wire name of the query type.
 	kind() string
@@ -43,26 +44,29 @@ type Query interface {
 	validate() error
 	// evaluate answers the query on an engine.
 	evaluate(ctx context.Context, e *Engine) (Response, error)
-	// scatter answers the query on a coordinator by shard fan-out and
-	// partial-response merge, bit-for-bit equal to evaluate on the
-	// unpartitioned set.  partial selects the degraded-answer failure
-	// policy (PolicyPartial) for the query kinds that support it.
-	scatter(ctx context.Context, c *Coordinator, partial bool) (Response, error)
 }
 
 // scoreQuery is the per-node-scores family of the protocol (closeness,
 // harmonic, neighborhood, centrality_kernel): queries a coordinator
 // answers by routing node subsets to their owning shards and splicing
-// the score columns back together.  Exposing the routed nodes and the
-// per-shard sub-request lets scatterScores and the batched fan-out of
-// Coordinator.DoBatch share one merge, so a batched query is
-// byte-for-bit the unbatched one.
+// the score columns back together.
 type scoreQuery interface {
 	Query
 	// scoreNodes is the queried node list, in request order.
 	scoreNodes() []int32
 	// subRequest builds the same query over one shard's node subset.
 	subRequest(sub []int32) Request
+}
+
+// pairwiseQuery is the coordinated family (jaccard, influence,
+// distance_bound, sketch): queries over sketches that may live on
+// different shards, which a coordinator answers by fetching them from
+// their owners and evaluating once, bit-for-bit as evaluate does on the
+// unpartitioned set.  They need every consulted sketch, so the partial
+// policy does not apply.
+type pairwiseQuery interface {
+	Query
+	scatter(ctx context.Context, c *Coordinator) (Response, error)
 }
 
 // Per-query partial-failure policies (Request.Policy) of a partitioned
@@ -249,10 +253,6 @@ func (q *ClosenessQuery) subRequest(sub []int32) Request {
 	return Request{Closeness: &ClosenessQuery{Nodes: sub}}
 }
 
-func (q *ClosenessQuery) scatter(ctx context.Context, c *Coordinator, partial bool) (Response, error) {
-	return c.scatterScores(ctx, q, partial)
-}
-
 // HarmonicQuery asks for the HIP estimate of the harmonic centrality
 // Σ_{j != v} 1/d_vj of each node.
 type HarmonicQuery struct {
@@ -275,10 +275,6 @@ func (q *HarmonicQuery) scoreNodes() []int32 { return q.Nodes }
 
 func (q *HarmonicQuery) subRequest(sub []int32) Request {
 	return Request{Harmonic: &HarmonicQuery{Nodes: sub}}
-}
-
-func (q *HarmonicQuery) scatter(ctx context.Context, c *Coordinator, partial bool) (Response, error) {
-	return c.scatterScores(ctx, q, partial)
 }
 
 // NeighborhoodQuery asks for the HIP estimate of n_d(v) = |N_d(v)| (the
@@ -318,10 +314,6 @@ func (q *NeighborhoodQuery) subRequest(sub []int32) Request {
 	return Request{Neighborhood: &NeighborhoodQuery{Radius: q.Radius, Unbounded: q.Unbounded, Nodes: sub}}
 }
 
-func (q *NeighborhoodQuery) scatter(ctx context.Context, c *Coordinator, partial bool) (Response, error) {
-	return c.scatterScores(ctx, q, partial)
-}
-
 // Metrics accepted by TopKQuery.
 const (
 	MetricCloseness = "closeness"
@@ -359,12 +351,6 @@ func (q *TopKQuery) evaluate(ctx context.Context, e *Engine) (Response, error) {
 		return Response{}, err
 	}
 	return Response{Ranking: ranking}, nil
-}
-
-func (q *TopKQuery) scatter(ctx context.Context, c *Coordinator, partial bool) (Response, error) {
-	// Every shard returns its own top-min(K, owned); the union contains
-	// every global top-K member, so the bounded merge is exhaustive.
-	return c.scatterTopK(ctx, q, partial)
 }
 
 // Kernels accepted by CentralityKernelQuery, the query-time α of the
@@ -436,10 +422,6 @@ func (q *CentralityKernelQuery) subRequest(sub []int32) Request {
 	return Request{CentralityKernel: &CentralityKernelQuery{Kernel: q.Kernel, Radius: q.Radius, Nodes: sub}}
 }
 
-func (q *CentralityKernelQuery) scatter(ctx context.Context, c *Coordinator, partial bool) (Response, error) {
-	return c.scatterScores(ctx, q, partial)
-}
-
 // JaccardQuery asks for the estimated Jaccard similarity of the
 // neighborhoods N_{radius_a}(a) and N_{radius_b}(b), computable because
 // coordinated sketches share one rank permutation.  It requires a
@@ -477,11 +459,9 @@ func (q *JaccardQuery) evaluate(ctx context.Context, e *Engine) (Response, error
 	return Response{Value: scalar(core.NeighborhoodJaccard(a, q.RadiusA, b, q.RadiusB))}, nil
 }
 
-func (q *JaccardQuery) scatter(ctx context.Context, c *Coordinator, partial bool) (Response, error) {
-	// Pairwise scatter: the endpoints may live on different shards, so
-	// fetch both sketches (concurrently, per owning shard) and evaluate
-	// at the coordinator.  Both endpoints are required, so the partial
-	// policy cannot apply: a missing sketch fails the query.
+func (q *JaccardQuery) scatter(ctx context.Context, c *Coordinator) (Response, error) {
+	// The endpoints may live on different shards: fetch both sketches
+	// (concurrently, per owning shard) and evaluate at the coordinator.
 	byNode, err := c.fetchSketches(ctx, []int32{q.A, q.B})
 	if err != nil {
 		return Response{}, err
@@ -565,7 +545,7 @@ func (q *InfluenceQuery) evaluate(ctx context.Context, e *Engine) (Response, err
 	return Response{Seeds: seeds, Value: scalar(cov)}, nil
 }
 
-func (q *InfluenceQuery) scatter(ctx context.Context, c *Coordinator, partial bool) (Response, error) {
+func (q *InfluenceQuery) scatter(ctx context.Context, c *Coordinator) (Response, error) {
 	if err := requireCoordinated(c.Meta()); err != nil {
 		return Response{}, err
 	}
@@ -641,7 +621,7 @@ func (q *DistanceBoundQuery) evaluate(ctx context.Context, e *Engine) (Response,
 	return Response{Value: scalar(bound)}, nil
 }
 
-func (q *DistanceBoundQuery) scatter(ctx context.Context, c *Coordinator, partial bool) (Response, error) {
+func (q *DistanceBoundQuery) scatter(ctx context.Context, c *Coordinator) (Response, error) {
 	byNode, err := c.fetchSketches(ctx, []int32{q.A, q.B})
 	if err != nil {
 		return Response{}, err
@@ -678,34 +658,29 @@ func (q *SketchQuery) evaluate(ctx context.Context, e *Engine) (Response, error)
 	if err != nil {
 		return Response{}, err
 	}
-	raw := a.Entries()
-	entries := make([]SketchEntry, len(raw))
-	for i, en := range raw {
-		entries[i] = SketchEntry{Node: en.Node, Dist: en.Dist, Rank: en.Rank}
-	}
-	return Response{Entries: entries}, nil
+	return Response{Entries: sketchEntries(a)}, nil
 }
 
-func (q *SketchQuery) scatter(ctx context.Context, c *Coordinator, partial bool) (Response, error) {
-	if err := requireCoordinated(c.Meta()); err != nil {
+func (q *SketchQuery) scatter(ctx context.Context, c *Coordinator) (Response, error) {
+	byNode, err := c.fetchSketches(ctx, []int32{q.Node})
+	if err != nil {
 		return Response{}, err
-	}
-	if err := query.CheckNodes(c.total, []int32{q.Node}); err != nil {
-		return Response{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	shard, err := c.router.Owner(q.Node)
-	if err != nil {
-		return Response{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	resp, err := c.doShard(ctx, shard, Request{Sketch: q})
-	if err != nil {
-		return Response{}, c.shardErr(shard, err)
 	}
 	meta, err := c.fetchMeta([]int32{q.Node})
 	if err != nil {
 		return Response{}, err
 	}
-	return Response{Entries: resp.Entries, Merge: meta}, nil
+	return Response{Entries: sketchEntries(byNode[q.Node]), Merge: meta}, nil
+}
+
+// sketchEntries transports a bottom-k sketch's entries.
+func sketchEntries(a *core.ADS) []SketchEntry {
+	raw := a.Entries()
+	entries := make([]SketchEntry, len(raw))
+	for i, en := range raw {
+		entries[i] = SketchEntry{Node: en.Node, Dist: en.Dist, Rank: en.Rank}
+	}
+	return entries
 }
 
 // bottomK returns (global) node v's sketch as a bottom-k ADS from a
@@ -753,19 +728,12 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 // corresponding Response rather than aborting the batch.  DoBatch itself
 // fails only when ctx is done.
 func (e *Engine) DoBatch(ctx context.Context, reqs []Request) ([]Response, error) {
-	return doBatch(ctx, reqs, e.Do)
-}
-
-// doBatch is the shared batch loop of Engine.DoBatch and
-// Coordinator.DoBatch: per-request failures are reported inline, and
-// only context cancellation fails the batch.
-func doBatch(ctx context.Context, reqs []Request, do func(context.Context, Request) (Response, error)) ([]Response, error) {
 	out := make([]Response, len(reqs))
 	for i := range reqs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		resp, err := do(ctx, reqs[i])
+		resp, err := e.Do(ctx, reqs[i])
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
