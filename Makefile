@@ -34,8 +34,12 @@ race:
 # calling-goroutine path, the reference machine's split, and node ranges
 # that do not divide the way the batches do.  Every count must produce the
 # same bytes, which these tests compare against brute force or each other.
+# Then the serving scan under the same counts: inline on the caller,
+# chunks across several workers, and the scatter barrier, whose shard
+# calls must all be in flight at once even on one core.
 cpus:
 	$(GO) test -cpu 1,2,4 -run 'Differential|ParallelBuilder|BuildersAgree|FrameIndex|HIPIndex' ./internal/core
+	$(GO) test -cpu 1,2,4 -run 'Engine|Scatter|IndexCache|ForEach' . ./internal/query ./internal/cluster
 
 # Static-analysis gate, also a required CI step: gofmt, the standard vet
 # suite, the repo's own invariant analyzers (cmd/adsvet — detorder,

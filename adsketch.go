@@ -151,14 +151,13 @@ const (
 // Algorithm selects a construction algorithm (Section 3).
 type Algorithm = core.Algorithm
 
-// Construction algorithms.  AlgoPrunedDijkstraParallel is a deprecated
-// synonym of AlgoPrunedDijkstra, which uses WithParallelism by itself.
+// Construction algorithms.  AlgoPrunedDijkstra is parallel by itself,
+// under WithParallelism.
 const (
-	AlgoPrunedDijkstra         = core.AlgoPrunedDijkstra
-	AlgoDP                     = core.AlgoDP
-	AlgoLocalUpdates           = core.AlgoLocalUpdates
-	AlgoBruteForce             = core.AlgoBruteForce
-	AlgoPrunedDijkstraParallel = core.AlgoPrunedDijkstraParallel
+	AlgoPrunedDijkstra = core.AlgoPrunedDijkstra
+	AlgoDP             = core.AlgoDP
+	AlgoLocalUpdates   = core.AlgoLocalUpdates
+	AlgoBruteForce     = core.AlgoBruteForce
 )
 
 // Set holds the sketches of all nodes of one graph, of any kind — uniform

@@ -4,10 +4,10 @@ package adsketch_test
 // BenchmarkCatalogDoDirect
 // measures the routing overhead of the dataset layer (pin a ref-counted
 // version, dispatch, unpin) over a bare Engine.Do — measured at
-// ~1.6µs vs ~1.4µs per warm closeness request (≈200ns routing, same
-// 8 allocs), so earlier single-iteration readings of 11.8µs vs 4.4µs
-// were first-request warmup artifacts, not steady-state routing cost;
-// read these from a multi-iteration run (-benchtime 2000x).
+// ~250–300ns vs ~125–180ns per warm closeness request on a 2-vCPU VM
+// (≈100–150ns routing, the same 2 allocs), so single-iteration readings
+// are first-request warmup artifacts, not steady-state routing cost;
+// read these from a multi-iteration run.
 // BenchmarkCatalogDoBatch covers the DoBatch single-dataset fast path
 // (the pin lives in locals; no per-batch map), and BenchmarkCatalogSwap
 // prices a hot swap (build + publish + retire of an Engine over a

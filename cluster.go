@@ -361,7 +361,6 @@ func (c *Coordinator) CacheStats() CacheStats {
 	for _, b := range c.shards {
 		if s, ok := b.(cacheStatser); ok {
 			sub := s.CacheStats()
-			st.Shards += sub.Shards
 			st.Slots += sub.Slots
 			st.Built += sub.Built
 			st.Hits += sub.Hits

@@ -66,7 +66,7 @@
 //	                             frozen partition file.
 //	GET    /healthz            — liveness: {"status":"ok"} once serving.
 //	GET    /statsz             — topology, default-dataset metadata,
-//	                             catalog state, index-cache/shard
+//	                             catalog state, index-cache and scatter
 //	                             counters, and request counters.
 //
 // Example:
@@ -118,7 +118,6 @@ func main() {
 	var datasets datasetFlags
 	fs.Var(&datasets, "dataset", "additional named dataset as name=path (repeatable); query with {\"dataset\":\"name\", ...}")
 	addr := fs.String("addr", ":8080", "listen address")
-	shards := fs.Int("shards", 0, "index cache shards per engine (0 = auto-size to GOMAXPROCS)")
 	parallel := fs.Int("parallel", 0, "worker goroutines per batch query (0 = GOMAXPROCS)")
 	useMmap := fs.Bool("mmap", false, "mmap sketch files instead of reading them in (near-zero startup; every file the tools write qualifies — a file of an earlier release is decoded instead, see adstool convert)")
 	memBudget := fs.Int64("mem-budget", 0, "resident-memory budget in bytes for the catalog; idle file-backed datasets are evicted LRU and reload on demand (0 = unlimited)")
@@ -179,7 +178,7 @@ func main() {
 	}
 
 	cat, pr, err := buildCatalog(*sketchPath, *workers, *partitions, *useMmap, datasets, *memBudget, ccfg,
-		adsketch.WithShards(*shards), adsketch.WithQueryParallelism(*parallel))
+		adsketch.WithQueryParallelism(*parallel))
 	if err != nil {
 		log.Fatalf("adsserver: %v", err)
 	}

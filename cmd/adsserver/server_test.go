@@ -43,7 +43,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *adsketch.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := adsketch.NewEngine(loaded, adsketch.WithShards(4))
+	eng, err := adsketch.NewEngine(loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestServerHealthAndStats(t *testing.T) {
 	if st.Queries != 1 || st.Batches != 1 || st.Failures != 0 {
 		t.Errorf("statsz counters: %+v", st)
 	}
-	if st.Cache.Shards != 4 || st.Cache.Built == 0 || st.Cache.Hits+st.Cache.Misses == 0 {
+	if st.Cache.Slots != 400 || st.Cache.Built == 0 || st.Cache.Hits+st.Cache.Misses == 0 {
 		t.Errorf("statsz cache: %+v", st.Cache)
 	}
 	// Serving memory: the query built the HIP index arena, sized by entries

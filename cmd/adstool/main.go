@@ -158,7 +158,7 @@ func buildFlags(fs *flag.FlagSet) (path *string, directed *bool, opts func() ([]
 	k := fs.Int("k", 16, "sketch parameter")
 	seed := fs.Uint64("seed", 42, "rank seed")
 	flavor := fs.String("flavor", "bottomk", "bottomk, kmins, kpartition")
-	algo := fs.String("algo", "dijkstra", "dijkstra, dp, local, brute (pardijkstra: deprecated synonym of dijkstra)")
+	algo := fs.String("algo", "dijkstra", "dijkstra, dp, local, brute")
 	baseB := fs.Float64("baseb", 0, "base-b rank rounding (> 1; 0 = full precision)")
 	eps := fs.Float64("eps", -1, "(1+eps)-approximate construction (>= 0 enables)")
 	weights := fs.String("weights", "", "comma-separated per-node weights (Section 9)")
@@ -176,7 +176,7 @@ func buildFlags(fs *flag.FlagSet) (path *string, directed *bool, opts func() ([]
 			return nil, fmt.Errorf("unknown flavor %q", *flavor)
 		}
 		switch *algo {
-		case "dijkstra", "pardijkstra":
+		case "dijkstra":
 		case "dp":
 			out = append(out, adsketch.WithAlgorithm(adsketch.AlgoDP))
 		case "local":

@@ -14,9 +14,10 @@ import (
 // (HIPIndex) is built lazily on first touch and cached, so repeated
 // queries against a node cost one binary search (neighborhood sizes) or
 // O(1) (closeness, harmonic) instead of re-deriving the sketch's adjusted
-// weights; batches are evaluated by a worker pool and honor context
-// cancellation.  The cache is sharded (WithShards) so concurrent batches
-// do not contend on one structure.
+// weights; batches are scanned in chunks, across a worker pool when they
+// span more than one, and honor context cancellation.  A warm lookup is
+// one atomic load, so concurrent batches share the cache without
+// contending on it.
 //
 // An Engine serves either a whole sketch set (NewEngine) or one
 // node-range partition of a split set (NewShardEngine), in which case it
@@ -36,7 +37,6 @@ type Engine struct {
 	total   int   // global node count (== set.NumNodes() for whole sets)
 	meta    ShardMeta
 	workers int
-	shards  int
 	cache   *query.IndexCache
 }
 
@@ -51,19 +51,6 @@ func WithQueryParallelism(workers int) EngineOption {
 			return fmt.Errorf("%w: WithQueryParallelism(%d), workers must be >= 0 (0 = GOMAXPROCS)", ErrBadOption, workers)
 		}
 		e.workers = workers
-		return nil
-	}
-}
-
-// WithShards sets the number of index-cache shards.  Concurrent batch
-// queries touch per-shard slot arrays and counters, so more shards mean
-// less contention; the default (0) sizes the shard count to GOMAXPROCS.
-func WithShards(n int) EngineOption {
-	return func(e *Engine) error {
-		if n < 0 {
-			return fmt.Errorf("%w: WithShards(%d), shards must be >= 0 (0 = auto)", ErrBadOption, n)
-		}
-		e.shards = n
 		return nil
 	}
 }
@@ -93,7 +80,7 @@ func newEngine(set *Set, meta ShardMeta, opts []EngineOption) (*Engine, error) {
 	e.meta = meta
 	// Cache slots are local indices: global node v lives in slot v - lo,
 	// a view into the index arena shared by the whole set.
-	e.cache = query.NewIndexCache(set.NumNodes(), e.shards, set.Index)
+	e.cache = query.NewIndexCache(set.NumNodes(), set.Index)
 	return e, nil
 }
 
@@ -178,6 +165,7 @@ func (e *Engine) Index(v int32) (*HIPIndex, error) {
 	if err := e.checkNodes([]int32{v}); err != nil {
 		return nil, err
 	}
+	e.cache.AddLookups(1)
 	return e.cache.Get(v - e.lo), nil
 }
 
@@ -188,7 +176,7 @@ func (e *Engine) CachedIndices() int { return e.cache.Cached() }
 // counters, shaped for JSON serving.
 type CacheStats = query.CacheStats
 
-// CacheStats snapshots the index-cache counters (shards, built indices,
+// CacheStats snapshots the index-cache counters (slots, built indices,
 // hits, misses) — the payload of the adsserver /statsz endpoint.
 func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }
 
@@ -200,17 +188,19 @@ func (e *Engine) IndexBytes() int64 {
 	return index
 }
 
-// batch evaluates f on the cached index of every queried node with the
-// engine's worker pool.  On error (including context cancellation) the
-// partial results are discarded.
+// batch evaluates f on the cached index of every queried node in a
+// chunked scan.  On context cancellation the partial results are
+// discarded.
 func (e *Engine) batch(ctx context.Context, nodes []int32, f func(*core.HIPIndex) float64) ([]float64, error) {
 	if err := e.checkNodes(nodes); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	out := make([]float64, len(nodes))
-	err := query.ForEach(ctx, e.workers, len(nodes), func(i int) error {
-		out[i] = f(e.cache.Get(nodes[i] - e.lo))
-		return nil
+	err := query.ForEach(ctx, e.workers, len(nodes), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = f(e.cache.Get(nodes[i] - e.lo))
+		}
+		e.cache.AddLookups(hi - lo)
 	})
 	if err != nil {
 		return nil, err
@@ -264,7 +254,7 @@ func (e *Engine) EstimateQBatch(ctx context.Context, g func(node int32, dist flo
 
 // TopCloseness returns the estimated top-n nodes by closeness centrality,
 // highest first (ties broken by node ID), scoring every node of the set
-// with the worker pool.  A shard engine ranks only the nodes it owns.
+// in a chunked scan.  A shard engine ranks only the nodes it owns.
 func (e *Engine) TopCloseness(ctx context.Context, n int) ([]Ranked, error) {
 	return e.top(ctx, MetricCloseness, n)
 }
@@ -287,7 +277,7 @@ func (e *Engine) top(ctx context.Context, metric string, n int) ([]Ranked, error
 	return resp.Ranking, nil
 }
 
-// topBy scores every owned node with the worker pool, then selects the
+// topBy scores every owned node in a chunked scan, then selects the
 // top n with a bounded min-heap — O(total·log n) selection instead of
 // sorting the full score vector, which matters when serving top-10
 // queries over millions of nodes.  Ranked nodes carry global IDs.
@@ -297,9 +287,11 @@ func (e *Engine) topBy(ctx context.Context, n int, score func(*core.HIPIndex) fl
 		n = local
 	}
 	scores := make([]float64, local)
-	err := query.ForEach(ctx, e.workers, local, func(i int) error {
-		scores[i] = score(e.cache.Get(int32(i)))
-		return nil
+	err := query.ForEach(ctx, e.workers, local, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			scores[i] = score(e.cache.Get(int32(i)))
+		}
+		e.cache.AddLookups(hi - lo)
 	})
 	if err != nil {
 		return nil, err

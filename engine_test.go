@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"adsketch"
+	"adsketch/internal/query"
 )
 
 func buildEngine(t *testing.T, opts ...adsketch.EngineOption) (*adsketch.Graph, adsketch.SketchSet, *adsketch.Engine) {
@@ -201,13 +202,12 @@ func TestEngineBadInputs(t *testing.T) {
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty batch = (%v, %v)", out, err)
 	}
-	if _, err := adsketch.NewEngine(set, adsketch.WithShards(-1)); !errors.Is(err, adsketch.ErrBadOption) {
-		t.Errorf("WithShards(-1) error = %v, want ErrBadOption", err)
-	}
 }
 
-// The sharded cache must be invisible to results and visible in stats.
-func TestEngineShardsAndStats(t *testing.T) {
+// The scan's worker count must be invisible to results, and the cache
+// counters must count every node a scan looked up: hits + misses =
+// lookups, with one miss per node on first touch.
+func TestEngineCacheStats(t *testing.T) {
 	_, set, base := buildEngine(t)
 	ctx := context.Background()
 	nodes := make([]int32, set.NumNodes())
@@ -218,8 +218,8 @@ func TestEngineShardsAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 3, 16} {
-		eng, err := adsketch.NewEngine(set, adsketch.WithShards(shards))
+	for _, workers := range []int{1, 3, 16} {
+		eng, err := adsketch.NewEngine(set, adsketch.WithQueryParallelism(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,18 +229,23 @@ func TestEngineShardsAndStats(t *testing.T) {
 		}
 		for v := range want {
 			if got[v] != want[v] {
-				t.Fatalf("shards=%d: closeness(%d) = %v, want %v", shards, v, got[v], want[v])
+				t.Fatalf("workers=%d: closeness(%d) = %v, want %v", workers, v, got[v], want[v])
 			}
 		}
 		st := eng.CacheStats()
-		if st.Shards != shards || st.Slots != set.NumNodes() || st.Built != set.NumNodes() {
-			t.Errorf("shards=%d: stats %+v", shards, st)
+		wantSt := adsketch.CacheStats{Slots: set.NumNodes(), Built: set.NumNodes(), Misses: int64(set.NumNodes())}
+		if st != wantSt {
+			t.Errorf("workers=%d: stats after a full scan %+v, want %+v", workers, st, wantSt)
 		}
 		if _, err := eng.Closeness(ctx, 0, 1, 2); err != nil {
 			t.Fatal(err)
 		}
-		if st2 := eng.CacheStats(); st2.Hits < st.Hits+3 {
-			t.Errorf("shards=%d: hits did not advance: %+v -> %+v", shards, st, st2)
+		if _, err := eng.TopCloseness(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		wantSt.Hits = int64(3 + set.NumNodes())
+		if st := eng.CacheStats(); st != wantSt {
+			t.Errorf("workers=%d: stats after 3 more lookups and a top-k %+v, want %+v", workers, st, wantSt)
 		}
 	}
 }
@@ -359,6 +364,33 @@ func TestEngineContextCancellation(t *testing.T) {
 			t.Errorf("err = %v, want context.Canceled", err)
 		}
 	})
+
+	// A batch of several chunks across two workers, cancelled in its first
+	// chunk: at most one chunk per worker runs, the partial results are
+	// discarded, and the cache counts only the lookups that ran.
+	t.Run("multi-chunk", func(t *testing.T) {
+		_, _, eng := buildEngine(t, adsketch.WithQueryParallelism(2))
+		many := make([]int32, 4*query.ChunkSize+7)
+		for i := range many {
+			many[i] = int32(i % set.NumNodes())
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var evals atomic.Int64
+		out, err := eng.EstimateQBatch(ctx, func(int32, float64) float64 {
+			if evals.Add(1) == 1 {
+				cancel()
+			}
+			return 1
+		}, many...)
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("(%v, %v), want (nil, context.Canceled)", out, err)
+		}
+		st := eng.CacheStats()
+		if looked := st.Hits + st.Misses; looked == 0 || looked > 2*query.ChunkSize {
+			t.Errorf("cancelled in its first chunk, the batch looked up %d nodes; want 1 to %d (a chunk per worker)", looked, 2*query.ChunkSize)
+		}
+	})
 }
 
 // A cold engine answers a single-node query without building every index
@@ -397,5 +429,56 @@ func TestEngineLazyIndexing(t *testing.T) {
 	}
 	if _, err := eng.Index(int32(set.NumNodes())); err == nil {
 		t.Error("Index out of range accepted")
+	}
+}
+
+// TestEngineDoAllocs pins the request path's allocations with a warm
+// cache.  A single-node closeness request allocates its scan closure and
+// its score column, directly and through the catalog.  A top-k allocates
+// the same two over the whole set, plus the selection heap, its index
+// list and the ranking; a second worker adds the shared chunk counter,
+// its wait group and the goroutine's closures.  AllocsPerRun runs at
+// GOMAXPROCS 1, so the default engine scans on the calling goroutine.
+func TestEngineDoAllocs(t *testing.T) {
+	_, set, eng := buildEngine(t)
+	eng2, err := adsketch.NewEngine(set, adsketch.WithQueryParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := adsketch.NewCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	if err := cat.Attach(adsketch.DefaultDataset, adsketch.SetSource(set)); err != nil {
+		t.Fatal(err)
+	}
+	point := adsketch.Request{Closeness: &adsketch.ClosenessQuery{Nodes: []int32{17}}}
+	topk := adsketch.Request{TopK: &adsketch.TopKQuery{Metric: adsketch.MetricCloseness, K: 10}}
+	for _, c := range []struct {
+		name string
+		b    interface {
+			Do(context.Context, adsketch.Request) (adsketch.Response, error)
+		}
+		req adsketch.Request
+		max float64
+	}{
+		{"Engine.Do point", eng, point, 2},
+		{"Catalog.Do point", cat, point, 2},
+		{"Engine.Do topk", eng, topk, 6},
+		{"Engine.Do topk, 2 workers", eng2, topk, 10},
+	} {
+		ctx := context.Background()
+		if _, err := c.b.Do(ctx, c.req); err != nil { // warm the cache
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := c.b.Do(ctx, c.req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("%s: %.0f allocations, want at most %.0f", c.name, allocs, c.max)
+		}
 	}
 }

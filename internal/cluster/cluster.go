@@ -15,44 +15,56 @@ package cluster
 
 import (
 	"context"
-
-	"adsketch/internal/query"
+	"sync"
 )
 
-// Scatter runs fn(i) for every shard index in [0, n) concurrently,
-// stopping early when ctx is cancelled or any fn returns an error, and
-// returns the first error observed.  It is the fan-out half of the
-// scatter-gather cycle; the caller's fn performs one shard call and
-// stores the partial, and the Merge* helpers gather.
+// Scatter runs fn(i) for every shard index in [0, n) concurrently and
+// returns the first error in index order, or the context's error when ctx
+// is done.  It is the fan-out half of the scatter-gather cycle; the
+// caller's fn performs one shard call and stores the partial, and the
+// Merge* helpers gather.
 func Scatter(ctx context.Context, n int, fn func(i int) error) error {
-	return query.ForEach(ctx, 0, n, fn)
+	errs, err := ScatterAll(ctx, n, fn)
+	if err != nil {
+		return err
+	}
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
 }
 
 // ScatterAll runs fn(i) for every shard index in [0, n) concurrently and
-// waits for all of them: unlike Scatter, one shard's failure does not
-// stop the others.  It returns the per-index errors (nil entries for the
-// shards that succeeded) so the caller can apply a partial-failure
-// policy — degrade around the failed shards, or surface the first error.
-// Only context cancellation aborts the fan-out early, reported in the
-// second return; the per-index slice then marks the unvisited shards
-// with the context error too, so no entry is silently nil.
+// waits for all of them: one shard's failure does not stop the others.
+// It returns the per-index errors (nil entries for the shards that
+// succeeded) so the caller can apply a partial-failure policy — degrade
+// around the failed shards, or surface the first error.  Every call gets
+// its own goroutine, except the first, which runs on the caller: shard
+// calls block on the network, so they are not capped at GOMAXPROCS.  A
+// context already done starts no call and marks every shard with its
+// error, so no entry is silently nil; a context done by the time the
+// calls return is reported in the second return.
 func ScatterAll(ctx context.Context, n int, fn func(i int) error) ([]error, error) {
 	errs := make([]error, n)
-	visited := make([]bool, n)
-	err := query.ForEach(ctx, 0, n, func(i int) error {
-		visited[i] = true
-		errs[i] = fn(i)
-		return nil
-	})
-	if err != nil {
-		// Cancellation won the race: every shard not reached reports the
-		// context error rather than a misleading success.
+	if err := ctx.Err(); err != nil {
 		for i := range errs {
-			if !visited[i] {
-				errs[i] = err
-			}
+			errs[i] = err
 		}
 		return errs, err
 	}
-	return errs, nil
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	if n > 0 {
+		errs[0] = fn(0)
+	}
+	wg.Wait()
+	return errs, ctx.Err()
 }

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"adsketch/internal/centrality"
 	"adsketch/internal/query"
@@ -208,6 +211,31 @@ func TestScatterAllCancellation(t *testing.T) {
 		if e == nil {
 			t.Errorf("errs[%d] = nil after cancellation; unvisited shards must not report success", i)
 		}
+	}
+}
+
+// Shard calls block on the network, so every one must be in flight at
+// once whatever GOMAXPROCS is: each call here waits until all n have
+// started, which a fan-out capped at GOMAXPROCS never reaches.
+func TestScatterAllStartsEveryShard(t *testing.T) {
+	n := 2*runtime.GOMAXPROCS(0) + 3
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var started sync.WaitGroup
+	started.Add(n)
+	all := make(chan struct{})
+	go func() { started.Wait(); close(all) }()
+	errs, err := ScatterAll(ctx, n, func(int) error {
+		started.Done()
+		select {
+		case <-all:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	})
+	if err := errors.Join(append(errs, err)...); err != nil {
+		t.Errorf("%d shard calls never all in flight at GOMAXPROCS=%d: %v", n, runtime.GOMAXPROCS(0), err)
 	}
 }
 

@@ -158,10 +158,6 @@ const (
 	// nearest-neighbor order.  Quadratic; the reference the fast
 	// algorithms are tested against.
 	AlgoBruteForce
-	// AlgoPrunedDijkstraParallel is a deprecated synonym of
-	// AlgoPrunedDijkstra, which is parallel by itself; it selects the
-	// same runner.
-	AlgoPrunedDijkstraParallel
 )
 
 func (a Algorithm) String() string {
@@ -174,8 +170,6 @@ func (a Algorithm) String() string {
 		return "LocalUpdates"
 	case AlgoBruteForce:
 		return "BruteForce"
-	case AlgoPrunedDijkstraParallel:
-		return "PrunedDijkstraParallel"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -327,7 +321,7 @@ type runner func(runSpec) [][]Entry
 // runnerFor binds algo to g; only Algorithm 1 has a use for workers.
 func runnerFor(g *graph.Graph, algo Algorithm, workers int) (runner, error) {
 	switch algo {
-	case AlgoPrunedDijkstra, AlgoPrunedDijkstraParallel:
+	case AlgoPrunedDijkstra:
 		return func(s runSpec) [][]Entry { return prunedDijkstraRun(g, s, workers) }, nil
 	case AlgoDP:
 		return func(s runSpec) [][]Entry { return dpRun(g, s) }, nil

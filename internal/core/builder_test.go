@@ -383,20 +383,23 @@ func TestBuildersHandleMultiEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{AlgoPrunedDijkstra, AlgoLocalUpdates, AlgoPrunedDijkstraParallel} {
-		got, err := BuildSet(g, o, algo)
+	for _, b := range []struct {
+		algo    Algorithm
+		workers int
+	}{{AlgoPrunedDijkstra, 1}, {AlgoLocalUpdates, 0}, {AlgoPrunedDijkstra, 3}} {
+		got, err := BuildSetParallel(g, o, b.algo, b.workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for v := int32(0); int(v) < g.NumNodes(); v++ {
-			equalSketches(t, fmt.Sprintf("multi-edge %v node %d", algo, v), ref.Sketch(v), got.Sketch(v))
+			equalSketches(t, fmt.Sprintf("multi-edge %v/%d workers node %d", b.algo, b.workers, v), ref.Sketch(v), got.Sketch(v))
 		}
 	}
 }
 
 func TestBuildersEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0, false).Build()
-	for _, algo := range []Algorithm{AlgoPrunedDijkstra, AlgoDP, AlgoLocalUpdates, AlgoBruteForce, AlgoPrunedDijkstraParallel} {
+	for _, algo := range []Algorithm{AlgoPrunedDijkstra, AlgoDP, AlgoLocalUpdates, AlgoBruteForce} {
 		for _, fl := range allFlavors() {
 			set, err := BuildSet(g, Options{K: 2, Flavor: fl, Seed: 1}, algo)
 			if err != nil {

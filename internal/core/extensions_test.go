@@ -252,11 +252,11 @@ func TestParallelBuilderMatchesSequential(t *testing.T) {
 		for _, fl := range allFlavors() {
 			for _, baseB := range []float64{0, 2} {
 				o := Options{K: 4, Flavor: fl, Seed: 11, BaseB: baseB}
-				ref, err := BuildSet(g, o, AlgoPrunedDijkstra)
+				ref, err := BuildSetParallel(g, o, AlgoPrunedDijkstra, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := BuildSet(g, o, AlgoPrunedDijkstraParallel)
+				got, err := BuildSetParallel(g, o, AlgoPrunedDijkstra, 3)
 				if err != nil {
 					t.Fatal(err)
 				}

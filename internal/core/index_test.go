@@ -95,8 +95,12 @@ func TestBuildersAgreePropertyRandom(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, algo := range []Algorithm{AlgoPrunedDijkstra, AlgoDP, AlgoLocalUpdates, AlgoPrunedDijkstraParallel} {
-			got, err := BuildSet(g, o, algo)
+		// Algorithm 1 on the calling goroutine and across three workers.
+		for _, b := range []struct {
+			algo    Algorithm
+			workers int
+		}{{AlgoPrunedDijkstra, 1}, {AlgoDP, 0}, {AlgoLocalUpdates, 0}, {AlgoPrunedDijkstra, 3}} {
+			got, err := BuildSetParallel(g, o, b.algo, b.workers)
 			if err != nil {
 				return false
 			}

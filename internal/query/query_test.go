@@ -19,45 +19,44 @@ func testCache(t *testing.T) (*IndexCache, *core.Set) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewIndexCache(set.NumNodes(), 4, func(v int32) *core.HIPIndex {
+	return NewIndexCache(set.NumNodes(), func(v int32) *core.HIPIndex {
 		return core.NewHIPIndex(set.SketchOf(v))
 	}), set
 }
 
-func TestIndexCacheSharding(t *testing.T) {
+// The cache counts misses itself and hits from the lookups its caller
+// reports, so a scan that adds its count after each chunk sees
+// hits = lookups - misses.
+func TestIndexCacheStats(t *testing.T) {
 	c, set := testCache(t)
-	if c.Shards() != 4 {
-		t.Fatalf("Shards = %d, want 4", c.Shards())
-	}
-	// Every node resolves to its own index regardless of shard layout.
-	for v := int32(0); int(v) < set.NumNodes(); v++ {
+	n := set.NumNodes()
+	for v := int32(0); int(v) < n; v++ {
 		if got, want := c.Get(v).Total(), core.EstimateNeighborhoodHIP(set.SketchOf(v), 1e18); got != want {
-			t.Fatalf("node %d: sharded cache total %v, direct %v", v, got, want)
+			t.Fatalf("node %d: cache total %v, direct %v", v, got, want)
 		}
 	}
+	c.AddLookups(n)
 	st := c.Stats()
-	if st.Shards != 4 || st.Slots != set.NumNodes() || st.Built != set.NumNodes() {
+	if st.Slots != n || st.Built != n {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.Misses != int64(set.NumNodes()) {
-		t.Errorf("misses = %d, want %d (one build per node)", st.Misses, set.NumNodes())
+	if st.Misses != int64(n) {
+		t.Errorf("misses = %d, want %d (one build per node)", st.Misses, n)
 	}
 	if st.Hits != 0 {
 		t.Errorf("hits = %d before any repeat Get", st.Hits)
 	}
 	c.Get(7)
-	if st = c.Stats(); st.Hits != 1 {
-		t.Errorf("hits = %d after one repeat Get, want 1", st.Hits)
+	c.AddLookups(1)
+	if st = c.Stats(); st.Hits != 1 || st.Misses != int64(n) {
+		t.Errorf("after one repeat Get: %+v, want 1 hit and %d misses", st, n)
 	}
-	// Shard count defaults sanely and clamps to the slot count.
-	if d := DefaultShards(); d < 1 || d > 256 {
-		t.Errorf("DefaultShards = %d", d)
+	// A hit neither allocates nor counts.
+	if allocs := testing.AllocsPerRun(100, func() { c.Get(7) }); allocs != 0 {
+		t.Errorf("a warm Get allocates %.0f times", allocs)
 	}
-	small := NewIndexCache(2, 64, func(v int32) *core.HIPIndex {
-		return core.NewHIPIndex(set.SketchOf(v))
-	})
-	if small.Shards() != 2 {
-		t.Errorf("Shards = %d for 2 slots, want 2", small.Shards())
+	if st2 := c.Stats(); st2 != st {
+		t.Errorf("uncounted Gets moved the stats: %+v -> %+v", st, st2)
 	}
 }
 
@@ -132,78 +131,69 @@ func TestIndexCacheConcurrent(t *testing.T) {
 }
 
 func TestForEachVisitsEverything(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 64} {
-		var visited [100]atomic.Int32
-		err := ForEach(context.Background(), workers, len(visited), func(i int) error {
-			visited[i].Add(1)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range visited {
-			if visited[i].Load() != 1 {
-				t.Fatalf("workers=%d: item %d visited %d times", workers, i, visited[i].Load())
+	for _, n := range []int{0, 1, ChunkSize - 1, ChunkSize, 3*ChunkSize + 5} {
+		for _, workers := range []int{0, 1, 3, 64} {
+			visited := make([]atomic.Int32, n)
+			err := ForEach(context.Background(), workers, n, func(lo, hi int) {
+				if lo%ChunkSize != 0 || hi-lo > ChunkSize || hi <= lo || hi > n {
+					t.Errorf("n=%d workers=%d: chunk [%d, %d)", n, workers, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					visited[i].Add(1)
+				}
+			})
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			for i := range visited {
+				if visited[i].Load() != 1 {
+					t.Fatalf("n=%d workers=%d: item %d visited %d times", n, workers, i, visited[i].Load())
+				}
 			}
 		}
 	}
 }
 
-// TestForEachPropagatesError: the fifth call fails.  Every later call
-// waits until it has (a no-op fn would let the other workers drain all
-// 1000 items while the failing goroutine sits between counting its call
-// and returning the error) and then fails too, so each of the other
-// workers makes at most one call after the failure, whenever ForEach's
-// stop flag becomes visible to it.
-func TestForEachPropagatesError(t *testing.T) {
-	const workers = 4
-	boom := errors.New("boom")
-	failed := make(chan struct{})
-	var calls atomic.Int64
-	err := ForEach(context.Background(), workers, 1000, func(i int) error {
-		switch n := calls.Add(1); {
-		case n < 5:
-			return nil
-		case n == 5:
-			close(failed)
-		default:
-			<-failed
+// One chunk, or one worker, runs on the calling goroutine: starting a
+// goroutine would allocate.
+func TestForEachInlineStartsNoGoroutine(t *testing.T) {
+	ctx := context.Background()
+	fn := func(lo, hi int) {}
+	for _, c := range []struct{ workers, n int }{{4, 1}, {4, ChunkSize}, {1, 10 * ChunkSize}} {
+		if allocs := testing.AllocsPerRun(100, func() { ForEach(ctx, c.workers, c.n, fn) }); allocs != 0 {
+			t.Errorf("workers=%d n=%d: %.0f allocations, want 0", c.workers, c.n, allocs)
 		}
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if n := calls.Load(); n > 5+workers {
-		t.Errorf("no early stop: %d calls", n)
 	}
 }
 
-// TestForEachHonorsCancellation: the hundredth call cancels.  Every later
-// call waits until it has, so a worker that made one finds the context
-// cancelled before it claims another item.
+// TestForEachHonorsCancellation: the third chunk cancels.  Every later
+// chunk waits until it has, so a worker that ran one finds the context
+// cancelled before it claims another.
 func TestForEachHonorsCancellation(t *testing.T) {
-	const workers = 2
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Int64
-	err := ForEach(ctx, workers, 1<<20, func(i int) error {
-		switch n := calls.Add(1); {
-		case n == 100:
-			cancel()
-		case n > 100:
-			<-ctx.Done()
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		err := ForEach(ctx, workers, 1<<20, func(lo, hi int) {
+			switch n := calls.Add(1); {
+			case n == 3:
+				cancel()
+			case n > 3:
+				<-ctx.Done()
+			}
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := calls.Load(); n > 100+workers {
-		t.Errorf("no early stop on cancellation: %d calls", n)
-	}
-	// Zero items: just reports the context state.
-	if err := ForEach(ctx, 2, 0, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("empty err = %v, want context.Canceled", err)
+		if n := calls.Load(); n > int64(3+workers) {
+			t.Errorf("workers=%d: no early stop on cancellation: %d chunks", workers, n)
+		}
+		// Zero items, or a context done before the first chunk: fn never
+		// runs and the context's state is the answer.
+		for _, n := range []int{0, 1, 1 << 20} {
+			if err := ForEach(ctx, workers, n, func(int, int) { t.Error("fn ran under a cancelled context") }); !errors.Is(err, context.Canceled) {
+				t.Errorf("workers=%d n=%d: err = %v, want context.Canceled", workers, n, err)
+			}
+		}
 	}
 	if err := ForEach(context.Background(), 2, 0, nil); err != nil {
 		t.Errorf("empty err = %v, want nil", err)

@@ -112,14 +112,10 @@ func WithFlavor(f Flavor) Option {
 // WithAlgorithm selects the construction algorithm (Section 3).  Default
 // AlgoPrunedDijkstra.  Only AlgoLocalUpdates is compatible with
 // WithApproxEps, and only AlgoPrunedDijkstra with WithNodeWeights.
-// AlgoPrunedDijkstraParallel is a deprecated synonym of
-// AlgoPrunedDijkstra.
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *buildConfig) error {
 		switch a {
 		case AlgoPrunedDijkstra, AlgoDP, AlgoLocalUpdates, AlgoBruteForce:
-		case AlgoPrunedDijkstraParallel:
-			a = AlgoPrunedDijkstra
 		default:
 			return fmt.Errorf("%w: WithAlgorithm(%v), unknown algorithm", ErrBadOption, a)
 		}

@@ -99,7 +99,6 @@ func TestBuildAcceptsCompatibleCombinations(t *testing.T) {
 		{adsketch.WithApproxEps(0), adsketch.WithAlgorithm(adsketch.AlgoLocalUpdates)},
 		{adsketch.WithParallelism(4)},
 		{adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra), adsketch.WithParallelism(2)},
-		{adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstraParallel), adsketch.WithParallelism(2)}, // the deprecated synonym
 		{adsketch.WithNodeWeights(beta), adsketch.WithParallelism(3)},
 		{adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks(), adsketch.WithParallelism(1)},
 	}
@@ -131,28 +130,30 @@ func TestBuildParityUniform(t *testing.T) {
 	g := adsketch.WithRandomWeights(adsketch.GNP(60, 0.08, false, 5), 1, 4, 6)
 	unweighted := adsketch.GNP(60, 0.08, false, 5)
 	cases := []struct {
-		name string
-		g    *adsketch.Graph
-		o    core.Options
-		algo adsketch.Algorithm
+		name    string
+		g       *adsketch.Graph
+		o       core.Options
+		algo    adsketch.Algorithm
+		workers int // 0 = GOMAXPROCS, the default of both entry points
 	}{
-		{"bottomk/dijkstra", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoPrunedDijkstra},
-		{"bottomk/parallel", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoPrunedDijkstraParallel},
-		{"bottomk/local", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoLocalUpdates},
-		{"bottomk/dp", unweighted, core.Options{K: 4, Seed: 9}, adsketch.AlgoDP},
-		{"kmins/dijkstra", g, core.Options{K: 3, Flavor: adsketch.KMins, Seed: 2}, adsketch.AlgoPrunedDijkstra},
-		{"kpartition/dijkstra", g, core.Options{K: 3, Flavor: adsketch.KPartition, Seed: 2}, adsketch.AlgoPrunedDijkstra},
-		{"baseb/brute", g, core.Options{K: 4, Seed: 7, BaseB: 2}, adsketch.AlgoBruteForce},
+		{"bottomk/dijkstra", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoPrunedDijkstra, 0},
+		{"bottomk/parallel", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoPrunedDijkstra, 2},
+		{"bottomk/local", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoLocalUpdates, 0},
+		{"bottomk/dp", unweighted, core.Options{K: 4, Seed: 9}, adsketch.AlgoDP, 0},
+		{"kmins/dijkstra", g, core.Options{K: 3, Flavor: adsketch.KMins, Seed: 2}, adsketch.AlgoPrunedDijkstra, 0},
+		{"kpartition/dijkstra", g, core.Options{K: 3, Flavor: adsketch.KPartition, Seed: 2}, adsketch.AlgoPrunedDijkstra, 0},
+		{"baseb/brute", g, core.Options{K: 4, Seed: 7, BaseB: 2}, adsketch.AlgoBruteForce, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			direct, err := core.BuildSet(tc.g, tc.o, tc.algo)
+			direct, err := core.BuildSetParallel(tc.g, tc.o, tc.algo, tc.workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts := []adsketch.Option{
 				adsketch.WithK(tc.o.K), adsketch.WithSeed(tc.o.Seed),
 				adsketch.WithFlavor(tc.o.Flavor), adsketch.WithAlgorithm(tc.algo),
+				adsketch.WithParallelism(tc.workers),
 			}
 			if tc.o.BaseB != 0 {
 				opts = append(opts, adsketch.WithBaseB(tc.o.BaseB))
