@@ -5,7 +5,7 @@ GO ?= go
 # COVER_BASELINE is the recorded total-statement-coverage floor; `make
 # cover` (and CI) fail when the tree drops below it.  Raise it when
 # coverage durably improves; never lower it to make a PR pass.
-COVER_BASELINE ?= 75.0
+COVER_BASELINE ?= 80.0
 
 .PHONY: test loc race cpus analyze benchmark-smoke cover fuzz-smoke memprofile ingest-smoke load-smoke wire-smoke distbuild-smoke clean
 
@@ -30,10 +30,11 @@ loc:
 race:
 	$(GO) test -race ./...
 
-# The construction and index schedules under one, two and four cores: the
+# The construction schedules under one, two and four cores: the
 # calling-goroutine path, the reference machine's split, and node ranges
 # that do not divide the way the batches do.  Every count must produce the
-# same bytes, which these tests compare against brute force or each other.
+# same bytes, which these tests compare against brute force or each other,
+# and a node's HIP index, built by racing goroutines, the same readouts.
 # Then the serving scan under the same counts: inline on the caller,
 # chunks across several workers, and the scatter barrier, whose shard
 # calls must all be in flight at once even on one core.

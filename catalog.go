@@ -272,12 +272,9 @@ func serveMode(be ShardBackend) string {
 
 // datasetCost is what a set's frame holds resident: offsets, packed
 // nodes, the distance step code, and β for weighted sets — the file's size less its
-// header.  The HIP index arena its first query builds is reported
+// header.  The HIP indexes its queries build are reported
 // (DatasetStats.IndexBytes), not budgeted.
-func datasetCost(set *Set) int64 {
-	frame, _ := core.MemoryOf(set)
-	return frame
-}
+func datasetCost(set *Set) int64 { return core.MemoryOf(set) }
 
 // Attach registers a new dataset under name, materializing it
 // immediately (a bad path or set fails the attach, not a later query).
@@ -529,10 +526,10 @@ type DatasetStats struct {
 	// Cache is the version's index-cache snapshot, when its backend
 	// reports one (nil while evicted or for remote backends).
 	Cache *CacheStats `json:"cache,omitempty"`
-	// IndexBytes is the heap the version's HIP index arena holds beyond
-	// Bytes — built by the version's first query, so 0 until then, and
-	// for backends that are not a local Engine — and IndexBytesPerNode
-	// the same per served node.
+	// IndexBytes is the heap the version's HIP indexes hold beyond Bytes —
+	// one built per node on its first query, so it grows with the nodes
+	// queried, and 0 for backends that are not a local Engine — and
+	// IndexBytesPerNode the same per served node.
 	IndexBytes        int64   `json:"index_bytes,omitempty"`
 	IndexBytesPerNode float64 `json:"index_bytes_per_node,omitempty"`
 }

@@ -215,9 +215,9 @@ func TestServerHealthAndStats(t *testing.T) {
 	if st.Cache.Slots != 400 || st.Cache.Built == 0 || st.Cache.Hits+st.Cache.Misses == 0 {
 		t.Errorf("statsz cache: %+v", st.Cache)
 	}
-	// Serving memory: the query built the HIP index arena, sized by entries
-	// (one adjusted weight each) and distance steps, not by 5 columns of
-	// entries: under 8 bytes an entry plus 512 a node.
+	// Serving memory: the query built the HIP indexes of the nodes it
+	// named, each sized by its entries (one adjusted weight each) and
+	// distance steps: under 8 bytes an entry of the set plus 512 a node.
 	if len(st.Datasets) != 1 {
 		t.Fatalf("statsz datasets: %+v", st.Datasets)
 	}

@@ -432,6 +432,44 @@ func TestEngineLazyIndexing(t *testing.T) {
 	}
 }
 
+// TestEngineFirstQueryBuildsOneIndex: a fresh engine's first single-node
+// query builds that node's index and no other — one miss, one index, the
+// bytes of one node's weights and sums — in a handful of allocations
+// beside the request's own: the index, its slice and the weight heap.
+func TestEngineFirstQueryBuildsOneIndex(t *testing.T) {
+	_, set, _ := buildEngine(t)
+	const v, runs = 17, 20
+	engines := make([]*adsketch.Engine, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range engines {
+		eng, err := adsketch.NewEngine(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = eng
+	}
+	ctx, req := context.Background(), adsketch.Request{Closeness: &adsketch.ClosenessQuery{Nodes: []int32{v}}}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := engines[next].Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs > 6 {
+		t.Errorf("a cold single-node Engine.Do: %.0f allocations, want at most 6", allocs)
+	}
+	entries := int64(set.SketchOf(v).Size())
+	for _, eng := range engines {
+		st := eng.CacheStats()
+		if st.Built != 1 || st.Misses != 1 || st.Hits != 0 {
+			t.Fatalf("after the first query: %+v, want one index built on one miss", st)
+		}
+		if b := eng.IndexBytes(); b <= 0 || b > 8*entries+512 {
+			t.Fatalf("after the first query: %d index bytes for node %d's %d entries, want at most %d", b, v, entries, 8*entries+512)
+		}
+	}
+}
+
 // TestEngineDoAllocs pins the request path's allocations with a warm
 // cache.  A single-node closeness request allocates its scan closure and
 // its score column, directly and through the catalog.  A top-k allocates

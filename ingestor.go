@@ -71,7 +71,6 @@ type Ingestor struct {
 type ingestorConfig struct {
 	freezeEvery    int
 	freezeInterval time.Duration
-	counterBase    float64
 	cat            *Catalog
 	dataset        string
 	dir            string
@@ -146,19 +145,6 @@ func WithPublishMmap() IngestorOption {
 	}
 }
 
-// WithIngestCounters enables per-node Morris update counters (base b > 1)
-// in the maintainer — approximate per-node ingest statistics at
-// O(log log n) bits per touched node.
-func WithIngestCounters(b float64) IngestorOption {
-	return func(c *ingestorConfig) error {
-		if !(b > 1) {
-			return fmt.Errorf("%w: WithIngestCounters(%g), base must be > 1", ErrBadOption, b)
-		}
-		c.counterBase = b
-		return nil
-	}
-}
-
 // NewIngestor returns an ingestor maintaining the given built set as its
 // graph g evolves.  The set must be a uniform bottom-k set with
 // full-precision ranks built from g; g and set are not mutated.
@@ -185,11 +171,7 @@ func NewIngestor(g *Graph, set SketchSet, opts ...IngestorOption) (*Ingestor, er
 	if c.mmap && c.dir == "" {
 		return nil, fmt.Errorf("%w: WithPublishMmap requires WithPublishDir", ErrIncompatibleOptions)
 	}
-	var mopts []ingest.Option
-	if c.counterBase > 1 {
-		mopts = append(mopts, ingest.WithUpdateCounters(c.counterBase))
-	}
-	m, err := ingest.New(g, cs, mopts...)
+	m, err := ingest.New(g, cs)
 	if err != nil {
 		return nil, err
 	}

@@ -64,7 +64,7 @@ func TestIngestorFreezeMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing, err := adsketch.NewIngestor(baseGraph, base, adsketch.WithIngestCounters(2))
+	ing, err := adsketch.NewIngestor(baseGraph, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,6 @@ func TestIngestorOptionErrors(t *testing.T) {
 		{adsketch.WithPublishDir("")},
 		{adsketch.WithPublishDir(t.TempDir())},                       // dir without publish
 		{adsketch.WithPublish(cat, "x"), adsketch.WithPublishMmap()}, // mmap without dir
-		{adsketch.WithIngestCounters(1)},
 		{nil},
 	}
 	for i, opts := range bad {

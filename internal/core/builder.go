@@ -215,8 +215,8 @@ func (s *Set) Columns(v int32) (nodes Nodes, dists StepDists) {
 	return f.node.view(lo, hi), StepDists{first: f.first, lo: lo, col: &f.steps, slo: slo, n: int(f.rank1(hi) - slo)}
 }
 
-// Index returns local node v's columnar HIP query index, sharing the
-// frame's index arena — the zero-rebuild path batch serving uses.
+// Index builds local node v's columnar HIP query index over the frame's
+// columns — what batch serving caches per node on first query.
 func (s *Set) Index(v int32) *HIPIndex { return s.frame.Index(v) }
 
 // TotalEntries returns the summed entry count over all sketches — the

@@ -367,7 +367,7 @@ func TestBenchmarkFrameBytes(t *testing.T) {
 	if h.numEntries != 1272677 || h.numSteps != 52617 || h.numDistinct != 6 {
 		t.Errorf("%d entries, %d steps, %d distinct distances: want 1272677, 52617, 6", h.numEntries, h.numSteps, h.numDistinct)
 	}
-	frame, _ := MemoryOf(set)
+	frame := MemoryOf(set)
 	if samples := int64(8 * (bitWords(1272677)/rankSampleWords + 1)); frame != total-88+samples+48 {
 		t.Errorf("the frame holds %d bytes, want the file's columns, %d of popcount samples and the dictionary's use counts", frame, samples)
 	}

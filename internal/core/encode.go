@@ -30,11 +30,10 @@ const (
 // set's own Kind follows in the envelope.
 const kindPartition uint32 = 3
 
-// MemoryOf reports what serving a set holds in memory (heap, or mapping
-// for an mmap'd file): frame is its columns — offsets, packed nodes,
-// distance step code, β — and index the HIP index arena its first query
-// builds, 0 until then.
-func MemoryOf(s *Set) (frame, index int64) { return s.frame.bytes(), s.frame.indexBytes() }
+// MemoryOf reports what a set's columns hold in memory (heap, or mapping
+// for an mmap'd file): offsets, packed nodes, distance step code, β.  The
+// HIP indexes a server builds per queried node are its cache's to count.
+func MemoryOf(s *Set) int64 { return s.frame.bytes() }
 
 // growBuf returns *buf resized to n bytes, reallocating only when the
 // capacity is short — the codec's per-call scratch, reused across nodes.

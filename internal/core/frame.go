@@ -2,11 +2,8 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"adsketch/internal/rank"
@@ -14,17 +11,16 @@ import (
 )
 
 // Frozen columnar sketch storage.  A built sketch set never mutates, so
-// instead of one heap object (and one entry slice, and one lazily built
-// query index) per node, every set owns a single Frame: an offsets array
-// plus parallel entry columns shared by all of its sketches.  The sketch
-// types (ADS, WeightedADS, KMinsADS, KPartitionADS) are lightweight views
-// over column slices — constructing one allocates a small header, never
-// entry data — and the per-node HIP query indexes live in one arena per
-// frame, built on first use.  A million-node set is a handful of large
-// allocations instead of millions of small ones, splitting a set into
-// partitions is offset slicing, and the version-3 codec serializes the
-// columns verbatim, so opening a prebuilt file is O(columns) work (and
-// zero copies when mmapped).
+// instead of one heap object (and one entry slice) per node, every set
+// owns a single Frame: an offsets array plus parallel entry columns shared
+// by all of its sketches.  The sketch types (ADS, WeightedADS, KMinsADS,
+// KPartitionADS) are lightweight views over column slices — constructing
+// one allocates a small header, never entry data — and a node's HIP query
+// index views them too, holding only its weights and sums (Index).  A
+// million-node set is a handful of large allocations instead of millions
+// of small ones, splitting a set into partitions is offset slicing, and
+// the version-3 codec serializes the columns verbatim, so opening a
+// prebuilt file is O(columns) work (and zero copies when mmapped).
 //
 // A frame holds, per entry, a node ID in the ⌈log₂ total⌉ bits an ID of
 // its set needs (nodepack.go: 14 bits at ten thousand nodes, bit-packed
@@ -204,7 +200,7 @@ func (c *cols) before(i int, d *cols, j int) bool {
 	return c.nodeAt(i) < d.nodeAt(j)
 }
 
-// push appends an entry.  Views into a frame arena are sliced with full
+// push appends an entry.  Views into a frame's columns are sliced with full
 // capacity bounds, so pushing onto one reallocates instead of corrupting
 // the shared columns; a view that was deriving its ranks or reading the
 // frame's packed nodes and step code stores ranks, nodes and distances
@@ -281,9 +277,6 @@ type Frame struct {
 	steps stepColumn   // one distance per set bit of first
 	beta  []float64    // weighted sets: β per entry, parallel to node
 	by    ranker       // derives the ranks
-
-	hipOnce sync.Once
-	hip     atomic.Pointer[hipArena] // set once, by hipOnce
 }
 
 // segs returns the segments per node.
@@ -533,8 +526,8 @@ func mergeFrames(frames []*Frame) *Frame {
 // are few and stay resident.
 const rankMemoSlots = 1 << 14
 
-// rankScratch serves the loops that read every rank of a frame (the HIP
-// arena build, freeze-time validation): one node's ranks at a time, in
+// rankScratch serves the loops that read every rank of a frame
+// (freeze- and read-time validation): one node's ranks at a time, in
 // one reused buffer, through a direct-mapped (perm, node, β) → rank memo,
 // so they pay a hash per distinct node rather than per entry and allocate
 // nothing per node.  The zero value is ready to use, and serves one frame:
@@ -683,130 +676,35 @@ func (f *Frame) validateSegs(segs []cols, local int, given [][]Entry) error {
 	return nil
 }
 
-// hipArena is a frame's columnar HIP query index: every node's index is a
-// view over these shared columns, so serving a million nodes costs a
-// handful of arena allocations instead of five slices per node.  It
-// realizes the compression remark of the paper's Section 5 — per unique
-// distance, the cumulative adjusted weight (plus the weight·distance and
-// weight/distance sums the closeness and harmonic readouts need).
-type hipArena struct {
-	views []HIPIndex
-	// HIP entries in canonical order.  For single-segment frames they are
-	// the frame's own — node column, step bits and steps are aliased, not
-	// copied; for k-mins / k-partition hnode and merged hold the per-node
-	// cursor merge of the segments, packed at the frame's width and
-	// step-coded like a frame.
-	hnode  packedColumn
-	merged stepWriter // raw: a merge does not know its distances beforehand
-	hw     []float64
-	// per-unique-distance prefix-sum columns, parallel to the steps
-	cum  []float64
-	cumD []float64
-	cumH []float64
-}
-
-// bytes returns the heap the arena holds beyond the frame it indexes.
-func (a *hipArena) bytes() int64 {
-	return int64(cap(a.views))*int64(unsafe.Sizeof(HIPIndex{})) +
-		8*int64(cap(a.hnode.words)+cap(a.merged.first)+cap(a.merged.steps.raw)+
-			cap(a.hw)+cap(a.cum)+cap(a.cumD)+cap(a.cumH))
-}
-
-// Index returns the columnar HIP query index of local node v, building
-// the frame's shared index arena on first use.  The returned index is an
-// immutable view, safe to share between goroutines.
+// Index builds the HIP query index of local node v.  A single-segment
+// node's HIP entries are its entries, so the index views the frame's node
+// column, step bits and steps and holds of its own one slice: a weight per
+// entry — the ranks derived into it, then turned into weights in place —
+// and the three prefix sums per step.  A k-mins / k-partition node's
+// entries are a merge of its segments, indexed standalone.  Every readout
+// is bit-identical to NewHIPIndex over the node's view; callers cache the
+// result (query.IndexCache).
 func (f *Frame) Index(local int32) *HIPIndex {
-	f.hipOnce.Do(f.buildHIP)
-	return &f.hip.Load().views[local]
-}
-
-// buildHIP fills the arena.  All accumulations scan entries in canonical
-// order with the same operations as the per-sketch HIP estimators, so
-// every readout is bit-identical to NewHIPIndex over the corresponding
-// view.  The prefix-sum columns hold one slot per distance step, so they
-// are sized by the frame's step count, not its entry count.
-//
-// In a single-segment frame a node's HIP entries are its entries, so the
-// frame's offsets and step ranks fix where its weights and sums go, and
-// GOMAXPROCS contiguous node ranges are filled concurrently, by the same
-// operations in the same order per node.  How long a k-mins / k-partition
-// node's merged list is only the merge finds out: those stay sequential.
-func (f *Frame) buildHIP() {
-	e := f.totalEntries()
-	elo, _ := f.entryRange()
-	slo, shi := f.stepRange()
-	steps := int(shi - slo) // of the merged lists too: a merged distance is some segment's step
-	a := &hipArena{
-		views: make([]HIPIndex, f.n),
-		hw:    make([]float64, e),
-		cum:   make([]float64, steps),
-		cumD:  make([]float64, steps),
-		cumH:  make([]float64, steps),
+	if f.segs() > 1 {
+		return NewHIPIndex(f.viewSketch(int(local)))
 	}
-	ranges := 1
-	if f.segs() == 1 {
-		ranges = max(1, min(runtime.GOMAXPROCS(0), f.n))
+	c := f.segAt(int(local), 0)
+	e, s := c.len(), c.sd.n
+	buf := make([]float64, e+3*s)
+	w := buf[:e:e]
+	for i := range w {
+		w[i] = c.rankAt(i)
+	}
+	h := newMaxHeap(f.p.K)
+	if f.p.Kind == KindWeighted {
+		w = hipWeightsWeighted(w, c.beta, f.p.Scheme, f.p.K, h, w[:0])
 	} else {
-		a.hnode = makePackedColumn(int64(e), f.width())
-		a.merged = newStepWriter(e, nil, int64(steps))
+		w = hipWeightsBottomK(w, f.p.K, h, w[:0])
 	}
-	fanOut(ranges, func(r int) {
-		h := newMaxHeap(f.p.K)
-		var ranks rankScratch
-		vlo, vhi := nodeRange(r, ranges, f.n)
-		lo := f.offAt(vlo * f.segs())
-		hpos, upos := int(lo-elo), int(f.rank1(lo)-slo)
-		for v := vlo; v < vhi; v++ {
-			hpos, upos = f.indexNode(a, v, hpos, upos, h, &ranks)
-		}
-	})
-	f.hip.Store(a)
-}
-
-// indexNode fills local node v's view, its HIP weights from position hpos
-// of the arena's entry column and its prefix sums from upos of the step
-// columns, and returns where they end — where the next node's start.
-func (f *Frame) indexNode(a *hipArena, v, hpos, upos int, h *maxHeap, ranks *rankScratch) (hend, uend int) {
-	segs := f.ranked(ranks, v)
-	x := &a.views[v]
-	hw := a.hw[hpos:hpos]
-	if f.segs() == 1 {
-		if f.p.Kind == KindWeighted {
-			hw = hipWeightsWeighted(segs[0].rank, segs[0].beta, f.p.Scheme, f.p.K, h, hw)
-		} else {
-			hw = hipWeightsBottomK(segs[0].rank, f.p.K, h, hw)
-		}
-		x.enode, x.sd = segs[0].pn, segs[0].sd // the frame's words, not the scratch
-	} else {
-		m := &a.merged
-		m.segment()
-		emit := func(node int32, dist, weight float64) {
-			pos := int64(hpos + len(hw))
-			m.add(pos, dist)
-			a.hnode.put(pos, nodeBits(node))
-			hw = append(hw, weight)
-		}
-		if f.p.Flavor == sketch.KMins {
-			hipMergeKMins(segs, emit)
-		} else {
-			hipMergeKPartition(segs, emit)
-		}
-		x.enode = a.hnode.view(int64(hpos), int64(hpos+len(hw)))
-		x.sd = StepDists{first: m.first, lo: int64(hpos), col: &m.steps, slo: int64(upos), n: int(m.steps.n) - upos}
-	}
-	hend, uend = hpos+len(hw), upos+x.sd.n
-	x.ew = hw[:len(hw):len(hw)]
-	x.cum, x.cumD, x.cumH = x.sd.prefixSums(x.ew, a.cum[upos:upos:uend], a.cumD[upos:upos:uend], a.cumH[upos:upos:uend])
-	return hend, uend
-}
-
-// indexBytes returns what serving the frame costs beyond the frame: the
-// heap held by its HIP index arena, or 0 while no query has built it.
-func (f *Frame) indexBytes() int64 {
-	if a := f.hip.Load(); a != nil {
-		return a.bytes()
-	}
-	return 0
+	x := &HIPIndex{enode: c.pn, ew: w, sd: c.sd, own: int64(unsafe.Sizeof(HIPIndex{})) + 8*int64(len(buf))}
+	sums := buf[e:]
+	x.sum(sums[:0:s], sums[s:s:2*s], sums[2*s:2*s:3*s])
+	return x
 }
 
 // bytes returns the heap (or mapping) the frame's own node range
@@ -832,6 +730,7 @@ func (f *Frame) bytes() int64 {
 // hipWeightsBottomK appends the HIP adjusted weights of a bottom-k entry
 // list with the given ranks (Lemma 5.1: 1/τ with τ the k-th smallest
 // preceding rank) to out.  h is caller-provided scratch, reset before use.
+// Rank i is read before weight i is written, so out may be ranks[:0].
 func hipWeightsBottomK(ranks []float64, k int, h *maxHeap, out []float64) []float64 {
 	h.reset()
 	for _, r := range ranks {
@@ -847,7 +746,7 @@ func hipWeightsBottomK(ranks []float64, k int, h *maxHeap, out []float64) []floa
 
 // hipWeightsWeighted appends the Section 9 adjusted weights β/p (p the
 // scheme's inclusion probability against the k-th smallest preceding
-// biased rank) to out.
+// biased rank) to out, which, as for hipWeightsBottomK, may be ranks[:0].
 func hipWeightsWeighted(ranks, beta []float64, scheme WeightScheme, k int, h *maxHeap, out []float64) []float64 {
 	h.reset()
 	for i, r := range ranks {

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"sort"
+	"unsafe"
+)
 
 // HIPIndex is a prebuilt query index over a sketch's HIP entries: the
 // entries themselves (with adjusted weights already derived) plus, per
@@ -20,30 +23,33 @@ import "sort"
 // entry distances step-coded (stepcode.go) the way a frame's are: the
 // unique distances are the steps.  An index built standalone
 // (NewHIPIndex) owns its columns, preallocated to exact size, its steps
-// raw; the indexes of a frame-backed set (Frame.Index, what Engine
-// serves) are views into the frame — nodes, step bits and steps, which
-// may be codes into the frame's dictionary of distances, are the frame's
-// own columns — and into one arena shared by the whole set, which
-// holds a weight per entry and the three prefix sums per step, so serving
-// a million nodes does not cost seven slices per node, nor a column of
-// entries' size per prefix sum.
+// raw; the index of a node of a single-segment set (Frame.Index, what
+// Engine serves) views the frame's nodes, step bits and steps, which may
+// be codes into the frame's dictionary of distances, and owns one slice
+// holding a weight per entry and the three prefix sums per step.
 //
 // All accumulations scan the entries in canonical order, so every readout
 // is bit-identical to the corresponding direct estimator (EstimateQ,
 // EstimateCentrality, EstimateNeighborhoodHIP) on the same sketch.
 type HIPIndex struct {
+	// The last prefix sums, which the unbounded readouts return: beside
+	// the header, so a scan of every node's total reads one cache line a
+	// node, not a line of each node's sums.
+	total, totalD, totalH float64
+
 	enode Nodes     // HIP entry nodes, canonical order, packed
 	ew    []float64 // HIP adjusted weights, parallel to enode
 	sd    StepDists // HIP entry distances, step-coded: its steps are the unique distances, ascending
 	cum   []float64 // cum[i]: total adjusted weight at distance <= sd.steps[i]
 	cumD  []float64 // prefix sums of weight * distance
 	cumH  []float64 // prefix sums of weight / distance (0 at distance 0)
+	own   int64     // heap the index holds of its own (Bytes)
 }
 
 // NewHIPIndex builds a standalone index for a sketch of any flavor, with
 // every column preallocated to its exact size (one pass counts the unique
 // distances, a second fills the prefix sums).  For sketches of a built
-// set prefer the set's Index method, which shares one arena per set.
+// set prefer the set's Index method, which views the set's columns.
 func NewHIPIndex(s Sketch) *HIPIndex {
 	entries := s.HIPEntries()
 	unique := 0
@@ -68,15 +74,17 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 		w.add(int64(i), e.Dist)
 	}
 	idx.sd = StepDists{first: w.first, col: &w.steps, n: unique}
-	idx.cum, idx.cumD, idx.cumH = idx.sd.prefixSums(idx.ew, idx.cum, idx.cumD, idx.cumH)
+	idx.sum(idx.cum, idx.cumD, idx.cumH)
+	idx.own = int64(unsafe.Sizeof(*idx)) + 8*int64(len(nodes.words)+len(w.first)+len(w.steps.raw)+len(entries)+3*unique)
 	return idx
 }
 
-// prefixSums appends to the three columns, per step of s, the running
-// totals of w, w·distance and w·(1/distance) over the entries up to the
-// step's last; w runs parallel to the entries.
-func (s StepDists) prefixSums(w, cum, cumD, cumH []float64) (_, _, _ []float64) {
+// sum fills the index's prefix sums, appending to the three empty columns,
+// per step, the running totals of the weights, weight·distance and
+// weight·(1/distance) over the entries up to the step's last.
+func (x *HIPIndex) sum(cum, cumD, cumH []float64) {
 	total, totalD, totalH := 0.0, 0.0, 0.0
+	w, s := x.ew, x.sd
 	for i, j := 0, 0; i < len(w); j++ {
 		end, d := s.runEnd(i, len(w)), s.step(j)
 		inv := KernelHarmonic(d)
@@ -88,8 +96,14 @@ func (s StepDists) prefixSums(w, cum, cumD, cumH []float64) (_, _, _ []float64) 
 		cum, cumD, cumH = append(cum, total), append(cumD, totalD), append(cumH, totalH)
 		i = end
 	}
-	return cum, cumD, cumH
+	x.cum, x.cumD, x.cumH = cum, cumD, cumH
+	x.total, x.totalD, x.totalH = total, totalD, totalH
 }
+
+// Bytes returns the heap the index holds of its own: its header, weights
+// and prefix sums and, built standalone, its nodes and step code — not the
+// frame columns it views.
+func (x *HIPIndex) Bytes() int64 { return x.own }
 
 // Len returns the number of indexed HIP entries.
 func (x *HIPIndex) Len() int { return x.enode.n }
@@ -129,22 +143,12 @@ func (x *HIPIndex) Neighborhood(d float64) float64 {
 }
 
 // Total returns the estimate of the number of reachable nodes.
-func (x *HIPIndex) Total() float64 {
-	if len(x.cum) == 0 {
-		return 0
-	}
-	return x.cum[len(x.cum)-1]
-}
+func (x *HIPIndex) Total() float64 { return x.total }
 
 // SumDistances returns the HIP estimate of Σ_j d_vj over reachable nodes
 // (the inverse of classic closeness centrality) — equal to
 // EstimateCentrality(s, KernelIdentity, UnitBeta) on the indexed sketch.
-func (x *HIPIndex) SumDistances() float64 {
-	if len(x.cumD) == 0 {
-		return 0
-	}
-	return x.cumD[len(x.cumD)-1]
-}
+func (x *HIPIndex) SumDistances() float64 { return x.totalD }
 
 // SumDistancesWithin returns the HIP estimate of Σ_{j: d_vj <= d} d_vj.
 func (x *HIPIndex) SumDistancesWithin(d float64) float64 {
@@ -166,12 +170,7 @@ func (x *HIPIndex) Closeness() float64 {
 
 // Harmonic returns the HIP estimate of Σ_{j != v} 1/d_vj — equal to
 // EstimateCentrality(s, KernelHarmonic, UnitBeta) on the indexed sketch.
-func (x *HIPIndex) Harmonic() float64 {
-	if len(x.cumH) == 0 {
-		return 0
-	}
-	return x.cumH[len(x.cumH)-1]
-}
+func (x *HIPIndex) Harmonic() float64 { return x.totalH }
 
 // EstimateQ returns the HIP estimate of Q_g = Σ_j g(j, d_vj) from the
 // cached entries, without re-deriving the adjusted weights — equal to

@@ -90,16 +90,18 @@ func (a *KMinsADS) EstimateNeighborhood(d float64) float64 {
 	return sketch.KMinsEstimate(a.MinsWithin(d))
 }
 
-// hipMergeKMins computes adjusted weights by equation (7): scanning
-// distinct nodes in canonical order while maintaining the running minimum
-// rank m_h of each permutation over the nodes seen so far,
+// HIPEntries computes adjusted weights by equation (7): scanning distinct
+// nodes in canonical order while maintaining the running minimum rank m_h
+// of each permutation over the nodes seen so far,
 //
 //	τ_vj = 1 - Π_h (1 - m_h),
 //
 // the probability that a fresh node beats at least one permutation's
 // minimum.  A node appearing in several permutations' lists contributes a
-// single entry, emitted in canonical order.
-func hipMergeKMins(perms []cols, emit func(node int32, dist, w float64)) {
+// single entry, in canonical order.
+func (a *KMinsADS) HIPEntries() []WeightedEntry {
+	var out []WeightedEntry
+	perms := unpacked(a.perms)
 	cursors := make([]int, len(perms))
 	curMin := make([]float64, len(perms))
 	for h := range curMin {
@@ -126,7 +128,7 @@ func hipMergeKMins(perms []cols, emit func(node int32, dist, w float64)) {
 			prod *= 1 - m
 		}
 		tau := 1 - prod
-		emit(node, dist, 1/tau)
+		out = append(out, WeightedEntry{Node: node, Dist: dist, Weight: 1 / tau})
 		// Consume the entry from every permutation where it appears (same
 		// node can be the new minimum of several permutations at once).
 		for h := range cursors {
@@ -137,14 +139,6 @@ func hipMergeKMins(perms []cols, emit func(node int32, dist, w float64)) {
 			}
 		}
 	}
-}
-
-// HIPEntries computes adjusted weights by equation (7); see hipMergeKMins.
-func (a *KMinsADS) HIPEntries() []WeightedEntry {
-	var out []WeightedEntry
-	hipMergeKMins(unpacked(a.perms), func(node int32, dist, w float64) {
-		out = append(out, WeightedEntry{Node: node, Dist: dist, Weight: w})
-	})
 	return out
 }
 

@@ -86,15 +86,17 @@ func (a *KPartitionADS) EstimateNeighborhood(d float64) float64 {
 	return sketch.KPartitionEstimate(a.MinsWithin(d))
 }
 
-// hipMergeKPartition computes adjusted weights by equation (8): scanning
-// nodes in canonical order while maintaining the running minimum rank m_b
-// of each bucket over nodes seen so far,
+// HIPEntries computes adjusted weights by equation (8): scanning nodes in
+// canonical order while maintaining the running minimum rank m_b of each
+// bucket over nodes seen so far,
 //
 //	τ_vj = (1/k) Σ_b m_b,
 //
 // the inclusion probability of a fresh node under a uniform random bucket
 // assignment and rank (empty buckets contribute m_b = 1).
-func hipMergeKPartition(buckets []cols, emit func(node int32, dist, w float64)) {
+func (a *KPartitionADS) HIPEntries() []WeightedEntry {
+	var out []WeightedEntry
+	buckets := unpacked(a.buckets)
 	k := len(buckets)
 	cursors := make([]int, k)
 	curMin := make([]float64, k)
@@ -118,20 +120,11 @@ func hipMergeKPartition(buckets []cols, emit func(node int32, dist, w float64)) 
 		}
 		e := buckets[best].at(cursors[best])
 		tau := sum / float64(k)
-		emit(e.Node, e.Dist, 1/tau)
+		out = append(out, WeightedEntry{Node: e.Node, Dist: e.Dist, Weight: 1 / tau})
 		sum += e.Rank - curMin[best]
 		curMin[best] = e.Rank
 		cursors[best]++
 	}
-}
-
-// HIPEntries computes adjusted weights by equation (8); see
-// hipMergeKPartition.
-func (a *KPartitionADS) HIPEntries() []WeightedEntry {
-	var out []WeightedEntry
-	hipMergeKPartition(unpacked(a.buckets), func(node int32, dist, w float64) {
-		out = append(out, WeightedEntry{Node: node, Dist: dist, Weight: w})
-	})
 	return out
 }
 

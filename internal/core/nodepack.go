@@ -45,7 +45,7 @@ func packedWords(n int64, w uint) int64 { return bitWords(n * int64(w)) }
 
 // packedColumn is a bit-packed column and the width it is packed at.
 // Every view of a frame's column points at the one packedColumn the frame
-// (or index arena) holds, so a view costs what a slice header does.
+// (or index) holds, so a view costs what a slice header does.
 type packedColumn struct {
 	words []uint64
 	w     uint // bits per value, 1..63

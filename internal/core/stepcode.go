@@ -30,7 +30,7 @@ import (
 // still has one encoding, and either way step j reads back the float64 bit
 // pattern that was stored.
 
-// stepColumn is the distance of every step of a frame (or index arena), in
+// stepColumn is the distance of every step of a frame (or index), in
 // step order: raw, or coded through dict when that is smaller.
 type stepColumn struct {
 	n    int64        // steps

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -11,7 +12,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"adsketch/internal/graph"
 	"adsketch/internal/sketch"
@@ -690,14 +693,17 @@ func TestReadSketchFileSizesBufferFromStat(t *testing.T) {
 	}
 }
 
-// TestFrameIndexMatchesStandalone: the arena index of every node — views
-// of the frame's own node, bit and step columns for single-segment kinds,
-// of a step-coded merge for k-mins and k-partition — reads out bit for bit
-// like the standalone index of the same sketch, entry by entry and step by
-// step, from a whole frame and from a partition's slice of it, and while
-// other goroutines build and measure the same arena.
+// TestFrameIndexMatchesStandalone: the index Frame.Index builds for every
+// node — a view of the frame's own node, bit and step columns for
+// single-segment kinds, a standalone index of the segments' merge for
+// k-mins and k-partition — reads out bit for bit like the standalone index
+// of the same sketch, entry by entry and step by step, from a whole frame
+// and from a partition's slice of it, while other goroutines build the
+// same nodes' indexes.  Each index counts, as its own, its weights, its
+// sums and its header, and a standalone one its nodes and step code too.
 func TestFrameIndexMatchesStandalone(t *testing.T) {
 	g := func(node int32, dist float64) float64 { return float64(node%5) + 1/(1+dist) }
+	header := int64(unsafe.Sizeof(HIPIndex{}))
 	for name, set := range stepKinds(t) {
 		parts, err := SplitSketchSet(set, 3)
 		if err != nil {
@@ -705,103 +711,55 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 		}
 		for _, s := range []*Set{set, parts[1].set} {
 			f := s.frame
-			if _, index := MemoryOf(s); index != 0 {
-				t.Fatalf("%s: %d index bytes before any query", name, index)
+			if e := int64(f.totalEntries()); MemoryOf(s) < e*int64(f.width())/8 {
+				t.Errorf("%s: frame %d B for %d entries", name, MemoryOf(s), e)
 			}
-			done := make(chan struct{})
-			for w := 0; w < 3; w++ {
-				go func() {
-					defer func() { done <- struct{}{} }()
-					for v := 0; v < f.n; v++ {
-						_ = f.Index(int32(v)).Total()
-						MemoryOf(s)
-					}
-				}()
-			}
-			for w := 0; w < 3; w++ {
-				<-done
-			}
-			frame, index := MemoryOf(s)
-			e := int64(f.totalEntries())
-			// A weight an entry and three sums a step, plus the views; a merged
-			// arena also holds its own nodes, bits and steps.
-			if frame < e*int64(f.width())/8 || index < 8*e || index > 12*e+int64(f.n)*256+32*f.steps.n+e/8+64 {
-				t.Errorf("%s: frame %d B, index %d B for %d entries, %d nodes, %d steps", name, frame, index, e, f.n, f.steps.n)
-			}
-			for v := 0; v < f.n; v++ {
+			check := func(v int) string {
 				got, want := f.Index(int32(v)), NewHIPIndex(f.viewSketch(v))
 				ge, we := got.Entries(), want.Entries()
 				if len(ge) != len(we) || got.Len() != want.Len() {
-					t.Fatalf("%s node %d: %d entries, standalone %d", name, f.owner(v), len(ge), len(we))
+					return fmt.Sprintf("%d entries, standalone %d", len(ge), len(we))
 				}
 				for i := range we {
 					if ge[i] != we[i] || got.EntryAt(i) != we[i] {
-						t.Fatalf("%s node %d entry %d: %+v / %+v, standalone %+v", name, f.owner(v), i, ge[i], got.EntryAt(i), we[i])
+						return fmt.Sprintf("entry %d: %+v / %+v, standalone %+v", i, ge[i], got.EntryAt(i), we[i])
 					}
 				}
 				gd, wd := got.Distances(), want.Distances()
 				if len(gd) != len(wd) || len(got.cum) != len(wd) || len(got.cumD) != len(wd) || len(got.cumH) != len(wd) {
-					t.Fatalf("%s node %d: %d steps (%d/%d/%d sums), standalone %d", name, f.owner(v), len(gd), len(got.cum), len(got.cumD), len(got.cumH), len(wd))
+					return fmt.Sprintf("%d steps (%d/%d/%d sums), standalone %d", len(gd), len(got.cum), len(got.cumD), len(got.cumH), len(wd))
 				}
 				for j, d := range wd {
 					if gd[j] != d || got.Neighborhood(d) != want.Neighborhood(d) || got.SumDistancesWithin(d) != want.SumDistancesWithin(d) || got.cumH[j] != want.cumH[j] {
-						t.Fatalf("%s node %d step %d (distance %g) reads out differently", name, f.owner(v), j, d)
+						return fmt.Sprintf("step %d (distance %g) reads out differently", j, d)
 					}
 				}
 				if got.Total() != want.Total() || got.Closeness() != want.Closeness() || got.Harmonic() != want.Harmonic() ||
 					got.EstimateQ(g) != want.EstimateQ(g) || got.EstimateQ(g) != EstimateQ(f.viewSketch(v), g) ||
 					got.QuantileDistance(0.5) != want.QuantileDistance(0.5) {
-					t.Fatalf("%s node %d: totals differ from the standalone index's", name, f.owner(v))
+					return "totals differ from the standalone index's"
 				}
-			}
-		}
-	}
-}
-
-// TestHIPIndexArenaAcrossCoreCounts: the arena a frame builds on one core and
-// the one it builds on four, over node ranges filled concurrently, are the
-// same columns — every weight, every prefix sum, every view — for whole
-// frames and for the middle partition of a three-way split, whose entries
-// and steps start past zero.  Uniform, weighted and approximate frames have
-// one segment and are split into ranges; k-mins and k-partition frames,
-// whose merged lengths are not known before the merge, are built on the
-// calling goroutine under either setting and must only not notice.
-func TestHIPIndexArenaAcrossCoreCounts(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	arenaAt := func(f *Frame, procs int) *hipArena {
-		runtime.GOMAXPROCS(procs)
-		cold := f.slice(0, f.n)
-		cold.Index(0)
-		return cold.hip.Load()
-	}
-	for name, set := range stepKinds(t) {
-		parts, err := SplitSketchSet(set, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range []*Set{set, parts[1].set} {
-			f := s.frame
-			one, four := arenaAt(f, 1), arenaAt(f, 4)
-			if !slices.Equal(one.hw, four.hw) || !slices.Equal(one.cum, four.cum) ||
-				!slices.Equal(one.cumD, four.cumD) || !slices.Equal(one.cumH, four.cumH) {
-				t.Fatalf("%s from node %d: the arena's columns differ between 1 and 4 cores", name, f.base)
-			}
-			for v := range one.views {
-				a, b := &one.views[v], &four.views[v]
-				if !slices.Equal(a.Entries(), b.Entries()) || !slices.Equal(a.Distances(), b.Distances()) ||
-					!slices.Equal(a.cum, b.cum) || !slices.Equal(a.cumD, b.cumD) || !slices.Equal(a.cumH, b.cumH) {
-					t.Fatalf("%s node %d: the index differs between 1 and 4 cores", name, f.owner(v))
+				sums := header + 8*int64(got.Len()+3*len(wd))
+				code := 8 * (packedWords(int64(got.Len()), 32) + bitWords(int64(got.Len())) + int64(len(wd)))
+				if want.Bytes() != sums+code || f.segs() == 1 && got.Bytes() != sums || f.segs() > 1 && got.Bytes() != want.Bytes() {
+					return fmt.Sprintf("%d B of its own (standalone %d B): want %d B of sums, %d more of code standalone", got.Bytes(), want.Bytes(), sums, code)
 				}
-				for _, d := range a.Distances() {
-					if a.Neighborhood(d) != b.Neighborhood(d) || a.SumDistancesWithin(d) != b.SumDistancesWithin(d) {
-						t.Fatalf("%s node %d: distance %g reads out differently on 1 and 4 cores", name, f.owner(v), d)
+				return ""
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 3; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for v := 0; v < f.n; v++ {
+						if msg := check(v); msg != "" {
+							t.Errorf("%s node %d: %s", name, f.owner(v), msg)
+							return
+						}
 					}
-				}
-				if a.Total() != b.Total() || a.Closeness() != b.Closeness() || a.Harmonic() != b.Harmonic() ||
-					a.QuantileDistance(0.5) != b.QuantileDistance(0.5) {
-					t.Fatalf("%s node %d: totals differ between 1 and 4 cores", name, f.owner(v))
-				}
+				}()
 			}
+			wg.Wait()
 		}
 	}
 }

@@ -45,7 +45,6 @@ import (
 	"fmt"
 
 	"adsketch/internal/core"
-	"adsketch/internal/counter"
 	"adsketch/internal/graph"
 	"adsketch/internal/rank"
 	"adsketch/internal/sketch"
@@ -87,26 +86,6 @@ type Maintainer struct {
 	accepts   int64
 	evictions int64
 	frontier  int
-
-	counterB float64
-	counters []*counter.Morris
-}
-
-// Option configures a Maintainer.
-type Option func(*Maintainer) error
-
-// WithUpdateCounters enables per-node Morris counters (base b > 1) that
-// approximately count sketch updates per node — cheap ingest-side
-// statistics for spotting hot regions of the graph.  Counter randomness is
-// seeded deterministically from the set seed and the node ID.
-func WithUpdateCounters(b float64) Option {
-	return func(m *Maintainer) error {
-		if !(b > 1) {
-			return fmt.Errorf("ingest: update-counter base %g must be > 1", b)
-		}
-		m.counterB = b
-		return nil
-	}
 }
 
 // New returns a maintainer over the given graph and its built sketch set.
@@ -114,7 +93,7 @@ func WithUpdateCounters(b float64) Option {
 // set with full-precision ranks.  g's directedness fixes how future
 // insertions are interpreted.  The maintainer copies the reverse adjacency
 // and never mutates g or base.
-func New(g *graph.Graph, base *core.Set, opts ...Option) (*Maintainer, error) {
+func New(g *graph.Graph, base *core.Set) (*Maintainer, error) {
 	if g == nil || base == nil {
 		return nil, fmt.Errorf("ingest: nil graph or base set")
 	}
@@ -136,17 +115,6 @@ func New(g *graph.Graph, base *core.Set, opts ...Option) (*Maintainer, error) {
 		base:     base,
 		overlay:  make(map[int32][]core.Entry),
 		kern:     core.NewOfferKernel(o.K),
-	}
-	for _, opt := range opts {
-		if opt == nil {
-			return nil, fmt.Errorf("ingest: nil Option")
-		}
-		if err := opt(m); err != nil {
-			return nil, err
-		}
-	}
-	if m.counterB > 1 {
-		m.counters = make([]*counter.Morris, m.n)
 	}
 	for v := range m.rank {
 		m.rank[v] = m.src.Rank(int64(v))
@@ -222,9 +190,6 @@ func (m *Maintainer) grow(n int) {
 		m.in = append(m.in, nil)
 		m.rank = append(m.rank, m.src.Rank(int64(v)))
 		m.overlay[v] = []core.Entry{{Node: v, Dist: 0, Rank: m.rank[v]}}
-		if m.counters != nil {
-			m.counters = append(m.counters, nil)
-		}
 	}
 }
 
@@ -256,7 +221,6 @@ func (m *Maintainer) drain() {
 			continue
 		}
 		m.accepts++
-		m.touch(c.X)
 		for _, a := range m.in[c.X] {
 			m.push(candidate{X: a.From, E: core.Entry{Node: c.E.Node, Dist: c.E.Dist + a.W, Rank: c.E.Rank}})
 		}
@@ -360,40 +324,6 @@ func (m *Maintainer) offer(x int32, e core.Entry) bool {
 	return true
 }
 
-// touch bumps node x's Morris update counter, when counters are enabled.
-func (m *Maintainer) touch(x int32) {
-	if m.counters == nil {
-		return
-	}
-	if m.counters[x] == nil {
-		m.counters[x] = counter.New(m.counterB, m.opts.Seed^uint64(x)+1)
-	}
-	m.counters[x].Increment()
-}
-
-// UpdateEstimate returns the Morris estimate of how many sketch updates
-// node x has absorbed since counters were enabled (0 when disabled or
-// never touched).
-func (m *Maintainer) UpdateEstimate(x int32) float64 {
-	if m.counters == nil || x < 0 || int(x) >= len(m.counters) || m.counters[x] == nil {
-		return 0
-	}
-	return m.counters[x].Estimate()
-}
-
-// CounterBits returns the summed storage cost, in bits, of the enabled
-// Morris counters — the quantity the O(log log n) representation keeps
-// small.
-func (m *Maintainer) CounterBits() int {
-	bits := 0
-	for _, c := range m.counters {
-		if c != nil {
-			bits += c.Bits()
-		}
-	}
-	return bits
-}
-
 // Entries returns node x's current entry list (base or overlay) in
 // canonical order.  The slice is a fresh copy.
 func (m *Maintainer) Entries(x int32) []core.Entry {
@@ -442,8 +372,6 @@ type Stats struct {
 	// OverlayNodes / OverlayEntries size the pending deltas not yet frozen.
 	OverlayNodes   int `json:"overlay_nodes"`
 	OverlayEntries int `json:"overlay_entries"`
-	// CounterBits is the summed Morris counter storage (0 when disabled).
-	CounterBits int `json:"counter_bits,omitempty"`
 }
 
 // Stats snapshots the maintainer.
@@ -456,7 +384,6 @@ func (m *Maintainer) Stats() Stats {
 		Evictions:    m.evictions,
 		FrontierMax:  m.frontier,
 		OverlayNodes: len(m.overlay),
-		CounterBits:  m.CounterBits(),
 	}
 	for _, sl := range m.overlay {
 		st.OverlayEntries += len(sl)

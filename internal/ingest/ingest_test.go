@@ -104,7 +104,7 @@ func replayParity(t *testing.T, g *graph.Graph, weighted bool, baseCnt int, o co
 	n := g.NumNodes()
 	baseGraph := buildPrefix(n, g.Directed(), weighted, edges, baseCnt)
 	base := mustBuild(t, baseGraph, o)
-	m, err := New(baseGraph, base, WithUpdateCounters(2))
+	m, err := New(baseGraph, base)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -334,9 +334,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(g, smaller); err == nil {
 		t.Fatal("New accepted a node-count mismatch")
 	}
-	if _, err := New(g, mustBuild(t, g, core.Options{K: 2, Seed: 1}), WithUpdateCounters(1)); err == nil {
-		t.Fatal("WithUpdateCounters(1) accepted")
-	}
 	// A v3 file's entries are trusted on open; the maintainer indexes its
 	// rank table by them, so it checks.  Node 0's second entry, renamed:
 	var file bytes.Buffer
@@ -375,36 +372,6 @@ func TestInsertValidation(t *testing.T) {
 	}
 	if err := m.InsertWeighted(0, 1, -3); err == nil {
 		t.Fatal("negative-weight insert succeeded")
-	}
-}
-
-func TestUpdateCounters(t *testing.T) {
-	g := graph.Star(16)
-	m, err := New(g, mustBuild(t, g, core.Options{K: 3, Seed: 4}), WithUpdateCounters(2))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for i := int32(1); i < 15; i++ {
-		if err := m.Insert(i, i+1); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	st := m.Stats()
-	if st.Accepts == 0 {
-		t.Fatal("no accepted updates on a star augmentation")
-	}
-	total := 0.0
-	for v := int32(0); v < int32(m.NumNodes()); v++ {
-		total += m.UpdateEstimate(v)
-	}
-	if total <= 0 {
-		t.Fatal("Morris update counters all zero after accepted updates")
-	}
-	if st.CounterBits <= 0 {
-		t.Fatal("CounterBits = 0 with counters enabled")
-	}
-	if m.UpdateEstimate(-1) != 0 || m.UpdateEstimate(1<<20) != 0 {
-		t.Fatal("UpdateEstimate out of range should be 0")
 	}
 }
 

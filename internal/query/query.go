@@ -4,11 +4,13 @@
 // of per-node queries in parallel.
 //
 // The design target is the ROADMAP's heavy-query-traffic regime: building
-// a HIPIndex re-derives the adjusted weights of one sketch (a heap pass
-// over its entries), which is wasteful to repeat on every query.  The
-// cache pays that cost once per node, after which any number of
-// concurrent readers answer neighborhood / closeness / Q_g queries from
-// the immutable index in O(log size) or O(1).
+// a HIPIndex derives the adjusted weights of one sketch (a heap pass over
+// its entries) and its prefix sums, which is wasteful to repeat on every
+// query.  The cache pays that cost once per node, on the node's first
+// query, after which any number of concurrent readers answer
+// neighborhood / closeness / Q_g queries from the immutable index in
+// O(log size) or O(1).  A set nobody queries costs no index memory, and a
+// node's first query waits for its own index only.
 package query
 
 import (
@@ -21,19 +23,12 @@ import (
 	"adsketch/internal/core"
 )
 
-// IndexCache lazily resolves and caches one immutable *core.HIPIndex per
+// IndexCache lazily builds and caches one immutable *core.HIPIndex per
 // node.  It is safe for concurrent use by multiple goroutines without
 // external locking: slots are filled with compare-and-swap, so two racing
 // readers may both build the same node's index, but exactly one result is
 // published and, the build being deterministic, both observe identical
-// values.
-//
-// For frame-backed sets the build function returns a view into the
-// set's shared columnar index arena (built once per set, on first use),
-// so a cache miss is a pointer publish, not an index rebuild; the
-// hit/miss counters then measure per-node lookup traffic rather than
-// build work.  The generic fallback (core.NewHIPIndex per node) keeps
-// the original build-on-miss semantics.
+// values.  The publisher counts the index as built and its bytes as held.
 //
 // A hit is one atomic load and writes nothing: the caller reports how
 // many lookups it made through AddLookups, once per chunk of a scan, and
@@ -43,6 +38,8 @@ type IndexCache struct {
 	slots   []atomic.Pointer[core.HIPIndex]
 	lookups atomic.Int64
 	misses  atomic.Int64
+	built   atomic.Int64
+	bytes   atomic.Int64
 }
 
 // NewIndexCache returns an empty cache of n slots whose misses are filled
@@ -54,17 +51,13 @@ func NewIndexCache(n int, build func(int32) *core.HIPIndex) *IndexCache {
 // Len returns the number of slots.
 func (c *IndexCache) Len() int { return len(c.slots) }
 
-// Cached returns the number of indices built so far (a point-in-time
-// snapshot under concurrency).
-func (c *IndexCache) Cached() int {
-	n := 0
-	for i := range c.slots {
-		if c.slots[i].Load() != nil {
-			n++
-		}
-	}
-	return n
-}
+// Cached returns the number of indices published so far.
+func (c *IndexCache) Cached() int { return int(c.built.Load()) }
+
+// Bytes returns the heap the published indices hold of their own
+// (core.HIPIndex.Bytes): what serving the queried nodes costs beyond the
+// set.  A racing builder's discarded index is not counted.
+func (c *IndexCache) Bytes() int64 { return c.bytes.Load() }
 
 // CacheStats is a point-in-time snapshot of the cache counters, shaped
 // for JSON serving (the adsserver /statsz endpoint).
@@ -99,6 +92,8 @@ func (c *IndexCache) Get(v int32) *core.HIPIndex {
 	c.misses.Add(1)
 	idx := c.build(v)
 	if slot.CompareAndSwap(nil, idx) {
+		c.built.Add(1)
+		c.bytes.Add(idx.Bytes())
 		return idx
 	}
 	return slot.Load()

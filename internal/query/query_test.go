@@ -26,37 +26,53 @@ func testCache(t *testing.T) (*IndexCache, *core.Set) {
 
 // The cache counts misses itself and hits from the lookups its caller
 // reports, so a scan that adds its count after each chunk sees
-// hits = lookups - misses.
+// hits = lookups - misses.  Built and Bytes count the published indices
+// only, once each, however many racing Gets built one.
 func TestIndexCacheStats(t *testing.T) {
 	c, set := testCache(t)
 	n := set.NumNodes()
-	for v := int32(0); int(v) < n; v++ {
-		if got, want := c.Get(v).Total(), core.EstimateNeighborhoodHIP(set.SketchOf(v), 1e18); got != want {
-			t.Fatalf("node %d: cache total %v, direct %v", v, got, want)
-		}
+	const racers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < racers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := int32(0); int(v) < n; v++ {
+				if got, want := c.Get(v).Total(), core.EstimateNeighborhoodHIP(set.SketchOf(v), 1e18); got != want {
+					t.Errorf("node %d: cache total %v, direct %v", v, got, want)
+					return
+				}
+			}
+		}()
 	}
-	c.AddLookups(n)
+	wg.Wait()
+	c.AddLookups(racers * n)
 	st := c.Stats()
-	if st.Slots != n || st.Built != n {
-		t.Errorf("stats = %+v", st)
+	held := int64(0)
+	for v := int32(0); int(v) < n; v++ {
+		held += c.Get(v).Bytes()
 	}
-	if st.Misses != int64(n) {
-		t.Errorf("misses = %d, want %d (one build per node)", st.Misses, n)
+	if st.Slots != n || st.Built != n || c.Cached() != n {
+		t.Errorf("stats = %+v, Cached = %d", st, c.Cached())
 	}
-	if st.Hits != 0 {
-		t.Errorf("hits = %d before any repeat Get", st.Hits)
+	if c.Bytes() != held || held <= 0 {
+		t.Errorf("Bytes = %d, the published indices hold %d", c.Bytes(), held)
+	}
+	if st.Misses < int64(n) || st.Misses > racers*int64(n) || st.Hits != racers*int64(n)-st.Misses {
+		t.Errorf("%+v after %d racing lookups of each of %d nodes: want a miss per build, at least one per node", st, racers, n)
 	}
 	c.Get(7)
 	c.AddLookups(1)
-	if st = c.Stats(); st.Hits != 1 || st.Misses != int64(n) {
-		t.Errorf("after one repeat Get: %+v, want 1 hit and %d misses", st, n)
+	if st2 := c.Stats(); st2.Hits != st.Hits+1 || st2.Misses != st.Misses || st2.Built != n {
+		t.Errorf("after one repeat Get: %+v, was %+v", st2, st)
 	}
+	st = c.Stats()
 	// A hit neither allocates nor counts.
 	if allocs := testing.AllocsPerRun(100, func() { c.Get(7) }); allocs != 0 {
 		t.Errorf("a warm Get allocates %.0f times", allocs)
 	}
-	if st2 := c.Stats(); st2 != st {
-		t.Errorf("uncounted Gets moved the stats: %+v -> %+v", st, st2)
+	if st2 := c.Stats(); st2 != st || c.Bytes() != held {
+		t.Errorf("uncounted Gets moved the stats: %+v -> %+v, %d -> %d bytes", st, st2, held, c.Bytes())
 	}
 }
 
