@@ -13,15 +13,20 @@ test:
 	$(GO) build ./... && $(GO) test ./...
 
 # Non-test Go lines outside bench/ and the analyzers' testdata: the size
-# ROADMAP's simplicity aim tracks, printed twice — every line, and code
+# ROADMAP's simplicity aim tracks, printed three times — every line, code
 # only (blank lines and lines holding nothing but a // comment dropped),
-# the figure a deleted comment cannot move.  Printed, never gated; CI
-# logs it.
+# the figure a deleted comment cannot move, and the lines of the packages
+# the serving binaries link (SERVING_BINS' `go list -deps`, every non-test
+# file of each package).  Printed, never gated; CI logs it.
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
 	  ! -path './internal/analysis/*/testdata/*' -print0
+SERVING_BINS = ./cmd/adsserver ./cmd/adstool ./cmd/adsload
+SERVING_DIRS = $(GO) list -deps -f '{{if not .Standard}}{{.Dir}}{{end}}' $(SERVING_BINS)
 loc:
 	@echo "non-test Go lines outside bench/: $$($(LOC_FILES) | xargs -0 cat | wc -l)"
 	@echo "  of them code (no blank or //-only lines): $$($(LOC_FILES) | xargs -0 cat | grep -cvE '^[[:space:]]*(//.*)?$$')"
+	@echo "  of them in the serving binaries' packages: $$(for d in $$($(SERVING_DIRS)); do \
+	  find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go'; done | xargs cat | wc -l)"
 
 # The race gate covers the whole tree: every package with concurrency
 # (the facade, coordinator scatter-gather, dataset catalog, streaming
@@ -42,15 +47,20 @@ cpus:
 	$(GO) test -cpu 1,2,4 -run 'Differential|ParallelBuilder|BuildersAgree|FrameIndex|HIPIndex' ./internal/core
 	$(GO) test -cpu 1,2,4 -run 'Engine|Scatter|IndexCache|ForEach' . ./internal/query ./internal/cluster
 
-# Static-analysis gate, also a required CI step: gofmt, the standard vet
-# suite, the repo's own invariant analyzers (cmd/adsvet — detorder,
-# refpair, wireformat, kindswitch, lockheld; see README "Static
-# analysis"), and staticcheck when installed (CI installs a pinned
-# version; locally the step is skipped with a notice).  adsvet runs
-# through `go vet -vettool` so package loading shares the build cache.
+# Static-analysis gate, also a required CI step: gofmt, the serving
+# binaries' closure (none of SERVING_BINS may link the paper lab —
+# adsketch/lab or internal/simulate), the standard vet suite, the repo's
+# own invariant analyzers (cmd/adsvet — detorder, refpair, wireformat,
+# kindswitch, lockheld; see README "Static analysis"), and staticcheck
+# when installed (CI installs a pinned version; locally the step is
+# skipped with a notice).  adsvet runs through `go vet -vettool` so
+# package loading shares the build cache.
 analyze:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 	  echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+	@lab=$$($(GO) list -deps $(SERVING_BINS) | grep -xE 'adsketch/(lab|internal/simulate)'); \
+	if [ -n "$$lab" ]; then echo "the serving binaries link the paper lab:" >&2; \
+	  echo "$$lab" >&2; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build -o adsvet.bin ./cmd/adsvet
 	$(GO) vet -vettool=./adsvet.bin ./...

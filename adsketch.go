@@ -24,13 +24,12 @@
 //   - estimators: basic (Section 4) and HIP (Section 5) cardinality
 //     estimators, the permutation estimator (Section 5.4), the size-only
 //     estimator (Section 8), and query-time α/β centrality kernels;
-//   - streams: ADS over data streams under both time semantics (Section
-//     3.1), HyperLogLog and the HIP distinct counter on the same sketch
-//     (Section 6 / Algorithm 3), Morris approximate counters with weighted
-//     updates and merge (Section 7);
-//   - analysis: closeness/harmonic/decay centralities, distance
-//     distributions and effective diameters via ANF/HyperANF-style
-//     register DP (Appendix B.1).
+//   - streams: ADS over data streams (Section 3.1), HyperLogLog and the
+//     HIP distinct counter (Section 6), and Morris counters (Section 7)
+//     live in package adsketch/lab, which no serving binary links;
+//   - analysis: closeness/harmonic/decay centralities from Engine, and in
+//     adsketch/lab their per-call references with exact baselines, and
+//     distance distributions via ANF/HyperANF (Appendix B.1).
 //
 // # Quick start
 //
@@ -95,14 +94,10 @@ package adsketch
 import (
 	"io"
 
-	"adsketch/internal/anf"
-	"adsketch/internal/centrality"
+	"adsketch/internal/cluster"
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
-	"adsketch/internal/hll"
-	"adsketch/internal/rank"
 	"adsketch/internal/sketch"
-	"adsketch/internal/stream"
 )
 
 // Graph is a compact immutable graph in CSR form.
@@ -172,8 +167,8 @@ type Set = core.Set
 type NodeSketch = core.Sketch
 
 // Ranked is one node with its centrality score, as returned by the
-// top-N queries of Engine and Centrality.
-type Ranked = centrality.Ranked
+// top-N queries of Engine.
+type Ranked = cluster.Ranked
 
 // SketchFormatVersion is the sketch file format version: the columnar
 // (frame-layout) format every writer emits — SketchSet.WriteTo,
@@ -292,10 +287,6 @@ func DistanceUpperBound(a, b *core.ADS) float64 {
 	return core.DistanceUpperBound(a, b)
 }
 
-// HarmonicFromBalls derives HyperBall-style per-node harmonic centralities
-// from an ANF run with KeepBalls set.
-func HarmonicFromBalls(res *ANFResult) []float64 { return anf.HarmonicFromBalls(res) }
-
 // EstimateNeighborhoodHIP returns the HIP estimate of n_d(v) from a node
 // sketch.
 func EstimateNeighborhoodHIP(s NodeSketch, d float64) float64 {
@@ -330,62 +321,3 @@ var (
 	KernelIdentity     = core.KernelIdentity
 	UnitBeta           = core.UnitBeta
 )
-
-// Centrality answers closeness/harmonic/decay/custom centrality queries,
-// distance distributions, and top-N rankings from a sketch set.
-type Centrality = centrality.Estimator
-
-// NewCentrality wraps a sketch set (of any kind) for per-call centrality
-// queries.  For batch or repeated queries prefer NewEngine, whose cached
-// indices avoid rescanning the sketches.
-func NewCentrality(set SketchSet) *Centrality { return centrality.NewEstimator(set) }
-
-// Distinct counting on streams (Section 6).
-
-// DistinctCounter is a streaming approximate distinct counter.
-type DistinctCounter = stream.Distinct
-
-// NewHIPDistinct returns the paper's recommended distinct counter: HIP on
-// a HyperLogLog-shaped sketch (k-partition, base-2, 5-bit registers) —
-// Algorithm 3.  Memory is k registers plus one float; NRMSE ~0.87/sqrt(k).
-func NewHIPDistinct(k int, seed uint64) *hll.HIP {
-	return hll.NewHIP(k, rank.NewSource(seed))
-}
-
-// NewHyperLogLog returns the classic HyperLogLog counter (the Section 6
-// baseline), with raw and bias-corrected readouts.
-func NewHyperLogLog(k int, seed uint64) *hll.Sketch {
-	return hll.New(k, rank.NewSource(seed))
-}
-
-// NewBottomKDistinct returns the bottom-k HIP distinct counter
-// (full-precision ranks, exact up to k, NRMSE ~1/sqrt(2(k-1)) above).
-func NewBottomKDistinct(k int, seed uint64) *stream.BottomKCounter {
-	return stream.NewBottomKCounter(k, rank.NewSource(seed))
-}
-
-// Neighborhood function / distance distribution (Appendix B.1).
-
-// ANFOptions configures the neighborhood-function register DP.
-type ANFOptions = anf.Options
-
-// ANFResult is the output of NeighborhoodFunction.
-type ANFResult = anf.Result
-
-// ANF readouts.
-const (
-	ANFBasic = anf.Basic
-	ANFHIP   = anf.HIP
-)
-
-// NeighborhoodFunction estimates, for every hop count t, the number of
-// ordered pairs within distance t, HyperANF-style (k registers per node).
-func NeighborhoodFunction(g *Graph, o ANFOptions) (*ANFResult, error) {
-	return anf.Compute(g, o)
-}
-
-// EffectiveDiameter returns the q-effective diameter implied by an
-// estimated neighborhood function.
-func EffectiveDiameter(nf []float64, q float64) float64 {
-	return anf.EffectiveDiameter(nf, q)
-}

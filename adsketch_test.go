@@ -9,6 +9,7 @@ import (
 
 	"adsketch"
 	"adsketch/internal/core"
+	"adsketch/lab"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -20,7 +21,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if set.NumNodes() != 500 {
 		t.Fatalf("NumNodes = %d", set.NumNodes())
 	}
-	c := adsketch.NewCentrality(set)
+	c := lab.NewCentrality(set)
 	n3 := c.NeighborhoodSize(0, 3)
 	if n3 < 10 || n3 > 600 {
 		t.Errorf("n_3(0) = %g, implausible", n3)
@@ -64,9 +65,9 @@ func TestFacadeEstimateQAndKernels(t *testing.T) {
 }
 
 func TestFacadeDistinctCounters(t *testing.T) {
-	var counters = map[string]adsketch.DistinctCounter{
-		"hip-hll":  adsketch.NewHIPDistinct(64, 5),
-		"bottom-k": adsketch.NewBottomKDistinct(64, 5),
+	var counters = map[string]lab.DistinctCounter{
+		"hip-hll":  lab.NewHIPDistinct(64, 5),
+		"bottom-k": lab.NewBottomKDistinct(64, 5),
 	}
 	for name, c := range counters {
 		for id := int64(0); id < 10000; id++ {
@@ -78,7 +79,7 @@ func TestFacadeDistinctCounters(t *testing.T) {
 			t.Errorf("%s: estimate %g for 10000 distinct", name, got)
 		}
 	}
-	h := adsketch.NewHyperLogLog(64, 5)
+	h := lab.NewHyperLogLog(64, 5)
 	for id := int64(0); id < 10000; id++ {
 		h.Add(id)
 	}
@@ -115,7 +116,7 @@ func TestFacadeWeighted(t *testing.T) {
 
 func TestFacadeANF(t *testing.T) {
 	g := adsketch.Grid(10, 10)
-	res, err := adsketch.NeighborhoodFunction(g, adsketch.ANFOptions{K: 32, Seed: 4, Readout: adsketch.ANFHIP})
+	res, err := lab.NeighborhoodFunction(g, lab.ANFOptions{K: 32, Seed: 4, Readout: lab.ANFHIP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestFacadeANF(t *testing.T) {
 	if math.Abs(plateau-10000)/10000 > 0.25 {
 		t.Errorf("plateau %g, want ~10000 ordered pairs", plateau)
 	}
-	ed := adsketch.EffectiveDiameter(res.NF, 0.9)
+	ed := lab.EffectiveDiameter(res.NF, 0.9)
 	if ed < 5 || ed > 18 {
 		t.Errorf("effective diameter %g for 10x10 grid", ed)
 	}
@@ -259,13 +260,13 @@ func TestFacadeHIPIndexAndDistanceBound(t *testing.T) {
 
 func TestFacadeHarmonicFromBalls(t *testing.T) {
 	g := adsketch.Cycle(40)
-	res, err := adsketch.NeighborhoodFunction(g, adsketch.ANFOptions{
-		K: 32, Seed: 2, Readout: adsketch.ANFHIP, KeepBalls: true,
+	res, err := lab.NeighborhoodFunction(g, lab.ANFOptions{
+		K: 32, Seed: 2, Readout: lab.ANFHIP, KeepBalls: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := adsketch.HarmonicFromBalls(res)
+	h := lab.HarmonicFromBalls(res)
 	if len(h) != 40 {
 		t.Fatalf("got %d centralities", len(h))
 	}

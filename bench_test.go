@@ -28,14 +28,13 @@ import (
 
 	"adsketch"
 	"adsketch/internal/core"
-	"adsketch/internal/counter"
 	"adsketch/internal/graph"
-	"adsketch/internal/hll"
 	"adsketch/internal/rank"
 	"adsketch/internal/simulate"
 	"adsketch/internal/sketch"
 	"adsketch/internal/stats"
 	"adsketch/internal/stream"
+	"adsketch/lab"
 )
 
 // E1: Figure 2.  Reports the plateau NRMSE of each estimator and the
@@ -193,7 +192,7 @@ func BenchmarkMorrisCounter(b *testing.B) {
 		for j, base := range bases {
 			acc := stats.NewErrAccum(n)
 			for run := 0; run < runs; run++ {
-				m := counter.New(base, uint64(run)*6700417+1)
+				m := lab.NewMorris(base, uint64(run)*6700417+1)
 				for x := 0; x < n; x++ {
 					m.Increment()
 				}
@@ -291,22 +290,22 @@ func BenchmarkANF(b *testing.B) {
 	g := graph.WattsStrogatz(3000, 6, 0.05, 17)
 	exact := graph.NeighborhoodFunction(g)
 	plateau := float64(exact[len(exact)-1])
-	for _, mode := range []adsketch.ANFOptions{
-		{K: 64, Seed: 4, Readout: adsketch.ANFBasic},
-		{K: 64, Seed: 4, Readout: adsketch.ANFHIP},
+	for _, mode := range []lab.ANFOptions{
+		{K: 64, Seed: 4, Readout: lab.ANFBasic},
+		{K: 64, Seed: 4, Readout: lab.ANFHIP},
 	} {
 		mode := mode
 		b.Run(mode.Readout.String(), func(b *testing.B) {
-			var res *adsketch.ANFResult
+			var res *lab.ANFResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = adsketch.NeighborhoodFunction(g, mode)
+				res, err = lab.NeighborhoodFunction(g, mode)
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(res.NF[len(res.NF)-1]/plateau-1, "plateau-rel-err")
-			b.ReportMetric(adsketch.EffectiveDiameter(res.NF, 0.9), "eff-diameter")
+			b.ReportMetric(lab.EffectiveDiameter(res.NF, 0.9), "eff-diameter")
 		})
 	}
 }
@@ -323,7 +322,7 @@ func BenchmarkStreamOfferPerElement(b *testing.B) {
 }
 
 func BenchmarkHIPDistinctAdd(b *testing.B) {
-	h := hll.NewHIP(64, rank.NewSource(1))
+	h := lab.NewHIPDistinct(64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Add(int64(i))
@@ -331,7 +330,7 @@ func BenchmarkHIPDistinctAdd(b *testing.B) {
 }
 
 func BenchmarkHLLAdd(b *testing.B) {
-	s := hll.New(64, rank.NewSource(1))
+	s := lab.NewHyperLogLog(64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Add(int64(i))
@@ -339,7 +338,7 @@ func BenchmarkHLLAdd(b *testing.B) {
 }
 
 func BenchmarkMorrisIncrement(b *testing.B) {
-	m := counter.New(1.0625, 1)
+	m := lab.NewMorris(1.0625, 1)
 	for i := 0; i < b.N; i++ {
 		m.Increment()
 	}
@@ -351,7 +350,7 @@ func BenchmarkCentralityQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := adsketch.NewCentrality(set)
+	c := lab.NewCentrality(set)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Closeness(int32(i % 5000))
@@ -488,9 +487,9 @@ func BenchmarkHIPIndexQuery(b *testing.B) {
 
 // Distinct counters on a heavy-tailed (Zipf) stream: throughput per event.
 func BenchmarkDistinctCountersZipf(b *testing.B) {
-	counters := map[string]stream.Distinct{
-		"hip-hll":  adsketch.NewHIPDistinct(64, 5),
-		"bottom-k": adsketch.NewBottomKDistinct(64, 5),
+	counters := map[string]lab.DistinctCounter{
+		"hip-hll":  lab.NewHIPDistinct(64, 5),
+		"bottom-k": lab.NewBottomKDistinct(64, 5),
 	}
 	for name, c := range counters {
 		c := c

@@ -163,6 +163,57 @@ func TestIngestDisabled(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesHostileNodeID: one edge naming node 2³¹−1 would have
+// the maintainer allocate per-node state for 2³¹ nodes.  It is refused
+// with 400 before anything grows, naming the ID; nothing of the batch is
+// accepted, and the published dataset keeps answering.
+func TestIngestRefusesHostileNodeID(t *testing.T) {
+	ts, _ := ingestServer(t, ingestConfig{freezeEvery: 100, k: 8, seed: 42})
+	postIngest(t, ts.URL, "live", `{"edges":[{"u":0,"v":1},{"u":1,"v":2}],"freeze":true}`)
+
+	resp, err := http.Post(ts.URL+"/v1/ingest/live", "application/json",
+		bytes.NewReader([]byte(`{"edges":[{"u":2147483647,"v":0}]}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(payload, []byte("2147483647")) {
+		t.Fatalf("hostile node ID: status %d: %s, want 400 naming the ID", resp.StatusCode, payload)
+	}
+	var res ingestResult
+	if err := json.Unmarshal(payload, &res); err != nil || res.Accepted != 0 {
+		t.Fatalf("hostile batch reported %d accepted (%v)", res.Accepted, err)
+	}
+
+	sresp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st statszBody
+	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	sresp.Body.Close()
+	if st.IngestedEdges != 2 || len(st.Ingest) != 1 || st.Ingest[0].Maintainer.Nodes != 3 || st.Ingest[0].Maintainer.Edges != 2 {
+		t.Fatalf("after the refused batch: ingested %d, ingest stats %+v", st.IngestedEdges, st.Ingest)
+	}
+
+	q, err := http.Post(ts.URL+"/v1/query", "application/json",
+		bytes.NewReader([]byte(`{"dataset":"live","neighborhood":{"unbounded":true,"nodes":[0]}}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qr adsketch.Response
+	if err := json.NewDecoder(q.Body).Decode(&qr); err != nil {
+		t.Fatal(err)
+	}
+	q.Body.Close()
+	if q.StatusCode != http.StatusOK || qr.Error != "" || len(qr.Scores) != 1 || qr.Scores[0] != 3 {
+		t.Fatalf("query after the refused batch: status %d, error %q, scores %v, want [3]", q.StatusCode, qr.Error, qr.Scores)
+	}
+}
+
 // ingestPrefixEstimate computes the reachability estimate a published
 // version frozen after the first n stream edges must serve for the probe
 // node: a full Build of the prefix graph (nodes up to the largest ID

@@ -626,7 +626,7 @@ func runQuery(args []string) error {
 		if resps, err = eng.DoBatch(context.Background(), reqs); err != nil {
 			return err
 		}
-		fmt.Printf("k=%d, one batch per metric, %d cached indices:\n", set.K(), eng.CachedIndices())
+		fmt.Printf("k=%d, one batch per metric, %d cached indices:\n", set.K(), eng.CacheStats().Built)
 	}
 	byID := make(map[string]adsketch.Response, len(resps))
 	for _, r := range resps {

@@ -19,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -29,41 +31,43 @@ import (
 	"adsketch/internal/simulate"
 	"adsketch/internal/sketch"
 	"adsketch/internal/stats"
+	"adsketch/lab"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "fig2":
-		err = runFig2(args)
-	case "fig3":
-		err = runFig3(args)
-	case "size":
-		err = runSize(args)
-	case "baseb":
-		err = runBaseB(args)
-	case "hllconst":
-		err = runHLLConst(args)
-	case "anf":
-		err = runANF(args)
-	case "graphq":
-		err = runGraphQ(args)
-	default:
-		usage()
-	}
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, errUsage) {
+			fmt.Fprintln(os.Stderr, usage)
+			os.Exit(2)
+		}
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: figures {fig2|fig3|size|baseb|hllconst|anf|graphq} [flags]")
-	os.Exit(2)
+const usage = "usage: figures {fig2|fig3|size|baseb|hllconst|anf|graphq} [flags]"
+
+var errUsage = errors.New(usage)
+
+// run executes one subcommand, args[0], writing its series to w.
+func run(args []string, w io.Writer) error {
+	if len(args) < 1 {
+		return errUsage
+	}
+	cmds := map[string]func([]string, io.Writer) error{
+		"fig2":     runFig2,
+		"fig3":     runFig3,
+		"size":     runSize,
+		"baseb":    runBaseB,
+		"hllconst": runHLLConst,
+		"anf":      runANF,
+		"graphq":   runGraphQ,
+	}
+	cmd, ok := cmds[args[0]]
+	if !ok {
+		return errUsage
+	}
+	return cmd(args[1:], w)
 }
 
 func metricFlag(fs *flag.FlagSet) *string {
@@ -95,7 +99,7 @@ func fig2Defaults(k int) (runs, maxn int) {
 	return 500, 10000
 }
 
-func runFig2(args []string) error {
+func runFig2(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("fig2", flag.ExitOnError)
 	k := fs.Int("k", 10, "sketch parameter (paper: 5, 10, 50)")
 	runs := fs.Int("runs", 0, "randomizations (0 = paper default for k)")
@@ -117,15 +121,15 @@ func runFig2(args []string) error {
 	panel := simulate.Figure2(simulate.Fig2Config{
 		K: *k, MaxN: *maxn, Runs: *runs, Seed: *seed,
 	})
-	if err := panel.WriteTSV(os.Stdout, m); err != nil {
+	if err := panel.WriteTSV(w, m); err != nil {
 		return err
 	}
-	fmt.Printf("# reference: basic CV UB = %.4f, HIP CV UB = %.4f, basic MRE UB = %.4f, HIP MRE UB = %.4f\n",
+	fmt.Fprintf(w, "# reference: basic CV UB = %.4f, HIP CV UB = %.4f, basic MRE UB = %.4f, HIP MRE UB = %.4f\n",
 		sketch.BasicCV(*k), sketch.HIPCV(*k), sketch.BasicMRE(*k), sketch.HIPMRE(*k))
 	return nil
 }
 
-func runFig3(args []string) error {
+func runFig3(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("fig3", flag.ExitOnError)
 	k := fs.Int("k", 16, "registers (paper: 16, 32, 64)")
 	runs := fs.Int("runs", 0, "randomizations (0 = paper default for k)")
@@ -147,14 +151,14 @@ func runFig3(args []string) error {
 	panel := simulate.Figure3(simulate.Fig3Config{
 		K: *k, MaxN: *maxn, Runs: *runs, Seed: *seed,
 	})
-	if err := panel.WriteTSV(os.Stdout, m); err != nil {
+	if err := panel.WriteTSV(w, m); err != nil {
 		return err
 	}
-	fmt.Printf("# reference: HIP base-2 CV analysis = %.4f\n", sketch.HIPBaseBCV(*k, 2))
+	fmt.Fprintf(w, "# reference: HIP base-2 CV analysis = %.4f\n", sketch.HIPBaseBCV(*k, 2))
 	return nil
 }
 
-func runSize(args []string) error {
+func runSize(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("size", flag.ExitOnError)
 	runs := fs.Int("runs", 400, "randomizations")
 	seed := fs.Uint64("seed", 3, "base seed")
@@ -163,16 +167,16 @@ func runSize(args []string) error {
 		[]int{1, 5, 10, 50},
 		[]int{100, 1000, 10000, 100000},
 		*runs, *seed)
-	fmt.Println("# Lemma 2.2: expected bottom-k ADS size = k + k(H_n - H_k)")
-	fmt.Println("k\tn\tmeasured\texpected\trel.err")
+	fmt.Fprintln(w, "# Lemma 2.2: expected bottom-k ADS size = k + k(H_n - H_k)")
+	fmt.Fprintln(w, "k\tn\tmeasured\texpected\trel.err")
 	for _, r := range rows {
-		fmt.Printf("%d\t%d\t%.2f\t%.2f\t%+.3f%%\n",
+		fmt.Fprintf(w, "%d\t%d\t%.2f\t%.2f\t%+.3f%%\n",
 			r.K, r.N, r.Measured, r.Expected, 100*(r.Measured-r.Expected)/r.Expected)
 	}
 	return nil
 }
 
-func runBaseB(args []string) error {
+func runBaseB(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("baseb", flag.ExitOnError)
 	runs := fs.Int("runs", 300, "randomizations")
 	n := fs.Int("n", 20000, "plateau cardinality")
@@ -182,35 +186,35 @@ func runBaseB(args []string) error {
 		[]int{16, 64},
 		[]float64{0, math.Pow(2, 0.25), math.Sqrt2, 2},
 		*n, *runs, *seed)
-	fmt.Println("# Section 5.6: HIP CV with base-b ranks ~ sqrt((1+b)/(4(k-1)))")
-	fmt.Println("k\tbase\tNRMSE\tanalysis\tratio")
+	fmt.Fprintln(w, "# Section 5.6: HIP CV with base-b ranks ~ sqrt((1+b)/(4(k-1)))")
+	fmt.Fprintln(w, "k\tbase\tNRMSE\tanalysis\tratio")
 	for _, r := range rows {
 		base := "full"
 		if r.Base != 0 {
 			base = fmt.Sprintf("%.4g", r.Base)
 		}
-		fmt.Printf("%d\t%s\t%.4f\t%.4f\t%.3f\n",
+		fmt.Fprintf(w, "%d\t%s\t%.4f\t%.4f\t%.3f\n",
 			r.K, base, r.NRMSE, r.Analysis, r.NRMSE/r.Analysis)
 	}
 	return nil
 }
 
-func runHLLConst(args []string) error {
+func runHLLConst(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("hllconst", flag.ExitOnError)
 	runs := fs.Int("runs", 500, "randomizations")
 	n := fs.Int("n", 100000, "plateau cardinality")
 	seed := fs.Uint64("seed", 13, "base seed")
 	fs.Parse(args)
 	rows := simulate.HLLConstantsTable([]int{16, 32, 64}, *n, *runs, *seed)
-	fmt.Println("# Section 6: NRMSE constants (x sqrt(k)); paper: HLL ~1.08, HIP ~0.866, ratio ~1.25")
-	fmt.Println("k\tHLLxsqrt(k)\tHIPxsqrt(k)\tratio")
+	fmt.Fprintln(w, "# Section 6: NRMSE constants (x sqrt(k)); paper: HLL ~1.08, HIP ~0.866, ratio ~1.25")
+	fmt.Fprintln(w, "k\tHLLxsqrt(k)\tHIPxsqrt(k)\tratio")
 	for _, r := range rows {
-		fmt.Printf("%d\t%.3f\t%.3f\t%.3f\n", r.K, r.HLLConst, r.HIPConst, r.Ratio)
+		fmt.Fprintf(w, "%d\t%.3f\t%.3f\t%.3f\n", r.K, r.HLLConst, r.HIPConst, r.Ratio)
 	}
 	return nil
 }
 
-func runANF(args []string) error {
+func runANF(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("anf", flag.ExitOnError)
 	n := fs.Int("n", 2000, "nodes")
 	k := fs.Int("k", 64, "registers per node")
@@ -218,24 +222,24 @@ func runANF(args []string) error {
 	fs.Parse(args)
 	g := adsketch.WattsStrogatz(*n, 6, 0.05, *seed)
 	exact := graph.NeighborhoodFunction(g)
-	basic, err := adsketch.NeighborhoodFunction(g, adsketch.ANFOptions{K: *k, Seed: *seed, Readout: adsketch.ANFBasic})
+	basic, err := lab.NeighborhoodFunction(g, lab.ANFOptions{K: *k, Seed: *seed, Readout: lab.ANFBasic})
 	if err != nil {
 		return err
 	}
-	hip, err := adsketch.NeighborhoodFunction(g, adsketch.ANFOptions{K: *k, Seed: *seed, Readout: adsketch.ANFHIP})
+	hip, err := lab.NeighborhoodFunction(g, lab.ANFOptions{K: *k, Seed: *seed, Readout: lab.ANFHIP})
 	if err != nil {
 		return err
 	}
-	fmt.Println("# Appendix B.1: neighborhood function, basic vs HIP readout")
-	fmt.Println("hops\texact\tbasic\tHIP")
+	fmt.Fprintln(w, "# Appendix B.1: neighborhood function, basic vs HIP readout")
+	fmt.Fprintln(w, "hops\texact\tbasic\tHIP")
 	for t := range exact {
 		b, h := last(basic.NF, t), last(hip.NF, t)
-		fmt.Printf("%d\t%d\t%.0f\t%.0f\n", t, exact[t], b, h)
+		fmt.Fprintf(w, "%d\t%d\t%.0f\t%.0f\n", t, exact[t], b, h)
 	}
-	fmt.Printf("# effective diameter (0.9): exact %.2f, basic %.2f, HIP %.2f\n",
+	fmt.Fprintf(w, "# effective diameter (0.9): exact %.2f, basic %.2f, HIP %.2f\n",
 		graph.EffectiveDiameter(exact, 0.9),
-		adsketch.EffectiveDiameter(basic.NF, 0.9),
-		adsketch.EffectiveDiameter(hip.NF, 0.9))
+		lab.EffectiveDiameter(basic.NF, 0.9),
+		lab.EffectiveDiameter(hip.NF, 0.9))
 	return nil
 }
 
@@ -250,7 +254,7 @@ func last(nf []float64, t int) float64 {
 // the graph-side counterpart of the Figure 2 cardinality panels: mean
 // relative error of |N_d(v)| and closeness over sampled nodes, served by
 // the batch Engine against exact traversal answers.
-func runGraphQ(args []string) error {
+func runGraphQ(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("graphq", flag.ExitOnError)
 	n := fs.Int("n", 2000, "nodes (preferential attachment, m=4)")
 	k := fs.Int("k", 16, "sketch parameter")
@@ -294,9 +298,9 @@ func runGraphQ(args []string) error {
 	}
 	mreN /= float64(len(nodes))
 	mreC /= float64(len(nodes))
-	fmt.Println("# per-node HIP estimate quality on a BA graph (batch Engine vs exact)")
-	fmt.Println("k\td\tsample\tMRE(|N_d|)\tMRE(closeness)\tref HIP CV")
-	fmt.Printf("%d\t%g\t%d\t%.4f\t%.4f\t%.4f\n",
+	fmt.Fprintln(w, "# per-node HIP estimate quality on a BA graph (batch Engine vs exact)")
+	fmt.Fprintln(w, "k\td\tsample\tMRE(|N_d|)\tMRE(closeness)\tref HIP CV")
+	fmt.Fprintf(w, "%d\t%g\t%d\t%.4f\t%.4f\t%.4f\n",
 		*k, *d, len(nodes), mreN, mreC, sketch.HIPCV(*k))
 	return nil
 }

@@ -169,9 +169,6 @@ func (e *Engine) Index(v int32) (*HIPIndex, error) {
 	return e.cache.Get(v - e.lo), nil
 }
 
-// CachedIndices returns how many per-node indices have been built so far.
-func (e *Engine) CachedIndices() int { return e.cache.Cached() }
-
 // CacheStats is a point-in-time snapshot of the Engine's index-cache
 // counters, shaped for JSON serving.
 type CacheStats = query.CacheStats

@@ -11,6 +11,7 @@ import (
 
 	"adsketch"
 	"adsketch/internal/query"
+	"adsketch/lab"
 )
 
 func buildEngine(t *testing.T, opts ...adsketch.EngineOption) (*adsketch.Graph, adsketch.SketchSet, *adsketch.Engine) {
@@ -89,7 +90,7 @@ func TestEngineMetaPerKind(t *testing.T) {
 // estimators on the same sketches.
 func TestEngineMatchesPerCallEstimators(t *testing.T) {
 	_, set, eng := buildEngine(t)
-	c := adsketch.NewCentrality(set)
+	c := lab.NewCentrality(set)
 	ctx := context.Background()
 	nodes := make([]int32, set.NumNodes())
 	for i := range nodes {
@@ -262,7 +263,7 @@ func TestEngineTopEdgeCases(t *testing.T) {
 	if len(all) != set.NumNodes() {
 		t.Fatalf("overlong n: %d entries, want %d", len(all), set.NumNodes())
 	}
-	c := adsketch.NewCentrality(set)
+	c := lab.NewCentrality(set)
 	want := c.TopCloseness(set.NumNodes())
 	for i := range want {
 		if all[i] != want[i] {
@@ -287,7 +288,7 @@ func TestEngineTopEdgeCases(t *testing.T) {
 // -race to exercise the publication path.
 func TestEngineConcurrentQueries(t *testing.T) {
 	_, set, eng := buildEngine(t, adsketch.WithQueryParallelism(4))
-	c := adsketch.NewCentrality(set)
+	c := lab.NewCentrality(set)
 	want := make([]float64, set.NumNodes())
 	for v := range want {
 		want[v] = c.Closeness(int32(v))
@@ -327,8 +328,8 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := eng.CachedIndices(); got != set.NumNodes() {
-		t.Errorf("CachedIndices = %d, want %d", got, set.NumNodes())
+	if got := eng.CacheStats().Built; got != set.NumNodes() {
+		t.Errorf("CacheStats().Built = %d, want %d", got, set.NumNodes())
 	}
 }
 
@@ -397,19 +398,19 @@ func TestEngineContextCancellation(t *testing.T) {
 // (laziness), then fills the cache on a full scan.
 func TestEngineLazyIndexing(t *testing.T) {
 	_, set, eng := buildEngine(t)
-	if got := eng.CachedIndices(); got != 0 {
+	if got := eng.CacheStats().Built; got != 0 {
 		t.Fatalf("fresh engine has %d cached indices", got)
 	}
 	if _, err := eng.Closeness(context.Background(), 7); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.CachedIndices(); got != 1 {
+	if got := eng.CacheStats().Built; got != 1 {
 		t.Errorf("after one query: %d cached indices, want 1", got)
 	}
 	if _, err := eng.TopCloseness(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.CachedIndices(); got != set.NumNodes() {
+	if got := eng.CacheStats().Built; got != set.NumNodes() {
 		t.Errorf("after full scan: %d cached indices, want %d", got, set.NumNodes())
 	}
 	// The cached index answers repeated queries identically.

@@ -64,19 +64,6 @@ func ExampleEstimateCentrality() {
 	// even leaves within 1 hop of the hub: estimate in [30,70]: true
 }
 
-// Count distinct elements of a stream with the HIP counter (Algorithm 3).
-func ExampleNewHIPDistinct() {
-	c := adsketch.NewHIPDistinct(64, 1)
-	for id := int64(0); id < 100000; id++ {
-		c.Add(id)
-		c.Add(id) // duplicates never change the estimate
-	}
-	est := c.Estimate()
-	fmt.Printf("100k distinct, estimate within 25%%: %v\n", est > 75000 && est < 125000)
-	// Output:
-	// 100k distinct, estimate within 25%: true
-}
-
 // Compare two nodes' neighborhoods with coordinated sketches.
 func ExampleNeighborhoodJaccard() {
 	g := adsketch.Complete(50)

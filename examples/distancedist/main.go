@@ -11,6 +11,7 @@ import (
 
 	"adsketch"
 	"adsketch/internal/graph"
+	"adsketch/lab"
 )
 
 func main() {
@@ -20,14 +21,14 @@ func main() {
 
 	exact := graph.NeighborhoodFunction(g)
 
-	basic, err := adsketch.NeighborhoodFunction(g, adsketch.ANFOptions{
-		K: 64, Seed: 4, Readout: adsketch.ANFBasic,
+	basic, err := lab.NeighborhoodFunction(g, lab.ANFOptions{
+		K: 64, Seed: 4, Readout: lab.ANFBasic,
 	})
 	if err != nil {
 		panic(err)
 	}
-	hip, err := adsketch.NeighborhoodFunction(g, adsketch.ANFOptions{
-		K: 64, Seed: 4, Readout: adsketch.ANFHIP,
+	hip, err := lab.NeighborhoodFunction(g, lab.ANFOptions{
+		K: 64, Seed: 4, Readout: lab.ANFHIP,
 	})
 	if err != nil {
 		panic(err)
@@ -45,7 +46,7 @@ func main() {
 	for t := range ds {
 		ds[t] = float64(t)
 	}
-	adsNF := adsketch.NewCentrality(set).DistanceDistribution(ds)
+	adsNF := lab.NewCentrality(set).DistanceDistribution(ds)
 
 	fmt.Printf("%6s %14s %14s %14s %14s %10s %10s %10s\n",
 		"hops", "exact pairs", "basic est", "HIP est", "ADS est", "basic err", "HIP err", "ADS err")
@@ -60,8 +61,8 @@ func main() {
 
 	fmt.Printf("\neffective diameter (90%%):\n")
 	fmt.Printf("  exact: %.2f\n", graph.EffectiveDiameter(exact, 0.9))
-	fmt.Printf("  basic: %.2f\n", adsketch.EffectiveDiameter(basic.NF, 0.9))
-	fmt.Printf("  HIP:   %.2f\n", adsketch.EffectiveDiameter(hip.NF, 0.9))
+	fmt.Printf("  basic: %.2f\n", lab.EffectiveDiameter(basic.NF, 0.9))
+	fmt.Printf("  HIP:   %.2f\n", lab.EffectiveDiameter(hip.NF, 0.9))
 	fmt.Printf("\nDP rounds: %d (hop diameter of the graph)\n", hip.Rounds)
 }
 

@@ -83,5 +83,5 @@ func main() {
 	for i, r := range top {
 		fmt.Printf("  %2d. node %-5d score %.3e\n", i+1, r.Node, r.Score)
 	}
-	fmt.Printf("\n%d per-node indices now cached for repeated queries\n", eng.CachedIndices())
+	fmt.Printf("\n%d per-node indices now cached for repeated queries\n", eng.CacheStats().Built)
 }

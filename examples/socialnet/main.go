@@ -13,6 +13,7 @@ import (
 	"adsketch"
 	"adsketch/internal/graph"
 	"adsketch/internal/rank"
+	"adsketch/lab"
 )
 
 // member is synthetic per-user metadata.
@@ -40,7 +41,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	c := adsketch.NewCentrality(set)
+	c := lab.NewCentrality(set)
 
 	// Query 1: how many *active northern* users are within 2 hops of a
 	// given user?  β filters on metadata; α is a distance threshold.

@@ -13,13 +13,13 @@ import (
 	"fmt"
 	"math"
 
-	"adsketch"
 	"adsketch/internal/rank"
+	"adsketch/lab"
 )
 
 func main() {
 	const k = 64 // registers (= HLL with m=64, 5-bit registers)
-	hip := adsketch.NewHIPDistinct(k, 11)
+	hip := lab.NewHIPDistinct(k, 11)
 	hllRaw := hip.Sketch() // HIP shares the sketch; HLL reads the registers
 
 	rng := rank.NewRNG(3)
@@ -59,8 +59,8 @@ func main() {
 		k, 1.08/math.Sqrt(k), math.Sqrt(3.0/(4*k)))
 
 	// Mergeability: sketches of two sub-streams combine to the union.
-	a := adsketch.NewHyperLogLog(k, 11)
-	b := adsketch.NewHyperLogLog(k, 11)
+	a := lab.NewHyperLogLog(k, 11)
+	b := lab.NewHyperLogLog(k, 11)
 	for id := int64(0); id < 60000; id++ {
 		a.Add(id)
 	}

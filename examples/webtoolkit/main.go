@@ -14,6 +14,7 @@ import (
 
 	"adsketch"
 	"adsketch/internal/graph"
+	"adsketch/lab"
 )
 
 func main() {
@@ -56,8 +57,8 @@ func main() {
 
 	// Forward vs backward reach of a few pages.
 	fmt.Println("reach (forward = can visit, backward = can be reached from):")
-	cf := adsketch.NewCentrality(reloaded)
-	cb := adsketch.NewCentrality(bwd)
+	cf := lab.NewCentrality(reloaded)
+	cb := lab.NewCentrality(bwd)
 	for _, v := range []int32{0, 100, 2000} {
 		fmt.Printf("  page %-5d out-reach %7.0f   in-reach %7.0f\n",
 			v, cf.NeighborhoodSize(v, 1e18), cb.NeighborhoodSize(v, 1e18))

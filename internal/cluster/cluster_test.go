@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"adsketch/internal/centrality"
 	"adsketch/internal/query"
 )
 
@@ -135,14 +134,14 @@ func TestMergeTopKMatchesSingleSelection(t *testing.T) {
 		}
 		// Reference: the engine-side selection over the whole vector.
 		ref := query.TopK(k, scores)
-		var want []centrality.Ranked
+		var want []Ranked
 		for _, v := range ref {
-			want = append(want, centrality.Ranked{Node: int32(v), Score: scores[v]})
+			want = append(want, Ranked{Node: int32(v), Score: scores[v]})
 		}
 		// Split into random contiguous shards; each shard contributes its
 		// own top-k (computed the same way a shard engine would).
 		nshards := 1 + rng.Intn(4)
-		var lists [][]centrality.Ranked
+		var lists [][]Ranked
 		lo := 0
 		for s := 0; s < nshards; s++ {
 			hi := lo + (n-lo)/(nshards-s)
@@ -151,9 +150,9 @@ func TestMergeTopKMatchesSingleSelection(t *testing.T) {
 			}
 			local := scores[lo:hi]
 			top := query.TopK(k, local)
-			var list []centrality.Ranked
+			var list []Ranked
 			for _, v := range top {
-				list = append(list, centrality.Ranked{Node: int32(lo + v), Score: local[v]})
+				list = append(list, Ranked{Node: int32(lo + v), Score: local[v]})
 			}
 			lists = append(lists, list)
 			lo = hi

@@ -3,9 +3,14 @@ package cluster
 import (
 	"fmt"
 	"sort"
-
-	"adsketch/internal/centrality"
 )
+
+// Ranked is one node with its centrality score.  The JSON tags are the
+// wire shape of the ranking entries served by the query protocol.
+type Ranked struct {
+	Node  int32   `json:"node"`
+	Score float64 `json:"score"`
+}
 
 // MergeScores gathers per-shard partial score vectors back into request
 // order: partial[i][j] is the score of subs[i].Nodes[j] and lands at
@@ -44,8 +49,8 @@ func MergeScores(n int, subs []Sub, partial [][]float64, ok []bool) (scores []fl
 // list must itself hold the shard's top min(k, owned) nodes; then the
 // union of the lists contains every global top-k member, and the merge
 // is exhaustive.
-func MergeTopK(k int, lists [][]centrality.Ranked) []centrality.Ranked {
-	var all []centrality.Ranked
+func MergeTopK(k int, lists [][]Ranked) []Ranked {
+	var all []Ranked
 	for _, l := range lists {
 		all = append(all, l...)
 	}

@@ -6,20 +6,18 @@ import (
 	"io"
 )
 
-// Edge-list density bound: ReadEdgeList sizes the graph from the largest
-// ID it reads, so it refuses a node count above max(minNodeLimit,
-// nodesPerEdgeLine × edge lines) — a graph's storage stays within a
-// constant multiple of its input, and one line naming node 2·10⁹ cannot
+// NodeLimit is the most nodes a graph of the given number of edges may
+// span: max(2²⁰, 64 × edges).  Readers that size per-node arrays from the
+// largest ID they see — ReadEdgeList, and the ingest maintainer as edges
+// arrive — refuse IDs past it, so a graph's storage stays within a
+// constant multiple of its input, and one edge naming node 2·10⁹ cannot
 // ask for tens of gigabytes of per-node arrays.
-const (
-	minNodeLimit     = 1 << 20
-	nodesPerEdgeLine = 64
-)
+func NodeLimit(edges int) int { return max(1<<20, 64*edges) }
 
 // ReadEdgeList parses a whitespace-separated edge list: one edge per line as
 // "u v" or "u v w", with '#' or '%' comment lines ignored.  Node IDs must be
 // non-negative integers; the node count is one more than the largest ID
-// seen, and must not exceed max(2²⁰, 64 × edge lines).  The directed flag
+// seen, and must not exceed NodeLimit(edge lines).  The directed flag
 // controls how edges are interpreted.
 func ReadEdgeList(r io.Reader, directed bool) (*Graph, error) {
 	type line struct {
@@ -43,7 +41,7 @@ func ReadEdgeList(r io.Reader, directed bool) (*Graph, error) {
 		return nil, err
 	}
 	n := int(maxID) + 1
-	if limit := max(minNodeLimit, nodesPerEdgeLine*len(lines)); n > limit {
+	if limit := NodeLimit(len(lines)); n > limit {
 		return nil, fmt.Errorf("graph: node ID %d needs %d nodes but %d edge lines allow at most %d (max(2^20, 64 per edge line)); relabel the IDs densely as 0..n-1",
 			maxID, n, len(lines), limit)
 	}

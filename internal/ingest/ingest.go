@@ -81,6 +81,7 @@ type Maintainer struct {
 	queue []candidate
 	kern  core.OfferKernel
 
+	baseEdges int // edges of the graph the maintainer started from
 	edges     int64
 	offers    int64
 	accepts   int64
@@ -106,15 +107,16 @@ func New(g *graph.Graph, base *core.Set) (*Maintainer, error) {
 		return nil, fmt.Errorf("ingest: graph has %d nodes but base set has %d", g.NumNodes(), base.NumNodes())
 	}
 	m := &Maintainer{
-		opts:     o,
-		src:      o.Source(),
-		directed: g.Directed(),
-		n:        g.NumNodes(),
-		in:       make([][]arc, g.NumNodes()),
-		rank:     make([]float64, g.NumNodes()),
-		base:     base,
-		overlay:  make(map[int32][]core.Entry),
-		kern:     core.NewOfferKernel(o.K),
+		opts:      o,
+		src:       o.Source(),
+		directed:  g.Directed(),
+		baseEdges: g.NumEdges(),
+		n:         g.NumNodes(),
+		in:        make([][]arc, g.NumNodes()),
+		rank:      make([]float64, g.NumNodes()),
+		base:      base,
+		overlay:   make(map[int32][]core.Entry),
+		kern:      core.NewOfferKernel(o.K),
 	}
 	for v := range m.rank {
 		m.rank[v] = m.src.Rank(int64(v))
@@ -153,7 +155,9 @@ func (m *Maintainer) Directed() bool { return m.directed }
 
 // Insert adds an edge of length 1 from u to v (both directions for
 // undirected maintainers) and propagates all sketch updates it causes.
-// Node IDs beyond the current node count grow the node set.
+// Node IDs beyond the current node count grow the node set, up to
+// graph.NodeLimit of the edges counting this one; an edge past it is
+// refused and changes nothing.
 func (m *Maintainer) Insert(u, v int32) error { return m.InsertWeighted(u, v, 1) }
 
 // InsertWeighted adds an edge with the given positive length.
@@ -164,9 +168,10 @@ func (m *Maintainer) InsertWeighted(u, v int32, w float64) error {
 	if !(w > 0) {
 		return fmt.Errorf("ingest: edge (%d,%d) has non-positive length %g", u, v, w)
 	}
-	hi := u
-	if v > hi {
-		hi = v
+	hi := max(u, v)
+	if edges := m.baseEdges + int(m.edges) + 1; int(hi) >= max(m.n, graph.NodeLimit(edges)) {
+		return fmt.Errorf("ingest: edge (%d,%d) names node %d but %d edges allow at most %d nodes (graph.NodeLimit); relabel the IDs densely as 0..n-1",
+			u, v, hi, edges, graph.NodeLimit(edges))
 	}
 	m.grow(int(hi) + 1)
 	m.in[v] = append(m.in[v], arc{From: u, W: w})

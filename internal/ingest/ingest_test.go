@@ -3,10 +3,13 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"adsketch/internal/core"
@@ -372,6 +375,33 @@ func TestInsertValidation(t *testing.T) {
 	}
 	if err := m.InsertWeighted(0, 1, -3); err == nil {
 		t.Fatal("negative-weight insert succeeded")
+	}
+}
+
+// TestInsertNodeLimit: an edge naming a node past graph.NodeLimit is
+// refused by name before anything grows — one hostile ID must not ask
+// for per-node arrays of 2³¹ entries — and the maintainer takes the next
+// edge as if the refused one never came.
+func TestInsertNodeLimit(t *testing.T) {
+	g := graph.NewBuilder(0, false).Build()
+	m, err := New(g, mustBuild(t, g, core.Options{K: 4, Seed: 1}))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, e := range []edge{{u: math.MaxInt32, v: 0}, {u: 0, v: 1 << 20}} {
+		err := m.Insert(e.u, e.v)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(max(e.u, e.v))) {
+			t.Fatalf("Insert(%d, %d) = %v, want a refusal naming the ID", e.u, e.v, err)
+		}
+		if st := m.Stats(); st.Nodes != 0 || st.Edges != 0 || st.OverlayNodes != 0 {
+			t.Fatalf("refused edge changed the maintainer: %+v", st)
+		}
+	}
+	if err := m.Insert(0, 1); err != nil {
+		t.Fatalf("Insert(0, 1) after the refusals: %v", err)
+	}
+	if st := m.Stats(); st.Nodes != 2 || st.Edges != 1 {
+		t.Fatalf("after Insert(0, 1): %+v", st)
 	}
 }
 

@@ -51,9 +51,6 @@ func NewIndexCache(n int, build func(int32) *core.HIPIndex) *IndexCache {
 // Len returns the number of slots.
 func (c *IndexCache) Len() int { return len(c.slots) }
 
-// Cached returns the number of indices published so far.
-func (c *IndexCache) Cached() int { return int(c.built.Load()) }
-
 // Bytes returns the heap the published indices hold of their own
 // (core.HIPIndex.Bytes): what serving the queried nodes costs beyond the
 // set.  A racing builder's discarded index is not counted.
@@ -76,7 +73,7 @@ func (c *IndexCache) Stats() CacheStats {
 	misses := c.misses.Load()
 	return CacheStats{
 		Slots:  len(c.slots),
-		Built:  c.Cached(),
+		Built:  int(c.built.Load()),
 		Hits:   max(c.lookups.Load()-misses, 0),
 		Misses: misses,
 	}

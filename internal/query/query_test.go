@@ -52,8 +52,8 @@ func TestIndexCacheStats(t *testing.T) {
 	for v := int32(0); int(v) < n; v++ {
 		held += c.Get(v).Bytes()
 	}
-	if st.Slots != n || st.Built != n || c.Cached() != n {
-		t.Errorf("stats = %+v, Cached = %d", st, c.Cached())
+	if st.Slots != n || st.Built != n {
+		t.Errorf("stats = %+v", st)
 	}
 	if c.Bytes() != held || held <= 0 {
 		t.Errorf("Bytes = %d, the published indices hold %d", c.Bytes(), held)
@@ -101,8 +101,8 @@ func TestTopK(t *testing.T) {
 
 func TestIndexCacheLazyAndStable(t *testing.T) {
 	c, set := testCache(t)
-	if c.Len() != set.NumNodes() || c.Cached() != 0 {
-		t.Fatalf("fresh cache: Len=%d Cached=%d", c.Len(), c.Cached())
+	if c.Len() != set.NumNodes() || c.Stats().Built != 0 {
+		t.Fatalf("fresh cache: Len=%d Built=%d", c.Len(), c.Stats().Built)
 	}
 	first := c.Get(5)
 	if first == nil {
@@ -111,8 +111,8 @@ func TestIndexCacheLazyAndStable(t *testing.T) {
 	if c.Get(5) != first {
 		t.Error("second Get returned a different index")
 	}
-	if c.Cached() != 1 {
-		t.Errorf("Cached = %d, want 1", c.Cached())
+	if c.Stats().Built != 1 {
+		t.Errorf("Built = %d, want 1", c.Stats().Built)
 	}
 	if got, want := first.Total(), core.EstimateNeighborhoodHIP(set.SketchOf(5), 1e18); got != want {
 		t.Errorf("index total %v, direct estimate %v", got, want)
@@ -141,8 +141,8 @@ func TestIndexCacheConcurrent(t *testing.T) {
 			t.Fatal("concurrent Gets observed different published indices")
 		}
 	}
-	if c.Cached() != c.Len() {
-		t.Errorf("Cached = %d, want %d", c.Cached(), c.Len())
+	if c.Stats().Built != c.Len() {
+		t.Errorf("Built = %d, want %d", c.Stats().Built, c.Len())
 	}
 }
 

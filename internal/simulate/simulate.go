@@ -19,9 +19,9 @@ import (
 	"strconv"
 	"sync"
 
-	"adsketch/internal/hll"
 	"adsketch/internal/rank"
 	"adsketch/internal/stats"
+	"adsketch/lab"
 )
 
 // Checkpoints returns ~perDecade logarithmically spaced integers in
@@ -340,7 +340,7 @@ func Figure3(cfg Fig3Config) *stats.Panel {
 		for i, name := range names {
 			out[i] = stats.NewSeries(name)
 		}
-		h := hll.NewHIP(cfg.K, rank.NewSource(cfg.Seed+uint64(run)*0x9e3779b97f4a7c15+11))
+		h := lab.NewHIPDistinct(cfg.K, cfg.Seed+uint64(run)*0x9e3779b97f4a7c15+11)
 		ci := 0
 		for i := 0; i < cfg.MaxN; i++ {
 			h.Add(int64(i))

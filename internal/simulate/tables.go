@@ -3,10 +3,10 @@ package simulate
 import (
 	"math"
 
-	"adsketch/internal/hll"
 	"adsketch/internal/rank"
 	"adsketch/internal/sketch"
 	"adsketch/internal/stats"
+	"adsketch/lab"
 )
 
 // SizeRow is one row of the Lemma 2.2 ADS-size table.
@@ -78,7 +78,7 @@ func BaseBTable(ks []int, bases []float64, n, runs int, seed uint64) []BaseBRow 
 					}
 					return st.hipCount
 				}
-				h := hll.NewBaseBHIP(k, b, 4096, rank.NewSource(s))
+				h := lab.NewBaseBHIP(k, b, 4096, s)
 				for i := 0; i < n; i++ {
 					h.Add(int64(i))
 				}
@@ -120,7 +120,7 @@ func HLLConstantsTable(ks []int, n, runs int, seed uint64) []ConstantRow {
 	for _, k := range ks {
 		type pair struct{ hll, hip float64 }
 		results := parallelRuns(runs, 0, func(run int) pair {
-			h := hll.NewHIP(k, rank.NewSource(seed+uint64(run)*2862933555777941757+uint64(k)))
+			h := lab.NewHIPDistinct(k, seed+uint64(run)*2862933555777941757+uint64(k))
 			for i := 0; i < n; i++ {
 				h.Add(int64(i))
 			}

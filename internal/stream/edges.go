@@ -1,3 +1,6 @@
+// Package stream holds the edge and element streams the ingest tier and
+// the load generators replay: edge-insertion sources with Replay, and
+// Zipf-distributed element IDs.
 package stream
 
 import (

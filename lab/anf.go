@@ -1,4 +1,13 @@
-// Package anf computes approximate neighborhood functions in the style of
+package lab
+
+import (
+	"fmt"
+
+	"adsketch/internal/graph"
+	"adsketch/internal/rank"
+)
+
+// Approximate neighborhood functions in the style of
 // ANF [Palmer et al. 2002] and HyperANF [Boldi, Rosa, Vigna 2011], the
 // "limited ADS computation" of Appendix B.1: a synchronous DP that keeps,
 // for every node, only the k-partition base-2 MinHash sketch (HyperLogLog
@@ -22,52 +31,42 @@
 // ANF/HyperANF implementations — which recovers the events that distinct
 // neighbors contribute to the same register; only collisions inside a
 // single neighbor's sketch remain unobservable.  A streaming HIP counter
-// (package hll) sees every update and is exactly unbiased; the DP readout
+// (HIPDistinct) sees every update and is exactly unbiased; the DP readout
 // trades that for the O(k) memory per node of the limited computation.
-package anf
-
-import (
-	"fmt"
-	"math"
-
-	"adsketch/internal/graph"
-	"adsketch/internal/hll"
-	"adsketch/internal/rank"
-)
 
 // Readout selects the estimator applied to the per-node registers.
 type Readout int
 
 // Readout kinds.
 const (
-	Basic Readout = iota // HyperLogLog bias-corrected estimate per node
-	HIP                  // running HIP register per node
+	ANFBasic Readout = iota // HyperLogLog bias-corrected estimate per node
+	ANFHIP                  // running HIP register per node
 )
 
 func (r Readout) String() string {
 	switch r {
-	case Basic:
+	case ANFBasic:
 		return "basic"
-	case HIP:
+	case ANFHIP:
 		return "HIP"
 	}
 	return fmt.Sprintf("Readout(%d)", int(r))
 }
 
-// Result holds the output of a neighborhood-function computation.
-type Result struct {
+// ANFResult holds the output of a neighborhood-function computation.
+type ANFResult struct {
 	// NF[t] estimates the number of ordered pairs (u,v) with d(u,v) <= t
 	// hops; NF[len-1] is the plateau (all reachable pairs).
 	NF []float64
 	// Rounds is the number of DP iterations executed (the hop diameter).
 	Rounds int
 	// Balls[t][v], when retained, estimates |B_t(v)|; nil unless
-	// Options.KeepBalls.
+	// ANFOptions.KeepBalls.
 	Balls [][]float64
 }
 
-// Options configures Compute.
-type Options struct {
+// ANFOptions configures NeighborhoodFunction.
+type ANFOptions struct {
 	K         int     // registers per node (>= 2)
 	Seed      uint64  // rank source seed
 	Readout   Readout // Basic or HIP
@@ -75,9 +74,10 @@ type Options struct {
 	MaxRounds int     // safety cap; 0 means no cap
 }
 
-// Compute runs the register DP on an unweighted graph and returns the
-// estimated neighborhood function.
-func Compute(g *graph.Graph, o Options) (*Result, error) {
+// NeighborhoodFunction runs the register DP on an unweighted graph and
+// returns, for every hop count t, the estimated number of ordered pairs
+// within distance t.
+func NeighborhoodFunction(g *graph.Graph, o ANFOptions) (*ANFResult, error) {
 	if o.K < 2 {
 		return nil, fmt.Errorf("anf: K = %d, need >= 2", o.K)
 	}
@@ -94,12 +94,7 @@ func Compute(g *graph.Graph, o Options) (*Result, error) {
 	exps := make([]uint8, n)
 	for v := 0; v < n; v++ {
 		regs[v] = make([]uint8, k)
-		buckets[v] = src.Bucket(int64(v), k)
-		h := rank.Base2Exponent(rank.Hash64(src.Seed()^0x1f3d5b79a2c4e688, uint64(v)))
-		if h > hll.RegisterCap {
-			h = hll.RegisterCap
-		}
-		exps[v] = uint8(h)
+		buckets[v], exps[v] = register(src, int64(v), k)
 	}
 	hip := make([]float64, n)
 	for v := 0; v < n; v++ {
@@ -109,7 +104,7 @@ func Compute(g *graph.Graph, o Options) (*Result, error) {
 	}
 
 	readNode := func(v int) float64 {
-		if o.Readout == HIP {
+		if o.Readout == ANFHIP {
 			return hip[v]
 		}
 		return hllEstimate(regs[v])
@@ -122,7 +117,7 @@ func Compute(g *graph.Graph, o Options) (*Result, error) {
 		return total
 	}
 
-	res := &Result{}
+	res := &ANFResult{}
 	record := func() {
 		res.NF = append(res.NF, readAll())
 		if o.KeepBalls {
@@ -157,15 +152,7 @@ func Compute(g *graph.Graph, o Options) (*Result, error) {
 				ru := regs[u]
 				for i := 0; i < k; i++ {
 					if ru[i] > scratch[i] {
-						sum := 0.0
-						for _, m := range scratch {
-							if m < hll.RegisterCap {
-								sum += math.Exp2(-float64(m))
-							}
-						}
-						if sum > 0 {
-							hip[int(v)] += float64(k) / sum
-						}
+						hip[int(v)] += hipStep(scratch)
 						scratch[i] = ru[i]
 						changed = true
 					}
@@ -181,36 +168,6 @@ func Compute(g *graph.Graph, o Options) (*Result, error) {
 		record()
 	}
 	return res, nil
-}
-
-// hllEstimate is the bias-corrected HyperLogLog readout used by the Basic
-// mode (mirrors hll.Sketch.Estimate over a raw register slice).
-func hllEstimate(m []uint8) float64 {
-	sum := 0.0
-	zeros := 0
-	for _, v := range m {
-		sum += math.Exp2(-float64(v))
-		if v == 0 {
-			zeros++
-		}
-	}
-	k := float64(len(m))
-	var a float64
-	switch len(m) {
-	case 16:
-		a = 0.673
-	case 32:
-		a = 0.697
-	case 64:
-		a = 0.709
-	default:
-		a = 0.7213 / (1 + 1.079/k)
-	}
-	e := a * k * k / sum
-	if e <= 2.5*k && zeros > 0 {
-		return k * math.Log(k/float64(zeros))
-	}
-	return e
 }
 
 // EffectiveDiameter returns the q-effective diameter implied by the
@@ -235,10 +192,10 @@ func EffectiveDiameter(nf []float64, q float64) float64 {
 }
 
 // HarmonicFromBalls computes HyperBall-style harmonic centralities for all
-// nodes from per-round ball estimates (requires Options.KeepBalls):
+// nodes from per-round ball estimates (requires ANFOptions.KeepBalls):
 // H(v) ~ Σ_t (|B_t(v)| - |B_{t-1}(v)|)/t, the estimated number of nodes
 // first reached at hop t, discounted by the distance.
-func HarmonicFromBalls(res *Result) []float64 {
+func HarmonicFromBalls(res *ANFResult) []float64 {
 	if len(res.Balls) == 0 {
 		return nil
 	}

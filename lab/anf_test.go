@@ -1,4 +1,4 @@
-package anf
+package lab
 
 import (
 	"math"
@@ -10,24 +10,24 @@ import (
 
 func TestComputeErrors(t *testing.T) {
 	g := graph.Path(5)
-	if _, err := Compute(g, Options{K: 1, Seed: 1}); err == nil {
+	if _, err := NeighborhoodFunction(g, ANFOptions{K: 1, Seed: 1}); err == nil {
 		t.Error("K=1 accepted")
 	}
 	wg := graph.WithRandomWeights(g, 1, 2, 1)
-	if _, err := Compute(wg, Options{K: 16, Seed: 1}); err == nil {
+	if _, err := NeighborhoodFunction(wg, ANFOptions{K: 16, Seed: 1}); err == nil {
 		t.Error("weighted graph accepted")
 	}
 }
 
 func TestReadoutString(t *testing.T) {
-	if Basic.String() != "basic" || HIP.String() != "HIP" || Readout(7).String() != "Readout(7)" {
+	if ANFBasic.String() != "basic" || ANFHIP.String() != "HIP" || Readout(7).String() != "Readout(7)" {
 		t.Error("Readout names")
 	}
 }
 
 func TestRoundsEqualDiameter(t *testing.T) {
 	g := graph.Path(9) // diameter 8
-	res, err := Compute(g, Options{K: 16, Seed: 3})
+	res, err := NeighborhoodFunction(g, ANFOptions{K: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRoundsEqualDiameter(t *testing.T) {
 
 func TestMaxRoundsCap(t *testing.T) {
 	g := graph.Path(50)
-	res, err := Compute(g, Options{K: 8, Seed: 1, MaxRounds: 3})
+	res, err := NeighborhoodFunction(g, ANFOptions{K: 8, Seed: 1, MaxRounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +63,13 @@ func TestNeighborhoodFunctionAccuracy(t *testing.T) {
 	g := graph.Grid(18, 18)
 	nf := graph.NeighborhoodFunction(g)
 	const runs = 40
-	for _, mode := range []Readout{Basic, HIP} {
+	for _, mode := range []Readout{ANFBasic, ANFHIP} {
 		accs := make([]*stats.ErrAccum, len(nf))
 		for i := range nf {
 			accs[i] = stats.NewErrAccum(float64(nf[i]))
 		}
 		for run := 0; run < runs; run++ {
-			res, err := Compute(g, Options{K: 64, Seed: uint64(run)*37 + 5, Readout: mode})
+			res, err := NeighborhoodFunction(g, ANFOptions{K: 64, Seed: uint64(run)*37 + 5, Readout: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,11 +104,11 @@ func TestHIPReadoutSmootherThanBasic(t *testing.T) {
 	hipAcc := stats.NewErrAccum(plateau)
 	for run := 0; run < runs; run++ {
 		seed := uint64(run)*101 + 3
-		rb, err := Compute(g, Options{K: 32, Seed: seed, Readout: Basic})
+		rb, err := NeighborhoodFunction(g, ANFOptions{K: 32, Seed: seed, Readout: ANFBasic})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rh, err := Compute(g, Options{K: 32, Seed: seed, Readout: HIP})
+		rh, err := NeighborhoodFunction(g, ANFOptions{K: 32, Seed: seed, Readout: ANFHIP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestHIPReadoutUndercountsOnExplosiveExpansion(t *testing.T) {
 	const runs = 30
 	acc := stats.NewErrAccum(plateau)
 	for run := 0; run < runs; run++ {
-		res, err := Compute(g, Options{K: 64, Seed: uint64(run)*37 + 5, Readout: HIP})
+		res, err := NeighborhoodFunction(g, ANFOptions{K: 64, Seed: uint64(run)*37 + 5, Readout: ANFHIP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestHIPReadoutUndercountsOnExplosiveExpansion(t *testing.T) {
 
 func TestKeepBalls(t *testing.T) {
 	g := graph.Cycle(20)
-	res, err := Compute(g, Options{K: 16, Seed: 2, Readout: HIP, KeepBalls: true})
+	res, err := NeighborhoodFunction(g, ANFOptions{K: 16, Seed: 2, Readout: ANFHIP, KeepBalls: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestEffectiveDiameterFromEstimate(t *testing.T) {
 	g := graph.Grid(14, 14)
 	nf := graph.NeighborhoodFunction(g)
 	exact := graph.EffectiveDiameter(nf, 0.9)
-	res, err := Compute(g, Options{K: 64, Seed: 6, Readout: HIP})
+	res, err := NeighborhoodFunction(g, ANFOptions{K: 64, Seed: 6, Readout: ANFHIP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestDisconnectedGraph(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	g := b.Build()
-	res, err := Compute(g, Options{K: 16, Seed: 1, Readout: HIP})
+	res, err := NeighborhoodFunction(g, ANFOptions{K: 16, Seed: 1, Readout: ANFHIP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestDisconnectedGraph(t *testing.T) {
 
 func TestHarmonicFromBalls(t *testing.T) {
 	g := graph.Grid(12, 12)
-	res, err := Compute(g, Options{K: 64, Seed: 8, Readout: HIP, KeepBalls: true})
+	res, err := NeighborhoodFunction(g, ANFOptions{K: 64, Seed: 8, Readout: ANFHIP, KeepBalls: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestHarmonicFromBalls(t *testing.T) {
 		t.Errorf("center %g not above corner %g", est[center], est[0])
 	}
 	// Without balls, nil.
-	res2, _ := Compute(g, Options{K: 16, Seed: 8})
+	res2, _ := NeighborhoodFunction(g, ANFOptions{K: 16, Seed: 8})
 	if HarmonicFromBalls(res2) != nil {
 		t.Error("expected nil without KeepBalls")
 	}

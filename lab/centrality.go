@@ -1,60 +1,66 @@
-// Package centrality provides the graph-analysis applications the paper
-// motivates (Section 1): closeness and distance-decay centralities,
-// neighborhood cardinalities, distance distributions, and top-N centrality
-// rankings, all estimated from an ADS set via the HIP estimators, together
-// with exact baselines for evaluation.
-//
-// All queries are answered from the sketches alone — no graph traversals —
-// and the kernel α and node filter β may be chosen after the sketches are
-// built, the query flexibility that distinguishes HIP from earlier
-// per-β sketch constructions (Section 9 discussion).
-package centrality
+package lab
 
 import (
 	"math"
 	"sort"
 
+	"adsketch/internal/cluster"
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
 )
 
-// Source is the narrow view of a sketch set the estimator queries: any
+// The reference centrality toolkit: the graph-analysis applications the
+// paper motivates (Section 1) — closeness and distance-decay centralities,
+// neighborhood cardinalities, distance distributions, and top-N centrality
+// rankings — each estimated per call from an ADS set via the HIP
+// estimators, together with exact baselines and rank-agreement measures
+// for evaluation.  adsketch.Engine serves the same estimates from cached
+// per-node indices.
+//
+// All queries are answered from the sketches alone — no graph traversals —
+// and the kernel α and node filter β may be chosen after the sketches are
+// built, the query flexibility that distinguishes HIP from earlier
+// per-β sketch constructions (Section 9 discussion).
+
+// Sketches is the narrow view of a sketch set Centrality queries: any
 // set kind (uniform, weighted, approximate) that exposes per-node
-// sketches through the shared query interface.
-type Source interface {
+// sketches through the shared query interface, an adsketch.SketchSet
+// among them.
+type Sketches interface {
 	NumNodes() int
 	SketchOf(v int32) core.Sketch
 }
 
-// Estimator answers centrality queries from a prebuilt sketch set.
-type Estimator struct {
-	set Source
+// Centrality answers centrality queries from a prebuilt sketch set.
+type Centrality struct {
+	set Sketches
 }
 
-// NewEstimator wraps a sketch set.
-func NewEstimator(set Source) *Estimator { return &Estimator{set: set} }
+// NewCentrality wraps a sketch set (of any kind) for per-call centrality
+// queries.
+func NewCentrality(set Sketches) *Centrality { return &Centrality{set: set} }
 
 // Set returns the underlying sketch set.
-func (e *Estimator) Set() Source { return e.set }
+func (e *Centrality) Set() Sketches { return e.set }
 
 // NeighborhoodSize estimates n_d(v) with the HIP estimator.
-func (e *Estimator) NeighborhoodSize(v int32, d float64) float64 {
+func (e *Centrality) NeighborhoodSize(v int32, d float64) float64 {
 	return core.EstimateNeighborhoodHIP(e.set.SketchOf(v), d)
 }
 
 // Reachable estimates the number of nodes reachable from v (including v).
-func (e *Estimator) Reachable(v int32) float64 {
+func (e *Centrality) Reachable(v int32) float64 {
 	return core.EstimateCentrality(e.set.SketchOf(v), core.KernelReachability, core.UnitBeta)
 }
 
 // SumDistances estimates Σ_j d_vj over reachable nodes.
-func (e *Estimator) SumDistances(v int32) float64 {
+func (e *Centrality) SumDistances(v int32) float64 {
 	return core.EstimateCentrality(e.set.SketchOf(v), core.KernelIdentity, core.UnitBeta)
 }
 
 // Closeness estimates the classic closeness centrality 1/Σ_j d_vj.
 // It returns 0 when the estimated distance sum is 0 (isolated node).
-func (e *Estimator) Closeness(v int32) float64 {
+func (e *Centrality) Closeness(v int32) float64 {
 	s := e.SumDistances(v)
 	if s <= 0 {
 		return 0
@@ -63,26 +69,26 @@ func (e *Estimator) Closeness(v int32) float64 {
 }
 
 // Harmonic estimates Σ_{j != v} 1/d_vj.
-func (e *Estimator) Harmonic(v int32) float64 {
+func (e *Centrality) Harmonic(v int32) float64 {
 	return core.EstimateCentrality(e.set.SketchOf(v), core.KernelHarmonic, core.UnitBeta)
 }
 
 // ExponentialDecay estimates Σ_j 2^{-d_vj} (excluding v itself, which
 // contributes α(0)=1 and is subtracted).
-func (e *Estimator) ExponentialDecay(v int32) float64 {
+func (e *Centrality) ExponentialDecay(v int32) float64 {
 	c := core.EstimateCentrality(e.set.SketchOf(v), core.KernelExponential, core.UnitBeta)
 	return c - 1 // the owner's own α(0)β(v) term
 }
 
 // Custom estimates C_{α,β}(v) for caller-supplied kernel and node filter.
-func (e *Estimator) Custom(v int32, alpha func(float64) float64, beta func(int32) float64) float64 {
+func (e *Centrality) Custom(v int32, alpha func(float64) float64, beta func(int32) float64) float64 {
 	return core.EstimateCentrality(e.set.SketchOf(v), alpha, beta)
 }
 
 // DistanceDistribution estimates the graph's distance distribution: for
 // each query distance d, the number of ordered pairs (u,v) with
 // d_uv <= d, by summing per-node HIP neighborhood estimates.
-func (e *Estimator) DistanceDistribution(ds []float64) []float64 {
+func (e *Centrality) DistanceDistribution(ds []float64) []float64 {
 	out := make([]float64, len(ds))
 	for v := int32(0); int(v) < e.set.NumNodes(); v++ {
 		entries := e.set.SketchOf(v).HIPEntries()
@@ -99,25 +105,21 @@ func (e *Estimator) DistanceDistribution(ds []float64) []float64 {
 	return out
 }
 
-// Ranked is one node with its centrality score.  The JSON tags are the
-// wire shape of the ranking entries served by the query protocol.
-type Ranked struct {
-	Node  int32   `json:"node"`
-	Score float64 `json:"score"`
-}
+// Ranked is one node with its centrality score.
+type Ranked = cluster.Ranked
 
 // TopCloseness returns the estimated top-n nodes by closeness centrality,
 // highest first (ties broken by node ID for determinism).
-func (e *Estimator) TopCloseness(n int) []Ranked {
+func (e *Centrality) TopCloseness(n int) []Ranked {
 	return e.topBy(n, e.Closeness)
 }
 
 // TopHarmonic returns the estimated top-n nodes by harmonic centrality.
-func (e *Estimator) TopHarmonic(n int) []Ranked {
+func (e *Centrality) TopHarmonic(n int) []Ranked {
 	return e.topBy(n, e.Harmonic)
 }
 
-func (e *Estimator) topBy(n int, score func(int32) float64) []Ranked {
+func (e *Centrality) topBy(n int, score func(int32) float64) []Ranked {
 	all := make([]Ranked, e.set.NumNodes())
 	for v := int32(0); int(v) < e.set.NumNodes(); v++ {
 		all[v] = Ranked{Node: v, Score: score(v)}

@@ -1,4 +1,4 @@
-package centrality
+package lab
 
 import (
 	"math"
@@ -10,13 +10,13 @@ import (
 	"adsketch/internal/stats"
 )
 
-func buildEstimator(t *testing.T, g *graph.Graph, k int, seed uint64) *Estimator {
+func buildEstimator(t *testing.T, g *graph.Graph, k int, seed uint64) *Centrality {
 	t.Helper()
 	set, err := core.BuildSet(g, core.Options{K: k, Flavor: sketch.BottomK, Seed: seed}, core.AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewEstimator(set)
+	return NewCentrality(set)
 }
 
 func TestNeighborhoodSizeUnbiased(t *testing.T) {
@@ -210,11 +210,11 @@ func TestTopOverlapEdgeCases(t *testing.T) {
 	if TopOverlap(nil, nil) != 0 {
 		t.Error("empty overlap should be 0")
 	}
-	a := []Ranked{{1, 1}, {2, 0.5}}
+	a := []Ranked{{Node: 1, Score: 1}, {Node: 2, Score: 0.5}}
 	if got := TopOverlap(a, a); got != 1 {
 		t.Errorf("self overlap = %g", got)
 	}
-	b := []Ranked{{3, 1}, {4, 0.5}}
+	b := []Ranked{{Node: 3, Score: 1}, {Node: 4, Score: 0.5}}
 	if got := TopOverlap(a, b); got != 0 {
 		t.Errorf("disjoint overlap = %g", got)
 	}

@@ -1,4 +1,4 @@
-package stream
+package lab
 
 import (
 	"fmt"
@@ -13,37 +13,39 @@ import (
 // modification probability given the pre-update sketch state.  All are
 // unbiased, and re-occurrences of an element never change sketch or count.
 
-// Distinct is the interface shared by the streaming distinct counters in
-// this package and package hll.
-type Distinct interface {
+// DistinctCounter is the interface shared by the streaming distinct
+// counters of this package.
+type DistinctCounter interface {
 	// Add folds an element in, reporting whether the sketch changed.
 	Add(id int64) bool
 	// Estimate returns the current distinct-count estimate.
 	Estimate() float64
 }
 
-// BottomKCounter is the bottom-k HIP distinct counter: a bottom-k MinHash
+// BottomKDistinct is the bottom-k HIP distinct counter: a bottom-k MinHash
 // sketch plus the HIP register.  Memory is O(k); the retained ADS entries
 // of FirstOccurrenceADS are not kept.
-type BottomKCounter struct {
+type BottomKDistinct struct {
 	k     int
 	src   rank.Source
 	ranks []float64 // k smallest ranks, ascending
 	count float64
 }
 
-var _ Distinct = (*BottomKCounter)(nil)
+var _ DistinctCounter = (*BottomKDistinct)(nil)
 
-// NewBottomKCounter returns an empty counter.
-func NewBottomKCounter(k int, src rank.Source) *BottomKCounter {
+// NewBottomKDistinct returns an empty counter whose ranks derive from
+// seed: exact up to k, NRMSE ~1/sqrt(2(k-1)) above.
+func NewBottomKDistinct(k int, seed uint64) *BottomKDistinct {
 	if k < 1 {
 		panic(fmt.Sprintf("stream: k = %d, need >= 1", k))
 	}
-	return &BottomKCounter{k: k, src: src}
+	src := rank.NewSource(seed)
+	return &BottomKDistinct{k: k, src: src}
 }
 
-// Add implements Distinct.
-func (c *BottomKCounter) Add(id int64) bool {
+// Add implements DistinctCounter.
+func (c *BottomKDistinct) Add(id int64) bool {
 	r := c.src.Rank(id)
 	tau := 1.0
 	if len(c.ranks) >= c.k {
@@ -66,35 +68,36 @@ func (c *BottomKCounter) Add(id int64) bool {
 	return true
 }
 
-// Estimate implements Distinct.
-func (c *BottomKCounter) Estimate() float64 { return c.count }
+// Estimate implements DistinctCounter.
+func (c *BottomKDistinct) Estimate() float64 { return c.count }
 
-// KMinsCounter is the k-mins HIP distinct counter: k independent minimum
+// KMinsDistinct is the k-mins HIP distinct counter: k independent minimum
 // ranks plus the HIP register.  The update probability of a fresh element
 // is 1 - Π_h (1 - min_h) (equation (7) with the whole prefix as Φ).
-type KMinsCounter struct {
+type KMinsDistinct struct {
 	k     int
 	src   rank.Source
 	mins  []float64
 	count float64
 }
 
-var _ Distinct = (*KMinsCounter)(nil)
+var _ DistinctCounter = (*KMinsDistinct)(nil)
 
-// NewKMinsCounter returns an empty counter.
-func NewKMinsCounter(k int, src rank.Source) *KMinsCounter {
+// NewKMinsDistinct returns an empty counter whose ranks derive from seed.
+func NewKMinsDistinct(k int, seed uint64) *KMinsDistinct {
 	if k < 1 {
 		panic(fmt.Sprintf("stream: k = %d, need >= 1", k))
 	}
+	src := rank.NewSource(seed)
 	mins := make([]float64, k)
 	for i := range mins {
 		mins[i] = 1
 	}
-	return &KMinsCounter{k: k, src: src, mins: mins}
+	return &KMinsDistinct{k: k, src: src, mins: mins}
 }
 
-// Add implements Distinct.
-func (c *KMinsCounter) Add(id int64) bool {
+// Add implements DistinctCounter.
+func (c *KMinsDistinct) Add(id int64) bool {
 	updated := false
 	tau := 1.0
 	prod := 1.0
@@ -114,14 +117,14 @@ func (c *KMinsCounter) Add(id int64) bool {
 	return updated
 }
 
-// Estimate implements Distinct.
-func (c *KMinsCounter) Estimate() float64 { return c.count }
+// Estimate implements DistinctCounter.
+func (c *KMinsDistinct) Estimate() float64 { return c.count }
 
-// KPartitionCounter is the k-partition HIP distinct counter with
-// full-precision ranks; the base-2 register variant (HyperLogLog layout)
-// lives in package hll.  The update probability of a fresh element is
+// KPartitionDistinct is the k-partition HIP distinct counter with
+// full-precision ranks; HIPDistinct is the base-2 register variant
+// (HyperLogLog layout).  The update probability of a fresh element is
 // (1/k) Σ_b min_b (equation (8)).
-type KPartitionCounter struct {
+type KPartitionDistinct struct {
 	k     int
 	src   rank.Source
 	mins  []float64
@@ -129,22 +132,24 @@ type KPartitionCounter struct {
 	count float64
 }
 
-var _ Distinct = (*KPartitionCounter)(nil)
+var _ DistinctCounter = (*KPartitionDistinct)(nil)
 
-// NewKPartitionCounter returns an empty counter.
-func NewKPartitionCounter(k int, src rank.Source) *KPartitionCounter {
+// NewKPartitionDistinct returns an empty counter whose ranks derive from
+// seed.
+func NewKPartitionDistinct(k int, seed uint64) *KPartitionDistinct {
 	if k < 1 {
 		panic(fmt.Sprintf("stream: k = %d, need >= 1", k))
 	}
+	src := rank.NewSource(seed)
 	mins := make([]float64, k)
 	for i := range mins {
 		mins[i] = 1
 	}
-	return &KPartitionCounter{k: k, src: src, mins: mins, sum: float64(k)}
+	return &KPartitionDistinct{k: k, src: src, mins: mins, sum: float64(k)}
 }
 
-// Add implements Distinct.
-func (c *KPartitionCounter) Add(id int64) bool {
+// Add implements DistinctCounter.
+func (c *KPartitionDistinct) Add(id int64) bool {
 	b := c.src.Bucket(id, c.k)
 	r := c.src.Rank(id)
 	if r >= c.mins[b] {
@@ -157,5 +162,5 @@ func (c *KPartitionCounter) Add(id int64) bool {
 	return true
 }
 
-// Estimate implements Distinct.
-func (c *KPartitionCounter) Estimate() float64 { return c.count }
+// Estimate implements DistinctCounter.
+func (c *KPartitionDistinct) Estimate() float64 { return c.count }

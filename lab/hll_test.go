@@ -1,16 +1,15 @@
-package hll
+package lab
 
 import (
 	"math"
 	"testing"
 
-	"adsketch/internal/rank"
 	"adsketch/internal/sketch"
 	"adsketch/internal/stats"
 )
 
 func TestSketchAddAndDuplicates(t *testing.T) {
-	s := New(16, rank.NewSource(1))
+	s := NewHyperLogLog(16, 1)
 	changed := 0
 	for id := int64(0); id < 1000; id++ {
 		if s.Add(id) {
@@ -29,8 +28,8 @@ func TestSketchAddAndDuplicates(t *testing.T) {
 }
 
 func TestSketchMergeIsUnion(t *testing.T) {
-	src := rank.NewSource(2)
-	a, b, u := New(32, src), New(32, src), New(32, src)
+	const seed = 2
+	a, b, u := NewHyperLogLog(32, seed), NewHyperLogLog(32, seed), NewHyperLogLog(32, seed)
 	for id := int64(0); id < 500; id++ {
 		a.Add(id)
 		u.Add(id)
@@ -56,15 +55,15 @@ func TestSketchMergePanics(t *testing.T) {
 			t.Fatal("mismatched merge did not panic")
 		}
 	}()
-	New(16, rank.NewSource(1)).Merge(New(32, rank.NewSource(1)))
+	NewHyperLogLog(16, 1).Merge(NewHyperLogLog(32, 1))
 }
 
 func TestNewPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"sketch k=1":   func() { New(1, rank.NewSource(1)) },
-		"baseb k=1":    func() { NewBaseBHIP(1, 2, 31, rank.NewSource(1)) },
-		"baseb cap=0":  func() { NewBaseBHIP(16, 2, 0, rank.NewSource(1)) },
-		"baseb base=1": func() { NewBaseBHIP(16, 1, 31, rank.NewSource(1)) },
+		"sketch k=1":   func() { NewHyperLogLog(1, 1) },
+		"baseb k=1":    func() { NewBaseBHIP(1, 2, 31, 1) },
+		"baseb cap=0":  func() { NewBaseBHIP(16, 2, 0, 1) },
+		"baseb base=1": func() { NewBaseBHIP(16, 1, 31, 1) },
 	} {
 		func() {
 			defer func() {
@@ -99,7 +98,7 @@ func estimatorError(n, runs, k int, est func(seed uint64) float64) (bias, nrmse 
 func TestHLLEstimateLargeRange(t *testing.T) {
 	const k, n, runs = 64, 50000, 120
 	bias, nrmse := estimatorError(n, runs, k, func(seed uint64) float64 {
-		s := New(k, rank.NewSource(seed))
+		s := NewHyperLogLog(k, seed)
 		for id := int64(0); id < n; id++ {
 			s.Add(id)
 		}
@@ -117,7 +116,7 @@ func TestHLLEstimateLargeRange(t *testing.T) {
 func TestHLLLinearCountingSmallRange(t *testing.T) {
 	const k, n, runs = 64, 30, 200
 	bias, nrmse := estimatorError(n, runs, k, func(seed uint64) float64 {
-		s := New(k, rank.NewSource(seed))
+		s := NewHyperLogLog(k, seed)
 		for id := int64(0); id < n; id++ {
 			s.Add(id)
 		}
@@ -141,7 +140,7 @@ func TestHLLRawBiasedSmallRange(t *testing.T) {
 	rawAcc := stats.NewErrAccum(float64(n))
 	corAcc := stats.NewErrAccum(float64(n))
 	for run := 0; run < runs; run++ {
-		s := New(k, rank.NewSource(uint64(run)*1299709+7))
+		s := NewHyperLogLog(k, uint64(run)*1299709+7)
 		for id := int64(0); id < int64(n); id++ {
 			s.Add(id)
 		}
@@ -163,8 +162,8 @@ func TestHIPUnbiasedAndBeatsHLL(t *testing.T) {
 	hllAcc := stats.NewErrAccum(float64(n))
 	for run := 0; run < runs; run++ {
 		seed := uint64(run)*7129 + 13
-		h := NewHIP(k, rank.NewSource(seed))
-		s := New(k, rank.NewSource(seed))
+		h := NewHIPDistinct(k, seed)
+		s := NewHyperLogLog(k, seed)
 		for id := int64(0); id < int64(n); id++ {
 			h.Add(id)
 			s.Add(id)
@@ -187,7 +186,7 @@ func TestHIPUnbiasedAndBeatsHLL(t *testing.T) {
 }
 
 func TestHIPDuplicatesIgnored(t *testing.T) {
-	h := NewHIP(16, rank.NewSource(5))
+	h := NewHIPDistinct(16, 5)
 	for id := int64(0); id < 300; id++ {
 		h.Add(id)
 	}
@@ -206,7 +205,7 @@ func TestHIPExactEarly(t *testing.T) {
 	// Until any bucket collision happens, every element updates with
 	// probability ~1... not exactly 1 (register value 0 is exceeded with
 	// probability 1), so the very first additions each add weight 1.
-	h := NewHIP(64, rank.NewSource(6))
+	h := NewHIPDistinct(64, 6)
 	h.Add(1)
 	if math.Abs(h.Estimate()-1) > 1e-12 {
 		t.Errorf("first element weight = %g, want 1", h.Estimate())
@@ -214,7 +213,7 @@ func TestHIPExactEarly(t *testing.T) {
 }
 
 func TestHIPSaturation(t *testing.T) {
-	h := NewHIP(2, rank.NewSource(7))
+	h := NewHIPDistinct(2, 7)
 	// Force saturation by writing registers directly.
 	h.sketch.m[0], h.sketch.m[1] = RegisterCap, RegisterCap
 	if !h.Saturated() {
@@ -239,7 +238,7 @@ func TestBaseBHIPUnbiased(t *testing.T) {
 	for _, b := range []float64{2, math.Sqrt2} {
 		acc := stats.NewErrAccum(float64(n))
 		for run := 0; run < runs; run++ {
-			h := NewBaseBHIP(k, b, 400, rank.NewSource(uint64(run)*6151+17))
+			h := NewBaseBHIP(k, b, 400, uint64(run)*6151+17)
 			for id := int64(0); id < int64(n); id++ {
 				h.Add(id)
 			}
@@ -261,7 +260,7 @@ func TestBaseBSmallerBaseIsMoreAccurate(t *testing.T) {
 	nrmse := func(b float64) float64 {
 		acc := stats.NewErrAccum(float64(n))
 		for run := 0; run < runs; run++ {
-			h := NewBaseBHIP(k, b, 400, rank.NewSource(uint64(run)*2099+29))
+			h := NewBaseBHIP(k, b, 400, uint64(run)*2099+29)
 			for id := int64(0); id < int64(n); id++ {
 				h.Add(id)
 			}
@@ -273,7 +272,7 @@ func TestBaseBSmallerBaseIsMoreAccurate(t *testing.T) {
 	if esqrt2 >= e2 {
 		t.Errorf("base sqrt(2) NRMSE %g not below base 2 %g", esqrt2, e2)
 	}
-	h := NewBaseBHIP(4, 2, 31, rank.NewSource(1))
+	h := NewBaseBHIP(4, 2, 31, 1)
 	if h.K() != 4 || h.Base() != 2 || len(h.Registers()) != 4 {
 		t.Error("accessors")
 	}

@@ -1,4 +1,13 @@
-// Package counter implements approximate (non-distinct) counters in the
+package lab
+
+import (
+	"fmt"
+	"math"
+
+	"adsketch/internal/rank"
+)
+
+// Approximate (non-distinct) counters in the
 // style of Morris (1977) and Flajolet (1985), extended per Section 7 of
 // the paper with arbitrary positive weighted increments and counter
 // merging via inverse-probability estimation.
@@ -10,26 +19,18 @@
 // The paper uses these counters as the auxiliary HIP register of the
 // distinct counters of Section 6, where updates are weighted (adjusted
 // weights) rather than unit increments.
-package counter
-
-import (
-	"fmt"
-	"math"
-
-	"adsketch/internal/rank"
-)
 
 // Morris is an approximate counter with base b.  The zero value is not
-// usable; construct with New.
+// usable; construct with NewMorris.
 type Morris struct {
 	b   float64
 	x   int
 	rng *rank.RNG
 }
 
-// New returns a zeroed Morris counter with base b > 1 whose probabilistic
-// rounding is driven by the given seed.
-func New(b float64, seed uint64) *Morris {
+// NewMorris returns a zeroed Morris counter with base b > 1 whose
+// probabilistic rounding is driven by the given seed.
+func NewMorris(b float64, seed uint64) *Morris {
 	if !(b > 1) {
 		panic(fmt.Sprintf("counter: base %g must be > 1", b))
 	}

@@ -1,4 +1,4 @@
-package counter
+package lab
 
 import (
 	"math"
@@ -12,7 +12,7 @@ func TestMorrisUnitIncrementsUnbiased(t *testing.T) {
 	for _, b := range []float64{2, 1.5, 1.0625} {
 		acc := stats.NewErrAccum(n)
 		for run := 0; run < runs; run++ {
-			m := New(b, uint64(run)*6700417+1)
+			m := NewMorris(b, uint64(run)*6700417+1)
 			for i := 0; i < n; i++ {
 				m.Increment()
 			}
@@ -41,7 +41,7 @@ func TestMorrisWeightedAddsUnbiased(t *testing.T) {
 	}
 	acc := stats.NewErrAccum(total)
 	for run := 0; run < runs; run++ {
-		m := New(1.5, uint64(run)*31337+7)
+		m := NewMorris(1.5, uint64(run)*31337+7)
 		for _, w := range weights {
 			m.Add(w)
 		}
@@ -55,7 +55,7 @@ func TestMorrisWeightedAddsUnbiased(t *testing.T) {
 func TestMorrisLargeSingleAddNearExact(t *testing.T) {
 	// A single large add is mostly deterministic: only the leftover below
 	// one register step is stochastic.
-	m := New(2, 3)
+	m := NewMorris(2, 3)
 	m.Add(1 << 20)
 	got := m.Estimate()
 	if got < (1<<20)-1 || got > (1<<21) {
@@ -67,8 +67,8 @@ func TestMorrisMergeUnbiased(t *testing.T) {
 	const runs = 500
 	acc := stats.NewErrAccum(3000)
 	for run := 0; run < runs; run++ {
-		a := New(1.25, uint64(run)*97+1)
-		b := New(1.25, uint64(run)*89+2)
+		a := NewMorris(1.25, uint64(run)*97+1)
+		b := NewMorris(1.25, uint64(run)*89+2)
 		for i := 0; i < 1000; i++ {
 			a.Increment()
 		}
@@ -85,7 +85,7 @@ func TestMorrisMergeUnbiased(t *testing.T) {
 
 func TestMorrisCompactness(t *testing.T) {
 	// Counting to a million must use O(log log n) bits of register.
-	m := New(2, 5)
+	m := NewMorris(2, 5)
 	for i := 0; i < 1000000; i++ {
 		m.Increment()
 	}
@@ -95,7 +95,7 @@ func TestMorrisCompactness(t *testing.T) {
 	if m.Bits() > 6 {
 		t.Errorf("register bits = %d, want <= 6", m.Bits())
 	}
-	zero := New(2, 1)
+	zero := NewMorris(2, 1)
 	if zero.Bits() != 1 {
 		t.Errorf("zero counter bits = %d", zero.Bits())
 	}
@@ -112,7 +112,7 @@ func TestMorrisSmallBaseMoreAccurate(t *testing.T) {
 	nrmse := func(b float64) float64 {
 		acc := stats.NewErrAccum(n)
 		for run := 0; run < runs; run++ {
-			m := New(b, uint64(run)*193939+11)
+			m := NewMorris(b, uint64(run)*193939+11)
 			for i := 0; i < n; i++ {
 				m.Increment()
 			}
@@ -126,7 +126,7 @@ func TestMorrisSmallBaseMoreAccurate(t *testing.T) {
 }
 
 func TestMorrisAddZeroNoop(t *testing.T) {
-	m := New(2, 1)
+	m := NewMorris(2, 1)
 	m.Add(0)
 	if m.X() != 0 {
 		t.Error("Add(0) changed counter")
@@ -142,9 +142,9 @@ func TestMorrisPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	check("base 1", func() { New(1, 1) })
-	check("negative add", func() { New(2, 1).Add(-1) })
-	check("mismatched merge", func() { New(2, 1).Merge(New(3, 2)) })
+	check("base 1", func() { NewMorris(1, 1) })
+	check("negative add", func() { NewMorris(2, 1).Add(-1) })
+	check("mismatched merge", func() { NewMorris(2, 1).Merge(NewMorris(3, 2)) })
 }
 
 func TestMorrisHIPRegisterUseCase(t *testing.T) {
@@ -163,7 +163,7 @@ func TestMorrisHIPRegisterUseCase(t *testing.T) {
 	}
 	acc := stats.NewErrAccum(total)
 	for run := 0; run < runs; run++ {
-		m := New(b, uint64(run)*277+3)
+		m := NewMorris(b, uint64(run)*277+3)
 		for _, w := range weights {
 			m.Add(w)
 		}

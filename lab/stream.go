@@ -1,5 +1,13 @@
-// Package stream implements All-Distances Sketches over data streams
-// (Section 3.1) and streaming distinct counters built on them.
+package lab
+
+import (
+	"sort"
+
+	"adsketch/internal/core"
+	"adsketch/internal/rank"
+)
+
+// All-Distances Sketches over data streams (Section 3.1).
 //
 // A stream is a sequence of (element, time) entries.  Two time semantics
 // replace graph distance:
@@ -14,18 +22,6 @@
 //     (appropriate for time-decaying statistics).  Entries arrive in
 //     decreasing distance, so every new entry is inserted and older
 //     entries are cleaned up (RecencyADS).
-//
-// The HIP distinct counters of Section 6 for bottom-k, k-mins, and
-// k-partition MinHash sketches are also here; the HyperLogLog-specific
-// variants live in package hll.
-package stream
-
-import (
-	"sort"
-
-	"adsketch/internal/core"
-	"adsketch/internal/rank"
-)
 
 // FirstOccurrenceADS maintains a bottom-k ADS of the distinct elements of a
 // stream keyed by elapsed time from the stream start to each element's
@@ -40,13 +36,13 @@ type FirstOccurrenceADS struct {
 	hip     float64      // running HIP distinct count
 }
 
-// NewFirstOccurrenceADS returns an empty sketch with parameter k using the
-// given rank source.
-func NewFirstOccurrenceADS(k int, src rank.Source) *FirstOccurrenceADS {
+// NewFirstOccurrenceADS returns an empty sketch with parameter k whose
+// ranks derive from seed.
+func NewFirstOccurrenceADS(k int, seed uint64) *FirstOccurrenceADS {
 	if k < 1 {
 		panic("stream: k must be >= 1")
 	}
-	return &FirstOccurrenceADS{k: k, src: src}
+	return &FirstOccurrenceADS{k: k, src: rank.NewSource(seed)}
 }
 
 // K returns the sketch parameter.
@@ -132,13 +128,13 @@ type RecencyADS struct {
 	now     float64
 }
 
-// NewRecencyADS returns an empty recency sketch.  horizon must exceed every
-// timestamp the stream will carry.
-func NewRecencyADS(k int, horizon float64, src rank.Source) *RecencyADS {
+// NewRecencyADS returns an empty recency sketch whose ranks derive from
+// seed.  horizon must exceed every timestamp the stream will carry.
+func NewRecencyADS(k int, horizon float64, seed uint64) *RecencyADS {
 	if k < 1 {
 		panic("stream: k must be >= 1")
 	}
-	return &RecencyADS{k: k, horizon: horizon, src: src}
+	return &RecencyADS{k: k, horizon: horizon, src: rank.NewSource(seed)}
 }
 
 // K returns the sketch parameter.

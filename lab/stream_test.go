@@ -1,17 +1,17 @@
-package stream
+package lab
 
 import (
 	"math"
 	"testing"
 
-	"adsketch/internal/rank"
 	"adsketch/internal/sketch"
 	"adsketch/internal/stats"
+	"adsketch/internal/stream"
 )
 
 func TestFirstOccurrenceDuplicatesIgnored(t *testing.T) {
-	src := rank.NewSource(1)
-	s := NewFirstOccurrenceADS(4, src)
+	const seed = 1
+	s := NewFirstOccurrenceADS(4, seed)
 	for id := int64(0); id < 50; id++ {
 		t0 := float64(id * 3)
 		s.Process(id, t0)
@@ -24,7 +24,7 @@ func TestFirstOccurrenceDuplicatesIgnored(t *testing.T) {
 		}
 	}
 	// Same sketch as a single pass over the 50 distinct elements.
-	ref := NewFirstOccurrenceADS(4, src)
+	ref := NewFirstOccurrenceADS(4, seed)
 	for id := int64(0); id < 50; id++ {
 		ref.Process(id, float64(id*3))
 	}
@@ -38,7 +38,7 @@ func TestFirstOccurrenceHIPUnbiased(t *testing.T) {
 	const k, n, runs = 8, 1000, 400
 	acc := stats.NewErrAccum(n)
 	for run := 0; run < runs; run++ {
-		s := NewFirstOccurrenceADS(k, rank.NewSource(uint64(run)*613+5))
+		s := NewFirstOccurrenceADS(k, uint64(run)*613+5)
 		for id := int64(0); id < n; id++ {
 			s.Process(id, float64(id))
 		}
@@ -53,8 +53,8 @@ func TestFirstOccurrenceHIPUnbiased(t *testing.T) {
 }
 
 func TestFirstOccurrenceEstimateWithin(t *testing.T) {
-	src := rank.NewSource(9)
-	s := NewFirstOccurrenceADS(6, src)
+	const seed = 9
+	s := NewFirstOccurrenceADS(6, seed)
 	for id := int64(0); id < 500; id++ {
 		s.Process(id, float64(id))
 	}
@@ -66,7 +66,7 @@ func TestFirstOccurrenceEstimateWithin(t *testing.T) {
 	const runs = 300
 	acc := stats.NewErrAccum(101)
 	for run := 0; run < runs; run++ {
-		st := NewFirstOccurrenceADS(6, rank.NewSource(uint64(run)*733+1))
+		st := NewFirstOccurrenceADS(6, uint64(run)*733+1)
 		for id := int64(0); id < 500; id++ {
 			st.Process(id, float64(id))
 		}
@@ -84,8 +84,8 @@ func TestFirstOccurrenceEstimateWithin(t *testing.T) {
 }
 
 func TestRecencyADSBasics(t *testing.T) {
-	src := rank.NewSource(2)
-	s := NewRecencyADS(4, 1e6, src)
+	const seed = 2
+	s := NewRecencyADS(4, 1e6, seed)
 	for id := int64(0); id < 200; id++ {
 		s.Process(id, float64(id))
 	}
@@ -102,8 +102,8 @@ func TestRecencyADSBasics(t *testing.T) {
 }
 
 func TestRecencyADSReoccurrenceMoves(t *testing.T) {
-	src := rank.NewSource(3)
-	s := NewRecencyADS(4, 1e6, src)
+	const seed = 3
+	s := NewRecencyADS(4, 1e6, seed)
 	for id := int64(0); id < 50; id++ {
 		s.Process(id, float64(id))
 	}
@@ -134,7 +134,7 @@ func TestRecencyADSWindowEstimateUnbiased(t *testing.T) {
 	const window = 99.5 // covers 100 elements
 	acc := stats.NewErrAccum(100)
 	for run := 0; run < runs; run++ {
-		s := NewRecencyADS(k, 1e9, rank.NewSource(uint64(run)*389+7))
+		s := NewRecencyADS(k, 1e9, uint64(run)*389+7)
 		for id := int64(0); id < n; id++ {
 			s.Process(id, float64(id))
 		}
@@ -146,7 +146,7 @@ func TestRecencyADSWindowEstimateUnbiased(t *testing.T) {
 }
 
 func TestRecencyADSPanics(t *testing.T) {
-	src := rank.NewSource(4)
+	const seed = 4
 	check := func(name string, fn func()) {
 		defer func() {
 			if recover() == nil {
@@ -155,22 +155,22 @@ func TestRecencyADSPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	check("bad k", func() { NewRecencyADS(0, 10, src) })
+	check("bad k", func() { NewRecencyADS(0, 10, seed) })
 	check("beyond horizon", func() {
-		s := NewRecencyADS(2, 10, src)
+		s := NewRecencyADS(2, 10, seed)
 		s.Process(1, 11)
 	})
 	check("time going backwards", func() {
-		s := NewRecencyADS(2, 100, src)
+		s := NewRecencyADS(2, 100, seed)
 		s.Process(1, 5)
 		s.Process(2, 4)
 	})
-	check("first-occurrence bad k", func() { NewFirstOccurrenceADS(0, src) })
+	check("first-occurrence bad k", func() { NewFirstOccurrenceADS(0, seed) })
 }
 
 func TestRecencyADSSizeStaysLogarithmic(t *testing.T) {
-	src := rank.NewSource(8)
-	s := NewRecencyADS(4, 1e9, src)
+	const seed = 8
+	s := NewRecencyADS(4, 1e9, seed)
 	for id := int64(0); id < 5000; id++ {
 		s.Process(id, float64(id))
 	}
@@ -180,11 +180,11 @@ func TestRecencyADSSizeStaysLogarithmic(t *testing.T) {
 	}
 }
 
-func testCounterUnbiased(t *testing.T, name string, k, n, runs int, mk func(src rank.Source) Distinct, cvBound float64) {
+func testCounterUnbiased(t *testing.T, name string, k, n, runs int, mk func(seed uint64) DistinctCounter, cvBound float64) {
 	t.Helper()
 	acc := stats.NewErrAccum(float64(n))
 	for run := 0; run < runs; run++ {
-		c := mk(rank.NewSource(uint64(run)*104729 + 11))
+		c := mk(uint64(run)*104729 + 11)
 		for id := int64(0); id < int64(n); id++ {
 			c.Add(id)
 			c.Add(id) // immediate duplicate must be a no-op
@@ -200,27 +200,27 @@ func testCounterUnbiased(t *testing.T, name string, k, n, runs int, mk func(src 
 }
 
 func TestBottomKCounter(t *testing.T) {
-	testCounterUnbiased(t, "bottom-k", 16, 2000, 400, func(src rank.Source) Distinct {
-		return NewBottomKCounter(16, src)
+	testCounterUnbiased(t, "bottom-k", 16, 2000, 400, func(seed uint64) DistinctCounter {
+		return NewBottomKDistinct(16, seed)
 	}, 1.2*sketch.HIPCV(16))
 }
 
 func TestKMinsCounter(t *testing.T) {
-	testCounterUnbiased(t, "k-mins", 16, 2000, 400, func(src rank.Source) Distinct {
-		return NewKMinsCounter(16, src)
+	testCounterUnbiased(t, "k-mins", 16, 2000, 400, func(seed uint64) DistinctCounter {
+		return NewKMinsDistinct(16, seed)
 	}, 1.25*sketch.HIPCV(16))
 }
 
 func TestKPartitionCounter(t *testing.T) {
-	testCounterUnbiased(t, "k-partition", 16, 2000, 400, func(src rank.Source) Distinct {
-		return NewKPartitionCounter(16, src)
+	testCounterUnbiased(t, "k-partition", 16, 2000, 400, func(seed uint64) DistinctCounter {
+		return NewKPartitionDistinct(16, seed)
 	}, 1.25*sketch.HIPCV(16))
 }
 
 func TestCountersExactSmall(t *testing.T) {
-	src := rank.NewSource(77)
+	const seed = 77
 	// Bottom-k counts exactly while below k.
-	c := NewBottomKCounter(32, src)
+	c := NewBottomKDistinct(32, seed)
 	for id := int64(0); id < 20; id++ {
 		c.Add(id)
 	}
@@ -230,11 +230,11 @@ func TestCountersExactSmall(t *testing.T) {
 }
 
 func TestCounterConstructorPanics(t *testing.T) {
-	src := rank.NewSource(1)
+	const seed = 1
 	for name, fn := range map[string]func(){
-		"bottom-k":    func() { NewBottomKCounter(0, src) },
-		"k-mins":      func() { NewKMinsCounter(0, src) },
-		"k-partition": func() { NewKPartitionCounter(0, src) },
+		"bottom-k":    func() { NewBottomKDistinct(0, seed) },
+		"k-mins":      func() { NewKMinsDistinct(0, seed) },
+		"k-partition": func() { NewKPartitionDistinct(0, seed) },
 	} {
 		func() {
 			defer func() {
@@ -248,7 +248,7 @@ func TestCounterConstructorPanics(t *testing.T) {
 }
 
 func TestRecencyWindowZeroCoversNewestOnly(t *testing.T) {
-	s := NewRecencyADS(4, 1e6, rank.NewSource(6))
+	s := NewRecencyADS(4, 1e6, 6)
 	for id := int64(0); id < 100; id++ {
 		s.Process(id, float64(id))
 	}
@@ -257,4 +257,31 @@ func TestRecencyWindowZeroCoversNewestOnly(t *testing.T) {
 	if got != 1 {
 		t.Errorf("zero-window estimate = %g, want 1 (the newest element)", got)
 	}
+}
+
+// TestDistinctCountersOnZipfStream: the counters must be insensitive to
+// repetition structure — a heavy-tailed stream with many duplicates gives
+// the same accuracy as a distinct stream of the same cardinality.
+func TestDistinctCountersOnZipfStream(t *testing.T) {
+	const k, runs = 32, 120
+	acc := stats.NewErrAccum(0) // truth varies per run; use ratio accounting
+	var ratios stats.Accum
+	for run := 0; run < runs; run++ {
+		z := stream.NewZipf(50000, 1.05, uint64(run)*53+1)
+		c := NewBottomKDistinct(k, uint64(run)*97+5)
+		exact := map[int64]struct{}{}
+		for i := 0; i < 100000; i++ {
+			id := z.Next()
+			exact[id] = struct{}{}
+			c.Add(id)
+		}
+		ratios.Add(c.Estimate() / float64(len(exact)))
+	}
+	if math.Abs(ratios.Mean()-1) > 0.05 {
+		t.Errorf("mean estimate/truth = %g, want ~1", ratios.Mean())
+	}
+	if ratios.Std() > 2.5/math.Sqrt(2*(k-1)) {
+		t.Errorf("ratio std %g far above HIP CV", ratios.Std())
+	}
+	_ = acc
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adsketch"
+	"adsketch/lab"
 )
 
 // jsonRoundTrip pushes a Request through the wire encoding and back —
@@ -54,7 +55,7 @@ func doWire(t *testing.T, eng *adsketch.Engine, req adsketch.Request) adsketch.R
 func TestProtocolParityUniform(t *testing.T) {
 	g, set, eng := buildEngine(t)
 	uniform := set.(*adsketch.Set)
-	c := adsketch.NewCentrality(set)
+	c := lab.NewCentrality(set)
 	nodes := []int32{0, 7, 123, 399}
 	ctx := context.Background()
 
