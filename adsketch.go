@@ -53,7 +53,7 @@
 //
 // The Engine also dispatches a typed, JSON-serializable query protocol —
 // Request / Response via Engine.Do and Engine.DoBatch — and every sketch
-// set kind serializes through SketchSet.WriteTo / ReadSketchSet, so a
+// set kind serializes through Set.WriteTo / ReadSketchSet, so a
 // production process can build once, persist, and serve the protocol
 // over any transport.  Sets are stored as columnar frames (one offsets
 // array plus shared entry columns per set), and there is one file
@@ -69,6 +69,12 @@
 // of them in the current layout.  cmd/adsserver
 // is the reference HTTP server (POST /v1/query, worker mode with -mmap);
 // see README.md for the wire shapes.
+//
+// A set too large for one process splits by node range
+// (SplitSketchSet) into partitions that are sets in their own right —
+// one *Set type, which knows its node range and its place in the split —
+// so a partition writes, reads, and serves (NewEngine) through the same
+// calls as a whole set, and a Coordinator scatters queries over them.
 //
 // # Serving fleets of datasets
 //
@@ -92,6 +98,7 @@
 package adsketch
 
 import (
+	"fmt"
 	"io"
 
 	"adsketch/internal/cluster"
@@ -155,12 +162,14 @@ const (
 	AlgoBruteForce     = core.AlgoBruteForce
 )
 
-// Set holds the sketches of all nodes of one graph, of any kind — uniform
+// Set holds the sketches of one graph's nodes, of any kind — uniform
 // ranks of any flavor, the Section 9 weighted ranks, or the
 // (1+ε)-approximate construction of Section 3, whose updates per entry are
 // at most log_{1+ε}(n·w_max/w_min) — which Params reports.  It is the one
-// implementation of SketchSet, and the uniform bottom-k sets additionally
-// support the coordinated cross-sketch operations.
+// set type: a whole set, or one node-range partition of a split
+// (SplitSketchSet), which Lo, Hi, TotalNodes and Part describe.  The
+// uniform bottom-k sets additionally support the coordinated cross-sketch
+// operations.
 type Set = core.Set
 
 // NodeSketch is the per-node query interface shared by all flavors.
@@ -171,20 +180,20 @@ type NodeSketch = core.Sketch
 type Ranked = cluster.Ranked
 
 // SketchFormatVersion is the sketch file format version: the columnar
-// (frame-layout) format every writer emits — SketchSet.WriteTo,
-// Partition.WriteTo, WriteSketchSetV3 / WritePartitionV3 — and
+// (frame-layout) format every writer emits — Set.WriteTo and
+// WriteSketchSetV3, for whole sets and partitions alike — and
 // OpenSketchFile / MmapSketchFile serve zero-copy.
 const SketchFormatVersion = core.EncodeVersion
 
-// SketchFile is an opened sketch file: exactly one of a whole set or a
-// partition, plus the backing mmap region when the file was mapped.
+// SketchFile is an opened sketch file: the set it holds — a whole one or a
+// partition — plus the backing mmap region when the file was mapped.
 type SketchFile = core.SketchFile
 
 // OpenSketchFile opens a sketch file, trusting it: the current
 // (version-3, columnar) layout is read in one call and its columns viewed
 // in place — O(1) allocations per set, no per-sketch validation (use
-// ReadSketchFile for a file of unknown origin).  A file of an earlier
-// release goes through the validating legacy decoder, as ReadSketchFile
+// ReadSketchSet for a file of unknown origin).  A file of an earlier
+// release goes through the validating legacy decoder, as ReadSketchSet
 // reads it.
 func OpenSketchFile(path string) (*SketchFile, error) { return core.OpenSketchFile(path) }
 
@@ -196,71 +205,46 @@ func OpenSketchFile(path string) (*SketchFile, error) { return core.OpenSketchFi
 // sketches and indexes derived from it are out of use.
 func MmapSketchFile(path string) (*SketchFile, error) { return core.MmapSketchFile(path) }
 
-// WriteSketchSetV3 serializes a whole sketch set in the columnar
-// version-3 format: a fixed header followed by the raw frame columns, so
-// encoding is near-memcpy and decoding O(columns).  Estimates from the
-// reloaded set are bit-for-bit those of the original.  set.WriteTo(w)
-// writes the same bytes.
-func WriteSketchSetV3(w io.Writer, set SketchSet) (int64, error) {
-	s, err := setOf(set)
-	if err != nil {
-		return 0, err
-	}
-	return s.WriteTo(w)
-}
+// WriteSketchSetV3 serializes a sketch set — a whole one, or a partition
+// behind the partition envelope — in the columnar version-3 format: a
+// fixed header followed by the raw frame columns, so encoding is
+// near-memcpy and decoding O(columns).  Estimates from the reloaded set
+// are bit-for-bit those of the original.  set.WriteTo(w) writes the same
+// bytes.
+func WriteSketchSetV3(w io.Writer, set *Set) (int64, error) { return set.WriteTo(w) }
 
-// WritePartitionV3 serializes one partition in the columnar version-3
-// format — the shard file an `adsserver -mmap` worker opens.
-// p.WriteTo(w) writes the same bytes.
-func WritePartitionV3(w io.Writer, p *Partition) (int64, error) { return p.WriteTo(w) }
+// WritePartitionV3 is WriteSketchSetV3, under the name it had while a
+// partition was a type of its own.
+var WritePartitionV3 = WriteSketchSetV3
 
-// Partition is one contiguous node-range shard of a split sketch set:
-// the sketches of global nodes [Lo, Hi) of a TotalNodes-node set split
-// into Count partitions.  Partitions serialize independently
-// (Partition.WriteTo / ReadPartition) and serve independently
-// (NewShardEngine); a complete split merges back bit-for-bit
+// SplitSketchSet partitions a whole sketch set by node ID into parts
+// contiguous shards of near-equal size: each a *Set holding the sketches
+// of global nodes [Lo, Hi) of a TotalNodes-node set, placed in the split
+// by Part.  The partitions alias the set's sketches, so splitting costs
+// no sketch memory; every HIP estimate computed from a partition equals
+// the whole-set one, because entries keep their global node IDs.  They
+// serialize independently (WriteTo, ReadSketchSet), serve independently
+// (NewEngine), and a complete split merges back bit-for-bit
 // (MergeSketchSets).
-type Partition = core.Partition
-
-// SplitSketchSet partitions a sketch set by node ID into parts
-// contiguous shards of near-equal size.  The partitions alias the set's
-// sketches, so splitting costs no sketch memory; every HIP estimate
-// computed from a partition equals the whole-set one, because entries
-// keep their global node IDs.
-func SplitSketchSet(set SketchSet, parts int) ([]*Partition, error) {
-	s, err := setOf(set)
-	if err != nil {
-		return nil, err
+func SplitSketchSet(set *Set, parts int) ([]*Set, error) {
+	if set == nil {
+		return nil, fmt.Errorf("%w: nil sketch set", ErrBadOption)
 	}
-	return core.SplitSketchSet(s, parts)
+	return core.SplitSketchSet(set, parts)
 }
 
 // MergeSketchSets reassembles a complete split (in any order) back into
 // one whole set whose serialization is bit-for-bit identical to the
 // original's.
-func MergeSketchSets(parts []*Partition) (*Set, error) { return core.MergeSketchSets(parts) }
+func MergeSketchSets(parts []*Set) (*Set, error) { return core.MergeSketchSets(parts) }
 
-// ReadPartition deserializes one partition written by Partition.WriteTo,
-// validating the partition header and every sketch's invariants.
-func ReadPartition(r io.Reader) (*Partition, error) { return core.ReadPartition(r) }
-
-// ReadSketchFile reads either kind of sketch file — a whole set or a
-// partition — from a stream, validating every sketch, and returns exactly
-// one of the two.
-func ReadSketchFile(r io.Reader) (*Set, *Partition, error) { return core.ReadSketchFile(r) }
-
-// ReadSketchSet deserializes a sketch set of any kind written by
-// SketchSet.WriteTo (build once, query many), validating every sketch's
-// structural invariants; the result is a *Set.  Files of earlier releases
-// are read too, except a weighted or approximate one that stores its
-// ranks, which `adstool convert -seed` rewrites; version 1 is refused.
-func ReadSketchSet(r io.Reader) (SketchSet, error) {
-	set, err := core.ReadSketchSet(r)
-	if err != nil {
-		return nil, err
-	}
-	return set, nil
-}
+// ReadSketchSet deserializes a sketch file of any kind written by
+// Set.WriteTo (build once, query many) — a whole set or a partition,
+// whichever the file holds (Set.IsPartition) — validating every sketch's
+// structural invariants.  Files of earlier releases are read too, except
+// a weighted or approximate one that stores its ranks, which `adstool
+// convert -seed` rewrites; version 1 is refused.
+func ReadSketchSet(r io.Reader) (*Set, error) { return core.ReadSketchSet(r) }
 
 // NeighborhoodJaccard estimates the Jaccard similarity of N_da(a) and
 // N_db(b) from two coordinated bottom-k sketches (same build seed).

@@ -99,7 +99,7 @@ func TestFacadeWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, ok := set.(*adsketch.Set).Sketch(0).(*core.WeightedADS)
+	ws, ok := set.Sketch(0).(*core.WeightedADS)
 	if !ok {
 		t.Fatalf("weighted build holds %T sketches", set.SketchOf(0))
 	}
@@ -168,9 +168,6 @@ func TestFacadeSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := set.(*adsketch.Set); !ok {
-		t.Fatalf("uniform build returned %T", set)
-	}
 	var buf strings.Builder
 	if _, err := set.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -178,9 +175,6 @@ func TestFacadeSerialization(t *testing.T) {
 	got, err := adsketch.ReadSketchSet(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := got.(*adsketch.Set); !ok {
-		t.Fatalf("ReadSketchSet returned %T, want *adsketch.Set", got)
 	}
 	for v := int32(0); int(v) < g.NumNodes(); v++ {
 		a := adsketch.EstimateNeighborhoodHIP(set.SketchOf(v), 3)
@@ -199,18 +193,17 @@ func TestFacadeSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := old.(*adsketch.Set); !ok || old.NumNodes() != 200 || old.K() != 8 {
-		t.Errorf("v2 fixture loaded as %T with %d nodes, k=%d; want *adsketch.Set, 200, 8", old, old.NumNodes(), old.K())
+	if old.NumNodes() != 200 || old.K() != 8 {
+		t.Errorf("v2 fixture loaded with %d nodes, k=%d; want 200, 8", old.NumNodes(), old.K())
 	}
 }
 
 func TestFacadeInfluence(t *testing.T) {
 	g := adsketch.PreferentialAttachment(300, 3, 8)
-	built, err := adsketch.Build(g, adsketch.WithK(16), adsketch.WithSeed(2))
+	set, err := adsketch.Build(g, adsketch.WithK(16), adsketch.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := built.(*adsketch.Set)
 	single := adsketch.UnionNeighborhood(set, []int32{0}, 2)
 	pair := adsketch.UnionNeighborhood(set, []int32{0, 100}, 2)
 	if pair < single {
@@ -224,12 +217,11 @@ func TestFacadeInfluence(t *testing.T) {
 
 func TestFacadeApprox(t *testing.T) {
 	g := adsketch.WithRandomWeights(adsketch.GNP(80, 0.06, false, 31), 1, 5, 32)
-	built, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(9),
+	set, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(9),
 		adsketch.WithApproxEps(0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := built.(*adsketch.Set)
 	if p := set.Params(); p.Kind != core.KindApprox || p.Eps != 0.25 || set.K() != 4 {
 		t.Errorf("accessors: %+v", p)
 	}
@@ -241,12 +233,11 @@ func TestFacadeApprox(t *testing.T) {
 
 func TestFacadeHIPIndexAndDistanceBound(t *testing.T) {
 	g := adsketch.Grid(8, 8)
-	built, err := adsketch.Build(g, adsketch.WithK(8), adsketch.WithSeed(3),
+	set, err := adsketch.Build(g, adsketch.WithK(8), adsketch.WithSeed(3),
 		adsketch.WithAlgorithm(adsketch.AlgoDP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := built.(*adsketch.Set)
 	idx := adsketch.NewHIPIndex(set.SketchOf(0))
 	if got, want := idx.Neighborhood(2), adsketch.EstimateNeighborhoodHIP(set.SketchOf(0), 2); got != want {
 		t.Errorf("index %g vs direct %g", got, want)

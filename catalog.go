@@ -57,7 +57,7 @@ type dataset struct {
 // remote — or anything else implementing ShardBackend).
 type Source struct {
 	kind       string
-	set        SketchSet
+	set        *Set
 	be         ShardBackend
 	path       string
 	mmap       bool
@@ -66,7 +66,7 @@ type Source struct {
 
 // SetSource serves an in-memory sketch set (any kind) through an Engine
 // built at attach time.
-func SetSource(set SketchSet) Source { return Source{kind: "set", set: set} }
+func SetSource(set *Set) Source { return Source{kind: "set", set: set} }
 
 // BackendSource serves an already-built backend: an Engine, a
 // Coordinator (so a partitioned or distributed serving tier is one
@@ -189,9 +189,9 @@ func (c *Catalog) opener(src Source) (catalog.Opener[dataset], bool, error) {
 	}
 	switch src.kind {
 	case "set":
-		set, err := setOf(src.set)
-		if err != nil {
-			return nil, false, err
+		set := src.set
+		if set == nil {
+			return nil, false, fmt.Errorf("%w: SetSource(nil)", ErrBadOption)
 		}
 		return func() (dataset, int64, func(), error) {
 			be, err := wrap(set)
@@ -215,7 +215,7 @@ func (c *Catalog) opener(src Source) (catalog.Opener[dataset], bool, error) {
 		if src.path == "" {
 			return nil, false, fmt.Errorf("%w: FileSource(\"\")", ErrBadOption)
 		}
-		path, mm, parts := src.path, src.mmap, src.partitions
+		path, mm := src.path, src.mmap
 		open := func() (dataset, int64, func(), error) {
 			openFile := OpenSketchFile
 			if mm {
@@ -226,26 +226,15 @@ func (c *Catalog) opener(src Source) (catalog.Opener[dataset], bool, error) {
 				return dataset{}, 0, nil, fmt.Errorf("adsketch: loading dataset from %s: %w", path, err)
 			}
 			d := dataset{mmapped: sf.Mapped(), path: path, fileVersion: sf.Version()}
-			var cost int64
-			if p := sf.Partition(); p != nil {
-				if parts > 1 {
-					sf.Close()
-					return dataset{}, 0, nil, fmt.Errorf("%w: %s already holds partition %d/%d; WithPartitions only splits whole sets",
-						ErrBadOption, path, p.Index(), p.Count())
-				}
-				d.be, err = NewShardEngine(p, c.engineOpts...)
-				if !sf.Mapped() {
-					cost = datasetCost(p.Set())
-				}
-			} else {
-				d.be, err = wrap(sf.Set())
-				if !sf.Mapped() {
-					cost = datasetCost(sf.Set())
-				}
-			}
-			if err != nil {
+			// A partition file serves as the shard it is; WithPartitions
+			// splits whole sets only, which SplitSketchSet enforces.
+			if d.be, err = wrap(sf.Set()); err != nil {
 				sf.Close()
-				return dataset{}, 0, nil, err
+				return dataset{}, 0, nil, fmt.Errorf("adsketch: serving dataset from %s: %w", path, err)
+			}
+			var cost int64
+			if !sf.Mapped() {
+				cost = datasetCost(sf.Set())
 			}
 			return d, cost, func() { sf.Close() }, nil
 		}

@@ -535,6 +535,21 @@ func TestCatalogPartitionedSource(t *testing.T) {
 	if got2.Ranking[0] != want.Ranking[0] {
 		t.Errorf("coordinator entry ranking[0] = %+v, want %+v", got2.Ranking[0], want.Ranking[0])
 	}
+	// A partition file serves as the shard it is, and does not split again.
+	parts, err := adsketch.SplitSketchSet(set, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeV3(t, t.TempDir(), "p1of2.ads", parts[1])
+	if err := cat.Attach("shard", adsketch.FileSource(path)); err != nil {
+		t.Fatal(err)
+	}
+	if ds := statsOf(t, cat, "shard"); ds.Mode != "shard" || ds.Meta == nil || ds.Meta.Index != 1 || ds.Meta.Count != 2 || ds.Meta.Lo != parts[1].Lo() || ds.Meta.Hi != parts[1].Hi() {
+		t.Errorf("partition file served as %+v (meta %+v)", ds, ds.Meta)
+	}
+	if err := cat.Attach("resplit", adsketch.FileSource(path).WithPartitions(2)); !errors.Is(err, adsketch.ErrBadOption) {
+		t.Errorf("WithPartitions(2) over a partition file: %v, want ErrBadOption", err)
+	}
 }
 
 // DoBatch reports unknown datasets per request without failing the batch

@@ -74,7 +74,7 @@ type ShardMeta struct {
 // ShardBackend is one partition backend of a Coordinator: anything that
 // can identify its node range and answer the wire protocol for it.
 // *Engine implements it (a whole-set engine is the trivial 1-way shard,
-// a NewShardEngine the real thing), *Coordinator implements it too (so
+// one over a partition the real thing), *Coordinator implements it too (so
 // coordination trees compose), and cmd/adsserver implements it over HTTP
 // for remote workers.
 type ShardBackend interface {

@@ -99,7 +99,7 @@ func shardEngines(t *testing.T, set adsketch.SketchSet, partitions int) []adsket
 	}
 	backends := make([]adsketch.ShardBackend, len(parts))
 	for i, p := range parts {
-		eng, err := adsketch.NewShardEngine(p)
+		eng, err := adsketch.NewEngine(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -725,8 +725,8 @@ func ExampleNewReplicatedCoordinator() {
 	set, _ := adsketch.Build(g, adsketch.WithK(8), adsketch.WithSeed(42))
 	parts, _ := adsketch.SplitSketchSet(set, 2)
 	group := func(i int) []adsketch.ShardBackend {
-		primary, _ := adsketch.NewShardEngine(parts[i])
-		replica, _ := adsketch.NewShardEngine(parts[i])
+		primary, _ := adsketch.NewEngine(parts[i])
+		replica, _ := adsketch.NewEngine(parts[i])
 		return []adsketch.ShardBackend{primary, replica}
 	}
 	coord, _ := adsketch.NewReplicatedCoordinator(

@@ -155,7 +155,7 @@ func TestShardEngineOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard, err := adsketch.NewShardEngine(parts[2])
+	shard, err := adsketch.NewEngine(parts[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCoordinatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard0, err := adsketch.NewShardEngine(parts[0])
+	shard0, err := adsketch.NewEngine(parts[0])
 	if err != nil {
 		t.Fatal(err)
 	}

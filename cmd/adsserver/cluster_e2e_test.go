@@ -54,9 +54,8 @@ func buildSplitFiles(t *testing.T) (whole string, parts []string, set adsketch.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range split {
-		name := filepath.Join(dir, "part.ads")
-		name = filepath.Join(dir, "part"+string(rune('0'+p.Index()))+".ads")
+	for i, p := range split {
+		name := filepath.Join(dir, "part"+string(rune('0'+i))+".ads")
 		pf, err := os.Create(name)
 		if err != nil {
 			t.Fatal(err)

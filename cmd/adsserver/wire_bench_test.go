@@ -58,7 +58,7 @@ func benchTopology(b *testing.B) (whole *httptest.Server, workers []*httptest.Se
 			return
 		}
 		for _, p := range parts {
-			se, err := adsketch.NewShardEngine(p)
+			se, err := adsketch.NewEngine(p)
 			if err != nil {
 				benchTopoOnce.err = err
 				return

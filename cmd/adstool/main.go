@@ -328,13 +328,14 @@ func runSplit(args []string) error {
 		return err
 	}
 	for _, p := range parts {
-		name := fmt.Sprintf("%s.p%dof%d.ads", prefix, p.Index(), p.Count())
+		index, count := p.Part()
+		name := fmt.Sprintf("%s.p%dof%d.ads", prefix, index, count)
 		n, err := writeSketchFile(name, p.WriteTo)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("partition %d/%d: nodes [%d, %d) -> %s (%d bytes)\n",
-			p.Index(), p.Count(), p.Lo(), p.Hi(), name, n)
+			index, count, p.Lo(), p.Hi(), name, n)
 	}
 	return nil
 }
@@ -350,13 +351,13 @@ func runMerge(args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("merge: no partition files given")
 	}
-	parts := make([]*adsketch.Partition, 0, fs.NArg())
+	parts := make([]*adsketch.Set, 0, fs.NArg())
 	for _, name := range fs.Args() {
 		f, err := os.Open(name)
 		if err != nil {
 			return err
 		}
-		p, err := adsketch.ReadPartition(f)
+		p, err := adsketch.ReadSketchSet(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
@@ -401,21 +402,16 @@ func runConvert(args []string) error {
 		return err
 	}
 	var set *adsketch.Set
-	var part *adsketch.Partition
 	if seedGiven {
-		set, part, err = core.ReadSketchFileWithSeed(f, *seed)
+		set, err = core.ReadSketchSetWithSeed(f, *seed)
 	} else {
-		set, part, err = adsketch.ReadSketchFile(f)
+		set, err = adsketch.ReadSketchSet(f)
 	}
 	f.Close()
 	if err != nil {
 		return fmt.Errorf("convert: %s: %w", *in, err)
 	}
-	var src io.WriterTo = set
-	if part != nil {
-		src, set = part, part.Set()
-	}
-	n, err := writeSketchFile(*out, src.WriteTo)
+	n, err := writeSketchFile(*out, set.WriteTo)
 	if err != nil {
 		return err
 	}
@@ -443,9 +439,6 @@ func runInfo(args []string) error {
 	}
 	defer sf.Close()
 	set := sf.Set()
-	if p := sf.Partition(); p != nil {
-		set = p.Set()
-	}
 	fmt.Printf("file            %s\n", path)
 	fmt.Printf("bytes           %d\n", st.Size())
 	fmt.Printf("codec version   %d\n", sf.Version())
@@ -468,10 +461,11 @@ func runInfo(args []string) error {
 	case core.KindApprox:
 		fmt.Printf("epsilon         %g\n", p.Eps)
 	}
-	if p := sf.Partition(); p != nil {
-		fmt.Printf("partition       %d of %d\n", p.Index(), p.Count())
-		fmt.Printf("node range      [%d, %d)\n", p.Lo(), p.Hi())
-		fmt.Printf("total nodes     %d\n", p.TotalNodes())
+	if set.IsPartition() {
+		index, count := set.Part()
+		fmt.Printf("partition       %d of %d\n", index, count)
+		fmt.Printf("node range      [%d, %d)\n", set.Lo(), set.Hi())
+		fmt.Printf("total nodes     %d\n", set.TotalNodes())
 	}
 	nodes, entries := set.NumNodes(), set.TotalEntries()
 	fmt.Printf("nodes           %d\n", nodes)
@@ -507,15 +501,20 @@ func runInfo(args []string) error {
 	return nil
 }
 
-// loadOrBuild returns sketches from -sketches when given, else builds.
-func loadOrBuild(sketchPath string, g *adsketch.Graph, opts func() ([]adsketch.Option, error)) (adsketch.SketchSet, error) {
+// loadOrBuild returns the whole set of -sketches when given, else builds.
+func loadOrBuild(sketchPath string, g *adsketch.Graph, opts func() ([]adsketch.Option, error)) (*adsketch.Set, error) {
 	if sketchPath != "" {
 		f, err := os.Open(sketchPath)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		return adsketch.ReadSketchSet(f)
+		set, err := adsketch.ReadSketchSet(f)
+		if err == nil && set.IsPartition() {
+			index, count := set.Part()
+			return nil, fmt.Errorf("%s holds partition %d of a %d-way sketch set split; merge the partitions (adstool merge)", sketchPath, index, count)
+		}
+		return set, err
 	}
 	bo, err := opts()
 	if err != nil {
@@ -539,11 +538,10 @@ func runInfluence(args []string) error {
 	if err != nil {
 		return err
 	}
-	uniform := set.(*adsketch.Set)
-	if p := uniform.Params(); p.Kind != core.KindUniform || p.Flavor != adsketch.BottomK {
+	if p := set.Params(); p.Kind != core.KindUniform || p.Flavor != adsketch.BottomK {
 		return fmt.Errorf("influence requires uniform-rank (coordinated) bottom-k sketches")
 	}
-	chosen, coverage := adsketch.GreedyInfluenceSeeds(uniform, nil, *seeds, *d)
+	chosen, coverage := adsketch.GreedyInfluenceSeeds(set, nil, *seeds, *d)
 	fmt.Printf("greedy %d-seed set for radius %g: %v\n", *seeds, *d, chosen)
 	fmt.Printf("estimated union coverage: %.1f nodes (%.1f%% of graph)\n",
 		coverage, 100*coverage/float64(g.NumNodes()))

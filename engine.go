@@ -19,11 +19,10 @@ import (
 // one atomic load, so concurrent batches share the cache without
 // contending on it.
 //
-// An Engine serves either a whole sketch set (NewEngine) or one
-// node-range partition of a split set (NewShardEngine), in which case it
-// answers for the global node IDs it owns and rejects the rest — the
-// worker half of the scatter-gather serving tier whose coordinator half
-// is Coordinator.
+// An Engine serves a sketch set: a whole one, or one node-range partition
+// of a split set, in which case it answers for the global node IDs it
+// owns and rejects the rest — the worker half of the scatter-gather
+// serving tier whose coordinator half is Coordinator.
 //
 // Engine.Do / Engine.DoBatch dispatch the typed wire protocol (Request /
 // Response); the named methods below are thin wrappers over the same
@@ -33,9 +32,7 @@ import (
 // (Centrality, EstimateNeighborhoodHIP, EstimateQ) on the same sketches.
 type Engine struct {
 	set     *Set
-	lo      int32 // global ID of local sketch 0 (non-zero for shard engines)
-	total   int   // global node count (== set.NumNodes() for whole sets)
-	meta    ShardMeta
+	meta    ShardMeta // the range served: local sketch i is global node meta.Lo+i
 	workers int
 	cache   *query.IndexCache
 }
@@ -55,11 +52,17 @@ func WithQueryParallelism(workers int) EngineOption {
 	}
 }
 
-// newEngine finishes Engine construction shared by NewEngine and
-// NewShardEngine: option application, the set's part of meta, and the
-// index cache over the local sketches.
-func newEngine(set *Set, meta ShardMeta, opts []EngineOption) (*Engine, error) {
-	e := &Engine{set: set, lo: meta.Lo, total: meta.TotalNodes}
+// NewEngine wraps a sketch set (of any kind: uniform, weighted, or
+// approximate) for batch serving.  Over one partition of a split set it
+// answers every per-node protocol query for the global node IDs in
+// [set.Lo(), set.Hi()), rejects nodes it does not own, and evaluates topk
+// over its own nodes only — the partial a Coordinator merges into the
+// global ranking.
+func NewEngine(set *Set, opts ...EngineOption) (*Engine, error) {
+	if set == nil {
+		return nil, fmt.Errorf("%w: nil sketch set", ErrBadOption)
+	}
+	e := &Engine{set: set}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, fmt.Errorf("%w: nil EngineOption", ErrBadOption)
@@ -69,43 +72,20 @@ func newEngine(set *Set, meta ShardMeta, opts []EngineOption) (*Engine, error) {
 		}
 	}
 	p := set.Params()
-	meta.K, meta.Kind, meta.Flavor = p.K, p.Kind.String(), FlavorBottomK
+	index, count := set.Part()
+	e.meta = ShardMeta{Index: index, Count: count, Lo: set.Lo(), Hi: set.Hi(), TotalNodes: set.TotalNodes(),
+		K: p.K, Kind: p.Kind.String(), Flavor: FlavorBottomK}
 	switch p.Flavor {
 	case BottomK:
 	case KMins:
-		meta.Flavor = FlavorKMins
+		e.meta.Flavor = FlavorKMins
 	case KPartition:
-		meta.Flavor = FlavorKPartition
+		e.meta.Flavor = FlavorKPartition
 	}
-	e.meta = meta
-	// Cache slots are local indices: global node v lives in slot v - lo,
+	// Cache slots are local indices: global node v lives in slot v - Lo,
 	// built on the node's first query.
 	e.cache = query.NewIndexCache(set.NumNodes(), set.Index)
 	return e, nil
-}
-
-// NewEngine wraps a whole sketch set (of any kind: uniform, weighted, or
-// approximate) for batch serving.
-func NewEngine(set SketchSet, opts ...EngineOption) (*Engine, error) {
-	s, err := setOf(set)
-	if err != nil {
-		return nil, err
-	}
-	n := s.NumNodes()
-	return newEngine(s, ShardMeta{Count: 1, Hi: int32(n), TotalNodes: n}, opts)
-}
-
-// NewShardEngine wraps one partition of a split sketch set for batch
-// serving: the engine answers every per-node protocol query for the
-// global node IDs in [p.Lo(), p.Hi()), rejects nodes it does not own,
-// and evaluates topk over its own nodes only — the partial a Coordinator
-// merges into the global ranking.
-func NewShardEngine(p *Partition, opts ...EngineOption) (*Engine, error) {
-	if p == nil {
-		return nil, fmt.Errorf("%w: nil Partition", ErrBadOption)
-	}
-	meta := ShardMeta{Index: p.Index(), Count: p.Count(), Lo: p.Lo(), Hi: p.Hi(), TotalNodes: p.TotalNodes()}
-	return newEngine(p.Set(), meta, opts)
 }
 
 // NewPartitionedEngine splits the set by node ID into the given number
@@ -115,14 +95,14 @@ func NewShardEngine(p *Partition, opts ...EngineOption) (*Engine, error) {
 // The partitions alias the set's sketches, so the split costs no sketch
 // memory; the per-partition engines keep independent index caches whose
 // combined statistics Coordinator.CacheStats reports.
-func NewPartitionedEngine(set SketchSet, partitions int, opts ...EngineOption) (*Coordinator, error) {
+func NewPartitionedEngine(set *Set, partitions int, opts ...EngineOption) (*Coordinator, error) {
 	parts, err := SplitSketchSet(set, partitions)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadOption, err)
 	}
 	backends := make([]ShardBackend, len(parts))
 	for i, p := range parts {
-		eng, err := NewShardEngine(p, opts...)
+		eng, err := NewEngine(p, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -131,9 +111,9 @@ func NewPartitionedEngine(set SketchSet, partitions int, opts ...EngineOption) (
 	return NewCoordinator(backends)
 }
 
-// Set returns the underlying sketch set (the partition's local set for a
-// shard engine).
-func (e *Engine) Set() SketchSet { return e.set }
+// Set returns the underlying sketch set: the partition, for a shard
+// engine.
+func (e *Engine) Set() *Set { return e.set }
 
 // Meta identifies what the engine serves: its node range, partition
 // position, sketch parameter, and set kind.  A whole-set engine reports
@@ -143,15 +123,15 @@ func (e *Engine) Meta() ShardMeta { return e.meta }
 // checkNodes validates queried nodes against the global node space and,
 // for a shard engine, against the owned range.
 func (e *Engine) checkNodes(nodes []int32) error {
-	if err := query.CheckNodes(e.total, nodes); err != nil {
+	m := &e.meta
+	if err := query.CheckNodes(m.TotalNodes, nodes); err != nil {
 		return err
 	}
-	if local := e.set.NumNodes(); local != e.total || e.lo != 0 {
-		hi := e.lo + int32(local)
+	if m.Lo != 0 || int(m.Hi) != m.TotalNodes {
 		for _, v := range nodes {
-			if v < e.lo || v >= hi {
+			if v < m.Lo || v >= m.Hi {
 				return fmt.Errorf("node %d not owned by shard %d/%d (nodes [%d, %d))",
-					v, e.meta.Index, e.meta.Count, e.lo, hi)
+					v, m.Index, m.Count, m.Lo, m.Hi)
 			}
 		}
 	}
@@ -166,7 +146,7 @@ func (e *Engine) Index(v int32) (*HIPIndex, error) {
 		return nil, err
 	}
 	e.cache.AddLookups(1)
-	return e.cache.Get(v - e.lo), nil
+	return e.cache.Get(v - e.meta.Lo), nil
 }
 
 // CacheStats is a point-in-time snapshot of the Engine's index-cache
@@ -193,7 +173,7 @@ func (e *Engine) batch(ctx context.Context, nodes []int32, f func(*core.HIPIndex
 	out := make([]float64, len(nodes))
 	err := query.ForEach(ctx, e.workers, len(nodes), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = f(e.cache.Get(nodes[i] - e.lo))
+			out[i] = f(e.cache.Get(nodes[i] - e.meta.Lo))
 		}
 		e.cache.AddLookups(hi - lo)
 	})
@@ -294,7 +274,7 @@ func (e *Engine) topBy(ctx context.Context, n int, score func(*core.HIPIndex) fl
 	top := query.TopK(n, scores)
 	out := make([]Ranked, len(top))
 	for i, v := range top {
-		out[i] = Ranked{Node: e.lo + int32(v), Score: scores[v]}
+		out[i] = Ranked{Node: e.meta.Lo + int32(v), Score: scores[v]}
 	}
 	return out, nil
 }

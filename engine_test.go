@@ -74,7 +74,7 @@ func TestEngineMetaPerKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(tc.name, err)
 		}
-		shard, err := adsketch.NewShardEngine(parts[1])
+		shard, err := adsketch.NewEngine(parts[1])
 		if err != nil {
 			t.Fatal(tc.name, err)
 		}

@@ -67,11 +67,10 @@ func ExampleEstimateCentrality() {
 // Compare two nodes' neighborhoods with coordinated sketches.
 func ExampleNeighborhoodJaccard() {
 	g := adsketch.Complete(50)
-	built, err := adsketch.Build(g, adsketch.WithK(8), adsketch.WithSeed(3))
+	set, err := adsketch.Build(g, adsketch.WithK(8), adsketch.WithSeed(3))
 	if err != nil {
 		panic(err)
 	}
-	set := built.(*adsketch.Set) // coordinated cross-sketch ops live on *Set
 	// In a complete graph every 1-hop neighborhood is the whole node set.
 	j := adsketch.NeighborhoodJaccard(set.BottomK(4), 1, set.BottomK(9), 1)
 	fmt.Printf("identical neighborhoods: Jaccard = %.0f\n", j)

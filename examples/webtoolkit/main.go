@@ -26,17 +26,16 @@ func main() {
 	// Forward and backward sketches share one option set; the same seed
 	// keeps them coordinated.
 	opts := []adsketch.Option{adsketch.WithK(16), adsketch.WithSeed(9)}
-	fwdSet, err := adsketch.Build(g, opts...)
-	if err != nil {
-		panic(err)
-	}
-	bwdSet, err := adsketch.Build(g.Transpose(), opts...)
-	if err != nil {
-		panic(err)
-	}
 	// The coordinated cross-sketch toolkit (serialization, Jaccard,
-	// distance bounds, influence) lives on the uniform-rank *Set.
-	fwd, bwd := fwdSet.(*adsketch.Set), bwdSet.(*adsketch.Set)
+	// distance bounds, influence) takes the uniform-rank sets Build returns.
+	fwd, err := adsketch.Build(g, opts...)
+	if err != nil {
+		panic(err)
+	}
+	bwd, err := adsketch.Build(g.Transpose(), opts...)
+	if err != nil {
+		panic(err)
+	}
 
 	// Persistence round trip: serialize the forward set and reload it.
 	// WriteTo writes the one sketch file format, shared by every set
@@ -47,11 +46,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	reloadedSet, err := adsketch.ReadSketchSet(&buf)
+	reloaded, err := adsketch.ReadSketchSet(&buf)
 	if err != nil {
 		panic(err)
 	}
-	reloaded := reloadedSet.(*adsketch.Set)
 	fmt.Printf("persistence: %d sketches serialized to %d bytes (%.1f B/node, format v%d), reloaded OK\n\n",
 		fwd.NumNodes(), size, float64(size)/float64(fwd.NumNodes()), adsketch.SketchFormatVersion)
 

@@ -148,12 +148,11 @@ func WithPublishMmap() IngestorOption {
 // NewIngestor returns an ingestor maintaining the given built set as its
 // graph g evolves.  The set must be a uniform bottom-k set with
 // full-precision ranks built from g; g and set are not mutated.
-func NewIngestor(g *Graph, set SketchSet, opts ...IngestorOption) (*Ingestor, error) {
-	cs, err := setOf(set)
-	if err != nil {
-		return nil, err
+func NewIngestor(g *Graph, set *Set, opts ...IngestorOption) (*Ingestor, error) {
+	if set == nil {
+		return nil, fmt.Errorf("%w: nil sketch set", ErrBadOption)
 	}
-	if p := cs.Params(); p.Kind != core.KindUniform || p.Flavor != BottomK || p.BaseB != 0 {
+	if p := set.Params(); p.Kind != core.KindUniform || p.Flavor != BottomK || p.BaseB != 0 {
 		return nil, fmt.Errorf("%w: streaming ingest supports uniform bottom-k sets at full precision, got %+v", ErrIncompatibleOptions, p)
 	}
 	var c ingestorConfig
@@ -171,7 +170,7 @@ func NewIngestor(g *Graph, set SketchSet, opts ...IngestorOption) (*Ingestor, er
 	if c.mmap && c.dir == "" {
 		return nil, fmt.Errorf("%w: WithPublishMmap requires WithPublishDir", ErrIncompatibleOptions)
 	}
-	m, err := ingest.New(g, cs)
+	m, err := ingest.New(g, set)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"adsketch/internal/sketch"
 )
@@ -173,9 +172,9 @@ func (a *ADS) Threshold() float64 {
 	if n < a.k {
 		return 1
 	}
-	// n is small in practice (entries are logarithmic); a max-heap over k
-	// slots keeps this cheap.
-	h := newMaxHeap(a.k)
+	// n is small in practice (entries are logarithmic); k sorted slots
+	// keep this cheap.
+	h := newKSmallest(a.k)
 	for i := 0; i < n; i++ {
 		h.offer(a.c.rankAt(i))
 	}
@@ -189,7 +188,7 @@ func (a *ADS) Threshold() float64 {
 // "contains" a MinHash sketch of every neighborhood).
 func (a *ADS) MinHashWithin(d float64) []float64 {
 	m := a.SizeWithin(d)
-	h := newMaxHeap(a.k)
+	h := newKSmallest(a.k)
 	for i := 0; i < m; i++ {
 		h.offer(a.c.rankAt(i))
 	}
@@ -216,7 +215,7 @@ func (a *ADS) EstimateNeighborhood(d float64) float64 {
 // P(rounded rank of j < t) = t exactly (Section 5.6), so the inverse
 // probability is again 1/threshold.
 func (a *ADS) HIPEntries() []WeightedEntry {
-	w := hipWeightsBottomK(a.c.ranks(), a.k, newMaxHeap(a.k), make([]float64, 0, a.c.len()))
+	w := hipWeightsBottomK(a.c.ranks(), a.k, newKSmallest(a.k), make([]float64, 0, a.c.len()))
 	return a.c.weighted(w)
 }
 
@@ -227,7 +226,7 @@ func (a *ADS) Validate() error {
 	// Whole columns, not an entry at a time: slices a filled view already
 	// has, unpacked once otherwise.
 	nodes, dists, ranks := a.c.nodes(), a.c.dists(), a.c.ranks()
-	h := newMaxHeap(a.k)
+	h := newKSmallest(a.k)
 	var prev Entry
 	for i, r := range ranks {
 		e := Entry{Node: nodes[i], Dist: dists[i], Rank: r}
@@ -247,66 +246,44 @@ func (a *ADS) Validate() error {
 	return nil
 }
 
-// maxHeap keeps the k smallest values offered, exposing their maximum (the
-// k-th smallest overall).
-type maxHeap struct {
+// kSmallest keeps the k smallest values offered, in ascending order,
+// exposing their maximum (the k-th smallest overall): an offer below it
+// shifts the larger ones up a slot, the largest falling off once k are
+// held.
+type kSmallest struct {
 	k int
-	v []float64
+	v []float64 // ascending
 }
 
-func newMaxHeap(k int) *maxHeap { return &maxHeap{k: k, v: make([]float64, 0, k)} }
+func newKSmallest(k int) *kSmallest { return &kSmallest{k: k, v: make([]float64, 0, k)} }
 
-// reset empties the heap for reuse, keeping its storage.
-func (h *maxHeap) reset() { h.v = h.v[:0] }
+// reset empties the slots for reuse, keeping their storage.
+func (h *kSmallest) reset() { h.v = h.v[:0] }
 
-func (h *maxHeap) size() int { return len(h.v) }
+func (h *kSmallest) size() int { return len(h.v) }
 
 // max returns the largest retained value (the k-th smallest offered); the
-// caller must ensure the heap is non-empty.
-func (h *maxHeap) max() float64 { return h.v[0] }
+// caller must ensure one is held.
+func (h *kSmallest) max() float64 { return h.v[len(h.v)-1] }
 
-func (h *maxHeap) offer(x float64) {
-	if len(h.v) < h.k {
+func (h *kSmallest) offer(x float64) {
+	i := len(h.v)
+	switch {
+	case i < h.k:
 		h.v = append(h.v, x)
-		i := len(h.v) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if h.v[p] >= h.v[i] {
-				break
-			}
-			h.v[p], h.v[i] = h.v[i], h.v[p]
-			i = p
-		}
+	case x < h.v[i-1]:
+		i--
+	default:
 		return
 	}
-	if x >= h.v[0] {
-		return
+	for ; i > 0 && h.v[i-1] > x; i-- {
+		h.v[i] = h.v[i-1]
 	}
-	h.v[0] = x
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h.v) && h.v[l] > h.v[big] {
-			big = l
-		}
-		if r < len(h.v) && h.v[r] > h.v[big] {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h.v[i], h.v[big] = h.v[big], h.v[i]
-		i = big
-	}
+	h.v[i] = x
 }
 
 // sorted returns the retained values in ascending order.
-func (h *maxHeap) sorted() []float64 {
-	out := append([]float64(nil), h.v...)
-	sort.Float64s(out)
-	return out
-}
+func (h *kSmallest) sorted() []float64 { return append([]float64(nil), h.v...) }
 
 // sumWithin sums HIP weights over entries with Dist <= d.
 func sumWithin(entries []WeightedEntry, d float64) float64 {

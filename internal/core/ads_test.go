@@ -11,7 +11,7 @@ import (
 )
 
 func TestMaxHeapKeepsKSmallest(t *testing.T) {
-	h := newMaxHeap(3)
+	h := newKSmallest(3)
 	for _, x := range []float64{0.9, 0.2, 0.7, 0.4, 0.05, 0.6} {
 		h.offer(x)
 	}
@@ -35,7 +35,7 @@ func TestMaxHeapProperty(t *testing.T) {
 		n := int(nRaw)%64 + 1
 		const k = 4
 		rng := rank.NewRNG(seed)
-		h := newMaxHeap(k)
+		h := newKSmallest(k)
 		var all []float64
 		for i := 0; i < n; i++ {
 			x := rng.Float64()

@@ -53,7 +53,7 @@ func CheckApproxSlack(g *graph.Graph, set *Set, u int32, seed uint64) float64 {
 		members[e.Node] = true
 	}
 	worst := 1.0
-	h := newMaxHeap(set.K())
+	h := newKSmallest(set.K())
 	for _, nd := range graph.NearestOrder(g, u) {
 		if members[nd.Node] || nd.Dist == 0 {
 			continue

@@ -174,12 +174,18 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Set holds the sketches of all nodes of one graph, of any kind, built
-// with shared (coordinated) ranks and stored as one columnar frame; the
+// Set holds the sketches of a node range of one graph — all of its nodes,
+// or one partition of a split (partition.go) — of any kind, built with
+// shared (coordinated) ranks and stored as one columnar frame; the
 // sketches returned by Sketch/SketchOf/BottomK are lightweight views over
-// the frame's columns.
+// the frame's columns.  Sketches are indexed locally: sketch v is owned by
+// global node Lo()+v.
 type Set struct {
 	frame *Frame
+	// index and count place the set in a split: partition index of a
+	// count-way one.  count is 0 for a set not cut from a split, which is
+	// partition 0 of 1 and writes no partition envelope.
+	index, count int
 }
 
 // Params returns what the set is: its kind and parameters.
@@ -188,8 +194,27 @@ func (s *Set) Params() Params { return s.frame.p }
 // K returns the sketch parameter.
 func (s *Set) K() int { return s.frame.p.K }
 
-// NumNodes returns the number of sketches.
+// NumNodes returns the number of sketches: Hi() - Lo().
 func (s *Set) NumNodes() int { return s.frame.n }
+
+// Lo returns the global ID of the node owning sketch 0: 0 for a whole set.
+func (s *Set) Lo() int32 { return s.frame.base }
+
+// Hi returns the global ID one past the last node the set holds.
+func (s *Set) Hi() int32 { return s.frame.base + int32(s.frame.n) }
+
+// TotalNodes returns the node count of the whole set: what every entry's
+// node ID is below, and NumNodes unless the set is a partition.
+func (s *Set) TotalNodes() int { return s.frame.total }
+
+// Part returns the set's place in a split: partition index of count.  A
+// whole set is partition 0 of 1.
+func (s *Set) Part() (index, count int) { return s.index, max(s.count, 1) }
+
+// IsPartition reports whether the set was cut from a split
+// (SplitSketchSet, FreezePartition, a partition file) — even a 1-way one
+// — and so writes the partition envelope.
+func (s *Set) IsPartition() bool { return s.count > 0 }
 
 // Sketch returns node v's sketch view, of the type the kind and flavor
 // make it: *ADS for bottom-k and approximate sets, *WeightedADS,
@@ -224,10 +249,11 @@ func (s *Set) Index(v int32) *HIPIndex { return s.frame.Index(v) }
 // With columnar storage this is an offsets lookup, not a scan.
 func (s *Set) TotalEntries() int { return s.frame.totalEntries() }
 
-// WriteTo serializes the set in the version-3 format (framecodec.go).  It
-// implements io.WriterTo; the returned count is the number of bytes
-// written.
-func (s *Set) WriteTo(w io.Writer) (int64, error) { return writeFrameV3(w, s.frame, nil) }
+// WriteTo serializes the set in the version-3 format (framecodec.go), a
+// partition behind the partition envelope — the shard file an
+// mmap-serving worker opens.  It implements io.WriterTo; the returned
+// count is the number of bytes written.
+func (s *Set) WriteTo(w io.Writer) (int64, error) { return writeFrameV3(w, s) }
 
 // BuildSet computes the (forward) ADS of every node of g using the chosen
 // algorithm.  For directed graphs pass g for forward sketches (distances
@@ -352,7 +378,7 @@ func bruteForceRun(g *graph.Graph, s runSpec) [][]Entry {
 	lists := make([][]Entry, n)
 	for v := 0; v < n; v++ {
 		order := graph.NearestOrder(g, int32(v))
-		h := newMaxHeap(s.k)
+		h := newKSmallest(s.k)
 		for _, nd := range order {
 			if !s.candidate(nd.Node) {
 				continue

@@ -137,7 +137,7 @@ func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, truste
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid = map[string][]byte{"hops": v3Bytes(t, hops), "partition": fileBytes(t, nil, parts[1]), "lengths": v3Bytes(t, lengths)}
+	valid = map[string][]byte{"hops": v3Bytes(t, hops), "partition": v3Bytes(t, parts[1]), "lengths": v3Bytes(t, lengths)}
 	damaged, trusted = map[string][]byte{}, map[string]bool{}
 	le := binary.LittleEndian
 	edit := func(name string, open bool, from string, fn func(b []byte)) {
@@ -316,11 +316,11 @@ func dedupe(v []float64) []float64 {
 func TestCompactColumnsRejectHostileInput(t *testing.T) {
 	valid, damaged, trusted := hostileCompactFiles(t)
 	for name, data := range valid {
-		set, part, err := ReadSketchFile(bytes.NewReader(data))
+		set, err := ReadSketchSet(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !bytes.Equal(fileBytes(t, set, part), data) {
+		if !bytes.Equal(v3Bytes(t, set), data) {
 			t.Errorf("%s: changes bytes through the stream reader", name)
 		}
 		if p := splitV3(t, data); !bytes.Equal(p.bytes(), data) {
@@ -344,7 +344,7 @@ func TestBenchmarkFrameBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := headerOf(set.frame, nil)
+	h := headerOf(set)
 	want := []ColumnSize{
 		{"header", 88},
 		{"offsets", 26256},    // 10001 offsets × 21 bits

@@ -4,13 +4,13 @@ import "fmt"
 
 // Partition-local freezing: a distributed build worker that owns the
 // node range [i·total/P, (i+1)·total/P) assembles its finished per-node
-// entry lists directly into a *Partition, without the full set ever
+// entry lists directly into a partition *Set, without the full set ever
 // existing in one process.  FreezePartition produces partitions whose
 // serialization is byte-identical to splitting a whole-set build of the
-// same entries — writeFrameV3 rebases offsets to
-// the frame's first entry and headerOf takes the envelope from the
-// Partition accessors, so a compact worker-local frame and a
-// SplitSketchSet slice of the full frame render the same bytes.
+// same entries — writeFrameV3 rebases offsets to the frame's first entry
+// and headerOf takes the envelope from the set's place in the split, so a
+// compact worker-local frame and a SplitSketchSet slice of the full frame
+// render the same bytes.
 
 // partRange returns the node range [lo, hi) of partition index of a
 // count-way split of total nodes — the i·n/P arithmetic of SplitSketchSet
@@ -45,7 +45,7 @@ func checkPartRange(index, count, total int, lo, hi int64) error {
 // FreezePartition assembles one partition of a set of parameters p from
 // its per-node entry lists — lists[i] belongs to global node lo+i, in
 // canonical order, satisfying the kind's inclusion condition, with the
-// ranks p derives — into a *Partition.  For a weighted set betas runs
+// ranks p derives — into a partition *Set.  For a weighted set betas runs
 // parallel to lists: betas[i][j] is the node weight β of entry
 // lists[i][j].Node (each entry's weight travels with it, so a worker never
 // needs the global weight vector); other kinds ignore it.  A list is a
@@ -55,7 +55,7 @@ func checkPartRange(index, count, total int, lo, hi int64) error {
 // guarantees (validateApproxView).  Serializing the result yields exactly
 // the bytes of the corresponding SplitSketchSet slice of a whole-set build
 // producing the same entries.
-func FreezePartition(p Params, index, count, total int, lists [][]Entry, betas [][]float64) (*Partition, error) {
+func FreezePartition(p Params, index, count, total int, lists [][]Entry, betas [][]float64) (*Set, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -95,5 +95,5 @@ func FreezePartition(p Params, index, count, total int, lists [][]Entry, betas [
 			return nil, fmt.Errorf("core: FreezePartition: %w", err)
 		}
 	}
-	return &Partition{index: index, count: count, lo: lo, hi: hi, total: total, set: &Set{frame: f}}, nil
+	return &Set{frame: f, index: index, count: count}, nil
 }

@@ -19,10 +19,10 @@ import (
 func dpRun(g *graph.Graph, s runSpec) [][]Entry {
 	n := g.NumNodes()
 	lists := make([][]Entry, n)
-	heaps := make([]*maxHeap, n)
+	slots := make([]*kSmallest, n)
 	member := make([]map[int32]struct{}, n)
 	for v := 0; v < n; v++ {
-		heaps[v] = newMaxHeap(s.k)
+		slots[v] = newKSmallest(s.k)
 		member[v] = make(map[int32]struct{}, s.k)
 	}
 	// tr lets us iterate the in-neighbors of a frontier node.
@@ -32,7 +32,7 @@ func dpRun(g *graph.Graph, s runSpec) [][]Entry {
 		if _, ok := member[v][e.Node]; ok {
 			return false
 		}
-		h := heaps[v]
+		h := slots[v]
 		if h.size() >= s.k && e.Rank >= h.max() {
 			return false
 		}

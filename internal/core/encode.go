@@ -44,19 +44,19 @@ func growBuf(buf *[]byte, n int) []byte {
 	return (*buf)[:n]
 }
 
-// readAny parses any sketch file — whole set or partition — and returns
-// exactly one of the two.  seed, when non-nil, derives the ranks of a file
-// that stores them but records no seed.
-func readAny(r io.Reader, seed *uint64) (*Set, *Partition, error) {
+// readAny parses any sketch file — whole set or partition.  seed, when
+// non-nil, derives the ranks of a file that stores them but records no
+// seed.
+func readAny(r io.Reader, seed *uint64) (*Set, error) {
 	var head [8]byte
 	if _, err := io.ReadFull(r, head[:4]); err != nil {
-		return nil, nil, fmt.Errorf("core: reading sketch file magic: %w", err)
+		return nil, fmt.Errorf("core: reading sketch file magic: %w", err)
 	}
 	if string(head[:4]) != encodeMagic {
-		return nil, nil, fmt.Errorf("core: not a sketch file (magic %q)", head[:4])
+		return nil, fmt.Errorf("core: not a sketch file (magic %q)", head[:4])
 	}
 	if _, err := io.ReadFull(r, head[4:]); err != nil {
-		return nil, nil, fmt.Errorf("core: reading sketch file version: %w", err)
+		return nil, fmt.Errorf("core: reading sketch file version: %w", err)
 	}
 	switch version := binary.LittleEndian.Uint32(head[4:]); version {
 	case v2EncodeVersion:
@@ -72,58 +72,32 @@ func readAny(r io.Reader, seed *uint64) (*Set, *Partition, error) {
 		}
 		return readFrameStream(r, size, seed)
 	default:
-		return nil, nil, fmt.Errorf("core: sketch file version %d, supported versions are %d and %d",
+		return nil, fmt.Errorf("core: sketch file version %d, supported versions are %d and %d",
 			version, v2EncodeVersion, EncodeVersion)
 	}
 }
 
-// ReadSketchSet deserializes a whole sketch set of any kind written by
-// Set.WriteTo (or by the version-2 writers of earlier releases),
-// validating the structural invariants of every sketch — unlike
-// OpenSketchFile, which trusts the file.  Partition files are refused;
-// read those with ReadPartition (or merge them back with MergeSketchSets /
-// adstool merge).
-func ReadSketchSet(r io.Reader) (*Set, error) {
-	set, part, err := readAny(r, nil)
+// ReadSketchSet deserializes a sketch file of any kind written by
+// Set.WriteTo (or by the version-2 writers of earlier releases) — a whole
+// set or a partition (Set.IsPartition), whichever the file holds —
+// validating the structural invariants of every sketch, unlike
+// OpenSketchFile, which trusts the file.
+func ReadSketchSet(r io.Reader) (*Set, error) { return readAny(r, nil) }
+
+// ReadSketchSetWithSeed is ReadSketchSet for a file of an earlier release
+// that stores its ranks but records no seed — a weighted or approximate
+// one, which ReadSketchSet refuses: every stored rank is checked against
+// the one seed derives, and the set derives them from it.  A file that
+// records a seed other than seed is refused.
+func ReadSketchSetWithSeed(r io.Reader, seed uint64) (*Set, error) {
+	set, err := readAny(r, &seed)
 	if err != nil {
 		return nil, err
 	}
-	if part != nil {
-		return nil, fmt.Errorf("core: file holds partition %d of a %d-way sketch set split; use ReadPartition, or merge the partitions", part.Index(), part.Count())
+	if recorded := set.frame.p.Seed; recorded != seed {
+		return nil, fmt.Errorf("core: seed %d given, but the sketch file records seed %d", seed, recorded)
 	}
 	return set, nil
-}
-
-// ReadSketchFile reads either kind of sketch file from a stream,
-// validating every sketch like ReadSketchSet, and returns exactly one of a
-// whole set or a partition.
-func ReadSketchFile(r io.Reader) (*Set, *Partition, error) {
-	return readAny(r, nil)
-}
-
-// ReadSketchFileWithSeed is ReadSketchFile for a file of an earlier
-// release that stores its ranks but records no seed — a weighted or
-// approximate one, which ReadSketchFile refuses: every stored rank is
-// checked against the one seed derives, and the set derives them from it.
-// A file that records a seed other than seed is refused.
-func ReadSketchFileWithSeed(r io.Reader, seed uint64) (*Set, *Partition, error) {
-	set, part, err := readAny(r, &seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	if recorded := fileFrame(set, part).p.Seed; recorded != seed {
-		return nil, nil, fmt.Errorf("core: seed %d given, but the sketch file records seed %d", seed, recorded)
-	}
-	return set, part, nil
-}
-
-// fileFrame returns the frame of what a file holds: exactly one of a whole
-// set and a partition.
-func fileFrame(set *Set, part *Partition) *Frame {
-	if part != nil {
-		return part.set.frame
-	}
-	return set.frame
 }
 
 // validateDecoded checks the structural invariants of every sketch of a

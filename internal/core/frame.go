@@ -695,7 +695,7 @@ func (f *Frame) Index(local int32) *HIPIndex {
 	for i := range w {
 		w[i] = c.rankAt(i)
 	}
-	h := newMaxHeap(f.p.K)
+	h := newKSmallest(f.p.K)
 	if f.p.Kind == KindWeighted {
 		w = hipWeightsWeighted(w, c.beta, f.p.Scheme, f.p.K, h, w[:0])
 	} else {
@@ -731,7 +731,7 @@ func (f *Frame) bytes() int64 {
 // list with the given ranks (Lemma 5.1: 1/τ with τ the k-th smallest
 // preceding rank) to out.  h is caller-provided scratch, reset before use.
 // Rank i is read before weight i is written, so out may be ranks[:0].
-func hipWeightsBottomK(ranks []float64, k int, h *maxHeap, out []float64) []float64 {
+func hipWeightsBottomK(ranks []float64, k int, h *kSmallest, out []float64) []float64 {
 	h.reset()
 	for _, r := range ranks {
 		tau := 1.0
@@ -747,7 +747,7 @@ func hipWeightsBottomK(ranks []float64, k int, h *maxHeap, out []float64) []floa
 // hipWeightsWeighted appends the Section 9 adjusted weights β/p (p the
 // scheme's inclusion probability against the k-th smallest preceding
 // biased rank) to out, which, as for hipWeightsBottomK, may be ranks[:0].
-func hipWeightsWeighted(ranks, beta []float64, scheme WeightScheme, k int, h *maxHeap, out []float64) []float64 {
+func hipWeightsWeighted(ranks, beta []float64, scheme WeightScheme, k int, h *kSmallest, out []float64) []float64 {
 	h.reset()
 	for i, r := range ranks {
 		b := beta[i]

@@ -76,8 +76,8 @@ import (
 // the columns — an ID at or above total, entries out of order, a
 // non-canonical step, a code past the dictionary (which reads as its last
 // value, never out of range), a dictionary value no step uses, raw steps a
-// dictionary would have beaten — which is the stream readers'
-// (ReadSketchSet, ReadPartition, ReadSketchFile) to refuse.
+// dictionary would have beaten — which is the stream reader's
+// (ReadSketchSet) to refuse.
 // OpenSketchFile reads the file once and performs O(1) allocations per
 // set; MmapSketchFile maps it (on linux) so even the read is deferred to
 // page faults — a worker serving a prebuilt shard file starts in
@@ -85,7 +85,7 @@ import (
 // everywhere: copied, never mapped, and validated like any stream.
 
 // EncodeVersion is the sketch file format version: the one every writer
-// emits (Set.WriteTo, Partition.WriteTo) and
+// emits (Set.WriteTo, for whole sets and partitions alike) and
 // OpenSketchFile / MmapSketchFile open zero-copy.
 const EncodeVersion = 3
 
@@ -266,13 +266,14 @@ func (h *frameHdr) validate() error {
 	return nil
 }
 
-// headerOf extracts the version-3 header of a frame (and optional
-// partition envelope) for writing.
-func headerOf(f *Frame, part *Partition) frameHdr { return headerWith(f, part, f.ownSteps()) }
+// headerOf extracts the version-3 header of a set — with the partition
+// envelope when it is one — for writing.
+func headerOf(s *Set) frameHdr { return headerWith(s, s.frame.ownSteps()) }
 
-// headerWith is headerOf for a caller that holds own, f.ownSteps(),
-// already.
-func headerWith(f *Frame, part *Partition, own *stepColumn) frameHdr {
+// headerWith is headerOf for a caller that holds own, the frame's
+// ownSteps(), already.
+func headerWith(s *Set, own *stepColumn) frameHdr {
+	f := s.frame
 	h := frameHdr{
 		kind:       uint32(f.p.Kind),
 		k:          uint32(f.p.K),
@@ -290,14 +291,12 @@ func headerWith(f *Frame, part *Partition, own *stepColumn) frameHdr {
 	if f.p.Kind == KindWeighted {
 		h.flags |= frameFlagBeta
 	}
-	if part != nil {
+	if s.IsPartition() {
 		h.innerKind = h.kind
 		h.kind = kindPartition
-		h.index = uint32(part.Index())
-		h.count = uint32(part.Count())
-		h.lo = uint32(part.Lo())
-		h.hi = uint32(part.Hi())
-		h.total = uint32(part.TotalNodes())
+		h.index, h.count = uint32(s.index), uint32(s.count)
+		h.lo, h.hi = uint32(s.Lo()), uint32(s.Hi())
+		h.total = uint32(f.total)
 	}
 	return h
 }
@@ -343,12 +342,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeFrameV3 writes a frame (and optional partition envelope) in the
-// version-3 format.  On little-endian hosts every column is one Write of
-// the slice's underlying bytes — near-memcpy.
-func writeFrameV3(w io.Writer, f *Frame, part *Partition) (int64, error) {
+// writeFrameV3 writes a set's frame (behind the partition envelope when
+// the set is a partition) in the version-3 format.  On little-endian hosts
+// every column is one Write of the slice's underlying bytes — near-memcpy.
+func writeFrameV3(w io.Writer, s *Set) (int64, error) {
+	f := s.frame
 	steps := f.ownSteps()
-	h := headerWith(f, part, steps)
+	h := headerWith(s, steps)
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
 	if _, err := bw.Write(h.appendHeader(make([]byte, 0, h.headerSize()))); err != nil {
@@ -543,21 +543,14 @@ func frameFromHdr(h frameHdr) *Frame {
 	return f
 }
 
-// wrap returns the set of a frame read under h, or — when h has the
-// partition envelope — the partition holding it.
-func (h *frameHdr) wrap(f *Frame) (*Set, *Partition) {
+// wrap returns the set of a frame read under h, placed in its split when
+// h has the partition envelope.
+func (h *frameHdr) wrap(f *Frame) *Set {
 	set := &Set{frame: f}
-	if !h.partitioned() {
-		return set, nil
+	if h.partitioned() {
+		set.index, set.count = int(h.index), int(h.count)
 	}
-	return nil, &Partition{
-		index: int(h.index),
-		count: int(h.count),
-		lo:    int32(h.lo),
-		hi:    int32(h.hi),
-		total: int(h.total),
-		set:   set,
-	}
+	return set
 }
 
 // validateOffsets checks that the n offsets are monotonic and cover
@@ -624,23 +617,23 @@ func validateDict(c *stepColumn) error {
 // allocations on the zero-copy path and never allocates proportionally to
 // corrupt header claims: every count is bounds-checked against len(data)
 // first.
-func openFrameBytes(data []byte) (*Set, *Partition, error) {
+func openFrameBytes(data []byte) (*Set, error) {
 	if len(data) < framePreambleSize {
-		return nil, nil, fmt.Errorf("core: truncated sketch file")
+		return nil, fmt.Errorf("core: truncated sketch file")
 	}
 	if string(data[:4]) != encodeMagic {
-		return nil, nil, fmt.Errorf("core: not a sketch file (magic %q)", data[:4])
+		return nil, fmt.Errorf("core: not a sketch file (magic %q)", data[:4])
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != EncodeVersion {
-		return nil, nil, fmt.Errorf("core: sketch file version %d, want %d", v, EncodeVersion)
+		return nil, fmt.Errorf("core: sketch file version %d, want %d", v, EncodeVersion)
 	}
 	h, consumed, err := parseFrameHdr(data[8:])
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	body := data[8+consumed:]
 	if int64(len(body)) != h.bodySize() {
-		return nil, nil, fmt.Errorf("core: sketch file body holds %d bytes, header implies %d", len(body), h.bodySize())
+		return nil, fmt.Errorf("core: sketch file body holds %d bytes, header implies %d", len(body), h.bodySize())
 	}
 	f := frameFromHdr(h)
 	e := int64(h.numEntries)
@@ -675,15 +668,15 @@ func openFrameBytes(data []byte) (*Set, *Partition, error) {
 	f.node.words = u64s(next(h.nodesSize()))
 	f.first = u64s(next(bitWords(e) * 8))
 	if err := validateOffsets(&f.off, h.numSegs()+1, e, f.first); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !f.node.holds(e) {
-		return nil, nil, fmt.Errorf("core: sketch file has node bits past its last entry")
+		return nil, fmt.Errorf("core: sketch file has node bits past its last entry")
 	}
 	var marked int64
 	f.samp, marked = sampleRanks(f.first)
 	if err := validateSteps(f.first, e, marked, int64(h.numSteps)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c := &f.steps
 	c.n = int64(h.numSteps)
@@ -691,7 +684,7 @@ func openFrameBytes(data []byte) (*Set, *Partition, error) {
 		c.code = packedColumn{words: u64s(next(h.codesSize())), w: widthBelow(int64(h.numDistinct))}
 		c.dict = f64s(next(h.stepsSize()))
 		if err := validateDict(c); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	} else {
 		c.raw = f64s(next(h.stepsSize()))
@@ -699,8 +692,7 @@ func openFrameBytes(data []byte) (*Set, *Partition, error) {
 	if h.flags&frameFlagBeta != 0 {
 		f.beta = f64s(next(e * 8))
 	}
-	set, part := h.wrap(f)
-	return set, part, nil
+	return h.wrap(f), nil
 }
 
 // readFrameStream reads a version-3 file from a stream whose magic and
@@ -712,33 +704,33 @@ func openFrameBytes(data []byte) (*Set, *Partition, error) {
 // current layout, and — unlike the file openers, which trust what the
 // operator built — every sketch is then validated; the legacy decoder
 // reads any other, with seed for the ranks of one that records none.
-func readFrameStream(r io.Reader, size int64, seed *uint64) (*Set, *Partition, error) {
+func readFrameStream(r io.Reader, size int64, seed *uint64) (*Set, error) {
 	// ReadFrom keeps bytes.MinRead free while it reads: with that much
 	// slack a file of the stated size never grows the buffer.
 	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
 	buf.Write(binary.LittleEndian.AppendUint32([]byte(encodeMagic), EncodeVersion))
 	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, nil, fmt.Errorf("core: reading sketch file: %w", err)
+		return nil, fmt.Errorf("core: reading sketch file: %w", err)
 	}
 	if !currentLayout(buf.Bytes()) {
 		return readRetiredV3(buf.Bytes(), seed)
 	}
-	set, part, err := openFrameBytes(buf.Bytes())
+	set, err := openFrameBytes(buf.Bytes())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	f := fileFrame(set, part)
+	f := set.frame
 	if err := validateDecoded(f, nil); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !f.steps.canonical() {
-		return nil, nil, fmt.Errorf("core: corrupt sketch file: its %d distance steps are not in their one encoding (%d dictionary values)", f.steps.n, len(f.steps.dict))
+		return nil, fmt.Errorf("core: corrupt sketch file: its %d distance steps are not in their one encoding (%d dictionary values)", f.steps.n, len(f.steps.dict))
 	}
-	return set, part, nil
+	return set, nil
 }
 
-// SketchFile is an opened sketch file: exactly one of a whole set or a
-// partition, plus the backing memory when the file was opened zero-copy.
+// SketchFile is an opened sketch file: the set it holds — a whole one or a
+// partition — plus the backing memory when the file was opened zero-copy.
 //
 // Release of the backing memory is reference-counted, so an mmap'd file
 // can be swapped out from under live traffic without ever unmapping
@@ -748,7 +740,6 @@ func readFrameStream(r io.Reader, size int64, seed *uint64) (*Set, *Partition, e
 // when the last reference drops, whichever call that is.
 type SketchFile struct {
 	set     *Set
-	part    *Partition
 	version int
 	mapped  []byte // non-nil iff the columns view an mmap region
 
@@ -761,24 +752,22 @@ type SketchFile struct {
 
 // newSketchFile assembles an opened file holding the opener's single
 // reference.
-func newSketchFile(set *Set, part *Partition, version int, mapped []byte) *SketchFile {
-	s := &SketchFile{set: set, part: part, version: version, mapped: mapped}
+func newSketchFile(set *Set, version int, mapped []byte) *SketchFile {
+	s := &SketchFile{set: set, version: version, mapped: mapped}
 	s.refs.Store(1)
 	return s
 }
 
-// Set returns the whole set, or nil for a partition file.
+// Set returns the set the file holds: a whole set, or a partition
+// (Set.IsPartition).
 func (s *SketchFile) Set() *Set { return s.set }
-
-// Partition returns the partition, or nil for a whole-set file.
-func (s *SketchFile) Partition() *Partition { return s.part }
 
 // Version returns the codec version the file was stored in (2 or
 // EncodeVersion).
 func (s *SketchFile) Version() int { return s.version }
 
-// frame returns the frame of the file's set or partition.
-func (s *SketchFile) frame() *Frame { return fileFrame(s.set, s.part) }
+// frame returns the frame of the file's set.
+func (s *SketchFile) frame() *Frame { return s.set.frame }
 
 // ColumnSize is the byte cost of one part of a version-3 file.
 type ColumnSize struct {
@@ -794,7 +783,7 @@ type ColumnSize struct {
 // every packed column rounded up to a word.  A file opened from an older
 // layout is held — and so reported — as convert would write it.
 func (s *SketchFile) ColumnBytes() []ColumnSize {
-	h := headerOf(s.frame(), s.part)
+	h := headerOf(s.set)
 	return h.columns()
 }
 
@@ -881,7 +870,7 @@ func (s *SketchFile) Release() error {
 	}
 	m := s.mapped
 	s.mapped = nil
-	s.set, s.part = nil, nil
+	s.set = nil
 	if m == nil {
 		return nil
 	}
@@ -905,7 +894,7 @@ func (s *SketchFile) Close() error {
 // hosts, and no per-sketch validation (the stream readers do that).  Any
 // other file goes through the stream reader: one of an older layout, or of
 // version 2, is read by the legacy decoder, and refused when it stores its
-// ranks but records no seed (ReadSketchFileWithSeed reads it).
+// ranks but records no seed (ReadSketchSetWithSeed reads it).
 func OpenSketchFile(path string) (*SketchFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -922,22 +911,22 @@ func OpenSketchFile(path string) (*SketchFile, error) {
 		if _, err := f.ReadAt(data, 0); err != nil {
 			return nil, fmt.Errorf("core: reading %s: %w", path, err)
 		}
-		set, part, err := openFrameBytes(data)
+		set, err := openFrameBytes(data)
 		if err != nil {
 			return nil, err
 		}
-		return newSketchFile(set, part, EncodeVersion, nil), nil
+		return newSketchFile(set, EncodeVersion, nil), nil
 	}
 	// Read from the start; the reader produces the precise error for
 	// garbage input.
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	set, part, err := readAny(f, nil)
+	set, err := readAny(f, nil)
 	if err != nil {
 		return nil, err
 	}
-	return newSketchFile(set, part, int(binary.LittleEndian.Uint32(head[4:])), nil), nil
+	return newSketchFile(set, int(binary.LittleEndian.Uint32(head[4:])), nil), nil
 }
 
 // MmapSketchFile opens a version-3 sketch file of the current layout by
@@ -966,12 +955,12 @@ func MmapSketchFile(path string) (*SketchFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: mmap %s: %w", path, err)
 	}
-	set, part, err := openFrameBytes(data)
+	set, err := openFrameBytes(data)
 	if err != nil {
 		munmapFile(data)
 		return nil, err
 	}
-	return newSketchFile(set, part, EncodeVersion, data), nil
+	return newSketchFile(set, EncodeVersion, data), nil
 }
 
 // currentLayout reports whether the bytes begin a version-3 file of the

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -68,21 +67,6 @@ func v3Bytes(t testing.TB, s *Set) []byte {
 	return buf.Bytes()
 }
 
-// fileBytes serializes whichever of a whole set or a partition a reader
-// returned.
-func fileBytes(t testing.TB, set *Set, part *Partition) []byte {
-	t.Helper()
-	var src io.WriterTo = set
-	if part != nil {
-		src = part
-	}
-	var buf bytes.Buffer
-	if _, err := src.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestFrameCodecRoundTrip: every set kind must survive the v3 codec
 // bit-for-bit, through both the streaming reader and the zero-copy file
 // opener.
@@ -110,7 +94,7 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			if sf.Partition() != nil {
+			if sf.Set().IsPartition() {
 				t.Fatal("whole-set file opened as partition")
 			}
 			opened := sf.Set()
@@ -138,18 +122,20 @@ func TestPartitionV3RoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reloaded := make([]*Partition, len(parts))
+			reloaded := make([]*Set, len(parts))
 			for i, p := range parts {
 				var buf bytes.Buffer
 				if _, err := p.WriteTo(&buf); err != nil {
 					t.Fatal(err)
 				}
 				// Stream path.
-				rp, err := ReadPartition(bytes.NewReader(buf.Bytes()))
+				rp, err := ReadSketchSet(bytes.NewReader(buf.Bytes()))
 				if err != nil {
 					t.Fatalf("partition %d: %v", i, err)
 				}
-				if rp.Index() != p.Index() || rp.Count() != p.Count() || rp.Lo() != p.Lo() ||
+				ri, rc := rp.Part()
+				pi, pc := p.Part()
+				if !rp.IsPartition() || ri != pi || rc != pc || rp.Lo() != p.Lo() ||
 					rp.Hi() != p.Hi() || rp.TotalNodes() != p.TotalNodes() {
 					t.Fatalf("partition %d header mangled: %+v", i, rp)
 				}
@@ -162,10 +148,10 @@ func TestPartitionV3RoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sf.Set() != nil || sf.Partition() == nil {
+				if !sf.Set().IsPartition() {
 					t.Fatalf("partition file %d did not open as a partition", i)
 				}
-				reloaded[i] = sf.Partition()
+				reloaded[i] = sf.Set()
 			}
 			merged, err := MergeSketchSets(reloaded)
 			if err != nil {
@@ -324,7 +310,7 @@ func (fx v2Fixture) want(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fileBytes(t, nil, parts[fx.part])
+	return v3Bytes(t, parts[fx.part])
 }
 
 // TestV2FixtureBackCompat: every committed version-2 file opens through
@@ -339,20 +325,20 @@ func TestV2FixtureBackCompat(t *testing.T) {
 		want := fx.want(t)
 		if fx.stored {
 			checkNeedsSeed(t, fx.file, fx.path())
-			set, part, err := ReadSketchFileWithSeed(bytes.NewReader(fx.read(t)), 42)
+			set, err := ReadSketchSetWithSeed(bytes.NewReader(fx.read(t)), 42)
 			if err != nil {
 				t.Fatalf("%s: with seed 42: %v", fx.file, err)
 			}
-			if got := fileBytes(t, set, part); !bytes.Equal(got, want) {
+			if got := v3Bytes(t, set); !bytes.Equal(got, want) {
 				t.Errorf("%s: with seed 42, not the v3 file of a fresh build (%d vs %d bytes)", fx.file, len(got), len(want))
 			}
 			continue
 		}
 		for reader, sf := range openAll(t, fx.path()) {
-			if sf.Mapped() || sf.Version() != 2 || (sf.Partition() != nil) != (fx.part >= 0) {
-				t.Errorf("%s via %s: mapped=%v version=%d partition=%v, want an unmapped version-2 file", fx.file, reader, sf.Mapped(), sf.Version(), sf.Partition() != nil)
+			if sf.Mapped() || sf.Version() != 2 || sf.Set().IsPartition() != (fx.part >= 0) {
+				t.Errorf("%s via %s: mapped=%v version=%d partition=%v, want an unmapped version-2 file", fx.file, reader, sf.Mapped(), sf.Version(), sf.Set().IsPartition())
 			}
-			if got := fileBytes(t, sf.Set(), sf.Partition()); !bytes.Equal(got, want) {
+			if got := v3Bytes(t, sf.Set()); !bytes.Equal(got, want) {
 				t.Errorf("%s via %s: not the v3 file of a fresh build (%d vs %d bytes)", fx.file, reader, len(got), len(want))
 			}
 			sf.Close()
@@ -370,17 +356,17 @@ func TestOpenFrameBytesRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := v3Bytes(t, set)
-	if _, _, err := openFrameBytes(valid); err != nil {
+	if _, err := openFrameBytes(valid); err != nil {
 		t.Fatalf("valid bytes rejected: %v", err)
 	}
 	le := binary.LittleEndian
 	mutate := func(name string, fn func(b []byte)) {
 		b := append([]byte(nil), valid...)
 		fn(b)
-		if _, _, err := openFrameBytes(b); err == nil {
+		if _, err := openFrameBytes(b); err == nil {
 			t.Errorf("%s: corruption accepted", name)
 		}
-		if _, _, err := ReadSketchFile(bytes.NewReader(b)); err == nil {
+		if _, err := ReadSketchSet(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s: corruption accepted by the stream reader", name)
 		}
 	}
@@ -404,10 +390,10 @@ func TestOpenFrameBytesRejectsCorruption(t *testing.T) {
 	mutate("offsets overrun", rebuilt(func(p *v3Parts) { p.offs[60] ^= 1 }))
 	for _, cut := range []int{1, 8, 15, 16 + frameHdrSize - 1, len(valid) / 2, len(valid) - 1} {
 		b := valid[:cut]
-		if _, _, err := openFrameBytes(b); err == nil {
+		if _, err := openFrameBytes(b); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
-		if _, _, err := ReadSketchFile(bytes.NewReader(b)); err == nil {
+		if _, err := ReadSketchSet(bytes.NewReader(b)); err == nil {
 			t.Errorf("truncation at %d accepted by the stream reader", cut)
 		}
 	}
@@ -415,7 +401,7 @@ func TestOpenFrameBytesRejectsCorruption(t *testing.T) {
 	// stream: refused by the body-size check, with nothing allocated for it.
 	b := append([]byte(nil), valid[:100]...)
 	le.PutUint64(b[16+40:], 1<<29)
-	if _, _, err := ReadSketchFile(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "header implies") {
+	if _, err := ReadSketchSet(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "header implies") {
 		t.Errorf("2^29 nodes over 100 bytes: got %v, want the body-size error", err)
 	}
 }
@@ -433,23 +419,14 @@ func TestStreamReadersValidateOpenersTrust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, tc := range map[string]struct {
-		data []byte
-		read func(io.Reader) error // the reader that takes only this kind of file
-	}{
-		"set":       {fileBytes(t, set, nil), func(r io.Reader) error { _, err := ReadSketchSet(r); return err }},
-		"partition": {fileBytes(t, nil, parts[0]), func(r io.Reader) error { _, err := ReadPartition(r); return err }},
-	} {
+	for name, data := range map[string][]byte{"set": v3Bytes(t, set), "partition": v3Bytes(t, parts[0])} {
 		// Node 0's second entry (4 bits an ID), renamed.
-		tc.data[splitV3(t, tc.data).nodesAt] ^= 0x30
-		_, _, err := ReadSketchFile(bytes.NewReader(tc.data))
-		for reader, err := range map[string]error{"ReadSketchFile": err, "its own reader": tc.read(bytes.NewReader(tc.data))} {
-			if err == nil || !strings.Contains(err.Error(), "corrupt sketch file") {
-				t.Errorf("%s via %s: got %v, want a corrupt-file refusal", name, reader, err)
-			}
+		data[splitV3(t, data).nodesAt] ^= 0x30
+		if _, err := ReadSketchSet(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "corrupt sketch file") {
+			t.Errorf("%s via ReadSketchSet: got %v, want a corrupt-file refusal", name, err)
 		}
 		path := filepath.Join(t.TempDir(), name+".ads")
-		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		for opener, open := range map[string]func(string) (*SketchFile, error){"OpenSketchFile": OpenSketchFile, "MmapSketchFile": MmapSketchFile} {
@@ -512,22 +489,16 @@ func FuzzOpenSketchFile(f *testing.F) {
 	}
 	f.Add([]byte("ADSK"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		set, p, err := openFrameBytes(data)
-		sset, sp, serr := ReadSketchFile(bytes.NewReader(data))
+		set, err := openFrameBytes(data)
+		sset, serr := ReadSketchSet(bytes.NewReader(data))
 		if err != nil {
 			if serr == nil && currentLayout(data) {
 				t.Fatalf("the stream reader accepted what the parser refuses: %v", err)
 			}
 			return
 		}
-		if (set == nil) == (p == nil) {
-			t.Fatal("accepted bytes yielded neither set nor partition")
-		}
-		if serr == nil && !bytes.Equal(fileBytes(t, sset, sp), fileBytes(t, set, p)) {
+		if serr == nil && !bytes.Equal(v3Bytes(t, sset), v3Bytes(t, set)) {
 			t.Fatal("the stream reader and the parser read different sets from the same bytes")
-		}
-		if p != nil {
-			set = p.Set()
 		}
 		// Exercise the views; corrupt-but-well-formed data may yield
 		// garbage estimates but must never crash.

@@ -21,7 +21,7 @@ func FreezeBottomK(o Options, lists [][]Entry) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.set, nil
+	return &Set{frame: p.frame}, nil
 }
 
 // FreezeBottomKOver is FreezeBottomK for a set that differs from an

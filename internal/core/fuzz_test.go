@@ -48,16 +48,16 @@ func FuzzReadSet(f *testing.F) {
 	seed := uint64(42)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, seed := range []*uint64{nil, &seed} {
-			set, part, err := readAny(bytes.NewReader(data), seed)
+			set, err := readAny(bytes.NewReader(data), seed)
 			if err != nil {
 				continue
 			}
-			first := fileBytes(t, set, part)
-			set, part, err = ReadSketchFile(bytes.NewReader(first))
+			first := v3Bytes(t, set)
+			set, err = ReadSketchSet(bytes.NewReader(first))
 			if err != nil {
 				t.Fatalf("the writer's output of an accepted file is refused: %v", err)
 			}
-			if !bytes.Equal(fileBytes(t, set, part), first) {
+			if !bytes.Equal(v3Bytes(t, set), first) {
 				t.Fatal("an accepted file is not a fixed point of write and read")
 			}
 		}

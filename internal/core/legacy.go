@@ -54,7 +54,7 @@ import (
 // Stored ranks are checked against the ones the frame derives, in every
 // segment, and dropped.  A uniform header records the seed that derives
 // them; a weighted or approximate file that stores them records none, and
-// is read under the seed its reader is given (ReadSketchFileWithSeed,
+// is read under the seed its reader is given (ReadSketchSetWithSeed,
 // `adstool convert -seed`) or refused.
 
 // Wire sizes of one version-2 entry record.
@@ -104,16 +104,16 @@ func freezeLegacy(like *Frame, lists [][]Entry, beta []float64, stored bool, see
 
 // readRetiredV3 reads a complete version-3 file of a retired layout, data
 // starting at its magic.
-func readRetiredV3(data []byte, seed *uint64) (*Set, *Partition, error) {
+func readRetiredV3(data []byte, seed *uint64) (*Set, error) {
 	h, pos, err := readFrameHdr(data[8:])
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := h.validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if h.flags&frameFlagCompact != 0 {
-		return nil, nil, fmt.Errorf("core: sketch file has flags %#x, a layout no release wrote", h.flags)
+		return nil, fmt.Errorf("core: sketch file has flags %#x, a layout no release wrote", h.flags)
 	}
 	stored, stepped := h.flags&frameFlagDerivedRanks == 0, h.flags&frameFlagStepDists != 0
 	e := int64(h.numEntries)
@@ -137,7 +137,7 @@ func readRetiredV3(data []byte, seed *uint64) (*Set, *Partition, error) {
 	}
 	body := data[8+pos:]
 	if int64(len(body)) != size {
-		return nil, nil, fmt.Errorf("core: sketch file body holds %d bytes, header implies %d", len(body), size)
+		return nil, fmt.Errorf("core: sketch file body holds %d bytes, header implies %d", len(body), size)
 	}
 	le := binary.LittleEndian
 	f64 := func(at int64) float64 { return math.Float64frombits(le.Uint64(body[at:])) }
@@ -150,7 +150,7 @@ func readRetiredV3(data []byte, seed *uint64) (*Set, *Partition, error) {
 		node = func(i int64) int32 { return int32(c.get(i)) }
 	}
 	if le.Uint64(body) != 0 {
-		return nil, nil, fmt.Errorf("core: sketch file offsets do not start at 0")
+		return nil, fmt.Errorf("core: sketch file offsets do not start at 0")
 	}
 	lists := make([][]Entry, h.numSegs())
 	entries := make([]Entry, e)
@@ -162,7 +162,7 @@ func readRetiredV3(data []byte, seed *uint64) (*Set, *Partition, error) {
 	for s := range lists {
 		hi := int64(le.Uint64(body[8*int64(s+1):]))
 		if hi < lo || hi > e {
-			return nil, nil, fmt.Errorf("core: sketch file offset %d is %d, outside [%d, %d]", s+1, hi, lo, e)
+			return nil, fmt.Errorf("core: sketch file offset %d is %d, outside [%d, %d]", s+1, hi, lo, e)
 		}
 		for i := lo; i < hi; i++ {
 			x := &entries[i]
@@ -173,10 +173,10 @@ func readRetiredV3(data []byte, seed *uint64) (*Set, *Partition, error) {
 				if body[distsAt+i/8]>>(i%8)&1 != 0 {
 					step++
 				} else if i == lo {
-					return nil, nil, fmt.Errorf("core: sketch file segment %d does not start a distance step", s)
+					return nil, fmt.Errorf("core: sketch file segment %d does not start a distance step", s)
 				}
 				if step > int64(h.numSteps) {
-					return nil, nil, fmt.Errorf("core: sketch file marks more distance steps than its header's %d", h.numSteps)
+					return nil, fmt.Errorf("core: sketch file marks more distance steps than its header's %d", h.numSteps)
 				}
 				x.Dist = f64(stepsAt + 8*(step-1))
 			}
@@ -190,17 +190,16 @@ func readRetiredV3(data []byte, seed *uint64) (*Set, *Partition, error) {
 		lists[s], lo = entries[lo:hi:hi], hi
 	}
 	if lo != e {
-		return nil, nil, fmt.Errorf("core: sketch file offsets end at %d, want %d entries", lo, e)
+		return nil, fmt.Errorf("core: sketch file offsets end at %d, want %d entries", lo, e)
 	}
 	if stepped && step != int64(h.numSteps) {
-		return nil, nil, fmt.Errorf("core: sketch file marks %d distance steps, header claims %d", step, h.numSteps)
+		return nil, fmt.Errorf("core: sketch file marks %d distance steps, header claims %d", step, h.numSteps)
 	}
 	f, err := freezeLegacy(frameFromHdr(h), lists, beta, stored, seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	set, part := h.wrap(f)
-	return set, part, nil
+	return h.wrap(f), nil
 }
 
 // setDecoder reads the version-2 format through one reusable scratch
@@ -249,21 +248,21 @@ func (d *setDecoder) header(fields ...any) error {
 }
 
 // readV2 reads a version-2 file after its magic and version.
-func readV2(d *setDecoder, seed *uint64) (*Set, *Partition, error) {
+func readV2(d *setDecoder, seed *uint64) (*Set, error) {
 	var h frameHdr
 	if err := d.header(&h.kind); err != nil {
-		return nil, nil, fmt.Errorf("core: reading sketch file kind: %w", err)
+		return nil, fmt.Errorf("core: reading sketch file kind: %w", err)
 	}
 	kind := h.kind
 	if h.partitioned() {
 		if err := d.header(&h.index, &h.count, &h.lo, &h.hi, &h.total); err != nil {
-			return nil, nil, fmt.Errorf("core: reading partition header: %w", err)
+			return nil, fmt.Errorf("core: reading partition header: %w", err)
 		}
 		if err := h.validateEnvelope(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := d.header(&kind); err != nil {
-			return nil, nil, fmt.Errorf("core: reading sketch file kind: %w", err)
+			return nil, fmt.Errorf("core: reading sketch file kind: %w", err)
 		}
 	}
 	p := Params{Kind: Kind(kind)}
@@ -284,24 +283,24 @@ func readV2(d *setDecoder, seed *uint64) (*Set, *Partition, error) {
 		err = d.header(&k, &epsBits, &numNodes)
 		p.Eps = math.Float64frombits(epsBits)
 	case Kind(kindPartition):
-		return nil, nil, fmt.Errorf("core: sketch partitions cannot nest")
+		return nil, fmt.Errorf("core: sketch partitions cannot nest")
 	default:
-		return nil, nil, fmt.Errorf("core: sketch file has unknown kind %d", kind)
+		return nil, fmt.Errorf("core: sketch file has unknown kind %d", kind)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: reading sketch file header: %w", err)
+		return nil, fmt.Errorf("core: reading sketch file header: %w", err)
 	}
 	p.K = int(k)
 	switch {
 	case k > maxCodecK:
-		return nil, nil, fmt.Errorf("core: implausible sketch parameter k=%d", k)
+		return nil, fmt.Errorf("core: implausible sketch parameter k=%d", k)
 	case numNodes > 1<<30:
-		return nil, nil, fmt.Errorf("core: implausible node count %d", numNodes)
+		return nil, fmt.Errorf("core: implausible node count %d", numNodes)
 	case h.partitioned() && numNodes != h.hi-h.lo:
-		return nil, nil, fmt.Errorf("core: partition claims nodes [%d, %d) but holds %d sketches", h.lo, h.hi, numNodes)
+		return nil, fmt.Errorf("core: partition claims nodes [%d, %d) but holds %d sketches", h.lo, h.hi, numNodes)
 	}
 	if err := p.validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	like := &Frame{p: p, total: int(numNodes)}
 	if h.partitioned() {
@@ -315,16 +314,15 @@ func readV2(d *setDecoder, seed *uint64) (*Set, *Partition, error) {
 	for i := 0; i < int(numNodes)*segs; i++ {
 		l, err := d.entries(like.base+int32(i/segs), p.Kind == KindWeighted, &beta)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		lists = append(lists, l)
 	}
 	f, err := freezeLegacy(like, lists, beta, true, seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	set, part := h.wrap(f)
-	return set, part, nil
+	return h.wrap(f), nil
 }
 
 // entries reads one length-prefixed entry list of owner's sketch — with a

@@ -17,11 +17,11 @@ func openAll(t *testing.T, path string) map[string]*SketchFile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, part, err := ReadSketchFile(bytes.NewReader(data))
+	set, err := ReadSketchSet(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("%s: ReadSketchFile: %v", path, err)
+		t.Fatalf("%s: ReadSketchSet: %v", path, err)
 	}
-	out := map[string]*SketchFile{"ReadSketchFile": newSketchFile(set, part, int(binary.LittleEndian.Uint32(data[4:])), nil)}
+	out := map[string]*SketchFile{"ReadSketchSet": newSketchFile(set, int(binary.LittleEndian.Uint32(data[4:])), nil)}
 	for opener, open := range map[string]func(string) (*SketchFile, error){"OpenSketchFile": OpenSketchFile, "MmapSketchFile": MmapSketchFile} {
 		if out[opener], err = open(path); err != nil {
 			t.Fatalf("%s: %s: %v", path, opener, err)
@@ -38,8 +38,8 @@ func checkNeedsSeed(t *testing.T, name, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = ReadSketchFile(bytes.NewReader(data))
-	errs := map[string]error{"ReadSketchFile": err}
+	_, err = ReadSketchSet(bytes.NewReader(data))
+	errs := map[string]error{"ReadSketchSet": err}
 	for opener, open := range map[string]func(string) (*SketchFile, error){"OpenSketchFile": OpenSketchFile, "MmapSketchFile": MmapSketchFile} {
 		sf, err := open(path)
 		if err == nil {
@@ -69,7 +69,7 @@ func TestOpenFrameBytesRefusesRetiredLayouts(t *testing.T) {
 			for _, name := range []string{"uniform", "weighted"} {
 				b := append([]byte(nil), files[name]...)
 				le.PutUint32(b[12:], layout|ranks|le.Uint32(b[12:])&frameFlagBeta)
-				if _, _, err := openFrameBytes(b); err == nil || !strings.Contains(err.Error(), "adstool convert") {
+				if _, err := openFrameBytes(b); err == nil || !strings.Contains(err.Error(), "adstool convert") {
 					t.Errorf("%s under flags %#x: %v, want a refusal naming adstool convert", name, le.Uint32(b[12:]), err)
 				}
 			}
@@ -89,7 +89,7 @@ func TestLegacyDoorReadsRetiredLayouts(t *testing.T) {
 	for name, data := range v3Files(t) {
 		for layout, rewrite := range layouts {
 			old, label := rewrite(t, data), name+" "+layout
-			if _, _, err := openFrameBytes(old); err == nil || !strings.Contains(err.Error(), "adstool convert") {
+			if _, err := openFrameBytes(old); err == nil || !strings.Contains(err.Error(), "adstool convert") {
 				t.Errorf("%s: parser: %v, want a refusal naming adstool convert", label, err)
 			}
 			path := filepath.Join(dir, name+"-"+layout+".ads")
@@ -98,8 +98,8 @@ func TestLegacyDoorReadsRetiredLayouts(t *testing.T) {
 			}
 			if layout == "ranks" && name != "uniform" && name != "kmins-base2" {
 				checkNeedsSeed(t, label, path)
-				set, part, err := ReadSketchFileWithSeed(bytes.NewReader(old), 42)
-				if err != nil || !bytes.Equal(fileBytes(t, set, part), data) {
+				set, err := ReadSketchSetWithSeed(bytes.NewReader(old), 42)
+				if err != nil || !bytes.Equal(v3Bytes(t, set), data) {
 					t.Errorf("%s: with seed 42: %v, or not the rank-free file", label, err)
 				}
 				continue
@@ -108,7 +108,7 @@ func TestLegacyDoorReadsRetiredLayouts(t *testing.T) {
 				if sf.Version() != EncodeVersion || sf.Mapped() {
 					t.Errorf("%s via %s: version %d, mapped %v", label, reader, sf.Version(), sf.Mapped())
 				}
-				if !bytes.Equal(fileBytes(t, sf.Set(), sf.Partition()), data) {
+				if !bytes.Equal(v3Bytes(t, sf.Set()), data) {
 					t.Errorf("%s via %s: not the rank-free file", label, reader)
 				}
 				sf.Close()
@@ -157,12 +157,12 @@ func TestLegacyDoorChecksStoredRanks(t *testing.T) {
 		"k-mins, segment 2":           {legacy["kmins-base2"], rankAt("kmins-base2", 3, 2, 0), nil, "ADS(3) segment 2 entry 0 "},
 		"version-2 k-mins, segment 1": {v2kmins, v2at, nil, "ADS(0) segment 1 entry 0 "},
 	} {
-		if _, _, err := readAny(bytes.NewReader(tc.data), tc.seed); err != nil {
+		if _, err := readAny(bytes.NewReader(tc.data), tc.seed); err != nil {
 			t.Fatalf("%s: intact file refused: %v", name, err)
 		}
 		bad := append([]byte(nil), tc.data...)
 		bad[tc.at] ^= 1
-		if _, _, err := readAny(bytes.NewReader(bad), tc.seed); err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "seed derives") {
+		if _, err := readAny(bytes.NewReader(bad), tc.seed); err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "seed derives") {
 			t.Errorf("%s: one rank an ulp off: %v, want a refusal naming %q", name, err, tc.want)
 		}
 	}
@@ -172,22 +172,18 @@ func TestLegacyDoorChecksStoredRanks(t *testing.T) {
 		"approx":   legacy["approx"],
 		"v2":       readFixture(t, "weighted_v2_k4.ads"),
 	} {
-		if _, _, err := readAny(bytes.NewReader(data), &other); err == nil || !strings.Contains(err.Error(), "(seed 43)") {
+		if _, err := readAny(bytes.NewReader(data), &other); err == nil || !strings.Contains(err.Error(), "(seed 43)") {
 			t.Errorf("%s under seed 43: %v, want a refusal naming the seed", name, err)
 		}
 	}
 }
 
-// openedSet returns the set, or the partition's set, a file of the
-// current layout holds.
+// openedSet returns the set a file of the current layout holds.
 func openedSet(t testing.TB, data []byte) *Set {
 	t.Helper()
-	set, part, err := openFrameBytes(data)
+	set, err := openFrameBytes(data)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if part != nil {
-		return part.set
 	}
 	return set
 }

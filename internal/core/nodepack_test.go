@@ -110,7 +110,7 @@ func TestNodeWidthBoundaries(t *testing.T) {
 		set := pathSet(t, n, o)
 		f := set.frame
 		lists, _ := segmentLists(f)
-		want := canonicalV3(headerOf(f, nil), lists, nil)
+		want := canonicalV3(headerOf(set), lists, nil)
 		if got := v3Bytes(t, set); !bytes.Equal(got, want) {
 			t.Fatalf("n=%d: the build is not the canonical encoding at %d bits an ID", n, f.width())
 		}
@@ -125,7 +125,7 @@ func TestNodeWidthBoundaries(t *testing.T) {
 		for _, fl := range []sketch.Flavor{sketch.KMins, sketch.KPartition} {
 			seg := pathSet(t, n, Options{K: 2, Flavor: fl, Seed: 42})
 			sl, _ := segmentLists(seg.frame)
-			if !bytes.Equal(v3Bytes(t, seg), canonicalV3(headerOf(seg.frame, nil), sl, nil)) {
+			if !bytes.Equal(v3Bytes(t, seg), canonicalV3(headerOf(seg), sl, nil)) {
 				t.Fatalf("n=%d %v: not the canonical encoding", n, fl)
 			}
 		}
@@ -134,16 +134,16 @@ func TestNodeWidthBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, part := range parts {
-			pl, _ := segmentLists(part.set.frame)
-			data := fileBytes(t, nil, part)
-			if !bytes.Equal(data, canonicalV3(headerOf(part.set.frame, part), pl, nil)) {
+			pl, _ := segmentLists(part.frame)
+			data := v3Bytes(t, part)
+			if !bytes.Equal(data, canonicalV3(headerOf(part), pl, nil)) {
 				t.Fatalf("n=%d: partition %d is not the canonical encoding at the whole set's width", n, i)
 			}
-			if parts[i], err = ReadPartition(bytes.NewReader(data)); err != nil {
+			if parts[i], err = ReadSketchSet(bytes.NewReader(data)); err != nil {
 				t.Fatalf("n=%d: partition %d: %v", n, i, err)
 			}
 		}
-		merged, err := MergeSketchSets([]*Partition{parts[1], parts[0]})
+		merged, err := MergeSketchSets([]*Set{parts[1], parts[0]})
 		if err != nil || !bytes.Equal(v3Bytes(t, merged), want) {
 			t.Fatalf("n=%d: split and merged: %v", n, err)
 		}
@@ -221,7 +221,7 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 		t.Fatal(err)
 	}
 	le := binary.LittleEndian
-	valid = map[string][]byte{"whole": v3Bytes(t, set), "partition": fileBytes(t, nil, parts[1])}
+	valid = map[string][]byte{"whole": v3Bytes(t, set), "partition": v3Bytes(t, parts[1])}
 	for n := 0; n <= 2; n++ {
 		valid[[]string{"no nodes", "one node", "two nodes"}[n]] = v3Bytes(t, pathSet(t, n, Options{K: 4, Seed: 42}))
 	}
@@ -236,7 +236,7 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 		data := valid[name]
 		f := set.frame
 		if name == "partition" {
-			f = parts[1].set.frame
+			f = parts[1].frame
 		}
 		if f.total != 61 || f.width() != 6 {
 			t.Fatalf("%s: %d nodes at %d bits an ID, want 61 at 6", name, f.total, f.width())
@@ -299,11 +299,11 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 func TestPackedNodesRejectHostileInput(t *testing.T) {
 	valid, damaged, trusted := hostileNodeFiles(t)
 	for name, data := range valid {
-		set, part, err := ReadSketchFile(bytes.NewReader(data))
+		set, err := ReadSketchSet(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !bytes.Equal(fileBytes(t, set, part), data) {
+		if !bytes.Equal(v3Bytes(t, set), data) {
 			t.Errorf("%s: changes bytes through the stream reader", name)
 		}
 	}
@@ -312,7 +312,7 @@ func TestPackedNodesRejectHostileInput(t *testing.T) {
 		if !strings.Contains(name, "an ID of") {
 			continue
 		}
-		if _, _, err := ReadSketchFile(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "outside [0, ") {
+		if _, err := ReadSketchSet(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "outside [0, ") {
 			t.Errorf("%s: stream reader: %v, want the node named as outside the set", name, err)
 		}
 	}

@@ -54,7 +54,7 @@ func (a *NoTieADS) OfferGroup(dist float64, nodes []int32, rankOf func(int32) fl
 	// k-th smallest rank in the closed neighborhood = k-th smallest over
 	// previous entries (which include all previously-admitted low ranks)
 	// and the group's own ranks.
-	h := newMaxHeap(a.k)
+	h := newKSmallest(a.k)
 	for _, e := range a.entries {
 		h.offer(e.Rank)
 	}
@@ -88,7 +88,7 @@ func (a *NoTieADS) OfferGroup(dist float64, nodes []int32, rankOf func(int32) fl
 // computable from the entries alone.
 func (a *NoTieADS) HIPEntries() []WeightedEntry {
 	out := make([]WeightedEntry, 0, len(a.entries))
-	h := newMaxHeap(a.k)
+	h := newKSmallest(a.k)
 	for gStart := 0; gStart < len(a.entries); {
 		gEnd := gStart
 		d := a.entries[gStart].Dist

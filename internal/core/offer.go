@@ -11,14 +11,14 @@ import (
 // entries after it whose own test the insertion broke — and the relaxed
 // (1+ε) variant.  LocalUpdates, the approximate build, the ingest
 // maintainer and the distributed build workers all call it; each owns one
-// kernel, whose scratch heap is reused across offers, and its own lists.
+// kernel, whose scratch slots are reused across offers, and its own lists.
 type OfferKernel struct {
-	h maxHeap
+	h kSmallest
 }
 
 // NewOfferKernel returns the kernel for sketch parameter k.
 func NewOfferKernel(k int) OfferKernel {
-	return OfferKernel{h: maxHeap{k: k, v: make([]float64, 0, k)}}
+	return OfferKernel{h: kSmallest{k: k, v: make([]float64, 0, k)}}
 }
 
 // Reset starts the scan of a new offer.  Callers that walk a

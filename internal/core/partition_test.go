@@ -52,7 +52,7 @@ func splitKinds(t *testing.T) map[string]*Set {
 func TestSplitMergeRoundTrip(t *testing.T) {
 	for kind, set := range splitKinds(t) {
 		t.Run(kind, func(t *testing.T) {
-			original := fileBytes(t, set, nil)
+			original := v3Bytes(t, set)
 			for _, p := range []int{1, 3, 4, 150} {
 				parts, err := SplitSketchSet(set, p)
 				if err != nil {
@@ -63,15 +63,12 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 				}
 				covered := 0
 				for i, part := range parts {
-					if part.Index() != i || part.Count() != p || part.TotalNodes() != set.NumNodes() {
+					if index, count := part.Part(); !part.IsPartition() || index != i || count != p || part.TotalNodes() != set.NumNodes() {
 						t.Fatalf("split %d part %d header: %+v", p, i, part)
 					}
-					covered += part.NumLocal()
+					covered += part.NumNodes()
 					for v := part.Lo(); v < part.Hi(); v++ {
-						sk, err := part.SketchAt(v)
-						if err != nil {
-							t.Fatal(err)
-						}
+						sk := part.SketchOf(v - part.Lo())
 						// Sketches are views over the split frame's shared
 						// columns; the partition's view must read exactly
 						// what the whole set's does.
@@ -84,7 +81,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 					t.Fatalf("split %d covers %d of %d nodes", p, covered, set.NumNodes())
 				}
 				// Merge in scrambled order.
-				scrambled := make([]*Partition, len(parts))
+				scrambled := make([]*Set, len(parts))
 				for i, part := range parts {
 					scrambled[(i*7+3)%len(parts)] = part
 				}
@@ -92,7 +89,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("merge %d: %v", p, err)
 				}
-				if got := fileBytes(t, merged, nil); !bytes.Equal(got, original) {
+				if got := v3Bytes(t, merged); !bytes.Equal(got, original) {
 					t.Fatalf("split %d: merged serialization differs from original (%d vs %d bytes)", p, len(got), len(original))
 				}
 			}
@@ -105,22 +102,23 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 func TestPartitionCodecRoundTrip(t *testing.T) {
 	for kind, set := range splitKinds(t) {
 		t.Run(kind, func(t *testing.T) {
-			original := fileBytes(t, set, nil)
+			original := v3Bytes(t, set)
 			parts, err := SplitSketchSet(set, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			loaded := make([]*Partition, len(parts))
+			loaded := make([]*Set, len(parts))
 			for i, part := range parts {
 				var buf bytes.Buffer
 				if _, err := part.WriteTo(&buf); err != nil {
 					t.Fatal(err)
 				}
-				p2, err := ReadPartition(bytes.NewReader(buf.Bytes()))
+				p2, err := ReadSketchSet(bytes.NewReader(buf.Bytes()))
 				if err != nil {
 					t.Fatalf("partition %d: %v", i, err)
 				}
-				if p2.Index() != part.Index() || p2.Count() != part.Count() ||
+				i2, c2 := p2.Part()
+				if index, count := part.Part(); !p2.IsPartition() || i2 != index || c2 != count ||
 					p2.Lo() != part.Lo() || p2.Hi() != part.Hi() || p2.TotalNodes() != part.TotalNodes() {
 					t.Fatalf("partition %d header changed across codec: %+v vs %+v", i, p2, part)
 				}
@@ -138,7 +136,7 @@ func TestPartitionCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fileBytes(t, merged, nil); !bytes.Equal(got, original) {
+			if got := v3Bytes(t, merged); !bytes.Equal(got, original) {
 				t.Fatal("codec round trip + merge differs from original serialization")
 			}
 		})
@@ -162,15 +160,12 @@ func TestPartitionCodecFlavors(t *testing.T) {
 			if _, err := part.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			p2, err := ReadPartition(bytes.NewReader(buf.Bytes()))
+			p2, err := ReadSketchSet(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("flavor %v: %v", o.Flavor, err)
 			}
 			for v := p2.Lo(); v < p2.Hi(); v++ {
-				sk, err := p2.SketchAt(v)
-				if err != nil {
-					t.Fatal(err)
-				}
+				sk := p2.SketchOf(v - p2.Lo())
 				if sk.Node() != v {
 					t.Fatalf("flavor %v: sketch at %d owned by %d", o.Flavor, v, sk.Node())
 				}
@@ -191,6 +186,16 @@ func TestSplitValidation(t *testing.T) {
 	if _, err := SplitSketchSet(set, set.NumNodes()+1); err == nil {
 		t.Error("split into more partitions than nodes succeeded")
 	}
+	// A partition, even of a 1-way split, does not split again.
+	for _, count := range []int{1, 2} {
+		parts, err := SplitSketchSet(set, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SplitSketchSet(parts[0], 2); err == nil || !strings.Contains(err.Error(), "split the whole set") {
+			t.Errorf("split of partition 0 of %d: %v", count, err)
+		}
+	}
 }
 
 func TestMergeValidation(t *testing.T) {
@@ -205,14 +210,14 @@ func TestMergeValidation(t *testing.T) {
 	if _, err := MergeSketchSets(parts[:3]); err == nil {
 		t.Error("merging an incomplete split succeeded")
 	}
-	if _, err := MergeSketchSets([]*Partition{parts[0], parts[1], parts[2], parts[2]}); err == nil {
+	if _, err := MergeSketchSets([]*Set{parts[0], parts[1], parts[2], parts[2]}); err == nil {
 		t.Error("merging a duplicate partition succeeded")
 	}
 	other, err := SplitSketchSet(buildUniform(t, Options{K: 4, Seed: 2}), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeSketchSets([]*Partition{parts[0], other[1]}); err == nil {
+	if _, err := MergeSketchSets([]*Set{parts[0], other[1]}); err == nil {
 		t.Error("merging partitions of different splits succeeded")
 	}
 }
@@ -236,27 +241,26 @@ func TestSplitOfForeignParts(t *testing.T) {
 		}
 		return set
 	}
-	part := func(set *Set, index, count, lo, hi int) *Partition {
-		return &Partition{index: index, count: count, lo: int32(lo), hi: int32(hi), total: set.NumNodes(),
-			set: &Set{frame: set.frame.slice(lo, hi)}}
+	part := func(set *Set, index, count, lo, hi int) *Set {
+		return &Set{frame: set.frame.slice(lo, hi), index: index, count: count}
 	}
 	for _, tc := range []struct {
 		name    string
-		parts   []*Partition
+		parts   []*Set
 		refused []string // the range each file claims, named by its readers
 	}{
-		{"1 node in 2", []*Partition{part(weighted(1, PriorityWeights), 0, 2, 0, 0), part(weighted(1, ExponentialWeights), 1, 2, 0, 1)},
+		{"1 node in 2", []*Set{part(weighted(1, PriorityWeights), 0, 2, 0, 0), part(weighted(1, ExponentialWeights), 1, 2, 0, 1)},
 			[]string{"[0, 0)", "[0, 1)"}},
-		{"2 nodes off the split's ranges", []*Partition{part(weighted(2, ExponentialWeights), 0, 2, 0, 0), part(weighted(2, ExponentialWeights), 1, 2, 0, 2)},
+		{"2 nodes off the split's ranges", []*Set{part(weighted(2, ExponentialWeights), 0, 2, 0, 0), part(weighted(2, ExponentialWeights), 1, 2, 0, 2)},
 			[]string{"[0, 0)", "[0, 2)"}},
 	} {
 		for i, p := range tc.parts {
 			path := filepath.Join(t.TempDir(), "part.ads")
-			if err := os.WriteFile(path, fileBytes(t, nil, p), 0o644); err != nil {
+			if err := os.WriteFile(path, v3Bytes(t, p), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ReadPartition(bytes.NewReader(fileBytes(t, nil, p))); err == nil || !strings.Contains(err.Error(), tc.refused[i]) {
-				t.Errorf("%s: ReadPartition of partition %d: %v, want a refusal naming %s", tc.name, i, err, tc.refused[i])
+			if _, err := ReadSketchSet(bytes.NewReader(v3Bytes(t, p))); err == nil || !strings.Contains(err.Error(), tc.refused[i]) {
+				t.Errorf("%s: ReadSketchSet of partition %d: %v, want a refusal naming %s", tc.name, i, err, tc.refused[i])
 			}
 			if _, err := OpenSketchFile(path); err == nil || !strings.Contains(err.Error(), tc.refused[i]) {
 				t.Errorf("%s: OpenSketchFile of partition %d: %v, want a refusal naming %s", tc.name, i, err, tc.refused[i])
@@ -275,42 +279,35 @@ func TestSplitOfForeignParts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeSketchSets([]*Partition{prio[0], exp[1]}); err == nil || !strings.Contains(err.Error(), "Scheme:exponential") {
+	if _, err := MergeSketchSets([]*Set{prio[0], exp[1]}); err == nil || !strings.Contains(err.Error(), "Scheme:exponential") {
 		t.Errorf("merge of priority and exponential partitions: %v", err)
 	}
 }
 
-// A partition file is not a whole set, and vice versa; the readers must
-// say so instead of misparsing.
+// The one reader tells a partition file from a whole-set file: each reads
+// back as the set it was written from, placed in its split or not.
 func TestPartitionFileDetection(t *testing.T) {
 	set := buildUniform(t, Options{K: 4, Seed: 1})
 	parts, err := SplitSketchSet(set, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pbuf bytes.Buffer
-	if _, err := parts[1].WriteTo(&pbuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSketchSet(bytes.NewReader(pbuf.Bytes())); err == nil || !strings.Contains(err.Error(), "partition") {
-		t.Errorf("ReadSketchSet on a partition file: %v", err)
-	}
-	var sbuf bytes.Buffer
-	if _, err := set.WriteTo(&sbuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadPartition(bytes.NewReader(sbuf.Bytes())); err == nil || !strings.Contains(err.Error(), "whole") {
-		t.Errorf("ReadPartition on a whole-set file: %v", err)
-	}
-
-	// ReadSketchFile accepts both and tells them apart.
-	gotSet, gotPart, err := ReadSketchFile(bytes.NewReader(sbuf.Bytes()))
-	if err != nil || gotSet == nil || gotPart != nil {
-		t.Errorf("ReadSketchFile(whole) = (%v, %v, %v)", gotSet, gotPart, err)
-	}
-	gotSet2, gotPart2, err := ReadSketchFile(bytes.NewReader(pbuf.Bytes()))
-	if err != nil || gotSet2 != nil || gotPart2 == nil {
-		t.Errorf("ReadSketchFile(partition) = (%v, %v, %v)", gotSet2, gotPart2, err)
+	for name, tc := range map[string]struct {
+		set          *Set
+		partition    bool
+		index, count int
+	}{
+		"whole":       {set, false, 0, 1},
+		"partition 1": {parts[1], true, 1, 2},
+	} {
+		got, err := ReadSketchSet(bytes.NewReader(v3Bytes(t, tc.set)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		index, count := got.Part()
+		if got.IsPartition() != tc.partition || index != tc.index || count != tc.count || got.Lo() != tc.set.Lo() || got.Hi() != tc.set.Hi() {
+			t.Errorf("%s: read back as partition=%v %d/%d over [%d, %d)", name, got.IsPartition(), index, count, got.Lo(), got.Hi())
+		}
 	}
 }
 
@@ -328,15 +325,15 @@ func TestPartitionCorruption(t *testing.T) {
 		raw   []byte
 		count int // offset of the partition count: after magic, version, kind, [v3: flags,] index
 	}
-	inputs := map[string]input{"v3": {fileBytes(t, nil, parts[0]), 20}}
+	inputs := map[string]input{"v3": {v3Bytes(t, parts[0]), 20}}
 	for _, fx := range v2Fixtures {
 		if fx.part >= 0 {
 			inputs[fx.file] = input{fx.read(t), 16}
 		}
 	}
 	read := func(b []byte) error {
-		_, part, err := ReadSketchFileWithSeed(bytes.NewReader(b), 42)
-		if err == nil && part == nil {
+		set, err := ReadSketchSetWithSeed(bytes.NewReader(b), 42)
+		if err == nil && !set.IsPartition() {
 			err = fmt.Errorf("read a whole set")
 		}
 		return err

@@ -37,12 +37,12 @@ func plainV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, tr
 
 func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte {
 	t.Helper()
-	set, part, err := openFrameBytes(data)
+	set, err := openFrameBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := fileFrame(set, part)
-	h := headerOf(f, part)
+	f := set.frame
+	h := headerOf(set)
 	h.flags &^= frameFlagCompact
 	h.numDistinct = 0
 	if !packed {
@@ -162,20 +162,20 @@ func v3Files(t testing.TB) map[string][]byte {
 // that keeps a column from coming back or growing.
 func TestV3Layout(t *testing.T) {
 	for name, data := range v3Files(t) {
-		set, part, err := openFrameBytes(data)
+		set, err := openFrameBytes(data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		header := int64(framePreambleSize + frameHdrSize)
-		if part != nil {
+		if set.IsPartition() {
 			header += framePartHdrSize
 		}
-		f := fileFrame(set, part)
+		f := set.frame
 		e := int64(f.totalEntries())
 		if f.total != 60 || f.width() != 6 {
 			t.Fatalf("%s: frame of a %d-node set at %d bits an ID, want 60 at 6", name, f.total, f.width())
 		}
-		want, plain, steps, coded := referenceSizes(f, part != nil)
+		want, plain, steps, coded := referenceSizes(f, set.IsPartition())
 		if int64(len(data)) != want {
 			t.Errorf("%s: file is %d bytes, want %d (n=%d segs=%d e=%d steps=%d distinct=%d)", name, len(data), want, f.n, f.segs(), e, steps, coded)
 		}
@@ -232,12 +232,12 @@ func TestV3BodySizeGuardsColumns(t *testing.T) {
 	} {
 		open := openFrameBytes
 		if tc.legacy {
-			open = func(b []byte) (*Set, *Partition, error) { return readRetiredV3(b, nil) }
+			open = func(b []byte) (*Set, error) { return readRetiredV3(b, nil) }
 		}
-		if _, _, err := open(tc.data); err == nil || !strings.Contains(err.Error(), "header implies") {
+		if _, err := open(tc.data); err == nil || !strings.Contains(err.Error(), "header implies") {
 			t.Errorf("%s: got %v, want the body-size error", name, err)
 		}
-		if _, _, err := ReadSketchFile(bytes.NewReader(tc.data)); err == nil {
+		if _, err := ReadSketchSet(bytes.NewReader(tc.data)); err == nil {
 			t.Errorf("%s: accepted by the streaming reader", name)
 		}
 	}
@@ -316,7 +316,7 @@ func TestMergeRefusesMixedRanks(t *testing.T) {
 	for i := range beta {
 		beta[i] = 1 + float64(i%3)
 	}
-	split := func(seed uint64) []*Partition {
+	split := func(seed uint64) []*Set {
 		set, err := BuildWeightedSet(g, 4, seed, beta)
 		if err != nil {
 			t.Fatal(err)
@@ -331,7 +331,7 @@ func TestMergeRefusesMixedRanks(t *testing.T) {
 	if _, err := MergeSketchSets(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeSketchSets([]*Partition{a[0], b[1]}); err == nil {
+	if _, err := MergeSketchSets([]*Set{a[0], b[1]}); err == nil {
 		t.Error("merged weighted partitions built under different seeds")
 	}
 	uniform, err := BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
@@ -346,11 +346,11 @@ func TestMergeRefusesMixedRanks(t *testing.T) {
 	if _, err := u[1].WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	_, stored, err := readRetiredV3(legacyV3(t, buf.Bytes()), nil)
+	stored, err := readRetiredV3(legacyV3(t, buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := MergeSketchSets([]*Partition{u[0], stored})
+	merged, err := MergeSketchSets([]*Set{u[0], stored})
 	if err != nil || !bytes.Equal(v3Bytes(t, merged), v3Bytes(t, uniform)) {
 		t.Errorf("merging a partition read from a file that stored its ranks: got %v, want the whole set", err)
 	}
@@ -379,7 +379,7 @@ func TestFreezeOverMatchesFreeze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, _, err := readRetiredV3(legacyV3(t, v3Bytes(t, base)), nil)
+	stored, err := readRetiredV3(legacyV3(t, v3Bytes(t, base)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func TestStepCodeCanonicalBytes(t *testing.T) {
 	for name, set := range sets {
 		f := set.frame
 		lists, betas := segmentLists(f)
-		want := canonicalV3(headerOf(f, nil), lists, betas)
+		want := canonicalV3(headerOf(set), lists, betas)
 		if got := v3Bytes(t, set); !bytes.Equal(got, want) {
 			t.Fatalf("%s: the built frame is not the canonical encoding of its entries (%d vs %d bytes)", name, len(got), len(want))
 		}
@@ -191,10 +191,10 @@ func TestStepCodeCanonicalBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, part := range parts {
-				pf := part.set.frame
+				pf := part.frame
 				plists, pbetas := segmentLists(pf)
-				wantPart := canonicalV3(headerOf(pf, part), plists, pbetas)
-				got := fileBytes(t, nil, part)
+				wantPart := canonicalV3(headerOf(part), plists, pbetas)
+				got := v3Bytes(t, part)
 				if !bytes.Equal(got, wantPart) {
 					t.Fatalf("%s: partition %d/%d is not the canonical encoding of its entries", name, part.index, p)
 				}
@@ -203,17 +203,17 @@ func TestStepCodeCanonicalBytes(t *testing.T) {
 						t.Fatalf("%s: partition %d/2 shares a dictionary of %d distances and writes one of %d", name, part.index, whole, own)
 					}
 				}
-				back, err := ReadPartition(bytes.NewReader(got))
+				back, err := ReadSketchSet(bytes.NewReader(got))
 				if err != nil {
 					t.Fatalf("%s: partition %d/%d: %v", name, part.index, p, err)
 				}
-				if !bytes.Equal(fileBytes(t, nil, back), wantPart) {
-					t.Fatalf("%s: partition %d/%d changes bytes through ReadPartition", name, part.index, p)
+				if !bytes.Equal(v3Bytes(t, back), wantPart) {
+					t.Fatalf("%s: partition %d/%d changes bytes through ReadSketchSet", name, part.index, p)
 				}
 			}
 			// Merged in reverse, from partitions that went through a file.
 			for i, part := range parts {
-				back, err := ReadPartition(bytes.NewReader(fileBytes(t, nil, part)))
+				back, err := ReadSketchSet(bytes.NewReader(v3Bytes(t, part)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -300,7 +300,7 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s trial %d: %v", name, trial, err)
 			}
-			h := headerOf(base.frame, nil)
+			h := headerOf(base)
 			h.n = uint64(n)
 			if !bytes.Equal(v3Bytes(t, got), canonicalV3(h, lists, nil)) {
 				t.Fatalf("%s trial %d: freezing %d changed nodes over the base is not the canonical encoding", name, trial, len(changed))
@@ -344,7 +344,7 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("a path of %d, %s: %v", n, name, err)
 			}
-			if !bytes.Equal(v3Bytes(t, got), canonicalV3(headerOf(fresh.frame, nil), lists, nil)) || !bytes.Equal(v3Bytes(t, got), v3Bytes(t, fresh)) {
+			if !bytes.Equal(v3Bytes(t, got), canonicalV3(headerOf(fresh), lists, nil)) || !bytes.Equal(v3Bytes(t, got), v3Bytes(t, fresh)) {
 				t.Fatalf("a path of %d, %s (%d → %d distances, %d → %d entries), is not the canonical encoding", n, name,
 					base.frame.steps.n, fresh.frame.steps.n, base.frame.totalEntries(), fresh.frame.totalEntries())
 			}
@@ -493,7 +493,7 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, want = parts[fx.part].set, fileBytes(t, nil, parts[fx.part])
+			fresh, want = parts[fx.part], v3Bytes(t, parts[fx.part])
 		}
 		if !bytes.Equal(rewrite(t, want), data) {
 			t.Errorf("%s: the test's writer of that layout does not turn a fresh build into the committed file", fx.file)
@@ -501,13 +501,13 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 		if len(want) >= len(data) {
 			t.Errorf("%s: %d bytes as written now, %d as committed", fx.file, len(want), len(data))
 		}
-		if _, _, err := openFrameBytes(data); err == nil || !strings.Contains(err.Error(), "adstool convert") {
+		if _, err := openFrameBytes(data); err == nil || !strings.Contains(err.Error(), "adstool convert") {
 			t.Errorf("%s: parser: %v, want a refusal naming adstool convert", fx.file, err)
 		}
 		wf := fresh.frame
 		for reader, sf := range openAll(t, path) {
-			if sf.Version() != EncodeVersion || sf.Mapped() || (sf.Partition() != nil) != (fx.part >= 0) {
-				t.Fatalf("%s via %s: version %d, mapped %v, partition %v", fx.file, reader, sf.Version(), sf.Mapped(), sf.Partition() != nil)
+			if sf.Version() != EncodeVersion || sf.Mapped() || (sf.Set().IsPartition()) != (fx.part >= 0) {
+				t.Fatalf("%s via %s: version %d, mapped %v, partition %v", fx.file, reader, sf.Version(), sf.Mapped(), sf.Set().IsPartition())
 			}
 			f := sf.frame()
 			for v := int32(0); int(v) < wf.n; v++ {
@@ -527,7 +527,7 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 					}
 				}
 			}
-			if got := fileBytes(t, sf.Set(), sf.Partition()); !bytes.Equal(got, want) {
+			if got := v3Bytes(t, sf.Set()); !bytes.Equal(got, want) {
 				t.Errorf("%s via %s: written back as %d bytes, not the %d a fresh build writes", fx.file, reader, len(got), len(want))
 			}
 			sf.Close()
@@ -603,7 +603,7 @@ func hostileStepFiles(t testing.TB) (valid []byte, damaged map[string][]byte, tr
 // beyond the bytes that arrived.
 func TestStepCodeRejectsHostileInput(t *testing.T) {
 	valid, damaged, trusted := hostileStepFiles(t)
-	if _, _, err := openFrameBytes(valid); err != nil {
+	if _, err := openFrameBytes(valid); err != nil {
 		t.Fatal(err)
 	}
 	checkHostileFiles(t, damaged, trusted)
@@ -617,11 +617,11 @@ func checkHostileFiles(t *testing.T, damaged map[string][]byte, trusted map[stri
 	t.Helper()
 	dir := t.TempDir()
 	for name, data := range damaged {
-		_, _, err := openFrameBytes(data)
+		_, err := openFrameBytes(data)
 		if trusted[name] && err == nil {
 			t.Errorf("%s: accepted by the parser", name)
 		}
-		if _, _, serr := ReadSketchFile(bytes.NewReader(data)); serr == nil {
+		if _, serr := ReadSketchSet(bytes.NewReader(data)); serr == nil {
 			t.Errorf("%s: accepted by the stream reader", name)
 		} else if err == nil && !strings.Contains(serr.Error(), "corrupt sketch file") {
 			t.Errorf("%s: stream reader: %v, want a corrupt-file error", name, serr)
@@ -677,11 +677,11 @@ func TestReadSketchFileSizesBufferFromStat(t *testing.T) {
 			return err
 		}
 		defer f.Close()
-		_, _, err = ReadSketchFile(f)
+		_, err = ReadSketchSet(f)
 		return err
 	})
 	fromStream := allocated(func() error {
-		_, _, err := ReadSketchFile(bytes.NewReader(data))
+		_, err := ReadSketchSet(bytes.NewReader(data))
 		return err
 	})
 	// Beside the bytes: the 384 KB rank memo and the validation scratch.
@@ -709,7 +709,7 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []*Set{set, parts[1].set} {
+		for _, s := range []*Set{set, parts[1]} {
 			f := s.frame
 			if e := int64(f.totalEntries()); MemoryOf(s) < e*int64(f.width())/8 {
 				t.Errorf("%s: frame %d B for %d entries", name, MemoryOf(s), e)

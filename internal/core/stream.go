@@ -16,14 +16,14 @@ import "fmt"
 // corresponding distance.
 type StreamBuilder struct {
 	ads      *ADS
-	heap     *maxHeap
+	smallest *kSmallest
 	hipCount float64
 	seen     int64
 }
 
 // NewStreamBuilder returns a builder for a bottom-k ADS owned by node.
 func NewStreamBuilder(node int32, k int) *StreamBuilder {
-	return &StreamBuilder{ads: NewADS(node, k), heap: newMaxHeap(k)}
+	return &StreamBuilder{ads: NewADS(node, k), smallest: newKSmallest(k)}
 }
 
 // K returns the sketch parameter.
@@ -39,8 +39,8 @@ func (b *StreamBuilder) Seen() int64 { return b.seen }
 func (b *StreamBuilder) Offer(node int32, dist, r float64) bool {
 	b.seen++
 	tau := 1.0
-	if b.heap.size() >= b.ads.k {
-		tau = b.heap.max()
+	if b.smallest.size() >= b.ads.k {
+		tau = b.smallest.max()
 	}
 	if r >= tau {
 		return false
@@ -49,7 +49,7 @@ func (b *StreamBuilder) Offer(node int32, dist, r float64) bool {
 	// threshold (Lemma 5.1), so the adjusted weight is 1/tau.
 	b.hipCount += 1 / tau
 	b.ads.c.push(Entry{Node: node, Dist: dist, Rank: r})
-	b.heap.offer(r)
+	b.smallest.offer(r)
 	return true
 }
 
@@ -60,10 +60,10 @@ func (b *StreamBuilder) HIPEstimate() float64 { return b.hipCount }
 // BasicEstimate returns the basic bottom-k estimate at the current prefix:
 // exact while fewer than k elements were accepted, (k-1)/τ_k afterwards.
 func (b *StreamBuilder) BasicEstimate() float64 {
-	if b.heap.size() < b.ads.k {
-		return float64(b.heap.size())
+	if b.smallest.size() < b.ads.k {
+		return float64(b.smallest.size())
 	}
-	return float64(b.ads.k-1) / b.heap.max()
+	return float64(b.ads.k-1) / b.smallest.max()
 }
 
 // ADS returns the sketch built so far.  The builder retains ownership; the

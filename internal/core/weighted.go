@@ -115,7 +115,7 @@ func (a *WeightedADS) Offer(e Entry, beta float64) bool {
 	if beta <= 0 {
 		panic(fmt.Sprintf("core: node weight %g must be positive", beta))
 	}
-	h := newMaxHeap(a.k)
+	h := newKSmallest(a.k)
 	for i, n := 0, a.c.len(); i < n; i++ {
 		h.offer(a.c.rankAt(i))
 	}
@@ -134,7 +134,7 @@ func (a *WeightedADS) Offer(e Entry, beta float64) bool {
 // priority ranks.  Summing weights over Dist <= d estimates the weighted
 // neighborhood cardinality.
 func (a *WeightedADS) HIPEntries() []WeightedEntry {
-	w := hipWeightsWeighted(a.c.ranks(), a.c.beta, a.scheme, a.k, newMaxHeap(a.k), make([]float64, 0, a.c.len()))
+	w := hipWeightsWeighted(a.c.ranks(), a.c.beta, a.scheme, a.k, newKSmallest(a.k), make([]float64, 0, a.c.len()))
 	return a.c.weighted(w)
 }
 
@@ -146,7 +146,7 @@ func (a *WeightedADS) Validate() error {
 	if len(a.c.beta) != a.c.len() {
 		return fmt.Errorf("core: WeightedADS(%d) has %d weights for %d entries", a.node, len(a.c.beta), a.c.len())
 	}
-	h := newMaxHeap(a.k)
+	h := newKSmallest(a.k)
 	for i, n := 0, a.c.len(); i < n; i++ {
 		e := a.c.at(i)
 		if i > 0 && !a.c.at(i-1).before(e) {

@@ -44,7 +44,7 @@ func writeGraph(t *testing.T, g *graph.Graph) (string, *graph.Graph) {
 }
 
 // refPartitionBytes builds the single-process reference: the set split
-// into parts partitions, each serialized with Partition.WriteTo.
+// into parts partitions, each serialized with Set.WriteTo.
 func refPartitionBytes(t *testing.T, set *core.Set, parts int) [][]byte {
 	t.Helper()
 	ps, err := core.SplitSketchSet(set, parts)

@@ -269,7 +269,7 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 }
 
 // Freeze assembles the owned lists into a v3 partition file and returns
-// its bytes — byte-identical to Partition.WriteTo of the corresponding
+// its bytes — byte-identical to Set.WriteTo of the corresponding
 // SplitSketchSet slice of a single-process build.  The worker cannot be
 // stepped afterwards.
 func (w *Worker) Freeze(ctx context.Context) ([]byte, error) {

@@ -260,6 +260,17 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
+// A length must be positive and finite: every spelling ParseFloat takes
+// for NaN or an infinity is refused, naming the line.
+func TestReadEdgeListRefusesNonFiniteLengths(t *testing.T) {
+	for _, w := range []string{"NaN", "nan", "+Inf", "inf", "Infinity", "+infinity", "-Inf"} {
+		_, err := ReadEdgeList(strings.NewReader("0 1 2\n1 2 "+w+"\n"), false)
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), w) {
+			t.Errorf("length %q: got %v, want a refusal naming line 2 and the length", w, err)
+		}
+	}
+}
+
 func TestReadEdgeListCommentsAndBlank(t *testing.T) {
 	in := "# comment\n\n% other comment\n0 1\n1 2\n"
 	g, err := ReadEdgeList(strings.NewReader(in), false)

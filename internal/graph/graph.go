@@ -6,12 +6,13 @@
 // edge-list I/O.
 //
 // Node IDs are dense integers 0..n-1.  Edge weights are shortest-path
-// lengths and must be positive.  An unweighted graph treats every edge as
-// length 1 ("hops").
+// lengths and must be positive and finite (ValidLength).  An unweighted
+// graph treats every edge as length 1 ("hops").
 package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -175,15 +176,22 @@ func NewBuilder(n int, directed bool) *Builder {
 // is undirected).
 func (b *Builder) AddEdge(u, v int32) { b.add(u, v, 1, false) }
 
-// AddWeightedEdge adds an edge with the given positive length.
+// AddWeightedEdge adds an edge with the given length, which must be
+// positive and finite.
 func (b *Builder) AddWeightedEdge(u, v int32, w float64) { b.add(u, v, w, true) }
+
+// ValidLength reports whether w can be an edge length: positive and
+// finite.  A NaN or infinite length would pass a "w <= 0" test and cut
+// every distance through the edge off, so the edge-list readers, the
+// builder and the ingest maintainer all refuse any w it rejects.
+func ValidLength(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
 
 func (b *Builder) add(u, v int32, w float64, weighted bool) {
 	if int(u) >= b.n || int(v) >= b.n || u < 0 || v < 0 {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
 	}
-	if w <= 0 {
-		panic(fmt.Sprintf("graph: edge (%d,%d) has non-positive length %g", u, v, w))
+	if !ValidLength(w) {
+		panic(fmt.Sprintf("graph: edge (%d,%d) has length %g, want positive and finite", u, v, w))
 	}
 	if weighted {
 		b.weighted = true

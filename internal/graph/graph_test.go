@@ -71,6 +71,8 @@ func TestBuilderPanics(t *testing.T) {
 	check("out of range", func() { NewBuilder(2, false).AddEdge(0, 2) })
 	check("negative node", func() { NewBuilder(2, false).AddEdge(-1, 0) })
 	check("zero weight", func() { NewBuilder(2, false).AddWeightedEdge(0, 1, 0) })
+	check("NaN weight", func() { NewBuilder(2, false).AddWeightedEdge(0, 1, math.NaN()) })
+	check("infinite weight", func() { NewBuilder(2, false).AddWeightedEdge(0, 1, math.Inf(1)) })
 	check("negative n", func() { NewBuilder(-1, false) })
 }
 

@@ -56,7 +56,7 @@ func ScanEdgesFiltered(r io.Reader, keep KeepFunc, fn func(u, v int32, w float64
 		w, hasW := 0.0, false
 		if len(fields) == 3 {
 			w, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil || w <= 0 {
+			if err != nil || !ValidLength(w) {
 				return fmt.Errorf("graph: line %d: bad weight %q", lineNo, fields[2])
 			}
 			hasW = true

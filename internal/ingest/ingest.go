@@ -160,13 +160,14 @@ func (m *Maintainer) Directed() bool { return m.directed }
 // refused and changes nothing.
 func (m *Maintainer) Insert(u, v int32) error { return m.InsertWeighted(u, v, 1) }
 
-// InsertWeighted adds an edge with the given positive length.
+// InsertWeighted adds an edge with the given length, positive and finite
+// (graph.ValidLength); any other is refused and changes nothing.
 func (m *Maintainer) InsertWeighted(u, v int32, w float64) error {
 	if u < 0 || v < 0 {
 		return fmt.Errorf("ingest: edge (%d,%d) has a negative node ID", u, v)
 	}
-	if !(w > 0) {
-		return fmt.Errorf("ingest: edge (%d,%d) has non-positive length %g", u, v, w)
+	if !graph.ValidLength(w) {
+		return fmt.Errorf("ingest: edge (%d,%d) has length %g, want positive and finite", u, v, w)
 	}
 	hi := max(u, v)
 	if edges := m.baseEdges + int(m.edges) + 1; int(hi) >= max(m.n, graph.NodeLimit(edges)) {

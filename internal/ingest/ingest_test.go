@@ -376,6 +376,15 @@ func TestInsertValidation(t *testing.T) {
 	if err := m.InsertWeighted(0, 1, -3); err == nil {
 		t.Fatal("negative-weight insert succeeded")
 	}
+	before := m.Stats()
+	for _, w := range []float64{math.Inf(1), math.NaN()} {
+		if err := m.InsertWeighted(0, 2, w); err == nil {
+			t.Fatalf("insert of length %g succeeded", w)
+		}
+		if st := m.Stats(); st != before {
+			t.Fatalf("refused length %g changed the maintainer: %+v, was %+v", w, st, before)
+		}
+	}
 }
 
 // TestInsertNodeLimit: an edge naming a node past graph.NodeLimit is

@@ -24,8 +24,8 @@ import (
 
 // Sketches is the narrow view of a sketch set Centrality queries: any
 // set kind (uniform, weighted, approximate) that exposes per-node
-// sketches through the shared query interface, an adsketch.SketchSet
-// among them.
+// sketches through the shared query interface, an *adsketch.Set among
+// them.
 type Sketches interface {
 	NumNodes() int
 	SketchOf(v int32) core.Sketch

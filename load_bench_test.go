@@ -110,7 +110,6 @@ func BenchmarkHIPIndexBuild(b *testing.B) {
 	if _, err := set.WriteTo(&v3); err != nil {
 		b.Fatal(err)
 	}
-	s := set.(*adsketch.Set)
 	b.Run("frame", func(b *testing.B) {
 		b.ReportAllocs()
 		procs := runtime.GOMAXPROCS(0)
@@ -124,7 +123,7 @@ func BenchmarkHIPIndexBuild(b *testing.B) {
 					defer wg.Done()
 					sum := int64(0)
 					for v := w * n / procs; v < (w+1)*n/procs; v++ {
-						sum += s.Index(int32(v)).Bytes()
+						sum += set.Index(int32(v)).Bytes()
 					}
 					held.Add(sum)
 				}()

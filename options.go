@@ -3,7 +3,6 @@ package adsketch
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"adsketch/internal/core"
@@ -24,35 +23,9 @@ var (
 // DefaultK is the sketch parameter used when WithK is not given.
 const DefaultK = 16
 
-// SketchSet is the unified result of Build: a per-node collection of
-// All-Distances Sketches queryable through the shared NodeSketch
-// interface, whatever the construction (uniform, weighted, approximate).
-// Its one implementation is *Set, whose Params say which construction it
-// was; the functions that take a SketchSet refuse any other with
-// ErrBadOption.
-type SketchSet interface {
-	// NumNodes returns the number of sketches (one per graph node).
-	NumNodes() int
-	// K returns the sketch parameter.
-	K() int
-	// SketchOf returns node v's sketch.
-	SketchOf(v int32) NodeSketch
-	// TotalEntries returns the summed entry count over all sketches.
-	TotalEntries() int
-	// WriteTo serializes the set in the binary sketch file format
-	// (SketchFormatVersion, the columnar layout OpenSketchFile and
-	// MmapSketchFile serve in place); ReadSketchSet restores it,
-	// whatever the kind.  It implements io.WriterTo.
-	WriteTo(w io.Writer) (int64, error)
-}
-
-// setOf is the door from SketchSet to the *Set behind it.
-func setOf(set SketchSet) (*Set, error) {
-	if s, ok := set.(*Set); ok && s != nil {
-		return s, nil
-	}
-	return nil, fmt.Errorf("%w: sketch set %T is not one Build or a reader returned", ErrBadOption, set)
-}
+// SketchSet is the name the result of Build had while it was an
+// interface; *Set was its one implementation, and is now the one set type.
+type SketchSet = *Set
 
 // buildConfig is the resolved option state of one Build call.
 type buildConfig struct {
@@ -286,7 +259,7 @@ func flavorName(f Flavor) string {
 // combinations return one matching ErrIncompatibleOptions.  All
 // randomness is deterministic in the seed, and the result is bit-for-bit
 // identical to the corresponding legacy constructor under equal options.
-func Build(g *Graph, opts ...Option) (SketchSet, error) {
+func Build(g *Graph, opts ...Option) (*Set, error) {
 	cfg := buildConfig{k: DefaultK, flavor: BottomK, algo: AlgoPrunedDijkstra}
 	for _, opt := range opts {
 		if opt == nil {
@@ -314,8 +287,5 @@ func Build(g *Graph, opts ...Option) (SketchSet, error) {
 		o := core.Options{K: cfg.k, Flavor: cfg.flavor, Seed: cfg.seed, BaseB: cfg.baseB}
 		set, err = core.BuildSetParallel(g, o, cfg.algo, cfg.parallelism)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return set, nil
+	return set, err
 }

@@ -158,13 +158,9 @@ func TestBuildParityUniform(t *testing.T) {
 			if tc.o.BaseB != 0 {
 				opts = append(opts, adsketch.WithBaseB(tc.o.BaseB))
 			}
-			built, err := adsketch.Build(tc.g, opts...)
+			set, err := adsketch.Build(tc.g, opts...)
 			if err != nil {
 				t.Fatal(err)
-			}
-			set, ok := built.(*adsketch.Set)
-			if !ok {
-				t.Fatalf("Build returned %T, want *adsketch.Set", built)
 			}
 			if !bytes.Equal(serialize(t, direct), serialize(t, set)) {
 				t.Error("serialized sketches differ between direct core build and option-based Build")
@@ -186,7 +182,7 @@ func TestBuildParityParallelismInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(serialize(t, base.(*adsketch.Set)), serialize(t, got.(*adsketch.Set))) {
+		if !bytes.Equal(serialize(t, base), serialize(t, got)) {
 			t.Errorf("parallelism %d changed the built sketches", workers)
 		}
 	}
@@ -236,11 +232,10 @@ func TestBuildParityWeighted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			built, err := adsketch.Build(g, opts...)
+			ws, err := adsketch.Build(g, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws := built.(*adsketch.Set)
 			if ws.Params() != legacy.Params() {
 				t.Fatalf("Build made a set of %+v, want %+v", ws.Params(), legacy.Params())
 			}
@@ -265,12 +260,11 @@ func TestBuildParityApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(13),
+	as, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(13),
 		adsketch.WithApproxEps(0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
-	as := built.(*adsketch.Set)
 	if as.Params() != legacy.Params() {
 		t.Fatalf("Build made a set of %+v, want %+v", as.Params(), legacy.Params())
 	}

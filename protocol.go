@@ -578,13 +578,13 @@ func (e *Engine) pairwise(q pairwiseQuery) (Response, error) {
 	if err := requireCoordinated(e.meta); err != nil {
 		return Response{}, err
 	}
-	nodes := q.sketchNodes(e.lo, e.set.NumNodes())
+	nodes := q.sketchNodes(e.meta.Lo, e.set.NumNodes())
 	if err := e.checkNodes(nodes); err != nil {
 		return Response{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	sketches := make([]*core.ADS, len(nodes))
 	for i, v := range nodes {
-		sketches[i] = e.set.BottomK(v - e.lo)
+		sketches[i] = e.set.BottomK(v - e.meta.Lo)
 	}
 	return q.combine(e.set.K(), nodes, sketches), nil
 }

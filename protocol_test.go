@@ -54,7 +54,6 @@ func doWire(t *testing.T, eng *adsketch.Engine, req adsketch.Request) adsketch.R
 // direct method / package-level call bit-for-bit.
 func TestProtocolParityUniform(t *testing.T) {
 	g, set, eng := buildEngine(t)
-	uniform := set.(*adsketch.Set)
 	c := lab.NewCentrality(set)
 	nodes := []int32{0, 7, 123, 399}
 	ctx := context.Background()
@@ -127,18 +126,18 @@ func TestProtocolParityUniform(t *testing.T) {
 	})
 	t.Run("jaccard", func(t *testing.T) {
 		resp := doWire(t, eng, adsketch.Request{Jaccard: &adsketch.JaccardQuery{A: 0, RadiusA: 2, B: 7, RadiusB: 2}})
-		want := adsketch.NeighborhoodJaccard(uniform.BottomK(0), 2, uniform.BottomK(7), 2)
+		want := adsketch.NeighborhoodJaccard(set.BottomK(0), 2, set.BottomK(7), 2)
 		if resp.Value == nil || *resp.Value != want {
 			t.Errorf("jaccard = %v, want %v", resp.Value, want)
 		}
 	})
 	t.Run("influence", func(t *testing.T) {
 		cover := doWire(t, eng, adsketch.Request{Influence: &adsketch.InfluenceQuery{Seeds: []int32{0, 50}, Radius: 2}})
-		if want := adsketch.UnionNeighborhood(uniform, []int32{0, 50}, 2); cover.Value == nil || *cover.Value != want {
+		if want := adsketch.UnionNeighborhood(set, []int32{0, 50}, 2); cover.Value == nil || *cover.Value != want {
 			t.Errorf("union coverage = %v, want %v", cover.Value, want)
 		}
 		greedy := doWire(t, eng, adsketch.Request{Influence: &adsketch.InfluenceQuery{NumSeeds: 3, Radius: 2}})
-		seeds, wantCov := adsketch.GreedyInfluenceSeeds(uniform, nil, 3, 2)
+		seeds, wantCov := adsketch.GreedyInfluenceSeeds(set, nil, 3, 2)
 		if greedy.Value == nil || *greedy.Value != wantCov || len(greedy.Seeds) != len(seeds) {
 			t.Fatalf("greedy = %+v, want seeds %v coverage %v", greedy, seeds, wantCov)
 		}
@@ -150,7 +149,7 @@ func TestProtocolParityUniform(t *testing.T) {
 	})
 	t.Run("distance_bound", func(t *testing.T) {
 		resp := doWire(t, eng, adsketch.Request{DistanceBound: &adsketch.DistanceBoundQuery{A: 0, B: 200}})
-		want := adsketch.DistanceUpperBound(uniform.BottomK(0), uniform.BottomK(200))
+		want := adsketch.DistanceUpperBound(set.BottomK(0), set.BottomK(200))
 		if math.IsInf(want, 1) {
 			if !resp.Unreachable || resp.Value != nil {
 				t.Errorf("bound = %+v, want unreachable", resp)

@@ -135,9 +135,9 @@ func ranksCases(t *testing.T) []ranksCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := make([]*adsketch.Partition, len(res.Partitions))
+	parts := make([]*adsketch.Set, len(res.Partitions))
 	for i, b := range res.Partitions {
-		if parts[i], err = adsketch.ReadPartition(bytes.NewReader(b)); err != nil {
+		if parts[i], err = adsketch.ReadSketchSet(bytes.NewReader(b)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,7 +222,7 @@ func TestFrameRanksDerived(t *testing.T) {
 			if err := a.Validate(); err != nil && c.name != "approx" {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			if c.set.(*adsketch.Set).Params().Kind == core.KindUniform {
+			if c.set.Params().Kind == core.KindUniform {
 				resp, err := eng.Do(context.Background(), adsketch.Request{Sketch: &adsketch.SketchQuery{Node: v}})
 				if err != nil {
 					t.Fatal(err)

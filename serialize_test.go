@@ -86,7 +86,7 @@ func TestWriteToReadSketchSetRoundTrip(t *testing.T) {
 				t.Error("re-serialization differs")
 			}
 			// The kind and its parameters — scheme, epsilon — survive.
-			if want, got := set.(*adsketch.Set).Params(), got.(*adsketch.Set).Params(); got != want {
+			if want, got := set.Params(), got.Params(); got != want {
 				t.Errorf("parameters changed: %+v -> %+v", want, got)
 			}
 		})
@@ -194,7 +194,7 @@ func TestEveryWriterEmitsV3(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("%s: Partition.WriteTo and WritePartitionV3 differ", name)
+			t.Errorf("%s: a partition's WriteTo and WritePartitionV3 differ", name)
 		}
 		checkHeader(name+" partition", a.Bytes(), true)
 	}
