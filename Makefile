@@ -40,12 +40,14 @@ race:
 # that do not divide the way the batches do.  Every count must produce the
 # same bytes, which these tests compare against brute force or each other,
 # and a node's HIP index, built by racing goroutines, the same readouts.
-# Then the serving scan under the same counts: inline on the caller,
-# chunks across several workers, and the scatter barrier, whose shard
-# calls must all be in flight at once even on one core.
+# Then Build and the serving scan under the same counts, which they take
+# from GOMAXPROCS: Build's output against the core reference entry points
+# (the BuildParity tests), the scan inline on the caller and in chunks
+# across several workers, and the scatter barrier, whose shard calls must
+# all be in flight at once even on one core.
 cpus:
 	$(GO) test -cpu 1,2,4 -run 'Differential|ParallelBuilder|BuildersAgree|FrameIndex|HIPIndex' ./internal/core
-	$(GO) test -cpu 1,2,4 -run 'Engine|Scatter|IndexCache|ForEach' . ./internal/query ./internal/cluster
+	$(GO) test -cpu 1,2,4 -run 'BuildParity|Engine|Scatter|IndexCache|ForEach' . ./internal/query ./internal/cluster
 
 # Static-analysis gate, also a required CI step: gofmt, the serving
 # binaries' closure (none of SERVING_BINS may link the paper lab —

@@ -153,8 +153,8 @@ const (
 // Algorithm selects a construction algorithm (Section 3).
 type Algorithm = core.Algorithm
 
-// Construction algorithms.  AlgoPrunedDijkstra is parallel by itself,
-// under WithParallelism.
+// Construction algorithms.  AlgoPrunedDijkstra runs on GOMAXPROCS
+// goroutines by itself.
 const (
 	AlgoPrunedDijkstra = core.AlgoPrunedDijkstra
 	AlgoDP             = core.AlgoDP

@@ -164,7 +164,7 @@ func TestFacadeGraphBuilder(t *testing.T) {
 func TestFacadeSerialization(t *testing.T) {
 	g := adsketch.GNP(80, 0.06, false, 12)
 	set, err := adsketch.Build(g, adsketch.WithK(6), adsketch.WithSeed(4),
-		adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra), adsketch.WithParallelism(2))
+		adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ package adsketch_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -407,18 +408,11 @@ func itoa(i int) string {
 // measured 1.04–1.09× slower than sequential; CHANGES.md, PR 18.)
 func BenchmarkParallelBuilder(b *testing.B) {
 	g := graph.PreferentialAttachment(5000, 4, 7)
-	for _, c := range []struct {
-		name string
-		opts []adsketch.Option
-	}{
-		{"workers=1", []adsketch.Option{adsketch.WithParallelism(1)}},
-		{"workers=2", []adsketch.Option{adsketch.WithParallelism(2)}},
-		{"workers=4", []adsketch.Option{adsketch.WithParallelism(4)}},
-	} {
-		opts := append([]adsketch.Option{adsketch.WithK(16), adsketch.WithSeed(42)}, c.opts...)
-		b.Run(c.name, func(b *testing.B) {
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			setProcs(b, workers)
 			for i := 0; i < b.N; i++ {
-				if _, err := adsketch.Build(g, opts...); err != nil {
+				if _, err := adsketch.Build(g, adsketch.WithK(16), adsketch.WithSeed(42)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -431,7 +425,8 @@ func BenchmarkParallelBuilder(b *testing.B) {
 // — so a `go test -bench` number can be read against its core.build_s and
 // e2e.build_edges_per_s.  One row per construction the benchmark graph
 // admits: the default (GOMAXPROCS workers), Section 9 node weights, k-mins
-// (16 bottom-1 passes), and the default on the calling goroutine alone.
+// (16 bottom-1 passes), and the default at GOMAXPROCS=1, on the calling
+// goroutine alone.
 // B/node is its sketch_bytes_per_node for the row's set.
 func BenchmarkBuildPipeline(b *testing.B) {
 	g := graph.PreferentialAttachment(10000, 5, 1)
@@ -440,16 +435,20 @@ func BenchmarkBuildPipeline(b *testing.B) {
 		beta[v] = 0.5 + float64(v%3)
 	}
 	for _, c := range []struct {
-		name string
-		opts []adsketch.Option
+		name  string
+		opts  []adsketch.Option
+		procs int // 0 = leave GOMAXPROCS as it is
 	}{
-		{"default", nil},
-		{"WithNodeWeights", []adsketch.Option{adsketch.WithNodeWeights(beta)}},
-		{"KMins", []adsketch.Option{adsketch.WithFlavor(adsketch.KMins)}},
-		{"WithParallelism1", []adsketch.Option{adsketch.WithParallelism(1)}},
+		{"default", nil, 0},
+		{"WithNodeWeights", []adsketch.Option{adsketch.WithNodeWeights(beta)}, 0},
+		{"KMins", []adsketch.Option{adsketch.WithFlavor(adsketch.KMins)}, 0},
+		{"GOMAXPROCS1", nil, 1},
 	} {
 		opts := append([]adsketch.Option{adsketch.WithK(16), adsketch.WithSeed(42)}, c.opts...)
 		b.Run(c.name, func(b *testing.B) {
+			if c.procs > 0 {
+				setProcs(b, c.procs)
+			}
 			b.ReportAllocs()
 			var set adsketch.SketchSet
 			for i := 0; i < b.N; i++ {

@@ -99,9 +99,7 @@ func (s Source) WithPartitions(n int) Source {
 // protocol by Request.Dataset and supports zero-downtime hot swaps: see
 // the package comment above for the lifecycle.
 type Catalog struct {
-	reg         *catalog.Registry[dataset]
-	defaultName string
-	engineOpts  []EngineOption
+	reg *catalog.Registry[dataset]
 }
 
 // CatalogOption configures NewCatalog.
@@ -122,34 +120,9 @@ func WithMemoryBudget(bytes int64) CatalogOption {
 	}
 }
 
-// WithDefaultDataset changes the name that queries with an empty
-// Request.Dataset field route to (default DefaultDataset).
-func WithDefaultDataset(name string) CatalogOption {
-	return func(c *Catalog) error {
-		if err := checkDatasetName(name); err != nil {
-			return err
-		}
-		c.defaultName = name
-		return nil
-	}
-}
-
-// WithEngineOptions sets the EngineOptions (cache shards, query
-// parallelism) applied to every Engine the catalog builds from a set or
-// file source.
-func WithEngineOptions(opts ...EngineOption) CatalogOption {
-	return func(c *Catalog) error {
-		c.engineOpts = opts
-		return nil
-	}
-}
-
 // NewCatalog returns an empty catalog.
 func NewCatalog(opts ...CatalogOption) (*Catalog, error) {
-	c := &Catalog{
-		reg:         catalog.New[dataset](0),
-		defaultName: DefaultDataset,
-	}
+	c := &Catalog{reg: catalog.New[dataset](0)}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, fmt.Errorf("%w: nil CatalogOption", ErrBadOption)
@@ -183,9 +156,9 @@ func checkDatasetName(name string) error {
 func (c *Catalog) opener(src Source) (catalog.Opener[dataset], bool, error) {
 	wrap := func(set *Set) (ShardBackend, error) {
 		if src.partitions > 1 {
-			return NewPartitionedEngine(set, src.partitions, c.engineOpts...)
+			return NewPartitionedEngine(set, src.partitions)
 		}
-		return NewEngine(set, c.engineOpts...)
+		return NewEngine(set)
 	}
 	switch src.kind {
 	case "set":
@@ -325,9 +298,9 @@ func (c *Catalog) Close() error {
 func (c *Catalog) Datasets() []string { return c.reg.Names() }
 
 // resolve maps an empty per-request dataset name to the default.
-func (c *Catalog) resolve(name string) string {
+func resolve(name string) string {
 	if name == "" {
-		return c.defaultName
+		return DefaultDataset
 	}
 	return name
 }
@@ -356,10 +329,10 @@ func (d *Dataset) Release() { d.h.Release() }
 // backend's typed surface (e.g. Engine methods).  An evicted dataset is
 // reloaded first.
 func (c *Catalog) Acquire(name string) (*Dataset, error) {
-	h, err := c.reg.Acquire(c.resolve(name))
+	h, err := c.reg.Acquire(resolve(name))
 	if err != nil {
 		if errors.Is(err, catalog.ErrUnknown) {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, c.resolve(name))
+			return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, resolve(name))
 		}
 		return nil, err
 	}
@@ -372,7 +345,7 @@ func (c *Catalog) Acquire(name string) (*Dataset, error) {
 // monitoring paths can inspect a backend without disturbing the memory
 // budget.  It returns nil for unknown or evicted datasets.
 func (c *Catalog) AcquireResident(name string) *Dataset {
-	h := c.reg.AcquireResident(c.resolve(name))
+	h := c.reg.AcquireResident(resolve(name))
 	if h == nil {
 		return nil
 	}
@@ -386,7 +359,7 @@ func (c *Catalog) AcquireResident(name string) *Dataset {
 // response is bit-for-bit the one a standalone Engine over the same
 // sketch set returns.
 func (c *Catalog) Do(ctx context.Context, req Request) (Response, error) {
-	name := c.resolve(req.Dataset)
+	name := resolve(req.Dataset)
 	req.Dataset = ""
 	var resp Response
 	err := c.reg.View(name, func(v dataset, _ int) error {
@@ -437,7 +410,7 @@ func (c *Catalog) DoBatch(ctx context.Context, reqs []Request) ([]Response, erro
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		name := c.resolve(reqs[i].Dataset)
+		name := resolve(reqs[i].Dataset)
 		var p *pin
 		switch {
 		case first != nil && name == firstName:
@@ -540,7 +513,7 @@ type CatalogStats struct {
 // resident datasets) serving identity and cache counters.
 func (c *Catalog) Stats() CatalogStats {
 	out := CatalogStats{
-		Default:     c.defaultName,
+		Default:     DefaultDataset,
 		BudgetBytes: c.reg.Budget(),
 		Datasets:    []DatasetStats{},
 	}

@@ -170,29 +170,6 @@ func TestCatalogLifecycleErrors(t *testing.T) {
 	}
 }
 
-// WithDefaultDataset reroutes the empty dataset name.
-func TestCatalogDefaultDataset(t *testing.T) {
-	set := buildSet(t, 42)
-	cat, err := adsketch.NewCatalog(adsketch.WithDefaultDataset("snapshot-a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cat.Close()
-	if err := cat.Attach("snapshot-a", adsketch.SetSource(set)); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := cat.Do(context.Background(), adsketch.Request{Closeness: &adsketch.ClosenessQuery{Nodes: []int32{5}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Scores) != 1 {
-		t.Fatalf("response: %+v", resp)
-	}
-	if st := cat.Stats(); st.Default != "snapshot-a" {
-		t.Errorf("Stats().Default = %q", st.Default)
-	}
-}
-
 // Swap publishes atomically: a pinned handle keeps answering from the
 // old version, new queries see the new version immediately, and stats
 // report the drain until the pin drops.

@@ -80,8 +80,8 @@ func (im *ingestManager) stats() []adsketch.IngestorStats {
 	return out
 }
 
-// wireEdge is one edge of an ingest batch; "w" omitted or <= 0 means a
-// unit-length edge.
+// wireEdge is one edge of an ingest batch; "w" omitted or 0 means a
+// unit-length edge, and any other "w" must be positive and finite.
 type wireEdge struct {
 	U int32   `json:"u"`
 	V int32   `json:"v"`

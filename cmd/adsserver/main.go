@@ -118,7 +118,6 @@ func main() {
 	var datasets datasetFlags
 	fs.Var(&datasets, "dataset", "additional named dataset as name=path (repeatable); query with {\"dataset\":\"name\", ...}")
 	addr := fs.String("addr", ":8080", "listen address")
-	parallel := fs.Int("parallel", 0, "worker goroutines per batch query (0 = GOMAXPROCS)")
 	useMmap := fs.Bool("mmap", false, "mmap sketch files instead of reading them in (near-zero startup; every file the tools write qualifies — a file of an earlier release is decoded instead, see adstool convert)")
 	memBudget := fs.Int64("mem-budget", 0, "resident-memory budget in bytes for the catalog; idle file-backed datasets are evicted LRU and reload on demand (0 = unlimited)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries after SIGINT/SIGTERM")
@@ -177,8 +176,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cat, pr, err := buildCatalog(*sketchPath, *workers, *partitions, *useMmap, datasets, *memBudget, ccfg,
-		adsketch.WithQueryParallelism(*parallel))
+	cat, pr, err := buildCatalog(*sketchPath, *workers, *partitions, *useMmap, datasets, *memBudget, ccfg)
 	if err != nil {
 		log.Fatalf("adsserver: %v", err)
 	}
@@ -252,11 +250,8 @@ func main() {
 // one named dataset per -dataset name=path.  The returned prober is
 // non-nil only for a -workers topology with -probe-interval set.
 func buildCatalog(sketchPath, workers string, partitions int, useMmap bool, datasets []string,
-	memBudget int64, ccfg clusterConfig, engOpts ...adsketch.EngineOption) (*adsketch.Catalog, *prober, error) {
-	cat, err := adsketch.NewCatalog(
-		adsketch.WithMemoryBudget(memBudget),
-		adsketch.WithEngineOptions(engOpts...),
-	)
+	memBudget int64, ccfg clusterConfig) (*adsketch.Catalog, *prober, error) {
+	cat, err := adsketch.NewCatalog(adsketch.WithMemoryBudget(memBudget))
 	if err != nil {
 		return nil, nil, err
 	}

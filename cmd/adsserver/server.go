@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log"
 	"mime"
@@ -309,14 +308,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	edges := make([]adsketch.Edge, len(ib.Edges))
 	for i, e := range ib.Edges {
-		// Omitted "w" (0) means unit length; an explicitly negative weight
-		// is a caller mistake, not a unit edge.
-		if e.W < 0 {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: fmt.Sprintf("edge %d: negative weight %g", i, e.W)})
-			return
-		}
-		edges[i] = adsketch.Edge{U: e.U, V: e.V, W: e.W}
+		edges[i] = adsketch.Edge{U: e.U, V: e.V, W: e.W} // omitted "w" (0) is a unit edge
 	}
 	n, err := ing.InsertBatch(edges)
 	s.ingested.Add(int64(n))

@@ -163,7 +163,6 @@ func buildFlags(fs *flag.FlagSet) (path *string, directed *bool, opts func() ([]
 	eps := fs.Float64("eps", -1, "(1+eps)-approximate construction (>= 0 enables)")
 	weights := fs.String("weights", "", "comma-separated per-node weights (Section 9)")
 	priority := fs.Bool("priority", false, "priority (Sequential Poisson) ranks for -weights")
-	parallel := fs.Int("parallel", 0, "construction workers (0 = GOMAXPROCS; 1 = one goroutine; the sketches are the same for every count)")
 	opts = func() ([]adsketch.Option, error) {
 		out := []adsketch.Option{adsketch.WithK(*k), adsketch.WithSeed(*seed)}
 		switch *flavor {
@@ -205,9 +204,6 @@ func buildFlags(fs *flag.FlagSet) (path *string, directed *bool, opts func() ([]
 		}
 		if *priority {
 			out = append(out, adsketch.WithPriorityRanks())
-		}
-		if *parallel != 0 {
-			out = append(out, adsketch.WithParallelism(*parallel))
 		}
 		return out, nil
 	}

@@ -14,9 +14,9 @@ import (
 // (HIPIndex) is built lazily on first touch and cached, so repeated
 // queries against a node cost one binary search (neighborhood sizes) or
 // O(1) (closeness, harmonic) instead of re-deriving the sketch's adjusted
-// weights; batches are scanned in chunks, across a worker pool when they
-// span more than one, and honor context cancellation.  A warm lookup is
-// one atomic load, so concurrent batches share the cache without
+// weights; batches are scanned in chunks, across GOMAXPROCS workers when
+// they span more than one, and honor context cancellation.  A warm lookup
+// is one atomic load, so concurrent batches share the cache without
 // contending on it.
 //
 // An Engine serves a sketch set: a whole one, or one node-range partition
@@ -31,25 +31,9 @@ import (
 // multiple goroutines, and its estimates equal the per-call estimators
 // (Centrality, EstimateNeighborhoodHIP, EstimateQ) on the same sketches.
 type Engine struct {
-	set     *Set
-	meta    ShardMeta // the range served: local sketch i is global node meta.Lo+i
-	workers int
-	cache   *query.IndexCache
-}
-
-// EngineOption configures NewEngine.
-type EngineOption func(*Engine) error
-
-// WithQueryParallelism bounds the number of worker goroutines evaluating
-// one batch query.  0 (the default) means GOMAXPROCS.
-func WithQueryParallelism(workers int) EngineOption {
-	return func(e *Engine) error {
-		if workers < 0 {
-			return fmt.Errorf("%w: WithQueryParallelism(%d), workers must be >= 0 (0 = GOMAXPROCS)", ErrBadOption, workers)
-		}
-		e.workers = workers
-		return nil
-	}
+	set   *Set
+	meta  ShardMeta // the range served: local sketch i is global node meta.Lo+i
+	cache *query.IndexCache
 }
 
 // NewEngine wraps a sketch set (of any kind: uniform, weighted, or
@@ -58,19 +42,11 @@ func WithQueryParallelism(workers int) EngineOption {
 // [set.Lo(), set.Hi()), rejects nodes it does not own, and evaluates topk
 // over its own nodes only — the partial a Coordinator merges into the
 // global ranking.
-func NewEngine(set *Set, opts ...EngineOption) (*Engine, error) {
+func NewEngine(set *Set) (*Engine, error) {
 	if set == nil {
 		return nil, fmt.Errorf("%w: nil sketch set", ErrBadOption)
 	}
 	e := &Engine{set: set}
-	for _, opt := range opts {
-		if opt == nil {
-			return nil, fmt.Errorf("%w: nil EngineOption", ErrBadOption)
-		}
-		if err := opt(e); err != nil {
-			return nil, err
-		}
-	}
 	p := set.Params()
 	index, count := set.Part()
 	e.meta = ShardMeta{Index: index, Count: count, Lo: set.Lo(), Hi: set.Hi(), TotalNodes: set.TotalNodes(),
@@ -95,14 +71,14 @@ func NewEngine(set *Set, opts ...EngineOption) (*Engine, error) {
 // The partitions alias the set's sketches, so the split costs no sketch
 // memory; the per-partition engines keep independent index caches whose
 // combined statistics Coordinator.CacheStats reports.
-func NewPartitionedEngine(set *Set, partitions int, opts ...EngineOption) (*Coordinator, error) {
+func NewPartitionedEngine(set *Set, partitions int) (*Coordinator, error) {
 	parts, err := SplitSketchSet(set, partitions)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadOption, err)
 	}
 	backends := make([]ShardBackend, len(parts))
 	for i, p := range parts {
-		eng, err := NewEngine(p, opts...)
+		eng, err := NewEngine(p)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +147,7 @@ func (e *Engine) batch(ctx context.Context, nodes []int32, f func(*core.HIPIndex
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	out := make([]float64, len(nodes))
-	err := query.ForEach(ctx, e.workers, len(nodes), func(lo, hi int) {
+	err := query.ForEach(ctx, 0, len(nodes), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = f(e.cache.Get(nodes[i] - e.meta.Lo))
 		}
@@ -262,7 +238,7 @@ func (e *Engine) topBy(ctx context.Context, n int, score func(*core.HIPIndex) fl
 		n = local
 	}
 	scores := make([]float64, local)
-	err := query.ForEach(ctx, e.workers, local, func(lo, hi int) {
+	err := query.ForEach(ctx, 0, local, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			scores[i] = score(e.cache.Get(int32(i)))
 		}

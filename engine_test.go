@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,14 +15,14 @@ import (
 	"adsketch/lab"
 )
 
-func buildEngine(t *testing.T, opts ...adsketch.EngineOption) (*adsketch.Graph, adsketch.SketchSet, *adsketch.Engine) {
+func buildEngine(t *testing.T) (*adsketch.Graph, adsketch.SketchSet, *adsketch.Engine) {
 	t.Helper()
 	g := adsketch.PreferentialAttachment(400, 3, 6)
 	set, err := adsketch.Build(g, adsketch.WithK(8), adsketch.WithSeed(19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := adsketch.NewEngine(set, opts...)
+	eng, err := adsketch.NewEngine(set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,21 +194,15 @@ func TestEngineBadInputs(t *testing.T) {
 	if _, err := eng.Closeness(ctx, -1); err == nil {
 		t.Error("negative node accepted")
 	}
-	if _, err := adsketch.NewEngine(set, adsketch.WithQueryParallelism(-2)); !errors.Is(err, adsketch.ErrBadOption) {
-		t.Errorf("WithQueryParallelism(-2) error = %v, want ErrBadOption", err)
-	}
-	if _, err := adsketch.NewEngine(set, nil); !errors.Is(err, adsketch.ErrBadOption) {
-		t.Errorf("nil EngineOption error = %v, want ErrBadOption", err)
-	}
 	out, err := eng.Closeness(ctx) // empty batch
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty batch = (%v, %v)", out, err)
 	}
 }
 
-// The scan's worker count must be invisible to results, and the cache
-// counters must count every node a scan looked up: hits + misses =
-// lookups, with one miss per node on first touch.
+// The scan's worker count, GOMAXPROCS, must be invisible to results, and
+// the cache counters must count every node a scan looked up: hits +
+// misses = lookups, with one miss per node on first touch.
 func TestEngineCacheStats(t *testing.T) {
 	_, set, base := buildEngine(t)
 	ctx := context.Background()
@@ -220,7 +215,8 @@ func TestEngineCacheStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 16} {
-		eng, err := adsketch.NewEngine(set, adsketch.WithQueryParallelism(workers))
+		setProcs(t, workers)
+		eng, err := adsketch.NewEngine(set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +283,8 @@ func TestEngineTopEdgeCases(t *testing.T) {
 // Concurrent batch queries share the lazily built index cache; run with
 // -race to exercise the publication path.
 func TestEngineConcurrentQueries(t *testing.T) {
-	_, set, eng := buildEngine(t, adsketch.WithQueryParallelism(4))
+	setProcs(t, 4)
+	_, set, eng := buildEngine(t)
 	c := lab.NewCentrality(set)
 	want := make([]float64, set.NumNodes())
 	for v := range want {
@@ -334,7 +331,8 @@ func TestEngineConcurrentQueries(t *testing.T) {
 }
 
 func TestEngineContextCancellation(t *testing.T) {
-	_, set, eng := buildEngine(t, adsketch.WithQueryParallelism(2))
+	setProcs(t, 2)
+	_, set, eng := buildEngine(t)
 	nodes := make([]int32, set.NumNodes())
 	for i := range nodes {
 		nodes[i] = int32(i)
@@ -370,7 +368,7 @@ func TestEngineContextCancellation(t *testing.T) {
 	// chunk: at most one chunk per worker runs, the partial results are
 	// discarded, and the cache counts only the lookups that ran.
 	t.Run("multi-chunk", func(t *testing.T) {
-		_, _, eng := buildEngine(t, adsketch.WithQueryParallelism(2))
+		_, _, eng := buildEngine(t)
 		many := make([]int32, 4*query.ChunkSize+7)
 		for i := range many {
 			many[i] = int32(i % set.NumNodes())
@@ -477,13 +475,10 @@ func TestEngineFirstQueryBuildsOneIndex(t *testing.T) {
 // the same two over the whole set, plus the selection heap, its index
 // list and the ranking; a second worker adds the shared chunk counter,
 // its wait group and the goroutine's closures.  AllocsPerRun runs at
-// GOMAXPROCS 1, so the default engine scans on the calling goroutine.
+// GOMAXPROCS 1, so the engine scans on the calling goroutine; the
+// two-worker row counts at GOMAXPROCS 2 instead.
 func TestEngineDoAllocs(t *testing.T) {
 	_, set, eng := buildEngine(t)
-	eng2, err := adsketch.NewEngine(set, adsketch.WithQueryParallelism(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cat, err := adsketch.NewCatalog()
 	if err != nil {
 		t.Fatal(err)
@@ -499,25 +494,46 @@ func TestEngineDoAllocs(t *testing.T) {
 		b    interface {
 			Do(context.Context, adsketch.Request) (adsketch.Response, error)
 		}
-		req adsketch.Request
-		max float64
+		req   adsketch.Request
+		max   float64
+		procs int
 	}{
-		{"Engine.Do point", eng, point, 2},
-		{"Catalog.Do point", cat, point, 2},
-		{"Engine.Do topk", eng, topk, 6},
-		{"Engine.Do topk, 2 workers", eng2, topk, 10},
+		{"Engine.Do point", eng, point, 2, 1},
+		{"Catalog.Do point", cat, point, 2, 1},
+		{"Engine.Do topk", eng, topk, 6, 1},
+		{"Engine.Do topk, 2 workers", eng, topk, 10, 2},
 	} {
 		ctx := context.Background()
 		if _, err := c.b.Do(ctx, c.req); err != nil { // warm the cache
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(50, func() {
+		run := func() {
 			if _, err := c.b.Do(ctx, c.req); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		var allocs float64
+		if c.procs > 1 {
+			allocs = allocsAtProcs(c.procs, 50, run)
+		} else {
+			allocs = testing.AllocsPerRun(50, run)
+		}
 		if allocs > c.max {
 			t.Errorf("%s: %.0f allocations, want at most %.0f", c.name, allocs, c.max)
 		}
 	}
+}
+
+// allocsAtProcs is testing.AllocsPerRun at GOMAXPROCS=procs rather than 1:
+// the mean allocations of runs calls of f, after one warm-up call.
+func allocsAtProcs(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }

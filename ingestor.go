@@ -20,21 +20,18 @@ import (
 // distances, so each edge's effect is a bounded frontier of (node, dist,
 // rank) candidates pruned by the bottom-k win rules, and the maintained
 // state is at all times exactly what a full Build of the current graph
-// would produce.  Periodically — every N edges (WithFreezeEvery), on a
-// wall-clock budget (WithFreezeInterval), or on demand (Freeze) — the
-// base frame and pending deltas freeze into a new columnar frame and,
+// would produce.  Every N edges (WithFreezeEvery) or on demand (Freeze)
+// the base frame and pending deltas freeze into a new columnar frame and,
 // when publishing is configured, land in a Catalog via Swap: queries
 // always see the last published version, never partial deltas, and
 // in-flight queries drain on the version they started on.
 
-// Edge is one edge-insertion event; W <= 0 means unit length.
+// Edge is one edge-insertion event; W == 0 means unit length, and any
+// other W must be a positive, finite length.
 type Edge = stream.Edge
 
 // EdgeSource yields the edges of a stream in order.
 type EdgeSource = stream.EdgeSource
-
-// NewEdgeSliceSource returns an EdgeSource over a fixed slice.
-func NewEdgeSliceSource(edges []Edge) EdgeSource { return stream.NewSliceSource(edges) }
 
 // NewRandomEdgeSource returns a deterministic random edge stream over node
 // IDs [0, nodes) — the same arguments always yield the same edges.
@@ -50,31 +47,28 @@ type Ingestor struct {
 	mu sync.Mutex
 	m  *ingest.Maintainer // guarded by mu; the maintainer itself is not concurrency-safe
 
-	freezeEvery    int
-	freezeInterval time.Duration
+	freezeEvery int
 
 	cat     *Catalog
 	dataset string
 	dir     string
 	mmapPub bool
 
-	pending    int64     // guarded by mu
-	freezes    int64     // guarded by mu
-	seq        int64     // guarded by mu
-	version    int       // guarded by mu
-	path       string    // guarded by mu
-	published  time.Time // guarded by mu
-	lastFreeze time.Time // guarded by mu
+	pending   int64     // guarded by mu
+	freezes   int64     // guarded by mu
+	seq       int64     // guarded by mu
+	version   int       // guarded by mu
+	path      string    // guarded by mu
+	published time.Time // guarded by mu
 }
 
 // ingestorConfig collects the options before the maintainer exists.
 type ingestorConfig struct {
-	freezeEvery    int
-	freezeInterval time.Duration
-	cat            *Catalog
-	dataset        string
-	dir            string
-	mmap           bool
+	freezeEvery int
+	cat         *Catalog
+	dataset     string
+	dir         string
+	mmap        bool
 }
 
 // IngestorOption configures NewIngestor.
@@ -89,20 +83,6 @@ func WithFreezeEvery(n int) IngestorOption {
 			return fmt.Errorf("%w: WithFreezeEvery(%d), n must be >= 0 (0 = disabled)", ErrBadOption, n)
 		}
 		c.freezeEvery = n
-		return nil
-	}
-}
-
-// WithFreezeInterval freezes automatically when an insert arrives more
-// than d after the last freeze — a wall-clock staleness budget.  The check
-// piggybacks on insertions (no background goroutine), so a fully idle
-// stream publishes nothing new, which is also when nothing is stale.
-func WithFreezeInterval(d time.Duration) IngestorOption {
-	return func(c *ingestorConfig) error {
-		if d < 0 {
-			return fmt.Errorf("%w: WithFreezeInterval(%v), interval must be >= 0 (0 = disabled)", ErrBadOption, d)
-		}
-		c.freezeInterval = d
 		return nil
 	}
 }
@@ -180,14 +160,12 @@ func NewIngestor(g *Graph, set *Set, opts ...IngestorOption) (*Ingestor, error) 
 		}
 	}
 	return &Ingestor{
-		m:              m,
-		freezeEvery:    c.freezeEvery,
-		freezeInterval: c.freezeInterval,
-		cat:            c.cat,
-		dataset:        c.dataset,
-		dir:            c.dir,
-		mmapPub:        c.mmap,
-		lastFreeze:     time.Now(),
+		m:           m,
+		freezeEvery: c.freezeEvery,
+		cat:         c.cat,
+		dataset:     c.dataset,
+		dir:         c.dir,
+		mmapPub:     c.mmap,
 	}, nil
 }
 
@@ -211,8 +189,9 @@ func (in *Ingestor) Dataset() string { return in.dataset }
 // a configured trigger fires.
 func (in *Ingestor) Insert(u, v int32) error { return in.InsertWeighted(u, v, 0) }
 
-// InsertWeighted ingests an edge with the given positive length (w <= 0
-// means unit length).
+// InsertWeighted ingests an edge of length w: 0 means unit length, and
+// any other w must be positive and finite, or the edge is refused and
+// changes nothing.
 func (in *Ingestor) InsertWeighted(u, v int32, w float64) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -241,23 +220,18 @@ func (in *Ingestor) Replay(src EdgeSource) (int, error) {
 	})
 }
 
+// insertLocked applies one edge.  Only w == 0 stands for a unit edge; the
+// maintainer refuses any other length graph.ValidLength rejects.
 func (in *Ingestor) insertLocked(u, v int32, w float64) error {
-	var err error
-	if w <= 0 {
-		err = in.m.Insert(u, v)
-	} else {
-		err = in.m.InsertWeighted(u, v, w)
+	if w == 0 {
+		w = 1
 	}
-	if err != nil {
+	if err := in.m.InsertWeighted(u, v, w); err != nil {
 		return err
 	}
 	in.pending++
 	if in.freezeEvery > 0 && in.pending >= int64(in.freezeEvery) {
-		_, err = in.freezeLocked()
-		return err
-	}
-	if in.freezeInterval > 0 && time.Since(in.lastFreeze) >= in.freezeInterval {
-		_, err = in.freezeLocked()
+		_, err := in.freezeLocked()
 		return err
 	}
 	return nil
@@ -292,7 +266,6 @@ func (in *Ingestor) freezeLocked() (*FreezeResult, error) {
 	res := &FreezeResult{Set: set, Nodes: set.NumNodes(), Entries: set.TotalEntries()}
 	in.pending = 0
 	in.freezes++
-	in.lastFreeze = time.Now()
 	if in.cat == nil {
 		return res, nil
 	}

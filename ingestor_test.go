@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
+	"strings"
 	"testing"
-	"time"
 
 	"adsketch"
 )
@@ -263,19 +264,34 @@ func TestIngestorReplayDeterminism(t *testing.T) {
 	}
 }
 
-func TestIngestorFreezeInterval(t *testing.T) {
-	ing, err := adsketch.NewEmptyIngestor(false, 4, 2, adsketch.WithFreezeInterval(time.Nanosecond))
+// Only W == 0 stands for a unit edge: a negative or infinite length is
+// refused, names the edge, and leaves the ingestor as it was, whether it
+// comes alone or in a batch.
+func TestIngestorRefusesBadLengths(t *testing.T) {
+	ing, err := adsketch.NewEmptyIngestor(false, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int32(0); i < 3; i++ {
-		time.Sleep(time.Millisecond)
-		if err := ing.Insert(i, i+1); err != nil {
-			t.Fatal(err)
+	if err := ing.Insert(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	before := ing.Stats()
+	for _, w := range []float64{-3, math.Inf(-1), math.Inf(1), math.NaN()} {
+		err := ing.InsertWeighted(0, 1, w)
+		if err == nil || !strings.Contains(err.Error(), "(0,1)") {
+			t.Errorf("InsertWeighted(0, 1, %g) = %v, want an error naming edge (0,1)", w, err)
+		}
+		if st := ing.Stats(); st != before {
+			t.Errorf("InsertWeighted(0, 1, %g) changed the stats: %+v, want %+v", w, st, before)
 		}
 	}
-	if st := ing.Stats(); st.Freezes < 3 {
-		t.Fatalf("Freezes = %d with a nanosecond interval, want >= 3", st.Freezes)
+	n, err := ing.InsertBatch([]adsketch.Edge{{U: 0, V: 1}, {U: 1, V: 2, W: 2.5}, {U: 2, V: 4, W: -3}, {U: 4, V: 5}})
+	if n != 2 || err == nil || !strings.Contains(err.Error(), "(2,4)") {
+		t.Errorf("InsertBatch with a bad third edge = (%d, %v), want (2, an error naming edge (2,4))", n, err)
+	}
+	if st := ing.Stats(); st.PendingEdges != before.PendingEdges+2 || st.Maintainer.Edges != before.Maintainer.Edges+2 {
+		t.Errorf("after the batch: %d pending, %d edges; want %d and %d",
+			st.PendingEdges, st.Maintainer.Edges, before.PendingEdges+2, before.Maintainer.Edges+2)
 	}
 }
 
@@ -287,7 +303,6 @@ func TestIngestorOptionErrors(t *testing.T) {
 	defer cat.Close()
 	bad := [][]adsketch.IngestorOption{
 		{adsketch.WithFreezeEvery(-1)},
-		{adsketch.WithFreezeInterval(-time.Second)},
 		{adsketch.WithPublish(nil, "x")},
 		{adsketch.WithPublish(cat, "bad name")},
 		{adsketch.WithPublishDir("")},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"adsketch/internal/graph"
@@ -507,8 +508,26 @@ func TestBuildWeightedSetErrors(t *testing.T) {
 	if _, err := BuildWeightedSet(g, 2, 1, []float64{1, 1}); err == nil {
 		t.Error("short beta accepted")
 	}
-	if _, err := BuildWeightedSet(g, 2, 1, []float64{1, -1, 1, 1}); err == nil {
-		t.Error("negative beta accepted")
+	// A node weight must be positive and finite: NaN passes a "b <= 0"
+	// test and +Inf gives a zero rank, so both are refused with 0 and -1,
+	// under either rank scheme, naming the node.
+	for _, b := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		beta := []float64{1, 1, b, 1}
+		for name, build := range map[string]func(*graph.Graph, int, uint64, []float64) (*Set, error){
+			"exponential": BuildWeightedSet, "priority": BuildPriorityWeightedSet,
+		} {
+			set, err := build(g, 2, 1, beta)
+			if set != nil || err == nil || !strings.Contains(err.Error(), "beta[2]") {
+				t.Errorf("%s, beta[2] = %g: (%v, %v), want an error naming beta[2]", name, b, set, err)
+			}
+		}
+		// A node range's slice names the global node ID.
+		if err := CheckWeights(beta[1:], 5); err == nil || !strings.Contains(err.Error(), "beta[6]") {
+			t.Errorf("CheckWeights from node 5, beta[6] = %g: %v, want an error naming beta[6]", b, err)
+		}
+	}
+	if err := CheckWeights([]float64{0.5, 1, math.MaxFloat64}, 0); err != nil {
+		t.Errorf("CheckWeights refused valid weights: %v", err)
 	}
 }
 

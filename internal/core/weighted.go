@@ -185,9 +185,22 @@ func (a *WeightedADS) EstimateCentrality(alpha func(float64) float64) float64 {
 	return sum
 }
 
+// CheckWeights refuses node weights that are not positive and finite,
+// the one rule every weighted build applies: a zero, negative or NaN β
+// has no Exp(β) rank, and an infinite one gives rank 0.  The error names
+// the first bad weight by its node ID, first+i for beta[i].
+func CheckWeights(beta []float64, first int) error {
+	for i, b := range beta {
+		if !(b > 0) || math.IsInf(b, 1) {
+			return fmt.Errorf("beta[%d] = %g, weights must be positive and finite", first+i, b)
+		}
+	}
+	return nil
+}
+
 // BuildWeightedSet computes the weighted bottom-k ADS of every node using
 // PrunedDijkstra with exponential ranks.  beta[v] is the weight of node v
-// and must be positive.
+// and must be positive and finite (CheckWeights).
 func BuildWeightedSet(g *graph.Graph, k int, seed uint64, beta []float64) (*Set, error) {
 	return BuildWeightedSetParallel(g, k, seed, beta, ExponentialWeights, 0)
 }
@@ -209,10 +222,8 @@ func BuildWeightedSetParallel(g *graph.Graph, k int, seed uint64, beta []float64
 	if len(beta) != g.NumNodes() {
 		return nil, fmt.Errorf("core: beta has %d weights for %d nodes", len(beta), g.NumNodes())
 	}
-	for v, b := range beta {
-		if b <= 0 {
-			return nil, fmt.Errorf("core: beta[%d] = %g, must be positive", v, b)
-		}
+	if err := CheckWeights(beta, 0); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	run := func(g *graph.Graph, s runSpec) [][]Entry { return prunedDijkstraRun(g, s, workers) }
 	return weightedSetFrom(g, p, beta, run), nil

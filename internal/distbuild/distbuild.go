@@ -126,10 +126,8 @@ func (s *Spec) Validate() error {
 		if len(s.Beta) != s.N {
 			return fmt.Errorf("distbuild: beta has %d weights for %d nodes", len(s.Beta), s.N)
 		}
-		for v, b := range s.Beta {
-			if !(b > 0) || math.IsInf(b, 1) {
-				return fmt.Errorf("distbuild: beta[%d] = %g, must be positive and finite", v, b)
-			}
+		if err := core.CheckWeights(s.Beta, 0); err != nil {
+			return fmt.Errorf("distbuild: %w", err)
 		}
 	case KindApprox:
 		if s.Eps < 0 || math.IsNaN(s.Eps) || math.IsInf(s.Eps, 1) {
@@ -201,10 +199,8 @@ func (ws *WorkerSpec) Validate() error {
 		if len(ws.Beta) != hi-lo {
 			return fmt.Errorf("distbuild: worker %d owns %d nodes but got %d weights", ws.Index, hi-lo, len(ws.Beta))
 		}
-		for i, b := range ws.Beta {
-			if !(b > 0) || math.IsInf(b, 1) {
-				return fmt.Errorf("distbuild: beta[%d] = %g, must be positive and finite", lo+i, b)
-			}
+		if err := core.CheckWeights(ws.Beta, lo); err != nil {
+			return fmt.Errorf("distbuild: %w", err)
 		}
 		// Spec.Validate checks Beta against the full node count; the
 		// worker only carries its slice, so stand in a valid vector.

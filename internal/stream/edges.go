@@ -14,15 +14,16 @@ import (
 // sketch maintainer) from one.  Sources are deterministic where seeded, so
 // an ingest replay is reproducible end to end.
 
-// Edge is one edge-insertion event.  W <= 0 means unit length (an
-// unweighted edge); explicit lengths must be positive.
+// Edge is one edge-insertion event.  W == 0 means unit length (an
+// unweighted edge); any other W is an explicit length, which must be
+// positive and finite.
 type Edge struct {
 	U, V int32
 	W    float64
 }
 
 // Unit reports whether the edge carries no explicit length.
-func (e Edge) Unit() bool { return e.W <= 0 }
+func (e Edge) Unit() bool { return e.W == 0 }
 
 // EdgeSource yields the edges of a stream in order.  Next returns false
 // when the stream is exhausted.

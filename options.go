@@ -29,17 +29,16 @@ type SketchSet = *Set
 
 // buildConfig is the resolved option state of one Build call.
 type buildConfig struct {
-	k           int
-	seed        uint64
-	flavor      Flavor
-	baseB       float64
-	algo        Algorithm
-	algoSet     bool
-	weights     []float64
-	priority    bool
-	approx      bool
-	eps         float64
-	parallelism int
+	k        int
+	seed     uint64
+	flavor   Flavor
+	baseB    float64
+	algo     Algorithm
+	algoSet  bool
+	weights  []float64
+	priority bool
+	approx   bool
+	eps      float64
 }
 
 // Option configures a Build call.  Options are applied in order; each
@@ -155,28 +154,6 @@ func WithApproxEps(eps float64) Option {
 	}
 }
 
-// WithParallelism bounds the number of worker goroutines of the
-// construction: the candidate batches of Algorithm 1 in a bottom-k or
-// weighted build with AlgoPrunedDijkstra, and the per-permutation and
-// per-bucket passes of k-mins / k-partition (each on one goroutine, so
-// workers are never squared).  0 (the default) means GOMAXPROCS; 1 keeps
-// the whole build on the calling goroutine.  The built sketches are
-// byte-identical for every level; on 2 cores the default builds
-// PA(10000,5) at k=16 in about two thirds of the one-worker time
-// (BenchmarkBuildPipeline).  Asking for workers > 1 where the
-// construction has no parallel dimension — an approximate build, or
-// bottom-k with AlgoDP, AlgoLocalUpdates or AlgoBruteForce — is rejected
-// with ErrIncompatibleOptions rather than silently running serially.
-func WithParallelism(workers int) Option {
-	return func(c *buildConfig) error {
-		if workers < 0 {
-			return fmt.Errorf("%w: WithParallelism(%d), workers must be >= 0 (0 = the default)", ErrBadOption, workers)
-		}
-		c.parallelism = workers
-		return nil
-	}
-}
-
 // check validates the option combination against the target graph.
 func (c *buildConfig) check(g *Graph) error {
 	if c.approx {
@@ -206,22 +183,12 @@ func (c *buildConfig) check(g *Graph) error {
 		if len(c.weights) != g.NumNodes() {
 			return fmt.Errorf("%w: WithNodeWeights has %d weights for %d nodes", ErrBadOption, len(c.weights), g.NumNodes())
 		}
-		for v, b := range c.weights {
-			if !(b > 0) || math.IsInf(b, 1) {
-				return fmt.Errorf("%w: WithNodeWeights: beta[%d] = %g, weights must be finite and positive", ErrBadOption, v, b)
-			}
+		if err := core.CheckWeights(c.weights, 0); err != nil {
+			return fmt.Errorf("%w: WithNodeWeights: %v", ErrBadOption, err)
 		}
 	}
 	if c.priority && c.weights == nil {
 		return fmt.Errorf("%w: WithPriorityRanks requires WithNodeWeights", ErrIncompatibleOptions)
-	}
-	if c.parallelism > 1 {
-		switch {
-		case c.approx:
-			return fmt.Errorf("%w: WithParallelism: the approximate construction is sequential", ErrIncompatibleOptions)
-		case c.flavor == BottomK && c.algo != AlgoPrunedDijkstra:
-			return fmt.Errorf("%w: WithParallelism: a bottom-k build with %v is sequential; use AlgoPrunedDijkstra or drop the option", ErrIncompatibleOptions, c.algo)
-		}
 	}
 	return nil
 }
@@ -249,10 +216,11 @@ func flavorName(f Flavor) string {
 //	set, err := adsketch.Build(g, adsketch.WithNodeWeights(beta)) // weighted cardinalities
 //	set, err := adsketch.Build(g, adsketch.WithApproxEps(0.25))   // (1+ε)-approximate
 //
-// The default build uses GOMAXPROCS goroutines — a bottom-k or weighted
-// build for the candidate batches of Algorithm 1, a k-mins or k-partition
-// build for its k passes — unless WithParallelism bounds them; its output
-// does not depend on how many.
+// Build uses GOMAXPROCS goroutines — a bottom-k or weighted build with
+// AlgoPrunedDijkstra for the candidate batches of Algorithm 1, a k-mins or
+// k-partition build for its k passes — and its output does not depend on
+// how many.  On 2 cores it builds PA(10000,5) at k=16 in about two thirds
+// of the one-core time (BenchmarkBuildPipeline).
 //
 // For backward sketches on directed graphs, pass g.Transpose().  Invalid
 // option values return an error matching ErrBadOption; unsupported
@@ -282,10 +250,10 @@ func Build(g *Graph, opts ...Option) (*Set, error) {
 		if cfg.priority {
 			scheme = core.PriorityWeights
 		}
-		set, err = core.BuildWeightedSetParallel(g, cfg.k, cfg.seed, cfg.weights, scheme, cfg.parallelism)
+		set, err = core.BuildWeightedSetParallel(g, cfg.k, cfg.seed, cfg.weights, scheme, 0)
 	default:
 		o := core.Options{K: cfg.k, Flavor: cfg.flavor, Seed: cfg.seed, BaseB: cfg.baseB}
-		set, err = core.BuildSetParallel(g, o, cfg.algo, cfg.parallelism)
+		set, err = core.BuildSet(g, o, cfg.algo)
 	}
 	return set, err
 }

@@ -3,6 +3,8 @@ package adsketch_test
 import (
 	"bytes"
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 
 	"adsketch"
@@ -25,12 +27,13 @@ func TestBuildOptionValidation(t *testing.T) {
 		{"base-b one", []adsketch.Option{adsketch.WithBaseB(1)}, adsketch.ErrBadOption},
 		{"base-b below one", []adsketch.Option{adsketch.WithBaseB(0.5)}, adsketch.ErrBadOption},
 		{"negative eps", []adsketch.Option{adsketch.WithApproxEps(-0.1)}, adsketch.ErrBadOption},
-		{"negative parallelism", []adsketch.Option{adsketch.WithParallelism(-1)}, adsketch.ErrBadOption},
 		{"unknown flavor", []adsketch.Option{adsketch.WithFlavor(adsketch.Flavor(99))}, adsketch.ErrBadOption},
 		{"unknown algorithm", []adsketch.Option{adsketch.WithAlgorithm(adsketch.Algorithm(99))}, adsketch.ErrBadOption},
 		{"empty weights", []adsketch.Option{adsketch.WithNodeWeights(nil)}, adsketch.ErrBadOption},
 		{"short weights", []adsketch.Option{adsketch.WithNodeWeights([]float64{1, 2})}, adsketch.ErrBadOption},
 		{"non-positive weight", []adsketch.Option{adsketch.WithNodeWeights(append([]float64{0}, beta[1:]...))}, adsketch.ErrBadOption},
+		{"NaN weight", []adsketch.Option{adsketch.WithNodeWeights(append([]float64{math.NaN()}, beta[1:]...))}, adsketch.ErrBadOption},
+		{"infinite weight", []adsketch.Option{adsketch.WithNodeWeights(append([]float64{math.Inf(1)}, beta[1:]...))}, adsketch.ErrBadOption},
 		{"nil option", []adsketch.Option{nil}, adsketch.ErrBadOption},
 		{"weights+kmins", []adsketch.Option{
 			adsketch.WithNodeWeights(beta), adsketch.WithFlavor(adsketch.KMins),
@@ -55,12 +58,6 @@ func TestBuildOptionValidation(t *testing.T) {
 		}, adsketch.ErrIncompatibleOptions},
 		{"approx+dijkstra", []adsketch.Option{
 			adsketch.WithApproxEps(0.1), adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra),
-		}, adsketch.ErrIncompatibleOptions},
-		{"approx+parallelism", []adsketch.Option{
-			adsketch.WithApproxEps(0.1), adsketch.WithParallelism(3),
-		}, adsketch.ErrIncompatibleOptions},
-		{"sequential algo+parallelism", []adsketch.Option{
-			adsketch.WithAlgorithm(adsketch.AlgoBruteForce), adsketch.WithParallelism(3),
 		}, adsketch.ErrIncompatibleOptions},
 	}
 	for _, tc := range cases {
@@ -92,15 +89,13 @@ func TestBuildAcceptsCompatibleCombinations(t *testing.T) {
 	}
 	cases := [][]adsketch.Option{
 		nil, // all defaults
-		{adsketch.WithK(4), adsketch.WithFlavor(adsketch.KMins), adsketch.WithBaseB(2), adsketch.WithParallelism(2)},
+		{adsketch.WithK(4), adsketch.WithFlavor(adsketch.KMins), adsketch.WithBaseB(2)},
 		{adsketch.WithFlavor(adsketch.KPartition), adsketch.WithAlgorithm(adsketch.AlgoBruteForce)},
 		{adsketch.WithNodeWeights(beta), adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra)},
 		{adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()},
 		{adsketch.WithApproxEps(0), adsketch.WithAlgorithm(adsketch.AlgoLocalUpdates)},
-		{adsketch.WithParallelism(4)},
-		{adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra), adsketch.WithParallelism(2)},
-		{adsketch.WithNodeWeights(beta), adsketch.WithParallelism(3)},
-		{adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks(), adsketch.WithParallelism(1)},
+		{adsketch.WithApproxEps(0.1)},
+		{adsketch.WithAlgorithm(adsketch.AlgoBruteForce)},
 	}
 	for i, opts := range cases {
 		set, err := adsketch.Build(g, opts...)
@@ -134,7 +129,7 @@ func TestBuildParityUniform(t *testing.T) {
 		g       *adsketch.Graph
 		o       core.Options
 		algo    adsketch.Algorithm
-		workers int // 0 = GOMAXPROCS, the default of both entry points
+		workers int // core's worker bound; Build sizes itself by GOMAXPROCS
 	}{
 		{"bottomk/dijkstra", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoPrunedDijkstra, 0},
 		{"bottomk/parallel", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoPrunedDijkstra, 2},
@@ -153,7 +148,6 @@ func TestBuildParityUniform(t *testing.T) {
 			opts := []adsketch.Option{
 				adsketch.WithK(tc.o.K), adsketch.WithSeed(tc.o.Seed),
 				adsketch.WithFlavor(tc.o.Flavor), adsketch.WithAlgorithm(tc.algo),
-				adsketch.WithParallelism(tc.workers),
 			}
 			if tc.o.BaseB != 0 {
 				opts = append(opts, adsketch.WithBaseB(tc.o.BaseB))
@@ -169,7 +163,17 @@ func TestBuildParityUniform(t *testing.T) {
 	}
 }
 
+// setProcs sets GOMAXPROCS, the worker count Build and Engine size
+// themselves by, to n until tb ends; calls stack, each restoring the one
+// before.  A test calling it must not be parallel.
+func setProcs(tb testing.TB, n int) {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestBuildParityParallelismInvariant(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
 	g := adsketch.GNP(50, 0.1, false, 3)
 	base, err := adsketch.Build(g, adsketch.WithK(3), adsketch.WithSeed(1),
 		adsketch.WithFlavor(adsketch.KMins))
@@ -177,8 +181,9 @@ func TestBuildParityParallelismInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 7} {
+		setProcs(t, workers)
 		got, err := adsketch.Build(g, adsketch.WithK(3), adsketch.WithSeed(1),
-			adsketch.WithFlavor(adsketch.KMins), adsketch.WithParallelism(workers))
+			adsketch.WithFlavor(adsketch.KMins))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,12 +201,14 @@ func TestBuildParityParallelismInvariant(t *testing.T) {
 		"bottom-k": {adsketch.WithK(3), adsketch.WithSeed(1)},
 		"weighted": {adsketch.WithK(3), adsketch.WithSeed(1), adsketch.WithNodeWeights(beta)},
 	} {
-		serial, err := adsketch.Build(g, append(opts, adsketch.WithParallelism(1))...)
+		setProcs(t, 1)
+		serial, err := adsketch.Build(g, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 2, 4} {
-			parallel, err := adsketch.Build(g, append(opts, adsketch.WithParallelism(workers))...)
+		for _, workers := range []int{procs, 2, 4} {
+			setProcs(t, workers)
+			parallel, err := adsketch.Build(g, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
