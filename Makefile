@@ -51,7 +51,8 @@ cpus:
 
 # Static-analysis gate, also a required CI step: gofmt, the serving
 # binaries' closure (none of SERVING_BINS may link the paper lab —
-# adsketch/lab or internal/simulate), the standard vet suite, the repo's
+# adsketch/lab, internal/simulate, or internal/stats with the reference
+# error curves), the standard vet suite, the repo's
 # own invariant analyzers (cmd/adsvet — detorder, refpair, wireformat,
 # kindswitch, lockheld; see README "Static analysis"), and staticcheck
 # when installed (CI installs a pinned version; locally the step is
@@ -60,7 +61,7 @@ cpus:
 analyze:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 	  echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
-	@lab=$$($(GO) list -deps $(SERVING_BINS) | grep -xE 'adsketch/(lab|internal/simulate)'); \
+	@lab=$$($(GO) list -deps $(SERVING_BINS) | grep -xE 'adsketch/(lab|internal/simulate|internal/stats)'); \
 	if [ -n "$$lab" ]; then echo "the serving binaries link the paper lab:" >&2; \
 	  echo "$$lab" >&2; exit 1; fi
 	$(GO) vet ./...

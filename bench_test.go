@@ -57,8 +57,8 @@ func benchFigure2(b *testing.B, k, maxn, runs int) {
 	b.ReportMetric(basic/hip, "basic/HIP")
 	b.ReportMetric(byName[simulate.SeriesPerm].Point(top).NRMSE(), "perm-NRMSE")
 	b.ReportMetric(byName[simulate.SeriesKPartBasic].Point(top).NRMSE(), "kpart-NRMSE")
-	b.ReportMetric(sketch.BasicCV(k), "ref-basic-CV")
-	b.ReportMetric(sketch.HIPCV(k), "ref-HIP-CV")
+	b.ReportMetric(stats.BasicCV(k), "ref-basic-CV")
+	b.ReportMetric(stats.HIPCV(k), "ref-HIP-CV")
 }
 
 func BenchmarkFigure2_K5(b *testing.B)  { benchFigure2(b, 5, 10000, 200) }
@@ -79,7 +79,7 @@ func benchFigure3(b *testing.B, k, maxn, runs int) {
 	b.ReportMetric(byName[simulate.SeriesHLLRaw].Point(top).NRMSE(), "HLLraw-NRMSE")
 	b.ReportMetric(byName[simulate.SeriesHLL].Point(top).NRMSE(), "HLL-NRMSE")
 	b.ReportMetric(byName[simulate.SeriesHIP].Point(top).NRMSE(), "HIP-NRMSE")
-	b.ReportMetric(sketch.HIPBaseBCV(k, 2), "ref-HIP-analysis")
+	b.ReportMetric(stats.HIPBaseBCV(k, 2), "ref-HIP-analysis")
 }
 
 func BenchmarkFigure3_K16(b *testing.B) { benchFigure3(b, 16, 200000, 250) }
@@ -226,15 +226,12 @@ func BenchmarkQgHIPvsNaive(b *testing.B) {
 				sb.Offer(int32(id), float64(id), src.Rank(id))
 			}
 			hipAcc.Add(core.EstimateQ(sb.ADS(), func(_ int32, d float64) float64 { return gfun(d) }))
-			mh := sketch.NewBottomK(k)
-			for id := int64(0); id < n; id++ {
-				mh.AddFrom(src, id)
-			}
+			mh := sb.ADS().MinHashEntriesWithin(math.Inf(1))
 			sum := 0.0
-			for _, e := range mh.Entries() {
-				sum += gfun(float64(e.ID))
+			for _, e := range mh {
+				sum += gfun(e.Dist)
 			}
-			naiveAcc.Add(mh.Estimate() * sum / float64(mh.Len()))
+			naiveAcc.Add(sketch.BottomKEstimate(k, mh[k-1].Rank) * sum / float64(len(mh)))
 		}
 		r := naiveAcc.NRMSE() / hipAcc.NRMSE()
 		ratio = r * r

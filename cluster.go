@@ -879,9 +879,9 @@ func requireCoordinated(m ShardMeta) error {
 }
 
 // adsFromWire rebuilds a validated bottom-k ADS from transported sketch
-// entries.  encoding/json emits the shortest float64 form that round
-// trips exactly, so a sketch fetched from a remote shard is bit-for-bit
-// the stored one.
+// entries.  The coordinator speaks only binary frames to its workers, and
+// internal/wire carries each distance and rank as its float64 bits, so a
+// sketch fetched from a remote shard is bit-for-bit the stored one.
 func adsFromWire(owner int32, k int, entries []SketchEntry) (*core.ADS, error) {
 	raw := make([]core.Entry, len(entries))
 	for i, e := range entries {

@@ -29,7 +29,6 @@ import (
 	"adsketch"
 	"adsketch/internal/graph"
 	"adsketch/internal/simulate"
-	"adsketch/internal/sketch"
 	"adsketch/internal/stats"
 	"adsketch/lab"
 )
@@ -125,7 +124,7 @@ func runFig2(args []string, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "# reference: basic CV UB = %.4f, HIP CV UB = %.4f, basic MRE UB = %.4f, HIP MRE UB = %.4f\n",
-		sketch.BasicCV(*k), sketch.HIPCV(*k), sketch.BasicMRE(*k), sketch.HIPMRE(*k))
+		stats.BasicCV(*k), stats.HIPCV(*k), stats.BasicMRE(*k), stats.HIPMRE(*k))
 	return nil
 }
 
@@ -154,7 +153,7 @@ func runFig3(args []string, w io.Writer) error {
 	if err := panel.WriteTSV(w, m); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "# reference: HIP base-2 CV analysis = %.4f\n", sketch.HIPBaseBCV(*k, 2))
+	fmt.Fprintf(w, "# reference: HIP base-2 CV analysis = %.4f\n", stats.HIPBaseBCV(*k, 2))
 	return nil
 }
 
@@ -301,6 +300,6 @@ func runGraphQ(args []string, w io.Writer) error {
 	fmt.Fprintln(w, "# per-node HIP estimate quality on a BA graph (batch Engine vs exact)")
 	fmt.Fprintln(w, "k\td\tsample\tMRE(|N_d|)\tMRE(closeness)\tref HIP CV")
 	fmt.Fprintf(w, "%d\t%g\t%d\t%.4f\t%.4f\t%.4f\n",
-		*k, *d, len(nodes), mreN, mreC, sketch.HIPCV(*k))
+		*k, *d, len(nodes), mreN, mreC, stats.HIPCV(*k))
 	return nil
 }

@@ -65,7 +65,7 @@ func TestHIPCVMatchesTheory(t *testing.T) {
 			s := streamSketch(sketch.BottomK, k, n, uint64(run)*2654435761+13)
 			acc.Add(EstimateNeighborhoodHIP(s, n))
 		}
-		bound := sketch.HIPCV(k)
+		bound := stats.HIPCV(k)
 		got := acc.NRMSE()
 		if got > 1.15*bound {
 			t.Errorf("k=%d: HIP NRMSE %g exceeds bound %g", k, got, bound)
@@ -125,8 +125,8 @@ func TestHIPPrefixEstimates(t *testing.T) {
 		if bias := accs[i].Bias(); math.Abs(bias) > 0.05 {
 			t.Errorf("checkpoint %d: bias %+.3f", c, bias)
 		}
-		if nrmse := accs[i].NRMSE(); nrmse > 1.3*sketch.HIPCV(k) {
-			t.Errorf("checkpoint %d: NRMSE %g above bound %g", c, nrmse, 1.3*sketch.HIPCV(k))
+		if nrmse := accs[i].NRMSE(); nrmse > 1.3*stats.HIPCV(k) {
+			t.Errorf("checkpoint %d: NRMSE %g above bound %g", c, nrmse, 1.3*stats.HIPCV(k))
 		}
 	}
 }
@@ -469,8 +469,8 @@ func TestWeightedADSUnbiased(t *testing.T) {
 	if bias := acc.Bias(); math.Abs(bias) > 0.05 {
 		t.Errorf("weighted neighborhood bias = %+.3f (exact %g)", bias, exact)
 	}
-	if nrmse := acc.NRMSE(); nrmse > 2.5*sketch.HIPCV(8) {
-		t.Errorf("weighted NRMSE = %g, far above HIP bound %g", nrmse, sketch.HIPCV(8))
+	if nrmse := acc.NRMSE(); nrmse > 2.5*stats.HIPCV(8) {
+		t.Errorf("weighted NRMSE = %g, far above HIP bound %g", nrmse, stats.HIPCV(8))
 	}
 }
 
@@ -572,8 +572,8 @@ func TestNoTieADSUnbiased(t *testing.T) {
 		t.Errorf("mean no-tie size %g exceeds k per group", sizeSum/runs)
 	}
 	// CV within the Appendix A bound 1/sqrt(k-2) (loosely checked).
-	if acc.NRMSE() > 1.4*sketch.BasicCV(k) {
-		t.Errorf("no-tie NRMSE = %g above bound %g", acc.NRMSE(), sketch.BasicCV(k))
+	if acc.NRMSE() > 1.4*stats.BasicCV(k) {
+		t.Errorf("no-tie NRMSE = %g above bound %g", acc.NRMSE(), stats.BasicCV(k))
 	}
 }
 
@@ -612,15 +612,12 @@ func TestQgHIPBeatsNaive(t *testing.T) {
 
 		// Naive: bottom-k MinHash of all n elements (with distances);
 		// estimate = cardinality-estimate x mean g over the k samples.
-		mh := sketch.NewBottomK(k)
-		for i := int64(0); i < n; i++ {
-			mh.AddFrom(src, i)
-		}
+		mh := b.ADS().MinHashEntriesWithin(math.Inf(1))
 		sum := 0.0
-		for _, e := range mh.Entries() {
-			sum += gfun(float64(e.ID)) // element ID doubles as its distance
+		for _, e := range mh {
+			sum += gfun(e.Dist)
 		}
-		naiveAcc.Add(mh.Estimate() * sum / float64(mh.Len()))
+		naiveAcc.Add(sketch.BottomKEstimate(k, mh[k-1].Rank) * sum / float64(len(mh)))
 	}
 	ratio := naiveAcc.NRMSE() / hipAcc.NRMSE()
 	if ratio < 3 {

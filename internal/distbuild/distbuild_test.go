@@ -277,7 +277,7 @@ func TestDistBuildMemoryScales(t *testing.T) {
 
 	sumEntries, sumArcs := 0, 0
 	for i, ex := range exs {
-		st := ex.(*Local).W.Stats()
+		st := ex.(*Worker).Stats()
 		if st.OwnedNodes != 100 {
 			t.Fatalf("worker %d owns %d nodes, want 100", i, st.OwnedNodes)
 		}

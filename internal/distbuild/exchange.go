@@ -24,24 +24,8 @@ type Exchanger interface {
 	Freeze(ctx context.Context) ([]byte, error)
 }
 
-// Local wraps an in-process Worker as an Exchanger.
-type Local struct {
-	W *Worker
-}
-
-// Init implements Exchanger.
-func (l *Local) Init(ctx context.Context) ([][]Candidate, error) { return l.W.Init(ctx) }
-
-// Step implements Exchanger.
-func (l *Local) Step(ctx context.Context, round int, inbox []Candidate) ([][]Candidate, error) {
-	return l.W.Step(ctx, round, inbox)
-}
-
-// Freeze implements Exchanger.
-func (l *Local) Freeze(ctx context.Context) ([]byte, error) { return l.W.Freeze(ctx) }
-
 // NewLocalExchangers builds the spec's P workers in-process, one
-// exchanger per partition.
+// exchanger per partition: each *Worker is its own Exchanger.
 func NewLocalExchangers(spec Spec) ([]Exchanger, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -56,7 +40,7 @@ func NewLocalExchangers(spec Spec) ([]Exchanger, error) {
 		if err != nil {
 			return nil, err
 		}
-		exs[i] = &Local{W: w}
+		exs[i] = w
 	}
 	return exs, nil
 }

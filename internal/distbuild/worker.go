@@ -27,8 +27,9 @@ type arc struct {
 
 // Worker owns one partition of a distributed build: the in-arcs of its
 // node range and the growable entry lists of its sketches.  Its memory
-// scales with the partition, never the whole graph.  A worker is not
-// safe for concurrent use; the exchanger serializes access.
+// scales with the partition, never the whole graph.  In process a
+// worker is its own Exchanger.  It is not safe for concurrent use: Run
+// calls each exchanger once at a time, and WorkerHandler locks.
 type Worker struct {
 	spec   WorkerSpec
 	kind   Kind

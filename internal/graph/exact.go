@@ -43,17 +43,6 @@ func NeighborhoodSize(g *Graph, src int32, d float64) int {
 	return n
 }
 
-// AllDistances computes the full distance matrix (out-distances) with one
-// traversal per node.  Intended for ground truth on small graphs.
-func AllDistances(g *Graph) [][]float64 {
-	n := g.NumNodes()
-	m := make([][]float64, n)
-	for v := 0; v < n; v++ {
-		m[v] = Distances(g, int32(v))
-	}
-	return m
-}
-
 // NeighborhoodFunction returns the exact neighborhood function of an
 // unweighted graph: for each hop count t = 0,1,2,... the total number of
 // ordered pairs (u,v) with d(u,v) <= t.  Index t of the result holds N(t).
@@ -190,27 +179,4 @@ func ConnectedComponents(g *Graph) ([]int32, int) {
 		next++
 	}
 	return comp, int(next)
-}
-
-// DistanceCDF returns, for each query distance in ds (which must be
-// ascending), the exact number of ordered pairs (u,v) with d(u,v) <= d —
-// the weighted-graph generalization of NeighborhoodFunction, computed by
-// one Dijkstra per node.  Ground truth for sketch-based distance
-// distributions on weighted graphs.
-func DistanceCDF(g *Graph, ds []float64) []int64 {
-	out := make([]int64, len(ds))
-	for v := 0; v < g.NumNodes(); v++ {
-		dist := Distances(g, int32(v))
-		for _, d := range dist {
-			if d == Infinity {
-				continue
-			}
-			// Count d into every query point >= d.
-			i := sort.SearchFloat64s(ds, d)
-			for ; i < len(ds); i++ {
-				out[i]++
-			}
-		}
-	}
-	return out
 }

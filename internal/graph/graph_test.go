@@ -414,36 +414,3 @@ func TestConnectedComponentsDirectedWeak(t *testing.T) {
 		t.Errorf("weak components = %d, want 1", c)
 	}
 }
-
-func TestAllDistances(t *testing.T) {
-	g := Cycle(5)
-	m := AllDistances(g)
-	if m[0][2] != 2 || m[0][3] != 2 || m[0][4] != 1 {
-		t.Errorf("cycle distances wrong: %v", m[0])
-	}
-	for v := range m {
-		if m[v][v] != 0 {
-			t.Errorf("self distance %d = %g", v, m[v][v])
-		}
-	}
-}
-
-func TestDistanceCDF(t *testing.T) {
-	g := Path(4)
-	ds := []float64{0, 1, 2, 3}
-	got := DistanceCDF(g, ds)
-	want := []int64{4, 10, 14, 16} // matches NeighborhoodFunction
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("CDF[%g] = %d, want %d", ds[i], got[i], want[i])
-		}
-	}
-	// Weighted: two nodes at distance 2.5.
-	b := NewBuilder(2, false)
-	b.AddWeightedEdge(0, 1, 2.5)
-	wg := b.Build()
-	got = DistanceCDF(wg, []float64{1, 2.5, 3})
-	if got[0] != 2 || got[1] != 4 || got[2] != 4 {
-		t.Errorf("weighted CDF = %v", got)
-	}
-}

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"sync"
 
+	"adsketch/internal/core"
 	"adsketch/internal/rank"
 	"adsketch/internal/stats"
 	"adsketch/lab"
@@ -100,209 +101,34 @@ func Figure2(cfg Fig2Config) *stats.Panel {
 // maintaining all five estimators online, recording at checkpoints.
 func fig2Run(cfg Fig2Config, run uint64, out []*stats.Series) {
 	k := cfg.K
-	src := rank.NewSource(cfg.Seed + run*0x9e3779b97f4a7c15 + 1)
+	seed := cfg.Seed + run*0x9e3779b97f4a7c15 + 1
 	rng := rank.NewRNG(cfg.Seed ^ (run*0xa24baed4963ee407 + 7))
 	perm := rng.Perm(cfg.MaxN)
 
-	// Online states.
-	km := newKMinsState(k, src)
-	kp := newKPartState(k, src)
-	bk := newBottomKState(k)
-	pe := newPermState(cfg.MaxN, k)
+	km := lab.NewKMinsDistinct(k, seed)
+	kp := lab.NewKPartitionDistinct(k, seed)
+	bk := lab.NewBottomKDistinct(k, seed)
+	pe := core.NewPermutationEstimator(cfg.MaxN, k)
 
 	checkpoints := Checkpoints(cfg.MaxN, cfg.PerDecade)
 	ci := 0
 	for i := 0; i < cfg.MaxN; i++ {
 		id := int64(i)
-		km.add(id)
-		kp.add(id)
-		bk.add(src.Rank(id))
-		pe.add(perm[i] + 1)
+		km.Add(id)
+		kp.Add(id)
+		bk.Add(id)
+		pe.Offer(perm[i] + 1)
 		if ci < len(checkpoints) && i+1 == checkpoints[ci] {
 			truth := float64(i + 1)
 			x := truth
-			out[0].Add(x, truth, km.estimate())
-			out[1].Add(x, truth, kp.estimate())
-			out[2].Add(x, truth, bk.basic())
-			out[3].Add(x, truth, bk.hipCount)
-			out[4].Add(x, truth, pe.estimate())
+			out[0].Add(x, truth, km.BasicEstimate())
+			out[1].Add(x, truth, kp.BasicEstimate())
+			out[2].Add(x, truth, bk.BasicEstimate())
+			out[3].Add(x, truth, bk.Estimate())
+			out[4].Add(x, truth, pe.Estimate())
 			ci++
 		}
 	}
-}
-
-// kminsState maintains the k per-permutation minima and the running sum of
-// exponential transforms for O(1) basic estimates.
-type kminsState struct {
-	k    int
-	src  rank.Source
-	mins []float64
-	sumY float64 // sum of -ln(1-min_h) over permutations
-	any  bool
-}
-
-func newKMinsState(k int, src rank.Source) *kminsState {
-	s := &kminsState{k: k, src: src, mins: make([]float64, k)}
-	for i := range s.mins {
-		s.mins[i] = 1
-	}
-	return s
-}
-
-func (s *kminsState) add(id int64) {
-	for h := 0; h < s.k; h++ {
-		if r := s.src.RankAt(h, id); r < s.mins[h] {
-			if s.any {
-				s.sumY -= -math.Log1p(-s.mins[h])
-			}
-			s.sumY += -math.Log1p(-r)
-			s.mins[h] = r
-		}
-	}
-	if !s.any {
-		// After the first element every permutation has a finite minimum;
-		// recompute the sum cleanly (the "previous" values were the
-		// supremum 1 whose transform is infinite).
-		s.sumY = 0
-		for _, m := range s.mins {
-			s.sumY += -math.Log1p(-m)
-		}
-		s.any = true
-	}
-}
-
-func (s *kminsState) estimate() float64 {
-	if !s.any || s.sumY <= 0 {
-		return 0
-	}
-	if s.k == 1 {
-		return 1 / s.sumY
-	}
-	return float64(s.k-1) / s.sumY
-}
-
-// kpartState maintains per-bucket minima, the count of nonempty buckets,
-// and the running transform sum.
-type kpartState struct {
-	k      int
-	src    rank.Source
-	mins   []float64
-	sumY   float64
-	kPrime int
-}
-
-func newKPartState(k int, src rank.Source) *kpartState {
-	s := &kpartState{k: k, src: src, mins: make([]float64, k)}
-	for i := range s.mins {
-		s.mins[i] = 1
-	}
-	return s
-}
-
-func (s *kpartState) add(id int64) {
-	b := s.src.Bucket(id, s.k)
-	r := s.src.Rank(id)
-	if r >= s.mins[b] {
-		return
-	}
-	if s.mins[b] == 1 {
-		s.kPrime++
-	} else {
-		s.sumY -= -math.Log1p(-s.mins[b])
-	}
-	s.sumY += -math.Log1p(-r)
-	s.mins[b] = r
-}
-
-func (s *kpartState) estimate() float64 {
-	if s.kPrime <= 1 || s.sumY <= 0 {
-		return 0
-	}
-	return float64(s.kPrime) * float64(s.kPrime-1) / s.sumY
-}
-
-// bottomKState maintains the k smallest ranks, the basic estimate, and the
-// running HIP count.
-type bottomKState struct {
-	k        int
-	ranks    []float64 // ascending, len <= k
-	hipCount float64
-}
-
-func newBottomKState(k int) *bottomKState {
-	return &bottomKState{k: k, ranks: make([]float64, 0, k)}
-}
-
-func (s *bottomKState) add(r float64) {
-	tau := 1.0
-	if len(s.ranks) >= s.k {
-		tau = s.ranks[s.k-1]
-	}
-	if r >= tau {
-		return
-	}
-	s.hipCount += 1 / tau
-	i := 0
-	for i < len(s.ranks) && s.ranks[i] < r {
-		i++
-	}
-	if len(s.ranks) < s.k {
-		s.ranks = append(s.ranks, 0)
-	}
-	copy(s.ranks[i+1:], s.ranks[i:])
-	s.ranks[i] = r
-}
-
-func (s *bottomKState) basic() float64 {
-	if len(s.ranks) < s.k {
-		return float64(len(s.ranks))
-	}
-	return float64(s.k-1) / s.ranks[s.k-1]
-}
-
-// permState is a lean version of core.PermutationEstimator (no duplicate
-// guard; the simulation streams distinct elements).
-type permState struct {
-	n, k  int
-	ranks []int
-	sHat  float64
-}
-
-func newPermState(n, k int) *permState {
-	return &permState{n: n, k: k, ranks: make([]int, 0, k)}
-}
-
-func (s *permState) add(sigma int) {
-	if len(s.ranks) < s.k {
-		s.insert(sigma)
-		s.sHat++
-		return
-	}
-	mu := s.ranks[s.k-1]
-	if sigma >= mu {
-		return
-	}
-	s.sHat += (float64(s.n) - s.sHat + 1) / float64(mu-s.k+1)
-	s.insert(sigma)
-}
-
-func (s *permState) insert(sigma int) {
-	i := 0
-	for i < len(s.ranks) && s.ranks[i] < sigma {
-		i++
-	}
-	if len(s.ranks) < s.k {
-		s.ranks = append(s.ranks, 0)
-	}
-	copy(s.ranks[i+1:], s.ranks[i:])
-	s.ranks[i] = sigma
-}
-
-func (s *permState) estimate() float64 {
-	if len(s.ranks) == s.k && s.ranks[s.k-1] == s.k {
-		return s.sHat*float64(s.k+1)/float64(s.k) - 1
-	}
-	return s.sHat
 }
 
 // Fig3Config parameterizes one panel row of Figure 3.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"adsketch/internal/sketch"
 	"adsketch/internal/stats"
 )
 
@@ -78,11 +77,11 @@ func TestFigure2SmallShape(t *testing.T) {
 		t.Errorf("perm NRMSE %g not below HIP %g at n=maxN", perm, hip)
 	}
 	// Basic estimators near the reference CV at the plateau.
-	if math.Abs(basic-sketch.BasicCV(10)) > 0.35*sketch.BasicCV(10) {
-		t.Errorf("basic plateau NRMSE %g vs reference %g", basic, sketch.BasicCV(10))
+	if math.Abs(basic-stats.BasicCV(10)) > 0.35*stats.BasicCV(10) {
+		t.Errorf("basic plateau NRMSE %g vs reference %g", basic, stats.BasicCV(10))
 	}
-	if math.Abs(hip-sketch.HIPCV(10)) > 0.35*sketch.HIPCV(10) {
-		t.Errorf("HIP plateau NRMSE %g vs reference %g", hip, sketch.HIPCV(10))
+	if math.Abs(hip-stats.HIPCV(10)) > 0.35*stats.HIPCV(10) {
+		t.Errorf("HIP plateau NRMSE %g vs reference %g", hip, stats.HIPCV(10))
 	}
 }
 
@@ -121,7 +120,7 @@ func TestFigure3SmallShape(t *testing.T) {
 		t.Errorf("raw bias at n=3 = %+.3f, expected strongly positive", rawSmall.Bias())
 	}
 	// HIP plateau constant near sqrt(3/(4k)).
-	want := sketch.HIPOnHLLCV(16)
+	want := stats.HIPOnHLLCV(16)
 	if math.Abs(hip.NRMSE()-want) > 0.4*want {
 		t.Errorf("HIP plateau %g vs analysis %g", hip.NRMSE(), want)
 	}

@@ -3,8 +3,6 @@ package simulate
 import (
 	"math"
 
-	"adsketch/internal/rank"
-	"adsketch/internal/sketch"
 	"adsketch/internal/stats"
 	"adsketch/lab"
 )
@@ -25,14 +23,10 @@ func SizeTable(ks, ns []int, runs int, seed uint64) []SizeRow {
 		for _, n := range ns {
 			var total float64
 			results := parallelRuns(runs, 0, func(run int) float64 {
-				src := rank.NewSource(seed + uint64(run)*0x9e3779b97f4a7c15 + uint64(k*1000003+n))
+				c := lab.NewBottomKDistinct(k, seed+uint64(run)*0x9e3779b97f4a7c15+uint64(k*1000003+n))
 				size := 0
-				st := newBottomKState(k)
 				for i := 0; i < n; i++ {
-					before := len(st.ranks)
-					hipBefore := st.hipCount
-					st.add(src.Rank(int64(i)))
-					if len(st.ranks) != before || st.hipCount != hipBefore {
+					if c.Add(int64(i)) {
 						size++
 					}
 				}
@@ -69,16 +63,13 @@ func BaseBTable(ks []int, bases []float64, n, runs int, seed uint64) []BaseBRow 
 		for _, b := range bases {
 			accs := parallelRuns(runs, 0, func(run int) float64 {
 				s := seed + uint64(run)*0xa24baed4963ee407 + uint64(k)
+				var h lab.DistinctCounter
 				if b == 0 {
 					// Full-precision ranks: bottom-k HIP counter.
-					src := rank.NewSource(s)
-					st := newBottomKState(k)
-					for i := 0; i < n; i++ {
-						st.add(src.Rank(int64(i)))
-					}
-					return st.hipCount
+					h = lab.NewBottomKDistinct(k, s)
+				} else {
+					h = lab.NewBaseBHIP(k, b, 4096, s)
 				}
-				h := lab.NewBaseBHIP(k, b, 4096, s)
 				for i := 0; i < n; i++ {
 					h.Add(int64(i))
 				}
@@ -96,7 +87,7 @@ func BaseBTable(ks []int, bases []float64, n, runs int, seed uint64) []BaseBRow 
 				K:        k,
 				Base:     b,
 				NRMSE:    acc.NRMSE(),
-				Analysis: sketch.HIPBaseBCV(k, analysisBase),
+				Analysis: stats.HIPBaseBCV(k, analysisBase),
 			})
 		}
 	}

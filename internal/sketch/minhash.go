@@ -1,7 +1,7 @@
-// Package sketch implements MinHash sketches of plain sets in the three
-// flavors the paper builds on (Section 2) — k-mins, bottom-k, and
-// k-partition — together with the classic "basic" cardinality estimators of
-// Section 4 and coordinated-sample similarity estimation.
+// Package sketch names the three MinHash flavors the paper builds on
+// (Section 2) — k-mins, bottom-k and k-partition — and holds the classic
+// "basic" cardinality estimators of Section 4 as formulas over a sketch's
+// minimum ranks.
 //
 // A MinHash sketch summarizes a subset N of a domain using random ranks
 // r(v) ~ U(0,1) shared across all sketches (coordination):
@@ -15,17 +15,12 @@
 //     HyperLogLog uses).
 //
 // All-Distances Sketches (package core) extend these to every neighborhood
-// N_d(v) at once; the sketches here are also used directly for distinct
-// counting on streams (package hll) and as the baseline "MinHash sketch of
-// all reachable nodes" estimator the paper compares HIP against.
+// N_d(v) at once and apply the formulas here to the MinHash sketch they
+// hold of each N_d(v).  The streaming MinHash sketches of plain sets, with
+// their HIP counters, are the distinct counters of package lab.
 package sketch
 
-import (
-	"fmt"
-	"sort"
-
-	"adsketch/internal/rank"
-)
+import "fmt"
 
 // Flavor identifies a MinHash/ADS sampling scheme.
 type Flavor int
@@ -47,226 +42,4 @@ func (f Flavor) String() string {
 		return "k-partition"
 	}
 	return fmt.Sprintf("Flavor(%d)", int(f))
-}
-
-// Entry is a sampled element: its ID and its rank.
-type Entry struct {
-	ID   int64
-	Rank float64
-}
-
-// BottomKSketch holds the k smallest-ranked elements of a set, ordered by
-// increasing rank.  The zero value is not usable; call NewBottomK.
-type BottomKSketch struct {
-	k       int
-	entries []Entry // sorted by Rank ascending, len <= k
-	n       int64   // number of Add calls with distinct effect is not tracked; n counts all Adds
-}
-
-// NewBottomK returns an empty bottom-k sketch.  k must be >= 1.
-func NewBottomK(k int) *BottomKSketch {
-	if k < 1 {
-		panic("sketch: k must be >= 1")
-	}
-	return &BottomKSketch{k: k, entries: make([]Entry, 0, k)}
-}
-
-// K returns the sketch parameter k.
-func (s *BottomKSketch) K() int { return s.k }
-
-// Len returns the number of stored elements (<= k).
-func (s *BottomKSketch) Len() int { return len(s.entries) }
-
-// Entries returns the stored elements ordered by increasing rank.  The
-// slice aliases internal storage and must not be modified.
-func (s *BottomKSketch) Entries() []Entry { return s.entries }
-
-// Threshold returns the current inclusion threshold tau: the k-th smallest
-// rank seen, or 1 if fewer than k elements are stored.  A new element
-// modifies the sketch exactly when its rank is below the threshold.
-func (s *BottomKSketch) Threshold() float64 {
-	if len(s.entries) < s.k {
-		return 1
-	}
-	return s.entries[s.k-1].Rank
-}
-
-// Add offers an element to the sketch and reports whether the sketch was
-// modified.  Duplicate IDs are detected (the sketch stores distinct
-// elements) and never modify the sketch.
-func (s *BottomKSketch) Add(id int64, r float64) bool {
-	if r >= s.Threshold() {
-		return false
-	}
-	// Find insertion point.
-	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Rank >= r })
-	// Reject duplicates: with distinct ranks, an equal rank at i means the
-	// same element.
-	if i < len(s.entries) && s.entries[i].ID == id && s.entries[i].Rank == r {
-		return false
-	}
-	if len(s.entries) < s.k {
-		s.entries = append(s.entries, Entry{})
-	}
-	copy(s.entries[i+1:], s.entries[i:])
-	s.entries[i] = Entry{ID: id, Rank: r}
-	return true
-}
-
-// AddFrom hashes id with src and adds it.
-func (s *BottomKSketch) AddFrom(src rank.Source, id int64) bool {
-	return s.Add(id, src.Rank(id))
-}
-
-// Merge folds another bottom-k sketch (same k, same rank source) into s,
-// yielding the sketch of the union of the two underlying sets.
-func (s *BottomKSketch) Merge(o *BottomKSketch) {
-	if o.k != s.k {
-		panic("sketch: merging bottom-k sketches with different k")
-	}
-	for _, e := range o.entries {
-		s.Add(e.ID, e.Rank)
-	}
-}
-
-// Clone returns a deep copy.
-func (s *BottomKSketch) Clone() *BottomKSketch {
-	c := NewBottomK(s.k)
-	c.entries = append(c.entries, s.entries...)
-	return c
-}
-
-// Estimate returns the basic bottom-k cardinality estimate of Section 4.2:
-// exact when fewer than k elements were seen, otherwise (k-1)/tau_k where
-// tau_k is the k-th smallest rank.  The estimator is unbiased (a
-// conditional inverse-probability estimator) with CV <= 1/sqrt(k-2), and by
-// Lemma 4.5 it is the unique UMVUE for the sketch.
-func (s *BottomKSketch) Estimate() float64 {
-	if len(s.entries) < s.k {
-		return float64(len(s.entries))
-	}
-	return float64(s.k-1) / s.entries[s.k-1].Rank
-}
-
-// KMinsSketch holds the minimum rank in each of k independent permutations.
-type KMinsSketch struct {
-	k    int
-	mins []float64 // min rank per permutation; 1 when empty
-	ids  []int64   // arg-min element per permutation
-}
-
-// NewKMins returns an empty k-mins sketch.
-func NewKMins(k int) *KMinsSketch {
-	if k < 1 {
-		panic("sketch: k must be >= 1")
-	}
-	s := &KMinsSketch{k: k, mins: make([]float64, k), ids: make([]int64, k)}
-	for i := range s.mins {
-		s.mins[i] = 1
-		s.ids[i] = -1
-	}
-	return s
-}
-
-// K returns the sketch parameter k.
-func (s *KMinsSketch) K() int { return s.k }
-
-// Mins returns the per-permutation minimum ranks (1 for empty).  The slice
-// aliases internal storage.
-func (s *KMinsSketch) Mins() []float64 { return s.mins }
-
-// MinIDs returns the per-permutation arg-min element IDs (-1 for empty).
-func (s *KMinsSketch) MinIDs() []int64 { return s.ids }
-
-// AddFrom offers an element, hashing it under each of the k permutations of
-// src, and reports whether any coordinate changed.
-func (s *KMinsSketch) AddFrom(src rank.Source, id int64) bool {
-	changed := false
-	for i := 0; i < s.k; i++ {
-		if r := src.RankAt(i, id); r < s.mins[i] {
-			s.mins[i] = r
-			s.ids[i] = id
-			changed = true
-		}
-	}
-	return changed
-}
-
-// Merge folds another k-mins sketch into s (union semantics).
-func (s *KMinsSketch) Merge(o *KMinsSketch) {
-	if o.k != s.k {
-		panic("sketch: merging k-mins sketches with different k")
-	}
-	for i := 0; i < s.k; i++ {
-		if o.mins[i] < s.mins[i] {
-			s.mins[i] = o.mins[i]
-			s.ids[i] = o.ids[i]
-		}
-	}
-}
-
-// Estimate returns the basic k-mins estimate of Section 4.1:
-// (k-1) / sum_i(-ln(1-x_i)).  It is unbiased for k > 1 with
-// CV = 1/sqrt(k-2) (k > 2); for k = 1 it is the (biased) MLE.
-func (s *KMinsSketch) Estimate() float64 {
-	return KMinsEstimate(s.mins)
-}
-
-// KPartitionSketch hashes elements into k buckets and keeps the minimum
-// rank per bucket.
-type KPartitionSketch struct {
-	k    int
-	mins []float64 // min rank per bucket; 1 when empty
-	ids  []int64
-}
-
-// NewKPartition returns an empty k-partition sketch.
-func NewKPartition(k int) *KPartitionSketch {
-	if k < 1 {
-		panic("sketch: k must be >= 1")
-	}
-	s := &KPartitionSketch{k: k, mins: make([]float64, k), ids: make([]int64, k)}
-	for i := range s.mins {
-		s.mins[i] = 1
-		s.ids[i] = -1
-	}
-	return s
-}
-
-// K returns the number of buckets.
-func (s *KPartitionSketch) K() int { return s.k }
-
-// Mins returns the per-bucket minimum ranks (1 for empty buckets).
-func (s *KPartitionSketch) Mins() []float64 { return s.mins }
-
-// AddFrom offers an element and reports whether its bucket minimum changed.
-func (s *KPartitionSketch) AddFrom(src rank.Source, id int64) bool {
-	b := src.Bucket(id, s.k)
-	if r := src.Rank(id); r < s.mins[b] {
-		s.mins[b] = r
-		s.ids[b] = id
-		return true
-	}
-	return false
-}
-
-// Merge folds another k-partition sketch into s (union semantics).
-func (s *KPartitionSketch) Merge(o *KPartitionSketch) {
-	if o.k != s.k {
-		panic("sketch: merging k-partition sketches with different k")
-	}
-	for i := 0; i < s.k; i++ {
-		if o.mins[i] < s.mins[i] {
-			s.mins[i] = o.mins[i]
-			s.ids[i] = o.ids[i]
-		}
-	}
-}
-
-// Estimate returns the basic k-partition estimate of Section 4.3,
-// conditioned on the number k' of nonempty buckets:
-// k'(k'-1) / sum over nonempty buckets of -ln(1-x_t).
-// It is biased down for small n (and 0 when k' <= 1).
-func (s *KPartitionSketch) Estimate() float64 {
-	return KPartitionEstimate(s.mins)
 }

@@ -3,10 +3,6 @@ package sketch
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"adsketch/internal/rank"
-	"adsketch/internal/stats"
 )
 
 func TestFlavorString(t *testing.T) {
@@ -15,299 +11,6 @@ func TestFlavorString(t *testing.T) {
 	}
 	if Flavor(9).String() != "Flavor(9)" {
 		t.Error("unknown flavor formatting")
-	}
-}
-
-func TestBottomKAddKeepsKSmallest(t *testing.T) {
-	s := NewBottomK(3)
-	ranks := []float64{0.9, 0.5, 0.7, 0.3, 0.8, 0.1}
-	for i, r := range ranks {
-		s.Add(int64(i), r)
-	}
-	es := s.Entries()
-	if len(es) != 3 {
-		t.Fatalf("len = %d, want 3", len(es))
-	}
-	want := []float64{0.1, 0.3, 0.5}
-	for i, e := range es {
-		if e.Rank != want[i] {
-			t.Errorf("entry %d rank = %g, want %g", i, e.Rank, want[i])
-		}
-	}
-	if s.Threshold() != 0.5 {
-		t.Errorf("threshold = %g, want 0.5", s.Threshold())
-	}
-}
-
-func TestBottomKAddReportsModification(t *testing.T) {
-	s := NewBottomK(2)
-	if !s.Add(1, 0.5) || !s.Add(2, 0.3) {
-		t.Fatal("initial adds should modify")
-	}
-	if s.Add(3, 0.9) {
-		t.Error("rank above threshold modified sketch")
-	}
-	if !s.Add(4, 0.1) {
-		t.Error("rank below threshold did not modify")
-	}
-	if s.Add(4, 0.1) {
-		t.Error("duplicate add modified sketch")
-	}
-}
-
-func TestBottomKThresholdUnderfull(t *testing.T) {
-	s := NewBottomK(5)
-	s.Add(1, 0.4)
-	if s.Threshold() != 1 {
-		t.Errorf("underfull threshold = %g, want 1", s.Threshold())
-	}
-	if s.Estimate() != 1 {
-		t.Errorf("underfull estimate = %g, want exact count 1", s.Estimate())
-	}
-}
-
-func TestBottomKPanicsOnBadK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("k=0 did not panic")
-		}
-	}()
-	NewBottomK(0)
-}
-
-func TestBottomKMergeEqualsUnion(t *testing.T) {
-	src := rank.NewSource(1)
-	a, b, u := NewBottomK(8), NewBottomK(8), NewBottomK(8)
-	for id := int64(0); id < 100; id++ {
-		a.AddFrom(src, id)
-		u.AddFrom(src, id)
-	}
-	for id := int64(50); id < 200; id++ {
-		b.AddFrom(src, id)
-		u.AddFrom(src, id)
-	}
-	a.Merge(b)
-	if a.Len() != u.Len() {
-		t.Fatalf("merged len %d, union len %d", a.Len(), u.Len())
-	}
-	for i, e := range a.Entries() {
-		if u.Entries()[i] != e {
-			t.Fatalf("merged entry %d = %+v, union %+v", i, e, u.Entries()[i])
-		}
-	}
-}
-
-func TestBottomKMergePanicsOnMismatchedK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched merge did not panic")
-		}
-	}()
-	NewBottomK(2).Merge(NewBottomK(3))
-}
-
-func TestBottomKInsertionProbability(t *testing.T) {
-	// The i-th distinct element (i>k) modifies the sketch with probability
-	// k/i; total modifications over n elements ~ k + k(H_n - H_k)
-	// (Lemma 2.2).  Check the mean over repeats.
-	const k, n, runs = 4, 500, 300
-	var total float64
-	for run := 0; run < runs; run++ {
-		src := rank.NewSource(uint64(run) + 10)
-		s := NewBottomK(k)
-		for id := int64(0); id < n; id++ {
-			if s.AddFrom(src, id) {
-				total++
-			}
-		}
-	}
-	got := total / runs
-	want := stats.ExpectedBottomKADSSize(n, k)
-	if math.Abs(got-want) > 0.05*want {
-		t.Errorf("mean modifications = %g, want ~%g", got, want)
-	}
-}
-
-func TestKMinsAddTracksMinimum(t *testing.T) {
-	src := rank.NewSource(5)
-	s := NewKMins(4)
-	for id := int64(0); id < 50; id++ {
-		s.AddFrom(src, id)
-	}
-	for i := 0; i < 4; i++ {
-		want := 1.0
-		var wantID int64 = -1
-		for id := int64(0); id < 50; id++ {
-			if r := src.RankAt(i, id); r < want {
-				want = r
-				wantID = id
-			}
-		}
-		if s.Mins()[i] != want || s.MinIDs()[i] != wantID {
-			t.Errorf("perm %d: min=(%g,%d), want (%g,%d)", i, s.Mins()[i], s.MinIDs()[i], want, wantID)
-		}
-	}
-}
-
-func TestKMinsMerge(t *testing.T) {
-	src := rank.NewSource(6)
-	a, b, u := NewKMins(8), NewKMins(8), NewKMins(8)
-	for id := int64(0); id < 60; id++ {
-		a.AddFrom(src, id)
-		u.AddFrom(src, id)
-	}
-	for id := int64(60); id < 120; id++ {
-		b.AddFrom(src, id)
-		u.AddFrom(src, id)
-	}
-	a.Merge(b)
-	for i := 0; i < 8; i++ {
-		if a.Mins()[i] != u.Mins()[i] {
-			t.Fatalf("perm %d merged min %g != union %g", i, a.Mins()[i], u.Mins()[i])
-		}
-	}
-}
-
-func TestKPartitionAdd(t *testing.T) {
-	src := rank.NewSource(7)
-	s := NewKPartition(8)
-	for id := int64(0); id < 200; id++ {
-		s.AddFrom(src, id)
-	}
-	// Recompute expected bucket minima by brute force.
-	want := make([]float64, 8)
-	for i := range want {
-		want[i] = 1
-	}
-	for id := int64(0); id < 200; id++ {
-		b := src.Bucket(id, 8)
-		if r := src.Rank(id); r < want[b] {
-			want[b] = r
-		}
-	}
-	for i := range want {
-		if s.Mins()[i] != want[i] {
-			t.Errorf("bucket %d min = %g, want %g", i, s.Mins()[i], want[i])
-		}
-	}
-}
-
-func TestKPartitionMerge(t *testing.T) {
-	src := rank.NewSource(8)
-	a, b, u := NewKPartition(4), NewKPartition(4), NewKPartition(4)
-	for id := int64(0); id < 30; id++ {
-		a.AddFrom(src, id)
-		u.AddFrom(src, id)
-	}
-	for id := int64(30); id < 90; id++ {
-		b.AddFrom(src, id)
-		u.AddFrom(src, id)
-	}
-	a.Merge(b)
-	for i := 0; i < 4; i++ {
-		if a.Mins()[i] != u.Mins()[i] {
-			t.Fatalf("bucket %d merged %g != union %g", i, a.Mins()[i], u.Mins()[i])
-		}
-	}
-}
-
-// estimatorStats runs the estimator over many seeds at cardinality n and
-// returns mean and NRMSE.
-func estimatorStats(t *testing.T, n, runs int, estimate func(src rank.Source) float64) (mean, nrmse float64) {
-	t.Helper()
-	acc := stats.NewErrAccum(float64(n))
-	var sum float64
-	for run := 0; run < runs; run++ {
-		src := rank.NewSource(uint64(run)*2654435761 + 17)
-		est := estimate(src)
-		acc.Add(est)
-		sum += est
-	}
-	return sum / float64(runs), acc.NRMSE()
-}
-
-func TestBottomKEstimateUnbiasedAndCV(t *testing.T) {
-	const k, n, runs = 16, 2000, 400
-	mean, nrmse := estimatorStats(t, n, runs, func(src rank.Source) float64 {
-		s := NewBottomK(k)
-		for id := int64(0); id < n; id++ {
-			s.AddFrom(src, id)
-		}
-		return s.Estimate()
-	})
-	if math.Abs(mean-n)/n > 0.05 {
-		t.Errorf("bottom-k mean = %g, want ~%d (bias too large)", mean, n)
-	}
-	// CV should be near (and below ~1.3x of) the 1/sqrt(k-2) bound.
-	bound := BasicCV(k)
-	if nrmse > 1.3*bound {
-		t.Errorf("bottom-k NRMSE = %g, above bound %g", nrmse, bound)
-	}
-	if nrmse < 0.5*bound {
-		t.Errorf("bottom-k NRMSE = %g suspiciously below theory %g", nrmse, bound)
-	}
-}
-
-func TestBottomKEstimateExactSmall(t *testing.T) {
-	src := rank.NewSource(3)
-	s := NewBottomK(10)
-	for id := int64(0); id < 7; id++ {
-		s.AddFrom(src, id)
-	}
-	if s.Estimate() != 7 {
-		t.Errorf("estimate = %g, want exactly 7", s.Estimate())
-	}
-}
-
-func TestKMinsEstimateUnbiasedAndCV(t *testing.T) {
-	const k, n, runs = 16, 2000, 400
-	mean, nrmse := estimatorStats(t, n, runs, func(src rank.Source) float64 {
-		s := NewKMins(k)
-		for id := int64(0); id < n; id++ {
-			s.AddFrom(src, id)
-		}
-		return s.Estimate()
-	})
-	if math.Abs(mean-n)/n > 0.05 {
-		t.Errorf("k-mins mean = %g, want ~%d", mean, n)
-	}
-	want := BasicCV(k)
-	if nrmse > 1.35*want || nrmse < 0.65*want {
-		t.Errorf("k-mins NRMSE = %g, want ~%g", nrmse, want)
-	}
-}
-
-func TestKPartitionEstimateLargeN(t *testing.T) {
-	const k, n, runs = 16, 4000, 300
-	mean, nrmse := estimatorStats(t, n, runs, func(src rank.Source) float64 {
-		s := NewKPartition(k)
-		for id := int64(0); id < n; id++ {
-			s.AddFrom(src, id)
-		}
-		return s.Estimate()
-	})
-	if math.Abs(mean-n)/n > 0.08 {
-		t.Errorf("k-partition mean = %g, want ~%d", mean, n)
-	}
-	// For n >> k behaves like the other flavors.
-	if nrmse > 1.5*BasicCV(k) {
-		t.Errorf("k-partition NRMSE = %g, want ~%g", nrmse, BasicCV(k))
-	}
-}
-
-func TestKPartitionBiasedDownSmallN(t *testing.T) {
-	// Section 4.3: for n <= 2k the k-partition estimator is noticeably
-	// biased down (empty buckets).
-	const k, n, runs = 16, 8, 500
-	mean, _ := estimatorStats(t, n, runs, func(src rank.Source) float64 {
-		s := NewKPartition(k)
-		for id := int64(0); id < n; id++ {
-			s.AddFrom(src, id)
-		}
-		return s.Estimate()
-	})
-	if mean >= float64(n) {
-		t.Errorf("k-partition at n=%d should be biased down, mean = %g", n, mean)
 	}
 }
 
@@ -338,150 +41,4 @@ func TestKPartitionEstimateFunction(t *testing.T) {
 	if got := KPartitionEstimate([]float64{0.3, 1, 1}); got != 0 {
 		t.Error("single bucket should estimate 0 (paper: k'=1 gives 0)")
 	}
-}
-
-func TestReferenceCurves(t *testing.T) {
-	if got := BasicCV(6); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("BasicCV(6) = %g, want 0.5", got)
-	}
-	if !math.IsInf(BasicCV(2), 1) {
-		t.Error("BasicCV(2) should be +Inf")
-	}
-	if got := HIPCV(3); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("HIPCV(3) = %g, want 0.5", got)
-	}
-	if !math.IsInf(HIPCV(1), 1) {
-		t.Error("HIPCV(1) should be +Inf")
-	}
-	// HIP bound is a factor sqrt(2) below basic asymptotically.
-	ratio := BasicCV(100) / HIPCV(101)
-	if math.Abs(ratio-math.Sqrt2) > 0.02 {
-		t.Errorf("basic/HIP CV ratio = %g, want ~sqrt(2)", ratio)
-	}
-	if got := HIPBaseBCV(2, 1); math.Abs(got-HIPCV(2)) > 1e-12 {
-		t.Error("HIPBaseBCV(b=1) should equal HIPCV")
-	}
-	if math.Abs(HLLCV(16)-0.27) > 0.005 {
-		t.Errorf("HLLCV(16) = %g", HLLCV(16))
-	}
-	if math.Abs(HIPOnHLLCV(16)-0.2165) > 0.001 {
-		t.Errorf("HIPOnHLLCV(16) = %g", HIPOnHLLCV(16))
-	}
-	if !math.IsInf(BasicMRE(2), 1) || !math.IsInf(HIPMRE(1), 1) || !math.IsInf(HIPBaseBCV(1, 2), 1) {
-		t.Error("degenerate k should give +Inf reference curves")
-	}
-	if math.Abs(BasicMRE(10)-math.Sqrt(2/(math.Pi*8))) > 1e-12 {
-		t.Error("BasicMRE(10) formula wrong")
-	}
-	if math.Abs(HIPMRE(10)-math.Sqrt(1/(math.Pi*9))) > 1e-12 {
-		t.Error("HIPMRE(10) formula wrong")
-	}
-}
-
-func TestBottomKPropertySmallestRanksKept(t *testing.T) {
-	// Property: after adding any set of distinct elements, the sketch holds
-	// exactly the k smallest ranks.
-	if err := quick.Check(func(seed uint64, nRaw uint16) bool {
-		n := int(nRaw)%300 + 1
-		const k = 5
-		src := rank.NewSource(seed)
-		s := NewBottomK(k)
-		all := make([]float64, 0, n)
-		for id := int64(0); id < int64(n); id++ {
-			s.AddFrom(src, id)
-			all = append(all, src.Rank(id))
-		}
-		// Find k smallest by sorting a copy.
-		sorted := append([]float64(nil), all...)
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			}
-		}
-		m := k
-		if n < k {
-			m = n
-		}
-		for i := 0; i < m; i++ {
-			if s.Entries()[i].Rank != sorted[i] {
-				return false
-			}
-		}
-		return s.Len() == m
-	}, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestJaccardIdenticalAndDisjoint(t *testing.T) {
-	src := rank.NewSource(9)
-	a, b := NewBottomK(16), NewBottomK(16)
-	for id := int64(0); id < 100; id++ {
-		a.AddFrom(src, id)
-		b.AddFrom(src, id)
-	}
-	if got := Jaccard(a, b); got != 1 {
-		t.Errorf("identical sets Jaccard = %g, want 1", got)
-	}
-	c := NewBottomK(16)
-	for id := int64(1000); id < 1100; id++ {
-		c.AddFrom(src, id)
-	}
-	if got := Jaccard(a, c); got != 0 {
-		t.Errorf("disjoint sets Jaccard = %g, want 0", got)
-	}
-	empty := NewBottomK(16)
-	if got := Jaccard(empty, NewBottomK(16)); got != 0 {
-		t.Errorf("empty Jaccard = %g, want 0", got)
-	}
-}
-
-func TestJaccardHalfOverlap(t *testing.T) {
-	// |A|=|B|=1000 with 500 shared: J = 500/1500 = 1/3.
-	var acc stats.Accum
-	for run := 0; run < 60; run++ {
-		src := rank.NewSource(uint64(run) + 100)
-		a, b := NewBottomK(64), NewBottomK(64)
-		for id := int64(0); id < 1000; id++ {
-			a.AddFrom(src, id)
-		}
-		for id := int64(500); id < 1500; id++ {
-			b.AddFrom(src, id)
-		}
-		acc.Add(Jaccard(a, b))
-	}
-	if math.Abs(acc.Mean()-1.0/3) > 0.05 {
-		t.Errorf("mean Jaccard = %g, want ~1/3", acc.Mean())
-	}
-}
-
-func TestUnionAndIntersectionEstimate(t *testing.T) {
-	var un, in stats.Accum
-	for run := 0; run < 60; run++ {
-		src := rank.NewSource(uint64(run) + 200)
-		a, b := NewBottomK(64), NewBottomK(64)
-		for id := int64(0); id < 1000; id++ {
-			a.AddFrom(src, id)
-		}
-		for id := int64(500); id < 1500; id++ {
-			b.AddFrom(src, id)
-		}
-		un.Add(UnionEstimate(a, b))
-		in.Add(IntersectionEstimate(a, b))
-	}
-	if math.Abs(un.Mean()-1500)/1500 > 0.08 {
-		t.Errorf("union estimate mean = %g, want ~1500", un.Mean())
-	}
-	if math.Abs(in.Mean()-500)/500 > 0.15 {
-		t.Errorf("intersection estimate mean = %g, want ~500", in.Mean())
-	}
-}
-
-func TestJaccardPanicsOnMismatchedK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched Jaccard did not panic")
-		}
-	}()
-	Jaccard(NewBottomK(2), NewBottomK(4))
 }

@@ -1,7 +1,9 @@
-// Package stats provides the numerical helpers shared by the estimators and
-// the experiment harness: harmonic numbers (the expected-size formulas of
-// Lemma 2.2), streaming moment accumulators, and per-point error
-// accumulators for the NRMSE / MRE curves of Figures 2 and 3.
+// Package stats provides the numerical helpers shared by the estimators'
+// tests and the experiment harness: harmonic numbers (the expected-size
+// formulas of Lemma 2.2), streaming moment accumulators, per-point error
+// accumulators for the NRMSE / MRE curves of Figures 2 and 3, and the
+// paper's reference error curves those are compared against.  No serving
+// binary links it.
 package stats
 
 import "math"

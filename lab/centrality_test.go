@@ -61,8 +61,8 @@ func TestClosenessAgainstExact(t *testing.T) {
 	if bias := acc.Bias(); math.Abs(bias) > 0.05 {
 		t.Errorf("sum-of-distances bias = %+.3f", bias)
 	}
-	if acc.NRMSE() > 1.5*sketch.HIPCV(8) {
-		t.Errorf("sum-of-distances NRMSE %g above ~HIP bound %g", acc.NRMSE(), sketch.HIPCV(8))
+	if acc.NRMSE() > 1.5*stats.HIPCV(8) {
+		t.Errorf("sum-of-distances NRMSE %g above ~HIP bound %g", acc.NRMSE(), stats.HIPCV(8))
 	}
 	// Closeness = 1/SumDistances.
 	e := buildEstimator(t, g, 8, 1)

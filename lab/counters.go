@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"adsketch/internal/rank"
+	"adsketch/internal/sketch"
 )
 
 // HIP distinct counters over the three MinHash sketch flavors (Section 6).
@@ -12,6 +13,8 @@ import (
 // element modifies the sketch, the count grows by the inverse of the
 // modification probability given the pre-update sketch state.  All are
 // unbiased, and re-occurrences of an element never change sketch or count.
+// Each also reads its sketch with the flavor's basic estimator of
+// Section 4 (BasicEstimate), the baseline HIP is measured against.
 
 // DistinctCounter is the interface shared by the streaming distinct
 // counters of this package.
@@ -23,8 +26,8 @@ type DistinctCounter interface {
 }
 
 // BottomKDistinct is the bottom-k HIP distinct counter: a bottom-k MinHash
-// sketch plus the HIP register.  Memory is O(k); the retained ADS entries
-// of FirstOccurrenceADS are not kept.
+// sketch plus the HIP register.  Memory is O(k); FirstOccurrenceADS is
+// this counter plus the log of the entries that modified it.
 type BottomKDistinct struct {
 	k     int
 	src   rank.Source
@@ -47,10 +50,7 @@ func NewBottomKDistinct(k int, seed uint64) *BottomKDistinct {
 // Add implements DistinctCounter.
 func (c *BottomKDistinct) Add(id int64) bool {
 	r := c.src.Rank(id)
-	tau := 1.0
-	if len(c.ranks) >= c.k {
-		tau = c.ranks[c.k-1]
-	}
+	tau := c.threshold()
 	if r >= tau {
 		return false
 	}
@@ -68,8 +68,27 @@ func (c *BottomKDistinct) Add(id int64) bool {
 	return true
 }
 
+// threshold returns τ_k, the k-th smallest rank, or 1 while fewer than k
+// elements were seen: a fresh element modifies the sketch exactly when its
+// rank is below it.
+func (c *BottomKDistinct) threshold() float64 {
+	if len(c.ranks) < c.k {
+		return 1
+	}
+	return c.ranks[c.k-1]
+}
+
 // Estimate implements DistinctCounter.
 func (c *BottomKDistinct) Estimate() float64 { return c.count }
+
+// BasicEstimate returns the Section 4.2 estimate over the sketch: the
+// exact count while fewer than k elements were seen, else (k-1)/τ_k.
+func (c *BottomKDistinct) BasicEstimate() float64 {
+	if len(c.ranks) < c.k {
+		return float64(len(c.ranks))
+	}
+	return sketch.BottomKEstimate(c.k, c.ranks[c.k-1])
+}
 
 // KMinsDistinct is the k-mins HIP distinct counter: k independent minimum
 // ranks plus the HIP register.  The update probability of a fresh element
@@ -99,12 +118,11 @@ func NewKMinsDistinct(k int, seed uint64) *KMinsDistinct {
 // Add implements DistinctCounter.
 func (c *KMinsDistinct) Add(id int64) bool {
 	updated := false
-	tau := 1.0
 	prod := 1.0
 	for _, m := range c.mins {
 		prod *= 1 - m
 	}
-	tau = 1 - prod
+	tau := 1 - prod
 	for h := 0; h < c.k; h++ {
 		if r := c.src.RankAt(h, id); r < c.mins[h] {
 			c.mins[h] = r
@@ -119,6 +137,9 @@ func (c *KMinsDistinct) Add(id int64) bool {
 
 // Estimate implements DistinctCounter.
 func (c *KMinsDistinct) Estimate() float64 { return c.count }
+
+// BasicEstimate returns the Section 4.1 estimate over the k minima.
+func (c *KMinsDistinct) BasicEstimate() float64 { return sketch.KMinsEstimate(c.mins) }
 
 // KPartitionDistinct is the k-partition HIP distinct counter with
 // full-precision ranks; HIPDistinct is the base-2 register variant
@@ -164,3 +185,7 @@ func (c *KPartitionDistinct) Add(id int64) bool {
 
 // Estimate implements DistinctCounter.
 func (c *KPartitionDistinct) Estimate() float64 { return c.count }
+
+// BasicEstimate returns the Section 4.3 estimate over the bucket minima,
+// biased down while many buckets are empty.
+func (c *KPartitionDistinct) BasicEstimate() float64 { return sketch.KPartitionEstimate(c.mins) }

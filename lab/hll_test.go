@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"adsketch/internal/sketch"
 	"adsketch/internal/stats"
 )
 
@@ -108,8 +107,8 @@ func TestHLLEstimateLargeRange(t *testing.T) {
 		t.Errorf("HLL bias at large n = %+.3f", bias)
 	}
 	// NRMSE ~ 1.04/sqrt(k) asymptotically; allow generous slack.
-	if nrmse > 1.6*sketch.HLLCV(k) {
-		t.Errorf("HLL NRMSE = %g, expected ~%g", nrmse, sketch.HLLCV(k))
+	if nrmse > 1.6*stats.HLLCV(k) {
+		t.Errorf("HLL NRMSE = %g, expected ~%g", nrmse, stats.HLLCV(k))
 	}
 }
 
@@ -179,7 +178,7 @@ func TestHIPUnbiasedAndBeatsHLL(t *testing.T) {
 	if hipAcc.NRMSE() >= hllAcc.NRMSE() {
 		t.Errorf("HIP NRMSE %g not below HLL %g", hipAcc.NRMSE(), hllAcc.NRMSE())
 	}
-	bound := sketch.HIPBaseBCV(k, 2) // sqrt(3/(4(k-1)))
+	bound := stats.HIPBaseBCV(k, 2) // sqrt(3/(4(k-1)))
 	if hipAcc.NRMSE() > 1.3*bound {
 		t.Errorf("HIP NRMSE %g far above analysis %g", hipAcc.NRMSE(), bound)
 	}
@@ -247,7 +246,7 @@ func TestBaseBHIPUnbiased(t *testing.T) {
 		if bias := acc.Bias(); math.Abs(bias) > 0.04 {
 			t.Errorf("base %g bias = %+.3f", b, bias)
 		}
-		bound := sketch.HIPBaseBCV(k, b)
+		bound := stats.HIPBaseBCV(k, b)
 		if acc.NRMSE() > 1.35*bound {
 			t.Errorf("base %g NRMSE = %g above analysis %g", b, acc.NRMSE(), bound)
 		}

@@ -7,15 +7,22 @@
 //
 // Each type maps to a section of the paper:
 //
+//   - Sections 2 and 4, MinHash sketches and their basic estimators:
+//     BottomKDistinct, KMinsDistinct and KPartitionDistinct hold the one
+//     MinHash sketch of each flavor over full-precision ranks, and
+//     BasicEstimate reads it with the flavor's Section 4 estimator (the
+//     internal/sketch formula over the sketch's minima).
 //   - Section 3.1, ADS over data streams: FirstOccurrenceADS (distance =
-//     time of first occurrence) and RecencyADS (distance = time since the
+//     time of first occurrence; a BottomKDistinct plus the log of the
+//     entries that modified it) and RecencyADS (distance = time since the
 //     most recent occurrence).
-//   - Section 6, HIP distinct counters: HIPDistinct, the HIP estimator on
-//     HyperLogLog registers (Algorithm 3); HyperLogLog, the baseline with
-//     raw and bias-corrected readouts; BaseBHIP, the same counter over
-//     base-b ranks (with Section 5.6's (1+b)/2 variance factor); and
-//     BottomKDistinct, KMinsDistinct and KPartitionDistinct over
-//     full-precision ranks.  All are DistinctCounters.
+//   - Section 6, HIP distinct counters: the same three types, whose
+//     Estimate is the HIP register grown on each sketch update;
+//     HIPDistinct, the HIP estimator on HyperLogLog registers
+//     (Algorithm 3); HyperLogLog, the baseline with raw and
+//     bias-corrected readouts; and BaseBHIP, the same counter over base-b
+//     ranks (with Section 5.6's (1+b)/2 variance factor).  All are
+//     DistinctCounters.
 //   - Section 7, approximate counters: Morris, with weighted Add and Merge.
 //   - Appendix B.1, neighborhood functions: NeighborhoodFunction, the
 //     ANF/HyperANF register DP with the basic (ANFBasic) or HIP (ANFHIP)

@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"fmt"
 	"sort"
 
 	"adsketch/internal/core"
@@ -25,73 +26,44 @@ import (
 
 // FirstOccurrenceADS maintains a bottom-k ADS of the distinct elements of a
 // stream keyed by elapsed time from the stream start to each element's
-// first occurrence (Section 3.1, case (i)).  It is equivalent to keeping a
-// bottom-k MinHash sketch of the prefix and recording every entry that
-// modified it.
+// first occurrence (Section 3.1, case (i)).  It is a BottomKDistinct over
+// the prefix plus the log of every entry that modified it.
 type FirstOccurrenceADS struct {
-	k       int
-	src     rank.Source
+	c       *BottomKDistinct
 	entries []core.Entry // canonical order: increasing time
-	ranks   []float64    // k smallest ranks, ascending
-	hip     float64      // running HIP distinct count
 }
 
 // NewFirstOccurrenceADS returns an empty sketch with parameter k whose
 // ranks derive from seed.
 func NewFirstOccurrenceADS(k int, seed uint64) *FirstOccurrenceADS {
-	if k < 1 {
-		panic("stream: k must be >= 1")
-	}
-	return &FirstOccurrenceADS{k: k, src: rank.NewSource(seed)}
+	return &FirstOccurrenceADS{c: NewBottomKDistinct(k, seed)}
 }
 
 // K returns the sketch parameter.
-func (s *FirstOccurrenceADS) K() int { return s.k }
+func (s *FirstOccurrenceADS) K() int { return s.c.k }
 
 // Size returns the number of retained entries.
 func (s *FirstOccurrenceADS) Size() int { return len(s.entries) }
 
 // Entries returns the retained (element, first-occurrence-time) entries in
-// time order.  Node holds the element ID truncated to int32 domain use;
-// use EntriesRaw for the original IDs when they exceed int32.
+// time order; Node holds the element ID.
 func (s *FirstOccurrenceADS) Entries() []core.Entry { return s.entries }
 
-// threshold returns the current k-th smallest rank (1 if fewer than k).
-func (s *FirstOccurrenceADS) threshold() float64 {
-	if len(s.ranks) < s.k {
-		return 1
-	}
-	return s.ranks[s.k-1]
-}
-
 // Process feeds one stream entry (element id at time t) and reports whether
-// the sketch was modified.  Times must be non-decreasing.
+// the sketch was modified.  Times must be non-decreasing, and id must fit
+// in an int32, the width of an entry's Node.
 func (s *FirstOccurrenceADS) Process(id int64, t float64) bool {
-	r := s.src.Rank(id)
-	tau := s.threshold()
-	if r >= tau {
+	checkElementID(id)
+	if !s.c.Add(id) {
 		return false
 	}
-	// Membership test: a re-occurrence of a retained element has a rank
-	// already stored (ranks are unique per element).
-	i := sort.SearchFloat64s(s.ranks, r)
-	if i < len(s.ranks) && s.ranks[i] == r {
-		return false
-	}
-	s.hip += 1 / tau
-	s.ranks = append(s.ranks, 0)
-	copy(s.ranks[i+1:], s.ranks[i:])
-	s.ranks[i] = r
-	if len(s.ranks) > s.k {
-		s.ranks = s.ranks[:s.k]
-	}
-	s.entries = append(s.entries, core.Entry{Node: int32(id), Dist: t, Rank: r})
+	s.entries = append(s.entries, core.Entry{Node: int32(id), Dist: t, Rank: s.c.src.Rank(id)})
 	return true
 }
 
 // DistinctCount returns the running HIP estimate of the number of distinct
 // elements seen so far.
-func (s *FirstOccurrenceADS) DistinctCount() float64 { return s.hip }
+func (s *FirstOccurrenceADS) DistinctCount() float64 { return s.c.Estimate() }
 
 // EstimateWithin returns the HIP estimate of the number of distinct
 // elements whose first occurrence was at time <= t.  Entries that later
@@ -99,7 +71,7 @@ func (s *FirstOccurrenceADS) DistinctCount() float64 { return s.hip }
 // accepted, so this uses the retained entries' weights only, recomputed by
 // a canonical scan (matching the ADS HIP estimator).
 func (s *FirstOccurrenceADS) EstimateWithin(t float64) float64 {
-	a := core.NewADS(-1, s.k)
+	a := core.NewADS(-1, s.c.k)
 	sum := 0.0
 	for _, e := range s.entries {
 		if e.Dist > t {
@@ -144,8 +116,9 @@ func (s *RecencyADS) K() int { return s.k }
 func (s *RecencyADS) Size() int { return len(s.entries) }
 
 // Process feeds one stream entry.  Times must be non-decreasing and below
-// the horizon.
+// the horizon, and id must fit in an int32, the width of an entry's Node.
 func (s *RecencyADS) Process(id int64, t float64) {
+	checkElementID(id)
 	if t >= s.horizon {
 		panic("stream: timestamp at or beyond the recency horizon")
 	}
@@ -221,6 +194,14 @@ func (s *RecencyADS) Validate() error {
 		}
 	}
 	return nil
+}
+
+// checkElementID refuses an element ID that an entry's int32 Node would
+// truncate into another element's.
+func checkElementID(id int64) {
+	if id != int64(int32(id)) {
+		panic(fmt.Sprintf("stream: element ID %d does not fit in int32", id))
+	}
 }
 
 type errInvalid struct{ e core.Entry }

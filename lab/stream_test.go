@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"adsketch/internal/sketch"
 	"adsketch/internal/stats"
 	"adsketch/internal/stream"
 )
@@ -47,8 +46,8 @@ func TestFirstOccurrenceHIPUnbiased(t *testing.T) {
 	if bias := acc.Bias(); math.Abs(bias) > 0.03 {
 		t.Errorf("bias = %+.3f", bias)
 	}
-	if nrmse := acc.NRMSE(); nrmse > 1.25*sketch.HIPCV(k) {
-		t.Errorf("NRMSE = %g above HIP bound %g", nrmse, sketch.HIPCV(k))
+	if nrmse := acc.NRMSE(); nrmse > 1.25*stats.HIPCV(k) {
+		t.Errorf("NRMSE = %g above HIP bound %g", nrmse, stats.HIPCV(k))
 	}
 }
 
@@ -168,6 +167,29 @@ func TestRecencyADSPanics(t *testing.T) {
 	check("first-occurrence bad k", func() { NewFirstOccurrenceADS(0, seed) })
 }
 
+// TestStreamADSRefuseIDsBeyondInt32: an entry's Node is an int32, so an ID
+// that does not fit would alias another element (1 and 1+2^32 would count
+// as one); both stream sketches refuse it instead.
+func TestStreamADSRefuseIDsBeyondInt32(t *testing.T) {
+	for name, process := range map[string]func(id int64){
+		"recency":          func(id int64) { NewRecencyADS(4, 1e6, 5).Process(id, 1) },
+		"first-occurrence": func(id int64) { NewFirstOccurrenceADS(4, 5).Process(id, 1) },
+	} {
+		for _, id := range []int64{1 + 1<<32, math.MaxInt32 + 1, math.MinInt32 - 1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: element ID %d did not panic", name, id)
+					}
+				}()
+				process(id)
+			}()
+		}
+		process(math.MaxInt32)
+		process(math.MinInt32)
+	}
+}
+
 func TestRecencyADSSizeStaysLogarithmic(t *testing.T) {
 	const seed = 8
 	s := NewRecencyADS(4, 1e9, seed)
@@ -202,19 +224,19 @@ func testCounterUnbiased(t *testing.T, name string, k, n, runs int, mk func(seed
 func TestBottomKCounter(t *testing.T) {
 	testCounterUnbiased(t, "bottom-k", 16, 2000, 400, func(seed uint64) DistinctCounter {
 		return NewBottomKDistinct(16, seed)
-	}, 1.2*sketch.HIPCV(16))
+	}, 1.2*stats.HIPCV(16))
 }
 
 func TestKMinsCounter(t *testing.T) {
 	testCounterUnbiased(t, "k-mins", 16, 2000, 400, func(seed uint64) DistinctCounter {
 		return NewKMinsDistinct(16, seed)
-	}, 1.25*sketch.HIPCV(16))
+	}, 1.25*stats.HIPCV(16))
 }
 
 func TestKPartitionCounter(t *testing.T) {
 	testCounterUnbiased(t, "k-partition", 16, 2000, 400, func(seed uint64) DistinctCounter {
 		return NewKPartitionDistinct(16, seed)
-	}, 1.25*sketch.HIPCV(16))
+	}, 1.25*stats.HIPCV(16))
 }
 
 func TestCountersExactSmall(t *testing.T) {
