@@ -84,6 +84,15 @@ func TestBottomKEstimateExactSmall(t *testing.T) {
 	}
 }
 
+func TestBottomKPanicsOnBadK(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("k=0 did not panic")
+		}
+	}()
+	lab.NewBottomKDistinct(0, 1)
+}
+
 func TestKMinsEstimateUnbiasedAndCV(t *testing.T) {
 	const k, n, runs = 16, 2000, 400
 	mean, nrmse := basicStats(n, runs, func(seed uint64) basicCounter {
