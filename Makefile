@@ -99,12 +99,14 @@ cover:
 
 # A few seconds of coverage-guided fuzzing on the sketch-file readers
 # (the v3 parser, the legacy decoder of older files, the write/read fixed
-# point), the wire-protocol and the graph-IO parsers — enough to catch
-# decoder regressions fast.
+# point), Algorithm 1 against the brute-force build, the wire-protocol and
+# the graph-IO parsers — enough to catch decoder and builder regressions
+# fast.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzReadSketchSet' -fuzztime=5s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='FuzzReadSet$$' -fuzztime=5s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='FuzzOpenSketchFile' -fuzztime=5s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='FuzzBuildersAgree' -fuzztime=5s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='FuzzReadEdgeList' -fuzztime=5s ./internal/graph/
 	$(GO) test -run='^$$' -fuzz='FuzzDecodeRequest' -fuzztime=5s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='FuzzDecodeResponse' -fuzztime=5s ./internal/wire/

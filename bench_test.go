@@ -396,13 +396,14 @@ func itoa(i int) string {
 
 // Algorithm 1 against its worker count (Appendix B.4; core's runBatches):
 // identical output at every count.  Measured on a 2-core VM (3 runs at
-// -benchtime=10x): 84–89 ms at 1 worker, the loop on the calling goroutine,
-// 59–65 ms at 2 and 58–63 ms at 4, which two cores cannot tell from 2; on
-// BenchmarkBuildPipeline's graph 205–227 ms against 133–148 ms.  The
-// batches collect 13% more offers than they apply (stale thresholds prune
-// less), and rank order, freezeFrame's column packing and the barriers —
-// two a batch — stay on one core.  (The batch-of-8 schedule this replaced
-// measured 1.04–1.09× slower than sequential; CHANGES.md, PR 18.)
+// -benchtime=10x): 77–86 ms at 1 worker, the loop on the calling
+// goroutine, 58–88 ms at 2 and 73–86 ms at 4, which two cores cannot tell
+// from 2; on BenchmarkBuildPipeline's graph 126–137 ms against 165–202 ms
+// (quartiles of 10 runs).  The batches collect 13% more offers than they
+// apply (stale thresholds prune less), and rank order, the column packing
+// and the barriers — two a batch — stay on one core.  (The batch-of-8
+// schedule this replaced measured 1.04–1.09× slower than sequential;
+// CHANGES.md, PR 18.)
 func BenchmarkParallelBuilder(b *testing.B) {
 	g := graph.PreferentialAttachment(5000, 4, 7)
 	for _, workers := range []int{1, 2, 4} {

@@ -15,7 +15,7 @@ import (
 
 // Options configures ADS construction for a graph.
 type Options struct {
-	// K is the sketch parameter (>= 1).
+	// K is the sketch parameter, in [1, MaxK].
 	K int
 	// Flavor selects bottom-k, k-mins, or k-partition.
 	Flavor sketch.Flavor
@@ -29,8 +29,8 @@ type Options struct {
 }
 
 func (o Options) validate() error {
-	if o.K < 1 {
-		return fmt.Errorf("core: Options.K = %d, must be >= 1", o.K)
+	if o.K < 1 || o.K > MaxK {
+		return fmt.Errorf("core: Options.K = %d, must be in [1, %d]", o.K, MaxK)
 	}
 	if o.BaseB != 0 && !(o.BaseB > 1) { // !(>) rather than <=: NaN is not a base
 		return fmt.Errorf("core: Options.BaseB = %g, must be > 1 (or 0 for full ranks)", o.BaseB)
@@ -277,6 +277,9 @@ func BuildSetParallel(g *graph.Graph, o Options, algo Algorithm, workers int) (*
 	if algo == AlgoDP && g.Weighted() {
 		return nil, fmt.Errorf("core: the DP builder requires an unweighted graph; use LocalUpdates or PrunedDijkstra")
 	}
+	if algo == AlgoPrunedDijkstra && !g.Weighted() {
+		return &Set{frame: hopFrame(g, p, workers)}, nil
+	}
 	inner := workers
 	if o.Flavor != sketch.BottomK {
 		inner = 1
@@ -288,30 +291,28 @@ func BuildSetParallel(g *graph.Graph, o Options, algo Algorithm, workers int) (*
 	return buildSet(g.NumNodes(), p, run, workers), nil
 }
 
+// runPasses runs the elementary passes of a uniform set of a valid p
+// through run, workers at a time, in segment order: one for bottom-k, and
+// one bottom-1 pass per permutation of a k-mins set or per bucket of a
+// k-partition set.
+func runPasses[T any](p Params, workers int, run func(runSpec) T) []T {
+	src, rank := p.Source(), p.rankFn(0)
+	return parallelRuns(p.segs(), workers, func(i int) T {
+		switch p.Flavor {
+		case sketch.KMins:
+			return run(runSpec{k: 1, rank: p.rankFn(i)})
+		case sketch.KPartition:
+			return run(runSpec{k: 1, rank: rank, include: func(v int32) bool { return src.Bucket(int64(v), p.K) == i }})
+		default: // sketch.BottomK
+			return run(runSpec{k: p.K, rank: rank})
+		}
+	})
+}
+
 // buildSet assembles the frame of a uniform set of a valid p over n nodes
 // from elementary passes of run.
 func buildSet(n int, p Params, run runner, workers int) *Set {
-	var lists [][]Entry
-	switch p.Flavor {
-	case sketch.BottomK:
-		lists = run(runSpec{k: p.K, rank: p.rankFn(0)})
-	case sketch.KMins:
-		lists = segmentMajor(parallelRuns(p.K, workers, func(h int) [][]Entry {
-			return run(runSpec{k: 1, rank: p.rankFn(h)})
-		}), n)
-	case sketch.KPartition:
-		src := p.Source()
-		lists = segmentMajor(parallelRuns(p.K, workers, func(b int) [][]Entry {
-			return run(runSpec{
-				k:    1,
-				rank: p.rankFn(0),
-				include: func(v int32) bool {
-					return src.Bucket(int64(v), p.K) == b
-				},
-			})
-		}), n)
-	}
-	return &Set{frame: freezeWhole(p, lists)}
+	return &Set{frame: freezeWhole(p, segmentMajor(runPasses(p, workers, run), n))}
 }
 
 // segmentMajor reorders per-run entry lists (perRun[s][v]) into the
@@ -361,8 +362,8 @@ func runnerFor(g *graph.Graph, algo Algorithm, workers int) (runner, error) {
 
 // parallelRuns executes fn(0..k-1) across the given number of workers
 // (<= 0 means GOMAXPROCS; 1 is the calling goroutine).
-func parallelRuns(k, workers int, fn func(int) [][]Entry) [][][]Entry {
-	out := make([][][]Entry, k)
+func parallelRuns[T any](k, workers int, fn func(int) T) []T {
+	out := make([]T, k)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -425,213 +426,33 @@ func sameRankEnd(cands []int32, ranks []float64, i int) int {
 	return j
 }
 
-// adsKey is an entry's canonical sort key; the rank is a function of the
-// node and is attached when the pass freezes.
-type adsKey struct {
-	dist float64
-	node int32
-}
-
-// offer is one candidate insertion not yet applied: entry (dist, node) for
-// the sketch of v.
-type offer struct {
-	v, node int32
-	dist    float64
-}
-
-// pruneState is the under-construction output of one Algorithm 1 pass.
-//
-// Candidates arrive in increasing rank, so every entry a node already
-// holds has a smaller rank than the one on offer, and the offer belongs in
-// the sketch iff fewer than k held entries precede it canonically — iff
-// it precedes the node's k-th canonically-smallest entry.  That entry's
-// key is the node's threshold, kept in two dense columns so the prune
-// test is one comparison that never touches a list.
-//
-// heads[v] holds v's (up to) k canonically-smallest entries in ascending
-// order; its last slot, once it has k, is the threshold.  An accepted
-// offer sorts before the threshold, so it lands in the head and pushes
-// the old threshold out, onto the tail.  A node's threshold never rises,
-// so the entries it pushes out arrive on the tail in descending canonical
-// order, each above everything still in the head: the finished list is
-// the head followed by the node's tail entries, latest first.  All nodes
-// share one tail, so an insertion searches and moves at most k slots and
-// appends one record, however long the node's list has grown.  (When
-// several goroutines build, runBatches gives each node range a pruneState
-// over the same thresholds and heads with a tail of its own.)
-type pruneState struct {
-	k       int
-	thrDist []float64 // +Inf while the node holds fewer than k entries
-	thrNode []int32
-	heads   [][]adsKey // grown on demand: most nodes of a sparse graph never hold k
-	tail    offerLog
-}
-
-func newPruneState(n, k int) *pruneState {
-	st := &pruneState{
-		k:       k,
-		thrDist: make([]float64, n),
-		thrNode: make([]int32, n),
-		heads:   make([][]adsKey, n),
-	}
-	for v := range st.thrDist {
-		st.thrDist[v] = graph.Infinity
-	}
-	return st
-}
-
-// accepts reports whether entry (d, u) precedes v's threshold.
-func (st *pruneState) accepts(v int32, d float64, u int32) bool {
-	t := st.thrDist[v]
-	return d < t || (d == t && u < st.thrNode[v])
-}
-
-// insert adds an accepted entry to v's head.
-func (st *pruneState) insert(v int32, d float64, u int32) {
-	h := st.heads[v]
-	if len(h) == st.k {
-		st.tail.push(offer{v: v, node: h[st.k-1].node, dist: h[st.k-1].dist})
-	} else {
-		h = append(h, adsKey{})
-		st.heads[v] = h
-	}
-	i := len(h) - 1
-	for i > 0 && (d < h[i-1].dist || (d == h[i-1].dist && u < h[i-1].node)) {
-		h[i] = h[i-1]
-		i--
-	}
-	h[i] = adsKey{dist: d, node: u}
-	if len(h) == st.k {
-		st.thrDist[v], st.thrNode[v] = h[st.k-1].dist, h[st.k-1].node
-	}
-}
-
-// offerLog is a sequence of offers in push order, held in chunks of
-// logChunk records (4 KB) — not one appended slice, because growing a
-// slice this long by copying would allocate several times its final size —
-// which reset keeps, so a log refilled every batch allocates its fullest.
-type offerLog struct {
-	chunks [][]offer
-	n      int // offers held: chunks[i>>logShift][i&(logChunk-1)] for i < n
-}
-
-const (
-	logShift = 8
-	logChunk = 1 << logShift
-)
-
-func (l *offerLog) push(o offer) {
-	c := l.n >> logShift
-	if c == len(l.chunks) {
-		l.chunks = append(l.chunks, make([]offer, logChunk))
-	}
-	l.chunks[c][l.n&(logChunk-1)] = o
-	l.n++
-}
-
-func (l *offerLog) at(i int) offer { return l.chunks[i>>logShift][i&(logChunk-1)] }
-
-func (l *offerLog) reset() { l.n = 0 }
-
-// appendTo appends the offers at positions [lo, hi) to dst.
-func (l *offerLog) appendTo(dst []offer, lo, hi int) []offer {
-	for lo < hi {
-		i := lo & (logChunk - 1)
-		end := min(logChunk, i+hi-lo)
-		dst = append(dst, l.chunks[lo>>logShift][i:end]...)
-		lo += end - i
-	}
-	return dst
-}
-
-// run is candidate u's pruned traversal: every node it reaches either
-// takes the entry and is expanded, or prunes the search there.
-func (st *pruneState) run(vis *graph.Visitor, u int32) {
-	vis.Start(u)
-	for v, d, ok := vis.Next(); ok; v, d, ok = vis.Next() {
-		if st.accepts(v, d, u) {
-			st.insert(v, d, u)
-			vis.Expand(v, d)
-		}
-	}
-}
-
-// collect is run with the insertions logged instead of applied — an offer
-// for v under v's partition of len(logs) node ranges — leaving the state
-// untouched.  It prunes against fewer entries than run would have — never
-// wrongly, and apply rejects the surplus.
-func (st *pruneState) collect(vis *graph.Visitor, u int32, logs []offerLog) {
-	vis.Start(u)
-	for v, d, ok := vis.Next(); ok; v, d, ok = vis.Next() {
-		if st.accepts(v, d, u) {
-			logs[partOf(v, len(logs), len(st.thrDist))].push(offer{v: v, node: u, dist: d})
-			vis.Expand(v, d)
-		}
-	}
-}
-
-// apply replays the collected offers of members equal-rank candidates
-// through the test run makes.  Under the strict-inequality inclusion rule
-// an equal-rank entry blocks an offer exactly when it precedes it
-// canonically, so a node's offers must be replayed in canonical order;
-// one candidate's offers go to distinct nodes and need no ordering.
-func (st *pruneState) apply(offers []offer, members int) {
-	if members > 1 {
-		slices.SortFunc(offers, func(a, b offer) int {
-			if c := cmp.Compare(a.v, b.v); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.dist, b.dist); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.node, b.node)
-		})
-	}
-	for _, o := range offers {
-		if st.accepts(o.v, o.dist, o.node) {
-			st.insert(o.v, o.dist, o.node)
-		}
-	}
-}
-
-// prunedDijkstraRun is Algorithm 1 generalized to one runSpec pass.
-// Candidates are processed in increasing rank order; each runs a pruned
-// traversal of the transpose graph, so that reaching v at distance d means
-// d = d(v -> candidate) in g.  With one worker that is a loop on the
-// calling goroutine; with more (workers <= 0 means GOMAXPROCS) it is
-// runBatches, whose output is the same.
-//
-// Ties in rank values (possible with base-b rounding) are handled by
-// collecting the offers of an equal-rank group against the pre-group
-// state and applying them together when the group finishes.
-func prunedDijkstraRun(g *graph.Graph, s runSpec, workers int) [][]Entry {
-	n := g.NumNodes()
+// passWorkers resolves a pass's worker bound over n nodes: <= 0 means
+// GOMAXPROCS, and no more workers than nodes, but at least one.
+func passWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	return max(1, min(workers, n))
+}
+
+// prunedDijkstraRun is Algorithm 1 generalized to one runSpec pass, its
+// entry lists with ranks attached: candidates are processed in increasing
+// rank order, each running a pruned traversal of the transpose graph, so
+// that reaching v at distance d means d = d(v -> candidate) in g — a BFS
+// over packed keys when g is unweighted (runHops), a Dijkstra over float
+// keys otherwise (runFloats).  With one worker the candidate loop runs on
+// the calling goroutine; with more (workers <= 0 means GOMAXPROCS) it is
+// runBatches, whose output is the same.
+func prunedDijkstraRun(g *graph.Graph, s runSpec, workers int) [][]Entry {
+	n := g.NumNodes()
 	cands, ranks := s.rankOrder(n)
-	if workers = min(workers, n); workers > 1 {
-		parts, _ := runBatches(g.Transpose(), cands, ranks, s.k, workers)
-		return freezeParts(parts, ranks)
+	workers = passWorkers(workers, n)
+	if g.Weighted() {
+		return runFloats(g.Transpose(), cands, ranks, s.k, workers)
 	}
-	st := newPruneState(n, s.k)
-	vis := graph.NewVisitor(g.Transpose())
-	log := make([]offerLog, 1)
-	var group []offer
-	for i := 0; i < len(cands); {
-		j := sameRankEnd(cands, ranks, i)
-		if j == i+1 {
-			// Full-precision ranks are unique: the common case.
-			st.run(vis, cands[i])
-		} else {
-			log[0].reset()
-			for _, u := range cands[i:j] {
-				st.collect(vis, u, log)
-			}
-			group = log[0].appendTo(group[:0], 0, log[0].n)
-			st.apply(group, j-i)
-		}
-		i = j
-	}
-	return freezeParts([]*pruneState{st}, ranks)
+	ps, _ := runHops(g.Transpose(), cands, ranks, s.k, workers)
+	return ps.lists(func(key uint64) Entry {
+		u := keyNode(key)
+		return Entry{Node: u, Dist: float64(key >> 32), Rank: ranks[u]}
+	})
 }

@@ -19,9 +19,10 @@ const (
 	// v2EncodeVersion is the version number of the files of the per-entry
 	// stream format that came before the columnar one (legacy.go).
 	v2EncodeVersion = 2
-	// maxCodecK bounds the sketch parameter a file may claim, so a
-	// corrupted header cannot drive huge per-node allocations.
-	maxCodecK = 1 << 20
+	// MaxK bounds the sketch parameter: what Options.validate accepts and
+	// a file may claim, so that neither a build nor a corrupted header can
+	// drive huge per-node allocations, and k fits the header's 32 bits.
+	MaxK = 1 << 20
 	// maxCodecPartitions bounds the partition count a file may claim.
 	maxCodecPartitions = 1 << 20
 )

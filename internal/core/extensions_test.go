@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -286,14 +287,34 @@ func TestParallelBuilderBatchSizes(t *testing.T) {
 		t.Errorf("%d batches, want 27", batches)
 	}
 	for _, workers := range []int{2, 3} {
-		parts, collected := runBatches(g.Transpose(), cands, ranks, 16, workers)
-		applied := 0
-		for _, l := range freezeParts(parts, ranks) {
-			applied += len(l)
-		}
+		ps, collected := runHops(g.Transpose(), cands, ranks, 16, workers)
+		applied := len(ps.keys)
 		if collected != 1441592 || applied != 1272677 {
 			t.Errorf("workers=%d: %d offers collected for %d applied, want 1441592 for 1272677", workers, collected, applied)
 		}
+	}
+}
+
+// TestParallelBuilderAllocBound pins what Algorithm 1 allocates at one
+// worker on the benchmark's graph, PA(10000,5) at k=16: the thresholds,
+// heads of packed keys, one shared tail, one key per entry and the frame's
+// columns — 34.5 MB when pinned.
+func TestParallelBuilderAllocBound(t *testing.T) {
+	g := graph.PreferentialAttachment(10000, 5, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	set, err := BuildSetParallel(g, Options{K: 16, Seed: 42}, AlgoPrunedDijkstra, 1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("the build allocated %.1f MB", got)
+	if got > 40 {
+		t.Errorf("the build allocated %.1f MB, want at most 40", got)
+	}
+	if set.TotalEntries() != 1272677 {
+		t.Errorf("%d entries, want 1272677", set.TotalEntries())
 	}
 }
 

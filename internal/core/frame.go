@@ -295,45 +295,78 @@ func freezeWhole(p Params, lists [][]Entry) *Frame {
 // them from p and the set themselves check them against the frame's
 // (validate).
 func freezeFrame(p Params, base int32, total int, lists [][]Entry) *Frame {
-	entries := 0
+	entries, steps := 0, 0
 	for _, l := range lists {
 		entries += len(l)
-	}
-	f := &Frame{
-		p: p, n: len(lists) / p.segs(), base: base, total: total,
-		off:  makePackedColumn(int64(len(lists)+1), offsetWidth(int64(entries))),
-		node: makePackedColumn(int64(entries), nodeWidth(total)),
-		by:   newRanker(p),
-	}
-	// One pass over the entries packs the nodes and marks and counts the
-	// distance steps; the step column, sized exactly, is then filled from
-	// the marked entries alone — a handful per sketch when distances are
-	// hop counts.
-	first, steps := make([]uint64, bitWords(int64(entries))), 0
-	pos := int64(0)
-	for i, l := range lists {
-		f.off.put(int64(i), uint64(pos))
-		for j, e := range l {
-			f.node.put(pos, nodeBits(e.Node))
-			if j == 0 || e.Dist != l[j-1].Dist {
-				setBit(first, pos)
+		for j := range l {
+			if isStep(l, j) {
 				steps++
 			}
-			pos++
 		}
 	}
-	f.off.put(int64(len(lists)), uint64(pos))
-	step := make([]float64, 0, steps)
-	pos = 0
+	pk := newFramePacker(p, base, total, len(lists), entries, steps)
 	for _, l := range lists {
-		marks := StepDists{first: first, lo: pos}
-		for j := 0; j < len(l); j = marks.runEnd(j, len(l)) {
-			step = append(step, l[j].Dist)
+		pk.list()
+		for j, e := range l {
+			pk.add(e.Node, e.Dist, isStep(l, j))
 		}
-		pos += int64(len(l))
 	}
-	f.setSteps(first, step)
-	return f
+	return pk.frame()
+}
+
+// isStep reports whether entry j of l starts a distance step.
+func isStep(l []Entry, j int) bool { return j == 0 || l[j].Dist != l[j-1].Dist }
+
+// framePacker packs a frame's columns from its entries, fed in order —
+// list starts each entry list, add appends an entry to it — in one pass:
+// freezeFrame feeds it entry lists, and an Algorithm 1 build on an
+// unweighted graph (hopFrame) its passes' packed keys.
+type framePacker struct {
+	f      *Frame
+	first  []uint64
+	step   []float64
+	listAt int64 // lists started
+	pos    int64 // entries added
+}
+
+// newFramePacker returns the packer of the frame of lists entry lists
+// (node-major: segment s of node v is list v*segs+s) of nodes base... of a
+// total-node set of parameters p, which hold entries entries and steps
+// distance steps in all.
+func newFramePacker(p Params, base int32, total, lists, entries, steps int) framePacker {
+	return framePacker{
+		f: &Frame{
+			p: p, n: lists / p.segs(), base: base, total: total,
+			off:  makePackedColumn(int64(lists+1), offsetWidth(int64(entries))),
+			node: makePackedColumn(int64(entries), nodeWidth(total)),
+			by:   newRanker(p),
+		},
+		first: make([]uint64, bitWords(int64(entries))),
+		step:  make([]float64, 0, steps),
+	}
+}
+
+func (pk *framePacker) list() {
+	pk.f.off.put(pk.listAt, uint64(pk.pos))
+	pk.listAt++
+}
+
+// add appends an entry of node at distance dist, which starts a distance
+// step of its list when step is set.
+func (pk *framePacker) add(node int32, dist float64, step bool) {
+	pk.f.node.put(pk.pos, nodeBits(node))
+	if step {
+		setBit(pk.first, pk.pos)
+		pk.step = append(pk.step, dist)
+	}
+	pk.pos++
+}
+
+// frame returns the packed frame.
+func (pk *framePacker) frame() *Frame {
+	pk.f.off.put(pk.listAt, uint64(pk.pos))
+	pk.f.setSteps(pk.first, pk.step)
+	return pk.f
 }
 
 // setSteps installs the frame's step code — the bits, and the canonical
@@ -695,7 +728,7 @@ func (f *Frame) Index(local int32) *HIPIndex {
 	for i := range w {
 		w[i] = c.rankAt(i)
 	}
-	h := newKSmallest(f.p.K)
+	h := newKSmallest(min(f.p.K, e)) // it never holds more than the entries
 	if f.p.Kind == KindWeighted {
 		w = hipWeightsWeighted(w, c.beta, f.p.Scheme, f.p.K, h, w[:0])
 	} else {

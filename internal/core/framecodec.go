@@ -235,7 +235,7 @@ func (h *frameHdr) validate() error {
 			return fmt.Errorf("core: partition claims nodes [%d, %d) but holds %d sketches", h.lo, h.hi, h.n)
 		}
 	}
-	if h.k > maxCodecK {
+	if h.k > MaxK {
 		return fmt.Errorf("core: implausible sketch parameter k=%d", h.k)
 	}
 	if h.n > 1<<30 {

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"adsketch/internal/graph"
 )
 
 // addDamaged seeds f with a valid file, four truncations of it and one
@@ -112,6 +114,59 @@ func FuzzReadSketchSet(f *testing.F) {
 		var buf bytes.Buffer
 		if _, err := got.WriteTo(&buf); err != nil {
 			t.Fatalf("re-serializing a decoded set: %v", err)
+		}
+	})
+}
+
+// FuzzBuildersAgree: Algorithm 1 — the hop kernel packed straight into
+// the frame on an unweighted graph, the float kernel on small integer
+// lengths — writes the bytes of the brute-force build at one worker and
+// at three, whatever the graph (at most 40 nodes, directed or not), the
+// flavor, k in 1..6, and whether base-b ranks make ties.  The first three
+// bytes choose n, the graph's kind and the options; every further pair
+// (a triple, with lengths) is an arc.
+func FuzzBuildersAgree(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 0, 1, 1, 2, 2, 3, 3, 4})
+	f.Add([]byte{12, 1, 2, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3, 6, 7, 7, 8, 8, 6, 0, 9, 9, 10, 10, 11})
+	f.Add([]byte{9, 2, 3, 0, 1, 2, 1, 2, 1, 2, 3, 3, 0, 3, 4, 4, 5, 1, 5, 6, 2, 6, 7, 1, 7, 8, 3})
+	f.Add([]byte{40, 7, 0x1d, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22})
+	f.Add([]byte{30, 12, 0x25, 0, 1, 0, 2, 0, 3, 1, 4, 2, 5, 3, 6, 4, 7, 5, 8, 6, 9, 7, 10})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n, kind, opts := int32(data[0])%40+1, data[1], data[2]
+		directed, weighted := kind&1 != 0, kind&2 != 0
+		o := Options{K: int(opts)%6 + 1, Flavor: allFlavors()[int(kind>>2)%3], Seed: uint64(opts >> 4)}
+		if kind&0x10 != 0 {
+			o.BaseB = 2
+		}
+		b := graph.NewBuilder(int(n), directed)
+		arc := 2
+		if weighted {
+			arc = 3
+		}
+		for rest := data[3:]; len(rest) >= arc; rest = rest[arc:] {
+			if u, v := int32(rest[0])%n, int32(rest[1])%n; weighted {
+				b.AddWeightedEdge(u, v, float64(rest[2]%4+1))
+			} else {
+				b.AddEdge(u, v)
+			}
+		}
+		g := b.Build()
+		want, err := BuildSetParallel(g, o, AlgoBruteForce, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			got, err := BuildSetParallel(g, o, AlgoPrunedDijkstra, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(v3Bytes(t, got), v3Bytes(t, want)) {
+				t.Fatalf("%+v, %d workers, n=%d directed=%v weighted=%v: Algorithm 1 differs from brute force",
+					o, workers, n, directed, weighted)
+			}
 		}
 	})
 }

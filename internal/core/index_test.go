@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -120,5 +122,40 @@ func TestBuildersAgreePropertyRandom(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFrameIndexKBound: k is at most MaxK — a larger one is refused where
+// the v3 header's 32 bits would have cut it short — and the largest k
+// builds, round-trips through the file and indexes a small sketch in
+// memory that follows its entries, not k.
+func TestFrameIndexKBound(t *testing.T) {
+	g := graph.Path(5)
+	for _, k := range []int{MaxK + 1, 1 << 40} {
+		if _, err := BuildSet(g, Options{K: k}, AlgoPrunedDijkstra); err == nil {
+			t.Errorf("BuildSet with K = %d succeeded", k)
+		}
+	}
+	set, err := BuildSet(g, Options{K: MaxK, Seed: 1}, AlgoPrunedDijkstra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := set.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadSketchSet(&buf)
+	if err != nil || back.K() != MaxK {
+		t.Fatalf("read back K = MaxK: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	x := back.Index(2)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
+		t.Errorf("indexing a 5-entry sketch at k = MaxK allocated %d B", got)
+	}
+	if got := x.Total(); got != 5 {
+		t.Errorf("estimate %g, want the exact 5", got)
 	}
 }

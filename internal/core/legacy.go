@@ -292,7 +292,7 @@ func readV2(d *setDecoder, seed *uint64) (*Set, error) {
 	}
 	p.K = int(k)
 	switch {
-	case k > maxCodecK:
+	case k > MaxK:
 		return nil, fmt.Errorf("core: implausible sketch parameter k=%d", k)
 	case numNodes > 1<<30:
 		return nil, fmt.Errorf("core: implausible node count %d", numNodes)

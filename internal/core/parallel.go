@@ -4,8 +4,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"adsketch/internal/graph"
 )
 
 // fanOut runs fn(0) ... fn(p-1) concurrently — fn(0) on the calling
@@ -61,6 +59,94 @@ func batchEnd(cands []int32, ranks []float64, k, start int) int {
 	return sameRankEnd(cands, ranks, end-1)
 }
 
+// kernel is one worker's handle on an Algorithm 1 pass under construction,
+// the part of it that differs between hop counts and float distances: its
+// offers are of type O.  The candidate loops (runCands, runBatches) drive
+// it and nothing else.
+type kernel[O any] interface {
+	// traverse runs candidate u's pruned traversal: every node it reaches
+	// takes the entry and is expanded, or prunes the search there.  With
+	// nil logs the entries are inserted as they are found; otherwise each
+	// is logged for node v under v's partition of len(logs) node ranges
+	// and the state is left untouched — pruning against fewer entries than
+	// an insertion would leave, never wrongly, and apply rejects the
+	// surplus.
+	traverse(u int32, logs []offerLog[O])
+	// apply replays the logged offers of members equal-rank candidates
+	// through the insertion test.  Under the strict-inequality inclusion
+	// rule an equal-rank entry blocks an offer exactly when it precedes it
+	// canonically, so a node's offers are replayed in canonical order; one
+	// candidate's offers go to distinct nodes and need no ordering.
+	apply(offers []O, members int)
+}
+
+// runCands is Algorithm 1's candidate loop over a pass's kernels, one per
+// worker: on the calling goroutine for one (each candidate traverses in
+// rank order, an equal-rank group against the group's pre-group state,
+// applied when the group finishes), runBatches for more.  Both give the
+// same state.  It returns the offers the batches collected.
+func runCands[O any](parts []kernel[O], cands []int32, ranks []float64, k int) int {
+	if len(parts) > 1 {
+		return runBatches(parts, cands, ranks, k)
+	}
+	st, log := parts[0], make([]offerLog[O], 1)
+	var group []O
+	for i := 0; i < len(cands); {
+		j := sameRankEnd(cands, ranks, i)
+		if j == i+1 {
+			// Full-precision ranks are unique: the common case.
+			st.traverse(cands[i], nil)
+		} else {
+			log[0].reset()
+			for _, u := range cands[i:j] {
+				st.traverse(u, log)
+			}
+			group = log[0].appendTo(group[:0], 0, log[0].n)
+			st.apply(group, j-i)
+		}
+		i = j
+	}
+	return 0
+}
+
+// offerLog is a sequence of offers in push order, held in chunks of
+// logChunk records — not one appended slice, because growing a slice this
+// long by copying would allocate several times its final size — which
+// reset keeps, so a log refilled every batch allocates its fullest.
+type offerLog[O any] struct {
+	chunks [][]O
+	n      int // offers held: chunks[i>>logShift][i&(logChunk-1)] for i < n
+}
+
+const (
+	logShift = 8
+	logChunk = 1 << logShift
+)
+
+func (l *offerLog[O]) push(o O) {
+	c := l.n >> logShift
+	if c == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]O, logChunk))
+	}
+	l.chunks[c][l.n&(logChunk-1)] = o
+	l.n++
+}
+
+func (l *offerLog[O]) at(i int) O { return l.chunks[i>>logShift][i&(logChunk-1)] }
+
+func (l *offerLog[O]) reset() { l.n = 0 }
+
+// appendTo appends the offers at positions [lo, hi) to dst.
+func (l *offerLog[O]) appendTo(dst []O, lo, hi int) []O {
+	for lo < hi {
+		i := lo & (logChunk - 1)
+		end := min(logChunk, i+hi-lo)
+		dst = append(dst, l.chunks[lo>>logShift][i:end]...)
+		lo += end - i
+	}
+	return dst
+}
+
 // span is the part of worker w's offer log for one partition that one batch
 // member wrote.
 type span struct{ w, lo, hi int }
@@ -68,7 +154,10 @@ type span struct{ w, lo, hi int }
 // runBatches is Algorithm 1's candidate loop on several goroutines: the
 // Appendix B.4 idea — traverse a batch of candidates concurrently against
 // the thresholds earlier batches left, then reconcile — with the
-// reconciliation partitioned too.  Each batch (batchEnd) has two phases:
+// reconciliation partitioned too.  parts[w] is worker w's kernel in the
+// first phase and the kernel of node range w (nodeRange) in the second;
+// all of them share the thresholds and heads.  Each batch (batchEnd) has
+// two phases:
 //
 //  1. workers take members off a shared counter and collect their
 //     traversals against the pre-batch thresholds, which nobody writes
@@ -84,22 +173,15 @@ type span struct{ w, lo, hi int }
 // final sketch of v is not pruned on its way there (what blocks it on the
 // way blocks it at v) — and phase 2, the rank-order recursion of the
 // sequential loop, rejects the surplus: the result is the sequential one.
-// It returns the per-partition states — shared thresholds and heads, a tail
-// each — for freezeParts, and the number of offers collected.
-func runBatches(tr *graph.Graph, cands []int32, ranks []float64, k, workers int) (parts []*pruneState, collected int) {
-	n := tr.NumNodes()
-	st := newPruneState(n, k)
-	parts = make([]*pruneState, workers)
-	vis := make([]*graph.Visitor, workers)
-	logs := make([][]offerLog, workers) // logs[w][p]: what worker w collected for partition p, this batch
-	for w := range parts {
-		part := *st // the columns shared, the (empty) tail its own
-		parts[w] = &part
-		vis[w] = graph.NewVisitor(tr)
-		logs[w] = make([]offerLog, workers)
+// It returns the number of offers collected.
+func runBatches[O any](parts []kernel[O], cands []int32, ranks []float64, k int) (collected int) {
+	workers := len(parts)
+	logs := make([][]offerLog[O], workers) // logs[w][p]: what worker w collected for partition p, this batch
+	for w := range logs {
+		logs[w] = make([]offerLog[O], workers)
 	}
-	var spans []span                   // spans[i*workers+p]: batch member i's offers for partition p
-	groups := make([][]offer, workers) // per partition: the offers of one equal-rank group, mostly of one member, gathered
+	var spans []span               // spans[i*workers+p]: batch member i's offers for partition p
+	groups := make([][]O, workers) // per partition: the offers of one equal-rank group, mostly of one member, gathered
 	for start := 0; start < len(cands); {
 		end := batchEnd(cands, ranks, k, start)
 		batch := cands[start:end]
@@ -111,7 +193,7 @@ func runBatches(tr *graph.Graph, cands []int32, ranks []float64, k, workers int)
 			for p := range log {
 				sp[p] = span{w: w, lo: log[p].n}
 			}
-			parts[w].collect(vis[w], batch[i], log)
+			parts[w].traverse(batch[i], log)
 			for p := range log {
 				sp[p].hi = log[p].n
 			}
@@ -138,47 +220,5 @@ func runBatches(tr *graph.Graph, cands []int32, ranks []float64, k, workers int)
 			}
 		})
 	}
-	return parts, collected
-}
-
-// freezeParts returns every node's entries in canonical order with ranks
-// attached, carved from one allocation.  parts share their heads and hold
-// the tail entries of one node range each (nodeRange), which each walks on
-// a goroutine of its own; a sequential pass has one part.
-func freezeParts(parts []*pruneState, ranks []float64) [][]Entry {
-	heads := parts[0].heads
-	n := len(heads)
-	size := make([]int, n)
-	fanOut(len(parts), func(p int) {
-		lo, hi := nodeRange(p, len(parts), n)
-		for v := lo; v < hi; v++ {
-			size[v] = len(heads[v])
-		}
-		for tail, i := &parts[p].tail, 0; i < tail.n; i++ {
-			size[tail.at(i).v]++
-		}
-	})
-	total := 0
-	for _, s := range size {
-		total += s
-	}
-	arena := make([]Entry, total)
-	out := make([][]Entry, n)
-	for v, s := range size {
-		out[v], arena = arena[:0:s], arena[s:]
-	}
-	fanOut(len(parts), func(p int) {
-		lo, hi := nodeRange(p, len(parts), n)
-		for v := lo; v < hi; v++ {
-			for _, e := range heads[v] {
-				out[v] = append(out[v], Entry{Node: e.node, Dist: e.dist, Rank: ranks[e.node]})
-			}
-		}
-		// Backwards through the tail is ascending order within every node.
-		for tail, i := &parts[p].tail, parts[p].tail.n-1; i >= 0; i-- {
-			o := tail.at(i)
-			out[o.v] = append(out[o.v], Entry{Node: o.node, Dist: o.dist, Rank: ranks[o.node]})
-		}
-	})
-	return out
+	return collected
 }

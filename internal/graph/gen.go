@@ -170,13 +170,13 @@ func PreferentialAttachment(n, m int, seed uint64) *Graph {
 			endpoints = append(endpoints, int32(i), int32(j))
 		}
 	}
+	// chosen[t] == v once node v has picked t (v >= 1, so the zero value
+	// marks nothing); picked keeps the draw order, on which the edge and
+	// endpoint order, and so every pinned test, depend.
+	chosen := make([]int32, n)
+	picked := make([]int32, 0, m)
 	for v := start; v < n; v++ {
-		// picked preserves draw order: iterating the chosen set through a
-		// map would randomize the edge (and endpoint) order per process,
-		// breaking the "deterministic in seed" contract every pinned test
-		// depends on.
-		chosen := make(map[int32]bool, m)
-		picked := make([]int32, 0, m)
+		picked = picked[:0]
 		for len(picked) < m {
 			var t int32
 			if len(endpoints) == 0 {
@@ -184,10 +184,10 @@ func PreferentialAttachment(n, m int, seed uint64) *Graph {
 			} else {
 				t = endpoints[rng.Intn(len(endpoints))]
 			}
-			if t == int32(v) || chosen[t] {
+			if t == int32(v) || chosen[t] == int32(v) {
 				continue
 			}
-			chosen[t] = true
+			chosen[t] = int32(v)
 			picked = append(picked, t)
 		}
 		for _, t := range picked {

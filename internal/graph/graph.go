@@ -11,9 +11,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Graph is an immutable graph in CSR form.  Build one with a Builder or a
@@ -125,8 +126,7 @@ func (g *Graph) sortAdjacency() {
 	for v := 0; v < g.n; v++ {
 		lo, hi := g.off[v], g.off[v+1]
 		if g.w == nil {
-			s := g.dst[lo:hi]
-			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+			slices.Sort(g.dst[lo:hi])
 			continue
 		}
 		idx := make([]int, hi-lo)
@@ -134,11 +134,11 @@ func (g *Graph) sortAdjacency() {
 			idx[i] = i
 		}
 		d, w := g.dst[lo:hi], g.w[lo:hi]
-		sort.Slice(idx, func(i, j int) bool {
-			if d[idx[i]] != d[idx[j]] {
-				return d[idx[i]] < d[idx[j]]
+		slices.SortFunc(idx, func(i, j int) int {
+			if c := cmp.Compare(d[i], d[j]); c != 0 {
+				return c
 			}
-			return w[idx[i]] < w[idx[j]]
+			return cmp.Compare(w[i], w[j])
 		})
 		nd := make([]int32, len(idx))
 		nw := make([]float64, len(idx))

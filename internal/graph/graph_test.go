@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -222,7 +223,6 @@ func visitAll(vis *Visitor, src int32, keep func(v int32, d float64) bool) {
 
 func TestVisitAscendingOrderAndPrune(t *testing.T) {
 	for name, g := range map[string]*Graph{
-		"bfs":      Path(6),
 		"dijkstra": WithRandomWeights(Path(6), 1, 4, 9),
 	} {
 		vis := NewVisitor(g)
@@ -260,10 +260,8 @@ func TestVisitAscendingOrderAndPrune(t *testing.T) {
 }
 
 func TestVisitorReuse(t *testing.T) {
-	unweighted := GNP(300, 0.02, false, 3)
 	for name, g := range map[string]*Graph{
-		"bfs":      unweighted,
-		"dijkstra": WithRandomWeights(unweighted, 1, 8, 4),
+		"dijkstra": WithRandomWeights(GNP(300, 0.02, false, 3), 1, 8, 4),
 	} {
 		vis := NewVisitor(g)
 		// The abandoned traversal must leave nothing behind for the next.
@@ -413,4 +411,39 @@ func TestConnectedComponentsDirectedWeak(t *testing.T) {
 	if c != 1 {
 		t.Errorf("weak components = %d, want 1", c)
 	}
+}
+
+// BenchmarkEdgeListIO times what a serving set-up runs before Build: the
+// benchmark graph's generator, PreferentialAttachment(10000,5,1), and the
+// edge-list round trip of it.
+func BenchmarkEdgeListIO(b *testing.B) {
+	g := PreferentialAttachment(10000, 5, 1)
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, g); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("PreferentialAttachment", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			PreferentialAttachment(10000, 5, 1)
+		}
+	})
+	b.Run("WriteEdgeList", func(b *testing.B) {
+		b.ReportAllocs()
+		var out bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			out.Reset()
+			if err := WriteEdgeList(&out, g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ReadEdgeList", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ReadEdgeList(bytes.NewReader(buf.Bytes()), false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // NodeLimit is the most nodes a graph of the given number of edges may
@@ -81,13 +82,12 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 				return
 			}
 		}
-		var err error
+		line := strconv.AppendInt(bw.AvailableBuffer(), int64(u), 10)
+		line = strconv.AppendInt(append(line, ' '), int64(v), 10)
 		if g.Weighted() {
-			_, err = fmt.Fprintf(bw, "%d %d %g\n", u, v, wt)
-		} else {
-			_, err = fmt.Fprintf(bw, "%d %d\n", u, v)
+			line = strconv.AppendFloat(append(line, ' '), wt, 'g', -1, 64)
 		}
-		if err != nil {
+		if _, err := bw.Write(append(line, '\n')); err != nil {
 			failed = err
 		}
 	})

@@ -37,34 +37,38 @@ func ScanEdgesFiltered(r io.Reader, keep KeepFunc, fn func(u, v int32, w float64
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == '#' || text[0] == '%' {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 2 && len(fields) != 3 {
-			return fmt.Errorf("graph: line %d: want 'u v [w]', got %q", lineNo, text)
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil || u < 0 {
-			return fmt.Errorf("graph: line %d: bad source node %q", lineNo, fields[0])
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil || v < 0 {
-			return fmt.Errorf("graph: line %d: bad target node %q", lineNo, fields[1])
-		}
+		u, v, ok := parsePair(sc.Bytes())
 		w, hasW := 0.0, false
-		if len(fields) == 3 {
-			w, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil || !ValidLength(w) {
-				return fmt.Errorf("graph: line %d: bad weight %q", lineNo, fields[2])
+		if !ok {
+			text := strings.TrimSpace(sc.Text())
+			if text == "" || text[0] == '#' || text[0] == '%' {
+				continue
 			}
-			hasW = true
+			fields := strings.Fields(text)
+			if len(fields) != 2 && len(fields) != 3 {
+				return fmt.Errorf("graph: line %d: want 'u v [w]', got %q", lineNo, text)
+			}
+			x, err := strconv.ParseInt(fields[0], 10, 32)
+			if err != nil || x < 0 {
+				return fmt.Errorf("graph: line %d: bad source node %q", lineNo, fields[0])
+			}
+			u = int32(x)
+			if x, err = strconv.ParseInt(fields[1], 10, 32); err != nil || x < 0 {
+				return fmt.Errorf("graph: line %d: bad target node %q", lineNo, fields[1])
+			}
+			v = int32(x)
+			if len(fields) == 3 {
+				w, err = strconv.ParseFloat(fields[2], 64)
+				if err != nil || !ValidLength(w) {
+					return fmt.Errorf("graph: line %d: bad weight %q", lineNo, fields[2])
+				}
+				hasW = true
+			}
 		}
-		if keep != nil && !keep(int32(u), int32(v)) {
+		if keep != nil && !keep(u, v) {
 			continue
 		}
-		if err := fn(int32(u), int32(v), w, hasW); err != nil {
+		if err := fn(u, v, w, hasW); err != nil {
 			return err
 		}
 	}
@@ -72,4 +76,24 @@ func ScanEdgesFiltered(r io.Reader, keep KeepFunc, fn func(u, v int32, w float64
 		return fmt.Errorf("graph: reading edge list: %w", err)
 	}
 	return nil
+}
+
+// parsePair parses a line that is exactly "u v" — two runs of at most 9
+// ASCII digits, which fit in an int32, and one space — the common line,
+// without the string and field slices of the general path; ok is false for
+// every other line.
+func parsePair(line []byte) (u, v int32, ok bool) {
+	var id [2]int32
+	f, digits := 0, 0
+	for _, c := range line {
+		switch {
+		case '0' <= c && c <= '9' && digits < 9:
+			id[f], digits = id[f]*10+int32(c-'0'), digits+1
+		case c == ' ' && f == 0 && digits > 0:
+			f, digits = 1, 0
+		default:
+			return 0, 0, false
+		}
+	}
+	return id[0], id[1], f == 1 && digits > 0
 }

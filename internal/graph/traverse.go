@@ -127,10 +127,10 @@ func Distances(g *Graph, src int32) []float64 {
 }
 
 // Visitor performs repeated pruned shortest-path traversals over one graph
-// while reusing its buffers: a FIFO BFS over integer hops when the graph
-// is unweighted, a lazy-deletion heap Dijkstra otherwise.  This is the
-// primitive Algorithm 1 (PrunedDijkstra) needs — the ADS construction
-// prunes the search at nodes whose sketch the new rank cannot improve.
+// while reusing its buffers: a lazy-deletion heap Dijkstra over a weighted
+// graph.  This is the primitive Algorithm 1 (PrunedDijkstra) needs on
+// weighted graphs — the ADS construction prunes the search at nodes whose
+// sketch the new rank cannot improve.
 //
 // A traversal is pulled, not pushed, so the caller's per-node step runs
 // inline in its own loop instead of behind a callback:
@@ -144,39 +144,21 @@ func Distances(g *Graph, src int32) []float64 {
 //
 // Next yields each reached node once, in non-decreasing distance order
 // (src first, at distance 0); a node the caller does not Expand is pruned:
-// its out-edges are not relaxed.  BFS is exact here for the same reason
-// Dijkstra is: nodes leave the queue in non-decreasing hop count, so the
-// first expanded node to reach v does so over a shortest unpruned path.
+// its out-edges are not relaxed.
 //
 // A Visitor is not safe for concurrent use; create one per goroutine.
 type Visitor struct {
-	g *Graph
-
-	// Unweighted: hops[v] is -1 until v is queued.  queue[head:] is the
-	// frontier; the whole queue is the list of marks Start must clear.
-	hops  []int32
-	queue []int32
-	head  int
-
-	// Weighted.
+	g     *Graph
 	dist  []float64
 	dirty []int32 // nodes whose dist needs resetting
 	heap  distHeap
 }
 
-// NewVisitor returns a Visitor over g.
+// NewVisitor returns a Visitor over the weighted graph g.
 func NewVisitor(g *Graph) *Visitor {
-	vis := &Visitor{g: g}
-	if g.Weighted() {
-		vis.dist = make([]float64, g.NumNodes())
-		for i := range vis.dist {
-			vis.dist[i] = Infinity
-		}
-	} else {
-		vis.hops = make([]int32, g.NumNodes())
-		for i := range vis.hops {
-			vis.hops[i] = -1
-		}
+	vis := &Visitor{g: g, dist: make([]float64, g.NumNodes())}
+	for i := range vis.dist {
+		vis.dist[i] = Infinity
 	}
 	return vis
 }
@@ -184,15 +166,6 @@ func NewVisitor(g *Graph) *Visitor {
 // Start begins a traversal from src, discarding whatever is left of the
 // previous one.
 func (vis *Visitor) Start(src int32) {
-	if vis.hops != nil {
-		for _, v := range vis.queue {
-			vis.hops[v] = -1
-		}
-		vis.hops[src] = 0
-		vis.queue = append(vis.queue[:0], src)
-		vis.head = 0
-		return
-	}
 	for _, v := range vis.dirty {
 		vis.dist[v] = Infinity
 	}
@@ -206,14 +179,6 @@ func (vis *Visitor) Start(src int32) {
 // Next returns the next reached node and its distance from the source;
 // ok is false once the traversal is exhausted.
 func (vis *Visitor) Next() (v int32, d float64, ok bool) {
-	if vis.hops != nil {
-		if vis.head == len(vis.queue) {
-			return 0, 0, false
-		}
-		v = vis.queue[vis.head]
-		vis.head++
-		return v, float64(vis.hops[v]), true
-	}
 	for vis.heap.len() > 0 {
 		d, v = vis.heap.pop()
 		if d > vis.dist[v] {
@@ -228,16 +193,6 @@ func (vis *Visitor) Next() (v int32, d float64, ok bool) {
 // distance d.
 func (vis *Visitor) Expand(v int32, d float64) {
 	ns, ws := vis.g.Neighbors(v)
-	if vis.hops != nil {
-		h := vis.hops[v] + 1
-		for _, w := range ns {
-			if vis.hops[w] < 0 {
-				vis.hops[w] = h
-				vis.queue = append(vis.queue, w)
-			}
-		}
-		return
-	}
 	for i, w := range ns {
 		if nd := d + ws[i]; nd < vis.dist[w] {
 			if vis.dist[w] == Infinity {

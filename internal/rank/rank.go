@@ -37,8 +37,11 @@ func mix64(x uint64) uint64 {
 
 // Hash64 mixes a seed and a key into a 64-bit value.
 func Hash64(seed, key uint64) uint64 {
-	return mix64(mix64(seed^0x8e9d3c1f5b7a2d46) ^ mix64(key))
+	return mix64(seedMix(seed) ^ mix64(key))
 }
+
+// seedMix is Hash64's seed half.
+func seedMix(seed uint64) uint64 { return mix64(seed ^ 0x8e9d3c1f5b7a2d46) }
 
 // unitFloat maps a uint64 to the open interval (0,1).  The low 11 bits are
 // discarded and the result is offset by half an ulp so that 0 and 1 are
@@ -53,10 +56,11 @@ func unitFloat(x uint64) float64 {
 // different nodes' neighborhoods) are coordinated.
 type Source struct {
 	seed uint64
+	mix  uint64 // seedMix(seed), which Rank would otherwise recompute per call
 }
 
 // NewSource returns a rank source with the given seed.
-func NewSource(seed uint64) Source { return Source{seed: seed} }
+func NewSource(seed uint64) Source { return Source{seed: seed, mix: seedMix(seed)} }
 
 // Seed reports the seed of the source.
 func (s Source) Seed() uint64 { return s.seed }
@@ -64,7 +68,7 @@ func (s Source) Seed() uint64 { return s.seed }
 // Rank returns the uniform rank r(v) ~ U(0,1) of element v under the
 // source's (single) permutation.
 func (s Source) Rank(v int64) float64 {
-	return unitFloat(Hash64(s.seed, uint64(v)))
+	return unitFloat(mix64(s.mix ^ mix64(uint64(v))))
 }
 
 // RankAt returns the rank of element v under the perm-th independent

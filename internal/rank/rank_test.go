@@ -6,6 +6,19 @@ import (
 	"testing/quick"
 )
 
+// TestRankIsHash64 pins Rank, which reads its seed's mix from the Source,
+// to the definition it caches: unitFloat(Hash64(seed, v)).
+func TestRankIsHash64(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63, math.MaxUint64} {
+		src := NewSource(seed)
+		for v := int64(-3); v < 1000; v++ {
+			if got, want := src.Rank(v), unitFloat(Hash64(seed, uint64(v))); got != want {
+				t.Fatalf("seed %d: Rank(%d) = %v, want %v", seed, v, got, want)
+			}
+		}
+	}
+}
+
 func TestRankDeterministic(t *testing.T) {
 	a := NewSource(42)
 	b := NewSource(42)

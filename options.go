@@ -45,12 +45,13 @@ type buildConfig struct {
 // validates its own value, and Build validates the combination.
 type Option func(*buildConfig) error
 
-// WithK sets the sketch parameter k (>= 1), which trades space for
-// accuracy: HIP estimates have CV <= 1/sqrt(2(k-1)).  Default DefaultK.
+// WithK sets the sketch parameter k (1 to 2²⁰, the most a sketch file
+// records), which trades space for accuracy: HIP estimates have CV <=
+// 1/sqrt(2(k-1)).  Default DefaultK.
 func WithK(k int) Option {
 	return func(c *buildConfig) error {
-		if k < 1 {
-			return fmt.Errorf("%w: WithK(%d), k must be >= 1", ErrBadOption, k)
+		if k < 1 || k > core.MaxK {
+			return fmt.Errorf("%w: WithK(%d), k must be in [1, %d]", ErrBadOption, k, core.MaxK)
 		}
 		c.k = k
 		return nil

@@ -24,6 +24,8 @@ func TestBuildOptionValidation(t *testing.T) {
 	}{
 		{"k zero", []adsketch.Option{adsketch.WithK(0)}, adsketch.ErrBadOption},
 		{"k negative", []adsketch.Option{adsketch.WithK(-3)}, adsketch.ErrBadOption},
+		{"k past 2^20", []adsketch.Option{adsketch.WithK(1<<20 + 1)}, adsketch.ErrBadOption},
+		{"k 2^40", []adsketch.Option{adsketch.WithK(1 << 40)}, adsketch.ErrBadOption},
 		{"base-b one", []adsketch.Option{adsketch.WithBaseB(1)}, adsketch.ErrBadOption},
 		{"base-b below one", []adsketch.Option{adsketch.WithBaseB(0.5)}, adsketch.ErrBadOption},
 		{"negative eps", []adsketch.Option{adsketch.WithApproxEps(-0.1)}, adsketch.ErrBadOption},
