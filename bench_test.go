@@ -109,13 +109,12 @@ func BenchmarkHIPvsBasicVariance(b *testing.B) {
 		hip := stats.NewErrAccum(n)
 		basic := stats.NewErrAccum(n)
 		for run := 0; run < runs; run++ {
-			src := rank.NewSource(uint64(run)*40503 + 1)
-			sb := core.NewStreamBuilder(0, k)
+			c := lab.NewBottomKDistinct(k, uint64(run)*40503+1)
 			for id := int64(0); id < n; id++ {
-				sb.Offer(int32(id), float64(id), src.Rank(id))
+				c.Add(id)
 			}
-			hip.Add(sb.HIPEstimate())
-			basic.Add(sb.BasicEstimate())
+			hip.Add(c.Estimate())
+			basic.Add(c.BasicEstimate())
 		}
 		v1, v2 := basic.NRMSE(), hip.NRMSE()
 		ratio = (v1 * v1) / (v2 * v2)
@@ -170,13 +169,12 @@ func BenchmarkSizeEstimator(b *testing.B) {
 		sizeAcc = stats.NewErrAccum(n)
 		hipAcc = stats.NewErrAccum(n)
 		for run := 0; run < runs; run++ {
-			src := rank.NewSource(uint64(run)*7919 + 5)
-			sb := core.NewStreamBuilder(0, k)
+			s := lab.NewFirstOccurrenceADS(k, uint64(run)*7919+5)
 			for id := int64(0); id < n; id++ {
-				sb.Offer(int32(id), float64(id), src.Rank(id))
+				s.Process(id, float64(id))
 			}
-			sizeAcc.Add(sb.SizeEstimate())
-			hipAcc.Add(sb.HIPEstimate())
+			sizeAcc.Add(lab.SizeEstimate(k, s.Size()))
+			hipAcc.Add(s.DistinctCount())
 		}
 	}
 	b.ReportMetric(sizeAcc.Bias(), "size-est-bias")
@@ -221,12 +219,12 @@ func BenchmarkQgHIPvsNaive(b *testing.B) {
 		naiveAcc := stats.NewErrAccum(exact)
 		for run := 0; run < runs; run++ {
 			src := rank.NewSource(uint64(run)*71 + 19)
-			sb := core.NewStreamBuilder(0, k)
+			a := core.NewADS(0, k)
 			for id := int64(0); id < n; id++ {
-				sb.Offer(int32(id), float64(id), src.Rank(id))
+				a.Offer(core.Entry{Node: int32(id), Dist: float64(id), Rank: src.Rank(id)})
 			}
-			hipAcc.Add(core.EstimateQ(sb.ADS(), func(_ int32, d float64) float64 { return gfun(d) }))
-			mh := sb.ADS().MinHashEntriesWithin(math.Inf(1))
+			hipAcc.Add(core.EstimateQ(a, func(_ int32, d float64) float64 { return gfun(d) }))
+			mh := a.MinHashEntriesWithin(math.Inf(1))
 			sum := 0.0
 			for _, e := range mh {
 				sum += gfun(e.Dist)
@@ -286,7 +284,7 @@ func BenchmarkBuilders(b *testing.B) {
 // E12: Appendix B.1 neighborhood function readouts.
 func BenchmarkANF(b *testing.B) {
 	g := graph.WattsStrogatz(3000, 6, 0.05, 17)
-	exact := graph.NeighborhoodFunction(g)
+	exact := lab.ExactNeighborhoodFunction(g)
 	plateau := float64(exact[len(exact)-1])
 	for _, mode := range []lab.ANFOptions{
 		{K: 64, Seed: 4, Readout: lab.ANFBasic},
@@ -311,11 +309,10 @@ func BenchmarkANF(b *testing.B) {
 // Micro-benchmarks: per-element costs of the hot paths.
 
 func BenchmarkStreamOfferPerElement(b *testing.B) {
-	src := rank.NewSource(1)
-	sb := core.NewStreamBuilder(0, 16)
+	s := lab.NewFirstOccurrenceADS(16, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sb.Offer(int32(i), float64(i), src.Rank(int64(i)))
+		s.Process(int64(i), float64(i))
 	}
 }
 

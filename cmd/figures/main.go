@@ -27,7 +27,6 @@ import (
 	"os"
 
 	"adsketch"
-	"adsketch/internal/graph"
 	"adsketch/internal/simulate"
 	"adsketch/internal/stats"
 	"adsketch/lab"
@@ -220,7 +219,7 @@ func runANF(args []string, w io.Writer) error {
 	seed := fs.Uint64("seed", 17, "seed")
 	fs.Parse(args)
 	g := adsketch.WattsStrogatz(*n, 6, 0.05, *seed)
-	exact := graph.NeighborhoodFunction(g)
+	exact := lab.ExactNeighborhoodFunction(g)
 	basic, err := lab.NeighborhoodFunction(g, lab.ANFOptions{K: *k, Seed: *seed, Readout: lab.ANFBasic})
 	if err != nil {
 		return err
@@ -235,8 +234,12 @@ func runANF(args []string, w io.Writer) error {
 		b, h := last(basic.NF, t), last(hip.NF, t)
 		fmt.Fprintf(w, "%d\t%d\t%.0f\t%.0f\n", t, exact[t], b, h)
 	}
+	exactNF := make([]float64, len(exact)) // counts below 2⁵³: exact
+	for t, c := range exact {
+		exactNF[t] = float64(c)
+	}
 	fmt.Fprintf(w, "# effective diameter (0.9): exact %.2f, basic %.2f, HIP %.2f\n",
-		graph.EffectiveDiameter(exact, 0.9),
+		lab.EffectiveDiameter(exactNF, 0.9),
 		lab.EffectiveDiameter(basic.NF, 0.9),
 		lab.EffectiveDiameter(hip.NF, 0.9))
 	return nil
@@ -288,10 +291,10 @@ func runGraphQ(args []string, w io.Writer) error {
 	}
 	var mreN, mreC float64
 	for i, v := range nodes {
-		if exact := float64(graph.NeighborhoodSize(g, v, *d)); exact > 0 {
+		if exact := float64(lab.ExactNeighborhoodSize(g, v, *d)); exact > 0 {
 			mreN += math.Abs(sizes[i]-exact) / exact
 		}
-		if exact := graph.Closeness(g, v); exact > 0 {
+		if exact := lab.ExactCloseness(g, v); exact > 0 {
 			mreC += math.Abs(clos[i]-exact) / exact
 		}
 	}

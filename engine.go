@@ -135,7 +135,7 @@ func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }
 
 // IndexBytes returns the heap held by the HIP indexes the engine has
 // built — serving memory that the sketch file's size does not show.  It
-// grows with the nodes queried: 0 on a fresh engine, about 1.3 KB per
+// grows with the nodes queried: 0 on a fresh engine, about 1.2 KB per
 // node at k=16 once every node has been.
 func (e *Engine) IndexBytes() int64 { return e.cache.Bytes() }
 

@@ -8,7 +8,7 @@ import (
 	"fmt"
 
 	"adsketch"
-	"adsketch/internal/graph"
+	"adsketch/lab"
 )
 
 func main() {
@@ -44,7 +44,7 @@ func main() {
 			panic(err)
 		}
 		for i, v := range nodes {
-			exact := graph.NeighborhoodSize(g, v, d)
+			exact := lab.ExactNeighborhoodSize(g, v, d)
 			fmt.Printf("  v=%-5d d=%g:  %8.1f  vs %6d  (%+.1f%%)\n",
 				v, d, ests[i], exact, 100*(ests[i]-float64(exact))/float64(exact))
 		}
@@ -57,7 +57,7 @@ func main() {
 		panic(err)
 	}
 	for i, v := range nodes {
-		exact := graph.Closeness(g, v)
+		exact := lab.ExactCloseness(g, v)
 		fmt.Printf("  v=%-5d:  %.3e  vs %.3e  (%+.1f%%)\n",
 			v, closeness[i], exact, 100*(closeness[i]-exact)/exact)
 	}
@@ -69,7 +69,7 @@ func main() {
 		panic(err)
 	}
 	for i, v := range nodes[:2] {
-		exact := graph.HarmonicCentrality(g, v)
+		exact := lab.ExactHarmonic(g, v)
 		fmt.Printf("  v=%-5d:  %8.1f  vs %8.1f  (%+.1f%%)\n",
 			v, harmonic[i], exact, 100*(harmonic[i]-exact)/exact)
 	}

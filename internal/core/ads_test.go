@@ -165,13 +165,8 @@ func TestHIPWeightsManual(t *testing.T) {
 }
 
 func TestHIPWeightsFirstKAreOne(t *testing.T) {
-	src := rank.NewSource(5)
 	const k = 8
-	b := NewStreamBuilder(0, k)
-	for i := int64(0); i < 200; i++ {
-		b.Offer(int32(i), float64(i), src.Rank(i))
-	}
-	ws := b.ADS().HIPEntries()
+	ws := streamADS(k, 200, rank.NewSource(5)).HIPEntries()
 	for i := 0; i < k && i < len(ws); i++ {
 		if ws[i].Weight != 1 {
 			t.Errorf("entry %d weight = %g, want 1", i, ws[i].Weight)
@@ -189,14 +184,11 @@ func TestHIPWeightsFirstKAreOne(t *testing.T) {
 func TestMinHashWithinMatchesDefinition(t *testing.T) {
 	src := rank.NewSource(11)
 	const k, n = 4, 300
-	b := NewStreamBuilder(0, k)
+	ads := streamADS(k, n, src)
 	var ranks []float64
 	for i := int64(0); i < n; i++ {
-		r := src.Rank(i)
-		ranks = append(ranks, r)
-		b.Offer(int32(i), float64(i), r)
+		ranks = append(ranks, src.Rank(i))
 	}
-	ads := b.ADS()
 	for _, d := range []float64{0, 3, 10, 50, 299} {
 		got := ads.MinHashWithin(d)
 		// Brute force: k smallest ranks among first d+1 elements.
@@ -287,43 +279,12 @@ func TestKernels(t *testing.T) {
 	}
 }
 
-func TestStreamBuilderMatchesADS(t *testing.T) {
-	// The online HIP count must equal summing the final ADS HIP weights,
-	// and the basic estimate must match EstimateNeighborhood at the
-	// current max distance.
-	src := rank.NewSource(21)
-	const k, n = 6, 500
-	b := NewStreamBuilder(0, k)
-	for i := int64(0); i < n; i++ {
-		b.Offer(int32(i), float64(i), src.Rank(i))
-		hipFromADS := EstimateNeighborhoodHIP(b.ADS(), float64(i))
-		if math.Abs(hipFromADS-b.HIPEstimate()) > 1e-9 {
-			t.Fatalf("at %d: online HIP %g != ADS HIP %g", i, b.HIPEstimate(), hipFromADS)
-		}
-		basicFromADS := b.ADS().EstimateNeighborhood(float64(i))
-		if math.Abs(basicFromADS-b.BasicEstimate()) > 1e-9 {
-			t.Fatalf("at %d: online basic %g != ADS basic %g", i, b.BasicEstimate(), basicFromADS)
-		}
-	}
-	if b.Seen() != n {
-		t.Errorf("Seen = %d", b.Seen())
-	}
-	if err := b.ADS().Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestADSExpectedSize(t *testing.T) {
 	// Lemma 2.2: E[size] = k + k(H_n - H_k).
 	const k, n, runs = 5, 400, 400
 	var total float64
 	for run := 0; run < runs; run++ {
-		src := rank.NewSource(uint64(run)*7919 + 3)
-		b := NewStreamBuilder(0, k)
-		for i := int64(0); i < n; i++ {
-			b.Offer(int32(i), float64(i), src.Rank(i))
-		}
-		total += float64(b.ADS().Size())
+		total += float64(streamADS(k, n, rank.NewSource(uint64(run)*7919+3)).Size())
 	}
 	got := total / runs
 	want := float64(k) + float64(k)*(harmonicTest(n)-harmonicTest(k))
@@ -361,7 +322,6 @@ func TestNewPanicsOnBadK(t *testing.T) {
 		"KMins":      func() { NewKMinsADS(0, 0) },
 		"KPartition": func() { NewKPartitionADS(0, 0) },
 		"Weighted":   func() { NewWeightedADS(0, 0) },
-		"NoTie":      func() { NewNoTieADS(0, 1) },
 	} {
 		func() {
 			defer func() {
@@ -375,12 +335,7 @@ func TestNewPanicsOnBadK(t *testing.T) {
 }
 
 func TestMinHashEntriesWithinUnderfull(t *testing.T) {
-	src := rank.NewSource(3)
-	b := NewStreamBuilder(0, 16)
-	for i := int64(0); i < 5; i++ {
-		b.Offer(int32(i), float64(i), src.Rank(i))
-	}
-	es := b.ADS().MinHashEntriesWithin(100)
+	es := streamADS(16, 5, rank.NewSource(3)).MinHashEntriesWithin(100)
 	if len(es) != 5 {
 		t.Errorf("underfull MinHash entries = %d, want 5", len(es))
 	}
@@ -405,13 +360,11 @@ func TestKMinsK1EquivalentToBottom1(t *testing.T) {
 	// bottom-k HIP estimates on the same stream.
 	src := rank.NewSource(77)
 	km := NewKMinsADS(0, 1)
-	bk := NewStreamBuilder(0, 1)
 	for i := int64(0); i < 300; i++ {
 		km.OfferAt(0, Entry{Node: int32(i), Dist: float64(i), Rank: src.Rank(i)})
-		bk.Offer(int32(i), float64(i), src.Rank(i))
 	}
 	a := EstimateNeighborhoodHIP(km, 299)
-	b := bk.HIPEstimate()
+	b := EstimateNeighborhoodHIP(streamADS(1, 300, src), 299)
 	if math.Abs(a-b) > 1e-9 {
 		t.Errorf("k=1 flavors disagree: k-mins %g, bottom-k %g", a, b)
 	}

@@ -11,16 +11,33 @@ import (
 	"adsketch/internal/stats"
 )
 
+// streamADS offers elements 0..n-1 in order, element i at distance i with
+// rank src.Rank(i), to a bottom-k ADS owned by element 0: the sketch of a
+// stream of distinct elements.  It applies Offer's inclusion test with
+// the threshold kept as it goes, not recomputed from the entries on
+// every offer: the same entries, at a cost the statistical tests' runs
+// (and -race) can afford.
+func streamADS(k, n int, src rank.Source) *ADS {
+	a, h := NewADS(0, k), newKSmallest(k)
+	for i := int64(0); i < int64(n); i++ {
+		tau, r := 1.0, src.Rank(i)
+		if h.size() >= k {
+			tau = h.max()
+		}
+		if r < tau {
+			a.AppendInOrder(Entry{Node: int32(i), Dist: float64(i), Rank: r})
+			h.offer(r)
+		}
+	}
+	return a
+}
+
 // streamSketch builds a flavor sketch over n elements in arrival order.
 func streamSketch(fl sketch.Flavor, k, n int, seed uint64) Sketch {
 	src := rank.NewSource(seed)
 	switch fl {
 	case sketch.BottomK:
-		b := NewStreamBuilder(0, k)
-		for i := int64(0); i < int64(n); i++ {
-			b.Offer(int32(i), float64(i), src.Rank(i))
-		}
-		return b.ADS()
+		return streamADS(k, n, src)
 	case sketch.KMins:
 		a := NewKMinsADS(0, k)
 		for i := int64(0); i < int64(n); i++ {
@@ -247,7 +264,7 @@ func TestQgOnGraphUnbiased(t *testing.T) {
 // sketch against exact values.
 func TestCentralityOnGraph(t *testing.T) {
 	g := graph.GNP(250, 0.03, false, 88)
-	exactHarmonic := graph.HarmonicCentrality(g, 5)
+	exactHarmonic := exactHarmonic(g, 5)
 	const runs = 250
 	acc := stats.NewErrAccum(exactHarmonic)
 	for run := 0; run < runs; run++ {
@@ -297,155 +314,6 @@ func TestBetaFilteredCentrality(t *testing.T) {
 	}
 }
 
-// TestPermutationEstimatorExactPhase: while s <= k the estimate is exact.
-func TestPermutationEstimatorExactPhase(t *testing.T) {
-	p := NewPermutationEstimator(100, 5)
-	sigmas := []int{42, 17, 99, 3, 71}
-	for i, s := range sigmas {
-		if !p.Offer(s) {
-			t.Fatalf("offer %d rejected in exact phase", s)
-		}
-		if got := p.Estimate(); got != float64(i+1) {
-			t.Fatalf("estimate after %d = %g, want %d", i+1, got, i+1)
-		}
-	}
-}
-
-// TestPermutationEstimatorUnbiased: mean over random permutations.
-func TestPermutationEstimatorUnbiased(t *testing.T) {
-	const n, k, runs = 1000, 10, 400
-	for _, card := range []int{50, 300, 800, 1000} {
-		acc := stats.NewErrAccum(float64(card))
-		for run := 0; run < runs; run++ {
-			rng := rank.NewRNG(uint64(run)*97 + 11)
-			perm := rng.Perm(n)
-			p := NewPermutationEstimator(n, k)
-			for i := 0; i < card; i++ {
-				p.Offer(perm[i] + 1)
-			}
-			acc.Add(p.Estimate())
-		}
-		if bias := acc.Bias(); math.Abs(bias) > 0.05 {
-			t.Errorf("cardinality %d: bias %+.3f", card, bias)
-		}
-	}
-}
-
-// TestPermutationBeatsHIPAtHighFraction (Section 5.4/Figure 2): for
-// cardinalities above ~0.2n the permutation estimator has lower error.
-func TestPermutationBeatsHIPAtHighFraction(t *testing.T) {
-	const n, k, runs = 2000, 10, 300
-	card := int(0.8 * n)
-	permAcc := stats.NewErrAccum(float64(card))
-	hipAcc := stats.NewErrAccum(float64(card))
-	for run := 0; run < runs; run++ {
-		rng := rank.NewRNG(uint64(run)*193 + 7)
-		perm := rng.Perm(n)
-		p := NewPermutationEstimator(n, k)
-		src := rank.NewSource(uint64(run)*193 + 7)
-		b := NewStreamBuilder(0, k)
-		for i := 0; i < card; i++ {
-			p.Offer(perm[i] + 1)
-			b.Offer(int32(i), float64(i), src.Rank(int64(i)))
-		}
-		permAcc.Add(p.Estimate())
-		hipAcc.Add(b.HIPEstimate())
-	}
-	if permAcc.NRMSE() >= hipAcc.NRMSE() {
-		t.Errorf("at 0.8n: permutation NRMSE %g not below HIP %g",
-			permAcc.NRMSE(), hipAcc.NRMSE())
-	}
-}
-
-func TestPermutationEstimatorSaturation(t *testing.T) {
-	p := NewPermutationEstimator(50, 3)
-	// Offer ranks 1..3 -> saturated.
-	for _, s := range []int{2, 1, 3} {
-		p.Offer(s)
-	}
-	if !p.Saturated() {
-		t.Fatal("sketch with ranks {1,2,3} should be saturated")
-	}
-	// Correction: sHat=3, estimate = 3*4/3-1 = 3.
-	if got := p.Estimate(); math.Abs(got-3) > 1e-12 {
-		t.Errorf("saturated estimate = %g, want 3", got)
-	}
-	if p.Offer(10) {
-		t.Error("update accepted after saturation")
-	}
-}
-
-func TestPermutationEstimatorPanics(t *testing.T) {
-	check := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	check("bad n", func() { NewPermutationEstimator(0, 1) })
-	check("rank out of range", func() { NewPermutationEstimator(5, 2).Offer(6) })
-	check("duplicate rank", func() {
-		p := NewPermutationEstimator(5, 2)
-		p.Offer(3)
-		p.Offer(3)
-	})
-}
-
-// TestSizeEstimateRecurrence: E_s values satisfy the Lemma 8.1 boundary
-// cases and closed form.
-func TestSizeEstimateRecurrence(t *testing.T) {
-	if got := SizeEstimate(3, 2); got != 2 {
-		t.Errorf("s<k: got %g, want 2", got)
-	}
-	if got := SizeEstimate(3, 3); math.Abs(got-3) > 1e-12 {
-		t.Errorf("s=k: got %g, want 3", got)
-	}
-	// k=1: E_s = 2^s - 1.
-	for s := 1; s <= 10; s++ {
-		want := math.Pow(2, float64(s)) - 1
-		if got := SizeEstimate(1, s); math.Abs(got-want) > 1e-9*want {
-			t.Errorf("k=1 s=%d: got %g, want %g", s, got, want)
-		}
-	}
-	// Closed form for k=4, s=7: 4*(1.25)^4 - 1.
-	want := 4*math.Pow(1.25, 4) - 1
-	if got := SizeEstimate(4, 7); math.Abs(got-want) > 1e-12 {
-		t.Errorf("k=4 s=7: got %g, want %g", got, want)
-	}
-}
-
-// TestSizeEstimateUnbiased: E[E_s] = n over the randomness of the ranks.
-func TestSizeEstimateUnbiased(t *testing.T) {
-	const k, runs = 5, 4000
-	for _, n := range []int{3, 5, 8, 20, 60} {
-		var sum float64
-		for run := 0; run < runs; run++ {
-			src := rank.NewSource(uint64(run)*6364136223846793005 + uint64(n))
-			b := NewStreamBuilder(0, k)
-			for i := int64(0); i < int64(n); i++ {
-				b.Offer(int32(i), float64(i), src.Rank(i))
-			}
-			sum += SizeEstimate(k, b.ADS().Size())
-		}
-		mean := sum / runs
-		// The estimator is unbiased but heavy-tailed; tolerance is loose.
-		if math.Abs(mean-float64(n))/float64(n) > 0.15 {
-			t.Errorf("n=%d: mean size-estimate %g", n, mean)
-		}
-	}
-}
-
-func TestSizeEstimatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("k=0 did not panic")
-		}
-	}()
-	SizeEstimate(0, 3)
-}
-
 // TestWeightedADSUnbiased (Section 9): HIP over exponential ranks
 // estimates weighted neighborhood cardinalities without bias.
 func TestWeightedADSUnbiased(t *testing.T) {
@@ -456,7 +324,7 @@ func TestWeightedADSUnbiased(t *testing.T) {
 		beta[i] = 0.5 + 2*rng.Float64()
 	}
 	const d = 3
-	exact := ExactNeighborhoodWeight(g, 9, d, beta)
+	exact := exactNeighborhoodWeight(g, 9, d, beta)
 	const runs = 300
 	acc := stats.NewErrAccum(exact)
 	for run := 0; run < runs; run++ {
@@ -540,54 +408,6 @@ func TestWeightedOfferPanicsOnBadBeta(t *testing.T) {
 	NewWeightedADS(0, 2).Offer(Entry{Node: 0, Dist: 0, Rank: 1}, 0)
 }
 
-// TestNoTieADSUnbiased: the Appendix A estimator is unbiased on grouped
-// distances.
-func TestNoTieADSUnbiased(t *testing.T) {
-	// 10 groups of 40 nodes each, same distance within a group.
-	const k, runs = 6, 600
-	const groups, per = 10, 40
-	n := groups * per
-	acc := stats.NewErrAccum(float64(n))
-	var sizeSum float64
-	for run := 0; run < runs; run++ {
-		src := rank.NewSource(uint64(run)*52391 + 3)
-		a := NewNoTieADS(0, k)
-		id := int32(0)
-		for gi := 0; gi < groups; gi++ {
-			nodes := make([]int32, per)
-			for j := range nodes {
-				nodes[j] = id
-				id++
-			}
-			a.OfferGroup(float64(gi), nodes, func(v int32) float64 { return src.Rank(int64(v)) })
-		}
-		acc.Add(a.EstimateNeighborhood(float64(groups)))
-		sizeSum += float64(a.Size())
-	}
-	if bias := acc.Bias(); math.Abs(bias) > 0.05 {
-		t.Errorf("no-tie estimator bias = %+.3f", bias)
-	}
-	// Size advantage: at most k entries per distinct distance.
-	if sizeSum/runs > float64(groups*k) {
-		t.Errorf("mean no-tie size %g exceeds k per group", sizeSum/runs)
-	}
-	// CV within the Appendix A bound 1/sqrt(k-2) (loosely checked).
-	if acc.NRMSE() > 1.4*stats.BasicCV(k) {
-		t.Errorf("no-tie NRMSE = %g above bound %g", acc.NRMSE(), stats.BasicCV(k))
-	}
-}
-
-func TestNoTieADSOrderPanics(t *testing.T) {
-	a := NewNoTieADS(0, 2)
-	a.OfferGroup(1, []int32{0, 1}, func(v int32) float64 { return float64(v+1) / 10 })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-increasing group distance did not panic")
-		}
-	}()
-	a.OfferGroup(1, []int32{2}, func(v int32) float64 { return 0.5 })
-}
-
 // TestQgHIPBeatsNaive (the up-to-(n/k)-fold claim): for a statistic
 // concentrated on close nodes, HIP beats the "MinHash sketch of all
 // reachable nodes" subset-sum estimator by a large factor.
@@ -603,16 +423,12 @@ func TestQgHIPBeatsNaive(t *testing.T) {
 	naiveAcc := stats.NewErrAccum(exact)
 	for run := 0; run < runs; run++ {
 		seed := uint64(run)*71 + 19
-		src := rank.NewSource(seed)
-		b := NewStreamBuilder(0, k)
-		for i := int64(0); i < n; i++ {
-			b.Offer(int32(i), float64(i), src.Rank(i))
-		}
-		hipAcc.Add(EstimateQ(b.ADS(), func(_ int32, dist float64) float64 { return gfun(dist) }))
+		a := streamADS(k, n, rank.NewSource(seed))
+		hipAcc.Add(EstimateQ(a, func(_ int32, dist float64) float64 { return gfun(dist) }))
 
 		// Naive: bottom-k MinHash of all n elements (with distances);
 		// estimate = cardinality-estimate x mean g over the k samples.
-		mh := b.ADS().MinHashEntriesWithin(math.Inf(1))
+		mh := a.MinHashEntriesWithin(math.Inf(1))
 		sum := 0.0
 		for _, e := range mh {
 			sum += gfun(e.Dist)
@@ -635,7 +451,7 @@ func TestPriorityWeightedADSUnbiased(t *testing.T) {
 		beta[i] = 0.5 + 2*rng.Float64()
 	}
 	const d = 3
-	exact := ExactNeighborhoodWeight(g, 9, d, beta)
+	exact := exactNeighborhoodWeight(g, 9, d, beta)
 	const runs = 300
 	acc := stats.NewErrAccum(exact)
 	for run := 0; run < runs; run++ {
@@ -657,4 +473,27 @@ func TestWeightSchemeString(t *testing.T) {
 	if WeightScheme(9).String() != "WeightScheme(9)" {
 		t.Error("unknown scheme formatting")
 	}
+}
+
+// exactNeighborhoodWeight computes Σ_{j: d_vj <= d} β(j) exactly.
+func exactNeighborhoodWeight(g *graph.Graph, v int32, d float64, beta []float64) float64 {
+	sum := 0.0
+	for _, nd := range graph.NearestOrder(g, v) {
+		if nd.Dist > d {
+			break
+		}
+		sum += beta[nd.Node]
+	}
+	return sum
+}
+
+// exactHarmonic returns Σ_{v != src} 1/d(src,v) by traversal.
+func exactHarmonic(g *graph.Graph, src int32) float64 {
+	sum := 0.0
+	for v, d := range graph.Distances(g, src) {
+		if int32(v) != src && d != graph.Infinity && d > 0 {
+			sum += 1 / d
+		}
+	}
+	return sum
 }

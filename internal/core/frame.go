@@ -713,7 +713,7 @@ func (f *Frame) validateSegs(segs []cols, local int, given [][]Entry) error {
 // node's HIP entries are its entries, so the index views the frame's node
 // column, step bits and steps and holds of its own one slice: a weight per
 // entry — the ranks derived into it, then turned into weights in place —
-// and the three prefix sums per step.  A k-mins / k-partition node's
+// and a prefix sum per step.  A k-mins / k-partition node's
 // entries are a merge of its segments, indexed standalone.  Every readout
 // is bit-identical to NewHIPIndex over the node's view; callers cache the
 // result (query.IndexCache).
@@ -723,7 +723,7 @@ func (f *Frame) Index(local int32) *HIPIndex {
 	}
 	c := f.segAt(int(local), 0)
 	e, s := c.len(), c.sd.n
-	buf := make([]float64, e+3*s)
+	buf := make([]float64, e+s)
 	w := buf[:e:e]
 	for i := range w {
 		w[i] = c.rankAt(i)
@@ -734,9 +734,8 @@ func (f *Frame) Index(local int32) *HIPIndex {
 	} else {
 		w = hipWeightsBottomK(w, f.p.K, h, w[:0])
 	}
-	x := &HIPIndex{enode: c.pn, ew: w, sd: c.sd, own: int64(unsafe.Sizeof(HIPIndex{})) + 8*int64(len(buf))}
-	sums := buf[e:]
-	x.sum(sums[:0:s], sums[s:s:2*s], sums[2*s:2*s:3*s])
+	x := &HIPIndex{enode: c.pn, ew: w, sd: c.sd, cum: buf[e:e], own: int64(unsafe.Sizeof(HIPIndex{})) + 8*int64(len(buf))}
+	x.sum()
 	return x
 }
 

@@ -1,18 +1,15 @@
 package core
 
-import (
-	"sort"
-	"unsafe"
-)
+import "unsafe"
 
 // HIPIndex is a prebuilt query index over a sketch's HIP entries: the
 // entries themselves (with adjusted weights already derived) plus, per
-// unique distance, prefix sums of the adjusted weights and of the two
-// common centrality integrands (weight·distance and weight/distance).
-// Repeated neighborhood queries cost one binary search, and closeness /
-// harmonic queries cost O(1), instead of re-deriving the adjusted weights
-// on every call — which matters when a sketch serves many queries
-// (distance distributions, percentile scans, batch serving).
+// unique distance, the prefix sum of the adjusted weights, and the totals
+// of the two common centrality integrands (weight·distance and
+// weight/distance).  Repeated neighborhood queries cost one binary
+// search, and closeness / harmonic queries cost O(1), instead of
+// re-deriving the adjusted weights on every call — which matters when a
+// sketch serves many queries (distance distributions, batch serving).
 //
 // This realizes the compression remark of Section 5: "for each unique
 // distance d in ADS(i) we associate an adjusted weight equal to the sum of
@@ -26,23 +23,22 @@ import (
 // raw; the index of a node of a single-segment set (Frame.Index, what
 // Engine serves) views the frame's nodes, step bits and steps, which may
 // be codes into the frame's dictionary of distances, and owns one slice
-// holding a weight per entry and the three prefix sums per step.
+// holding a weight per entry and a prefix sum per step.
 //
 // All accumulations scan the entries in canonical order, so every readout
 // is bit-identical to the corresponding direct estimator (EstimateQ,
 // EstimateCentrality, EstimateNeighborhoodHIP) on the same sketch.
 type HIPIndex struct {
-	// The last prefix sums, which the unbounded readouts return: beside
-	// the header, so a scan of every node's total reads one cache line a
-	// node, not a line of each node's sums.
+	// The totals of the weights, weight·distance and weight/distance,
+	// which the unbounded readouts return: beside the header, so a scan
+	// of every node's total reads one cache line a node, not a line of
+	// each node's sums.
 	total, totalD, totalH float64
 
 	enode Nodes     // HIP entry nodes, canonical order, packed
 	ew    []float64 // HIP adjusted weights, parallel to enode
 	sd    StepDists // HIP entry distances, step-coded: its steps are the unique distances, ascending
 	cum   []float64 // cum[i]: total adjusted weight at distance <= sd.steps[i]
-	cumD  []float64 // prefix sums of weight * distance
-	cumH  []float64 // prefix sums of weight / distance (0 at distance 0)
 	own   int64     // heap the index holds of its own (Bytes)
 }
 
@@ -64,8 +60,6 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 		enode: nodes.view(0, int64(len(entries))),
 		ew:    make([]float64, len(entries)),
 		cum:   make([]float64, 0, unique),
-		cumD:  make([]float64, 0, unique),
-		cumH:  make([]float64, 0, unique),
 	}
 	w := newStepWriter(len(entries), nil, int64(unique))
 	for i, e := range entries {
@@ -74,15 +68,16 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 		w.add(int64(i), e.Dist)
 	}
 	idx.sd = StepDists{first: w.first, col: &w.steps, n: unique}
-	idx.sum(idx.cum, idx.cumD, idx.cumH)
-	idx.own = int64(unsafe.Sizeof(*idx)) + 8*int64(len(nodes.words)+len(w.first)+len(w.steps.raw)+len(entries)+3*unique)
+	idx.sum()
+	idx.own = int64(unsafe.Sizeof(*idx)) + 8*int64(len(nodes.words)+len(w.first)+len(w.steps.raw)+len(entries)+unique)
 	return idx
 }
 
-// sum fills the index's prefix sums, appending to the three empty columns,
-// per step, the running totals of the weights, weight·distance and
-// weight·(1/distance) over the entries up to the step's last.
-func (x *HIPIndex) sum(cum, cumD, cumH []float64) {
+// sum appends to the index's empty prefix-sum column, per step, the
+// running total of the weights over the entries up to the step's last,
+// and sets the totals of the weights, weight·distance and
+// weight·(1/distance).
+func (x *HIPIndex) sum() {
 	total, totalD, totalH := 0.0, 0.0, 0.0
 	w, s := x.ew, x.sd
 	for i, j := 0, 0; i < len(w); j++ {
@@ -93,10 +88,9 @@ func (x *HIPIndex) sum(cum, cumD, cumH []float64) {
 			totalD += wi * d
 			totalH += wi * inv
 		}
-		cum, cumD, cumH = append(cum, total), append(cumD, totalD), append(cumH, totalH)
+		x.cum = append(x.cum, total)
 		i = end
 	}
-	x.cum, x.cumD, x.cumH = cum, cumD, cumH
 	x.total, x.totalD, x.totalH = total, totalD, totalH
 }
 
@@ -150,14 +144,6 @@ func (x *HIPIndex) Total() float64 { return x.total }
 // EstimateCentrality(s, KernelIdentity, UnitBeta) on the indexed sketch.
 func (x *HIPIndex) SumDistances() float64 { return x.totalD }
 
-// SumDistancesWithin returns the HIP estimate of Σ_{j: d_vj <= d} d_vj.
-func (x *HIPIndex) SumDistancesWithin(d float64) float64 {
-	if i := x.search(d); i >= 0 {
-		return x.cumD[i]
-	}
-	return 0
-}
-
 // Closeness returns the HIP estimate of 1/Σ_j d_vj (0 when the estimated
 // distance sum is 0, e.g. for an isolated node).
 func (x *HIPIndex) Closeness() float64 {
@@ -193,18 +179,3 @@ func (x *HIPIndex) EstimateQ(g func(node int32, dist float64) float64) float64 {
 // holds them as floats, a fresh slice where it holds codes into its
 // frame's dictionary.  Callers must not modify it.
 func (x *HIPIndex) Distances() []float64 { return x.sd.steps() }
-
-// QuantileDistance returns the smallest indexed distance d whose estimated
-// neighborhood reaches fraction q of the total — the sketch analogue of a
-// distance percentile (e.g. the median distance to reachable nodes).
-func (x *HIPIndex) QuantileDistance(q float64) float64 {
-	if len(x.cum) == 0 {
-		return 0
-	}
-	target := q * x.Total()
-	i := sort.Search(len(x.cum), func(i int) bool { return x.cum[i] >= target })
-	if i == len(x.cum) {
-		i = len(x.cum) - 1
-	}
-	return x.sd.step(i)
-}

@@ -13,12 +13,11 @@ import (
 
 func buildIndexedADS(seed uint64, n int) (*ADS, *HIPIndex) {
 	src := rank.NewSource(seed)
-	b := NewStreamBuilder(0, 8)
+	a := NewADS(0, 8)
 	for i := int64(0); i < int64(n); i++ {
 		// Repeated distances to exercise the unique-distance grouping.
-		b.Offer(int32(i), float64(i/3), src.Rank(i))
+		a.Offer(Entry{Node: int32(i), Dist: float64(i / 3), Rank: src.Rank(i)})
 	}
-	a := b.ADS()
 	return a, NewHIPIndex(a)
 }
 
@@ -48,7 +47,7 @@ func TestHIPIndexProperty(t *testing.T) {
 
 func TestHIPIndexEmpty(t *testing.T) {
 	idx := NewHIPIndex(NewADS(0, 3))
-	if idx.Total() != 0 || idx.Neighborhood(5) != 0 || idx.QuantileDistance(0.5) != 0 {
+	if idx.Total() != 0 || idx.Neighborhood(5) != 0 {
 		t.Error("empty index should report zeros")
 	}
 	if len(idx.Distances()) != 0 {
@@ -65,23 +64,6 @@ func TestHIPIndexMonotone(t *testing.T) {
 			t.Fatal("cumulative weights not strictly increasing at step points")
 		}
 		prev = cur
-	}
-}
-
-func TestHIPIndexQuantile(t *testing.T) {
-	_, idx := buildIndexedADS(11, 400)
-	med := idx.QuantileDistance(0.5)
-	// The estimate at the median distance covers at least half the total.
-	if idx.Neighborhood(med) < 0.5*idx.Total() {
-		t.Errorf("median distance %g covers %g of %g", med, idx.Neighborhood(med), idx.Total())
-	}
-	// Quantiles are monotone in q.
-	if idx.QuantileDistance(0.1) > idx.QuantileDistance(0.9) {
-		t.Error("quantiles not monotone")
-	}
-	// q=1 lands on the last distance.
-	if got := idx.QuantileDistance(1); got != idx.Distances()[len(idx.Distances())-1] {
-		t.Errorf("q=1 distance %g", got)
 	}
 }
 

@@ -243,16 +243,3 @@ func weightedSetFrom(g *graph.Graph, p Params, beta []float64, run func(*graph.G
 	}
 	return &Set{frame: f}
 }
-
-// ExactNeighborhoodWeight computes Σ_{j: d_vj <= d} β(j) exactly (ground
-// truth for tests and benchmarks).
-func ExactNeighborhoodWeight(g *graph.Graph, v int32, d float64, beta []float64) float64 {
-	sum := 0.0
-	for _, nd := range graph.NearestOrder(g, v) {
-		if nd.Dist > d {
-			break
-		}
-		sum += beta[nd.Node]
-	}
-	return sum
-}

@@ -30,109 +30,6 @@ func NearestOrder(g *Graph, src int32) []NodeDist {
 	return order
 }
 
-// NeighborhoodSize returns n_d(src) = |N_d(src)|, the number of nodes within
-// distance d of src (inclusive), computed exactly.
-func NeighborhoodSize(g *Graph, src int32, d float64) int {
-	dist := Distances(g, src)
-	n := 0
-	for _, dd := range dist {
-		if dd <= d {
-			n++
-		}
-	}
-	return n
-}
-
-// NeighborhoodFunction returns the exact neighborhood function of an
-// unweighted graph: for each hop count t = 0,1,2,... the total number of
-// ordered pairs (u,v) with d(u,v) <= t.  Index t of the result holds N(t).
-// The series stops at the diameter (when it stops growing).
-func NeighborhoodFunction(g *Graph) []int64 {
-	var counts []int64
-	for v := 0; v < g.NumNodes(); v++ {
-		hops := BFS(g, int32(v))
-		for _, h := range hops {
-			if h < 0 {
-				continue
-			}
-			for int(h) >= len(counts) {
-				counts = append(counts, 0)
-			}
-			counts[h]++
-		}
-	}
-	// Prefix-sum: counts[t] currently holds #pairs at exactly t.
-	for t := 1; t < len(counts); t++ {
-		counts[t] += counts[t-1]
-	}
-	return counts
-}
-
-// EffectiveDiameter returns the smallest hop count t such that at least
-// fraction q (e.g. 0.9) of all reachable ordered pairs are within distance
-// t, interpolating the convention used by ANF/HyperANF reports.
-func EffectiveDiameter(nf []int64, q float64) float64 {
-	if len(nf) == 0 {
-		return 0
-	}
-	total := float64(nf[len(nf)-1])
-	target := q * total
-	for t, c := range nf {
-		if float64(c) >= target {
-			if t == 0 {
-				return 0
-			}
-			prev := float64(nf[t-1])
-			// Linear interpolation between t-1 and t.
-			return float64(t-1) + (target-prev)/(float64(c)-prev)
-		}
-	}
-	return float64(len(nf) - 1)
-}
-
-// Closeness returns the classic closeness centrality of src: the inverse of
-// the sum of distances to all reachable nodes (0 if src reaches nothing but
-// itself).  Used as exact ground truth for the C_alpha estimators.
-func Closeness(g *Graph, src int32) float64 {
-	dist := Distances(g, src)
-	sum := 0.0
-	for v, d := range dist {
-		if int32(v) != src && d != Infinity {
-			sum += d
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return 1 / sum
-}
-
-// HarmonicCentrality returns sum over v != src of 1/d(src,v), the harmonic
-// mean centrality of Section 1 (alpha(x)=1/x).
-func HarmonicCentrality(g *Graph, src int32) float64 {
-	dist := Distances(g, src)
-	sum := 0.0
-	for v, d := range dist {
-		if int32(v) != src && d != Infinity && d > 0 {
-			sum += 1 / d
-		}
-	}
-	return sum
-}
-
-// ReachableCount returns the number of nodes reachable from src, including
-// src itself.
-func ReachableCount(g *Graph, src int32) int {
-	dist := Distances(g, src)
-	n := 0
-	for _, d := range dist {
-		if d != Infinity {
-			n++
-		}
-	}
-	return n
-}
-
 // ConnectedComponents labels nodes of an undirected graph with component
 // IDs 0..c-1 and returns the labels and the component count.  For directed
 // graphs it computes weakly connected components of the underlying

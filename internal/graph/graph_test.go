@@ -302,81 +302,18 @@ func TestNearestOrder(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodSize(t *testing.T) {
-	g := Path(7)
-	if got := NeighborhoodSize(g, 3, 0); got != 1 {
-		t.Errorf("n_0 = %d, want 1", got)
-	}
-	if got := NeighborhoodSize(g, 3, 2); got != 5 {
-		t.Errorf("n_2 = %d, want 5", got)
-	}
-	if got := NeighborhoodSize(g, 3, 100); got != 7 {
-		t.Errorf("n_100 = %d, want 7", got)
-	}
-}
-
-func TestNeighborhoodFunctionPath(t *testing.T) {
-	g := Path(4)
-	nf := NeighborhoodFunction(g)
-	// Pairs within 0 hops: 4 (self). 1 hop: +6 ordered. 2: +4. 3: +2.
-	want := []int64{4, 10, 14, 16}
-	if len(nf) != len(want) {
-		t.Fatalf("nf = %v, want %v", nf, want)
-	}
-	for i := range want {
-		if nf[i] != want[i] {
-			t.Errorf("nf[%d] = %d, want %d", i, nf[i], want[i])
-		}
-	}
-}
-
-func TestEffectiveDiameter(t *testing.T) {
-	nf := []int64{4, 10, 14, 16}
-	if got := EffectiveDiameter(nf, 1.0); got != 3 {
-		t.Errorf("q=1 diameter = %g, want 3", got)
-	}
-	if got := EffectiveDiameter(nf, 0.25); got != 0 {
-		t.Errorf("q=0.25 diameter = %g, want 0", got)
-	}
-	got := EffectiveDiameter(nf, 0.75)
-	// target = 12, between nf[1]=10 and nf[2]=14 -> 1.5
-	if math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("q=0.75 diameter = %g, want 1.5", got)
-	}
-	if got := EffectiveDiameter(nil, 0.9); got != 0 {
-		t.Errorf("empty nf diameter = %g", got)
-	}
-}
-
-func TestClosenessAndHarmonic(t *testing.T) {
-	g := Path(3)
-	// From node 0: distances 1,2 -> closeness 1/3, harmonic 1.5.
-	if got := Closeness(g, 0); math.Abs(got-1.0/3) > 1e-12 {
-		t.Errorf("closeness = %g, want 1/3", got)
-	}
-	if got := HarmonicCentrality(g, 0); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("harmonic = %g, want 1.5", got)
-	}
-	// From the center: distances 1,1 -> closeness 1/2, harmonic 2.
-	if got := Closeness(g, 1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("center closeness = %g, want 0.5", got)
-	}
-	lone := NewBuilder(1, false).Build()
-	if got := Closeness(lone, 0); got != 0 {
-		t.Errorf("singleton closeness = %g, want 0", got)
-	}
-}
-
+// TestReachableCount: NearestOrder lists exactly the nodes reachable from
+// src, src included.
 func TestReachableCount(t *testing.T) {
 	b := NewBuilder(5, true)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(3, 4)
 	g := b.Build()
-	if got := ReachableCount(g, 0); got != 3 {
+	if got := len(NearestOrder(g, 0)); got != 3 {
 		t.Errorf("reachable from 0 = %d, want 3", got)
 	}
-	if got := ReachableCount(g, 4); got != 1 {
+	if got := len(NearestOrder(g, 4)); got != 1 {
 		t.Errorf("reachable from 4 = %d, want 1", got)
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package simulate
 
 import (
 	"fmt"
@@ -35,7 +35,7 @@ type PermutationEstimator struct {
 // [1..n] with sketch size k.
 func NewPermutationEstimator(n, k int) *PermutationEstimator {
 	if k < 1 || n < 1 {
-		panic(fmt.Sprintf("core: PermutationEstimator(n=%d, k=%d)", n, k))
+		panic(fmt.Sprintf("simulate: PermutationEstimator(n=%d, k=%d)", n, k))
 	}
 	return &PermutationEstimator{n: n, k: k, seen: make(map[int]struct{}, k)}
 }
@@ -45,10 +45,10 @@ func NewPermutationEstimator(n, k int) *PermutationEstimator {
 // rank twice is an error (ranks are a permutation of distinct elements).
 func (p *PermutationEstimator) Offer(sigma int) bool {
 	if sigma < 1 || sigma > p.n {
-		panic(fmt.Sprintf("core: permutation rank %d outside [1,%d]", sigma, p.n))
+		panic(fmt.Sprintf("simulate: permutation rank %d outside [1,%d]", sigma, p.n))
 	}
 	if _, dup := p.seen[sigma]; dup {
-		panic(fmt.Sprintf("core: permutation rank %d offered twice", sigma))
+		panic(fmt.Sprintf("simulate: permutation rank %d offered twice", sigma))
 	}
 	if len(p.ranks) < p.k {
 		// Exact phase: every element updates the sketch with weight 1.

@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"sync"
 
-	"adsketch/internal/core"
 	"adsketch/internal/rank"
 	"adsketch/internal/stats"
 	"adsketch/lab"
@@ -108,7 +107,7 @@ func fig2Run(cfg Fig2Config, run uint64, out []*stats.Series) {
 	km := lab.NewKMinsDistinct(k, seed)
 	kp := lab.NewKPartitionDistinct(k, seed)
 	bk := lab.NewBottomKDistinct(k, seed)
-	pe := core.NewPermutationEstimator(cfg.MaxN, k)
+	pe := NewPermutationEstimator(cfg.MaxN, k)
 
 	checkpoints := Checkpoints(cfg.MaxN, cfg.PerDecade)
 	ci := 0

@@ -61,7 +61,7 @@ func TestNeighborhoodFunctionAccuracy(t *testing.T) {
 	// moderate-expansion graph (per-round ball growth below ~k, where the
 	// register-merge batching loses few HIP events).
 	g := graph.Grid(18, 18)
-	nf := graph.NeighborhoodFunction(g)
+	nf := ExactNeighborhoodFunction(g)
 	const runs = 40
 	for _, mode := range []Readout{ANFBasic, ANFHIP} {
 		accs := make([]*stats.ErrAccum, len(nf))
@@ -97,7 +97,7 @@ func TestHIPReadoutSmootherThanBasic(t *testing.T) {
 	// B.1's motivation for retrofitting HIP into ANF/HyperANF) on graphs
 	// with moderate per-round expansion.
 	g := graph.WattsStrogatz(500, 6, 0.05, 9)
-	nf := graph.NeighborhoodFunction(g)
+	nf := ExactNeighborhoodFunction(g)
 	plateau := float64(nf[len(nf)-1])
 	const runs = 60
 	basicAcc := stats.NewErrAccum(plateau)
@@ -126,7 +126,7 @@ func TestHIPReadoutUndercountsOnExplosiveExpansion(t *testing.T) {
 	// the DP HIP readout is biased DOWN (never up).  The streaming HIP
 	// counter does not have this problem; see package hll.
 	g := graph.PreferentialAttachment(500, 3, 5)
-	nf := graph.NeighborhoodFunction(g)
+	nf := ExactNeighborhoodFunction(g)
 	plateau := float64(nf[len(nf)-1])
 	const runs = 30
 	acc := stats.NewErrAccum(plateau)
@@ -173,8 +173,7 @@ func TestKeepBalls(t *testing.T) {
 
 func TestEffectiveDiameterFromEstimate(t *testing.T) {
 	g := graph.Grid(14, 14)
-	nf := graph.NeighborhoodFunction(g)
-	exact := graph.EffectiveDiameter(nf, 0.9)
+	exact := EffectiveDiameter(floatCounts(ExactNeighborhoodFunction(g)), 0.9)
 	res, err := NeighborhoodFunction(g, ANFOptions{K: 64, Seed: 6, Readout: ANFHIP})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +218,7 @@ func TestHarmonicFromBalls(t *testing.T) {
 	// small aggregate error.
 	var exactSum, estSum float64
 	for v := int32(0); int(v) < g.NumNodes(); v++ {
-		exactSum += graph.HarmonicCentrality(g, v)
+		exactSum += ExactHarmonic(g, v)
 		estSum += est[v]
 	}
 	if rel := math.Abs(estSum-exactSum) / exactSum; rel > 0.1 {
@@ -235,4 +234,14 @@ func TestHarmonicFromBalls(t *testing.T) {
 	if HarmonicFromBalls(res2) != nil {
 		t.Error("expected nil without KeepBalls")
 	}
+}
+
+// floatCounts converts exact pair counts, all below 2⁵³, to float64
+// exactly.
+func floatCounts(nf []int64) []float64 {
+	out := make([]float64, len(nf))
+	for t, c := range nf {
+		out[t] = float64(c)
+	}
+	return out
 }

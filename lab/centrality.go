@@ -86,16 +86,22 @@ func (e *Centrality) Custom(v int32, alpha func(float64) float64, beta func(int3
 }
 
 // DistanceDistribution estimates the graph's distance distribution: for
-// each query distance d, the number of ordered pairs (u,v) with
-// d_uv <= d, by summing per-node HIP neighborhood estimates.
+// each query distance d, in any order, the number of ordered pairs (u,v)
+// with d_uv <= d, by summing per-node HIP neighborhood estimates.
 func (e *Centrality) DistanceDistribution(ds []float64) []float64 {
+	// One scan of each node's entries answers the distances ascending.
+	order := make([]int, len(ds))
+	for j := range order {
+		order[j] = j
+	}
+	sort.SliceStable(order, func(a, b int) bool { return ds[order[a]] < ds[order[b]] })
 	out := make([]float64, len(ds))
 	for v := int32(0); int(v) < e.set.NumNodes(); v++ {
 		entries := e.set.SketchOf(v).HIPEntries()
 		i := 0
 		sum := 0.0
-		for j, d := range ds {
-			for i < len(entries) && entries[i].Dist <= d {
+		for _, j := range order {
+			for i < len(entries) && entries[i].Dist <= ds[j] {
 				sum += entries[i].Weight
 				i++
 			}
@@ -111,17 +117,19 @@ type Ranked = cluster.Ranked
 // TopCloseness returns the estimated top-n nodes by closeness centrality,
 // highest first (ties broken by node ID for determinism).
 func (e *Centrality) TopCloseness(n int) []Ranked {
-	return e.topBy(n, e.Closeness)
+	return topN(e.set.NumNodes(), n, e.Closeness)
 }
 
 // TopHarmonic returns the estimated top-n nodes by harmonic centrality.
 func (e *Centrality) TopHarmonic(n int) []Ranked {
-	return e.topBy(n, e.Harmonic)
+	return topN(e.set.NumNodes(), n, e.Harmonic)
 }
 
-func (e *Centrality) topBy(n int, score func(int32) float64) []Ranked {
-	all := make([]Ranked, e.set.NumNodes())
-	for v := int32(0); int(v) < e.set.NumNodes(); v++ {
+// topN scores nodes 0..count-1 and returns the n highest, highest first
+// (ties broken by node ID for determinism).
+func topN(count, n int, score func(int32) float64) []Ranked {
+	all := make([]Ranked, count)
+	for v := int32(0); int(v) < count; v++ {
 		all[v] = Ranked{Node: v, Score: score(v)}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -130,13 +138,76 @@ func (e *Centrality) topBy(n int, score func(int32) float64) []Ranked {
 		}
 		return all[i].Node < all[j].Node
 	})
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[:n]
+	return all[:min(n, count)]
 }
 
-// Exact baselines.
+// Exact baselines: ground truth by traversal, one search per call.
+
+// ExactNeighborhoodSize returns n_d(src) = |N_d(src)|, the number of nodes
+// within distance d of src (inclusive).
+func ExactNeighborhoodSize(g *graph.Graph, src int32, d float64) int {
+	n := 0
+	for _, dd := range graph.Distances(g, src) {
+		if dd <= d {
+			n++
+		}
+	}
+	return n
+}
+
+// ExactNeighborhoodFunction returns the neighborhood function of an
+// unweighted graph: for each hop count t = 0,1,2,... the total number of
+// ordered pairs (u,v) with d(u,v) <= t.  Index t of the result holds N(t);
+// the series stops at the diameter (when it stops growing).  Its counts
+// are below 2⁵³, so they convert to float64 exactly, for
+// EffectiveDiameter.
+func ExactNeighborhoodFunction(g *graph.Graph) []int64 {
+	var counts []int64
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, h := range graph.BFS(g, int32(v)) {
+			if h < 0 {
+				continue
+			}
+			for int(h) >= len(counts) {
+				counts = append(counts, 0)
+			}
+			counts[h]++
+		}
+	}
+	// Prefix-sum: counts[t] currently holds #pairs at exactly t.
+	for t := 1; t < len(counts); t++ {
+		counts[t] += counts[t-1]
+	}
+	return counts
+}
+
+// ExactCloseness returns the classic closeness centrality of src: the
+// inverse of the sum of distances to all reachable nodes (0 if src
+// reaches nothing but itself).
+func ExactCloseness(g *graph.Graph, src int32) float64 {
+	sum := 0.0
+	for v, d := range graph.Distances(g, src) {
+		if int32(v) != src && d != graph.Infinity {
+			sum += d
+		}
+	}
+	if sum == 0 {
+		return 0
+	}
+	return 1 / sum
+}
+
+// ExactHarmonic returns the harmonic centrality of src, Σ_{v != src}
+// 1/d(src,v) (Section 1, α(x) = 1/x).
+func ExactHarmonic(g *graph.Graph, src int32) float64 {
+	sum := 0.0
+	for v, d := range graph.Distances(g, src) {
+		if int32(v) != src && d != graph.Infinity && d > 0 {
+			sum += 1 / d
+		}
+	}
+	return sum
+}
 
 // ExactExponentialDecay computes Σ_{j != v} 2^{-d_vj} by traversal.
 func ExactExponentialDecay(g *graph.Graph, v int32) float64 {
@@ -152,20 +223,7 @@ func ExactExponentialDecay(g *graph.Graph, v int32) float64 {
 
 // ExactTopCloseness returns the true top-n closeness ranking.
 func ExactTopCloseness(g *graph.Graph, n int) []Ranked {
-	all := make([]Ranked, g.NumNodes())
-	for v := int32(0); int(v) < g.NumNodes(); v++ {
-		all[v] = Ranked{Node: v, Score: graph.Closeness(g, v)}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].Node < all[j].Node
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[:n]
+	return topN(g.NumNodes(), n, func(v int32) float64 { return ExactCloseness(g, v) })
 }
 
 // TopOverlap returns |A ∩ B| / n for two top-n rankings — the precision of

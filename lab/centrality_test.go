@@ -21,7 +21,7 @@ func buildEstimator(t *testing.T, g *graph.Graph, k int, seed uint64) *Centralit
 
 func TestNeighborhoodSizeUnbiased(t *testing.T) {
 	g := graph.PreferentialAttachment(400, 3, 1)
-	exact := float64(graph.NeighborhoodSize(g, 17, 2))
+	exact := float64(ExactNeighborhoodSize(g, 17, 2))
 	const runs = 250
 	acc := stats.NewErrAccum(exact)
 	for run := 0; run < runs; run++ {
@@ -82,7 +82,7 @@ func TestClosenessZeroForIsolated(t *testing.T) {
 func TestHarmonicAndExponentialDecay(t *testing.T) {
 	g := graph.Grid(12, 12)
 	const v = 40
-	exactH := graph.HarmonicCentrality(g, v)
+	exactH := ExactHarmonic(g, v)
 	exactE := ExactExponentialDecay(g, v)
 	const runs = 250
 	accH := stats.NewErrAccum(exactH)
@@ -129,7 +129,7 @@ func TestCustomBetaFilter(t *testing.T) {
 
 func TestDistanceDistributionMatchesExact(t *testing.T) {
 	g := graph.Grid(10, 10)
-	nf := graph.NeighborhoodFunction(g)
+	nf := ExactNeighborhoodFunction(g)
 	ds := []float64{0, 1, 2, 5, 10, 18}
 	const runs = 120
 	accs := make([]*stats.ErrAccum, len(ds))
@@ -156,6 +156,17 @@ func TestDistanceDistributionMatchesExact(t *testing.T) {
 	e := buildEstimator(t, g, 4, 3)
 	if got := e.DistanceDistribution([]float64{0})[0]; got != 100 {
 		t.Errorf("pairs within 0 = %g, want exactly 100", got)
+	}
+	// Each d is answered whatever the order of ds: reversed, the
+	// readouts are the same, element for element.
+	got, rev := e.DistanceDistribution(ds), make([]float64, len(ds))
+	for i, d := range ds {
+		rev[len(ds)-1-i] = d
+	}
+	for i, r := range e.DistanceDistribution(rev) {
+		if want := got[len(ds)-1-i]; r != want {
+			t.Errorf("reversed ds: pairs within %g = %g, ascending %g", rev[i], r, want)
+		}
 	}
 }
 
@@ -266,9 +277,74 @@ func TestEstimatedClosenessCorrelatesWithExact(t *testing.T) {
 	exact := make([]float64, g.NumNodes())
 	for v := int32(0); int(v) < g.NumNodes(); v++ {
 		est[v] = e.Closeness(v)
-		exact[v] = graph.Closeness(g, v)
+		exact[v] = ExactCloseness(g, v)
 	}
 	if rho := SpearmanRho(est, exact); rho < 0.85 {
 		t.Errorf("Spearman rho = %g, want strong rank agreement", rho)
+	}
+}
+
+func TestExactNeighborhoodSize(t *testing.T) {
+	g := graph.Path(7)
+	if got := ExactNeighborhoodSize(g, 3, 0); got != 1 {
+		t.Errorf("n_0 = %d, want 1", got)
+	}
+	if got := ExactNeighborhoodSize(g, 3, 2); got != 5 {
+		t.Errorf("n_2 = %d, want 5", got)
+	}
+	if got := ExactNeighborhoodSize(g, 3, 100); got != 7 {
+		t.Errorf("n_100 = %d, want 7", got)
+	}
+}
+
+func TestExactNeighborhoodFunctionPath(t *testing.T) {
+	g := graph.Path(4)
+	nf := ExactNeighborhoodFunction(g)
+	// Pairs within 0 hops: 4 (self). 1 hop: +6 ordered. 2: +4. 3: +2.
+	want := []int64{4, 10, 14, 16}
+	if len(nf) != len(want) {
+		t.Fatalf("nf = %v, want %v", nf, want)
+	}
+	for i := range want {
+		if nf[i] != want[i] {
+			t.Errorf("nf[%d] = %d, want %d", i, nf[i], want[i])
+		}
+	}
+}
+
+func TestEffectiveDiameter(t *testing.T) {
+	nf := floatCounts([]int64{4, 10, 14, 16})
+	if got := EffectiveDiameter(nf, 1.0); got != 3 {
+		t.Errorf("q=1 diameter = %g, want 3", got)
+	}
+	if got := EffectiveDiameter(nf, 0.25); got != 0 {
+		t.Errorf("q=0.25 diameter = %g, want 0", got)
+	}
+	got := EffectiveDiameter(nf, 0.75)
+	// target = 12, between nf[1]=10 and nf[2]=14 -> 1.5
+	if math.Abs(got-1.5) > 1e-12 {
+		t.Errorf("q=0.75 diameter = %g, want 1.5", got)
+	}
+	if got := EffectiveDiameter(nil, 0.9); got != 0 {
+		t.Errorf("empty nf diameter = %g", got)
+	}
+}
+
+func TestExactClosenessAndHarmonic(t *testing.T) {
+	g := graph.Path(3)
+	// From node 0: distances 1,2 -> closeness 1/3, harmonic 1.5.
+	if got := ExactCloseness(g, 0); math.Abs(got-1.0/3) > 1e-12 {
+		t.Errorf("closeness = %g, want 1/3", got)
+	}
+	if got := ExactHarmonic(g, 0); math.Abs(got-1.5) > 1e-12 {
+		t.Errorf("harmonic = %g, want 1.5", got)
+	}
+	// From the center: distances 1,1 -> closeness 1/2, harmonic 2.
+	if got := ExactCloseness(g, 1); math.Abs(got-0.5) > 1e-12 {
+		t.Errorf("center closeness = %g, want 0.5", got)
+	}
+	lone := graph.NewBuilder(1, false).Build()
+	if got := ExactCloseness(lone, 0); got != 0 {
+		t.Errorf("singleton closeness = %g, want 0", got)
 	}
 }

@@ -59,23 +59,35 @@ func (c *BottomKDistinct) Add(id int64) bool {
 		return false // re-occurrence
 	}
 	c.count += 1 / tau
-	c.ranks = append(c.ranks, 0)
-	copy(c.ranks[i+1:], c.ranks[i:])
-	c.ranks[i] = r
-	if len(c.ranks) > c.k {
-		c.ranks = c.ranks[:c.k]
-	}
+	c.ranks = keepSmallest(c.ranks, r, c.k)
 	return true
 }
 
 // threshold returns τ_k, the k-th smallest rank, or 1 while fewer than k
 // elements were seen: a fresh element modifies the sketch exactly when its
 // rank is below it.
-func (c *BottomKDistinct) threshold() float64 {
-	if len(c.ranks) < c.k {
+func (c *BottomKDistinct) threshold() float64 { return kthOrOne(c.ranks, c.k) }
+
+// keepSmallest inserts r into the ascending ranks and keeps the k
+// smallest: the rank pool of a bottom-k sketch.
+func keepSmallest(ranks []float64, r float64, k int) []float64 {
+	i := sort.SearchFloat64s(ranks, r)
+	ranks = append(ranks, 0)
+	copy(ranks[i+1:], ranks[i:])
+	ranks[i] = r
+	if len(ranks) > k {
+		ranks = ranks[:k]
+	}
+	return ranks
+}
+
+// kthOrOne returns the k-th smallest of the ascending ranks, or 1 while
+// fewer than k are held.
+func kthOrOne(ranks []float64, k int) float64 {
+	if len(ranks) < k {
 		return 1
 	}
-	return c.ranks[c.k-1]
+	return ranks[k-1]
 }
 
 // Estimate implements DistinctCounter.

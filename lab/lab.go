@@ -16,6 +16,10 @@
 //     time of first occurrence; a BottomKDistinct plus the log of the
 //     entries that modified it) and RecencyADS (distance = time since the
 //     most recent occurrence).
+//   - Section 8, Lemma 8.1: SizeEstimate, the cardinality estimate from
+//     the number of entries of a bottom-k ADS prefix alone.
+//   - Appendix A, ADS without tie breaking: NoTieADS, which keeps at most
+//     k entries per distinct distance.
 //   - Section 6, HIP distinct counters: the same three types, whose
 //     Estimate is the HIP register grown on each sketch update;
 //     HIPDistinct, the HIP estimator on HyperLogLog registers
@@ -30,10 +34,14 @@
 //   - Section 1's applications, as references: Centrality answers
 //     closeness, harmonic, decay, custom and distance-distribution
 //     queries per call from any sketch set — the estimates
-//     adsketch.Engine serves from its cache — beside the exact baselines
-//     ExactTopCloseness and ExactExponentialDecay and the rank-agreement
+//     adsketch.Engine serves from its cache — beside the rank-agreement
 //     measures TopOverlap and SpearmanRho.
+//   - Exact baselines, the ground truth the estimates are measured
+//     against, by traversal: ExactNeighborhoodSize,
+//     ExactNeighborhoodFunction, ExactCloseness, ExactHarmonic,
+//     ExactExponentialDecay and ExactTopCloseness.
 //
-// Every constructor takes the uint64 seed its randomness derives from;
-// sketches built with one seed share their ranks, so they merge.
+// Every constructor takes the uint64 seed its randomness derives from
+// (but NewNoTieADS: its OfferGroup takes each node's rank); sketches
+// built with one seed share their ranks, so they merge.
 package lab

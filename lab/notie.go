@@ -1,8 +1,10 @@
-package core
+package lab
 
 import (
 	"fmt"
 	"sort"
+
+	"adsketch/internal/core"
 )
 
 // Appendix A: ADS without tie breaking.  When many nodes share a distance
@@ -21,13 +23,13 @@ import (
 type NoTieADS struct {
 	k       int
 	node    int32
-	entries []Entry // sorted by (Dist, Rank)
+	entries []core.Entry // sorted by (Dist, Rank)
 }
 
 // NewNoTieADS returns an empty modified (no-tie-breaking) bottom-k ADS.
 func NewNoTieADS(node int32, k int) *NoTieADS {
 	if k < 2 {
-		panic("core: NoTieADS requires k >= 2 (the k-th rank holder is unsampled)")
+		panic("lab: NoTieADS requires k >= 2 (the k-th rank holder is unsampled)")
 	}
 	return &NoTieADS{k: k, node: node}
 }
@@ -42,32 +44,29 @@ func (a *NoTieADS) Node() int32 { return a.node }
 func (a *NoTieADS) Size() int { return len(a.entries) }
 
 // Entries returns the entries ordered by (distance, rank).
-func (a *NoTieADS) Entries() []Entry { return a.entries }
+func (a *NoTieADS) Entries() []core.Entry { return a.entries }
 
 // OfferGroup presents all nodes at one distance (strictly greater than any
 // previous group's), applying the closed-neighborhood inclusion rule to
 // the whole group at once.  It returns the number of nodes admitted.
 func (a *NoTieADS) OfferGroup(dist float64, nodes []int32, rankOf func(int32) float64) int {
 	if n := len(a.entries); n > 0 && a.entries[n-1].Dist >= dist {
-		panic(fmt.Sprintf("core: OfferGroup distance %g not increasing", dist))
+		panic(fmt.Sprintf("lab: OfferGroup distance %g not increasing", dist))
 	}
 	// k-th smallest rank in the closed neighborhood = k-th smallest over
 	// previous entries (which include all previously-admitted low ranks)
 	// and the group's own ranks.
-	h := newKSmallest(a.k)
+	var ranks []float64
 	for _, e := range a.entries {
-		h.offer(e.Rank)
+		ranks = keepSmallest(ranks, e.Rank, a.k)
 	}
-	group := make([]Entry, 0, len(nodes))
+	group := make([]core.Entry, 0, len(nodes))
 	for _, v := range nodes {
 		r := rankOf(v)
-		h.offer(r)
-		group = append(group, Entry{Node: v, Dist: dist, Rank: r})
+		ranks = keepSmallest(ranks, r, a.k)
+		group = append(group, core.Entry{Node: v, Dist: dist, Rank: r})
 	}
-	kth := 1.0
-	if h.size() >= a.k {
-		kth = h.max()
-	}
+	kth := kthOrOne(ranks, a.k)
 	admitted := 0
 	sort.Slice(group, func(i, j int) bool { return group[i].Rank < group[j].Rank })
 	for _, e := range group {
@@ -86,9 +85,9 @@ func (a *NoTieADS) OfferGroup(dist float64, nodes []int32, rankOf func(int32) fl
 // threshold below which u's rank had to fall), else 0.  The k smallest
 // ranks of N_d are always present in the sketch, so both quantities are
 // computable from the entries alone.
-func (a *NoTieADS) HIPEntries() []WeightedEntry {
-	out := make([]WeightedEntry, 0, len(a.entries))
-	h := newKSmallest(a.k)
+func (a *NoTieADS) HIPEntries() []core.WeightedEntry {
+	out := make([]core.WeightedEntry, 0, len(a.entries))
+	var ranks []float64
 	for gStart := 0; gStart < len(a.entries); {
 		gEnd := gStart
 		d := a.entries[gStart].Dist
@@ -97,19 +96,16 @@ func (a *NoTieADS) HIPEntries() []WeightedEntry {
 		}
 		// Fold the whole group into the closed-neighborhood rank pool.
 		for i := gStart; i < gEnd; i++ {
-			h.offer(a.entries[i].Rank)
+			ranks = keepSmallest(ranks, a.entries[i].Rank, a.k)
 		}
-		kth := 1.0
-		if h.size() >= a.k {
-			kth = h.max()
-		}
+		kth := kthOrOne(ranks, a.k)
 		for i := gStart; i < gEnd; i++ {
 			e := a.entries[i]
 			w := 0.0
-			if e.Rank < kth || h.size() < a.k {
+			if e.Rank < kth || len(ranks) < a.k {
 				w = 1 / kth
 			}
-			out = append(out, WeightedEntry{Node: e.Node, Dist: e.Dist, Weight: w})
+			out = append(out, core.WeightedEntry{Node: e.Node, Dist: e.Dist, Weight: w})
 		}
 		gStart = gEnd
 	}

@@ -2,7 +2,7 @@ package lab
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"adsketch/internal/core"
 	"adsketch/internal/rank"
@@ -31,12 +31,13 @@ import (
 type FirstOccurrenceADS struct {
 	c       *BottomKDistinct
 	entries []core.Entry // canonical order: increasing time
+	now     float64      // time of the last processed entry
 }
 
 // NewFirstOccurrenceADS returns an empty sketch with parameter k whose
 // ranks derive from seed.
 func NewFirstOccurrenceADS(k int, seed uint64) *FirstOccurrenceADS {
-	return &FirstOccurrenceADS{c: NewBottomKDistinct(k, seed)}
+	return &FirstOccurrenceADS{c: NewBottomKDistinct(k, seed), now: math.Inf(-1)}
 }
 
 // K returns the sketch parameter.
@@ -50,10 +51,11 @@ func (s *FirstOccurrenceADS) Size() int { return len(s.entries) }
 func (s *FirstOccurrenceADS) Entries() []core.Entry { return s.entries }
 
 // Process feeds one stream entry (element id at time t) and reports whether
-// the sketch was modified.  Times must be non-decreasing, and id must fit
-// in an int32, the width of an entry's Node.
+// the sketch was modified.  Times must be non-decreasing and not NaN, and
+// id must fit in an int32, the width of an entry's Node.
 func (s *FirstOccurrenceADS) Process(id int64, t float64) bool {
 	checkElementID(id)
+	s.now = advanceTime(s.now, t)
 	if !s.c.Add(id) {
 		return false
 	}
@@ -71,19 +73,41 @@ func (s *FirstOccurrenceADS) DistinctCount() float64 { return s.c.Estimate() }
 // accepted, so this uses the retained entries' weights only, recomputed by
 // a canonical scan (matching the ADS HIP estimator).
 func (s *FirstOccurrenceADS) EstimateWithin(t float64) float64 {
-	a := core.NewADS(-1, s.c.k)
+	var ranks []float64
 	sum := 0.0
 	for _, e := range s.entries {
 		if e.Dist > t {
 			break
 		}
-		tau := a.Threshold()
-		if e.Rank < tau {
+		if tau := kthOrOne(ranks, s.c.k); e.Rank < tau {
 			sum += 1 / tau
-			a.AppendInOrder(core.Entry{Node: e.Node, Dist: e.Dist, Rank: e.Rank})
+			ranks = keepSmallest(ranks, e.Rank, s.c.k)
 		}
 	}
 	return sum
+}
+
+// SizeEstimate is the unique unbiased cardinality estimator based solely on
+// the number s of entries in a bottom-k ADS prefix (Lemma 8.1), such as a
+// FirstOccurrenceADS's Size:
+//
+//	E_s = s                        for s < k
+//	E_s = k(1+1/k)^(s-k+1) - 1     for s >= k.
+//
+// For k = 1 this gives 2^s - 1.
+func SizeEstimate(k, s int) float64 {
+	if k < 1 {
+		panic(fmt.Sprintf("lab: SizeEstimate with k=%d", k))
+	}
+	if s < k {
+		return float64(s)
+	}
+	e := float64(k)
+	base := 1 + 1/float64(k)
+	for i := 0; i < s-k+1; i++ {
+		e *= base
+	}
+	return e - 1
 }
 
 // RecencyADS maintains a bottom-k ADS of distinct stream elements keyed by
@@ -115,17 +139,15 @@ func (s *RecencyADS) K() int { return s.k }
 // Size returns the number of retained entries.
 func (s *RecencyADS) Size() int { return len(s.entries) }
 
-// Process feeds one stream entry.  Times must be non-decreasing and below
-// the horizon, and id must fit in an int32, the width of an entry's Node.
+// Process feeds one stream entry.  Times must be non-decreasing, not NaN
+// and below the horizon, and id must fit in an int32, the width of an
+// entry's Node.
 func (s *RecencyADS) Process(id int64, t float64) {
 	checkElementID(id)
 	if t >= s.horizon {
 		panic("stream: timestamp at or beyond the recency horizon")
 	}
-	if t < s.now {
-		panic("stream: timestamps must be non-decreasing")
-	}
-	s.now = t
+	s.now = advanceTime(s.now, t)
 	d := s.horizon - t
 	r := s.src.Rank(id)
 	// Drop a previous occurrence of the same element (it is farther).
@@ -144,20 +166,10 @@ func (s *RecencyADS) Process(id int64, t float64) {
 	kept := s.entries[:1]
 	ranks := []float64{r}
 	for _, e := range s.entries[1:] {
-		tau := 1.0
-		if len(ranks) >= s.k {
-			tau = ranks[s.k-1]
-		}
-		if e.Rank >= tau {
+		if e.Rank >= kthOrOne(ranks, s.k) {
 			continue
 		}
-		i := sort.SearchFloat64s(ranks, e.Rank)
-		ranks = append(ranks, 0)
-		copy(ranks[i+1:], ranks[i:])
-		ranks[i] = e.Rank
-		if len(ranks) > s.k {
-			ranks = ranks[:s.k]
-		}
+		ranks = keepSmallest(ranks, e.Rank, s.k)
 		kept = append(kept, e)
 	}
 	s.entries = kept
@@ -168,32 +180,41 @@ func (s *RecencyADS) Process(id int64, t float64) {
 // units (relative to the time of the last processed entry).
 func (s *RecencyADS) EstimateRecent(window float64) float64 {
 	cutoff := s.horizon - s.now + window
-	a := core.NewADS(-1, s.k)
+	var ranks []float64
 	sum := 0.0
 	for _, e := range s.entries {
-		tau := a.Threshold()
+		tau := kthOrOne(ranks, s.k)
 		if e.Rank >= tau {
 			continue
 		}
 		if e.Dist <= cutoff {
 			sum += 1 / tau
 		}
-		a.AppendInOrder(core.Entry{Node: e.Node, Dist: e.Dist, Rank: e.Rank})
+		ranks = keepSmallest(ranks, e.Rank, s.k)
 	}
 	return sum
 }
 
 // Validate checks the bottom-k invariant over the retained entries.
 func (s *RecencyADS) Validate() error {
-	a := core.NewADS(-1, s.k)
+	var ranks []float64
 	for _, e := range s.entries {
-		if e.Rank < a.Threshold() {
-			a.AppendInOrder(e)
-		} else {
+		if e.Rank >= kthOrOne(ranks, s.k) {
 			return errInvalid{e}
 		}
+		ranks = keepSmallest(ranks, e.Rank, s.k)
 	}
 	return nil
+}
+
+// advanceTime returns t, the time of the next stream entry, refusing one
+// that is NaN or before now, the time of the last: either would break the
+// order the entries are kept in.
+func advanceTime(now, t float64) float64 {
+	if !(t >= now) {
+		panic(fmt.Sprintf("stream: timestamp %g after %g: timestamps must be non-decreasing and not NaN", t, now))
+	}
+	return t
 }
 
 // checkElementID refuses an element ID that an entry's int32 Node would

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"adsketch/internal/core"
 	"adsketch/internal/stats"
 	"adsketch/internal/stream"
 )
@@ -164,7 +165,31 @@ func TestRecencyADSPanics(t *testing.T) {
 		s.Process(1, 5)
 		s.Process(2, 4)
 	})
+	check("NaN time", func() { NewRecencyADS(2, 100, seed).Process(1, math.NaN()) })
+	check("NaN time after another", func() {
+		s := NewRecencyADS(2, 100, seed)
+		s.Process(1, 5)
+		s.Process(2, math.NaN())
+	})
 	check("first-occurrence bad k", func() { NewFirstOccurrenceADS(0, seed) })
+	check("first-occurrence time going backwards", func() {
+		s := NewFirstOccurrenceADS(2, seed)
+		s.Process(1, 5)
+		s.Process(2, 3)
+	})
+	check("first-occurrence time going backwards, element not admitted", func() {
+		s := NewFirstOccurrenceADS(1, seed)
+		for id := int64(0); id < 50; id++ {
+			s.Process(id, 5)
+		}
+		s.Process(50, 3)
+	})
+	check("first-occurrence NaN time", func() { NewFirstOccurrenceADS(2, seed).Process(1, math.NaN()) })
+	check("first-occurrence NaN time after another", func() {
+		s := NewFirstOccurrenceADS(2, seed)
+		s.Process(1, 5)
+		s.Process(2, math.NaN())
+	})
 }
 
 // TestStreamADSRefuseIDsBeyondInt32: an entry's Node is an int32, so an ID
@@ -257,11 +282,12 @@ func TestCounterConstructorPanics(t *testing.T) {
 		"bottom-k":    func() { NewBottomKDistinct(0, seed) },
 		"k-mins":      func() { NewKMinsDistinct(0, seed) },
 		"k-partition": func() { NewKPartitionDistinct(0, seed) },
+		"no-tie ADS":  func() { NewNoTieADS(0, 1) }, // k = 1: its k-th rank holder is unsampled
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s k=0 did not panic", name)
+					t.Errorf("%s with bad k did not panic", name)
 				}
 			}()
 			fn()
@@ -306,4 +332,115 @@ func TestDistinctCountersOnZipfStream(t *testing.T) {
 		t.Errorf("ratio std %g far above HIP CV", ratios.Std())
 	}
 	_ = acc
+}
+
+// offeredADS offers a first-occurrence sketch's entries, in their order,
+// to a bottom-k ADS owned by element 0.
+func offeredADS(s *FirstOccurrenceADS) *core.ADS {
+	a := core.NewADS(0, s.K())
+	for _, e := range s.Entries() {
+		a.Offer(e)
+	}
+	return a
+}
+
+func TestFirstOccurrenceADSMatchesADS(t *testing.T) {
+	// The online HIP count must equal summing the final ADS HIP weights,
+	// and the basic estimate must match EstimateNeighborhood at the
+	// current max distance.
+	const k, n = 6, 500
+	b := NewFirstOccurrenceADS(k, 21)
+	for i := int64(0); i < n; i++ {
+		b.Process(i, float64(i))
+		hipFromADS := core.EstimateNeighborhoodHIP(offeredADS(b), float64(i))
+		if math.Abs(hipFromADS-b.DistinctCount()) > 1e-9 {
+			t.Fatalf("at %d: online HIP %g != ADS HIP %g", i, b.DistinctCount(), hipFromADS)
+		}
+		basicFromADS := offeredADS(b).EstimateNeighborhood(float64(i))
+		if math.Abs(basicFromADS-b.c.BasicEstimate()) > 1e-9 {
+			t.Fatalf("at %d: online basic %g != ADS basic %g", i, b.c.BasicEstimate(), basicFromADS)
+		}
+	}
+	if err := offeredADS(b).Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestStreamADSEqualTimes: entries may share a time in any element order;
+// both sketches read them out as the same stream in ascending ID order
+// would, where the first-occurrence readout used to panic on the order
+// and the recency one in its readout and Validate.
+func TestStreamADSEqualTimes(t *testing.T) {
+	const k, seed = 8, 1
+	fo, foSorted := NewFirstOccurrenceADS(k, seed), NewFirstOccurrenceADS(k, seed)
+	re, reSorted := NewRecencyADS(k, 100, seed), NewRecencyADS(k, 100, seed)
+	for _, id := range []int64{5, 3, 9, 1} {
+		fo.Process(id, 1)
+		re.Process(id, 1)
+	}
+	for _, id := range []int64{1, 3, 5, 9} {
+		foSorted.Process(id, 1)
+		reSorted.Process(id, 1)
+	}
+	if got, want := fo.EstimateWithin(2), foSorted.EstimateWithin(2); got != want || got != 4 {
+		t.Errorf("first-occurrence: EstimateWithin(2) = %g, sorted %g, want 4", got, want)
+	}
+	if err := re.Validate(); err != nil {
+		t.Error(err)
+	}
+	if got, want := re.EstimateRecent(1), reSorted.EstimateRecent(1); got != want || got != 4 {
+		t.Errorf("recency: EstimateRecent(1) = %g, sorted %g, want 4", got, want)
+	}
+}
+
+// TestSizeEstimateRecurrence: E_s values satisfy the Lemma 8.1 boundary
+// cases and closed form.
+func TestSizeEstimateRecurrence(t *testing.T) {
+	if got := SizeEstimate(3, 2); got != 2 {
+		t.Errorf("s<k: got %g, want 2", got)
+	}
+	if got := SizeEstimate(3, 3); math.Abs(got-3) > 1e-12 {
+		t.Errorf("s=k: got %g, want 3", got)
+	}
+	// k=1: E_s = 2^s - 1.
+	for s := 1; s <= 10; s++ {
+		want := math.Pow(2, float64(s)) - 1
+		if got := SizeEstimate(1, s); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("k=1 s=%d: got %g, want %g", s, got, want)
+		}
+	}
+	// Closed form for k=4, s=7: 4*(1.25)^4 - 1.
+	want := 4*math.Pow(1.25, 4) - 1
+	if got := SizeEstimate(4, 7); math.Abs(got-want) > 1e-12 {
+		t.Errorf("k=4 s=7: got %g, want %g", got, want)
+	}
+}
+
+// TestSizeEstimateUnbiased: E[E_s] = n over the randomness of the ranks.
+func TestSizeEstimateUnbiased(t *testing.T) {
+	const k, runs = 5, 4000
+	for _, n := range []int{3, 5, 8, 20, 60} {
+		var sum float64
+		for run := 0; run < runs; run++ {
+			b := NewFirstOccurrenceADS(k, uint64(run)*6364136223846793005+uint64(n))
+			for i := int64(0); i < int64(n); i++ {
+				b.Process(i, float64(i))
+			}
+			sum += SizeEstimate(k, b.Size())
+		}
+		mean := sum / runs
+		// The estimator is unbiased but heavy-tailed; tolerance is loose.
+		if math.Abs(mean-float64(n))/float64(n) > 0.15 {
+			t.Errorf("n=%d: mean size-estimate %g", n, mean)
+		}
+	}
+}
+
+func TestSizeEstimatePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("k=0 did not panic")
+		}
+	}()
+	SizeEstimate(0, 3)
 }
