@@ -61,13 +61,12 @@
 // column — ranks re-derive from the recorded seed).  ReadSketchSet
 // validates every sketch of what it reads; OpenSketchFile /
 // MmapSketchFile trust the file and serve it back with O(1) allocations
-// or zero copies.  Files of earlier releases — version 2, and the older
-// version-3 layouts — still open everywhere through one legacy decoder:
-// copied, validated, never mapped.  A weighted or approximate one that
-// stores its ranks records no seed, and is rewritten with the seed it
-// was built with (`adstool convert -seed`); `adstool convert` rewrites any
-// of them in the current layout.  cmd/adsserver
-// is the reference HTTP server (POST /v1/query, worker mode with -mmap);
+// or zero copies.  They read that layout only: a file of an earlier
+// release — version 2, or an older version-3 layout — is refused, naming
+// cmd/adsconvert, the standalone tool that rewrites it in the current
+// layout (with `-seed` for a weighted or approximate one that stores its
+// ranks, which records no seed).  cmd/adsserver is the reference HTTP
+// server (POST /v1/query, worker mode with -mmap);
 // see README.md for the wire shapes.
 //
 // A set too large for one process splits by node range
@@ -192,14 +191,14 @@ type SketchFile = core.SketchFile
 // OpenSketchFile opens a sketch file, trusting it: the current
 // (version-3, columnar) layout is read in one call and its columns viewed
 // in place — O(1) allocations per set, no per-sketch validation (use
-// ReadSketchSet for a file of unknown origin).  A file of an earlier
-// release goes through the validating legacy decoder, as ReadSketchSet
-// reads it.
+// ReadSketchSet for a file of unknown origin).  Any other file is refused
+// with the reason; for a file of an earlier release, that adsconvert
+// rewrites it.
 func OpenSketchFile(path string) (*SketchFile, error) { return core.OpenSketchFile(path) }
 
-// MmapSketchFile opens a sketch file of the current layout by mapping it
-// into memory (on linux; for any other file, or elsewhere, it degrades to
-// OpenSketchFile): no column is read
+// MmapSketchFile opens a sketch file by mapping it into memory (on linux;
+// elsewhere it degrades to OpenSketchFile, which also refuses any file
+// but one of the current layout): no column is read
 // until queried, so a serving process starts in near-constant time
 // regardless of file size.  Close the returned file only after all
 // sketches and indexes derived from it are out of use.
@@ -241,9 +240,8 @@ func MergeSketchSets(parts []*Set) (*Set, error) { return core.MergeSketchSets(p
 // ReadSketchSet deserializes a sketch file of any kind written by
 // Set.WriteTo (build once, query many) — a whole set or a partition,
 // whichever the file holds (Set.IsPartition) — validating every sketch's
-// structural invariants.  Files of earlier releases are read too, except
-// a weighted or approximate one that stores its ranks, which `adstool
-// convert -seed` rewrites; version 1 is refused.
+// structural invariants.  A file of an earlier release is refused, naming
+// adsconvert, which rewrites it.
 func ReadSketchSet(r io.Reader) (*Set, error) { return core.ReadSketchSet(r) }
 
 // NeighborhoodJaccard estimates the Jaccard similarity of N_da(a) and

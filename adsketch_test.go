@@ -183,18 +183,15 @@ func TestFacadeSerialization(t *testing.T) {
 			t.Fatalf("node %d: estimates differ after round trip: %g vs %g", v, a, b)
 		}
 	}
-	// A version-2 file of an earlier release still loads.
-	f, err := os.Open("internal/core/testdata/uniform_v2_k8.ads")
+	// A version-2 file of an earlier release is refused: adsconvert
+	// rewrites it.
+	f, err := os.Open("internal/legacy/testdata/uniform_v2_k8.ads")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	old, err := adsketch.ReadSketchSet(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.NumNodes() != 200 || old.K() != 8 {
-		t.Errorf("v2 fixture loaded with %d nodes, k=%d; want 200, 8", old.NumNodes(), old.K())
+	if _, err := adsketch.ReadSketchSet(f); err == nil || !strings.Contains(err.Error(), "adsconvert") {
+		t.Errorf("v2 fixture: %v, want a refusal naming adsconvert", err)
 	}
 }
 

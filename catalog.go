@@ -45,16 +45,15 @@ var (
 // how it was loaded, for stats.  (A file-backed version's SketchFile is
 // owned by its release hook, which Closes it when the version drains.)
 type dataset struct {
-	be          ShardBackend
-	mmapped     bool
-	path        string
-	fileVersion int // codec version of the backing file (0 when not file-backed)
+	be      ShardBackend
+	mmapped bool
+	path    string // the backing file ("" when not file-backed)
 }
 
 // Source describes where a dataset comes from: an in-memory sketch set,
-// a sketch file of any codec version (decoded, or mmap'd for v3), or an
-// already-built backend (an Engine, a Coordinator over shards — local or
-// remote — or anything else implementing ShardBackend).
+// a sketch file (read in, or mmap'd), or an already-built backend (an
+// Engine, a Coordinator over shards — local or remote — or anything else
+// implementing ShardBackend).
 type Source struct {
 	kind       string
 	set        *Set
@@ -73,16 +72,15 @@ func SetSource(set *Set) Source { return Source{kind: "set", set: set} }
 // catalog entry), or a custom ShardBackend.
 func BackendSource(be ShardBackend) Source { return Source{kind: "backend", be: be} }
 
-// FileSource serves a sketch file of any codec version — a whole set or
-// one partition (the latter through a shard Engine).  File-backed
-// datasets are evictable: under a catalog memory budget, an idle one may
-// be dropped and transparently reloaded from its path on the next query.
+// FileSource serves a sketch file — a whole set or one partition (the
+// latter through a shard Engine).  File-backed datasets are evictable:
+// under a catalog memory budget, an idle one may be dropped and
+// transparently reloaded from its path on the next query.
 func FileSource(path string) Source { return Source{kind: "file", path: path} }
 
-// MmapSource serves a version-3 sketch file via mmap: near-zero attach
-// and swap latency, near-zero resident cost (pages are file-backed), so
-// mmap datasets are exempt from budget eviction.  Other codec versions
-// degrade to a decoding load, as MmapSketchFile does.
+// MmapSource serves a sketch file via mmap: near-zero attach and swap
+// latency, near-zero resident cost (pages are file-backed), so mmap
+// datasets are exempt from budget eviction.
 func MmapSource(path string) Source { return Source{kind: "file", path: path, mmap: true} }
 
 // WithPartitions splits a file or set source into n in-process shard
@@ -198,7 +196,7 @@ func (c *Catalog) opener(src Source) (catalog.Opener[dataset], bool, error) {
 			if err != nil {
 				return dataset{}, 0, nil, fmt.Errorf("adsketch: loading dataset from %s: %w", path, err)
 			}
-			d := dataset{mmapped: sf.Mapped(), path: path, fileVersion: sf.Version()}
+			d := dataset{mmapped: sf.Mapped(), path: path}
 			// A partition file serves as the shard it is; WithPartitions
 			// splits whole sets only, which SplitSketchSet enforces.
 			if d.be, err = wrap(sf.Set()); err != nil {
@@ -475,8 +473,8 @@ type DatasetStats struct {
 	Mmap bool `json:"mmap,omitempty"`
 	// Path is the backing file, for file-backed datasets.
 	Path string `json:"path,omitempty"`
-	// FileVersion is the backing file's codec version (0 = not
-	// file-backed).
+	// FileVersion is the backing file's codec version, SketchFormatVersion
+	// (0 = not file-backed).
 	FileVersion int `json:"file_version,omitempty"`
 	// Mode names how the current version serves: "single" (one whole
 	// set), "shard" (one partition), or "coordinator" (scatter-gather);
@@ -531,7 +529,9 @@ func (c *Catalog) Stats() CatalogStats {
 		if resident {
 			ds.Mmap = v.mmapped
 			ds.Path = v.path
-			ds.FileVersion = v.fileVersion
+			if v.path != "" {
+				ds.FileVersion = SketchFormatVersion
+			}
 			meta := v.be.Meta()
 			ds.Meta = &meta
 			ds.Mode = serveMode(v.be)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -565,5 +566,28 @@ func TestCatalogDoBatchMixedDatasets(t *testing.T) {
 	}
 	if resps[2].Error == "" || resps[2].ID != "3" {
 		t.Errorf("unknown dataset in batch: %+v", resps[2])
+	}
+}
+
+// TestCatalogRefusesOlderFiles: a file of an earlier release — each
+// committed fixture, version 2 of every kind and the retired version-3
+// layouts — attaches neither read in nor mapped; the error names
+// adsconvert, which rewrites it.
+func TestCatalogRefusesOlderFiles(t *testing.T) {
+	fixtures, err := filepath.Glob("internal/legacy/testdata/*.ads")
+	if err != nil || len(fixtures) != 18 {
+		t.Fatalf("%d fixtures (%v), want 18", len(fixtures), err)
+	}
+	cat, err := adsketch.NewCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	for _, path := range fixtures {
+		for name, src := range map[string]adsketch.Source{"FileSource": adsketch.FileSource(path), "MmapSource": adsketch.MmapSource(path)} {
+			if err := cat.Attach("old", src); err == nil || !strings.Contains(err.Error(), "adsconvert") {
+				t.Errorf("%s via %s: %v, want a refusal naming adsconvert", filepath.Base(path), name, err)
+			}
+		}
 	}
 }

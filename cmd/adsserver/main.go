@@ -118,7 +118,7 @@ func main() {
 	var datasets datasetFlags
 	fs.Var(&datasets, "dataset", "additional named dataset as name=path (repeatable); query with {\"dataset\":\"name\", ...}")
 	addr := fs.String("addr", ":8080", "listen address")
-	useMmap := fs.Bool("mmap", false, "mmap sketch files instead of reading them in (near-zero startup; every file the tools write qualifies — a file of an earlier release is decoded instead, see adstool convert)")
+	useMmap := fs.Bool("mmap", false, "mmap sketch files instead of reading them in (near-zero startup; every file the tools write qualifies — a file of an earlier release is refused, and adsconvert rewrites it)")
 	memBudget := fs.Int64("mem-budget", 0, "resident-memory budget in bytes for the catalog; idle file-backed datasets are evicted LRU and reload on demand (0 = unlimited)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries after SIGINT/SIGTERM")
 	ingestOn := fs.Bool("ingest", false, "enable POST /v1/ingest/{dataset}: accept edge batches, maintain sketches incrementally, publish frozen versions into the catalog")

@@ -8,7 +8,6 @@
 //	adstool build -graph graph.txt -k 16 -seed 42 -save sketches.ads
 //	adstool split -sketches sketches.ads -partitions 4 -out sketches
 //	adstool merge -out sketches.ads sketches.p0of4.ads sketches.p1of4.ads ...
-//	adstool convert -sketches old-release.ads -out sketches.ads
 //	adstool info sketches.ads
 //	adstool query -graph graph.txt -sketches sketches.ads -node 17 -d 3
 //	adstool query -remote http://localhost:8080 -node 17 -d 3
@@ -19,9 +18,9 @@
 //
 // split partitions a sketch file by node ID into P independently
 // servable shard files (one adsserver worker each); merge reassembles a
-// complete split bit-for-bit; convert upgrades a file written by an
-// earlier release to the one format every subcommand writes.  Graphs are
-// whitespace edge lists ("u v" or "u v w" per line, '#' comments); "-"
+// complete split bit-for-bit.  Every subcommand reads and writes the one
+// current file layout; adsconvert rewrites a file of an earlier release
+// in it.  Graphs are whitespace edge lists ("u v" or "u v w" per line, '#' comments); "-"
 // reads stdin.
 package main
 
@@ -35,12 +34,12 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
 	"adsketch"
+	"adsketch/internal/atomicfile"
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
 )
@@ -62,8 +61,6 @@ func main() {
 		err = runSplit(args)
 	case "merge":
 		err = runMerge(args)
-	case "convert":
-		err = runConvert(args)
 	case "info":
 		err = runInfo(args)
 	case "query":
@@ -84,7 +81,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: adstool {gen|stats|build|split|merge|convert|info|query|ingest|top|influence} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: adstool {gen|stats|build|split|merge|info|query|ingest|top|influence} [flags]")
 	os.Exit(2)
 }
 
@@ -243,56 +240,13 @@ func runBuild(args []string) error {
 	fmt.Printf("total entries %d (%.1f per node; Lemma 2.2 predicts ~k(1+ln n-ln k))\n",
 		set.TotalEntries(), float64(set.TotalEntries())/float64(g.NumNodes()))
 	if *save != "" {
-		n, err := writeSketchFile(*save, set.WriteTo)
+		n, err := atomicfile.Write(*save, set.WriteTo)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("sketches saved to %s (%d bytes, format v%d)\n", *save, n, adsketch.SketchFormatVersion)
 	}
 	return nil
-}
-
-// writeSketchFile lets write fill a temporary file beside path, syncs it,
-// and renames it over path, so a file that `adsserver -mmap` is serving
-// is replaced, never changed in place or truncated under its mapping (a
-// read past a truncated mapping is a SIGBUS), and a failed write — of the
-// bytes, the sync or the close (full disk, NFS) — leaves path as it was
-// and no temporary file behind.  As with an in-place write, a symlink's
-// target is what gets replaced, and a replaced file keeps its mode.
-func writeSketchFile(path string, write func(io.Writer) (int64, error)) (int64, error) {
-	target, mode := path, os.FileMode(0)
-	if real, err := filepath.EvalSymlinks(path); err == nil {
-		target = real
-		if st, err := os.Stat(real); err == nil {
-			mode = st.Mode().Perm()
-		}
-	}
-	tmp := fmt.Sprintf("%s.%d.tmp", target, os.Getpid())
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return 0, err
-	}
-	if mode != 0 {
-		err = f.Chmod(mode)
-	}
-	n := int64(0)
-	if err == nil {
-		n, err = write(f)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, target)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return n, fmt.Errorf("writing %s: %w", path, err)
-	}
-	return n, nil
 }
 
 // runSplit partitions a sketch file by node ID into independently
@@ -326,7 +280,7 @@ func runSplit(args []string) error {
 	for _, p := range parts {
 		index, count := p.Part()
 		name := fmt.Sprintf("%s.p%dof%d.ads", prefix, index, count)
-		n, err := writeSketchFile(name, p.WriteTo)
+		n, err := atomicfile.Write(name, p.WriteTo)
 		if err != nil {
 			return err
 		}
@@ -364,54 +318,12 @@ func runMerge(args []string) error {
 	if err != nil {
 		return err
 	}
-	n, err := writeSketchFile(*out, set.WriteTo)
+	n, err := atomicfile.Write(*out, set.WriteTo)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("merged %d partitions (%d nodes, k=%d) -> %s (%d bytes)\n",
 		len(parts), set.NumNodes(), set.K(), *out, n)
-	return nil
-}
-
-// runConvert rewrites a sketch file of any earlier release (v2, or an
-// older v3 layout; whole set or partition) as every writer now emits it:
-// the columnar v3 that OpenSketchFile reads with O(1) allocations and
-// `adsserver -mmap` maps zero-copy.  The file is read by the validating
-// stream reader, so stored ranks are checked against the seed that derives
-// them: the one the file records, or -seed for a weighted or approximate
-// file that stores its ranks, which records none.  A -seed that
-// contradicts a recorded seed is an error.  On a current file it is the
-// identity.
-func runConvert(args []string) error {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	in := fs.String("sketches", "", "sketch file to convert (required; v2 or v3, whole set or partition)")
-	out := fs.String("out", "", "output v3 sketch file (required)")
-	seed := fs.Uint64("seed", 0, "rank seed the file was built with: required for a weighted or approximate file that stores its ranks, and checked against the seed any other file records")
-	fs.Parse(args)
-	if *in == "" || *out == "" {
-		return fmt.Errorf("convert: -sketches and -out are required")
-	}
-	seedGiven := false
-	fs.Visit(func(f *flag.Flag) { seedGiven = seedGiven || f.Name == "seed" })
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	var set *adsketch.Set
-	if seedGiven {
-		set, err = core.ReadSketchSetWithSeed(f, *seed)
-	} else {
-		set, err = adsketch.ReadSketchSet(f)
-	}
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("convert: %s: %w", *in, err)
-	}
-	n, err := writeSketchFile(*out, set.WriteTo)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("converted %s -> %s (%d bytes, format v%d, seed %d)\n", *in, *out, n, adsketch.SketchFormatVersion, set.Params().Seed)
 	return nil
 }
 
@@ -437,7 +349,7 @@ func runInfo(args []string) error {
 	set := sf.Set()
 	fmt.Printf("file            %s\n", path)
 	fmt.Printf("bytes           %d\n", st.Size())
-	fmt.Printf("codec version   %d\n", sf.Version())
+	fmt.Printf("codec version   %d\n", adsketch.SketchFormatVersion)
 	p := set.Params()
 	fmt.Printf("kind            %v\n", p.Kind)
 	if p.Kind == core.KindUniform {
@@ -470,13 +382,7 @@ func runInfo(args []string) error {
 		fmt.Printf("entries/node    %.1f\n", float64(entries)/float64(nodes))
 		fmt.Printf("bytes/node      %.1f\n", float64(st.Size())/float64(nodes))
 	}
-	// The set as it is held, which is how convert would write it: a file of
-	// an earlier release differs from that on disk.
-	var held int64
 	cols := sf.ColumnBytes()
-	for _, c := range cols {
-		held += c.Bytes
-	}
 	fmt.Printf("offsets         packed (%d bits)\n", sf.OffsetBits())
 	if steps, distinct := sf.DistanceSteps(); nodes > 0 {
 		over := ""
@@ -486,11 +392,7 @@ func runInfo(args []string) error {
 		fmt.Printf("distances       steps (%.1f/node)%s\n", float64(steps)/float64(nodes), over)
 	}
 	fmt.Printf("node IDs        packed (%d bits/entry)\n", sf.NodeBits())
-	if held != st.Size() {
-		fmt.Printf("columns         as convert would write them, %d bytes:\n", held)
-	} else {
-		fmt.Printf("columns\n")
-	}
+	fmt.Printf("columns\n")
 	for _, c := range cols {
 		fmt.Printf("  %-13s %d\n", c.Name, c.Bytes)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"adsketch"
+	"adsketch/internal/atomicfile"
 )
 
 func fileOf(t *testing.T, w io.WriterTo) []byte {
@@ -38,7 +39,7 @@ func TestWriteSketchFileReplacesAtomically(t *testing.T) {
 	a, b := fileOf(t, sets[0]), fileOf(t, sets[1])
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.ads")
-	if _, err := writeSketchFile(path, sets[0].WriteTo); err != nil {
+	if _, err := atomicfile.Write(path, sets[0].WriteTo); err != nil {
 		t.Fatal(err)
 	}
 	mapped, err := adsketch.MmapSketchFile(path)
@@ -49,7 +50,7 @@ func TestWriteSketchFileReplacesAtomically(t *testing.T) {
 	if !mapped.Mapped() {
 		t.Skip("no mmap on this platform")
 	}
-	_, err = writeSketchFile(path, func(w io.Writer) (int64, error) {
+	_, err = atomicfile.Write(path, func(w io.Writer) (int64, error) {
 		n, _ := w.Write(b[:len(b)/2])
 		return int64(n), errors.New("disk full")
 	})
@@ -62,7 +63,7 @@ func TestWriteSketchFileReplacesAtomically(t *testing.T) {
 	if names, _ := os.ReadDir(dir); len(names) != 1 {
 		t.Errorf("a failing write left %d files behind", len(names))
 	}
-	if _, err := writeSketchFile(path, sets[1].WriteTo); err != nil {
+	if _, err := atomicfile.Write(path, sets[1].WriteTo); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fileOf(t, mapped.Set()), a) {
@@ -97,7 +98,7 @@ func TestWriteSketchFileKeepsModeAndLink(t *testing.T) {
 	if err := os.Symlink("real.ads", link); err != nil {
 		t.Skip("no symlinks here:", err)
 	}
-	if _, err := writeSketchFile(link, set.WriteTo); err != nil {
+	if _, err := atomicfile.Write(link, set.WriteTo); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := os.Lstat(link); err != nil || st.Mode()&os.ModeSymlink == 0 {
@@ -152,7 +153,7 @@ func TestInfo(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, w io.WriterTo) string {
 		path := filepath.Join(dir, name)
-		if _, err := writeSketchFile(path, w.WriteTo); err != nil {
+		if _, err := atomicfile.Write(path, w.WriteTo); err != nil {
 			t.Fatal(err)
 		}
 		return path
@@ -212,66 +213,5 @@ func TestInfo(t *testing.T) {
 				t.Errorf("%s: prints %s %q", filepath.Base(tc.path), name, v)
 			}
 		}
-	}
-}
-
-// TestConvertSeed: convert reads a weighted or approximate file that stores
-// its ranks under -seed, and refuses it without one, naming the flag; a
-// -seed that contradicts the seed a file records is an error for every
-// file, and one that matches is accepted.  A refused convert writes
-// nothing.
-func TestConvertSeed(t *testing.T) {
-	dir := t.TempDir()
-	fixture := func(name string) string { return filepath.Join("..", "..", "internal", "core", "testdata", name) }
-	out := filepath.Join(dir, "out.ads")
-	convert := func(args ...string) ([]byte, error) {
-		t.Helper()
-		os.Remove(out)
-		err := runConvert(append([]string{"-out", out}, args...))
-		data, rerr := os.ReadFile(out)
-		if err != nil && rerr == nil {
-			t.Errorf("convert %v: refused (%v), but wrote %s", args, err, out)
-		}
-		return data, err
-	}
-	// The newest older layout needs no seed; its conversion is the current
-	// file of the same set.
-	weighted, err := convert("-sketches", fixture("weighted_v3pack_k4.ads"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	current := filepath.Join(dir, "weighted.ads")
-	if err := os.WriteFile(current, weighted, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	kmins, err := convert("-sketches", fixture("kmins_base2_v3pack_k4.ads"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		args    []string
-		want    []byte // nil: refused, with an error naming refusal
-		refusal string
-	}{
-		{[]string{"-sketches", current, "-seed", "42"}, weighted, ""},
-		{[]string{"-sketches", current, "-seed", "7"}, nil, "records seed 42"},
-		{[]string{"-sketches", fixture("weighted_v3pack_k4.ads"), "-seed", "7"}, nil, "records seed 42"},
-		{[]string{"-sketches", fixture("kmins_base2_v2_k4.ads"), "-seed", "42"}, kmins, ""},
-		{[]string{"-sketches", fixture("kmins_base2_v2_k4.ads"), "-seed", "7"}, nil, "records seed 42"},
-		{[]string{"-sketches", fixture("weighted_v2_k4.ads")}, nil, "adstool convert -seed"},
-		{[]string{"-sketches", fixture("approx_v2_k4.ads")}, nil, "adstool convert -seed"},
-		{[]string{"-sketches", fixture("weighted_v2_k4.ads"), "-seed", "42"}, weighted, ""},
-		{[]string{"-sketches", fixture("weighted_v2_k4.ads"), "-seed", "43"}, nil, "(seed 43)"},
-	} {
-		got, err := convert(tc.args...)
-		switch {
-		case tc.want == nil && (err == nil || !strings.Contains(err.Error(), tc.refusal)):
-			t.Errorf("convert %v: %v, want a refusal naming %q", tc.args, err, tc.refusal)
-		case tc.want != nil && (err != nil || !bytes.Equal(got, tc.want)):
-			t.Errorf("convert %v: %v, or not the file of the same set", tc.args, err)
-		}
-	}
-	if _, err := convert("-sketches", fixture("approx_v2_k4.ads"), "-seed", "42"); err != nil {
-		t.Errorf("approximate v2 under its seed: %v", err)
 	}
 }

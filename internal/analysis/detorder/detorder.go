@@ -7,8 +7,9 @@
 // learned this the hard way: map-iteration order silently made seeded
 // graph.PreferentialAttachment nondeterministic, and a flaky golden
 // fixture caught it instead of tooling.  In internal/core,
-// internal/ingest, internal/graph, internal/cluster, and
-// internal/distbuild this analyzer flags:
+// internal/ingest, internal/graph, internal/cluster, internal/distbuild
+// and internal/legacy (whose output adsconvert writes, and which must be
+// byte-identical run to run) this analyzer flags:
 //
 //   - `range` over a map whose body appends to an outer slice without a
 //     subsequent sort of that slice in the same function, writes output
@@ -30,12 +31,12 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "detorder",
 	Doc: "flag map-order-dependent iteration, time.Now, and unseeded math/rand in determinism-critical " +
-		"packages (internal/core, internal/ingest, internal/graph, internal/cluster, internal/distbuild)",
+		"packages (internal/core, internal/ingest, internal/graph, internal/cluster, internal/distbuild, internal/legacy)",
 	Run: run,
 }
 
 // scope lists the determinism-critical package-path suffixes.
-var scope = []string{"internal/core", "internal/ingest", "internal/graph", "internal/cluster", "internal/distbuild"}
+var scope = []string{"internal/core", "internal/ingest", "internal/graph", "internal/cluster", "internal/distbuild", "internal/legacy"}
 
 // orderSinks are call names inside a map range whose effects are ordered:
 // output writers, printers, encoders, and frontier feeders.

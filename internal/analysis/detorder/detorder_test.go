@@ -11,6 +11,7 @@ func TestDetorder(t *testing.T) {
 	analysistest.Run(t, "testdata", []*analysis.Analyzer{Analyzer},
 		"internal/core",
 		"internal/distbuild",
+		"internal/legacy",
 		"example/plain",
 	)
 }

@@ -56,44 +56,73 @@ func checkPartRange(index, count, total int, lo, hi int64) error {
 // the bytes of the corresponding SplitSketchSet slice of a whole-set build
 // producing the same entries.
 func FreezePartition(p Params, index, count, total int, lists [][]Entry, betas [][]float64) (*Set, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	if p.segs() != 1 {
 		return nil, fmt.Errorf("core: FreezePartition takes one entry list per sketch, not the %d of a %v one", p.segs(), p.Flavor)
 	}
-	lo, hi, err := partRange(index, count, total)
-	if err == nil && len(lists) != int(hi-lo) {
-		err = fmt.Errorf("partition %d/%d owns nodes [%d, %d) but got %d entry lists", index, count, lo, hi, len(lists))
-	}
+	lo, _, err := partRange(index, count, total)
 	if err != nil {
 		return nil, fmt.Errorf("core: FreezePartition: %w", err)
 	}
-	f := freezeFrame(p, lo, total, lists)
+	var beta []float64
 	if p.Kind == KindWeighted {
 		if len(betas) != len(lists) {
 			return nil, fmt.Errorf("core: FreezePartition: %d beta lists for %d entry lists", len(betas), len(lists))
 		}
-		f.beta = make([]float64, f.totalEntries())
-		pos := 0
 		for i := range lists {
 			if len(betas[i]) != len(lists[i]) {
 				return nil, fmt.Errorf("core: FreezePartition: node %d has %d weights for %d entries",
 					lo+int32(i), len(betas[i]), len(lists[i]))
 			}
-			pos += copy(f.beta[pos:], betas[i])
+			beta = append(beta, betas[i]...)
 		}
 	}
-	// Every sketch is non-empty, structurally valid, and carries the ranks
-	// the frame derives.
-	var ranks rankScratch
-	for v, l := range lists {
+	for i, l := range lists {
 		if len(l) == 0 {
-			return nil, fmt.Errorf("core: FreezePartition: node %d has no entries (every node holds itself at distance 0)", f.owner(v))
-		}
-		if err := f.validate(&ranks, v, lists[v:v+1]); err != nil {
-			return nil, fmt.Errorf("core: FreezePartition: %w", err)
+			return nil, fmt.Errorf("core: FreezePartition: node %d has no entries (every node holds itself at distance 0)", lo+int32(i))
 		}
 	}
-	return &Set{frame: f, index: index, count: count}, nil
+	return FreezeSegments(p, index, count, total, lists, beta, true)
+}
+
+// FreezeSegments is FreezePartition for entry lists of any flavor, placed
+// anywhere: lists are per segment, node-major (segment s of the
+// partition's i-th node is lists[i*segs+s]), count 0 asks for a whole set
+// of total nodes, and beta is a weighted set's β column — one per entry,
+// in list order.  Every sketch is validated; the entries' Rank fields must
+// be the ones p derives when ranked, and are ignored otherwise.
+func FreezeSegments(p Params, index, count, total int, lists [][]Entry, beta []float64, ranked bool) (*Set, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	lo, hi, err := partRange(index, max(count, 1), total)
+	if err == nil && len(lists) != int(hi-lo)*p.segs() {
+		err = fmt.Errorf("nodes [%d, %d) take %d entry lists, got %d", lo, hi, int(hi-lo)*p.segs(), len(lists))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: FreezeSegments: %w", err)
+	}
+	// freezeFrame keeps the bits of an ID its column has room for.
+	for i, l := range lists {
+		for j, e := range l {
+			if uint32(e.Node) >= uint32(total) {
+				return nil, fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", lo+int32(i/p.segs()), j, e.Node, total)
+			}
+		}
+	}
+	f := freezeFrame(p, lo, total, lists)
+	if weighted := p.Kind == KindWeighted; weighted && len(beta) != f.totalEntries() || !weighted && len(beta) != 0 {
+		return nil, fmt.Errorf("core: FreezeSegments: %d weights for %d entries of a %v set", len(beta), f.totalEntries(), p.Kind)
+	}
+	f.beta = beta
+	if !ranked {
+		lists = nil
+	}
+	if err := validateFrame(f, lists); err != nil {
+		return nil, fmt.Errorf("core: FreezeSegments: %w", err)
+	}
+	set := &Set{frame: f}
+	if count > 0 {
+		set.index, set.count = index, count
+	}
+	return set, nil
 }

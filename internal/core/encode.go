@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -8,17 +9,15 @@ import (
 	"os"
 )
 
-// The stream readers.  Everything this tree writes is version 3
-// (framecodec.go), which has one parser, openFrameBytes; the stream
-// readers hand it the bytes of a file of the current layout and then
-// validate every sketch, and hand any other file to the legacy decoder
-// (legacy.go).  All integers are little-endian.
+// The stream reader.  Everything this tree writes — and everything it
+// reads — is version 3 of the current layout (framecodec.go), which has
+// one parser, openFrameBytes; the stream reader hands it the bytes and
+// then validates every sketch.  A file of an earlier release is refused,
+// naming adsconvert, the tool that rewrites it.  All integers are
+// little-endian.
 
 const (
 	encodeMagic = "ADSK"
-	// v2EncodeVersion is the version number of the files of the per-entry
-	// stream format that came before the columnar one (legacy.go).
-	v2EncodeVersion = 2
 	// MaxK bounds the sketch parameter: what Options.validate accepts and
 	// a file may claim, so that neither a build nor a corrupted header can
 	// drive huge per-node allocations, and k fits the header's 32 bits.
@@ -45,67 +44,69 @@ func growBuf(buf *[]byte, n int) []byte {
 	return (*buf)[:n]
 }
 
-// readAny parses any sketch file — whole set or partition.  seed, when
-// non-nil, derives the ranks of a file that stores them but records no
-// seed.
-func readAny(r io.Reader, seed *uint64) (*Set, error) {
-	var head [8]byte
-	if _, err := io.ReadFull(r, head[:4]); err != nil {
-		return nil, fmt.Errorf("core: reading sketch file magic: %w", err)
-	}
+// checkPreamble refuses the first 8 bytes of anything but a sketch file
+// of EncodeVersion, naming what it is instead.
+func checkPreamble(head []byte) error {
 	if string(head[:4]) != encodeMagic {
-		return nil, fmt.Errorf("core: not a sketch file (magic %q)", head[:4])
+		return fmt.Errorf("core: not a sketch file (magic %q)", head[:4])
 	}
-	if _, err := io.ReadFull(r, head[4:]); err != nil {
-		return nil, fmt.Errorf("core: reading sketch file version: %w", err)
-	}
-	switch version := binary.LittleEndian.Uint32(head[4:]); version {
-	case v2EncodeVersion:
-		return readV2(newSetDecoder(r), seed)
+	switch v := binary.LittleEndian.Uint32(head[4:]); v {
 	case EncodeVersion:
-		// A regular file says how much is coming; anything else is read as
-		// it arrives.
-		var size int64
-		if f, ok := r.(*os.File); ok {
-			if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
-				size = st.Size()
-			}
-		}
-		return readFrameStream(r, size, seed)
+		return nil
+	case 2: // the per-entry stream of the releases before the columnar frame
+		return fmt.Errorf("core: sketch file version 2, an earlier release's: rewrite it with `adsconvert`")
 	default:
-		return nil, fmt.Errorf("core: sketch file version %d, supported versions are %d and %d",
-			version, v2EncodeVersion, EncodeVersion)
+		return fmt.Errorf("core: sketch file version %d, want %d", v, EncodeVersion)
 	}
 }
 
 // ReadSketchSet deserializes a sketch file of any kind written by
-// Set.WriteTo (or by the version-2 writers of earlier releases) — a whole
-// set or a partition (Set.IsPartition), whichever the file holds —
-// validating the structural invariants of every sketch, unlike
-// OpenSketchFile, which trusts the file.
-func ReadSketchSet(r io.Reader) (*Set, error) { return readAny(r, nil) }
-
-// ReadSketchSetWithSeed is ReadSketchSet for a file of an earlier release
-// that stores its ranks but records no seed — a weighted or approximate
-// one, which ReadSketchSet refuses: every stored rank is checked against
-// the one seed derives, and the set derives them from it.  A file that
-// records a seed other than seed is refused.
-func ReadSketchSetWithSeed(r io.Reader, seed uint64) (*Set, error) {
-	set, err := readAny(r, &seed)
+// Set.WriteTo — a whole set or a partition (Set.IsPartition), whichever
+// the file holds — validating the structural invariants of every sketch,
+// unlike OpenSketchFile, which trusts the file.  The stream is read to its
+// end before anything past the preamble is parsed, so allocation follows
+// the bytes that arrived, never a header's claim: into one buffer of the
+// file's size when r is a regular file (the file system's word, not the
+// data's), by doubling otherwise.
+func ReadSketchSet(r io.Reader) (*Set, error) {
+	var head [8]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, fmt.Errorf("core: reading sketch file preamble: %w", err)
+	}
+	if err := checkPreamble(head[:]); err != nil {
+		return nil, err
+	}
+	var size int64
+	if f, ok := r.(*os.File); ok {
+		if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
+			size = st.Size()
+		}
+	}
+	// ReadFrom keeps bytes.MinRead free while it reads: with that much
+	// slack a file of the stated size never grows the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	buf.Write(head[:])
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("core: reading sketch file: %w", err)
+	}
+	set, err := openFrameBytes(buf.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	if recorded := set.frame.p.Seed; recorded != seed {
-		return nil, fmt.Errorf("core: seed %d given, but the sketch file records seed %d", seed, recorded)
+	f := set.frame
+	if err := validateFrame(f, nil); err != nil {
+		return nil, fmt.Errorf("core: corrupt sketch file: %w", err)
+	}
+	if !f.steps.canonical() {
+		return nil, fmt.Errorf("core: corrupt sketch file: its %d distance steps are not in their one encoding (%d dictionary values)", f.steps.n, len(f.steps.dict))
 	}
 	return set, nil
 }
 
-// validateDecoded checks the structural invariants of every sketch of a
-// decoded frame and — lists being the per-segment entry lists it was
-// frozen from, when they carry ranks — that their ranks are the ones the
-// frame derives.
-func validateDecoded(f *Frame, lists [][]Entry) error {
+// validateFrame checks the structural invariants of every sketch of a
+// frame and — lists being the per-segment entry lists it was frozen from,
+// when non-nil — that their ranks are the ones the frame derives.
+func validateFrame(f *Frame, lists [][]Entry) error {
 	var ranks rankScratch
 	for v := 0; v < f.n; v++ {
 		var given [][]Entry
@@ -113,7 +114,7 @@ func validateDecoded(f *Frame, lists [][]Entry) error {
 			given = lists[v*f.segs() : (v+1)*f.segs()]
 		}
 		if err := f.validate(&ranks, v, given); err != nil {
-			return fmt.Errorf("core: corrupt sketch file: %w", err)
+			return err
 		}
 	}
 	return nil

@@ -45,9 +45,9 @@ func TestEncodeRoundTripAllFlavors(t *testing.T) {
 	}
 }
 
-// The stream reader must refuse damaged input of both formats it reads:
-// the version-3 bytes WriteTo emits, and a version-2 file of an earlier
-// release (a committed fixture — nothing writes that format any more).
+// The stream reader must refuse damaged input of the format it reads, the
+// version-3 bytes WriteTo emits.  (internal/legacy's test of this name has
+// a version-2 file of an earlier release.)
 func TestEncodeDetectsCorruption(t *testing.T) {
 	g := graph.Path(20)
 	set, err := BuildSet(g, Options{K: 3, Flavor: sketch.BottomK, Seed: 1}, AlgoDP)
@@ -59,7 +59,6 @@ func TestEncodeDetectsCorruption(t *testing.T) {
 		firstNode int // where the first entry of the first sketch — its owner — is named
 	}{
 		"v3": {v3Bytes(t, set), int(splitV3(t, v3Bytes(t, set)).nodesAt)},
-		"v2": {v2Fixtures[0].read(t), 12 + 28 + 4}, // prefix, uniform header, entry count
 	} {
 		data := tc.data
 		if _, err := ReadSketchSet(bytes.NewReader(data)); err != nil {
@@ -74,7 +73,7 @@ func TestEncodeDetectsCorruption(t *testing.T) {
 		for _, v := range []byte{99, 1} {
 			bad = append([]byte(nil), data...)
 			bad[4] = v
-			if _, err := ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "supported versions are 2 and 3") {
+			if _, err := ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "want 3") {
 				t.Errorf("%s: version %d: got %v, want the unsupported-version error", name, v, err)
 			}
 		}

@@ -34,9 +34,7 @@ import (
 // i's distance is that of step number [set bits of first up to and
 // including i, less one].  A rank is a pure function of the seed and the
 // node (and of β, which travels with the entry), so it is derived when
-// asked for.  A file of an older layout, which may store ranks, distances
-// per entry or wider columns, is read into entry lists and frozen like a
-// build's (legacy.go).
+// asked for.
 
 // ranker derives the rank of an entry from what its frame records: the
 // seed, the flavor and base of a uniform set, the scheme of a weighted

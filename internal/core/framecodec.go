@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -63,10 +62,10 @@ import (
 // weighted sets and no others.  Bits 1 to 4 name the steps by which the
 // layout became this one: ranks derived rather than stored (1), distances
 // step-coded (2), node IDs packed (3), and the numDistinct word with
-// packed offsets and dictionary-coded steps (4).  A file without all four
-// is of an older layout, which openFrameBytes refuses and the openers read
-// through the legacy decoder (legacy.go) instead; a reader from before a
-// bit refuses a file that has it ("unknown flags"), as it must.
+// packed offsets and dictionary-coded steps (4).  A file with any other
+// flags is refused: one without all four is of an earlier release, which
+// adsconvert (internal/legacy) rewrites, and a reader from before a bit
+// refuses a file that has it, as it must.
 //
 // Encoding is therefore near-memcpy, and decoding a trusted file is
 // O(columns): validate the header, the body size it implies, the offsets'
@@ -81,8 +80,7 @@ import (
 // OpenSketchFile reads the file once and performs O(1) allocations per
 // set; MmapSketchFile maps it (on linux) so even the read is deferred to
 // page faults — a worker serving a prebuilt shard file starts in
-// microseconds.  Files of an older layout, and version-2 files, still open
-// everywhere: copied, never mapped, and validated like any stream.
+// microseconds.
 
 // EncodeVersion is the sketch file format version: the one every writer
 // emits (Set.WriteTo, for whole sets and partitions alike) and
@@ -92,7 +90,7 @@ const EncodeVersion = 3
 const (
 	framePreambleSize = 16 // magic, version, kind, flags
 	framePartHdrSize  = 24 // index, count, lo, hi, total, innerKind
-	frameHdrSize      = 64 // k .. numSteps, which every layout has; numDistinct follows in the current one
+	frameHdrSize      = 64 // k .. numSteps; numDistinct follows
 
 	frameFlagBeta         = 1 << 0
 	frameFlagDerivedRanks = 1 << 1 // no rank column: ranks derive from the header's seed
@@ -103,7 +101,6 @@ const (
 	// frameFlagsLayout is the flags of the one layout every writer emits
 	// and openFrameBytes views, less β.
 	frameFlagsLayout = frameFlagDerivedRanks | frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact
-	frameFlagsKnown  = frameFlagBeta | frameFlagsLayout
 )
 
 // nativeLittleEndian reports whether the host stores integers the way the
@@ -128,7 +125,7 @@ type frameHdr struct {
 	eps           float64
 	n, numEntries uint64
 	numSteps      uint64
-	numDistinct   uint64 // the dictionary's size; 0 for raw steps, and in an older layout
+	numDistinct   uint64 // the dictionary's size; 0 for raw steps
 }
 
 // partitioned reports whether the file carries the partition envelope.
@@ -202,12 +199,6 @@ func (h *frameHdr) bodySize() int64 {
 	return s
 }
 
-// validateEnvelope checks a partition envelope, of either version: the
-// range it claims must be the one its position in the split gives it.
-func (h *frameHdr) validateEnvelope() error {
-	return checkPartRange(int(h.index), int(h.count), int(h.total), int64(h.lo), int64(h.hi))
-}
-
 // params returns the set parameters the header records.
 func (h *frameHdr) params() Params {
 	return Params{
@@ -218,17 +209,14 @@ func (h *frameHdr) params() Params {
 	}
 }
 
-// validate checks every header field against the format's invariants, of
-// any layout, so a corrupted file errors out before any column is touched.
+// validate checks every header field against the format's invariants, so
+// a corrupted file errors out before any column is touched.
 func (h *frameHdr) validate() error {
-	if h.flags&^uint32(frameFlagsKnown) != 0 {
-		return fmt.Errorf("core: sketch file has unknown flags %#x", h.flags)
-	}
 	if h.setKind() == kindPartition {
 		return fmt.Errorf("core: sketch partitions cannot nest")
 	}
 	if h.partitioned() {
-		if err := h.validateEnvelope(); err != nil {
+		if err := checkPartRange(int(h.index), int(h.count), int(h.total), int64(h.lo), int64(h.hi)); err != nil {
 			return err
 		}
 		if uint64(h.hi-h.lo) != h.n {
@@ -472,29 +460,8 @@ func viewF64s(b []byte, n int64) []float64 {
 // parseFrameHdr parses and validates the header of a version-3 file of the
 // current layout.  data starts at the kind field (magic and version
 // already consumed); it returns the header and the number of header bytes
-// consumed from data.  A file of an older layout is refused: the legacy
-// decoder reads those.
+// consumed from data.
 func parseFrameHdr(data []byte) (frameHdr, int, error) {
-	h, pos, err := readFrameHdr(data)
-	if err != nil {
-		return h, 0, err
-	}
-	if h.flags&^frameFlagBeta != frameFlagsLayout {
-		return h, 0, fmt.Errorf("core: sketch file has flags %#x, not the current layout's %#x: a file of an older layout opens through the legacy decoder, and `adstool convert` rewrites it", h.flags, frameFlagsLayout)
-	}
-	if len(data) < pos+8 {
-		return h, 0, fmt.Errorf("core: truncated sketch file header")
-	}
-	h.numDistinct = binary.LittleEndian.Uint64(data[pos:])
-	if err := h.validate(); err != nil {
-		return h, 0, err
-	}
-	return h, pos + 8, nil
-}
-
-// readFrameHdr reads the header fields every version-3 layout has, through
-// numSteps, without validating them.
-func readFrameHdr(data []byte) (frameHdr, int, error) {
 	le := binary.LittleEndian
 	var h frameHdr
 	if len(data) < 8 {
@@ -502,6 +469,9 @@ func readFrameHdr(data []byte) (frameHdr, int, error) {
 	}
 	h.kind = le.Uint32(data)
 	h.flags = le.Uint32(data[4:])
+	if h.flags&^frameFlagBeta != frameFlagsLayout {
+		return h, 0, fmt.Errorf("core: sketch file has flags %#x, not the current layout's %#x: a file of an earlier release is rewritten with `adsconvert`", h.flags, frameFlagsLayout)
+	}
 	pos := 8
 	if h.kind == kindPartition {
 		if len(data) < pos+framePartHdrSize {
@@ -515,7 +485,7 @@ func readFrameHdr(data []byte) (frameHdr, int, error) {
 		h.innerKind = le.Uint32(data[pos+20:])
 		pos += framePartHdrSize
 	}
-	if len(data) < pos+frameHdrSize {
+	if len(data) < pos+frameHdrSize+8 {
 		return h, 0, fmt.Errorf("core: truncated sketch file header")
 	}
 	h.k = le.Uint32(data[pos:])
@@ -528,7 +498,11 @@ func readFrameHdr(data []byte) (frameHdr, int, error) {
 	h.n = le.Uint64(data[pos+40:])
 	h.numEntries = le.Uint64(data[pos+48:])
 	h.numSteps = le.Uint64(data[pos+56:])
-	return h, pos + frameHdrSize, nil
+	h.numDistinct = le.Uint64(data[pos+frameHdrSize:])
+	if err := h.validate(); err != nil {
+		return h, 0, err
+	}
+	return h, pos + frameHdrSize + 8, nil
 }
 
 // frameFromHdr returns the in-memory frame, no column yet, of a validated
@@ -621,11 +595,8 @@ func openFrameBytes(data []byte) (*Set, error) {
 	if len(data) < framePreambleSize {
 		return nil, fmt.Errorf("core: truncated sketch file")
 	}
-	if string(data[:4]) != encodeMagic {
-		return nil, fmt.Errorf("core: not a sketch file (magic %q)", data[:4])
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != EncodeVersion {
-		return nil, fmt.Errorf("core: sketch file version %d, want %d", v, EncodeVersion)
+	if err := checkPreamble(data); err != nil {
+		return nil, err
 	}
 	h, consumed, err := parseFrameHdr(data[8:])
 	if err != nil {
@@ -695,40 +666,6 @@ func openFrameBytes(data []byte) (*Set, error) {
 	return h.wrap(f), nil
 }
 
-// readFrameStream reads a version-3 file from a stream whose magic and
-// version readAny has consumed.  The stream is read to its end before
-// anything is parsed, so allocation follows the bytes that arrived, never
-// a header's claim: into one buffer of size bytes when the caller knows
-// the stream is a file of that size (the file system's word, not the
-// data's), by doubling otherwise.  openFrameBytes parses a file of the
-// current layout, and — unlike the file openers, which trust what the
-// operator built — every sketch is then validated; the legacy decoder
-// reads any other, with seed for the ranks of one that records none.
-func readFrameStream(r io.Reader, size int64, seed *uint64) (*Set, error) {
-	// ReadFrom keeps bytes.MinRead free while it reads: with that much
-	// slack a file of the stated size never grows the buffer.
-	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
-	buf.Write(binary.LittleEndian.AppendUint32([]byte(encodeMagic), EncodeVersion))
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, fmt.Errorf("core: reading sketch file: %w", err)
-	}
-	if !currentLayout(buf.Bytes()) {
-		return readRetiredV3(buf.Bytes(), seed)
-	}
-	set, err := openFrameBytes(buf.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	f := set.frame
-	if err := validateDecoded(f, nil); err != nil {
-		return nil, err
-	}
-	if !f.steps.canonical() {
-		return nil, fmt.Errorf("core: corrupt sketch file: its %d distance steps are not in their one encoding (%d dictionary values)", f.steps.n, len(f.steps.dict))
-	}
-	return set, nil
-}
-
 // SketchFile is an opened sketch file: the set it holds — a whole one or a
 // partition — plus the backing memory when the file was opened zero-copy.
 //
@@ -739,9 +676,8 @@ func readFrameStream(r io.Reader, size int64, seed *uint64) (*Set, error) {
 // owner's release — only marks the file draining.  The munmap happens
 // when the last reference drops, whichever call that is.
 type SketchFile struct {
-	set     *Set
-	version int
-	mapped  []byte // non-nil iff the columns view an mmap region
+	set    *Set
+	mapped []byte // non-nil iff the columns view an mmap region
 
 	// refs counts live references: the opener's (dropped by Close) plus
 	// one per outstanding Retain.  The reference that drops it to zero
@@ -752,8 +688,8 @@ type SketchFile struct {
 
 // newSketchFile assembles an opened file holding the opener's single
 // reference.
-func newSketchFile(set *Set, version int, mapped []byte) *SketchFile {
-	s := &SketchFile{set: set, version: version, mapped: mapped}
+func newSketchFile(set *Set, mapped []byte) *SketchFile {
+	s := &SketchFile{set: set, mapped: mapped}
 	s.refs.Store(1)
 	return s
 }
@@ -761,10 +697,6 @@ func newSketchFile(set *Set, version int, mapped []byte) *SketchFile {
 // Set returns the set the file holds: a whole set, or a partition
 // (Set.IsPartition).
 func (s *SketchFile) Set() *Set { return s.set }
-
-// Version returns the codec version the file was stored in (2 or
-// EncodeVersion).
-func (s *SketchFile) Version() int { return s.version }
 
 // frame returns the frame of the file's set.
 func (s *SketchFile) frame() *Frame { return s.set.frame }
@@ -775,13 +707,12 @@ type ColumnSize struct {
 	Bytes int64
 }
 
-// ColumnBytes lists what each part of the file costs when written in the
-// current layout, in file order: header, offsets (OffsetBits bits each),
-// nodes (NodeBits bits an entry), step bits, then either step codes and
-// the dictionary of distances they index or, where a dictionary would be
-// no smaller, steps (8 bytes a distance step), then betas where held —
-// every packed column rounded up to a word.  A file opened from an older
-// layout is held — and so reported — as convert would write it.
+// ColumnBytes lists what each part of the file costs, in file order:
+// header, offsets (OffsetBits bits each), nodes (NodeBits bits an entry),
+// step bits, then either step codes and the dictionary of distances they
+// index or, where a dictionary would be no smaller, steps (8 bytes a
+// distance step), then betas where held — every packed column rounded up
+// to a word.
 func (s *SketchFile) ColumnBytes() []ColumnSize {
 	h := headerOf(s.set)
 	return h.columns()
@@ -807,18 +738,17 @@ func (h *frameHdr) columns() []ColumnSize {
 	return out
 }
 
-// NodeBits returns the bits an entry's node ID takes in the node column
-// as the current layout writes it: what the set's node count needs.
+// NodeBits returns the bits an entry's node ID takes in the node column:
+// what the set's node count needs.
 func (s *SketchFile) NodeBits() int { return int(s.frame().width()) }
 
-// OffsetBits returns the bits an offset takes in the offsets column as
-// the current layout writes it: what the file's entry count needs.
+// OffsetBits returns the bits an offset takes in the offsets column: what
+// the file's entry count needs.
 func (s *SketchFile) OffsetBits() int { return int(offsetWidth(int64(s.frame().totalEntries()))) }
 
 // DistanceSteps returns how many distance steps the file's sketches have
-// in all, and how many distinct distances the current layout codes them
-// through — 0 when it writes a float a step, because a dictionary would
-// be no smaller.
+// in all, and how many distinct distances the file codes them through — 0
+// when it holds a float a step, because a dictionary would be no smaller.
 func (s *SketchFile) DistanceSteps() (steps, distinct int64) {
 	own := s.frame().ownSteps()
 	return own.n, int64(len(own.dict))
@@ -888,52 +818,29 @@ func (s *SketchFile) Close() error {
 	return s.Release()
 }
 
-// OpenSketchFile opens a sketch file.  A version-3 file of the current
-// layout — everything the writers emit — is read in one call and its
-// columns viewed in place: O(1) allocations per set on little-endian
-// hosts, and no per-sketch validation (the stream readers do that).  Any
-// other file goes through the stream reader: one of an older layout, or of
-// version 2, is read by the legacy decoder, and refused when it stores its
-// ranks but records no seed (ReadSketchSetWithSeed reads it).
+// OpenSketchFile opens a sketch file of the current layout — everything
+// the writers emit — reading it in one call and viewing its columns in
+// place: O(1) allocations per set on little-endian hosts, and no
+// per-sketch validation (the stream reader does that).  Any other file is
+// refused with the reason, which for a file of an earlier release names
+// adsconvert.
 func OpenSketchFile(path string) (*SketchFile, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var head [framePreambleSize]byte
-	if _, err := io.ReadFull(f, head[:]); err == nil && currentLayout(head[:]) {
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		data := make([]byte, st.Size())
-		if _, err := f.ReadAt(data, 0); err != nil {
-			return nil, fmt.Errorf("core: reading %s: %w", path, err)
-		}
-		set, err := openFrameBytes(data)
-		if err != nil {
-			return nil, err
-		}
-		return newSketchFile(set, EncodeVersion, nil), nil
-	}
-	// Read from the start; the reader produces the precise error for
-	// garbage input.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	set, err := readAny(f, nil)
+	set, err := openFrameBytes(data)
 	if err != nil {
 		return nil, err
 	}
-	return newSketchFile(set, int(binary.LittleEndian.Uint32(head[4:])), nil), nil
+	return newSketchFile(set, nil), nil
 }
 
-// MmapSketchFile opens a version-3 sketch file of the current layout by
-// mapping it into memory: no column is read until it is queried, so a
-// worker serving a prebuilt shard starts in near-constant time regardless
-// of file size.  On platforms without mmap support — or for any other
-// file, which needs decoding anyway — it falls back to OpenSketchFile.
+// MmapSketchFile opens a sketch file of the current layout by mapping it
+// into memory: no column is read until it is queried, so a worker serving
+// a prebuilt shard starts in near-constant time regardless of file size.
+// On platforms without mmap support it falls back to OpenSketchFile, as it
+// does for any other file, which OpenSketchFile refuses with the reason.
 func MmapSketchFile(path string) (*SketchFile, error) {
 	if !mmapSupported {
 		return OpenSketchFile(path)
@@ -960,7 +867,7 @@ func MmapSketchFile(path string) (*SketchFile, error) {
 		munmapFile(data)
 		return nil, err
 	}
-	return newSketchFile(set, EncodeVersion, data), nil
+	return newSketchFile(set, data), nil
 }
 
 // currentLayout reports whether the bytes begin a version-3 file of the

@@ -231,118 +231,67 @@ func TestMmapSketchFile(t *testing.T) {
 	if sf.Set() != nil {
 		t.Error("Set() still accessible after Close")
 	}
-	// v2 files go through the decode fallback and are not mapped.
-	fx := v2Fixtures[0]
-	sf2, err := MmapSketchFile(fx.path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sf2.Mapped() || sf2.Version() != 2 {
-		t.Errorf("v2 file reported as mapped=%v, version %d", sf2.Mapped(), sf2.Version())
-	}
-	if got := v3Bytes(t, sf2.Set()); !bytes.Equal(got, fx.want(t)) {
-		t.Fatal("v2 fallback set differs from a fresh build")
+	// A v2 file is neither mapped nor decoded: adsconvert rewrites it.
+	if sf2, err := MmapSketchFile(legacyFixture(v2Fixtures[0])); err == nil || !strings.Contains(err.Error(), "adsconvert") {
+		t.Errorf("v2 file: %v, want a refusal naming adsconvert", err)
+		if err == nil {
+			sf2.Close()
+		}
 	}
 }
 
-// v2Fixture is a committed version-2 file — recorded with the `adstool
-// build -save` / `split` of the last release that wrote the format;
-// nothing in this tree can — and the fresh deterministic build it must
-// still equal.
-type v2Fixture struct {
-	file   string
-	stored bool // a weighted or approximate v2 body records no seed: it is read under seed 42, or refused
-	part   int  // the index the file holds of a 2-way split of its build, or -1 for the whole set
-	build  func(g *graph.Graph, beta []float64) (*Set, error)
+// v2Fixtures are the committed version-2 files, which internal/legacy
+// reads and tests; nothing in this tree writes the format.
+var v2Fixtures = []string{
+	"uniform_v2_k8.ads", "kmins_base2_v2_k4.ads", "weighted_v2_k4.ads",
+	"priority_v2_k4.ads", "approx_v2_k4.ads", "weighted_v2_k4.p1of2.ads",
 }
 
-// Every fixture but the first is `gen -type ba -n 60 -m 3 -seed 9` built
-// with `-k 4 -seed 42` and, where weighted, weights 1+i%7.
-var v2Fixtures = []v2Fixture{
-	{"uniform_v2_k8.ads", false, -1, func(*graph.Graph, []float64) (*Set, error) {
-		return BuildSet(graph.PreferentialAttachment(200, 3, 7), Options{K: 8, Seed: 42}, AlgoPrunedDijkstra)
-	}},
-	{"kmins_base2_v2_k4.ads", false, -1, func(g *graph.Graph, _ []float64) (*Set, error) {
-		return BuildSet(g, Options{K: 4, Flavor: sketch.KMins, Seed: 42, BaseB: 2}, AlgoPrunedDijkstra)
-	}},
-	{"weighted_v2_k4.ads", true, -1, func(g *graph.Graph, beta []float64) (*Set, error) {
-		return BuildWeightedSet(g, 4, 42, beta)
-	}},
-	{"priority_v2_k4.ads", true, -1, func(g *graph.Graph, beta []float64) (*Set, error) {
-		return BuildPriorityWeightedSet(g, 4, 42, beta)
-	}},
-	{"approx_v2_k4.ads", true, -1, func(g *graph.Graph, _ []float64) (*Set, error) {
-		return BuildApproxSet(g, 4, 42, 0.25)
-	}},
-	{"weighted_v2_k4.p1of2.ads", true, 1, func(g *graph.Graph, beta []float64) (*Set, error) {
-		return BuildWeightedSet(g, 4, 42, beta)
-	}},
-}
+// legacyFixture returns the path of a committed file of an earlier
+// release, kept with the decoder that reads it.
+func legacyFixture(name string) string { return filepath.Join("..", "legacy", "testdata", name) }
 
-func (fx v2Fixture) path() string { return filepath.Join("testdata", fx.file) }
-
-func (fx v2Fixture) read(t testing.TB) []byte {
+// readLegacyFixture returns the bytes of a committed file of an earlier
+// release.
+func readLegacyFixture(t testing.TB, name string) []byte {
 	t.Helper()
-	data, err := os.ReadFile(fx.path())
+	data, err := os.ReadFile(legacyFixture(name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
 }
 
-// want returns the version-3 bytes of the fixture's fresh build (of its
-// partition of the build, for a partition fixture).
-func (fx v2Fixture) want(t testing.TB) []byte {
+// checkRefused: every reader refuses the file of an earlier release at
+// path, naming adsconvert, the tool that rewrites it.
+func checkRefused(t *testing.T, path string) {
 	t.Helper()
-	g := graph.PreferentialAttachment(60, 3, 9)
-	beta := make([]float64, g.NumNodes())
-	for i := range beta {
-		beta[i] = 1 + float64(i%7)
-	}
-	set, err := fx.build(g, beta)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fx.part < 0 {
-		return v3Bytes(t, set)
-	}
-	parts, err := SplitSketchSet(set, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v3Bytes(t, parts[fx.part])
-}
-
-// TestV2FixtureBackCompat: every committed version-2 file opens through
-// all three entry points — through the legacy door: unmapped, as version
-// 2 — and is byte for byte the version-3 file of a fresh deterministic
-// build, so neither the decoder nor the builders have moved since the
-// files were recorded.  A weighted or approximate one records no seed:
-// every reader refuses it, naming the command that takes one, and read
-// with seed 42 it is the build's file.
-func TestV2FixtureBackCompat(t *testing.T) {
-	for _, fx := range v2Fixtures {
-		want := fx.want(t)
-		if fx.stored {
-			checkNeedsSeed(t, fx.file, fx.path())
-			set, err := ReadSketchSetWithSeed(bytes.NewReader(fx.read(t)), 42)
-			if err != nil {
-				t.Fatalf("%s: with seed 42: %v", fx.file, err)
-			}
-			if got := v3Bytes(t, set); !bytes.Equal(got, want) {
-				t.Errorf("%s: with seed 42, not the v3 file of a fresh build (%d vs %d bytes)", fx.file, len(got), len(want))
-			}
-			continue
-		}
-		for reader, sf := range openAll(t, fx.path()) {
-			if sf.Mapped() || sf.Version() != 2 || sf.Set().IsPartition() != (fx.part >= 0) {
-				t.Errorf("%s via %s: mapped=%v version=%d partition=%v, want an unmapped version-2 file", fx.file, reader, sf.Mapped(), sf.Version(), sf.Set().IsPartition())
-			}
-			if got := v3Bytes(t, sf.Set()); !bytes.Equal(got, want) {
-				t.Errorf("%s via %s: not the v3 file of a fresh build (%d vs %d bytes)", fx.file, reader, len(got), len(want))
-			}
+	_, err = ReadSketchSet(bytes.NewReader(data))
+	errs := map[string]error{"ReadSketchSet": err}
+	for opener, open := range map[string]func(string) (*SketchFile, error){"OpenSketchFile": OpenSketchFile, "MmapSketchFile": MmapSketchFile} {
+		sf, err := open(path)
+		if err == nil {
 			sf.Close()
 		}
+		errs[opener] = err
+	}
+	for reader, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "adsconvert") {
+			t.Errorf("%s via %s: %v, want a refusal naming adsconvert", filepath.Base(path), reader, err)
+		}
+	}
+}
+
+// TestV2FixtureBackCompat: back-compatibility with version 2 is
+// adsconvert's (internal/legacy's test of this name reads every committed
+// file); every reader here refuses each one, naming it.
+func TestV2FixtureBackCompat(t *testing.T) {
+	for _, name := range v2Fixtures {
+		checkRefused(t, legacyFixture(name))
 	}
 }
 

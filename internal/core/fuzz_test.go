@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
-	"math"
 	"testing"
 
 	"adsketch/internal/graph"
@@ -22,62 +20,49 @@ func addDamaged(f *testing.F, valid []byte) {
 }
 
 // FuzzReadSet: whatever the stream reader accepts — whole set or
-// partition, any version and layout, without a seed or under seed 42, the
-// one a weighted or approximate file of an earlier release needs — is a
-// fixed point of the writer: it re-serializes, reads back, and
-// re-serializes to the same bytes.  That is the upgrade path of an older
-// file, `adstool convert`, under hostile input.
+// partition — is a fixed point of the writer: it re-serializes, reads
+// back, and re-serializes to the same bytes.  The seeds include files of
+// earlier releases, which it refuses; internal/legacy's FuzzReadSet reads
+// them, the upgrade path of adsconvert under hostile input.
 func FuzzReadSet(f *testing.F) {
 	files := v3Files(f)
 	addDamaged(f, files["weighted-partition"])
 	addDamaged(f, legacyV3(f, files["weighted-partition"]))
-	for _, fx := range v2Fixtures {
-		addDamaged(f, fx.read(f))
+	for _, name := range v2Fixtures {
+		addDamaged(f, readLegacyFixture(f, name))
 	}
 	f.Add([]byte("ADSK"))
 	f.Add([]byte{})
-	// An empty version-2 uniform set whose base-b is NaN.  The v2 decoder
-	// once took it, and WriteTo turned it into a file no reader took back.
-	le := binary.LittleEndian
-	nan := le.AppendUint32([]byte("ADSK"), 2)
-	nan = le.AppendUint32(nan, uint32(KindUniform))
-	nan = le.AppendUint32(nan, 1)                            // k
-	nan = le.AppendUint32(nan, 0)                            // flavor
-	nan = le.AppendUint64(nan, 42)                           // seed
-	nan = le.AppendUint64(nan, math.Float64bits(math.NaN())) // baseB
-	nan = le.AppendUint32(nan, 0)                            // numNodes
-	f.Add(nan)
-	seed := uint64(42)
+	f.Add(nanV2())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, seed := range []*uint64{nil, &seed} {
-			set, err := readAny(bytes.NewReader(data), seed)
-			if err != nil {
-				continue
-			}
-			first := v3Bytes(t, set)
-			set, err = ReadSketchSet(bytes.NewReader(first))
-			if err != nil {
-				t.Fatalf("the writer's output of an accepted file is refused: %v", err)
-			}
-			if !bytes.Equal(v3Bytes(t, set), first) {
-				t.Fatal("an accepted file is not a fixed point of write and read")
-			}
+		set, err := ReadSketchSet(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		first := v3Bytes(t, set)
+		set, err = ReadSketchSet(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("the writer's output of an accepted file is refused: %v", err)
+		}
+		if !bytes.Equal(v3Bytes(t, set), first) {
+			t.Fatal("an accepted file is not a fixed point of write and read")
 		}
 	})
 }
 
-// FuzzReadSketchSet: arbitrary bytes must never panic the universal
-// (all-kinds, both-formats) decoder; it either errors or yields a set
+// FuzzReadSketchSet: arbitrary bytes must never panic the stream reader
+// (of every kind); it either errors or yields a set
 // whose sketches pass validation and answer estimator queries without
 // panicking.
 func FuzzReadSketchSet(f *testing.F) {
 	// Seed with the version-3 file of every kind and the committed
-	// version-2 files, plus truncations and mutations of each.
+	// version-2 files, which it refuses, plus truncations and mutations of
+	// each.
 	for _, data := range v3Files(f) {
 		addDamaged(f, data)
 	}
-	for _, fx := range v2Fixtures {
-		addDamaged(f, fx.read(f))
+	for _, name := range v2Fixtures {
+		addDamaged(f, readLegacyFixture(f, name))
 	}
 	// The step code's own failure modes: counts, bits and steps that
 	// disagree, and well-formed codes over invalid distances.

@@ -312,47 +312,35 @@ func TestPartitionFileDetection(t *testing.T) {
 }
 
 // Truncated or header-corrupted partition files must error, not panic or
-// over-allocate — the version-3 files WriteTo emits and a version-2 one of
-// an earlier release alike (read under its seed, which it does not record,
-// and which the version-3 one is built with).
+// over-allocate.  (internal/legacy's test of this name has a version-2
+// one of an earlier release.)
 func TestPartitionCorruption(t *testing.T) {
 	set := buildUniform(t, Options{K: 4, Seed: 42})
 	parts, err := SplitSketchSet(set, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type input struct {
-		raw   []byte
-		count int // offset of the partition count: after magic, version, kind, [v3: flags,] index
-	}
-	inputs := map[string]input{"v3": {v3Bytes(t, parts[0]), 20}}
-	for _, fx := range v2Fixtures {
-		if fx.part >= 0 {
-			inputs[fx.file] = input{fx.read(t), 16}
-		}
-	}
+	raw := v3Bytes(t, parts[0])
 	read := func(b []byte) error {
-		set, err := ReadSketchSetWithSeed(bytes.NewReader(b), 42)
+		set, err := ReadSketchSet(bytes.NewReader(b))
 		if err == nil && !set.IsPartition() {
 			err = fmt.Errorf("read a whole set")
 		}
 		return err
 	}
-	for name, tc := range inputs {
-		raw := tc.raw
-		if err := read(raw); err != nil {
-			t.Fatalf("%s: intact partition refused: %v", name, err)
+	if err := read(raw); err != nil {
+		t.Fatalf("intact partition refused: %v", err)
+	}
+	for _, n := range []int{5, 12, 20, len(raw) / 2, len(raw) - 1} {
+		if err := read(raw[:n]); err == nil {
+			t.Errorf("truncation to %d bytes read successfully", n)
 		}
-		for _, n := range []int{5, 12, 20, len(raw) / 2, len(raw) - 1} {
-			if err := read(raw[:n]); err == nil {
-				t.Errorf("%s: truncation to %d bytes read successfully", name, n)
-			}
-		}
-		bad := append([]byte(nil), raw...)
-		copy(bad[tc.count:], []byte{0xff, 0xff, 0xff, 0xff})
-		if err := read(bad); err == nil || !strings.Contains(err.Error(), "partition count") {
-			t.Errorf("%s: implausible partition count: got %v", name, err)
-		}
+	}
+	// The partition count, after magic, version, kind, flags and index.
+	bad := append([]byte(nil), raw...)
+	copy(bad[20:], []byte{0xff, 0xff, 0xff, 0xff})
+	if err := read(bad); err == nil || !strings.Contains(err.Error(), "partition count") {
+		t.Errorf("implausible partition count: got %v", err)
 	}
 }
 

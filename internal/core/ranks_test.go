@@ -15,8 +15,8 @@ import (
 // ranks were derived: flag bits 1, 2 and 3 clear, 32 bits a node ID, a
 // distance per entry, a rank column after them, and — for weighted and
 // approximate sets — no seed in the header.  With perEntryV3, wideV3 and
-// plainV3 it is the test-only writer of the retired layouts the legacy
-// decoder reads; none of them has flag bit 4, so all have no numDistinct
+// plainV3 it is the test-only writer of the retired layouts the readers
+// refuse (internal/legacy, which reads them, has its own); none of them has flag bit 4, so all have no numDistinct
 // word and store 64 bits an offset and a float a step.
 func legacyV3(t testing.TB, data []byte) []byte { return oldV3(t, data, true, false, false) }
 
@@ -210,36 +210,18 @@ func TestV3Layout(t *testing.T) {
 }
 
 // TestV3BodySizeGuardsColumns: a header that misdescribes which columns
-// follow is caught by the body-size check before any column is read — by
-// the parser in the current layout, by the legacy decoder in an older one
-// — and the streaming reader agrees.
+// follow is caught by the body-size check before any column is read, and
+// the streaming reader agrees.  (internal/legacy's test of this name has
+// the same for the layouts it reads.)
 func TestV3BodySizeGuardsColumns(t *testing.T) {
-	files := v3Files(t)
-	flags := func(b []byte, clear, set uint32) []byte {
-		b = append([]byte(nil), b...)
-		binary.LittleEndian.PutUint32(b[12:], binary.LittleEndian.Uint32(b[12:])&^clear|set)
-		return b
-	}
-	weighted := files["weighted"]
+	weighted := v3Files(t)["weighted"]
 	entries := int(binary.LittleEndian.Uint64(weighted[framePreambleSize+48:]))
-	for name, tc := range map[string]struct {
-		data   []byte
-		legacy bool
-	}{
-		"flagged with a rank column's surplus": {flags(legacyV3(t, files["uniform"]), 0, frameFlagDerivedRanks), true},
-		"flag-less, one column short":          {flags(perEntryV3(t, files["uniform"]), frameFlagDerivedRanks, 0), true},
-		"flagged weighted without β":           {weighted[:len(weighted)-8*entries], false},
-	} {
-		open := openFrameBytes
-		if tc.legacy {
-			open = func(b []byte) (*Set, error) { return readRetiredV3(b, nil) }
-		}
-		if _, err := open(tc.data); err == nil || !strings.Contains(err.Error(), "header implies") {
-			t.Errorf("%s: got %v, want the body-size error", name, err)
-		}
-		if _, err := ReadSketchSet(bytes.NewReader(tc.data)); err == nil {
-			t.Errorf("%s: accepted by the streaming reader", name)
-		}
+	data := weighted[:len(weighted)-8*entries] // flagged weighted without β
+	if _, err := openFrameBytes(data); err == nil || !strings.Contains(err.Error(), "header implies") {
+		t.Errorf("flagged weighted without β: got %v, want the body-size error", err)
+	}
+	if _, err := ReadSketchSet(bytes.NewReader(data)); err == nil {
+		t.Errorf("flagged weighted without β: accepted by the streaming reader")
 	}
 }
 
@@ -307,9 +289,9 @@ func TestFreezeRejectsForeignRank(t *testing.T) {
 }
 
 // TestMergeRefusesMixedRanks: partitions that disagree on their seed do
-// not merge — the merged frame would silently take partition 0's — and one
-// read from a file that stored its ranks derives them like any other, so
-// it merges back into the whole set.
+// not merge — the merged frame would silently take partition 0's.
+// (internal/legacy's test of this name merges one read from a file that
+// stored its ranks.)
 func TestMergeRefusesMixedRanks(t *testing.T) {
 	g := graph.PreferentialAttachment(40, 3, 9)
 	beta := make([]float64, 40)
@@ -334,32 +316,12 @@ func TestMergeRefusesMixedRanks(t *testing.T) {
 	if _, err := MergeSketchSets([]*Set{a[0], b[1]}); err == nil {
 		t.Error("merged weighted partitions built under different seeds")
 	}
-	uniform, err := BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := SplitSketchSet(uniform, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := u[1].WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	stored, err := readRetiredV3(legacyV3(t, buf.Bytes()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := MergeSketchSets([]*Set{u[0], stored})
-	if err != nil || !bytes.Equal(v3Bytes(t, merged), v3Bytes(t, uniform)) {
-		t.Errorf("merging a partition read from a file that stored its ranks: got %v, want the whole set", err)
-	}
 }
 
 // TestFreezeOverMatchesFreeze: freezing a few lists over a base is the set
 // FreezeBottomK assembles from every list — runs of untouched nodes
-// block-copied — over a built base and over one read through the legacy
-// door from a file that stored its ranks, with nodes the base lacks.
+// block-copied — with nodes the base lacks.  (internal/legacy's test of
+// this name freezes over a base read from a file that stored its ranks.)
 func TestFreezeOverMatchesFreeze(t *testing.T) {
 	o := Options{K: 4, Seed: 42}
 	base, err := BuildSet(graph.PreferentialAttachment(30, 3, 9), o, AlgoPrunedDijkstra)
@@ -379,18 +341,12 @@ func TestFreezeOverMatchesFreeze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := readRetiredV3(legacyV3(t, v3Bytes(t, base)), nil)
+	got, err := FreezeBottomKOver(base, 33, changed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, base := range map[string]*Set{"derived base": base, "stored base": stored} {
-		got, err := FreezeBottomKOver(base, 33, changed)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(v3Bytes(t, got), v3Bytes(t, want)) {
-			t.Errorf("%s: frozen set differs from FreezeBottomK of the same lists", name)
-		}
+	if !bytes.Equal(v3Bytes(t, got), v3Bytes(t, want)) {
+		t.Error("frozen set differs from FreezeBottomK of the same lists")
 	}
 	delete(changed, 31)
 	if _, err := FreezeBottomKOver(base, 33, changed); err == nil {

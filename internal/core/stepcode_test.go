@@ -415,7 +415,8 @@ func TestStepCodeWorstCaseSize(t *testing.T) {
 
 // v3Fixture is a committed version-3 file in a layout an earlier release
 // wrote, recorded with that release's `adstool build -save` / `split`;
-// nothing in this tree writes it.
+// nothing in this tree writes it, and internal/legacy, which reads it,
+// keeps it.
 type v3Fixture struct {
 	file  string
 	part  int // the index the file holds of a 2-way split of its build, or -1
@@ -443,31 +444,30 @@ func v3Fixtures(tag string) []v3Fixture {
 
 // TestV3PerEntryDistFixtures: the files of the last release before step
 // coding — a distance per entry, 32 bits a node ID, flags bits 2 and 3
-// clear.
+// clear — are refused.
 func TestV3PerEntryDistFixtures(t *testing.T) {
 	checkV3Fixtures(t, v3Fixtures("v3dist"), frameFlagDerivedRanks, perEntryV3)
 }
 
 // TestV3WideNodeFixtures: the files of the last release before node IDs
-// were packed — step-coded, 32 bits a node ID, flags bit 3 clear.
+// were packed — step-coded, 32 bits a node ID, flags bit 3 clear — are
+// refused.
 func TestV3WideNodeFixtures(t *testing.T) {
 	checkV3Fixtures(t, v3Fixtures("v3step"), frameFlagDerivedRanks|frameFlagStepDists, wideV3)
 }
 
 // TestV3WideColumnFixtures: the files of the last release before the
 // compact columns — step-coded, packed IDs, 64 bits an offset and a float
-// a step, flags bit 4 clear.
+// a step, flags bit 4 clear — are refused.
 func TestV3WideColumnFixtures(t *testing.T) {
 	checkV3Fixtures(t, v3Fixtures("v3pack"), frameFlagDerivedRanks|frameFlagStepDists|frameFlagPackedNodes, plainV3)
 }
 
 // checkV3Fixtures: every committed file of an earlier layout (its flags,
-// less the β bit, being layout) is refused by the parser, opens through
-// all three entry points by the legacy door — unmapped, as version 3 —
-// answers bit for bit like a fresh build, entry for entry, and is written
-// back as the bytes a fresh build writes — which is what `adstool convert`
-// does with it, no flag needed.  The fixtures also pin rewrite, the
-// test-only writer of that layout, to what the release really wrote.
+// less the β bit, being layout) is larger than a fresh build's file and is
+// refused by every reader, naming adsconvert (internal/legacy's tests of
+// these names read them).  The fixtures also pin rewrite, the test-only
+// writer of that layout, to what the release really wrote.
 func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite func(testing.TB, []byte) []byte) {
 	g := graph.PreferentialAttachment(60, 3, 9)
 	beta := make([]float64, g.NumNodes())
@@ -475,11 +475,8 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 		beta[i] = 1 + float64(i%7)
 	}
 	for _, fx := range fixtures {
-		path := filepath.Join("testdata", fx.file)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		path := legacyFixture(fx.file)
+		data := readLegacyFixture(t, fx.file)
 		if flags := binary.LittleEndian.Uint32(data[12:]); flags&^frameFlagBeta != layout {
 			t.Fatalf("%s: flags %#x: not a file of the layout with flags %#x", fx.file, flags, layout)
 		}
@@ -493,7 +490,7 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, want = parts[fx.part], v3Bytes(t, parts[fx.part])
+			want = v3Bytes(t, parts[fx.part])
 		}
 		if !bytes.Equal(rewrite(t, want), data) {
 			t.Errorf("%s: the test's writer of that layout does not turn a fresh build into the committed file", fx.file)
@@ -501,37 +498,10 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 		if len(want) >= len(data) {
 			t.Errorf("%s: %d bytes as written now, %d as committed", fx.file, len(want), len(data))
 		}
-		if _, err := openFrameBytes(data); err == nil || !strings.Contains(err.Error(), "adstool convert") {
-			t.Errorf("%s: parser: %v, want a refusal naming adstool convert", fx.file, err)
+		if _, err := openFrameBytes(data); err == nil || !strings.Contains(err.Error(), "adsconvert") {
+			t.Errorf("%s: parser: %v, want a refusal naming adsconvert", fx.file, err)
 		}
-		wf := fresh.frame
-		for reader, sf := range openAll(t, path) {
-			if sf.Version() != EncodeVersion || sf.Mapped() || (sf.Set().IsPartition()) != (fx.part >= 0) {
-				t.Fatalf("%s via %s: version %d, mapped %v, partition %v", fx.file, reader, sf.Version(), sf.Mapped(), sf.Set().IsPartition())
-			}
-			f := sf.frame()
-			for v := int32(0); int(v) < wf.n; v++ {
-				a, b := wf.Index(v), f.Index(v)
-				if a.Closeness() != b.Closeness() || a.Harmonic() != b.Harmonic() || a.Neighborhood(2) != b.Neighborhood(2) || a.Total() != b.Total() {
-					t.Fatalf("%s via %s: node %d answers differ from a fresh build's", fx.file, reader, f.owner(int(v)))
-				}
-				wantSegs, gotSegs := wf.segViews(int(v)), f.segViews(int(v))
-				for s := range wantSegs {
-					if len(wantSegs[s].entries()) != gotSegs[s].len() {
-						t.Fatalf("%s via %s: node %d segment %d sizes differ", fx.file, reader, v, s)
-					}
-					for i, e := range wantSegs[s].entries() {
-						if gotSegs[s].at(i) != e {
-							t.Fatalf("%s via %s: node %d segment %d entry %d: %+v, fresh build %+v", fx.file, reader, v, s, i, gotSegs[s].at(i), e)
-						}
-					}
-				}
-			}
-			if got := v3Bytes(t, sf.Set()); !bytes.Equal(got, want) {
-				t.Errorf("%s via %s: written back as %d bytes, not the %d a fresh build writes", fx.file, reader, len(got), len(want))
-			}
-			sf.Close()
-		}
+		checkRefused(t, path)
 	}
 }
 

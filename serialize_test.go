@@ -93,53 +93,49 @@ func TestWriteToReadSketchSetRoundTrip(t *testing.T) {
 	}
 }
 
-// Bad headers are refused in both formats the reader takes: the version-3
-// bytes WriteTo emits and a committed version-2 file of an earlier
-// release.  A weighted one of those records no seed, and is refused
-// without one, naming the command that takes it.
+// Bad headers are refused in the format the reader takes, the version-3
+// bytes WriteTo emits; a committed version-2 file of an earlier release is
+// refused whole, naming the tool that rewrites it.
 func TestReadSketchSetRejectsBadHeaders(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := buildAllKinds(t)["uniform"].WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := os.ReadFile("internal/core/testdata/weighted_v2_k4.ads")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := adsketch.ReadSketchSet(bytes.NewReader(weighted)); err == nil || !strings.Contains(err.Error(), "adstool convert -seed") {
-		t.Errorf("weighted v2 without its seed: %v", err)
-	}
-	v2, err := os.ReadFile("internal/core/testdata/kmins_base2_v2_k4.ads")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{"v3": buf.Bytes(), "v2": v2} {
-		if _, err := adsketch.ReadSketchSet(bytes.NewReader(data)); err != nil {
-			t.Fatalf("%s: intact file refused: %v", name, err)
+	for _, name := range []string{"weighted_v2_k4.ads", "kmins_base2_v2_k4.ads"} {
+		v2, err := os.ReadFile("internal/legacy/testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Wrong magic.
-		bad := append([]byte("NOPE"), data[4:]...)
-		if _, err := adsketch.ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "magic") {
-			t.Errorf("%s: bad magic: %v", name, err)
+		if _, err := adsketch.ReadSketchSet(bytes.NewReader(v2)); err == nil || !strings.Contains(err.Error(), "adsconvert") {
+			t.Errorf("%s: %v, want a refusal naming adsconvert", name, err)
 		}
-		// Unsupported versions: an unknown one, and 1, which is no longer read.
-		for _, v := range []byte{99, 1} {
-			bad = append([]byte(nil), data...)
-			bad[4] = v
-			if _, err := adsketch.ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "supported versions are 2 and 3") {
-				t.Errorf("%s: version %d: %v", name, v, err)
-			}
-		}
-		// Unknown kind.
+	}
+	data := buf.Bytes()
+	if _, err := adsketch.ReadSketchSet(bytes.NewReader(data)); err != nil {
+		t.Fatalf("intact file refused: %v", err)
+	}
+	// Wrong magic.
+	bad := append([]byte("NOPE"), data[4:]...)
+	if _, err := adsketch.ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Errorf("bad magic: %v", err)
+	}
+	// Unsupported versions: an unknown one, and 1, which is no longer read.
+	for _, v := range []byte{99, 1} {
 		bad = append([]byte(nil), data...)
-		bad[8] = 77
-		if _, err := adsketch.ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "kind") {
-			t.Errorf("%s: bad kind: %v", name, err)
+		bad[4] = v
+		if _, err := adsketch.ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "want 3") {
+			t.Errorf("version %d: %v", v, err)
 		}
-		// Truncated.
-		if _, err := adsketch.ReadSketchSet(bytes.NewReader(data[:len(data)/3])); err == nil {
-			t.Errorf("%s: truncated file accepted", name)
-		}
+	}
+	// Unknown kind.
+	bad = append([]byte(nil), data...)
+	bad[8] = 77
+	if _, err := adsketch.ReadSketchSet(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "kind") {
+		t.Errorf("bad kind: %v", err)
+	}
+	// Truncated.
+	if _, err := adsketch.ReadSketchSet(bytes.NewReader(data[:len(data)/3])); err == nil {
+		t.Error("truncated file accepted")
 	}
 	// Empty.
 	if _, err := adsketch.ReadSketchSet(bytes.NewReader(nil)); err == nil {
