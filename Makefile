@@ -12,7 +12,7 @@ COVER_BASELINE ?= 80.0
 # fail above it.  Lower it when the closure shrinks; raising it needs a
 # CHANGES.md line giving the reason.  A plain constant, so the
 # environment cannot override it.
-CLOSURE_BUDGET = 17043
+CLOSURE_BUDGET = 16365
 
 .PHONY: test loc race cpus analyze benchmark-smoke cover fuzz-smoke memprofile ingest-smoke load-smoke wire-smoke distbuild-smoke clean
 
@@ -59,10 +59,11 @@ cpus:
 
 # Static-analysis gate, also a required CI step: gofmt, the serving
 # binaries' closure (none of SERVING_BINS may link the paper lab —
-# adsketch/lab, internal/simulate, or internal/stats with the reference
-# error curves — or internal/legacy, the decoder of older files that only
-# adsconvert links, and their packages may hold at most CLOSURE_BUDGET
-# non-test lines), the standard vet suite, the repo's
+# adsketch/lab, internal/simulate, internal/stats with the reference
+# error curves, or internal/sketch with the MinHash flavors and their
+# Section 4 formulas — or internal/legacy, the decoder of older files that
+# only adsconvert links, and their packages may hold at most
+# CLOSURE_BUDGET non-test lines), the standard vet suite, the repo's
 # own invariant analyzers (cmd/adsvet — detorder, refpair, wireformat,
 # kindswitch, lockheld; see README "Static analysis"), and staticcheck
 # when installed (CI installs a pinned version; locally the step is
@@ -71,7 +72,7 @@ cpus:
 analyze:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 	  echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
-	@lab=$$($(GO) list -deps $(SERVING_BINS) | grep -xE 'adsketch/(lab|internal/simulate|internal/stats|internal/legacy)'); \
+	@lab=$$($(GO) list -deps $(SERVING_BINS) | grep -xE 'adsketch/(lab|internal/simulate|internal/stats|internal/sketch|internal/legacy)'); \
 	if [ -n "$$lab" ]; then echo "the serving binaries link the paper lab or the legacy decoder:" >&2; \
 	  echo "$$lab" >&2; exit 1; fi
 	@lines=$$($(SERVING_LINES)); if [ "$$lines" -gt $(CLOSURE_BUDGET) ]; then \

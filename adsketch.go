@@ -17,16 +17,17 @@
 // The package is a facade over the internal implementation:
 //
 //   - graphs: compact CSR graphs, deterministic generators, edge-list I/O;
-//   - sketches: bottom-k, k-mins and k-partition ADS, built by
+//   - sketches: bottom-k ADS, built by
 //     PrunedDijkstra (Algorithm 1), unweighted DP rounds, or LocalUpdates
 //     (Algorithm 2), over full-precision or base-b ranks, with uniform or
 //     weighted (Section 9) nodes;
 //   - estimators: basic (Section 4) and HIP (Section 5) cardinality
-//     estimators, the permutation estimator (Section 5.4), the size-only
-//     estimator (Section 8), and query-time α/β centrality kernels;
-//   - streams: ADS over data streams (Section 3.1), HyperLogLog and the
-//     HIP distinct counter (Section 6), and Morris counters (Section 7)
-//     live in package adsketch/lab, which no serving binary links;
+//     estimators and query-time α/β centrality kernels;
+//   - the paper's other flavors and toolkits — the k-mins and k-partition
+//     ADS, the size-only estimator (Section 8), ADS over data streams
+//     (Section 3.1), HyperLogLog and the HIP distinct counter (Section 6),
+//     and Morris counters (Section 7) — live in package adsketch/lab,
+//     which no serving binary links;
 //   - analysis: closeness/harmonic/decay centralities from Engine, and in
 //     adsketch/lab their per-call references with exact baselines, and
 //     distance distributions via ANF/HyperANF (Appendix B.1).
@@ -78,7 +79,7 @@
 // # Serving fleets of datasets
 //
 // A deployment serves many sketch datasets — one per graph snapshot,
-// per day, per k, per flavor — and replaces them under live traffic.
+// per day, per k, per kind — and replaces them under live traffic.
 // Catalog is that layer: a registry of named, versioned datasets (each
 // an Engine or Coordinator), routed per query by Request.Dataset, with
 // zero-downtime hot swaps (Catalog.Swap: in-flight queries drain on the
@@ -103,7 +104,6 @@ import (
 	"adsketch/internal/cluster"
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
 // Graph is a compact immutable graph in CSR form.
@@ -139,16 +139,6 @@ var (
 	WithRandomWeights      = graph.WithRandomWeights
 )
 
-// Flavor selects the MinHash sampling scheme underlying the sketches.
-type Flavor = sketch.Flavor
-
-// Sketch flavors (Section 2 of the paper).
-const (
-	BottomK    = sketch.BottomK
-	KMins      = sketch.KMins
-	KPartition = sketch.KPartition
-)
-
 // Algorithm selects a construction algorithm (Section 3).
 type Algorithm = core.Algorithm
 
@@ -161,17 +151,16 @@ const (
 	AlgoBruteForce     = core.AlgoBruteForce
 )
 
-// Set holds the sketches of one graph's nodes, of any kind — uniform
-// ranks of any flavor, the Section 9 weighted ranks, or the
-// (1+ε)-approximate construction of Section 3, whose updates per entry are
-// at most log_{1+ε}(n·w_max/w_min) — which Params reports.  It is the one
-// set type: a whole set, or one node-range partition of a split
-// (SplitSketchSet), which Lo, Hi, TotalNodes and Part describe.  The
-// uniform bottom-k sets additionally support the coordinated cross-sketch
-// operations.
+// Set holds the bottom-k sketches of one graph's nodes, of any kind —
+// uniform ranks at full precision or base b, the Section 9 weighted ranks,
+// or the (1+ε)-approximate construction of Section 3, whose updates per
+// entry are at most log_{1+ε}(n·w_max/w_min) — which Params reports.  It is
+// the one set type: a whole set, or one node-range partition of a split
+// (SplitSketchSet), which Lo, Hi, TotalNodes and Part describe.  The uniform
+// sets additionally support the coordinated cross-sketch operations.
 type Set = core.Set
 
-// NodeSketch is the per-node query interface shared by all flavors.
+// NodeSketch is the per-node query interface shared by all kinds.
 type NodeSketch = core.Sketch
 
 // Ranked is one node with its centrality score, as returned by the

@@ -436,7 +436,6 @@ func BenchmarkBuildPipeline(b *testing.B) {
 	}{
 		{"default", nil, 0},
 		{"WithNodeWeights", []adsketch.Option{adsketch.WithNodeWeights(beta)}, 0},
-		{"KMins", []adsketch.Option{adsketch.WithFlavor(adsketch.KMins)}, 0},
 		{"GOMAXPROCS1", nil, 1},
 	} {
 		opts := append([]adsketch.Option{adsketch.WithK(16), adsketch.WithSeed(42)}, c.opts...)

@@ -11,7 +11,7 @@ import (
 
 // The dataset-management layer.  An Engine (or Coordinator) serves one
 // sketch set for the process lifetime; a production deployment serves
-// fleets of them — one per graph snapshot, per day, per k, per flavor —
+// fleets of them — one per graph snapshot, per day, per k, per kind —
 // and rebuilds them while traffic is live.  Catalog is the registry in
 // front of those backends: named datasets, each with a version counter,
 // resolved per query by Request.Dataset (empty = the default dataset,

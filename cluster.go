@@ -42,13 +42,6 @@ const (
 	KindApproximate = "approximate"
 )
 
-// Names of MinHash flavors in serving metadata (ShardMeta.Flavor).
-const (
-	FlavorBottomK    = "bottomk"
-	FlavorKMins      = "kmins"
-	FlavorKPartition = "kpartition"
-)
-
 // ShardMeta identifies what one serving backend holds: its position in
 // the split, the global node range it owns, and the sketch parameters.
 // It is the payload of the adsserver /v1/meta endpoint, which a
@@ -65,10 +58,9 @@ type ShardMeta struct {
 	TotalNodes int `json:"total_nodes"`
 	// K is the sketch parameter.
 	K int `json:"k"`
-	// Kind is the set kind: uniform, weighted, or approximate.
+	// Kind is the set kind: uniform, weighted, or approximate.  Every
+	// kind holds bottom-k sketches.
 	Kind string `json:"kind"`
-	// Flavor is the MinHash flavor: bottomk, kmins, or kpartition.
-	Flavor string `json:"flavor"`
 }
 
 // ShardBackend is one partition backend of a Coordinator: anything that
@@ -238,7 +230,6 @@ type Coordinator struct {
 	total  int
 	k      int
 	kind   string
-	flavor string
 }
 
 // NewCoordinator builds a coordinator over a complete split: one backend
@@ -293,10 +284,10 @@ func NewReplicatedCoordinator(groups [][]ShardBackend, opts ...CoordinatorOption
 	for i, b := range backends {
 		every[i].Shard = i
 		m := b.Meta()
-		if m.TotalNodes != first.TotalNodes || m.K != first.K || m.Kind != first.Kind || m.Flavor != first.Flavor {
-			return nil, fmt.Errorf("%w: shard %d serves (%d nodes, k=%d, %s/%s), shard 0 (%d nodes, k=%d, %s/%s)",
-				ErrBadOption, i, m.TotalNodes, m.K, m.Kind, m.Flavor,
-				first.TotalNodes, first.K, first.Kind, first.Flavor)
+		if m.TotalNodes != first.TotalNodes || m.K != first.K || m.Kind != first.Kind {
+			return nil, fmt.Errorf("%w: shard %d serves (%d nodes, k=%d, %s), shard 0 (%d nodes, k=%d, %s)",
+				ErrBadOption, i, m.TotalNodes, m.K, m.Kind,
+				first.TotalNodes, first.K, first.Kind)
 		}
 		ranges[i] = cluster.Range{Shard: i, Lo: m.Lo, Hi: m.Hi}
 	}
@@ -314,7 +305,6 @@ func NewReplicatedCoordinator(groups [][]ShardBackend, opts ...CoordinatorOption
 		total:  first.TotalNodes,
 		k:      first.K,
 		kind:   first.Kind,
-		flavor: first.Flavor,
 	}, nil
 }
 
@@ -346,7 +336,7 @@ func (c *Coordinator) Meta() ShardMeta {
 	return ShardMeta{
 		Index: 0, Count: 1,
 		Lo: 0, Hi: int32(c.total), TotalNodes: c.total,
-		K: c.k, Kind: c.kind, Flavor: c.flavor,
+		K: c.k, Kind: c.kind,
 	}
 }
 
@@ -871,9 +861,9 @@ func (c *Coordinator) planNodes(nodes []int32) ([]cluster.Sub, error) {
 // coordinated sketches, which an approximate set — bottom-k at full
 // precision — does not hold either.
 func requireCoordinated(m ShardMeta) error {
-	if m.Kind != KindUniform || m.Flavor != FlavorBottomK {
-		return fmt.Errorf("%w: requires uniform-rank bottom-k coordinated sketches, the set holds %s/%s sketches",
-			ErrUnsupportedQuery, m.Kind, m.Flavor)
+	if m.Kind != KindUniform {
+		return fmt.Errorf("%w: requires uniform-rank bottom-k coordinated sketches, the set holds %s sketches",
+			ErrUnsupportedQuery, m.Kind)
 	}
 	return nil
 }

@@ -64,7 +64,7 @@ func TestShardStatusErrMappings(t *testing.T) {
 func fakeWorkerMeta() adsketch.ShardMeta {
 	return adsketch.ShardMeta{
 		Index: 0, Count: 1, Lo: 0, Hi: 400, TotalNodes: 400,
-		K: 8, Kind: adsketch.KindUniform, Flavor: adsketch.FlavorBottomK,
+		K: 8, Kind: adsketch.KindUniform,
 	}
 }
 

@@ -27,7 +27,9 @@ const maxShardRespBytes = 64 << 20
 // coordinator-specific surface.
 //
 // The hop speaks binary frames only: dialing refuses a worker whose
-// /v1/meta does not advertise the binary framing (Ads-Protocols).
+// /v1/meta does not advertise the binary framing (Ads-Protocols), and a
+// worker of an earlier release whose /v1/meta names a flavor other than
+// bottom-k, the only sketches a coordinator merges.
 type httpShard struct {
 	base   string
 	meta   adsketch.ShardMeta
@@ -91,15 +93,20 @@ func (c clusterConfig) coordinatorOptions() []adsketch.CoordinatorOption {
 // binding its listener gets a grace period, while a wrong URL fails in
 // seconds instead of wedging startup on a default TCP timeout.  A worker
 // that answers without advertising the binary framing is refused at
-// once: the coordinator speaks nothing else to its workers.
+// once: the coordinator speaks nothing else to its workers.  So is one
+// that serves k-mins or k-partition sketches.
 func dialShard(base string, cfg clusterConfig) (*httpShard, error) {
 	s := &httpShard{
 		base:   strings.TrimSuffix(base, "/"),
 		client: &http.Client{Timeout: 60 * time.Second, Transport: shardTransport},
 	}
 	for attempt := 0; ; attempt++ {
-		protocols, err := s.fetchMeta(cfg.dialTimeout)
+		protocols, flavor, err := s.fetchMeta(cfg.dialTimeout)
 		if err == nil {
+			if flavor != "" && flavor != "bottomk" {
+				return nil, fmt.Errorf("dialing shard %s: /v1/meta names flavor %q, sketches no coordinator merges: only bottom-k sketches are served",
+					s.base, flavor)
+			}
 			if !strings.Contains(protocols, wire.ContentType) {
 				return nil, fmt.Errorf("dialing shard %s: /v1/meta advertises %s %q, want %s (the coordinator speaks only binary frames to workers)",
 					s.base, protoHeader, protocols, wire.ContentType)
@@ -118,8 +125,10 @@ func dialShard(base string, cfg clusterConfig) (*httpShard, error) {
 }
 
 // fetchMeta performs one /v1/meta attempt under its own deadline and
-// returns the worker's protocol advertisement.
-func (s *httpShard) fetchMeta(timeout time.Duration) (string, error) {
+// returns the worker's protocol advertisement and the flavor its meta
+// names: none, or — from a worker of an earlier release — bottomk, kmins
+// or kpartition.
+func (s *httpShard) fetchMeta(timeout time.Duration) (protocols, flavor string, err error) {
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -128,24 +137,29 @@ func (s *httpShard) fetchMeta(timeout time.Duration) (string, error) {
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+"/v1/meta", nil)
 	if err != nil {
-		return "", fmt.Errorf("dialing shard %s: %w", s.base, err)
+		return "", "", fmt.Errorf("dialing shard %s: %w", s.base, err)
 	}
 	resp, err := s.client.Do(req)
 	if err != nil {
-		return "", fmt.Errorf("dialing shard %s: %w", s.base, err)
+		return "", "", fmt.Errorf("dialing shard %s: %w", s.base, err)
 	}
 	defer resp.Body.Close()
 	payload, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return "", fmt.Errorf("dialing shard %s: %w", s.base, err)
+		return "", "", fmt.Errorf("dialing shard %s: %w", s.base, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("dialing shard %s: %s: %s", s.base, resp.Status, strings.TrimSpace(string(payload)))
+		return "", "", fmt.Errorf("dialing shard %s: %s: %s", s.base, resp.Status, strings.TrimSpace(string(payload)))
 	}
-	if err := json.Unmarshal(payload, &s.meta); err != nil {
-		return "", fmt.Errorf("dialing shard %s: decoding /v1/meta: %v", s.base, err)
+	var meta struct {
+		adsketch.ShardMeta
+		Flavor string `json:"flavor"`
 	}
-	return resp.Header.Get(protoHeader), nil
+	if err := json.Unmarshal(payload, &meta); err != nil {
+		return "", "", fmt.Errorf("dialing shard %s: decoding /v1/meta: %v", s.base, err)
+	}
+	s.meta = meta.ShardMeta
+	return resp.Header.Get(protoHeader), meta.Flavor, nil
 }
 
 func (s *httpShard) Meta() adsketch.ShardMeta { return s.meta }

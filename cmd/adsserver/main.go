@@ -17,7 +17,7 @@
 //	adsserver -workers http://localhost:8081,http://localhost:8082 -addr :8080
 //
 //	# multi-dataset: named datasets (one per snapshot, per k, per
-//	# flavor), hot-swappable at runtime through the admin endpoints
+//	# kind), hot-swappable at runtime through the admin endpoints
 //	adsserver -sketches today.ads -dataset yesterday=yday.ads \
 //	          -dataset social-k64=social.v3.ads -mmap -addr :8080
 //

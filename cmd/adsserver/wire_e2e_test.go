@@ -241,3 +241,46 @@ func TestDialRefusesJSONOnlyWorker(t *testing.T) {
 		t.Errorf("refused worker received %d queries", n)
 	}
 }
+
+// TestDialRefusesOtherFlavorWorker: a worker of an earlier release whose
+// /v1/meta names the k-mins or k-partition flavor is refused at dial,
+// naming the worker and the flavor, and is neither retried nor queried; a
+// worker of one naming bottom-k is dialed as before.
+func TestDialRefusesOtherFlavorWorker(t *testing.T) {
+	for _, flavor := range []string{"kmins", "kpartition", "bottomk"} {
+		var metas, queries atomic.Int64
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/meta", func(w http.ResponseWriter, r *http.Request) {
+			metas.Add(1)
+			meta := fakeWorkerMeta()
+			w.Header().Set(protoHeader, wire.ContentType)
+			writeJSON(w, http.StatusOK, map[string]any{
+				"index": meta.Index, "count": meta.Count, "lo": meta.Lo, "hi": meta.Hi,
+				"total_nodes": meta.TotalNodes, "k": meta.K, "kind": meta.Kind, "flavor": flavor,
+			})
+		})
+		mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
+			queries.Add(1)
+		})
+		old := httptest.NewServer(mux)
+		s, err := dialShard(old.URL, clusterDefaults())
+		old.Close()
+		if flavor == "bottomk" {
+			if err != nil {
+				t.Errorf("dialing a bottom-k worker of an earlier release: %v", err)
+			} else if s.Meta() != fakeWorkerMeta() {
+				t.Errorf("dialing a bottom-k worker of an earlier release: meta %+v", s.Meta())
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), old.URL) || !strings.Contains(err.Error(), `"`+flavor+`"`) {
+			t.Errorf("dialing a %s worker: err = %v, want a refusal naming %s and the flavor", flavor, err, old.URL)
+		}
+		if n := metas.Load(); n != 1 {
+			t.Errorf("%s worker's /v1/meta fetched %d times, want 1 (a refusal is not retried)", flavor, n)
+		}
+		if n := queries.Load(); n != 0 {
+			t.Errorf("refused %s worker received %d queries", flavor, n)
+		}
+	}
+}

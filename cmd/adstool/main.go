@@ -154,7 +154,6 @@ func buildFlags(fs *flag.FlagSet) (path *string, directed *bool, opts func() ([]
 	directed = fs.Bool("directed", false, "treat edges as directed")
 	k := fs.Int("k", 16, "sketch parameter")
 	seed := fs.Uint64("seed", 42, "rank seed")
-	flavor := fs.String("flavor", "bottomk", "bottomk, kmins, kpartition")
 	algo := fs.String("algo", "dijkstra", "dijkstra, dp, local, brute")
 	baseB := fs.Float64("baseb", 0, "base-b rank rounding (> 1; 0 = full precision)")
 	eps := fs.Float64("eps", -1, "(1+eps)-approximate construction (>= 0 enables)")
@@ -162,15 +161,6 @@ func buildFlags(fs *flag.FlagSet) (path *string, directed *bool, opts func() ([]
 	priority := fs.Bool("priority", false, "priority (Sequential Poisson) ranks for -weights")
 	opts = func() ([]adsketch.Option, error) {
 		out := []adsketch.Option{adsketch.WithK(*k), adsketch.WithSeed(*seed)}
-		switch *flavor {
-		case "bottomk":
-		case "kmins":
-			out = append(out, adsketch.WithFlavor(adsketch.KMins))
-		case "kpartition":
-			out = append(out, adsketch.WithFlavor(adsketch.KPartition))
-		default:
-			return nil, fmt.Errorf("unknown flavor %q", *flavor)
-		}
 		switch *algo {
 		case "dijkstra":
 		case "dp":
@@ -352,9 +342,6 @@ func runInfo(args []string) error {
 	fmt.Printf("codec version   %d\n", adsketch.SketchFormatVersion)
 	p := set.Params()
 	fmt.Printf("kind            %v\n", p.Kind)
-	if p.Kind == core.KindUniform {
-		fmt.Printf("flavor          %s\n", strings.ReplaceAll(p.Flavor.String(), "-", ""))
-	}
 	fmt.Printf("k               %d\n", p.K)
 	fmt.Printf("seed            %d\n", p.Seed)
 	switch p.Kind {
@@ -436,7 +423,7 @@ func runInfluence(args []string) error {
 	if err != nil {
 		return err
 	}
-	if p := set.Params(); p.Kind != core.KindUniform || p.Flavor != adsketch.BottomK {
+	if set.Params().Kind != core.KindUniform {
 		return fmt.Errorf("influence requires uniform-rank (coordinated) bottom-k sketches")
 	}
 	chosen, coverage := adsketch.GreedyInfluenceSeeds(set, nil, *seeds, *d)

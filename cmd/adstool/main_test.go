@@ -177,14 +177,11 @@ func TestInfo(t *testing.T) {
 		absent []string
 	}{
 		{write("bottomk.ads", build()),
-			map[string]string{"kind": "uniform", "flavor": "bottomk", "base-b": "full precision", "nodes": "60"},
-			[]string{"scheme", "epsilon", "partition", "node range"}},
-		{write("kmins.ads", build(adsketch.WithFlavor(adsketch.KMins), adsketch.WithBaseB(2))),
-			map[string]string{"kind": "uniform", "flavor": "kmins", "base-b": "2"},
-			[]string{"scheme", "epsilon"}},
-		{write("kpartition.ads", build(adsketch.WithFlavor(adsketch.KPartition))),
-			map[string]string{"kind": "uniform", "flavor": "kpartition", "base-b": "full precision"},
-			[]string{"scheme", "epsilon"}},
+			map[string]string{"kind": "uniform", "base-b": "full precision", "nodes": "60"},
+			[]string{"flavor", "scheme", "epsilon", "partition", "node range"}},
+		{write("base2.ads", build(adsketch.WithBaseB(2))),
+			map[string]string{"kind": "uniform", "base-b": "2"},
+			[]string{"flavor", "scheme", "epsilon"}},
 		{write("weighted.ads", build(adsketch.WithNodeWeights(beta))),
 			map[string]string{"kind": "weighted", "scheme": "exponential"},
 			[]string{"flavor", "base-b", "epsilon"}},

@@ -50,14 +50,7 @@ func NewEngine(set *Set) (*Engine, error) {
 	p := set.Params()
 	index, count := set.Part()
 	e.meta = ShardMeta{Index: index, Count: count, Lo: set.Lo(), Hi: set.Hi(), TotalNodes: set.TotalNodes(),
-		K: p.K, Kind: p.Kind.String(), Flavor: FlavorBottomK}
-	switch p.Flavor {
-	case BottomK:
-	case KMins:
-		e.meta.Flavor = FlavorKMins
-	case KPartition:
-		e.meta.Flavor = FlavorKPartition
-	}
+		K: p.K, Kind: p.Kind.String()}
 	// Cache slots are local indices: global node v lives in slot v - Lo,
 	// built on the node's first query.
 	e.cache = query.NewIndexCache(set.NumNodes(), set.Index)

@@ -29,7 +29,7 @@ func buildEngine(t *testing.T) (*adsketch.Graph, adsketch.SketchSet, *adsketch.E
 	return g, set, eng
 }
 
-// TestEngineMetaPerKind pins the kind, flavor and k every construction
+// TestEngineMetaPerKind pins the kind and k every construction
 // reports through Engine.Meta — for the built set, the set read back from
 // its file, and a shard engine over one partition of it.
 func TestEngineMetaPerKind(t *testing.T) {
@@ -39,17 +39,15 @@ func TestEngineMetaPerKind(t *testing.T) {
 		beta[i] = 1 + float64(i%3)
 	}
 	for _, tc := range []struct {
-		name         string
-		opts         []adsketch.Option
-		kind, flavor string
+		name string
+		opts []adsketch.Option
+		kind string
 	}{
-		{"bottomk", nil, adsketch.KindUniform, adsketch.FlavorBottomK},
-		{"kmins", []adsketch.Option{adsketch.WithFlavor(adsketch.KMins)}, adsketch.KindUniform, adsketch.FlavorKMins},
-		{"kpartition", []adsketch.Option{adsketch.WithFlavor(adsketch.KPartition)}, adsketch.KindUniform, adsketch.FlavorKPartition},
-		{"base-b", []adsketch.Option{adsketch.WithBaseB(2)}, adsketch.KindUniform, adsketch.FlavorBottomK},
-		{"weighted-exp", []adsketch.Option{adsketch.WithNodeWeights(beta)}, adsketch.KindWeighted, adsketch.FlavorBottomK},
-		{"weighted-priority", []adsketch.Option{adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()}, adsketch.KindWeighted, adsketch.FlavorBottomK},
-		{"approx", []adsketch.Option{adsketch.WithApproxEps(0.25)}, adsketch.KindApproximate, adsketch.FlavorBottomK},
+		{"bottomk", nil, adsketch.KindUniform},
+		{"base-b", []adsketch.Option{adsketch.WithBaseB(2)}, adsketch.KindUniform},
+		{"weighted-exp", []adsketch.Option{adsketch.WithNodeWeights(beta)}, adsketch.KindWeighted},
+		{"weighted-priority", []adsketch.Option{adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()}, adsketch.KindWeighted},
+		{"approx", []adsketch.Option{adsketch.WithApproxEps(0.25)}, adsketch.KindApproximate},
 	} {
 		set, err := adsketch.Build(g, append([]adsketch.Option{adsketch.WithK(4), adsketch.WithSeed(5)}, tc.opts...)...)
 		if err != nil {
@@ -80,8 +78,8 @@ func TestEngineMetaPerKind(t *testing.T) {
 			t.Fatal(tc.name, err)
 		}
 		for _, eng := range []*adsketch.Engine{built, loaded, shard} {
-			if m := eng.Meta(); m.Kind != tc.kind || m.Flavor != tc.flavor || m.K != 4 {
-				t.Errorf("%s: meta kind %q flavor %q k %d, want %q %q 4", tc.name, m.Kind, m.Flavor, m.K, tc.kind, tc.flavor)
+			if m := eng.Meta(); m.Kind != tc.kind || m.K != 4 {
+				t.Errorf("%s: meta kind %q k %d, want %q 4", tc.name, m.Kind, m.K, tc.kind)
 			}
 		}
 	}
@@ -536,4 +534,28 @@ func allocsAtProcs(procs, runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
+}
+
+// TestColdIndexBytes pins what serving the repository benchmark's set
+// costs beyond its frame — PA(10000, 5) of graph seed 1, k=16, rank seed
+// 42, whose 2,432,408-byte frame TestBenchmarkFrameBytes pins: one top-k
+// builds every node's HIP index, 10,000 of them, which hold 12,202,352
+// bytes (1,220.24 B/node, 5.02× the frame's 243.24).  The count follows
+// the entries and distance steps alone, so a change in it is a change of
+// the index layout.
+func TestColdIndexBytes(t *testing.T) {
+	set, err := adsketch.Build(adsketch.PreferentialAttachment(10000, 5, 1), adsketch.WithK(16), adsketch.WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := adsketch.NewEngine(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.TopCloseness(context.Background(), 10); err != nil {
+		t.Fatal(err)
+	}
+	if got, built := eng.IndexBytes(), eng.CacheStats().Built; got != 12202352 || built != 10000 {
+		t.Errorf("one top-k built %d indexes holding %d bytes, want 10000 and 12202352", built, got)
+	}
 }

@@ -132,7 +132,7 @@ func NewIngestor(g *Graph, set *Set, opts ...IngestorOption) (*Ingestor, error) 
 	if set == nil {
 		return nil, fmt.Errorf("%w: nil sketch set", ErrBadOption)
 	}
-	if p := set.Params(); p.Kind != core.KindUniform || p.Flavor != BottomK || p.BaseB != 0 {
+	if p := set.Params(); p.Kind != core.KindUniform || p.BaseB != 0 {
 		return nil, fmt.Errorf("%w: streaming ingest supports uniform bottom-k sets at full precision, got %+v", ErrIncompatibleOptions, p)
 	}
 	var c ingestorConfig

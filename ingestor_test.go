@@ -329,13 +329,6 @@ func TestIngestorOptionErrors(t *testing.T) {
 	if _, err := adsketch.NewIngestor(g, wset); err == nil {
 		t.Fatal("NewIngestor accepted a weighted set")
 	}
-	kset, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(1), adsketch.WithFlavor(adsketch.KMins))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := adsketch.NewIngestor(g, kset); err == nil {
-		t.Fatal("NewIngestor accepted a k-mins set")
-	}
 	// Bottom-k at full precision, but not uniform ranks.
 	aset, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(1), adsketch.WithApproxEps(0.1))
 	if err != nil {

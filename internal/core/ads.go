@@ -1,12 +1,11 @@
-// Package core implements All-Distances Sketches (ADS) — the paper's
-// primary contribution — in the three flavors of Section 2 (bottom-k,
-// k-mins, k-partition), the construction algorithms of Section 3
-// (PrunedDijkstra, DP, LocalUpdates), and the estimators built on them:
-// the basic MinHash-extraction estimators of Section 4, the Historic
-// Inverse Probability (HIP) estimators of Section 5 with full-precision or
-// base-b ranks, the permutation estimator of Section 5.4, the size-only
-// estimator of Section 8, and the non-uniform node-weight extension of
-// Section 9.
+// Package core implements bottom-k All-Distances Sketches (ADS) — the
+// paper's primary contribution, in the flavor of Section 2 that the
+// serving system keeps (lab reproduces k-mins and k-partition) — the
+// construction algorithms of Section 3 (PrunedDijkstra, DP,
+// LocalUpdates), and the estimators built on them: the basic
+// MinHash-extraction estimator of Section 4, the Historic Inverse
+// Probability (HIP) estimators of Section 5 with full-precision or base-b
+// ranks, and the non-uniform node-weight extension of Section 9.
 //
 // # Canonical node order
 //
@@ -37,8 +36,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"adsketch/internal/sketch"
 )
 
 // Entry is one ADS record: a sampled node, its distance from the ADS owner,
@@ -67,21 +64,19 @@ type WeightedEntry struct {
 	Weight float64
 }
 
-// Sketch is the query interface shared by the three ADS flavors.  The HIP
-// estimators (and everything built on them) work identically across
-// flavors; only the inclusion probabilities differ (Sections 5.1 and 5.2).
+// Sketch is the query interface shared by the uniform and weighted ADS.
+// The HIP estimators (and everything built on them) work identically on
+// both; only the inclusion probabilities differ (Sections 5 and 9).
 type Sketch interface {
 	// K is the sketch parameter controlling size/accuracy.
 	K() int
-	// Flavor identifies the sampling scheme.
-	Flavor() sketch.Flavor
 	// Size is the number of stored entries.
 	Size() int
 	// Node is the owner node of the sketch.
 	Node() int32
 	// EstimateNeighborhood returns the basic (Section 4) estimate of
 	// n_d = |N_d(owner)|, obtained by extracting the MinHash sketch of
-	// N_d from the ADS and applying the flavor's basic estimator.
+	// N_d from the ADS and applying the basic estimator.
 	EstimateNeighborhood(d float64) float64
 	// HIPEntries returns every stored node with its distance and HIP
 	// adjusted weight, ordered by the canonical order.  Summing weights
@@ -113,9 +108,6 @@ func NewADS(node int32, k int) *ADS {
 
 // K returns the sketch parameter.
 func (a *ADS) K() int { return a.k }
-
-// Flavor returns sketch.BottomK.
-func (a *ADS) Flavor() sketch.Flavor { return sketch.BottomK }
 
 // Node returns the owner node.
 func (a *ADS) Node() int32 { return a.node }
@@ -203,7 +195,7 @@ func (a *ADS) EstimateNeighborhood(d float64) float64 {
 	if len(mh) < a.k {
 		return float64(len(mh))
 	}
-	return sketch.BottomKEstimate(a.k, mh[a.k-1])
+	return float64(a.k-1) / mh[a.k-1] // a rank is never 0
 }
 
 // HIPEntries returns the entries with their HIP adjusted weights
@@ -297,8 +289,8 @@ func sumWithin(entries []WeightedEntry, d float64) float64 {
 	return sum
 }
 
-// EstimateNeighborhoodHIP returns the HIP estimate of n_d for any flavor:
-// the sum of adjusted weights of entries within distance d (Section 5).
+// EstimateNeighborhoodHIP returns the HIP estimate of n_d: the sum of
+// adjusted weights of entries within distance d (Section 5).
 func EstimateNeighborhoodHIP(s Sketch, d float64) float64 {
 	return sumWithin(s.HIPEntries(), d)
 }

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"adsketch/internal/rank"
-	"adsketch/internal/sketch"
 )
 
 func TestMaxHeapKeepsKSmallest(t *testing.T) {
@@ -301,27 +300,10 @@ func harmonicTest(n int) float64 {
 	return h
 }
 
-func TestFlavorAccessors(t *testing.T) {
-	a := NewADS(3, 4)
-	if a.K() != 4 || a.Node() != 3 || a.Flavor() != sketch.BottomK {
-		t.Error("ADS accessors wrong")
-	}
-	m := NewKMinsADS(2, 5)
-	if m.K() != 5 || m.Node() != 2 || m.Flavor() != sketch.KMins {
-		t.Error("KMins accessors wrong")
-	}
-	p := NewKPartitionADS(1, 6)
-	if p.K() != 6 || p.Node() != 1 || p.Flavor() != sketch.KPartition {
-		t.Error("KPartition accessors wrong")
-	}
-}
-
 func TestNewPanicsOnBadK(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"ADS":        func() { NewADS(0, 0) },
-		"KMins":      func() { NewKMinsADS(0, 0) },
-		"KPartition": func() { NewKPartitionADS(0, 0) },
-		"Weighted":   func() { NewWeightedADS(0, 0) },
+		"ADS":      func() { NewADS(0, 0) },
+		"Weighted": func() { NewWeightedADS(0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -341,31 +323,18 @@ func TestMinHashEntriesWithinUnderfull(t *testing.T) {
 	}
 }
 
+// TestSetBottomKPanicsOnWrongFlavor: BottomK views a uniform or
+// approximate set's sketches; a weighted set holds another type.
 func TestSetBottomKPanicsOnWrongFlavor(t *testing.T) {
 	g := graphPathForTest(4)
-	set, err := BuildSet(g, Options{K: 2, Flavor: sketch.KMins, Seed: 1}, AlgoDP)
+	set, err := BuildWeightedSet(g, 2, 1, []float64{1, 2, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("BottomK on k-mins set did not panic")
+			t.Fatal("BottomK on a weighted set did not panic")
 		}
 	}()
 	set.BottomK(0)
-}
-
-func TestKMinsK1EquivalentToBottom1(t *testing.T) {
-	// For k=1 all three flavors coincide (Section 2); check k-mins vs
-	// bottom-k HIP estimates on the same stream.
-	src := rank.NewSource(77)
-	km := NewKMinsADS(0, 1)
-	for i := int64(0); i < 300; i++ {
-		km.OfferAt(0, Entry{Node: int32(i), Dist: float64(i), Rank: src.Rank(i)})
-	}
-	a := EstimateNeighborhoodHIP(km, 299)
-	b := EstimateNeighborhoodHIP(streamADS(1, 300, src), 299)
-	if math.Abs(a-b) > 1e-9 {
-		t.Errorf("k=1 flavors disagree: k-mins %g, bottom-k %g", a, b)
-	}
 }

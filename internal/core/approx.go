@@ -27,7 +27,7 @@ func BuildApproxSet(g *graph.Graph, k int, seed uint64, eps float64) (*Set, erro
 		return nil, err
 	}
 	kern := NewOfferKernel(k)
-	out := messageRounds(g, runSpec{k: k, rank: p.rankFn(0)}, func(list []Entry, e Entry) ([]Entry, bool) {
+	out := messageRounds(g, runSpec{k: k, rank: p.rankFn()}, func(list []Entry, e Entry) ([]Entry, bool) {
 		return kern.OfferApprox(list, e, eps)
 	})
 	return &Set{frame: freezeWhole(p, out)}, nil

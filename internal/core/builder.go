@@ -10,17 +10,14 @@ import (
 
 	"adsketch/internal/graph"
 	"adsketch/internal/rank"
-	"adsketch/internal/sketch"
 )
 
 // Options configures ADS construction for a graph.
 type Options struct {
 	// K is the sketch parameter, in [1, MaxK].
 	K int
-	// Flavor selects bottom-k, k-mins, or k-partition.
-	Flavor sketch.Flavor
-	// Seed determines the shared random permutation(s); sketches built
-	// with the same seed are coordinated.
+	// Seed determines the shared random permutation; sketches built with
+	// the same seed are coordinated.
 	Seed uint64
 	// BaseB, when > 1, rounds ranks down to powers b^-h (Sections 2 and
 	// 5.6), trading estimator variance (factor (1+b)/2) for compact rank
@@ -41,11 +38,11 @@ func (o Options) validate() error {
 // Source returns the rank source the options define.
 func (o Options) Source() rank.Source { return rank.NewSource(o.Seed) }
 
-// rankFn returns the rank function for permutation perm (only k-mins uses
-// perm > 0), with base-b rounding applied when configured.
-func (o Options) rankFn(perm int) func(int32) float64 {
+// rankFn returns the rank function, with base-b rounding applied when
+// configured.
+func (o Options) rankFn() func(int32) float64 {
 	by := newRanker(Params{Kind: KindUniform, Options: o})
-	return func(v int32) float64 { return by.rank(perm, v, 0) }
+	return func(v int32) float64 { return by.rank(v, 0) }
 }
 
 // Kind names the rank distribution of a set's sketches — the one thing,
@@ -56,7 +53,7 @@ type Kind uint32
 
 // Set kinds.
 const (
-	// KindUniform sets hold uniform ranks, of any flavor and base.
+	// KindUniform sets hold uniform ranks, at full precision or base b.
 	KindUniform Kind = iota
 	// KindWeighted sets hold the Section 9 weight-biased ranks.
 	KindWeighted
@@ -79,10 +76,10 @@ func (k Kind) String() string {
 }
 
 // Params describes a sketch set: what the file header records of it.
-// Options holds k and the seed, and the flavor and base of a uniform set —
-// a weighted or approximate set is bottom-k at full precision — Scheme
-// the weighted sampling scheme, and Eps the approximate distance slack;
-// a field the kind does not use is zero.
+// Options holds k and the seed, and the base of a uniform set — a weighted
+// or approximate set has full-precision ranks — Scheme the weighted
+// sampling scheme, and Eps the approximate distance slack; a field the kind
+// does not use is zero.
 type Params struct {
 	Kind Kind
 	Options
@@ -100,12 +97,7 @@ func (p Params) validate() error {
 	own := Params{Kind: p.Kind, Options: Options{K: p.K, Seed: p.Seed}}
 	switch p.Kind {
 	case KindUniform:
-		switch p.Flavor {
-		case sketch.BottomK, sketch.KMins, sketch.KPartition:
-		default:
-			return fmt.Errorf("core: unknown flavor %d", int(p.Flavor))
-		}
-		own.Flavor, own.BaseB = p.Flavor, p.BaseB
+		own.BaseB = p.BaseB
 	case KindWeighted:
 		if p.Scheme != ExponentialWeights && p.Scheme != PriorityWeights {
 			return fmt.Errorf("core: unknown weight scheme %d", int(p.Scheme))
@@ -123,15 +115,6 @@ func (p Params) validate() error {
 		return fmt.Errorf("core: %+v sets a field a %v set does not have", p, p.Kind)
 	}
 	return nil
-}
-
-// segs returns the entry lists per node: one per permutation of a k-mins
-// set and one per bucket of a k-partition set, one otherwise.
-func (p Params) segs() int {
-	if p.Flavor == sketch.KMins || p.Flavor == sketch.KPartition {
-		return p.K
-	}
-	return 1
 }
 
 // Algorithm selects an ADS construction algorithm (Section 3).
@@ -216,16 +199,15 @@ func (s *Set) Part() (index, count int) { return s.index, max(s.count, 1) }
 // — and so writes the partition envelope.
 func (s *Set) IsPartition() bool { return s.count > 0 }
 
-// Sketch returns node v's sketch view, of the type the kind and flavor
-// make it: *ADS for bottom-k and approximate sets, *WeightedADS,
-// *KMinsADS or *KPartitionADS.
+// Sketch returns node v's sketch view, of the type the kind makes it:
+// *ADS for uniform and approximate sets, *WeightedADS for weighted ones.
 func (s *Set) Sketch(v int32) Sketch { return s.frame.viewSketch(int(v)) }
 
 // SketchOf is Sketch, the method of the query layers' set interface.
 func (s *Set) SketchOf(v int32) Sketch { return s.frame.viewSketch(int(v)) }
 
-// BottomK returns node v's sketch as a bottom-k ADS; it panics if the set
-// holds another type of sketch.
+// BottomK returns node v's sketch as a bottom-k ADS; it panics on a
+// weighted set.
 func (s *Set) BottomK(v int32) *ADS { return s.frame.viewSketch(int(v)).(*ADS) }
 
 // Columns returns a bottom-k set's node v as column views — its entries'
@@ -263,12 +245,9 @@ func BuildSet(g *graph.Graph, o Options, algo Algorithm) (*Set, error) {
 }
 
 // BuildSetParallel is BuildSet with an explicit worker bound for the
-// parallel dimension of the construction: the candidate batches of a
-// bottom-k PrunedDijkstra build, and the per-permutation / per-bucket
-// passes of k-mins and k-partition, whatever the algorithm — each pass
-// then runs its kernel on one goroutine, so workers are never squared.
-// workers <= 0 means GOMAXPROCS; 1 is the calling goroutine.  The output
-// is identical for every worker count.
+// candidate batches of a PrunedDijkstra build: workers <= 0 means
+// GOMAXPROCS; 1 is the calling goroutine.  The output is identical for
+// every worker count.
 func BuildSetParallel(g *graph.Graph, o Options, algo Algorithm, workers int) (*Set, error) {
 	p := Params{Kind: KindUniform, Options: o}
 	if err := p.validate(); err != nil {
@@ -280,65 +259,18 @@ func BuildSetParallel(g *graph.Graph, o Options, algo Algorithm, workers int) (*
 	if algo == AlgoPrunedDijkstra && !g.Weighted() {
 		return &Set{frame: hopFrame(g, p, workers)}, nil
 	}
-	inner := workers
-	if o.Flavor != sketch.BottomK {
-		inner = 1
-	}
-	run, err := runnerFor(g, algo, inner)
+	run, err := runnerFor(g, algo, workers)
 	if err != nil {
 		return nil, err
 	}
-	return buildSet(g.NumNodes(), p, run, workers), nil
+	return &Set{frame: freezeWhole(p, run(runSpec{k: p.K, rank: o.rankFn()}))}, nil
 }
 
-// runPasses runs the elementary passes of a uniform set of a valid p
-// through run, workers at a time, in segment order: one for bottom-k, and
-// one bottom-1 pass per permutation of a k-mins set or per bucket of a
-// k-partition set.
-func runPasses[T any](p Params, workers int, run func(runSpec) T) []T {
-	src, rank := p.Source(), p.rankFn(0)
-	return parallelRuns(p.segs(), workers, func(i int) T {
-		switch p.Flavor {
-		case sketch.KMins:
-			return run(runSpec{k: 1, rank: p.rankFn(i)})
-		case sketch.KPartition:
-			return run(runSpec{k: 1, rank: rank, include: func(v int32) bool { return src.Bucket(int64(v), p.K) == i }})
-		default: // sketch.BottomK
-			return run(runSpec{k: p.K, rank: rank})
-		}
-	})
-}
-
-// buildSet assembles the frame of a uniform set of a valid p over n nodes
-// from elementary passes of run.
-func buildSet(n int, p Params, run runner, workers int) *Set {
-	return &Set{frame: freezeWhole(p, segmentMajor(runPasses(p, workers, run), n))}
-}
-
-// segmentMajor reorders per-run entry lists (perRun[s][v]) into the
-// node-major layout freezeFrame expects (lists[v*segs+s]).
-func segmentMajor(perRun [][][]Entry, n int) [][]Entry {
-	segs := len(perRun)
-	lists := make([][]Entry, n*segs)
-	for v := 0; v < n; v++ {
-		for s := 0; s < segs; s++ {
-			lists[v*segs+s] = perRun[s][v]
-		}
-	}
-	return lists
-}
-
-// runSpec describes one elementary construction pass: a bottom-k sample
-// under a single rank function, optionally restricted to candidate nodes
-// (the k-partition buckets).  All three flavors reduce to such passes.
+// runSpec describes one construction pass: a bottom-k sample under a
+// single rank function.
 type runSpec struct {
-	k       int
-	rank    func(int32) float64
-	include func(int32) bool // nil means every node is a candidate
-}
-
-func (s runSpec) candidate(v int32) bool {
-	return s.include == nil || s.include(v)
+	k    int
+	rank func(int32) float64
 }
 
 // runner is an algorithm bound to a graph: it executes one pass and
@@ -360,17 +292,6 @@ func runnerFor(g *graph.Graph, algo Algorithm, workers int) (runner, error) {
 	return nil, fmt.Errorf("core: unknown algorithm %v", algo)
 }
 
-// parallelRuns executes fn(0..k-1) across the given number of workers
-// (<= 0 means GOMAXPROCS; 1 is the calling goroutine).
-func parallelRuns[T any](k, workers int, fn func(int) T) []T {
-	out := make([]T, k)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fanOutItems(min(workers, k), k, func(_, i int) { out[i] = fn(i) })
-	return out
-}
-
 // bruteForceRun derives each node's entry list directly from the exact
 // nearest-neighbor order (the definitional construction).  O(n·m) and
 // simple; used as ground truth.
@@ -381,9 +302,6 @@ func bruteForceRun(g *graph.Graph, s runSpec) [][]Entry {
 		order := graph.NearestOrder(g, int32(v))
 		h := newKSmallest(s.k)
 		for _, nd := range order {
-			if !s.candidate(nd.Node) {
-				continue
-			}
 			r := s.rank(nd.Node)
 			if h.size() >= s.k && r >= h.max() {
 				continue
@@ -395,17 +313,15 @@ func bruteForceRun(g *graph.Graph, s runSpec) [][]Entry {
 	return lists
 }
 
-// rankOrder returns the pass's candidates sorted by (rank, node) — the
-// order Algorithm 1 processes them in — and the rank of every candidate,
-// indexed by node.
+// rankOrder returns the nodes sorted by (rank, node) — the order
+// Algorithm 1 processes them in as candidates — and the rank of every
+// node.
 func (s runSpec) rankOrder(n int) (cands []int32, ranks []float64) {
-	cands = make([]int32, 0, n)
+	cands = make([]int32, n)
 	ranks = make([]float64, n)
-	for v := int32(0); int(v) < n; v++ {
-		if s.candidate(v) {
-			cands = append(cands, v)
-			ranks[v] = s.rank(v)
-		}
+	for v := range cands {
+		cands[v] = int32(v)
+		ranks[v] = s.rank(int32(v))
 	}
 	slices.SortFunc(cands, func(a, b int32) int {
 		if c := cmp.Compare(ranks[a], ranks[b]); c != 0 {
@@ -435,14 +351,14 @@ func passWorkers(workers, n int) int {
 	return max(1, min(workers, n))
 }
 
-// prunedDijkstraRun is Algorithm 1 generalized to one runSpec pass, its
-// entry lists with ranks attached: candidates are processed in increasing
-// rank order, each running a pruned traversal of the transpose graph, so
-// that reaching v at distance d means d = d(v -> candidate) in g — a BFS
-// over packed keys when g is unweighted (runHops), a Dijkstra over float
-// keys otherwise (runFloats).  With one worker the candidate loop runs on
-// the calling goroutine; with more (workers <= 0 means GOMAXPROCS) it is
-// runBatches, whose output is the same.
+// prunedDijkstraRun is Algorithm 1 over one runSpec pass, its entry lists
+// with ranks attached: candidates are processed in increasing rank order,
+// each running a pruned traversal of the transpose graph, so that reaching
+// v at distance d means d = d(v -> candidate) in g — a BFS over packed keys
+// when g is unweighted (runHops), a Dijkstra over float keys otherwise
+// (runFloats).  With one worker the candidate loop runs on the calling
+// goroutine; with more (workers <= 0 means GOMAXPROCS) it is runBatches,
+// whose output is the same.
 func prunedDijkstraRun(g *graph.Graph, s runSpec, workers int) [][]Entry {
 	n := g.NumNodes()
 	cands, ranks := s.rankOrder(n)

@@ -7,29 +7,12 @@ import (
 	"testing"
 
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
-// equalSketches compares two sketches of the same flavor entry by entry.
+// equalSketches compares two bottom-k sketches entry by entry.
 func equalSketches(t *testing.T, label string, a, b Sketch) {
 	t.Helper()
-	switch x := a.(type) {
-	case *ADS:
-		y := b.(*ADS)
-		equalEntryLists(t, label, x.Entries(), y.Entries())
-	case *KMinsADS:
-		y := b.(*KMinsADS)
-		for h := 0; h < x.K(); h++ {
-			equalEntryLists(t, fmt.Sprintf("%s perm %d", label, h), x.Perm(h), y.Perm(h))
-		}
-	case *KPartitionADS:
-		y := b.(*KPartitionADS)
-		for bk := 0; bk < x.K(); bk++ {
-			equalEntryLists(t, fmt.Sprintf("%s bucket %d", label, bk), x.Bucket(bk), y.Bucket(bk))
-		}
-	default:
-		t.Fatalf("%s: unknown sketch type %T", label, a)
-	}
+	equalEntryLists(t, label, a.(*ADS).Entries(), b.(*ADS).Entries())
 }
 
 func equalEntryLists(t *testing.T, label string, a, b []Entry) {
@@ -80,31 +63,25 @@ func weightedTestGraphs() map[string]*graph.Graph {
 	}
 }
 
-func allFlavors() []sketch.Flavor {
-	return []sketch.Flavor{sketch.BottomK, sketch.KMins, sketch.KPartition}
-}
-
 // TestBuildersAgreeUnweighted checks that PrunedDijkstra, DP, LocalUpdates
 // and the brute-force reference produce identical sketch sets on unweighted
-// graphs, for every flavor.
+// graphs.
 func TestBuildersAgreeUnweighted(t *testing.T) {
 	for name, g := range testGraphs() {
-		for _, fl := range allFlavors() {
-			for _, k := range []int{1, 3, 8} {
-				o := Options{K: k, Flavor: fl, Seed: 42}
-				ref, err := BuildSet(g, o, AlgoBruteForce)
+		for _, k := range []int{1, 3, 8} {
+			o := Options{K: k, Seed: 42}
+			ref, err := BuildSet(g, o, AlgoBruteForce)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range []Algorithm{AlgoPrunedDijkstra, AlgoDP, AlgoLocalUpdates} {
+				got, err := BuildSet(g, o, algo)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, algo := range []Algorithm{AlgoPrunedDijkstra, AlgoDP, AlgoLocalUpdates} {
-					got, err := BuildSet(g, o, algo)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for v := int32(0); int(v) < g.NumNodes(); v++ {
-						label := fmt.Sprintf("%s/%v/k=%d/%v/node %d", name, fl, k, algo, v)
-						equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
-					}
+				for v := int32(0); int(v) < g.NumNodes(); v++ {
+					label := fmt.Sprintf("%s/k=%d/%v/node %d", name, k, algo, v)
+					equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
 				}
 			}
 		}
@@ -115,21 +92,19 @@ func TestBuildersAgreeUnweighted(t *testing.T) {
 // brute force on weighted graphs.
 func TestBuildersAgreeWeighted(t *testing.T) {
 	for name, g := range weightedTestGraphs() {
-		for _, fl := range allFlavors() {
-			o := Options{K: 4, Flavor: fl, Seed: 99}
-			ref, err := BuildSet(g, o, AlgoBruteForce)
+		o := Options{K: 4, Seed: 99}
+		ref, err := BuildSet(g, o, AlgoBruteForce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []Algorithm{AlgoPrunedDijkstra, AlgoLocalUpdates} {
+			got, err := BuildSet(g, o, algo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, algo := range []Algorithm{AlgoPrunedDijkstra, AlgoLocalUpdates} {
-				got, err := BuildSet(g, o, algo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := int32(0); int(v) < g.NumNodes(); v++ {
-					label := fmt.Sprintf("%s/%v/%v/node %d", name, fl, algo, v)
-					equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
-				}
+			for v := int32(0); int(v) < g.NumNodes(); v++ {
+				label := fmt.Sprintf("%s/%v/node %d", name, algo, v)
+				equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
 			}
 		}
 	}
@@ -145,7 +120,7 @@ func TestBuildersAgreeBaseB(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, b := range []float64{2, 1.2} {
-			o := Options{K: 4, Flavor: sketch.BottomK, Seed: 77, BaseB: b}
+			o := Options{K: 4, Seed: 77, BaseB: b}
 			ref, err := BuildSet(g, o, AlgoBruteForce)
 			if err != nil {
 				t.Fatal(err)
@@ -172,24 +147,13 @@ func TestBuildersAgreeBaseB(t *testing.T) {
 // the builders produce.
 func TestBuiltSketchesValid(t *testing.T) {
 	g := graph.GNP(150, 0.04, false, 31)
-	for _, fl := range allFlavors() {
-		set, err := BuildSet(g, Options{K: 5, Flavor: fl, Seed: 1}, AlgoPrunedDijkstra)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := int32(0); int(v) < g.NumNodes(); v++ {
-			var err error
-			switch s := set.Sketch(v).(type) {
-			case *ADS:
-				err = s.Validate()
-			case *KMinsADS:
-				err = s.Validate()
-			case *KPartitionADS:
-				err = s.Validate()
-			}
-			if err != nil {
-				t.Fatalf("%v node %d: %v", fl, v, err)
-			}
+	set, err := BuildSet(g, Options{K: 5, Seed: 1}, AlgoPrunedDijkstra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := int32(0); int(v) < g.NumNodes(); v++ {
+		if err := set.BottomK(v).Validate(); err != nil {
+			t.Fatalf("node %d: %v", v, err)
 		}
 	}
 }
@@ -199,7 +163,7 @@ func TestBuiltSketchesValid(t *testing.T) {
 func TestBottomKADSContainsKNearest(t *testing.T) {
 	g := graph.PreferentialAttachment(200, 3, 44)
 	const k = 6
-	set, err := BuildSet(g, Options{K: k, Flavor: sketch.BottomK, Seed: 8}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: k, Seed: 8}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +186,7 @@ func TestBottomKADSContainsKNearest(t *testing.T) {
 // true shortest-path distances.
 func TestADSEntryDistancesAreShortestPaths(t *testing.T) {
 	g := graph.WithRandomWeights(graph.GNP(90, 0.07, true, 55), 1, 6, 56)
-	set, err := BuildSet(g, Options{K: 4, Flavor: sketch.BottomK, Seed: 3}, AlgoLocalUpdates)
+	set, err := BuildSet(g, Options{K: 4, Seed: 3}, AlgoLocalUpdates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +207,11 @@ func TestDirectedForwardBackward(t *testing.T) {
 	b.AddWeightedEdge(0, 1, 2)
 	b.AddWeightedEdge(1, 2, 3)
 	g := b.Build()
-	fwd, err := BuildSet(g, Options{K: 3, Flavor: sketch.BottomK, Seed: 4}, AlgoPrunedDijkstra)
+	fwd, err := BuildSet(g, Options{K: 3, Seed: 4}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bwd, err := BuildSet(g.Transpose(), Options{K: 3, Flavor: sketch.BottomK, Seed: 4}, AlgoPrunedDijkstra)
+	bwd, err := BuildSet(g.Transpose(), Options{K: 3, Seed: 4}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,20 +231,17 @@ func TestDirectedForwardBackward(t *testing.T) {
 
 func TestBuildSetErrors(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := BuildSet(g, Options{K: 0, Flavor: sketch.BottomK}, AlgoDP); err == nil {
+	if _, err := BuildSet(g, Options{K: 0}, AlgoDP); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, err := BuildSet(g, Options{K: 2, Flavor: sketch.BottomK, BaseB: 0.5}, AlgoDP); err == nil {
+	if _, err := BuildSet(g, Options{K: 2, BaseB: 0.5}, AlgoDP); err == nil {
 		t.Error("BaseB=0.5 accepted")
 	}
 	wg := graph.WithRandomWeights(g, 1, 2, 1)
-	if _, err := BuildSet(wg, Options{K: 2, Flavor: sketch.BottomK}, AlgoDP); err == nil {
+	if _, err := BuildSet(wg, Options{K: 2}, AlgoDP); err == nil {
 		t.Error("DP on weighted graph accepted")
 	}
-	if _, err := BuildSet(g, Options{K: 2, Flavor: sketch.Flavor(9)}, AlgoDP); err == nil {
-		t.Error("unknown flavor accepted")
-	}
-	if _, err := BuildSet(g, Options{K: 2, Flavor: sketch.BottomK}, Algorithm(9)); err == nil {
+	if _, err := BuildSet(g, Options{K: 2}, Algorithm(9)); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -302,7 +263,7 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestSetAccessors(t *testing.T) {
 	g := graph.Path(10)
-	o := Options{K: 2, Flavor: sketch.BottomK, Seed: 5}
+	o := Options{K: 2, Seed: 5}
 	set, err := BuildSet(g, o, AlgoDP)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +287,7 @@ func TestSetAccessors(t *testing.T) {
 // nodes, enabling similarity estimation across nodes.
 func TestCoordination(t *testing.T) {
 	g := graph.Complete(30)
-	o := Options{K: 5, Flavor: sketch.BottomK, Seed: 10}
+	o := Options{K: 5, Seed: 10}
 	set, err := BuildSet(g, o, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +339,7 @@ func TestBuildersHandleMultiEdges(t *testing.T) {
 	b.AddEdge(2, 3)
 	b.AddEdge(3, 4)
 	g := b.Build()
-	o := Options{K: 2, Flavor: sketch.BottomK, Seed: 13}
+	o := Options{K: 2, Seed: 13}
 	ref, err := BuildSet(g, o, AlgoBruteForce)
 	if err != nil {
 		t.Fatal(err)
@@ -400,14 +361,12 @@ func TestBuildersHandleMultiEdges(t *testing.T) {
 func TestBuildersEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0, false).Build()
 	for _, algo := range []Algorithm{AlgoPrunedDijkstra, AlgoDP, AlgoLocalUpdates, AlgoBruteForce} {
-		for _, fl := range allFlavors() {
-			set, err := BuildSet(g, Options{K: 2, Flavor: fl, Seed: 1}, algo)
-			if err != nil {
-				t.Fatalf("%v/%v: %v", algo, fl, err)
-			}
-			if set.NumNodes() != 0 || set.TotalEntries() != 0 {
-				t.Errorf("%v/%v: nonempty result on empty graph", algo, fl)
-			}
+		set, err := BuildSet(g, Options{K: 2, Seed: 1}, algo)
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		if set.NumNodes() != 0 || set.TotalEntries() != 0 {
+			t.Errorf("%v: nonempty result on empty graph", algo)
 		}
 	}
 }
@@ -417,8 +376,8 @@ func graphPathForTest(n int) *graph.Graph { return graph.Path(n) }
 // TestPrunedDijkstraDifferential is the Algorithm 1 and Algorithm 2 slice
 // of the construction oracle: on random small graphs, every way of running
 // the pruned kernel, and LocalUpdates over the offer kernel, must serialize
-// to the bytes of the definitional brute-force build, across flavors, k,
-// rank ties (base-b) and both Section 9 weighted schemes.
+// to the bytes of the definitional brute-force build, across k, rank ties
+// (base-b) and both Section 9 weighted schemes.
 func TestPrunedDijkstraDifferential(t *testing.T) {
 	graphs := 300
 	if testing.Short() {
@@ -461,17 +420,15 @@ func TestPrunedDijkstraDifferential(t *testing.T) {
 		desc := fmt.Sprintf("graph seed %d (n=%d arcs=%d directed=%v weighted=%v)",
 			seed, n, g.NumArcs(), g.Directed(), g.Weighted())
 		for _, k := range []int{1, 2, 5} {
-			for _, fl := range allFlavors() {
-				for _, baseB := range []float64{0, 2} {
-					p := Params{Kind: KindUniform, Options: Options{K: k, Flavor: fl, Seed: uint64(seed), BaseB: baseB}}
-					build := func(r run) []byte {
-						return v3(buildSet(n, p, func(s runSpec) [][]Entry { return r(g, s) }, 1))
-					}
-					want := build(bruteForceRun)
-					for _, vr := range variants {
-						if !bytes.Equal(build(vr.run), want) {
-							t.Fatalf("%s, %v k=%d b=%g: %s differs from brute force", desc, fl, k, baseB, vr.name)
-						}
+			for _, baseB := range []float64{0, 2} {
+				p := Params{Kind: KindUniform, Options: Options{K: k, Seed: uint64(seed), BaseB: baseB}}
+				build := func(r run) []byte {
+					return v3(&Set{frame: freezeWhole(p, r(g, runSpec{k: k, rank: p.rankFn()}))})
+				}
+				want := build(bruteForceRun)
+				for _, vr := range variants {
+					if !bytes.Equal(build(vr.run), want) {
+						t.Fatalf("%s, k=%d b=%g: %s differs from brute force", desc, k, baseB, vr.name)
 					}
 				}
 			}

@@ -80,7 +80,7 @@ func splitV3(t testing.TB, data []byte) v3Parts {
 		return b
 	}
 	p.offsAt = pos
-	p.offs = testUnpack(next(h.offsetsSize()), uint64(h.numSegs()+1), testWidth(h.numEntries+1))
+	p.offs = testUnpack(next(h.offsetsSize()), h.n+1, testWidth(h.numEntries+1))
 	p.nodesAt = pos
 	p.nodes = next(h.nodesSize())
 	p.bitsAt = pos
@@ -267,12 +267,11 @@ func referenceSizes(f *Frame, partition bool) (compact, plain, steps, coded int6
 	words := func(n int64, w uint64) int64 { return (n*int64(w) + 63) / 64 }
 	var all []float64
 	for v := 0; v < f.n; v++ {
-		for _, c := range f.segViews(v) {
-			l := c.entries()
-			for i := range l {
-				if i == 0 || l[i].Dist != l[i-1].Dist {
-					all = append(all, l[i].Dist)
-				}
+		c := f.colsAt(v)
+		l := c.entries()
+		for i := range l {
+			if i == 0 || l[i].Dist != l[i-1].Dist {
+				all = append(all, l[i].Dist)
 			}
 		}
 	}
@@ -283,7 +282,7 @@ func referenceSizes(f *Frame, partition bool) (compact, plain, steps, coded int6
 	if partition {
 		header += framePartHdrSize
 	}
-	e, nOff := int64(f.totalEntries()), int64(f.n*f.segs()+1)
+	e, nOff := int64(f.totalEntries()), int64(f.n+1)
 	entries := 8*words(e, testWidth(uint64(f.total))) + 8*words(e, 1)
 	if f.p.Kind == KindWeighted {
 		entries += 8 * e

@@ -42,23 +42,19 @@ func checkPartRange(index, count, total int, lo, hi int64) error {
 	return nil
 }
 
-// FreezePartition assembles one partition of a set of parameters p from
-// its per-node entry lists — lists[i] belongs to global node lo+i, in
-// canonical order, satisfying the kind's inclusion condition, with the
-// ranks p derives — into a partition *Set.  For a weighted set betas runs
-// parallel to lists: betas[i][j] is the node weight β of entry
-// lists[i][j].Node (each entry's weight travels with it, so a worker never
-// needs the global weight vector); other kinds ignore it.  A list is a
-// whole sketch, so p's flavor is bottom-k.  The relaxed acceptance rule of
-// an approximate set means its lists need not satisfy the strict
-// inclusion condition: they are checked for what BuildApproxSet
-// guarantees (validateApproxView).  Serializing the result yields exactly
-// the bytes of the corresponding SplitSketchSet slice of a whole-set build
-// producing the same entries.
+// FreezePartition assembles one partition of a set of parameters p from its
+// per-node entry lists — lists[i] belongs to global node lo+i, in canonical
+// order, satisfying the kind's inclusion condition, with the ranks p
+// derives — into a partition *Set.  For a weighted set betas runs parallel
+// to lists: betas[i][j] is the node weight β of entry lists[i][j].Node
+// (each entry's weight travels with it, so a worker never needs the global
+// weight vector); other kinds ignore it.  The relaxed acceptance rule of an
+// approximate set means its lists need not satisfy the strict inclusion
+// condition: they are checked for what BuildApproxSet guarantees
+// (validateApproxView).  Serializing the result yields exactly the bytes of
+// the corresponding SplitSketchSet slice of a whole-set build producing the
+// same entries.
 func FreezePartition(p Params, index, count, total int, lists [][]Entry, betas [][]float64) (*Set, error) {
-	if p.segs() != 1 {
-		return nil, fmt.Errorf("core: FreezePartition takes one entry list per sketch, not the %d of a %v one", p.segs(), p.Flavor)
-	}
 	lo, _, err := partRange(index, count, total)
 	if err != nil {
 		return nil, fmt.Errorf("core: FreezePartition: %w", err)
@@ -81,44 +77,43 @@ func FreezePartition(p Params, index, count, total int, lists [][]Entry, betas [
 			return nil, fmt.Errorf("core: FreezePartition: node %d has no entries (every node holds itself at distance 0)", lo+int32(i))
 		}
 	}
-	return FreezeSegments(p, index, count, total, lists, beta, true)
+	return FreezeLists(p, index, count, total, lists, beta, true)
 }
 
-// FreezeSegments is FreezePartition for entry lists of any flavor, placed
-// anywhere: lists are per segment, node-major (segment s of the
-// partition's i-th node is lists[i*segs+s]), count 0 asks for a whole set
-// of total nodes, and beta is a weighted set's β column — one per entry,
-// in list order.  Every sketch is validated; the entries' Rank fields must
-// be the ones p derives when ranked, and are ignored otherwise.
-func FreezeSegments(p Params, index, count, total int, lists [][]Entry, beta []float64, ranked bool) (*Set, error) {
+// FreezeLists is FreezePartition placed anywhere, for lists that may carry
+// no ranks: count 0 asks for a whole set of total nodes, and beta is a
+// weighted set's β column — one per entry, in list order.  Every sketch is
+// validated; the entries' Rank fields must be the ones p derives when
+// ranked, and are ignored otherwise.
+func FreezeLists(p Params, index, count, total int, lists [][]Entry, beta []float64, ranked bool) (*Set, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	lo, hi, err := partRange(index, max(count, 1), total)
-	if err == nil && len(lists) != int(hi-lo)*p.segs() {
-		err = fmt.Errorf("nodes [%d, %d) take %d entry lists, got %d", lo, hi, int(hi-lo)*p.segs(), len(lists))
+	if err == nil && len(lists) != int(hi-lo) {
+		err = fmt.Errorf("nodes [%d, %d) take %d entry lists, got %d", lo, hi, int(hi-lo), len(lists))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: FreezeSegments: %w", err)
+		return nil, fmt.Errorf("core: FreezeLists: %w", err)
 	}
 	// freezeFrame keeps the bits of an ID its column has room for.
 	for i, l := range lists {
 		for j, e := range l {
 			if uint32(e.Node) >= uint32(total) {
-				return nil, fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", lo+int32(i/p.segs()), j, e.Node, total)
+				return nil, fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", lo+int32(i), j, e.Node, total)
 			}
 		}
 	}
 	f := freezeFrame(p, lo, total, lists)
 	if weighted := p.Kind == KindWeighted; weighted && len(beta) != f.totalEntries() || !weighted && len(beta) != 0 {
-		return nil, fmt.Errorf("core: FreezeSegments: %d weights for %d entries of a %v set", len(beta), f.totalEntries(), p.Kind)
+		return nil, fmt.Errorf("core: FreezeLists: %d weights for %d entries of a %v set", len(beta), f.totalEntries(), p.Kind)
 	}
 	f.beta = beta
 	if !ranked {
 		lists = nil
 	}
 	if err := validateFrame(f, lists); err != nil {
-		return nil, fmt.Errorf("core: FreezeSegments: %w", err)
+		return nil, fmt.Errorf("core: FreezeLists: %w", err)
 	}
 	set := &Set{frame: f}
 	if count > 0 {

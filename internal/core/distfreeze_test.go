@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
 // frameLists pulls per-node entry lists (and the parallel β column when
@@ -13,7 +12,7 @@ import (
 // material a distributed worker would have maintained for that range.
 func frameLists(f *Frame, lo, hi int) (lists [][]Entry, betas [][]float64) {
 	for v := lo; v < hi; v++ {
-		c := f.segAt(v, 0)
+		c := f.colsAt(v)
 		lists = append(lists, c.entries())
 		betas = append(betas, append([]float64(nil), c.beta...))
 	}
@@ -32,7 +31,7 @@ func TestFreezePartitionByteParity(t *testing.T) {
 		beta[i] = 0.5 + float64(i%7)
 	}
 
-	uni, err := BuildSet(g, Options{K: 8, Flavor: sketch.BottomK, Seed: 42}, AlgoPrunedDijkstra)
+	uni, err := BuildSet(g, Options{K: 8, Seed: 42}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestFreezePartitionByteParity(t *testing.T) {
 // TestFreezePartitionRejects covers the validation edges: bad ranges,
 // wrong list counts, and malformed entry lists.
 func TestFreezePartitionRejects(t *testing.T) {
-	o := Options{K: 2, Flavor: sketch.BottomK, Seed: 1}
+	o := Options{K: 2, Seed: 1}
 	uniform := Params{Kind: KindUniform, Options: o}
 	approx := func(eps float64) Params { return Params{Kind: KindApprox, Options: Options{K: 2, Seed: 1}, Eps: eps} }
 	good := [][]Entry{{{Node: 0, Dist: 0, Rank: 0.5}}}
@@ -104,10 +103,6 @@ func TestFreezePartitionRejects(t *testing.T) {
 	weighted := Params{Kind: KindWeighted, Options: Options{K: 2, Seed: 1}}
 	if _, err := FreezePartition(weighted, 0, 4, 4, good, [][]float64{}); err == nil {
 		t.Error("mismatched beta list count accepted")
-	}
-	kmins := Params{Kind: KindUniform, Options: Options{K: 2, Flavor: sketch.KMins, Seed: 1}}
-	if _, err := FreezePartition(kmins, 0, 4, 4, good, nil); err == nil {
-		t.Error("a k-mins set's one list per node accepted")
 	}
 	if _, err := FreezePartition(Params{Kind: KindApprox, Options: o, Scheme: PriorityWeights}, 0, 4, 4, good, nil); err == nil {
 		t.Error("an approximate set with a weight scheme accepted")

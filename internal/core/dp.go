@@ -42,16 +42,13 @@ func dpRun(g *graph.Graph, s runSpec) [][]Entry {
 		return true
 	}
 
-	// Round 0: every candidate node starts its own ADS.
+	// Round 0: every node starts its own ADS.
 	type update struct {
 		at   int32 // node whose ADS gained the entry
 		cand int32 // the sampled node
 	}
 	var frontier []update
 	for v := int32(0); int(v) < n; v++ {
-		if !s.candidate(v) {
-			continue
-		}
 		if insert(v, Entry{Node: v, Dist: 0, Rank: s.rank(v)}) {
 			frontier = append(frontier, update{at: v, cand: v})
 		}

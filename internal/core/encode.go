@@ -104,14 +104,14 @@ func ReadSketchSet(r io.Reader) (*Set, error) {
 }
 
 // validateFrame checks the structural invariants of every sketch of a
-// frame and — lists being the per-segment entry lists it was frozen from,
-// when non-nil — that their ranks are the ones the frame derives.
+// frame and — lists being the entry lists it was frozen from, when
+// non-nil — that their ranks are the ones the frame derives.
 func validateFrame(f *Frame, lists [][]Entry) error {
 	var ranks rankScratch
 	for v := 0; v < f.n; v++ {
-		var given [][]Entry
+		var given []Entry
 		if lists != nil {
-			given = lists[v*f.segs() : (v+1)*f.segs()]
+			given = lists[v]
 		}
 		if err := f.validate(&ranks, v, given); err != nil {
 			return err

@@ -32,46 +32,6 @@ func streamADS(k, n int, src rank.Source) *ADS {
 	return a
 }
 
-// streamSketch builds a flavor sketch over n elements in arrival order.
-func streamSketch(fl sketch.Flavor, k, n int, seed uint64) Sketch {
-	src := rank.NewSource(seed)
-	switch fl {
-	case sketch.BottomK:
-		return streamADS(k, n, src)
-	case sketch.KMins:
-		a := NewKMinsADS(0, k)
-		for i := int64(0); i < int64(n); i++ {
-			for h := 0; h < k; h++ {
-				a.OfferAt(h, Entry{Node: int32(i), Dist: float64(i), Rank: src.RankAt(h, i)})
-			}
-		}
-		return a
-	case sketch.KPartition:
-		a := NewKPartitionADS(0, k)
-		for i := int64(0); i < int64(n); i++ {
-			b := src.Bucket(i, k)
-			a.OfferAt(b, Entry{Node: int32(i), Dist: float64(i), Rank: src.Rank(i)})
-		}
-		return a
-	}
-	panic("unknown flavor")
-}
-
-// TestHIPUnbiasedAllFlavors checks E[HIP estimate] = n for each flavor.
-func TestHIPUnbiasedAllFlavors(t *testing.T) {
-	const k, n, runs = 8, 600, 400
-	for _, fl := range []sketch.Flavor{sketch.BottomK, sketch.KMins, sketch.KPartition} {
-		acc := stats.NewErrAccum(n)
-		for run := 0; run < runs; run++ {
-			s := streamSketch(fl, k, n, uint64(run)*1315423911+7)
-			acc.Add(EstimateNeighborhoodHIP(s, n))
-		}
-		if bias := acc.Bias(); math.Abs(bias) > 0.03 {
-			t.Errorf("%v HIP bias = %+.3f, want ~0", fl, bias)
-		}
-	}
-}
-
 // TestHIPCVMatchesTheory: the bottom-k HIP CV should track the Theorem 5.1
 // bound 1/sqrt(2(k-1)) for n >> k and never exceed it materially.
 func TestHIPCVMatchesTheory(t *testing.T) {
@@ -79,7 +39,7 @@ func TestHIPCVMatchesTheory(t *testing.T) {
 	for _, k := range []int{4, 8, 16} {
 		acc := stats.NewErrAccum(n)
 		for run := 0; run < runs; run++ {
-			s := streamSketch(sketch.BottomK, k, n, uint64(run)*2654435761+13)
+			s := streamADS(k, n, rank.NewSource(uint64(run)*2654435761+13))
 			acc.Add(EstimateNeighborhoodHIP(s, n))
 		}
 		bound := stats.HIPCV(k)
@@ -101,7 +61,7 @@ func TestHIPHalvesBasicVariance(t *testing.T) {
 	hip := stats.NewErrAccum(n)
 	basic := stats.NewErrAccum(n)
 	for run := 0; run < runs; run++ {
-		s := streamSketch(sketch.BottomK, k, n, uint64(run)*40503+1).(*ADS)
+		s := streamADS(k, n, rank.NewSource(uint64(run)*40503+1))
 		hip.Add(EstimateNeighborhoodHIP(s, n))
 		basic.Add(s.EstimateNeighborhood(n))
 	}
@@ -116,7 +76,7 @@ func TestHIPHalvesBasicVariance(t *testing.T) {
 func TestHIPExactForSmallN(t *testing.T) {
 	const k = 16
 	for n := 1; n <= k; n++ {
-		s := streamSketch(sketch.BottomK, k, n, 99)
+		s := streamADS(k, n, rank.NewSource(99))
 		if got := EstimateNeighborhoodHIP(s, float64(n)); got != float64(n) {
 			t.Errorf("n=%d: HIP = %g, want exact", n, got)
 		}
@@ -133,7 +93,7 @@ func TestHIPPrefixEstimates(t *testing.T) {
 		accs[i] = stats.NewErrAccum(float64(c + 1))
 	}
 	for run := 0; run < runs; run++ {
-		s := streamSketch(sketch.BottomK, k, n, uint64(run)*31+5)
+		s := streamADS(k, n, rank.NewSource(uint64(run)*31+5))
 		for i, c := range checkpoints {
 			accs[i].Add(EstimateNeighborhoodHIP(s, float64(c)))
 		}
@@ -145,93 +105,6 @@ func TestHIPPrefixEstimates(t *testing.T) {
 		if nrmse := accs[i].NRMSE(); nrmse > 1.3*stats.HIPCV(k) {
 			t.Errorf("checkpoint %d: NRMSE %g above bound %g", c, nrmse, 1.3*stats.HIPCV(k))
 		}
-	}
-}
-
-// TestKMinsHIPAgainstBruteProbability cross-checks equation (7) against a
-// direct computation of the running per-permutation minima.
-func TestKMinsHIPAgainstBruteProbability(t *testing.T) {
-	const k, n = 4, 200
-	src := rank.NewSource(3)
-	a := NewKMinsADS(0, k)
-	for i := int64(0); i < n; i++ {
-		for h := 0; h < k; h++ {
-			a.OfferAt(h, Entry{Node: int32(i), Dist: float64(i), Rank: src.RankAt(h, i)})
-		}
-	}
-	ws := a.HIPEntries()
-	// Recompute tau for each sampled node directly from the definition.
-	mins := make([]float64, k)
-	for h := range mins {
-		mins[h] = 1
-	}
-	wi := 0
-	for i := int64(0); i < n; i++ {
-		inSketch := false
-		for h := 0; h < k; h++ {
-			if src.RankAt(h, i) < mins[h] {
-				inSketch = true
-			}
-		}
-		if inSketch {
-			prod := 1.0
-			for _, m := range mins {
-				prod *= 1 - m
-			}
-			tau := 1 - prod
-			if wi >= len(ws) || ws[wi].Node != int32(i) {
-				t.Fatalf("HIP entry %d: expected node %d, got %+v", wi, i, ws[wi])
-			}
-			if math.Abs(ws[wi].Weight-1/tau) > 1e-9 {
-				t.Fatalf("node %d: weight %g, want %g", i, ws[wi].Weight, 1/tau)
-			}
-			wi++
-		}
-		for h := 0; h < k; h++ {
-			if r := src.RankAt(h, i); r < mins[h] {
-				mins[h] = r
-			}
-		}
-	}
-	if wi != len(ws) {
-		t.Fatalf("HIP produced %d entries, definition gives %d", len(ws), wi)
-	}
-}
-
-// TestKPartitionHIPAgainstBruteProbability cross-checks equation (8).
-func TestKPartitionHIPAgainstBruteProbability(t *testing.T) {
-	const k, n = 4, 200
-	src := rank.NewSource(4)
-	a := NewKPartitionADS(0, k)
-	for i := int64(0); i < n; i++ {
-		a.OfferAt(src.Bucket(i, k), Entry{Node: int32(i), Dist: float64(i), Rank: src.Rank(i)})
-	}
-	ws := a.HIPEntries()
-	mins := make([]float64, k)
-	for b := range mins {
-		mins[b] = 1
-	}
-	wi := 0
-	for i := int64(0); i < n; i++ {
-		b := src.Bucket(i, k)
-		if src.Rank(i) < mins[b] {
-			sum := 0.0
-			for _, m := range mins {
-				sum += m
-			}
-			tau := sum / k
-			if ws[wi].Node != int32(i) {
-				t.Fatalf("entry %d: node %d, want %d", wi, ws[wi].Node, i)
-			}
-			if math.Abs(ws[wi].Weight-1/tau) > 1e-9 {
-				t.Fatalf("node %d: weight %g, want %g", i, ws[wi].Weight, 1/tau)
-			}
-			wi++
-			mins[b] = src.Rank(i)
-		}
-	}
-	if wi != len(ws) {
-		t.Fatalf("HIP produced %d entries, definition gives %d", len(ws), wi)
 	}
 }
 
@@ -249,7 +122,7 @@ func TestQgOnGraphUnbiased(t *testing.T) {
 	const runs = 250
 	acc := stats.NewErrAccum(exact)
 	for run := 0; run < runs; run++ {
-		set, err := BuildSet(g, Options{K: 8, Flavor: sketch.BottomK, Seed: uint64(run) + 1}, AlgoDP)
+		set, err := BuildSet(g, Options{K: 8, Seed: uint64(run) + 1}, AlgoDP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +141,7 @@ func TestCentralityOnGraph(t *testing.T) {
 	const runs = 250
 	acc := stats.NewErrAccum(exactHarmonic)
 	for run := 0; run < runs; run++ {
-		set, err := BuildSet(g, Options{K: 8, Flavor: sketch.BottomK, Seed: uint64(run) + 500}, AlgoDP)
+		set, err := BuildSet(g, Options{K: 8, Seed: uint64(run) + 500}, AlgoDP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +176,7 @@ func TestBetaFilteredCentrality(t *testing.T) {
 	const runs = 300
 	acc := stats.NewErrAccum(exact)
 	for run := 0; run < runs; run++ {
-		set, err := BuildSet(g, Options{K: 8, Flavor: sketch.BottomK, Seed: uint64(run) + 900}, AlgoDP)
+		set, err := BuildSet(g, Options{K: 8, Seed: uint64(run) + 900}, AlgoDP)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,37 +10,36 @@ import (
 
 	"adsketch/internal/graph"
 	"adsketch/internal/rank"
-	"adsketch/internal/sketch"
 	"adsketch/internal/stats"
 )
 
 // --- serialization ---
 
+// TestEncodeRoundTripAllFlavors round-trips the one flavor a set holds,
+// bottom-k, at full precision and base 2.  (lab reproduces k-mins and
+// k-partition, which no set holds.)
 func TestEncodeRoundTripAllFlavors(t *testing.T) {
 	g := graph.GNP(120, 0.05, false, 31)
-	for _, fl := range allFlavors() {
-		for _, baseB := range []float64{0, 2} {
-			o := Options{K: 5, Flavor: fl, Seed: 17, BaseB: baseB}
-			set, err := BuildSet(g, o, AlgoPrunedDijkstra)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if _, err := set.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			read, err := ReadSketchSet(&buf)
-			if err != nil {
-				t.Fatalf("%v baseB=%g: %v", fl, baseB, err)
-			}
-			got := read
-			if got.Params() != set.Params() {
-				t.Fatalf("options changed: %+v vs %+v", got.Params(), set.Params())
-			}
-			for v := int32(0); int(v) < g.NumNodes(); v++ {
-				equalSketches(t, fmt.Sprintf("roundtrip %v node %d", fl, v),
-					set.Sketch(v), got.Sketch(v))
-			}
+	for _, baseB := range []float64{0, 2} {
+		o := Options{K: 5, Seed: 17, BaseB: baseB}
+		set, err := BuildSet(g, o, AlgoPrunedDijkstra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := set.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSketchSet(&buf)
+		if err != nil {
+			t.Fatalf("baseB=%g: %v", baseB, err)
+		}
+		if got.Params() != set.Params() {
+			t.Fatalf("options changed: %+v vs %+v", got.Params(), set.Params())
+		}
+		for v := int32(0); int(v) < g.NumNodes(); v++ {
+			equalSketches(t, fmt.Sprintf("roundtrip b=%g node %d", baseB, v),
+				set.Sketch(v), got.Sketch(v))
 		}
 	}
 }
@@ -50,7 +49,7 @@ func TestEncodeRoundTripAllFlavors(t *testing.T) {
 // a version-2 file of an earlier release.)
 func TestEncodeDetectsCorruption(t *testing.T) {
 	g := graph.Path(20)
-	set, err := BuildSet(g, Options{K: 3, Flavor: sketch.BottomK, Seed: 1}, AlgoDP)
+	set, err := BuildSet(g, Options{K: 3, Seed: 1}, AlgoDP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestEncodeDetectsCorruption(t *testing.T) {
 
 func TestEncodeEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0, false).Build()
-	set, err := BuildSet(g, Options{K: 2, Flavor: sketch.BottomK, Seed: 1}, AlgoDP)
+	set, err := BuildSet(g, Options{K: 2, Seed: 1}, AlgoDP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +125,12 @@ func TestMinHashEntriesWithin(t *testing.T) {
 	}
 }
 
-func optionsForTest() Options { return Options{K: 4, Flavor: sketch.BottomK, Seed: 99} }
+func optionsForTest() Options { return Options{K: 4, Seed: 99} }
 
 func TestNeighborhoodJaccardIdenticalAndDisjoint(t *testing.T) {
 	// Two nodes of a complete graph share their d=1 neighborhood exactly.
 	g := graph.Complete(40)
-	set, err := BuildSet(g, Options{K: 8, Flavor: sketch.BottomK, Seed: 3}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: 8, Seed: 3}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestNeighborhoodJaccardIdenticalAndDisjoint(t *testing.T) {
 		b.AddEdge(i+10, i+11)
 	}
 	g2 := b.Build()
-	set2, err := BuildSet(g2, Options{K: 4, Flavor: sketch.BottomK, Seed: 4}, AlgoPrunedDijkstra)
+	set2, err := BuildSet(g2, Options{K: 4, Seed: 4}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestNeighborhoodJaccardEstimatesOverlap(t *testing.T) {
 	g := graph.Path(60)
 	var acc stats.Accum
 	for run := 0; run < 200; run++ {
-		set, err := BuildSet(g, Options{K: 12, Flavor: sketch.BottomK, Seed: uint64(run) + 50}, AlgoDP)
+		set, err := BuildSet(g, Options{K: 12, Seed: uint64(run) + 50}, AlgoDP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +185,7 @@ func TestUnionNeighborhoodEstimate(t *testing.T) {
 	g := graph.Path(100)
 	acc := stats.NewErrAccum(22)
 	for run := 0; run < 200; run++ {
-		set, err := BuildSet(g, Options{K: 8, Flavor: sketch.BottomK, Seed: uint64(run) + 900}, AlgoDP)
+		set, err := BuildSet(g, Options{K: 8, Seed: uint64(run) + 900}, AlgoDP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +194,7 @@ func TestUnionNeighborhoodEstimate(t *testing.T) {
 	if bias := acc.Bias(); math.Abs(bias) > 0.07 {
 		t.Errorf("union estimate bias = %+.3f", bias)
 	}
-	set, _ := BuildSet(g, Options{K: 8, Flavor: sketch.BottomK, Seed: 1}, AlgoDP)
+	set, _ := BuildSet(g, Options{K: 8, Seed: 1}, AlgoDP)
 	if got := UnionNeighborhoodEstimate(set, nil, 5); got != 0 {
 		t.Errorf("empty seed set estimate = %g", got)
 	}
@@ -219,7 +218,7 @@ func TestGreedyInfluenceSeeds(t *testing.T) {
 	}
 	b.AddEdge(prev, 21)
 	g := b.Build()
-	set, err := BuildSet(g, Options{K: 16, Flavor: sketch.BottomK, Seed: 5}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: 16, Seed: 5}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,21 +244,19 @@ func TestParallelBuilderMatchesSequential(t *testing.T) {
 		"grid": graph.Grid(9, 9),
 	}
 	for name, g := range graphs {
-		for _, fl := range allFlavors() {
-			for _, baseB := range []float64{0, 2} {
-				o := Options{K: 4, Flavor: fl, Seed: 11, BaseB: baseB}
-				ref, err := BuildSetParallel(g, o, AlgoPrunedDijkstra, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := BuildSetParallel(g, o, AlgoPrunedDijkstra, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := int32(0); int(v) < g.NumNodes(); v++ {
-					label := fmt.Sprintf("parallel %s/%v/b=%g/node %d", name, fl, baseB, v)
-					equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
-				}
+		for _, baseB := range []float64{0, 2} {
+			o := Options{K: 4, Seed: 11, BaseB: baseB}
+			ref, err := BuildSetParallel(g, o, AlgoPrunedDijkstra, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := BuildSetParallel(g, o, AlgoPrunedDijkstra, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := int32(0); int(v) < g.NumNodes(); v++ {
+				label := fmt.Sprintf("parallel %s/b=%g/node %d", name, baseB, v)
+				equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
 			}
 		}
 	}
@@ -273,7 +270,7 @@ func TestParallelBuilderMatchesSequential(t *testing.T) {
 // count, and a change in them is a change of the schedule.
 func TestParallelBuilderBatchSizes(t *testing.T) {
 	g := graph.PreferentialAttachment(10000, 5, 1)
-	cands, ranks := runSpec{k: 16, rank: (Options{K: 16, Seed: 42}).rankFn(0)}.rankOrder(g.NumNodes())
+	cands, ranks := runSpec{k: 16, rank: (Options{K: 16, Seed: 42}).rankFn()}.rankOrder(g.NumNodes())
 	batches := 0
 	for start := 0; start < len(cands); start = batchEnd(cands, ranks, 16, start) {
 		batches++
@@ -320,7 +317,7 @@ func TestBatchEnd(t *testing.T) {
 	for _, baseB := range []float64{0, 2} {
 		for _, n := range []int{0, 1, 5, 16, 17, 1000} {
 			for _, k := range []int{1, 4, 16} {
-				cands, ranks := runSpec{k: k, rank: (Options{K: k, Seed: 7, BaseB: baseB}).rankFn(0)}.rankOrder(n)
+				cands, ranks := runSpec{k: k, rank: (Options{K: k, Seed: 7, BaseB: baseB}).rankFn()}.rankOrder(n)
 				start := 0
 				for start < n {
 					end := batchEnd(cands, ranks, k, start)
@@ -361,7 +358,7 @@ func TestPartOfInvertsNodeRange(t *testing.T) {
 
 func TestApproxSetInvariantAndShrinkage(t *testing.T) {
 	g := graph.WithRandomWeights(graph.GNP(100, 0.06, false, 91), 1, 8, 92)
-	exact, err := BuildSet(g, Options{K: 4, Flavor: sketch.BottomK, Seed: 13}, AlgoPrunedDijkstra)
+	exact, err := BuildSet(g, Options{K: 4, Seed: 13}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +396,7 @@ func TestApproxSetInvariantAndShrinkage(t *testing.T) {
 
 func TestApproxSetEpsZeroMatchesExact(t *testing.T) {
 	g := graph.WithRandomWeights(graph.GNP(80, 0.07, false, 21), 1, 3, 22)
-	exact, err := BuildSet(g, Options{K: 3, Flavor: sketch.BottomK, Seed: 7}, AlgoPrunedDijkstra)
+	exact, err := BuildSet(g, Options{K: 3, Seed: 7}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +439,7 @@ func TestDistanceUpperBound(t *testing.T) {
 	// Forward sketches on an undirected graph: d(a,x)+d(x,b) >= d(a,b),
 	// and common low-rank beacons usually make the bound tight-ish.
 	g := graph.WithRandomWeights(graph.GNP(150, 0.05, false, 41), 1, 3, 42)
-	set, err := BuildSet(g, Options{K: 16, Flavor: sketch.BottomK, Seed: 6}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: 16, Seed: 6}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +470,7 @@ func TestDistanceUpperBoundDisconnected(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	g := b.Build()
-	set, err := BuildSet(g, Options{K: 4, Flavor: sketch.BottomK, Seed: 1}, AlgoDP)
+	set, err := BuildSet(g, Options{K: 4, Seed: 1}, AlgoDP)
 	if err != nil {
 		t.Fatal(err)
 	}

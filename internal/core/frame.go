@@ -2,19 +2,17 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"unsafe"
 
 	"adsketch/internal/rank"
-	"adsketch/internal/sketch"
 )
 
 // Frozen columnar sketch storage.  A built sketch set never mutates, so
 // instead of one heap object (and one entry slice) per node, every set
 // owns a single Frame: an offsets array plus parallel entry columns shared
-// by all of its sketches.  The sketch types (ADS, WeightedADS, KMinsADS,
-// KPartitionADS) are lightweight views over column slices — constructing
+// by all of its sketches.  The sketch types (ADS, WeightedADS) are
+// lightweight views over column slices — constructing
 // one allocates a small header, never entry data — and a node's HIP query
 // index views them too, holding only its weights and sums (Index).  A
 // million-node set is a handful of large allocations instead of millions
@@ -25,9 +23,9 @@ import (
 // A frame holds, per entry, a node ID in the ⌈log₂ total⌉ bits an ID of
 // its set needs (nodepack.go: 14 bits at ten thousand nodes, bit-packed
 // back to back), one bit of distance step code (stepcode.go) and — for
-// weighted sets — β; per distinct distance of a segment, one step: a code
+// weighted sets — β; per distinct distance of a sketch, one step: a code
 // of a few bits into the frame's dictionary of distances where they are
-// few, a float where they are not; per segment, an offset in the bits an
+// few, a float where they are not; per node, an offset in the bits an
 // entry position needs; and no ranks.  No integer column is wider than
 // the frame's own counts make it (nodepack.go).  Distances are a
 // staircase in canonical order, so they are stored as its steps: entry
@@ -37,13 +35,11 @@ import (
 // asked for.
 
 // ranker derives the rank of an entry from what its frame records: the
-// seed, the flavor and base of a uniform set, the scheme of a weighted
-// one.  It is the arithmetic the builders draw ranks with (Options.rankFn
-// is built on it), so a derived rank is bit-equal to the one the entry
-// was sampled under.
+// seed, the base of a uniform set, the scheme of a weighted one.  It is the
+// arithmetic the builders draw ranks with (Options.rankFn is built on it),
+// so a derived rank is bit-equal to the one the entry was sampled under.
 type ranker struct {
 	src      rank.Source
-	kmins    bool // one permutation per segment
 	rounded  bool // base-b ranks
 	base     rank.BaseB
 	weighted bool
@@ -53,28 +49,23 @@ type ranker struct {
 // newRanker returns the ranker of a set of a valid p, whose unused fields
 // are zero.
 func newRanker(p Params) ranker {
-	r := ranker{src: p.Source(), kmins: p.Flavor == sketch.KMins, weighted: p.Kind == KindWeighted, scheme: p.Scheme}
+	r := ranker{src: p.Source(), weighted: p.Kind == KindWeighted, scheme: p.Scheme}
 	if p.BaseB > 1 {
 		r.rounded, r.base = true, rank.NewBaseB(p.BaseB)
 	}
 	return r
 }
 
-// rank returns the rank of node under permutation perm (k-mins only)
-// and node weight beta (weighted sets only).
-func (r *ranker) rank(perm int, node int32, beta float64) float64 {
+// rank returns the rank of node with node weight beta (weighted sets
+// only).
+func (r *ranker) rank(node int32, beta float64) float64 {
 	if r.weighted {
 		if r.scheme == PriorityWeights {
 			return r.src.PriorityRank(int64(node), beta)
 		}
 		return r.src.ExpRank(int64(node), beta)
 	}
-	var x float64
-	if r.kmins {
-		x = r.src.RankAt(perm, int64(node))
-	} else {
-		x = r.src.Rank(int64(node))
-	}
+	x := r.src.Rank(int64(node))
 	if r.rounded {
 		x = r.base.Round(x)
 	}
@@ -97,7 +88,6 @@ type cols struct {
 	rank []float64
 	beta []float64 // weighted sketches: β per entry
 	by   *ranker
-	perm int // which permutation the list samples: its segment, for k-mins
 }
 
 func (c *cols) len() int {
@@ -143,17 +133,6 @@ func (c *cols) dists() []float64 {
 	return out
 }
 
-// unpacked returns copies of the lists with per-entry nodes and distances
-// in place, for a cursor merge that reads them at random.
-func unpacked(lists []cols) []cols {
-	out := make([]cols, len(lists))
-	for i, c := range lists {
-		c.node, c.dist = c.nodes(), c.dists()
-		out[i] = c
-	}
-	return out
-}
-
 // sizeWithin returns the number of entries at distance <= d.
 func (c *cols) sizeWithin(d float64) int {
 	return sort.Search(c.len(), func(i int) bool { return c.distAt(i) > d })
@@ -168,7 +147,7 @@ func (c *cols) rankAt(i int) float64 {
 	if c.beta != nil {
 		b = c.beta[i]
 	}
-	return c.by.rank(c.perm, c.nodeAt(i), b)
+	return c.by.rank(c.nodeAt(i), b)
 }
 
 // ranks returns the rank of every entry: the stored column, or a fresh
@@ -187,15 +166,6 @@ func (c *cols) ranks() []float64 {
 // at returns entry i as a value.
 func (c *cols) at(i int) Entry {
 	return Entry{Node: c.nodeAt(i), Dist: c.distAt(i), Rank: c.rankAt(i)}
-}
-
-// before reports whether entry i of c precedes entry j of d in the
-// canonical order.
-func (c *cols) before(i int, d *cols, j int) bool {
-	if a, b := c.distAt(i), d.distAt(j); a != b {
-		return a < b
-	}
-	return c.nodeAt(i) < d.nodeAt(j)
 }
 
 // push appends an entry.  Views into a frame's columns are sliced with full
@@ -249,10 +219,9 @@ func colsFromEntries(entries []Entry) cols {
 	return c
 }
 
-// Frame is the frozen columnar storage of one sketch set: segs() segments
-// per node (1 for bottom-k/weighted/approximate, k for the per-permutation
-// and per-bucket lists of k-mins and k-partition), described by an offsets
-// column over shared entry columns.  Offsets are absolute positions into
+// Frame is the frozen columnar storage of one sketch set: one entry list
+// per node, described by an offsets column over shared entry columns.
+// Offsets are absolute positions into
 // the columns (entry p's ID is bits [p·w, (p+1)·w) of node, its step bit
 // is bit p of first), so slicing a frame to a node range (partitioning) is
 // a window on the offsets — off0 moves, no entry does — and the steps of
@@ -263,12 +232,12 @@ func colsFromEntries(entries []Entry) cols {
 // of the whole set the frame is (a range of): what its entries' IDs are
 // below, and so what fixes their width.
 type Frame struct {
-	p     Params // what the set is; segs and the ranker derive from it
+	p     Params // what the set is; the ranker derives from it
 	n     int
 	base  int32
 	total int
 	off   packedColumn // absolute entry positions, offsetWidth(the column's last) bits each, packed
-	off0  int64        // position in off of local node 0's first offset; n*segs+1 of them are the frame's
+	off0  int64        // position in off of local node 0's offset; n+1 of them are the frame's
 	node  packedColumn // nodeWidth(total) bits per entry, packed
 	first []uint64     // one bit per entry: set where a distance step starts
 	samp  []int64      // sampled popcounts of first, for rank1
@@ -277,21 +246,17 @@ type Frame struct {
 	by    ranker       // derives the ranks
 }
 
-// segs returns the segments per node.
-func (f *Frame) segs() int { return f.p.segs() }
-
 // freezeWhole is freezeFrame for a whole set: local node 0 is node 0, and
 // the lists are all there are.
 func freezeWhole(p Params, lists [][]Entry) *Frame {
-	return freezeFrame(p, 0, len(lists)/p.segs(), lists)
+	return freezeFrame(p, 0, len(lists), lists)
 }
 
-// freezeFrame assembles per-segment entry lists (node-major: segment s of
-// node v is lists[v*segs+s]) of nodes base... of a total-node set of
-// parameters p into one frame.  The entries' Rank fields are not kept, and
-// a Node outside the set loses its high bits: callers that did not draw
-// them from p and the set themselves check them against the frame's
-// (validate).
+// freezeFrame assembles the entry lists of nodes base... (node base+i's is
+// lists[i]) of a total-node set of parameters p into one frame.  The
+// entries' Rank fields are not kept, and a Node outside the set loses its
+// high bits: callers that did not draw them from p and the set themselves
+// check them against the frame's (validate).
 func freezeFrame(p Params, base int32, total int, lists [][]Entry) *Frame {
 	entries, steps := 0, 0
 	for _, l := range lists {
@@ -327,15 +292,15 @@ type framePacker struct {
 	pos    int64 // entries added
 }
 
-// newFramePacker returns the packer of the frame of lists entry lists
-// (node-major: segment s of node v is list v*segs+s) of nodes base... of a
-// total-node set of parameters p, which hold entries entries and steps
-// distance steps in all.
-func newFramePacker(p Params, base int32, total, lists, entries, steps int) framePacker {
+// newFramePacker returns the packer of the frame of the entry lists of
+// nodes base, base+1, ... — nodes of them — of a total-node set of
+// parameters p, which hold entries entries and steps distance steps in
+// all.
+func newFramePacker(p Params, base int32, total, nodes, entries, steps int) framePacker {
 	return framePacker{
 		f: &Frame{
-			p: p, n: lists / p.segs(), base: base, total: total,
-			off:  makePackedColumn(int64(lists+1), offsetWidth(int64(entries))),
+			p: p, n: nodes, base: base, total: total,
+			off:  makePackedColumn(int64(nodes+1), offsetWidth(int64(entries))),
 			node: makePackedColumn(int64(entries), nodeWidth(total)),
 			by:   newRanker(p),
 		},
@@ -408,15 +373,15 @@ func (f *Frame) ownOffsets() *packedColumn {
 }
 
 // offAt returns offset i of the frame: the position of the first entry of
-// segment i of its own node range, or the end of its last.
+// local node i, or the end of its last node's.
 func (f *Frame) offAt(i int) int64 { return int64(f.off.get(f.off0 + int64(i))) }
 
 // numOffsets returns the frame's offset count.
-func (f *Frame) numOffsets() int { return f.n*f.segs() + 1 }
+func (f *Frame) numOffsets() int { return f.n + 1 }
 
 // entryRange returns the range of entry positions of the frame's own node
 // range.
-func (f *Frame) entryRange() (lo, hi int64) { return f.offAt(0), f.offAt(f.n * f.segs()) }
+func (f *Frame) entryRange() (lo, hi int64) { return f.offAt(0), f.offAt(f.n) }
 
 // stepRange returns the range of the step column that the frame's own
 // entries use.
@@ -438,23 +403,22 @@ func (f *Frame) owner(local int) int32 { return f.base + int32(local) }
 // width returns the bits per ID of the node column: nodeWidth(f.total).
 func (f *Frame) width() uint { return f.node.w }
 
-// segAt returns segment s of local node v as a column view.  The slices
+// colsAt returns local node v's entry list as a column view.  The slices
 // carry full capacity bounds so an (erroneous) append cannot overwrite a
 // neighboring sketch.
-func (f *Frame) segAt(local, s int) cols {
-	lo := f.offAt(local*f.segs() + s)
-	return f.segOver(lo, f.offAt(local*f.segs()+s+1), f.rank1(lo), s)
+func (f *Frame) colsAt(local int) cols {
+	lo, hi := f.span(local)
+	return f.colsOver(lo, hi, f.rank1(lo))
 }
 
-// segOver is segAt for the entry range [lo, hi) whose steps start at
-// step slo — which segAt looks up, and a caller still assembling the
+// colsOver is colsAt for the entry range [lo, hi) whose steps start at
+// step slo — which colsAt looks up, and a caller still assembling the
 // frame knows.
-func (f *Frame) segOver(lo, hi, slo int64, s int) cols {
+func (f *Frame) colsOver(lo, hi, slo int64) cols {
 	c := cols{
-		pn:   f.node.view(lo, hi),
-		sd:   StepDists{first: f.first, lo: lo, col: &f.steps, slo: slo, n: countBits(f.first, lo, hi)},
-		by:   &f.by,
-		perm: s,
+		pn: f.node.view(lo, hi),
+		sd: StepDists{first: f.first, lo: lo, col: &f.steps, slo: slo, n: countBits(f.first, lo, hi)},
+		by: &f.by,
 	}
 	if f.beta != nil {
 		c.beta = f.beta[lo:hi:hi]
@@ -462,34 +426,16 @@ func (f *Frame) segOver(lo, hi, slo int64, s int) cols {
 	return c
 }
 
-// span returns the absolute entry range of local node v across all its
-// segments.
-func (f *Frame) span(local int) (lo, hi int64) {
-	return f.offAt(local * f.segs()), f.offAt((local + 1) * f.segs())
-}
+// span returns the absolute entry range of local node v.
+func (f *Frame) span(local int) (lo, hi int64) { return f.offAt(local), f.offAt(local + 1) }
 
-// viewSketch constructs the kind's and flavor's view of local node v.
+// viewSketch constructs the kind's view of local node v.
 func (f *Frame) viewSketch(local int) Sketch {
 	k, owner := f.p.K, f.owner(local)
-	switch {
-	case f.p.Kind == KindWeighted:
-		return &WeightedADS{k: k, node: owner, scheme: f.p.Scheme, c: f.segAt(local, 0)}
-	case f.p.Flavor == sketch.KMins:
-		return &KMinsADS{k: k, node: owner, perms: f.segViews(local)}
-	case f.p.Flavor == sketch.KPartition:
-		return &KPartitionADS{k: k, node: owner, buckets: f.segViews(local)}
-	default:
-		return &ADS{k: k, node: owner, c: f.segAt(local, 0)}
+	if f.p.Kind == KindWeighted {
+		return &WeightedADS{k: k, node: owner, scheme: f.p.Scheme, c: f.colsAt(local)}
 	}
-}
-
-// segViews returns the per-segment column views of local node v.
-func (f *Frame) segViews(local int) []cols {
-	segs := make([]cols, f.segs())
-	for s := range segs {
-		segs[s] = f.segAt(local, s)
-	}
-	return segs
+	return &ADS{k: k, node: owner, c: f.colsAt(local)}
 }
 
 // slice returns the sub-frame of local nodes [lo, hi): a window on the
@@ -498,7 +444,7 @@ func (f *Frame) segViews(local int) []cols {
 func (f *Frame) slice(lo, hi int) *Frame {
 	return &Frame{
 		p: f.p, n: hi - lo, base: f.base + int32(lo), total: f.total,
-		off: f.off, off0: f.off0 + int64(lo*f.segs()),
+		off: f.off, off0: f.off0 + int64(lo),
 		node: f.node, first: f.first, samp: f.samp, steps: f.steps,
 		beta: f.beta, by: f.by,
 	}
@@ -521,7 +467,7 @@ func mergeFrames(frames []*Frame) *Frame {
 	}
 	out := &Frame{
 		p: first.p, n: nodes, base: 0, total: nodes,
-		off:  makePackedColumn(int64(nodes*first.segs()+1), offsetWidth(total)),
+		off:  makePackedColumn(int64(nodes+1), offsetWidth(total)),
 		node: makePackedColumn(total, nodeWidth(nodes)),
 		by:   first.by,
 	}
@@ -529,7 +475,7 @@ func mergeFrames(frames []*Frame) *Frame {
 	if first.p.Kind == KindWeighted {
 		out.beta = make([]float64, total)
 	}
-	pos, seg := int64(0), int64(0)
+	pos, at := int64(0), int64(0)
 	for _, f := range frames {
 		flo, fhi := f.entryRange()
 		out.node.copyFrom(pos, &f.node, flo, fhi-flo)
@@ -539,13 +485,13 @@ func mergeFrames(frames []*Frame) *Frame {
 		if out.beta != nil {
 			copy(out.beta[pos:], f.beta[flo:fhi])
 		}
-		for i := 0; i < f.n*f.segs(); i++ {
-			out.off.put(seg, uint64(pos+f.offAt(i)-flo))
-			seg++
+		for i := 0; i < f.n; i++ {
+			out.off.put(at, uint64(pos+f.offAt(i)-flo))
+			at++
 		}
 		pos += fhi - flo
 	}
-	out.off.put(seg, uint64(pos))
+	out.off.put(at, uint64(pos))
 	out.setSteps(marks, step)
 	return out
 }
@@ -559,26 +505,22 @@ const rankMemoSlots = 1 << 14
 
 // rankScratch serves the loops that read every rank of a frame
 // (freeze- and read-time validation): one node's ranks at a time, in
-// one reused buffer, through a direct-mapped (perm, node, β) → rank memo,
-// so they pay a hash per distinct node rather than per entry and allocate
+// one reused buffer, through a direct-mapped (node, β) → rank memo, so
+// they pay a hash per distinct node rather than per entry and allocate
 // nothing per node.  The zero value is ready to use, and serves one frame:
 // the memo does not key on the ranker.
 type rankScratch struct {
 	memo *[rankMemoSlots]rankMemoSlot
 	buf  []float64
-	dbuf []float64 // the per-entry distances ranked expands
-	nbuf []int32   // the per-entry nodes ranked unpacks
-	segs []cols
+	dbuf []float64 // the per-entry distances filled expands
+	nbuf []int32   // the per-entry nodes filled unpacks
 }
 
 type rankMemoSlot struct {
-	key  uint64 // perm<<32 + node + 1: zero is empty
+	key  uint64 // node + 1: zero is empty
 	beta float64
 	rank float64
 }
-
-// grow returns the scratch buffer, resized to n ranks.
-func (s *rankScratch) grow(n int) []float64 { return growFloats(&s.buf, n) }
 
 // growFloats returns *buf resized to n, reallocating only when the
 // capacity is short.
@@ -589,107 +531,75 @@ func growFloats(buf *[]float64, n int) []float64 {
 	return (*buf)[:n]
 }
 
-// derive fills dst with the ranks by gives nodes under permutation perm
-// (and the node weights betas, when non-nil), through the memo.
-func (s *rankScratch) derive(dst []float64, by *ranker, perm int, nodes []int32, betas []float64) {
+// derive fills dst with the ranks by gives nodes (under the node weights
+// betas, when non-nil), through the memo.
+func (s *rankScratch) derive(dst []float64, by *ranker, nodes []int32, betas []float64) {
 	if s.memo == nil {
 		s.memo = new([rankMemoSlots]rankMemoSlot)
 	}
-	mix, hi := uint32(perm)*0x9e3779b1, uint64(perm)<<32+1
 	for j, node := range nodes {
 		var beta float64
 		if betas != nil {
 			beta = betas[j]
 		}
-		key := hi + uint64(uint32(node))
-		m := &s.memo[(uint32(node)+mix)%rankMemoSlots]
+		key := uint64(uint32(node)) + 1
+		m := &s.memo[uint32(node)%rankMemoSlots]
 		if m.key != key || m.beta != beta {
-			*m = rankMemoSlot{key: key, beta: beta, rank: by.rank(perm, node, beta)}
+			*m = rankMemoSlot{key: key, beta: beta, rank: by.rank(node, beta)}
 		}
 		dst[j] = m.rank
 	}
 }
 
-// ranked returns the segment views of local node v with their ranks and
-// per-entry nodes and distances filled in — ranks derived into s.buf,
-// nodes unpacked into s.nbuf and distances expanded from the steps into
-// s.dbuf — valid until the next call.  The views' pn and sd still alias
-// the frame.
-func (f *Frame) ranked(s *rankScratch, local int) []cols {
-	segs := s.segs[:0]
-	for i := 0; i < f.segs(); i++ {
-		segs = append(segs, f.segAt(local, i))
-	}
-	return f.filled(s, segs)
-}
-
-// filled is ranked over views the caller has made: it keeps segs as the
-// scratch's view list and fills in their ranks, nodes and distances.
-func (f *Frame) filled(s *rankScratch, segs []cols) []cols {
-	s.segs = segs
-	n := 0
-	for i := range segs {
-		n += segs[i].pn.n
-	}
-	dbuf := growFloats(&s.dbuf, n)
-	s.nbuf = slices.Grow(s.nbuf[:0], n)
-	nbuf, buf := s.nbuf, s.grow(n)
-	for i := range segs {
-		c := &segs[i]
-		from := len(nbuf)
-		nbuf = c.pn.AppendTo(nbuf, 0, c.pn.n)
-		c.node = nbuf[from:len(nbuf):len(nbuf)]
-		c.dist, dbuf = dbuf[:c.len():c.len()], dbuf[c.len():]
-		c.sd.expand(c.dist)
-		c.rank, buf = buf[:c.len():c.len()], buf[c.len():]
-		s.derive(c.rank, c.by, c.perm, c.node, c.beta)
-	}
-	return segs
+// filled returns the view c with its ranks and per-entry nodes and
+// distances filled in — ranks derived into s.buf, nodes unpacked into
+// s.nbuf and distances expanded from the steps into s.dbuf — valid until
+// the next call.  Its pn and sd still alias the frame.
+func (s *rankScratch) filled(c cols) cols {
+	n := c.pn.n
+	s.nbuf = c.pn.AppendTo(s.nbuf[:0], 0, n)
+	c.node = s.nbuf[:n:n]
+	c.dist = growFloats(&s.dbuf, n)[:n:n]
+	c.sd.expand(c.dist)
+	c.rank = growFloats(&s.buf, n)[:n:n]
+	s.derive(c.rank, c.by, c.node, c.beta)
+	return c
 }
 
 // validate checks the structural invariants of local node v's sketch.
-// given, when non-nil, is the caller-built entry list of every segment the
-// node was frozen from: their Rank fields, which the frame did not keep,
-// must be the ones the frame derives, so that a frame cannot disagree with
-// its own seed.
-func (f *Frame) validate(s *rankScratch, local int, given [][]Entry) error {
-	return f.validateSegs(f.ranked(s, local), local, given)
+// given, when non-nil, is the caller-built entry list the node was frozen
+// from: its Rank fields, which the frame did not keep, must be the ones
+// the frame derives, so that a frame cannot disagree with its own seed.
+func (f *Frame) validate(s *rankScratch, local int, given []Entry) error {
+	return f.validateCols(s.filled(f.colsAt(local)), local, given)
 }
 
-// validateSegs is validate over local node v's filled views.
-func (f *Frame) validateSegs(segs []cols, local int, given [][]Entry) error {
+// validateCols is validate over local node v's filled view c.
+func (f *Frame) validateCols(c cols, local int, given []Entry) error {
 	k, owner := f.p.K, f.owner(local)
-	for s, l := range given {
-		for i, e := range l {
-			if u := segs[s].node[i]; e.Node != u {
-				return fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", owner, i, e.Node, f.total)
-			}
-			if r := segs[s].rank[i]; e.Rank != r {
-				return fmt.Errorf("core: ADS(%d) segment %d entry %d (node %d) has rank %g, the set's seed derives %g (seed %d)", owner, s, i, e.Node, e.Rank, r, f.p.Seed)
-			}
+	for i, e := range given {
+		if u := c.node[i]; e.Node != u {
+			return fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", owner, i, e.Node, f.total)
+		}
+		if r := c.rank[i]; e.Rank != r {
+			return fmt.Errorf("core: ADS(%d) entry %d (node %d) has rank %g, the set's seed derives %g (seed %d)", owner, i, e.Node, e.Rank, r, f.p.Seed)
 		}
 	}
 	// An ID is stored in the bits the largest of the set needs, which can
 	// spell a larger one still.
-	for _, c := range segs {
-		for i, u := range c.node {
-			if int(u) >= f.total {
-				return fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", owner, i, u, f.total)
-			}
+	for i, u := range c.node {
+		if int(u) >= f.total {
+			return fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", owner, i, u, f.total)
 		}
 	}
 	var err error
-	switch {
-	case f.p.Kind == KindWeighted:
-		err = (&WeightedADS{k: k, node: owner, scheme: f.p.Scheme, c: segs[0]}).Validate()
-	case f.p.Kind == KindApprox:
-		err = validateApproxView(&ADS{k: k, node: owner, c: segs[0]})
-	case f.p.Flavor == sketch.KMins:
-		err = (&KMinsADS{k: k, node: owner, perms: segs}).Validate()
-	case f.p.Flavor == sketch.KPartition:
-		err = (&KPartitionADS{k: k, node: owner, buckets: segs}).Validate()
+	switch f.p.Kind {
+	case KindWeighted:
+		err = (&WeightedADS{k: k, node: owner, scheme: f.p.Scheme, c: c}).Validate()
+	case KindApprox:
+		err = validateApproxView(&ADS{k: k, node: owner, c: c})
 	default:
-		err = (&ADS{k: k, node: owner, c: segs[0]}).Validate()
+		err = (&ADS{k: k, node: owner, c: c}).Validate()
 	}
 	if err != nil {
 		return err
@@ -697,29 +607,22 @@ func (f *Frame) validateSegs(segs []cols, local int, given [][]Entry) error {
 	// The entries are in canonical order; so must their code be — maximal
 	// runs, hence strictly ascending steps — or equal entries would not
 	// mean equal bytes.  Only a file can get this wrong.
-	for _, c := range segs {
-		for j := 0; j < c.sd.n; j++ {
-			if d := c.sd.step(j); !(d >= 0) || j > 0 && d == c.sd.step(j-1) {
-				return fmt.Errorf("core: ADS(%d) has a redundant or invalid distance step %g at %d", owner, d, j)
-			}
+	for j := 0; j < c.sd.n; j++ {
+		if d := c.sd.step(j); !(d >= 0) || j > 0 && d == c.sd.step(j-1) {
+			return fmt.Errorf("core: ADS(%d) has a redundant or invalid distance step %g at %d", owner, d, j)
 		}
 	}
 	return nil
 }
 
-// Index builds the HIP query index of local node v.  A single-segment
-// node's HIP entries are its entries, so the index views the frame's node
-// column, step bits and steps and holds of its own one slice: a weight per
-// entry — the ranks derived into it, then turned into weights in place —
-// and a prefix sum per step.  A k-mins / k-partition node's
-// entries are a merge of its segments, indexed standalone.  Every readout
-// is bit-identical to NewHIPIndex over the node's view; callers cache the
-// result (query.IndexCache).
+// Index builds the HIP query index of local node v.  A node's HIP
+// entries are its entries, so the index views the frame's node column,
+// step bits and steps and holds of its own one slice: a weight per entry
+// — the ranks derived into it, then turned into weights in place — and a
+// prefix sum per step.  Every readout is bit-identical to NewHIPIndex
+// over the node's view; callers cache the result (query.IndexCache).
 func (f *Frame) Index(local int32) *HIPIndex {
-	if f.segs() > 1 {
-		return NewHIPIndex(f.viewSketch(int(local)))
-	}
-	c := f.segAt(int(local), 0)
+	c := f.colsAt(int(local))
 	e, s := c.len(), c.sd.n
 	buf := make([]float64, e+s)
 	w := buf[:e:e]

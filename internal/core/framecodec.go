@@ -9,8 +9,6 @@ import (
 	"os"
 	"sync/atomic"
 	"unsafe"
-
-	"adsketch/internal/sketch"
 )
 
 // Version-3 sketch files: the on-disk layout is the in-memory frame
@@ -24,7 +22,7 @@ import (
 //	k u32 | flavor u32 | seed u64 | baseB f64 | scheme u32 | segs u32 |
 //	eps f64 | numNodes u64 | numEntries u64 | numSteps u64 |
 //	numDistinct u64 |
-//	offsets ceil((numNodes·segs+1)·wo/64)×u64 |
+//	offsets ceil((numNodes+1)·wo/64)×u64 |
 //	nodes ceil(numEntries·w/64)×u64 |
 //	first ceil(numEntries/64)×u64 |
 //	codes ceil(numSteps·wc/64)×u64 | dict numDistinct×f64,
@@ -32,7 +30,7 @@ import (
 //	[betas numEntries×f64, when flags bit 0 is set]
 //
 // so a file is 88 bytes of header (112 for a partition) +
-// 8·ceil((numNodes·segs+1)·wo/64) + 8·ceil(numEntries·w/64) +
+// 8·ceil((numNodes+1)·wo/64) + 8·ceil(numEntries·w/64) +
 // 8·ceil(numEntries/64) + either 8·ceil(numSteps·wc/64) + 8·numDistinct
 // or 8·numSteps, plus 8·numEntries of betas when weighted.  The widths
 // are derived from the header's counts and stored nowhere:
@@ -45,11 +43,15 @@ import (
 // and bit b of a packed column is bit b%64 of word b/64, counted from the
 // least significant; the bits past a column's last value are zero.
 //
+// Every sketch is bottom-k: flavor is 0 and segs 1, one entry list a
+// node.  Earlier releases also wrote k-mins (flavor 1) and k-partition
+// (flavor 2) sets, k lists a node; those are refused, naming the flavor.
+//
 // The distances are step-coded (stepcode.go): bit i of first is set where
-// entry i's distance differs from its predecessor's in the segment, always
-// at a segment start and never past numEntries, and there is one step per
+// entry i's distance differs from its predecessor's in the sketch, always
+// at a sketch start and never past numEntries, and there is one step per
 // set bit, so numSteps is the popcount of first.  The code is canonical —
-// steps ascend strictly within a segment — so equal entries are equal
+// steps ascend strictly within a sketch — so equal entries are equal
 // bytes.  The steps are codes into a dictionary when numDistinct > 0: dict
 // is then exactly the distinct step values, strictly ascending, every one
 // in use, and step j's distance is dict[code j].  The dictionary is used
@@ -164,12 +166,9 @@ func (h *frameHdr) nodesSize() int64 {
 	return packedWords(int64(h.numEntries), nodeWidth(h.totalNodes())) * 8
 }
 
-// numSegs returns the offsets-array segment count.
-func (h *frameHdr) numSegs() int64 { return int64(h.n) * int64(h.segs) }
-
 // offsetsSize returns the byte length of the offsets column.
 func (h *frameHdr) offsetsSize() int64 {
-	return packedWords(h.numSegs()+1, offsetWidth(int64(h.numEntries))) * 8
+	return packedWords(int64(h.n)+1, offsetWidth(int64(h.numEntries))) * 8
 }
 
 // codesSize returns the byte length of the step codes: 0 for raw steps.
@@ -203,15 +202,32 @@ func (h *frameHdr) bodySize() int64 {
 func (h *frameHdr) params() Params {
 	return Params{
 		Kind:    Kind(h.setKind()),
-		Options: Options{K: int(h.k), Flavor: sketch.Flavor(h.flavor), Seed: h.seed, BaseB: h.baseB},
+		Options: Options{K: int(h.k), Seed: h.seed, BaseB: h.baseB},
 		Scheme:  WeightScheme(h.scheme),
 		Eps:     h.eps,
 	}
 }
 
+// flavorName names a header's flavor code: the MinHash scheme of the
+// sketches of a file, bottom-k for every file this release writes.
+func flavorName(flavor uint32) string {
+	switch flavor {
+	case 0:
+		return "bottom-k"
+	case 1:
+		return "k-mins"
+	case 2:
+		return "k-partition"
+	}
+	return "unknown"
+}
+
 // validate checks every header field against the format's invariants, so
 // a corrupted file errors out before any column is touched.
 func (h *frameHdr) validate() error {
+	if h.flavor != 0 || h.segs != 1 {
+		return fmt.Errorf("core: sketch file holds %s sketches (flavor %d, %d lists a node); only bottom-k sketches are served", flavorName(h.flavor), h.flavor, h.segs)
+	}
 	if h.setKind() == kindPartition {
 		return fmt.Errorf("core: sketch partitions cannot nest")
 	}
@@ -232,9 +248,6 @@ func (h *frameHdr) validate() error {
 	p := h.params()
 	if err := p.validate(); err != nil {
 		return err
-	}
-	if h.segs != uint32(p.segs()) {
-		return fmt.Errorf("core: sketch file claims %d segments per node, want %d", h.segs, p.segs())
 	}
 	if hasBeta := h.flags&frameFlagBeta != 0; hasBeta != (p.Kind == KindWeighted) {
 		return fmt.Errorf("core: sketch file beta column mismatch (kind %v, flags %#x)", p.Kind, h.flags)
@@ -265,11 +278,10 @@ func headerWith(s *Set, own *stepColumn) frameHdr {
 	h := frameHdr{
 		kind:       uint32(f.p.Kind),
 		k:          uint32(f.p.K),
-		flavor:     uint32(f.p.Flavor),
 		seed:       f.p.Seed,
 		baseB:      f.p.BaseB,
 		scheme:     uint32(f.p.Scheme),
-		segs:       uint32(f.segs()),
+		segs:       1,
 		eps:        f.p.Eps,
 		n:          uint64(f.n),
 		numEntries: uint64(f.totalEntries()),
@@ -529,7 +541,7 @@ func (h *frameHdr) wrap(f *Frame) *Set {
 
 // validateOffsets checks that the n offsets are monotonic and cover
 // exactly the entry columns, and — first being the step bits — that every
-// non-empty segment starts a distance step; everything else about a
+// non-empty sketch starts a distance step; everything else about a
 // version-3 file is trusted (it is a serving-format for files the operator
 // built).
 func validateOffsets(off *packedColumn, n, numEntries int64, first []uint64) error {
@@ -547,7 +559,7 @@ func validateOffsets(off *packedColumn, n, numEntries int64, first []uint64) err
 		}
 		// prev < o <= numEntries is checked before prev indexes the bits.
 		if prev < o && o <= numEntries && !bitAt(first, prev) {
-			return fmt.Errorf("core: sketch file segment %d does not start a distance step", i-1)
+			return fmt.Errorf("core: sketch file sketch %d does not start with a distance step", i-1)
 		}
 		prev = o
 	}
@@ -638,7 +650,7 @@ func openFrameBytes(data []byte) (*Set, error) {
 	f.off.words = u64s(next(h.offsetsSize()))
 	f.node.words = u64s(next(h.nodesSize()))
 	f.first = u64s(next(bitWords(e) * 8))
-	if err := validateOffsets(&f.off, h.numSegs()+1, e, f.first); err != nil {
+	if err := validateOffsets(&f.off, int64(h.n)+1, e, f.first); err != nil {
 		return nil, err
 	}
 	if !f.node.holds(e) {

@@ -10,19 +10,16 @@ import (
 	"testing"
 
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
-// frameKinds builds one set of every kind/flavor the codec must carry.
+// frameKinds builds one set of every kind the codec must carry.
 func frameKinds(t *testing.T) map[string]*Set {
 	t.Helper()
 	g := graph.PreferentialAttachment(120, 3, 9)
 	out := map[string]*Set{}
 	for name, o := range map[string]Options{
-		"bottomk":    {K: 8, Seed: 42},
-		"kmins":      {K: 4, Flavor: sketch.KMins, Seed: 42},
-		"kpartition": {K: 4, Flavor: sketch.KPartition, Seed: 42},
-		"baseb":      {K: 8, Seed: 42, BaseB: 2},
+		"bottomk": {K: 8, Seed: 42},
+		"baseb":   {K: 8, Seed: 42, BaseB: 2},
 	} {
 		set, err := BuildSet(g, o, AlgoPrunedDijkstra)
 		if err != nil {

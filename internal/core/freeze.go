@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-
-	"adsketch/internal/sketch"
 )
 
 // FreezeBottomK assembles externally maintained per-node entry lists into a
@@ -38,8 +36,8 @@ func FreezeBottomK(o Options, lists [][]Entry) (*Set, error) {
 // is the set FreezeBottomK would return for the same lists.
 func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error) {
 	bf := base.frame
-	if bf.p.Kind != KindUniform || bf.p.Flavor != sketch.BottomK {
-		return nil, fmt.Errorf("core: FreezeBottomKOver requires a uniform bottom-k set, got a %v %v one", bf.p.Kind, bf.p.Flavor)
+	if bf.p.Kind != KindUniform {
+		return nil, fmt.Errorf("core: FreezeBottomKOver requires a uniform set, got a %v one", bf.p.Kind)
 	}
 	if bf.base != 0 || n < bf.n {
 		return nil, fmt.Errorf("core: FreezeBottomKOver: base must be a whole set of at most %d nodes, got nodes [%d, %d)", n, bf.base, int(bf.base)+bf.n)
@@ -100,7 +98,7 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		}
 		start, steps := pos, w.steps.n
 		f.off.put(int64(v), uint64(pos))
-		w.segment()
+		w.list()
 		for _, e := range l {
 			f.node.put(pos, nodeBits(e.Node))
 			w.add(pos, e.Dist)
@@ -111,8 +109,8 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		// was just written: the frame cannot look its steps up until it is
 		// whole.
 		f.steps = w.steps
-		view := f.filled(&ranks, append(ranks.segs[:0], f.segOver(start, pos, steps, 0)))
-		if err := f.validateSegs(view, int(v), [][]Entry{l}); err != nil {
+		view := ranks.filled(f.colsOver(start, pos, steps))
+		if err := f.validateCols(view, int(v), l); err != nil {
 			return nil, fmt.Errorf("core: FreezeBottomKOver: %w", err)
 		}
 		next = int(v) + 1

@@ -106,8 +106,8 @@ func FuzzReadSketchSet(f *testing.F) {
 // FuzzBuildersAgree: Algorithm 1 — the hop kernel packed straight into
 // the frame on an unweighted graph, the float kernel on small integer
 // lengths — writes the bytes of the brute-force build at one worker and
-// at three, whatever the graph (at most 40 nodes, directed or not), the
-// flavor, k in 1..6, and whether base-b ranks make ties.  The first three
+// at three, whatever the graph (at most 40 nodes, directed or not), k in
+// 1..6, and whether base-b ranks make ties.  The first three
 // bytes choose n, the graph's kind and the options; every further pair
 // (a triple, with lengths) is an arc.
 func FuzzBuildersAgree(f *testing.F) {
@@ -122,7 +122,7 @@ func FuzzBuildersAgree(f *testing.F) {
 		}
 		n, kind, opts := int32(data[0])%40+1, data[1], data[2]
 		directed, weighted := kind&1 != 0, kind&2 != 0
-		o := Options{K: int(opts)%6 + 1, Flavor: allFlavors()[int(kind>>2)%3], Seed: uint64(opts >> 4)}
+		o := Options{K: int(opts)%6 + 1, Seed: uint64(opts >> 4)}
 		if kind&0x10 != 0 {
 			o.BaseB = 2
 		}

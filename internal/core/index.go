@@ -18,12 +18,12 @@ import "unsafe"
 //
 // Storage is columnar, the entry nodes bit-packed (nodepack.go) and the
 // entry distances step-coded (stepcode.go) the way a frame's are: the
-// unique distances are the steps.  An index built standalone
-// (NewHIPIndex) owns its columns, preallocated to exact size, its steps
-// raw; the index of a node of a single-segment set (Frame.Index, what
-// Engine serves) views the frame's nodes, step bits and steps, which may
-// be codes into the frame's dictionary of distances, and owns one slice
-// holding a weight per entry and a prefix sum per step.
+// unique distances are the steps.  An index built standalone (NewHIPIndex)
+// owns its columns, preallocated to exact size, its steps raw; the index of
+// a node of a set (Frame.Index, what Engine serves) views the frame's
+// nodes, step bits and steps, which may be codes into the frame's
+// dictionary of distances, and owns one slice holding a weight per entry
+// and a prefix sum per step.
 //
 // All accumulations scan the entries in canonical order, so every readout
 // is bit-identical to the corresponding direct estimator (EstimateQ,
@@ -42,7 +42,7 @@ type HIPIndex struct {
 	own   int64     // heap the index holds of its own (Bytes)
 }
 
-// NewHIPIndex builds a standalone index for a sketch of any flavor, with
+// NewHIPIndex builds a standalone index for any sketch, with
 // every column preallocated to its exact size (one pass counts the unique
 // distances, a second fills the prefix sums).  For sketches of a built
 // set prefer the set's Index method, which views the set's columns.

@@ -74,7 +74,7 @@ func TestBuildersAgreePropertyRandom(t *testing.T) {
 		n := 10 + int(nRaw)%60
 		p := 0.02 + float64(pRaw%50)/500
 		g := graph.GNP(n, p, false, gSeed)
-		o := Options{K: 3, Flavor: 0, Seed: rSeed}
+		o := Options{K: 3, Seed: rSeed}
 		ref, err := BuildSet(g, o, AlgoBruteForce)
 		if err != nil {
 			return false

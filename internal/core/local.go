@@ -17,7 +17,7 @@ func localUpdatesRun(g *graph.Graph, s runSpec) [][]Entry {
 }
 
 // messageRounds is the synchronized-round driver Algorithm 2 and the
-// (1+ε)-approximate construction share.  Each candidate node starts with
+// (1+ε)-approximate construction share.  Each node starts with
 // its own entry; whenever offer accepts an entry into ADS(u), the pair
 // (node, dist + w(v,u)) is sent to every in-neighbor v — the nodes that can
 // reach u's samples through u.  Rounds deliver the whole inbox in arrival
@@ -47,9 +47,6 @@ func messageRounds(g *graph.Graph, s runSpec, offer func(list []Entry, e Entry) 
 	}
 
 	for v := int32(0); int(v) < n; v++ {
-		if !s.candidate(v) {
-			continue
-		}
 		e := Entry{Node: v, Dist: 0, Rank: s.rank(v)}
 		lists[v] = []Entry{e}
 		send(v, e)

@@ -6,7 +6,7 @@ import (
 )
 
 // Bit-packed integer columns.  Every integer column of a frame — the node
-// IDs of its entries, the offsets of its segments, the dictionary codes of
+// IDs of its entries, the offsets of its sketches, the dictionary codes of
 // its distance steps (stepcode.go) — holds values below a bound the frame's
 // header counts fix, so it is stored at the width that bound needs, not at
 // 32 or 64 bits: value i is bits [i·w, (i+1)·w) of the column, numbered

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
 // TestNodesViewMatchesSlice: a packed column read through At, AppendTo
@@ -121,14 +120,6 @@ func TestNodeWidthBoundaries(t *testing.T) {
 		if n < 2 {
 			continue
 		}
-		// Flavors with segments too, at this width.
-		for _, fl := range []sketch.Flavor{sketch.KMins, sketch.KPartition} {
-			seg := pathSet(t, n, Options{K: 2, Flavor: fl, Seed: 42})
-			sl, _ := segmentLists(seg.frame)
-			if !bytes.Equal(v3Bytes(t, seg), canonicalV3(headerOf(seg), sl, nil)) {
-				t.Fatalf("n=%d %v: not the canonical encoding", n, fl)
-			}
-		}
 		parts, err := SplitSketchSet(set, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +149,7 @@ func TestNodeWidthBoundaries(t *testing.T) {
 			for v := 0; v < n; v++ {
 				var old []Entry
 				if v < n-1 {
-					c := base.frame.segAt(v, 0)
+					c := base.frame.colsAt(v)
 					old = c.entries()
 				}
 				if !slices.Equal(old, lists[v]) {
@@ -190,7 +181,7 @@ func TestFreezeRejectsForeignNode(t *testing.T) {
 		bad := append([][]Entry(nil), lists...)
 		l := append([]Entry(nil), lists[2]...)
 		l[len(l)-1].Node = foreign
-		l[len(l)-1].Rank = o.rankFn(0)(foreign)
+		l[len(l)-1].Rank = o.rankFn()(foreign)
 		bad[2] = l
 		if _, err := FreezeBottomK(o, bad); err == nil || !strings.Contains(err.Error(), "outside [0, 5)") {
 			t.Errorf("FreezeBottomK with node %d: %v", foreign, err)

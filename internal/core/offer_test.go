@@ -54,7 +54,7 @@ func TestOfferKernelProperty(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			rng := rand.New(rand.NewSource(int64(trial)))
 			g := graph.RandomSmall(rng)
-			rk := Options{K: c.k, Seed: uint64(trial), BaseB: c.baseB}.rankFn(0)
+			rk := Options{K: c.k, Seed: uint64(trial), BaseB: c.baseB}.rankFn()
 			var offers []Entry
 			for _, nd := range graph.NearestOrder(g, int32(rng.Intn(g.NumNodes()))) {
 				e := Entry{Node: nd.Node, Dist: nd.Dist, Rank: rk(nd.Node)}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
 func buildUniform(t *testing.T, o Options) *Set {
@@ -143,12 +142,13 @@ func TestPartitionCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// Uniform flavors beyond bottom-k must survive the partition codec too.
+// Uniform sets beyond full-precision bottom-k — base-b ranks, the one
+// variant left now that k-mins and k-partition are lab's — must survive
+// the partition codec too.
 func TestPartitionCodecFlavors(t *testing.T) {
 	for _, o := range []Options{
-		{K: 4, Flavor: sketch.KMins, Seed: 9},
-		{K: 4, Flavor: sketch.KPartition, Seed: 9},
 		{K: 8, Seed: 9, BaseB: 2},
+		{K: 3, Seed: 9, BaseB: 1.5},
 	} {
 		set := buildUniform(t, o)
 		parts, err := SplitSketchSet(set, 3)
@@ -162,16 +162,16 @@ func TestPartitionCodecFlavors(t *testing.T) {
 			}
 			p2, err := ReadSketchSet(bytes.NewReader(buf.Bytes()))
 			if err != nil {
-				t.Fatalf("flavor %v: %v", o.Flavor, err)
+				t.Fatalf("base %g: %v", o.BaseB, err)
 			}
 			for v := p2.Lo(); v < p2.Hi(); v++ {
 				sk := p2.SketchOf(v - p2.Lo())
 				if sk.Node() != v {
-					t.Fatalf("flavor %v: sketch at %d owned by %d", o.Flavor, v, sk.Node())
+					t.Fatalf("base %g: sketch at %d owned by %d", o.BaseB, v, sk.Node())
 				}
 				want := EstimateNeighborhoodHIP(set.SketchOf(v), 2)
 				if got := EstimateNeighborhoodHIP(sk, 2); got != want {
-					t.Fatalf("flavor %v node %d: estimate %v, want %v", o.Flavor, v, got, want)
+					t.Fatalf("base %g node %d: estimate %v, want %v", o.BaseB, v, got, want)
 				}
 			}
 		}

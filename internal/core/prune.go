@@ -213,40 +213,28 @@ func (ps pass[H]) lists(entry func(H) Entry) [][]Entry {
 }
 
 // hopFrame is BuildSetParallel's Algorithm 1 on an unweighted graph: the
-// passes of a uniform set of p — workers of them at a time, on one worker
-// each, or one pass on workers — packed straight into the frame's columns
-// from their keys.
+// one pass of a uniform set of p, on workers, packed straight into the
+// frame's columns from its keys.
 func hopFrame(g *graph.Graph, p Params, workers int) *Frame {
-	n, tr, inner := g.NumNodes(), g.Transpose(), workers
-	if p.segs() > 1 {
-		inner = 1
-	}
-	passes := runPasses(p, workers, func(s runSpec) pass[uint64] {
-		cands, ranks := s.rankOrder(n)
-		ps, _ := runHops(tr, cands, ranks, s.k, passWorkers(inner, n))
-		return ps
-	})
-	entries, steps := 0, 0
-	for _, ps := range passes {
-		entries += len(ps.keys)
-		for v := range n {
-			for j := ps.off[v]; j < ps.off[v+1]; j++ {
-				if j == ps.off[v] || ps.keys[j]>>32 != ps.keys[j-1]>>32 {
-					steps++
-				}
+	n := g.NumNodes()
+	cands, ranks := runSpec{k: p.K, rank: p.rankFn()}.rankOrder(n)
+	ps, _ := runHops(g.Transpose(), cands, ranks, p.K, passWorkers(workers, n))
+	steps := 0
+	for v := range n {
+		for j := ps.off[v]; j < ps.off[v+1]; j++ {
+			if j == ps.off[v] || ps.keys[j]>>32 != ps.keys[j-1]>>32 {
+				steps++
 			}
 		}
 	}
-	pk := newFramePacker(p, 0, n, n*len(passes), entries, steps)
+	pk := newFramePacker(p, 0, n, n, len(ps.keys), steps)
 	for v := range n {
-		for _, ps := range passes {
-			pk.list()
-			last := uint64(noKey)
-			for _, key := range ps.keys[ps.off[v]:ps.off[v+1]] {
-				hop := key >> 32
-				pk.add(keyNode(key), float64(hop), hop != last)
-				last = hop
-			}
+		pk.list()
+		last := uint64(noKey)
+		for _, key := range ps.keys[ps.off[v]:ps.off[v+1]] {
+			hop := key >> 32
+			pk.add(keyNode(key), float64(hop), hop != last)
+			last = hop
 		}
 	}
 	return pk.frame()

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
 // legacyV3 rewrites a version-3 file the way files were laid out before
@@ -69,16 +68,15 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte
 	var nodes, dists, ranks, steps []byte
 	first := make([]uint64, bitWords(hi-lo))
 	for v := 0; v < f.n; v++ {
-		for _, c := range f.ranked(&rs, v) {
-			for i, r := range c.rank {
-				if i == 0 || c.dist[i] != c.dist[i-1] {
-					setBit(first, int64(len(nodes)/4))
-					steps = le.AppendUint64(steps, math.Float64bits(c.dist[i]))
-				}
-				nodes = le.AppendUint32(nodes, uint32(c.node[i]))
-				dists = le.AppendUint64(dists, math.Float64bits(c.dist[i]))
-				ranks = le.AppendUint64(ranks, math.Float64bits(r))
+		c := rs.filled(f.colsAt(v))
+		for i, r := range c.rank {
+			if i == 0 || c.dist[i] != c.dist[i-1] {
+				setBit(first, int64(len(nodes)/4))
+				steps = le.AppendUint64(steps, math.Float64bits(c.dist[i]))
 			}
+			nodes = le.AppendUint32(nodes, uint32(c.node[i]))
+			dists = le.AppendUint64(dists, math.Float64bits(c.dist[i]))
+			ranks = le.AppendUint64(ranks, math.Float64bits(r))
 		}
 	}
 	if packed {
@@ -122,7 +120,7 @@ func v3Files(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kmins, err := BuildSet(g, Options{K: 3, Flavor: sketch.KMins, Seed: 42, BaseB: 2}, AlgoPrunedDijkstra)
+	base2, err := BuildSet(g, Options{K: 3, Seed: 42, BaseB: 2}, AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +133,7 @@ func v3Files(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	files := map[string][]byte{}
-	for name, set := range map[string]*Set{"uniform": uniform, "kmins-base2": kmins, "weighted": weighted, "approx": approx} {
+	for name, set := range map[string]*Set{"uniform": uniform, "uniform-base2": base2, "weighted": weighted, "approx": approx} {
 		var buf bytes.Buffer
 		if _, err := set.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -177,7 +175,7 @@ func TestV3Layout(t *testing.T) {
 		}
 		want, plain, steps, coded := referenceSizes(f, set.IsPartition())
 		if int64(len(data)) != want {
-			t.Errorf("%s: file is %d bytes, want %d (n=%d segs=%d e=%d steps=%d distinct=%d)", name, len(data), want, f.n, f.segs(), e, steps, coded)
+			t.Errorf("%s: file is %d bytes, want %d (n=%d e=%d steps=%d distinct=%d)", name, len(data), want, f.n, e, steps, coded)
 		}
 		flags := binary.LittleEndian.Uint32(data[12:])
 		if flags&frameFlagPackedNodes == 0 || flags&frameFlagCompact == 0 {
@@ -334,7 +332,7 @@ func TestFreezeOverMatchesFreeze(t *testing.T) {
 		changed[v] = lists[v]
 	}
 	for v := int32(30); v < 33; v++ { // three isolated newcomers
-		l := []Entry{{Node: v, Dist: 0, Rank: o.rankFn(0)(v)}}
+		l := []Entry{{Node: v, Dist: 0, Rank: o.rankFn()(v)}}
 		lists, changed[v] = append(lists, l), l
 	}
 	want, err := FreezeBottomK(o, lists)

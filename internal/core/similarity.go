@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"adsketch/internal/sketch"
 )
 
 // Cross-sketch applications enabled by coordination (Section 1): because
@@ -170,7 +168,7 @@ func GreedyInfluenceSeeds(set *Set, candidates []int32, numSeeds int, d float64)
 // coordinated returns node v's sketch of a uniform bottom-k set, the
 // coordinated sketches union estimates combine; it panics on any other.
 func (s *Set) coordinated(v int32) *ADS {
-	if p := s.Params(); p.Kind != KindUniform || p.Flavor != sketch.BottomK {
+	if s.Params().Kind != KindUniform {
 		panic("core: union estimates require uniform bottom-k sketches")
 	}
 	return s.BottomK(v)

@@ -11,7 +11,7 @@ import (
 // unweighted graph a hundred entries share half a dozen values — so a
 // frame stores one bit per entry and one distance per step instead of a
 // float per entry: bit i of first is set where entry i's distance differs
-// from its predecessor's in the segment (always at a segment start), and
+// from its predecessor's in the list (always at a list start), and
 // the step column holds one distance per set bit, in entry order.  The code
 // is canonical — runs are maximal — so equal entry lists have equal bytes,
 // and a list of all-distinct distances costs one bit per entry more than
@@ -423,7 +423,7 @@ func (f *Frame) rank1(i int64) int64 {
 type stepWriter struct {
 	first []uint64
 	steps stepColumn
-	open  bool    // the current segment has an entry
+	open  bool    // the current list has an entry
 	last  float64 // its latest distance
 }
 
@@ -433,9 +433,9 @@ func newStepWriter(e int, dict []float64, steps int64) stepWriter {
 	return stepWriter{first: make([]uint64, bitWords(int64(e))), steps: newStepColumn(dict, steps)}
 }
 
-// segment starts a new segment: its first entry opens a step whatever its
+// list starts a new entry list: its first entry opens a step whatever its
 // distance.
-func (w *stepWriter) segment() { w.open = false }
+func (w *stepWriter) list() { w.open = false }
 
 // add records the distance of the entry at position pos.  The common
 // case — the distance of the entry before — is all that inlines.

@@ -17,7 +17,6 @@ import (
 	"unsafe"
 
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
 // canonicalV3 is the reference encoder: the version-3 bytes of the entry
@@ -113,14 +112,13 @@ func countSteps(l []Entry) int {
 }
 
 // segmentLists returns the entry lists (and β lists, for a weighted
-// frame) of every segment of the frame's own node range.
+// frame) of every node of the frame's own node range.
 func segmentLists(f *Frame) (lists [][]Entry, betas [][]float64) {
 	for v := 0; v < f.n; v++ {
-		for _, c := range f.segViews(v) {
-			lists = append(lists, c.entries())
-			if f.beta != nil {
-				betas = append(betas, append([]float64(nil), c.beta...))
-			}
+		c := f.colsAt(v)
+		lists = append(lists, c.entries())
+		if f.beta != nil {
+			betas = append(betas, append([]float64(nil), c.beta...))
 		}
 	}
 	return lists, betas
@@ -139,17 +137,11 @@ func stepKinds(t *testing.T) map[string]*Set {
 		"lengths-":  graph.WithRandomWeights(graph.PreferentialAttachment(120, 3, 9), 0.25, 4, 11),
 		"directed-": graph.WithRandomWeights(graph.GNP(120, 0.05, true, 9), 0.25, 4, 11),
 	} {
-		for name, o := range map[string]Options{
-			"bottomk":    {K: 8, Seed: 42},
-			"kmins":      {K: 4, Flavor: sketch.KMins, Seed: 42},
-			"kpartition": {K: 4, Flavor: sketch.KPartition, Seed: 42},
-		} {
-			set, err := BuildSet(g, o, AlgoPrunedDijkstra)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[prefix+name] = set
+		set, err := BuildSet(g, Options{K: 8, Seed: 42}, AlgoPrunedDijkstra)
+		if err != nil {
+			t.Fatal(err)
 		}
+		out[prefix+"bottomk"] = set
 		beta := make([]float64, g.NumNodes())
 		for i := range beta {
 			beta[i] = 1 + float64(i%7)
@@ -280,7 +272,7 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 			lists := append([][]Entry(nil), baseLists...)
 			changed := map[int32][]Entry{}
 			for v := 90; v < n; v++ {
-				l := []Entry{{Node: int32(v), Dist: 0, Rank: o.rankFn(0)(int32(v))}}
+				l := []Entry{{Node: int32(v), Dist: 0, Rank: o.rankFn()(int32(v))}}
 				lists, changed[int32(v)] = append(lists, l), l
 			}
 			for runs := rng.Intn(6); runs > 0; runs-- {
@@ -336,7 +328,7 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 			lists, _ := segmentLists(fresh.frame)
 			changed := map[int32][]Entry{}
 			for v := 0; v < n; v++ {
-				if c := base.frame.segAt(v, 0); !slices.Equal(c.entries(), lists[v]) {
+				if c := base.frame.colsAt(v); !slices.Equal(c.entries(), lists[v]) {
 					changed[int32(v)] = lists[v]
 				}
 			}
@@ -397,7 +389,7 @@ func TestStepCodeWorstCaseSize(t *testing.T) {
 			t.Errorf("%s: %d hop-distance steps left raw", name, steps)
 		}
 	}
-	for name, limit := range map[string]float64{"directed-bottomk": 1.02, "directed-weighted": 1.02, "lengths-kpartition": 1.05, "kmins": 1.05} {
+	for name, limit := range map[string]float64{"directed-bottomk": 1.02, "directed-weighted": 1.02, "lengths-bottomk": 1.05, "baseb": 1.05} {
 		data := v3Bytes(t, sets[name])
 		before := len(perEntryV3(t, data))
 		if float64(len(data)) > limit*float64(before) {
@@ -418,8 +410,10 @@ func TestStepCodeWorstCaseSize(t *testing.T) {
 // nothing in this tree writes it, and internal/legacy, which reads it,
 // keeps it.
 type v3Fixture struct {
-	file  string
-	part  int // the index the file holds of a 2-way split of its build, or -1
+	file string
+	part int // the index the file holds of a 2-way split of its build, or -1
+	// build builds what the file holds: nil for a k-mins file, which
+	// nothing builds any more.
 	build func(g *graph.Graph, beta []float64) (*Set, error)
 }
 
@@ -436,9 +430,7 @@ func v3Fixtures(tag string) []v3Fixture {
 		{"weighted_" + tag + "_k4.ads", -1, func(g *graph.Graph, beta []float64) (*Set, error) {
 			return BuildWeightedSet(g, 4, 42, beta)
 		}},
-		{"kmins_base2_" + tag + "_k4.ads", -1, func(g *graph.Graph, _ []float64) (*Set, error) {
-			return BuildSet(g, Options{K: 4, Flavor: sketch.KMins, Seed: 42, BaseB: 2}, AlgoPrunedDijkstra)
-		}},
+		{"kmins_base2_" + tag + "_k4.ads", -1, nil},
 	}
 }
 
@@ -467,7 +459,8 @@ func TestV3WideColumnFixtures(t *testing.T) {
 // less the β bit, being layout) is larger than a fresh build's file and is
 // refused by every reader, naming adsconvert (internal/legacy's tests of
 // these names read them).  The fixtures also pin rewrite, the test-only
-// writer of that layout, to what the release really wrote.
+// writer of that layout, to what the release really wrote, where this
+// tree still builds what the file holds.
 func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite func(testing.TB, []byte) []byte) {
 	g := graph.PreferentialAttachment(60, 3, 9)
 	beta := make([]float64, g.NumNodes())
@@ -480,23 +473,25 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 		if flags := binary.LittleEndian.Uint32(data[12:]); flags&^frameFlagBeta != layout {
 			t.Fatalf("%s: flags %#x: not a file of the layout with flags %#x", fx.file, flags, layout)
 		}
-		fresh, err := fx.build(g, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := v3Bytes(t, fresh)
-		if fx.part >= 0 {
-			parts, err := SplitSketchSet(fresh, 2)
+		if fx.build != nil {
+			fresh, err := fx.build(g, beta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = v3Bytes(t, parts[fx.part])
-		}
-		if !bytes.Equal(rewrite(t, want), data) {
-			t.Errorf("%s: the test's writer of that layout does not turn a fresh build into the committed file", fx.file)
-		}
-		if len(want) >= len(data) {
-			t.Errorf("%s: %d bytes as written now, %d as committed", fx.file, len(want), len(data))
+			want := v3Bytes(t, fresh)
+			if fx.part >= 0 {
+				parts, err := SplitSketchSet(fresh, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = v3Bytes(t, parts[fx.part])
+			}
+			if !bytes.Equal(rewrite(t, want), data) {
+				t.Errorf("%s: the test's writer of that layout does not turn a fresh build into the committed file", fx.file)
+			}
+			if len(want) >= len(data) {
+				t.Errorf("%s: %d bytes as written now, %d as committed", fx.file, len(want), len(data))
+			}
 		}
 		if _, err := openFrameBytes(data); err == nil || !strings.Contains(err.Error(), "adsconvert") {
 			t.Errorf("%s: parser: %v, want a refusal naming adsconvert", fx.file, err)
@@ -529,7 +524,7 @@ func hostileStepFiles(t testing.TB) (valid []byte, damaged map[string][]byte, tr
 	flip := func(b []byte, bit int64) { b[whole.bitsAt+bit/8] ^= 1 << (bit % 8) }
 	// Node 0's sketch: owner at 0, then neighbours at 1, then at 2: a clear
 	// bit inside the run at distance 1 is position 2.
-	if f := set.frame; bitAt(f.first, 2) || !bitAt(f.first, 1) || f.segAt(0, 0).sd.n < 3 {
+	if f := set.frame; bitAt(f.first, 2) || !bitAt(f.first, 1) || f.colsAt(0).sd.n < 3 {
 		t.Fatal("the seed set's first sketch does not have the assumed shape")
 	}
 	damaged, trusted = map[string][]byte{}, map[string]bool{}
@@ -710,7 +705,7 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 				}
 				sums := header + 8*int64(got.Len()+len(wd))
 				code := 8 * (packedWords(int64(got.Len()), 32) + bitWords(int64(got.Len())) + int64(len(wd)))
-				if want.Bytes() != sums+code || f.segs() == 1 && got.Bytes() != sums || f.segs() > 1 && got.Bytes() != want.Bytes() {
+				if want.Bytes() != sums+code || got.Bytes() != sums {
 					return fmt.Sprintf("%d B of its own (standalone %d B): want %d B of sums, %d more of code standalone", got.Bytes(), want.Bytes(), sums, code)
 				}
 				return ""

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
 // Section 9: non-uniform node weights.  To estimate weighted neighborhood
@@ -78,10 +77,6 @@ var _ Sketch = (*WeightedADS)(nil)
 // K returns the sketch parameter.
 func (a *WeightedADS) K() int { return a.k }
 
-// Flavor returns sketch.BottomK: a weighted ADS is a bottom-k sketch over
-// weight-biased ranks.
-func (a *WeightedADS) Flavor() sketch.Flavor { return sketch.BottomK }
-
 // Node returns the owner.
 func (a *WeightedADS) Node() int32 { return a.node }
 
@@ -94,7 +89,7 @@ func (a *WeightedADS) Scheme() WeightScheme { return a.scheme }
 // EstimateNeighborhood returns the HIP estimate of the weighted
 // neighborhood cardinality Σ_{j: d_vj <= d} β(j).  Under weight-biased
 // ranks the Section 4 basic estimator does not apply, so the HIP estimate
-// is the estimator for this flavor (Section 9); the method exists so
+// is the estimator for this kind (Section 9); the method exists so
 // weighted sketches satisfy the shared Sketch query interface.
 func (a *WeightedADS) EstimateNeighborhood(d float64) float64 {
 	return a.EstimateNeighborhoodWeight(d)
@@ -233,7 +228,7 @@ func BuildWeightedSetParallel(g *graph.Graph, k int, seed uint64, beta []float64
 // ranks of p and freezes it with the per-entry weights.
 func weightedSetFrom(g *graph.Graph, p Params, beta []float64, run func(*graph.Graph, runSpec) [][]Entry) *Set {
 	by := newRanker(p)
-	lists := run(g, runSpec{k: p.K, rank: func(v int32) float64 { return by.rank(0, v, beta[v]) }})
+	lists := run(g, runSpec{k: p.K, rank: func(v int32) float64 { return by.rank(v, beta[v]) }})
 	f := freezeWhole(p, lists)
 	f.beta = make([]float64, 0, f.totalEntries())
 	for _, l := range lists {

@@ -34,7 +34,7 @@
 // downstream, and stale candidates derived from an evicted entry are
 // rejected by the same k witnesses that evicted it).
 //
-// The maintainer supports the bottom-k flavor with full-precision ranks.
+// The maintainer supports uniform sets with full-precision ranks.
 // Rounded (base-b) ranks make rank ties likely, which breaks the strict
 // "rank < threshold" win rule the propagation prunes by; the static
 // builders handle ties with batch reconciliation that has no incremental
@@ -47,7 +47,6 @@ import (
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
 	"adsketch/internal/rank"
-	"adsketch/internal/sketch"
 )
 
 // arc is one reverse-adjacency edge: node x has an in-neighbor From at
@@ -99,8 +98,8 @@ func New(g *graph.Graph, base *core.Set) (*Maintainer, error) {
 		return nil, fmt.Errorf("ingest: nil graph or base set")
 	}
 	p := base.Params()
-	if p.Kind != core.KindUniform || p.Flavor != sketch.BottomK || p.BaseB != 0 {
-		return nil, fmt.Errorf("ingest: incremental maintenance supports uniform bottom-k sets at full precision, base set is %v %v at base %g", p.Kind, p.Flavor, p.BaseB)
+	if p.Kind != core.KindUniform || p.BaseB != 0 {
+		return nil, fmt.Errorf("ingest: incremental maintenance supports uniform bottom-k sets at full precision, base set is %v at base %g", p.Kind, p.BaseB)
 	}
 	o := p.Options
 	if g.NumNodes() != base.NumNodes() {

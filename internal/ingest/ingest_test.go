@@ -14,7 +14,6 @@ import (
 
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
 type edge struct {
@@ -325,9 +324,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, nil); err == nil {
 		t.Fatal("New(nil, nil) succeeded")
 	}
-	kmins := mustBuild(t, g, core.Options{K: 2, Seed: 1, Flavor: sketch.KMins})
-	if _, err := New(g, kmins); err == nil {
-		t.Fatal("New accepted a k-mins set")
+	weighted, err := core.BuildWeightedSet(g, 2, 1, []float64{1, 2, 1, 2, 1, 2, 1, 2, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(g, weighted); err == nil {
+		t.Fatal("New accepted a weighted set")
 	}
 	baseB := mustBuild(t, g, core.Options{K: 2, Seed: 1, BaseB: 2})
 	if _, err := New(g, baseB); err == nil {

@@ -173,6 +173,7 @@ func FuzzReadSet(f *testing.F) {
 	for _, fx := range v2Fixtures {
 		addDamaged(f, readFixture(f, fx.file))
 	}
+	addDamaged(f, readFixture(f, "kmins_base2_v2_k4.ads")) // refused, naming its flavor
 	f.Add([]byte("ADSK"))
 	f.Add([]byte{})
 	// An empty version-2 uniform set whose base-b is NaN.  The v2 decoder

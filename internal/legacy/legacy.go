@@ -3,8 +3,8 @@
 // links it: they read the current layout only (internal/core), and refuse
 // every other file naming adsconvert.
 //
-// Every file this package reads is read into per-segment entry lists and
-// frozen with core.FreezeSegments, as a build's lists are: copied, never
+// Every file this package reads is read into per-node entry lists and
+// frozen with core.FreezeLists, as a build's lists are: copied, never
 // viewed in place, and validated like any stream.  Writing what it reads
 // writes the current layout, which is all adsconvert does.
 //
@@ -17,7 +17,9 @@
 // Uniform (kind 0):  k u32 | flavor u32 | seed u64 | baseB f64 |
 // numNodes u32, then per node the flavor payload.  Bottom-k payload:
 // entry count u32, then (node i32, dist f64, rank f64) triples; k-mins
-// and k-partition payloads repeat that per permutation / bucket.
+// (flavor 1) and k-partition (flavor 2) payloads repeat that per
+// permutation / bucket.  Sets of those two flavors are refused, naming the
+// flavor: only bottom-k sets are rewritten, as only they are served.
 //
 // Weighted (kind 1):  k u32 | scheme u32 | numNodes u32, then per node:
 // entry count u32 and (node i32, dist f64, rank f64, beta f64) quads.
@@ -52,11 +54,10 @@
 // combination of the three bits is read.  These layouts are frozen bytes,
 // so this copy of their header cannot drift from the writers'.
 //
-// Stored ranks are checked against the ones the frame derives, in every
-// segment, and dropped.  A uniform header records the seed that derives
-// them; a weighted or approximate file that stores them records none, and
-// is read under the seed its reader is given (`adsconvert -seed`) or
-// refused.
+// Stored ranks are checked against the ones the frame derives, and
+// dropped.  A uniform header records the seed that derives them; a weighted
+// or approximate file that stores them records none, and is read under the
+// seed its reader is given (`adsconvert -seed`) or refused.
 package legacy
 
 import (
@@ -70,6 +71,15 @@ import (
 	"adsketch/internal/core"
 	"adsketch/internal/sketch"
 )
+
+// checkFlavor refuses a set whose sketches are not bottom-k, naming their
+// flavor.
+func checkFlavor(flavor uint32) error {
+	if f := sketch.Flavor(flavor); f != sketch.BottomK {
+		return fmt.Errorf("legacy: sketch file holds %v sketches (flavor %d): only bottom-k sets are served, so only they are rewritten", f, flavor)
+	}
+	return nil
+}
 
 const (
 	magic         = "ADSK"
@@ -143,11 +153,11 @@ func (c *cursor) envelope() envelope {
 	return envelope{index: c.u32(), count: c.u32(), lo: c.u32(), hi: c.u32(), total: c.u32()}
 }
 
-// freeze freezes the per-segment entry lists (node-major) and the β
-// column read from a file of n sketches — the nodes env places, or a
-// whole set when env is nil — under p.  stored says the lists carry the
-// file's ranks: they are then checked against the ones the frame derives,
-// from seed when the file records none.
+// freeze freezes the per-node entry lists and the β column read from a file
+// of n sketches — the nodes env places, or a whole set when env is nil —
+// under p.  stored says the lists carry the file's ranks: they are then
+// checked against the ones the frame derives, from seed when the file
+// records none.
 func freeze(p core.Params, env *envelope, n int, lists [][]core.Entry, beta []float64, stored bool, seed *uint64) (*core.Set, error) {
 	if stored && p.Kind != core.KindUniform {
 		if seed == nil {
@@ -162,7 +172,7 @@ func freeze(p core.Params, env *envelope, n int, lists [][]core.Entry, beta []fl
 		}
 		index, count, total = int(env.index), int(env.count), int(env.total)
 	}
-	set, err := core.FreezeSegments(p, index, count, total, lists, beta, stored)
+	set, err := core.FreezeLists(p, index, count, total, lists, beta, stored)
 	if err != nil {
 		return nil, fmt.Errorf("legacy: corrupt sketch file: %w", err)
 	}
@@ -171,16 +181,6 @@ func freeze(p core.Params, env *envelope, n int, lists [][]core.Entry, beta []fl
 			env.index, env.count, env.lo, env.hi, env.count, env.total, set.Lo(), set.Hi())
 	}
 	return set, nil
-}
-
-// segsOf returns the entry lists a node's sketch has under p: one per
-// permutation of a k-mins set and one per bucket of a k-partition set,
-// one otherwise.
-func segsOf(p core.Params) int {
-	if p.Kind == core.KindUniform && p.Flavor != sketch.BottomK {
-		return p.K
-	}
-	return 1
 }
 
 // readV2 reads a version-2 file after its magic and version.
@@ -192,10 +192,10 @@ func readV2(c *cursor, seed *uint64) (*core.Set, error) {
 		env, kind = &e, c.u32()
 	}
 	p := core.Params{Kind: core.Kind(kind)}
-	var k, numNodes uint32
+	var k, flavor, numNodes uint32
 	switch p.Kind {
 	case core.KindUniform:
-		k, p.Flavor, p.Seed, p.BaseB, numNodes = c.u32(), sketch.Flavor(c.u32()), c.u64(), c.f64(), c.u32()
+		k, flavor, p.Seed, p.BaseB, numNodes = c.u32(), c.u32(), c.u64(), c.f64(), c.u32()
 	case core.KindWeighted:
 		k, p.Scheme, numNodes = c.u32(), core.WeightScheme(c.u32()), c.u32()
 	case core.KindApprox:
@@ -208,6 +208,9 @@ func readV2(c *cursor, seed *uint64) (*core.Set, error) {
 	if c.err != nil {
 		return nil, fmt.Errorf("legacy: reading sketch file header: %w", c.err)
 	}
+	if err := checkFlavor(flavor); err != nil {
+		return nil, err
+	}
 	p.K = int(k)
 	switch {
 	case k > core.MaxK:
@@ -217,7 +220,6 @@ func readV2(c *cursor, seed *uint64) (*core.Set, error) {
 	case env != nil && numNodes != env.hi-env.lo:
 		return nil, fmt.Errorf("legacy: partition claims nodes [%d, %d) but holds %d sketches", env.lo, env.hi, numNodes)
 	}
-	segs := segsOf(p)
 	size := 4 + 8 + 8 // node, dist, rank
 	if p.Kind == core.KindWeighted {
 		size += 8 // beta
@@ -230,8 +232,8 @@ func readV2(c *cursor, seed *uint64) (*core.Set, error) {
 	// for, so a corrupted one fails instead of provoking a huge allocation.
 	var lists [][]core.Entry
 	var beta []float64
-	for i := 0; i < int(numNodes)*segs; i++ {
-		owner := base + int32(i/segs)
+	for i := 0; i < int(numNodes); i++ {
+		owner := base + int32(i)
 		n := int(c.u32())
 		if c.err == nil && n > len(c.b)/size {
 			c.err = io.ErrUnexpectedEOF
@@ -267,10 +269,15 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	scheme, segs := c.u32(), c.u32()
 	p.Eps = c.f64()
 	n, e, numSteps := c.u64(), int64(c.u64()), c.u64()
-	p.K, p.Flavor, p.Scheme = int(k), sketch.Flavor(flavor), core.WeightScheme(scheme)
+	p.K, p.Scheme = int(k), core.WeightScheme(scheme)
 	total := n
 	if env != nil {
 		total = uint64(env.total)
+	}
+	if c.err == nil {
+		if err := checkFlavor(flavor); err != nil {
+			return nil, err
+		}
 	}
 	switch {
 	case c.err != nil:
@@ -283,8 +290,8 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 		return nil, fmt.Errorf("legacy: sketch partitions cannot nest")
 	case (flags&flagBeta != 0) != (p.Kind == core.KindWeighted):
 		return nil, fmt.Errorf("legacy: sketch file beta column mismatch (kind %v, flags %#x)", p.Kind, flags)
-	case k > core.MaxK || segs != uint32(segsOf(p)):
-		return nil, fmt.Errorf("legacy: sketch file claims k=%d and %d segments per node, want %d", k, segs, segsOf(p))
+	case k > core.MaxK || segs != 1:
+		return nil, fmt.Errorf("legacy: sketch file claims k=%d and %d entry lists a node, want 1", k, segs)
 	case env != nil && uint64(env.hi)-uint64(env.lo) != n:
 		return nil, fmt.Errorf("legacy: partition claims nodes [%d, %d) but holds %d sketches", env.lo, env.hi, n)
 	// The bounds that keep the column sizes below from overflowing.
@@ -294,12 +301,11 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 		return nil, fmt.Errorf("legacy: implausible entry count %d or %d distance steps", e, numSteps)
 	}
 	stored, stepped := flags&flagDerivedRanks == 0, flags&flagStepDists != 0
-	numSegs := int64(n) * int64(segs)
 	width := int64(1)
 	if total > 2 {
 		width = int64(bits.Len64(total - 1))
 	}
-	nodesAt := (numSegs + 1) * 8
+	nodesAt := (int64(n) + 1) * 8
 	distsAt := nodesAt + (4*e+7)&^7
 	if flags&flagPackedNodes != 0 {
 		distsAt = nodesAt + (e*width+63)/64*8
@@ -339,7 +345,7 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	if u64(0) != 0 {
 		return nil, fmt.Errorf("legacy: sketch file offsets do not start at 0")
 	}
-	lists := make([][]core.Entry, numSegs)
+	lists := make([][]core.Entry, n)
 	entries := make([]core.Entry, e)
 	var beta []float64
 	if flags&flagBeta != 0 {
@@ -360,7 +366,7 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 				if body[distsAt+i/8]>>(i%8)&1 != 0 {
 					step++
 				} else if i == lo {
-					return nil, fmt.Errorf("legacy: sketch file segment %d does not start a distance step", s)
+					return nil, fmt.Errorf("legacy: sketch file sketch %d does not start with a distance step", s)
 				}
 				if step > int64(numSteps) {
 					return nil, fmt.Errorf("legacy: sketch file marks more distance steps than its header's %d", numSteps)

@@ -13,7 +13,6 @@ import (
 
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
 // v3Bytes returns the file WriteTo writes of s: the current layout.
@@ -56,28 +55,16 @@ func fixtureGraph() (*graph.Graph, []float64) {
 	return g, beta
 }
 
-// segments returns the entry lists, ranks included, of every segment of
-// the sketch at local position v of set.
-func segments(set *core.Set, v int32) [][]core.Entry {
+// entries returns the entries, ranks included, of the sketch at local
+// position v of set.
+func entries(set *core.Set, v int32) []core.Entry {
 	switch a := set.SketchOf(v).(type) {
 	case *core.ADS:
-		return [][]core.Entry{a.Entries()}
+		return a.Entries()
 	case *core.WeightedADS:
-		return [][]core.Entry{a.Entries()}
-	case *core.KMinsADS:
-		out := make([][]core.Entry, a.K())
-		for h := range out {
-			out[h] = a.Perm(h)
-		}
-		return out
-	case *core.KPartitionADS:
-		out := make([][]core.Entry, a.K())
-		for b := range out {
-			out[b] = a.Bucket(b)
-		}
-		return out
+		return a.Entries()
 	}
-	panic(fmt.Sprintf("segments: sketch of type %T", set.SketchOf(v)))
+	panic(fmt.Sprintf("entries: sketch of type %T", set.SketchOf(v)))
 }
 
 // legacyV3 rewrites a file of the current layout the way files were laid
@@ -145,22 +132,21 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte
 	packedNodes := make([]uint64, (e*width+63)/64)
 	i := 0
 	for v := int32(0); int(v) < set.NumNodes(); v++ {
-		for _, l := range segments(set, v) {
-			offs = le.AppendUint64(offs, uint64(i))
-			for j, x := range l {
-				if j == 0 || x.Dist != l[j-1].Dist {
-					first[i/64] |= 1 << (i % 64)
-					steps = le.AppendUint64(steps, math.Float64bits(x.Dist))
-				}
-				for b := 0; b < width; b++ {
-					at := i*width + b
-					packedNodes[at/64] |= uint64(x.Node) >> b & 1 << (at % 64)
-				}
-				nodes = le.AppendUint32(nodes, uint32(x.Node))
-				dists = le.AppendUint64(dists, math.Float64bits(x.Dist))
-				ranks = le.AppendUint64(ranks, math.Float64bits(x.Rank))
-				i++
+		offs = le.AppendUint64(offs, uint64(i))
+		l := entries(set, v)
+		for j, x := range l {
+			if j == 0 || x.Dist != l[j-1].Dist {
+				first[i/64] |= 1 << (i % 64)
+				steps = le.AppendUint64(steps, math.Float64bits(x.Dist))
 			}
+			for b := 0; b < width; b++ {
+				at := i*width + b
+				packedNodes[at/64] |= uint64(x.Node) >> b & 1 << (at % 64)
+			}
+			nodes = le.AppendUint32(nodes, uint32(x.Node))
+			dists = le.AppendUint64(dists, math.Float64bits(x.Dist))
+			ranks = le.AppendUint64(ranks, math.Float64bits(x.Rank))
+			i++
 		}
 	}
 	out = le.AppendUint64(append(out, offs...), uint64(e))
@@ -198,7 +184,7 @@ func v3Files(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kmins, err := core.BuildSet(g, core.Options{K: 3, Flavor: sketch.KMins, Seed: 42, BaseB: 2}, core.AlgoPrunedDijkstra)
+	base2, err := core.BuildSet(g, core.Options{K: 3, Seed: 42, BaseB: 2}, core.AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +197,7 @@ func v3Files(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	files := map[string][]byte{}
-	for name, set := range map[string]*core.Set{"uniform": uniform, "kmins-base2": kmins, "weighted": weighted, "approx": approx} {
+	for name, set := range map[string]*core.Set{"uniform": uniform, "uniform-base2": base2, "weighted": weighted, "approx": approx} {
 		files[name] = v3Bytes(t, set)
 	}
 	parts, err := core.SplitSketchSet(weighted, 2)
@@ -247,9 +233,6 @@ type v2Fixture struct {
 var v2Fixtures = []v2Fixture{
 	{"uniform_v2_k8.ads", false, -1, func(*graph.Graph, []float64) (*core.Set, error) {
 		return core.BuildSet(graph.PreferentialAttachment(200, 3, 7), core.Options{K: 8, Seed: 42}, core.AlgoPrunedDijkstra)
-	}},
-	{"kmins_base2_v2_k4.ads", false, -1, func(g *graph.Graph, _ []float64) (*core.Set, error) {
-		return core.BuildSet(g, core.Options{K: 4, Flavor: sketch.KMins, Seed: 42, BaseB: 2}, core.AlgoPrunedDijkstra)
 	}},
 	{"weighted_v2_k4.ads", true, -1, func(g *graph.Graph, beta []float64) (*core.Set, error) {
 		return core.BuildWeightedSet(g, 4, 42, beta)
@@ -321,9 +304,10 @@ type v3Fixture struct {
 	build func(g *graph.Graph, beta []float64) (*core.Set, error)
 }
 
-// v3Fixtures names the four committed files of one earlier layout, tag
-// being what their names carry for it.  All are built on fixtureGraph
-// with `-k 4 -seed 42`.
+// v3Fixtures names the committed files of one earlier layout that this
+// tree still reads, tag being what their names carry for it.  All are
+// built on fixtureGraph with `-k 4 -seed 42`.  (The layout's fourth file,
+// kmins_base2_<tag>_k4.ads, holds k-mins sketches: TestRefusesOtherFlavors.)
 func v3Fixtures(tag string) []v3Fixture {
 	uniform := func(g *graph.Graph, _ []float64) (*core.Set, error) {
 		return core.BuildSet(g, core.Options{K: 4, Seed: 42}, core.AlgoPrunedDijkstra)
@@ -333,9 +317,6 @@ func v3Fixtures(tag string) []v3Fixture {
 		{"uniform_" + tag + "_k4.p1of2.ads", 1, uniform},
 		{"weighted_" + tag + "_k4.ads", -1, func(g *graph.Graph, beta []float64) (*core.Set, error) {
 			return core.BuildWeightedSet(g, 4, 42, beta)
-		}},
-		{"kmins_base2_" + tag + "_k4.ads", -1, func(g *graph.Graph, _ []float64) (*core.Set, error) {
-			return core.BuildSet(g, core.Options{K: 4, Flavor: sketch.KMins, Seed: 42, BaseB: 2}, core.AlgoPrunedDijkstra)
 		}},
 	}
 }
@@ -386,15 +367,13 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 			if a.Closeness() != b.Closeness() || a.Harmonic() != b.Harmonic() || a.Neighborhood(2) != b.Neighborhood(2) || a.Total() != b.Total() {
 				t.Fatalf("%s: node %d answers differ from a fresh build's", fx.file, want.Lo()+v)
 			}
-			wantSegs, gotSegs := segments(want, v), segments(got, v)
-			for s := range wantSegs {
-				if len(wantSegs[s]) != len(gotSegs[s]) {
-					t.Fatalf("%s: node %d segment %d sizes differ", fx.file, v, s)
-				}
-				for i, e := range wantSegs[s] {
-					if gotSegs[s][i] != e {
-						t.Fatalf("%s: node %d segment %d entry %d: %+v, fresh build %+v", fx.file, v, s, i, gotSegs[s][i], e)
-					}
+			wantEntries, gotEntries := entries(want, v), entries(got, v)
+			if len(wantEntries) != len(gotEntries) {
+				t.Fatalf("%s: node %d sizes differ", fx.file, v)
+			}
+			for i, e := range wantEntries {
+				if gotEntries[i] != e {
+					t.Fatalf("%s: node %d entry %d: %+v, fresh build %+v", fx.file, v, i, gotEntries[i], e)
 				}
 			}
 		}
@@ -415,7 +394,7 @@ func TestLegacyDoorReadsRetiredLayouts(t *testing.T) {
 		for layout, rewrite := range layouts {
 			old, label := rewrite(t, data), name+" "+layout
 			given := (*uint64)(nil)
-			if layout == "ranks" && name != "uniform" && name != "kmins-base2" {
+			if layout == "ranks" && name != "uniform" && name != "uniform-base2" {
 				checkNeedsSeed(t, label, old)
 				given = &seed
 			}
@@ -428,11 +407,10 @@ func TestLegacyDoorReadsRetiredLayouts(t *testing.T) {
 }
 
 // TestLegacyDoorChecksStoredRanks: a stored rank is checked against the
-// one the frame derives in every segment, so one rank an ulp off is
-// refused, naming its sketch, segment and entry — in a bottom-k file, in a
-// weighted one read under its seed, in a later segment of a k-mins file of
-// either version — and so is every rank of a file read under another seed
-// than it was built with.
+// one the frame derives, so one rank an ulp off is refused, naming its
+// sketch and entry — in a bottom-k file of either version, in a weighted
+// one read under its seed — and so is every rank of a file read under
+// another seed than it was built with.
 func TestLegacyDoorChecksStoredRanks(t *testing.T) {
 	files := v3Files(t)
 	legacy := map[string][]byte{}
@@ -440,27 +418,20 @@ func TestLegacyDoorChecksStoredRanks(t *testing.T) {
 		legacy[name] = legacyV3(t, data)
 	}
 	// rankAt returns where legacyV3's file of set stores the rank of entry
-	// i of segment s of node v: after the header, the offsets, the 32-bit
-	// IDs and the distances, at the entry's position in the set.
-	rankAt := func(name string, v, s, i int) int {
+	// i of node v: after the header, the offsets, the 32-bit IDs and the
+	// distances, at the entry's position in the set.
+	rankAt := func(name string, v, i int) int {
 		set := read(t, files[name], nil)
 		at := i
-		for u := int32(0); u <= int32(v); u++ {
-			for j, l := range segments(set, u) {
-				if int(u) < v || j < s {
-					at += len(l)
-				}
-			}
+		for u := int32(0); u < int32(v); u++ {
+			at += len(entries(set, u))
 		}
 		e := set.TotalEntries()
-		segs := set.NumNodes() * len(segments(set, 0))
-		return 16 + 64 + 8*(segs+1) + (4*e+7)&^7 + 8*e + 8*at
+		return 16 + 64 + 8*(set.NumNodes()+1) + (4*e+7)&^7 + 8*e + 8*at
 	}
-	v2kmins := readFixture(t, "kmins_base2_v2_k4.ads")
-	// Version 2: 40 bytes of header, then node 0's first permutation — a
-	// count and 20 bytes an entry — and its second, whose entry 0 has its
-	// rank 12 bytes in.
-	v2at := 40 + 4 + 20*int(binary.LittleEndian.Uint32(v2kmins[40:])) + 4 + 12
+	// Version 2: 40 bytes of header, then node 0's sketch — a count and 20
+	// bytes an entry — whose entry 0 has its rank 12 bytes in.
+	v2uniform, v2at := readFixture(t, "uniform_v2_k8.ads"), 40+4+12
 	seed := uint64(42)
 	for name, tc := range map[string]struct {
 		data []byte
@@ -468,10 +439,10 @@ func TestLegacyDoorChecksStoredRanks(t *testing.T) {
 		seed *uint64
 		want string
 	}{
-		"bottom-k, segment 0":         {legacy["uniform"], rankAt("uniform", 5, 0, 1), nil, "ADS(5) segment 0 entry 1 "},
-		"weighted, segment 0":         {legacy["weighted"], rankAt("weighted", 7, 0, 2), &seed, "ADS(7) segment 0 entry 2 "},
-		"k-mins, segment 2":           {legacy["kmins-base2"], rankAt("kmins-base2", 3, 2, 0), nil, "ADS(3) segment 2 entry 0 "},
-		"version-2 k-mins, segment 1": {v2kmins, v2at, nil, "ADS(0) segment 1 entry 0 "},
+		"bottom-k":           {legacy["uniform"], rankAt("uniform", 5, 1), nil, "ADS(5) entry 1 "},
+		"weighted":           {legacy["weighted"], rankAt("weighted", 7, 2), &seed, "ADS(7) entry 2 "},
+		"base-2":             {legacy["uniform-base2"], rankAt("uniform-base2", 3, 0), nil, "ADS(3) entry 0 "},
+		"version-2 bottom-k": {v2uniform, v2at, nil, "ADS(0) entry 0 "},
 	} {
 		if _, err := Read(bytes.NewReader(tc.data), tc.seed); err != nil {
 			t.Fatalf("%s: intact file refused: %v", name, err)
@@ -490,6 +461,34 @@ func TestLegacyDoorChecksStoredRanks(t *testing.T) {
 	} {
 		if _, err := Read(bytes.NewReader(data), &other); err == nil || !strings.Contains(err.Error(), "(seed 43)") {
 			t.Errorf("%s under seed 43: %v, want a refusal naming the seed", name, err)
+		}
+	}
+}
+
+// TestRefusesOtherFlavors: a k-mins or k-partition file of any layout is
+// refused, naming its flavor — the four committed k-mins files of retired
+// layouts, and the current-layout files of both flavors the last release
+// to build them wrote (`adstool build -flavor kmins|kpartition` on
+// fixtureGraph, `-k 4 -seed 42`).  Only bottom-k sets are served, so only
+// they are rewritten.
+func TestRefusesOtherFlavors(t *testing.T) {
+	for path, flavor := range map[string]string{
+		"testdata/kmins_base2_v2_k4.ads":      "k-mins",
+		"testdata/kmins_base2_v3dist_k4.ads":  "k-mins",
+		"testdata/kmins_base2_v3step_k4.ads":  "k-mins",
+		"testdata/kmins_base2_v3pack_k4.ads":  "k-mins",
+		"../../testdata/kmins_v3_k4.ads":      "k-mins",
+		"../../testdata/kpartition_v3_k4.ads": "k-partition",
+	} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := uint64(42)
+		for _, given := range []*uint64{nil, &seed} {
+			if _, err := Read(bytes.NewReader(data), given); err == nil || !strings.Contains(err.Error(), flavor+" sketches") {
+				t.Errorf("%s: %v, want a refusal naming %s", filepath.Base(path), err, flavor)
+			}
 		}
 	}
 }

@@ -3,14 +3,15 @@
 // query indices, and a context-aware chunked scan for evaluating batches
 // of per-node queries in parallel.
 //
-// The design target is the ROADMAP's heavy-query-traffic regime: building
-// a HIPIndex derives the adjusted weights of one sketch (a heap pass over
-// its entries) and its prefix sums, which is wasteful to repeat on every
-// query.  The cache pays that cost once per node, on the node's first
-// query, after which any number of concurrent readers answer
-// neighborhood / closeness / Q_g queries from the immutable index in
-// O(log size) or O(1).  A set nobody queries costs no index memory, and a
-// node's first query waits for its own index only.
+// The design target is the ROADMAP's heavy-query-traffic regime: building a
+// HIPIndex derives the adjusted weights of one sketch (a pass over its
+// entries keeping the k smallest ranks so far in sorted slots) and its
+// prefix sums, which is wasteful to repeat on every query.  The cache pays
+// that cost once per node, on the node's first query, after which any
+// number of concurrent readers answer neighborhood / closeness / Q_g
+// queries from the immutable index in O(log size) or O(1).  A set nobody
+// queries costs no index memory, and a node's first query waits for its own
+// index only.
 package query
 
 import (

@@ -9,13 +9,12 @@ import (
 
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 )
 
 func testCache(t *testing.T) (*IndexCache, *core.Set) {
 	t.Helper()
 	g := graph.GNP(50, 0.1, false, 7)
-	set, err := core.BuildSet(g, core.Options{K: 4, Flavor: sketch.BottomK, Seed: 3}, core.AlgoPrunedDijkstra)
+	set, err := core.BuildSet(g, core.Options{K: 4, Seed: 3}, core.AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}

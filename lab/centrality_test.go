@@ -6,13 +6,12 @@ import (
 
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
-	"adsketch/internal/sketch"
 	"adsketch/internal/stats"
 )
 
 func buildEstimator(t *testing.T, g *graph.Graph, k int, seed uint64) *Centrality {
 	t.Helper()
-	set, err := core.BuildSet(g, core.Options{K: k, Flavor: sketch.BottomK, Seed: seed}, core.AlgoPrunedDijkstra)
+	set, err := core.BuildSet(g, core.Options{K: k, Seed: seed}, core.AlgoPrunedDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}

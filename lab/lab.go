@@ -12,6 +12,10 @@
 //     MinHash sketch of each flavor over full-precision ranks, and
 //     BasicEstimate reads it with the flavor's Section 4 estimator (the
 //     internal/sketch formula over the sketch's minima).
+//   - Sections 2 and 5, the k-mins and k-partition ADS, which the serving
+//     system does not build: KMinsADS (BuildKMins, k bottom-1
+//     adsketch.Builds) and KPartitionADS (BuildKPartition), with their
+//     Section 4 readout and their HIP weights (equations (7) and (8)).
 //   - Section 3.1, ADS over data streams: FirstOccurrenceADS (distance =
 //     time of first occurrence; a BottomKDistinct plus the log of the
 //     entries that modified it) and RecencyADS (distance = time since the

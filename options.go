@@ -31,7 +31,6 @@ type SketchSet = *Set
 type buildConfig struct {
 	k        int
 	seed     uint64
-	flavor   Flavor
 	baseB    float64
 	algo     Algorithm
 	algoSet  bool
@@ -69,19 +68,6 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithFlavor selects the MinHash sampling scheme: BottomK (default),
-// KMins, or KPartition (Section 2).
-func WithFlavor(f Flavor) Option {
-	return func(c *buildConfig) error {
-		switch f {
-		case BottomK, KMins, KPartition:
-			c.flavor = f
-			return nil
-		}
-		return fmt.Errorf("%w: WithFlavor(%v), unknown flavor", ErrBadOption, f)
-	}
-}
-
 // WithAlgorithm selects the construction algorithm (Section 3).  Default
 // AlgoPrunedDijkstra.  Only AlgoLocalUpdates is compatible with
 // WithApproxEps, and only AlgoPrunedDijkstra with WithNodeWeights.
@@ -115,9 +101,8 @@ func WithBaseB(b float64) Option {
 // biased by the positive per-node weights beta (len(beta) must equal the
 // graph's node count), and estimates become weighted cardinalities
 // Σ_{j: d_vj <= d} β(j).  Uses exponential ranks unless WithPriorityRanks
-// is also given.  Incompatible with WithFlavor (other than BottomK),
-// WithBaseB, WithApproxEps, and any WithAlgorithm other than
-// AlgoPrunedDijkstra.
+// is also given.  Incompatible with WithBaseB, WithApproxEps, and any
+// WithAlgorithm other than AlgoPrunedDijkstra.
 func WithNodeWeights(beta []float64) Option {
 	return func(c *buildConfig) error {
 		if len(beta) == 0 {
@@ -141,9 +126,8 @@ func WithPriorityRanks() Option {
 // WithApproxEps builds (1+ε)-approximate bottom-k sketches (Section 3)
 // with the LocalUpdates scheme, bounding the updates per entry by
 // log_{1+ε}(n·w_max/w_min); eps must be >= 0 (0 recovers exact
-// LocalUpdates semantics).  Incompatible with WithFlavor (other than
-// BottomK), WithBaseB, WithNodeWeights, and any WithAlgorithm other than
-// AlgoLocalUpdates.
+// LocalUpdates semantics).  Incompatible with WithBaseB, WithNodeWeights,
+// and any WithAlgorithm other than AlgoLocalUpdates.
 func WithApproxEps(eps float64) Option {
 	return func(c *buildConfig) error {
 		if eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 1) {
@@ -161,9 +145,6 @@ func (c *buildConfig) check(g *Graph) error {
 		if c.weights != nil {
 			return fmt.Errorf("%w: WithApproxEps and WithNodeWeights: approximate construction supports uniform node weights only", ErrIncompatibleOptions)
 		}
-		if c.flavor != BottomK {
-			return fmt.Errorf("%w: WithApproxEps requires the BottomK flavor, got %v", ErrIncompatibleOptions, flavorName(c.flavor))
-		}
 		if c.baseB != 0 {
 			return fmt.Errorf("%w: WithApproxEps and WithBaseB: approximate construction uses full-precision ranks", ErrIncompatibleOptions)
 		}
@@ -172,9 +153,6 @@ func (c *buildConfig) check(g *Graph) error {
 		}
 	}
 	if c.weights != nil {
-		if c.flavor != BottomK {
-			return fmt.Errorf("%w: WithNodeWeights requires the BottomK flavor, got %v", ErrIncompatibleOptions, flavorName(c.flavor))
-		}
 		if c.baseB != 0 {
 			return fmt.Errorf("%w: WithNodeWeights and WithBaseB: weighted ranks cannot be base-b rounded", ErrIncompatibleOptions)
 		}
@@ -194,33 +172,21 @@ func (c *buildConfig) check(g *Graph) error {
 	return nil
 }
 
-func flavorName(f Flavor) string {
-	switch f {
-	case BottomK:
-		return "BottomK"
-	case KMins:
-		return "KMins"
-	case KPartition:
-		return "KPartition"
-	}
-	return fmt.Sprintf("Flavor(%d)", int(f))
-}
-
-// Build computes the (forward) All-Distances Sketch of every node of g.
-// It is the single entry point over the paper's design space: flavor,
+// Build computes the (forward) bottom-k All-Distances Sketch of every node
+// of g.  It is the single entry point over the paper's design space:
 // construction algorithm, base-b ranks, Section 9 node weights, and
-// (1+ε)-approximate construction all compose as options:
+// (1+ε)-approximate construction all compose as options (the k-mins and
+// k-partition flavors are reproduced in adsketch/lab):
 //
 //	set, err := adsketch.Build(g)                                // bottom-k, k=16, PrunedDijkstra
 //	set, err := adsketch.Build(g, adsketch.WithK(64), adsketch.WithSeed(42))
-//	set, err := adsketch.Build(g, adsketch.WithFlavor(adsketch.KMins), adsketch.WithBaseB(2))
+//	set, err := adsketch.Build(g, adsketch.WithBaseB(2))          // base-2 ranks
 //	set, err := adsketch.Build(g, adsketch.WithNodeWeights(beta)) // weighted cardinalities
 //	set, err := adsketch.Build(g, adsketch.WithApproxEps(0.25))   // (1+ε)-approximate
 //
-// Build uses GOMAXPROCS goroutines — a bottom-k or weighted build with
-// AlgoPrunedDijkstra for the candidate batches of Algorithm 1, a k-mins or
-// k-partition build for its k passes — and its output does not depend on
-// how many.  On 2 cores it builds PA(10000,5) at k=16 in about two thirds
+// Build uses GOMAXPROCS goroutines — with AlgoPrunedDijkstra, for the
+// candidate batches of Algorithm 1 — and its output does not depend on how
+// many.  On 2 cores it builds PA(10000,5) at k=16 in about two thirds
 // of the one-core time (BenchmarkBuildPipeline).
 //
 // For backward sketches on directed graphs, pass g.Transpose().  Invalid
@@ -229,7 +195,7 @@ func flavorName(f Flavor) string {
 // randomness is deterministic in the seed, and the result is bit-for-bit
 // identical to the corresponding legacy constructor under equal options.
 func Build(g *Graph, opts ...Option) (*Set, error) {
-	cfg := buildConfig{k: DefaultK, flavor: BottomK, algo: AlgoPrunedDijkstra}
+	cfg := buildConfig{k: DefaultK, algo: AlgoPrunedDijkstra}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, fmt.Errorf("%w: nil Option", ErrBadOption)
@@ -253,7 +219,7 @@ func Build(g *Graph, opts ...Option) (*Set, error) {
 		}
 		set, err = core.BuildWeightedSetParallel(g, cfg.k, cfg.seed, cfg.weights, scheme, 0)
 	default:
-		o := core.Options{K: cfg.k, Flavor: cfg.flavor, Seed: cfg.seed, BaseB: cfg.baseB}
+		o := core.Options{K: cfg.k, Seed: cfg.seed, BaseB: cfg.baseB}
 		set, err = core.BuildSet(g, o, cfg.algo)
 	}
 	return set, err

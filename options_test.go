@@ -29,7 +29,6 @@ func TestBuildOptionValidation(t *testing.T) {
 		{"base-b one", []adsketch.Option{adsketch.WithBaseB(1)}, adsketch.ErrBadOption},
 		{"base-b below one", []adsketch.Option{adsketch.WithBaseB(0.5)}, adsketch.ErrBadOption},
 		{"negative eps", []adsketch.Option{adsketch.WithApproxEps(-0.1)}, adsketch.ErrBadOption},
-		{"unknown flavor", []adsketch.Option{adsketch.WithFlavor(adsketch.Flavor(99))}, adsketch.ErrBadOption},
 		{"unknown algorithm", []adsketch.Option{adsketch.WithAlgorithm(adsketch.Algorithm(99))}, adsketch.ErrBadOption},
 		{"empty weights", []adsketch.Option{adsketch.WithNodeWeights(nil)}, adsketch.ErrBadOption},
 		{"short weights", []adsketch.Option{adsketch.WithNodeWeights([]float64{1, 2})}, adsketch.ErrBadOption},
@@ -37,9 +36,6 @@ func TestBuildOptionValidation(t *testing.T) {
 		{"NaN weight", []adsketch.Option{adsketch.WithNodeWeights(append([]float64{math.NaN()}, beta[1:]...))}, adsketch.ErrBadOption},
 		{"infinite weight", []adsketch.Option{adsketch.WithNodeWeights(append([]float64{math.Inf(1)}, beta[1:]...))}, adsketch.ErrBadOption},
 		{"nil option", []adsketch.Option{nil}, adsketch.ErrBadOption},
-		{"weights+kmins", []adsketch.Option{
-			adsketch.WithNodeWeights(beta), adsketch.WithFlavor(adsketch.KMins),
-		}, adsketch.ErrIncompatibleOptions},
 		{"weights+baseb", []adsketch.Option{
 			adsketch.WithNodeWeights(beta), adsketch.WithBaseB(2),
 		}, adsketch.ErrIncompatibleOptions},
@@ -51,9 +47,6 @@ func TestBuildOptionValidation(t *testing.T) {
 		}, adsketch.ErrIncompatibleOptions},
 		{"priority without weights", []adsketch.Option{
 			adsketch.WithPriorityRanks(),
-		}, adsketch.ErrIncompatibleOptions},
-		{"approx+kpartition", []adsketch.Option{
-			adsketch.WithApproxEps(0.1), adsketch.WithFlavor(adsketch.KPartition),
 		}, adsketch.ErrIncompatibleOptions},
 		{"approx+baseb", []adsketch.Option{
 			adsketch.WithApproxEps(0.1), adsketch.WithBaseB(2),
@@ -91,8 +84,8 @@ func TestBuildAcceptsCompatibleCombinations(t *testing.T) {
 	}
 	cases := [][]adsketch.Option{
 		nil, // all defaults
-		{adsketch.WithK(4), adsketch.WithFlavor(adsketch.KMins), adsketch.WithBaseB(2)},
-		{adsketch.WithFlavor(adsketch.KPartition), adsketch.WithAlgorithm(adsketch.AlgoBruteForce)},
+		{adsketch.WithK(4), adsketch.WithBaseB(2)},
+		{adsketch.WithBaseB(1.5), adsketch.WithAlgorithm(adsketch.AlgoBruteForce)},
 		{adsketch.WithNodeWeights(beta), adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra)},
 		{adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()},
 		{adsketch.WithApproxEps(0), adsketch.WithAlgorithm(adsketch.AlgoLocalUpdates)},
@@ -137,8 +130,6 @@ func TestBuildParityUniform(t *testing.T) {
 		{"bottomk/parallel", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoPrunedDijkstra, 2},
 		{"bottomk/local", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoLocalUpdates, 0},
 		{"bottomk/dp", unweighted, core.Options{K: 4, Seed: 9}, adsketch.AlgoDP, 0},
-		{"kmins/dijkstra", g, core.Options{K: 3, Flavor: adsketch.KMins, Seed: 2}, adsketch.AlgoPrunedDijkstra, 0},
-		{"kpartition/dijkstra", g, core.Options{K: 3, Flavor: adsketch.KPartition, Seed: 2}, adsketch.AlgoPrunedDijkstra, 0},
 		{"baseb/brute", g, core.Options{K: 4, Seed: 7, BaseB: 2}, adsketch.AlgoBruteForce, 0},
 	}
 	for _, tc := range cases {
@@ -149,7 +140,7 @@ func TestBuildParityUniform(t *testing.T) {
 			}
 			opts := []adsketch.Option{
 				adsketch.WithK(tc.o.K), adsketch.WithSeed(tc.o.Seed),
-				adsketch.WithFlavor(tc.o.Flavor), adsketch.WithAlgorithm(tc.algo),
+				adsketch.WithAlgorithm(tc.algo),
 			}
 			if tc.o.BaseB != 0 {
 				opts = append(opts, adsketch.WithBaseB(tc.o.BaseB))
@@ -178,14 +169,14 @@ func TestBuildParityParallelismInvariant(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	g := adsketch.GNP(50, 0.1, false, 3)
 	base, err := adsketch.Build(g, adsketch.WithK(3), adsketch.WithSeed(1),
-		adsketch.WithFlavor(adsketch.KMins))
+		adsketch.WithBaseB(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 7} {
 		setProcs(t, workers)
 		got, err := adsketch.Build(g, adsketch.WithK(3), adsketch.WithSeed(1),
-			adsketch.WithFlavor(adsketch.KMins))
+			adsketch.WithBaseB(2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,12 +33,11 @@ const (
 	ranksSeed       = 42
 )
 
-// ranksCase is one set and the rank its source gives entry node of
-// segment seg.
+// ranksCase is one set and the rank its source gives entry node.
 type ranksCase struct {
 	name string
 	set  adsketch.SketchSet
-	want func(seg int, node int32) float64
+	want func(node int32) float64
 }
 
 func ranksCases(t *testing.T) []ranksCase {
@@ -57,28 +56,17 @@ func ranksCases(t *testing.T) []ranksCase {
 		}
 		return set
 	}
-	uniform := func(_ int, node int32) float64 { return src.Rank(int64(node)) }
-
-	var cases []ranksCase
-	for _, fl := range []struct {
-		name   string
-		flavor adsketch.Flavor
-	}{{"bottomk", adsketch.BottomK}, {"kmins", adsketch.KMins}, {"kpartition", adsketch.KPartition}} {
-		want := uniform
-		if fl.flavor == adsketch.KMins {
-			want = func(seg int, node int32) float64 { return src.RankAt(seg, int64(node)) }
-		}
-		rounded := func(seg int, node int32) float64 { return rank.NewBaseB(2).Round(want(seg, node)) }
-		cases = append(cases,
-			ranksCase{fl.name, build(adsketch.WithFlavor(fl.flavor)), want},
-			ranksCase{fl.name + "/base2", build(adsketch.WithFlavor(fl.flavor), adsketch.WithBaseB(2)), rounded})
+	uniform := func(node int32) float64 { return src.Rank(int64(node)) }
+	rounded := func(node int32) float64 { return rank.NewBaseB(2).Round(uniform(node)) }
+	cases := []ranksCase{
+		{"bottomk", build(), uniform},
+		{"bottomk/base2", build(adsketch.WithBaseB(2)), rounded},
+		{"weighted/exponential", build(adsketch.WithNodeWeights(beta)),
+			func(node int32) float64 { return src.ExpRank(int64(node), beta[node]) }},
+		{"weighted/priority", build(adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()),
+			func(node int32) float64 { return src.PriorityRank(int64(node), beta[node]) }},
+		{"approx", build(adsketch.WithApproxEps(0.25)), uniform},
 	}
-	cases = append(cases,
-		ranksCase{"weighted/exponential", build(adsketch.WithNodeWeights(beta)),
-			func(_ int, node int32) float64 { return src.ExpRank(int64(node), beta[node]) }},
-		ranksCase{"weighted/priority", build(adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()),
-			func(_ int, node int32) float64 { return src.PriorityRank(int64(node), beta[node]) }},
-		ranksCase{"approx", build(adsketch.WithApproxEps(0.25)), uniform})
 
 	// Ingest-frozen: build two thirds of the edges, stream the rest in.
 	type edge struct {
@@ -148,35 +136,21 @@ func ranksCases(t *testing.T) []ranksCase {
 	return append(cases, ranksCase{"distbuild-frozen/p3", merged, uniform})
 }
 
-// segmentsOf returns a view's entry lists, one per segment, read both
-// ways a view offers them.
-func segmentsOf(t *testing.T, s adsketch.NodeSketch) (byIndex, bulk [][]core.Entry) {
+// entriesOf returns a view's entries, read both ways a view offers them.
+func entriesOf(t *testing.T, s adsketch.NodeSketch) (byIndex, bulk []core.Entry) {
 	t.Helper()
-	entryAt := func(size int, at func(int) core.Entry) []core.Entry {
-		out := make([]core.Entry, size)
-		for i := range out {
-			out[i] = at(i)
-		}
-		return out
+	x, ok := s.(interface {
+		EntryAt(int) core.Entry
+		Entries() []core.Entry
+	})
+	if !ok {
+		t.Fatalf("unknown sketch view %T", s)
 	}
-	switch x := s.(type) {
-	case *core.ADS:
-		return [][]core.Entry{entryAt(x.Size(), x.EntryAt)}, [][]core.Entry{x.Entries()}
-	case *core.WeightedADS:
-		return [][]core.Entry{entryAt(x.Size(), x.EntryAt)}, [][]core.Entry{x.Entries()}
-	case *core.KMinsADS:
-		for h := 0; h < x.K(); h++ {
-			bulk = append(bulk, x.Perm(h))
-		}
-		return bulk, bulk
-	case *core.KPartitionADS:
-		for b := 0; b < x.K(); b++ {
-			bulk = append(bulk, x.Bucket(b))
-		}
-		return bulk, bulk
+	byIndex = make([]core.Entry, s.Size())
+	for i := range byIndex {
+		byIndex[i] = x.EntryAt(i)
 	}
-	t.Fatalf("unknown sketch view %T", s)
-	return nil, nil
+	return byIndex, x.Entries()
 }
 
 func TestFrameRanksDerived(t *testing.T) {
@@ -194,20 +168,18 @@ func TestFrameRanksDerived(t *testing.T) {
 		}
 		for v := int32(0); int(v) < c.set.NumNodes(); v++ {
 			view := c.set.SketchOf(v)
-			byIndex, bulk := segmentsOf(t, view)
-			for seg := range byIndex {
-				if len(byIndex[seg]) != len(bulk[seg]) {
-					t.Fatalf("%s: node %d segment %d: EntryAt yields %d entries, Entries %d", c.name, v, seg, len(byIndex[seg]), len(bulk[seg]))
+			byIndex, bulk := entriesOf(t, view)
+			if len(byIndex) != len(bulk) {
+				t.Fatalf("%s: node %d: EntryAt yields %d entries, Entries %d", c.name, v, len(byIndex), len(bulk))
+			}
+			for i, e := range byIndex {
+				if want := c.want(e.Node); math.Float64bits(e.Rank) != math.Float64bits(want) {
+					t.Fatalf("%s: node %d entry %d (node %d): rank %v, the rank source gives %v", c.name, v, i, e.Node, e.Rank, want)
 				}
-				for i, e := range byIndex[seg] {
-					if want := c.want(seg, e.Node); math.Float64bits(e.Rank) != math.Float64bits(want) {
-						t.Fatalf("%s: node %d segment %d entry %d (node %d): rank %v, the rank source gives %v", c.name, v, seg, i, e.Node, e.Rank, want)
-					}
-					if e != bulk[seg][i] {
-						t.Fatalf("%s: node %d segment %d entry %d: EntryAt %+v, Entries %+v", c.name, v, seg, i, e, bulk[seg][i])
-					}
-					put(entries, float64(e.Node), e.Dist, e.Rank)
+				if e != bulk[i] {
+					t.Fatalf("%s: node %d entry %d: EntryAt %+v, Entries %+v", c.name, v, i, e, bulk[i])
 				}
+				put(entries, float64(e.Node), e.Dist, e.Rank)
 			}
 			for _, e := range view.HIPEntries() {
 				put(hip, float64(e.Node), e.Dist, e.Weight)

@@ -26,7 +26,6 @@ func buildAllKinds(t *testing.T) map[string]adsketch.SketchSet {
 	out := map[string]adsketch.SketchSet{}
 	for name, opts := range map[string][]adsketch.Option{
 		"uniform":           {adsketch.WithK(5), adsketch.WithSeed(3)},
-		"uniform/kmins":     {adsketch.WithK(3), adsketch.WithSeed(3), adsketch.WithFlavor(adsketch.KMins)},
 		"uniform/baseb":     {adsketch.WithK(5), adsketch.WithSeed(3), adsketch.WithBaseB(2)},
 		"weighted":          {adsketch.WithK(5), adsketch.WithSeed(3), adsketch.WithNodeWeights(beta)},
 		"weighted/priority": {adsketch.WithK(5), adsketch.WithSeed(3), adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()},
@@ -237,5 +236,46 @@ func TestEveryWriterEmitsV3(t *testing.T) {
 	}
 	for i, blob := range built.Partitions {
 		checkHeader(fmt.Sprintf("distbuild partition %d", i), blob, true)
+	}
+}
+
+// TestRefusesOtherFlavors: a k-mins or k-partition file, as the last
+// release to build them wrote it (`adstool build -flavor kmins|kpartition
+// -k 4 -seed 42` on `gen -type ba -n 60 -m 3 -seed 9`), is refused by
+// every reader, naming its flavor: a set holds bottom-k sketches only.
+func TestRefusesOtherFlavors(t *testing.T) {
+	for path, flavor := range map[string]string{
+		"testdata/kmins_v3_k4.ads":      "k-mins",
+		"testdata/kpartition_v3_k4.ads": "k-partition",
+	} {
+		for name, open := range map[string]func(string) error{
+			"OpenSketchFile": func(p string) error {
+				sf, err := adsketch.OpenSketchFile(p)
+				if err == nil {
+					sf.Close()
+				}
+				return err
+			},
+			"MmapSketchFile": func(p string) error {
+				sf, err := adsketch.MmapSketchFile(p)
+				if err == nil {
+					sf.Close()
+				}
+				return err
+			},
+			"ReadSketchSet": func(p string) error {
+				f, err := os.Open(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				_, err = adsketch.ReadSketchSet(f)
+				return err
+			},
+		} {
+			if err := open(path); err == nil || !strings.Contains(err.Error(), flavor+" sketches") {
+				t.Errorf("%s(%s): %v, want a refusal naming %s", name, path, err, flavor)
+			}
+		}
 	}
 }
