@@ -12,7 +12,7 @@ COVER_BASELINE ?= 80.0
 # fail above it.  Lower it when the closure shrinks; raising it needs a
 # CHANGES.md line giving the reason.  A plain constant, so the
 # environment cannot override it.
-CLOSURE_BUDGET = 16365
+CLOSURE_BUDGET = 15964
 
 .PHONY: test loc race cpus analyze benchmark-smoke cover fuzz-smoke memprofile ingest-smoke load-smoke wire-smoke distbuild-smoke clean
 

@@ -17,10 +17,10 @@
 // The package is a facade over the internal implementation:
 //
 //   - graphs: compact CSR graphs, deterministic generators, edge-list I/O;
-//   - sketches: bottom-k ADS, built by
-//     PrunedDijkstra (Algorithm 1), unweighted DP rounds, or LocalUpdates
-//     (Algorithm 2), over full-precision or base-b ranks, with uniform or
-//     weighted (Section 9) nodes;
+//   - sketches: bottom-k ADS, built by PrunedDijkstra (Algorithm 1) over
+//     full-precision or base-b ranks, with uniform or weighted (Section 9)
+//     nodes, or (1+ε)-approximately over the synchronized rounds of
+//     LocalUpdates (Algorithm 2), which the distributed build runs exactly;
 //   - estimators: basic (Section 4) and HIP (Section 5) cardinality
 //     estimators and query-time α/β centrality kernels;
 //   - the paper's other flavors and toolkits — the k-mins and k-partition
@@ -137,18 +137,6 @@ var (
 	PreferentialAttachment = graph.PreferentialAttachment
 	WattsStrogatz          = graph.WattsStrogatz
 	WithRandomWeights      = graph.WithRandomWeights
-)
-
-// Algorithm selects a construction algorithm (Section 3).
-type Algorithm = core.Algorithm
-
-// Construction algorithms.  AlgoPrunedDijkstra runs on GOMAXPROCS
-// goroutines by itself.
-const (
-	AlgoPrunedDijkstra = core.AlgoPrunedDijkstra
-	AlgoDP             = core.AlgoDP
-	AlgoLocalUpdates   = core.AlgoLocalUpdates
-	AlgoBruteForce     = core.AlgoBruteForce
 )
 
 // Set holds the bottom-k sketches of one graph's nodes, of any kind —

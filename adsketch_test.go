@@ -32,25 +32,32 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 // TestFacadeFlavorsAndAlgorithms builds the one flavor Build has,
-// bottom-k, with every algorithm (lab reproduces k-mins and k-partition).
+// bottom-k, with each construction: Algorithm 1 (Build), the
+// (1+ε)-approximate rounds (WithApproxEps) and the Section 3 DP, which lab
+// holds (as it does the k-mins and k-partition flavors).
 func TestFacadeFlavorsAndAlgorithms(t *testing.T) {
 	g := adsketch.Grid(6, 6)
-	for _, algo := range []adsketch.Algorithm{adsketch.AlgoPrunedDijkstra, adsketch.AlgoDP, adsketch.AlgoLocalUpdates, adsketch.AlgoBruteForce} {
-		set, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(3), adsketch.WithAlgorithm(algo))
+	for name, build := range map[string]func() (*adsketch.Set, error){
+		"PrunedDijkstra": func() (*adsketch.Set, error) { return adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(3)) },
+		"approximate": func() (*adsketch.Set, error) {
+			return adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(3), adsketch.WithApproxEps(0.1))
+		},
+		"DP": func() (*adsketch.Set, error) { return lab.BuildDP(g, 4, 3, 0) },
+	} {
+		set, err := build()
 		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		got := adsketch.EstimateNeighborhoodHIP(set.SketchOf(0), 100)
 		if got < 5 || got > 150 {
-			t.Errorf("%v: reachability estimate %g", algo, got)
+			t.Errorf("%s: reachability estimate %g", name, got)
 		}
 	}
 }
 
 func TestFacadeEstimateQAndKernels(t *testing.T) {
 	g := adsketch.Path(30)
-	set, err := adsketch.Build(g, adsketch.WithK(8), adsketch.WithSeed(9),
-		adsketch.WithAlgorithm(adsketch.AlgoDP))
+	set, err := adsketch.Build(g, adsketch.WithK(8), adsketch.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +155,7 @@ func TestFacadeGraphBuilder(t *testing.T) {
 	b.AddWeightedEdge(0, 1, 2)
 	b.AddWeightedEdge(1, 2, 2)
 	g := b.Build()
-	set, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(1),
-		adsketch.WithAlgorithm(adsketch.AlgoLocalUpdates))
+	set, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +167,7 @@ func TestFacadeGraphBuilder(t *testing.T) {
 
 func TestFacadeSerialization(t *testing.T) {
 	g := adsketch.GNP(80, 0.06, false, 12)
-	set, err := adsketch.Build(g, adsketch.WithK(6), adsketch.WithSeed(4),
-		adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra))
+	set, err := adsketch.Build(g, adsketch.WithK(6), adsketch.WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +233,7 @@ func TestFacadeApprox(t *testing.T) {
 
 func TestFacadeHIPIndexAndDistanceBound(t *testing.T) {
 	g := adsketch.Grid(8, 8)
-	set, err := adsketch.Build(g, adsketch.WithK(8), adsketch.WithSeed(3),
-		adsketch.WithAlgorithm(adsketch.AlgoDP))
+	set, err := adsketch.Build(g, adsketch.WithK(8), adsketch.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

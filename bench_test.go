@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"adsketch"
@@ -218,11 +220,7 @@ func BenchmarkQgHIPvsNaive(b *testing.B) {
 		hipAcc := stats.NewErrAccum(exact)
 		naiveAcc := stats.NewErrAccum(exact)
 		for run := 0; run < runs; run++ {
-			src := rank.NewSource(uint64(run)*71 + 19)
-			a := core.NewADS(0, k)
-			for id := int64(0); id < n; id++ {
-				a.Offer(core.Entry{Node: int32(id), Dist: float64(id), Rank: src.Rank(id)})
-			}
+			a := streamADS(b, k, n, rank.NewSource(uint64(run)*71+19))
 			hipAcc.Add(core.EstimateQ(a, func(_ int32, d float64) float64 { return gfun(d) }))
 			mh := a.MinHashEntriesWithin(math.Inf(1))
 			sum := 0.0
@@ -238,14 +236,38 @@ func BenchmarkQgHIPvsNaive(b *testing.B) {
 	b.ReportMetric(float64(n)/float64(k), "n/k")
 }
 
-// E11: Section 3 construction algorithms on representative graphs.
-func benchBuilder(b *testing.B, g *graph.Graph, algo adsketch.Algorithm, k int) {
+// streamADS is the bottom-k ADS, owned by element 0, of the stream of
+// elements 0..n-1, element i at distance i: each kept iff its rank is
+// below the k-th smallest kept before it.
+func streamADS(b *testing.B, k, n int, src rank.Source) *core.ADS {
+	var kept []core.Entry
+	var pool []float64 // the k smallest kept ranks, ascending
+	for id := int64(0); id < int64(n); id++ {
+		r := src.Rank(id)
+		if len(pool) == k && r >= pool[k-1] {
+			continue
+		}
+		kept = append(kept, core.Entry{Node: int32(id), Dist: float64(id), Rank: r})
+		if pool = slices.Insert(pool, sort.SearchFloat64s(pool, r), r); len(pool) > k {
+			pool = pool[:k]
+		}
+	}
+	a, err := core.ADSFromEntries(0, k, kept)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return a
+}
+
+// E11: Algorithm 1 on representative graphs (lab's BenchmarkBuildDP runs
+// the Section 3 DP on the unweighted ones, internal/distbuild's benchmarks
+// Algorithm 2).
+func benchBuilder(b *testing.B, g *graph.Graph, k int) {
 	b.ReportAllocs()
 	var set adsketch.SketchSet
 	for i := 0; i < b.N; i++ {
 		var err error
-		set, err = adsketch.Build(g, adsketch.WithK(k), adsketch.WithSeed(42),
-			adsketch.WithAlgorithm(algo))
+		set, err = adsketch.Build(g, adsketch.WithK(k), adsketch.WithSeed(42))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,21 +284,11 @@ func BenchmarkBuilders(b *testing.B) {
 		"gnp-5k":  graph.GNP(5000, 0.002, false, 7),
 		"wgnp-2k": graph.WithRandomWeights(graph.GNP(2000, 0.005, false, 8), 1, 4, 9),
 	}
-	algos := map[string]adsketch.Algorithm{
-		"PrunedDijkstra": adsketch.AlgoPrunedDijkstra,
-		"DP":             adsketch.AlgoDP,
-		"LocalUpdates":   adsketch.AlgoLocalUpdates,
-	}
 	for gname, g := range graphs {
-		for aname, algo := range algos {
-			if algo == adsketch.AlgoDP && g.Weighted() {
-				continue
-			}
-			for _, k := range []int{4, 16} {
-				b.Run(gname+"/"+aname+"/k="+itoa(k), func(b *testing.B) {
-					benchBuilder(b, g, algo, k)
-				})
-			}
+		for _, k := range []int{4, 16} {
+			b.Run(gname+"/PrunedDijkstra/k="+itoa(k), func(b *testing.B) {
+				benchBuilder(b, g, k)
+			})
 		}
 	}
 }
@@ -419,9 +431,8 @@ func BenchmarkParallelBuilder(b *testing.B) {
 // (bench/) builds — PreferentialAttachment(10000,5,1), k=16, rank seed 42
 // — so a `go test -bench` number can be read against its core.build_s and
 // e2e.build_edges_per_s.  One row per construction the benchmark graph
-// admits: the default (GOMAXPROCS workers), Section 9 node weights, k-mins
-// (16 bottom-1 passes), and the default at GOMAXPROCS=1, on the calling
-// goroutine alone.
+// admits: the default (GOMAXPROCS workers), Section 9 node weights, and
+// the default at GOMAXPROCS=1, on the calling goroutine alone.
 // B/node is its sketch_bytes_per_node for the row's set.
 func BenchmarkBuildPipeline(b *testing.B) {
 	g := graph.PreferentialAttachment(10000, 5, 1)

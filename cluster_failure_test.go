@@ -742,3 +742,33 @@ func ExampleNewReplicatedCoordinator() {
 	fmt.Println(len(resp.Ranking), resp.Partial)
 	// Output: 3 false
 }
+
+// emptySketchShard answers every sketch fetch with no entries: the reply
+// of a worker whose sketch went missing.
+type emptySketchShard struct{ adsketch.ShardBackend }
+
+func (s emptySketchShard) DoBatch(ctx context.Context, reqs []adsketch.Request) ([]adsketch.Response, error) {
+	resps, err := s.ShardBackend.DoBatch(ctx, reqs)
+	for i := range resps {
+		if reqs[i].Sketch != nil {
+			resps[i].Entries = nil
+		}
+	}
+	return resps, err
+}
+
+// A pairwise query over a sketch a shard returned empty fails naming the
+// shard: every ADS holds its owner, so no answer is built on it.
+func TestPairwiseRefusesEmptySketch(t *testing.T) {
+	_, set, _ := buildEngine(t)
+	shards := shardEngines(t, set, 4)
+	shards[1] = emptySketchShard{shards[1]} // nodes [100, 200)
+	coord, err := adsketch.NewCoordinator(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = coord.Do(context.Background(), adsketch.Request{Jaccard: &adsketch.JaccardQuery{A: 5, RadiusA: 2, B: 150, RadiusB: 2}})
+	if err == nil || !strings.HasPrefix(err.Error(), "shard 1: ") || !strings.Contains(err.Error(), "node 150") {
+		t.Errorf("jaccard over an empty sketch of node 150: got %v, want an error naming shard 1 and the node", err)
+	}
+}

@@ -34,7 +34,7 @@ func runDistBuild(fs *flag.FlagSet, path string, directed bool, dist int, worker
 	var clash []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "algo", "baseb", "save":
+		case "baseb", "save":
 			clash = append(clash, "-"+f.Name)
 		}
 	})

@@ -154,24 +154,12 @@ func buildFlags(fs *flag.FlagSet) (path *string, directed *bool, opts func() ([]
 	directed = fs.Bool("directed", false, "treat edges as directed")
 	k := fs.Int("k", 16, "sketch parameter")
 	seed := fs.Uint64("seed", 42, "rank seed")
-	algo := fs.String("algo", "dijkstra", "dijkstra, dp, local, brute")
 	baseB := fs.Float64("baseb", 0, "base-b rank rounding (> 1; 0 = full precision)")
 	eps := fs.Float64("eps", -1, "(1+eps)-approximate construction (>= 0 enables)")
 	weights := fs.String("weights", "", "comma-separated per-node weights (Section 9)")
 	priority := fs.Bool("priority", false, "priority (Sequential Poisson) ranks for -weights")
 	opts = func() ([]adsketch.Option, error) {
 		out := []adsketch.Option{adsketch.WithK(*k), adsketch.WithSeed(*seed)}
-		switch *algo {
-		case "dijkstra":
-		case "dp":
-			out = append(out, adsketch.WithAlgorithm(adsketch.AlgoDP))
-		case "local":
-			out = append(out, adsketch.WithAlgorithm(adsketch.AlgoLocalUpdates))
-		case "brute":
-			out = append(out, adsketch.WithAlgorithm(adsketch.AlgoBruteForce))
-		default:
-			return nil, fmt.Errorf("unknown algorithm %q", *algo)
-		}
 		if *baseB != 0 {
 			out = append(out, adsketch.WithBaseB(*baseB))
 		}

@@ -47,8 +47,7 @@ func ExampleEngine() {
 // metadata filter chosen after the sketches were built.
 func ExampleEstimateCentrality() {
 	g := adsketch.Star(100) // hub 0 with 99 leaves
-	set, err := adsketch.Build(g, adsketch.WithK(16), adsketch.WithSeed(7),
-		adsketch.WithAlgorithm(adsketch.AlgoDP))
+	set, err := adsketch.Build(g, adsketch.WithK(16), adsketch.WithSeed(7))
 	if err != nil {
 		panic(err)
 	}

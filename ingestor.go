@@ -174,7 +174,7 @@ func NewIngestor(g *Graph, set *Set, opts ...IngestorOption) (*Ingestor, error) 
 // sketch parameter and the coordinated ranks of every version it freezes.
 func NewEmptyIngestor(directed bool, k int, seed uint64, opts ...IngestorOption) (*Ingestor, error) {
 	g := graph.NewBuilder(0, directed).Build()
-	set, err := core.BuildSet(g, core.Options{K: k, Seed: seed}, core.AlgoPrunedDijkstra)
+	set, err := core.BuildSet(g, core.Options{K: k, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

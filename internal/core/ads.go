@@ -1,8 +1,9 @@
 // Package core implements bottom-k All-Distances Sketches (ADS) — the
 // paper's primary contribution, in the flavor of Section 2 that the
-// serving system keeps (lab reproduces k-mins and k-partition) — the
-// construction algorithms of Section 3 (PrunedDijkstra, DP,
-// LocalUpdates), and the estimators built on them: the basic
+// serving system keeps (lab reproduces k-mins and k-partition) — one
+// exact construction of Section 3 (PrunedDijkstra, Algorithm 1) and the
+// (1+ε)-approximate one over Algorithm 2's rounds — and the estimators
+// built on them: the basic
 // MinHash-extraction estimator of Section 4, the Historic Inverse
 // Probability (HIP) estimators of Section 5 with full-precision or base-b
 // ranks, and the non-uniform node-weight extension of Section 9.
@@ -28,9 +29,9 @@
 // distance of a sketch — shared by all sketches), and the sketch types
 // here are lightweight views over the columns that derive an entry's rank
 // from the set's seed, and decode its node from the packed bits and its
-// distance from the steps, when asked for it.  Standalone sketches
-// (NewADS + Offer) own private columns, plain nodes, distances and ranks
-// included, that grow in place.
+// distance from the steps, when asked for it.  A sketch rebuilt from
+// transported entries (ADSFromEntries) owns private columns, plain nodes,
+// distances and ranks included.
 package core
 
 import (
@@ -97,15 +98,6 @@ type ADS struct {
 
 var _ Sketch = (*ADS)(nil)
 
-// NewADS returns an empty bottom-k ADS owned by node, with private
-// columns.
-func NewADS(node int32, k int) *ADS {
-	if k < 1 {
-		panic("core: k must be >= 1")
-	}
-	return &ADS{k: k, node: node}
-}
-
 // K returns the sketch parameter.
 func (a *ADS) K() int { return a.k }
 
@@ -127,50 +119,6 @@ func (a *ADS) EntryAt(i int) Entry { return a.c.at(i) }
 // estimator (Section 8).
 func (a *ADS) SizeWithin(d float64) int {
 	return a.c.sizeWithin(d)
-}
-
-// AppendInOrder appends an entry that is known to (a) come after all
-// current entries in canonical order and (b) satisfy the inclusion
-// condition.  Builders that generate candidates in canonical order
-// (PrunedDijkstra, DP, the stream builder) use Offer instead, which checks
-// the condition; AppendInOrder is the raw primitive.
-func (a *ADS) AppendInOrder(e Entry) {
-	if n := a.c.len(); n > 0 && !a.c.at(n-1).before(e) {
-		panic(fmt.Sprintf("core: AppendInOrder out of order: %+v after %+v", e, a.c.at(n-1)))
-	}
-	a.c.push(e)
-}
-
-// Offer presents a candidate that comes after all current entries in
-// canonical order, inserts it if it passes the bottom-k inclusion test
-// (rank strictly below the k-th smallest rank so far), and reports whether
-// it was inserted.
-func (a *ADS) Offer(e Entry) bool {
-	if e.Rank >= a.Threshold() {
-		return false
-	}
-	a.AppendInOrder(e)
-	return true
-}
-
-// Threshold returns the k-th smallest rank over all current entries (1 if
-// fewer than k).  A future candidate (which necessarily comes later in
-// canonical order) is included iff its rank is strictly below this value.
-// Because the ADS contains every node of Φ_<j that passed its own
-// threshold, and those are exactly the candidates with the k smallest
-// ranks, this equals kth_r(Φ_<j ∩ ADS) from Lemma 5.1.
-func (a *ADS) Threshold() float64 {
-	n := a.c.len()
-	if n < a.k {
-		return 1
-	}
-	// n is small in practice (entries are logarithmic); k sorted slots
-	// keep this cheap.
-	h := newKSmallest(a.k)
-	for i := 0; i < n; i++ {
-		h.offer(a.c.rankAt(i))
-	}
-	return h.max()
 }
 
 // MinHashWithin extracts the bottom-k MinHash sketch of N_d(owner): the k
@@ -211,9 +159,10 @@ func (a *ADS) HIPEntries() []WeightedEntry {
 	return a.c.weighted(w)
 }
 
-// Validate checks the structural invariants: canonical order and the
+// Validate checks the structural invariants: canonical order, the
 // inclusion condition (each entry's rank strictly below the k-th smallest
-// rank among prior entries).  It returns the first violation found.
+// rank among prior entries) and the owner as first entry, at distance 0 —
+// so an empty sketch is refused.  It returns the first violation found.
 func (a *ADS) Validate() error {
 	// Whole columns, not an entry at a time: slices a filled view already
 	// has, unpacked once otherwise.
@@ -232,7 +181,7 @@ func (a *ADS) Validate() error {
 		h.offer(e.Rank)
 		prev = e
 	}
-	if len(nodes) > 0 && (nodes[0] != a.node || dists[0] != 0) {
+	if len(nodes) == 0 || nodes[0] != a.node || dists[0] != 0 {
 		return fmt.Errorf("core: ADS(%d) does not start with the owner at distance 0", a.node)
 	}
 	return nil

@@ -61,90 +61,84 @@ func TestMaxHeapProperty(t *testing.T) {
 	}
 }
 
+// TestADSOfferAndThreshold offers a stream in canonical order through the
+// offer rule: an entry is kept iff its rank is below the k-th smallest
+// rank kept before it (1 while fewer than k are), and the kept list is a
+// valid ADS.
 func TestADSOfferAndThreshold(t *testing.T) {
-	a := NewADS(0, 2)
-	if !a.Offer(Entry{Node: 0, Dist: 0, Rank: 0.8}) {
-		t.Fatal("owner rejected")
+	kern := NewOfferKernel(2)
+	var list []Entry
+	for _, c := range []struct {
+		e    Entry
+		kept bool
+	}{
+		{Entry{Node: 0, Dist: 0, Rank: 0.8}, true},  // threshold 1
+		{Entry{Node: 1, Dist: 1, Rank: 0.5}, true},  // threshold 1
+		{Entry{Node: 2, Dist: 2, Rank: 0.9}, false}, // threshold 0.8
+		{Entry{Node: 3, Dist: 3, Rank: 0.1}, true},  // threshold 0.8
+		{Entry{Node: 4, Dist: 4, Rank: 0.6}, false}, // threshold 0.5, 2nd of {0.8, 0.5, 0.1}
+	} {
+		var kept bool
+		list, _, _, kept = kern.Offer(list, nil, c.e, 0)
+		if kept != c.kept {
+			t.Errorf("offer of %+v: kept %v, want %v", c.e, kept, c.kept)
+		}
 	}
-	if a.Threshold() != 1 {
-		t.Errorf("threshold with 1 entry = %g, want 1", a.Threshold())
-	}
-	if !a.Offer(Entry{Node: 1, Dist: 1, Rank: 0.5}) {
-		t.Fatal("second entry rejected")
-	}
-	if a.Threshold() != 0.8 {
-		t.Errorf("threshold = %g, want 0.8", a.Threshold())
-	}
-	if a.Offer(Entry{Node: 2, Dist: 2, Rank: 0.9}) {
-		t.Error("rank above threshold accepted")
-	}
-	if !a.Offer(Entry{Node: 3, Dist: 3, Rank: 0.1}) {
-		t.Error("rank below threshold rejected")
-	}
-	// Threshold is now 2nd smallest of {0.8, 0.5, 0.1} = 0.5.
-	if a.Threshold() != 0.5 {
-		t.Errorf("threshold = %g, want 0.5", a.Threshold())
+	a, err := ADSFromEntries(0, 2, list)
+	if err != nil {
+		t.Fatalf("kept entries: %v", err)
 	}
 	if a.Size() != 3 {
 		t.Errorf("size = %d, want 3", a.Size())
 	}
-	if err := a.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestADSAppendOutOfOrderPanics(t *testing.T) {
-	a := NewADS(0, 2)
-	a.AppendInOrder(Entry{Node: 0, Dist: 0, Rank: 0.5})
-	a.AppendInOrder(Entry{Node: 3, Dist: 2, Rank: 0.4})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order append did not panic")
-		}
-	}()
-	a.AppendInOrder(Entry{Node: 1, Dist: 1, Rank: 0.3})
 }
 
 func TestADSCanonicalOrderTieByID(t *testing.T) {
-	a := NewADS(0, 4)
-	a.AppendInOrder(Entry{Node: 0, Dist: 0, Rank: 0.9})
-	a.AppendInOrder(Entry{Node: 2, Dist: 1, Rank: 0.5})
 	// Same distance, higher ID: allowed.
-	a.AppendInOrder(Entry{Node: 5, Dist: 1, Rank: 0.4})
-	if err := a.Validate(); err != nil {
+	if _, err := ADSFromEntries(0, 4, []Entry{
+		{Node: 0, Dist: 0, Rank: 0.9},
+		{Node: 2, Dist: 1, Rank: 0.5},
+		{Node: 5, Dist: 1, Rank: 0.4},
+	}); err != nil {
 		t.Errorf("Validate: %v", err)
+	}
+	// Same distance, lower ID: out of canonical order.
+	if _, err := ADSFromEntries(0, 4, []Entry{
+		{Node: 0, Dist: 0, Rank: 0.9},
+		{Node: 5, Dist: 1, Rank: 0.4},
+		{Node: 2, Dist: 1, Rank: 0.5},
+	}); err == nil {
+		t.Error("a tie out of ID order validated")
 	}
 }
 
 func TestADSValidateDetectsViolations(t *testing.T) {
-	a := NewADS(0, 1)
-	a.c = colsFromEntries([]Entry{
+	a := adsOf(0, 1, []Entry{
 		{Node: 0, Dist: 0, Rank: 0.5},
 		{Node: 1, Dist: 1, Rank: 0.7}, // rank above threshold 0.5
 	})
 	if a.Validate() == nil {
 		t.Error("inclusion violation not detected")
 	}
-	b := NewADS(0, 9)
-	b.c = colsFromEntries([]Entry{
+	b := adsOf(0, 9, []Entry{
 		{Node: 0, Dist: 2, Rank: 0.5},
 		{Node: 1, Dist: 1, Rank: 0.3},
 	})
 	if b.Validate() == nil {
 		t.Error("order violation not detected")
 	}
-	c := NewADS(7, 2)
-	c.c = colsFromEntries([]Entry{{Node: 3, Dist: 0, Rank: 0.2}})
-	if c.Validate() == nil {
+	if adsOf(7, 2, []Entry{{Node: 3, Dist: 0, Rank: 0.2}}).Validate() == nil {
 		t.Error("wrong owner first entry not detected")
+	}
+	if adsOf(7, 2, nil).Validate() == nil {
+		t.Error("empty sketch not detected")
 	}
 }
 
 func TestHIPWeightsManual(t *testing.T) {
 	// k=2 ADS with hand-picked ranks; the HIP weight of entry i (i>=k) is
 	// the inverse of the 2nd-smallest rank among entries before it.
-	a := NewADS(0, 2)
-	a.c = colsFromEntries([]Entry{
+	a := adsOf(0, 2, []Entry{
 		{Node: 0, Dist: 0, Rank: 0.6},
 		{Node: 1, Dist: 1, Rank: 0.8},
 		{Node: 2, Dist: 2, Rank: 0.5}, // tau = 0.8  -> w = 1.25
@@ -209,8 +203,7 @@ func TestMinHashWithinMatchesDefinition(t *testing.T) {
 }
 
 func TestSizeWithin(t *testing.T) {
-	a := NewADS(0, 3)
-	a.c = colsFromEntries([]Entry{
+	a := adsOf(0, 3, []Entry{
 		{Node: 0, Dist: 0, Rank: 0.9},
 		{Node: 1, Dist: 2, Rank: 0.5},
 		{Node: 2, Dist: 2.5, Rank: 0.3},
@@ -228,8 +221,7 @@ func TestSizeWithin(t *testing.T) {
 }
 
 func TestEstimateQAndCentralityKernels(t *testing.T) {
-	a := NewADS(0, 2)
-	a.c = colsFromEntries([]Entry{
+	a := adsOf(0, 2, []Entry{
 		{Node: 0, Dist: 0, Rank: 0.6},
 		{Node: 1, Dist: 1, Rank: 0.8},
 		{Node: 2, Dist: 2, Rank: 0.5},
@@ -298,22 +290,6 @@ func harmonicTest(n int) float64 {
 		h += 1 / float64(i)
 	}
 	return h
-}
-
-func TestNewPanicsOnBadK(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"ADS":      func() { NewADS(0, 0) },
-		"Weighted": func() { NewWeightedADS(0, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s with bad k did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
 }
 
 func TestMinHashEntriesWithinUnderfull(t *testing.T) {

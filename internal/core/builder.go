@@ -117,46 +117,6 @@ func (p Params) validate() error {
 	return nil
 }
 
-// Algorithm selects an ADS construction algorithm (Section 3).
-type Algorithm int
-
-// Construction algorithms.
-const (
-	// AlgoPrunedDijkstra is Algorithm 1: one pruned Dijkstra per node in
-	// increasing rank order, on the transpose graph.  Works on weighted
-	// and unweighted graphs.  With more than one worker a bottom-k pass
-	// traverses in rank-ordered batches and applies their offers
-	// partitioned by node (runBatches), to the same output byte for byte.
-	AlgoPrunedDijkstra Algorithm = iota
-	// AlgoDP is the node-centric dynamic-programming (Bellman–Ford round)
-	// computation for unweighted graphs; entries are inserted in
-	// increasing distance.
-	AlgoDP
-	// AlgoLocalUpdates is Algorithm 2: node-centric message passing for
-	// weighted graphs, with synchronized rounds bounded by the hop
-	// diameter; entries may be inserted out of distance order and are
-	// cleaned up.
-	AlgoLocalUpdates
-	// AlgoBruteForce derives each node's sketch directly from the exact
-	// nearest-neighbor order.  Quadratic; the reference the fast
-	// algorithms are tested against.
-	AlgoBruteForce
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoPrunedDijkstra:
-		return "PrunedDijkstra"
-	case AlgoDP:
-		return "DP"
-	case AlgoLocalUpdates:
-		return "LocalUpdates"
-	case AlgoBruteForce:
-		return "BruteForce"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
 // Set holds the sketches of a node range of one graph — all of its nodes,
 // or one partition of a split (partition.go) — of any kind, built with
 // shared (coordinated) ranks and stored as one columnar frame; the
@@ -237,33 +197,26 @@ func (s *Set) TotalEntries() int { return s.frame.totalEntries() }
 // count is the number of bytes written.
 func (s *Set) WriteTo(w io.Writer) (int64, error) { return writeFrameV3(w, s) }
 
-// BuildSet computes the (forward) ADS of every node of g using the chosen
-// algorithm.  For directed graphs pass g for forward sketches (distances
-// measured from the sketch owner) or g.Transpose() for backward sketches.
-func BuildSet(g *graph.Graph, o Options, algo Algorithm) (*Set, error) {
-	return BuildSetParallel(g, o, algo, 0)
+// BuildSet computes the (forward) ADS of every node of g with Algorithm 1
+// (PrunedDijkstra).  For directed graphs pass g for forward sketches
+// (distances measured from the sketch owner) or g.Transpose() for backward
+// sketches.
+func BuildSet(g *graph.Graph, o Options) (*Set, error) {
+	return BuildSetParallel(g, o, 0)
 }
 
 // BuildSetParallel is BuildSet with an explicit worker bound for the
-// candidate batches of a PrunedDijkstra build: workers <= 0 means
-// GOMAXPROCS; 1 is the calling goroutine.  The output is identical for
-// every worker count.
-func BuildSetParallel(g *graph.Graph, o Options, algo Algorithm, workers int) (*Set, error) {
+// candidate batches: workers <= 0 means GOMAXPROCS; 1 is the calling
+// goroutine.  The output is identical for every worker count.
+func BuildSetParallel(g *graph.Graph, o Options, workers int) (*Set, error) {
 	p := Params{Kind: KindUniform, Options: o}
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	if algo == AlgoDP && g.Weighted() {
-		return nil, fmt.Errorf("core: the DP builder requires an unweighted graph; use LocalUpdates or PrunedDijkstra")
-	}
-	if algo == AlgoPrunedDijkstra && !g.Weighted() {
+	if !g.Weighted() {
 		return &Set{frame: hopFrame(g, p, workers)}, nil
 	}
-	run, err := runnerFor(g, algo, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Set{frame: freezeWhole(p, run(runSpec{k: p.K, rank: o.rankFn()}))}, nil
+	return &Set{frame: freezeWhole(p, prunedDijkstraRun(g, runSpec{k: p.K, rank: o.rankFn()}, workers))}, nil
 }
 
 // runSpec describes one construction pass: a bottom-k sample under a
@@ -271,46 +224,6 @@ func BuildSetParallel(g *graph.Graph, o Options, algo Algorithm, workers int) (*
 type runSpec struct {
 	k    int
 	rank func(int32) float64
-}
-
-// runner is an algorithm bound to a graph: it executes one pass and
-// returns, for every node, its entry list in canonical order.
-type runner func(runSpec) [][]Entry
-
-// runnerFor binds algo to g; only Algorithm 1 has a use for workers.
-func runnerFor(g *graph.Graph, algo Algorithm, workers int) (runner, error) {
-	switch algo {
-	case AlgoPrunedDijkstra:
-		return func(s runSpec) [][]Entry { return prunedDijkstraRun(g, s, workers) }, nil
-	case AlgoDP:
-		return func(s runSpec) [][]Entry { return dpRun(g, s) }, nil
-	case AlgoLocalUpdates:
-		return func(s runSpec) [][]Entry { return localUpdatesRun(g, s) }, nil
-	case AlgoBruteForce:
-		return func(s runSpec) [][]Entry { return bruteForceRun(g, s) }, nil
-	}
-	return nil, fmt.Errorf("core: unknown algorithm %v", algo)
-}
-
-// bruteForceRun derives each node's entry list directly from the exact
-// nearest-neighbor order (the definitional construction).  O(n·m) and
-// simple; used as ground truth.
-func bruteForceRun(g *graph.Graph, s runSpec) [][]Entry {
-	n := g.NumNodes()
-	lists := make([][]Entry, n)
-	for v := 0; v < n; v++ {
-		order := graph.NearestOrder(g, int32(v))
-		h := newKSmallest(s.k)
-		for _, nd := range order {
-			r := s.rank(nd.Node)
-			if h.size() >= s.k && r >= h.max() {
-				continue
-			}
-			lists[v] = append(lists[v], Entry{Node: nd.Node, Dist: nd.Dist, Rank: r})
-			h.offer(r)
-		}
-	}
-	return lists
 }
 
 // rankOrder returns the nodes sorted by (rank, node) — the order

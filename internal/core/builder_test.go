@@ -63,55 +63,45 @@ func weightedTestGraphs() map[string]*graph.Graph {
 	}
 }
 
-// TestBuildersAgreeUnweighted checks that PrunedDijkstra, DP, LocalUpdates
-// and the brute-force reference produce identical sketch sets on unweighted
+// TestBuildersAgreeUnweighted checks that BuildSet (Algorithm 1) and the
+// brute-force reference produce identical sketch sets on unweighted
 // graphs.
 func TestBuildersAgreeUnweighted(t *testing.T) {
 	for name, g := range testGraphs() {
 		for _, k := range []int{1, 3, 8} {
 			o := Options{K: k, Seed: 42}
-			ref, err := BuildSet(g, o, AlgoBruteForce)
+			got, err := BuildSet(g, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, algo := range []Algorithm{AlgoPrunedDijkstra, AlgoDP, AlgoLocalUpdates} {
-				got, err := BuildSet(g, o, algo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := int32(0); int(v) < g.NumNodes(); v++ {
-					label := fmt.Sprintf("%s/k=%d/%v/node %d", name, k, algo, v)
-					equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
-				}
-			}
-		}
-	}
-}
-
-// TestBuildersAgreeWeighted checks PrunedDijkstra and LocalUpdates against
-// brute force on weighted graphs.
-func TestBuildersAgreeWeighted(t *testing.T) {
-	for name, g := range weightedTestGraphs() {
-		o := Options{K: 4, Seed: 99}
-		ref, err := BuildSet(g, o, AlgoBruteForce)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, algo := range []Algorithm{AlgoPrunedDijkstra, AlgoLocalUpdates} {
-			got, err := BuildSet(g, o, algo)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := bruteForceSet(g, o)
 			for v := int32(0); int(v) < g.NumNodes(); v++ {
-				label := fmt.Sprintf("%s/%v/node %d", name, algo, v)
+				label := fmt.Sprintf("%s/k=%d/node %d", name, k, v)
 				equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
 			}
 		}
 	}
 }
 
+// TestBuildersAgreeWeighted checks BuildSet against brute force on
+// weighted graphs.
+func TestBuildersAgreeWeighted(t *testing.T) {
+	for name, g := range weightedTestGraphs() {
+		o := Options{K: 4, Seed: 99}
+		got, err := BuildSet(g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := bruteForceSet(g, o)
+		for v := int32(0); int(v) < g.NumNodes(); v++ {
+			label := fmt.Sprintf("%s/node %d", name, v)
+			equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
+		}
+	}
+}
+
 // TestBuildersAgreeBaseB checks that base-b rounding (which introduces rank
-// ties) still yields identical structures across builders.
+// ties) still yields the reference's structures.
 func TestBuildersAgreeBaseB(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"gnp":  graph.GNP(100, 0.05, false, 21),
@@ -121,23 +111,14 @@ func TestBuildersAgreeBaseB(t *testing.T) {
 	for name, g := range graphs {
 		for _, b := range []float64{2, 1.2} {
 			o := Options{K: 4, Seed: 77, BaseB: b}
-			ref, err := BuildSet(g, o, AlgoBruteForce)
+			got, err := BuildSet(g, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			algos := []Algorithm{AlgoPrunedDijkstra, AlgoLocalUpdates}
-			if !g.Weighted() {
-				algos = append(algos, AlgoDP)
-			}
-			for _, algo := range algos {
-				got, err := BuildSet(g, o, algo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := int32(0); int(v) < g.NumNodes(); v++ {
-					label := fmt.Sprintf("%s/b=%g/%v/node %d", name, b, algo, v)
-					equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
-				}
+			ref := bruteForceSet(g, o)
+			for v := int32(0); int(v) < g.NumNodes(); v++ {
+				label := fmt.Sprintf("%s/b=%g/node %d", name, b, v)
+				equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
 			}
 		}
 	}
@@ -147,7 +128,7 @@ func TestBuildersAgreeBaseB(t *testing.T) {
 // the builders produce.
 func TestBuiltSketchesValid(t *testing.T) {
 	g := graph.GNP(150, 0.04, false, 31)
-	set, err := BuildSet(g, Options{K: 5, Seed: 1}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +144,7 @@ func TestBuiltSketchesValid(t *testing.T) {
 func TestBottomKADSContainsKNearest(t *testing.T) {
 	g := graph.PreferentialAttachment(200, 3, 44)
 	const k = 6
-	set, err := BuildSet(g, Options{K: k, Seed: 8}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: k, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +167,7 @@ func TestBottomKADSContainsKNearest(t *testing.T) {
 // true shortest-path distances.
 func TestADSEntryDistancesAreShortestPaths(t *testing.T) {
 	g := graph.WithRandomWeights(graph.GNP(90, 0.07, true, 55), 1, 6, 56)
-	set, err := BuildSet(g, Options{K: 4, Seed: 3}, AlgoLocalUpdates)
+	set, err := BuildSet(g, Options{K: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +188,11 @@ func TestDirectedForwardBackward(t *testing.T) {
 	b.AddWeightedEdge(0, 1, 2)
 	b.AddWeightedEdge(1, 2, 3)
 	g := b.Build()
-	fwd, err := BuildSet(g, Options{K: 3, Seed: 4}, AlgoPrunedDijkstra)
+	fwd, err := BuildSet(g, Options{K: 3, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bwd, err := BuildSet(g.Transpose(), Options{K: 3, Seed: 4}, AlgoPrunedDijkstra)
+	bwd, err := BuildSet(g.Transpose(), Options{K: 3, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,32 +212,13 @@ func TestDirectedForwardBackward(t *testing.T) {
 
 func TestBuildSetErrors(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := BuildSet(g, Options{K: 0}, AlgoDP); err == nil {
-		t.Error("K=0 accepted")
-	}
-	if _, err := BuildSet(g, Options{K: 2, BaseB: 0.5}, AlgoDP); err == nil {
-		t.Error("BaseB=0.5 accepted")
-	}
 	wg := graph.WithRandomWeights(g, 1, 2, 1)
-	if _, err := BuildSet(wg, Options{K: 2}, AlgoDP); err == nil {
-		t.Error("DP on weighted graph accepted")
-	}
-	if _, err := BuildSet(g, Options{K: 2}, Algorithm(9)); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	names := map[Algorithm]string{
-		AlgoPrunedDijkstra: "PrunedDijkstra",
-		AlgoDP:             "DP",
-		AlgoLocalUpdates:   "LocalUpdates",
-		AlgoBruteForce:     "BruteForce",
-		Algorithm(9):       "Algorithm(9)",
-	}
-	for a, want := range names {
-		if a.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(a), a.String(), want)
+	for _, g := range []*graph.Graph{g, wg} {
+		if _, err := BuildSet(g, Options{K: 0}); err == nil {
+			t.Error("K=0 accepted")
+		}
+		if _, err := BuildSet(g, Options{K: 2, BaseB: 0.5}); err == nil {
+			t.Error("BaseB=0.5 accepted")
 		}
 	}
 }
@@ -264,7 +226,7 @@ func TestAlgorithmString(t *testing.T) {
 func TestSetAccessors(t *testing.T) {
 	g := graph.Path(10)
 	o := Options{K: 2, Seed: 5}
-	set, err := BuildSet(g, o, AlgoDP)
+	set, err := BuildSet(g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +250,7 @@ func TestSetAccessors(t *testing.T) {
 func TestCoordination(t *testing.T) {
 	g := graph.Complete(30)
 	o := Options{K: 5, Seed: 10}
-	set, err := BuildSet(g, o, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,65 +302,47 @@ func TestBuildersHandleMultiEdges(t *testing.T) {
 	b.AddEdge(3, 4)
 	g := b.Build()
 	o := Options{K: 2, Seed: 13}
-	ref, err := BuildSet(g, o, AlgoBruteForce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range []struct {
-		algo    Algorithm
-		workers int
-	}{{AlgoPrunedDijkstra, 1}, {AlgoLocalUpdates, 0}, {AlgoPrunedDijkstra, 3}} {
-		got, err := BuildSetParallel(g, o, b.algo, b.workers)
+	ref := bruteForceSet(g, o)
+	for _, workers := range []int{1, 3} {
+		got, err := BuildSetParallel(g, o, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for v := int32(0); int(v) < g.NumNodes(); v++ {
-			equalSketches(t, fmt.Sprintf("multi-edge %v/%d workers node %d", b.algo, b.workers, v), ref.Sketch(v), got.Sketch(v))
+			equalSketches(t, fmt.Sprintf("multi-edge/%d workers node %d", workers, v), ref.Sketch(v), got.Sketch(v))
 		}
 	}
 }
 
 func TestBuildersEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0, false).Build()
-	for _, algo := range []Algorithm{AlgoPrunedDijkstra, AlgoDP, AlgoLocalUpdates, AlgoBruteForce} {
-		set, err := BuildSet(g, Options{K: 2, Seed: 1}, algo)
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if set.NumNodes() != 0 || set.TotalEntries() != 0 {
-			t.Errorf("%v: nonempty result on empty graph", algo)
+	set, err := BuildSet(g, Options{K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Set{"BuildSet": set, "brute force": bruteForceSet(g, Options{K: 2, Seed: 1})} {
+		if s.NumNodes() != 0 || s.TotalEntries() != 0 {
+			t.Errorf("%s: nonempty result on empty graph", name)
 		}
 	}
 }
 
 func graphPathForTest(n int) *graph.Graph { return graph.Path(n) }
 
-// TestPrunedDijkstraDifferential is the Algorithm 1 and Algorithm 2 slice
-// of the construction oracle: on random small graphs, every way of running
-// the pruned kernel, and LocalUpdates over the offer kernel, must serialize
-// to the bytes of the definitional brute-force build, across k, rank ties
-// (base-b) and both Section 9 weighted schemes.
+// TestPrunedDijkstraDifferential is the Algorithm 1 slice of the
+// construction oracle: on random small graphs, every way of running the
+// pruned kernel must serialize to the bytes of the definitional
+// brute-force build, across k, rank ties (base-b) and both Section 9
+// weighted schemes.  (Algorithm 2's exact rule runs in the distributed
+// build, which internal/distbuild checks against BuildSet.)
 func TestPrunedDijkstraDifferential(t *testing.T) {
 	graphs := 300
 	if testing.Short() {
 		graphs = 40
 	}
-	type run = func(*graph.Graph, runSpec) [][]Entry
-	pruned := func(workers int) run {
-		return func(g *graph.Graph, s runSpec) [][]Entry { return prunedDijkstraRun(g, s, workers) }
-	}
 	// 8 workers are more than the nodes of one RandomSmall graph in six,
 	// and of the two graphs that lead the sweep: no node, and one.
-	variants := []struct {
-		name string
-		run  run
-	}{
-		{"pruned/workers=1", pruned(1)},
-		{"pruned/workers=2", pruned(2)},
-		{"pruned/workers=3", pruned(3)},
-		{"pruned/workers=8", pruned(8)},
-		{"localUpdates", localUpdatesRun},
-	}
+	workerCounts := []int{1, 2, 3, 8}
 	v3 := func(s *Set) []byte {
 		var buf bytes.Buffer
 		if _, err := s.WriteTo(&buf); err != nil {
@@ -421,23 +365,24 @@ func TestPrunedDijkstraDifferential(t *testing.T) {
 			seed, n, g.NumArcs(), g.Directed(), g.Weighted())
 		for _, k := range []int{1, 2, 5} {
 			for _, baseB := range []float64{0, 2} {
-				p := Params{Kind: KindUniform, Options: Options{K: k, Seed: uint64(seed), BaseB: baseB}}
-				build := func(r run) []byte {
-					return v3(&Set{frame: freezeWhole(p, r(g, runSpec{k: k, rank: p.rankFn()}))})
-				}
-				want := build(bruteForceRun)
-				for _, vr := range variants {
-					if !bytes.Equal(build(vr.run), want) {
-						t.Fatalf("%s, k=%d b=%g: %s differs from brute force", desc, k, baseB, vr.name)
+				o := Options{K: k, Seed: uint64(seed), BaseB: baseB}
+				want := v3(bruteForceSet(g, o))
+				for _, workers := range workerCounts {
+					got, err := BuildSetParallel(g, o, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(v3(got), want) {
+						t.Fatalf("%s, k=%d b=%g: %d workers differ from brute force", desc, k, baseB, workers)
 					}
 				}
 			}
 			for _, scheme := range []WeightScheme{ExponentialWeights, PriorityWeights} {
 				p := Params{Kind: KindWeighted, Options: Options{K: k, Seed: uint64(seed)}, Scheme: scheme}
-				want := v3(weightedSetFrom(g, p, beta, bruteForceRun))
-				for _, vr := range variants {
-					if !bytes.Equal(v3(weightedSetFrom(g, p, beta, vr.run)), want) {
-						t.Fatalf("%s, weighted %v k=%d: %s differs from brute force", desc, scheme, k, vr.name)
+				want := v3(bruteForceWeightedSet(g, p, beta))
+				for _, workers := range workerCounts {
+					if !bytes.Equal(v3(weightedSetFrom(g, p, beta, workers)), want) {
+						t.Fatalf("%s, weighted %v k=%d: %d workers differ from brute force", desc, scheme, k, workers)
 					}
 				}
 			}

@@ -123,13 +123,13 @@ func (p *v3Parts) bytes() []byte {
 func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, trusted map[string]bool) {
 	t.Helper()
 	o := Options{K: 4, Seed: 42}
-	hops, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), o, AlgoPrunedDijkstra)
+	hops, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Directed: an undirected graph has every distance twice over, once from
 	// each end, which is already enough for a dictionary to win.
-	lengths, err := BuildSet(graph.WithRandomWeights(graph.GNP(61, 0.1, true, 9), 0.25, 4, 11), o, AlgoPrunedDijkstra)
+	lengths, err := BuildSet(graph.WithRandomWeights(graph.GNP(61, 0.1, true, 9), 0.25, 4, 11), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestCompactColumnsRejectHostileInput(t *testing.T) {
 // benchmark.  The counts are deterministic: same graph, same seed, same
 // entries.
 func TestBenchmarkFrameBytes(t *testing.T) {
-	set, err := BuildSet(graph.PreferentialAttachment(10000, 5, 1), Options{K: 16, Seed: 42}, AlgoPrunedDijkstra)
+	set, err := BuildSet(graph.PreferentialAttachment(10000, 5, 1), Options{K: 16, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

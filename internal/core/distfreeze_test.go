@@ -31,7 +31,7 @@ func TestFreezePartitionByteParity(t *testing.T) {
 		beta[i] = 0.5 + float64(i%7)
 	}
 
-	uni, err := BuildSet(g, Options{K: 8, Seed: 42}, AlgoPrunedDijkstra)
+	uni, err := BuildSet(g, Options{K: 8, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,23 +13,24 @@ import (
 
 // streamADS offers elements 0..n-1 in order, element i at distance i with
 // rank src.Rank(i), to a bottom-k ADS owned by element 0: the sketch of a
-// stream of distinct elements.  It applies Offer's inclusion test with
-// the threshold kept as it goes, not recomputed from the entries on
-// every offer: the same entries, at a cost the statistical tests' runs
-// (and -race) can afford.
+// stream of distinct elements.
 func streamADS(k, n int, src rank.Source) *ADS {
-	a, h := NewADS(0, k), newKSmallest(k)
+	return offerStream(k, n, src, func(i int64) float64 { return float64(i) })
+}
+
+// offerStream is streamADS with element i at distance dist(i), which must
+// not decrease: each element is kept iff its rank is below the k-th
+// smallest kept before it, the threshold kept as it goes.
+func offerStream(k, n int, src rank.Source, dist func(i int64) float64) *ADS {
+	var entries []Entry
+	h := newKSmallest(k)
 	for i := int64(0); i < int64(n); i++ {
-		tau, r := 1.0, src.Rank(i)
-		if h.size() >= k {
-			tau = h.max()
-		}
-		if r < tau {
-			a.AppendInOrder(Entry{Node: int32(i), Dist: float64(i), Rank: r})
+		if r := src.Rank(i); h.size() < k || r < h.max() {
+			entries = append(entries, Entry{Node: int32(i), Dist: dist(i), Rank: r})
 			h.offer(r)
 		}
 	}
-	return a
+	return adsOf(0, k, entries)
 }
 
 // TestHIPCVMatchesTheory: the bottom-k HIP CV should track the Theorem 5.1
@@ -122,7 +123,7 @@ func TestQgOnGraphUnbiased(t *testing.T) {
 	const runs = 250
 	acc := stats.NewErrAccum(exact)
 	for run := 0; run < runs; run++ {
-		set, err := BuildSet(g, Options{K: 8, Seed: uint64(run) + 1}, AlgoDP)
+		set, err := BuildSet(g, Options{K: 8, Seed: uint64(run) + 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +142,7 @@ func TestCentralityOnGraph(t *testing.T) {
 	const runs = 250
 	acc := stats.NewErrAccum(exactHarmonic)
 	for run := 0; run < runs; run++ {
-		set, err := BuildSet(g, Options{K: 8, Seed: uint64(run) + 500}, AlgoDP)
+		set, err := BuildSet(g, Options{K: 8, Seed: uint64(run) + 500})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +177,7 @@ func TestBetaFilteredCentrality(t *testing.T) {
 	const runs = 300
 	acc := stats.NewErrAccum(exact)
 	for run := 0; run < runs; run++ {
-		set, err := BuildSet(g, Options{K: 8, Seed: uint64(run) + 900}, AlgoDP)
+		set, err := BuildSet(g, Options{K: 8, Seed: uint64(run) + 900})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,6 +242,23 @@ func TestWeightedADSFavorsHeavyNodes(t *testing.T) {
 	}
 }
 
+// TestWeightedADSValidate: every entry of a weighted sketch carries a
+// positive, finite node weight, and the sketch holds its owner first — so
+// an empty one is refused.
+func TestWeightedADSValidate(t *testing.T) {
+	c := colsFromEntries([]Entry{{Node: 0, Dist: 0, Rank: 0.5}, {Node: 1, Dist: 1, Rank: 0.2}})
+	for _, b := range []float64{2, 0, -1, math.NaN(), math.Inf(1)} {
+		c.beta = []float64{1, b}
+		err := (&WeightedADS{k: 2, node: 0, c: c}).Validate()
+		if valid := b == 2; (err == nil) != valid {
+			t.Errorf("entry weight %g: Validate = %v", b, err)
+		}
+	}
+	if (&WeightedADS{k: 2, node: 0}).Validate() == nil {
+		t.Error("empty weighted sketch validated")
+	}
+}
+
 func TestBuildWeightedSetErrors(t *testing.T) {
 	g := graph.Path(4)
 	if _, err := BuildWeightedSet(g, 0, 1, []float64{1, 1, 1, 1}); err == nil {
@@ -270,15 +288,6 @@ func TestBuildWeightedSetErrors(t *testing.T) {
 	if err := CheckWeights([]float64{0.5, 1, math.MaxFloat64}, 0); err != nil {
 		t.Errorf("CheckWeights refused valid weights: %v", err)
 	}
-}
-
-func TestWeightedOfferPanicsOnBadBeta(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("beta=0 did not panic")
-		}
-	}()
-	NewWeightedADS(0, 2).Offer(Entry{Node: 0, Dist: 0, Rank: 1}, 0)
 }
 
 // TestQgHIPBeatsNaive (the up-to-(n/k)-fold claim): for a statistic

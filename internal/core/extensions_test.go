@@ -22,7 +22,7 @@ func TestEncodeRoundTripAllFlavors(t *testing.T) {
 	g := graph.GNP(120, 0.05, false, 31)
 	for _, baseB := range []float64{0, 2} {
 		o := Options{K: 5, Seed: 17, BaseB: baseB}
-		set, err := BuildSet(g, o, AlgoPrunedDijkstra)
+		set, err := BuildSet(g, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestEncodeRoundTripAllFlavors(t *testing.T) {
 // a version-2 file of an earlier release.)
 func TestEncodeDetectsCorruption(t *testing.T) {
 	g := graph.Path(20)
-	set, err := BuildSet(g, Options{K: 3, Seed: 1}, AlgoDP)
+	set, err := BuildSet(g, Options{K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestEncodeDetectsCorruption(t *testing.T) {
 
 func TestEncodeEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0, false).Build()
-	set, err := BuildSet(g, Options{K: 2, Seed: 1}, AlgoDP)
+	set, err := BuildSet(g, Options{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func optionsForTest() Options { return Options{K: 4, Seed: 99} }
 func TestNeighborhoodJaccardIdenticalAndDisjoint(t *testing.T) {
 	// Two nodes of a complete graph share their d=1 neighborhood exactly.
 	g := graph.Complete(40)
-	set, err := BuildSet(g, Options{K: 8, Seed: 3}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestNeighborhoodJaccardIdenticalAndDisjoint(t *testing.T) {
 		b.AddEdge(i+10, i+11)
 	}
 	g2 := b.Build()
-	set2, err := BuildSet(g2, Options{K: 4, Seed: 4}, AlgoPrunedDijkstra)
+	set2, err := BuildSet(g2, Options{K: 4, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestNeighborhoodJaccardEstimatesOverlap(t *testing.T) {
 	g := graph.Path(60)
 	var acc stats.Accum
 	for run := 0; run < 200; run++ {
-		set, err := BuildSet(g, Options{K: 12, Seed: uint64(run) + 50}, AlgoDP)
+		set, err := BuildSet(g, Options{K: 12, Seed: uint64(run) + 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestNeighborhoodJaccardPanicsOnMismatchedK(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NeighborhoodJaccard(NewADS(0, 2), 1, NewADS(1, 3), 1)
+	NeighborhoodJaccard(adsOf(0, 2, nil), 1, adsOf(1, 3, nil), 1)
 }
 
 func TestUnionNeighborhoodEstimate(t *testing.T) {
@@ -185,7 +185,7 @@ func TestUnionNeighborhoodEstimate(t *testing.T) {
 	g := graph.Path(100)
 	acc := stats.NewErrAccum(22)
 	for run := 0; run < 200; run++ {
-		set, err := BuildSet(g, Options{K: 8, Seed: uint64(run) + 900}, AlgoDP)
+		set, err := BuildSet(g, Options{K: 8, Seed: uint64(run) + 900})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestUnionNeighborhoodEstimate(t *testing.T) {
 	if bias := acc.Bias(); math.Abs(bias) > 0.07 {
 		t.Errorf("union estimate bias = %+.3f", bias)
 	}
-	set, _ := BuildSet(g, Options{K: 8, Seed: 1}, AlgoDP)
+	set, _ := BuildSet(g, Options{K: 8, Seed: 1})
 	if got := UnionNeighborhoodEstimate(set, nil, 5); got != 0 {
 		t.Errorf("empty seed set estimate = %g", got)
 	}
@@ -218,7 +218,7 @@ func TestGreedyInfluenceSeeds(t *testing.T) {
 	}
 	b.AddEdge(prev, 21)
 	g := b.Build()
-	set, err := BuildSet(g, Options{K: 16, Seed: 5}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +246,11 @@ func TestParallelBuilderMatchesSequential(t *testing.T) {
 	for name, g := range graphs {
 		for _, baseB := range []float64{0, 2} {
 			o := Options{K: 4, Seed: 11, BaseB: baseB}
-			ref, err := BuildSetParallel(g, o, AlgoPrunedDijkstra, 1)
+			ref, err := BuildSetParallel(g, o, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := BuildSetParallel(g, o, AlgoPrunedDijkstra, 3)
+			got, err := BuildSetParallel(g, o, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -295,7 +295,7 @@ func TestParallelBuilderAllocBound(t *testing.T) {
 	g := graph.PreferentialAttachment(10000, 5, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	set, err := BuildSetParallel(g, Options{K: 16, Seed: 42}, AlgoPrunedDijkstra, 1)
+	set, err := BuildSetParallel(g, Options{K: 16, Seed: 42}, 1)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +358,7 @@ func TestPartOfInvertsNodeRange(t *testing.T) {
 
 func TestApproxSetInvariantAndShrinkage(t *testing.T) {
 	g := graph.WithRandomWeights(graph.GNP(100, 0.06, false, 91), 1, 8, 92)
-	exact, err := BuildSet(g, Options{K: 4, Seed: 13}, AlgoPrunedDijkstra)
+	exact, err := BuildSet(g, Options{K: 4, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestApproxSetInvariantAndShrinkage(t *testing.T) {
 
 func TestApproxSetEpsZeroMatchesExact(t *testing.T) {
 	g := graph.WithRandomWeights(graph.GNP(80, 0.07, false, 21), 1, 3, 22)
-	exact, err := BuildSet(g, Options{K: 3, Seed: 7}, AlgoPrunedDijkstra)
+	exact, err := BuildSet(g, Options{K: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestDistanceUpperBound(t *testing.T) {
 	// Forward sketches on an undirected graph: d(a,x)+d(x,b) >= d(a,b),
 	// and common low-rank beacons usually make the bound tight-ish.
 	g := graph.WithRandomWeights(graph.GNP(150, 0.05, false, 41), 1, 3, 42)
-	set, err := BuildSet(g, Options{K: 16, Seed: 6}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: 16, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestDistanceUpperBoundDisconnected(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	g := b.Build()
-	set, err := BuildSet(g, Options{K: 4, Seed: 1}, AlgoDP)
+	set, err := BuildSet(g, Options{K: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

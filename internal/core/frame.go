@@ -74,12 +74,12 @@ func (r *ranker) rank(node int32, beta float64) float64 {
 
 // cols is one columnar entry list: the columns of a contiguous entry
 // range, in canonical (distance, node ID) order.  A cols either views a
-// frame's shared columns (frozen sketches) or owns private slices
-// (standalone sketches built incrementally via Offer).  Its ranks,
-// nodes and distances are per entry when rank, node and dist are non-nil
-// — a standalone sketch's own columns, or the scratch Frame.ranked fills
-// for whole-node loops — and otherwise derived through by and read off
-// the frame's packed node column pn and step code sd.
+// frame's shared columns (frozen sketches) or owns private slices (a
+// sketch rebuilt from entries, colsFromEntries).  Its ranks, nodes and
+// distances are per entry when rank, node and dist are non-nil — a rebuilt
+// sketch's own columns, or the scratch Frame.ranked fills for whole-node
+// loops — and otherwise derived through by and read off the frame's
+// packed node column pn and step code sd.
 type cols struct {
 	node []int32
 	pn   Nodes
@@ -166,23 +166,6 @@ func (c *cols) ranks() []float64 {
 // at returns entry i as a value.
 func (c *cols) at(i int) Entry {
 	return Entry{Node: c.nodeAt(i), Dist: c.distAt(i), Rank: c.rankAt(i)}
-}
-
-// push appends an entry.  Views into a frame's columns are sliced with full
-// capacity bounds, so pushing onto one reallocates instead of corrupting
-// the shared columns; a view that was deriving its ranks or reading the
-// frame's packed nodes and step code stores ranks, nodes and distances
-// first, as the pushed ones have to be.
-func (c *cols) push(e Entry) {
-	if c.len() > 0 {
-		c.rank = c.ranks()
-		c.dist = c.dists()
-		c.node = c.nodes()
-	}
-	c.sd, c.pn = StepDists{}, Nodes{}
-	c.node = append(c.node, e.Node)
-	c.dist = append(c.dist, e.Dist)
-	c.rank = append(c.rank, e.Rank)
 }
 
 // entries materializes the columns as an entry slice.

@@ -539,9 +539,10 @@ func (h *frameHdr) wrap(f *Frame) *Set {
 	return set
 }
 
-// validateOffsets checks that the n offsets are monotonic and cover
-// exactly the entry columns, and — first being the step bits — that every
-// non-empty sketch starts a distance step; everything else about a
+// validateOffsets checks that the n offsets are strictly ascending — no
+// sketch is empty, every one holding its owner — and cover exactly the
+// entry columns, and — first being the step bits — that every sketch
+// starts a distance step; everything else about a
 // version-3 file is trusted (it is a serving-format for files the operator
 // built).
 func validateOffsets(off *packedColumn, n, numEntries int64, first []uint64) error {
@@ -554,11 +555,11 @@ func validateOffsets(off *packedColumn, n, numEntries int64, first []uint64) err
 	prev := int64(0)
 	for i := int64(1); i < n; i++ {
 		o := int64(off.get(i))
-		if o < prev {
-			return fmt.Errorf("core: sketch file offsets decrease at %d", i)
+		if o <= prev {
+			return fmt.Errorf("core: sketch file sketch %d has no entries, or its offsets decrease (every sketch holds its owner)", i-1)
 		}
-		// prev < o <= numEntries is checked before prev indexes the bits.
-		if prev < o && o <= numEntries && !bitAt(first, prev) {
+		// o <= numEntries is checked before prev indexes the bits.
+		if o <= numEntries && !bitAt(first, prev) {
 			return fmt.Errorf("core: sketch file sketch %d does not start with a distance step", i-1)
 		}
 		prev = o

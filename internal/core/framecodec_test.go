@@ -21,7 +21,7 @@ func frameKinds(t *testing.T) map[string]*Set {
 		"bottomk": {K: 8, Seed: 42},
 		"baseb":   {K: 8, Seed: 42, BaseB: 2},
 	} {
-		set, err := BuildSet(g, o, AlgoPrunedDijkstra)
+		set, err := BuildSet(g, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestOpenSketchFileAllocs(t *testing.T) {
 	dir := t.TempDir()
 	openAllocs := func(n int) float64 {
 		g := graph.PreferentialAttachment(n, 3, 9)
-		set, err := BuildSet(g, Options{K: 8, Seed: 42}, AlgoPrunedDijkstra)
+		set, err := BuildSet(g, Options{K: 8, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestOpenSketchFileAllocs(t *testing.T) {
 // reports its mapping.
 func TestMmapSketchFile(t *testing.T) {
 	g := graph.PreferentialAttachment(200, 3, 9)
-	set, err := BuildSet(g, Options{K: 8, Seed: 42}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: 8, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestV2FixtureBackCompat(t *testing.T) {
 // through the stream reader that hands it the bytes.
 func TestOpenFrameBytesRejectsCorruption(t *testing.T) {
 	g := graph.PreferentialAttachment(60, 3, 9)
-	set, err := BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: 4, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestOpenFrameBytesRejectsCorruption(t *testing.T) {
 // operator built and look at nothing beyond the header and the offsets.
 // One entry of an otherwise intact v3 file renamed tells them apart.
 func TestStreamReadersValidateOpenersTrust(t *testing.T) {
-	set, err := BuildSet(graph.Cycle(10), Options{K: 2, Seed: 1}, AlgoPrunedDijkstra)
+	set, err := BuildSet(graph.Cycle(10), Options{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestStreamReadersValidateOpenersTrust(t *testing.T) {
 // validation — accepts a subset of what it accepts, as the same sets.
 func FuzzOpenSketchFile(f *testing.F) {
 	g := graph.PreferentialAttachment(40, 3, 9)
-	set, err := BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: 4, Seed: 42})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -139,12 +139,9 @@ func FuzzBuildersAgree(f *testing.F) {
 			}
 		}
 		g := b.Build()
-		want, err := BuildSetParallel(g, o, AlgoBruteForce, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := bruteForceSet(g, o)
 		for _, workers := range []int{1, 3} {
-			got, err := BuildSetParallel(g, o, AlgoPrunedDijkstra, workers)
+			got, err := BuildSetParallel(g, o, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

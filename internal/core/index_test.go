@@ -12,12 +12,8 @@ import (
 )
 
 func buildIndexedADS(seed uint64, n int) (*ADS, *HIPIndex) {
-	src := rank.NewSource(seed)
-	a := NewADS(0, 8)
-	for i := int64(0); i < int64(n); i++ {
-		// Repeated distances to exercise the unique-distance grouping.
-		a.Offer(Entry{Node: int32(i), Dist: float64(i / 3), Rank: src.Rank(i)})
-	}
+	// Repeated distances to exercise the unique-distance grouping.
+	a := offerStream(8, n, rank.NewSource(seed), func(i int64) float64 { return float64(i / 3) })
 	return a, NewHIPIndex(a)
 }
 
@@ -46,7 +42,7 @@ func TestHIPIndexProperty(t *testing.T) {
 }
 
 func TestHIPIndexEmpty(t *testing.T) {
-	idx := NewHIPIndex(NewADS(0, 3))
+	idx := NewHIPIndex(adsOf(0, 3, nil))
 	if idx.Total() != 0 || idx.Neighborhood(5) != 0 {
 		t.Error("empty index should report zeros")
 	}
@@ -75,16 +71,10 @@ func TestBuildersAgreePropertyRandom(t *testing.T) {
 		p := 0.02 + float64(pRaw%50)/500
 		g := graph.GNP(n, p, false, gSeed)
 		o := Options{K: 3, Seed: rSeed}
-		ref, err := BuildSet(g, o, AlgoBruteForce)
-		if err != nil {
-			return false
-		}
+		ref := bruteForceSet(g, o)
 		// Algorithm 1 on the calling goroutine and across three workers.
-		for _, b := range []struct {
-			algo    Algorithm
-			workers int
-		}{{AlgoPrunedDijkstra, 1}, {AlgoDP, 0}, {AlgoLocalUpdates, 0}, {AlgoPrunedDijkstra, 3}} {
-			got, err := BuildSetParallel(g, o, b.algo, b.workers)
+		for _, workers := range []int{1, 3} {
+			got, err := BuildSetParallel(g, o, workers)
 			if err != nil {
 				return false
 			}
@@ -114,11 +104,11 @@ func TestBuildersAgreePropertyRandom(t *testing.T) {
 func TestFrameIndexKBound(t *testing.T) {
 	g := graph.Path(5)
 	for _, k := range []int{MaxK + 1, 1 << 40} {
-		if _, err := BuildSet(g, Options{K: k}, AlgoPrunedDijkstra); err == nil {
+		if _, err := BuildSet(g, Options{K: k}); err == nil {
 			t.Errorf("BuildSet with K = %d succeeded", k)
 		}
 	}
-	set, err := BuildSet(g, Options{K: MaxK, Seed: 1}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: MaxK, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func pathSetPlus(t testing.TB, n, isolated int, o Options) *Set {
 	for v := 1; v < n; v++ {
 		b.AddEdge(int32(v-1), int32(v))
 	}
-	set, err := BuildSet(b.Build(), o, AlgoPrunedDijkstra)
+	set, err := BuildSet(b.Build(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestFreezeRejectsForeignNode(t *testing.T) {
 // readers' to refuse.
 func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted map[string]bool) {
 	t.Helper()
-	set, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
+	set, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), Options{K: 4, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,10 +93,12 @@ func MergeSketchSets(parts []*Set) (*Set, error) {
 
 // ADSFromEntries reconstructs a bottom-k ADS from transported entries
 // (e.g. a sketch fetched from a remote shard), validating the structural
-// invariants.
+// invariants: an empty list, which no ADS is, is refused.
 func ADSFromEntries(owner int32, k int, entries []Entry) (*ADS, error) {
-	a := NewADS(owner, k)
-	a.c = colsFromEntries(entries)
+	if k < 1 {
+		return nil, fmt.Errorf("core: ADS(%d) with k = %d, must be >= 1", owner, k)
+	}
+	a := &ADS{k: k, node: owner, c: colsFromEntries(entries)}
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 func buildUniform(t *testing.T, o Options) *Set {
 	t.Helper()
 	g := graph.PreferentialAttachment(150, 3, 5)
-	set, err := BuildSet(g, o, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func buildUniform(t *testing.T, o Options) *Set {
 func splitKinds(t *testing.T) map[string]*Set {
 	t.Helper()
 	g := graph.PreferentialAttachment(150, 3, 5)
-	uniform, err := BuildSet(g, Options{K: 8, Seed: 42}, AlgoPrunedDijkstra)
+	uniform, err := BuildSet(g, Options{K: 8, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,5 +361,17 @@ func TestADSFromEntries(t *testing.T) {
 		if _, err := ADSFromEntries(3, a.K(), ents); err == nil {
 			t.Error("corrupt entries validated successfully")
 		}
+	}
+}
+
+// TestADSFromEntriesRefusesEmpty: a transported sketch with no entries —
+// a shard that answered a sketch fetch with nothing — is corrupt, as is
+// one of a k below 1.
+func TestADSFromEntriesRefusesEmpty(t *testing.T) {
+	if _, err := ADSFromEntries(5, 4, nil); err == nil || !strings.Contains(err.Error(), "does not start with the owner") {
+		t.Errorf("ADSFromEntries(5, 4, nil) = %v, want the missing owner refused", err)
+	}
+	if _, err := ADSFromEntries(5, 0, []Entry{{Node: 5, Rank: 0.5}}); err == nil {
+		t.Error("ADSFromEntries with k = 0 accepted")
 	}
 }

@@ -116,11 +116,11 @@ func v3Files(t testing.TB) map[string][]byte {
 	for i := range beta {
 		beta[i] = 1 + float64(i%7)
 	}
-	uniform, err := BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
+	uniform, err := BuildSet(g, Options{K: 4, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base2, err := BuildSet(g, Options{K: 3, Seed: 42, BaseB: 2}, AlgoPrunedDijkstra)
+	base2, err := BuildSet(g, Options{K: 3, Seed: 42, BaseB: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFreezeRejectsForeignRank(t *testing.T) {
 		beta[i] = 1 + float64(i%3)
 	}
 	o := Options{K: 4, Seed: 42}
-	uniform, err := BuildSet(g, o, AlgoPrunedDijkstra)
+	uniform, err := BuildSet(g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestMergeRefusesMixedRanks(t *testing.T) {
 // this name freezes over a base read from a file that stored its ranks.)
 func TestFreezeOverMatchesFreeze(t *testing.T) {
 	o := Options{K: 4, Seed: 42}
-	base, err := BuildSet(graph.PreferentialAttachment(30, 3, 9), o, AlgoPrunedDijkstra)
+	base, err := BuildSet(graph.PreferentialAttachment(30, 3, 9), o)
 	if err != nil {
 		t.Fatal(err)
 	}

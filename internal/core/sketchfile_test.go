@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,7 +15,7 @@ import (
 func mmapTestFile(t *testing.T, seed uint64) (*SketchFile, *Set) {
 	t.Helper()
 	g := graph.PreferentialAttachment(200, 3, 9)
-	set, err := BuildSet(g, Options{K: 8, Seed: seed}, AlgoPrunedDijkstra)
+	set, err := BuildSet(g, Options{K: 8, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +165,43 @@ func TestSketchFileSwapUnderLoad(t *testing.T) {
 		}
 		if sf.Refs() != 0 {
 			t.Errorf("file %d holds %d refs after drain", i, sf.Refs())
+		}
+	}
+}
+
+// TestReadersRefuseEmptySketch: every ADS holds its owner at distance 0,
+// so a file in which a node's sketch has no entries is corrupt, and every
+// reader refuses it naming the sketch — the validating stream reader and
+// both openers, which trust everything but the offsets.
+func TestReadersRefuseEmptySketch(t *testing.T) {
+	for _, p := range []Params{
+		{Kind: KindUniform, Options: Options{K: 2, Seed: 1}},
+		{Kind: KindApprox, Options: Options{K: 2, Seed: 1}, Eps: 0.5},
+	} {
+		rank := p.rankFn()
+		lists := [][]Entry{
+			{{Node: 0, Dist: 0, Rank: rank(0)}, {Node: 2, Dist: 1, Rank: rank(2)}},
+			nil,
+			{{Node: 2, Dist: 0, Rank: rank(2)}},
+		}
+		b := v3Bytes(t, &Set{frame: freezeWhole(p, lists)})
+		path := filepath.Join(t.TempDir(), "empty.ads")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check := func(reader string, err error) {
+			if err == nil || !strings.Contains(err.Error(), "sketch 1 has no entries") {
+				t.Errorf("%v set, %s: got %v, want the empty sketch 1 refused", p.Kind, reader, err)
+			}
+		}
+		_, err := ReadSketchSet(bytes.NewReader(b))
+		check("ReadSketchSet", err)
+		for name, open := range map[string]func(string) (*SketchFile, error){"OpenSketchFile": OpenSketchFile, "MmapSketchFile": MmapSketchFile} {
+			sf, err := open(path)
+			if err == nil {
+				sf.Close()
+			}
+			check(name, err)
 		}
 	}
 }

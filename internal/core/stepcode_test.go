@@ -137,7 +137,7 @@ func stepKinds(t *testing.T) map[string]*Set {
 		"lengths-":  graph.WithRandomWeights(graph.PreferentialAttachment(120, 3, 9), 0.25, 4, 11),
 		"directed-": graph.WithRandomWeights(graph.GNP(120, 0.05, true, 9), 0.25, 4, 11),
 	} {
-		set, err := BuildSet(g, Options{K: 8, Seed: 42}, AlgoPrunedDijkstra)
+		set, err := BuildSet(g, Options{K: 8, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,11 +244,11 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 			g1 = graph.WithRandomWeights(graph.GNP(90, 0.08, true, 5), 0.25, 4, 12)
 		}
 		o := Options{K: 8, Seed: 42}
-		base, err := BuildSet(g0, o, AlgoPrunedDijkstra)
+		base, err := BuildSet(g0, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		other, err := BuildSet(g1, o, AlgoPrunedDijkstra)
+		other, err := BuildSet(g1, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +422,7 @@ type v3Fixture struct {
 // -seed 9` built with `-k 4 -seed 42` and, where weighted, weights 1+i%7.
 func v3Fixtures(tag string) []v3Fixture {
 	uniform := func(g *graph.Graph, _ []float64) (*Set, error) {
-		return BuildSet(g, Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
+		return BuildSet(g, Options{K: 4, Seed: 42})
 	}
 	return []v3Fixture{
 		{"uniform_" + tag + "_k4.ads", -1, uniform},
@@ -509,7 +509,7 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 // has the ways that can lie, and the same damage to raw steps.
 func hostileStepFiles(t testing.TB) (valid []byte, damaged map[string][]byte, trusted map[string]bool) {
 	t.Helper()
-	set, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), Options{K: 4, Seed: 42}, AlgoPrunedDijkstra)
+	set, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), Options{K: 4, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +618,7 @@ func checkHostileFiles(t *testing.T, damaged map[string][]byte, trusted map[stri
 // validating stream reader holds it once, not three times over in a
 // doubling buffer, because a regular file says how long it is.
 func TestReadSketchFileSizesBufferFromStat(t *testing.T) {
-	set, err := BuildSet(graph.PreferentialAttachment(4000, 5, 1), Options{K: 16, Seed: 42}, AlgoPrunedDijkstra)
+	set, err := BuildSet(graph.PreferentialAttachment(4000, 5, 1), Options{K: 16, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,15 +63,6 @@ type WeightedADS struct {
 	c      cols // with the β of each entry in c.beta
 }
 
-// NewWeightedADS returns an empty weighted bottom-k ADS owned by node,
-// using exponential ranks.
-func NewWeightedADS(node int32, k int) *WeightedADS {
-	if k < 1 {
-		panic("core: k must be >= 1")
-	}
-	return &WeightedADS{k: k, node: node, scheme: ExponentialWeights}
-}
-
 var _ Sketch = (*WeightedADS)(nil)
 
 // K returns the sketch parameter.
@@ -101,26 +92,6 @@ func (a *WeightedADS) Entries() []Entry { return a.c.entries() }
 
 // EntryAt returns entry i in canonical order.
 func (a *WeightedADS) EntryAt(i int) Entry { return a.c.at(i) }
-
-// Offer presents a candidate in canonical order with its exponential rank
-// and weight, inserting it if it passes the bottom-k test.  The supremum
-// of the exponential rank range is +Inf, so the first k candidates are
-// always accepted.
-func (a *WeightedADS) Offer(e Entry, beta float64) bool {
-	if beta <= 0 {
-		panic(fmt.Sprintf("core: node weight %g must be positive", beta))
-	}
-	h := newKSmallest(a.k)
-	for i, n := 0, a.c.len(); i < n; i++ {
-		h.offer(a.c.rankAt(i))
-	}
-	if h.size() >= a.k && e.Rank >= h.max() {
-		return false
-	}
-	a.c.push(e)
-	a.c.beta = append(a.c.beta, beta)
-	return true
-}
 
 // HIPEntries returns each entry with its adjusted weight β_j/p_j, where
 // p_j is the scheme's inclusion probability against τ_j, the k-th smallest
@@ -156,10 +127,8 @@ func (a *WeightedADS) Validate() error {
 		}
 		h.offer(e.Rank)
 	}
-	if a.c.len() > 0 {
-		if a.c.nodeAt(0) != a.node || a.c.distAt(0) != 0 {
-			return fmt.Errorf("core: WeightedADS(%d) does not start with the owner at distance 0", a.node)
-		}
+	if a.c.len() == 0 || a.c.nodeAt(0) != a.node || a.c.distAt(0) != 0 {
+		return fmt.Errorf("core: WeightedADS(%d) does not start with the owner at distance 0", a.node)
 	}
 	return nil
 }
@@ -220,15 +189,14 @@ func BuildWeightedSetParallel(g *graph.Graph, k int, seed uint64, beta []float64
 	if err := CheckWeights(beta, 0); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	run := func(g *graph.Graph, s runSpec) [][]Entry { return prunedDijkstraRun(g, s, workers) }
-	return weightedSetFrom(g, p, beta, run), nil
+	return weightedSetFrom(g, p, beta, workers), nil
 }
 
-// weightedSetFrom runs one bottom-k pass of run over the weight-biased
-// ranks of p and freezes it with the per-entry weights.
-func weightedSetFrom(g *graph.Graph, p Params, beta []float64, run func(*graph.Graph, runSpec) [][]Entry) *Set {
+// weightedSetFrom runs one Algorithm 1 pass over the weight-biased ranks
+// of p and freezes it with the per-entry weights.
+func weightedSetFrom(g *graph.Graph, p Params, beta []float64, workers int) *Set {
 	by := newRanker(p)
-	lists := run(g, runSpec{k: p.K, rank: func(v int32) float64 { return by.rank(v, beta[v]) }})
+	lists := prunedDijkstraRun(g, runSpec{k: p.K, rank: func(v int32) float64 { return by.rank(v, beta[v]) }}, workers)
 	f := freezeWhole(p, lists)
 	f.beta = make([]float64, 0, f.totalEntries())
 	for _, l := range lists {

@@ -9,8 +9,8 @@
 // relaxes the frontier candidates addressed to its partition against
 // its growable sketch columns with core.OfferKernel — Algorithm 2's
 // insert-and-clean-up rule and its (1+ε) variant, the one copy that
-// LocalUpdates, core.BuildApproxSet and the incremental maintainer
-// (package ingest) also call — buffers the candidates its acceptances
+// core.BuildApproxSet and the incremental maintainer (package ingest)
+// also call — buffers the candidates its acceptances
 // generate by destination partition, and exchanges at the round
 // barrier.  The build converges when a round generates no
 // candidates.  Workers then freeze their ranges directly to v3

@@ -65,7 +65,7 @@ func buildReference(t *testing.T, g *graph.Graph, spec Spec) *core.Set {
 	t.Helper()
 	switch spec.Kind {
 	case KindUniform:
-		s, err := core.BuildSet(g, core.Options{K: spec.K, Seed: spec.Seed}, core.AlgoPrunedDijkstra)
+		s, err := core.BuildSet(g, core.Options{K: spec.K, Seed: spec.Seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestDistBuildMemoryScales(t *testing.T) {
 	if _, err := Run(context.Background(), exs); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.BuildSet(g2, core.Options{K: 8, Seed: testSeed}, core.AlgoPrunedDijkstra)
+	ref, err := core.BuildSet(g2, core.Options{K: 8, Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func BenchmarkInsertOverBase(b *testing.B) {
 	g := graph.PreferentialAttachment(4000, 5, 1)
 	o := core.Options{K: 16, Seed: 42}
-	base, err := core.BuildSet(g, o, core.AlgoPrunedDijkstra)
+	base, err := core.BuildSet(g, o)
 	if err != nil {
 		b.Fatal(err)
 	}

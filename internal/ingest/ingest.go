@@ -4,8 +4,8 @@
 // (node, dist, rank) candidate.  The Maintainer keeps a frozen base set
 // (built by core.BuildSet or a previous Freeze) plus a per-node overlay of
 // updated entry lists, and propagates candidates along reverse edges with
-// the bottom-k win rule of Algorithm 2 (core.OfferKernel, the copy
-// LocalUpdates and the distributed build call too) — so a Freeze is
+// the bottom-k win rule of Algorithm 2 (core.OfferKernel, the copy the
+// distributed build calls too) — so a Freeze is
 // bit-for-bit the set a full rebuild of the final graph would produce.
 // The package's own part of the rule is scanBase, which feeds the kernel
 // from a frozen base's packed columns without materializing them.

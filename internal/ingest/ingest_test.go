@@ -58,7 +58,7 @@ func buildPrefix(n int, directed, weighted bool, edges []edge, cnt int) *graph.G
 
 func mustBuild(t *testing.T, g *graph.Graph, o core.Options) *core.Set {
 	t.Helper()
-	s, err := core.BuildSet(g, o, core.AlgoPrunedDijkstra)
+	s, err := core.BuildSet(g, o)
 	if err != nil {
 		t.Fatalf("BuildSet: %v", err)
 	}

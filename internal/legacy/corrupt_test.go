@@ -34,7 +34,7 @@ func TestV3BodySizeGuardsColumns(t *testing.T) {
 // ranks derives them like any other, so it merges back into the whole set.
 func TestMergeRefusesMixedRanks(t *testing.T) {
 	g := graph.PreferentialAttachment(40, 3, 9)
-	uniform, err := core.BuildSet(g, core.Options{K: 4, Seed: 42}, core.AlgoPrunedDijkstra)
+	uniform, err := core.BuildSet(g, core.Options{K: 4, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestMergeRefusesMixedRanks(t *testing.T) {
 // every list, with nodes the base lacks.
 func TestFreezeOverMatchesFreeze(t *testing.T) {
 	o := core.Options{K: 4, Seed: 42}
-	base, err := core.BuildSet(graph.PreferentialAttachment(30, 3, 9), o, core.AlgoPrunedDijkstra)
+	base, err := core.BuildSet(graph.PreferentialAttachment(30, 3, 9), o)
 	if err != nil {
 		t.Fatal(err)
 	}

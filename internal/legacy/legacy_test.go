@@ -180,11 +180,11 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte
 func v3Files(t testing.TB) map[string][]byte {
 	t.Helper()
 	g, beta := fixtureGraph()
-	uniform, err := core.BuildSet(g, core.Options{K: 4, Seed: 42}, core.AlgoPrunedDijkstra)
+	uniform, err := core.BuildSet(g, core.Options{K: 4, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base2, err := core.BuildSet(g, core.Options{K: 3, Seed: 42, BaseB: 2}, core.AlgoPrunedDijkstra)
+	base2, err := core.BuildSet(g, core.Options{K: 3, Seed: 42, BaseB: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ type v2Fixture struct {
 // 42`.
 var v2Fixtures = []v2Fixture{
 	{"uniform_v2_k8.ads", false, -1, func(*graph.Graph, []float64) (*core.Set, error) {
-		return core.BuildSet(graph.PreferentialAttachment(200, 3, 7), core.Options{K: 8, Seed: 42}, core.AlgoPrunedDijkstra)
+		return core.BuildSet(graph.PreferentialAttachment(200, 3, 7), core.Options{K: 8, Seed: 42})
 	}},
 	{"weighted_v2_k4.ads", true, -1, func(g *graph.Graph, beta []float64) (*core.Set, error) {
 		return core.BuildWeightedSet(g, 4, 42, beta)
@@ -310,7 +310,7 @@ type v3Fixture struct {
 // kmins_base2_<tag>_k4.ads, holds k-mins sketches: TestRefusesOtherFlavors.)
 func v3Fixtures(tag string) []v3Fixture {
 	uniform := func(g *graph.Graph, _ []float64) (*core.Set, error) {
-		return core.BuildSet(g, core.Options{K: 4, Seed: 42}, core.AlgoPrunedDijkstra)
+		return core.BuildSet(g, core.Options{K: 4, Seed: 42})
 	}
 	return []v3Fixture{
 		{"uniform_" + tag + "_k4.ads", -1, uniform},

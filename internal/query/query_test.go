@@ -14,7 +14,7 @@ import (
 func testCache(t *testing.T) (*IndexCache, *core.Set) {
 	t.Helper()
 	g := graph.GNP(50, 0.1, false, 7)
-	set, err := core.BuildSet(g, core.Options{K: 4, Seed: 3}, core.AlgoPrunedDijkstra)
+	set, err := core.BuildSet(g, core.Options{K: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

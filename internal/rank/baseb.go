@@ -56,17 +56,3 @@ func (d BaseB) Round(r float64) float64 {
 // which base-b discretization inflates the HIP adjusted-weight variance
 // (Section 5.6).
 func (d BaseB) VarianceFactor() float64 { return (1 + d.b) / 2 }
-
-// Base2Exponent computes the base-2 exponent ceil(-log2 r) for a rank
-// produced from a uint64 hash, using integer arithmetic only.  It matches
-// NewBaseB(2).Exponent on ranks produced by unitFloat and is the geometric
-// "number of leading zeros + 1" observable used by HyperLogLog registers.
-func Base2Exponent(hash uint64) int {
-	// unitFloat uses the top 53 bits; the probability that the rank is
-	// <= 2^-h equals the probability that the top h bits are all zero.
-	h := 1
-	for mask := uint64(1) << 63; mask != 0 && hash&mask == 0; mask >>= 1 {
-		h++
-	}
-	return h
-}

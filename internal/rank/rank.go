@@ -9,13 +9,15 @@
 //   - uniform ranks in the open interval (0,1) derived from a 64-bit mixing
 //     hash of the node ID (so "the same random permutation" can be shared by
 //     all sketches, giving the coordination property of Section 2);
-//   - independent permutations indexed by an integer, for k-mins sketches;
-//   - bucket assignments for k-partition sketches;
-//   - exponentially distributed ranks with a rate parameter, used for
-//     non-uniform node weights (Section 9);
+//   - exponentially distributed and priority ranks with a rate parameter,
+//     used for non-uniform node weights (Section 9);
 //   - base-b discretized ranks (Section 2 "Base-b ranks" and Section 5.6);
-//   - explicit random permutations of [n], for the permutation estimator of
-//     Section 5.4.
+//   - a deterministic generator (RNG) for graph generators and
+//     experiments, with explicit random permutations of [n] for the
+//     permutation estimator of Section 5.4.
+//
+// The k independent permutations of k-mins sketches and the buckets of
+// k-partition ones are derived in package lab, which alone builds them.
 //
 // All functions are pure: the rank of a node depends only on (seed, node),
 // which makes sketch construction reproducible and coordinated across
@@ -71,25 +73,6 @@ func (s Source) Rank(v int64) float64 {
 	return unitFloat(mix64(s.mix ^ mix64(uint64(v))))
 }
 
-// RankAt returns the rank of element v under the perm-th independent
-// permutation.  k-mins sketches use permutations 0..k-1.
-func (s Source) RankAt(perm int, v int64) float64 {
-	return unitFloat(Hash64(s.seed+uint64(perm)*0xa24baed4963ee407+1, uint64(v)))
-}
-
-// Bucket maps element v uniformly to one of k buckets.  k-partition sketches
-// use this as the random partition BUCKET: V -> [k].  The bucket hash stream
-// is independent of the rank stream.
-func (s Source) Bucket(v int64, k int) int {
-	if k <= 1 {
-		return 0
-	}
-	h := Hash64(s.seed^0x5851f42d4c957f2d, uint64(v))
-	// Multiply-shift reduction avoids modulo bias for any k.
-	hi, _ := mul64(h, uint64(k))
-	return int(hi)
-}
-
 // ExpRank returns an exponentially distributed rank with rate weight,
 // derived from the same underlying permutation as Rank: y = -ln(1-u)/weight.
 // With weight 1 this is the monotone transform the paper uses throughout the
@@ -104,18 +87,4 @@ func (s Source) ExpRank(v int64, weight float64) float64 {
 // sampling rank discussed as the bottom-k alternative in Section 9.
 func (s Source) PriorityRank(v int64, weight float64) float64 {
 	return s.Rank(v) / weight
-}
-
-// mul64 computes the 128-bit product of a and b, returning hi and lo words.
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	al, ah := a&mask, a>>32
-	bl, bh := b&mask, b>>32
-	t := al*bh + (al*bl)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	t = ah*bl + w1
-	hi = ah*bh + w2 + (t >> 32)
-	lo = a * b
-	return hi, lo
 }

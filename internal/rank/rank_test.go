@@ -72,65 +72,6 @@ func TestRankUniformMoments(t *testing.T) {
 	}
 }
 
-func TestRankAtPermutationsIndependent(t *testing.T) {
-	s := NewSource(5)
-	// Ranks under different permutations must differ for (almost) all nodes.
-	same := 0
-	for v := int64(0); v < 1000; v++ {
-		if s.RankAt(0, v) == s.RankAt(1, v) {
-			same++
-		}
-	}
-	if same != 0 {
-		t.Fatalf("%d collisions across permutations 0 and 1", same)
-	}
-	// Correlation between permutation ranks should be near zero.
-	const n = 100000
-	var sxy, sx, sy float64
-	for v := int64(0); v < n; v++ {
-		x, y := s.RankAt(0, v), s.RankAt(1, v)
-		sx += x
-		sy += y
-		sxy += x * y
-	}
-	cov := sxy/n - (sx/n)*(sy/n)
-	if math.Abs(cov) > 0.002 {
-		t.Errorf("covariance between permutations = %g, want ~0", cov)
-	}
-}
-
-func TestBucketRangeAndBalance(t *testing.T) {
-	s := NewSource(11)
-	const k = 16
-	const n = 160000
-	counts := make([]int, k)
-	for v := int64(0); v < n; v++ {
-		b := s.Bucket(v, k)
-		if b < 0 || b >= k {
-			t.Fatalf("bucket %d out of range [0,%d)", b, k)
-		}
-		counts[b]++
-	}
-	want := float64(n) / k
-	for b, c := range counts {
-		if math.Abs(float64(c)-want) > 0.05*want {
-			t.Errorf("bucket %d has %d elements, want ~%g", b, c, want)
-		}
-	}
-}
-
-func TestBucketSingle(t *testing.T) {
-	s := NewSource(3)
-	for v := int64(0); v < 100; v++ {
-		if got := s.Bucket(v, 1); got != 0 {
-			t.Fatalf("Bucket(v,1) = %d, want 0", got)
-		}
-		if got := s.Bucket(v, 0); got != 0 {
-			t.Fatalf("Bucket(v,0) = %d, want 0", got)
-		}
-	}
-}
-
 func TestExpRankDistribution(t *testing.T) {
 	s := NewSource(21)
 	const n = 200000
@@ -274,43 +215,6 @@ func TestBaseBPanicsOnBadBase(t *testing.T) {
 	NewBaseB(1)
 }
 
-func TestBase2ExponentMatchesFloat(t *testing.T) {
-	d := NewBaseB(2)
-	rng := NewRNG(404)
-	for i := 0; i < 100000; i++ {
-		h := rng.Uint64()
-		r := unitFloat(h)
-		got := Base2Exponent(h)
-		want := d.Exponent(r)
-		if got != want {
-			t.Fatalf("Base2Exponent(%#x) = %d, float path gives %d (r=%g)", h, got, want, r)
-		}
-	}
-}
-
-func TestBase2ExponentGeometric(t *testing.T) {
-	// P(exponent >= h) = 2^-(h-1): check the empirical tail.
-	rng := NewRNG(17)
-	const n = 1 << 20
-	counts := make([]int, 24)
-	for i := 0; i < n; i++ {
-		h := Base2Exponent(rng.Uint64())
-		if h < len(counts) {
-			counts[h]++
-		}
-	}
-	for h := 1; h <= 8; h++ {
-		tail := 0
-		for j := h; j < len(counts); j++ {
-			tail += counts[j]
-		}
-		want := float64(n) * math.Pow(2, -float64(h-1))
-		if math.Abs(float64(tail)-want) > 6*math.Sqrt(want) {
-			t.Errorf("P(exp >= %d): got %d, want ~%g", h, tail, want)
-		}
-	}
-}
-
 func TestVarianceFactor(t *testing.T) {
 	if got := NewBaseB(2).VarianceFactor(); got != 1.5 {
 		t.Errorf("VarianceFactor(2) = %g, want 1.5", got)
@@ -377,36 +281,6 @@ func TestRNGPermUniformFirstElement(t *testing.T) {
 	for v, c := range counts {
 		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
 			t.Errorf("P(perm[0]=%d): got %d, want ~%g", v, c, want)
-		}
-	}
-}
-
-func TestRNGExpFloat64Mean(t *testing.T) {
-	r := NewRNG(55)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("mean of ExpFloat64 = %g, want ~1", mean)
-	}
-}
-
-func TestMul64(t *testing.T) {
-	cases := []struct {
-		a, b, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-		{1 << 32, 1 << 32, 1, 0},
-	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
 		}
 	}
 }

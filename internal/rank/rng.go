@@ -1,6 +1,6 @@
 package rank
 
-import "math"
+import "math/bits"
 
 // RNG is a small deterministic pseudo-random generator (splitmix64 stream)
 // used by graph generators, the permutation estimator, and the experiment
@@ -27,15 +27,12 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("rank: Intn with non-positive n")
 	}
-	hi, _ := mul64(r.Uint64(), uint64(n))
+	hi, _ := bits.Mul64(r.Uint64(), uint64(n))
 	return int(hi)
 }
 
 // Int63 returns a uniform non-negative int64.
 func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (r *RNG) ExpFloat64() float64 { return -math.Log1p(-r.Float64()) }
 
 // Perm returns a random permutation of [0,n) by Fisher-Yates shuffle.
 // The permutation estimator of Section 5.4 assigns these values as ranks.
@@ -49,12 +46,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n indices using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -193,7 +193,7 @@ func BuildKPartition(g *adsketch.Graph, k int, seed uint64, baseB float64) ([]*K
 	for v := range out {
 		a := NewKPartitionADS(int32(v), k)
 		for _, e := range all.BottomK(int32(v)).Entries() {
-			a.OfferAt(src.Bucket(int64(e.Node), k), e)
+			a.OfferAt(bucket(src, int64(e.Node), k), e)
 		}
 		out[v] = a
 	}

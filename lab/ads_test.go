@@ -22,7 +22,7 @@ func streamKMins(k, n int, src rank.Source) *KMinsADS {
 	a := NewKMinsADS(0, k)
 	for i := int64(0); i < int64(n); i++ {
 		for h := 0; h < k; h++ {
-			a.OfferAt(h, core.Entry{Node: int32(i), Dist: float64(i), Rank: src.RankAt(h, i)})
+			a.OfferAt(h, core.Entry{Node: int32(i), Dist: float64(i), Rank: rankAt(src, h, i)})
 		}
 	}
 	return a
@@ -32,16 +32,35 @@ func streamKMins(k, n int, src rank.Source) *KMinsADS {
 func streamKPartition(k, n int, src rank.Source) *KPartitionADS {
 	a := NewKPartitionADS(0, k)
 	for i := int64(0); i < int64(n); i++ {
-		a.OfferAt(src.Bucket(i, k), core.Entry{Node: int32(i), Dist: float64(i), Rank: src.Rank(i)})
+		a.OfferAt(bucket(src, i, k), core.Entry{Node: int32(i), Dist: float64(i), Rank: src.Rank(i)})
 	}
 	return a
 }
 
 // streamBottomK is streamKMins for a bottom-k ADS.
 func streamBottomK(k, n int, src rank.Source) *core.ADS {
-	a := core.NewADS(0, k)
+	var stream []core.Entry
 	for i := int64(0); i < int64(n); i++ {
-		a.Offer(core.Entry{Node: int32(i), Dist: float64(i), Rank: src.Rank(i)})
+		stream = append(stream, core.Entry{Node: int32(i), Dist: float64(i), Rank: src.Rank(i)})
+	}
+	return offeredBottomK(k, stream)
+}
+
+// offeredBottomK offers the stream of entries, in canonical order, to a
+// bottom-k ADS owned by the first: an entry is kept iff its rank is below
+// the k-th smallest kept before it.
+func offeredBottomK(k int, stream []core.Entry) *core.ADS {
+	var kept []core.Entry
+	var pool []float64
+	for _, e := range stream {
+		if len(pool) < k || e.Rank < pool[k-1] {
+			kept = append(kept, e)
+			pool = keepSmallest(pool, e.Rank, k)
+		}
+	}
+	a, err := core.ADSFromEntries(stream[0].Node, k, kept)
+	if err != nil {
+		panic(err)
 	}
 	return a
 }
@@ -167,7 +186,7 @@ func TestKMinsHIPAgainstBruteProbability(t *testing.T) {
 	for i := int64(0); i < n; i++ {
 		inSketch := false
 		for h := 0; h < k; h++ {
-			if src.RankAt(h, i) < mins[h] {
+			if rankAt(src, h, i) < mins[h] {
 				inSketch = true
 			}
 		}
@@ -186,7 +205,7 @@ func TestKMinsHIPAgainstBruteProbability(t *testing.T) {
 			wi++
 		}
 		for h := 0; h < k; h++ {
-			if r := src.RankAt(h, i); r < mins[h] {
+			if r := rankAt(src, h, i); r < mins[h] {
 				mins[h] = r
 			}
 		}
@@ -204,7 +223,7 @@ func TestKPartitionHIPAgainstBruteProbability(t *testing.T) {
 	mins := ones(k)
 	wi := 0
 	for i := int64(0); i < n; i++ {
-		b := src.Bucket(i, k)
+		b := bucket(src, i, k)
 		if src.Rank(i) < mins[b] {
 			sum := 0.0
 			for _, m := range mins {

@@ -11,7 +11,7 @@ import (
 
 func buildEstimator(t *testing.T, g *graph.Graph, k int, seed uint64) *Centrality {
 	t.Helper()
-	set, err := core.BuildSet(g, core.Options{K: k, Seed: seed}, core.AlgoPrunedDijkstra)
+	set, err := core.BuildSet(g, core.Options{K: k, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func (c *KMinsDistinct) Add(id int64) bool {
 	}
 	tau := 1 - prod
 	for h := 0; h < c.k; h++ {
-		if r := c.src.RankAt(h, id); r < c.mins[h] {
+		if r := rankAt(c.src, h, id); r < c.mins[h] {
 			c.mins[h] = r
 			updated = true
 		}
@@ -183,7 +183,7 @@ func NewKPartitionDistinct(k int, seed uint64) *KPartitionDistinct {
 
 // Add implements DistinctCounter.
 func (c *KPartitionDistinct) Add(id int64) bool {
-	b := c.src.Bucket(id, c.k)
+	b := bucket(c.src, id, c.k)
 	r := c.src.Rank(id)
 	if r >= c.mins[b] {
 		return false

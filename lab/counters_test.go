@@ -107,7 +107,7 @@ func TestKMinsAddTracksMinimum(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		want := 1.0
 		for id := int64(0); id < 50; id++ {
-			want = math.Min(want, src.RankAt(i, id))
+			want = math.Min(want, rankAt(src, i, id))
 		}
 		if c.mins[i] != want {
 			t.Errorf("perm %d: min = %g, want %g", i, c.mins[i], want)
@@ -128,7 +128,7 @@ func TestKPartitionAdd(t *testing.T) {
 		want[i] = 1
 	}
 	for id := int64(0); id < 200; id++ {
-		b := src.Bucket(id, 8)
+		b := bucket(src, id, 8)
 		if r := src.Rank(id); r < want[b] {
 			want[b] = r
 		}

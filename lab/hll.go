@@ -48,8 +48,8 @@ func (s *HyperLogLog) Registers() []uint8 { return s.m }
 
 // register computes the (bucket, capped exponent) pair of an element.
 func register(src rank.Source, id int64, k int) (int, uint8) {
-	b := src.Bucket(id, k)
-	h := rank.Base2Exponent(rank.Hash64(src.Seed()^0x1f3d5b79a2c4e688, uint64(id)))
+	b := bucket(src, id, k)
+	h := base2Exponent(rank.Hash64(src.Seed()^0x1f3d5b79a2c4e688, uint64(id)))
 	if h > RegisterCap {
 		h = RegisterCap
 	}
@@ -247,7 +247,7 @@ func (h *BaseBHIP) Base() float64 { return h.base.Base() }
 
 // Add folds an element in and reports whether a register grew.
 func (h *BaseBHIP) Add(id int64) bool {
-	b := h.src.Bucket(id, h.k)
+	b := bucket(h.src, id, h.k)
 	x := h.base.Exponent(h.rsrc.Rank(id))
 	if x > h.cap {
 		x = h.cap

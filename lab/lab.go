@@ -16,6 +16,9 @@
 //     system does not build: KMinsADS (BuildKMins, k bottom-1
 //     adsketch.Builds) and KPartitionADS (BuildKPartition), with their
 //     Section 4 readout and their HIP weights (equations (7) and (8)).
+//   - Section 3, the node-centric DP construction on unweighted graphs:
+//     BuildDP, hop-distance rounds that build the set adsketch.Build
+//     does (Algorithm 1), byte for byte, far more slowly.
 //   - Section 3.1, ADS over data streams: FirstOccurrenceADS (distance =
 //     time of first occurrence; a BottomKDistinct plus the log of the
 //     entries that modified it) and RecencyADS (distance = time since the

@@ -336,13 +336,7 @@ func TestDistinctCountersOnZipfStream(t *testing.T) {
 
 // offeredADS offers a first-occurrence sketch's entries, in their order,
 // to a bottom-k ADS owned by element 0.
-func offeredADS(s *FirstOccurrenceADS) *core.ADS {
-	a := core.NewADS(0, s.K())
-	for _, e := range s.Entries() {
-		a.Offer(e)
-	}
-	return a
-}
+func offeredADS(s *FirstOccurrenceADS) *core.ADS { return offeredBottomK(s.K(), s.Entries()) }
 
 func TestFirstOccurrenceADSMatchesADS(t *testing.T) {
 	// The online HIP count must equal summing the final ADS HIP weights,

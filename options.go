@@ -32,8 +32,6 @@ type buildConfig struct {
 	k        int
 	seed     uint64
 	baseB    float64
-	algo     Algorithm
-	algoSet  bool
 	weights  []float64
 	priority bool
 	approx   bool
@@ -68,22 +66,6 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithAlgorithm selects the construction algorithm (Section 3).  Default
-// AlgoPrunedDijkstra.  Only AlgoLocalUpdates is compatible with
-// WithApproxEps, and only AlgoPrunedDijkstra with WithNodeWeights.
-func WithAlgorithm(a Algorithm) Option {
-	return func(c *buildConfig) error {
-		switch a {
-		case AlgoPrunedDijkstra, AlgoDP, AlgoLocalUpdates, AlgoBruteForce:
-		default:
-			return fmt.Errorf("%w: WithAlgorithm(%v), unknown algorithm", ErrBadOption, a)
-		}
-		c.algo = a
-		c.algoSet = true
-		return nil
-	}
-}
-
 // WithBaseB rounds ranks down to powers b^-h (Sections 2 and 5.6),
 // trading estimator variance (factor (1+b)/2) for compact rank
 // representation; b must be > 1.  Default: full-precision ranks.
@@ -101,8 +83,7 @@ func WithBaseB(b float64) Option {
 // biased by the positive per-node weights beta (len(beta) must equal the
 // graph's node count), and estimates become weighted cardinalities
 // Σ_{j: d_vj <= d} β(j).  Uses exponential ranks unless WithPriorityRanks
-// is also given.  Incompatible with WithBaseB, WithApproxEps, and any
-// WithAlgorithm other than AlgoPrunedDijkstra.
+// is also given.  Incompatible with WithBaseB and WithApproxEps.
 func WithNodeWeights(beta []float64) Option {
 	return func(c *buildConfig) error {
 		if len(beta) == 0 {
@@ -124,10 +105,9 @@ func WithPriorityRanks() Option {
 }
 
 // WithApproxEps builds (1+ε)-approximate bottom-k sketches (Section 3)
-// with the LocalUpdates scheme, bounding the updates per entry by
-// log_{1+ε}(n·w_max/w_min); eps must be >= 0 (0 recovers exact
-// LocalUpdates semantics).  Incompatible with WithBaseB, WithNodeWeights,
-// and any WithAlgorithm other than AlgoLocalUpdates.
+// over the synchronized rounds of LocalUpdates (Algorithm 2), bounding
+// the updates per entry by log_{1+ε}(n·w_max/w_min); eps must be >= 0.
+// Incompatible with WithBaseB and WithNodeWeights.
 func WithApproxEps(eps float64) Option {
 	return func(c *buildConfig) error {
 		if eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 1) {
@@ -148,16 +128,10 @@ func (c *buildConfig) check(g *Graph) error {
 		if c.baseB != 0 {
 			return fmt.Errorf("%w: WithApproxEps and WithBaseB: approximate construction uses full-precision ranks", ErrIncompatibleOptions)
 		}
-		if c.algoSet && c.algo != AlgoLocalUpdates {
-			return fmt.Errorf("%w: WithApproxEps requires AlgoLocalUpdates, got %v", ErrIncompatibleOptions, c.algo)
-		}
 	}
 	if c.weights != nil {
 		if c.baseB != 0 {
 			return fmt.Errorf("%w: WithNodeWeights and WithBaseB: weighted ranks cannot be base-b rounded", ErrIncompatibleOptions)
-		}
-		if c.algoSet && c.algo != AlgoPrunedDijkstra {
-			return fmt.Errorf("%w: WithNodeWeights requires AlgoPrunedDijkstra, got %v", ErrIncompatibleOptions, c.algo)
 		}
 		if len(c.weights) != g.NumNodes() {
 			return fmt.Errorf("%w: WithNodeWeights has %d weights for %d nodes", ErrBadOption, len(c.weights), g.NumNodes())
@@ -174,9 +148,9 @@ func (c *buildConfig) check(g *Graph) error {
 
 // Build computes the (forward) bottom-k All-Distances Sketch of every node
 // of g.  It is the single entry point over the paper's design space:
-// construction algorithm, base-b ranks, Section 9 node weights, and
-// (1+ε)-approximate construction all compose as options (the k-mins and
-// k-partition flavors are reproduced in adsketch/lab):
+// base-b ranks, Section 9 node weights, and (1+ε)-approximate
+// construction all compose as options (the k-mins and k-partition flavors
+// are reproduced in adsketch/lab):
 //
 //	set, err := adsketch.Build(g)                                // bottom-k, k=16, PrunedDijkstra
 //	set, err := adsketch.Build(g, adsketch.WithK(64), adsketch.WithSeed(42))
@@ -184,9 +158,9 @@ func (c *buildConfig) check(g *Graph) error {
 //	set, err := adsketch.Build(g, adsketch.WithNodeWeights(beta)) // weighted cardinalities
 //	set, err := adsketch.Build(g, adsketch.WithApproxEps(0.25))   // (1+ε)-approximate
 //
-// Build uses GOMAXPROCS goroutines — with AlgoPrunedDijkstra, for the
-// candidate batches of Algorithm 1 — and its output does not depend on how
-// many.  On 2 cores it builds PA(10000,5) at k=16 in about two thirds
+// Exact sketches are built by Algorithm 1 (PrunedDijkstra) on GOMAXPROCS
+// goroutines, for its candidate batches, and the output does not depend
+// on how many.  On 2 cores it builds PA(10000,5) at k=16 in about two thirds
 // of the one-core time (BenchmarkBuildPipeline).
 //
 // For backward sketches on directed graphs, pass g.Transpose().  Invalid
@@ -195,7 +169,7 @@ func (c *buildConfig) check(g *Graph) error {
 // randomness is deterministic in the seed, and the result is bit-for-bit
 // identical to the corresponding legacy constructor under equal options.
 func Build(g *Graph, opts ...Option) (*Set, error) {
-	cfg := buildConfig{k: DefaultK, algo: AlgoPrunedDijkstra}
+	cfg := buildConfig{k: DefaultK}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, fmt.Errorf("%w: nil Option", ErrBadOption)
@@ -220,7 +194,7 @@ func Build(g *Graph, opts ...Option) (*Set, error) {
 		set, err = core.BuildWeightedSetParallel(g, cfg.k, cfg.seed, cfg.weights, scheme, 0)
 	default:
 		o := core.Options{K: cfg.k, Seed: cfg.seed, BaseB: cfg.baseB}
-		set, err = core.BuildSet(g, o, cfg.algo)
+		set, err = core.BuildSet(g, o)
 	}
 	return set, err
 }

@@ -2,13 +2,18 @@ package adsketch_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"adsketch"
 	"adsketch/internal/core"
+	"adsketch/internal/distbuild"
+	"adsketch/lab"
 )
 
 func TestBuildOptionValidation(t *testing.T) {
@@ -29,7 +34,6 @@ func TestBuildOptionValidation(t *testing.T) {
 		{"base-b one", []adsketch.Option{adsketch.WithBaseB(1)}, adsketch.ErrBadOption},
 		{"base-b below one", []adsketch.Option{adsketch.WithBaseB(0.5)}, adsketch.ErrBadOption},
 		{"negative eps", []adsketch.Option{adsketch.WithApproxEps(-0.1)}, adsketch.ErrBadOption},
-		{"unknown algorithm", []adsketch.Option{adsketch.WithAlgorithm(adsketch.Algorithm(99))}, adsketch.ErrBadOption},
 		{"empty weights", []adsketch.Option{adsketch.WithNodeWeights(nil)}, adsketch.ErrBadOption},
 		{"short weights", []adsketch.Option{adsketch.WithNodeWeights([]float64{1, 2})}, adsketch.ErrBadOption},
 		{"non-positive weight", []adsketch.Option{adsketch.WithNodeWeights(append([]float64{0}, beta[1:]...))}, adsketch.ErrBadOption},
@@ -39,9 +43,6 @@ func TestBuildOptionValidation(t *testing.T) {
 		{"weights+baseb", []adsketch.Option{
 			adsketch.WithNodeWeights(beta), adsketch.WithBaseB(2),
 		}, adsketch.ErrIncompatibleOptions},
-		{"weights+dp", []adsketch.Option{
-			adsketch.WithNodeWeights(beta), adsketch.WithAlgorithm(adsketch.AlgoDP),
-		}, adsketch.ErrIncompatibleOptions},
 		{"weights+approx", []adsketch.Option{
 			adsketch.WithNodeWeights(beta), adsketch.WithApproxEps(0.1),
 		}, adsketch.ErrIncompatibleOptions},
@@ -50,9 +51,6 @@ func TestBuildOptionValidation(t *testing.T) {
 		}, adsketch.ErrIncompatibleOptions},
 		{"approx+baseb", []adsketch.Option{
 			adsketch.WithApproxEps(0.1), adsketch.WithBaseB(2),
-		}, adsketch.ErrIncompatibleOptions},
-		{"approx+dijkstra", []adsketch.Option{
-			adsketch.WithApproxEps(0.1), adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra),
 		}, adsketch.ErrIncompatibleOptions},
 	}
 	for _, tc := range cases {
@@ -85,12 +83,11 @@ func TestBuildAcceptsCompatibleCombinations(t *testing.T) {
 	cases := [][]adsketch.Option{
 		nil, // all defaults
 		{adsketch.WithK(4), adsketch.WithBaseB(2)},
-		{adsketch.WithBaseB(1.5), adsketch.WithAlgorithm(adsketch.AlgoBruteForce)},
-		{adsketch.WithNodeWeights(beta), adsketch.WithAlgorithm(adsketch.AlgoPrunedDijkstra)},
+		{adsketch.WithBaseB(1.5)},
+		{adsketch.WithNodeWeights(beta)},
 		{adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()},
-		{adsketch.WithApproxEps(0), adsketch.WithAlgorithm(adsketch.AlgoLocalUpdates)},
+		{adsketch.WithApproxEps(0)},
 		{adsketch.WithApproxEps(0.1)},
-		{adsketch.WithAlgorithm(adsketch.AlgoBruteForce)},
 	}
 	for i, opts := range cases {
 		set, err := adsketch.Build(g, opts...)
@@ -105,7 +102,9 @@ func TestBuildAcceptsCompatibleCombinations(t *testing.T) {
 }
 
 // Build must reproduce the internal construction entry points bit-for-bit
-// under equal options (the guarantee the removed legacy shims documented).
+// under equal options (the guarantee the removed legacy shims documented),
+// and so the other constructions of the same sets: the Section 3 DP
+// (lab.BuildDP) and LocalUpdates, which the distributed build runs.
 
 func serialize(t *testing.T, set adsketch.SketchSet) []byte {
 	t.Helper()
@@ -120,28 +119,27 @@ func TestBuildParityUniform(t *testing.T) {
 	g := adsketch.WithRandomWeights(adsketch.GNP(60, 0.08, false, 5), 1, 4, 6)
 	unweighted := adsketch.GNP(60, 0.08, false, 5)
 	cases := []struct {
-		name    string
-		g       *adsketch.Graph
-		o       core.Options
-		algo    adsketch.Algorithm
-		workers int // core's worker bound; Build sizes itself by GOMAXPROCS
+		name   string
+		g      *adsketch.Graph
+		o      core.Options
+		direct func(*adsketch.Graph, core.Options) (*adsketch.Set, error)
 	}{
-		{"bottomk/dijkstra", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoPrunedDijkstra, 0},
-		{"bottomk/parallel", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoPrunedDijkstra, 2},
-		{"bottomk/local", g, core.Options{K: 4, Seed: 9}, adsketch.AlgoLocalUpdates, 0},
-		{"bottomk/dp", unweighted, core.Options{K: 4, Seed: 9}, adsketch.AlgoDP, 0},
-		{"baseb/brute", g, core.Options{K: 4, Seed: 7, BaseB: 2}, adsketch.AlgoBruteForce, 0},
+		{"bottomk/dijkstra", g, core.Options{K: 4, Seed: 9}, workers(0)},
+		{"bottomk/parallel", g, core.Options{K: 4, Seed: 9}, workers(2)},
+		{"bottomk/local", g, core.Options{K: 4, Seed: 9}, func(g *adsketch.Graph, o core.Options) (*adsketch.Set, error) {
+			return distBuild(t, g, o)
+		}},
+		{"bottomk/dp", unweighted, core.Options{K: 4, Seed: 9}, dp},
+		{"baseb/dijkstra", g, core.Options{K: 4, Seed: 7, BaseB: 2}, workers(0)},
+		{"baseb/dp", unweighted, core.Options{K: 4, Seed: 7, BaseB: 2}, dp},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			direct, err := core.BuildSetParallel(tc.g, tc.o, tc.algo, tc.workers)
+			direct, err := tc.direct(tc.g, tc.o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := []adsketch.Option{
-				adsketch.WithK(tc.o.K), adsketch.WithSeed(tc.o.Seed),
-				adsketch.WithAlgorithm(tc.algo),
-			}
+			opts := []adsketch.Option{adsketch.WithK(tc.o.K), adsketch.WithSeed(tc.o.Seed)}
 			if tc.o.BaseB != 0 {
 				opts = append(opts, adsketch.WithBaseB(tc.o.BaseB))
 			}
@@ -150,10 +148,50 @@ func TestBuildParityUniform(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(serialize(t, direct), serialize(t, set)) {
-				t.Error("serialized sketches differ between direct core build and option-based Build")
+				t.Error("serialized sketches differ between the direct build and option-based Build")
 			}
 		})
 	}
+}
+
+// workers is core's entry point at a worker bound; Build sizes itself by
+// GOMAXPROCS.
+func workers(n int) func(*adsketch.Graph, core.Options) (*adsketch.Set, error) {
+	return func(g *adsketch.Graph, o core.Options) (*adsketch.Set, error) { return core.BuildSetParallel(g, o, n) }
+}
+
+func dp(g *adsketch.Graph, o core.Options) (*adsketch.Set, error) {
+	return lab.BuildDP(g, o.K, o.Seed, o.BaseB)
+}
+
+// distBuild runs LocalUpdates (Algorithm 2) exactly: a two-worker
+// in-process distributed build of g's edge list, its partitions merged.
+func distBuild(t *testing.T, g *adsketch.Graph, o core.Options) (*adsketch.Set, error) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	var buf bytes.Buffer
+	if err := adsketch.WriteEdgeList(&buf, g); err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return nil, err
+	}
+	exs, err := distbuild.NewLocalExchangers(distbuild.Spec{
+		Path: path, N: g.NumNodes(), K: o.K, Seed: o.Seed, Kind: distbuild.KindUniform, Parts: 2,
+	})
+	if err != nil {
+		return nil, err
+	}
+	res, err := distbuild.Run(context.Background(), exs)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]*adsketch.Set, len(res.Partitions))
+	for i, b := range res.Partitions {
+		if parts[i], err = adsketch.ReadSketchSet(bytes.NewReader(b)); err != nil {
+			return nil, err
+		}
+	}
+	return adsketch.MergeSketchSets(parts)
 }
 
 // setProcs sets GOMAXPROCS, the worker count Build and Engine size

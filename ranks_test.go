@@ -189,7 +189,13 @@ func TestFrameRanksDerived(t *testing.T) {
 			if !ok {
 				continue
 			}
-			put(thresholds, a.Threshold())
+			// The inclusion threshold after the last entry: the k-th
+			// smallest rank of the sketch, 1 while it holds fewer.
+			threshold := 1.0
+			if mh := a.MinHashWithin(math.Inf(1)); len(mh) == a.K() {
+				threshold = mh[a.K()-1]
+			}
+			put(thresholds, threshold)
 			put(thresholds, a.MinHashWithin(2)...)
 			if err := a.Validate(); err != nil && c.name != "approx" {
 				t.Fatalf("%s: %v", c.name, err)
