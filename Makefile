@@ -12,7 +12,7 @@ COVER_BASELINE ?= 80.0
 # fail above it.  Lower it when the closure shrinks; raising it needs a
 # CHANGES.md line giving the reason.  A plain constant, so the
 # environment cannot override it.
-CLOSURE_BUDGET = 15964
+CLOSURE_BUDGET = 16164
 
 .PHONY: test loc race cpus analyze benchmark-smoke cover fuzz-smoke memprofile ingest-smoke load-smoke wire-smoke distbuild-smoke clean
 
@@ -112,8 +112,9 @@ cover:
 	  echo "coverage $$total% fell below the $(COVER_BASELINE)% baseline" >&2; exit 1; }
 
 # A few seconds of coverage-guided fuzzing on the sketch-file readers
-# (the v3 parser, the write/read fixed point, and adsconvert's decoder of
-# older files), Algorithm 1 against the brute-force build, the
+# (the v3 parser, the write/read fixed point, the node-code decoder and
+# adsconvert's decoder of older files), Algorithm 1 against the
+# brute-force build, the
 # wire-protocol and the graph-IO parsers — enough to catch decoder and
 # builder regressions fast.  -fuzzminimizetime=1x spends the budget on
 # fuzzing: with an empty fuzz cache, as in CI, minimizing each new input
@@ -124,6 +125,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz='FuzzReadSketchSet' ./internal/core/
 	$(FUZZ) -fuzz='FuzzReadSet$$' ./internal/core/
 	$(FUZZ) -fuzz='FuzzOpenSketchFile' ./internal/core/
+	$(FUZZ) -fuzz='FuzzNodeCode' ./internal/core/
 	$(FUZZ) -fuzz='FuzzBuildersAgree' ./internal/core/
 	$(FUZZ) -fuzz='FuzzReadSet$$' ./internal/legacy/
 	$(FUZZ) -fuzz='FuzzReadEdgeList' ./internal/graph/

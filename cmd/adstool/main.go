@@ -366,7 +366,7 @@ func runInfo(args []string) error {
 		}
 		fmt.Printf("distances       steps (%.1f/node)%s\n", float64(steps)/float64(nodes), over)
 	}
-	fmt.Printf("node IDs        packed (%d bits/entry)\n", sf.NodeBits())
+	fmt.Printf("node IDs        Rice-coded (%.2f bits/entry)\n", sf.NodeBitsPerEntry())
 	fmt.Printf("columns\n")
 	for _, c := range cols {
 		fmt.Printf("  %-13s %d\n", c.Name, c.Bytes)

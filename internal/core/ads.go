@@ -166,7 +166,7 @@ func (a *ADS) HIPEntries() []WeightedEntry {
 func (a *ADS) Validate() error {
 	// Whole columns, not an entry at a time: slices a filled view already
 	// has, unpacked once otherwise.
-	nodes, dists, ranks := a.c.nodes(), a.c.dists(), a.c.ranks()
+	nodes, dists, ranks := a.c.node, a.c.dists(), a.c.ranks()
 	h := newKSmallest(a.k)
 	var prev Entry
 	for i, r := range ranks {

@@ -172,14 +172,13 @@ func (s *Set) BottomK(v int32) *ADS { return s.frame.viewSketch(int(v)).(*ADS) }
 
 // Columns returns a bottom-k set's node v as column views — its entries'
 // nodes in canonical order and their distances, both as the frame holds
-// them, bit-packed and step-coded, for the caller to walk by Runs and read
-// by At or AppendTo — the allocation-free scan for callers that know the
-// ranks already.  Both alias the set's storage.
+// them, Rice-coded and step-coded, for the caller to decode (AppendTo)
+// and walk by Runs — the scan for callers that know the ranks already.  Both alias the set's storage.
 func (s *Set) Columns(v int32) (nodes Nodes, dists StepDists) {
 	f := s.frame
 	lo, hi := f.span(int(v))
 	slo := f.rank1(lo)
-	return f.node.view(lo, hi), StepDists{first: f.first, lo: lo, col: &f.steps, slo: slo, n: int(f.rank1(hi) - slo)}
+	return f.nodesAt(int(v)), StepDists{first: f.first, lo: lo, col: &f.steps, slo: slo, n: int(f.rank1(hi) - slo)}
 }
 
 // Index builds local node v's columnar HIP query index over the frame's

@@ -20,6 +20,7 @@ import (
 type v3Parts struct {
 	h     frameHdr
 	offs  []uint64
+	boffs []uint64 // the bit offsets of the node codes
 	nodes []byte
 	bits  []byte
 	codes []uint64  // one per step, when the header has a dictionary
@@ -27,7 +28,7 @@ type v3Parts struct {
 	tail  []byte    // betas
 
 	// Where the columns start in the file the parts were split from.
-	offsAt, nodesAt, bitsAt, codesAt, distsAt int64
+	offsAt, boffsAt, nodesAt, bitsAt, codesAt, distsAt int64
 }
 
 // testWidth is the width of a packed column of values below bound, spelled
@@ -81,6 +82,8 @@ func splitV3(t testing.TB, data []byte) v3Parts {
 	}
 	p.offsAt = pos
 	p.offs = testUnpack(next(h.offsetsSize()), h.n+1, testWidth(h.numEntries+1))
+	p.boffsAt = pos
+	p.boffs = testUnpack(next(h.bitOffsetsSize()), h.n+1, testWidth(h.numNodeBits+1))
 	p.nodesAt = pos
 	p.nodes = next(h.nodesSize())
 	p.bitsAt = pos
@@ -100,6 +103,7 @@ func splitV3(t testing.TB, data []byte) v3Parts {
 func (p *v3Parts) bytes() []byte {
 	out := p.h.appendHeader(nil)
 	out = append(out, testPack(p.offs, testWidth(p.h.numEntries+1))...)
+	out = append(out, testPack(p.boffs, testWidth(p.h.numNodeBits+1))...)
 	out = append(out, p.nodes...)
 	out = append(out, p.bits...)
 	if p.h.numDistinct > 0 {
@@ -161,7 +165,7 @@ func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, truste
 		if d < 3 || d&(d-1) == 0 || steps*wc%64 == 0 || nOff*wo%64 == 0 || p.codes[0] != 0 || p.codes[1] != 1 || p.codes[2] != 2 {
 			t.Fatalf("%s: %d steps over %d values, %d offsets, first codes %v: want a dictionary that is not a power of two, spare bits in both packed columns and a first sketch reaching distance 2", from, steps, d, nOff, p.codes[:3])
 		}
-		distinctAt := p.offsAt - 8
+		distinctAt := p.offsAt - 16
 		// The dictionary has to be one: non-negative, strictly ascending.
 		rebuilt("equal dictionary values", true, from, func(p *v3Parts) { p.dists[2] = p.dists[1] })
 		rebuilt("descending dictionary", true, from, func(p *v3Parts) { p.dists[1], p.dists[2] = p.dists[2], p.dists[1] })
@@ -213,13 +217,13 @@ func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, truste
 		}
 		// No bit of a packed column is set past its last value.
 		edit("a code bit past the last step", true, from, func(b []byte) { b[p.distsAt-1] |= 0x80 })
-		edit("an offset bit past the last offset", true, from, func(b []byte) { b[p.nodesAt-1] |= 0x80 })
+		edit("an offset bit past the last offset", true, from, func(b []byte) { b[p.boffsAt-1] |= 0x80 })
 		cut := func(b []byte, at int64) []byte { return append(append([]byte(nil), b[:at]...), b[at+8:]...) }
 		pad := func(b []byte, at int64) []byte {
 			return append(append(append([]byte(nil), b[:at]...), make([]byte, 8)...), b[at:]...)
 		}
-		damaged[from+": offsets a word short"], trusted[from+": offsets a word short"] = cut(valid[from], p.nodesAt-8), true
-		damaged[from+": offsets a word long"], trusted[from+": offsets a word long"] = pad(valid[from], p.nodesAt), true
+		damaged[from+": offsets a word short"], trusted[from+": offsets a word short"] = cut(valid[from], p.boffsAt-8), true
+		damaged[from+": offsets a word long"], trusted[from+": offsets a word long"] = pad(valid[from], p.boffsAt), true
 		damaged[from+": codes a word short"], trusted[from+": codes a word short"] = cut(valid[from], p.distsAt-8), true
 		damaged[from+": codes a word long"], trusted[from+": codes a word long"] = pad(valid[from], p.distsAt), true
 		// The offsets still have to be offsets.
@@ -258,17 +262,45 @@ func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, truste
 	return valid, damaged, trusted
 }
 
+// testRiceBits returns the length of the Rice codes of the node IDs of l
+// in a set of total nodes, run by run, the parameter spelled out: the
+// largest b with m·2^b <= total, for a run of m, and a code the gap's
+// quotient in unary, a stop bit and b bits.
+func testRiceBits(l []Entry, total uint64) int64 {
+	n := int64(0)
+	for i := 0; i < len(l); {
+		m := 1
+		for i+m < len(l) && l[i+m].Dist == l[i].Dist {
+			m++
+		}
+		b := uint64(0)
+		for uint64(m)<<(b+1) <= total {
+			b++
+		}
+		prev := int64(-1)
+		for _, e := range l[i : i+m] {
+			n += (int64(e.Node)-prev-1)>>b + 1 + int64(b)
+			prev = int64(e.Node)
+		}
+		i += m
+	}
+	return n
+}
+
 // referenceSizes returns what the frame's own entries cost as a file,
 // worked out from the entries alone: in the layout every writer emits
-// (compact), in the one before it with 64 bits an offset and a float a step
-// (plain), with how many distance steps they make and how many distinct
-// values those are coded through (0: raw, a dictionary being no smaller).
+// (compact, its node IDs Rice-coded), in the one with 64 bits an offset, a
+// float a step and fixed-width IDs (plain), with how many distance steps
+// they make and how many distinct values those are coded through (0: raw,
+// a dictionary being no smaller).
 func referenceSizes(f *Frame, partition bool) (compact, plain, steps, coded int64) {
 	words := func(n int64, w uint64) int64 { return (n*int64(w) + 63) / 64 }
 	var all []float64
+	rice := int64(0)
 	for v := 0; v < f.n; v++ {
 		c := f.colsAt(v)
 		l := c.entries()
+		rice += testRiceBits(l, uint64(f.total))
 		for i := range l {
 			if i == 0 || l[i].Dist != l[i-1].Dist {
 				all = append(all, l[i].Dist)
@@ -283,16 +315,17 @@ func referenceSizes(f *Frame, partition bool) (compact, plain, steps, coded int6
 		header += framePartHdrSize
 	}
 	e, nOff := int64(f.totalEntries()), int64(f.n+1)
-	entries := 8*words(e, testWidth(uint64(f.total))) + 8*words(e, 1)
+	perEntry := 8 * words(e, 1)
 	if f.p.Kind == KindWeighted {
-		entries += 8 * e
+		perEntry += 8 * e
 	}
 	stepBytes := 8 * steps
 	if b := 8*distinct + 8*words(steps, testWidth(uint64(distinct))); b < stepBytes {
 		stepBytes, coded = b, distinct
 	}
-	compact = header + 8 + 8*words(nOff, testWidth(uint64(e)+1)) + entries + stepBytes
-	plain = header + 8*nOff + entries + 8*steps
+	compact = header + 16 + 8*words(nOff, testWidth(uint64(e)+1)) + 8*words(nOff, testWidth(uint64(rice)+1)) +
+		8*words(rice, 1) + perEntry + stepBytes
+	plain = header + 8*nOff + 8*words(e, testWidth(uint64(f.total))) + perEntry + 8*steps
 	return compact, plain, steps, coded
 }
 
@@ -332,6 +365,28 @@ func TestCompactColumnsRejectHostileInput(t *testing.T) {
 	checkHostileFiles(t, damaged, trusted)
 }
 
+// TestNodeCodesAtScale: at ten times the benchmark's node count,
+// PA(100000, 5) of graph seed 1, k=16, rank seed 42, the node codes take at
+// most 12.8 bits an entry — 12.76 when pinned, against the 17 a
+// fixed-width ID would take there — so their saving grows with the set,
+// as a run's gaps grow with the node count.  Skipped under -short: the
+// build takes a few seconds.
+func TestNodeCodesAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 100000-node set")
+	}
+	set, err := BuildSet(graph.PreferentialAttachment(100000, 5, 1), Options{K: 16, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := set.frame
+	perEntry := float64(f.nodeBits()) / float64(f.totalEntries())
+	t.Logf("%d entries, %d bits of node codes: %.3f an entry", f.totalEntries(), f.nodeBits(), perEntry)
+	if perEntry > 12.8 {
+		t.Errorf("the node codes take %.3f bits an entry, want at most 12.8", perEntry)
+	}
+}
+
 // TestBenchmarkFrameBytes pins the size of the repository benchmark's
 // sketch file — PA(10000, 5) of graph seed 1, k=16, rank seed 42: BENCHMARK.json's
 // sketch_bytes_per_node is this total over 10000 — column by column, so a
@@ -345,12 +400,13 @@ func TestBenchmarkFrameBytes(t *testing.T) {
 	}
 	h := headerOf(set)
 	want := []ColumnSize{
-		{"header", 88},
-		{"offsets", 26256},    // 10001 offsets × 21 bits
-		{"nodes", 2227192},    // 1272677 entries × 14 bits
-		{"step bits", 159088}, // 1272677 bits
-		{"step codes", 19736}, // 52617 steps × 3 bits
-		{"dictionary", 48},    // 6 distances
+		{"header", 96},
+		{"offsets", 26256},     // 10001 offsets × 21 bits
+		{"bit offsets", 30008}, // 10001 offsets × 24 bits
+		{"nodes", 1513552},     // 1272677 entries' Rice codes, 12108387 bits: 9.51 an entry, against 14 fixed
+		{"step bits", 159088},  // 1272677 bits
+		{"step codes", 19736},  // 52617 steps × 3 bits
+		{"dictionary", 48},     // 6 distances
 	}
 	got := h.columns()
 	total := int64(0)
@@ -360,14 +416,14 @@ func TestBenchmarkFrameBytes(t *testing.T) {
 			t.Errorf("column %d is %+v, want %+v", i, c, want[min(i, len(want)-1)])
 		}
 	}
-	if len(got) != len(want) || total != 2432408 || int64(len(v3Bytes(t, set))) != total {
-		t.Errorf("%d columns, %d bytes in all, %d written: want %d columns and 2432408 bytes", len(got), total, len(v3Bytes(t, set)), len(want))
+	if len(got) != len(want) || total != 1748784 || int64(len(v3Bytes(t, set))) != total {
+		t.Errorf("%d columns, %d bytes in all, %d written: want %d columns and 1748784 bytes", len(got), total, len(v3Bytes(t, set)), len(want))
 	}
-	if h.numEntries != 1272677 || h.numSteps != 52617 || h.numDistinct != 6 {
-		t.Errorf("%d entries, %d steps, %d distinct distances: want 1272677, 52617, 6", h.numEntries, h.numSteps, h.numDistinct)
+	if h.numEntries != 1272677 || h.numSteps != 52617 || h.numDistinct != 6 || h.numNodeBits != 12108387 {
+		t.Errorf("%d entries, %d steps, %d distinct distances, %d bits of node codes: want 1272677, 52617, 6, 12108387", h.numEntries, h.numSteps, h.numDistinct, h.numNodeBits)
 	}
 	frame := MemoryOf(set)
-	if samples := int64(8 * (bitWords(1272677)/rankSampleWords + 1)); frame != total-88+samples+48 {
+	if samples := int64(8 * (bitWords(1272677)/rankSampleWords + 1)); frame != total-96+samples+48 {
 		t.Errorf("the frame holds %d bytes, want the file's columns, %d of popcount samples and the dictionary's use counts", frame, samples)
 	}
 }

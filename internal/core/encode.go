@@ -147,7 +147,7 @@ func validateApproxView(a *ADS) error {
 			return fmt.Errorf("core: approx ADS(%d) entry %d has invalid rank %g", owner, i, e.Rank)
 		}
 	}
-	if n == 0 || a.c.nodeAt(0) != owner || a.c.distAt(0) != 0 {
+	if n == 0 || a.c.node[0] != owner || a.c.distAt(0) != 0 {
 		return fmt.Errorf("core: approx ADS(%d) does not start with the owner at distance 0", owner)
 	}
 	return nil

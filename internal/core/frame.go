@@ -20,14 +20,13 @@ import (
 // the version-3 codec serializes the columns verbatim, so opening a
 // prebuilt file is O(columns) work (and zero copies when mmapped).
 //
-// A frame holds, per entry, a node ID in the ⌈log₂ total⌉ bits an ID of
-// its set needs (nodepack.go: 14 bits at ten thousand nodes, bit-packed
-// back to back), one bit of distance step code (stepcode.go) and — for
-// weighted sets — β; per distinct distance of a sketch, one step: a code
-// of a few bits into the frame's dictionary of distances where they are
-// few, a float where they are not; per node, an offset in the bits an
-// entry position needs; and no ranks.  No integer column is wider than
-// the frame's own counts make it (nodepack.go).  Distances are a
+// A frame holds, per entry, a node ID Rice-coded within its run of equal
+// distance (nodepack.go: 9.5 bits at ten thousand nodes), one bit of
+// distance step code (stepcode.go) and — for weighted sets — β; per
+// distinct distance of a sketch, one step: a code of a few bits into the
+// frame's dictionary of distances where they are few, a float where they
+// are not; per node, an entry offset and a bit offset; and no ranks.  No
+// integer column is wider than the frame's own counts make it.  Distances are a
 // staircase in canonical order, so they are stored as its steps: entry
 // i's distance is that of step number [set bits of first up to and
 // including i, less one].  A rank is a pure function of the seed and the
@@ -75,14 +74,14 @@ func (r *ranker) rank(node int32, beta float64) float64 {
 // cols is one columnar entry list: the columns of a contiguous entry
 // range, in canonical (distance, node ID) order.  A cols either views a
 // frame's shared columns (frozen sketches) or owns private slices (a
-// sketch rebuilt from entries, colsFromEntries).  Its ranks, nodes and
-// distances are per entry when rank, node and dist are non-nil — a rebuilt
+// sketch rebuilt from entries, colsFromEntries).  Its nodes are per entry,
+// a frame's decoded from its codes, which decode in order only; its ranks
+// and distances are per entry when rank and dist are non-nil — a rebuilt
 // sketch's own columns, or the scratch Frame.ranked fills for whole-node
-// loops — and otherwise derived through by and read off the frame's
-// packed node column pn and step code sd.
+// loops — and otherwise derived through by and read off the frame's step
+// code sd.
 type cols struct {
 	node []int32
-	pn   Nodes
 	dist []float64
 	sd   StepDists
 	rank []float64
@@ -90,29 +89,7 @@ type cols struct {
 	by   *ranker
 }
 
-func (c *cols) len() int {
-	if c.node != nil {
-		return len(c.node)
-	}
-	return c.pn.n
-}
-
-// nodeAt returns the node of entry i.
-func (c *cols) nodeAt(i int) int32 {
-	if c.node != nil {
-		return c.node[i]
-	}
-	return c.pn.At(i)
-}
-
-// nodes returns the node of every entry: the per-entry column, or a fresh
-// slice unpacked from the frame's.
-func (c *cols) nodes() []int32 {
-	if c.node != nil || c.pn.n == 0 {
-		return c.node
-	}
-	return c.pn.AppendTo(make([]int32, 0, c.pn.n), 0, c.pn.n)
-}
+func (c *cols) len() int { return len(c.node) }
 
 // distAt returns the distance of entry i.
 func (c *cols) distAt(i int) float64 {
@@ -147,7 +124,7 @@ func (c *cols) rankAt(i int) float64 {
 	if c.beta != nil {
 		b = c.beta[i]
 	}
-	return c.by.rank(c.nodeAt(i), b)
+	return c.by.rank(c.node[i], b)
 }
 
 // ranks returns the rank of every entry: the stored column, or a fresh
@@ -165,15 +142,15 @@ func (c *cols) ranks() []float64 {
 
 // at returns entry i as a value.
 func (c *cols) at(i int) Entry {
-	return Entry{Node: c.nodeAt(i), Dist: c.distAt(i), Rank: c.rankAt(i)}
+	return Entry{Node: c.node[i], Dist: c.distAt(i), Rank: c.rankAt(i)}
 }
 
 // entries materializes the columns as an entry slice.
 func (c *cols) entries() []Entry {
 	out := make([]Entry, c.len())
-	dist := c.dists()
+	dist, ranks := c.dists(), c.ranks()
 	for i := range out {
-		out[i] = Entry{Node: c.nodeAt(i), Dist: dist[i], Rank: c.rankAt(i)}
+		out[i] = Entry{Node: c.node[i], Dist: dist[i], Rank: ranks[i]}
 	}
 	return out
 }
@@ -183,7 +160,7 @@ func (c *cols) weighted(w []float64) []WeightedEntry {
 	out := make([]WeightedEntry, c.len())
 	dist := c.dists()
 	for i := range out {
-		out[i] = WeightedEntry{Node: c.nodeAt(i), Dist: dist[i], Weight: w[i]}
+		out[i] = WeightedEntry{Node: c.node[i], Dist: dist[i], Weight: w[i]}
 	}
 	return out
 }
@@ -204,28 +181,29 @@ func colsFromEntries(entries []Entry) cols {
 
 // Frame is the frozen columnar storage of one sketch set: one entry list
 // per node, described by an offsets column over shared entry columns.
-// Offsets are absolute positions into
-// the columns (entry p's ID is bits [p·w, (p+1)·w) of node, its step bit
-// is bit p of first), so slicing a frame to a node range (partitioning) is
-// a window on the offsets — off0 moves, no entry does — and the steps of
-// the entries from position p on start at step rank1(p).  A slice also
-// shares its parent's step column, dictionary and all; only a written
-// partition carries the dictionary of its own steps.  base is the global ID of
-// local node 0 (non-zero for partition frames) and total the node count
-// of the whole set the frame is (a range of): what its entries' IDs are
-// below, and so what fixes their width.
+// Offsets are absolute positions into the columns (entry p's step bit is
+// bit p of first, and local node v's node codes start at bit boff[v] of
+// node), so slicing a frame to a node range (partitioning) is a window on
+// the offsets — off0 moves, no entry does — and the steps of the entries
+// from position p on start at step rank1(p).  A slice also shares its
+// parent's step column, dictionary and all; only a written partition
+// carries the dictionary of its own steps.  base is the global ID of local
+// node 0 (non-zero for partition frames) and total the node count of the
+// whole set the frame is (a range of): what its entries' IDs are below, and
+// so what fixes their codes' parameters.
 type Frame struct {
 	p     Params // what the set is; the ranker derives from it
 	n     int
 	base  int32
 	total int
 	off   packedColumn // absolute entry positions, offsetWidth(the column's last) bits each, packed
-	off0  int64        // position in off of local node 0's offset; n+1 of them are the frame's
-	node  packedColumn // nodeWidth(total) bits per entry, packed
+	boff  packedColumn // absolute positions in node of each list's codes, packed likewise
+	off0  int64        // position in off and boff of local node 0's offset; n+1 of them are the frame's
+	node  nodeStream   // every list's IDs, Rice-coded run by run (nodepack.go); its total is the frame's
 	first []uint64     // one bit per entry: set where a distance step starts
 	samp  []int64      // sampled popcounts of first, for rank1
 	steps stepColumn   // one distance per set bit of first
-	beta  []float64    // weighted sets: β per entry, parallel to node
+	beta  []float64    // weighted sets: β per entry, parallel to the entries
 	by    ranker       // derives the ranks
 }
 
@@ -237,9 +215,10 @@ func freezeWhole(p Params, lists [][]Entry) *Frame {
 
 // freezeFrame assembles the entry lists of nodes base... (node base+i's is
 // lists[i]) of a total-node set of parameters p into one frame.  The
-// entries' Rank fields are not kept, and a Node outside the set loses its
-// high bits: callers that did not draw them from p and the set themselves
-// check them against the frame's (validate).
+// entries' Rank fields are not kept, and a Node outside the set or out of
+// order in its run is coded as one that is not (nodeWriter.flush): callers
+// that did not draw them from p and the set themselves check them against
+// the frame's (validate).
 func freezeFrame(p Params, base int32, total int, lists [][]Entry) *Frame {
 	entries, steps := 0, 0
 	for _, l := range lists {
@@ -266,13 +245,16 @@ func isStep(l []Entry, j int) bool { return j == 0 || l[j].Dist != l[j-1].Dist }
 // framePacker packs a frame's columns from its entries, fed in order —
 // list starts each entry list, add appends an entry to it — in one pass:
 // freezeFrame feeds it entry lists, and an Algorithm 1 build on an
-// unweighted graph (hopFrame) its passes' packed keys.
+// unweighted graph (hopFrame) its passes' packed keys.  The node writer
+// holds the IDs of one run, and codes them at the next step.
 type framePacker struct {
 	f      *Frame
 	first  []uint64
 	step   []float64
-	listAt int64 // lists started
-	pos    int64 // entries added
+	nodes  nodeWriter
+	boff   []uint64 // each list's first bit in the node stream
+	listAt int64    // lists started
+	pos    int64    // entries added
 }
 
 // newFramePacker returns the packer of the frame of the entry lists of
@@ -283,24 +265,26 @@ func newFramePacker(p Params, base int32, total, nodes, entries, steps int) fram
 	return framePacker{
 		f: &Frame{
 			p: p, n: nodes, base: base, total: total,
-			off:  makePackedColumn(int64(nodes+1), offsetWidth(int64(entries))),
-			node: makePackedColumn(int64(entries), nodeWidth(total)),
-			by:   newRanker(p),
+			off: makePackedColumn(int64(nodes+1), offsetWidth(int64(entries))),
+			by:  newRanker(p),
 		},
 		first: make([]uint64, bitWords(int64(entries))),
 		step:  make([]float64, 0, steps),
+		nodes: newNodeWriter(total, entries),
+		boff:  make([]uint64, 0, nodes+1),
 	}
 }
 
 func (pk *framePacker) list() {
 	pk.f.off.put(pk.listAt, uint64(pk.pos))
+	pk.boff = append(pk.boff, uint64(pk.nodes.bits()))
 	pk.listAt++
 }
 
 // add appends an entry of node at distance dist, which starts a distance
 // step of its list when step is set.
 func (pk *framePacker) add(node int32, dist float64, step bool) {
-	pk.f.node.put(pk.pos, nodeBits(node))
+	pk.nodes.add(node, step)
 	if step {
 		setBit(pk.first, pk.pos)
 		pk.step = append(pk.step, dist)
@@ -311,6 +295,8 @@ func (pk *framePacker) add(node int32, dist float64, step bool) {
 // frame returns the packed frame.
 func (pk *framePacker) frame() *Frame {
 	pk.f.off.put(pk.listAt, uint64(pk.pos))
+	pk.boff = append(pk.boff, uint64(pk.nodes.bits()))
+	pk.f.boff, pk.f.node = packOffsets(pk.boff), nodeStream{words: pk.nodes.stream(), total: pk.f.total}
 	pk.f.setSteps(pk.first, pk.step)
 	return pk.f
 }
@@ -337,20 +323,20 @@ func (f *Frame) ownSteps() *stepColumn {
 	return &own
 }
 
-// ownOffsets returns the frame's offsets as a column of their own, from 0:
-// the frame's, when they are that already, and otherwise — a slice's
-// window on its parent's — rebased and packed at the width the frame's own
-// entry count needs, so that a sliced partition is written as the bytes of
-// one that was loaded or frozen by itself.
-func (f *Frame) ownOffsets() *packedColumn {
-	lo, hi := f.entryRange()
+// ownOffsets returns the frame's offsets c — f.off or f.boff — as a
+// column of their own, from 0: the frame's, when they are that already,
+// and otherwise — a slice's window on its parent's — rebased and packed at
+// the width the frame's own range needs, so that a sliced partition is
+// written as the bytes of one that was loaded or frozen by itself.
+func (f *Frame) ownOffsets(c *packedColumn) *packedColumn {
 	n := int64(f.numOffsets())
-	if f.off0 == 0 && lo == 0 && f.off.w == offsetWidth(hi) && f.off.holds(n) {
-		return &f.off
+	lo, hi := int64(c.get(f.off0)), int64(c.get(f.off0+n-1))
+	if f.off0 == 0 && lo == 0 && c.w == offsetWidth(hi) && c.holds(n) {
+		return c
 	}
 	own := makePackedColumn(n, offsetWidth(hi-lo))
 	for i := int64(0); i < n; i++ {
-		own.put(i, f.off.get(f.off0+i)-uint64(lo))
+		own.put(i, c.get(f.off0+i)-uint64(lo))
 	}
 	return &own
 }
@@ -358,6 +344,10 @@ func (f *Frame) ownOffsets() *packedColumn {
 // offAt returns offset i of the frame: the position of the first entry of
 // local node i, or the end of its last node's.
 func (f *Frame) offAt(i int) int64 { return int64(f.off.get(f.off0 + int64(i))) }
+
+// bitAt returns bit offset i of the frame: the position in the node stream
+// of local node i's first code, or the end of its last node's codes.
+func (f *Frame) bitAt(i int) int64 { return int64(f.boff.get(f.off0 + int64(i))) }
 
 // numOffsets returns the frame's offset count.
 func (f *Frame) numOffsets() int { return f.n + 1 }
@@ -380,26 +370,39 @@ func (f *Frame) totalEntries() int {
 	return int(hi - lo)
 }
 
+// nodeBits returns the length of the node codes of the frame's own node
+// range.
+func (f *Frame) nodeBits() int64 { return f.bitAt(f.n) - f.bitAt(0) }
+
 // owner returns the global ID of local node v.
 func (f *Frame) owner(local int) int32 { return f.base + int32(local) }
 
-// width returns the bits per ID of the node column: nodeWidth(f.total).
-func (f *Frame) width() uint { return f.node.w }
-
-// colsAt returns local node v's entry list as a column view.  The slices
-// carry full capacity bounds so an (erroneous) append cannot overwrite a
-// neighboring sketch.
-func (f *Frame) colsAt(local int) cols {
+// nodesAt returns local node v's node codes.
+func (f *Frame) nodesAt(local int) Nodes {
 	lo, hi := f.span(local)
-	return f.colsOver(lo, hi, f.rank1(lo))
+	return f.nodesOver(lo, hi, f.bitAt(local), f.bitAt(local+1))
 }
 
-// colsOver is colsAt for the entry range [lo, hi) whose steps start at
-// step slo — which colsAt looks up, and a caller still assembling the
-// frame knows.
+// nodesOver is nodesAt for the entries [lo, hi) coded at [bit, end).
+func (f *Frame) nodesOver(lo, hi, bit, end int64) Nodes {
+	return Nodes{nodeCodes: nodeCodes{s: &f.node, bit: bit, end: end}, first: f.first, lo: lo, n: int(hi - lo)}
+}
+
+// colsAt returns local node v's entry list as a column view, its nodes
+// decoded.  The slices carry full capacity bounds so an (erroneous) append
+// cannot overwrite a neighboring sketch.
+func (f *Frame) colsAt(local int) cols {
+	lo, hi := f.span(local)
+	c := f.colsOver(lo, hi, f.rank1(lo))
+	c.node = f.nodesAt(local).AppendTo(nil)
+	return c
+}
+
+// colsOver is colsAt, its nodes not filled in, for the entry range [lo,
+// hi) whose steps start at step slo — which colsAt looks up, and a caller
+// still assembling the frame knows.
 func (f *Frame) colsOver(lo, hi, slo int64) cols {
 	c := cols{
-		pn: f.node.view(lo, hi),
 		sd: StepDists{first: f.first, lo: lo, col: &f.steps, slo: slo, n: countBits(f.first, lo, hi)},
 		by: &f.by,
 	}
@@ -427,7 +430,7 @@ func (f *Frame) viewSketch(local int) Sketch {
 func (f *Frame) slice(lo, hi int) *Frame {
 	return &Frame{
 		p: f.p, n: hi - lo, base: f.base + int32(lo), total: f.total,
-		off: f.off, off0: f.off0 + int64(lo),
+		off: f.off, boff: f.boff, off0: f.off0 + int64(lo),
 		node: f.node, first: f.first, samp: f.samp, steps: f.steps,
 		beta: f.beta, by: f.by,
 	}
@@ -435,33 +438,36 @@ func (f *Frame) slice(lo, hi int) *Frame {
 
 // mergeFrames concatenates frames (already validated to be a consistent,
 // ordered split) into one whole frame with compact columns.  The
-// partitions of a split share the whole set's ID width, so their node
-// ranges are copied as bit ranges; their steps may be coded through as
+// partitions of a split share the whole set's node count, so their node
+// codes are copied as bit ranges; their steps may be coded through as
 // many dictionaries as there are frames, so they are read back as
 // distances and coded afresh.
 func mergeFrames(frames []*Frame) *Frame {
 	first := frames[0]
-	total, steps, nodes := int64(0), int64(0), 0
+	total, steps, nodes, stream := int64(0), int64(0), 0, int64(0)
 	for _, f := range frames {
 		total += int64(f.totalEntries())
 		slo, shi := f.stepRange()
 		steps += shi - slo
 		nodes += f.n
+		stream += f.nodeBits()
 	}
 	out := &Frame{
 		p: first.p, n: nodes, base: 0, total: nodes,
 		off:  makePackedColumn(int64(nodes+1), offsetWidth(total)),
-		node: makePackedColumn(total, nodeWidth(nodes)),
+		boff: makePackedColumn(int64(nodes+1), offsetWidth(stream)),
+		node: nodeStream{words: make([]uint64, bitWords(stream)), total: nodes},
 		by:   first.by,
 	}
 	marks, step := make([]uint64, bitWords(total)), make([]float64, 0, steps)
 	if first.p.Kind == KindWeighted {
 		out.beta = make([]float64, total)
 	}
-	pos, at := int64(0), int64(0)
+	pos, bit, at := int64(0), int64(0), int64(0)
 	for _, f := range frames {
 		flo, fhi := f.entryRange()
-		out.node.copyFrom(pos, &f.node, flo, fhi-flo)
+		blo, bhi := f.bitAt(0), f.bitAt(f.n)
+		copyBits(out.node.words, bit, f.node.words, blo, bhi-blo)
 		copyBits(marks, pos, f.first, flo, fhi-flo)
 		slo, shi := f.stepRange()
 		step = f.steps.appendRaw(step, slo, shi)
@@ -470,11 +476,14 @@ func mergeFrames(frames []*Frame) *Frame {
 		}
 		for i := 0; i < f.n; i++ {
 			out.off.put(at, uint64(pos+f.offAt(i)-flo))
+			out.boff.put(at, uint64(bit+f.bitAt(i)-blo))
 			at++
 		}
 		pos += fhi - flo
+		bit += bhi - blo
 	}
 	out.off.put(at, uint64(pos))
+	out.boff.put(at, uint64(bit))
 	out.setSteps(marks, step)
 	return out
 }
@@ -534,27 +543,35 @@ func (s *rankScratch) derive(dst []float64, by *ranker, nodes []int32, betas []f
 	}
 }
 
-// filled returns the view c with its ranks and per-entry nodes and
-// distances filled in — ranks derived into s.buf, nodes unpacked into
-// s.nbuf and distances expanded from the steps into s.dbuf — valid until
-// the next call.  Its pn and sd still alias the frame.
-func (s *rankScratch) filled(c cols) cols {
-	n := c.pn.n
-	s.nbuf = c.pn.AppendTo(s.nbuf[:0], 0, n)
+// filled returns the view c of the entries pn codes with its ranks and
+// per-entry nodes and distances filled in — ranks derived into s.buf,
+// nodes decoded into s.nbuf and distances expanded from the steps into
+// s.dbuf — valid until the next call, and whether the nodes' bits were
+// exactly their codes.
+func (s *rankScratch) filled(c cols, pn Nodes) (cols, bool) {
+	n := pn.n
+	var exact bool
+	s.nbuf, exact = pn.decode(s.nbuf[:0])
 	c.node = s.nbuf[:n:n]
 	c.dist = growFloats(&s.dbuf, n)[:n:n]
 	c.sd.expand(c.dist)
 	c.rank = growFloats(&s.buf, n)[:n:n]
 	s.derive(c.rank, c.by, c.node, c.beta)
-	return c
+	return c, exact
 }
 
-// validate checks the structural invariants of local node v's sketch.
-// given, when non-nil, is the caller-built entry list the node was frozen
-// from: its Rank fields, which the frame did not keep, must be the ones
-// the frame derives, so that a frame cannot disagree with its own seed.
+// validate checks the structural invariants of local node v's sketch,
+// and that its node codes are exactly the codes of its entries.  given,
+// when non-nil, is the caller-built entry list the node was frozen from:
+// its Rank fields, which the frame did not keep, must be the ones the
+// frame derives, so that a frame cannot disagree with its own seed.
 func (f *Frame) validate(s *rankScratch, local int, given []Entry) error {
-	return f.validateCols(s.filled(f.colsAt(local)), local, given)
+	lo, hi := f.span(local)
+	c, exact := s.filled(f.colsOver(lo, hi, f.rank1(lo)), f.nodesAt(local))
+	if !exact {
+		return fmt.Errorf("core: ADS(%d)'s node codes are not the codes of its %d entries", f.owner(local), c.len())
+	}
+	return f.validateCols(c, local, given)
 }
 
 // validateCols is validate over local node v's filled view c.
@@ -562,16 +579,18 @@ func (f *Frame) validateCols(c cols, local int, given []Entry) error {
 	k, owner := f.p.K, f.owner(local)
 	for i, e := range given {
 		if u := c.node[i]; e.Node != u {
-			return fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", owner, i, e.Node, f.total)
+			if e.Node < 0 || int(e.Node) >= f.total {
+				return fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", owner, i, e.Node, f.total)
+			}
+			return fmt.Errorf("core: ADS(%d) entry %d (node %d) is out of canonical order", owner, i, e.Node)
 		}
 		if r := c.rank[i]; e.Rank != r {
 			return fmt.Errorf("core: ADS(%d) entry %d (node %d) has rank %g, the set's seed derives %g (seed %d)", owner, i, e.Node, e.Rank, r, f.p.Seed)
 		}
 	}
-	// An ID is stored in the bits the largest of the set needs, which can
-	// spell a larger one still.
+	// A code can spell any ID, the set's or not.
 	for i, u := range c.node {
-		if int(u) >= f.total {
+		if u < 0 || int(u) >= f.total {
 			return fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", owner, i, u, f.total)
 		}
 	}
@@ -605,12 +624,18 @@ func (f *Frame) validateCols(c cols, local int, given []Entry) error {
 // prefix sum per step.  Every readout is bit-identical to NewHIPIndex
 // over the node's view; callers cache the result (query.IndexCache).
 func (f *Frame) Index(local int32) *HIPIndex {
-	c := f.colsAt(int(local))
-	e, s := c.len(), c.sd.n
+	lo, hi := f.span(int(local))
+	c, pn := f.colsOver(lo, hi, f.rank1(lo)), f.nodesAt(int(local))
+	e, s := pn.n, c.sd.n
 	buf := make([]float64, e+s)
 	w := buf[:e:e]
-	for i := range w {
-		w[i] = c.rankAt(i)
+	decodeTo(&pn, w) // the nodes, each in the slot its weight takes
+	for i, node := range w {
+		var b float64
+		if c.beta != nil {
+			b = c.beta[i]
+		}
+		w[i] = c.by.rank(int32(node), b)
 	}
 	h := newKSmallest(min(f.p.K, e)) // it never holds more than the entries
 	if f.p.Kind == KindWeighted {
@@ -618,19 +643,20 @@ func (f *Frame) Index(local int32) *HIPIndex {
 	} else {
 		w = hipWeightsBottomK(w, f.p.K, h, w[:0])
 	}
-	x := &HIPIndex{enode: c.pn, ew: w, sd: c.sd, cum: buf[e:e], own: int64(unsafe.Sizeof(HIPIndex{})) + 8*int64(len(buf))}
+	x := &HIPIndex{enode: pn.nodeCodes, ew: w, sd: c.sd, cum: buf[e:e], own: int64(unsafe.Sizeof(HIPIndex{})) + 8*int64(len(buf))}
 	x.sum()
 	return x
 }
 
 // bytes returns the heap (or mapping) the frame's own node range
-// occupies: offsets, packed nodes, step bits and their popcount samples
-// (heap even under a mapping), the steps — codes and dictionary, or raw —
-// and β where held.
+// occupies: offsets and bit offsets, node codes, step bits and their
+// popcount samples (heap even under a mapping), the steps — codes and
+// dictionary, or raw — and β where held.
 func (f *Frame) bytes() int64 {
 	e := int64(f.totalEntries())
 	slo, shi := f.stepRange()
-	b := 8*packedWords(int64(f.numOffsets()), f.off.w) + 8*packedWords(e, f.width()) +
+	o := int64(f.numOffsets())
+	b := 8*packedWords(o, f.off.w) + 8*packedWords(o, f.boff.w) + 8*bitWords(f.nodeBits()) +
 		8*bitWords(e) + 8*(bitWords(e)/rankSampleWords+1)
 	if c := &f.steps; c.dict != nil {
 		b += 8*packedWords(shi-slo, c.code.w) + 8*int64(len(c.dict)+len(c.uses))

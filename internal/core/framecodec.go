@@ -13,39 +13,47 @@ import (
 
 // Version-3 sketch files: the on-disk layout is the in-memory frame
 // layout.  After a fixed little-endian header come the raw columns —
-// packed offsets, packed nodes, the distance step code (and betas for
-// weighted sets) — every one a whole number of 8-byte words:
+// packed offsets and bit offsets, the node codes, the distance step code
+// (and betas for weighted sets) — every one a whole number of 8-byte
+// words:
 //
 //	magic "ADSK" | version u32 = 3 | kind u32 | flags u32 |
 //	[kind 3 only: index u32 | count u32 | lo u32 | hi u32 |
 //	              total u32 | innerKind u32] |
 //	k u32 | flavor u32 | seed u64 | baseB f64 | scheme u32 | segs u32 |
 //	eps f64 | numNodes u64 | numEntries u64 | numSteps u64 |
-//	numDistinct u64 |
+//	numDistinct u64 | numNodeBits u64 |
 //	offsets ceil((numNodes+1)·wo/64)×u64 |
-//	nodes ceil(numEntries·w/64)×u64 |
+//	bit offsets ceil((numNodes+1)·wb/64)×u64 |
+//	nodes ceil(numNodeBits/64)×u64 |
 //	first ceil(numEntries/64)×u64 |
 //	codes ceil(numSteps·wc/64)×u64 | dict numDistinct×f64,
 //	    when numDistinct > 0 — else steps numSteps×f64 |
 //	[betas numEntries×f64, when flags bit 0 is set]
 //
-// so a file is 88 bytes of header (112 for a partition) +
-// 8·ceil((numNodes+1)·wo/64) + 8·ceil(numEntries·w/64) +
-// 8·ceil(numEntries/64) + either 8·ceil(numSteps·wc/64) + 8·numDistinct
-// or 8·numSteps, plus 8·numEntries of betas when weighted.  The widths
-// are derived from the header's counts and stored nowhere:
+// so a file is 96 bytes of header (120 for a partition) +
+// 8·ceil((numNodes+1)·wo/64) + 8·ceil((numNodes+1)·wb/64) +
+// 8·ceil(numNodeBits/64) + 8·ceil(numEntries/64) + either
+// 8·ceil(numSteps·wc/64) + 8·numDistinct or 8·numSteps, plus
+// 8·numEntries of betas when weighted.  The widths are derived from the
+// header's counts and stored nowhere:
 //
-//	w  = max(1, bitlen(total−1)), total the node count of the whole set
-//	     (numNodes, or the envelope's total in a partition file)
 //	wo = max(1, bitlen(numEntries))
+//	wb = max(1, bitlen(numNodeBits))
 //	wc = max(1, bitlen(numDistinct−1))
 //
 // and bit b of a packed column is bit b%64 of word b/64, counted from the
 // least significant; the bits past a column's last value are zero.
 //
+// The nodes are one stream of numNodeBits bits, sketch i's Rice codes
+// (nodepack.go) being bits [bit offset i, bit offset i+1); total, which
+// fixes a run's parameter, is numNodes, or the envelope's total in a
+// partition file.
+//
 // Every sketch is bottom-k: flavor is 0 and segs 1, one entry list a
 // node.  Earlier releases also wrote k-mins (flavor 1) and k-partition
-// (flavor 2) sets, k lists a node; those are refused, naming the flavor.
+// (flavor 2) sets, k lists a node; those are refused, naming the flavor,
+// whatever their layout.
 //
 // The distances are step-coded (stepcode.go): bit i of first is set where
 // entry i's distance differs from its predecessor's in the sketch, always
@@ -61,20 +69,22 @@ import (
 // the header's seed (recorded for every kind) and the node.
 //
 // The flags are frameFlagsLayout, plus bit 0 — a β per entry — for
-// weighted sets and no others.  Bits 1 to 4 name the steps by which the
+// weighted sets and no others.  Bits 1 to 5 name the steps by which the
 // layout became this one: ranks derived rather than stored (1), distances
-// step-coded (2), node IDs packed (3), and the numDistinct word with
-// packed offsets and dictionary-coded steps (4).  A file with any other
-// flags is refused: one without all four is of an earlier release, which
-// adsconvert (internal/legacy) rewrites, and a reader from before a bit
-// refuses a file that has it, as it must.
+// step-coded (2), node IDs packed (3), the numDistinct word with packed
+// offsets and dictionary-coded steps (4), and node IDs Rice-coded per run,
+// with the numNodeBits word and the bit offsets (5).  A file with any
+// other flags is refused: one without all five is of an earlier release,
+// which adsconvert (internal/legacy) rewrites, and a reader from before a
+// bit refuses a file that has it, as it must.
 //
 // Encoding is therefore near-memcpy, and decoding a trusted file is
 // O(columns): validate the header, the body size it implies, the offsets'
-// monotonicity, the step bits against the step count, that the dictionary
-// ascends, and that no bit of a packed column is set past its last value,
-// then view the columns in place.  What the openers do not check is inside
-// the columns — an ID at or above total, entries out of order, a
+// and bit offsets' monotonicity, the step bits against the step count,
+// that the dictionary ascends, and that no bit of a column is set past its
+// last value, then view the columns in place.  What the openers do not
+// check is inside the columns — node bits that are not their sketch's
+// codes (which no decoder reads past), an ID at or above total, a
 // non-canonical step, a code past the dictionary (which reads as its last
 // value, never out of range), a dictionary value no step uses, raw steps a
 // dictionary would have beaten — which is the stream reader's
@@ -92,17 +102,18 @@ const EncodeVersion = 3
 const (
 	framePreambleSize = 16 // magic, version, kind, flags
 	framePartHdrSize  = 24 // index, count, lo, hi, total, innerKind
-	frameHdrSize      = 64 // k .. numSteps; numDistinct follows
+	frameHdrSize      = 64 // k .. numSteps; numDistinct and numNodeBits follow
 
 	frameFlagBeta         = 1 << 0
 	frameFlagDerivedRanks = 1 << 1 // no rank column: ranks derive from the header's seed
 	frameFlagStepDists    = 1 << 2 // distances are step-coded: first bits + numSteps steps
 	frameFlagPackedNodes  = 1 << 3 // node IDs are packed at the width the set's node count fixes
 	frameFlagCompact      = 1 << 4 // numDistinct in the header, packed offsets, steps coded through a dictionary when numDistinct > 0
+	frameFlagRiceNodes    = 1 << 5 // node IDs Rice-coded per equal-distance run: numNodeBits in the header, bit offsets beside the offsets
 
 	// frameFlagsLayout is the flags of the one layout every writer emits
 	// and openFrameBytes views, less β.
-	frameFlagsLayout = frameFlagDerivedRanks | frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact
+	frameFlagsLayout = frameFlagDerivedRanks | frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes
 )
 
 // nativeLittleEndian reports whether the host stores integers the way the
@@ -128,6 +139,7 @@ type frameHdr struct {
 	n, numEntries uint64
 	numSteps      uint64
 	numDistinct   uint64 // the dictionary's size; 0 for raw steps
+	numNodeBits   uint64 // the node stream's length
 }
 
 // partitioned reports whether the file carries the partition envelope.
@@ -145,7 +157,7 @@ func (h *frameHdr) setKind() uint32 {
 // headerSize returns the byte length of everything before the offsets
 // column.
 func (h *frameHdr) headerSize() int64 {
-	s := int64(framePreambleSize + frameHdrSize + 8)
+	s := int64(framePreambleSize + frameHdrSize + 16)
 	if h.partitioned() {
 		s += framePartHdrSize
 	}
@@ -161,14 +173,17 @@ func (h *frameHdr) totalNodes() int {
 	return int(h.n)
 }
 
-// nodesSize returns the byte length of the nodes column.
-func (h *frameHdr) nodesSize() int64 {
-	return packedWords(int64(h.numEntries), nodeWidth(h.totalNodes())) * 8
-}
+// nodesSize returns the byte length of the node stream.
+func (h *frameHdr) nodesSize() int64 { return bitWords(int64(h.numNodeBits)) * 8 }
 
 // offsetsSize returns the byte length of the offsets column.
 func (h *frameHdr) offsetsSize() int64 {
 	return packedWords(int64(h.n)+1, offsetWidth(int64(h.numEntries))) * 8
+}
+
+// bitOffsetsSize returns the byte length of the bit offsets column.
+func (h *frameHdr) bitOffsetsSize() int64 {
+	return packedWords(int64(h.n)+1, offsetWidth(int64(h.numNodeBits))) * 8
 }
 
 // codesSize returns the byte length of the step codes: 0 for raw steps.
@@ -191,7 +206,7 @@ func (h *frameHdr) stepsSize() int64 {
 // bodySize returns the total byte length of the columns.
 func (h *frameHdr) bodySize() int64 {
 	e := int64(h.numEntries)
-	s := h.offsetsSize() + h.nodesSize() + bitWords(e)*8 + h.codesSize() + h.stepsSize()
+	s := h.offsetsSize() + h.bitOffsetsSize() + h.nodesSize() + bitWords(e)*8 + h.codesSize() + h.stepsSize()
 	if h.flags&frameFlagBeta != 0 {
 		s += e * 8
 	}
@@ -225,9 +240,6 @@ func flavorName(flavor uint32) string {
 // validate checks every header field against the format's invariants, so
 // a corrupted file errors out before any column is touched.
 func (h *frameHdr) validate() error {
-	if h.flavor != 0 || h.segs != 1 {
-		return fmt.Errorf("core: sketch file holds %s sketches (flavor %d, %d lists a node); only bottom-k sketches are served", flavorName(h.flavor), h.flavor, h.segs)
-	}
 	if h.setKind() == kindPartition {
 		return fmt.Errorf("core: sketch partitions cannot nest")
 	}
@@ -264,6 +276,11 @@ func (h *frameHdr) validate() error {
 	if h.numDistinct != 0 && (h.numDistinct > h.numSteps || !dictWins(int64(h.numDistinct), int64(h.numSteps))) {
 		return fmt.Errorf("core: sketch file codes %d distance steps through %d values, which is no smaller than the steps", h.numSteps, h.numDistinct)
 	}
+	// A code takes a bit at least, and under 64; this also keeps bodySize
+	// from overflowing.
+	if h.numNodeBits < h.numEntries || h.numNodeBits > 64*h.numEntries {
+		return fmt.Errorf("core: sketch file claims %d bits of node codes for %d entries", h.numNodeBits, h.numEntries)
+	}
 	return nil
 }
 
@@ -287,6 +304,7 @@ func headerWith(s *Set, own *stepColumn) frameHdr {
 		numEntries: uint64(f.totalEntries()),
 	}
 	h.numSteps, h.numDistinct = uint64(own.n), uint64(len(own.dict))
+	h.numNodeBits = uint64(f.nodeBits())
 	h.flags = frameFlagsLayout
 	if f.p.Kind == KindWeighted {
 		h.flags |= frameFlagBeta
@@ -326,7 +344,8 @@ func (h *frameHdr) appendHeader(buf []byte) []byte {
 	buf = le.AppendUint64(buf, h.n)
 	buf = le.AppendUint64(buf, h.numEntries)
 	buf = le.AppendUint64(buf, h.numSteps)
-	return le.AppendUint64(buf, h.numDistinct)
+	buf = le.AppendUint64(buf, h.numDistinct)
+	return le.AppendUint64(buf, h.numNodeBits)
 }
 
 // countingWriter tracks how many bytes passed through, so WriteTo can
@@ -378,15 +397,18 @@ func writeFrameV3(w io.Writer, s *Set) (int64, error) {
 	// Offsets count from 0, and the steps are coded through the dictionary
 	// of their own values, so a sliced partition frame is written as the
 	// bytes of an independently loaded or frozen one (ownOffsets, ownSteps).
-	if err := writeU64s(f.ownOffsets().words); err != nil {
+	if err := writeU64s(f.ownOffsets(&f.off).words); err != nil {
 		return cw.n, err
 	}
-	// The entries' node bits and step bits start at bit 0 of the file's
+	if err := writeU64s(f.ownOffsets(&f.boff).words); err != nil {
+		return cw.n, err
+	}
+	// The entries' node codes and step bits start at bit 0 of the file's
 	// columns: a frame that owns its columns from there writes the words as
-	// they are, a partition's slice of shared ones is shifted out first.
+	// they are, a partition's slice of shared ones — coded under the whole
+	// set's count, as a partition's are — is shifted out first.
 	base, e := f.offAt(0), int64(f.totalEntries())
-	width := int64(f.width())
-	if err := writeU64s(bitsFrom(f.node.words, base*width, e*width)); err != nil {
+	if err := writeU64s(bitsFrom(f.node.words, f.bitAt(0), f.nodeBits())); err != nil {
 		return cw.n, err
 	}
 	if err := writeU64s(bitsFrom(f.first, base, e)); err != nil {
@@ -472,7 +494,8 @@ func viewF64s(b []byte, n int64) []float64 {
 // parseFrameHdr parses and validates the header of a version-3 file of the
 // current layout.  data starts at the kind field (magic and version
 // already consumed); it returns the header and the number of header bytes
-// consumed from data.
+// consumed from data.  A file of another flavor is named as that, whatever
+// its layout, before an earlier layout is named.
 func parseFrameHdr(data []byte) (frameHdr, int, error) {
 	le := binary.LittleEndian
 	var h frameHdr
@@ -481,9 +504,6 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 	}
 	h.kind = le.Uint32(data)
 	h.flags = le.Uint32(data[4:])
-	if h.flags&^frameFlagBeta != frameFlagsLayout {
-		return h, 0, fmt.Errorf("core: sketch file has flags %#x, not the current layout's %#x: a file of an earlier release is rewritten with `adsconvert`", h.flags, frameFlagsLayout)
-	}
 	pos := 8
 	if h.kind == kindPartition {
 		if len(data) < pos+framePartHdrSize {
@@ -497,7 +517,7 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 		h.innerKind = le.Uint32(data[pos+20:])
 		pos += framePartHdrSize
 	}
-	if len(data) < pos+frameHdrSize+8 {
+	if len(data) < pos+frameHdrSize+16 {
 		return h, 0, fmt.Errorf("core: truncated sketch file header")
 	}
 	h.k = le.Uint32(data[pos:])
@@ -510,11 +530,18 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 	h.n = le.Uint64(data[pos+40:])
 	h.numEntries = le.Uint64(data[pos+48:])
 	h.numSteps = le.Uint64(data[pos+56:])
-	h.numDistinct = le.Uint64(data[pos+frameHdrSize:])
+	h.numDistinct = le.Uint64(data[pos+64:])
+	h.numNodeBits = le.Uint64(data[pos+72:])
+	if h.flavor != 0 || h.segs != 1 {
+		return h, 0, fmt.Errorf("core: sketch file holds %s sketches (flavor %d, %d lists a node); only bottom-k sketches are served", flavorName(h.flavor), h.flavor, h.segs)
+	}
+	if h.flags&^frameFlagBeta != frameFlagsLayout {
+		return h, 0, fmt.Errorf("core: sketch file has flags %#x, not the current layout's %#x: a file of an earlier release is rewritten with `adsconvert`", h.flags, frameFlagsLayout)
+	}
 	if err := h.validate(); err != nil {
 		return h, 0, err
 	}
-	return h, pos + frameHdrSize + 8, nil
+	return h, pos + frameHdrSize + 16, nil
 }
 
 // frameFromHdr returns the in-memory frame, no column yet, of a validated
@@ -522,7 +549,8 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 func frameFromHdr(h frameHdr) *Frame {
 	p := h.params()
 	f := &Frame{p: p, n: int(h.n), total: h.totalNodes(), by: newRanker(p)}
-	f.node.w, f.off.w = nodeWidth(f.total), offsetWidth(int64(h.numEntries))
+	f.node.total = f.total
+	f.off.w, f.boff.w = offsetWidth(int64(h.numEntries)), offsetWidth(int64(h.numNodeBits))
 	if h.partitioned() {
 		f.base = int32(h.lo)
 	}
@@ -539,33 +567,34 @@ func (h *frameHdr) wrap(f *Frame) *Set {
 	return set
 }
 
-// validateOffsets checks that the n offsets are strictly ascending — no
-// sketch is empty, every one holding its owner — and cover exactly the
-// entry columns, and — first being the step bits — that every sketch
-// starts a distance step; everything else about a
+// validateOffsets checks that the n offsets of the column what start at
+// 0, strictly ascend — no sketch is empty, every one holding its owner,
+// and its codes taking a bit an entry — and end at last, what they cover:
+// the entries, or the bits of node codes.  first, the step bits, when
+// given, must mark every sketch's start.  Everything else about a
 // version-3 file is trusted (it is a serving-format for files the operator
 // built).
-func validateOffsets(off *packedColumn, n, numEntries int64, first []uint64) error {
+func validateOffsets(what string, off *packedColumn, n, last int64, first []uint64) error {
 	if !off.holds(n) {
-		return fmt.Errorf("core: sketch file has offset bits past its last offset")
+		return fmt.Errorf("core: sketch file has %s bits past its last", what)
 	}
 	if off.get(0) != 0 {
-		return fmt.Errorf("core: sketch file offsets do not start at 0")
+		return fmt.Errorf("core: sketch file %s do not start at 0", what)
 	}
 	prev := int64(0)
 	for i := int64(1); i < n; i++ {
 		o := int64(off.get(i))
 		if o <= prev {
-			return fmt.Errorf("core: sketch file sketch %d has no entries, or its offsets decrease (every sketch holds its owner)", i-1)
+			return fmt.Errorf("core: sketch file sketch %d has no entries, or its %s decrease (every sketch holds its owner)", i-1, what)
 		}
-		// o <= numEntries is checked before prev indexes the bits.
-		if o <= numEntries && !bitAt(first, prev) {
+		// o <= last is checked before prev indexes the bits.
+		if first != nil && o <= last && !bitAt(first, prev) {
 			return fmt.Errorf("core: sketch file sketch %d does not start with a distance step", i-1)
 		}
 		prev = o
 	}
-	if prev != numEntries {
-		return fmt.Errorf("core: sketch file offsets end at %d, want %d entries", prev, numEntries)
+	if prev != last {
+		return fmt.Errorf("core: sketch file %s end at %d, want %d", what, prev, last)
 	}
 	return nil
 }
@@ -649,13 +678,18 @@ func openFrameBytes(data []byte) (*Set, error) {
 		}
 	}
 	f.off.words = u64s(next(h.offsetsSize()))
+	f.boff.words = u64s(next(h.bitOffsetsSize()))
 	f.node.words = u64s(next(h.nodesSize()))
 	f.first = u64s(next(bitWords(e) * 8))
-	if err := validateOffsets(&f.off, int64(h.n)+1, e, f.first); err != nil {
+	if err := validateOffsets("offsets", &f.off, int64(h.n)+1, e, f.first); err != nil {
 		return nil, err
 	}
-	if !f.node.holds(e) {
-		return nil, fmt.Errorf("core: sketch file has node bits past its last entry")
+	// What keeps every decoder inside the node stream.
+	if err := validateOffsets("bit offsets", &f.boff, int64(h.n)+1, int64(h.numNodeBits), nil); err != nil {
+		return nil, err
+	}
+	if !tailClear(f.node.words, int64(h.numNodeBits)) {
+		return nil, fmt.Errorf("core: sketch file has node bits past its last node code")
 	}
 	var marked int64
 	f.samp, marked = sampleRanks(f.first)
@@ -721,8 +755,9 @@ type ColumnSize struct {
 }
 
 // ColumnBytes lists what each part of the file costs, in file order:
-// header, offsets (OffsetBits bits each), nodes (NodeBits bits an entry),
-// step bits, then either step codes and the dictionary of distances they
+// header, offsets (OffsetBits bits each), bit offsets, nodes
+// (NodeBitsPerEntry bits an entry on average), step bits, then either
+// step codes and the dictionary of distances they
 // index or, where a dictionary would be no smaller, steps (8 bytes a
 // distance step), then betas where held — every packed column rounded up
 // to a word.
@@ -737,6 +772,7 @@ func (h *frameHdr) columns() []ColumnSize {
 	out := []ColumnSize{
 		{"header", h.headerSize()},
 		{"offsets", h.offsetsSize()},
+		{"bit offsets", h.bitOffsetsSize()},
 		{"nodes", h.nodesSize()},
 		{"step bits", bitWords(e) * 8},
 	}
@@ -751,9 +787,11 @@ func (h *frameHdr) columns() []ColumnSize {
 	return out
 }
 
-// NodeBits returns the bits an entry's node ID takes in the node column:
-// what the set's node count needs.
-func (s *SketchFile) NodeBits() int { return int(s.frame().width()) }
+// NodeBitsPerEntry returns the mean length of an entry's node code, 0 for
+// no entries.
+func (s *SketchFile) NodeBitsPerEntry() float64 {
+	return float64(s.frame().nodeBits()) / float64(max(1, s.frame().totalEntries()))
+}
 
 // OffsetBits returns the bits an offset takes in the offsets column: what
 // the file's entry count needs.

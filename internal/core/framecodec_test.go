@@ -261,7 +261,11 @@ func readLegacyFixture(t testing.TB, name string) []byte {
 
 // checkRefused: every reader refuses the file of an earlier release at
 // path, naming adsconvert, the tool that rewrites it.
-func checkRefused(t *testing.T, path string) {
+func checkRefused(t *testing.T, path string) { t.Helper(); checkRefusedNaming(t, path, "adsconvert") }
+
+// checkRefusedNaming: every reader refuses the file at path with an error
+// that names want.
+func checkRefusedNaming(t *testing.T, path, want string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -277,8 +281,8 @@ func checkRefused(t *testing.T, path string) {
 		errs[opener] = err
 	}
 	for reader, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), "adsconvert") {
-			t.Errorf("%s via %s: %v, want a refusal naming adsconvert", filepath.Base(path), reader, err)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s via %s: %v, want a refusal naming %s", filepath.Base(path), reader, err, want)
 		}
 	}
 }
@@ -388,9 +392,10 @@ func TestStreamReadersValidateOpenersTrust(t *testing.T) {
 
 // FuzzOpenSketchFile drives the one v3 parser with arbitrary bytes: it
 // must never panic or allocate according to unvalidated header claims,
-// anything it accepts must behave like a sketch set, and of a file of the
-// current layout the stream reader — the same parser plus per-sketch
-// validation — accepts a subset of what it accepts, as the same sets.
+// anything it accepts must answer Index(v) for every v without panicking,
+// node codes it does not look into included, and of a file of the current
+// layout the stream reader — the same parser plus per-sketch validation —
+// accepts a subset of what it accepts, as the same sets.
 func FuzzOpenSketchFile(f *testing.F) {
 	g := graph.PreferentialAttachment(40, 3, 9)
 	set, err := BuildSet(g, Options{K: 4, Seed: 42})
@@ -411,14 +416,28 @@ func FuzzOpenSketchFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(part.Bytes())
-	// Every kind five ways: as written now, and in the four retired
-	// layouts the parser refuses.
+	// Every kind six ways: as written now, and in the five retired
+	// layouts the parser refuses; and as written now with its node codes
+	// corrupted — bits flipped, a word of them zeroed, a word set — which
+	// the openers trust.
 	for _, data := range v3Files(f) {
 		f.Add(data)
+		f.Add(compactV3(f, data))
 		f.Add(plainV3(f, data))
 		f.Add(wideV3(f, data))
 		f.Add(perEntryV3(f, data))
 		f.Add(legacyV3(f, data))
+		nodesAt := splitV3(f, data).nodesAt
+		for _, corrupt := range []func(b []byte){
+			func(b []byte) { b[nodesAt] ^= 0x5a },
+			func(b []byte) { b[nodesAt+9] ^= 0x01 },
+			func(b []byte) { copy(b[nodesAt:nodesAt+8], make([]byte, 8)) },
+			func(b []byte) { copy(b[nodesAt+8:nodesAt+16], bytes.Repeat([]byte{0xff}, 8)) },
+		} {
+			b := append([]byte(nil), data...)
+			corrupt(b)
+			f.Add(b)
+		}
 	}
 	// Every way the step code, the packed node column and the compact
 	// columns can lie.
@@ -446,11 +465,17 @@ func FuzzOpenSketchFile(f *testing.F) {
 		if serr == nil && !bytes.Equal(v3Bytes(t, sset), v3Bytes(t, set)) {
 			t.Fatal("the stream reader and the parser read different sets from the same bytes")
 		}
-		// Exercise the views; corrupt-but-well-formed data may yield
-		// garbage estimates but must never crash.
+		// Whatever the openers accept answers every node's index — what
+		// serving builds on a node's first query — however corrupt the node
+		// codes, garbage estimates and all, without a panic; and the views
+		// too.
 		n := set.NumNodes()
-		for v := 0; v < n && v < 8; v++ {
-			_ = set.SketchOf(int32(v)).HIPEntries()
+		for v := 0; v < n; v++ {
+			x := set.Index(int32(v))
+			_, _, _ = x.Entries(), x.Closeness(), x.EstimateQ(func(node int32, d float64) float64 { return d })
+			if v < 8 {
+				_ = set.SketchOf(int32(v)).HIPEntries()
+			}
 		}
 		_ = set.TotalEntries()
 	})

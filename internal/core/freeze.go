@@ -28,12 +28,13 @@ func FreezeBottomK(o Options, lists [][]Entry) (*Set, error) {
 // otherwise (every node base lacks must be present).  Only the changed
 // lists are checked and validated — base's were when it was frozen — and
 // the entries of unchanged nodes are block-copied from base's columns —
-// node-bit range, step-bit range, step range — contiguous nodes in one
-// copy, so the cost follows the change, not the set; the exceptions are a
-// freeze whose n needs a bit more per ID than base's, which re-packs the
-// unchanged IDs once, and one whose steps take other distances than
-// base's, which codes the unchanged steps again (stepsOver).  The result
-// is the set FreezeBottomK would return for the same lists.
+// step-bit range, step range, contiguous nodes in one copy, and each
+// node's code range — so the cost follows the change, not the set; the
+// exceptions are a list a run of which n gives another Rice parameter than
+// base's count did, whose IDs are coded again, and a freeze whose steps
+// take other distances than base's, which codes the unchanged steps again
+// (stepsOver).  The result is the set FreezeBottomK would return for the
+// same lists.
 func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error) {
 	bf := base.frame
 	if bf.p.Kind != KindUniform {
@@ -58,10 +59,10 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 	slices.Sort(nodes)
 	f := &Frame{
 		p: bf.p, n: n, total: n,
-		off:  makePackedColumn(int64(n+1), offsetWidth(int64(total))),
-		node: makePackedColumn(int64(total), nodeWidth(n)),
-		by:   bf.by,
+		off: makePackedColumn(int64(n+1), offsetWidth(int64(total))),
+		by:  bf.by,
 	}
+	codes, boff := newNodeWriter(n, total), make([]uint64, n+1)
 	// The changed lists' steps are collected raw, and the step column put
 	// together once they are all known (stepsOver): its dictionary depends
 	// on every one of them.
@@ -69,6 +70,7 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 	f.first = w.first
 	fresh := make([]int64, len(nodes)) // fresh[i]: the steps in w after nodes[i]'s list
 	pos := int64(0)
+	var ids []int32 // a list coded again
 	// keep copies base nodes [from, to), none of them changed.
 	keep := func(from, to int) error {
 		if from >= to {
@@ -78,10 +80,18 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 			return fmt.Errorf("core: FreezeBottomKOver: node %d has no entries (every node holds itself at distance 0)", max(from, bf.n))
 		}
 		lo, hi := bf.offAt(from), bf.offAt(to)
-		f.node.copyFrom(pos, &bf.node, lo, hi-lo)
 		copyBits(w.first, pos, bf.first, lo, hi-lo)
 		for v := from; v < to; v++ {
 			f.off.put(int64(v), uint64(pos+bf.offAt(v)-lo))
+			boff[v] = uint64(codes.bits())
+			if bf.codedAlike(v, n) {
+				codes.copy(bf.node.words, bf.bitAt(v), bf.bitAt(v+1)-bf.bitAt(v))
+				continue
+			}
+			ids = bf.nodesAt(v).AppendTo(ids[:0])
+			for i, id := range ids {
+				codes.add(id, bitAt(bf.first, bf.offAt(v)+int64(i)))
+			}
 		}
 		pos += hi - lo
 		return nil
@@ -96,11 +106,12 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		if len(l) == 0 {
 			return nil, fmt.Errorf("core: FreezeBottomKOver: node %d has no entries (every node holds itself at distance 0)", v)
 		}
-		start, steps := pos, w.steps.n
+		start, steps, bit := pos, w.steps.n, codes.bits()
 		f.off.put(int64(v), uint64(pos))
+		boff[v] = uint64(bit)
 		w.list()
-		for _, e := range l {
-			f.node.put(pos, nodeBits(e.Node))
+		for j, e := range l {
+			codes.add(e.Node, isStep(l, j))
 			w.add(pos, e.Dist)
 			pos++
 		}
@@ -108,8 +119,9 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		// Checked while the list is still in cache, through a view of what
 		// was just written: the frame cannot look its steps up until it is
 		// whole.
-		f.steps = w.steps
-		view := ranks.filled(f.colsOver(start, pos, steps))
+		end := codes.bits()
+		f.steps, f.node = w.steps, nodeStream{words: codes.view(), total: n}
+		view, _ := ranks.filled(f.colsOver(start, pos, steps), f.nodesOver(start, pos, bit, end))
 		if err := f.validateCols(view, int(v), l); err != nil {
 			return nil, fmt.Errorf("core: FreezeBottomKOver: %w", err)
 		}
@@ -119,9 +131,24 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		return nil, err
 	}
 	f.off.put(int64(n), uint64(pos))
+	boff[n] = uint64(codes.bits())
+	f.boff, f.node = packOffsets(boff), nodeStream{words: codes.stream(), total: n}
 	f.steps = stepsOver(bf, nodes, w.steps.raw, fresh)
 	f.samp, _ = sampleRanks(w.first)
 	return &Set{frame: f}, nil
+}
+
+// codedAlike reports whether local node v's runs have the same Rice
+// parameters in a set of total nodes.
+func (f *Frame) codedAlike(local, total int) bool {
+	lo, hi := f.span(local)
+	for i, end := lo, lo; i < hi && total != f.total; i = end {
+		end = nextSet(f.first, i, hi)
+		if riceParam(f.total, int(end-i)) != riceParam(total, int(end-i)) {
+			return false
+		}
+	}
+	return true
 }
 
 // stepsOver assembles the step column of the frame FreezeBottomKOver makes

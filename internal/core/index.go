@@ -16,12 +16,12 @@ import "unsafe"
 // the adjusted weights of included nodes with distance d" — the index
 // stores exactly that distance -> cumulative weight mapping.
 //
-// Storage is columnar, the entry nodes bit-packed (nodepack.go) and the
-// entry distances step-coded (stepcode.go) the way a frame's are: the
-// unique distances are the steps.  An index built standalone (NewHIPIndex)
-// owns its columns, preallocated to exact size, its steps raw; the index of
-// a node of a set (Frame.Index, what Engine serves) views the frame's
-// nodes, step bits and steps, which may be codes into the frame's
+// Storage is columnar, the entry distances step-coded (stepcode.go) the
+// way a frame's are: the unique distances are the steps.  An index built
+// standalone (NewHIPIndex) owns its columns, preallocated to exact size,
+// its nodes as they are and its steps raw; the index of a node of a set
+// (Frame.Index, what Engine serves) views the frame's node codes
+// (nodepack.go), step bits and steps, which may be codes into the frame's
 // dictionary of distances, and owns one slice holding a weight per entry
 // and a prefix sum per step.
 //
@@ -35,7 +35,7 @@ type HIPIndex struct {
 	// each node's sums.
 	total, totalD, totalH float64
 
-	enode Nodes     // HIP entry nodes, canonical order, packed
+	enode nodeCodes // HIP entry nodes, canonical order: coded, or a standalone index's own
 	ew    []float64 // HIP adjusted weights, parallel to enode
 	sd    StepDists // HIP entry distances, step-coded: its steps are the unique distances, ascending
 	cum   []float64 // cum[i]: total adjusted weight at distance <= sd.steps[i]
@@ -54,22 +54,23 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 			unique++
 		}
 	}
-	// 32 bits an ID: a standalone sketch's nodes can be any int32.
-	nodes := makePackedColumn(int64(len(entries)), 32)
+	// The IDs as they are: a standalone sketch's nodes can be any int32.
+	ids := make([]int32, len(entries))
+	stream := &nodeStream{ids: ids}
 	idx := &HIPIndex{
-		enode: nodes.view(0, int64(len(entries))),
+		enode: nodeCodes{s: stream},
 		ew:    make([]float64, len(entries)),
 		cum:   make([]float64, 0, unique),
 	}
 	w := newStepWriter(len(entries), nil, int64(unique))
 	for i, e := range entries {
-		nodes.put(int64(i), nodeBits(e.Node))
+		ids[i] = e.Node
 		idx.ew[i] = e.Weight
 		w.add(int64(i), e.Dist)
 	}
 	idx.sd = StepDists{first: w.first, col: &w.steps, n: unique}
 	idx.sum()
-	idx.own = int64(unsafe.Sizeof(*idx)) + 8*int64(len(nodes.words)+len(w.first)+len(w.steps.raw)+len(entries)+unique)
+	idx.own = int64(unsafe.Sizeof(*idx)+unsafe.Sizeof(*stream)) + 4*int64(len(ids)) + 8*int64(len(w.first)+len(w.steps.raw)+len(entries)+unique)
 	return idx
 }
 
@@ -100,28 +101,39 @@ func (x *HIPIndex) sum() {
 func (x *HIPIndex) Bytes() int64 { return x.own }
 
 // Len returns the number of indexed HIP entries.
-func (x *HIPIndex) Len() int { return x.enode.n }
+func (x *HIPIndex) Len() int { return len(x.ew) }
+
+// nodes returns the indexed entries' nodes.
+func (x *HIPIndex) nodes() Nodes {
+	return Nodes{nodeCodes: x.enode, first: x.sd.first, lo: x.sd.lo, n: len(x.ew)}
+}
 
 // Entries materializes the indexed HIP entries in canonical order (a
 // fresh copy; the index stores them columnarly).
 func (x *HIPIndex) Entries() []WeightedEntry {
-	out := make([]WeightedEntry, x.enode.n)
+	out := make([]WeightedEntry, len(x.ew))
+	nodes := x.nodes().cursor()
 	j, d := -1, 0.0
 	for i := range out {
 		if x.sd.starts(i) {
 			j++
 			d = x.sd.step(j)
 		}
-		out[i] = WeightedEntry{Node: x.enode.At(i), Dist: d, Weight: x.ew[i]}
+		out[i] = WeightedEntry{Node: nodes.Next(), Dist: d, Weight: x.ew[i]}
 	}
 	return out
 }
 
-// EntryAt returns indexed HIP entry i in canonical order.  The distance
-// is decoded from the step code, so scanning every entry is cheaper
-// through Entries or EstimateQ.
+// EntryAt returns indexed HIP entry i in canonical order.  It costs
+// O(i): the node codes decode in order from the list's first, so a loop
+// over EntryAt is quadratic, and Entries or EstimateQ, which decode the
+// list once, are the way to scan every entry.
 func (x *HIPIndex) EntryAt(i int) WeightedEntry {
-	return WeightedEntry{Node: x.enode.At(i), Dist: x.sd.at(i), Weight: x.ew[i]}
+	nodes := x.nodes().cursor()
+	for range i {
+		nodes.Next()
+	}
+	return WeightedEntry{Node: nodes.Next(), Dist: x.sd.at(i), Weight: x.ew[i]}
 }
 
 // search returns the position of the last indexed distance <= d, or -1.
@@ -163,13 +175,14 @@ func (x *HIPIndex) Harmonic() float64 { return x.totalH }
 // EstimateQ(s, g) on the indexed sketch.
 func (x *HIPIndex) EstimateQ(g func(node int32, dist float64) float64) float64 {
 	sum := 0.0
+	nodes := x.nodes().cursor()
 	j, d := -1, 0.0
 	for i := range x.ew {
 		if x.sd.starts(i) {
 			j++
 			d = x.sd.step(j)
 		}
-		sum += x.ew[i] * g(x.enode.At(i), d)
+		sum += x.ew[i] * g(nodes.Next(), d)
 	}
 	return sum
 }

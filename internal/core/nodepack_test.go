@@ -12,67 +12,219 @@ import (
 	"adsketch/internal/graph"
 )
 
-// TestNodesViewMatchesSlice: a packed column read through At, AppendTo
-// and copyFrom is the slice it was packed from — at every width, for
-// views that start at every alignment, over runs that straddle word ends.
-func TestNodesViewMatchesSlice(t *testing.T) {
+// TestPackedColumnMatchesSlice: a packed column read through get is the
+// slice it was packed from — at every width, from every position, over
+// values that straddle word ends.
+func TestPackedColumnMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for w := uint(1); w <= 32; w++ {
-		ids := make([]int32, 300)
-		for i := range ids {
-			ids[i] = int32(rng.Uint64() & (1<<w - 1)) // w = 32: any int32, negatives too
+		vals := make([]uint64, 300)
+		for i := range vals {
+			vals[i] = rng.Uint64() & (1<<w - 1)
 		}
-		ids[0], ids[1] = int32(uint32(1<<w-1)), 0 // every bit of the width, then none
-		col := makePackedColumn(int64(len(ids)), w)
-		for i, id := range ids {
-			col.put(int64(i), nodeBits(id))
+		vals[0], vals[1] = 1<<w-1, 0 // every bit of the width, then none
+		col := makePackedColumn(int64(len(vals)), w)
+		for i, x := range vals {
+			col.put(int64(i), x)
 		}
-		if !tailClear(col.words, int64(len(ids))*int64(w)) {
-			t.Fatalf("w=%d: bits past the last ID", w)
+		if !col.holds(int64(len(vals))) {
+			t.Fatalf("w=%d: bits past the last value", w)
 		}
-		for lo := 0; lo < 130; lo++ { // every alignment of entry 0, twice over
-			p := col.view(int64(lo), int64(len(ids)))
-			if p.Len() != len(ids)-lo {
-				t.Fatalf("w=%d lo=%d: Len %d", w, lo, p.Len())
-			}
-			for i := 0; i < p.Len(); i++ {
-				if got := p.At(i); got != ids[lo+i] {
-					t.Fatalf("w=%d lo=%d: At(%d) = %d, want %d", w, lo, i, got, ids[lo+i])
-				}
-			}
-			for _, run := range [][2]int{{0, 0}, {0, 1}, {0, p.Len()}, {3, 70}, {p.Len() - 1, p.Len()}, {64, 129}} {
-				got := p.AppendTo([]int32{-7}, run[0], run[1])
-				if got[0] != -7 || len(got) != 1+run[1]-run[0] {
-					t.Fatalf("w=%d lo=%d run %v: AppendTo returned %d values after the one it was given", w, lo, run, len(got)-1)
-				}
-				for i, id := range got[1:] {
-					if id != ids[lo+run[0]+i] {
-						t.Fatalf("w=%d lo=%d run %v: value %d is %d, want %d", w, lo, run, i, id, ids[lo+run[0]+i])
-					}
-				}
+		for i, x := range vals {
+			if got := col.get(int64(i)); got != x {
+				t.Fatalf("w=%d: value %d is %d, want %d", w, i, got, x)
 			}
 		}
-		// Block copies, at the same width (a bit range) and at a wider one
-		// (ID by ID), to every destination alignment.
-		for _, dw := range []uint{w, min(w+1, 32), 32} {
-			for dpos := int64(0); dpos < 70; dpos += 3 {
-				dst := makePackedColumn(dpos+200, dw)
-				dst.copyFrom(dpos, &col, 5, 200)
-				for i := int64(0); i < 200; i++ {
-					if got := int32(dst.get(dpos + i)); got != ids[5+i] {
-						t.Fatalf("copy w=%d→%d to %d: ID %d is %d, want %d", w, dw, dpos, i, got, ids[5+i])
-					}
+	}
+	for last, want := range map[int64]uint{0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 9999: 14, 1<<14 - 1: 14, 1 << 14: 15, 1<<20 - 1: 20} {
+		if got := offsetWidth(last); got != want {
+			t.Errorf("offsetWidth(%d) = %d, want %d", last, got, want)
+		}
+	}
+}
+
+// randomRuns returns a random entry list's worth of node IDs below total,
+// in runs — each strictly ascending, of the lengths given — and the step
+// bit of each entry.
+func randomRuns(rng *rand.Rand, total int, lengths []int) (ids []int32, steps []bool) {
+	for _, m := range lengths {
+		m = min(m, total)
+		run := rng.Perm(total)[:m]
+		slices.Sort(run)
+		for j, id := range run {
+			ids = append(ids, int32(id))
+			steps = append(steps, j == 0)
+		}
+	}
+	return ids, steps
+}
+
+// writeNodes codes lists — their IDs and step bits, back to back — as a
+// frame's node stream, a list's codes starting where the returned bit
+// offsets say, and returns the stream's Nodes views.
+func writeNodes(total int, lists [][]int32, steps [][]bool) []Nodes {
+	w := newNodeWriter(total, 0)
+	var first []uint64
+	var marks []bool
+	var boff, off []int64
+	for i, l := range lists {
+		boff, off = append(boff, w.bits()), append(off, int64(len(marks)))
+		for j, id := range l {
+			w.add(id, steps[i][j])
+			marks = append(marks, steps[i][j])
+		}
+	}
+	boff, off = append(boff, w.bits()), append(off, int64(len(marks)))
+	first = make([]uint64, bitWords(int64(len(marks))))
+	for i, m := range marks {
+		if m {
+			setBit(first, int64(i))
+		}
+	}
+	stream := &nodeStream{words: w.stream(), total: total}
+	out := make([]Nodes, len(lists))
+	for i := range lists {
+		out[i] = Nodes{nodeCodes: nodeCodes{s: stream, bit: boff[i], end: boff[i+1]}, first: first, lo: off[i], n: int(off[i+1] - off[i])}
+	}
+	return out
+}
+
+// TestNodesViewMatchesSlice: lists of runs of every length, from one ID to
+// every ID of the set, at node counts around the powers of two where a
+// run's parameter moves, decode — through a cursor, AppendTo and at — to
+// the IDs they were coded from, in exactly the bits the reference
+// (testRiceBits) works out, from every alignment of a list in the stream;
+// copied as a bit range to another alignment they decode the same.
+func TestNodesViewMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, total := range []int{1, 2, 3, 4, 5, 7, 8, 9, 60, 61, 63, 64, 65, 1000, 1 << 14, 1<<14 + 1, 1 << 20} {
+		var lists [][]int32
+		var steps [][]bool
+		for trial := 0; trial < 24; trial++ {
+			var lengths []int
+			for r := rng.Intn(6); r >= 0; r-- {
+				lengths = append(lengths, 1+rng.Intn(min(total, 1+rng.Intn(200))))
+			}
+			if trial == 0 {
+				lengths = []int{total} // every ID of the set in one run
+			}
+			ids, marks := randomRuns(rng, min(total, 5000), lengths)
+			lists, steps = append(lists, ids), append(steps, marks)
+		}
+		views := writeNodes(total, lists, steps)
+		for i, p := range views {
+			want := lists[i]
+			l := make([]Entry, len(want))
+			d := 0.0
+			for j, id := range want {
+				if steps[i][j] {
+					d++
 				}
-				if !tailClear(dst.words, (dpos+200)*int64(dw)) || countBits(dst.words, 0, dpos*int64(dw)) != 0 {
-					t.Fatalf("copy w=%d→%d to %d: bits outside the copied range", w, dw, dpos)
+				l[j] = Entry{Node: id, Dist: d}
+			}
+			if got := p.end - p.bit; got != testRiceBits(l, uint64(total)) {
+				t.Fatalf("total %d list %d: %d bits of codes, the reference works out %d", total, i, got, testRiceBits(l, uint64(total)))
+			}
+			got, exact := p.decode([]int32{-7})
+			if !exact || got[0] != -7 || !slices.Equal(got[1:], want) {
+				t.Fatalf("total %d list %d: decoded %v (exact %v), want %v", total, i, got[1:], exact, want)
+			}
+			c := p.cursor()
+			for j, id := range want {
+				if got := c.Next(); got != id {
+					t.Fatalf("total %d list %d: the cursor's entry %d is %d, want %d", total, i, j, got, id)
+				}
+			}
+			if !c.Done() {
+				t.Fatalf("total %d list %d: the cursor is not done at the list's end", total, i)
+			}
+			// The same codes, a bit range copied behind every alignment.
+			for shift := int64(0); shift < 64; shift += 13 {
+				w := newNodeWriter(total, 0)
+				w.nacc = uint(shift) // zeros
+				w.copy(p.s.words, p.bit, p.end-p.bit)
+				q, end := p, w.bits()
+				q.s, q.bit, q.end = &nodeStream{words: w.stream(), total: total}, shift, end
+				if got := q.AppendTo(nil); !slices.Equal(got, want) {
+					t.Fatalf("total %d list %d copied to bit %d: %v, want %v", total, i, shift, got, want)
 				}
 			}
 		}
 	}
-	for total, want := range map[int]uint{0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 10000: 14, 1 << 14: 14, 1<<14 + 1: 15, 1 << 20: 20, 1 << 30: 30, 1 << 31: 31} {
-		if got := nodeWidth(total); got != want {
-			t.Errorf("nodeWidth(%d) = %d, want %d", total, got, want)
+	for _, c := range []struct{ total, m, b int }{{1, 1, 0}, {3, 2, 0}, {4, 2, 1}, {7, 2, 1}, {8, 2, 2}, {10000, 1, 13}, {10000, 16, 9}, {10000, 10000, 0}, {1 << 30, 1, 30}} {
+		if got := riceParam(c.total, c.m); got != uint(c.b) {
+			t.Errorf("riceParam(%d, %d) = %d, want %d", c.total, c.m, got, c.b)
 		}
+	}
+}
+
+// TestNodeCursorStaysInRange: bits that are not the codes of a list — too
+// few for its entries, too many, no stop bit at all — decode to some IDs
+// without a read outside the list's bits, whatever those hold, and Done
+// says so; the codes of the list one bit shorter or longer than they are
+// are not Done either.
+func TestNodeCursorStaysInRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	ids, steps := randomRuns(rng, 1000, []int{3, 40, 1, 17})
+	valid := writeNodes(1000, [][]int32{ids}, [][]bool{steps})[0]
+	for _, c := range []struct {
+		name   string
+		bit    int64
+		end    int64
+		exact  bool
+		filler uint64
+	}{
+		{"the list", valid.bit, valid.end, true, 0},
+		{"a bit short", valid.bit, valid.end - 1, false, 0},
+		{"a bit long", valid.bit, valid.end + 1, false, 0},
+		{"half its bits", valid.bit, valid.end / 2, false, 0},
+		{"no bits", valid.bit, valid.bit, false, 0},
+	} {
+		for _, filler := range []uint64{0, ^uint64(0)} {
+			// The list's bits within words of filler, and nothing past its
+			// last word: a read beyond would panic, one outside its bits
+			// would see the filler.
+			words := make([]uint64, bitWords(c.end+64)+1)
+			for i := range words {
+				words[i] = filler
+			}
+			for i := int64(0); i < c.end-c.bit; i++ {
+				at := 64 + i
+				words[at>>6] &^= 1 << (at & 63)
+				if c.bit+i < valid.end && bitAt(valid.s.words, c.bit+i) {
+					setBit(words, at)
+				}
+			}
+			p := valid
+			p.s = &nodeStream{words: words[:bitWords(64+c.end-c.bit)], total: valid.s.total}
+			p.bit, p.end = 64, 64+c.end-c.bit
+			got, exact := p.decode(nil)
+			if exact != c.exact || len(got) != len(ids) {
+				t.Fatalf("%s, filler %#x: %d IDs, exact %v; want %d, %v", c.name, filler, len(got), exact, len(ids), c.exact)
+			}
+			if filler == 0 {
+				continue
+			}
+			clear := &nodeStream{words: make([]uint64, len(p.s.words)), total: p.s.total}
+			for i := int64(0); i < c.end-c.bit; i++ {
+				if bitAt(words, 64+i) {
+					setBit(clear.words, 64+i)
+				}
+			}
+			p.s = clear
+			if again, _ := p.decode(nil); !slices.Equal(again, got) {
+				t.Fatalf("%s: the bits around the list change what it decodes to", c.name)
+			}
+		}
+	}
+	// Past its last entry a cursor reads zeros, and is not done.
+	c := valid.cursor()
+	for range ids {
+		c.Next()
+	}
+	c.Next()
+	if c.Done() {
+		t.Error("a cursor read past the list's last entry is done")
 	}
 }
 
@@ -95,10 +247,10 @@ func pathSetPlus(t testing.TB, n, isolated int, o Options) *Set {
 }
 
 // TestNodeWidthBoundaries: around every node count where an ID gains a
-// bit — 1, 2, 3, 2^j, 2^j+1 — a build, its splits and their merge are the
-// canonical encoding at that count's width, and a freeze over a base whose
-// IDs were one bit narrower is byte for byte the fresh build of the grown
-// graph.
+// bit — 1, 2, 3, 2^j, 2^j+1, where runs' Rice parameters move — a build,
+// its splits and their merge are the canonical encoding at that count, and
+// a freeze over a base of one node fewer, whose runs were coded under the
+// smaller count, is byte for byte the fresh build of the grown graph.
 func TestNodeWidthBoundaries(t *testing.T) {
 	sizes := []int{0, 1, 2, 3}
 	for j := 2; j <= 9; j++ {
@@ -111,7 +263,7 @@ func TestNodeWidthBoundaries(t *testing.T) {
 		lists, _ := segmentLists(f)
 		want := canonicalV3(headerOf(set), lists, nil)
 		if got := v3Bytes(t, set); !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: the build is not the canonical encoding at %d bits an ID", n, f.width())
+			t.Fatalf("n=%d: the build is not the canonical encoding", n)
 		}
 		back, err := ReadSketchSet(bytes.NewReader(want))
 		if err != nil || !bytes.Equal(v3Bytes(t, back), want) {
@@ -128,7 +280,7 @@ func TestNodeWidthBoundaries(t *testing.T) {
 			pl, _ := segmentLists(part.frame)
 			data := v3Bytes(t, part)
 			if !bytes.Equal(data, canonicalV3(headerOf(part), pl, nil)) {
-				t.Fatalf("n=%d: partition %d is not the canonical encoding at the whole set's width", n, i)
+				t.Fatalf("n=%d: partition %d is not the canonical encoding under the whole set's count", n, i)
 			}
 			if parts[i], err = ReadSketchSet(bytes.NewReader(data)); err != nil {
 				t.Fatalf("n=%d: partition %d: %v", n, i, err)
@@ -139,9 +291,9 @@ func TestNodeWidthBoundaries(t *testing.T) {
 			t.Fatalf("n=%d: split and merged: %v", n, err)
 		}
 		// Grown from the path one node shorter, by an isolated node — every
-		// other sketch is block-copied, and re-packed when n-1 was a power of
-		// two — and by the path's next node, which changes whichever sketches
-		// its rank lets it into.
+		// other sketch is block-copied, and coded again where n gives one of
+		// its runs another parameter — and by the path's next node, which
+		// changes whichever sketches its rank lets it into.
 		base := pathSet(t, n-1, o)
 		for name, fresh := range map[string]*Set{"isolated": pathSetPlus(t, n-1, 1, o), "linked": set} {
 			lists, _ := segmentLists(fresh.frame)
@@ -164,7 +316,7 @@ func TestNodeWidthBoundaries(t *testing.T) {
 				t.Fatalf("n=%d %s: %v", n, name, err)
 			}
 			if !bytes.Equal(v3Bytes(t, grown), v3Bytes(t, fresh)) {
-				t.Fatalf("n=%d %s: frozen over the %d-node base (%d → %d bits an ID) is not the fresh build", n, name, n-1, base.frame.width(), grown.frame.width())
+				t.Fatalf("n=%d %s: frozen over the %d-node base is not the fresh build", n, name, n-1)
 			}
 		}
 	}
@@ -196,11 +348,12 @@ func TestFreezeRejectsForeignNode(t *testing.T) {
 }
 
 // hostileNodeFiles returns valid files and damaged copies, one per way the
-// packed node column can lie.  trusted marks the damage the file openers
-// must catch too — it would misplace every column after the nodes, or
-// leave the file no longer the one encoding of its entries; an ID the
-// column can spell but the set does not have is the validating stream
-// readers' to refuse.
+// node codes can lie.  trusted marks the damage the file openers must
+// catch too — it would misplace every column after the nodes, send a
+// decoder outside the stream, or leave the file no longer the one encoding
+// of its entries; codes that are not the codes of their sketch's entries,
+// or spell an ID the set does not have, are the validating stream readers'
+// to refuse.
 func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted map[string]bool) {
 	t.Helper()
 	set, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), Options{K: 4, Seed: 42})
@@ -223,70 +376,82 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 		fn(b)
 		return b
 	}
+	rebuilt := func(b []byte, fn func(p *v3Parts)) []byte {
+		p := splitV3(t, b)
+		fn(&p)
+		return p.bytes()
+	}
 	for _, name := range []string{"whole", "partition"} {
 		data := valid[name]
-		f := set.frame
+		s := set
 		if name == "partition" {
-			f = parts[1].frame
+			s = parts[1]
 		}
-		if f.total != 61 || f.width() != 6 {
-			t.Fatalf("%s: %d nodes at %d bits an ID, want 61 at 6", name, f.total, f.width())
+		f := s.frame
+		p := splitV3(t, data)
+		bits, last := int64(p.h.numNodeBits), len(p.boffs)-1
+		if f.total != 61 || bits%64 == 0 || int64(len(p.boffs))*int64(testWidth(uint64(bits)+1))%64 == 0 {
+			t.Fatalf("%s: %d nodes, %d bits of node codes, %d bit offsets: want 61 nodes and spare bits after the codes and the offsets", name, f.total, bits, len(p.boffs))
 		}
-		e := int64(f.totalEntries())
-		nodesAt := splitV3(t, data).nodesAt
-		words := packedWords(e, 6)
-		if e*6%64 == 0 {
-			t.Fatalf("%s: %d entries leave no spare bits in the last word of the nodes", name, e)
-		}
-		// Entry 1 of the first sketch follows the owner; naming a node the
-		// set lacks there leaves the owner check and the order alone.
-		setID := func(b []byte, i int64, id uint64) {
-			col := make([]uint64, words)
-			for k := range col {
-				col[k] = le.Uint64(b[nodesAt+8*int64(k):])
-			}
-			bit := uint64(i) * 6
-			col[bit>>6] &^= 63 << (bit & 63)
-			col[bit>>6] |= id << (bit & 63)
-			for k, w := range col {
-				le.PutUint64(b[nodesAt+8*int64(k):], w)
-			}
-		}
-		add(name+": a node bit past the last entry", true, edit(data, func(b []byte) { b[nodesAt+8*words-1] |= 0x80 }))
-		short := append(append([]byte(nil), data[:nodesAt+8*(words-1)]...), data[nodesAt+8*words:]...)
+		words := bitWords(bits)
+		add(name+": a node bit past the last code", true, edit(data, func(b []byte) { b[p.nodesAt+8*words-1] |= 0x80 }))
+		add(name+": a bit offset bit past the last", true, edit(data, func(b []byte) { b[p.nodesAt-1] |= 0x80 }))
+		short := append(append([]byte(nil), data[:p.nodesAt+8*(words-1)]...), data[p.nodesAt+8*words:]...)
 		add(name+": nodes one word short", true, short)
-		long := append(append(append([]byte(nil), data[:nodesAt+8*words]...), make([]byte, 8)...), data[nodesAt+8*words:]...)
+		long := append(append(append([]byte(nil), data[:p.nodesAt+8*words]...), make([]byte, 8)...), data[p.nodesAt+8*words:]...)
 		add(name+": nodes one word long", true, long)
-		add(name+": an ID of 61 in a set of 61", false, edit(data, func(b []byte) { setID(b, 1, 61) }))
-		add(name+": an ID of 63 in a set of 61", false, edit(data, func(b []byte) { setID(b, 1, 63) }))
-		add(name+": 32-bit IDs under the packed flag", true, edit(wideV3(t, data), func(b []byte) {
-			le.PutUint32(b[12:], le.Uint32(b[12:])|frameFlagPackedNodes)
+		// The bit offsets place every sketch's codes in the stream.
+		add(name+": bit offsets that decrease", true, rebuilt(data, func(p *v3Parts) { p.boffs[3], p.boffs[4] = p.boffs[4], p.boffs[3] }))
+		add(name+": a sketch with no node codes", true, rebuilt(data, func(p *v3Parts) { p.boffs[2] = p.boffs[1] }))
+		add(name+": bit offsets that start past 0", true, rebuilt(data, func(p *v3Parts) { p.boffs[0] = 1 }))
+		add(name+": bit offsets that end short of the codes", true, rebuilt(data, func(p *v3Parts) { p.boffs[last]-- }))
+		add(name+": bit offsets that end past the codes", true, rebuilt(data, func(p *v3Parts) { p.boffs[last]++ }))
+		add(name+": fewer bits of node codes than entries", true, rebuilt(data, func(p *v3Parts) { p.h.numNodeBits = p.h.numEntries - 1 }))
+		add(name+": 65 bits of node codes an entry", true, rebuilt(data, func(p *v3Parts) { p.h.numNodeBits = 65 * p.h.numEntries }))
+		// Bit 5 is the layout: set on fixed-width IDs, clear on codes.
+		add(name+": fixed-width IDs under the Rice flag", true, edit(compactV3(t, data), func(b []byte) {
+			le.PutUint32(b[12:], le.Uint32(b[12:])|frameFlagRiceNodes)
 		}))
-		add(name+": packed IDs without the flag", true, edit(data, func(b []byte) {
-			le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagPackedNodes)
+		add(name+": Rice codes without the flag", true, edit(data, func(b []byte) {
+			le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagRiceNodes)
 		}))
+		// Within the stream the codes are trusted: the stream readers decode
+		// every sketch, and refuse codes that run past their sketch's bits or
+		// stop short of them, and IDs the set does not have.
+		add(name+": a sketch's codes a bit into the next sketch's", false, rebuilt(data, func(p *v3Parts) { p.boffs[1]++ }))
+		add(name+": a code bit flipped", false, edit(data, func(b []byte) { b[p.nodesAt+3] ^= 0x10 }))
+		lists, _ := segmentLists(f)
+		for _, id := range []int32{61, 63} {
+			bad := slices.Clone(lists)
+			l := slices.Clone(lists[0])
+			l[len(l)-1].Node = id // the last of its run, whatever its distance
+			bad[0] = l
+			add(fmt.Sprintf("%s: an ID of %d in a set of 61", name, id), false, canonicalV3(headerOf(s), bad, nil))
+		}
 	}
-	// A partition's width comes from its envelope's total, not from the
-	// nodes it holds: 2^31 is refused as a count, and any other total than
-	// the file was written under implies another body size.
+	// A partition's codes' parameters come from its envelope's total, not
+	// from the nodes it holds: 2^31 is refused as a count, and any other
+	// total than the file was written under puts the partition's range
+	// elsewhere.
 	totalAt := framePreambleSize + 16
 	for _, total := range []uint32{0, 1, 2, 31, 1 << 14, 1 << 31} {
 		add(fmt.Sprintf("partition: envelope total %d", total), true, edit(valid["partition"], func(b []byte) { le.PutUint32(b[totalAt:], total) }))
 	}
-	// The smallest sets: one bit an ID, whatever the count.
+	// The smallest sets: one bit of code for the only ID of a set of one.
 	one := valid["one node"]
 	oneNodesAt := splitV3(t, one).nodesAt
-	add("one node: an ID of 1 in a set of 1", false, edit(one, func(b []byte) { b[oneNodesAt] |= 1 }))
+	add("one node: an ID of 1 in a set of 1", false, canonicalV3(headerOf(pathSet(t, 1, Options{K: 4, Seed: 42})), [][]Entry{{{Node: 1}}}, nil))
 	add("one node: a node bit past the only entry", true, edit(one, func(b []byte) { b[oneNodesAt] |= 2 }))
 	add("no nodes: a word of nodes", true, append(append([]byte(nil), valid["no nodes"]...), make([]byte, 8)...))
 	return valid, damaged, trusted
 }
 
-// TestPackedNodesRejectHostileInput: every way the packed node column can
-// lie is an error — through the parser wherever it would misplace a column
-// or leave two encodings of one entry list, through the validating stream
-// readers always — and costs no allocation beyond the bytes that arrived;
-// the files it was damaged from, down to the empty set, are accepted.
+// TestPackedNodesRejectHostileInput: every way the node codes can lie is an
+// error — through the parser wherever it would misplace a column, send a
+// decoder outside the stream or leave two encodings of one entry list,
+// through the validating stream readers always — and costs no allocation
+// beyond the bytes that arrived; the files it was damaged from, down to
+// the empty set, are accepted.
 func TestPackedNodesRejectHostileInput(t *testing.T) {
 	valid, damaged, trusted := hostileNodeFiles(t)
 	for name, data := range valid {
@@ -309,17 +474,20 @@ func TestPackedNodesRejectHostileInput(t *testing.T) {
 	}
 }
 
-// BenchmarkNodesAppendTo: unpacking sketch-sized lists of 14-bit IDs.
+// BenchmarkNodesAppendTo: decoding sketch-sized lists — 127 IDs below
+// 10000 in five runs of equal distance, as at PA(10000,5), k=16.
 func BenchmarkNodesAppendTo(b *testing.B) {
-	col := makePackedColumn(1<<20, 14)
-	for i := int64(0); i < 1<<20; i++ {
-		col.put(i, uint64(i*2654435761%10000))
+	rng := rand.New(rand.NewSource(1))
+	lists := make([][]int32, 64)
+	steps := make([][]bool, len(lists))
+	for i := range lists {
+		lists[i], steps[i] = randomRuns(rng, 10000, []int{1, 6, 30, 70, 20})
 	}
+	views := writeNodes(10000, lists, steps)
 	buf := make([]int32, 0, 127)
 	b.SetBytes(127 * 4)
 	for i := 0; i < b.N; i++ {
-		lo := int64(i*127) % (1<<20 - 127)
-		buf = col.view(lo, lo+127).AppendTo(buf[:0], 0, 127)
+		buf = views[i%len(views)].AppendTo(buf[:0])
 	}
 }
 
@@ -348,4 +516,111 @@ func TestCopyBitsMatchesBitByBit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzNodeCode: a random list — runs of strictly ascending IDs below a
+// node count, their lengths drawn from the input — round-trips through the
+// node writer and every decoder; and the input's bytes taken as a list's
+// code bits, under step bits also drawn from them, decode without a panic,
+// to the same IDs whatever the bits around the list hold — no read outside
+// its range — through AppendTo and a cursor's Next alike.
+// TestNodeCodeLongQuotient: a run whose first code's quotient outruns a
+// word, which the writer fills with zeros a half word at a time, codes to
+// the bits the reference works out and decodes back.
+func TestNodeCodeLongQuotient(t *testing.T) {
+	total, m := 1<<30, 40
+	if b := riceParam(total, m); (total-m)>>b+1+int(b) <= 64 {
+		t.Fatalf("the first code takes %d bits, no more than a word", (total-m)>>b+1+int(b))
+	}
+	ids, steps := make([]int32, m), make([]bool, m)
+	l := make([]Entry, m)
+	for j := range ids {
+		ids[j], steps[j], l[j] = int32(total-m+j), j == 0, Entry{Node: int32(total - m + j), Dist: 1}
+	}
+	p := writeNodes(total, [][]int32{ids}, [][]bool{steps})[0]
+	if got := p.end - p.bit; got != testRiceBits(l, uint64(total)) {
+		t.Fatalf("%d bits of codes, the reference works out %d", got, testRiceBits(l, uint64(total)))
+	}
+	if got, exact := p.decode(nil); !exact || !slices.Equal(got, ids) {
+		t.Fatalf("decoded %v (exact %v), want %v", got, exact, ids)
+	}
+}
+
+func FuzzNodeCode(f *testing.F) {
+	f.Add(uint32(10000), int64(1), []byte{16, 3, 40})
+	f.Add(uint32(1), int64(2), []byte{0xff})
+	f.Add(uint32(61), int64(3), []byte{61, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add(uint32(1<<30), int64(4), []byte{1, 1, 1, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0x7f})
+	f.Fuzz(func(t *testing.T, count uint32, seed int64, raw []byte) {
+		total := int(count%(1<<30)) + 1
+		rng := rand.New(rand.NewSource(seed))
+		// The round trip: a run per input byte, of its value's length.
+		var ids []int32
+		var steps []bool
+		for _, x := range raw[:min(len(raw), 8)] {
+			m := min(int(x)+1, total)
+			run := map[int32]bool{}
+			for len(run) < m {
+				run[int32(rng.Intn(total))] = true
+			}
+			sorted := make([]int32, 0, m)
+			for id := range run {
+				sorted = append(sorted, id)
+			}
+			slices.Sort(sorted)
+			for j, id := range sorted {
+				ids, steps = append(ids, id), append(steps, j == 0)
+			}
+		}
+		if len(ids) > 0 {
+			p := writeNodes(total, [][]int32{ids}, [][]bool{steps})[0]
+			if got, exact := p.decode(nil); !exact || !slices.Equal(got, ids) {
+				t.Fatalf("total %d: %v decoded as %v (exact %v)", total, ids, got, exact)
+			}
+		}
+		// Arbitrary bits: the input as the list's codes, and its step bits
+		// one an input byte, from the byte's lowest bit (the first entry
+		// always steps), between words of filler.
+		n := len(raw)
+		bits := int64(8 * n)
+		var first []uint64
+		if n > 0 {
+			first = make([]uint64, bitWords(int64(n)))
+			for i, x := range raw {
+				if i == 0 || x&1 != 0 {
+					setBit(first, int64(i))
+				}
+			}
+		}
+		decodeAll := func(filler uint64) (all, next []int32, done bool) {
+			words := make([]uint64, 1+bitWords(bits)+1)
+			for i := range words {
+				words[i] = filler
+			}
+			for i := int64(0); i < bits; i++ {
+				at := 64 + i
+				words[at>>6] &^= 1 << (at & 63)
+				if raw[i/8]>>(i%8)&1 != 0 {
+					setBit(words, at)
+				}
+			}
+			// The stream ends with the list's last word: a read past it
+			// would panic.
+			s := &nodeStream{words: words[:bitWords(64+bits)], total: total}
+			p := Nodes{nodeCodes: nodeCodes{s: s, bit: 64, end: 64 + bits}, first: first, n: n}
+			all, _ = p.decode(nil)
+			c := p.cursor()
+			for range n {
+				next = append(next, c.Next())
+			}
+			return all, next, c.Done()
+		}
+		all, next, done := decodeAll(0)
+		if !slices.Equal(all, next) {
+			t.Fatalf("the decoders disagree: %v, %v", all, next)
+		}
+		if all2, _, done2 := decodeAll(^uint64(0)); !slices.Equal(all, all2) || done != done2 {
+			t.Fatal("the bits around the list change what it decodes to")
+		}
+	})
 }

@@ -15,8 +15,9 @@ import (
 // distance per entry, a rank column after them, and — for weighted and
 // approximate sets — no seed in the header.  With perEntryV3, wideV3 and
 // plainV3 it is the test-only writer of the retired layouts the readers
-// refuse (internal/legacy, which reads them, has its own); none of them has flag bit 4, so all have no numDistinct
-// word and store 64 bits an offset and a float a step.
+// refuse (internal/legacy, which reads them, has its own); none of them has
+// flag bit 4, so all have no numDistinct word and store 64 bits an offset
+// and a float a step.  compactV3 writes the last retired layout.
 func legacyV3(t testing.TB, data []byte) []byte { return oldV3(t, data, true, false, false) }
 
 // perEntryV3 rewrites a version-3 file the way files were laid out
@@ -34,6 +35,33 @@ func wideV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, tru
 // flag bit 4 clear, 64 bits an offset, a float a step, no numDistinct.
 func plainV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, true, true) }
 
+// compactV3 rewrites a version-3 file the way files were laid out
+// between the compact columns and Rice-coded node IDs: flags 0x1e, no
+// numNodeBits word, no bit offsets, and node IDs packed at the bits the
+// set's node count needs.
+func compactV3(t testing.TB, data []byte) []byte {
+	t.Helper()
+	set, err := openFrameBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := set.frame
+	p := splitV3(t, data)
+	h := p.h
+	h.flags &^= frameFlagRiceNodes
+	out := h.appendHeader(nil)
+	out = out[:len(out)-8] // no numNodeBits
+	out = append(out, testPack(p.offs, testWidth(h.numEntries+1))...)
+	var ids []uint64
+	for v := 0; v < f.n; v++ {
+		for _, id := range f.nodesAt(v).AppendTo(nil) {
+			ids = append(ids, uint64(id))
+		}
+	}
+	out = append(out, testPack(ids, testWidth(uint64(f.total)))...)
+	return append(out, data[p.bitsAt:]...)
+}
+
 func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte {
 	t.Helper()
 	set, err := openFrameBytes(data)
@@ -42,7 +70,7 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte
 	}
 	f := set.frame
 	h := headerOf(set)
-	h.flags &^= frameFlagCompact
+	h.flags &^= frameFlagCompact | frameFlagRiceNodes
 	h.numDistinct = 0
 	if !packed {
 		h.flags &^= frameFlagPackedNodes
@@ -59,7 +87,7 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte
 	}
 	le := binary.LittleEndian
 	out := h.appendHeader(nil)
-	out = out[:len(out)-8] // no numDistinct
+	out = out[:len(out)-16] // no numDistinct, no numNodeBits
 	lo, hi := f.entryRange()
 	for i := 0; i < f.numOffsets(); i++ {
 		out = le.AppendUint64(out, uint64(f.offAt(i)-lo))
@@ -68,7 +96,7 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte
 	var nodes, dists, ranks, steps []byte
 	first := make([]uint64, bitWords(hi-lo))
 	for v := 0; v < f.n; v++ {
-		c := rs.filled(f.colsAt(v))
+		c, _ := rs.filled(f.colsAt(v), f.nodesAt(v))
 		for i, r := range c.rank {
 			if i == 0 || c.dist[i] != c.dist[i-1] {
 				setBit(first, int64(len(nodes)/4))
@@ -80,10 +108,11 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte
 		}
 	}
 	if packed {
-		width := int64(f.width())
-		for _, w := range bitsFrom(f.node.words, lo*width, (hi-lo)*width) {
-			out = le.AppendUint64(out, w)
+		var ids []uint64
+		for i := 0; i < len(nodes); i += 4 {
+			ids = append(ids, uint64(le.Uint32(nodes[i:])))
 		}
+		out = append(out, testPack(ids, testWidth(uint64(f.total)))...)
 	} else {
 		out = append(out, nodes...)
 		out = append(out, make([]byte, pad8(4*(hi-lo))-4*(hi-lo))...)
@@ -170,16 +199,16 @@ func TestV3Layout(t *testing.T) {
 		}
 		f := set.frame
 		e := int64(f.totalEntries())
-		if f.total != 60 || f.width() != 6 {
-			t.Fatalf("%s: frame of a %d-node set at %d bits an ID, want 60 at 6", name, f.total, f.width())
+		if f.total != 60 {
+			t.Fatalf("%s: frame of a %d-node set, want 60", name, f.total)
 		}
 		want, plain, steps, coded := referenceSizes(f, set.IsPartition())
 		if int64(len(data)) != want {
 			t.Errorf("%s: file is %d bytes, want %d (n=%d e=%d steps=%d distinct=%d)", name, len(data), want, f.n, e, steps, coded)
 		}
 		flags := binary.LittleEndian.Uint32(data[12:])
-		if flags&frameFlagPackedNodes == 0 || flags&frameFlagCompact == 0 {
-			t.Errorf("%s: written without packed nodes or compact columns (flags %#x)", name, flags)
+		if flags&frameFlagPackedNodes == 0 || flags&frameFlagCompact == 0 || flags&frameFlagRiceNodes == 0 {
+			t.Errorf("%s: written without packed nodes, compact columns or Rice-coded nodes (flags %#x)", name, flags)
 		}
 		if flags&frameFlagDerivedRanks == 0 {
 			t.Errorf("%s: written with a rank column", name)

@@ -17,12 +17,8 @@ import (
 // with node identities: the (up to) k lowest-rank entries among those at
 // distance <= d, ordered by increasing rank.
 func (a *ADS) MinHashEntriesWithin(d float64) []Entry {
-	m := a.SizeWithin(d)
 	// Collect the k smallest-rank entries of the prefix.
-	prefix := make([]Entry, m)
-	for i := 0; i < m; i++ {
-		prefix[i] = a.c.at(i)
-	}
+	prefix := a.c.entries()[:a.SizeWithin(d)]
 	sort.Slice(prefix, func(i, j int) bool { return prefix[i].Rank < prefix[j].Rank })
 	if len(prefix) > a.k {
 		prefix = prefix[:a.k]
@@ -184,14 +180,14 @@ func (s *Set) coordinated(v int32) *ADS {
 func DistanceUpperBound(a, b *ADS) float64 {
 	distA := make(map[int32]float64, a.Size())
 	for i, dist := range a.c.dists() {
-		node := a.c.nodeAt(i)
+		node := a.c.node[i]
 		if d, ok := distA[node]; !ok || dist < d {
 			distA[node] = dist
 		}
 	}
 	best := math.Inf(1)
 	for i, dist := range b.c.dists() {
-		if d, ok := distA[b.c.nodeAt(i)]; ok && d+dist < best {
+		if d, ok := distA[b.c.node[i]]; ok && d+dist < best {
 			best = d + dist
 		}
 	}

@@ -197,8 +197,9 @@ func (c *stepColumn) copy(src *stepColumn, same bool, lo, hi int64) {
 	case c.dict == nil && src.dict == nil:
 		c.raw = append(c.raw, src.raw[lo:hi]...)
 		c.n += hi - lo
-	case same:
-		c.code.copyFrom(c.n, &src.code, lo, hi-lo)
+	case same: // one dictionary, one width
+		w := int64(c.code.w)
+		copyBits(c.code.words, c.n*w, src.code.words, lo*w, (hi-lo)*w)
 		c.n += hi - lo
 	default:
 		for j := lo; j < hi; j++ {
@@ -285,14 +286,7 @@ func (s StepDists) at(i int) float64 {
 // or n.  Walking a list run by run costs a word scan per step, not a bit
 // test per entry.
 func (s StepDists) runEnd(i, n int) int {
-	p, end := s.lo+int64(i)+1, s.lo+int64(n)
-	for p < end {
-		if w := s.first[p>>6] >> (uint(p) & 63); w != 0 {
-			return int(min(p+int64(bits.TrailingZeros64(w)), end) - s.lo)
-		}
-		p = (p>>6 + 1) << 6
-	}
-	return n
+	return int(nextSet(s.first, s.lo+int64(i), s.lo+int64(n)) - s.lo)
 }
 
 // Runs calls fn for each run of equal distances of a list of n entries,

@@ -24,9 +24,12 @@ import (
 // header h, written value by value and bit by bit with none of the
 // writer's block copies, shifts, rank look-ups or use counts.  The width of
 // a packed column is spelled out here rather than taken from widthBelow —
-// the smallest w, at least 1, with every value below 2^w — and the
-// dictionary is its own pass: collect the steps, sort, drop repeats, and
-// use it iff that is strictly fewer bytes.
+// the smallest w, at least 1, with every value below 2^w — and so is a
+// run's Rice parameter — the largest b with m·2^b <= total, 0 when there is
+// none — and the dictionary is its own pass: collect the steps, sort, drop
+// repeats, and use it iff that is strictly fewer bytes.  The IDs are coded
+// as they are, so a list whose IDs are not the set's, or not in order,
+// still has its codes.
 func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 	le := binary.LittleEndian
 	width := func(bound uint64) uint64 {
@@ -49,11 +52,16 @@ func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 		}
 		return out
 	}
+	total := h.n
+	if h.kind == kindPartition {
+		total = uint64(h.total)
+	}
 	var beta []byte
-	var offs, nodes, marks []uint64
+	var offs, boffs, nodes, marks, codes []uint64
 	var steps []float64
 	for s, l := range lists {
 		offs = append(offs, uint64(len(nodes)))
+		boffs = append(boffs, uint64(len(codes)))
 		for i, e := range l {
 			nodes = append(nodes, uint64(uint32(e.Node)))
 			if i == 0 || e.Dist != l[i-1].Dist {
@@ -66,16 +74,37 @@ func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 				beta = le.AppendUint64(beta, math.Float64bits(betas[s][i]))
 			}
 		}
+		for i := 0; i < len(l); {
+			m := 1
+			for i+m < len(l) && l[i+m].Dist == l[i].Dist {
+				m++
+			}
+			b := uint64(0)
+			for uint64(m)<<(b+1) <= total {
+				b++
+			}
+			prev := int64(-1)
+			for _, e := range l[i : i+m] {
+				gap := uint64(int64(e.Node) - prev - 1)
+				for q := gap >> b; q > 0; q-- {
+					codes = append(codes, 0)
+				}
+				codes = append(codes, 1)
+				for k := uint64(0); k < b; k++ {
+					codes = append(codes, gap>>k&1)
+				}
+				prev = int64(e.Node)
+			}
+			i += m
+		}
 	}
 	offs = append(offs, uint64(len(nodes)))
+	boffs = append(boffs, uint64(len(codes)))
 	dict := append([]float64(nil), steps...)
 	sort.Float64s(dict)
 	dict = dedupe(dict)
-	total := h.n
-	if h.kind == kindPartition {
-		total = uint64(h.total)
-	}
 	h.numEntries, h.numSteps, h.numDistinct = uint64(len(nodes)), uint64(len(steps)), 0
+	h.numNodeBits = uint64(len(codes))
 	var stepBytes []byte
 	if codeWords := (uint64(len(steps))*width(uint64(len(dict))) + 63) / 64; 8*uint64(len(dict))+8*codeWords < 8*uint64(len(steps)) {
 		h.numDistinct = uint64(len(dict))
@@ -91,9 +120,10 @@ func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 	for _, d := range steps {
 		stepBytes = le.AppendUint64(stepBytes, math.Float64bits(d))
 	}
-	h.flags |= frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact
+	h.flags |= frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes
 	out := append(h.appendHeader(nil), pack(offs, width(uint64(len(nodes))+1))...)
-	out = append(out, pack(nodes, width(total))...)
+	out = append(out, pack(boffs, width(uint64(len(codes))+1))...)
+	out = append(out, pack(codes, 1)...)
 	out = append(out, pack(marks, 1)...)
 	out = append(out, stepBytes...)
 	return append(out, beta...)
@@ -363,8 +393,8 @@ func TestStepCodeWorstCaseSize(t *testing.T) {
 	for name, set := range sets {
 		f := set.frame
 		data := v3Bytes(t, set)
-		if f.total != 120 || f.width() != 7 {
-			t.Fatalf("%s: %d nodes at %d bits an ID, want 120 at 7", name, f.total, f.width())
+		if f.total != 120 {
+			t.Fatalf("%s: %d nodes, want 120", name, f.total)
 		}
 		want, plain, steps, coded := referenceSizes(f, false)
 		if int64(len(data)) != want {
@@ -438,30 +468,42 @@ func v3Fixtures(tag string) []v3Fixture {
 // coding — a distance per entry, 32 bits a node ID, flags bits 2 and 3
 // clear — are refused.
 func TestV3PerEntryDistFixtures(t *testing.T) {
-	checkV3Fixtures(t, v3Fixtures("v3dist"), frameFlagDerivedRanks, perEntryV3)
+	checkV3Fixtures(t, v3Fixtures("v3dist"), frameFlagDerivedRanks, perEntryV3, false)
 }
 
 // TestV3WideNodeFixtures: the files of the last release before node IDs
 // were packed — step-coded, 32 bits a node ID, flags bit 3 clear — are
 // refused.
 func TestV3WideNodeFixtures(t *testing.T) {
-	checkV3Fixtures(t, v3Fixtures("v3step"), frameFlagDerivedRanks|frameFlagStepDists, wideV3)
+	checkV3Fixtures(t, v3Fixtures("v3step"), frameFlagDerivedRanks|frameFlagStepDists, wideV3, false)
 }
 
 // TestV3WideColumnFixtures: the files of the last release before the
 // compact columns — step-coded, packed IDs, 64 bits an offset and a float
 // a step, flags bit 4 clear — are refused.
 func TestV3WideColumnFixtures(t *testing.T) {
-	checkV3Fixtures(t, v3Fixtures("v3pack"), frameFlagDerivedRanks|frameFlagStepDists|frameFlagPackedNodes, plainV3)
+	checkV3Fixtures(t, v3Fixtures("v3pack"), frameFlagDerivedRanks|frameFlagStepDists|frameFlagPackedNodes, plainV3, false)
+}
+
+// TestV3CompactFixtures: the files of the last release before node IDs
+// were Rice-coded — compact columns, fixed-width IDs, flags 0x1e — are
+// refused.  (Its k-mins file is the repository's testdata/kmins_v3_k4.ads,
+// which every reader refuses naming its flavor.)  At 60 nodes and k=4 the
+// codes save about what the bit offsets cost: the 30-node partition is
+// 600 bytes in both layouts.
+func TestV3CompactFixtures(t *testing.T) {
+	checkV3Fixtures(t, v3Fixtures("v3compact")[:3], frameFlagDerivedRanks|frameFlagStepDists|frameFlagPackedNodes|frameFlagCompact, compactV3, true)
 }
 
 // checkV3Fixtures: every committed file of an earlier layout (its flags,
-// less the β bit, being layout) is larger than a fresh build's file and is
-// refused by every reader, naming adsconvert (internal/legacy's tests of
-// these names read them).  The fixtures also pin rewrite, the test-only
-// writer of that layout, to what the release really wrote, where this
-// tree still builds what the file holds.
-func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite func(testing.TB, []byte) []byte) {
+// less the β bit, being layout) is larger than a fresh build's file — or,
+// when orEqual, no smaller — and is refused by every reader, naming
+// adsconvert (internal/legacy's tests of these names read them) — or,
+// holding k-mins sketches, naming those, as no reader serves them in any
+// layout.  The fixtures also pin rewrite, the
+// test-only writer of that layout, to what the release really wrote, where
+// this tree still builds what the file holds.
+func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite func(testing.TB, []byte) []byte, orEqual bool) {
 	g := graph.PreferentialAttachment(60, 3, 9)
 	beta := make([]float64, g.NumNodes())
 	for i := range beta {
@@ -489,14 +531,18 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 			if !bytes.Equal(rewrite(t, want), data) {
 				t.Errorf("%s: the test's writer of that layout does not turn a fresh build into the committed file", fx.file)
 			}
-			if len(want) >= len(data) {
+			if len(want) > len(data) || len(want) == len(data) && !orEqual {
 				t.Errorf("%s: %d bytes as written now, %d as committed", fx.file, len(want), len(data))
 			}
 		}
-		if _, err := openFrameBytes(data); err == nil || !strings.Contains(err.Error(), "adsconvert") {
-			t.Errorf("%s: parser: %v, want a refusal naming adsconvert", fx.file, err)
+		want := "adsconvert"
+		if fx.build == nil {
+			want = "k-mins sketches"
 		}
-		checkRefused(t, path)
+		if _, err := openFrameBytes(data); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: parser: %v, want a refusal naming %s", fx.file, err, want)
+		}
+		checkRefusedNaming(t, path, want)
 	}
 }
 
@@ -676,7 +722,7 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 		}
 		for _, s := range []*Set{set, parts[1]} {
 			f := s.frame
-			if e := int64(f.totalEntries()); MemoryOf(s) < e*int64(f.width())/8 {
+			if e := int64(f.totalEntries()); MemoryOf(s) < 8*bitWords(f.nodeBits())+e/8 {
 				t.Errorf("%s: frame %d B for %d entries", name, MemoryOf(s), e)
 			}
 			check := func(v int) string {
@@ -704,7 +750,7 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 					return "totals differ from the standalone index's"
 				}
 				sums := header + 8*int64(got.Len()+len(wd))
-				code := 8 * (packedWords(int64(got.Len()), 32) + bitWords(int64(got.Len())) + int64(len(wd)))
+				code := int64(unsafe.Sizeof(nodeStream{})) + 4*int64(got.Len()) + 8*(bitWords(int64(got.Len()))+int64(len(wd)))
 				if want.Bytes() != sums+code || got.Bytes() != sums {
 					return fmt.Sprintf("%d B of its own (standalone %d B): want %d B of sums, %d more of code standalone", got.Bytes(), want.Bytes(), sums, code)
 				}

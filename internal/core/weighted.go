@@ -127,7 +127,7 @@ func (a *WeightedADS) Validate() error {
 		}
 		h.offer(e.Rank)
 	}
-	if a.c.len() == 0 || a.c.nodeAt(0) != a.node || a.c.distAt(0) != 0 {
+	if a.c.len() == 0 || a.c.node[0] != a.node || a.c.distAt(0) != 0 {
 		return fmt.Errorf("core: WeightedADS(%d) does not start with the owner at distance 0", a.node)
 	}
 	return nil

@@ -8,7 +8,8 @@
 // distributed build calls too) — so a Freeze is
 // bit-for-bit the set a full rebuild of the final graph would produce.
 // The package's own part of the rule is scanBase, which feeds the kernel
-// from a frozen base's packed columns without materializing them.
+// from a frozen base's columns: its step code as it is, its node codes
+// decoded (baseIDs).
 //
 // # Candidate propagation
 //
@@ -79,6 +80,8 @@ type Maintainer struct {
 
 	queue []candidate
 	kern  core.OfferKernel
+	ids   []int32 // the decoded IDs of base node idsOf-1, none for 0 (baseIDs)
+	idsOf int32
 
 	baseEdges int // edges of the graph the maintainer started from
 	edges     int64
@@ -122,10 +125,12 @@ func New(g *graph.Graph, base *core.Set) (*Maintainer, error) {
 	}
 	// Base entries are looked up in rank by node; a set opened from an
 	// unvalidated file can name anything.
+	var ids []int32
 	for v := 0; v < m.n; v++ {
 		nodes, _ := base.Columns(int32(v))
-		for i := 0; i < nodes.Len(); i++ {
-			if u := nodes.At(i); u < 0 || int(u) >= m.n {
+		ids = nodes.AppendTo(ids[:0])
+		for _, u := range ids {
+			if u < 0 || int(u) >= m.n {
 				return nil, fmt.Errorf("ingest: base sketch of node %d names node %d outside [0, %d)", v, u, m.n)
 			}
 		}
@@ -235,7 +240,8 @@ func (m *Maintainer) drain() {
 // each calls fn with node x's current entries in canonical order: the
 // overlay list when the node has pending deltas (new nodes always enter
 // the overlay in grow), else the base set's columns, whose ranks are
-// m.rank's and whose distances are walked run by run off the step code.
+// m.rank's, whose distances are walked run by run off the step code and
+// whose nodes are decoded (baseIDs).
 func (m *Maintainer) each(x int32, fn func(core.Entry)) {
 	if sl, ok := m.overlay[x]; ok {
 		for _, e := range sl {
@@ -244,13 +250,22 @@ func (m *Maintainer) each(x int32, fn func(core.Entry)) {
 		return
 	}
 	nodes, dists := m.base.Columns(x)
-	dists.Runs(nodes.Len(), func(from, to int, d float64) bool {
-		for i := from; i < to; i++ {
-			u := nodes.At(i)
+	ids := m.baseIDs(x, nodes)
+	dists.Runs(len(ids), func(from, to int, d float64) bool {
+		for _, u := range ids[from:to] {
 			fn(core.Entry{Node: u, Dist: d, Rank: m.rank[u]})
 		}
 		return true
 	})
+}
+
+// baseIDs returns base node x's IDs, decoding its codes unless they were
+// the last decoded: an offer the scan accepts reads the list again (each).
+func (m *Maintainer) baseIDs(x int32, nodes core.Nodes) []int32 {
+	if m.idsOf != x+1 {
+		m.idsOf, m.ids = x+1, nodes.AppendTo(m.ids[:0])
+	}
+	return m.ids
 }
 
 // scanBase is the kernel's Scan over a base node's columns, walked by runs
@@ -258,24 +273,25 @@ func (m *Maintainer) each(x int32, fn func(core.Entry)) {
 // e — a witnessed rank, never a distance: a run is wholly before e, wholly
 // after it (where only an entry for e's node is looked for), or shares e's
 // distance and splits at e's node ID.
-func (m *Maintainer) scanBase(nodes core.Nodes, dists core.StepDists, e core.Entry) (pos, old int, ok bool) {
+func (m *Maintainer) scanBase(x int32, nodes core.Nodes, dists core.StepDists, e core.Entry) (pos, old int, ok bool) {
 	m.kern.Reset()
 	pos, old, ok = -1, -1, true
-	dists.Runs(nodes.Len(), func(from, to int, d float64) bool {
+	ids := m.baseIDs(x, nodes)
+	dists.Runs(len(ids), func(from, to int, d float64) bool {
 		if pos < 0 && d > e.Dist {
 			pos = from
 		}
 		switch {
 		case pos >= 0:
 			for i := from; i < to; i++ {
-				if nodes.At(i) == e.Node {
+				if ids[i] == e.Node {
 					old = i
 					return false
 				}
 			}
 		case d < e.Dist:
 			for i := from; i < to; i++ {
-				u := nodes.At(i)
+				u := ids[i]
 				if u == e.Node {
 					ok = false
 					return false
@@ -284,7 +300,7 @@ func (m *Maintainer) scanBase(nodes core.Nodes, dists core.StepDists, e core.Ent
 			}
 		default: // d == e.Dist, and node IDs ascend along the run
 			for i := from; i < to; i++ {
-				u := nodes.At(i)
+				u := ids[i]
 				if u >= e.Node {
 					ok = u > e.Node
 					pos = i
@@ -314,7 +330,7 @@ func (m *Maintainer) offer(x int32, e core.Entry) bool {
 		pos, old, ok = m.kern.Scan(lst, e)
 	} else {
 		nodes, dists := m.base.Columns(x)
-		pos, old, ok = m.scanBase(nodes, dists, e)
+		pos, old, ok = m.scanBase(x, nodes, dists, e)
 	}
 	if !ok {
 		return false
@@ -358,6 +374,7 @@ func (m *Maintainer) Freeze() (*core.Set, error) {
 	}
 	m.base = set
 	m.overlay = make(map[int32][]core.Entry)
+	m.idsOf = 0
 	return set, nil
 }
 

@@ -340,14 +340,18 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("New accepted a node-count mismatch")
 	}
 	// A v3 file's entries are trusted on open; the maintainer indexes its
-	// rank table by them, so it checks.  Node 0's second entry, renamed:
+	// rank table by them, so it checks.  Node codes overwritten with a long
+	// run of zeros, a gap past any of the graph's IDs:
 	var file bytes.Buffer
 	if _, err := mustBuild(t, g, core.Options{K: 2, Seed: 1}).WriteTo(&file); err != nil {
 		t.Fatal(err)
 	}
-	// After the 88-byte header, 11 offsets in the bits of the entry count.
+	// After the 96-byte header, whose last word is the node codes' length
+	// in bits, 11 offsets in the bits of the entry count and 11 in those of
+	// that length.
 	entries := mustBuild(t, g, core.Options{K: 2, Seed: 1}).TotalEntries()
-	header, offsets := 88, 8*((11*bits.Len(uint(entries))+63)/64)
+	codes := binary.LittleEndian.Uint64(file.Bytes()[88:])
+	header, offsets := 96, 8*((11*bits.Len(uint(entries))+63)/64)+8*((11*bits.Len(uint(codes))+63)/64)
 	binary.LittleEndian.PutUint32(file.Bytes()[header+offsets+4:], 1000)
 	path := filepath.Join(t.TempDir(), "foreign.ads")
 	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
@@ -466,4 +470,41 @@ func TestMultiEdgesAndSelfLoops(t *testing.T) {
 	edges := append(edgesOf(g), extra...)
 	full := mustBuild(t, buildPrefix(12, false, false, edges, len(edges)), o)
 	checkEntriesEqual(t, m, full, len(extra))
+}
+
+// TestStatsPinned: the maintainer's counters over a fixed stream are
+// exact figures, not just consistent ones — every offer the base's
+// columns are scanned for, every accept and every eviction — so a change
+// to how a base sketch is read (scanBase) that changes which candidates
+// win, or how many are tried, shows here even when the final sketches
+// still agree.  The stream, over PA(2000,5) at k=16, inserts 400 seeded
+// random edges, a tenth of them naming a node past the base, with a
+// freeze half way; the figures were recorded with the fixed-width node
+// column, before node IDs were Rice-coded.
+func TestStatsPinned(t *testing.T) {
+	g := graph.PreferentialAttachment(2000, 5, 3)
+	o := core.Options{K: 16, Seed: 42}
+	m, err := New(g, mustBuild(t, g, o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 400; i++ {
+		u, v := int32(rng.Intn(2000)), int32(rng.Intn(2000))
+		if i%10 == 9 {
+			v = int32(2000 + rng.Intn(40))
+		}
+		if err := m.Insert(u, v); err != nil {
+			t.Fatal(err)
+		}
+		if i == 199 {
+			if _, err := m.Freeze(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := m.Stats()
+	if want := [3]int64{122191, 8148, 4953}; [3]int64{st.Offers, st.Accepts, st.Evictions} != want {
+		t.Errorf("offers, accepts, evictions = %d, %d, %d; want %d, %d, %d", st.Offers, st.Accepts, st.Evictions, want[0], want[1], want[2])
+	}
 }

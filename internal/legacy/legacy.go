@@ -34,13 +34,15 @@
 // shards.  Partitions do not nest.
 //
 // The retired version-3 layouts have the current header (internal/core's
-// framecodec.go) less its numDistinct word,
+// framecodec.go) less its numNodeBits word, and all but the last less its
+// numDistinct word too,
 //
 //	magic "ADSK" | version u32 = 3 | kind u32 | flags u32 |
 //	[kind 3 only: index u32 | count u32 | lo u32 | hi u32 |
 //	              total u32 | innerKind u32] |
 //	k u32 | flavor u32 | seed u64 | baseB f64 | scheme u32 | segs u32 |
-//	eps f64 | numNodes u64 | numEntries u64 | numSteps u64
+//	eps f64 | numNodes u64 | numEntries u64 | numSteps u64 |
+//	[numDistinct u64, when flags bit 4 is set]
 //
 // then (numNodes·segs+1)×i64 offsets, and clear some of flags bits 1 to 3.
 // With bit 3 clear the nodes are numEntries×i32, padded to a word, and
@@ -51,8 +53,13 @@
 // written — flags 0x00 before ranks were derived, then 0x02, 0x06 and 0x0e
 // before distances were step-coded, node IDs packed and the columns made
 // compact (the *_v3dist_*, *_v3step_* and *_v3pack_* fixtures) — and any
-// combination of the three bits is read.  These layouts are frozen bytes,
-// so this copy of their header cannot drift from the writers'.
+// combination of the three bits is read.  A fifth, flags 0x1e (the
+// *_v3compact_* fixtures), was written before node IDs were Rice-coded:
+// bits 1 to 3 set, and bit 4 — the numDistinct word, the offsets packed at
+// the bits numEntries needs, and, when numDistinct > 0, the steps as codes
+// packed at the bits numDistinct−1 needs into a numDistinct×f64 dictionary
+// in place of numSteps×f64 steps.  These layouts are frozen bytes, so this
+// copy of their header cannot drift from the writers'.
 //
 // Stored ranks are checked against the ones the frame derives, and
 // dropped.  A uniform header records the seed that derives them; a weighted
@@ -89,8 +96,10 @@ const (
 	flagDerivedRanks = 1 << 1
 	flagStepDists    = 1 << 2
 	flagPackedNodes  = 1 << 3
-	flagCompact      = 1 << 4 // the current layout's; no retired one has it
-	flagsLayout      = flagDerivedRanks | flagStepDists | flagPackedNodes | flagCompact
+	flagCompact      = 1 << 4
+	flagRiceNodes    = 1 << 5 // the current layout's; no retired one has it
+	flagsCompact     = flagDerivedRanks | flagStepDists | flagPackedNodes | flagCompact
+	flagsLayout      = flagsCompact | flagRiceNodes
 )
 
 // Read reads a sketch file of any layout a release wrote — version 2, a
@@ -183,6 +192,15 @@ func freeze(p core.Params, env *envelope, n int, lists [][]core.Entry, beta []fl
 	return set, nil
 }
 
+// widthBelow returns the bits a packed column of values below bound takes
+// each: enough for bound-1, and at least 1.
+func widthBelow(bound uint64) int64 {
+	if bound <= 2 {
+		return 1
+	}
+	return int64(bits.Len64(bound - 1))
+}
+
 // readV2 reads a version-2 file after its magic and version.
 func readV2(c *cursor, seed *uint64) (*core.Set, error) {
 	kind := c.u32()
@@ -269,6 +287,11 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	scheme, segs := c.u32(), c.u32()
 	p.Eps = c.f64()
 	n, e, numSteps := c.u64(), int64(c.u64()), c.u64()
+	compact := flags&flagCompact != 0
+	var numDistinct uint64
+	if compact {
+		numDistinct = c.u64()
+	}
 	p.K, p.Scheme = int(k), core.WeightScheme(scheme)
 	total := n
 	if env != nil {
@@ -284,7 +307,7 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 		return nil, fmt.Errorf("legacy: truncated sketch file header")
 	case flags&^uint32(flagsLayout|flagBeta) != 0:
 		return nil, fmt.Errorf("legacy: sketch file has unknown flags %#x", flags)
-	case flags&flagCompact != 0:
+	case flags&flagRiceNodes != 0, compact && flags&^flagBeta != flagsCompact:
 		return nil, fmt.Errorf("legacy: sketch file has flags %#x, a layout no release wrote", flags)
 	case kind == kindPartition:
 		return nil, fmt.Errorf("legacy: sketch partitions cannot nest")
@@ -297,23 +320,29 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	// The bounds that keep the column sizes below from overflowing.
 	case n > 1<<30 || total > 1<<30:
 		return nil, fmt.Errorf("legacy: implausible node count %d (of %d)", n, total)
-	case e < 0 || e > 1<<40 || numSteps > uint64(e):
-		return nil, fmt.Errorf("legacy: implausible entry count %d or %d distance steps", e, numSteps)
+	case e < 0 || e > 1<<40 || numSteps > uint64(e) || numDistinct > numSteps:
+		return nil, fmt.Errorf("legacy: implausible entry count %d, or %d distance steps over %d values", e, numSteps, numDistinct)
 	}
 	stored, stepped := flags&flagDerivedRanks == 0, flags&flagStepDists != 0
-	width := int64(1)
-	if total > 2 {
-		width = int64(bits.Len64(total - 1))
+	width, offWidth, codeWidth := widthBelow(total), int64(64), widthBelow(numDistinct)
+	if compact {
+		offWidth = widthBelow(uint64(e) + 1)
 	}
-	nodesAt := (int64(n) + 1) * 8
+	nodesAt := ((int64(n)+1)*offWidth + 63) / 64 * 8
 	distsAt := nodesAt + (4*e+7)&^7
 	if flags&flagPackedNodes != 0 {
 		distsAt = nodesAt + (e*width+63)/64*8
 	}
 	stepsAt, ranksAt := distsAt, distsAt+8*e
+	codesAt := int64(-1) // the step codes', when the steps are coded
 	if stepped {
 		stepsAt = distsAt + (e+63)/64*8
 		ranksAt = stepsAt + 8*int64(numSteps)
+		if numDistinct > 0 {
+			codesAt = stepsAt
+			stepsAt = codesAt + (int64(numSteps)*codeWidth+63)/64*8
+			ranksAt = stepsAt + 8*int64(numDistinct)
+		}
 	}
 	betasAt := ranksAt
 	if stored {
@@ -330,19 +359,25 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	le := binary.LittleEndian
 	u64 := func(at int64) uint64 { return le.Uint64(body[at:]) }
 	f64 := func(at int64) float64 { return math.Float64frombits(u64(at)) }
+	// packed returns value i of the column at at packed at w < 64 bits.
+	packed := func(at, i, w int64) uint64 {
+		bit := i * w
+		at, shift := at+bit/64*8, bit%64
+		v := u64(at) >> shift
+		if shift+w > 64 {
+			v |= u64(at+8) << (64 - shift)
+		}
+		return v & (1<<w - 1)
+	}
+	offset := func(i int64) uint64 { return u64(8 * i) }
+	if compact {
+		offset = func(i int64) uint64 { return packed(0, i, offWidth) }
+	}
 	node := func(i int64) int32 { return int32(le.Uint32(body[nodesAt+4*i:])) }
 	if flags&flagPackedNodes != 0 {
-		node = func(i int64) int32 {
-			bit := i * width
-			at, shift := nodesAt+bit/64*8, bit%64
-			v := u64(at) >> shift
-			if shift+width > 64 {
-				v |= u64(at+8) << (64 - shift)
-			}
-			return int32(v & (1<<width - 1))
-		}
+		node = func(i int64) int32 { return int32(packed(nodesAt, i, width)) }
 	}
-	if u64(0) != 0 {
+	if offset(0) != 0 {
 		return nil, fmt.Errorf("legacy: sketch file offsets do not start at 0")
 	}
 	lists := make([][]core.Entry, n)
@@ -353,7 +388,7 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	}
 	lo, step := int64(0), int64(0)
 	for s := range lists {
-		hi := int64(u64(8 * int64(s+1)))
+		hi := int64(offset(int64(s + 1)))
 		if hi < lo || hi > e {
 			return nil, fmt.Errorf("legacy: sketch file offset %d is %d, outside [%d, %d]", s+1, hi, lo, e)
 		}
@@ -371,7 +406,13 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 				if step > int64(numSteps) {
 					return nil, fmt.Errorf("legacy: sketch file marks more distance steps than its header's %d", numSteps)
 				}
-				x.Dist = f64(stepsAt + 8*(step-1))
+				at := step - 1
+				if codesAt >= 0 {
+					if at = int64(packed(codesAt, at, codeWidth)); at >= int64(numDistinct) {
+						return nil, fmt.Errorf("legacy: sketch file codes distance step %d as %d of %d values", step-1, at, numDistinct)
+					}
+				}
+				x.Dist = f64(stepsAt + 8*at)
 			}
 			if stored {
 				x.Rank = f64(ranksAt + 8*i)

@@ -107,7 +107,7 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte
 		hdr += 24
 	}
 	out := append([]byte(nil), data[:hdr]...) // no numDistinct
-	flags := le.Uint32(out[12:]) &^ flagCompact
+	flags := le.Uint32(out[12:]) &^ (flagCompact | flagRiceNodes)
 	if !packed {
 		flags &^= flagPackedNodes
 	}
@@ -173,6 +173,47 @@ func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte
 		out = append(out, data[len(data)-8*e:]...)
 	}
 	return out
+}
+
+// compactV3 rewrites a file of the current layout the way files were laid
+// out between the compact columns and Rice-coded node IDs: flags 0x1e, the
+// numDistinct word but no numNodeBits, no bit offsets, and node IDs packed
+// at the bits the set's node count needs; the offsets, the step code and
+// the β column as they are.
+func compactV3(t testing.TB, data []byte) []byte {
+	t.Helper()
+	set, err := core.ReadSketchSet(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	hdr := 16 + 64
+	if set.IsPartition() {
+		hdr += 24
+	}
+	n, e, nodeBits := uint64(set.NumNodes()), uint64(set.TotalEntries()), le.Uint64(data[hdr+8:])
+	words := func(count, bound uint64) int { return int((count*uint64(widthBelow(bound)) + 63) / 64 * 8) }
+	offsAt := hdr + 16
+	firstAt := offsAt + words(n+1, e+1) + words(n+1, nodeBits+1) + int((nodeBits+63)/64*8)
+	out := append([]byte(nil), data[:hdr+8]...) // numDistinct, no numNodeBits
+	le.PutUint32(out[12:], le.Uint32(out[12:])&^flagRiceNodes)
+	out = append(out, data[offsAt:offsAt+words(n+1, e+1)]...)
+	width := widthBelow(uint64(set.TotalNodes()))
+	packed := make([]uint64, (int64(e)*width+63)/64)
+	i := int64(0)
+	for v := int32(0); int(v) < set.NumNodes(); v++ {
+		for _, x := range entries(set, v) {
+			for b := int64(0); b < width; b++ {
+				at := i*width + b
+				packed[at/64] |= uint64(x.Node) >> b & 1 << (at % 64)
+			}
+			i++
+		}
+	}
+	for _, w := range packed {
+		out = le.AppendUint64(out, w)
+	}
+	return append(out, data[firstAt:]...)
 }
 
 // v3Files returns the rank-free file of every set kind and of one
@@ -341,6 +382,14 @@ func TestV3WideColumnFixtures(t *testing.T) {
 	checkV3Fixtures(t, v3Fixtures("v3pack"), flagDerivedRanks|flagStepDists|flagPackedNodes, plainV3)
 }
 
+// TestV3CompactFixtures: the files of the last release before node IDs
+// were Rice-coded — compact columns, IDs packed at the bits the node count
+// needs, flags 0x1e.  (Its k-mins file is the repository's
+// testdata/kmins_v3_k4.ads: TestRefusesOtherFlavors.)
+func TestV3CompactFixtures(t *testing.T) {
+	checkV3Fixtures(t, v3Fixtures("v3compact"), flagsCompact, compactV3)
+}
+
 // checkV3Fixtures: every committed file of an earlier layout (its flags,
 // less the β bit, being layout) reads — the whole set or partition it
 // holds, no seed needed — answering bit for bit like a fresh build, entry
@@ -389,7 +438,7 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 // weighted, approximate — is refused without one and read with it.
 func TestLegacyDoorReadsRetiredLayouts(t *testing.T) {
 	seed := uint64(42)
-	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3}
+	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3, "compact": compactV3}
 	for name, data := range v3Files(t) {
 		for layout, rewrite := range layouts {
 			old, label := rewrite(t, data), name+" "+layout

@@ -40,6 +40,10 @@ func dpGraphs() map[string]*adsketch.Graph {
 // dpDigests are the leading 16 hex digits of the SHA-256 of the v3 file of
 // each DP build, recorded from the core DP builder the serving library
 // held before it moved here, whose files were those of adsketch.Build.
+// When node IDs became Rice-coded they were derived again from the files
+// of the release before: its DP files (layout flags 0x1e, which hashed to
+// the earlier digests) rewritten by adsconvert.  So they still pin what
+// the DP built before the layout changed, not what this tree writes.
 var dpDigests = []struct {
 	graph  string
 	k      int
@@ -47,48 +51,48 @@ var dpDigests = []struct {
 	baseB  float64
 	digest string
 }{
-	{"ba", 1, 42, 0, "14011b1b6cff94b6"},
-	{"ba", 3, 42, 0, "368c174ba5ab8125"},
-	{"ba", 8, 42, 0, "637181e80bcc7bcc"},
-	{"complete-tiny", 1, 42, 0, "59b28ee72186622e"},
-	{"complete-tiny", 3, 42, 0, "390618c8c29df41d"},
-	{"complete-tiny", 8, 42, 0, "507428eefff398cf"},
-	{"cycle", 1, 42, 0, "482f09006f9dc819"},
-	{"cycle", 3, 42, 0, "2e36621790e367e5"},
-	{"cycle", 8, 42, 0, "250cfa0039038c46"},
-	{"disconnected", 1, 42, 0, "2b4e73a2a8b6271b"},
-	{"disconnected", 3, 42, 0, "27475c13914990c3"},
-	{"disconnected", 8, 42, 0, "c7ae763d93f7bdb7"},
-	{"gnp", 1, 42, 0, "76442dddc40f3d2f"},
-	{"gnp", 3, 42, 0, "f4b15e31ab8d83ee"},
-	{"gnp", 8, 42, 0, "4c4c471a6abeeabe"},
-	{"gnp-directed", 1, 42, 0, "8584c2a39573b4cf"},
-	{"gnp-directed", 3, 42, 0, "fe69d02463fcd075"},
-	{"gnp-directed", 8, 42, 0, "6eedef0d1448c433"},
-	{"grid", 1, 42, 0, "51f8cd66e7be861c"},
-	{"grid", 3, 42, 0, "941e27c62c1bbf9e"},
-	{"grid", 8, 42, 0, "e37ae4c6c789f494"},
-	{"path", 1, 42, 0, "049644f18ea92e74"},
-	{"path", 3, 42, 0, "babdef4ae11d07c5"},
-	{"path", 8, 42, 0, "938d25413e2d6d91"},
-	{"singleton", 1, 42, 0, "79fa2d9b5a8326d8"},
-	{"singleton", 3, 42, 0, "6d964765f61a5268"},
-	{"singleton", 8, 42, 0, "a60efb1cb2ad10d8"},
-	{"star", 1, 42, 0, "3f89f5aacccd5fba"},
-	{"star", 3, 42, 0, "cdb089140e8b4c0d"},
-	{"star", 8, 42, 0, "a53d02d0c793dc27"},
-	{"tree", 1, 42, 0, "3ee03319d9cc7dfd"},
-	{"tree", 3, 42, 0, "335c363b2eb7f1cf"},
-	{"tree", 8, 42, 0, "28155dbfeebdf46b"},
-	{"two-node", 1, 42, 0, "f9849224e58ae8ae"},
-	{"two-node", 3, 42, 0, "290e2f00f4b7e620"},
-	{"two-node", 8, 42, 0, "ff3a2e5ae960effb"},
-	{"multi-edge", 2, 13, 0, "2eba660fd7e06396"},
-	{"gnp-b", 4, 77, 2, "7cc184e5e158c663"},
-	{"grid-b", 4, 77, 2, "7e11d84e1f61a0a1"},
-	{"gnp-b", 4, 77, 1.5, "76383c8058cacd34"},
-	{"grid-b", 4, 77, 1.5, "a828f7e103a91fc1"},
-	{"empty", 2, 1, 0, "e7a7d4b8d415dbfd"},
+	{"ba", 1, 42, 0, "12c34301eaa1fc05"},
+	{"ba", 3, 42, 0, "e84473aa578b1d78"},
+	{"ba", 8, 42, 0, "914c3c9e0c16fd83"},
+	{"complete-tiny", 1, 42, 0, "12b1a4ec4a2ff78b"},
+	{"complete-tiny", 3, 42, 0, "d85bc10504496493"},
+	{"complete-tiny", 8, 42, 0, "75181de599c07013"},
+	{"cycle", 1, 42, 0, "6e662b3d415a0dde"},
+	{"cycle", 3, 42, 0, "cbb17d90ed19c300"},
+	{"cycle", 8, 42, 0, "9138e460cf562277"},
+	{"disconnected", 1, 42, 0, "ea8056c75afb1010"},
+	{"disconnected", 3, 42, 0, "0c1074beba9233f5"},
+	{"disconnected", 8, 42, 0, "60d9bc49c2eb82d1"},
+	{"gnp", 1, 42, 0, "b2ed5409db481ff1"},
+	{"gnp", 3, 42, 0, "1beefec12c181695"},
+	{"gnp", 8, 42, 0, "36f9c095dc833db2"},
+	{"gnp-directed", 1, 42, 0, "e5f0ba847c4a12bb"},
+	{"gnp-directed", 3, 42, 0, "76f9c46f1562d8c3"},
+	{"gnp-directed", 8, 42, 0, "9d13d56ed0c81c8d"},
+	{"grid", 1, 42, 0, "fb5dfc3dbf6dcc0b"},
+	{"grid", 3, 42, 0, "f30dab78d606bc6c"},
+	{"grid", 8, 42, 0, "4cefbcf1bc8cae17"},
+	{"path", 1, 42, 0, "77663ea80b5bfc24"},
+	{"path", 3, 42, 0, "278d37a0201ab568"},
+	{"path", 8, 42, 0, "b369441d22ac2653"},
+	{"singleton", 1, 42, 0, "2e7b189fd555687e"},
+	{"singleton", 3, 42, 0, "237fd48dfd683fa4"},
+	{"singleton", 8, 42, 0, "c7298e6df50141b5"},
+	{"star", 1, 42, 0, "1e449517bca6e689"},
+	{"star", 3, 42, 0, "ad7aae7d139064f7"},
+	{"star", 8, 42, 0, "fed6efa19514a250"},
+	{"tree", 1, 42, 0, "865993c5b9bfd090"},
+	{"tree", 3, 42, 0, "3d93a414c2fd4118"},
+	{"tree", 8, 42, 0, "063653211f75013c"},
+	{"two-node", 1, 42, 0, "548d5d5158e07fb1"},
+	{"two-node", 3, 42, 0, "cbcae131b16166ba"},
+	{"two-node", 8, 42, 0, "d0797388f18e7853"},
+	{"multi-edge", 2, 13, 0, "97ba8667b91d2ed9"},
+	{"gnp-b", 4, 77, 2, "eb76fb372022eed2"},
+	{"grid-b", 4, 77, 2, "f720c43218524b59"},
+	{"gnp-b", 4, 77, 1.5, "fff2ff4e7855d9e7"},
+	{"grid-b", 4, 77, 1.5, "294d852bbfe255d9"},
+	{"empty", 2, 1, 0, "88a19682723c739b"},
 }
 
 // TestBuildDPMatchesBuild: the Section 3 dynamic program builds the sets
