@@ -19,8 +19,9 @@
 //   - graphs: compact CSR graphs, deterministic generators, edge-list I/O;
 //   - sketches: bottom-k ADS, built by PrunedDijkstra (Algorithm 1) over
 //     full-precision or base-b ranks, with uniform or weighted (Section 9)
-//     nodes, or (1+ε)-approximately over the synchronized rounds of
-//     LocalUpdates (Algorithm 2), which the distributed build runs exactly;
+//     nodes; the (1+ε)-approximate sketches of Section 3 are built by the
+//     distributed rounds of LocalUpdates (Algorithm 2, `adstool build -eps
+//     -dist`) or in process by adsketch/lab's BuildApprox, and served here;
 //   - estimators: basic (Section 4) and HIP (Section 5) cardinality
 //     estimators and query-time α/β centrality kernels;
 //   - the paper's other flavors and toolkits — the k-mins and k-partition
@@ -141,8 +142,8 @@ var (
 
 // Set holds the bottom-k sketches of one graph's nodes, of any kind —
 // uniform ranks at full precision or base b, the Section 9 weighted ranks,
-// or the (1+ε)-approximate construction of Section 3, whose updates per
-// entry are at most log_{1+ε}(n·w_max/w_min) — which Params reports.  It is
+// or the (1+ε)-approximate sketches of Section 3 that the distributed
+// build makes — which Params reports.  It is
 // the one set type: a whole set, or one node-range partition of a split
 // (SplitSketchSet), which Lo, Hi, TotalNodes and Part describe.  The uniform
 // sets additionally support the coordinated cross-sketch operations.

@@ -32,17 +32,15 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 // TestFacadeFlavorsAndAlgorithms builds the one flavor Build has,
-// bottom-k, with each construction: Algorithm 1 (Build), the
-// (1+ε)-approximate rounds (WithApproxEps) and the Section 3 DP, which lab
-// holds (as it does the k-mins and k-partition flavors).
+// bottom-k, with each construction: Algorithm 1 (Build), and the
+// (1+ε)-approximate rounds and the Section 3 DP, which lab holds (as it
+// does the k-mins and k-partition flavors).
 func TestFacadeFlavorsAndAlgorithms(t *testing.T) {
 	g := adsketch.Grid(6, 6)
 	for name, build := range map[string]func() (*adsketch.Set, error){
 		"PrunedDijkstra": func() (*adsketch.Set, error) { return adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(3)) },
-		"approximate": func() (*adsketch.Set, error) {
-			return adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(3), adsketch.WithApproxEps(0.1))
-		},
-		"DP": func() (*adsketch.Set, error) { return lab.BuildDP(g, 4, 3, 0) },
+		"approximate":    func() (*adsketch.Set, error) { return lab.BuildApprox(g, 4, 3, 0.1) },
+		"DP":             func() (*adsketch.Set, error) { return lab.BuildDP(g, 4, 3, 0) },
 	} {
 		set, err := build()
 		if err != nil {
@@ -217,8 +215,7 @@ func TestFacadeInfluence(t *testing.T) {
 
 func TestFacadeApprox(t *testing.T) {
 	g := adsketch.WithRandomWeights(adsketch.GNP(80, 0.06, false, 31), 1, 5, 32)
-	set, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(9),
-		adsketch.WithApproxEps(0.25))
+	set, err := lab.BuildApprox(g, 4, 9, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}

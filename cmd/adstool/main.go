@@ -6,6 +6,7 @@
 //	adstool gen   -type ba -n 10000 -m 5 -seed 1 > graph.txt
 //	adstool stats -graph graph.txt
 //	adstool build -graph graph.txt -k 16 -seed 42 -save sketches.ads
+//	adstool build -graph graph.txt -k 16 -seed 42 -eps 0.25 -dist 4 -out sketches
 //	adstool split -sketches sketches.ads -partitions 4 -out sketches
 //	adstool merge -out sketches.ads sketches.p0of4.ads sketches.p1of4.ads ...
 //	adstool info sketches.ads
@@ -155,16 +156,12 @@ func buildFlags(fs *flag.FlagSet) (path *string, directed *bool, opts func() ([]
 	k := fs.Int("k", 16, "sketch parameter")
 	seed := fs.Uint64("seed", 42, "rank seed")
 	baseB := fs.Float64("baseb", 0, "base-b rank rounding (> 1; 0 = full precision)")
-	eps := fs.Float64("eps", -1, "(1+eps)-approximate construction (>= 0 enables)")
 	weights := fs.String("weights", "", "comma-separated per-node weights (Section 9)")
 	priority := fs.Bool("priority", false, "priority (Sequential Poisson) ranks for -weights")
 	opts = func() ([]adsketch.Option, error) {
 		out := []adsketch.Option{adsketch.WithK(*k), adsketch.WithSeed(*seed)}
 		if *baseB != 0 {
 			out = append(out, adsketch.WithBaseB(*baseB))
-		}
-		if *eps >= 0 {
-			out = append(out, adsketch.WithApproxEps(*eps))
 		}
 		if *weights != "" {
 			var beta []float64
@@ -188,6 +185,7 @@ func buildFlags(fs *flag.FlagSet) (path *string, directed *bool, opts func() ([]
 func runBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	path, directed, opts := buildFlags(fs)
+	eps := fs.Float64("eps", -1, "(1+eps)-approximate construction (>= 0 enables; distributed builds only)")
 	save := fs.String("save", "", "write the sketch set to this file")
 	dist := fs.Int("dist", 0, "distributed build across this many in-process partition workers; writes one partition file per worker under -out")
 	workers := fs.String("workers", "", "comma-separated adsserver -buildworker base URLs; distributed build with one remote worker per partition, edge list read from each worker's own filesystem")
@@ -195,6 +193,9 @@ func runBuild(args []string) error {
 	fs.Parse(args)
 	if *dist != 0 || *workers != "" {
 		return runDistBuild(fs, *path, *directed, *dist, *workers, *out)
+	}
+	if *eps >= 0 {
+		return fmt.Errorf("build: -eps builds (1+eps)-approximate sketches in a distributed build only; add -dist P or -workers URLs (lab.BuildApprox builds them in process)")
 	}
 	if *out != "" {
 		return fmt.Errorf("build: -out applies to distributed builds (-dist/-workers); use -save for a whole-set build")

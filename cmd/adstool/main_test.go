@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"adsketch"
 	"adsketch/internal/atomicfile"
+	"adsketch/lab"
 )
 
 func fileOf(t *testing.T, w io.WriterTo) []byte {
@@ -165,7 +167,10 @@ func TestInfo(t *testing.T) {
 		}
 		return set
 	}
-	approx := build(adsketch.WithApproxEps(0.5))
+	approx, err := lab.BuildApprox(g, 4, 9, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	parts, err := adsketch.SplitSketchSet(approx, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -210,5 +215,21 @@ func TestInfo(t *testing.T) {
 				t.Errorf("%s: prints %s %q", filepath.Base(tc.path), name, v)
 			}
 		}
+	}
+}
+
+// TestBuildRefusesEpsWithoutDist: the approximate kind is built by the
+// distributed build alone, so `build -eps` without -dist or -workers is
+// refused naming both, before the graph is read; and the flags build
+// shares with query, top and influence hold no -eps.
+func TestBuildRefusesEpsWithoutDist(t *testing.T) {
+	err := runBuild([]string{"-graph", filepath.Join(t.TempDir(), "absent.txt"), "-eps", "0.25", "-save", "x.ads"})
+	if err == nil || !strings.Contains(err.Error(), "-dist") || !strings.Contains(err.Error(), "-workers") {
+		t.Errorf("build -eps without -dist: %v, want a refusal naming -dist and -workers", err)
+	}
+	fs := flag.NewFlagSet("query", flag.ContinueOnError)
+	buildFlags(fs)
+	if fs.Lookup("eps") != nil {
+		t.Error("query, top and influence register -eps")
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"testing"
 
 	"adsketch"
+	"adsketch/internal/distbuild"
 )
 
 // CVTolerance is the accepted multiple of the Theorem 5.1 bound.  The
@@ -152,6 +153,30 @@ func conformanceBeta(n int) []float64 {
 	return beta
 }
 
+// conformanceSet builds the set of one cell: the uniform and weighted
+// kinds with Build, and the approximate one (ε = 0.1) with the one
+// construction the serving binaries have for it, a two-worker distributed
+// build.
+func conformanceSet(t *testing.T, g *adsketch.Graph, kind string, k int, seed uint64, beta []float64) *adsketch.Set {
+	t.Helper()
+	var set *adsketch.Set
+	var err error
+	switch kind {
+	case "uniform":
+		set, err = adsketch.Build(g, adsketch.WithK(k), adsketch.WithSeed(seed))
+	case "weighted":
+		set, err = adsketch.Build(g, adsketch.WithK(k), adsketch.WithSeed(seed), adsketch.WithNodeWeights(beta))
+	case "approx":
+		set, err = distBuildSpec(t, g, distbuild.Spec{K: k, Seed: seed, Kind: distbuild.KindApprox, Eps: 0.1, Parts: 2})
+	default:
+		t.Fatalf("unknown kind %q", kind)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
 // TestConformanceHIPBound is the table: NRMSE <= CVTolerance × the
 // Theorem 5.1 bound for every (family × k × kind × radius) cell.
 func TestConformanceHIPBound(t *testing.T) {
@@ -186,18 +211,7 @@ func TestConformanceHIPBound(t *testing.T) {
 		for _, k := range ks {
 			for kind, rs := range radii {
 				t.Run(fmt.Sprintf("%s/k=%d/%s", family, k, kind), func(t *testing.T) {
-					var opts []adsketch.Option
-					switch kind {
-					case "weighted":
-						opts = []adsketch.Option{adsketch.WithNodeWeights(beta)}
-					case "approx":
-						opts = []adsketch.Option{adsketch.WithApproxEps(0.1)}
-					}
-					set, err := adsketch.Build(g, append(opts, adsketch.WithK(k), adsketch.WithSeed(buildSeed))...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					eng, err := adsketch.NewEngine(set)
+					eng, err := adsketch.NewEngine(conformanceSet(t, g, kind, k, buildSeed, beta))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -250,15 +264,8 @@ func TestConformanceCoordinatorPreservesBound(t *testing.T) {
 	g := conformanceGraph("ba")
 	n := g.NumNodes()
 	beta := conformanceBeta(n)
-	for kind, opts := range map[string][]adsketch.Option{
-		"uniform":  nil,
-		"weighted": {adsketch.WithNodeWeights(beta)},
-		"approx":   {adsketch.WithApproxEps(0.1)},
-	} {
-		set, err := adsketch.Build(g, append(opts, adsketch.WithK(16), adsketch.WithSeed(42))...)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, kind := range []string{"uniform", "weighted", "approx"} {
+		set := conformanceSet(t, g, kind, 16, 42, beta)
 		eng, err := adsketch.NewEngine(set)
 		if err != nil {
 			t.Fatal(err)

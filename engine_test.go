@@ -38,18 +38,23 @@ func TestEngineMetaPerKind(t *testing.T) {
 	for i := range beta {
 		beta[i] = 1 + float64(i%3)
 	}
+	build := func(opts ...adsketch.Option) func() (*adsketch.Set, error) {
+		return func() (*adsketch.Set, error) {
+			return adsketch.Build(g, append([]adsketch.Option{adsketch.WithK(4), adsketch.WithSeed(5)}, opts...)...)
+		}
+	}
 	for _, tc := range []struct {
-		name string
-		opts []adsketch.Option
-		kind string
+		name  string
+		build func() (*adsketch.Set, error)
+		kind  string
 	}{
-		{"bottomk", nil, adsketch.KindUniform},
-		{"base-b", []adsketch.Option{adsketch.WithBaseB(2)}, adsketch.KindUniform},
-		{"weighted-exp", []adsketch.Option{adsketch.WithNodeWeights(beta)}, adsketch.KindWeighted},
-		{"weighted-priority", []adsketch.Option{adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()}, adsketch.KindWeighted},
-		{"approx", []adsketch.Option{adsketch.WithApproxEps(0.25)}, adsketch.KindApproximate},
+		{"bottomk", build(), adsketch.KindUniform},
+		{"base-b", build(adsketch.WithBaseB(2)), adsketch.KindUniform},
+		{"weighted-exp", build(adsketch.WithNodeWeights(beta)), adsketch.KindWeighted},
+		{"weighted-priority", build(adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()), adsketch.KindWeighted},
+		{"approx", func() (*adsketch.Set, error) { return lab.BuildApprox(g, 4, 5, 0.25) }, adsketch.KindApproximate},
 	} {
-		set, err := adsketch.Build(g, append([]adsketch.Option{adsketch.WithK(4), adsketch.WithSeed(5)}, tc.opts...)...)
+		set, err := tc.build()
 		if err != nil {
 			t.Fatal(tc.name, err)
 		}
@@ -160,7 +165,7 @@ func TestEngineOverAllSetKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := adsketch.Build(gw, adsketch.WithK(6), adsketch.WithSeed(1), adsketch.WithApproxEps(0.2))
+	approx, err := lab.BuildApprox(gw, 6, 1, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,9 +543,9 @@ func allocsAtProcs(procs, runs int, f func()) float64 {
 
 // TestColdIndexBytes pins what serving the repository benchmark's set
 // costs beyond its frame — PA(10000, 5) of graph seed 1, k=16, rank seed
-// 42, whose 2,432,408-byte frame TestBenchmarkFrameBytes pins: one top-k
+// 42, whose 1,748,784-byte frame TestBenchmarkFrameBytes pins: one top-k
 // builds every node's HIP index, 10,000 of them, which hold 12,202,352
-// bytes (1,220.24 B/node, 5.02× the frame's 243.24).  The count follows
+// bytes (1,220.24 B/node, 6.98× the frame's 174.88).  The count follows
 // the entries and distance steps alone, so a change in it is a change of
 // the index layout.
 func TestColdIndexBytes(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"adsketch"
+	"adsketch/lab"
 )
 
 // graphEdges extracts a graph's logical edge stream (one event per edge,
@@ -330,7 +331,7 @@ func TestIngestorOptionErrors(t *testing.T) {
 		t.Fatal("NewIngestor accepted a weighted set")
 	}
 	// Bottom-k at full precision, but not uniform ranks.
-	aset, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(1), adsketch.WithApproxEps(0.1))
+	aset, err := lab.BuildApprox(g, 4, 1, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

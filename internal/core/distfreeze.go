@@ -50,7 +50,7 @@ func checkPartRange(index, count, total int, lo, hi int64) error {
 // (each entry's weight travels with it, so a worker never needs the global
 // weight vector); other kinds ignore it.  The relaxed acceptance rule of an
 // approximate set means its lists need not satisfy the strict inclusion
-// condition: they are checked for what BuildApproxSet guarantees
+// condition: they are checked for what the (1+ε) rule guarantees
 // (validateApproxView).  Serializing the result yields exactly the bytes of
 // the corresponding SplitSketchSet slice of a whole-set build producing the
 // same entries.

@@ -39,10 +39,7 @@ func TestFreezePartitionByteParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apx, err := BuildApproxSet(g, 8, 42, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	apx := approxFixture(t, "gnp60_k8") // of g
 
 	for _, tc := range []struct {
 		name string

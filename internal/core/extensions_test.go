@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"adsketch/internal/graph"
-	"adsketch/internal/rank"
 	"adsketch/internal/stats"
 )
 
@@ -354,85 +353,6 @@ func TestPartOfInvertsNodeRange(t *testing.T) {
 	}
 }
 
-// --- (1+eps)-approximate ADS ---
-
-func TestApproxSetInvariantAndShrinkage(t *testing.T) {
-	g := graph.WithRandomWeights(graph.GNP(100, 0.06, false, 91), 1, 8, 92)
-	exact, err := BuildSet(g, Options{K: 4, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eps := range []float64{0.1, 0.5} {
-		set, err := BuildApproxSet(g, 4, 13, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Exclusions must be justified within a compounded slack window:
-		// the paper's remark is (1+eps); rejected-insertion chains can
-		// stack a few factors, so we pin (1+eps)^3 and report the worst.
-		bound := (1 + eps) * (1 + eps) * (1 + eps)
-		worst := 1.0
-		for v := int32(0); int(v) < g.NumNodes(); v++ {
-			if s := approxSlack(g, set, v, 13); s > worst {
-				worst = s
-			}
-		}
-		if worst > bound {
-			t.Errorf("eps=%g: worst exclusion slack %.3f above (1+eps)^3 = %.3f", eps, worst, bound)
-		}
-		// The approximate sketch never holds more entries than... it can
-		// hold slightly different sets; sanity: total size within 2x of
-		// exact and estimates remain in range.
-		if set.TotalEntries() > 2*exact.TotalEntries() {
-			t.Errorf("eps=%g: approx entries %d vs exact %d", eps, set.TotalEntries(), exact.TotalEntries())
-		}
-		est := EstimateNeighborhoodHIP(set.Sketch(0), math.Inf(1))
-		n := float64(len(graph.NearestOrder(g, 0))) // the nodes 0 reaches
-		if math.Abs(est-n)/n > 1.0 {
-			t.Errorf("eps=%g: full-reach estimate %g vs %g", eps, est, n)
-		}
-	}
-}
-
-func TestApproxSetEpsZeroMatchesExact(t *testing.T) {
-	g := graph.WithRandomWeights(graph.GNP(80, 0.07, false, 21), 1, 3, 22)
-	exact, err := BuildSet(g, Options{K: 3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := BuildApproxSet(g, 3, 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With eps=0 and no clean-up the approximate sketch is a superset of
-	// the exact one (stale entries may linger but valid ones are present).
-	for v := int32(0); int(v) < g.NumNodes(); v++ {
-		members := map[int32]float64{}
-		for _, e := range set.BottomK(v).Entries() {
-			members[e.Node] = e.Dist
-		}
-		for _, e := range exact.BottomK(v).Entries() {
-			d, ok := members[e.Node]
-			if !ok {
-				t.Fatalf("node %d: exact entry %d missing from approx set", v, e.Node)
-			}
-			if !almostEqual(d, e.Dist) {
-				t.Fatalf("node %d entry %d: dist %g vs exact %g", v, e.Node, d, e.Dist)
-			}
-		}
-	}
-}
-
-func TestBuildApproxSetErrors(t *testing.T) {
-	g := graph.Path(4)
-	if _, err := BuildApproxSet(g, 0, 1, 0.1); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := BuildApproxSet(g, 2, 1, -0.5); err == nil {
-		t.Error("negative eps accepted")
-	}
-}
-
 // --- distance oracle ---
 
 func TestDistanceUpperBound(t *testing.T) {
@@ -477,49 +397,4 @@ func TestDistanceUpperBoundDisconnected(t *testing.T) {
 	if got := DistanceUpperBound(set.BottomK(0), set.BottomK(2)); !math.IsInf(got, 1) {
 		t.Errorf("cross-component bound = %g, want +Inf", got)
 	}
-}
-
-// approxSlack measures how far node u's approximate sketch is from
-// the exact ADS semantics: for every node v absent from ADS(u), it finds
-// the smallest slack s >= 1 such that r(v) >= k-th smallest rank among
-// entries with distance <= s·d_uv, and returns the maximum over all
-// absent v.  A return of 1 means the sketch satisfies the exact-ADS
-// exclusion rule; the paper's remark corresponds to a bound of 1+ε.
-func approxSlack(g *graph.Graph, set *Set, u int32, seed uint64) float64 {
-	src := rank.NewSource(seed)
-	a := set.BottomK(u)
-	entries := a.Entries() // one materialized copy, reused across the scan
-	members := make(map[int32]bool, a.Size())
-	for _, e := range entries {
-		members[e.Node] = true
-	}
-	worst := 1.0
-	h := newKSmallest(set.K())
-	for _, nd := range graph.NearestOrder(g, u) {
-		if members[nd.Node] || nd.Dist == 0 {
-			continue
-		}
-		r := src.Rank(int64(nd.Node))
-		// Find the smallest window within which k entries of smaller rank
-		// exist; the needed slack is that window over the true distance.
-		h.reset()
-		justified := false
-		for _, e := range entries { // canonical order = ascending dist
-			if e.Rank < r {
-				h.offer(e.Rank)
-			}
-			if h.size() >= set.K() {
-				if s := e.Dist / nd.Dist; s > worst {
-					worst = s
-				}
-				justified = true
-				break
-			}
-		}
-		if !justified {
-			// No window justifies the exclusion at all.
-			return math.Inf(1)
-		}
-	}
-	return worst
 }

@@ -41,12 +41,30 @@ func frameKinds(t *testing.T) map[string]*Set {
 		t.Fatal(err)
 	}
 	out["priority"] = priority
-	approx, err := BuildApproxSet(g, 8, 42, 0.25)
+	out["approx"] = approxFixture(t, "pa120_k8")
+	return out
+}
+
+// approxFixture reads testdata/approx_<name>.ads: an approximate set
+// (seed 42, ε = 0.25) of the graph each caller builds beside it, written
+// by the in-process (1+ε) rounds while core still held them (lab's
+// BuildApprox does now), so the codec, partition, step-code and freeze
+// tests keep an approximate set to carry.
+func approxFixture(t testing.TB, name string) *Set {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", "approx_"+name+".ads"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["approx"] = approx
-	return out
+	defer f.Close()
+	set, err := ReadSketchSet(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := set.Params(); p.Kind != KindApprox || p.Seed != 42 || p.Eps != 0.25 {
+		t.Fatalf("%s: fixture of %+v", name, p)
+	}
+	return set
 }
 
 // v3Bytes is the canonical comparison key: two sets serializing to the

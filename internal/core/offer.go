@@ -9,9 +9,10 @@ import (
 // for entries that arrive out of canonical order: insert (x, a) iff fewer
 // than k canonically-earlier entries have a smaller rank, then clean up the
 // entries after it whose own test the insertion broke — and the relaxed
-// (1+ε) variant.  The approximate build, the ingest maintainer and the
-// distributed build workers all call it; each owns one kernel, whose
-// scratch slots are reused across offers, and its own lists.
+// (1+ε) variant.  The ingest maintainer and the distributed build workers
+// call it (and lab.BuildApprox, the in-process approximate rounds); each
+// owns one kernel, whose scratch slots are reused across offers, and its
+// own lists.
 type OfferKernel struct {
 	h kSmallest
 }

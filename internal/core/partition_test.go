@@ -38,10 +38,7 @@ func splitKinds(t *testing.T) map[string]*Set {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := BuildApproxSet(g, 8, 42, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	approx := approxFixture(t, "pa150_k8") // the same graph
 	return map[string]*Set{"uniform": uniform, "weighted": weighted, "approx": approx}
 }
 

@@ -157,10 +157,7 @@ func v3Files(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := BuildApproxSet(g, 4, 42, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	approx := approxFixture(t, "pa60_k4") // of g
 	files := map[string][]byte{}
 	for name, set := range map[string]*Set{"uniform": uniform, "uniform-base2": base2, "weighted": weighted, "approx": approx} {
 		var buf bytes.Buffer
@@ -270,10 +267,7 @@ func TestFreezeRejectsForeignRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := BuildApproxSet(g, 4, 42, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	approx := approxFixture(t, "pa30_k4") // of g
 	partition := func(set *Set) func([][]Entry, [][]float64) error {
 		return func(lists [][]Entry, betas [][]float64) error {
 			_, err := FreezePartition(set.Params(), 0, 1, 30, lists, betas)

@@ -163,10 +163,14 @@ func segmentLists(f *Frame) (lists [][]Entry, betas [][]float64) {
 // the frame agree and they stay raw.
 func stepKinds(t *testing.T) map[string]*Set {
 	out := frameKinds(t)
-	for prefix, g := range map[string]*graph.Graph{
-		"lengths-":  graph.WithRandomWeights(graph.PreferentialAttachment(120, 3, 9), 0.25, 4, 11),
-		"directed-": graph.WithRandomWeights(graph.GNP(120, 0.05, true, 9), 0.25, 4, 11),
+	for prefix, c := range map[string]struct {
+		g      *graph.Graph
+		approx string // the fixture of the same graph
+	}{
+		"lengths-":  {graph.WithRandomWeights(graph.PreferentialAttachment(120, 3, 9), 0.25, 4, 11), "pa120_lengths_k8"},
+		"directed-": {graph.WithRandomWeights(graph.GNP(120, 0.05, true, 9), 0.25, 4, 11), "gnp120_directed_k8"},
 	} {
+		g := c.g
 		set, err := BuildSet(g, Options{K: 8, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
@@ -181,11 +185,7 @@ func stepKinds(t *testing.T) map[string]*Set {
 			t.Fatal(err)
 		}
 		out[prefix+"weighted"] = weighted
-		approx, err := BuildApproxSet(g, 8, 42, 0.25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[prefix+"approx"] = approx
+		out[prefix+"approx"] = approxFixture(t, c.approx)
 	}
 	return out
 }

@@ -8,34 +8,34 @@
 // Construction is bulk-synchronous (Pregel-style): each round a worker
 // relaxes the frontier candidates addressed to its partition against
 // its growable sketch columns with core.OfferKernel — Algorithm 2's
-// insert-and-clean-up rule and its (1+ε) variant, the one copy that
-// core.BuildApproxSet and the incremental maintainer (package ingest)
-// also call — buffers the candidates its acceptances
-// generate by destination partition, and exchanges at the round
-// barrier.  The build converges when a round generates no
-// candidates.  Workers then freeze their ranges directly to v3
-// partition files that are byte-identical to splitting a single-process
-// build of the same graph.
+// insert-and-clean-up rule and its (1+ε) variant, the one copy the
+// incremental maintainer (package ingest) also calls — buffers the
+// candidates its acceptances generate by destination partition, and
+// exchanges at the round barrier.  The build converges when a round
+// generates no candidates.  Workers then freeze their ranges directly
+// to v3 partition files.
+//
+// It is the serving binaries' one construction of the (1+ε)-approximate
+// kind (Section 3), whose relaxed rule bounds the insert-then-supersede
+// updates LocalUpdates can be forced into: on a graph whose short paths
+// arrive after long ones, the kind cuts the candidates exchanged several
+// times over (TestApproxCutsCandidatesOnComb).
 //
 // # Determinism and byte parity
 //
-// For the exact kinds (uniform and weighted bottom-k) the candidate
-// fixpoint is schedule-independent: acceptance depends only on the
-// receiving sketch and the candidate, so any delivery order converges
-// to the one true sketch set.  Each worker still applies its inbox in
-// sorted (dist, target, node) order so a run is reproducible
-// step-for-step, not just at the fixpoint.
-//
-// The (1+ε)-approximate kind is schedule-DEPENDENT: an entry that
-// arrives early can be "good enough" to reject a slightly better later
-// arrival.  To make any P reproduce core.BuildApproxSet exactly, every
-// candidate carries a lineage key: the seed candidate for owned node v
-// over its i-th in-arc gets key [v<<32|i], and each acceptance extends
-// the key with the index of the expanding arc.  Sorting a round's
-// delivery lexicographically by key replays the sequential build's
-// batch order exactly — candidates to different targets commute, and
-// per-target order is what acceptance depends on — so the frozen bytes
-// match the single-process build for every worker count.
+// Each worker applies its inbox in one canonical order, (dist, target,
+// node), for every kind, and the candidates to one target reach one
+// worker, so a round's outcome depends neither on the worker count nor on
+// the transport's delivery order: the partition files of every P are the
+// same bytes.  For the exact kinds (uniform and weighted bottom-k) the
+// candidate fixpoint is schedule-independent besides — acceptance depends
+// only on the receiving sketch and the candidate, so any delivery order
+// converges to the one true sketch set — and the files are byte-identical
+// to splitting a single-process core build of the same graph.  The
+// (1+ε)-approximate kind is schedule-dependent (an entry that arrives
+// early can be good enough to reject a slightly better later arrival), so
+// its files are the canonical order's approximate sets, not those of
+// another schedule such as lab.BuildApprox's arrival order.
 package distbuild
 
 import (
@@ -57,8 +57,8 @@ const (
 	// KindWeighted builds weighted bottom-k sketches (exponential or
 	// priority ranks) — the analogue of core.BuildWeightedSet.
 	KindWeighted Kind = wire.FrontierKindWeighted
-	// KindApprox builds (1+ε)-approximate sketches — the analogue of
-	// core.BuildApproxSet.
+	// KindApprox builds (1+ε)-approximate sketches (Section 3), which
+	// no in-process serving build makes.
 	KindApprox Kind = wire.FrontierKindApprox
 )
 

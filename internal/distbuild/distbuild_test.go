@@ -3,6 +3,7 @@ package distbuild
 import (
 	"bytes"
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
+	"adsketch/internal/rank"
 )
 
 const testSeed = 42
@@ -61,6 +63,10 @@ func refPartitionBytes(t *testing.T, set *core.Set, parts int) [][]byte {
 	return out
 }
 
+// buildReference is the set every worker count and transport must
+// reproduce: the single-process core build for the exact kinds, and for
+// the approximate kind, which no single-process serving build makes,
+// distbuild's own one-worker run.
 func buildReference(t *testing.T, g *graph.Graph, spec Spec) *core.Set {
 	t.Helper()
 	switch spec.Kind {
@@ -85,12 +91,28 @@ func buildReference(t *testing.T, g *graph.Graph, spec Spec) *core.Set {
 		}
 		return s
 	default:
-		s, err := core.BuildApproxSet(g, spec.K, spec.Seed, spec.Eps)
+		spec.Parts = 1
+		return mergedSet(t, runLocal(t, spec))
+	}
+}
+
+// mergedSet reads a build's partition files back and merges them into the
+// whole set.
+func mergedSet(t *testing.T, res *Result) *core.Set {
+	t.Helper()
+	parts := make([]*core.Set, len(res.Partitions))
+	for i, b := range res.Partitions {
+		p, err := core.ReadSketchSet(bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		parts[i] = p
 	}
+	s, err := core.MergeSketchSets(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func runLocal(t *testing.T, spec Spec) *Result {
@@ -156,7 +178,9 @@ func testSpecs(t *testing.T, k int) []struct {
 
 // TestDistBuildParity is the central acceptance test: for every kind,
 // k, and worker count, the distributed build's partition files are
-// byte-identical to splitting the single-process build.
+// byte-identical to splitting the single-process build (for the
+// approximate kind, its own one-worker build: every P writes the same
+// bytes).
 func TestDistBuildParity(t *testing.T) {
 	for _, k := range []int{8, 64} {
 		for _, tc := range testSpecs(t, k) {
@@ -355,4 +379,113 @@ func TestDistBuildRejectsForeignCandidates(t *testing.T) {
 	if _, err := w.Step(context.Background(), 1, []Candidate{{Target: 19, Node: 0, Dist: 1, Rank: 0.5}}); err == nil {
 		t.Error("worker 0 accepted a candidate for worker 1's node")
 	}
+}
+
+// comb is the adversarial family of Section 3 for LocalUpdates: a
+// directed chain c_0 → … → c_L of unit arcs (nodes 0..L), a hub x = L+1
+// that every c_i reaches over a shortcut of length 2(L−i)+1, and m sinks
+// behind x over unit arcs.  The shortcut of c_i is its longest path to x
+// and the first to arrive; each round then brings x and its sinks one
+// hop of the chain nearer, so exact sketches insert and supersede their
+// entries for them L−i times.
+func comb(l, m int) *graph.Graph {
+	x := int32(l + 1)
+	b := graph.NewBuilder(l+m+2, true)
+	for i := int32(0); i < int32(l); i++ {
+		b.AddWeightedEdge(i, i+1, 1)
+	}
+	for i := int32(0); i <= int32(l); i++ {
+		b.AddWeightedEdge(i, x, float64(2*(l-int(i))+1))
+	}
+	for s := int32(0); s < int32(m); s++ {
+		b.AddWeightedEdge(x, x+1+s, 1)
+	}
+	return b.Build()
+}
+
+// TestApproxCutsCandidatesOnComb records why the approximate kind stays
+// in the distributed build: on the comb, where exact LocalUpdates
+// supersedes its entries round after round, the (1+ε) rule moves fewer
+// than a third of the candidates at the same P (162,951 against 15,689
+// at ε = 0.25, k = 16, P = 2 when this was written).
+func TestApproxCutsCandidatesOnComb(t *testing.T) {
+	g := comb(100, 100)
+	path, _ := writeGraph(t, g)
+	spec := Spec{Path: path, Directed: true, N: g.NumNodes(), K: 16, Seed: testSeed, Parts: 2}
+	exact := runLocal(t, spec)
+	spec.Kind, spec.Eps = KindApprox, 0.25
+	approx := runLocal(t, spec)
+	t.Logf("comb(100, 100), k=16, P=2: exact %d candidates in %d rounds, ε=0.25 %d in %d",
+		exact.Candidates, exact.Rounds, approx.Candidates, approx.Rounds)
+	if exact.Candidates < 3*approx.Candidates {
+		t.Errorf("exact build moved %d candidates, ε=0.25 %d: want at least 3× fewer", exact.Candidates, approx.Candidates)
+	}
+}
+
+// TestApproxSlackAndSize checks distbuild's approximate sets against the
+// exact ones: an absent node is always justified by k smaller ranks within
+// a compounded slack window — the paper remarks (1+ε); a chain of rejected
+// insertions can stack a few factors, so (1+ε)³ is pinned — and a set
+// holds at most twice the exact set's entries.
+func TestApproxSlackAndSize(t *testing.T) {
+	g := graph.WithRandomWeights(graph.GNP(100, 0.06, false, 91), 1, 8, 92)
+	path, g2 := writeGraph(t, g)
+	exact, err := core.BuildSet(g2, core.Options{K: 4, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{0.1, 0.5} {
+		set := mergedSet(t, runLocal(t, Spec{Path: path, N: g.NumNodes(), K: 4, Seed: 13, Kind: KindApprox, Eps: eps, Parts: 2}))
+		bound := (1 + eps) * (1 + eps) * (1 + eps)
+		worst := 1.0
+		for v := int32(0); int(v) < g2.NumNodes(); v++ {
+			worst = max(worst, approxSlack(g2, set, v, 13))
+		}
+		if worst > bound {
+			t.Errorf("eps=%g: worst exclusion slack %.3f above (1+eps)^3 = %.3f", eps, worst, bound)
+		}
+		if set.TotalEntries() > 2*exact.TotalEntries() {
+			t.Errorf("eps=%g: approx entries %d vs exact %d", eps, set.TotalEntries(), exact.TotalEntries())
+		}
+		est := core.EstimateNeighborhoodHIP(set.Sketch(0), math.Inf(1))
+		n := float64(len(graph.NearestOrder(g2, 0))) // the nodes 0 reaches
+		if math.Abs(est-n)/n > 1.0 {
+			t.Errorf("eps=%g: full-reach estimate %g vs %g", eps, est, n)
+		}
+	}
+}
+
+// approxSlack is the worst factor by which ADS(u) of set needs its
+// distance window stretched to justify leaving a reachable node out: the
+// window within which k entries of smaller rank than the node's lie, over
+// the node's true distance; +Inf when no window justifies it.
+func approxSlack(g *graph.Graph, set *core.Set, u int32, seed uint64) float64 {
+	src := rank.NewSource(seed)
+	entries := set.BottomK(u).Entries()
+	members := make(map[int32]bool, len(entries))
+	for _, e := range entries {
+		members[e.Node] = true
+	}
+	worst := 1.0
+	for _, nd := range graph.NearestOrder(g, u) {
+		if members[nd.Node] || nd.Dist == 0 {
+			continue
+		}
+		r := src.Rank(int64(nd.Node))
+		smaller, justified := 0, false
+		for _, e := range entries { // canonical order = ascending dist
+			if e.Rank < r {
+				smaller++
+			}
+			if smaller >= set.K() {
+				worst = max(worst, e.Dist/nd.Dist)
+				justified = true
+				break
+			}
+		}
+		if !justified {
+			return math.Inf(1)
+		}
+	}
+	return worst
 }

@@ -18,8 +18,7 @@ import (
 // in-neighbor From at distance W, so an entry accepted at the node
 // propagates to From shifted by W.  Arcs are kept sorted by (From, W),
 // matching the transpose adjacency order the sequential builders
-// expand in — the approximate kind's lineage keys index into this
-// order.
+// expand in.
 type arc struct {
 	From int32
 	W    float64
@@ -176,13 +175,10 @@ func (w *Worker) Init(ctx context.Context) ([][]Candidate, error) {
 		if w.kind == KindWeighted {
 			w.betas[li] = []float64{w.spec.Beta[li]}
 		}
-		for i, a := range w.in[li] {
+		for _, a := range w.in[li] {
 			c := Candidate{Target: a.From, Node: v, Dist: a.W, Rank: rk}
 			if w.kind == KindWeighted {
 				c.Beta = w.spec.Beta[li]
-			}
-			if w.kind == KindApprox {
-				c.Key = []uint64{uint64(uint32(v))<<32 | uint64(uint32(i))}
 			}
 			dst, err := w.router.Owner(a.From)
 			if err != nil {
@@ -197,9 +193,8 @@ func (w *Worker) Init(ctx context.Context) ([][]Candidate, error) {
 // Step applies one round's delivery to the owned sketches and returns
 // the candidates the acceptances generate, indexed by destination
 // worker.  Delivery order on entry does not matter: the worker sorts
-// the inbox into the build's canonical order first — (dist, target,
-// node) for the exact kinds, lineage key for the approximate kind —
-// so every transport and worker count replays the same schedule.
+// the inbox into the canonical order (dist, target, node) first, so
+// every transport and worker count replays the same schedule.
 func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Candidate, error) {
 	if !w.inited {
 		return nil, fmt.Errorf("distbuild: worker %d stepped before Init", w.spec.Index)
@@ -213,19 +208,15 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 	if len(inbox) > w.stats.MaxInbox {
 		w.stats.MaxInbox = len(inbox)
 	}
-	if w.kind == KindApprox {
-		slices.SortFunc(inbox, func(a, b Candidate) int { return slices.Compare(a.Key, b.Key) })
-	} else {
-		slices.SortFunc(inbox, func(a, b Candidate) int {
-			switch {
-			case a.Dist != b.Dist:
-				return cmp.Compare(a.Dist, b.Dist)
-			case a.Target != b.Target:
-				return cmp.Compare(a.Target, b.Target)
-			}
-			return cmp.Compare(a.Node, b.Node)
-		})
-	}
+	slices.SortFunc(inbox, func(a, b Candidate) int {
+		switch {
+		case a.Dist != b.Dist:
+			return cmp.Compare(a.Dist, b.Dist)
+		case a.Target != b.Target:
+			return cmp.Compare(a.Target, b.Target)
+		}
+		return cmp.Compare(a.Node, b.Node)
+	})
 	outs := make([][]Candidate, w.spec.Parts)
 	for ci := range inbox {
 		c := &inbox[ci]
@@ -251,14 +242,8 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 			continue
 		}
 		w.stats.Accepts++
-		for i, a := range w.in[li] {
+		for _, a := range w.in[li] {
 			nc := Candidate{Target: a.From, Node: c.Node, Dist: c.Dist + a.W, Rank: c.Rank, Beta: c.Beta}
-			if w.kind == KindApprox {
-				key := make([]uint64, len(c.Key)+1)
-				copy(key, c.Key)
-				key[len(c.Key)] = uint64(uint32(i))
-				nc.Key = key
-			}
 			dst, err := w.router.Owner(a.From)
 			if err != nil {
 				return nil, err

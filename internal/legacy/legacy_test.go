@@ -13,6 +13,7 @@ import (
 
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
+	"adsketch/lab"
 )
 
 // v3Bytes returns the file WriteTo writes of s: the current layout.
@@ -233,7 +234,7 @@ func v3Files(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := core.BuildApproxSet(g, 4, 42, 0.25)
+	approx, err := lab.BuildApprox(g, 4, 42, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ var v2Fixtures = []v2Fixture{
 		return core.BuildPriorityWeightedSet(g, 4, 42, beta)
 	}},
 	{"approx_v2_k4.ads", true, -1, func(g *graph.Graph, _ []float64) (*core.Set, error) {
-		return core.BuildApproxSet(g, 4, 42, 0.25)
+		return lab.BuildApprox(g, 4, 42, 0.25)
 	}},
 	{"weighted_v2_k4.p1of2.ads", true, 1, func(g *graph.Graph, beta []float64) (*core.Set, error) {
 		return core.BuildWeightedSet(g, 4, 42, beta)

@@ -20,13 +20,11 @@ import "fmt"
 //	  per candidate:
 //	    i32 target, i32 node, f64 dist, f64 rank
 //	    f64 beta                      (weighted builds only)
-//	    u32 keyLen, keyLen × u64 key  (approx builds only)
 //
-// The per-kind trailer mirrors what the build actually propagates: a
-// weighted candidate carries its node's weight β so no worker needs the
-// global weight vector, and an approximate candidate carries its
-// lineage key so every worker replays the sequential build's
-// acceptance schedule.
+// The weighted trailer carries the candidate node's weight β, so no
+// worker needs the global weight vector.  An approximate candidate is a
+// uniform one: every worker applies its inbox in the one canonical
+// order, so nothing about its schedule travels with it.
 const typeFrontier = 3
 
 // FrontierKind* mirror the distbuild kind codes carried in the frame.
@@ -38,15 +36,13 @@ const (
 
 // FrontierCandidate is one relaxation candidate in flight between
 // partitions: Target's sketch should consider holding Node at distance
-// Dist with rank Rank.  Beta is meaningful only in weighted builds and
-// Key only in approximate builds.
+// Dist with rank Rank.  Beta is meaningful only in weighted builds.
 type FrontierCandidate struct {
 	Target int32
 	Node   int32
 	Dist   float64
 	Rank   float64
 	Beta   float64
-	Key    []uint64
 }
 
 // FrontierFrame is one decoded exchange payload: Groups[i] holds the
@@ -86,12 +82,6 @@ func EncodeFrontierFrame(b *Buf, f *FrontierFrame) error {
 			if f.Kind == FrontierKindWeighted {
 				dst = appendF64(dst, c.Beta)
 			}
-			if f.Kind == FrontierKindApprox {
-				dst = appendU32(dst, uint32(len(c.Key)))
-				for _, k := range c.Key {
-					dst = appendU64(dst, k)
-				}
-			}
 		}
 	}
 	b.B = endFrame(dst)
@@ -120,9 +110,6 @@ func DecodeFrontierFrame(data []byte) (*FrontierFrame, error) {
 	if f.Kind == FrontierKindWeighted {
 		elem += 8
 	}
-	if f.Kind == FrontierKindApprox {
-		elem += 4
-	}
 	numGroups := r.count(4, "frontier groups")
 	f.Groups = make([][]FrontierCandidate, numGroups)
 	total := 0
@@ -138,15 +125,6 @@ func DecodeFrontierFrame(data []byte) (*FrontierFrame, error) {
 			}
 			if f.Kind == FrontierKindWeighted {
 				g[i].Beta = r.f64()
-			}
-			if f.Kind == FrontierKindApprox {
-				if kl := r.count(8, "candidate key"); kl > 0 {
-					key := make([]uint64, kl)
-					for j := range key {
-						key[j] = r.u64()
-					}
-					g[i].Key = key
-				}
 			}
 		}
 		f.Groups[gi] = g

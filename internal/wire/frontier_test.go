@@ -18,8 +18,8 @@ func frontierCorpus() []*FrontierFrame {
 			{{Target: 1, Node: 7, Dist: 0.5, Rank: 1.25, Beta: 3.5}},
 		}},
 		{Kind: FrontierKindApprox, Round: 1, Groups: [][]FrontierCandidate{
-			{{Target: 0, Node: 1, Dist: 1, Rank: 0.125, Key: []uint64{1 << 32, 2, 3}}},
-			{{Target: 5, Node: 6, Dist: 2, Rank: 0.5, Key: []uint64{6<<32 | 1}}},
+			{{Target: 0, Node: 1, Dist: 1, Rank: 0.125}},
+			{{Target: 5, Node: 6, Dist: 2, Rank: 0.5}},
 		}},
 		{Kind: FrontierKindUniform, Round: 9, Groups: nil},
 	}
@@ -47,6 +47,28 @@ func TestFrontierFrameRoundTrip(t *testing.T) {
 			}
 		}
 		buf.Free()
+	}
+}
+
+// TestFrontierApproxCarriesNoKey: an approximate candidate is a uniform
+// one on the wire — the two frames differ in their kind word alone.
+func TestFrontierApproxCarriesNoKey(t *testing.T) {
+	approx := frontierCorpus()[2]
+	uniform := *approx
+	uniform.Kind = FrontierKindUniform
+	var a, u Buf
+	if err := EncodeFrontierFrame(&a, approx); err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeFrontierFrame(&u, &uniform); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.B) != len(u.B) {
+		t.Fatalf("approximate frame is %d bytes, the uniform one %d", len(a.B), len(u.B))
+	}
+	a.B[frameHdrSize] = FrontierKindUniform
+	if !bytes.Equal(a.B, u.B) {
+		t.Error("approximate and uniform frames differ beyond the kind word")
 	}
 }
 

@@ -18,7 +18,9 @@
 //     Section 4 readout and their HIP weights (equations (7) and (8)).
 //   - Section 3, the node-centric DP construction on unweighted graphs:
 //     BuildDP, hop-distance rounds that build the set adsketch.Build
-//     does (Algorithm 1), byte for byte, far more slowly.
+//     does (Algorithm 1), byte for byte, far more slowly; and the
+//     (1+ε)-approximate ADS: BuildApprox, the synchronized rounds of
+//     LocalUpdates under the relaxed rule, in arrival order.
 //   - Section 3.1, ADS over data streams: FirstOccurrenceADS (distance =
 //     time of first occurrence; a BottomKDistinct plus the log of the
 //     entries that modified it) and RecencyADS (distance = time since the

@@ -34,8 +34,6 @@ type buildConfig struct {
 	baseB    float64
 	weights  []float64
 	priority bool
-	approx   bool
-	eps      float64
 }
 
 // Option configures a Build call.  Options are applied in order; each
@@ -83,7 +81,7 @@ func WithBaseB(b float64) Option {
 // biased by the positive per-node weights beta (len(beta) must equal the
 // graph's node count), and estimates become weighted cardinalities
 // Σ_{j: d_vj <= d} β(j).  Uses exponential ranks unless WithPriorityRanks
-// is also given.  Incompatible with WithBaseB and WithApproxEps.
+// is also given.  Incompatible with WithBaseB.
 func WithNodeWeights(beta []float64) Option {
 	return func(c *buildConfig) error {
 		if len(beta) == 0 {
@@ -104,31 +102,8 @@ func WithPriorityRanks() Option {
 	}
 }
 
-// WithApproxEps builds (1+ε)-approximate bottom-k sketches (Section 3)
-// over the synchronized rounds of LocalUpdates (Algorithm 2), bounding
-// the updates per entry by log_{1+ε}(n·w_max/w_min); eps must be >= 0.
-// Incompatible with WithBaseB and WithNodeWeights.
-func WithApproxEps(eps float64) Option {
-	return func(c *buildConfig) error {
-		if eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 1) {
-			return fmt.Errorf("%w: WithApproxEps(%g), eps must be a finite value >= 0", ErrBadOption, eps)
-		}
-		c.approx = true
-		c.eps = eps
-		return nil
-	}
-}
-
 // check validates the option combination against the target graph.
 func (c *buildConfig) check(g *Graph) error {
-	if c.approx {
-		if c.weights != nil {
-			return fmt.Errorf("%w: WithApproxEps and WithNodeWeights: approximate construction supports uniform node weights only", ErrIncompatibleOptions)
-		}
-		if c.baseB != 0 {
-			return fmt.Errorf("%w: WithApproxEps and WithBaseB: approximate construction uses full-precision ranks", ErrIncompatibleOptions)
-		}
-	}
 	if c.weights != nil {
 		if c.baseB != 0 {
 			return fmt.Errorf("%w: WithNodeWeights and WithBaseB: weighted ranks cannot be base-b rounded", ErrIncompatibleOptions)
@@ -148,15 +123,15 @@ func (c *buildConfig) check(g *Graph) error {
 
 // Build computes the (forward) bottom-k All-Distances Sketch of every node
 // of g.  It is the single entry point over the paper's design space:
-// base-b ranks, Section 9 node weights, and (1+ε)-approximate
-// construction all compose as options (the k-mins and k-partition flavors
-// are reproduced in adsketch/lab):
+// base-b ranks and Section 9 node weights compose as options (the k-mins
+// and k-partition flavors, and the in-process (1+ε)-approximate rounds of
+// Section 3, are reproduced in adsketch/lab; the serving binaries build
+// approximate sets with the distributed build, `adstool build -eps -dist`):
 //
 //	set, err := adsketch.Build(g)                                // bottom-k, k=16, PrunedDijkstra
 //	set, err := adsketch.Build(g, adsketch.WithK(64), adsketch.WithSeed(42))
 //	set, err := adsketch.Build(g, adsketch.WithBaseB(2))          // base-2 ranks
 //	set, err := adsketch.Build(g, adsketch.WithNodeWeights(beta)) // weighted cardinalities
-//	set, err := adsketch.Build(g, adsketch.WithApproxEps(0.25))   // (1+ε)-approximate
 //
 // Exact sketches are built by Algorithm 1 (PrunedDijkstra) on GOMAXPROCS
 // goroutines, for its candidate batches, and the output does not depend
@@ -181,20 +156,12 @@ func Build(g *Graph, opts ...Option) (*Set, error) {
 	if err := cfg.check(g); err != nil {
 		return nil, err
 	}
-	var set *Set
-	var err error
-	switch {
-	case cfg.approx:
-		set, err = core.BuildApproxSet(g, cfg.k, cfg.seed, cfg.eps)
-	case cfg.weights != nil:
+	if cfg.weights != nil {
 		scheme := core.ExponentialWeights
 		if cfg.priority {
 			scheme = core.PriorityWeights
 		}
-		set, err = core.BuildWeightedSetParallel(g, cfg.k, cfg.seed, cfg.weights, scheme, 0)
-	default:
-		o := core.Options{K: cfg.k, Seed: cfg.seed, BaseB: cfg.baseB}
-		set, err = core.BuildSet(g, o)
+		return core.BuildWeightedSetParallel(g, cfg.k, cfg.seed, cfg.weights, scheme, 0)
 	}
-	return set, err
+	return core.BuildSet(g, core.Options{K: cfg.k, Seed: cfg.seed, BaseB: cfg.baseB})
 }

@@ -33,7 +33,6 @@ func TestBuildOptionValidation(t *testing.T) {
 		{"k 2^40", []adsketch.Option{adsketch.WithK(1 << 40)}, adsketch.ErrBadOption},
 		{"base-b one", []adsketch.Option{adsketch.WithBaseB(1)}, adsketch.ErrBadOption},
 		{"base-b below one", []adsketch.Option{adsketch.WithBaseB(0.5)}, adsketch.ErrBadOption},
-		{"negative eps", []adsketch.Option{adsketch.WithApproxEps(-0.1)}, adsketch.ErrBadOption},
 		{"empty weights", []adsketch.Option{adsketch.WithNodeWeights(nil)}, adsketch.ErrBadOption},
 		{"short weights", []adsketch.Option{adsketch.WithNodeWeights([]float64{1, 2})}, adsketch.ErrBadOption},
 		{"non-positive weight", []adsketch.Option{adsketch.WithNodeWeights(append([]float64{0}, beta[1:]...))}, adsketch.ErrBadOption},
@@ -43,14 +42,8 @@ func TestBuildOptionValidation(t *testing.T) {
 		{"weights+baseb", []adsketch.Option{
 			adsketch.WithNodeWeights(beta), adsketch.WithBaseB(2),
 		}, adsketch.ErrIncompatibleOptions},
-		{"weights+approx", []adsketch.Option{
-			adsketch.WithNodeWeights(beta), adsketch.WithApproxEps(0.1),
-		}, adsketch.ErrIncompatibleOptions},
 		{"priority without weights", []adsketch.Option{
 			adsketch.WithPriorityRanks(),
-		}, adsketch.ErrIncompatibleOptions},
-		{"approx+baseb", []adsketch.Option{
-			adsketch.WithApproxEps(0.1), adsketch.WithBaseB(2),
 		}, adsketch.ErrIncompatibleOptions},
 	}
 	for _, tc := range cases {
@@ -86,8 +79,6 @@ func TestBuildAcceptsCompatibleCombinations(t *testing.T) {
 		{adsketch.WithBaseB(1.5)},
 		{adsketch.WithNodeWeights(beta)},
 		{adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()},
-		{adsketch.WithApproxEps(0)},
-		{adsketch.WithApproxEps(0.1)},
 	}
 	for i, opts := range cases {
 		set, err := adsketch.Build(g, opts...)
@@ -167,6 +158,13 @@ func dp(g *adsketch.Graph, o core.Options) (*adsketch.Set, error) {
 // distBuild runs LocalUpdates (Algorithm 2) exactly: a two-worker
 // in-process distributed build of g's edge list, its partitions merged.
 func distBuild(t *testing.T, g *adsketch.Graph, o core.Options) (*adsketch.Set, error) {
+	return distBuildSpec(t, g, distbuild.Spec{K: o.K, Seed: o.Seed, Kind: distbuild.KindUniform, Parts: 2})
+}
+
+// distBuildSpec runs the distributed build spec describes over g's edge
+// list, in process, and merges its partitions; it fills in the path, the
+// node count and the graph's direction.
+func distBuildSpec(t *testing.T, g *adsketch.Graph, spec distbuild.Spec) (*adsketch.Set, error) {
 	path := filepath.Join(t.TempDir(), "g.txt")
 	var buf bytes.Buffer
 	if err := adsketch.WriteEdgeList(&buf, g); err != nil {
@@ -175,9 +173,8 @@ func distBuild(t *testing.T, g *adsketch.Graph, o core.Options) (*adsketch.Set, 
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		return nil, err
 	}
-	exs, err := distbuild.NewLocalExchangers(distbuild.Spec{
-		Path: path, N: g.NumNodes(), K: o.K, Seed: o.Seed, Kind: distbuild.KindUniform, Parts: 2,
-	})
+	spec.Path, spec.N, spec.Directed = path, g.NumNodes(), g.Directed()
+	exs, err := distbuild.NewLocalExchangers(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -289,32 +286,5 @@ func TestBuildParityWeighted(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestBuildParityApprox(t *testing.T) {
-	g := adsketch.WithRandomWeights(adsketch.GNP(70, 0.07, false, 21), 1, 5, 22)
-	legacy, err := core.BuildApproxSet(g, 4, 13, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	as, err := adsketch.Build(g, adsketch.WithK(4), adsketch.WithSeed(13),
-		adsketch.WithApproxEps(0.25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if as.Params() != legacy.Params() {
-		t.Fatalf("Build made a set of %+v, want %+v", as.Params(), legacy.Params())
-	}
-	for v := int32(0); int(v) < g.NumNodes(); v++ {
-		a, b := legacy.BottomK(v).Entries(), as.BottomK(v).Entries()
-		if len(a) != len(b) {
-			t.Fatalf("node %d: %d vs %d entries", v, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("node %d entry %d: %+v vs %+v", v, i, a[i], b[i])
-			}
-		}
 	}
 }

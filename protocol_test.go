@@ -190,7 +190,7 @@ func TestProtocolOverAllSetKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := adsketch.Build(g, adsketch.WithK(6), adsketch.WithSeed(1), adsketch.WithApproxEps(0.2))
+	approx, err := lab.BuildApprox(g, 6, 1, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}

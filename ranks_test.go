@@ -26,6 +26,7 @@ import (
 	"adsketch/internal/core"
 	"adsketch/internal/distbuild"
 	"adsketch/internal/rank"
+	"adsketch/lab"
 )
 
 const (
@@ -56,6 +57,10 @@ func ranksCases(t *testing.T) []ranksCase {
 		}
 		return set
 	}
+	approx, err := lab.BuildApprox(g, 4, ranksSeed, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	uniform := func(node int32) float64 { return src.Rank(int64(node)) }
 	rounded := func(node int32) float64 { return rank.NewBaseB(2).Round(uniform(node)) }
 	cases := []ranksCase{
@@ -65,7 +70,7 @@ func ranksCases(t *testing.T) []ranksCase {
 			func(node int32) float64 { return src.ExpRank(int64(node), beta[node]) }},
 		{"weighted/priority", build(adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()),
 			func(node int32) float64 { return src.PriorityRank(int64(node), beta[node]) }},
-		{"approx", build(adsketch.WithApproxEps(0.25)), uniform},
+		{"approx", approx, uniform},
 	}
 
 	// Ingest-frozen: build two thirds of the edges, stream the rest in.

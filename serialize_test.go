@@ -13,6 +13,7 @@ import (
 
 	"adsketch"
 	"adsketch/internal/distbuild"
+	"adsketch/lab"
 )
 
 // buildAllKinds returns one sketch set of each kind over the same graph.
@@ -29,7 +30,6 @@ func buildAllKinds(t *testing.T) map[string]adsketch.SketchSet {
 		"uniform/baseb":     {adsketch.WithK(5), adsketch.WithSeed(3), adsketch.WithBaseB(2)},
 		"weighted":          {adsketch.WithK(5), adsketch.WithSeed(3), adsketch.WithNodeWeights(beta)},
 		"weighted/priority": {adsketch.WithK(5), adsketch.WithSeed(3), adsketch.WithNodeWeights(beta), adsketch.WithPriorityRanks()},
-		"approx":            {adsketch.WithK(5), adsketch.WithSeed(3), adsketch.WithApproxEps(0.25)},
 	} {
 		set, err := adsketch.Build(g, opts...)
 		if err != nil {
@@ -37,6 +37,11 @@ func buildAllKinds(t *testing.T) map[string]adsketch.SketchSet {
 		}
 		out[name] = set
 	}
+	approx, err := lab.BuildApprox(g, 5, 3, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["approx"] = approx
 	return out
 }
 
