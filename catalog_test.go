@@ -403,7 +403,10 @@ func TestCatalogEvictionBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := fi.Size() // a dataset is charged its frame: the file less its header
+	// A dataset is charged its frame: the file less its header, and the
+	// rank order its node codes are decoded through, a node and a rank a
+	// node.
+	cost := fi.Size() + 12*int64(set.NumNodes())
 	paths := make([]string, 3)
 	for i := range paths {
 		paths[i] = writeV3(t, dir, fmt.Sprintf("d%d.ads", i), buildSet(t, uint64(42+100*i)))
@@ -576,8 +579,8 @@ func TestCatalogDoBatchMixedDatasets(t *testing.T) {
 // flavor.
 func TestCatalogRefusesOlderFiles(t *testing.T) {
 	fixtures, err := filepath.Glob("internal/legacy/testdata/*.ads")
-	if err != nil || len(fixtures) != 21 {
-		t.Fatalf("%d fixtures (%v), want 21", len(fixtures), err)
+	if err != nil || len(fixtures) != 23 {
+		t.Fatalf("%d fixtures (%v), want 23", len(fixtures), err)
 	}
 	cat, err := adsketch.NewCatalog()
 	if err != nil {

@@ -367,7 +367,11 @@ func runInfo(args []string) error {
 		}
 		fmt.Printf("distances       steps (%.1f/node)%s\n", float64(steps)/float64(nodes), over)
 	}
-	fmt.Printf("node IDs        Rice-coded (%.2f bits/entry)\n", sf.NodeBitsPerEntry())
+	order := "" // a uniform set's runs code rank-order positions, other kinds' the IDs
+	if p.Kind == core.KindUniform {
+		order = " in rank order"
+	}
+	fmt.Printf("node IDs        Rice-coded%s (%.2f bits/entry)\n", order, sf.NodeBitsPerEntry())
 	fmt.Printf("columns\n")
 	for _, c := range cols {
 		fmt.Printf("  %-13s %d\n", c.Name, c.Bytes)

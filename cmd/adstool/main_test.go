@@ -215,6 +215,15 @@ func TestInfo(t *testing.T) {
 				t.Errorf("%s: prints %s %q", filepath.Base(tc.path), name, v)
 			}
 		}
+		// A uniform set's node codes are of rank-order positions, the
+		// other kinds' of the IDs themselves.
+		codes := "Rice-coded ("
+		if tc.want["kind"] == "uniform" {
+			codes = "Rice-coded in rank order ("
+		}
+		if v := got["node IDs"]; !strings.HasPrefix(v, codes) || !strings.HasSuffix(v, " bits/entry)") {
+			t.Errorf("%s: node IDs %q, want %q… bits/entry)", filepath.Base(tc.path), v, codes)
+		}
 	}
 }
 

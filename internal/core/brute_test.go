@@ -29,7 +29,17 @@ func bruteForceRun(g *graph.Graph, s runSpec) [][]Entry {
 // bruteForceSet is the reference uniform set of o over g.
 func bruteForceSet(g *graph.Graph, o Options) *Set {
 	p := Params{Kind: KindUniform, Options: o}
-	return &Set{frame: freezeWhole(p, bruteForceRun(g, runSpec{k: o.K, rank: o.rankFn()}))}
+	return &Set{frame: mustFreezeWhole(p, bruteForceRun(g, runSpec{k: o.K, rank: o.rankFn()}))}
+}
+
+// mustFreezeWhole is freezeWhole of lists that have their codes: a
+// reference's, or a test's own.
+func mustFreezeWhole(p Params, lists [][]Entry) *Frame {
+	f, err := freezeWhole(p, lists)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }
 
 // bruteForceWeightedSet is the reference weighted set of p over g and the
@@ -37,7 +47,7 @@ func bruteForceSet(g *graph.Graph, o Options) *Set {
 func bruteForceWeightedSet(g *graph.Graph, p Params, beta []float64) *Set {
 	by := newRanker(p)
 	lists := bruteForceRun(g, runSpec{k: p.K, rank: func(v int32) float64 { return by.rank(v, beta[v]) }})
-	f := freezeWhole(p, lists)
+	f := mustFreezeWhole(p, lists)
 	f.beta = make([]float64, 0, f.totalEntries())
 	for _, l := range lists {
 		for _, e := range l {

@@ -212,10 +212,17 @@ func BuildSetParallel(g *graph.Graph, o Options, workers int) (*Set, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
+	var f *Frame
+	var err error
 	if !g.Weighted() {
-		return &Set{frame: hopFrame(g, p, workers)}, nil
+		f, err = hopFrame(g, p, workers)
+	} else {
+		f, err = freezeWhole(p, prunedDijkstraRun(g, runSpec{k: p.K, rank: o.rankFn()}, workers))
 	}
-	return &Set{frame: freezeWhole(p, prunedDijkstraRun(g, runSpec{k: p.K, rank: o.rankFn()}, workers))}, nil
+	if err != nil {
+		return nil, err
+	}
+	return &Set{frame: f}, nil
 }
 
 // runSpec describes one construction pass: a bottom-k sample under a

@@ -381,7 +381,11 @@ func TestPrunedDijkstraDifferential(t *testing.T) {
 				p := Params{Kind: KindWeighted, Options: Options{K: k, Seed: uint64(seed)}, Scheme: scheme}
 				want := v3(bruteForceWeightedSet(g, p, beta))
 				for _, workers := range workerCounts {
-					if !bytes.Equal(v3(weightedSetFrom(g, p, beta, workers)), want) {
+					got, err := weightedSetFrom(g, p, beta, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(v3(got), want) {
 						t.Fatalf("%s, weighted %v k=%d: %d workers differ from brute force", desc, scheme, k, workers)
 					}
 				}

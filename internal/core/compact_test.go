@@ -262,29 +262,10 @@ func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, truste
 	return valid, damaged, trusted
 }
 
-// testRiceBits returns the length of the Rice codes of the node IDs of l
-// in a set of total nodes, run by run, the parameter spelled out: the
-// largest b with m·2^b <= total, for a run of m, and a code the gap's
-// quotient in unary, a stop bit and b bits.
-func testRiceBits(l []Entry, total uint64) int64 {
-	n := int64(0)
-	for i := 0; i < len(l); {
-		m := 1
-		for i+m < len(l) && l[i+m].Dist == l[i].Dist {
-			m++
-		}
-		b := uint64(0)
-		for uint64(m)<<(b+1) <= total {
-			b++
-		}
-		prev := int64(-1)
-		for _, e := range l[i : i+m] {
-			n += (int64(e.Node)-prev-1)>>b + 1 + int64(b)
-			prev = int64(e.Node)
-		}
-		i += m
-	}
-	return n
+// testRiceBits returns the length of the node codes of l in a set of
+// total nodes (testNodeCodes), rank-ordered when pos is given.
+func testRiceBits(l []Entry, total uint64, pos []uint64, k int) int64 {
+	return int64(len(testNodeCodes(l, total, pos, k)))
 }
 
 // referenceSizes returns what the frame's own entries cost as a file,
@@ -296,11 +277,15 @@ func testRiceBits(l []Entry, total uint64) int64 {
 func referenceSizes(f *Frame, partition bool) (compact, plain, steps, coded int64) {
 	words := func(n int64, w uint64) int64 { return (n*int64(w) + 63) / 64 }
 	var all []float64
+	var pos []uint64
+	if f.p.Kind == KindUniform {
+		pos = testRankPositions(f.p, uint64(f.total))
+	}
 	rice := int64(0)
 	for v := 0; v < f.n; v++ {
 		c := f.colsAt(v)
 		l := c.entries()
-		rice += testRiceBits(l, uint64(f.total))
+		rice += testRiceBits(l, uint64(f.total), pos, f.p.K)
 		for i := range l {
 			if i == 0 || l[i].Dist != l[i-1].Dist {
 				all = append(all, l[i].Dist)
@@ -367,10 +352,10 @@ func TestCompactColumnsRejectHostileInput(t *testing.T) {
 
 // TestNodeCodesAtScale: at ten times the benchmark's node count,
 // PA(100000, 5) of graph seed 1, k=16, rank seed 42, the node codes take at
-// most 12.8 bits an entry — 12.76 when pinned, against the 17 a
-// fixed-width ID would take there — so their saving grows with the set,
-// as a run's gaps grow with the node count.  Skipped under -short: the
-// build takes a few seconds.
+// most 8.8 bits an entry — 8.75 when pinned, where the IDs' own Rice codes
+// took 12.76 and a fixed-width ID would take 17 — so their saving grows
+// with the set: a run's bound is the rank of the k-th entry before it, not
+// the node count.  Skipped under -short: the build takes a few seconds.
 func TestNodeCodesAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 100000-node set")
@@ -382,8 +367,8 @@ func TestNodeCodesAtScale(t *testing.T) {
 	f := set.frame
 	perEntry := float64(f.nodeBits()) / float64(f.totalEntries())
 	t.Logf("%d entries, %d bits of node codes: %.3f an entry", f.totalEntries(), f.nodeBits(), perEntry)
-	if perEntry > 12.8 {
-		t.Errorf("the node codes take %.3f bits an entry, want at most 12.8", perEntry)
+	if perEntry > 8.8 {
+		t.Errorf("the node codes take %.3f bits an entry, want at most 8.8", perEntry)
 	}
 }
 
@@ -403,7 +388,7 @@ func TestBenchmarkFrameBytes(t *testing.T) {
 		{"header", 96},
 		{"offsets", 26256},     // 10001 offsets × 21 bits
 		{"bit offsets", 30008}, // 10001 offsets × 24 bits
-		{"nodes", 1513552},     // 1272677 entries' Rice codes, 12108387 bits: 9.51 an entry, against 14 fixed
+		{"nodes", 1086568},     // 1272677 entries' rank-ordered Rice codes, 8692498 bits: 6.83 an entry, against 14 fixed
 		{"step bits", 159088},  // 1272677 bits
 		{"step codes", 19736},  // 52617 steps × 3 bits
 		{"dictionary", 48},     // 6 distances
@@ -416,14 +401,14 @@ func TestBenchmarkFrameBytes(t *testing.T) {
 			t.Errorf("column %d is %+v, want %+v", i, c, want[min(i, len(want)-1)])
 		}
 	}
-	if len(got) != len(want) || total != 1748784 || int64(len(v3Bytes(t, set))) != total {
-		t.Errorf("%d columns, %d bytes in all, %d written: want %d columns and 1748784 bytes", len(got), total, len(v3Bytes(t, set)), len(want))
+	if len(got) != len(want) || total != 1321800 || int64(len(v3Bytes(t, set))) != total {
+		t.Errorf("%d columns, %d bytes in all, %d written: want %d columns and 1321800 bytes", len(got), total, len(v3Bytes(t, set)), len(want))
 	}
-	if h.numEntries != 1272677 || h.numSteps != 52617 || h.numDistinct != 6 || h.numNodeBits != 12108387 {
-		t.Errorf("%d entries, %d steps, %d distinct distances, %d bits of node codes: want 1272677, 52617, 6, 12108387", h.numEntries, h.numSteps, h.numDistinct, h.numNodeBits)
+	if h.numEntries != 1272677 || h.numSteps != 52617 || h.numDistinct != 6 || h.numNodeBits != 8692498 {
+		t.Errorf("%d entries, %d steps, %d distinct distances, %d bits of node codes: want 1272677, 52617, 6, 8692498", h.numEntries, h.numSteps, h.numDistinct, h.numNodeBits)
 	}
 	frame := MemoryOf(set)
-	if samples := int64(8 * (bitWords(1272677)/rankSampleWords + 1)); frame != total-96+samples+48 {
-		t.Errorf("the frame holds %d bytes, want the file's columns, %d of popcount samples and the dictionary's use counts", frame, samples)
+	if samples := int64(8 * (bitWords(1272677)/rankSampleWords + 1)); frame != total-96+samples+48+12*10000 {
+		t.Errorf("the frame holds %d bytes, want the file's columns, %d of popcount samples, the dictionary's use counts and the rank order's node and rank a node", frame, samples)
 	}
 }

@@ -96,15 +96,10 @@ func FreezeLists(p Params, index, count, total int, lists [][]Entry, beta []floa
 	if err != nil {
 		return nil, fmt.Errorf("core: FreezeLists: %w", err)
 	}
-	// freezeFrame keeps the bits of an ID its column has room for.
-	for i, l := range lists {
-		for j, e := range l {
-			if uint32(e.Node) >= uint32(total) {
-				return nil, fmt.Errorf("core: ADS(%d) entry %d names node %d outside [0, %d)", lo+int32(i), j, e.Node, total)
-			}
-		}
+	f, err := freezeFrame(p, lo, total, lists)
+	if err != nil {
+		return nil, fmt.Errorf("core: FreezeLists: %w", err)
 	}
-	f := freezeFrame(p, lo, total, lists)
 	if weighted := p.Kind == KindWeighted; weighted && len(beta) != f.totalEntries() || !weighted && len(beta) != 0 {
 		return nil, fmt.Errorf("core: FreezeLists: %d weights for %d entries of a %v set", len(beta), f.totalEntries(), p.Kind)
 	}

@@ -398,3 +398,48 @@ func TestDistanceUpperBoundDisconnected(t *testing.T) {
 		t.Errorf("cross-component bound = %g, want +Inf", got)
 	}
 }
+
+// TestParallelBuilderNodeCodes: a build codes its node ranges on as many
+// goroutines as it has workers (up to one a 1024 nodes), each range a
+// stream of its own joined as bit ranges, and a freeze of entry lists on
+// GOMAXPROCS of them, which make cpus varies: the bytes are the reference
+// encoding's at every count, in rank order and, for a weighted set, of the
+// IDs as they are.
+func TestParallelBuilderNodeCodes(t *testing.T) {
+	g := graph.PreferentialAttachment(5000, 3, 4)
+	o := Options{K: 8, Seed: 42}
+	one, err := BuildSetParallel(g, o, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists, _ := segmentLists(one.frame)
+	want := v3Bytes(t, one)
+	if !bytes.Equal(want, canonicalV3(headerOf(one), lists, nil)) {
+		t.Fatal("the one-worker build is not the reference encoding")
+	}
+	for _, workers := range []int{2, 3, 4, 0} {
+		set, err := BuildSetParallel(g, o, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(v3Bytes(t, set), want) {
+			t.Errorf("%d workers: the bytes differ from one worker's", workers)
+		}
+	}
+	frozen, err := FreezeBottomK(o, lists)
+	if err != nil || !bytes.Equal(v3Bytes(t, frozen), want) {
+		t.Errorf("frozen on %d goroutines: %v, or not the build's bytes", runtime.GOMAXPROCS(0), err)
+	}
+	beta := make([]float64, g.NumNodes())
+	for i := range beta {
+		beta[i] = 1 + float64(i%5)
+	}
+	weighted, err := BuildWeightedSet(g, 8, 42, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, wb := segmentLists(weighted.frame)
+	if !bytes.Equal(v3Bytes(t, weighted), canonicalV3(headerOf(weighted), wl, wb)) {
+		t.Errorf("the weighted set frozen on %d goroutines is not the reference encoding", runtime.GOMAXPROCS(0))
+	}
+}

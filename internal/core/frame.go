@@ -21,7 +21,9 @@ import (
 // prebuilt file is O(columns) work (and zero copies when mmapped).
 //
 // A frame holds, per entry, a node ID Rice-coded within its run of equal
-// distance (nodepack.go: 9.5 bits at ten thousand nodes), one bit of
+// distance — in a uniform set as its position in the set's rank order,
+// below the run's bottom-k bound (nodepack.go: 6.8 bits at ten thousand
+// nodes) — one bit of
 // distance step code (stepcode.go) and — for weighted sets — β; per
 // distinct distance of a sketch, one step: a code of a few bits into the
 // frame's dictionary of distances where they are few, a float where they
@@ -209,17 +211,17 @@ type Frame struct {
 
 // freezeWhole is freezeFrame for a whole set: local node 0 is node 0, and
 // the lists are all there are.
-func freezeWhole(p Params, lists [][]Entry) *Frame {
+func freezeWhole(p Params, lists [][]Entry) (*Frame, error) {
 	return freezeFrame(p, 0, len(lists), lists)
 }
 
 // freezeFrame assembles the entry lists of nodes base... (node base+i's is
 // lists[i]) of a total-node set of parameters p into one frame.  The
-// entries' Rank fields are not kept, and a Node outside the set or out of
-// order in its run is coded as one that is not (nodeWriter.flush): callers
-// that did not draw them from p and the set themselves check them against
-// the frame's (validate).
-func freezeFrame(p Params, base int32, total int, lists [][]Entry) *Frame {
+// entries' Rank fields are not kept; a list whose node IDs have no code
+// (nodeWriter.flush) is refused, and callers that did not draw the entries
+// from p and the set themselves check the rest against the frame's
+// (validate).
+func freezeFrame(p Params, base int32, total int, lists [][]Entry) (*Frame, error) {
 	entries, steps := 0, 0
 	for _, l := range lists {
 		entries += len(l)
@@ -233,28 +235,35 @@ func freezeFrame(p Params, base int32, total int, lists [][]Entry) *Frame {
 	for _, l := range lists {
 		pk.list()
 		for j, e := range l {
-			pk.add(e.Node, e.Dist, isStep(l, j))
+			pk.add(e.Dist, isStep(l, j))
 		}
 	}
-	return pk.frame()
+	err := pk.codeNodes(newRankOrder(p, total), 0, func(w *nodeWriter, i int) {
+		for j, e := range lists[i] {
+			w.add(e.Node, isStep(lists[i], j))
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pk.frame(), nil
 }
 
 // isStep reports whether entry j of l starts a distance step.
 func isStep(l []Entry, j int) bool { return j == 0 || l[j].Dist != l[j-1].Dist }
 
 // framePacker packs a frame's columns from its entries, fed in order —
-// list starts each entry list, add appends an entry to it — in one pass:
-// freezeFrame feeds it entry lists, and an Algorithm 1 build on an
-// unweighted graph (hopFrame) its passes' packed keys.  The node writer
-// holds the IDs of one run, and codes them at the next step.
+// list starts each entry list, add appends an entry's distance to it — in
+// one pass, and its node codes in another (codeNodes): freezeFrame feeds it
+// entry lists, and an Algorithm 1 build on an unweighted graph (hopFrame)
+// its passes' packed keys.
 type framePacker struct {
-	f      *Frame
-	first  []uint64
-	step   []float64
-	nodes  nodeWriter
-	boff   []uint64 // each list's first bit in the node stream
-	listAt int64    // lists started
-	pos    int64    // entries added
+	f       *Frame
+	first   []uint64
+	step    []float64
+	listAt  int64 // lists started
+	pos     int64 // entries added
+	entries int
 }
 
 // newFramePacker returns the packer of the frame of the entry lists of
@@ -268,23 +277,20 @@ func newFramePacker(p Params, base int32, total, nodes, entries, steps int) fram
 			off: makePackedColumn(int64(nodes+1), offsetWidth(int64(entries))),
 			by:  newRanker(p),
 		},
-		first: make([]uint64, bitWords(int64(entries))),
-		step:  make([]float64, 0, steps),
-		nodes: newNodeWriter(total, entries),
-		boff:  make([]uint64, 0, nodes+1),
+		first:   make([]uint64, bitWords(int64(entries))),
+		step:    make([]float64, 0, steps),
+		entries: entries,
 	}
 }
 
 func (pk *framePacker) list() {
 	pk.f.off.put(pk.listAt, uint64(pk.pos))
-	pk.boff = append(pk.boff, uint64(pk.nodes.bits()))
 	pk.listAt++
 }
 
-// add appends an entry of node at distance dist, which starts a distance
-// step of its list when step is set.
-func (pk *framePacker) add(node int32, dist float64, step bool) {
-	pk.nodes.add(node, step)
+// add appends an entry at distance dist, which starts a distance step of
+// its list when step is set.
+func (pk *framePacker) add(dist float64, step bool) {
 	if step {
 		setBit(pk.first, pk.pos)
 		pk.step = append(pk.step, dist)
@@ -292,11 +298,63 @@ func (pk *framePacker) add(node int32, dist float64, step bool) {
 	pk.pos++
 }
 
-// frame returns the packed frame.
+// minCoderNodes is the fewest lists codeNodes gives a goroutine of its own.
+const minCoderNodes = 1024
+
+// codeNodes codes the frame's node column in the rank order order (nil for
+// the IDs as they are): fill adds list i's IDs to a writer.  Up to workers goroutines (<= 0: GOMAXPROCS) each code a node
+// range (nodeRange) into a stream of their own, and the streams are joined
+// as bit ranges, so the bytes are the same for every count.  It returns
+// the first list, in node order, whose IDs have no code.
+func (pk *framePacker) codeNodes(order *rankOrder, workers int, fill func(w *nodeWriter, i int)) error {
+	f, n := pk.f, pk.f.n
+	var pos []int32
+	if order != nil {
+		pos = order.positions()
+	}
+	workers = max(1, min(passWorkers(workers, n), n/minCoderNodes))
+	ws := make([]nodeWriter, workers)
+	boff := make([]uint64, n+1)
+	fanOut(workers, func(w int) {
+		lo, hi := nodeRange(w, workers, n)
+		wr := newNodeWriter(f.total, pk.entries/workers, pos, f.p.K)
+		for i := lo; i < hi && wr.err == nil; i++ {
+			boff[i] = uint64(wr.bits())
+			wr.list(f.base + int32(i))
+			fill(&wr, i)
+		}
+		wr.flush()
+		ws[w] = wr
+	})
+	var at int64
+	for w := range ws {
+		lo, hi := nodeRange(w, workers, n)
+		if err := ws[w].err; err != nil {
+			return err
+		}
+		for i := lo; i < hi; i++ {
+			boff[i] += uint64(at)
+		}
+		at += ws[w].bits()
+	}
+	boff[n] = uint64(at)
+	words := ws[0].stream()
+	if workers > 1 {
+		words = make([]uint64, bitWords(at))
+		at = 0
+		for w := range ws {
+			b := ws[w].bits()
+			copyBits(words, at, ws[w].view(), 0, b)
+			at += b
+		}
+	}
+	f.boff, f.node = packOffsets(boff), nodeStream{words: words, total: f.total, order: order, k: f.p.K}
+	return nil
+}
+
+// frame returns the packed frame, its nodes coded.
 func (pk *framePacker) frame() *Frame {
 	pk.f.off.put(pk.listAt, uint64(pk.pos))
-	pk.boff = append(pk.boff, uint64(pk.nodes.bits()))
-	pk.f.boff, pk.f.node = packOffsets(pk.boff), nodeStream{words: pk.nodes.stream(), total: pk.f.total}
 	pk.f.setSteps(pk.first, pk.step)
 	return pk.f
 }
@@ -438,8 +496,8 @@ func (f *Frame) slice(lo, hi int) *Frame {
 
 // mergeFrames concatenates frames (already validated to be a consistent,
 // ordered split) into one whole frame with compact columns.  The
-// partitions of a split share the whole set's node count, so their node
-// codes are copied as bit ranges; their steps may be coded through as
+// partitions of a split share the whole set's node count and rank order,
+// so their node codes are copied as bit ranges; their steps may be coded through as
 // many dictionaries as there are frames, so they are read back as
 // distances and coded afresh.
 func mergeFrames(frames []*Frame) *Frame {
@@ -456,7 +514,7 @@ func mergeFrames(frames []*Frame) *Frame {
 		p: first.p, n: nodes, base: 0, total: nodes,
 		off:  makePackedColumn(int64(nodes+1), offsetWidth(total)),
 		boff: makePackedColumn(int64(nodes+1), offsetWidth(stream)),
-		node: nodeStream{words: make([]uint64, bitWords(stream)), total: nodes},
+		node: nodeStream{words: make([]uint64, bitWords(stream)), total: nodes, order: first.node.order, k: first.p.K},
 		by:   first.by,
 	}
 	marks, step := make([]uint64, bitWords(total)), make([]float64, 0, steps)
@@ -629,19 +687,28 @@ func (f *Frame) Index(local int32) *HIPIndex {
 	e, s := pn.n, c.sd.n
 	buf := make([]float64, e+s)
 	w := buf[:e:e]
-	decodeTo(&pn, w) // the nodes, each in the slot its weight takes
-	for i, node := range w {
-		var b float64
-		if c.beta != nil {
-			b = c.beta[i]
+	switch {
+	case pn.s.order != nil:
+		rankedWeights(&pn, w)
+	default:
+		// The nodes, decoded into the first half of the weights' bytes, and
+		// their ranks derived into the weights from the last: rank i's slot
+		// holds nodes 2i and 2i+1, which are read by then.
+		ids := unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(buf))), e)
+		decodeTo(&pn, ids)
+		for i := e - 1; i >= 0; i-- {
+			var b float64
+			if c.beta != nil {
+				b = c.beta[i]
+			}
+			w[i] = c.by.rank(ids[i], b)
 		}
-		w[i] = c.by.rank(int32(node), b)
-	}
-	h := newKSmallest(min(f.p.K, e)) // it never holds more than the entries
-	if f.p.Kind == KindWeighted {
-		w = hipWeightsWeighted(w, c.beta, f.p.Scheme, f.p.K, h, w[:0])
-	} else {
-		w = hipWeightsBottomK(w, f.p.K, h, w[:0])
+		h := newKSmallest(min(f.p.K, e)) // it never holds more than the entries
+		if f.p.Kind == KindWeighted {
+			w = hipWeightsWeighted(w, c.beta, f.p.Scheme, f.p.K, h, w[:0])
+		} else {
+			w = hipWeightsBottomK(w, f.p.K, h, w[:0])
+		}
 	}
 	x := &HIPIndex{enode: pn.nodeCodes, ew: w, sd: c.sd, cum: buf[e:e], own: int64(unsafe.Sizeof(HIPIndex{})) + 8*int64(len(buf))}
 	x.sum()
@@ -651,7 +718,9 @@ func (f *Frame) Index(local int32) *HIPIndex {
 // bytes returns the heap (or mapping) the frame's own node range
 // occupies: offsets and bit offsets, node codes, step bits and their
 // popcount samples (heap even under a mapping), the steps — codes and
-// dictionary, or raw — and β where held.
+// dictionary, or raw — β where held, and a uniform set's rank order, which
+// its node codes are decoded through and which the frames sliced from one
+// share: 4 bytes a node of the whole set, counted as held once built.
 func (f *Frame) bytes() int64 {
 	e := int64(f.totalEntries())
 	slo, shi := f.stepRange()
@@ -666,7 +735,7 @@ func (f *Frame) bytes() int64 {
 	if f.beta != nil {
 		b += 8 * e
 	}
-	return b
+	return b + f.node.order.bytes()
 }
 
 // hipWeightsBottomK appends the HIP adjusted weights of a bottom-k entry

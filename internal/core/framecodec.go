@@ -46,9 +46,13 @@ import (
 // least significant; the bits past a column's last value are zero.
 //
 // The nodes are one stream of numNodeBits bits, sketch i's Rice codes
-// (nodepack.go) being bits [bit offset i, bit offset i+1); total, which
-// fixes a run's parameter, is numNodes, or the envelope's total in a
-// partition file.
+// (nodepack.go) being bits [bit offset i, bit offset i+1); total, the
+// node count the IDs are below, is numNodes, or the envelope's total in a
+// partition file.  A uniform set's runs code the nodes' positions in the
+// set's rank order — its total nodes sorted by (rank, node), which the
+// seed and base derive — below the k-th smallest position of the sketch's
+// entries at smaller distances (total while there are fewer than k); a
+// weighted or approximate set's code the IDs below total.
 //
 // Every sketch is bottom-k: flavor is 0 and segs 1, one entry list a
 // node.  Earlier releases also wrote k-mins (flavor 1) and k-partition
@@ -69,14 +73,17 @@ import (
 // the header's seed (recorded for every kind) and the node.
 //
 // The flags are frameFlagsLayout, plus bit 0 — a β per entry — for
-// weighted sets and no others.  Bits 1 to 5 name the steps by which the
-// layout became this one: ranks derived rather than stored (1), distances
-// step-coded (2), node IDs packed (3), the numDistinct word with packed
-// offsets and dictionary-coded steps (4), and node IDs Rice-coded per run,
-// with the numNodeBits word and the bit offsets (5).  A file with any
-// other flags is refused: one without all five is of an earlier release,
-// which adsconvert (internal/legacy) rewrites, and a reader from before a
-// bit refuses a file that has it, as it must.
+// weighted sets and no others, and bit 6 for uniform sets and no others.
+// Bits 1 to 6 name the steps by which the layout became this one: ranks
+// derived rather than stored (1), distances step-coded (2), node IDs
+// packed (3), the numDistinct word with packed offsets and
+// dictionary-coded steps (4), node IDs Rice-coded per run, with the
+// numNodeBits word and the bit offsets (5), and a uniform set's runs coded
+// in rank order below their bottom-k bound (6).  A file with any other
+// flags is refused: one without all of its kind's is of an earlier
+// release, which adsconvert (internal/legacy) rewrites — a uniform file
+// with flags 0x3e among them — and a reader from before a bit refuses a
+// file that has it, as it must.
 //
 // Encoding is therefore near-memcpy, and decoding a trusted file is
 // O(columns): validate the header, the body size it implies, the offsets'
@@ -110,11 +117,23 @@ const (
 	frameFlagPackedNodes  = 1 << 3 // node IDs are packed at the width the set's node count fixes
 	frameFlagCompact      = 1 << 4 // numDistinct in the header, packed offsets, steps coded through a dictionary when numDistinct > 0
 	frameFlagRiceNodes    = 1 << 5 // node IDs Rice-coded per equal-distance run: numNodeBits in the header, bit offsets beside the offsets
+	frameFlagRankNodes    = 1 << 6 // uniform sets only: a run's codes are of rank-order positions below its bottom-k bound
 
 	// frameFlagsLayout is the flags of the one layout every writer emits
-	// and openFrameBytes views, less β.
+	// and openFrameBytes views, less β and, for a uniform set, the rank
+	// order bit (layoutFlags).
 	frameFlagsLayout = frameFlagDerivedRanks | frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes
 )
+
+// layoutFlags returns the flags of the current layout of a set of kind
+// kind, less β: a uniform set's node codes are rank-ordered, and no other
+// kind's are.
+func layoutFlags(kind uint32) uint32 {
+	if Kind(kind) == KindUniform {
+		return frameFlagsLayout | frameFlagRankNodes
+	}
+	return frameFlagsLayout
+}
 
 // nativeLittleEndian reports whether the host stores integers the way the
 // format does; when false the zero-copy column views fall back to a
@@ -305,7 +324,7 @@ func headerWith(s *Set, own *stepColumn) frameHdr {
 	}
 	h.numSteps, h.numDistinct = uint64(own.n), uint64(len(own.dict))
 	h.numNodeBits = uint64(f.nodeBits())
-	h.flags = frameFlagsLayout
+	h.flags = layoutFlags(h.kind)
 	if f.p.Kind == KindWeighted {
 		h.flags |= frameFlagBeta
 	}
@@ -535,8 +554,13 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 	if h.flavor != 0 || h.segs != 1 {
 		return h, 0, fmt.Errorf("core: sketch file holds %s sketches (flavor %d, %d lists a node); only bottom-k sketches are served", flavorName(h.flavor), h.flavor, h.segs)
 	}
-	if h.flags&^frameFlagBeta != frameFlagsLayout {
-		return h, 0, fmt.Errorf("core: sketch file has flags %#x, not the current layout's %#x: a file of an earlier release is rewritten with `adsconvert`", h.flags, frameFlagsLayout)
+	// The rank-order bit is the kind's, which validate checks is one.
+	kind := Kind(h.setKind())
+	if want := layoutFlags(h.setKind()); h.flags&^(frameFlagBeta|frameFlagRankNodes) != frameFlagsLayout || kind == KindUniform && h.flags&frameFlagRankNodes == 0 {
+		return h, 0, fmt.Errorf("core: sketch file has flags %#x, not the current layout's %#x: a file of an earlier release is rewritten with `adsconvert`", h.flags, want)
+	}
+	if (kind == KindWeighted || kind == KindApprox) && h.flags&frameFlagRankNodes != 0 {
+		return h, 0, fmt.Errorf("core: sketch file has flags %#x, not the %#x of the current layout of a %v set: only a uniform set's node codes are rank-ordered", h.flags, layoutFlags(h.setKind()), kind)
 	}
 	if err := h.validate(); err != nil {
 		return h, 0, err
@@ -549,7 +573,7 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 func frameFromHdr(h frameHdr) *Frame {
 	p := h.params()
 	f := &Frame{p: p, n: int(h.n), total: h.totalNodes(), by: newRanker(p)}
-	f.node.total = f.total
+	f.node.total, f.node.order, f.node.k = f.total, newRankOrder(p, f.total), p.K
 	f.off.w, f.boff.w = offsetWidth(int64(h.numEntries)), offsetWidth(int64(h.numNodeBits))
 	if h.partitioned() {
 		f.base = int32(h.lo)
@@ -905,8 +929,8 @@ func MmapSketchFile(path string) (*SketchFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	var head [framePreambleSize]byte
-	if _, err := io.ReadFull(fl, head[:]); err != nil || !currentLayout(head[:]) {
+	var head [framePreambleSize + framePartHdrSize]byte
+	if n, _ := io.ReadFull(fl, head[:]); !currentLayout(head[:n]) {
 		return OpenSketchFile(path)
 	}
 	data, err := mmapFile(fl, int(st.Size()))
@@ -922,9 +946,19 @@ func MmapSketchFile(path string) (*SketchFile, error) {
 }
 
 // currentLayout reports whether the bytes begin a version-3 file of the
-// layout openFrameBytes views.
+// layout openFrameBytes views: the preamble and, for a partition, the
+// envelope, which names the set's kind.
 func currentLayout(data []byte) bool {
-	return len(data) >= framePreambleSize && string(data[:4]) == encodeMagic &&
-		binary.LittleEndian.Uint32(data[4:]) == EncodeVersion &&
-		binary.LittleEndian.Uint32(data[12:])&^frameFlagBeta == frameFlagsLayout
+	le := binary.LittleEndian
+	if len(data) < framePreambleSize || string(data[:4]) != encodeMagic || le.Uint32(data[4:]) != EncodeVersion {
+		return false
+	}
+	kind := le.Uint32(data[8:])
+	if kind == kindPartition {
+		if len(data) < framePreambleSize+framePartHdrSize {
+			return false
+		}
+		kind = le.Uint32(data[framePreambleSize+20:])
+	}
+	return le.Uint32(data[12:])&^frameFlagBeta == layoutFlags(kind)
 }

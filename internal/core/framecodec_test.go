@@ -434,12 +434,14 @@ func FuzzOpenSketchFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(part.Bytes())
-	// Every kind six ways: as written now, and in the five retired
-	// layouts the parser refuses; and as written now with its node codes
-	// corrupted — bits flipped, a word of them zeroed, a word set — which
-	// the openers trust.
+	// Every kind seven ways: as written now — a uniform set's node codes
+	// rank-ordered — and in the six retired layouts the parser refuses
+	// (the IDs' own Rice codes being the current layout of the other
+	// kinds); and as written now with its node codes corrupted — bits
+	// flipped, a word of them zeroed, a word set — which the openers trust.
 	for _, data := range v3Files(f) {
 		f.Add(data)
+		f.Add(riceV3(f, data))
 		f.Add(compactV3(f, data))
 		f.Add(plainV3(f, data))
 		f.Add(wideV3(f, data))

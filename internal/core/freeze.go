@@ -30,11 +30,12 @@ func FreezeBottomK(o Options, lists [][]Entry) (*Set, error) {
 // the entries of unchanged nodes are block-copied from base's columns —
 // step-bit range, step range, contiguous nodes in one copy, and each
 // node's code range — so the cost follows the change, not the set; the
-// exceptions are a list a run of which n gives another Rice parameter than
-// base's count did, whose IDs are coded again, and a freeze whose steps
-// take other distances than base's, which codes the unchanged steps again
-// (stepsOver).  The result is the set FreezeBottomK would return for the
-// same lists.
+// exceptions are a freeze that grows the node count, which puts new nodes
+// into the rank order every list is coded in and so codes every unchanged
+// list's moved positions again, and a freeze whose steps take other
+// distances than base's,
+// which codes the unchanged steps again (stepsOver).  The result is the
+// set FreezeBottomK would return for the same lists.
 func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error) {
 	bf := base.frame
 	if bf.p.Kind != KindUniform {
@@ -62,7 +63,23 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		off: makePackedColumn(int64(n+1), offsetWidth(int64(total))),
 		by:  bf.by,
 	}
-	codes, boff := newNodeWriter(n, total), make([]uint64, n+1)
+	// The rank order of n nodes: base's while n is its count.
+	order := bf.node.order
+	if n != bf.total {
+		order = newRankOrder(bf.p, n)
+	}
+	at := order.positions()
+	codes, boff := newNodeWriter(n, total, at, bf.p.K), make([]uint64, n+1)
+	// A larger node count puts the new nodes into the rank order, which
+	// moves base's positions without reordering them: a kept list's runs
+	// are read as positions and moved (shift), still ascending.
+	var shift []int32
+	if order != bf.node.order {
+		shift = make([]int32, bf.total)
+		for p, v := range bf.node.order.nodes() {
+			shift[p] = at[v]
+		}
+	}
 	// The changed lists' steps are collected raw, and the step column put
 	// together once they are all known (stepsOver): its dictionary depends
 	// on every one of them.
@@ -70,7 +87,7 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 	f.first = w.first
 	fresh := make([]int64, len(nodes)) // fresh[i]: the steps in w after nodes[i]'s list
 	pos := int64(0)
-	var ids []int32 // a list coded again
+	var moved []int32 // a list coded again: its positions in base's order
 	// keep copies base nodes [from, to), none of them changed.
 	keep := func(from, to int) error {
 		if from >= to {
@@ -84,13 +101,19 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		for v := from; v < to; v++ {
 			f.off.put(int64(v), uint64(pos+bf.offAt(v)-lo))
 			boff[v] = uint64(codes.bits())
-			if bf.codedAlike(v, n) {
+			if order == bf.node.order {
 				codes.copy(bf.node.words, bf.bitAt(v), bf.bitAt(v+1)-bf.bitAt(v))
 				continue
 			}
-			ids = bf.nodesAt(v).AppendTo(ids[:0])
-			for i, id := range ids {
-				codes.add(id, bitAt(bf.first, bf.offAt(v)+int64(i)))
+			moved = bf.nodesAt(v).positions(moved[:0])
+			codes.pos = shift
+			codes.list(int32(v))
+			for i, x := range moved {
+				codes.add(x, bitAt(bf.first, bf.offAt(v)+int64(i)))
+			}
+			codes.flush()
+			if codes.pos = at; codes.err != nil {
+				return fmt.Errorf("core: FreezeBottomKOver: base %w", codes.err)
 			}
 		}
 		pos += hi - lo
@@ -110,6 +133,7 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		f.off.put(int64(v), uint64(pos))
 		boff[v] = uint64(bit)
 		w.list()
+		codes.list(v)
 		for j, e := range l {
 			codes.add(e.Node, isStep(l, j))
 			w.add(pos, e.Dist)
@@ -120,7 +144,10 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		// was just written: the frame cannot look its steps up until it is
 		// whole.
 		end := codes.bits()
-		f.steps, f.node = w.steps, nodeStream{words: codes.view(), total: n}
+		if codes.err != nil {
+			return nil, fmt.Errorf("core: FreezeBottomKOver: %w", codes.err)
+		}
+		f.steps, f.node = w.steps, nodeStream{words: codes.view(), total: n, order: order, k: bf.p.K}
 		view, _ := ranks.filled(f.colsOver(start, pos, steps), f.nodesOver(start, pos, bit, end))
 		if err := f.validateCols(view, int(v), l); err != nil {
 			return nil, fmt.Errorf("core: FreezeBottomKOver: %w", err)
@@ -132,23 +159,10 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 	}
 	f.off.put(int64(n), uint64(pos))
 	boff[n] = uint64(codes.bits())
-	f.boff, f.node = packOffsets(boff), nodeStream{words: codes.stream(), total: n}
+	f.boff, f.node = packOffsets(boff), nodeStream{words: codes.stream(), total: n, order: order, k: bf.p.K}
 	f.steps = stepsOver(bf, nodes, w.steps.raw, fresh)
 	f.samp, _ = sampleRanks(w.first)
 	return &Set{frame: f}, nil
-}
-
-// codedAlike reports whether local node v's runs have the same Rice
-// parameters in a set of total nodes.
-func (f *Frame) codedAlike(local, total int) bool {
-	lo, hi := f.span(local)
-	for i, end := lo, lo; i < hi && total != f.total; i = end {
-		end = nextSet(f.first, i, hi)
-		if riceParam(f.total, int(end-i)) != riceParam(total, int(end-i)) {
-			return false
-		}
-	}
-	return true
 }
 
 // stepsOver assembles the step column of the frame FreezeBottomKOver makes

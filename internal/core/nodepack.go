@@ -1,20 +1,35 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
+	"unsafe"
 )
 
 // Bit-packed integer columns and Rice-coded node IDs.  The offsets, bit
 // offsets and step codes (stepcode.go) of a frame are stored at the width
 // their bound, which the header's counts fix, needs: value i is bits
 // [i·w, (i+1)·w), numbered from the least significant bit of word 0, and
-// the bits past the last value are zero.  A run of m node IDs of equal
-// distance, which the step bits delimit, ascends strictly below total, the
-// set's node count: it is coded as its gaps xᵢ − xᵢ₋₁ − 1 (x₋₁ = −1), each
-// a Rice code of b = ⌊log₂(total/m)⌋ (0 when total < 2m) — gap>>b zero
-// bits, a one, the b low bits — stored nowhere, so a list has one
-// encoding.  A decoder reads no bit outside its list, whatever it holds.
+// the bits past the last value are zero.
+//
+// A run of m entries of equal distance, which the step bits delimit, is
+// coded as m numbers that ascend strictly below a bound M: as their gaps
+// xᵢ − xᵢ₋₁ − 1 (x₋₁ = −1), each a Rice code of b = ⌊log₂(M/m)⌋ (0 when
+// M < 2m) — gap>>b zero bits, a one, the b low bits — stored nowhere, so a
+// list has one encoding.  In a uniform set the numbers are the entries'
+// positions in the set's rank order π, its nodes sorted by (rank, node):
+// a bottom-k sketch holds a node only if its rank is below the k-th
+// smallest of the nodes closer than it, so a run's positions are all below
+// M, the k-th smallest position among the list's entries at smaller
+// distances — or total, the set's node count, while there are fewer than
+// k — which the decoder works out as it goes; it maps the positions back
+// through π and sorts the run's IDs back into canonical order.  The ranks
+// of weighted sets are no function of the node alone, and approximate
+// sets' entries need not keep below the threshold, so their numbers are
+// the IDs themselves and M is total.  A decoder reads no bit outside its
+// list, whatever it holds.
 
 // widthBelow returns the bits per value of a column whose values are all
 // below bound: enough for bound-1, and at least 1.
@@ -83,30 +98,215 @@ func (c *packedColumn) holds(n int64) bool {
 	return int64(len(c.words)) == packedWords(n, c.w) && tailClear(c.words, n*int64(c.w))
 }
 
-// riceParam returns the Rice parameter of a run of m >= 1 IDs below total: the
-// largest b with m·2^b <= total, or 0.  No division: it is paid per run.
-func riceParam(total, m int) uint {
-	b := bits.Len64(uint64(total)) - bits.Len64(uint64(m)) // m<<b is in [2^(len(total)-1), 2^len(total))
-	if b > 0 && m<<b > total {
+// riceParam returns the Rice parameter of a run of m >= 1 numbers below
+// bound: the largest b with m·2^b <= bound, or 0.  No division: it is paid
+// per run.
+func riceParam(bound, m int) uint {
+	b := bits.Len64(uint64(bound)) - bits.Len64(uint64(m)) // m<<b is in [2^(len(bound)-1), 2^len(bound))
+	if b > 0 && m<<b > bound {
 		b--
 	}
 	return uint(max(b, 0))
 }
 
-// nodeWriter appends node IDs to a node stream, coding a run at its end.
-// The stream's whole words are in words, the bits past them in acc.
+// rankOrder is the order a uniform set's node codes number its nodes in:
+// node perm[p] is at position p of the nodes sorted by (rank, node), which
+// is Algorithm 1's candidate order, and ranks[p] is its rank.  It is built
+// on first use — a build hands over the one it drew — and frames derived
+// from one another share it: slices, merges, and freezes that keep the
+// node count.
+type rankOrder struct {
+	once  sync.Once
+	perm  []int32
+	ranks []float64
+	total int
+	by    ranker
+}
+
+// newRankOrder returns the rank order of a total-node set of p, not yet
+// built: nil, the identity, unless the set is uniform.
+func newRankOrder(p Params, total int) *rankOrder {
+	if p.Kind != KindUniform {
+		return nil
+	}
+	return &rankOrder{total: total, by: newRanker(p)}
+}
+
+// builtRankOrder returns the rank order perm of nodes whose ranks are
+// byNode.
+func builtRankOrder(perm []int32, byNode []float64) *rankOrder {
+	o := &rankOrder{total: len(perm)}
+	o.once.Do(func() { o.set(perm, byNode) })
+	return o
+}
+
+// set installs the order perm of nodes whose ranks are byNode.
+func (o *rankOrder) set(perm []int32, byNode []float64) {
+	o.perm, o.ranks = perm, make([]float64, len(perm))
+	for p, v := range perm {
+		o.ranks[p] = byNode[v]
+	}
+}
+
+// nodes returns π: the node at every position.
+func (o *rankOrder) nodes() []int32 {
+	o.once.Do(func() {
+		o.set(runSpec{rank: func(v int32) float64 { return o.by.rank(v, 0) }}.rankOrder(o.total))
+	})
+	return o.perm
+}
+
+// positions returns π's inverse, afresh: the position of every node.
+func (o *rankOrder) positions() []int32 {
+	perm := o.nodes()
+	pos := make([]int32, len(perm))
+	for p, v := range perm {
+		pos[v] = int32(p)
+	}
+	return pos
+}
+
+// bytes returns the memory the order holds once built: a node and a rank
+// a position.
+func (o *rankOrder) bytes() int64 {
+	if o == nil {
+		return 0
+	}
+	return 12 * int64(o.total)
+}
+
+// lowInline is how many of the k smallest positions lowSlots holds in
+// place: a larger k takes a slice, grown as the positions come.
+const lowInline = 32
+
+// lowSlots keeps the k smallest rank-order positions of a list's entries
+// coded so far, ascending; the k-th, once there are k, bounds the next
+// run's.
+type lowSlots struct {
+	k, n int
+	own  [lowInline]int32
+	more []int32
+}
+
+// room returns the slots, at least n of them (n <= k), the first s.n held.
+func (s *lowSlots) room(n int) []int32 {
+	if s.k <= lowInline {
+		return s.own[:s.k]
+	}
+	if len(s.more) < n {
+		s.more = slices.Grow(s.more, n-len(s.more))[:n]
+	}
+	return s.more
+}
+
+// bound returns the exclusive bound of the next run's positions in a set
+// of total nodes.
+func (s *lowSlots) bound(total int) int {
+	if s.n < s.k {
+		return total
+	}
+	return int(s.room(s.k)[s.k-1])
+}
+
+// mergeLow adds the run's positions, which ascend, to s: the two ascending
+// sequences merged from the back, the largest beyond k dropped.
+func mergeLow(s *lowSlots, run []int32) {
+	keep := min(s.k, s.n+len(run))
+	v := s.room(keep)
+	// Past the first keep of the run, none of it is among the k smallest.
+	run = run[:min(len(run), keep)]
+	i, j := s.n-1, len(run)-1
+	for out := s.n + len(run) - 1; j >= 0; out-- {
+		var x int32
+		if i >= 0 && v[i] > run[j] {
+			x, i = v[i], i-1
+		} else {
+			x, j = run[j], j-1
+		}
+		if out < keep {
+			v[out] = x
+		}
+	}
+	s.n = keep
+}
+
+// sortRun sorts a run's values, all below 2^top, ascending: by insertion
+// while it is short, and otherwise, given scratch room for it, dealt first
+// by their high bits into about twice as many buckets as values, which leaves
+// the insertion that puts them back little to do.
+func sortRun[T int32 | uint64](s, scratch []T, top int) {
+	m, src := len(s), s
+	if m > 16 {
+		if len(scratch) < m || m > 2*runBuckets {
+			slices.Sort(s)
+			return
+		}
+		var count [runBuckets]int32
+		b := min(bits.Len(uint(m-1))+1, bits.Len(runBuckets-1))
+		shift := uint(max(top-b, 0))
+		for _, x := range s {
+			count[x>>shift]++
+		}
+		// Each bucket's start, the sum kept in a register rather than read
+		// back from the slot last stored.
+		sum := int32(0)
+		for i, c := range count[:1<<b] {
+			count[i], sum = sum, sum+c
+		}
+		src = scratch[:m]
+		for _, x := range s {
+			i := x >> shift
+			src[count[i]] = x
+			count[i]++
+		}
+	}
+	// In bucket order, each value moves past only the larger ones of its
+	// own bucket.
+	for i, x := range src {
+		j := i
+		for ; j > 0 && s[j-1] > x; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
+	}
+}
+
+// runBuckets is the most buckets sortRun deals a run into.
+const runBuckets = 128
+
+// nodeWriter appends entry lists' node IDs to a node stream, coding a run
+// at its end.  The stream's whole words are in words, the bits past them in
+// acc.
 type nodeWriter struct {
 	words []uint64
 	acc   uint64
 	nacc  uint    // the bits in acc: under 64
 	total int     // the set's node count
-	run   []int32 // the open run's IDs
+	pos   []int32 // a uniform set's: the rank-order position of every node; nil codes IDs as they are
+	low   lowSlots
+	run   []int32  // the open run's IDs
+	code  []int32  // the open run's positions, sorted
+	tmp   []int32  // sortRun's scratch
+	set   []uint64 // sortDense's bit set, clear between runs
+	owner int32    // the owner of the open list
+	entry int      // entries of the open list before the open run
+	err   error    // the first entry with no code, which ends the writing
 }
 
 // newNodeWriter returns a writer for a total-node set, with room for
-// entries fixed-width IDs, which their codes seldom exceed.
-func newNodeWriter(total, entries int) nodeWriter {
-	return nodeWriter{words: make([]uint64, 0, packedWords(int64(entries), widthBelow(int64(total)))), total: total}
+// entries fixed-width IDs, which their codes seldom exceed.  pos, when
+// non-nil, is the set's rank order's positions (a uniform set's), and k
+// the set's sketch parameter, which with them bounds a run.
+func newNodeWriter(total, entries int, pos []int32, k int) nodeWriter {
+	w := nodeWriter{words: make([]uint64, 0, packedWords(int64(entries), widthBelow(int64(total)))), total: total, pos: pos}
+	w.low.k = k
+	return w
+}
+
+// list starts the entry list of node owner.
+func (w *nodeWriter) list(owner int32) {
+	w.flush()
+	w.owner, w.entry, w.low.n = owner, 0, 0
 }
 
 // add appends the ID of an entry, which starts a run when step is set.
@@ -139,21 +339,65 @@ func (w *nodeWriter) stream() []uint64 {
 	return words
 }
 
-// flush codes the open run.  An ID that does not ascend strictly below
-// total is coded as the nearest one that does, which bounds a code's
-// length: callers that did not draw the IDs compare what they read back.
-// The gaps sum to under total, so a run of m codes takes under m·(3+b)
-// bits, less than m+1 words.
+// refuse records that the open run's entry i, of node id, has no code,
+// unless an earlier entry had none.
+func (w *nodeWriter) refuse(i int, id int32, why string) {
+	if w.err == nil {
+		w.err = fmt.Errorf("core: ADS(%d) entry %d (node %d) %s", w.owner, w.entry+i, id, why)
+	}
+}
+
+// flush codes the open run, or refuses it: an ID outside the set, or, in
+// the order the run is coded in, one that does not ascend strictly below
+// the run's bound — a rank too large for the sketch, a node twice, IDs
+// out of order — has no code.  The gaps sum to under the bound, so a run
+// of m codes takes under m·(3+b) bits, less than m+1 words.
 func (w *nodeWriter) flush() {
-	b := riceParam(w.total, len(w.run))
-	prev, top, mask := int64(-1), int64(w.total)-1, uint64(1)<<b-1
-	words, acc, nacc := slices.Grow(w.words, len(w.run)+1), w.acc, w.nacc
+	run := w.run
+	if len(run) == 0 {
+		return
+	}
+	w.run = run[:0]
+	defer func() { w.entry += len(run) }()
+	if w.err != nil {
+		return
+	}
+	for i, id := range run {
+		if uint32(id) >= uint32(w.total) {
+			w.refuse(i, id, fmt.Sprintf("names a node outside [0, %d)", w.total))
+			return
+		}
+	}
+	code, bound := run, w.total
+	if w.pos != nil {
+		code = slices.Grow(w.code[:0], len(run))[:len(run)]
+		for i, id := range run {
+			code[i] = w.pos[id]
+		}
+		w.code, bound = code, w.low.bound(w.total)
+		if !slices.IsSorted(code) && !w.sortDense(code, bound) {
+			w.tmp = slices.Grow(w.tmp[:0], len(run))[:len(run)]
+			sortRun(code, w.tmp, bits.Len(uint(w.total)))
+		}
+		mergeLow(&w.low, code)
+	}
+	b := riceParam(bound, len(code))
+	prev, mask := int64(-1), uint64(1)<<b-1
+	words, acc, nacc := slices.Grow(w.words, len(code)+1), w.acc, w.nacc
 	n := len(words)
 	words = words[:cap(words)]
-	for _, id := range w.run {
-		x := int64(id)
-		if x <= prev || x > top { // not ascending below total
-			x = min(max(x, prev+1), max(top, prev+1))
+	for i, c := range code {
+		x := int64(c)
+		if x <= prev || x >= int64(bound) { // what is written is dropped with the writer
+			if w.pos != nil {
+				i = slices.IndexFunc(run, func(v int32) bool { return w.pos[v] == c })
+			}
+			if x <= prev {
+				w.refuse(i, run[i], "is out of canonical order")
+			} else {
+				w.refuse(i, run[i], fmt.Sprintf("has rank-order position %d, not below %d, the k-th smallest of the entries before its distance: no bottom-k sketch holds it", x, bound))
+			}
+			return
 		}
 		gap := uint64(x - prev - 1)
 		q := gap >> b
@@ -163,19 +407,54 @@ func (w *nodeWriter) flush() {
 			}
 		}
 		// The quotient's zeros, its stop bit and the remainder: k <= 63 bits.
-		code, k := (1|(gap&mask)<<1)<<(q&63), uint(q)+1+b
-		acc |= code << (nacc & 63)
+		cw, k := (1|(gap&mask)<<1)<<(q&63), uint(q)+1+b
+		acc |= cw << (nacc & 63)
 		if nacc += k; nacc >= 64 {
 			words[n], n, nacc = acc, n+1, nacc-64
-			acc = code >> ((k - nacc) & 63) // the bits that did not fit
+			acc = cw >> ((k - nacc) & 63) // the bits that did not fit
 		}
 		prev = x
 	}
-	w.words, w.acc, w.nacc, w.run = words[:n], acc, nacc, w.run[:0]
+	w.words, w.acc, w.nacc = words[:n], acc, nacc
+}
+
+// sortDense sorts a run's positions when they are dense below its bound —
+// no more words of bits below it than twice the positions — by marking
+// them in a bit set and reading it back, no comparisons to mispredict.  It
+// reports whether it did: not for sparse positions, nor for a position at
+// or past the bound or twice over, which sortRun leaves for flush to
+// refuse.
+func (w *nodeWriter) sortDense(code []int32, bound int) bool {
+	words := (bound + 63) >> 6
+	if words > 2*len(code) {
+		return false
+	}
+	if len(w.set) < words {
+		w.set = make([]uint64, max(words, int(bitWords(int64(w.total)))))
+	}
+	set := w.set[:words]
+	for i, p := range code {
+		if int(p) >= bound || set[p>>6]&(1<<(p&63)) != 0 {
+			for _, q := range code[:i] {
+				set[q>>6] = 0
+			}
+			return false
+		}
+		set[p>>6] |= 1 << (p & 63)
+	}
+	j := 0
+	for i, x := range set {
+		for ; x != 0; x &= x - 1 {
+			code[j] = int32(i<<6 + bits.TrailingZeros64(x))
+			j++
+		}
+		set[i] = 0
+	}
+	return true
 }
 
 // copy appends bits [from, from+n) of src: whole lists' codes, of a set of
-// the same node count.
+// the same node count and rank order.
 func (w *nodeWriter) copy(src []uint64, from, n int64) {
 	at := w.bits()
 	end := at + n
@@ -189,11 +468,14 @@ func (w *nodeWriter) copy(src []uint64, from, n int64) {
 	w.words = w.words[:end>>6]
 }
 
-// nodeStream is a frame's node codes and the set's node count; or a
-// standalone index's IDs as they are.
+// nodeStream is a frame's node codes, the set's node count and, for a
+// uniform set, the rank order they are coded in and the k that bounds a
+// run; or a standalone index's IDs as they are.
 type nodeStream struct {
 	words []uint64
 	total int
+	order *rankOrder // nil: the codes are of the IDs as they are
+	k     int
 	ids   []int32 // the IDs as they are, when not coded (words nil)
 }
 
@@ -221,12 +503,34 @@ func (p Nodes) cursor() nodeCursor {
 	if p.s.words == nil {
 		return nodeCursor{ids: p.s.ids, eEnd: int64(p.n)}
 	}
-	return nodeCursor{words: p.s.words, next: p.bit, end: p.end, first: p.first, total: p.s.total, e: p.lo, eEnd: p.lo + int64(p.n)}
+	c := nodeCursor{words: p.s.words, next: p.bit, end: p.end, first: p.first, total: p.s.total, e: p.lo, eEnd: p.lo + int64(p.n)}
+	if p.s.order != nil {
+		c.perm, c.low.k = p.s.order.nodes(), p.s.k
+	}
+	return c
 }
 
 // AppendTo appends the node of every entry, in order, to dst.
 func (p Nodes) AppendTo(dst []int32) []int32 {
 	dst, _ = p.decode(dst)
+	return dst
+}
+
+// positions appends the numbers the list's runs code, each run's
+// ascending, to dst: a rank-ordered list's positions in its rank order,
+// unmapped.
+func (p Nodes) positions(dst []int32) []int32 {
+	c := p.cursor()
+	at := len(dst)
+	dst = slices.Grow(dst, p.n)[:at+p.n]
+	for i := at; i < len(dst); {
+		c.startRun()
+		run := dst[i : i+readRun(&c, dst[i:])]
+		if c.perm != nil {
+			mergeLow(&c.low, run)
+		}
+		i += len(run)
+	}
 	return dst
 }
 
@@ -238,15 +542,18 @@ func (p Nodes) decode(dst []int32) ([]int32, bool) {
 	return dst, decodeTo(&p, dst[at:])
 }
 
-// decodeTo is decode into dst, which has room for the list.  A float64
-// holds any ID exactly, so it may be storage for floats-to-be.
-func decodeTo[T int32 | float64](p *Nodes, dst []T) bool {
+// decodeTo is decode into dst, which has room for the list.
+func decodeTo(p *Nodes, dst []int32) bool {
 	c := p.cursor()
 	for i := 0; i < len(dst); {
 		i += decodeRun(&c, dst[i:])
 	}
 	return c.Done()
 }
+
+// runInline is how many IDs of a run Next holds in place: a longer run
+// takes a slice.
+const runInline = 64
 
 // nodeCursor decodes a list's node IDs in order.  Past the list's end, or
 // through bits that are not codes, it reads arbitrary IDs, none of them
@@ -261,16 +568,46 @@ type nodeCursor struct {
 	e, eEnd   int64    // the next entry's position in first, and the list's end
 	left      int      // the entries left in the current run
 	b         uint     // the run's Rice parameter
-	prev      int64    // the run's last ID, -1 at its start
+	bound     int      // the run's bound
+	prev      int64    // the run's last number, -1 at its start
 	total     int      // the set's node count
 	over      bool     // bits that are not codes were read
+
+	perm []int32  // a rank-ordered list's π; nil for IDs as they are
+	low  lowSlots // the k smallest positions of the runs decoded
+
+	// Next's run of a rank-ordered list, decoded whole: IDs [at, have) of
+	// it are still to come, in own when it fits, else in long.
+	at, have int
+	own      [runInline]int32
+	long     []int32
+	tmp      [runInline]int32 // room to sort a short run in
 }
 
 // Next returns the node of the next entry.
 func (c *nodeCursor) Next() int32 {
-	var id [1]int32
-	decodeRun(c, id[:])
-	return id[0]
+	if c.perm == nil {
+		var id [1]int32
+		decodeRun(c, id[:])
+		return id[0]
+	}
+	if c.at == c.have {
+		c.startRun()
+		c.at, c.have = 0, decodeRun(c, c.runBuf(c.left))
+	}
+	c.at++
+	return c.runBuf(c.have)[c.at-1]
+}
+
+// runBuf returns room for m IDs of Next's run.
+func (c *nodeCursor) runBuf(m int) []int32 {
+	if m <= runInline {
+		return c.own[:m]
+	}
+	if cap(c.long) < m {
+		c.long = make([]int32, m)
+	}
+	return c.long[:m]
 }
 
 // Done reports whether every entry was read and the list's bits were
@@ -279,23 +616,61 @@ func (c *nodeCursor) Done() bool {
 	return !c.over && c.e == c.eEnd && c.next-int64(c.avail) == c.end
 }
 
+// startRun opens the run at c's entry, unless one is open: its length, its
+// bound and its Rice parameter.
+func (c *nodeCursor) startRun() {
+	if c.left > 0 {
+		return
+	}
+	m := int(max(nextSet(c.first, c.e, c.eEnd)-c.e, 1))
+	c.left, c.prev, c.bound = m, -1, c.total
+	if c.perm != nil {
+		c.bound = c.low.bound(c.total)
+	}
+	c.b = riceParam(c.bound, m)
+}
+
 // decodeRun decodes the IDs from c's entry to the end of its run or of
-// dst into dst, and returns how many.  Each code starts where the last
-// ends, so the reader is in locals and a word is loaded every 31 bits.
-func decodeRun[T int32 | float64](c *nodeCursor, dst []T) int {
+// dst into dst, and returns how many; a rank-ordered list's dst has room
+// for the whole run, whose positions are mapped through π and sorted back
+// into canonical order.
+func decodeRun(c *nodeCursor, dst []int32) int {
 	if c.words == nil { // a standalone index's IDs, read by Next
-		dst[0], c.e = T(c.ids[c.e]), c.e+1
+		dst[0], c.e = c.ids[c.e], c.e+1
 		return 1
 	}
-	if c.left == 0 {
-		m := max(nextSet(c.first, c.e, c.eEnd)-c.e, 1)
-		c.left, c.b, c.prev = int(m), riceParam(c.total, int(m)), -1
+	c.startRun()
+	dst = dst[:readRun(c, dst)]
+	if c.perm != nil {
+		mergeLow(&c.low, dst)
+		perm := c.perm
+		for i, x := range dst {
+			dst[i] = perm[x]
+		}
+		var scratch []int32
+		if len(dst) <= runInline {
+			scratch = c.tmp[:len(dst)]
+		}
+		sortRun(dst, scratch, bits.Len(uint(c.total)))
 	}
+	return len(dst)
+}
+
+// readRun reads the numbers — IDs, or positions in rank order — from c's
+// entry, in its open run, to the end of the run or of dst into dst, and
+// returns how many.  Each code starts where the last ends, so the reader is
+// in locals and a word is loaded every 31 bits.  A position at or past its
+// run's bound, which no code spells, is read as the set's last.
+func readRun(c *nodeCursor, dst []int32) int {
 	dst = dst[:min(len(dst), c.left)]
 	// Locals, not c's fields, or every code would wait on a store and a load.
 	words, next, end, cur, avail := c.words, c.next, c.end, c.cur, c.avail
 	b, prev, ok := c.b, c.prev, true
 	mask := uint64(1)<<b - 1
+	limit, last := uint64(c.bound), max(int64(c.total)-1, 0)
+	if c.perm == nil {
+		limit = ^uint64(0)
+	}
 	for i := range dst {
 		if avail <= 32 && next < end {
 			n := min(31, end-next)
@@ -315,12 +690,78 @@ func decodeRun[T int32 | float64](c *nodeCursor, dst []T) int {
 			cur, avail, ok = 0, 0, ok && found
 		}
 		prev += 1 + int64(gap)
-		dst[i] = T(prev)
+		x := prev
+		if uint64(x) >= limit {
+			x, ok = last, false
+		}
+		dst[i] = int32(x)
 	}
 	c.next, c.cur, c.avail, c.prev, c.over = next, cur, avail, prev, c.over || !ok
 	c.left -= len(dst)
 	c.e += int64(len(dst))
 	return len(dst)
+}
+
+// rankedWeights sets w, which has room for every entry of p's list — a
+// uniform set's, rank-ordered — to the entries' HIP adjusted weights in
+// canonical order (Lemma 5.1: 1/τ, τ the k-th smallest rank before the
+// entry), read off their positions: a run's positions are decoded into w's
+// bytes, paired with their nodes and sorted by node, and the k smallest
+// positions so far, which the decoder keeps anyway, name τ, whose rank the
+// order holds.  It is hipWeightsBottomK over the ranks of the list's
+// nodes, bit for bit, with no rank derived, and reports what Done does.
+func rankedWeights(p *Nodes, w []float64) bool {
+	c := p.cursor()
+	perm, ranks, k, top := p.s.order.perm, p.s.order.ranks, c.low.k, 32+bits.Len(uint(c.total))
+	keys := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(w))), len(w))
+	var tmp [2 * runInline]uint64
+	for i := 0; i < len(w); {
+		c.startRun()
+		run := keys[i : i+min(c.left, len(w)-i)]
+		// The positions into the first half of the run's bytes, and paired
+		// with their nodes from the last: key j's slot holds positions 2j
+		// and 2j+1, which are read by then.
+		q := unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(run))), 2*len(run))
+		readRun(&c, q[:len(run)])
+		for j := len(run) - 1; j >= 0; j-- {
+			x := q[j]
+			run[j] = uint64(perm[x])<<32 | uint64(x)
+		}
+		var scratch []uint64
+		if len(run) <= len(tmp) {
+			scratch = tmp[:len(run)]
+		}
+		sortRun(run, scratch, top)
+		v := c.low.room(min(c.low.n+len(run), k))
+		for j, key := range run {
+			tau := 1.0
+			if c.low.n == k {
+				tau = ranks[v[k-1]]
+			}
+			w[i+j] = 1 / tau
+			offerLow(&c.low, v, int32(uint32(key)))
+		}
+		i += len(run)
+	}
+	return c.Done()
+}
+
+// offerLow adds position x to the slots v of s, if it is among the k
+// smallest.
+func offerLow(s *lowSlots, v []int32, x int32) {
+	i := s.n
+	switch {
+	case i < s.k:
+		s.n++
+	case x < v[i-1]:
+		i--
+	default:
+		return
+	}
+	for ; i > 0 && v[i-1] > x; i-- {
+		v[i] = v[i-1]
+	}
+	v[i] = x
 }
 
 // readCode decodes the code of parameter b at bit pos, a word at a time,

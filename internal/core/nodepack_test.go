@@ -60,15 +60,23 @@ func randomRuns(rng *rand.Rand, total int, lengths []int) (ids []int32, steps []
 }
 
 // writeNodes codes lists — their IDs and step bits, back to back — as a
-// frame's node stream, a list's codes starting where the returned bit
-// offsets say, and returns the stream's Nodes views.
-func writeNodes(total int, lists [][]int32, steps [][]bool) []Nodes {
-	w := newNodeWriter(total, 0)
+// frame's node stream, in the rank order order (nil: the IDs as they are)
+// under k, a list's codes starting where the returned bit offsets say, and
+// returns the stream's Nodes views.  It fails the test when a list has no
+// code.
+func writeNodes(t testing.TB, total int, order *rankOrder, k int, lists [][]int32, steps [][]bool) []Nodes {
+	t.Helper()
+	var pos []int32
+	if order != nil {
+		pos = order.positions()
+	}
+	w := newNodeWriter(total, 0, pos, k)
 	var first []uint64
 	var marks []bool
 	var boff, off []int64
 	for i, l := range lists {
 		boff, off = append(boff, w.bits()), append(off, int64(len(marks)))
+		w.list(int32(i))
 		for j, id := range l {
 			w.add(id, steps[i][j])
 			marks = append(marks, steps[i][j])
@@ -81,7 +89,10 @@ func writeNodes(total int, lists [][]int32, steps [][]bool) []Nodes {
 			setBit(first, int64(i))
 		}
 	}
-	stream := &nodeStream{words: w.stream(), total: total}
+	stream := &nodeStream{words: w.stream(), total: total, order: order, k: k}
+	if w.err != nil {
+		t.Fatal(w.err)
+	}
 	out := make([]Nodes, len(lists))
 	for i := range lists {
 		out[i] = Nodes{nodeCodes: nodeCodes{s: stream, bit: boff[i], end: boff[i+1]}, first: first, lo: off[i], n: int(off[i+1] - off[i])}
@@ -111,7 +122,7 @@ func TestNodesViewMatchesSlice(t *testing.T) {
 			ids, marks := randomRuns(rng, min(total, 5000), lengths)
 			lists, steps = append(lists, ids), append(steps, marks)
 		}
-		views := writeNodes(total, lists, steps)
+		views := writeNodes(t, total, nil, 0, lists, steps)
 		for i, p := range views {
 			want := lists[i]
 			l := make([]Entry, len(want))
@@ -122,8 +133,8 @@ func TestNodesViewMatchesSlice(t *testing.T) {
 				}
 				l[j] = Entry{Node: id, Dist: d}
 			}
-			if got := p.end - p.bit; got != testRiceBits(l, uint64(total)) {
-				t.Fatalf("total %d list %d: %d bits of codes, the reference works out %d", total, i, got, testRiceBits(l, uint64(total)))
+			if got := p.end - p.bit; got != testRiceBits(l, uint64(total), nil, 0) {
+				t.Fatalf("total %d list %d: %d bits of codes, the reference works out %d", total, i, got, testRiceBits(l, uint64(total), nil, 0))
 			}
 			got, exact := p.decode([]int32{-7})
 			if !exact || got[0] != -7 || !slices.Equal(got[1:], want) {
@@ -140,7 +151,7 @@ func TestNodesViewMatchesSlice(t *testing.T) {
 			}
 			// The same codes, a bit range copied behind every alignment.
 			for shift := int64(0); shift < 64; shift += 13 {
-				w := newNodeWriter(total, 0)
+				w := newNodeWriter(total, 0, nil, 0)
 				w.nacc = uint(shift) // zeros
 				w.copy(p.s.words, p.bit, p.end-p.bit)
 				q, end := p, w.bits()
@@ -166,7 +177,7 @@ func TestNodesViewMatchesSlice(t *testing.T) {
 func TestNodeCursorStaysInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ids, steps := randomRuns(rng, 1000, []int{3, 40, 1, 17})
-	valid := writeNodes(1000, [][]int32{ids}, [][]bool{steps})[0]
+	valid := writeNodes(t, 1000, nil, 0, [][]int32{ids}, [][]bool{steps})[0]
 	for _, c := range []struct {
 		name   string
 		bit    int64
@@ -415,19 +426,37 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 		add(name+": Rice codes without the flag", true, edit(data, func(b []byte) {
 			le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagRiceNodes)
 		}))
+		// Bit 6 is a uniform set's: clear on its rank-ordered codes, or on
+		// the codes of its IDs as they are (the retired 0x3e layout, which
+		// adsconvert reads), the file is refused; set on those codes, they
+		// read as positions that are not the codes of the set's entries.
+		add(name+": rank-ordered codes without the rank flag", true, edit(data, func(b []byte) {
+			le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagRankNodes)
+		}))
+		add(name+": the IDs' own codes, the retired uniform layout", true, riceV3(t, data))
+		add(name+": the rank flag on the IDs' own codes", false, edit(riceV3(t, data), func(b []byte) {
+			le.PutUint32(b[12:], le.Uint32(b[12:])|frameFlagRankNodes)
+		}))
 		// Within the stream the codes are trusted: the stream readers decode
 		// every sketch, and refuse codes that run past their sketch's bits or
 		// stop short of them, and IDs the set does not have.
 		add(name+": a sketch's codes a bit into the next sketch's", false, rebuilt(data, func(p *v3Parts) { p.boffs[1]++ }))
 		add(name+": a code bit flipped", false, edit(data, func(b []byte) { b[p.nodesAt+3] ^= 0x10 }))
+		// A run's rank-order positions ascend below its bound, which the
+		// gaps of its codes can only say so much of: a position at the
+		// bound, or past the set's last (the reference codes an ID outside
+		// the set as itself), is refused as no code.  Positions that do not
+		// ascend have no gaps to spell them.
 		lists, _ := segmentLists(f)
 		for _, id := range []int32{61, 63} {
 			bad := slices.Clone(lists)
 			l := slices.Clone(lists[0])
 			l[len(l)-1].Node = id // the last of its run, whatever its distance
 			bad[0] = l
-			add(fmt.Sprintf("%s: an ID of %d in a set of 61", name, id), false, canonicalV3(headerOf(s), bad, nil))
+			add(fmt.Sprintf("%s: a position of %d in a set of 61", name, id), false, canonicalV3(headerOf(s), bad, nil))
 		}
+		bad, v, at := atBound(t, f, lists)
+		add(fmt.Sprintf("%s: ADS(%d) entry %d at its run's bound", name, f.owner(v), at), false, canonicalV3(headerOf(s), bad, nil))
 	}
 	// A partition's codes' parameters come from its envelope's total, not
 	// from the nodes it holds: 2^31 is refused as a count, and any other
@@ -440,7 +469,7 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 	// The smallest sets: one bit of code for the only ID of a set of one.
 	one := valid["one node"]
 	oneNodesAt := splitV3(t, one).nodesAt
-	add("one node: an ID of 1 in a set of 1", false, canonicalV3(headerOf(pathSet(t, 1, Options{K: 4, Seed: 42})), [][]Entry{{{Node: 1}}}, nil))
+	add("one node: a position of 1 in a set of 1", false, canonicalV3(headerOf(pathSet(t, 1, Options{K: 4, Seed: 42})), [][]Entry{{{Node: 1}}}, nil))
 	add("one node: a node bit past the only entry", true, edit(one, func(b []byte) { b[oneNodesAt] |= 2 }))
 	add("no nodes: a word of nodes", true, append(append([]byte(nil), valid["no nodes"]...), make([]byte, 8)...))
 	return valid, damaged, trusted
@@ -465,12 +494,82 @@ func TestPackedNodesRejectHostileInput(t *testing.T) {
 	}
 	checkHostileFiles(t, damaged, trusted)
 	for name, data := range damaged {
-		if !strings.Contains(name, "an ID of") {
+		if !strings.Contains(name, "a position of") && !strings.Contains(name, "bound") {
 			continue
 		}
-		if _, err := ReadSketchSet(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "outside [0, ") {
-			t.Errorf("%s: stream reader: %v, want the node named as outside the set", name, err)
+		if _, err := ReadSketchSet(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "node codes are not the codes") {
+			t.Errorf("%s: stream reader: %v, want the codes refused", name, err)
 		}
+	}
+}
+
+// atBound returns lists with one entry of one of them replaced by the node
+// at its run's bound — the k-th smallest rank-order position of the
+// entries at smaller distances, which no bottom-k sketch holds there — and
+// which list and entry that is: the last entry of the first run that has k
+// entries before it, of the first list that has such a run.
+func atBound(t testing.TB, f *Frame, lists [][]Entry) (bad [][]Entry, v, at int) {
+	t.Helper()
+	perm, pos := f.node.order.nodes(), f.node.order.positions()
+	for v, l := range lists {
+		var earlier []int32
+		for i := 0; i < len(l); {
+			end := i + 1
+			for end < len(l) && l[end].Dist == l[i].Dist {
+				end++
+			}
+			if len(earlier) >= f.p.K {
+				slices.Sort(earlier)
+				bad = slices.Clone(lists)
+				bad[v] = slices.Clone(l)
+				bad[v][end-1].Node = perm[earlier[f.p.K-1]]
+				bad[v][end-1].Rank = f.by.rank(bad[v][end-1].Node, 0)
+				return bad, v, end - 1
+			}
+			for _, e := range l[i:end] {
+				earlier = append(earlier, pos[e.Node])
+			}
+			i = end
+		}
+	}
+	t.Fatal("no run has k entries before it")
+	return nil, 0, 0
+}
+
+// TestFreezeRefusesEntryPastBound: a hand-edited list whose entry breaks
+// its run's bound — a rank no bottom-k sketch holds after the entries
+// before it — has no code: FreezeBottomK, FreezeLists, FreezePartition and
+// FreezeBottomKOver refuse it, naming the entry, and clamp nothing.
+func TestFreezeRefusesEntryPastBound(t *testing.T) {
+	o := Options{K: 4, Seed: 42}
+	set, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists, _ := segmentLists(set.frame)
+	bad, v, at := atBound(t, set.frame, lists)
+	want := fmt.Sprintf("ADS(%d) entry %d ", v, at)
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "no bottom-k sketch holds it") {
+			t.Errorf("%s: %v, want entry %d of ADS(%d) refused past its run's bound", what, err, at, v)
+		}
+	}
+	_, err = FreezeBottomK(o, bad)
+	check("FreezeBottomK", err)
+	_, err = FreezeLists(Params{Kind: KindUniform, Options: o}, 0, 0, len(bad), bad, nil, true)
+	check("FreezeLists", err)
+	_, err = FreezeBottomKOver(set, len(bad), map[int32][]Entry{int32(v): bad[v]})
+	check("FreezeBottomKOver", err)
+	lo, hi := nodeRange(1, 2, len(bad))
+	if v >= lo && v < hi {
+		_, err = FreezePartition(Params{Kind: KindUniform, Options: o}, 1, 2, len(bad), bad[lo:hi], nil)
+		check("FreezePartition", err)
+	}
+	// The same entries of an approximate set, whose codes are of the IDs as
+	// they are, have theirs.
+	if _, err := FreezeLists(Params{Kind: KindApprox, Options: o}, 0, 0, len(bad), bad, nil, false); err != nil && strings.Contains(err.Error(), "bottom-k") {
+		t.Errorf("an approximate set's entries refused by the bound: %v", err)
 	}
 }
 
@@ -483,7 +582,7 @@ func BenchmarkNodesAppendTo(b *testing.B) {
 	for i := range lists {
 		lists[i], steps[i] = randomRuns(rng, 10000, []int{1, 6, 30, 70, 20})
 	}
-	views := writeNodes(10000, lists, steps)
+	views := writeNodes(b, 10000, nil, 0, lists, steps)
 	buf := make([]int32, 0, 127)
 	b.SetBytes(127 * 4)
 	for i := 0; i < b.N; i++ {
@@ -518,12 +617,6 @@ func TestCopyBitsMatchesBitByBit(t *testing.T) {
 	}
 }
 
-// FuzzNodeCode: a random list — runs of strictly ascending IDs below a
-// node count, their lengths drawn from the input — round-trips through the
-// node writer and every decoder; and the input's bytes taken as a list's
-// code bits, under step bits also drawn from them, decode without a panic,
-// to the same IDs whatever the bits around the list hold — no read outside
-// its range — through AppendTo and a cursor's Next alike.
 // TestNodeCodeLongQuotient: a run whose first code's quotient outruns a
 // word, which the writer fills with zeros a half word at a time, codes to
 // the bits the reference works out and decodes back.
@@ -537,20 +630,31 @@ func TestNodeCodeLongQuotient(t *testing.T) {
 	for j := range ids {
 		ids[j], steps[j], l[j] = int32(total-m+j), j == 0, Entry{Node: int32(total - m + j), Dist: 1}
 	}
-	p := writeNodes(total, [][]int32{ids}, [][]bool{steps})[0]
-	if got := p.end - p.bit; got != testRiceBits(l, uint64(total)) {
-		t.Fatalf("%d bits of codes, the reference works out %d", got, testRiceBits(l, uint64(total)))
+	p := writeNodes(t, total, nil, 0, [][]int32{ids}, [][]bool{steps})[0]
+	if got := p.end - p.bit; got != testRiceBits(l, uint64(total), nil, 0) {
+		t.Fatalf("%d bits of codes, the reference works out %d", got, testRiceBits(l, uint64(total), nil, 0))
 	}
 	if got, exact := p.decode(nil); !exact || !slices.Equal(got, ids) {
 		t.Fatalf("decoded %v (exact %v), want %v", got, exact, ids)
 	}
 }
 
+// FuzzNodeCode: a random list — runs of strictly ascending IDs below a
+// node count, their lengths drawn from the input — round-trips through the
+// node writer and every decoder, its IDs coded as they are and, under a
+// random rank order of a random node count and a random k, as rank-order
+// positions below each run's bound (a bottom-k list drawn under that
+// order); and the input's bytes taken as a list's code bits, under step
+// bits also drawn from them, decode without a panic, in both codings, to
+// the same IDs whatever the bits around the list hold — no read outside
+// its range — through AppendTo, a cursor's Next and the index's weights
+// alike.
 func FuzzNodeCode(f *testing.F) {
 	f.Add(uint32(10000), int64(1), []byte{16, 3, 40})
 	f.Add(uint32(1), int64(2), []byte{0xff})
 	f.Add(uint32(61), int64(3), []byte{61, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add(uint32(1<<30), int64(4), []byte{1, 1, 1, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0x7f})
+	f.Add(uint32(300), int64(5), []byte{0, 7, 30, 200, 1, 0xff, 9})
 	f.Fuzz(func(t *testing.T, count uint32, seed int64, raw []byte) {
 		total := int(count%(1<<30)) + 1
 		rng := rand.New(rand.NewSource(seed))
@@ -573,9 +677,36 @@ func FuzzNodeCode(f *testing.F) {
 			}
 		}
 		if len(ids) > 0 {
-			p := writeNodes(total, [][]int32{ids}, [][]bool{steps})[0]
+			p := writeNodes(t, total, nil, 0, [][]int32{ids}, [][]bool{steps})[0]
 			if got, exact := p.decode(nil); !exact || !slices.Equal(got, ids) {
 				t.Fatalf("total %d: %v decoded as %v (exact %v)", total, ids, got, exact)
+			}
+		}
+		// A rank order of up to 2^12 nodes, and a bottom-k list under it.
+		small, k := total%(1<<12)+1, 1+int(uint64(seed)%8)
+		order := fuzzOrder(rng, small)
+		ids, steps = fuzzRankedList(rng, order, k, raw[:min(len(raw), 8)])
+		if len(ids) > 0 {
+			p := writeNodes(t, small, order, k, [][]int32{ids}, [][]bool{steps})[0]
+			if got, exact := p.decode(nil); !exact || !slices.Equal(got, ids) {
+				t.Fatalf("%d nodes in rank order, k=%d: %v decoded as %v (exact %v)", small, k, ids, got, exact)
+			}
+			c := p.cursor()
+			for j, id := range ids {
+				if got := c.Next(); got != id {
+					t.Fatalf("%d nodes in rank order, k=%d: the cursor's entry %d is %d, want %d", small, k, j, got, id)
+				}
+			}
+			w := make([]float64, len(ids))
+			if !rankedWeights(&p, w) {
+				t.Fatalf("%d nodes in rank order, k=%d: the weights' decoder is not done", small, k)
+			}
+			r := make([]float64, len(ids))
+			for j, id := range ids {
+				r[j] = order.ranks[slices.Index(order.perm, id)]
+			}
+			if want := hipWeightsBottomK(r, k, newKSmallest(k), nil); !slices.Equal(w, want) {
+				t.Fatalf("%d nodes in rank order, k=%d: weights %v, want %v", small, k, w, want)
 			}
 		}
 		// Arbitrary bits: the input as the list's codes, and its step bits
@@ -592,7 +723,7 @@ func FuzzNodeCode(f *testing.F) {
 				}
 			}
 		}
-		decodeAll := func(filler uint64) (all, next []int32, done bool) {
+		decodeAll := func(filler uint64, s *nodeStream) (all, next []int32, done bool, w []float64) {
 			words := make([]uint64, 1+bitWords(bits)+1)
 			for i := range words {
 				words[i] = filler
@@ -606,21 +737,81 @@ func FuzzNodeCode(f *testing.F) {
 			}
 			// The stream ends with the list's last word: a read past it
 			// would panic.
-			s := &nodeStream{words: words[:bitWords(64+bits)], total: total}
+			s.words = words[:bitWords(64+bits)]
 			p := Nodes{nodeCodes: nodeCodes{s: s, bit: 64, end: 64 + bits}, first: first, n: n}
 			all, _ = p.decode(nil)
 			c := p.cursor()
 			for range n {
 				next = append(next, c.Next())
 			}
-			return all, next, c.Done()
+			if s.order != nil {
+				w = make([]float64, n)
+				rankedWeights(&p, w)
+			}
+			return all, next, c.Done(), w
 		}
-		all, next, done := decodeAll(0)
-		if !slices.Equal(all, next) {
-			t.Fatalf("the decoders disagree: %v, %v", all, next)
-		}
-		if all2, _, done2 := decodeAll(^uint64(0)); !slices.Equal(all, all2) || done != done2 {
-			t.Fatal("the bits around the list change what it decodes to")
+		for _, s := range []nodeStream{{total: total}, {total: small, order: order, k: k}} {
+			all, next, done, w := decodeAll(0, &s)
+			if !slices.Equal(all, next) {
+				t.Fatalf("the decoders disagree: %v, %v", all, next)
+			}
+			for _, id := range all {
+				if s.order != nil && (id < 0 || int(id) >= small) {
+					t.Fatalf("rank-ordered bits decode to node %d of %d", id, small)
+				}
+			}
+			if all2, _, done2, w2 := decodeAll(^uint64(0), &s); !slices.Equal(all, all2) || done != done2 || !slices.Equal(w, w2) {
+				t.Fatal("the bits around the list change what it decodes to")
+			}
 		}
 	})
+}
+
+// fuzzOrder returns a random rank order of n nodes, its ranks ascending
+// with the position.
+func fuzzOrder(rng *rand.Rand, n int) *rankOrder {
+	perm := make([]int32, n)
+	for i, v := range rng.Perm(n) {
+		perm[i] = int32(v)
+	}
+	byNode := make([]float64, n)
+	for p, v := range perm {
+		byNode[v] = float64(p+1) / float64(n+1)
+	}
+	return builtRankOrder(perm, byNode)
+}
+
+// fuzzRankedList returns a bottom-k list under order — a run per length
+// byte, each of positions below the run's bound not taken yet, as many as
+// the byte says and there are, ascending by node — and its step bits.
+func fuzzRankedList(rng *rand.Rand, order *rankOrder, k int, lengths []byte) (ids []int32, steps []bool) {
+	var taken []int32 // positions, ascending
+	for _, x := range lengths {
+		bound := order.total
+		if len(taken) >= k {
+			bound = int(taken[k-1])
+		}
+		var free []int32
+		for p := 0; p < bound; p++ {
+			if _, ok := slices.BinarySearch(taken, int32(p)); !ok {
+				free = append(free, int32(p))
+			}
+		}
+		rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+		run := free[:min(len(free), int(x)+1)]
+		if len(run) == 0 {
+			break
+		}
+		nodes := make([]int32, len(run))
+		for j, p := range run {
+			nodes[j] = order.perm[p]
+			taken = append(taken, p)
+		}
+		slices.Sort(taken)
+		slices.Sort(nodes)
+		for j, id := range nodes {
+			ids, steps = append(ids, id), append(steps, j == 0)
+		}
+	}
+	return ids, steps
 }

@@ -214,11 +214,13 @@ func (ps pass[H]) lists(entry func(H) Entry) [][]Entry {
 
 // hopFrame is BuildSetParallel's Algorithm 1 on an unweighted graph: the
 // one pass of a uniform set of p, on workers, packed straight into the
-// frame's columns from its keys.
-func hopFrame(g *graph.Graph, p Params, workers int) *Frame {
+// frame's columns from its keys, its node codes in the rank order the pass
+// drew its candidates in, a node range a worker.
+func hopFrame(g *graph.Graph, p Params, workers int) (*Frame, error) {
 	n := g.NumNodes()
 	cands, ranks := runSpec{k: p.K, rank: p.rankFn()}.rankOrder(n)
-	ps, _ := runHops(g.Transpose(), cands, ranks, p.K, passWorkers(workers, n))
+	workers = passWorkers(workers, n)
+	ps, _ := runHops(g.Transpose(), cands, ranks, p.K, workers)
 	steps := 0
 	for v := range n {
 		for j := ps.off[v]; j < ps.off[v+1]; j++ {
@@ -233,11 +235,22 @@ func hopFrame(g *graph.Graph, p Params, workers int) *Frame {
 		last := uint64(noKey)
 		for _, key := range ps.keys[ps.off[v]:ps.off[v+1]] {
 			hop := key >> 32
-			pk.add(keyNode(key), float64(hop), hop != last)
+			pk.add(float64(hop), hop != last)
 			last = hop
 		}
 	}
-	return pk.frame()
+	err := pk.codeNodes(builtRankOrder(cands, ranks), workers, func(w *nodeWriter, v int) {
+		last := uint64(noKey)
+		for _, key := range ps.keys[ps.off[v]:ps.off[v+1]] {
+			hop := key >> 32
+			w.add(keyNode(key), hop != last)
+			last = hop
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pk.frame(), nil
 }
 
 // adsKey is a weighted entry's canonical sort key.

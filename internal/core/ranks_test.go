@@ -8,133 +8,40 @@ import (
 	"testing"
 
 	"adsketch/internal/graph"
+	"adsketch/internal/retired"
 )
 
-// legacyV3 rewrites a version-3 file the way files were laid out before
-// ranks were derived: flag bits 1, 2 and 3 clear, 32 bits a node ID, a
-// distance per entry, a rank column after them, and — for weighted and
-// approximate sets — no seed in the header.  With perEntryV3, wideV3 and
-// plainV3 it is the test-only writer of the retired layouts the readers
-// refuse (internal/legacy, which reads them, has its own); none of them has
-// flag bit 4, so all have no numDistinct word and store 64 bits an offset
-// and a float a step.  compactV3 writes the last retired layout.
-func legacyV3(t testing.TB, data []byte) []byte { return oldV3(t, data, true, false, false) }
-
-// perEntryV3 rewrites a version-3 file the way files were laid out
-// between ranks becoming derived and distances becoming step-coded: flag
-// bits 2 and 3 clear, 32 bits a node ID, a distance per entry.
-func perEntryV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, false, false) }
-
-// wideV3 rewrites a version-3 file the way files were laid out between
-// distances becoming step-coded and node IDs becoming packed: flag bit 3
-// clear, 32 bits a node ID.
-func wideV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, true, false) }
-
-// plainV3 rewrites a version-3 file the way files were laid out between
-// node IDs becoming packed and the last 64-bit columns following them:
-// flag bit 4 clear, 64 bits an offset, a float a step, no numDistinct.
-func plainV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, true, true) }
-
-// compactV3 rewrites a version-3 file the way files were laid out
-// between the compact columns and Rice-coded node IDs: flags 0x1e, no
-// numNodeBits word, no bit offsets, and node IDs packed at the bits the
-// set's node count needs.
-func compactV3(t testing.TB, data []byte) []byte {
+// retiredAs rewrites a file of the current layout in a retired one with
+// write, that layout's one writer (internal/retired), which the legacy
+// reader's tests use too: the readers here refuse what it writes.
+func retiredAs(t testing.TB, data []byte, write func([]byte, [][]retired.Entry) []byte) []byte {
 	t.Helper()
 	set, err := openFrameBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := set.frame
-	p := splitV3(t, data)
-	h := p.h
-	h.flags &^= frameFlagRiceNodes
-	out := h.appendHeader(nil)
-	out = out[:len(out)-8] // no numNodeBits
-	out = append(out, testPack(p.offs, testWidth(h.numEntries+1))...)
-	var ids []uint64
-	for v := 0; v < f.n; v++ {
-		for _, id := range f.nodesAt(v).AppendTo(nil) {
-			ids = append(ids, uint64(id))
-		}
-	}
-	out = append(out, testPack(ids, testWidth(uint64(f.total)))...)
-	return append(out, data[p.bitsAt:]...)
-}
-
-func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte {
-	t.Helper()
-	set, err := openFrameBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := set.frame
-	h := headerOf(set)
-	h.flags &^= frameFlagCompact | frameFlagRiceNodes
-	h.numDistinct = 0
-	if !packed {
-		h.flags &^= frameFlagPackedNodes
-	}
-	if !stepCoded {
-		h.flags &^= frameFlagStepDists
-		h.numSteps = 0
-	}
-	if storeRanks {
-		h.flags &^= frameFlagDerivedRanks
-		if f.p.Kind != KindUniform {
-			h.seed = 0
-		}
-	}
-	le := binary.LittleEndian
-	out := h.appendHeader(nil)
-	out = out[:len(out)-16] // no numDistinct, no numNodeBits
-	lo, hi := f.entryRange()
-	for i := 0; i < f.numOffsets(); i++ {
-		out = le.AppendUint64(out, uint64(f.offAt(i)-lo))
-	}
 	var rs rankScratch
-	var nodes, dists, ranks, steps []byte
-	first := make([]uint64, bitWords(hi-lo))
-	for v := 0; v < f.n; v++ {
+	lists := make([][]retired.Entry, f.n)
+	for v := range lists {
 		c, _ := rs.filled(f.colsAt(v), f.nodesAt(v))
-		for i, r := range c.rank {
-			if i == 0 || c.dist[i] != c.dist[i-1] {
-				setBit(first, int64(len(nodes)/4))
-				steps = le.AppendUint64(steps, math.Float64bits(c.dist[i]))
-			}
-			nodes = le.AppendUint32(nodes, uint32(c.node[i]))
-			dists = le.AppendUint64(dists, math.Float64bits(c.dist[i]))
-			ranks = le.AppendUint64(ranks, math.Float64bits(r))
+		for i, node := range c.node {
+			lists[v] = append(lists[v], retired.Entry{Node: node, Dist: c.dist[i], Rank: c.rank[i]})
 		}
 	}
-	if packed {
-		var ids []uint64
-		for i := 0; i < len(nodes); i += 4 {
-			ids = append(ids, uint64(le.Uint32(nodes[i:])))
-		}
-		out = append(out, testPack(ids, testWidth(uint64(f.total)))...)
-	} else {
-		out = append(out, nodes...)
-		out = append(out, make([]byte, pad8(4*(hi-lo))-4*(hi-lo))...)
-	}
-	if stepCoded {
-		for _, w := range first {
-			out = le.AppendUint64(out, w)
-		}
-		out = append(out, steps...)
-	} else {
-		out = append(out, dists...)
-	}
-	if storeRanks {
-		out = append(out, ranks...)
-	}
-	if f.beta != nil {
-		for _, b := range f.beta[lo:hi] {
-			out = le.AppendUint64(out, math.Float64bits(b))
-		}
-	}
-	return out
+	return write(data, lists)
 }
+
+// legacyV3, perEntryV3, wideV3, plainV3, compactV3 and riceV3 rewrite a
+// file of the current layout in each retired one: flags 0x00 (ranks
+// stored), 0x02, 0x06, 0x0e, 0x1e and 0x3e (node IDs Rice-coded as they
+// are, the layout weighted and approximate sets keep).
+func legacyV3(t testing.TB, data []byte) []byte   { return retiredAs(t, data, retired.Ranks) }
+func perEntryV3(t testing.TB, data []byte) []byte { return retiredAs(t, data, retired.PerEntry) }
+func wideV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Wide) }
+func plainV3(t testing.TB, data []byte) []byte    { return retiredAs(t, data, retired.Plain) }
+func compactV3(t testing.TB, data []byte) []byte  { return retiredAs(t, data, retired.Compact) }
+func riceV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Rice) }
 
 // v3Files returns the rank-free file of every set kind and of one
 // partition.
@@ -175,6 +82,14 @@ func v3Files(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	files["weighted-partition"] = buf.Bytes()
+	if parts, err = SplitSketchSet(uniform, 2); err != nil {
+		t.Fatal(err)
+	}
+	var ubuf bytes.Buffer
+	if _, err := parts[1].WriteTo(&ubuf); err != nil {
+		t.Fatal(err)
+	}
+	files["uniform-partition"] = ubuf.Bytes()
 	return files
 }
 

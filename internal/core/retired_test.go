@@ -17,13 +17,13 @@ import (
 func TestOpenFrameBytesRefusesRetiredLayouts(t *testing.T) {
 	files := v3Files(t)
 	le := binary.LittleEndian
-	for _, layout := range []uint32{0, frameFlagStepDists, frameFlagStepDists | frameFlagPackedNodes, frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact} {
+	for _, layout := range []uint32{0, frameFlagStepDists, frameFlagStepDists | frameFlagPackedNodes, frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact, frameFlagsLayout &^ frameFlagDerivedRanks} {
 		for _, ranks := range []uint32{0, frameFlagDerivedRanks} {
-			if layout|ranks == frameFlagsLayout {
-				continue
-			}
-			for _, name := range []string{"uniform", "weighted"} {
+			for _, name := range []string{"uniform", "weighted", "approx"} {
 				b := append([]byte(nil), files[name]...)
+				if layout|ranks == layoutFlags(le.Uint32(b[8:])) {
+					continue
+				}
 				le.PutUint32(b[12:], layout|ranks|le.Uint32(b[12:])&frameFlagBeta)
 				if _, err := openFrameBytes(b); err == nil || !strings.Contains(err.Error(), "adsconvert") {
 					t.Errorf("%s under flags %#x: %v, want a refusal naming adsconvert", name, le.Uint32(b[12:]), err)
@@ -31,18 +31,31 @@ func TestOpenFrameBytesRefusesRetiredLayouts(t *testing.T) {
 			}
 		}
 	}
+	// Only a uniform set's codes are rank-ordered: the bit on another kind
+	// is no layout any release wrote.
+	for _, name := range []string{"weighted", "approx", "weighted-partition"} {
+		b := append([]byte(nil), files[name]...)
+		le.PutUint32(b[12:], le.Uint32(b[12:])|frameFlagRankNodes)
+		if _, err := openFrameBytes(b); err == nil || !strings.Contains(err.Error(), "only a uniform set's node codes are rank-ordered") {
+			t.Errorf("%s with the rank-order flag: %v, want a refusal naming the kind", name, err)
+		}
+	}
 }
 
 // TestReadersRefuseRetiredLayouts: a file of each retired layout, of every
-// kind and of a partition, is refused by every reader — the stream reader
-// and both file openers — naming adsconvert, which reads it
+// kind and of a partition — the IDs' own Rice codes, flags 0x3e, of the
+// uniform sets, whose layout it was — is refused by every reader — the
+// stream reader and both file openers — naming adsconvert, which reads it
 // (internal/legacy); so is a version-2 file no fixture holds: an empty
 // uniform set whose base-b is NaN.
 func TestReadersRefuseRetiredLayouts(t *testing.T) {
 	dir := t.TempDir()
-	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3}
+	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3, "compact": compactV3, "rice": riceV3}
 	for name, data := range v3Files(t) {
 		for layout, rewrite := range layouts {
+			if layout == "rice" && !strings.HasPrefix(name, "uniform") {
+				continue // the current layout of the other kinds
+			}
 			path := filepath.Join(dir, name+"-"+layout+".ads")
 			if err := os.WriteFile(path, rewrite(t, data), 0o644); err != nil {
 				t.Fatal(err)

@@ -184,7 +184,7 @@ func TestReadersRefuseEmptySketch(t *testing.T) {
 			nil,
 			{{Node: 2, Dist: 0, Rank: rank(2)}},
 		}
-		b := v3Bytes(t, &Set{frame: freezeWhole(p, lists)})
+		b := v3Bytes(t, &Set{frame: mustFreezeWhole(p, lists)})
 		path := filepath.Join(t.TempDir(), "empty.ads")
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)

@@ -25,11 +25,10 @@ import (
 // writer's block copies, shifts, rank look-ups or use counts.  The width of
 // a packed column is spelled out here rather than taken from widthBelow —
 // the smallest w, at least 1, with every value below 2^w — and so is a
-// run's Rice parameter — the largest b with m·2^b <= total, 0 when there is
-// none — and the dictionary is its own pass: collect the steps, sort, drop
-// repeats, and use it iff that is strictly fewer bytes.  The IDs are coded
-// as they are, so a list whose IDs are not the set's, or not in order,
-// still has its codes.
+// run's Rice parameter (testNodeCodes) — and the dictionary is its own
+// pass: collect the steps, sort, drop repeats, and use it iff that is
+// strictly fewer bytes.  A list whose IDs are not the set's, or not in
+// order, still has its codes.
 func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 	le := binary.LittleEndian
 	width := func(bound uint64) uint64 {
@@ -56,6 +55,10 @@ func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 	if h.kind == kindPartition {
 		total = uint64(h.total)
 	}
+	var pos []uint64
+	if Kind(h.setKind()) == KindUniform {
+		pos = testRankPositions(h.params(), total)
+	}
 	var beta []byte
 	var offs, boffs, nodes, marks, codes []uint64
 	var steps []float64
@@ -74,29 +77,7 @@ func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 				beta = le.AppendUint64(beta, math.Float64bits(betas[s][i]))
 			}
 		}
-		for i := 0; i < len(l); {
-			m := 1
-			for i+m < len(l) && l[i+m].Dist == l[i].Dist {
-				m++
-			}
-			b := uint64(0)
-			for uint64(m)<<(b+1) <= total {
-				b++
-			}
-			prev := int64(-1)
-			for _, e := range l[i : i+m] {
-				gap := uint64(int64(e.Node) - prev - 1)
-				for q := gap >> b; q > 0; q-- {
-					codes = append(codes, 0)
-				}
-				codes = append(codes, 1)
-				for k := uint64(0); k < b; k++ {
-					codes = append(codes, gap>>k&1)
-				}
-				prev = int64(e.Node)
-			}
-			i += m
-		}
+		codes = append(codes, testNodeCodes(l, total, pos, int(h.k))...)
 	}
 	offs = append(offs, uint64(len(nodes)))
 	boffs = append(boffs, uint64(len(codes)))
@@ -121,12 +102,85 @@ func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 		stepBytes = le.AppendUint64(stepBytes, math.Float64bits(d))
 	}
 	h.flags |= frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes
+	if pos != nil {
+		h.flags |= frameFlagRankNodes
+	}
 	out := append(h.appendHeader(nil), pack(offs, width(uint64(len(nodes))+1))...)
 	out = append(out, pack(boffs, width(uint64(len(codes))+1))...)
 	out = append(out, pack(codes, 1)...)
 	out = append(out, pack(marks, 1)...)
 	out = append(out, stepBytes...)
 	return append(out, beta...)
+}
+
+// testRankPositions returns the position of every node of a total-node
+// uniform set of p in its rank order, worked out afresh: the nodes sorted
+// by rank, then ID.
+func testRankPositions(p Params, total uint64) []uint64 {
+	by := newRanker(p)
+	nodes := make([]int32, total)
+	for v := range nodes {
+		nodes[v] = int32(v)
+	}
+	sort.Slice(nodes, func(i, j int) bool {
+		ri, rj := by.rank(nodes[i], 0), by.rank(nodes[j], 0)
+		return ri < rj || ri == rj && nodes[i] < nodes[j]
+	})
+	pos := make([]uint64, total)
+	for p, v := range nodes {
+		pos[v] = uint64(p)
+	}
+	return pos
+}
+
+// testNodeCodes returns the node codes of l in a set of total nodes, a bit
+// each, run by run, spelled out: the numbers of a run of m — IDs, or, with
+// pos, the IDs' positions (an ID outside the set as itself) in ascending
+// order — below a bound M, total or, with pos and k earlier entries, the
+// k-th smallest of their positions, as gaps, each the quotient by 2^b in
+// unary, a stop bit and b bits, b the largest with m·2^b <= M.
+func testNodeCodes(l []Entry, total uint64, pos []uint64, k int) []uint64 {
+	var codes, earlier []uint64
+	for i := 0; i < len(l); {
+		m := 1
+		for i+m < len(l) && l[i+m].Dist == l[i].Dist {
+			m++
+		}
+		bound, run := total, make([]uint64, m)
+		for j, e := range l[i : i+m] {
+			run[j] = uint64(uint32(e.Node))
+			if pos != nil && run[j] < total {
+				run[j] = pos[run[j]]
+			}
+		}
+		if pos != nil {
+			sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
+			if len(earlier) >= k {
+				sorted := append([]uint64(nil), earlier...)
+				sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+				bound = sorted[k-1]
+			}
+			earlier = append(earlier, run...)
+		}
+		b := uint64(0)
+		for uint64(m)<<(b+1) <= bound {
+			b++
+		}
+		prev := int64(-1)
+		for _, x := range run {
+			gap := uint64(int64(x) - prev - 1)
+			for q := gap >> b; q > 0; q-- {
+				codes = append(codes, 0)
+			}
+			codes = append(codes, 1)
+			for k := uint64(0); k < b; k++ {
+				codes = append(codes, gap>>k&1)
+			}
+			prev = int64(x)
+		}
+		i += m
+	}
+	return codes
 }
 
 // countSteps returns the number of steps the entries of one segment
@@ -628,9 +682,16 @@ func checkHostileFiles(t *testing.T, damaged map[string][]byte, trusted map[stri
 	t.Helper()
 	dir := t.TempDir()
 	for name, data := range damaged {
-		_, err := openFrameBytes(data)
+		set, err := openFrameBytes(data)
 		if trusted[name] && err == nil {
 			t.Errorf("%s: accepted by the parser", name)
+		}
+		if err == nil {
+			// What the parser trusts, every decoder reads without a panic.
+			for v := 0; v < set.NumNodes(); v++ {
+				set.Index(int32(v)).Entries()
+				set.frame.nodesAt(v).AppendTo(nil)
+			}
 		}
 		if _, serr := ReadSketchSet(bytes.NewReader(data)); serr == nil {
 			t.Errorf("%s: accepted by the stream reader", name)

@@ -189,20 +189,23 @@ func BuildWeightedSetParallel(g *graph.Graph, k int, seed uint64, beta []float64
 	if err := CheckWeights(beta, 0); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return weightedSetFrom(g, p, beta, workers), nil
+	return weightedSetFrom(g, p, beta, workers)
 }
 
 // weightedSetFrom runs one Algorithm 1 pass over the weight-biased ranks
 // of p and freezes it with the per-entry weights.
-func weightedSetFrom(g *graph.Graph, p Params, beta []float64, workers int) *Set {
+func weightedSetFrom(g *graph.Graph, p Params, beta []float64, workers int) (*Set, error) {
 	by := newRanker(p)
 	lists := prunedDijkstraRun(g, runSpec{k: p.K, rank: func(v int32) float64 { return by.rank(v, beta[v]) }}, workers)
-	f := freezeWhole(p, lists)
+	f, err := freezeWhole(p, lists)
+	if err != nil {
+		return nil, err
+	}
 	f.beta = make([]float64, 0, f.totalEntries())
 	for _, l := range lists {
 		for _, e := range l {
 			f.beta = append(f.beta, beta[e.Node])
 		}
 	}
-	return &Set{frame: f}
+	return &Set{frame: f}, nil
 }

@@ -123,8 +123,10 @@ func New(g *graph.Graph, base *core.Set) (*Maintainer, error) {
 	for v := range m.rank {
 		m.rank[v] = m.src.Rank(int64(v))
 	}
-	// Base entries are looked up in rank by node; a set opened from an
-	// unvalidated file can name anything.
+	// Base entries are looked up in rank by node.  A uniform set's codes
+	// decode through its rank order to nodes of the set whatever the bits
+	// of an unvalidated file hold; checked all the same, as the lookups
+	// would index past the table.
 	var ids []int32
 	for v := 0; v < m.n; v++ {
 		nodes, _ := base.Columns(int32(v))

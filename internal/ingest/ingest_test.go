@@ -339,9 +339,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(g, smaller); err == nil {
 		t.Fatal("New accepted a node-count mismatch")
 	}
-	// A v3 file's entries are trusted on open; the maintainer indexes its
-	// rank table by them, so it checks.  Node codes overwritten with a long
-	// run of zeros, a gap past any of the graph's IDs:
+	// A v3 file's entries are trusted on open, and the maintainer indexes
+	// its rank table by them.  A uniform set's node codes are positions in
+	// its rank order, read through the order's table: node codes
+	// overwritten with a long run of zeros, a gap past any position, still
+	// name nodes of the set, and New, which checks, takes them.
 	var file bytes.Buffer
 	if _, err := mustBuild(t, g, core.Options{K: 2, Seed: 1}).WriteTo(&file); err != nil {
 		t.Fatal(err)
@@ -362,8 +364,16 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer foreign.Close()
-	if _, err := New(g, foreign.Set()); err == nil {
-		t.Fatal("New accepted a base whose sketches name a node the graph lacks")
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		nodes, _ := foreign.Set().Columns(v)
+		for _, u := range nodes.AppendTo(nil) {
+			if u < 0 || int(u) >= g.NumNodes() {
+				t.Fatalf("damaged codes of node %d name node %d, outside the set", v, u)
+			}
+		}
+	}
+	if _, err := New(g, foreign.Set()); err != nil {
+		t.Fatalf("New refused a base whose damaged codes name only the graph's nodes: %v", err)
 	}
 }
 

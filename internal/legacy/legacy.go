@@ -34,8 +34,8 @@
 // shards.  Partitions do not nest.
 //
 // The retired version-3 layouts have the current header (internal/core's
-// framecodec.go) less its numNodeBits word, and all but the last less its
-// numDistinct word too,
+// framecodec.go), all but the last less its numNodeBits word, and all but
+// the last two less its numDistinct word too,
 //
 //	magic "ADSK" | version u32 = 3 | kind u32 | flags u32 |
 //	[kind 3 only: index u32 | count u32 | lo u32 | hi u32 |
@@ -58,7 +58,15 @@
 // bits 1 to 3 set, and bit 4 — the numDistinct word, the offsets packed at
 // the bits numEntries needs, and, when numDistinct > 0, the steps as codes
 // packed at the bits numDistinct−1 needs into a numDistinct×f64 dictionary
-// in place of numSteps×f64 steps.  These layouts are frozen bytes, so this
+// in place of numSteps×f64 steps.  A sixth, flags 0x3e (the *_v3rice_*
+// fixtures), is the current layout of weighted and approximate sets and
+// was that of uniform ones until their runs were coded in rank order: bit
+// 5 adds the numNodeBits word and, after the offsets, (numNodes+1) bit
+// offsets packed at the bits numNodeBits needs, and the nodes are
+// numNodeBits bits of Rice codes — a run of m IDs of equal distance, which
+// the first bits delimit, coded as its gaps xᵢ − xᵢ₋₁ − 1 (x₋₁ = −1), each
+// gap>>b zero bits, a one and the b low bits, b the largest with
+// m·2^b <= the set's node count.  These layouts are frozen bytes, so this
 // copy of their header cannot drift from the writers'.
 //
 // Stored ranks are checked against the ones the frame derives, and
@@ -97,10 +105,20 @@ const (
 	flagStepDists    = 1 << 2
 	flagPackedNodes  = 1 << 3
 	flagCompact      = 1 << 4
-	flagRiceNodes    = 1 << 5 // the current layout's; no retired one has it
+	flagRiceNodes    = 1 << 5
+	flagRankNodes    = 1 << 6 // a current uniform file's; no retired one has it
 	flagsCompact     = flagDerivedRanks | flagStepDists | flagPackedNodes | flagCompact
-	flagsLayout      = flagsCompact | flagRiceNodes
+	flagsRice        = flagsCompact | flagRiceNodes
 )
+
+// currentFlags returns the flags, less β, of the current layout of a set
+// of kind kind: a uniform set's node codes are rank-ordered.
+func currentFlags(kind uint32) uint32 {
+	if core.Kind(kind) == core.KindUniform {
+		return flagsRice | flagRankNodes
+	}
+	return flagsRice
+}
 
 // Read reads a sketch file of any layout a release wrote — version 2, a
 // retired version-3 layout, or the current one, which core.ReadSketchSet
@@ -114,11 +132,18 @@ func Read(r io.Reader, seed *uint64) (*core.Set, error) {
 	}
 	var set *core.Set
 	le := binary.LittleEndian
+	kind := uint32(0)
+	if len(data) >= 12 {
+		kind = le.Uint32(data[8:])
+	}
+	if kind == kindPartition && len(data) >= 40 {
+		kind = le.Uint32(data[36:]) // the envelope's inner kind
+	}
 	switch {
 	case len(data) >= 8 && string(data[:4]) == magic && le.Uint32(data[4:]) == 2:
 		set, err = readV2(&cursor{b: data[8:]}, seed)
 	case len(data) >= 16 && string(data[:4]) == magic && le.Uint32(data[4:]) == core.EncodeVersion &&
-		le.Uint32(data[12:])&^flagBeta != flagsLayout:
+		le.Uint32(data[12:])&^flagBeta != currentFlags(kind):
 		set, err = readRetiredV3(data, seed)
 	default:
 		set, err = core.ReadSketchSet(bytes.NewReader(data))
@@ -287,10 +312,13 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	scheme, segs := c.u32(), c.u32()
 	p.Eps = c.f64()
 	n, e, numSteps := c.u64(), int64(c.u64()), c.u64()
-	compact := flags&flagCompact != 0
-	var numDistinct uint64
+	compact, rice := flags&flagCompact != 0, flags&flagRiceNodes != 0
+	var numDistinct, numNodeBits uint64
 	if compact {
 		numDistinct = c.u64()
+	}
+	if rice {
+		numNodeBits = c.u64()
 	}
 	p.K, p.Scheme = int(k), core.WeightScheme(scheme)
 	total := n
@@ -305,10 +333,11 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	switch {
 	case c.err != nil:
 		return nil, fmt.Errorf("legacy: truncated sketch file header")
-	case flags&^uint32(flagsLayout|flagBeta) != 0:
+	case flags&^uint32(flagsRice|flagRankNodes|flagBeta) != 0:
 		return nil, fmt.Errorf("legacy: sketch file has unknown flags %#x", flags)
-	case flags&flagRiceNodes != 0, compact && flags&^flagBeta != flagsCompact:
-		return nil, fmt.Errorf("legacy: sketch file has flags %#x, a layout no release wrote", flags)
+	case flags&flagRankNodes != 0, rice && (flags&^flagBeta != flagsRice || p.Kind != core.KindUniform),
+		!rice && compact && flags&^flagBeta != flagsCompact:
+		return nil, fmt.Errorf("legacy: sketch file has flags %#x, a layout no release wrote for a %v set", flags, p.Kind)
 	case kind == kindPartition:
 		return nil, fmt.Errorf("legacy: sketch partitions cannot nest")
 	case (flags&flagBeta != 0) != (p.Kind == core.KindWeighted):
@@ -322,6 +351,8 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 		return nil, fmt.Errorf("legacy: implausible node count %d (of %d)", n, total)
 	case e < 0 || e > 1<<40 || numSteps > uint64(e) || numDistinct > numSteps:
 		return nil, fmt.Errorf("legacy: implausible entry count %d, or %d distance steps over %d values", e, numSteps, numDistinct)
+	case rice && (numNodeBits < uint64(e) || numNodeBits > 64*uint64(e)):
+		return nil, fmt.Errorf("legacy: sketch file claims %d bits of node codes for %d entries", numNodeBits, e)
 	}
 	stored, stepped := flags&flagDerivedRanks == 0, flags&flagStepDists != 0
 	width, offWidth, codeWidth := widthBelow(total), int64(64), widthBelow(numDistinct)
@@ -330,7 +361,13 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	}
 	nodesAt := ((int64(n)+1)*offWidth + 63) / 64 * 8
 	distsAt := nodesAt + (4*e+7)&^7
-	if flags&flagPackedNodes != 0 {
+	boffsAt := int64(-1) // the bit offsets', when the IDs are Rice-coded
+	switch {
+	case rice:
+		boffsAt = nodesAt
+		nodesAt += ((int64(n)+1)*widthBelow(numNodeBits+1) + 63) / 64 * 8
+		distsAt = nodesAt + (int64(numNodeBits)+63)/64*8
+	case flags&flagPackedNodes != 0:
 		distsAt = nodesAt + (e*width+63)/64*8
 	}
 	stepsAt, ranksAt := distsAt, distsAt+8*e
@@ -386,15 +423,39 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	if flags&flagBeta != 0 {
 		beta = make([]float64, e)
 	}
+	var codes *riceReader
+	if rice {
+		codes = &riceReader{body: body[nodesAt:distsAt], end: int64(numNodeBits)}
+	}
 	lo, step := int64(0), int64(0)
 	for s := range lists {
 		hi := int64(offset(int64(s + 1)))
 		if hi < lo || hi > e {
 			return nil, fmt.Errorf("legacy: sketch file offset %d is %d, outside [%d, %d]", s+1, hi, lo, e)
 		}
+		if rice {
+			if bit := packed(boffsAt, int64(s), widthBelow(numNodeBits+1)); int64(bit) != codes.pos {
+				return nil, fmt.Errorf("legacy: sketch file sketch %d's node codes start at bit %d, not %d", s, bit, codes.pos)
+			}
+		}
 		for i := lo; i < hi; i++ {
 			x := &entries[i]
-			x.Node = node(i)
+			if rice {
+				if body[distsAt+i/8]>>(i%8)&1 != 0 || i == lo {
+					m := int64(1) // the run's length: to the next step bit
+					for i+m < hi && body[distsAt+(i+m)/8]>>((i+m)%8)&1 == 0 {
+						m++
+					}
+					codes.run(total, m)
+				}
+				id, ok := codes.next()
+				if !ok {
+					return nil, fmt.Errorf("legacy: sketch file sketch %d's node codes run past their bits", s)
+				}
+				x.Node = id
+			} else {
+				x.Node = node(i)
+			}
 			if !stepped {
 				x.Dist = f64(distsAt + 8*i)
 			} else {
@@ -426,8 +487,69 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	if lo != e {
 		return nil, fmt.Errorf("legacy: sketch file offsets end at %d, want %d entries", lo, e)
 	}
+	if rice && (codes.pos != int64(numNodeBits) || packed(boffsAt, int64(n), widthBelow(numNodeBits+1)) != numNodeBits) {
+		return nil, fmt.Errorf("legacy: sketch file's node codes end at bit %d, not at its %d", codes.pos, numNodeBits)
+	}
 	if stepped && step != int64(numSteps) {
 		return nil, fmt.Errorf("legacy: sketch file marks %d distance steps, header claims %d", step, numSteps)
 	}
 	return freeze(p, env, int(n), lists, beta, stored, seed)
+}
+
+// riceReader reads the node codes of the layout of flags 0x3e: a run of m
+// IDs of equal distance below total is coded as its gaps xᵢ − xᵢ₋₁ − 1
+// (x₋₁ = −1), each gap>>b zero bits, a one and the b low bits, b the
+// largest with m·2^b <= total.
+type riceReader struct {
+	body []byte
+	pos  int64 // the next bit
+	end  int64 // the codes' length in bits
+	b    int
+	prev int64
+}
+
+// run starts a run of m IDs below total.
+func (r *riceReader) run(total uint64, m int64) {
+	r.b, r.prev = 0, -1
+	for uint64(m)<<(r.b+1) <= total {
+		r.b++
+	}
+}
+
+// bit returns the bit at pos, and whether there is one.
+func (r *riceReader) bit() (uint64, bool) {
+	if r.pos >= r.end {
+		return 0, false
+	}
+	x := uint64(r.body[r.pos/8]>>(r.pos%8)) & 1
+	r.pos++
+	return x, true
+}
+
+// next returns the run's next ID, or false where the codes run out.
+func (r *riceReader) next() (int32, bool) {
+	var q uint64
+	for {
+		x, ok := r.bit()
+		if !ok {
+			return 0, false
+		}
+		if x == 1 {
+			break
+		}
+		q++
+	}
+	gap := q << r.b
+	for k := 0; k < r.b; k++ {
+		x, ok := r.bit()
+		if !ok {
+			return 0, false
+		}
+		gap |= x << k
+	}
+	r.prev += 1 + int64(gap)
+	if r.prev > math.MaxInt32 {
+		return 0, false
+	}
+	return int32(r.prev), true
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +11,7 @@ import (
 
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
+	"adsketch/internal/retired"
 	"adsketch/lab"
 )
 
@@ -68,154 +67,34 @@ func entries(set *core.Set, v int32) []core.Entry {
 	panic(fmt.Sprintf("entries: sketch of type %T", set.SketchOf(v)))
 }
 
-// legacyV3 rewrites a file of the current layout the way files were laid
-// out before ranks were derived: flag bits 1, 2 and 3 clear, 32 bits a
-// node ID, a distance per entry, a rank column after them, and — for
-// weighted and approximate sets — no seed in the header.  With perEntryV3,
-// wideV3 and plainV3 it is the test-only writer of the retired layouts
-// Read reads; none of them has flag bit 4, so all have no numDistinct word
-// and store 64 bits an offset and a float a step.
-func legacyV3(t testing.TB, data []byte) []byte { return oldV3(t, data, true, false, false) }
-
-// perEntryV3 rewrites a file the way files were laid out between ranks
-// becoming derived and distances becoming step-coded: flag bits 2 and 3
-// clear, 32 bits a node ID, a distance per entry.
-func perEntryV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, false, false) }
-
-// wideV3 rewrites a file the way files were laid out between distances
-// becoming step-coded and node IDs becoming packed: flag bit 3 clear, 32
-// bits a node ID.
-func wideV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, true, false) }
-
-// plainV3 rewrites a file the way files were laid out between node IDs
-// becoming packed and the last 64-bit columns following them: flag bit 4
-// clear, 64 bits an offset, a float a step, no numDistinct.
-func plainV3(t testing.TB, data []byte) []byte { return oldV3(t, data, false, true, true) }
-
-// oldV3 writes the set of a current-layout file in a retired layout: its
-// header less numDistinct, with the flags and step count of that layout,
-// then the columns the layout has, the β column — the file's last one —
-// unchanged.
-func oldV3(t testing.TB, data []byte, storeRanks, stepCoded, packed bool) []byte {
+// retiredAs rewrites a file of the current layout in a retired one with
+// write, that layout's one writer (internal/retired), which core's tests
+// use too: Read reads what it writes.
+func retiredAs(t testing.TB, data []byte, write func([]byte, [][]retired.Entry) []byte) []byte {
 	t.Helper()
 	set, err := core.ReadSketchSet(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	le := binary.LittleEndian
-	hdr := 16 + 64
-	if set.IsPartition() {
-		hdr += 24
-	}
-	out := append([]byte(nil), data[:hdr]...) // no numDistinct
-	flags := le.Uint32(out[12:]) &^ (flagCompact | flagRiceNodes)
-	if !packed {
-		flags &^= flagPackedNodes
-	}
-	if !stepCoded {
-		flags &^= flagStepDists
-		le.PutUint64(out[hdr-8:], 0)
-	}
-	if storeRanks {
-		flags &^= flagDerivedRanks
-		if set.Params().Kind != core.KindUniform {
-			le.PutUint64(out[hdr-64+8:], 0) // the seed
+	lists := make([][]retired.Entry, set.NumNodes())
+	for v := range lists {
+		for _, e := range entries(set, int32(v)) {
+			lists[v] = append(lists[v], retired.Entry{Node: e.Node, Dist: e.Dist, Rank: e.Rank})
 		}
 	}
-	le.PutUint32(out[12:], flags)
-	width := 1
-	if total := set.TotalNodes(); total > 2 {
-		width = bits.Len64(uint64(total - 1))
-	}
-	e := set.TotalEntries()
-	var offs, nodes, dists, ranks, steps []byte
-	first := make([]uint64, (e+63)/64)
-	packedNodes := make([]uint64, (e*width+63)/64)
-	i := 0
-	for v := int32(0); int(v) < set.NumNodes(); v++ {
-		offs = le.AppendUint64(offs, uint64(i))
-		l := entries(set, v)
-		for j, x := range l {
-			if j == 0 || x.Dist != l[j-1].Dist {
-				first[i/64] |= 1 << (i % 64)
-				steps = le.AppendUint64(steps, math.Float64bits(x.Dist))
-			}
-			for b := 0; b < width; b++ {
-				at := i*width + b
-				packedNodes[at/64] |= uint64(x.Node) >> b & 1 << (at % 64)
-			}
-			nodes = le.AppendUint32(nodes, uint32(x.Node))
-			dists = le.AppendUint64(dists, math.Float64bits(x.Dist))
-			ranks = le.AppendUint64(ranks, math.Float64bits(x.Rank))
-			i++
-		}
-	}
-	out = le.AppendUint64(append(out, offs...), uint64(e))
-	if packed {
-		for _, w := range packedNodes {
-			out = le.AppendUint64(out, w)
-		}
-	} else {
-		out = append(out, nodes...)
-		out = append(out, make([]byte, (4*e+7)&^7-4*e)...)
-	}
-	if stepCoded {
-		for _, w := range first {
-			out = le.AppendUint64(out, w)
-		}
-		out = append(out, steps...)
-	} else {
-		out = append(out, dists...)
-	}
-	if storeRanks {
-		out = append(out, ranks...)
-	}
-	if flags&flagBeta != 0 {
-		out = append(out, data[len(data)-8*e:]...)
-	}
-	return out
+	return write(data, lists)
 }
 
-// compactV3 rewrites a file of the current layout the way files were laid
-// out between the compact columns and Rice-coded node IDs: flags 0x1e, the
-// numDistinct word but no numNodeBits, no bit offsets, and node IDs packed
-// at the bits the set's node count needs; the offsets, the step code and
-// the β column as they are.
-func compactV3(t testing.TB, data []byte) []byte {
-	t.Helper()
-	set, err := core.ReadSketchSet(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	le := binary.LittleEndian
-	hdr := 16 + 64
-	if set.IsPartition() {
-		hdr += 24
-	}
-	n, e, nodeBits := uint64(set.NumNodes()), uint64(set.TotalEntries()), le.Uint64(data[hdr+8:])
-	words := func(count, bound uint64) int { return int((count*uint64(widthBelow(bound)) + 63) / 64 * 8) }
-	offsAt := hdr + 16
-	firstAt := offsAt + words(n+1, e+1) + words(n+1, nodeBits+1) + int((nodeBits+63)/64*8)
-	out := append([]byte(nil), data[:hdr+8]...) // numDistinct, no numNodeBits
-	le.PutUint32(out[12:], le.Uint32(out[12:])&^flagRiceNodes)
-	out = append(out, data[offsAt:offsAt+words(n+1, e+1)]...)
-	width := widthBelow(uint64(set.TotalNodes()))
-	packed := make([]uint64, (int64(e)*width+63)/64)
-	i := int64(0)
-	for v := int32(0); int(v) < set.NumNodes(); v++ {
-		for _, x := range entries(set, v) {
-			for b := int64(0); b < width; b++ {
-				at := i*width + b
-				packed[at/64] |= uint64(x.Node) >> b & 1 << (at % 64)
-			}
-			i++
-		}
-	}
-	for _, w := range packed {
-		out = le.AppendUint64(out, w)
-	}
-	return append(out, data[firstAt:]...)
-}
+// legacyV3, perEntryV3, wideV3, plainV3, compactV3 and riceV3 rewrite a
+// file of the current layout in each retired one: flags 0x00 (ranks
+// stored, and no seed for a weighted or approximate set), 0x02, 0x06,
+// 0x0e, 0x1e and 0x3e (a uniform set's node IDs Rice-coded as they are).
+func legacyV3(t testing.TB, data []byte) []byte   { return retiredAs(t, data, retired.Ranks) }
+func perEntryV3(t testing.TB, data []byte) []byte { return retiredAs(t, data, retired.PerEntry) }
+func wideV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Wide) }
+func plainV3(t testing.TB, data []byte) []byte    { return retiredAs(t, data, retired.Plain) }
+func compactV3(t testing.TB, data []byte) []byte  { return retiredAs(t, data, retired.Compact) }
+func riceV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Rice) }
 
 // v3Files returns the rank-free file of every set kind and of one
 // partition.
@@ -247,6 +126,10 @@ func v3Files(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	files["weighted-partition"] = v3Bytes(t, parts[1])
+	if parts, err = core.SplitSketchSet(uniform, 2); err != nil {
+		t.Fatal(err)
+	}
+	files["uniform-partition"] = v3Bytes(t, parts[1])
 	return files
 }
 
@@ -391,6 +274,16 @@ func TestV3CompactFixtures(t *testing.T) {
 	checkV3Fixtures(t, v3Fixtures("v3compact"), flagsCompact, compactV3)
 }
 
+// TestV3RiceFixtures: the files of the last release before a uniform
+// set's runs were coded in rank order — its node IDs' own Rice codes, flags
+// 0x3e, which weighted and approximate sets keep — whole and as a
+// partition: Read turns them into the bytes a fresh build and split write,
+// which is what adsconvert writes of them.
+func TestV3RiceFixtures(t *testing.T) {
+	fixtures := v3Fixtures("v3rice")[:2] // a weighted set of this layout is of the current one
+	checkV3Fixtures(t, fixtures, flagsRice, riceV3)
+}
+
 // checkV3Fixtures: every committed file of an earlier layout (its flags,
 // less the β bit, being layout) reads — the whole set or partition it
 // holds, no seed needed — answering bit for bit like a fresh build, entry
@@ -439,12 +332,12 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 // weighted, approximate — is refused without one and read with it.
 func TestLegacyDoorReadsRetiredLayouts(t *testing.T) {
 	seed := uint64(42)
-	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3, "compact": compactV3}
+	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3, "compact": compactV3, "rice": riceV3}
 	for name, data := range v3Files(t) {
 		for layout, rewrite := range layouts {
 			old, label := rewrite(t, data), name+" "+layout
 			given := (*uint64)(nil)
-			if layout == "ranks" && name != "uniform" && name != "uniform-base2" {
+			if layout == "ranks" && !strings.HasPrefix(name, "uniform") {
 				checkNeedsSeed(t, label, old)
 				given = &seed
 			}

@@ -1,0 +1,245 @@
+// Package retired writes sketch files in the version-3 layouts that
+// earlier releases wrote and that the current readers refuse — the one
+// writer of each, shared by the tests of the readers that refuse them
+// (internal/core) and of the one that reads them (internal/legacy).  It
+// imports neither, so both can: a writer takes a file of the current
+// layout, for its header and the columns the retired layout shares with
+// it, and the set's entry lists, for the columns it does not.
+//
+// The layouts, by the flags they carry (bit 0, β, as the set has it):
+//
+//	Ranks    0x00  ranks stored, a distance and a 32-bit ID an entry, 64-bit offsets
+//	PerEntry 0x02  ranks derived
+//	Wide     0x06  distances step-coded
+//	Plain    0x0e  IDs packed at the bits the node count needs
+//	Compact  0x1e  packed offsets, the numDistinct word, dictionary-coded steps
+//	Rice     0x3e  IDs Rice-coded per run of equal distance below the node
+//	               count, with the numNodeBits word and bit offsets — the
+//	               layout of weighted and approximate sets still, retired
+//	               for uniform ones, whose runs are coded in rank order
+//
+// The first four have no numDistinct or numNodeBits word.  A weighted or
+// approximate file that stores its ranks (Ranks) records no seed.
+package retired
+
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+)
+
+// Entry is one entry of a sketch, as the retired layouts store it.
+type Entry struct {
+	Node       int32
+	Dist, Rank float64
+}
+
+const (
+	flagBeta         = 1 << 0
+	flagDerivedRanks = 1 << 1
+	flagStepDists    = 1 << 2
+	flagPackedNodes  = 1 << 3
+	flagCompact      = 1 << 4
+	flagRiceNodes    = 1 << 5
+	flagRankNodes    = 1 << 6
+
+	kindUniform   = 0
+	kindPartition = 3
+)
+
+var le = binary.LittleEndian
+
+// current is a file of the current layout taken apart where a retired
+// layout needs it.
+type current struct {
+	data                          []byte
+	hdr                           int // the header's bytes through numSteps
+	kind, flags                   uint32
+	n, e, steps, distinct, nbits  uint64
+	total                         uint64
+	offsAt, nodesAt, firstAt, end int
+}
+
+func parse(data []byte) current {
+	c := current{data: data, hdr: 16 + 64, kind: le.Uint32(data[8:]), flags: le.Uint32(data[12:])}
+	if c.kind == kindPartition {
+		c.hdr += 24
+		c.kind = le.Uint32(data[16+20:])
+		c.total = uint64(le.Uint32(data[16+16:]))
+	}
+	c.n, c.e, c.steps = le.Uint64(data[c.hdr-24:]), le.Uint64(data[c.hdr-16:]), le.Uint64(data[c.hdr-8:])
+	c.distinct, c.nbits = le.Uint64(data[c.hdr:]), le.Uint64(data[c.hdr+8:])
+	if c.total == 0 && le.Uint32(data[8:]) != kindPartition {
+		c.total = c.n
+	}
+	c.offsAt = c.hdr + 16
+	c.nodesAt = c.offsAt + words(c.n+1, width(c.e+1)) + words(c.n+1, width(c.nbits+1))
+	c.firstAt = c.nodesAt + words(c.nbits, 1)
+	return c
+}
+
+// width returns the bits a packed value below bound takes: at least 1.
+func width(bound uint64) uint64 {
+	w := uint64(1)
+	for bound > 1<<w {
+		w++
+	}
+	return w
+}
+
+// words returns the bytes of a column of count values of w bits.
+func words(count, w uint64) int { return int((count*w + 63) / 64 * 8) }
+
+// pack returns the column of vals at w bits each.
+func pack(vals []uint64, w uint64) []byte {
+	out := make([]byte, words(uint64(len(vals)), w))
+	for i, v := range vals {
+		for k := uint64(0); k < w; k++ {
+			at := uint64(i)*w + k
+			out[at/8] |= byte(v>>k&1) << (at % 8)
+		}
+	}
+	return out
+}
+
+// Ranks writes the layout of flags 0x00: ranks stored.
+func Ranks(cur []byte, lists [][]Entry) []byte { return perEntry(cur, lists, true, false, false) }
+
+// PerEntry writes the layout of flags 0x02: a distance and a 32-bit ID an
+// entry.
+func PerEntry(cur []byte, lists [][]Entry) []byte { return perEntry(cur, lists, false, false, false) }
+
+// Wide writes the layout of flags 0x06: step-coded distances, 32-bit IDs.
+func Wide(cur []byte, lists [][]Entry) []byte { return perEntry(cur, lists, false, true, false) }
+
+// Plain writes the layout of flags 0x0e: packed IDs, 64 bits an offset and
+// a float a step.
+func Plain(cur []byte, lists [][]Entry) []byte { return perEntry(cur, lists, false, true, true) }
+
+// perEntry writes one of the four layouts with no numDistinct word: the
+// current header through numSteps, with the layout's flags and step count,
+// then its columns, the β column — the file's last — unchanged.
+func perEntry(cur []byte, lists [][]Entry, storeRanks, stepCoded, packed bool) []byte {
+	c := parse(cur)
+	out := append([]byte(nil), cur[:c.hdr]...)
+	flags := c.flags &^ (flagCompact | flagRiceNodes | flagRankNodes)
+	if !packed {
+		flags &^= flagPackedNodes
+	}
+	if !stepCoded {
+		flags &^= flagStepDists
+		le.PutUint64(out[c.hdr-8:], 0)
+	}
+	if storeRanks {
+		flags &^= flagDerivedRanks
+		if c.kind != kindUniform {
+			le.PutUint64(out[c.hdr-64+8:], 0) // the seed
+		}
+	}
+	le.PutUint32(out[12:], flags)
+	var nodes, dists, ranks, steps []byte
+	var ids []uint64
+	first := make([]uint64, (c.e+63)/64)
+	i := uint64(0)
+	for _, l := range lists {
+		out = le.AppendUint64(out, i)
+		for j, x := range l {
+			if j == 0 || x.Dist != l[j-1].Dist {
+				first[i/64] |= 1 << (i % 64)
+				steps = le.AppendUint64(steps, math.Float64bits(x.Dist))
+			}
+			ids = append(ids, uint64(x.Node))
+			nodes = le.AppendUint32(nodes, uint32(x.Node))
+			dists = le.AppendUint64(dists, math.Float64bits(x.Dist))
+			ranks = le.AppendUint64(ranks, math.Float64bits(x.Rank))
+			i++
+		}
+	}
+	out = le.AppendUint64(out, i)
+	if packed {
+		out = append(out, pack(ids, width(c.total))...)
+	} else {
+		out = append(out, nodes...)
+		out = append(out, make([]byte, (4*i+7)&^7-4*i)...)
+	}
+	if stepCoded {
+		for _, w := range first {
+			out = le.AppendUint64(out, w)
+		}
+		out = append(out, steps...)
+	} else {
+		out = append(out, dists...)
+	}
+	if storeRanks {
+		out = append(out, ranks...)
+	}
+	if c.flags&flagBeta != 0 {
+		out = append(out, cur[len(cur)-8*int(c.e):]...)
+	}
+	return out
+}
+
+// Compact writes the layout of flags 0x1e: the numDistinct word but no
+// numNodeBits, no bit offsets, and node IDs packed at the bits the set's
+// node count needs; the offsets, the step code and the β column as they
+// are.
+func Compact(cur []byte, lists [][]Entry) []byte {
+	c := parse(cur)
+	out := append([]byte(nil), cur[:c.hdr+8]...)
+	le.PutUint32(out[12:], c.flags&^(flagRiceNodes|flagRankNodes))
+	out = append(out, cur[c.offsAt:c.offsAt+words(c.n+1, width(c.e+1))]...)
+	var ids []uint64
+	for _, l := range lists {
+		for _, x := range l {
+			ids = append(ids, uint64(x.Node))
+		}
+	}
+	out = append(out, pack(ids, width(c.total))...)
+	return append(out, cur[c.firstAt:]...)
+}
+
+// Rice writes the layout of flags 0x3e: a run of m IDs of equal distance
+// is coded as its gaps xᵢ − xᵢ₋₁ − 1 (x₋₁ = −1), each a Rice code of the
+// largest b with m·2^b <= total — gap>>b zero bits, a one, the b low bits
+// — with the bit offsets and numNodeBits of those codes; the offsets, the
+// step code and the β column as they are.
+func Rice(cur []byte, lists [][]Entry) []byte {
+	c := parse(cur)
+	out := append([]byte(nil), cur[:c.hdr+16]...)
+	le.PutUint32(out[12:], c.flags&^flagRankNodes)
+	var codes []uint64 // a bit each
+	var boffs []uint64
+	for _, l := range lists {
+		boffs = append(boffs, uint64(len(codes)))
+		for i := 0; i < len(l); {
+			m := 1
+			for i+m < len(l) && l[i+m].Dist == l[i].Dist {
+				m++
+			}
+			b := max(bits.Len64(c.total)-bits.Len64(uint64(m)), 0)
+			if b > 0 && uint64(m)<<b > c.total {
+				b--
+			}
+			prev := int64(-1)
+			for _, x := range l[i : i+m] {
+				gap := uint64(int64(x.Node) - prev - 1)
+				for q := gap >> b; q > 0; q-- {
+					codes = append(codes, 0)
+				}
+				codes = append(codes, 1)
+				for k := 0; k < b; k++ {
+					codes = append(codes, gap>>k&1)
+				}
+				prev = int64(x.Node)
+			}
+			i += m
+		}
+	}
+	nbits := uint64(len(codes))
+	boffs = append(boffs, nbits)
+	le.PutUint64(out[c.hdr+8:], nbits)
+	out = append(out, cur[c.offsAt:c.offsAt+words(c.n+1, width(c.e+1))]...)
+	out = append(out, pack(boffs, width(nbits+1))...)
+	out = append(out, pack(codes, 1)...)
+	return append(out, cur[c.firstAt:]...)
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adsketch"
+	"adsketch/internal/retired"
 )
 
 // dpGraphs are the unweighted graphs of core's builder-agreement tests,
@@ -43,7 +44,9 @@ func dpGraphs() map[string]*adsketch.Graph {
 // When node IDs became Rice-coded they were derived again from the files
 // of the release before: its DP files (layout flags 0x1e, which hashed to
 // the earlier digests) rewritten by adsconvert.  So they still pin what
-// the DP built before the layout changed, not what this tree writes.
+// the DP built before the layout changed, not what this tree writes: since
+// a uniform set's runs are coded in rank order, the file is rewritten in
+// that 0x3e layout (riceLayout) before it is hashed.
 var dpDigests = []struct {
 	graph  string
 	k      int
@@ -125,11 +128,25 @@ func TestBuildDPMatchesBuild(t *testing.T) {
 		if !bytes.Equal(got, v3(want)) {
 			t.Errorf("%s k=%d b=%g: DP differs from Build", c.graph, c.k, c.baseB)
 		}
-		sum := sha256.Sum256(got)
+		sum := sha256.Sum256(riceLayout(dp, got))
 		if d := hex.EncodeToString(sum[:8]); d != c.digest {
 			t.Errorf("%s k=%d b=%g: digest %s, recorded %s", c.graph, c.k, c.baseB, d, c.digest)
 		}
 	}
+}
+
+// riceLayout rewrites the v3 file data of a uniform set s in the layout
+// the digests were recorded in, flags 0x3e: the node IDs' own Rice codes,
+// where the current layout codes their rank-order positions.  The entries
+// are the same, so the digests pin them still.
+func riceLayout(s *adsketch.Set, data []byte) []byte {
+	lists := make([][]retired.Entry, s.NumNodes())
+	for v := range lists {
+		for _, e := range s.BottomK(int32(v)).Entries() {
+			lists[v] = append(lists[v], retired.Entry{Node: e.Node, Dist: e.Dist, Rank: e.Rank})
+		}
+	}
+	return retired.Rice(data, lists)
 }
 
 func TestBuildDPRefuses(t *testing.T) {
