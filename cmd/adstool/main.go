@@ -369,7 +369,7 @@ func runInfo(args []string) error {
 	}
 	order := "" // a uniform set's runs code rank-order positions, other kinds' the IDs
 	if p.Kind == core.KindUniform {
-		order = " in rank order"
+		order = " adaptively in rank order, owners implied"
 	}
 	fmt.Printf("node IDs        Rice-coded%s (%.2f bits/entry)\n", order, sf.NodeBitsPerEntry())
 	fmt.Printf("columns\n")

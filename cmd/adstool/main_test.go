@@ -215,11 +215,12 @@ func TestInfo(t *testing.T) {
 				t.Errorf("%s: prints %s %q", filepath.Base(tc.path), name, v)
 			}
 		}
-		// A uniform set's node codes are of rank-order positions, the
-		// other kinds' of the IDs themselves.
+		// A uniform set's node codes are of rank-order positions, their
+		// parameters adaptive and the owners' implied, the other kinds' of
+		// the IDs themselves.
 		codes := "Rice-coded ("
 		if tc.want["kind"] == "uniform" {
-			codes = "Rice-coded in rank order ("
+			codes = "Rice-coded adaptively in rank order, owners implied ("
 		}
 		if v := got["node IDs"]; !strings.HasPrefix(v, codes) || !strings.HasSuffix(v, " bits/entry)") {
 			t.Errorf("%s: node IDs %q, want %q… bits/entry)", filepath.Base(tc.path), v, codes)

@@ -543,9 +543,9 @@ func allocsAtProcs(procs, runs int, f func()) float64 {
 
 // TestColdIndexBytes pins what serving the repository benchmark's set
 // costs beyond its frame — PA(10000, 5) of graph seed 1, k=16, rank seed
-// 42, whose 1,321,800-byte frame TestBenchmarkFrameBytes pins: one top-k
+// 42, whose 1,225,216-byte frame TestBenchmarkFrameBytes pins: one top-k
 // builds every node's HIP index, 10,000 of them, which hold 12,202,352
-// bytes (1,220.24 B/node, 9.23× the frame's 132.18).  The count follows
+// bytes (1,220.24 B/node, 9.96× the frame's 122.52).  The count follows
 // the entries and distance steps alone, so a change in it is a change of
 // the index layout.
 func TestColdIndexBytes(t *testing.T) {

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
-	"slices"
 
 	"adsketch/internal/graph"
 	"adsketch/internal/rank"
@@ -232,25 +230,6 @@ type runSpec struct {
 	rank func(int32) float64
 }
 
-// rankOrder returns the nodes sorted by (rank, node) — the order
-// Algorithm 1 processes them in as candidates — and the rank of every
-// node.
-func (s runSpec) rankOrder(n int) (cands []int32, ranks []float64) {
-	cands = make([]int32, n)
-	ranks = make([]float64, n)
-	for v := range cands {
-		cands[v] = int32(v)
-		ranks[v] = s.rank(int32(v))
-	}
-	slices.SortFunc(cands, func(a, b int32) int {
-		if c := cmp.Compare(ranks[a], ranks[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return cands, ranks
-}
-
 // sameRankEnd returns the end of the run of equal-rank candidates that
 // starts at cands[i].
 func sameRankEnd(cands []int32, ranks []float64, i int) int {
@@ -280,7 +259,7 @@ func passWorkers(workers, n int) int {
 // whose output is the same.
 func prunedDijkstraRun(g *graph.Graph, s runSpec, workers int) [][]Entry {
 	n := g.NumNodes()
-	cands, ranks := s.rankOrder(n)
+	cands, ranks := rank.Order(n, s.rank)
 	workers = passWorkers(workers, n)
 	if g.Weighted() {
 		return runFloats(g.Transpose(), cands, ranks, s.k, workers)

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"adsketch/internal/graph"
+	"adsketch/internal/rank"
 	"adsketch/internal/stats"
 )
 
@@ -269,7 +271,7 @@ func TestParallelBuilderMatchesSequential(t *testing.T) {
 // count, and a change in them is a change of the schedule.
 func TestParallelBuilderBatchSizes(t *testing.T) {
 	g := graph.PreferentialAttachment(10000, 5, 1)
-	cands, ranks := runSpec{k: 16, rank: (Options{K: 16, Seed: 42}).rankFn()}.rankOrder(g.NumNodes())
+	cands, ranks := rank.Order(g.NumNodes(), (Options{K: 16, Seed: 42}).rankFn())
 	batches := 0
 	for start := 0; start < len(cands); start = batchEnd(cands, ranks, 16, start) {
 		batches++
@@ -316,7 +318,7 @@ func TestBatchEnd(t *testing.T) {
 	for _, baseB := range []float64{0, 2} {
 		for _, n := range []int{0, 1, 5, 16, 17, 1000} {
 			for _, k := range []int{1, 4, 16} {
-				cands, ranks := runSpec{k: k, rank: (Options{K: k, Seed: 7, BaseB: baseB}).rankFn()}.rankOrder(n)
+				cands, ranks := rank.Order(n, (Options{K: k, Seed: 7, BaseB: baseB}).rankFn())
 				start := 0
 				for start < n {
 					end := batchEnd(cands, ranks, k, start)
@@ -401,9 +403,10 @@ func TestDistanceUpperBoundDisconnected(t *testing.T) {
 
 // TestParallelBuilderNodeCodes: a build codes its node ranges on as many
 // goroutines as it has workers (up to one a 1024 nodes), each range a
-// stream of its own joined as bit ranges, and a freeze of entry lists on
-// GOMAXPROCS of them, which make cpus varies: the bytes are the reference
-// encoding's at every count, in rank order and, for a weighted set, of the
+// stream of its own joined as bit ranges, and a freeze of entry lists — or
+// one over the build that grows its node count — on GOMAXPROCS of them,
+// which make cpus varies: the bytes are the reference encoding's (a fresh
+// build's) at every count, in rank order and, for a weighted set, of the
 // IDs as they are.
 func TestParallelBuilderNodeCodes(t *testing.T) {
 	g := graph.PreferentialAttachment(5000, 3, 4)
@@ -429,6 +432,38 @@ func TestParallelBuilderNodeCodes(t *testing.T) {
 	frozen, err := FreezeBottomK(o, lists)
 	if err != nil || !bytes.Equal(v3Bytes(t, frozen), want) {
 		t.Errorf("frozen on %d goroutines: %v, or not the build's bytes", runtime.GOMAXPROCS(0), err)
+	}
+	// A freeze that grows the node count codes every kept list again, a
+	// node range a goroutine: one node more, isolated or linked to node 0,
+	// is the fresh build of the grown graph.
+	for name, link := range map[string]bool{"isolated": false, "linked": true} {
+		b := graph.NewBuilder(g.NumNodes()+1, false)
+		for u := int32(0); int(u) < g.NumNodes(); u++ {
+			ns, _ := g.Neighbors(u)
+			for _, v := range ns {
+				if u < v {
+					b.AddEdge(u, v)
+				}
+			}
+		}
+		if link {
+			b.AddEdge(0, int32(g.NumNodes()))
+		}
+		grown, err := BuildSet(b.Build(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gl, _ := segmentLists(grown.frame)
+		changed := map[int32][]Entry{}
+		for v, l := range gl {
+			if v >= len(lists) || !slices.Equal(l, lists[v]) {
+				changed[int32(v)] = l
+			}
+		}
+		over, err := FreezeBottomKOver(one, len(gl), changed)
+		if err != nil || !bytes.Equal(v3Bytes(t, over), v3Bytes(t, grown)) {
+			t.Errorf("%s: grown over the build on %d goroutines: %v, or not the fresh build's bytes", name, runtime.GOMAXPROCS(0), err)
+		}
 	}
 	beta := make([]float64, g.NumNodes())
 	for i := range beta {

@@ -22,9 +22,9 @@ import (
 //
 // A frame holds, per entry, a node ID Rice-coded within its run of equal
 // distance — in a uniform set as its position in the set's rank order,
-// below the run's bottom-k bound (nodepack.go: 6.8 bits at ten thousand
-// nodes) — one bit of
-// distance step code (stepcode.go) and — for weighted sets — β; per
+// below the run's bottom-k bound, at a parameter adapted gap by gap, and
+// no code for the owner (nodepack.go: 6.2 bits at ten thousand nodes) —
+// one bit of distance step code (stepcode.go) and — for weighted sets — β; per
 // distinct distance of a sketch, one step: a code of a few bits into the
 // frame's dictionary of distances where they are few, a float where they
 // are not; per node, an entry offset and a bit offset; and no ranks.  No
@@ -238,7 +238,7 @@ func freezeFrame(p Params, base int32, total int, lists [][]Entry) (*Frame, erro
 			pk.add(e.Dist, isStep(l, j))
 		}
 	}
-	err := pk.codeNodes(newRankOrder(p, total), 0, func(w *nodeWriter, i int) {
+	err := pk.f.codeNodes(newRankOrder(p, total), idBits(entries, total), 0, func(w *nodeWriter, i int) {
 		for j, e := range lists[i] {
 			w.add(e.Node, isStep(lists[i], j))
 		}
@@ -249,21 +249,24 @@ func freezeFrame(p Params, base int32, total int, lists [][]Entry) (*Frame, erro
 	return pk.frame(), nil
 }
 
+// idBits returns the bits of entries fixed-width IDs of a total-node set,
+// which their codes seldom exceed.
+func idBits(entries, total int) int64 { return int64(entries) * int64(widthBelow(int64(total))) }
+
 // isStep reports whether entry j of l starts a distance step.
 func isStep(l []Entry, j int) bool { return j == 0 || l[j].Dist != l[j-1].Dist }
 
 // framePacker packs a frame's columns from its entries, fed in order —
 // list starts each entry list, add appends an entry's distance to it — in
-// one pass, and its node codes in another (codeNodes): freezeFrame feeds it
-// entry lists, and an Algorithm 1 build on an unweighted graph (hopFrame)
-// its passes' packed keys.
+// one pass, and its node codes in another (Frame.codeNodes): freezeFrame
+// feeds it entry lists, and an Algorithm 1 build on an unweighted graph
+// (hopFrame) its passes' packed keys.
 type framePacker struct {
-	f       *Frame
-	first   []uint64
-	step    []float64
-	listAt  int64 // lists started
-	pos     int64 // entries added
-	entries int
+	f      *Frame
+	first  []uint64
+	step   []float64
+	listAt int64 // lists started
+	pos    int64 // entries added
 }
 
 // newFramePacker returns the packer of the frame of the entry lists of
@@ -277,9 +280,8 @@ func newFramePacker(p Params, base int32, total, nodes, entries, steps int) fram
 			off: makePackedColumn(int64(nodes+1), offsetWidth(int64(entries))),
 			by:  newRanker(p),
 		},
-		first:   make([]uint64, bitWords(int64(entries))),
-		step:    make([]float64, 0, steps),
-		entries: entries,
+		first: make([]uint64, bitWords(int64(entries))),
+		step:  make([]float64, 0, steps),
 	}
 }
 
@@ -301,13 +303,15 @@ func (pk *framePacker) add(dist float64, step bool) {
 // minCoderNodes is the fewest lists codeNodes gives a goroutine of its own.
 const minCoderNodes = 1024
 
-// codeNodes codes the frame's node column in the rank order order (nil for
-// the IDs as they are): fill adds list i's IDs to a writer.  Up to workers goroutines (<= 0: GOMAXPROCS) each code a node
-// range (nodeRange) into a stream of their own, and the streams are joined
-// as bit ranges, so the bytes are the same for every count.  It returns
-// the first list, in node order, whose IDs have no code.
-func (pk *framePacker) codeNodes(order *rankOrder, workers int, fill func(w *nodeWriter, i int)) error {
-	f, n := pk.f, pk.f.n
+// codeNodes codes the node column of the frame's entries lists in the
+// rank order order (nil for the IDs as they are): fill adds list i's IDs
+// to a writer that has started it.  Up to workers goroutines (<= 0:
+// GOMAXPROCS) each code a node range (nodeRange) into a stream of their
+// own, sized by bits, a guess at the column's length, and the streams are
+// joined as bit ranges, so the bytes are the same for every count.  It
+// returns the first list, in node order, whose IDs have no code.
+func (f *Frame) codeNodes(order *rankOrder, bits int64, workers int, fill func(w *nodeWriter, i int)) error {
+	n := f.n
 	var pos []int32
 	if order != nil {
 		pos = order.positions()
@@ -317,7 +321,7 @@ func (pk *framePacker) codeNodes(order *rankOrder, workers int, fill func(w *nod
 	boff := make([]uint64, n+1)
 	fanOut(workers, func(w int) {
 		lo, hi := nodeRange(w, workers, n)
-		wr := newNodeWriter(f.total, pk.entries/workers, pos, f.p.K)
+		wr := newNodeWriter(f.total, bits/int64(workers), pos, f.p.K)
 		for i := lo; i < hi && wr.err == nil; i++ {
 			boff[i] = uint64(wr.bits())
 			wr.list(f.base + int32(i))
@@ -438,12 +442,7 @@ func (f *Frame) owner(local int) int32 { return f.base + int32(local) }
 // nodesAt returns local node v's node codes.
 func (f *Frame) nodesAt(local int) Nodes {
 	lo, hi := f.span(local)
-	return f.nodesOver(lo, hi, f.bitAt(local), f.bitAt(local+1))
-}
-
-// nodesOver is nodesAt for the entries [lo, hi) coded at [bit, end).
-func (f *Frame) nodesOver(lo, hi, bit, end int64) Nodes {
-	return Nodes{nodeCodes: nodeCodes{s: &f.node, bit: bit, end: end}, first: f.first, lo: lo, n: int(hi - lo)}
+	return Nodes{nodeCodes: nodeCodes{s: &f.node, bit: f.bitAt(local), end: f.bitAt(local + 1), own: f.owner(local)}, first: f.first, lo: lo, n: int(hi - lo)}
 }
 
 // colsAt returns local node v's entry list as a column view, its nodes
@@ -710,7 +709,7 @@ func (f *Frame) Index(local int32) *HIPIndex {
 			w = hipWeightsBottomK(w, f.p.K, h, w[:0])
 		}
 	}
-	x := &HIPIndex{enode: pn.nodeCodes, ew: w, sd: c.sd, cum: buf[e:e], own: int64(unsafe.Sizeof(HIPIndex{})) + 8*int64(len(buf))}
+	x := &HIPIndex{enode: pn.nodeCodes, ew: w, sd: c.sd, cum: buf[e:e]}
 	x.sum()
 	return x
 }

@@ -51,8 +51,10 @@ import (
 // partition file.  A uniform set's runs code the nodes' positions in the
 // set's rank order — its total nodes sorted by (rank, node), which the
 // seed and base derive — below the k-th smallest position of the sketch's
-// entries at smaller distances (total while there are fewer than k); a
-// weighted or approximate set's code the IDs below total.
+// entries at smaller distances (total while there are fewer than k), each
+// gap's Rice parameter adapted to the run's gaps before it, and a sketch's
+// entry 0, its owner, has no code; a weighted or approximate set's code
+// the IDs below total, every entry, a run's gaps at one parameter.
 //
 // Every sketch is bottom-k: flavor is 0 and segs 1, one entry list a
 // node.  Earlier releases also wrote k-mins (flavor 1) and k-partition
@@ -73,17 +75,18 @@ import (
 // the header's seed (recorded for every kind) and the node.
 //
 // The flags are frameFlagsLayout, plus bit 0 — a β per entry — for
-// weighted sets and no others, and bit 6 for uniform sets and no others.
-// Bits 1 to 6 name the steps by which the layout became this one: ranks
-// derived rather than stored (1), distances step-coded (2), node IDs
-// packed (3), the numDistinct word with packed offsets and
+// weighted sets and no others, and bits 6 and 7 for uniform sets and no
+// others.  Bits 1 to 7 name the steps by which the layout became this
+// one: ranks derived rather than stored (1), distances step-coded (2),
+// node IDs packed (3), the numDistinct word with packed offsets and
 // dictionary-coded steps (4), node IDs Rice-coded per run, with the
-// numNodeBits word and the bit offsets (5), and a uniform set's runs coded
-// in rank order below their bottom-k bound (6).  A file with any other
+// numNodeBits word and the bit offsets (5), a uniform set's runs coded in
+// rank order below their bottom-k bound (6), and their Rice parameters
+// adapted gap by gap, the owner's code implied (7).  A file with any other
 // flags is refused: one without all of its kind's is of an earlier
 // release, which adsconvert (internal/legacy) rewrites — a uniform file
-// with flags 0x3e among them — and a reader from before a bit refuses a
-// file that has it, as it must.
+// with flags 0x3e or 0x7e among them — and a reader from before a bit
+// refuses a file that has it, as it must.
 //
 // Encoding is therefore near-memcpy, and decoding a trusted file is
 // O(columns): validate the header, the body size it implies, the offsets'
@@ -118,11 +121,13 @@ const (
 	frameFlagCompact      = 1 << 4 // numDistinct in the header, packed offsets, steps coded through a dictionary when numDistinct > 0
 	frameFlagRiceNodes    = 1 << 5 // node IDs Rice-coded per equal-distance run: numNodeBits in the header, bit offsets beside the offsets
 	frameFlagRankNodes    = 1 << 6 // uniform sets only: a run's codes are of rank-order positions below its bottom-k bound
+	frameFlagAdaptNodes   = 1 << 7 // uniform sets only: a gap's Rice parameter adapts to its run's gaps before it; the owner has no code
 
 	// frameFlagsLayout is the flags of the one layout every writer emits
-	// and openFrameBytes views, less β and, for a uniform set, the rank
-	// order bit (layoutFlags).
+	// and openFrameBytes views, less β and, for a uniform set, its node
+	// codes' bits (layoutFlags).
 	frameFlagsLayout = frameFlagDerivedRanks | frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes
+	frameFlagsRanked = frameFlagRankNodes | frameFlagAdaptNodes
 )
 
 // layoutFlags returns the flags of the current layout of a set of kind
@@ -130,7 +135,7 @@ const (
 // kind's are.
 func layoutFlags(kind uint32) uint32 {
 	if Kind(kind) == KindUniform {
-		return frameFlagsLayout | frameFlagRankNodes
+		return frameFlagsLayout | frameFlagsRanked
 	}
 	return frameFlagsLayout
 }
@@ -190,6 +195,15 @@ func (h *frameHdr) totalNodes() int {
 		return int(h.total)
 	}
 	return int(h.n)
+}
+
+// implied returns how many entries have no node code: a uniform set's
+// owners, one a sketch.
+func (h *frameHdr) implied() uint64 {
+	if Kind(h.setKind()) == KindUniform {
+		return h.n
+	}
+	return 0
 }
 
 // nodesSize returns the byte length of the node stream.
@@ -295,9 +309,9 @@ func (h *frameHdr) validate() error {
 	if h.numDistinct != 0 && (h.numDistinct > h.numSteps || !dictWins(int64(h.numDistinct), int64(h.numSteps))) {
 		return fmt.Errorf("core: sketch file codes %d distance steps through %d values, which is no smaller than the steps", h.numSteps, h.numDistinct)
 	}
-	// A code takes a bit at least, and under 64; this also keeps bodySize
-	// from overflowing.
-	if h.numNodeBits < h.numEntries || h.numNodeBits > 64*h.numEntries {
+	// A code takes a bit at least, and under 64, and a uniform sketch's
+	// owner none; this also keeps bodySize from overflowing.
+	if h.numNodeBits < h.numEntries-min(h.numEntries, h.implied()) || h.numNodeBits > 64*h.numEntries {
 		return fmt.Errorf("core: sketch file claims %d bits of node codes for %d entries", h.numNodeBits, h.numEntries)
 	}
 	return nil
@@ -554,12 +568,12 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 	if h.flavor != 0 || h.segs != 1 {
 		return h, 0, fmt.Errorf("core: sketch file holds %s sketches (flavor %d, %d lists a node); only bottom-k sketches are served", flavorName(h.flavor), h.flavor, h.segs)
 	}
-	// The rank-order bit is the kind's, which validate checks is one.
+	// The rank-order bits are the kind's, which validate checks is one.
 	kind := Kind(h.setKind())
-	if want := layoutFlags(h.setKind()); h.flags&^(frameFlagBeta|frameFlagRankNodes) != frameFlagsLayout || kind == KindUniform && h.flags&frameFlagRankNodes == 0 {
+	if want := layoutFlags(h.setKind()); h.flags&^(frameFlagBeta|frameFlagsRanked) != frameFlagsLayout || kind == KindUniform && h.flags&frameFlagsRanked != frameFlagsRanked {
 		return h, 0, fmt.Errorf("core: sketch file has flags %#x, not the current layout's %#x: a file of an earlier release is rewritten with `adsconvert`", h.flags, want)
 	}
-	if (kind == KindWeighted || kind == KindApprox) && h.flags&frameFlagRankNodes != 0 {
+	if (kind == KindWeighted || kind == KindApprox) && h.flags&frameFlagsRanked != 0 {
 		return h, 0, fmt.Errorf("core: sketch file has flags %#x, not the %#x of the current layout of a %v set: only a uniform set's node codes are rank-ordered", h.flags, layoutFlags(h.setKind()), kind)
 	}
 	if err := h.validate(); err != nil {
@@ -592,13 +606,13 @@ func (h *frameHdr) wrap(f *Frame) *Set {
 }
 
 // validateOffsets checks that the n offsets of the column what start at
-// 0, strictly ascend — no sketch is empty, every one holding its owner,
-// and its codes taking a bit an entry — and end at last, what they cover:
-// the entries, or the bits of node codes.  first, the step bits, when
-// given, must mark every sketch's start.  Everything else about a
-// version-3 file is trusted (it is a serving-format for files the operator
-// built).
-func validateOffsets(what string, off *packedColumn, n, last int64, first []uint64) error {
+// 0, ascend — strictly when strict: no sketch is empty, every one holding
+// its owner, and its codes taking a bit an entry but the ones implied —
+// and end at last, what they cover: the entries, or the bits of node
+// codes.  first, the step bits, when given, must mark every sketch's
+// start.  Everything else about a version-3 file is trusted (it is a
+// serving-format for files the operator built).
+func validateOffsets(what string, off *packedColumn, n, last int64, strict bool, first []uint64) error {
 	if !off.holds(n) {
 		return fmt.Errorf("core: sketch file has %s bits past its last", what)
 	}
@@ -608,7 +622,7 @@ func validateOffsets(what string, off *packedColumn, n, last int64, first []uint
 	prev := int64(0)
 	for i := int64(1); i < n; i++ {
 		o := int64(off.get(i))
-		if o <= prev {
+		if o < prev || strict && o == prev {
 			return fmt.Errorf("core: sketch file sketch %d has no entries, or its %s decrease (every sketch holds its owner)", i-1, what)
 		}
 		// o <= last is checked before prev indexes the bits.
@@ -705,11 +719,11 @@ func openFrameBytes(data []byte) (*Set, error) {
 	f.boff.words = u64s(next(h.bitOffsetsSize()))
 	f.node.words = u64s(next(h.nodesSize()))
 	f.first = u64s(next(bitWords(e) * 8))
-	if err := validateOffsets("offsets", &f.off, int64(h.n)+1, e, f.first); err != nil {
+	if err := validateOffsets("offsets", &f.off, int64(h.n)+1, e, true, f.first); err != nil {
 		return nil, err
 	}
 	// What keeps every decoder inside the node stream.
-	if err := validateOffsets("bit offsets", &f.boff, int64(h.n)+1, int64(h.numNodeBits), nil); err != nil {
+	if err := validateOffsets("bit offsets", &f.boff, int64(h.n)+1, int64(h.numNodeBits), h.implied() == 0, nil); err != nil {
 		return nil, err
 	}
 	if !tailClear(f.node.words, int64(h.numNodeBits)) {

@@ -28,14 +28,14 @@ func FreezeBottomK(o Options, lists [][]Entry) (*Set, error) {
 // otherwise (every node base lacks must be present).  Only the changed
 // lists are checked and validated — base's were when it was frozen — and
 // the entries of unchanged nodes are block-copied from base's columns —
-// step-bit range, step range, contiguous nodes in one copy, and each
-// node's code range — so the cost follows the change, not the set; the
-// exceptions are a freeze that grows the node count, which puts new nodes
-// into the rank order every list is coded in and so codes every unchanged
-// list's moved positions again, and a freeze whose steps take other
-// distances than base's,
-// which codes the unchanged steps again (stepsOver).  The result is the
-// set FreezeBottomK would return for the same lists.
+// step-bit range, step range, and each node's code range — so the cost
+// follows the change, not the set; the exceptions are a freeze that grows
+// the node count, which puts new nodes into the rank order every list is
+// coded in and so codes every unchanged list's moved positions again —
+// on every core (Frame.codeNodes) — and a freeze whose steps take other
+// distances than base's, which codes the unchanged steps again
+// (stepsOver).  The result is the set FreezeBottomK would return for the
+// same lists.
 func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error) {
 	bf := base.frame
 	if bf.p.Kind != KindUniform {
@@ -50,6 +50,9 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		if v < 0 || int(v) >= n {
 			return nil, fmt.Errorf("core: FreezeBottomKOver: changed node %d outside [0, %d)", v, n)
 		}
+		if len(l) == 0 {
+			return nil, fmt.Errorf("core: FreezeBottomKOver: node %d has no entries (every node holds itself at distance 0)", v)
+		}
 		if int(v) < bf.n {
 			lo, hi := bf.span(int(v))
 			total -= int(hi - lo)
@@ -63,18 +66,15 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		off: makePackedColumn(int64(n+1), offsetWidth(int64(total))),
 		by:  bf.by,
 	}
-	// The rank order of n nodes: base's while n is its count.
+	// The rank order of n nodes: base's while n is its count.  A larger
+	// count puts the new nodes into it, which moves base's positions
+	// without reordering them: a kept list's runs are read as positions and
+	// moved (shift), still ascending.
 	order := bf.node.order
+	var shift []int32
 	if n != bf.total {
 		order = newRankOrder(bf.p, n)
-	}
-	at := order.positions()
-	codes, boff := newNodeWriter(n, total, at, bf.p.K), make([]uint64, n+1)
-	// A larger node count puts the new nodes into the rank order, which
-	// moves base's positions without reordering them: a kept list's runs
-	// are read as positions and moved (shift), still ascending.
-	var shift []int32
-	if order != bf.node.order {
+		at := order.positions()
 		shift = make([]int32, bf.total)
 		for p, v := range bf.node.order.nodes() {
 			shift[p] = at[v]
@@ -87,8 +87,8 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 	f.first = w.first
 	fresh := make([]int64, len(nodes)) // fresh[i]: the steps in w after nodes[i]'s list
 	pos := int64(0)
-	var moved []int32 // a list coded again: its positions in base's order
-	// keep copies base nodes [from, to), none of them changed.
+	// keep copies the offsets and step bits of base nodes [from, to), none
+	// of them changed.
 	keep := func(from, to int) error {
 		if from >= to {
 			return nil
@@ -100,68 +100,60 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		copyBits(w.first, pos, bf.first, lo, hi-lo)
 		for v := from; v < to; v++ {
 			f.off.put(int64(v), uint64(pos+bf.offAt(v)-lo))
-			boff[v] = uint64(codes.bits())
-			if order == bf.node.order {
-				codes.copy(bf.node.words, bf.bitAt(v), bf.bitAt(v+1)-bf.bitAt(v))
-				continue
-			}
-			moved = bf.nodesAt(v).positions(moved[:0])
-			codes.pos = shift
-			codes.list(int32(v))
-			for i, x := range moved {
-				codes.add(x, bitAt(bf.first, bf.offAt(v)+int64(i)))
-			}
-			codes.flush()
-			if codes.pos = at; codes.err != nil {
-				return fmt.Errorf("core: FreezeBottomKOver: base %w", codes.err)
-			}
 		}
 		pos += hi - lo
 		return nil
 	}
-	var ranks rankScratch
 	next := 0
 	for i, v := range nodes {
 		if err := keep(next, int(v)); err != nil {
 			return nil, err
 		}
-		l := changed[v]
-		if len(l) == 0 {
-			return nil, fmt.Errorf("core: FreezeBottomKOver: node %d has no entries (every node holds itself at distance 0)", v)
-		}
-		start, steps, bit := pos, w.steps.n, codes.bits()
 		f.off.put(int64(v), uint64(pos))
-		boff[v] = uint64(bit)
 		w.list()
-		codes.list(v)
-		for j, e := range l {
-			codes.add(e.Node, isStep(l, j))
+		for _, e := range changed[v] {
 			w.add(pos, e.Dist)
 			pos++
 		}
-		fresh[i] = w.steps.n
-		// Checked while the list is still in cache, through a view of what
-		// was just written: the frame cannot look its steps up until it is
-		// whole.
-		end := codes.bits()
-		if codes.err != nil {
-			return nil, fmt.Errorf("core: FreezeBottomKOver: %w", codes.err)
-		}
-		f.steps, f.node = w.steps, nodeStream{words: codes.view(), total: n, order: order, k: bf.p.K}
-		view, _ := ranks.filled(f.colsOver(start, pos, steps), f.nodesOver(start, pos, bit, end))
-		if err := f.validateCols(view, int(v), l); err != nil {
-			return nil, fmt.Errorf("core: FreezeBottomKOver: %w", err)
-		}
-		next = int(v) + 1
+		fresh[i], next = w.steps.n, int(v)+1
 	}
 	if err := keep(next, n); err != nil {
 		return nil, err
 	}
 	f.off.put(int64(n), uint64(pos))
-	boff[n] = uint64(codes.bits())
-	f.boff, f.node = packOffsets(boff), nodeStream{words: codes.stream(), total: n, order: order, k: bf.p.K}
+	workers := 1 // copies are cheap: only a recode takes every core
+	if shift != nil {
+		workers = 0
+	}
+	// The codes take about the base's bits an entry, which a sixteenth more
+	// room covers.
+	bits := bf.nodeBits() * int64(total) / int64(max(bf.totalEntries(), 1))
+	err := f.codeNodes(order, bits+bits/16, workers, func(wr *nodeWriter, v int) {
+		switch _, ok := slices.BinarySearch(nodes, int32(v)); {
+		case ok:
+			l := changed[int32(v)]
+			for j, e := range l {
+				wr.add(e.Node, isStep(l, j))
+			}
+		case shift != nil:
+			wr.recode(bf.nodesAt(v), shift)
+		default:
+			wr.copy(bf.node.words, bf.bitAt(v), bf.bitAt(v+1)-bf.bitAt(v))
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: FreezeBottomKOver: %w", err)
+	}
 	f.steps = stepsOver(bf, nodes, w.steps.raw, fresh)
 	f.samp, _ = sampleRanks(w.first)
+	var ranks rankScratch
+	for _, v := range nodes {
+		lo, hi := f.span(int(v))
+		view, _ := ranks.filled(f.colsOver(lo, hi, f.rank1(lo)), f.nodesAt(int(v)))
+		if err := f.validateCols(view, int(v), changed[v]); err != nil {
+			return nil, fmt.Errorf("core: FreezeBottomKOver: %w", err)
+		}
+	}
 	return &Set{frame: f}, nil
 }
 

@@ -39,7 +39,6 @@ type HIPIndex struct {
 	ew    []float64 // HIP adjusted weights, parallel to enode
 	sd    StepDists // HIP entry distances, step-coded: its steps are the unique distances, ascending
 	cum   []float64 // cum[i]: total adjusted weight at distance <= sd.steps[i]
-	own   int64     // heap the index holds of its own (Bytes)
 }
 
 // NewHIPIndex builds a standalone index for any sketch, with
@@ -70,7 +69,6 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 	}
 	idx.sd = StepDists{first: w.first, col: &w.steps, n: unique}
 	idx.sum()
-	idx.own = int64(unsafe.Sizeof(*idx)+unsafe.Sizeof(*stream)) + 4*int64(len(ids)) + 8*int64(len(w.first)+len(w.steps.raw)+len(entries)+unique)
 	return idx
 }
 
@@ -98,7 +96,13 @@ func (x *HIPIndex) sum() {
 // Bytes returns the heap the index holds of its own: its header, weights
 // and prefix sums and, built standalone, its nodes and step code — not the
 // frame columns it views.
-func (x *HIPIndex) Bytes() int64 { return x.own }
+func (x *HIPIndex) Bytes() int64 {
+	b := int64(unsafe.Sizeof(*x)) + 8*int64(len(x.ew)+len(x.cum))
+	if s := x.enode.s; s.ids != nil {
+		b += int64(unsafe.Sizeof(*s)) + 4*int64(len(s.ids)) + 8*int64(len(x.sd.first)+len(x.sd.col.raw))
+	}
+	return b
+}
 
 // Len returns the number of indexed HIP entries.
 func (x *HIPIndex) Len() int { return len(x.ew) }

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sync"
 	"unsafe"
+
+	"adsketch/internal/rank"
 )
 
 // Bit-packed integer columns and Rice-coded node IDs.  The offsets, bit
@@ -16,20 +18,24 @@ import (
 //
 // A run of m entries of equal distance, which the step bits delimit, is
 // coded as m numbers that ascend strictly below a bound M: as their gaps
-// xᵢ − xᵢ₋₁ − 1 (x₋₁ = −1), each a Rice code of b = ⌊log₂(M/m)⌋ (0 when
-// M < 2m) — gap>>b zero bits, a one, the b low bits — stored nowhere, so a
-// list has one encoding.  In a uniform set the numbers are the entries'
-// positions in the set's rank order π, its nodes sorted by (rank, node):
-// a bottom-k sketch holds a node only if its rank is below the k-th
-// smallest of the nodes closer than it, so a run's positions are all below
-// M, the k-th smallest position among the list's entries at smaller
-// distances — or total, the set's node count, while there are fewer than
-// k — which the decoder works out as it goes; it maps the positions back
-// through π and sorts the run's IDs back into canonical order.  The ranks
-// of weighted sets are no function of the node alone, and approximate
-// sets' entries need not keep below the threshold, so their numbers are
-// the IDs themselves and M is total.  A decoder reads no bit outside its
-// list, whatever it holds.
+// xᵢ − xᵢ₋₁ − 1 (x₋₁ = −1), each a Rice code of a parameter b — gap>>b
+// zero bits, a one, the b low bits — stored nowhere, so a list has one
+// encoding.  In a uniform set the numbers are the entries' positions in
+// the set's rank order π, its nodes sorted by (rank, node): a bottom-k
+// sketch holds a node only if its rank is below the k-th smallest of the
+// nodes closer than it, so a run's positions are all below M, the k-th
+// smallest position among the list's entries at smaller distances — or
+// total, the set's node count, while there are fewer than k — which the
+// decoder works out as it goes, mapping the positions back through π and
+// sorting the run's IDs back into canonical order.  That threshold falls
+// as entries are admitted, so positions crowd the low end of [0, M): a
+// gap's b adapts to the run's gaps before it (adaptive).  Entry 0, the
+// owner at distance 0, has no code (rankOrder.position finds it).  The
+// ranks of weighted sets are no function of the node alone, and
+// approximate sets' entries need not keep below the threshold, so their
+// numbers are the IDs themselves, M is total and a run's b ⌊log₂(M/m)⌋
+// (0 when M < 2m).  A decoder reads no bit outside its list, whatever it
+// holds.
 
 // widthBelow returns the bits per value of a column whose values are all
 // below bound: enough for bound-1, and at least 1.
@@ -109,12 +115,50 @@ func riceParam(bound, m int) uint {
 	return uint(max(b, 0))
 }
 
+// adaptive is the Rice parameter of a rank-ordered run's next gap: the
+// least b with n·2^b >= a, a being the sum of the run's gaps so far and a
+// seed, ⌊M/(4m)⌋+1, and n their count and 1, both halved when n reaches
+// 16, but at least floor, b₀−3 for the run's one parameter b₀ =
+// riceParam(M, m).  The gaps sum to under M < m·2^(b₀+1), so their
+// quotients to under 16m, and a < 2M keeps b <= 33: a run of m codes takes
+// under 50m bits, below the 64 an entry a header admits, however dense its
+// first positions and far its last.  A decoder that reads past M holds a
+// at M, so a and b stay bounded whatever it reads.
+type adaptive struct {
+	a, n  uint64
+	floor uint
+}
+
+// newAdaptive returns the parameter of the first gap of a run of m >= 1
+// positions below bound.
+func newAdaptive(bound, m int) adaptive {
+	b := riceParam(bound, m)
+	return adaptive{a: uint64(bound/(4*m)) + 1, n: 1, floor: b - min(b, 3)}
+}
+
+// param returns b, without division: it is paid per gap.
+func (s adaptive) param() uint {
+	b := max(bits.Len64(s.a)-bits.Len64(s.n), 0) // n<<b has a's length, or a < n
+	if s.n<<b < s.a {
+		b++
+	}
+	return max(uint(b), s.floor)
+}
+
+// add counts gap.
+func (s *adaptive) add(gap uint64) {
+	s.a += gap
+	if s.n++; s.n == 16 {
+		s.a, s.n = s.a>>1, 8
+	}
+}
+
 // rankOrder is the order a uniform set's node codes number its nodes in:
 // node perm[p] is at position p of the nodes sorted by (rank, node), which
 // is Algorithm 1's candidate order, and ranks[p] is its rank.  It is built
 // on first use — a build hands over the one it drew — and frames derived
 // from one another share it: slices, merges, and freezes that keep the
-// node count.
+// node count.  by derives the ranks, which position searches.
 type rankOrder struct {
 	once  sync.Once
 	perm  []int32
@@ -132,12 +176,28 @@ func newRankOrder(p Params, total int) *rankOrder {
 	return &rankOrder{total: total, by: newRanker(p)}
 }
 
-// builtRankOrder returns the rank order perm of nodes whose ranks are
-// byNode.
-func builtRankOrder(perm []int32, byNode []float64) *rankOrder {
-	o := &rankOrder{total: len(perm)}
+// builtRankOrder returns the rank order perm of nodes whose ranks, which by
+// derives, are byNode.
+func builtRankOrder(perm []int32, byNode []float64, by ranker) *rankOrder {
+	o := &rankOrder{total: len(perm), by: by}
 	o.once.Do(func() { o.set(perm, byNode) })
 	return o
+}
+
+// position returns the position of node v, one of the set's, found by its
+// rank: a binary search of ranks, and of the nodes among equal ranks.
+func (o *rankOrder) position(v int32) int32 {
+	perm, r := o.nodes(), o.by.rank(v, 0)
+	lo, hi := 0, len(perm)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if x := o.ranks[mid]; x < r || x == r && perm[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return int32(min(lo, len(perm)-1))
 }
 
 // set installs the order perm of nodes whose ranks are byNode.
@@ -151,7 +211,7 @@ func (o *rankOrder) set(perm []int32, byNode []float64) {
 // nodes returns π: the node at every position.
 func (o *rankOrder) nodes() []int32 {
 	o.once.Do(func() {
-		o.set(runSpec{rank: func(v int32) float64 { return o.by.rank(v, 0) }}.rankOrder(o.total))
+		o.set(rank.Order(o.total, func(v int32) float64 { return o.by.rank(v, 0) }))
 	})
 	return o.perm
 }
@@ -289,16 +349,17 @@ type nodeWriter struct {
 	tmp   []int32  // sortRun's scratch
 	set   []uint64 // sortDense's bit set, clear between runs
 	owner int32    // the owner of the open list
+	own   int32    // a uniform set's: the owner's position, which entry 0 must have
 	entry int      // entries of the open list before the open run
 	err   error    // the first entry with no code, which ends the writing
 }
 
-// newNodeWriter returns a writer for a total-node set, with room for
-// entries fixed-width IDs, which their codes seldom exceed.  pos, when
-// non-nil, is the set's rank order's positions (a uniform set's), and k
-// the set's sketch parameter, which with them bounds a run.
-func newNodeWriter(total, entries int, pos []int32, k int) nodeWriter {
-	w := nodeWriter{words: make([]uint64, 0, packedWords(int64(entries), widthBelow(int64(total)))), total: total, pos: pos}
+// newNodeWriter returns a writer for a total-node set, with room for bits
+// of codes.  pos, when non-nil, is the set's rank order's positions (a
+// uniform set's), and k the set's sketch parameter, which with them bounds
+// a run.
+func newNodeWriter(total int, bits int64, pos []int32, k int) nodeWriter {
+	w := nodeWriter{words: make([]uint64, 0, bitWords(bits)), total: total, pos: pos}
 	w.low.k = k
 	return w
 }
@@ -307,6 +368,26 @@ func newNodeWriter(total, entries int, pos []int32, k int) nodeWriter {
 func (w *nodeWriter) list(owner int32) {
 	w.flush()
 	w.owner, w.entry, w.low.n = owner, 0, 0
+	if w.pos != nil {
+		w.own = w.pos[owner]
+	}
+}
+
+// recode codes the open list again, p being its codes in an order of
+// fewer nodes whose positions shift maps into the writer's: a run is read
+// as positions and coded as it is, their order kept, so no run is sorted.
+func (w *nodeWriter) recode(p Nodes, shift []int32) {
+	pos, c := w.pos, p.cursor()
+	w.pos = shift
+	for i := 0; i < p.n; {
+		c.startRun()
+		run := slices.Grow(w.run[:0], c.left)[:c.left]
+		w.run = run[:readRun(&c, run)]
+		mergeLow(&c.low, w.run)
+		i += len(w.run)
+		w.flush()
+	}
+	w.pos = pos
 }
 
 // add appends the ID of an entry, which starts a run when step is set.
@@ -350,8 +431,9 @@ func (w *nodeWriter) refuse(i int, id int32, why string) {
 // flush codes the open run, or refuses it: an ID outside the set, or, in
 // the order the run is coded in, one that does not ascend strictly below
 // the run's bound — a rank too large for the sketch, a node twice, IDs
-// out of order — has no code.  The gaps sum to under the bound, so a run
-// of m codes takes under m·(3+b) bits, less than m+1 words.
+// out of order — has no code, and neither has a rank-ordered list whose
+// entry 0 is not its owner.  A run of m codes takes under 64·m bits
+// (adaptive), less than m+1 words.
 func (w *nodeWriter) flush() {
 	run := w.run
 	if len(run) == 0 {
@@ -368,8 +450,18 @@ func (w *nodeWriter) flush() {
 			return
 		}
 	}
-	code, bound := run, w.total
+	code, bound, adapt := run, w.total, adaptive{}
 	if w.pos != nil {
+		if w.entry == 0 { // the owner, whose code is implied
+			if w.pos[run[0]] != w.own {
+				w.refuse(0, run[0], "is not its owner: a rank-ordered list starts with its owner at distance 0")
+				return
+			}
+			mergeLow(&w.low, []int32{w.own})
+			if run, w.entry = run[1:], 1; len(run) == 0 {
+				return
+			}
+		}
 		code = slices.Grow(w.code[:0], len(run))[:len(run)]
 		for i, id := range run {
 			code[i] = w.pos[id]
@@ -380,6 +472,7 @@ func (w *nodeWriter) flush() {
 			sortRun(code, w.tmp, bits.Len(uint(w.total)))
 		}
 		mergeLow(&w.low, code)
+		adapt = newAdaptive(bound, len(code))
 	}
 	b := riceParam(bound, len(code))
 	prev, mask := int64(-1), uint64(1)<<b-1
@@ -400,6 +493,11 @@ func (w *nodeWriter) flush() {
 			return
 		}
 		gap := uint64(x - prev - 1)
+		if adapt.n > 0 {
+			b = adapt.param()
+			mask = 1<<b - 1
+			adapt.add(gap)
+		}
 		q := gap >> b
 		for ; q+1+uint64(b) > 63; q -= 32 { // a long quotient's first zeros
 			if nacc += 32; nacc >= 64 {
@@ -476,14 +574,16 @@ type nodeStream struct {
 	total int
 	order *rankOrder // nil: the codes are of the IDs as they are
 	k     int
-	ids   []int32 // the IDs as they are, when not coded (words nil)
+	ids   []int32 // the IDs as they are, when not coded (non-nil)
 }
 
 // nodeCodes places one list's codes in a node stream: bits [bit, end),
-// what an index keeps beside the step bits it has anyway.
+// what an index keeps beside the step bits it has anyway, and its owner,
+// which a rank-ordered list's bits do not code.
 type nodeCodes struct {
 	s        *nodeStream
 	bit, end int64
+	own      int32
 }
 
 // Nodes is the node column of one entry list, aliasing its frame's node
@@ -500,12 +600,12 @@ func (p Nodes) Len() int { return p.n }
 
 // cursor returns a cursor at the list's first entry.
 func (p Nodes) cursor() nodeCursor {
-	if p.s.words == nil {
+	if p.s.ids != nil {
 		return nodeCursor{ids: p.s.ids, eEnd: int64(p.n)}
 	}
-	c := nodeCursor{words: p.s.words, next: p.bit, end: p.end, first: p.first, total: p.s.total, e: p.lo, eEnd: p.lo + int64(p.n)}
+	c := nodeCursor{words: p.s.words, next: p.bit, end: p.end, first: p.first, total: p.s.total, e: p.lo, eEnd: p.lo + int64(p.n), owner: -1}
 	if p.s.order != nil {
-		c.perm, c.low.k = p.s.order.nodes(), p.s.k
+		c.perm, c.low.k, c.owner = p.s.order.nodes(), p.s.k, p.s.order.position(p.own)
 	}
 	return c
 }
@@ -513,24 +613,6 @@ func (p Nodes) cursor() nodeCursor {
 // AppendTo appends the node of every entry, in order, to dst.
 func (p Nodes) AppendTo(dst []int32) []int32 {
 	dst, _ = p.decode(dst)
-	return dst
-}
-
-// positions appends the numbers the list's runs code, each run's
-// ascending, to dst: a rank-ordered list's positions in its rank order,
-// unmapped.
-func (p Nodes) positions(dst []int32) []int32 {
-	c := p.cursor()
-	at := len(dst)
-	dst = slices.Grow(dst, p.n)[:at+p.n]
-	for i := at; i < len(dst); {
-		c.startRun()
-		run := dst[i : i+readRun(&c, dst[i:])]
-		if c.perm != nil {
-			mergeLow(&c.low, run)
-		}
-		i += len(run)
-	}
 	return dst
 }
 
@@ -564,10 +646,12 @@ type nodeCursor struct {
 	cur       uint64   // the loaded bits not read, from the lowest
 	avail     uint     // how many: at most 63
 	first     []uint64 // the step bits
-	ids       []int32  // a standalone list's IDs, when there are no words
+	ids       []int32  // a standalone list's IDs, when not coded (non-nil)
 	e, eEnd   int64    // the next entry's position in first, and the list's end
 	left      int      // the entries left in the current run
-	b         uint     // the run's Rice parameter
+	b         uint     // the run's Rice parameter, when it has one
+	adapt     adaptive // a rank-ordered run's, gap by gap
+	owner     int32    // the owner's position while entry 0 is to come; else -1
 	bound     int      // the run's bound
 	prev      int64    // the run's last number, -1 at its start
 	total     int      // the set's node count
@@ -617,15 +701,21 @@ func (c *nodeCursor) Done() bool {
 }
 
 // startRun opens the run at c's entry, unless one is open: its length, its
-// bound and its Rice parameter.
+// bound and its Rice parameter.  A rank-ordered list's entry 0, its owner,
+// is a run of its own.
 func (c *nodeCursor) startRun() {
 	if c.left > 0 {
+		return
+	}
+	if c.owner >= 0 {
+		c.left = 1
 		return
 	}
 	m := int(max(nextSet(c.first, c.e, c.eEnd)-c.e, 1))
 	c.left, c.prev, c.bound = m, -1, c.total
 	if c.perm != nil {
 		c.bound = c.low.bound(c.total)
+		c.adapt = newAdaptive(c.bound, m)
 	}
 	c.b = riceParam(c.bound, m)
 }
@@ -635,7 +725,7 @@ func (c *nodeCursor) startRun() {
 // for the whole run, whose positions are mapped through π and sorted back
 // into canonical order.
 func decodeRun(c *nodeCursor, dst []int32) int {
-	if c.words == nil { // a standalone index's IDs, read by Next
+	if c.ids != nil { // a standalone index's IDs, read by Next
 		dst[0], c.e = c.ids[c.e], c.e+1
 		return 1
 	}
@@ -660,18 +750,27 @@ func decodeRun(c *nodeCursor, dst []int32) int {
 // entry, in its open run, to the end of the run or of dst into dst, and
 // returns how many.  Each code starts where the last ends, so the reader is
 // in locals and a word is loaded every 31 bits.  A position at or past its
-// run's bound, which no code spells, is read as the set's last.
+// run's bound, which no code spells, is read as the set's last.  The owner
+// of a rank-ordered list is read off no bits.
 func readRun(c *nodeCursor, dst []int32) int {
 	dst = dst[:min(len(dst), c.left)]
+	if c.owner >= 0 && len(dst) > 0 {
+		dst[0], c.owner, c.left, c.e = c.owner, -1, 0, c.e+1
+		return 1
+	}
 	// Locals, not c's fields, or every code would wait on a store and a load.
 	words, next, end, cur, avail := c.words, c.next, c.end, c.cur, c.avail
-	b, prev, ok := c.b, c.prev, true
+	b, adapt, prev, ok := c.b, c.adapt, c.prev, true
 	mask := uint64(1)<<b - 1
 	limit, last := uint64(c.bound), max(int64(c.total)-1, 0)
 	if c.perm == nil {
 		limit = ^uint64(0)
 	}
 	for i := range dst {
+		if adapt.n > 0 {
+			b = adapt.param()
+			mask = 1<<b - 1
+		}
 		if avail <= 32 && next < end {
 			n := min(31, end-next)
 			cur |= readBits(words, next, n) << (avail & 63)
@@ -689,14 +788,17 @@ func readRun(c *nodeCursor, dst []int32) int {
 			gap, next, found = readCode(words, next-int64(avail), end, b)
 			cur, avail, ok = 0, 0, ok && found
 		}
+		if adapt.n > 0 {
+			adapt.add(gap)
+		}
 		prev += 1 + int64(gap)
 		x := prev
 		if uint64(x) >= limit {
-			x, ok = last, false
+			x, ok, adapt.a = last, false, min(adapt.a, limit)
 		}
 		dst[i] = int32(x)
 	}
-	c.next, c.cur, c.avail, c.prev, c.over = next, cur, avail, prev, c.over || !ok
+	c.next, c.cur, c.avail, c.adapt, c.prev, c.over = next, cur, avail, adapt, prev, c.over || !ok
 	c.left -= len(dst)
 	c.e += int64(len(dst))
 	return len(dst)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -62,8 +63,8 @@ func randomRuns(rng *rand.Rand, total int, lengths []int) (ids []int32, steps []
 // writeNodes codes lists — their IDs and step bits, back to back — as a
 // frame's node stream, in the rank order order (nil: the IDs as they are)
 // under k, a list's codes starting where the returned bit offsets say, and
-// returns the stream's Nodes views.  It fails the test when a list has no
-// code.
+// returns the stream's Nodes views.  A rank-ordered list's entry 0 is its
+// owner.  It fails the test when a list has no code.
 func writeNodes(t testing.TB, total int, order *rankOrder, k int, lists [][]int32, steps [][]bool) []Nodes {
 	t.Helper()
 	var pos []int32
@@ -76,7 +77,11 @@ func writeNodes(t testing.TB, total int, order *rankOrder, k int, lists [][]int3
 	var boff, off []int64
 	for i, l := range lists {
 		boff, off = append(boff, w.bits()), append(off, int64(len(marks)))
-		w.list(int32(i))
+		owner := int32(i)
+		if order != nil && len(l) > 0 {
+			owner = l[0]
+		}
+		w.list(owner)
 		for j, id := range l {
 			w.add(id, steps[i][j])
 			marks = append(marks, steps[i][j])
@@ -96,6 +101,9 @@ func writeNodes(t testing.TB, total int, order *rankOrder, k int, lists [][]int3
 	out := make([]Nodes, len(lists))
 	for i := range lists {
 		out[i] = Nodes{nodeCodes: nodeCodes{s: stream, bit: boff[i], end: boff[i+1]}, first: first, lo: off[i], n: int(off[i+1] - off[i])}
+		if len(lists[i]) > 0 {
+			out[i].own = lists[i][0]
+		}
 	}
 	return out
 }
@@ -358,6 +366,34 @@ func TestFreezeRejectsForeignNode(t *testing.T) {
 	}
 }
 
+// TestFreezeRefusesListWithoutItsOwner: a rank-ordered list's entry 0 has
+// no code — the decoder puts the owner there — so a list whose entry 0 is
+// another node, the owner dropped or put behind it, has none: every
+// freeze path refuses it, naming the list.
+func TestFreezeRefusesListWithoutItsOwner(t *testing.T) {
+	o := Options{K: 3, Seed: 42}
+	set := pathSet(t, 6, o)
+	lists, _ := segmentLists(set.frame)
+	rank := o.rankFn()
+	for name, l := range map[string][]Entry{
+		"owner dropped":             lists[2][1:],
+		"a node before the owner":   append([]Entry{{Node: 1, Rank: rank(1)}}, lists[2]...),
+		"the owner at distance one": append([]Entry{{Node: 1, Rank: rank(1)}, {Node: 2, Dist: 1, Rank: rank(2)}}, lists[2][1:]...),
+	} {
+		bad := slices.Clone(lists)
+		bad[2] = l
+		_, errK := FreezeBottomK(o, bad)
+		_, errL := FreezeLists(Params{Kind: KindUniform, Options: o}, 0, 0, len(bad), bad, nil, true)
+		_, errO := FreezeBottomKOver(set, len(bad), map[int32][]Entry{2: l})
+		_, errP := FreezePartition(Params{Kind: KindUniform, Options: o}, 0, 2, len(bad), bad[:3], nil)
+		for what, err := range map[string]error{"FreezeBottomK": errK, "FreezeLists": errL, "FreezeBottomKOver": errO, "FreezePartition": errP} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("ADS(2) entry 0 (node %d) is not its owner", l[0].Node)) {
+				t.Errorf("%s, %s: %v, want ADS(2) refused for its entry 0", name, what, err)
+			}
+		}
+	}
+}
+
 // hostileNodeFiles returns valid files and damaged copies, one per way the
 // node codes can lie.  trusted marks the damage the file openers must
 // catch too — it would misplace every column after the nodes, send a
@@ -413,7 +449,9 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 		add(name+": nodes one word long", true, long)
 		// The bit offsets place every sketch's codes in the stream.
 		add(name+": bit offsets that decrease", true, rebuilt(data, func(p *v3Parts) { p.boffs[3], p.boffs[4] = p.boffs[4], p.boffs[3] }))
-		add(name+": a sketch with no node codes", true, rebuilt(data, func(p *v3Parts) { p.boffs[2] = p.boffs[1] }))
+		// A sketch of its owner alone takes no bits, so only the stream
+		// readers can tell one of more entries whose codes are gone.
+		add(name+": a sketch with no node codes", false, rebuilt(data, func(p *v3Parts) { p.boffs[2] = p.boffs[1] }))
 		add(name+": bit offsets that start past 0", true, rebuilt(data, func(p *v3Parts) { p.boffs[0] = 1 }))
 		add(name+": bit offsets that end short of the codes", true, rebuilt(data, func(p *v3Parts) { p.boffs[last]-- }))
 		add(name+": bit offsets that end past the codes", true, rebuilt(data, func(p *v3Parts) { p.boffs[last]++ }))
@@ -426,16 +464,23 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 		add(name+": Rice codes without the flag", true, edit(data, func(b []byte) {
 			le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagRiceNodes)
 		}))
-		// Bit 6 is a uniform set's: clear on its rank-ordered codes, or on
-		// the codes of its IDs as they are (the retired 0x3e layout, which
-		// adsconvert reads), the file is refused; set on those codes, they
-		// read as positions that are not the codes of the set's entries.
-		add(name+": rank-ordered codes without the rank flag", true, edit(data, func(b []byte) {
-			le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagRankNodes)
-		}))
+		// Bits 6 and 7 are a uniform set's: either clear on its codes, or on
+		// the codes of its IDs as they are or of one Rice parameter a run
+		// (the retired 0x3e and 0x7e layouts, which adsconvert reads), the
+		// file is refused; both set on those codes, they read as codes that
+		// are not those of the set's entries.
+		for _, bit := range []uint32{frameFlagRankNodes, frameFlagAdaptNodes} {
+			add(fmt.Sprintf("%s: rank-ordered codes under flags %#x", name, layoutFlags(uint32(KindUniform))&^bit), true, edit(data, func(b []byte) {
+				le.PutUint32(b[12:], le.Uint32(b[12:])&^bit)
+			}))
+		}
 		add(name+": the IDs' own codes, the retired uniform layout", true, riceV3(t, data))
-		add(name+": the rank flag on the IDs' own codes", false, edit(riceV3(t, data), func(b []byte) {
-			le.PutUint32(b[12:], le.Uint32(b[12:])|frameFlagRankNodes)
+		add(name+": one parameter a run, the retired rank-ordered layout", true, rankedV3(t, data))
+		add(name+": the rank flags on the IDs' own codes", false, edit(riceV3(t, data), func(b []byte) {
+			le.PutUint32(b[12:], le.Uint32(b[12:])|frameFlagsRanked)
+		}))
+		add(name+": the adapt flag on one parameter a run", false, edit(rankedV3(t, data), func(b []byte) {
+			le.PutUint32(b[12:], le.Uint32(b[12:])|frameFlagAdaptNodes)
 		}))
 		// Within the stream the codes are trusted: the stream readers decode
 		// every sketch, and refuse codes that run past their sketch's bits or
@@ -469,7 +514,7 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 	// The smallest sets: one bit of code for the only ID of a set of one.
 	one := valid["one node"]
 	oneNodesAt := splitV3(t, one).nodesAt
-	add("one node: a position of 1 in a set of 1", false, canonicalV3(headerOf(pathSet(t, 1, Options{K: 4, Seed: 42})), [][]Entry{{{Node: 1}}}, nil))
+	add("one node: a position of 1 in a set of 1", false, canonicalV3(headerOf(pathSet(t, 1, Options{K: 4, Seed: 42})), [][]Entry{{{Node: 0}, {Node: 1, Dist: 1}}}, nil))
 	add("one node: a node bit past the only entry", true, edit(one, func(b []byte) { b[oneNodesAt] |= 2 }))
 	add("no nodes: a word of nodes", true, append(append([]byte(nil), valid["no nodes"]...), make([]byte, 8)...))
 	return valid, damaged, trusted
@@ -590,6 +635,25 @@ func BenchmarkNodesAppendTo(b *testing.B) {
 	}
 }
 
+// BenchmarkFreezeGrownNodeCount: one isolated node added to the
+// repository benchmark's set, PA(10000, 5) of graph seed 1, k=16, rank
+// seed 42 — a freeze that grows the node count, so every kept list's
+// positions move and are coded again, on every core.
+func BenchmarkFreezeGrownNodeCount(b *testing.B) {
+	o := Options{K: 16, Seed: 42}
+	base, err := BuildSet(graph.PreferentialAttachment(10000, 5, 1), o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	changed := map[int32][]Entry{10000: {{Node: 10000, Rank: o.rankFn()(10000)}}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FreezeBottomKOver(base, 10001, changed); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestCopyBitsMatchesBitByBit: every length from nothing to a few words,
 // from and to every alignment, lands exactly the bits a bit-by-bit copy
 // lands and nothing beside them.
@@ -639,22 +703,78 @@ func TestNodeCodeLongQuotient(t *testing.T) {
 	}
 }
 
+// TestNodeCodeDenseThenFar: a star whose centre's neighbours hold the 62
+// lowest rank-order positions and the highest, k=64, n=10^5 — fewer than
+// k neighbours, so every list holds them all, and each run is dense from
+// the bottom of [0, n) and then far: the adaptive parameter, driven down
+// by the small gaps, stops at its floor, so the far gap's code stays short
+// and the set's codes under the 64 bits an entry a header admits.  The
+// file reads back, and a freeze that grows the node count, which codes
+// every list again, writes the bytes of a fresh build.
+func TestNodeCodeDenseThenFar(t *testing.T) {
+	const n, k = 100000, 64
+	o := Options{K: k, Seed: 42}
+	perm := newRankOrder(Params{Kind: KindUniform, Options: o}, n).nodes()
+	star := func(nodes int) *graph.Graph {
+		b := graph.NewBuilder(nodes, false)
+		for _, p := range append(rangeInt32(0, k-2), n-1) {
+			b.AddEdge(perm[n/2], perm[p])
+		}
+		return b.Build()
+	}
+	set, err := BuildSet(star(n), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := headerOf(set); h.numNodeBits > 64*h.numEntries || h.numNodeBits > 50*(h.numEntries-uint64(n)) {
+		t.Fatalf("%d bits of node codes for %d entries, %d of them owners", h.numNodeBits, h.numEntries, n)
+	}
+	data := v3Bytes(t, set)
+	if _, err := ReadSketchSet(bytes.NewReader(data)); err != nil {
+		t.Fatalf("the written set does not read back: %v", err)
+	}
+	grown, err := FreezeBottomKOver(set, n+1, map[int32][]Entry{n: {{Node: n, Rank: o.rankFn()(n)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := BuildSet(star(n+1), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v3Bytes(t, grown), v3Bytes(t, fresh)) {
+		t.Fatal("the grown freeze's bytes differ from a fresh build's")
+	}
+}
+
+// rangeInt32 returns lo, lo+1, ..., hi-1.
+func rangeInt32(lo, hi int32) []int32 {
+	s := make([]int32, 0, hi-lo)
+	for x := lo; x < hi; x++ {
+		s = append(s, x)
+	}
+	return s
+}
+
 // FuzzNodeCode: a random list — runs of strictly ascending IDs below a
 // node count, their lengths drawn from the input — round-trips through the
 // node writer and every decoder, its IDs coded as they are and, under a
-// random rank order of a random node count and a random k, as rank-order
-// positions below each run's bound (a bottom-k list drawn under that
-// order); and the input's bytes taken as a list's code bits, under step
-// bits also drawn from them, decode without a panic, in both codings, to
-// the same IDs whatever the bits around the list hold — no read outside
-// its range — through AppendTo, a cursor's Next and the index's weights
-// alike.
+// random rank order of a random node count (its ranks base-2 rounded, so
+// tied, for odd seeds) and a random k up to 64, as rank-order positions
+// below each run's bound, their Rice parameters adapted gap by gap (a
+// bottom-k list drawn under that order, its owner first and alone, and one
+// whose run is dense from the bottom of the order and then far); and the
+// input's bytes taken as a list's code bits, under step bits also drawn
+// from them, decode without a panic, in both codings, to the same IDs
+// whatever the bits around the list hold — no read outside its range — through
+// AppendTo, a cursor's Next and the index's weights alike, the adaptive
+// parameter's sum and its b bounded by the run's.
 func FuzzNodeCode(f *testing.F) {
 	f.Add(uint32(10000), int64(1), []byte{16, 3, 40})
 	f.Add(uint32(1), int64(2), []byte{0xff})
 	f.Add(uint32(61), int64(3), []byte{61, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add(uint32(1<<30), int64(4), []byte{1, 1, 1, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0x7f})
 	f.Add(uint32(300), int64(5), []byte{0, 7, 30, 200, 1, 0xff, 9})
+	f.Add(uint32(4094), int64(63), []byte{62, 0})
 	f.Fuzz(func(t *testing.T, count uint32, seed int64, raw []byte) {
 		total := int(count%(1<<30)) + 1
 		rng := rand.New(rand.NewSource(seed))
@@ -683,37 +803,58 @@ func FuzzNodeCode(f *testing.F) {
 			}
 		}
 		// A rank order of up to 2^12 nodes, and a bottom-k list under it.
-		small, k := total%(1<<12)+1, 1+int(uint64(seed)%8)
-		order := fuzzOrder(rng, small)
+		small, k := total%(1<<12)+1, 1+int(uint64(seed)%64)
+		order := fuzzOrder(seed, small)
+		// The adaptive parameter's worst case first: its owner, then a run
+		// of the lowest positions and the highest, in under 50 bits a coded
+		// entry, the floor's bound, below the 64 a header admits.
+		perm, self := order.nodes(), int32(rng.Intn(small))
+		ids, steps = []int32{perm[self]}, []bool{true}
+		var run []int32
+		for x := int32(0); x < int32(small) && len(run) < k-1; x++ {
+			if x != self {
+				run = append(run, perm[x])
+			}
+		}
+		if far := perm[small-1]; k > 1 && far != perm[self] && !slices.Contains(run, far) {
+			run = append(run, far)
+		}
+		slices.Sort(run)
+		for j, id := range run {
+			ids, steps = append(ids, id), append(steps, j == 0)
+		}
+		p := writeNodes(t, small, order, k, [][]int32{ids}, [][]bool{steps})[0]
+		if got, exact := p.decode(nil); !exact || !slices.Equal(got, ids) || p.end-p.bit >= 50*int64(max(len(run), 1)) {
+			t.Fatalf("%d nodes in rank order, k=%d: %v decoded as %v (exact %v) from %d bits", small, k, ids, got, exact, p.end-p.bit)
+		}
 		ids, steps = fuzzRankedList(rng, order, k, raw[:min(len(raw), 8)])
-		if len(ids) > 0 {
-			p := writeNodes(t, small, order, k, [][]int32{ids}, [][]bool{steps})[0]
-			if got, exact := p.decode(nil); !exact || !slices.Equal(got, ids) {
-				t.Fatalf("%d nodes in rank order, k=%d: %v decoded as %v (exact %v)", small, k, ids, got, exact)
+		p = writeNodes(t, small, order, k, [][]int32{ids}, [][]bool{steps})[0]
+		if got, exact := p.decode(nil); !exact || !slices.Equal(got, ids) {
+			t.Fatalf("%d nodes in rank order, k=%d: %v decoded as %v (exact %v)", small, k, ids, got, exact)
+		}
+		c := p.cursor()
+		for j, id := range ids {
+			if got := c.Next(); got != id {
+				t.Fatalf("%d nodes in rank order, k=%d: the cursor's entry %d is %d, want %d", small, k, j, got, id)
 			}
-			c := p.cursor()
-			for j, id := range ids {
-				if got := c.Next(); got != id {
-					t.Fatalf("%d nodes in rank order, k=%d: the cursor's entry %d is %d, want %d", small, k, j, got, id)
-				}
-			}
-			w := make([]float64, len(ids))
-			if !rankedWeights(&p, w) {
-				t.Fatalf("%d nodes in rank order, k=%d: the weights' decoder is not done", small, k)
-			}
-			r := make([]float64, len(ids))
-			for j, id := range ids {
-				r[j] = order.ranks[slices.Index(order.perm, id)]
-			}
-			if want := hipWeightsBottomK(r, k, newKSmallest(k), nil); !slices.Equal(w, want) {
-				t.Fatalf("%d nodes in rank order, k=%d: weights %v, want %v", small, k, w, want)
-			}
+		}
+		w := make([]float64, len(ids))
+		if !rankedWeights(&p, w) {
+			t.Fatalf("%d nodes in rank order, k=%d: the weights' decoder is not done", small, k)
+		}
+		r := make([]float64, len(ids))
+		for j, id := range ids {
+			r[j] = order.ranks[slices.Index(order.perm, id)]
+		}
+		if want := hipWeightsBottomK(r, k, newKSmallest(k), nil); !slices.Equal(w, want) {
+			t.Fatalf("%d nodes in rank order, k=%d: weights %v, want %v", small, k, w, want)
 		}
 		// Arbitrary bits: the input as the list's codes, and its step bits
 		// one an input byte, from the byte's lowest bit (the first entry
 		// always steps), between words of filler.
 		n := len(raw)
 		bits := int64(8 * n)
+		own := int32(rng.Intn(small))
 		var first []uint64
 		if n > 0 {
 			first = make([]uint64, bitWords(int64(n)))
@@ -738,11 +879,14 @@ func FuzzNodeCode(f *testing.F) {
 			// The stream ends with the list's last word: a read past it
 			// would panic.
 			s.words = words[:bitWords(64+bits)]
-			p := Nodes{nodeCodes: nodeCodes{s: s, bit: 64, end: 64 + bits}, first: first, n: n}
+			p := Nodes{nodeCodes: nodeCodes{s: s, bit: 64, end: 64 + bits, own: own}, first: first, n: n}
 			all, _ = p.decode(nil)
 			c := p.cursor()
 			for range n {
 				next = append(next, c.Next())
+				if a := c.adapt.a; a > 16*uint64(c.bound)+1 || c.adapt.param() > uint(bitsLen(16*c.bound+1)) {
+					t.Fatalf("the adaptive parameter's sum %d (b %d) outgrows its run's bound %d", a, c.adapt.param(), c.bound)
+				}
 			}
 			if s.order != nil {
 				w = make([]float64, n)
@@ -767,25 +911,27 @@ func FuzzNodeCode(f *testing.F) {
 	})
 }
 
-// fuzzOrder returns a random rank order of n nodes, its ranks ascending
-// with the position.
-func fuzzOrder(rng *rand.Rand, n int) *rankOrder {
-	perm := make([]int32, n)
-	for i, v := range rng.Perm(n) {
-		perm[i] = int32(v)
+// fuzzOrder returns the rank order of n nodes under a seed, its ranks
+// rounded to base 2, so many tie, when the seed is odd.
+func fuzzOrder(seed int64, n int) *rankOrder {
+	o := Options{K: 1, Seed: uint64(seed)}
+	if seed%2 != 0 {
+		o.BaseB = 2
 	}
-	byNode := make([]float64, n)
-	for p, v := range perm {
-		byNode[v] = float64(p+1) / float64(n+1)
-	}
-	return builtRankOrder(perm, byNode)
+	return newRankOrder(Params{Kind: KindUniform, Options: o}, n)
 }
 
-// fuzzRankedList returns a bottom-k list under order — a run per length
-// byte, each of positions below the run's bound not taken yet, as many as
-// the byte says and there are, ascending by node — and its step bits.
+// bitsLen returns the bits x needs.
+func bitsLen(x int) int { return bits.Len(uint(x)) }
+
+// fuzzRankedList returns a bottom-k list under order — its owner, a node
+// drawn at random, alone, then a run per length byte, each of positions
+// below the run's bound not taken yet, as many as the byte says and there
+// are, ascending by node — and its step bits.
 func fuzzRankedList(rng *rand.Rand, order *rankOrder, k int, lengths []byte) (ids []int32, steps []bool) {
-	var taken []int32 // positions, ascending
+	perm := order.nodes()
+	taken := []int32{int32(rng.Intn(order.total))} // positions, ascending
+	ids, steps = []int32{perm[taken[0]]}, []bool{true}
 	for _, x := range lengths {
 		bound := order.total
 		if len(taken) >= k {
@@ -804,7 +950,7 @@ func fuzzRankedList(rng *rand.Rand, order *rankOrder, k int, lengths []byte) (id
 		}
 		nodes := make([]int32, len(run))
 		for j, p := range run {
-			nodes[j] = order.perm[p]
+			nodes[j] = perm[p]
 			taken = append(taken, p)
 		}
 		slices.Sort(taken)

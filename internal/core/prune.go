@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"adsketch/internal/graph"
+	"adsketch/internal/rank"
 )
 
 // Algorithm 1's pass state, one kernel for hop counts and one for float
@@ -218,7 +219,7 @@ func (ps pass[H]) lists(entry func(H) Entry) [][]Entry {
 // drew its candidates in, a node range a worker.
 func hopFrame(g *graph.Graph, p Params, workers int) (*Frame, error) {
 	n := g.NumNodes()
-	cands, ranks := runSpec{k: p.K, rank: p.rankFn()}.rankOrder(n)
+	cands, ranks := rank.Order(n, p.rankFn())
 	workers = passWorkers(workers, n)
 	ps, _ := runHops(g.Transpose(), cands, ranks, p.K, workers)
 	steps := 0
@@ -239,7 +240,7 @@ func hopFrame(g *graph.Graph, p Params, workers int) (*Frame, error) {
 			last = hop
 		}
 	}
-	err := pk.codeNodes(builtRankOrder(cands, ranks), workers, func(w *nodeWriter, v int) {
+	err := pk.f.codeNodes(builtRankOrder(cands, ranks, pk.f.by), idBits(len(ps.keys), n), workers, func(w *nodeWriter, v int) {
 		last := uint64(noKey)
 		for _, key := range ps.keys[ps.off[v]:ps.off[v+1]] {
 			hop := key >> 32

@@ -32,16 +32,19 @@ func retiredAs(t testing.TB, data []byte, write func([]byte, [][]retired.Entry) 
 	return write(data, lists)
 }
 
-// legacyV3, perEntryV3, wideV3, plainV3, compactV3 and riceV3 rewrite a
-// file of the current layout in each retired one: flags 0x00 (ranks
-// stored), 0x02, 0x06, 0x0e, 0x1e and 0x3e (node IDs Rice-coded as they
-// are, the layout weighted and approximate sets keep).
+// legacyV3, perEntryV3, wideV3, plainV3, compactV3, riceV3 and rankedV3
+// rewrite a file of the current layout in each retired one: flags 0x00
+// (ranks stored), 0x02, 0x06, 0x0e, 0x1e, 0x3e (node IDs Rice-coded as
+// they are, the layout weighted and approximate sets keep) and 0x7e (a
+// uniform set's rank-order positions, one Rice parameter a run, the
+// owner's code included).
 func legacyV3(t testing.TB, data []byte) []byte   { return retiredAs(t, data, retired.Ranks) }
 func perEntryV3(t testing.TB, data []byte) []byte { return retiredAs(t, data, retired.PerEntry) }
 func wideV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Wide) }
 func plainV3(t testing.TB, data []byte) []byte    { return retiredAs(t, data, retired.Plain) }
 func compactV3(t testing.TB, data []byte) []byte  { return retiredAs(t, data, retired.Compact) }
 func riceV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Rice) }
+func rankedV3(t testing.TB, data []byte) []byte   { return retiredAs(t, data, retired.RankOrdered) }
 
 // v3Files returns the rank-free file of every set kind and of one
 // partition.

@@ -31,29 +31,41 @@ func TestOpenFrameBytesRefusesRetiredLayouts(t *testing.T) {
 			}
 		}
 	}
-	// Only a uniform set's codes are rank-ordered: the bit on another kind
-	// is no layout any release wrote.
-	for _, name := range []string{"weighted", "approx", "weighted-partition"} {
+	// A uniform set's codes of one Rice parameter a run, the owner's
+	// included (flags 0x7e), are of a retired layout.
+	for _, name := range []string{"uniform", "uniform-partition"} {
 		b := append([]byte(nil), files[name]...)
-		le.PutUint32(b[12:], le.Uint32(b[12:])|frameFlagRankNodes)
-		if _, err := openFrameBytes(b); err == nil || !strings.Contains(err.Error(), "only a uniform set's node codes are rank-ordered") {
-			t.Errorf("%s with the rank-order flag: %v, want a refusal naming the kind", name, err)
+		le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagAdaptNodes)
+		if _, err := openFrameBytes(b); err == nil || !strings.Contains(err.Error(), "adsconvert") {
+			t.Errorf("%s under flags %#x: %v, want a refusal naming adsconvert", name, le.Uint32(b[12:]), err)
+		}
+	}
+	// Only a uniform set's codes are rank-ordered or adapt: either bit on
+	// another kind is no layout any release wrote.
+	for _, name := range []string{"weighted", "approx", "weighted-partition"} {
+		for _, bit := range []uint32{frameFlagRankNodes, frameFlagAdaptNodes, frameFlagsRanked} {
+			b := append([]byte(nil), files[name]...)
+			le.PutUint32(b[12:], le.Uint32(b[12:])|bit)
+			if _, err := openFrameBytes(b); err == nil || !strings.Contains(err.Error(), "only a uniform set's node codes are rank-ordered") {
+				t.Errorf("%s with flags %#x: %v, want a refusal naming the kind", name, le.Uint32(b[12:]), err)
+			}
 		}
 	}
 }
 
 // TestReadersRefuseRetiredLayouts: a file of each retired layout, of every
-// kind and of a partition — the IDs' own Rice codes, flags 0x3e, of the
-// uniform sets, whose layout it was — is refused by every reader — the
+// kind and of a partition — the IDs' own Rice codes, flags 0x3e, and the
+// rank-ordered codes of one parameter a run, 0x7e, of the uniform sets,
+// whose layouts they were — is refused by every reader — the
 // stream reader and both file openers — naming adsconvert, which reads it
 // (internal/legacy); so is a version-2 file no fixture holds: an empty
 // uniform set whose base-b is NaN.
 func TestReadersRefuseRetiredLayouts(t *testing.T) {
 	dir := t.TempDir()
-	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3, "compact": compactV3, "rice": riceV3}
+	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3, "compact": compactV3, "rice": riceV3, "rank": rankedV3}
 	for name, data := range v3Files(t) {
 		for layout, rewrite := range layouts {
-			if layout == "rice" && !strings.HasPrefix(name, "uniform") {
+			if (layout == "rice" || layout == "rank") && !strings.HasPrefix(name, "uniform") {
 				continue // the current layout of the other kinds
 			}
 			path := filepath.Join(dir, name+"-"+layout+".ads")

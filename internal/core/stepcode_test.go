@@ -103,7 +103,7 @@ func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 	}
 	h.flags |= frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes
 	if pos != nil {
-		h.flags |= frameFlagRankNodes
+		h.flags |= frameFlagsRanked
 	}
 	out := append(h.appendHeader(nil), pack(offs, width(uint64(len(nodes))+1))...)
 	out = append(out, pack(boffs, width(uint64(len(codes))+1))...)
@@ -138,20 +138,32 @@ func testRankPositions(p Params, total uint64) []uint64 {
 // pos, the IDs' positions (an ID outside the set as itself) in ascending
 // order — below a bound M, total or, with pos and k earlier entries, the
 // k-th smallest of their positions, as gaps, each the quotient by 2^b in
-// unary, a stop bit and b bits, b the largest with m·2^b <= M.
+// unary, a stop bit and b bits.  With pos, entry 0 — the owner — has no
+// code, and a gap's b is the least with n·2^b >= a, a the sum of the
+// run's earlier gaps and ⌊M/(4m)⌋+1, n their count and 1, both halved as
+// n reaches 16, but no less than b₀−3; without, b is b₀, the largest with
+// m·2^b <= M.
 func testNodeCodes(l []Entry, total uint64, pos []uint64, k int) []uint64 {
 	var codes, earlier []uint64
-	for i := 0; i < len(l); {
+	number := func(e Entry) uint64 {
+		x := uint64(uint32(e.Node))
+		if pos != nil && x < total {
+			x = pos[x]
+		}
+		return x
+	}
+	i := 0
+	if pos != nil && len(l) > 0 {
+		earlier, i = append(earlier, number(l[0])), 1
+	}
+	for i < len(l) {
 		m := 1
 		for i+m < len(l) && l[i+m].Dist == l[i].Dist {
 			m++
 		}
 		bound, run := total, make([]uint64, m)
 		for j, e := range l[i : i+m] {
-			run[j] = uint64(uint32(e.Node))
-			if pos != nil && run[j] < total {
-				run[j] = pos[run[j]]
-			}
+			run[j] = number(e)
 		}
 		if pos != nil {
 			sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
@@ -166,9 +178,18 @@ func testNodeCodes(l []Entry, total uint64, pos []uint64, k int) []uint64 {
 		for uint64(m)<<(b+1) <= bound {
 			b++
 		}
+		a, n, floor := bound/(4*uint64(m))+1, uint64(1), b-min(b, 3)
 		prev := int64(-1)
 		for _, x := range run {
 			gap := uint64(int64(x) - prev - 1)
+			if pos != nil {
+				for b = floor; n<<b < a; b++ {
+				}
+				a, n = a+min(gap, bound), n+1
+				if n == 16 {
+					a, n = a/2, n/2
+				}
+			}
 			for q := gap >> b; q > 0; q-- {
 				codes = append(codes, 0)
 			}
@@ -547,6 +568,14 @@ func TestV3WideColumnFixtures(t *testing.T) {
 // 600 bytes in both layouts.
 func TestV3CompactFixtures(t *testing.T) {
 	checkV3Fixtures(t, v3Fixtures("v3compact")[:3], frameFlagDerivedRanks|frameFlagStepDists|frameFlagPackedNodes|frameFlagCompact, compactV3, true)
+}
+
+// TestV3RankFixtures: the files of the last release before the Rice
+// parameters of a uniform set's rank-ordered runs adapted gap by gap and
+// the owner's code was implied — one parameter a run, flags 0x7e — are
+// refused, whole and as a partition.
+func TestV3RankFixtures(t *testing.T) {
+	checkV3Fixtures(t, v3Fixtures("v3rank")[:2], frameFlagsLayout|frameFlagRankNodes, rankedV3, false)
 }
 
 // checkV3Fixtures: every committed file of an earlier layout (its flags,

@@ -117,6 +117,19 @@ func TestPartitionCorruption(t *testing.T) {
 	}
 }
 
+// TestRankOrderedPartitionRefusesHostileTotal: a rank-ordered partition
+// whose envelope claims a set of 2^30 nodes, its own 30 sketches intact,
+// is refused before the order of that set — 12 GB — is built.
+func TestRankOrderedPartitionRefusesHostileTotal(t *testing.T) {
+	data := append([]byte(nil), readFixture(t, "uniform_v3rank_k4.p1of2.ads")...)
+	// The envelope's total: after magic, version, kind, flags, index,
+	// count, lo and hi.
+	binary.LittleEndian.PutUint32(data[32:], 1<<30)
+	if _, err := Read(bytes.NewReader(data), nil); err == nil || !strings.Contains(err.Error(), "claims a 1073741824-node set") {
+		t.Fatalf("a partition of a claimed 2^30-node set: got %v, want it refused", err)
+	}
+}
+
 // TestEncodeDetectsCorruption: damaged input of version 2 — a committed
 // fixture; nothing writes that format any more — is refused.
 func TestEncodeDetectsCorruption(t *testing.T) {
@@ -170,6 +183,7 @@ func FuzzReadSet(f *testing.F) {
 	files := v3Files(f)
 	addDamaged(f, files["weighted-partition"])
 	addDamaged(f, legacyV3(f, files["weighted-partition"]))
+	addDamaged(f, rankedV3(f, files["uniform-partition"]))
 	for _, fx := range v2Fixtures {
 		addDamaged(f, readFixture(f, fx.file))
 	}

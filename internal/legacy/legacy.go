@@ -66,8 +66,14 @@
 // numNodeBits bits of Rice codes — a run of m IDs of equal distance, which
 // the first bits delimit, coded as its gaps xᵢ − xᵢ₋₁ − 1 (x₋₁ = −1), each
 // gap>>b zero bits, a one and the b low bits, b the largest with
-// m·2^b <= the set's node count.  These layouts are frozen bytes, so this
-// copy of their header cannot drift from the writers'.
+// m·2^b <= the set's node count.  A seventh, flags 0x7e (the *_v3rank_*
+// fixtures), was a uniform set's before a gap's Rice parameter adapted to
+// its run's gaps before it and the owner's code was implied: bit 6 codes a
+// run's positions in the set's rank order — its nodes sorted by (rank,
+// node) — ascending, below M, the k-th smallest position of the sketch's
+// entries at smaller distances (the node count while there are fewer than
+// k), b the largest with m·2^b <= M.  These layouts are frozen bytes, so
+// this copy of their header cannot drift from the writers'.
 //
 // Stored ranks are checked against the ones the frame derives, and
 // dropped.  A uniform header records the seed that derives them; a weighted
@@ -82,8 +88,10 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 
 	"adsketch/internal/core"
+	"adsketch/internal/retired"
 	"adsketch/internal/sketch"
 )
 
@@ -106,16 +114,17 @@ const (
 	flagPackedNodes  = 1 << 3
 	flagCompact      = 1 << 4
 	flagRiceNodes    = 1 << 5
-	flagRankNodes    = 1 << 6 // a current uniform file's; no retired one has it
+	flagRankNodes    = 1 << 6 // a uniform file's: rank-ordered codes
+	flagAdaptNodes   = 1 << 7 // a current uniform file's; no retired one has it
 	flagsCompact     = flagDerivedRanks | flagStepDists | flagPackedNodes | flagCompact
 	flagsRice        = flagsCompact | flagRiceNodes
 )
 
 // currentFlags returns the flags, less β, of the current layout of a set
-// of kind kind: a uniform set's node codes are rank-ordered.
+// of kind kind: a uniform set's node codes are rank-ordered and adapt.
 func currentFlags(kind uint32) uint32 {
 	if core.Kind(kind) == core.KindUniform {
-		return flagsRice | flagRankNodes
+		return flagsRice | flagRankNodes | flagAdaptNodes
 	}
 	return flagsRice
 }
@@ -312,7 +321,7 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	scheme, segs := c.u32(), c.u32()
 	p.Eps = c.f64()
 	n, e, numSteps := c.u64(), int64(c.u64()), c.u64()
-	compact, rice := flags&flagCompact != 0, flags&flagRiceNodes != 0
+	compact, rice, ranked := flags&flagCompact != 0, flags&flagRiceNodes != 0, flags&flagRankNodes != 0
 	var numDistinct, numNodeBits uint64
 	if compact {
 		numDistinct = c.u64()
@@ -335,7 +344,7 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 		return nil, fmt.Errorf("legacy: truncated sketch file header")
 	case flags&^uint32(flagsRice|flagRankNodes|flagBeta) != 0:
 		return nil, fmt.Errorf("legacy: sketch file has unknown flags %#x", flags)
-	case flags&flagRankNodes != 0, rice && (flags&^flagBeta != flagsRice || p.Kind != core.KindUniform),
+	case ranked && !rice, rice && (flags&^(flagBeta|flagRankNodes) != flagsRice || p.Kind != core.KindUniform),
 		!rice && compact && flags&^flagBeta != flagsCompact:
 		return nil, fmt.Errorf("legacy: sketch file has flags %#x, a layout no release wrote for a %v set", flags, p.Kind)
 	case kind == kindPartition:
@@ -353,6 +362,11 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 		return nil, fmt.Errorf("legacy: implausible entry count %d, or %d distance steps over %d values", e, numSteps, numDistinct)
 	case rice && (numNodeBits < uint64(e) || numNodeBits > 64*uint64(e)):
 		return nil, fmt.Errorf("legacy: sketch file claims %d bits of node codes for %d entries", numNodeBits, e)
+	// A rank-ordered file is read through the order of every node of the
+	// set, 12 bytes a node: a partition's envelope, which alone says how
+	// many there are, may claim no more than its entries make plausible.
+	case ranked && env != nil && total > max(1<<20, 64*uint64(e)):
+		return nil, fmt.Errorf("legacy: a rank-ordered partition of %d entries claims a %d-node set, more than max(2^20, 64 × its entries): convert the whole set's file", e, total)
 	}
 	stored, stepped := flags&flagDerivedRanks == 0, flags&flagStepDists != 0
 	width, offWidth, codeWidth := widthBelow(total), int64(64), widthBelow(numDistinct)
@@ -424,8 +438,13 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 		beta = make([]float64, e)
 	}
 	var codes *riceReader
+	var perm []int32 // a rank-ordered file's rank order
+	var run, earlier []uint64
 	if rice {
 		codes = &riceReader{body: body[nodesAt:distsAt], end: int64(numNodeBits)}
+	}
+	if ranked {
+		perm = retired.Order(p.Seed, p.BaseB, int(total))
 	}
 	lo, step := int64(0), int64(0)
 	for s := range lists {
@@ -446,13 +465,29 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 					for i+m < hi && body[distsAt+(i+m)/8]>>((i+m)%8)&1 == 0 {
 						m++
 					}
-					codes.run(total, m)
+					if i == lo {
+						earlier = earlier[:0]
+					}
+					bound := total
+					if ranked && len(earlier) >= int(k) {
+						bound = earlier[k-1]
+					}
+					if run = codes.run(run[:0], bound, m); len(run) < int(m) {
+						return nil, fmt.Errorf("legacy: sketch file sketch %d's node codes run past their bits", s)
+					}
+					if ranked {
+						earlier = append(earlier, run...)
+						slices.Sort(earlier)
+						for j, x := range run {
+							if x >= total {
+								return nil, fmt.Errorf("legacy: sketch file sketch %d codes rank-order position %d of %d", s, x, total)
+							}
+							run[j] = uint64(perm[x])
+						}
+						slices.Sort(run)
+					}
 				}
-				id, ok := codes.next()
-				if !ok {
-					return nil, fmt.Errorf("legacy: sketch file sketch %d's node codes run past their bits", s)
-				}
-				x.Node = id
+				x.Node, run = int32(run[0]), run[1:]
 			} else {
 				x.Node = node(i)
 			}
@@ -496,24 +531,32 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	return freeze(p, env, int(n), lists, beta, stored, seed)
 }
 
-// riceReader reads the node codes of the layout of flags 0x3e: a run of m
-// IDs of equal distance below total is coded as its gaps xᵢ − xᵢ₋₁ − 1
+// riceReader reads the node codes of the layouts of flags 0x3e and 0x7e:
+// a run of m numbers below a bound is coded as its gaps xᵢ − xᵢ₋₁ − 1
 // (x₋₁ = −1), each gap>>b zero bits, a one and the b low bits, b the
-// largest with m·2^b <= total.
+// largest with m·2^b <= the bound.
 type riceReader struct {
 	body []byte
 	pos  int64 // the next bit
 	end  int64 // the codes' length in bits
-	b    int
-	prev int64
 }
 
-// run starts a run of m IDs below total.
-func (r *riceReader) run(total uint64, m int64) {
-	r.b, r.prev = 0, -1
-	for uint64(m)<<(r.b+1) <= total {
-		r.b++
+// run appends the m numbers of a run below bound to dst, stopping short
+// where the codes run out or a number outgrows an ID.
+func (r *riceReader) run(dst []uint64, bound uint64, m int64) []uint64 {
+	b := 0
+	for uint64(m)<<(b+1) <= bound {
+		b++
 	}
+	prev := int64(-1)
+	for range m {
+		gap, ok := r.code(b)
+		if prev += 1 + int64(gap); !ok || gap > math.MaxInt32 || prev > math.MaxInt32 {
+			break
+		}
+		dst = append(dst, uint64(prev))
+	}
+	return dst
 }
 
 // bit returns the bit at pos, and whether there is one.
@@ -526,8 +569,8 @@ func (r *riceReader) bit() (uint64, bool) {
 	return x, true
 }
 
-// next returns the run's next ID, or false where the codes run out.
-func (r *riceReader) next() (int32, bool) {
+// code returns the next gap, coded at b, or false where the codes run out.
+func (r *riceReader) code(b int) (uint64, bool) {
 	var q uint64
 	for {
 		x, ok := r.bit()
@@ -539,17 +582,13 @@ func (r *riceReader) next() (int32, bool) {
 		}
 		q++
 	}
-	gap := q << r.b
-	for k := 0; k < r.b; k++ {
+	gap := q << b
+	for k := 0; k < b; k++ {
 		x, ok := r.bit()
 		if !ok {
 			return 0, false
 		}
 		gap |= x << k
 	}
-	r.prev += 1 + int64(gap)
-	if r.prev > math.MaxInt32 {
-		return 0, false
-	}
-	return int32(r.prev), true
+	return gap, true
 }

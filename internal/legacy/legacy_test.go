@@ -85,16 +85,19 @@ func retiredAs(t testing.TB, data []byte, write func([]byte, [][]retired.Entry) 
 	return write(data, lists)
 }
 
-// legacyV3, perEntryV3, wideV3, plainV3, compactV3 and riceV3 rewrite a
-// file of the current layout in each retired one: flags 0x00 (ranks
-// stored, and no seed for a weighted or approximate set), 0x02, 0x06,
-// 0x0e, 0x1e and 0x3e (a uniform set's node IDs Rice-coded as they are).
+// legacyV3, perEntryV3, wideV3, plainV3, compactV3, riceV3 and rankedV3
+// rewrite a file of the current layout in each retired one: flags 0x00
+// (ranks stored, and no seed for a weighted or approximate set), 0x02,
+// 0x06, 0x0e, 0x1e, 0x3e (a uniform set's node IDs Rice-coded as they
+// are) and 0x7e (its rank-order positions, one Rice parameter a run, the
+// owner's code included).
 func legacyV3(t testing.TB, data []byte) []byte   { return retiredAs(t, data, retired.Ranks) }
 func perEntryV3(t testing.TB, data []byte) []byte { return retiredAs(t, data, retired.PerEntry) }
 func wideV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Wide) }
 func plainV3(t testing.TB, data []byte) []byte    { return retiredAs(t, data, retired.Plain) }
 func compactV3(t testing.TB, data []byte) []byte  { return retiredAs(t, data, retired.Compact) }
 func riceV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Rice) }
+func rankedV3(t testing.TB, data []byte) []byte   { return retiredAs(t, data, retired.RankOrdered) }
 
 // v3Files returns the rank-free file of every set kind and of one
 // partition.
@@ -284,6 +287,15 @@ func TestV3RiceFixtures(t *testing.T) {
 	checkV3Fixtures(t, fixtures, flagsRice, riceV3)
 }
 
+// TestV3RankFixtures: the files of the last release before the Rice
+// parameters of a uniform set's rank-ordered runs adapted gap by gap and
+// the owner's code was implied — one parameter a run, flags 0x7e — whole
+// and as a partition: Read turns them into the bytes a fresh build and
+// split write, which is what adsconvert writes of them.
+func TestV3RankFixtures(t *testing.T) {
+	checkV3Fixtures(t, v3Fixtures("v3rank")[:2], flagsRice|flagRankNodes, rankedV3)
+}
+
 // checkV3Fixtures: every committed file of an earlier layout (its flags,
 // less the β bit, being layout) reads — the whole set or partition it
 // holds, no seed needed — answering bit for bit like a fresh build, entry
@@ -332,9 +344,12 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 // weighted, approximate — is refused without one and read with it.
 func TestLegacyDoorReadsRetiredLayouts(t *testing.T) {
 	seed := uint64(42)
-	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3, "compact": compactV3, "rice": riceV3}
+	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3, "compact": compactV3, "rice": riceV3, "rank": rankedV3}
 	for name, data := range v3Files(t) {
 		for layout, rewrite := range layouts {
+			if layout == "rank" && !strings.HasPrefix(name, "uniform") {
+				continue // only a uniform set's codes were rank-ordered
+			}
 			old, label := rewrite(t, data), name+" "+layout
 			given := (*uint64)(nil)
 			if layout == "ranks" && !strings.HasPrefix(name, "uniform") {

@@ -24,7 +24,11 @@
 // machines without shared state.
 package rank
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // mix64 is the splitmix64 finalizer.  It is a bijection on uint64 with good
 // avalanche behavior, sufficient for the "random hash function" assumption
@@ -87,4 +91,16 @@ func (s Source) ExpRank(v int64, weight float64) float64 {
 // sampling rank discussed as the bottom-k alternative in Section 9.
 func (s Source) PriorityRank(v int64, weight float64) float64 {
 	return s.Rank(v) / weight
+}
+
+// Order returns nodes 0..n-1 sorted by (rank, node) — a set's rank order,
+// the order Algorithm 1 takes its candidates in — and the rank of every
+// node, which of gives.
+func Order(n int, of func(v int32) float64) (perm []int32, ranks []float64) {
+	perm, ranks = make([]int32, n), make([]float64, n)
+	for v := range perm {
+		perm[v], ranks[v] = int32(v), of(int32(v))
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return cmp.Or(cmp.Compare(ranks[a], ranks[b]), cmp.Compare(a, b)) })
+	return perm, ranks
 }

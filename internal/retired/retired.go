@@ -1,7 +1,8 @@
 // Package retired writes sketch files in the version-3 layouts that
 // earlier releases wrote and that the current readers refuse — the one
 // writer of each, shared by the tests of the readers that refuse them
-// (internal/core) and of the one that reads them (internal/legacy).  It
+// (internal/core) and of the one that reads them (internal/legacy), which
+// also derives the rank order of a rank-ordered file here (Order).  It
 // imports neither, so both can: a writer takes a file of the current
 // layout, for its header and the columns the retired layout shares with
 // it, and the set's entry lists, for the columns it does not.
@@ -17,6 +18,11 @@
 //	               count, with the numNodeBits word and bit offsets — the
 //	               layout of weighted and approximate sets still, retired
 //	               for uniform ones, whose runs are coded in rank order
+//	RankOrdered
+//	         0x7e  a uniform set's runs coded as rank-order positions below
+//	               their bottom-k bound, one Rice parameter a run and the
+//	               owner's code included — retired when the parameters came
+//	               to adapt gap by gap and the owner's code to be implied
 //
 // The first four have no numDistinct or numNodeBits word.  A weighted or
 // approximate file that stores its ranks (Ranks) records no seed.
@@ -26,6 +32,9 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
+
+	"adsketch/internal/rank"
 )
 
 // Entry is one entry of a sketch, as the retired layouts store it.
@@ -42,6 +51,8 @@ const (
 	flagCompact      = 1 << 4
 	flagRiceNodes    = 1 << 5
 	flagRankNodes    = 1 << 6
+	flagAdaptNodes   = 1 << 7
+	flagsRanked      = flagRankNodes | flagAdaptNodes
 
 	kindUniform   = 0
 	kindPartition = 3
@@ -122,7 +133,7 @@ func Plain(cur []byte, lists [][]Entry) []byte { return perEntry(cur, lists, fal
 func perEntry(cur []byte, lists [][]Entry, storeRanks, stepCoded, packed bool) []byte {
 	c := parse(cur)
 	out := append([]byte(nil), cur[:c.hdr]...)
-	flags := c.flags &^ (flagCompact | flagRiceNodes | flagRankNodes)
+	flags := c.flags &^ (flagCompact | flagRiceNodes | flagsRanked)
 	if !packed {
 		flags &^= flagPackedNodes
 	}
@@ -186,7 +197,7 @@ func perEntry(cur []byte, lists [][]Entry, storeRanks, stepCoded, packed bool) [
 func Compact(cur []byte, lists [][]Entry) []byte {
 	c := parse(cur)
 	out := append([]byte(nil), cur[:c.hdr+8]...)
-	le.PutUint32(out[12:], c.flags&^(flagRiceNodes|flagRankNodes))
+	le.PutUint32(out[12:], c.flags&^(flagRiceNodes|flagsRanked))
 	out = append(out, cur[c.offsAt:c.offsAt+words(c.n+1, width(c.e+1))]...)
 	var ids []uint64
 	for _, l := range lists {
@@ -203,43 +214,118 @@ func Compact(cur []byte, lists [][]Entry) []byte {
 // largest b with m·2^b <= total — gap>>b zero bits, a one, the b low bits
 // — with the bit offsets and numNodeBits of those codes; the offsets, the
 // step code and the β column as they are.
-func Rice(cur []byte, lists [][]Entry) []byte {
+func Rice(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, false) }
+
+// RankOrdered writes the layout of flags 0x7e, a uniform set's: as Rice,
+// but a run's numbers are its entries' positions in the set's rank order
+// — its nodes sorted by (rank, node), the ranks the header's seed and base
+// derive — ascending, below the k-th smallest position of the list's
+// entries at smaller distances (the node count while there are fewer than
+// k), which is the M of the run's one b, the largest with m·2^b <= M.
+func RankOrdered(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, true) }
+
+// riceLayout writes Rice, or RankOrdered when ranked.
+func riceLayout(cur []byte, lists [][]Entry, ranked bool) []byte {
 	c := parse(cur)
 	out := append([]byte(nil), cur[:c.hdr+16]...)
-	le.PutUint32(out[12:], c.flags&^flagRankNodes)
-	var codes []uint64 // a bit each
+	flags := c.flags &^ flagsRanked
+	var pos []uint64
+	k := uint64(le.Uint32(cur[c.hdr-64:]))
+	if ranked {
+		flags |= flagRankNodes
+		pos = positions(le.Uint64(cur[c.hdr-56:]), math.Float64frombits(le.Uint64(cur[c.hdr-48:])), c.total)
+	}
+	le.PutUint32(out[12:], flags)
+	var codes bitList
 	var boffs []uint64
 	for _, l := range lists {
-		boffs = append(boffs, uint64(len(codes)))
+		boffs = append(boffs, codes.n)
+		var low []uint64 // the list's k smallest positions so far, ascending
 		for i := 0; i < len(l); {
 			m := 1
 			for i+m < len(l) && l[i+m].Dist == l[i].Dist {
 				m++
 			}
-			b := max(bits.Len64(c.total)-bits.Len64(uint64(m)), 0)
-			if b > 0 && uint64(m)<<b > c.total {
+			run, bound := make([]uint64, m), c.total
+			for j, x := range l[i : i+m] {
+				run[j] = uint64(x.Node)
+				if ranked {
+					run[j] = pos[x.Node]
+				}
+			}
+			if ranked {
+				slices.Sort(run)
+				if uint64(len(low)) >= k {
+					bound = low[k-1]
+				}
+				low = append(low, run...)
+				slices.Sort(low)
+				low = low[:min(uint64(len(low)), k)]
+			}
+			b := max(bits.Len64(bound)-bits.Len64(uint64(m)), 0)
+			if b > 0 && uint64(m)<<b > bound {
 				b--
 			}
 			prev := int64(-1)
-			for _, x := range l[i : i+m] {
-				gap := uint64(int64(x.Node) - prev - 1)
+			for _, x := range run {
+				gap := uint64(int64(x) - prev - 1)
 				for q := gap >> b; q > 0; q-- {
-					codes = append(codes, 0)
+					codes.add(0)
 				}
-				codes = append(codes, 1)
+				codes.add(1)
 				for k := 0; k < b; k++ {
-					codes = append(codes, gap>>k&1)
+					codes.add(gap >> k & 1)
 				}
-				prev = int64(x.Node)
+				prev = int64(x)
 			}
 			i += m
 		}
 	}
-	nbits := uint64(len(codes))
-	boffs = append(boffs, nbits)
-	le.PutUint64(out[c.hdr+8:], nbits)
+	boffs = append(boffs, codes.n)
+	le.PutUint64(out[c.hdr+8:], codes.n)
 	out = append(out, cur[c.offsAt:c.offsAt+words(c.n+1, width(c.e+1))]...)
-	out = append(out, pack(boffs, width(nbits+1))...)
-	out = append(out, pack(codes, 1)...)
+	out = append(out, pack(boffs, width(codes.n+1))...)
+	for _, w := range codes.words {
+		out = le.AppendUint64(out, w)
+	}
 	return append(out, cur[c.firstAt:]...)
+}
+
+// bitList is a column of bits, appended one at a time.
+type bitList struct {
+	words []uint64
+	n     uint64
+}
+
+func (l *bitList) add(x uint64) {
+	if l.n%64 == 0 {
+		l.words = append(l.words, 0)
+	}
+	l.words[l.n/64] |= x << (l.n % 64)
+	l.n++
+}
+
+// Order returns the node at every position of the rank order of a
+// total-node uniform set of seed and base-b baseB (none when it is not
+// above 1): its nodes sorted by (rank, node).  internal/legacy reads the
+// rank-ordered layout through it.
+func Order(seed uint64, baseB float64, total int) []int32 {
+	src := rank.NewSource(seed)
+	of := func(v int32) float64 { return src.Rank(int64(v)) }
+	if baseB > 1 {
+		base := rank.NewBaseB(baseB)
+		of = func(v int32) float64 { return base.Round(src.Rank(int64(v))) }
+	}
+	perm, _ := rank.Order(total, of)
+	return perm
+}
+
+// positions returns the rank-order position of every node: Order's
+// inverse.
+func positions(seed uint64, baseB float64, total uint64) []uint64 {
+	pos := make([]uint64, total)
+	for p, v := range Order(seed, baseB, int(total)) {
+		pos[v] = uint64(p)
+	}
+	return pos
 }
