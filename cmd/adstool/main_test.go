@@ -136,16 +136,23 @@ func infoLines(t *testing.T, path string) map[string]string {
 		t.Fatalf("info %s: %v", path, err)
 	}
 	lines := map[string]string{}
+	var cols []string
 	for _, l := range strings.Split(string(out), "\n") {
-		if len(l) > 16 && l[0] != ' ' {
+		switch {
+		case strings.HasPrefix(l, "  "): // a column: its name and bytes
+			f := strings.Fields(l)
+			cols = append(cols, strings.Join(f[:len(f)-1], " "))
+		case len(l) > 16:
 			lines[strings.TrimSpace(l[:16])] = strings.TrimSpace(l[16:])
 		}
 	}
+	lines["column names"] = strings.Join(cols, ", ")
 	return lines
 }
 
 // TestInfo: `adstool info` names each kind's parameters — and only its
-// own — for a file of every kind, and the partition header of a shard.
+// own — for a file of every kind, the partition header of a shard, and the
+// file's columns in file order.
 func TestInfo(t *testing.T) {
 	g := adsketch.PreferentialAttachment(60, 2, 3)
 	beta := make([]float64, 60)
@@ -224,6 +231,15 @@ func TestInfo(t *testing.T) {
 		}
 		if v := got["node IDs"]; !strings.HasPrefix(v, codes) || !strings.HasSuffix(v, " bits/entry)") {
 			t.Errorf("%s: node IDs %q, want %q… bits/entry)", filepath.Base(tc.path), v, codes)
+		}
+		// Every kind's columns: step offsets where step bits were, the run
+		// lengths among the node codes, then the steps, and β if weighted.
+		cols := "header, offsets, bit offsets, step offsets, nodes, step codes, dictionary"
+		if tc.want["kind"] == "weighted" {
+			cols += ", betas"
+		}
+		if v := got["column names"]; v != cols {
+			t.Errorf("%s: columns %q, want %q", filepath.Base(tc.path), v, cols)
 		}
 	}
 }

@@ -18,7 +18,7 @@
 //     package's raw byte views of a typed slice (a function built on
 //     unsafe.Slice((*byte)(unsafe.Pointer(..)), ..) — f64Bytes for the
 //     dictionary of distances, the raw steps and β, u64Bytes for the
-//     step-bit words and the bit-packed node IDs, offsets and step codes)
+//     node codes and the bit-packed offsets, step offsets and step codes)
 //     outside the then-branch of an `if` on the little-endian host
 //     probe.  Memory is the wire's bytes only on a little-endian host;
 //     every column — the words of a bit vector or of a packed column

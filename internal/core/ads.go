@@ -161,8 +161,8 @@ func (a *ADS) HIPEntries() []WeightedEntry {
 
 // Validate checks the structural invariants: canonical order, the
 // inclusion condition (each entry's rank strictly below the k-th smallest
-// rank among prior entries) and the owner as first entry, at distance 0 —
-// so an empty sketch is refused.  It returns the first violation found.
+// rank among prior entries) and the owner first, alone at distance 0 — so
+// an empty sketch is refused.  It returns the first violation found.
 func (a *ADS) Validate() error {
 	// Whole columns, not an entry at a time: slices a filled view already
 	// has, unpacked once otherwise.
@@ -181,8 +181,8 @@ func (a *ADS) Validate() error {
 		h.offer(e.Rank)
 		prev = e
 	}
-	if len(nodes) == 0 || nodes[0] != a.node || dists[0] != 0 {
-		return fmt.Errorf("core: ADS(%d) does not start with the owner at distance 0", a.node)
+	if len(nodes) == 0 || nodes[0] != a.node || dists[0] != 0 || len(nodes) > 1 && dists[1] == 0 {
+		return fmt.Errorf("core: ADS(%d) does not start with the owner alone at distance 0", a.node)
 	}
 	return nil
 }

@@ -170,13 +170,11 @@ func (s *Set) BottomK(v int32) *ADS { return s.frame.viewSketch(int(v)).(*ADS) }
 
 // Columns returns a bottom-k set's node v as column views — its entries'
 // nodes in canonical order and their distances, both as the frame holds
-// them, Rice-coded and step-coded, for the caller to decode (AppendTo)
-// and walk by Runs — the scan for callers that know the ranks already.  Both alias the set's storage.
+// them, Rice-coded and step-coded, for the caller to decode with their
+// runs (AppendRuns) and walk by Runs — the scan for callers that know the
+// ranks already.  Both alias the set's storage.
 func (s *Set) Columns(v int32) (nodes Nodes, dists StepDists) {
-	f := s.frame
-	lo, hi := f.span(int(v))
-	slo := f.rank1(lo)
-	return f.nodesAt(int(v)), StepDists{first: f.first, lo: lo, col: &f.steps, slo: slo, n: int(f.rank1(hi) - slo)}
+	return s.frame.nodesAt(int(v)), s.frame.stepsAt(int(v))
 }
 
 // Index builds local node v's columnar HIP query index over the frame's

@@ -21,14 +21,14 @@ type v3Parts struct {
 	h     frameHdr
 	offs  []uint64
 	boffs []uint64 // the bit offsets of the node codes
+	soffs []uint64 // the step offsets
 	nodes []byte
-	bits  []byte
 	codes []uint64  // one per step, when the header has a dictionary
 	dists []float64 // the dictionary, or the raw steps
 	tail  []byte    // betas
 
 	// Where the columns start in the file the parts were split from.
-	offsAt, boffsAt, nodesAt, bitsAt, codesAt, distsAt int64
+	offsAt, boffsAt, soffsAt, nodesAt, codesAt, distsAt int64
 }
 
 // testWidth is the width of a packed column of values below bound, spelled
@@ -84,10 +84,10 @@ func splitV3(t testing.TB, data []byte) v3Parts {
 	p.offs = testUnpack(next(h.offsetsSize()), h.n+1, testWidth(h.numEntries+1))
 	p.boffsAt = pos
 	p.boffs = testUnpack(next(h.bitOffsetsSize()), h.n+1, testWidth(h.numNodeBits+1))
+	p.soffsAt = pos
+	p.soffs = testUnpack(next(h.stepOffsetsSize()), h.n+1, testWidth(h.numSteps+1))
 	p.nodesAt = pos
 	p.nodes = next(h.nodesSize())
-	p.bitsAt = pos
-	p.bits = next(bitWords(int64(h.numEntries)) * 8)
 	p.codesAt = pos
 	if h.numDistinct > 0 {
 		p.codes = testUnpack(next(h.codesSize()), h.numSteps, testWidth(h.numDistinct))
@@ -104,8 +104,8 @@ func (p *v3Parts) bytes() []byte {
 	out := p.h.appendHeader(nil)
 	out = append(out, testPack(p.offs, testWidth(p.h.numEntries+1))...)
 	out = append(out, testPack(p.boffs, testWidth(p.h.numNodeBits+1))...)
+	out = append(out, testPack(p.soffs, testWidth(p.h.numSteps+1))...)
 	out = append(out, p.nodes...)
-	out = append(out, p.bits...)
 	if p.h.numDistinct > 0 {
 		out = append(out, testPack(p.codes, testWidth(p.h.numDistinct))...)
 	}
@@ -265,7 +265,8 @@ func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, truste
 // testRiceBits returns the length of the node codes of l in a set of
 // total nodes (testNodeCodes), rank-ordered when pos is given.
 func testRiceBits(l []Entry, total uint64, pos []uint64, k int) int64 {
-	return int64(len(testNodeCodes(l, total, pos, k)))
+	codes, _ := testNodeCodes(l, total, pos, k)
+	return int64(len(codes))
 }
 
 // referenceSizes returns what the frame's own entries cost as a file,
@@ -300,7 +301,7 @@ func referenceSizes(f *Frame, partition bool) (compact, plain, steps, coded int6
 		header += framePartHdrSize
 	}
 	e, nOff := int64(f.totalEntries()), int64(f.n+1)
-	perEntry := 8 * words(e, 1)
+	perEntry := int64(0)
 	if f.p.Kind == KindWeighted {
 		perEntry += 8 * e
 	}
@@ -309,8 +310,8 @@ func referenceSizes(f *Frame, partition bool) (compact, plain, steps, coded int6
 		stepBytes, coded = b, distinct
 	}
 	compact = header + 16 + 8*words(nOff, testWidth(uint64(e)+1)) + 8*words(nOff, testWidth(uint64(rice)+1)) +
-		8*words(rice, 1) + perEntry + stepBytes
-	plain = header + 8*nOff + 8*words(e, testWidth(uint64(f.total))) + perEntry + 8*steps
+		8*words(nOff, testWidth(uint64(steps)+1)) + 8*words(rice, 1) + perEntry + stepBytes
+	plain = header + 8*nOff + 8*words(e, testWidth(uint64(f.total))) + 8*words(e, 1) + perEntry + 8*steps
 	return compact, plain, steps, coded
 }
 
@@ -350,13 +351,32 @@ func TestCompactColumnsRejectHostileInput(t *testing.T) {
 	checkHostileFiles(t, damaged, trusted)
 }
 
+// testLengthBits returns the bits of the frame's run-length codes, as
+// testNodeCodes spells them out: what its node codes take beyond their
+// gaps'.
+func testLengthBits(f *Frame) int64 {
+	var pos []uint64
+	if f.p.Kind == KindUniform {
+		pos = testRankPositions(f.p, uint64(f.total))
+	}
+	bits := int64(0)
+	for v := 0; v < f.n; v++ {
+		c := f.colsAt(v)
+		_, lengths := testNodeCodes(c.entries(), uint64(f.total), pos, f.p.K)
+		bits += int64(lengths)
+	}
+	return bits
+}
+
 // TestNodeCodesAtScale: at ten times the benchmark's node count,
-// PA(100000, 5) of graph seed 1, k=16, rank seed 42, the node codes take at
-// most 8.0 bits an entry — 7.94 when pinned, where one Rice parameter a
-// rank-ordered run took 8.75, the IDs' own Rice codes 12.76 and a
-// fixed-width ID would take 17 — so their saving grows with the set: a
-// run's bound is the rank of the k-th entry before it, not the node
-// count.  Skipped under -short: the build takes a few seconds.
+// PA(100000, 5) of graph seed 1, k=16, rank seed 42, the node codes' gaps
+// take at most 8.0 bits an entry — 7.94 when pinned, where one Rice
+// parameter a rank-ordered run took 8.75, the IDs' own Rice codes 12.76
+// and a fixed-width ID would take 17 — so their saving grows with the set:
+// a run's bound is the rank of the k-th entry before it, not the node
+// count.  The run lengths beside them take 0.17 bits an entry, where the
+// step bits they replace took 1.  Skipped under -short: the build takes a
+// few seconds.
 func TestNodeCodesAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 100000-node set")
@@ -366,30 +386,28 @@ func TestNodeCodesAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := set.frame
-	perEntry := float64(f.nodeBits()) / float64(f.totalEntries())
-	t.Logf("%d entries, %d bits of node codes: %.3f an entry", f.totalEntries(), f.nodeBits(), perEntry)
-	if perEntry > 8.0 {
-		t.Errorf("the node codes take %.3f bits an entry, want at most 8.0", perEntry)
+	e, lengths := float64(f.totalEntries()), testLengthBits(f)
+	gaps := float64(f.nodeBits()-lengths) / e
+	t.Logf("%d entries, %d bits of node codes: %.3f an entry of gaps and %.3f of run lengths", f.totalEntries(), f.nodeBits(), gaps, float64(lengths)/e)
+	if gaps > 8.0 || float64(lengths)/e > 0.25 {
+		t.Errorf("the node codes take %.3f bits an entry of gaps and %.3f of run lengths, want at most 8.0 and 0.25", gaps, float64(lengths)/e)
 	}
 }
 
-// TestNodeCodesNoLargerPerFamily: on every graph family — a grid, a
-// path, a small world, sparse random graphs undirected and directed, and
-// preferential attachment at k of 4, 16 and 64 — the node codes take at
-// most 1% more bits than one Rice parameter a run with the owner's code
-// included (the retired 0x7e layout's writer) took: the adaptive
-// parameters must not buy the benchmark's saving with another family's
-// bytes.  Skipped under -short: the builds take a few seconds.
-func TestNodeCodesNoLargerPerFamily(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds ten-thousand-node sets")
-	}
+// familyGraph is one of the graph families the per-family size tests
+// build, with the k they build it at.
+type familyGraph struct {
+	name string
+	g    *graph.Graph
+	k    int
+}
+
+// familyGraphs returns a grid, a path, a small world, sparse random
+// graphs undirected and directed, and preferential attachment at k of 4,
+// 16 and 64.
+func familyGraphs() []familyGraph {
 	pa := graph.PreferentialAttachment(10000, 5, 1)
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-		k    int
-	}{
+	return []familyGraph{
 		{"grid 100x100", graph.Grid(100, 100), 16},
 		{"path 3000", graph.Path(3000), 16},
 		{"watts-strogatz", graph.WattsStrogatz(10000, 10, 0.1, 1), 16},
@@ -398,7 +416,20 @@ func TestNodeCodesNoLargerPerFamily(t *testing.T) {
 		{"pa k=4", pa, 4},
 		{"pa k=16", pa, 16},
 		{"pa k=64", pa, 64},
-	} {
+	}
+}
+
+// TestNodeCodesNoLargerPerFamily: on every graph family (familyGraphs) the
+// node codes' gaps — the codes less their run lengths (testLengthBits) —
+// take at most 1% more bits than one Rice parameter a run with the owner's
+// code included (the retired 0x7e layout's writer) took: the adaptive
+// parameters must not buy the benchmark's saving with another family's
+// bytes.  Skipped under -short: the builds take a few seconds.
+func TestNodeCodesNoLargerPerFamily(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds ten-thousand-node sets")
+	}
+	for _, tc := range familyGraphs() {
 		set, err := BuildSet(tc.g, Options{K: tc.k, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
@@ -406,10 +437,58 @@ func TestNodeCodesNoLargerPerFamily(t *testing.T) {
 		// numNodeBits, the header's last word.
 		at := framePreambleSize + frameHdrSize + 8
 		data := v3Bytes(t, set)
-		now, before := binary.LittleEndian.Uint64(data[at:]), binary.LittleEndian.Uint64(rankedV3(t, data)[at:])
-		t.Logf("%s: %d bits of node codes, %d at one parameter a run (%+.1f%%)", tc.name, now, before, 100*(float64(now)/float64(before)-1))
+		now, before := uint64(set.frame.nodeBits()-testLengthBits(set.frame)), binary.LittleEndian.Uint64(rankedV3(t, data)[at:])
+		t.Logf("%s: %d bits of gap codes, %d at one parameter a run (%+.1f%%)", tc.name, now, before, 100*(float64(now)/float64(before)-1))
 		if float64(now) > 1.01*float64(before) {
-			t.Errorf("%s: %d bits of node codes, more than 1%% over the %d of one parameter a run", tc.name, now, before)
+			t.Errorf("%s: %d bits of gap codes, more than 1%% over the %d of one parameter a run", tc.name, now, before)
+		}
+	}
+}
+
+// TestFileBytesNoLargerPerFamily: on every graph family (familyGraphs),
+// on preferential attachment with random edge lengths, and for a weighted
+// set, the file takes at most 1% more bytes than the layout before run
+// lengths and step offsets replaced the step bits (the retired 0xfe
+// layout's writer, and 0x3e's for the weighted set): the step offsets and
+// lengths must not buy the benchmark's saving with another family's
+// bytes.  Skipped under -short: the builds take a few seconds.
+func TestFileBytesNoLargerPerFamily(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds ten-thousand-node sets")
+	}
+	type family struct {
+		name   string
+		set    *Set
+		parent func(testing.TB, []byte) []byte
+	}
+	var families []family
+	build := func(name string, g *graph.Graph, k int) {
+		set, err := BuildSet(g, Options{K: k, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		families = append(families, family{name, set, adaptiveV3})
+	}
+	for _, tc := range familyGraphs() {
+		build(tc.name, tc.g, tc.k)
+	}
+	pa := graph.PreferentialAttachment(10000, 5, 1)
+	build("pa lengths", graph.WithRandomWeights(pa, 1, 4, 2), 16)
+	beta := make([]float64, pa.NumNodes())
+	for i := range beta {
+		beta[i] = 1 + float64(i%7)
+	}
+	weighted, err := BuildWeightedSet(pa, 16, 42, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	families = append(families, family{"pa weighted", weighted, riceV3})
+	for _, fm := range families {
+		data := v3Bytes(t, fm.set)
+		now, before := len(data), len(fm.parent(t, data))
+		t.Logf("%s: %d bytes, %d with step bits (%+.1f%%)", fm.name, now, before, 100*(float64(now)/float64(before)-1))
+		if float64(now) > 1.01*float64(before) {
+			t.Errorf("%s: %d bytes, more than 1%% over the %d with step bits", fm.name, now, before)
 		}
 	}
 }
@@ -428,12 +507,12 @@ func TestBenchmarkFrameBytes(t *testing.T) {
 	h := headerOf(set)
 	want := []ColumnSize{
 		{"header", 96},
-		{"offsets", 26256},     // 10001 offsets × 21 bits
-		{"bit offsets", 28760}, // 10001 offsets × 23 bits
-		{"nodes", 991232},      // 1272677 entries' adaptive rank-ordered Rice codes, 7929839 bits: 6.23 an entry, against 14 fixed
-		{"step bits", 159088},  // 1272677 bits
-		{"step codes", 19736},  // 52617 steps × 3 bits
-		{"dictionary", 48},     // 6 distances
+		{"offsets", 26256},      // 10001 offsets × 21 bits
+		{"bit offsets", 28760},  // 10001 offsets × 23 bits
+		{"step offsets", 20008}, // 10001 offsets × 16 bits
+		{"nodes", 1018976},      // 1272677 entries' adaptive rank-ordered Rice codes, 7929839 bits, and 32617 run lengths', 221917: 6.41 an entry, against 14 fixed
+		{"step codes", 19736},   // 52617 steps × 3 bits
+		{"dictionary", 48},      // 6 distances
 	}
 	got := h.columns()
 	total := int64(0)
@@ -443,14 +522,18 @@ func TestBenchmarkFrameBytes(t *testing.T) {
 			t.Errorf("column %d is %+v, want %+v", i, c, want[min(i, len(want)-1)])
 		}
 	}
-	if len(got) != len(want) || total != 1225216 || int64(len(v3Bytes(t, set))) != total {
-		t.Errorf("%d columns, %d bytes in all, %d written: want %d columns and 1225216 bytes", len(got), total, len(v3Bytes(t, set)), len(want))
+	if len(got) != len(want) || total != 1113880 || int64(len(v3Bytes(t, set))) != total {
+		t.Errorf("%d columns, %d bytes in all, %d written: want %d columns and 1113880 bytes", len(got), total, len(v3Bytes(t, set)), len(want))
 	}
-	if h.numEntries != 1272677 || h.numSteps != 52617 || h.numDistinct != 6 || h.numNodeBits != 7929839 {
-		t.Errorf("%d entries, %d steps, %d distinct distances, %d bits of node codes: want 1272677, 52617, 6, 7929839", h.numEntries, h.numSteps, h.numDistinct, h.numNodeBits)
+	if h.numEntries != 1272677 || h.numSteps != 52617 || h.numDistinct != 6 || h.numNodeBits != 8151756 {
+		t.Errorf("%d entries, %d steps, %d distinct distances, %d bits of node codes: want 1272677, 52617, 6, 8151756", h.numEntries, h.numSteps, h.numDistinct, h.numNodeBits)
 	}
-	frame := MemoryOf(set)
-	if samples := int64(8 * (bitWords(1272677)/rankSampleWords + 1)); frame != total-96+samples+48+12*10000 {
-		t.Errorf("the frame holds %d bytes, want the file's columns, %d of popcount samples, the dictionary's use counts and the rank order's node and rank a node", frame, samples)
+	// The gaps' codes are the retired 0xfe layout's, bit for bit: what the
+	// nodes grew by is the lengths.
+	if before := binary.LittleEndian.Uint64(adaptiveV3(t, v3Bytes(t, set))[framePreambleSize+frameHdrSize+8:]); before != 7929839 {
+		t.Errorf("the same set's codes without run lengths take %d bits, want 7929839", before)
+	}
+	if frame := MemoryOf(set); frame != total-96+48+12*10000 {
+		t.Errorf("the frame holds %d bytes, want the file's columns, the dictionary's use counts and the rank order's node and rank a node", frame)
 	}
 }

@@ -122,7 +122,7 @@ func validateFrame(f *Frame, lists [][]Entry) error {
 
 // validateApproxView checks the invariants an approximate sketch
 // guarantees regardless of ε: canonical order, distinct nodes, and the
-// owner as first entry at distance 0.  Approximate sketches relax the
+// owner first, alone at distance 0.  Approximate sketches relax the
 // exact inclusion rule (entries may be justified by an ε-slack window
 // that the final state no longer exhibits), so only the rank-independent
 // invariants are checked.
@@ -147,8 +147,8 @@ func validateApproxView(a *ADS) error {
 			return fmt.Errorf("core: approx ADS(%d) entry %d has invalid rank %g", owner, i, e.Rank)
 		}
 	}
-	if n == 0 || a.c.node[0] != owner || a.c.distAt(0) != 0 {
-		return fmt.Errorf("core: approx ADS(%d) does not start with the owner at distance 0", owner)
+	if n == 0 || a.c.node[0] != owner || a.c.distAt(0) != 0 || n > 1 && a.c.distAt(1) == 0 {
+		return fmt.Errorf("core: approx ADS(%d) does not start with the owner alone at distance 0", owner)
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -24,16 +26,16 @@ import (
 // distance — in a uniform set as its position in the set's rank order,
 // below the run's bottom-k bound, at a parameter adapted gap by gap, and
 // no code for the owner (nodepack.go: 6.2 bits at ten thousand nodes) —
-// one bit of distance step code (stepcode.go) and — for weighted sets — β; per
-// distinct distance of a sketch, one step: a code of a few bits into the
-// frame's dictionary of distances where they are few, a float where they
-// are not; per node, an entry offset and a bit offset; and no ranks.  No
-// integer column is wider than the frame's own counts make it.  Distances are a
-// staircase in canonical order, so they are stored as its steps: entry
-// i's distance is that of step number [set bits of first up to and
-// including i, less one].  A rank is a pure function of the seed and the
-// node (and of β, which travels with the entry), so it is derived when
-// asked for.
+// and — for weighted sets — β; per run, a code of its length (but the
+// owner's and the last of a list, which its counts imply); per distinct
+// distance of a sketch, one step: a code of a few bits into the frame's
+// dictionary of distances where they are few, a float where they are not
+// (stepcode.go); per node, an entry offset, a bit offset and a step
+// offset; and no ranks.  No integer column is wider than the frame's own
+// counts make it.  Distances are a staircase in canonical order, so they
+// are stored as its steps, each as many entries long as its run.  A rank
+// is a pure function of the seed and the node (and of β, which travels
+// with the entry), so it is derived when asked for.
 
 // ranker derives the rank of an entry from what its frame records: the
 // seed, the base of a uniform set, the scheme of a weighted one.  It is the
@@ -77,15 +79,16 @@ func (r *ranker) rank(node int32, beta float64) float64 {
 // range, in canonical (distance, node ID) order.  A cols either views a
 // frame's shared columns (frozen sketches) or owns private slices (a
 // sketch rebuilt from entries, colsFromEntries).  Its nodes are per entry,
-// a frame's decoded from its codes, which decode in order only; its ranks
-// and distances are per entry when rank and dist are non-nil — a rebuilt
-// sketch's own columns, or the scratch Frame.ranked fills for whole-node
-// loops — and otherwise derived through by and read off the frame's step
-// code sd.
+// a frame's decoded from its codes, which decode in order only, with its
+// runs' ends; its ranks and distances are per entry when rank and dist are
+// non-nil — a rebuilt sketch's own columns, or the scratch rankScratch
+// fills for whole-node loops — and otherwise derived through by and read
+// off the frame's steps sd, run by run.
 type cols struct {
 	node []int32
 	dist []float64
 	sd   StepDists
+	ends []int32 // the end of each run of equal distance, one per step of sd
 	rank []float64
 	beta []float64 // weighted sketches: β per entry
 	by   *ranker
@@ -98,7 +101,8 @@ func (c *cols) distAt(i int) float64 {
 	if c.dist != nil {
 		return c.dist[i]
 	}
-	return c.sd.at(i)
+	j, _ := slices.BinarySearch(c.ends, int32(i+1)) // the first run to end past i
+	return c.sd.step(j)
 }
 
 // dists returns the distance of every entry: the per-entry column, or a
@@ -108,7 +112,7 @@ func (c *cols) dists() []float64 {
 		return c.dist
 	}
 	out := make([]float64, c.len())
-	c.sd.expand(out)
+	c.sd.expand(out, c.ends)
 	return out
 }
 
@@ -183,13 +187,12 @@ func colsFromEntries(entries []Entry) cols {
 
 // Frame is the frozen columnar storage of one sketch set: one entry list
 // per node, described by an offsets column over shared entry columns.
-// Offsets are absolute positions into the columns (entry p's step bit is
-// bit p of first, and local node v's node codes start at bit boff[v] of
-// node), so slicing a frame to a node range (partitioning) is a window on
-// the offsets — off0 moves, no entry does — and the steps of the entries
-// from position p on start at step rank1(p).  A slice also shares its
-// parent's step column, dictionary and all; only a written partition
-// carries the dictionary of its own steps.  base is the global ID of local
+// Offsets are absolute positions into the columns (local node v's entries
+// start at entry off[v], its node codes at bit boff[v] of node and its
+// steps at step soff[v]), so slicing a frame to a node range
+// (partitioning) is a window on the offsets — off0 moves, no entry does.
+// A slice also shares its parent's step column, dictionary and all; only a
+// written partition carries the dictionary of its own steps.  base is the global ID of local
 // node 0 (non-zero for partition frames) and total the node count of the
 // whole set the frame is (a range of): what its entries' IDs are below, and
 // so what fixes their codes' parameters.
@@ -200,11 +203,10 @@ type Frame struct {
 	total int
 	off   packedColumn // absolute entry positions, offsetWidth(the column's last) bits each, packed
 	boff  packedColumn // absolute positions in node of each list's codes, packed likewise
-	off0  int64        // position in off and boff of local node 0's offset; n+1 of them are the frame's
-	node  nodeStream   // every list's IDs, Rice-coded run by run (nodepack.go); its total is the frame's
-	first []uint64     // one bit per entry: set where a distance step starts
-	samp  []int64      // sampled popcounts of first, for rank1
-	steps stepColumn   // one distance per set bit of first
+	soff  packedColumn // absolute positions in steps of each list's first step, packed likewise
+	off0  int64        // position in off, boff and soff of local node 0's offset; n+1 of them are the frame's
+	node  nodeStream   // every list's IDs and run lengths, Rice-coded run by run (nodepack.go); its total is the frame's
+	steps stepColumn   // one distance per run of equal distance of a list
 	beta  []float64    // weighted sets: β per entry, parallel to the entries
 	by    ranker       // derives the ranks
 }
@@ -238,7 +240,8 @@ func freezeFrame(p Params, base int32, total int, lists [][]Entry) (*Frame, erro
 			pk.add(e.Dist, isStep(l, j))
 		}
 	}
-	err := pk.f.codeNodes(newRankOrder(p, total), idBits(entries, total), 0, func(w *nodeWriter, i int) {
+	f := pk.frame()
+	err := f.codeNodes(newRankOrder(p, total), f.codeBits(), 0, func(w *nodeWriter, i int) {
 		for j, e := range lists[i] {
 			w.add(e.Node, isStep(lists[i], j))
 		}
@@ -246,24 +249,19 @@ func freezeFrame(p Params, base int32, total int, lists [][]Entry) (*Frame, erro
 	if err != nil {
 		return nil, err
 	}
-	return pk.frame(), nil
+	return f, nil
 }
-
-// idBits returns the bits of entries fixed-width IDs of a total-node set,
-// which their codes seldom exceed.
-func idBits(entries, total int) int64 { return int64(entries) * int64(widthBelow(int64(total))) }
 
 // isStep reports whether entry j of l starts a distance step.
 func isStep(l []Entry, j int) bool { return j == 0 || l[j].Dist != l[j-1].Dist }
 
-// framePacker packs a frame's columns from its entries, fed in order —
-// list starts each entry list, add appends an entry's distance to it — in
-// one pass, and its node codes in another (Frame.codeNodes): freezeFrame
-// feeds it entry lists, and an Algorithm 1 build on an unweighted graph
-// (hopFrame) its passes' packed keys.
+// framePacker packs a frame's offsets and steps from its entries, fed in
+// order — list starts each entry list, add appends an entry's distance to
+// it — in one pass, and frame hands the frame over for its node codes
+// (Frame.codeNodes): freezeFrame feeds it entry lists, and an Algorithm 1
+// build on an unweighted graph (hopFrame) its passes' packed keys.
 type framePacker struct {
 	f      *Frame
-	first  []uint64
 	step   []float64
 	listAt int64 // lists started
 	pos    int64 // entries added
@@ -277,16 +275,17 @@ func newFramePacker(p Params, base int32, total, nodes, entries, steps int) fram
 	return framePacker{
 		f: &Frame{
 			p: p, n: nodes, base: base, total: total,
-			off: makePackedColumn(int64(nodes+1), offsetWidth(int64(entries))),
-			by:  newRanker(p),
+			off:  makePackedColumn(int64(nodes+1), offsetWidth(int64(entries))),
+			soff: makePackedColumn(int64(nodes+1), offsetWidth(int64(steps))),
+			by:   newRanker(p),
 		},
-		first: make([]uint64, bitWords(int64(entries))),
-		step:  make([]float64, 0, steps),
+		step: make([]float64, 0, steps),
 	}
 }
 
 func (pk *framePacker) list() {
 	pk.f.off.put(pk.listAt, uint64(pk.pos))
+	pk.f.soff.put(pk.listAt, uint64(len(pk.step)))
 	pk.listAt++
 }
 
@@ -294,22 +293,46 @@ func (pk *framePacker) list() {
 // its list when step is set.
 func (pk *framePacker) add(dist float64, step bool) {
 	if step {
-		setBit(pk.first, pk.pos)
 		pk.step = append(pk.step, dist)
 	}
 	pk.pos++
 }
 
+// codeBits returns what the frame's node codes are expected to take, to
+// size their writers: b+2 bits an entry, b the Rice parameter of the mean
+// run m below the node count or, rank-ordered, below √(k·total) — the
+// bound's geometric mean along a list — and log₂ m + 1 bits a run.
+func (f *Frame) codeBits() int64 {
+	elo, ehi := f.entryRange()
+	slo, shi := f.stepRange()
+	e, runs := ehi-elo, max(shi-slo, 1)
+	lm, lt, lk := int64(bits.Len64(uint64(e/runs))), int64(bits.Len64(uint64(f.total))), int64(bits.Len64(uint64(f.p.K)))
+	half := 2*(lt-lm) + 4 // 2(b+2): b to the half bit
+	if f.p.Kind == KindUniform {
+		half = 2*lk + lt - lk - 2*lm + 4
+	}
+	return e*max(half, 2)/2 + runs*(lm+1)
+}
+
+// frame returns the packed frame, its node codes still to code.
+func (pk *framePacker) frame() *Frame {
+	pk.f.off.put(pk.listAt, uint64(pk.pos))
+	pk.f.soff.put(pk.listAt, uint64(len(pk.step)))
+	pk.f.steps = makeStepColumn(pk.step)
+	return pk.f
+}
+
 // minCoderNodes is the fewest lists codeNodes gives a goroutine of its own.
 const minCoderNodes = 1024
 
-// codeNodes codes the node column of the frame's entries lists in the
-// rank order order (nil for the IDs as they are): fill adds list i's IDs
-// to a writer that has started it.  Up to workers goroutines (<= 0:
-// GOMAXPROCS) each code a node range (nodeRange) into a stream of their
-// own, sized by bits, a guess at the column's length, and the streams are
-// joined as bit ranges, so the bytes are the same for every count.  It
-// returns the first list, in node order, whose IDs have no code.
+// codeNodes codes the node column of the frame's entry lists, whose
+// offsets and step offsets are in place, in the rank order order (nil for
+// the IDs as they are): fill adds list i's IDs to a writer that has
+// started it.  Up to workers goroutines (<= 0: GOMAXPROCS) each code a
+// node range (nodeRange) into a stream of their own, sized by bits, a
+// guess at the column's length (codeBits), and the streams are joined as
+// bit ranges, so the bytes are the same for every count.  It returns the
+// first list, in node order, whose IDs have no code.
 func (f *Frame) codeNodes(order *rankOrder, bits int64, workers int, fill func(w *nodeWriter, i int)) error {
 	n := f.n
 	var pos []int32
@@ -324,7 +347,9 @@ func (f *Frame) codeNodes(order *rankOrder, bits int64, workers int, fill func(w
 		wr := newNodeWriter(f.total, bits/int64(workers), pos, f.p.K)
 		for i := lo; i < hi && wr.err == nil; i++ {
 			boff[i] = uint64(wr.bits())
-			wr.list(f.base + int32(i))
+			elo, ehi := f.span(i)
+			slo, shi := f.stepSpan(i)
+			wr.list(f.base+int32(i), int(ehi-elo), int(shi-slo))
 			fill(&wr, i)
 		}
 		wr.flush()
@@ -354,21 +379,6 @@ func (f *Frame) codeNodes(order *rankOrder, bits int64, workers int, fill func(w
 	}
 	f.boff, f.node = packOffsets(boff), nodeStream{words: words, total: f.total, order: order, k: f.p.K}
 	return nil
-}
-
-// frame returns the packed frame, its nodes coded.
-func (pk *framePacker) frame() *Frame {
-	pk.f.off.put(pk.listAt, uint64(pk.pos))
-	pk.f.setSteps(pk.first, pk.step)
-	return pk.f
-}
-
-// setSteps installs the frame's step code — the bits, and the canonical
-// column of the steps step (makeStepColumn) — and indexes the bits for
-// rank1.
-func (f *Frame) setSteps(first []uint64, step []float64) {
-	f.first, f.steps = first, makeStepColumn(step)
-	f.samp, _ = sampleRanks(first)
 }
 
 // ownSteps returns the frame's steps as a column of their own: the
@@ -411,6 +421,10 @@ func (f *Frame) offAt(i int) int64 { return int64(f.off.get(f.off0 + int64(i))) 
 // of local node i's first code, or the end of its last node's codes.
 func (f *Frame) bitAt(i int) int64 { return int64(f.boff.get(f.off0 + int64(i))) }
 
+// stepAt returns step offset i of the frame: the position in the step
+// column of local node i's first step, or the end of its last node's.
+func (f *Frame) stepAt(i int) int64 { return int64(f.soff.get(f.off0 + int64(i))) }
+
 // numOffsets returns the frame's offset count.
 func (f *Frame) numOffsets() int { return f.n + 1 }
 
@@ -420,10 +434,7 @@ func (f *Frame) entryRange() (lo, hi int64) { return f.offAt(0), f.offAt(f.n) }
 
 // stepRange returns the range of the step column that the frame's own
 // entries use.
-func (f *Frame) stepRange() (lo, hi int64) {
-	elo, ehi := f.entryRange()
-	return f.rank1(elo), f.rank1(ehi)
-}
+func (f *Frame) stepRange() (lo, hi int64) { return f.stepAt(0), f.stepAt(f.n) }
 
 // totalEntries returns the entry count of the frame's own node range
 // (the columns may be shared with sibling partition frames).
@@ -442,28 +453,31 @@ func (f *Frame) owner(local int) int32 { return f.base + int32(local) }
 // nodesAt returns local node v's node codes.
 func (f *Frame) nodesAt(local int) Nodes {
 	lo, hi := f.span(local)
-	return Nodes{nodeCodes: nodeCodes{s: &f.node, bit: f.bitAt(local), end: f.bitAt(local + 1), own: f.owner(local)}, first: f.first, lo: lo, n: int(hi - lo)}
+	slo, shi := f.stepSpan(local)
+	return Nodes{nodeCodes: nodeCodes{s: &f.node, bit: f.bitAt(local), end: f.bitAt(local + 1), own: f.owner(local)}, n: int(hi - lo), steps: int(shi - slo)}
+}
+
+// stepsAt returns local node v's steps.
+func (f *Frame) stepsAt(local int) StepDists {
+	lo, hi := f.stepSpan(local)
+	return StepDists{col: &f.steps, slo: lo, n: int(hi - lo)}
 }
 
 // colsAt returns local node v's entry list as a column view, its nodes
-// decoded.  The slices carry full capacity bounds so an (erroneous) append
-// cannot overwrite a neighboring sketch.
+// and runs decoded, in one allocation.  The slices carry full capacity
+// bounds so an (erroneous) append cannot overwrite a neighboring sketch.
 func (f *Frame) colsAt(local int) cols {
-	lo, hi := f.span(local)
-	c := f.colsOver(lo, hi, f.rank1(lo))
-	c.node = f.nodesAt(local).AppendTo(nil)
+	c, p := f.colsOver(local), f.nodesAt(local)
+	buf := make([]int32, p.n+p.steps)
+	c.node, c.ends, _ = p.AppendRuns(buf[:0:p.n], buf[p.n:p.n])
 	return c
 }
 
-// colsOver is colsAt, its nodes not filled in, for the entry range [lo,
-// hi) whose steps start at step slo — which colsAt looks up, and a caller
-// still assembling the frame knows.
-func (f *Frame) colsOver(lo, hi, slo int64) cols {
-	c := cols{
-		sd: StepDists{first: f.first, lo: lo, col: &f.steps, slo: slo, n: countBits(f.first, lo, hi)},
-		by: &f.by,
-	}
+// colsOver is colsAt with its nodes and runs not filled in.
+func (f *Frame) colsOver(local int) cols {
+	c := cols{sd: f.stepsAt(local), by: &f.by}
 	if f.beta != nil {
+		lo, hi := f.span(local)
 		c.beta = f.beta[lo:hi:hi]
 	}
 	return c
@@ -471,6 +485,9 @@ func (f *Frame) colsOver(lo, hi, slo int64) cols {
 
 // span returns the absolute entry range of local node v.
 func (f *Frame) span(local int) (lo, hi int64) { return f.offAt(local), f.offAt(local + 1) }
+
+// stepSpan returns the absolute step range of local node v.
+func (f *Frame) stepSpan(local int) (lo, hi int64) { return f.stepAt(local), f.stepAt(local + 1) }
 
 // viewSketch constructs the kind's view of local node v.
 func (f *Frame) viewSketch(local int) Sketch {
@@ -487,8 +504,8 @@ func (f *Frame) viewSketch(local int) Sketch {
 func (f *Frame) slice(lo, hi int) *Frame {
 	return &Frame{
 		p: f.p, n: hi - lo, base: f.base + int32(lo), total: f.total,
-		off: f.off, boff: f.boff, off0: f.off0 + int64(lo),
-		node: f.node, first: f.first, samp: f.samp, steps: f.steps,
+		off: f.off, boff: f.boff, soff: f.soff, off0: f.off0 + int64(lo),
+		node: f.node, steps: f.steps,
 		beta: f.beta, by: f.by,
 	}
 }
@@ -513,10 +530,11 @@ func mergeFrames(frames []*Frame) *Frame {
 		p: first.p, n: nodes, base: 0, total: nodes,
 		off:  makePackedColumn(int64(nodes+1), offsetWidth(total)),
 		boff: makePackedColumn(int64(nodes+1), offsetWidth(stream)),
+		soff: makePackedColumn(int64(nodes+1), offsetWidth(steps)),
 		node: nodeStream{words: make([]uint64, bitWords(stream)), total: nodes, order: first.node.order, k: first.p.K},
 		by:   first.by,
 	}
-	marks, step := make([]uint64, bitWords(total)), make([]float64, 0, steps)
+	step := make([]float64, 0, steps)
 	if first.p.Kind == KindWeighted {
 		out.beta = make([]float64, total)
 	}
@@ -524,9 +542,9 @@ func mergeFrames(frames []*Frame) *Frame {
 	for _, f := range frames {
 		flo, fhi := f.entryRange()
 		blo, bhi := f.bitAt(0), f.bitAt(f.n)
-		copyBits(out.node.words, bit, f.node.words, blo, bhi-blo)
-		copyBits(marks, pos, f.first, flo, fhi-flo)
 		slo, shi := f.stepRange()
+		copyBits(out.node.words, bit, f.node.words, blo, bhi-blo)
+		s := int64(len(step))
 		step = f.steps.appendRaw(step, slo, shi)
 		if out.beta != nil {
 			copy(out.beta[pos:], f.beta[flo:fhi])
@@ -534,6 +552,7 @@ func mergeFrames(frames []*Frame) *Frame {
 		for i := 0; i < f.n; i++ {
 			out.off.put(at, uint64(pos+f.offAt(i)-flo))
 			out.boff.put(at, uint64(bit+f.bitAt(i)-blo))
+			out.soff.put(at, uint64(s+f.stepAt(i)-slo))
 			at++
 		}
 		pos += fhi - flo
@@ -541,7 +560,8 @@ func mergeFrames(frames []*Frame) *Frame {
 	}
 	out.off.put(at, uint64(pos))
 	out.boff.put(at, uint64(bit))
-	out.setSteps(marks, step)
+	out.soff.put(at, uint64(len(step)))
+	out.steps = makeStepColumn(step)
 	return out
 }
 
@@ -563,6 +583,7 @@ type rankScratch struct {
 	buf  []float64
 	dbuf []float64 // the per-entry distances filled expands
 	nbuf []int32   // the per-entry nodes filled unpacks
+	ebuf []int32   // and the ends of their runs
 }
 
 type rankMemoSlot struct {
@@ -602,31 +623,32 @@ func (s *rankScratch) derive(dst []float64, by *ranker, nodes []int32, betas []f
 
 // filled returns the view c of the entries pn codes with its ranks and
 // per-entry nodes and distances filled in — ranks derived into s.buf,
-// nodes decoded into s.nbuf and distances expanded from the steps into
-// s.dbuf — valid until the next call, and whether the nodes' bits were
-// exactly their codes.
+// nodes and runs decoded into s.nbuf and s.ebuf and distances expanded
+// from the steps into s.dbuf — valid until the next call, and whether the
+// nodes' bits were exactly their codes.
 func (s *rankScratch) filled(c cols, pn Nodes) (cols, bool) {
 	n := pn.n
 	var exact bool
-	s.nbuf, exact = pn.decode(s.nbuf[:0])
-	c.node = s.nbuf[:n:n]
+	s.nbuf, s.ebuf, exact = pn.AppendRuns(s.nbuf[:0], s.ebuf[:0])
+	c.node, c.ends = s.nbuf[:n:n], s.ebuf
 	c.dist = growFloats(&s.dbuf, n)[:n:n]
-	c.sd.expand(c.dist)
+	c.sd.expand(c.dist, c.ends)
 	c.rank = growFloats(&s.buf, n)[:n:n]
 	s.derive(c.rank, c.by, c.node, c.beta)
 	return c, exact
 }
 
 // validate checks the structural invariants of local node v's sketch,
-// and that its node codes are exactly the codes of its entries.  given,
-// when non-nil, is the caller-built entry list the node was frozen from:
-// its Rank fields, which the frame did not keep, must be the ones the
-// frame derives, so that a frame cannot disagree with its own seed.
+// and that its node codes are exactly the codes of its entries in as many
+// runs as it has steps.  given, when non-nil, is the caller-built entry
+// list the node was frozen from: its Rank fields, which the frame did not
+// keep, must be the ones the frame derives, so that a frame cannot
+// disagree with its own seed.
 func (f *Frame) validate(s *rankScratch, local int, given []Entry) error {
-	lo, hi := f.span(local)
-	c, exact := s.filled(f.colsOver(lo, hi, f.rank1(lo)), f.nodesAt(local))
+	p := f.nodesAt(local)
+	c, exact := s.filled(f.colsOver(local), p)
 	if !exact {
-		return fmt.Errorf("core: ADS(%d)'s node codes are not the codes of its %d entries", f.owner(local), c.len())
+		return fmt.Errorf("core: ADS(%d)'s node codes are not the codes of its %d entries in %d runs", f.owner(local), c.len(), p.steps)
 	}
 	return f.validateCols(c, local, given)
 }
@@ -675,26 +697,31 @@ func (f *Frame) validateCols(c cols, local int, given []Entry) error {
 }
 
 // Index builds the HIP query index of local node v.  A node's HIP
-// entries are its entries, so the index views the frame's node column,
-// step bits and steps and holds of its own one slice: a weight per entry
-// — the ranks derived into it, then turned into weights in place — and a
-// prefix sum per step.  Every readout is bit-identical to NewHIPIndex
-// over the node's view; callers cache the result (query.IndexCache).
+// entries are its entries, so the index views the frame's node column
+// and steps and holds of its own one slice: a weight per entry — the
+// ranks derived into it, then turned into weights in place — and a prefix
+// sum per step, over the runs the nodes decode in.  Every readout is
+// bit-identical to NewHIPIndex over the node's view; callers cache the
+// result (query.IndexCache).
 func (f *Frame) Index(local int32) *HIPIndex {
-	lo, hi := f.span(int(local))
-	c, pn := f.colsOver(lo, hi, f.rank1(lo)), f.nodesAt(int(local))
+	c, pn := f.colsOver(int(local)), f.nodesAt(int(local))
 	e, s := pn.n, c.sd.n
 	buf := make([]float64, e+s)
 	w := buf[:e:e]
+	var inline [64]int32 // the runs' ends, on the stack while they fit
+	ends := inline[:min(s, len(inline))]
+	if s > len(inline) {
+		ends = make([]int32, s)
+	}
 	switch {
 	case pn.s.order != nil:
-		rankedWeights(&pn, w)
+		rankedWeights(&pn, w, ends)
 	default:
 		// The nodes, decoded into the first half of the weights' bytes, and
 		// their ranks derived into the weights from the last: rank i's slot
 		// holds nodes 2i and 2i+1, which are read by then.
 		ids := unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(buf))), e)
-		decodeTo(&pn, ids)
+		decodeTo(&pn, ids, ends)
 		for i := e - 1; i >= 0; i-- {
 			var b float64
 			if c.beta != nil {
@@ -710,22 +737,21 @@ func (f *Frame) Index(local int32) *HIPIndex {
 		}
 	}
 	x := &HIPIndex{enode: pn.nodeCodes, ew: w, sd: c.sd, cum: buf[e:e]}
-	x.sum()
+	x.sum(ends)
 	return x
 }
 
 // bytes returns the heap (or mapping) the frame's own node range
-// occupies: offsets and bit offsets, node codes, step bits and their
-// popcount samples (heap even under a mapping), the steps — codes and
-// dictionary, or raw — β where held, and a uniform set's rank order, which
-// its node codes are decoded through and which the frames sliced from one
-// share: 4 bytes a node of the whole set, counted as held once built.
+// occupies: offsets, bit offsets and step offsets, node codes, the steps —
+// codes and dictionary, or raw — β where held, and a uniform set's rank
+// order, which its node codes are decoded through and which the frames
+// sliced from one share: 12 bytes a node of the whole set, counted as held
+// once built.
 func (f *Frame) bytes() int64 {
 	e := int64(f.totalEntries())
 	slo, shi := f.stepRange()
 	o := int64(f.numOffsets())
-	b := 8*packedWords(o, f.off.w) + 8*packedWords(o, f.boff.w) + 8*bitWords(f.nodeBits()) +
-		8*bitWords(e) + 8*(bitWords(e)/rankSampleWords+1)
+	b := 8*packedWords(o, f.off.w) + 8*packedWords(o, f.boff.w) + 8*packedWords(o, f.soff.w) + 8*bitWords(f.nodeBits())
 	if c := &f.steps; c.dict != nil {
 		b += 8*packedWords(shi-slo, c.code.w) + 8*int64(len(c.dict)+len(c.uses))
 	} else {

@@ -13,9 +13,9 @@ import (
 
 // Version-3 sketch files: the on-disk layout is the in-memory frame
 // layout.  After a fixed little-endian header come the raw columns —
-// packed offsets and bit offsets, the node codes, the distance step code
-// (and betas for weighted sets) — every one a whole number of 8-byte
-// words:
+// packed offsets, bit offsets and step offsets, the node codes, the
+// distance steps (and betas for weighted sets) — every one a whole number
+// of 8-byte words:
 //
 //	magic "ADSK" | version u32 = 3 | kind u32 | flags u32 |
 //	[kind 3 only: index u32 | count u32 | lo u32 | hi u32 |
@@ -25,21 +25,22 @@ import (
 //	numDistinct u64 | numNodeBits u64 |
 //	offsets ceil((numNodes+1)·wo/64)×u64 |
 //	bit offsets ceil((numNodes+1)·wb/64)×u64 |
+//	step offsets ceil((numNodes+1)·ws/64)×u64 |
 //	nodes ceil(numNodeBits/64)×u64 |
-//	first ceil(numEntries/64)×u64 |
 //	codes ceil(numSteps·wc/64)×u64 | dict numDistinct×f64,
 //	    when numDistinct > 0 — else steps numSteps×f64 |
 //	[betas numEntries×f64, when flags bit 0 is set]
 //
 // so a file is 96 bytes of header (120 for a partition) +
 // 8·ceil((numNodes+1)·wo/64) + 8·ceil((numNodes+1)·wb/64) +
-// 8·ceil(numNodeBits/64) + 8·ceil(numEntries/64) + either
+// 8·ceil((numNodes+1)·ws/64) + 8·ceil(numNodeBits/64) + either
 // 8·ceil(numSteps·wc/64) + 8·numDistinct or 8·numSteps, plus
 // 8·numEntries of betas when weighted.  The widths are derived from the
 // header's counts and stored nowhere:
 //
 //	wo = max(1, bitlen(numEntries))
 //	wb = max(1, bitlen(numNodeBits))
+//	ws = max(1, bitlen(numSteps))
 //	wc = max(1, bitlen(numDistinct−1))
 //
 // and bit b of a packed column is bit b%64 of word b/64, counted from the
@@ -48,25 +49,26 @@ import (
 // The nodes are one stream of numNodeBits bits, sketch i's Rice codes
 // (nodepack.go) being bits [bit offset i, bit offset i+1); total, the
 // node count the IDs are below, is numNodes, or the envelope's total in a
-// partition file.  A uniform set's runs code the nodes' positions in the
-// set's rank order — its total nodes sorted by (rank, node), which the
-// seed and base derive — below the k-th smallest position of the sketch's
-// entries at smaller distances (total while there are fewer than k), each
-// gap's Rice parameter adapted to the run's gaps before it, and a sketch's
-// entry 0, its owner, has no code; a weighted or approximate set's code
-// the IDs below total, every entry, a run's gaps at one parameter.
+// partition file.  Sketch i's n entries are its R steps' runs, [step
+// offset i, step offset i+1): the owner's, then one a step, each but those
+// two led by its length m−1, at a parameter adapted from ⌊(n−1)/(R−1)⌋.  A uniform
+// set's runs code the nodes' positions in the set's rank order — its
+// total nodes sorted by (rank, node), which the seed and base derive —
+// below the k-th smallest position of the sketch's entries at smaller
+// distances (total while there are fewer than k), each gap's Rice
+// parameter adapted to the run's gaps before it, and a sketch's entry 0,
+// its owner, has no code; a weighted or approximate set's code the IDs
+// below total, every entry, a run's gaps at one parameter.
 //
 // Every sketch is bottom-k: flavor is 0 and segs 1, one entry list a
 // node.  Earlier releases also wrote k-mins (flavor 1) and k-partition
 // (flavor 2) sets, k lists a node; those are refused, naming the flavor,
 // whatever their layout.
 //
-// The distances are step-coded (stepcode.go): bit i of first is set where
-// entry i's distance differs from its predecessor's in the sketch, always
-// at a sketch start and never past numEntries, and there is one step per
-// set bit, so numSteps is the popcount of first.  The code is canonical —
-// steps ascend strictly within a sketch — so equal entries are equal
-// bytes.  The steps are codes into a dictionary when numDistinct > 0: dict
+// The distances are step-coded (stepcode.go): a sketch's steps are its
+// distinct distances, ascending, one a run, so the step offsets ascend
+// strictly from 0 to numSteps.  The code is canonical — steps ascend
+// strictly within a sketch — so equal entries are equal bytes.  The steps are codes into a dictionary when numDistinct > 0: dict
 // is then exactly the distinct step values, strictly ascending, every one
 // in use, and step j's distance is dict[code j].  The dictionary is used
 // iff it is strictly smaller, numDistinct + ceil(numSteps·wc/64) <
@@ -76,25 +78,28 @@ import (
 //
 // The flags are frameFlagsLayout, plus bit 0 — a β per entry — for
 // weighted sets and no others, and bits 6 and 7 for uniform sets and no
-// others.  Bits 1 to 7 name the steps by which the layout became this
+// others.  Bits 1 to 8 name the steps by which the layout became this
 // one: ranks derived rather than stored (1), distances step-coded (2),
 // node IDs packed (3), the numDistinct word with packed offsets and
 // dictionary-coded steps (4), node IDs Rice-coded per run, with the
 // numNodeBits word and the bit offsets (5), a uniform set's runs coded in
-// rank order below their bottom-k bound (6), and their Rice parameters
-// adapted gap by gap, the owner's code implied (7).  A file with any other
-// flags is refused: one without all of its kind's is of an earlier
-// release, which adsconvert (internal/legacy) rewrites — a uniform file
-// with flags 0x3e or 0x7e among them — and a reader from before a bit
-// refuses a file that has it, as it must.
+// rank order below their bottom-k bound (6), their Rice parameters
+// adapted gap by gap, the owner's code implied (7), and the runs' lengths
+// coded in the node stream with step offsets in place of a bit an entry
+// marking where a step starts (8).  A file with any other flags is
+// refused: one without all of its kind's is of an earlier release, which
+// adsconvert (internal/legacy) rewrites — a uniform file with flags 0x3e,
+// 0x7e or 0xfe, a weighted or approximate one with 0x3e, among them — and
+// a reader from before a bit refuses a file that has it, as it must.
 //
 // Encoding is therefore near-memcpy, and decoding a trusted file is
-// O(columns): validate the header, the body size it implies, the offsets'
-// and bit offsets' monotonicity, the step bits against the step count,
-// that the dictionary ascends, and that no bit of a column is set past its
-// last value, then view the columns in place.  What the openers do not
-// check is inside the columns — node bits that are not their sketch's
-// codes (which no decoder reads past), an ID at or above total, a
+// O(columns): validate the header, the body size it implies, the offsets',
+// bit offsets' and step offsets' monotonicity, that the dictionary
+// ascends, and that no bit of a column is set past its last value, then
+// view the columns in place.  What the openers do not check is inside the
+// columns — node bits that are not their sketch's codes or lengths (which
+// no decoder reads past, nor runs past its sketch's entries or steps), a
+// sketch's steps that its entries cannot fill, an ID at or above total, a
 // non-canonical step, a code past the dictionary (which reads as its last
 // value, never out of range), a dictionary value no step uses, raw steps a
 // dictionary would have beaten — which is the stream reader's
@@ -116,17 +121,18 @@ const (
 
 	frameFlagBeta         = 1 << 0
 	frameFlagDerivedRanks = 1 << 1 // no rank column: ranks derive from the header's seed
-	frameFlagStepDists    = 1 << 2 // distances are step-coded: first bits + numSteps steps
+	frameFlagStepDists    = 1 << 2 // distances are step-coded: numSteps steps, one a run of equal distance
 	frameFlagPackedNodes  = 1 << 3 // node IDs are packed at the width the set's node count fixes
 	frameFlagCompact      = 1 << 4 // numDistinct in the header, packed offsets, steps coded through a dictionary when numDistinct > 0
 	frameFlagRiceNodes    = 1 << 5 // node IDs Rice-coded per equal-distance run: numNodeBits in the header, bit offsets beside the offsets
 	frameFlagRankNodes    = 1 << 6 // uniform sets only: a run's codes are of rank-order positions below its bottom-k bound
 	frameFlagAdaptNodes   = 1 << 7 // uniform sets only: a gap's Rice parameter adapts to its run's gaps before it; the owner has no code
+	frameFlagRunLengths   = 1 << 8 // run lengths in the node stream, step offsets in place of a step bit an entry
 
 	// frameFlagsLayout is the flags of the one layout every writer emits
 	// and openFrameBytes views, less β and, for a uniform set, its node
 	// codes' bits (layoutFlags).
-	frameFlagsLayout = frameFlagDerivedRanks | frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes
+	frameFlagsLayout = frameFlagDerivedRanks | frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes | frameFlagRunLengths
 	frameFlagsRanked = frameFlagRankNodes | frameFlagAdaptNodes
 )
 
@@ -219,6 +225,11 @@ func (h *frameHdr) bitOffsetsSize() int64 {
 	return packedWords(int64(h.n)+1, offsetWidth(int64(h.numNodeBits))) * 8
 }
 
+// stepOffsetsSize returns the byte length of the step offsets column.
+func (h *frameHdr) stepOffsetsSize() int64 {
+	return packedWords(int64(h.n)+1, offsetWidth(int64(h.numSteps))) * 8
+}
+
 // codesSize returns the byte length of the step codes: 0 for raw steps.
 func (h *frameHdr) codesSize() int64 {
 	if h.numDistinct == 0 {
@@ -239,7 +250,7 @@ func (h *frameHdr) stepsSize() int64 {
 // bodySize returns the total byte length of the columns.
 func (h *frameHdr) bodySize() int64 {
 	e := int64(h.numEntries)
-	s := h.offsetsSize() + h.bitOffsetsSize() + h.nodesSize() + bitWords(e)*8 + h.codesSize() + h.stepsSize()
+	s := h.offsetsSize() + h.bitOffsetsSize() + h.stepOffsetsSize() + h.nodesSize() + h.codesSize() + h.stepsSize()
 	if h.flags&frameFlagBeta != 0 {
 		s += e * 8
 	}
@@ -436,15 +447,15 @@ func writeFrameV3(w io.Writer, s *Set) (int64, error) {
 	if err := writeU64s(f.ownOffsets(&f.boff).words); err != nil {
 		return cw.n, err
 	}
-	// The entries' node codes and step bits start at bit 0 of the file's
-	// columns: a frame that owns its columns from there writes the words as
-	// they are, a partition's slice of shared ones — coded under the whole
-	// set's count, as a partition's are — is shifted out first.
-	base, e := f.offAt(0), int64(f.totalEntries())
-	if err := writeU64s(bitsFrom(f.node.words, f.bitAt(0), f.nodeBits())); err != nil {
+	if err := writeU64s(f.ownOffsets(&f.soff).words); err != nil {
 		return cw.n, err
 	}
-	if err := writeU64s(bitsFrom(f.first, base, e)); err != nil {
+	// The entries' node codes start at bit 0 of the file's column: a frame
+	// that owns its column from there writes the words as they are, a
+	// partition's slice of a shared one — coded under the whole set's
+	// count, as a partition's are — is shifted out first.
+	base, e := f.offAt(0), int64(f.totalEntries())
+	if err := writeU64s(bitsFrom(f.node.words, f.bitAt(0), f.nodeBits())); err != nil {
 		return cw.n, err
 	}
 	dists := steps.raw
@@ -588,7 +599,7 @@ func frameFromHdr(h frameHdr) *Frame {
 	p := h.params()
 	f := &Frame{p: p, n: int(h.n), total: h.totalNodes(), by: newRanker(p)}
 	f.node.total, f.node.order, f.node.k = f.total, newRankOrder(p, f.total), p.K
-	f.off.w, f.boff.w = offsetWidth(int64(h.numEntries)), offsetWidth(int64(h.numNodeBits))
+	f.off.w, f.boff.w, f.soff.w = offsetWidth(int64(h.numEntries)), offsetWidth(int64(h.numNodeBits)), offsetWidth(int64(h.numSteps))
 	if h.partitioned() {
 		f.base = int32(h.lo)
 	}
@@ -607,12 +618,11 @@ func (h *frameHdr) wrap(f *Frame) *Set {
 
 // validateOffsets checks that the n offsets of the column what start at
 // 0, ascend — strictly when strict: no sketch is empty, every one holding
-// its owner, and its codes taking a bit an entry but the ones implied —
-// and end at last, what they cover: the entries, or the bits of node
-// codes.  first, the step bits, when given, must mark every sketch's
-// start.  Everything else about a version-3 file is trusted (it is a
-// serving-format for files the operator built).
-func validateOffsets(what string, off *packedColumn, n, last int64, strict bool, first []uint64) error {
+// its owner at a step of its own, and its codes taking a bit an entry but
+// the ones implied — and end at last, what they cover: the entries, the
+// bits of node codes, or the steps.  Everything else about a version-3
+// file is trusted (it is a serving-format for files the operator built).
+func validateOffsets(what, of string, off *packedColumn, n, last int64, strict bool) error {
 	if !off.holds(n) {
 		return fmt.Errorf("core: sketch file has %s bits past its last", what)
 	}
@@ -623,29 +633,12 @@ func validateOffsets(what string, off *packedColumn, n, last int64, strict bool,
 	for i := int64(1); i < n; i++ {
 		o := int64(off.get(i))
 		if o < prev || strict && o == prev {
-			return fmt.Errorf("core: sketch file sketch %d has no entries, or its %s decrease (every sketch holds its owner)", i-1, what)
-		}
-		// o <= last is checked before prev indexes the bits.
-		if first != nil && o <= last && !bitAt(first, prev) {
-			return fmt.Errorf("core: sketch file sketch %d does not start with a distance step", i-1)
+			return fmt.Errorf("core: sketch file sketch %d has no %s, or its %s decrease (every sketch holds its owner)", i-1, of, what)
 		}
 		prev = o
 	}
 	if prev != last {
 		return fmt.Errorf("core: sketch file %s end at %d, want %d", what, prev, last)
-	}
-	return nil
-}
-
-// validateSteps checks, with validateOffsets, what licenses indexing the
-// step column by the popcount of the bits: as many set bits (marked) as
-// steps, and none past the last entry.
-func validateSteps(first []uint64, numEntries, marked, numSteps int64) error {
-	if marked != numSteps {
-		return fmt.Errorf("core: sketch file marks %d distance steps, header claims %d", marked, numSteps)
-	}
-	if !tailClear(first, numEntries) {
-		return fmt.Errorf("core: sketch file marks distance steps past its last entry")
 	}
 	return nil
 }
@@ -717,22 +710,20 @@ func openFrameBytes(data []byte) (*Set, error) {
 	}
 	f.off.words = u64s(next(h.offsetsSize()))
 	f.boff.words = u64s(next(h.bitOffsetsSize()))
+	f.soff.words = u64s(next(h.stepOffsetsSize()))
 	f.node.words = u64s(next(h.nodesSize()))
-	f.first = u64s(next(bitWords(e) * 8))
-	if err := validateOffsets("offsets", &f.off, int64(h.n)+1, e, true, f.first); err != nil {
+	if err := validateOffsets("offsets", "entries", &f.off, int64(h.n)+1, e, true); err != nil {
 		return nil, err
 	}
-	// What keeps every decoder inside the node stream.
-	if err := validateOffsets("bit offsets", &f.boff, int64(h.n)+1, int64(h.numNodeBits), h.implied() == 0, nil); err != nil {
+	// What keeps every decoder inside the node stream and the steps.
+	if err := validateOffsets("bit offsets", "node codes", &f.boff, int64(h.n)+1, int64(h.numNodeBits), h.implied() == 0); err != nil {
+		return nil, err
+	}
+	if err := validateOffsets("step offsets", "steps", &f.soff, int64(h.n)+1, int64(h.numSteps), true); err != nil {
 		return nil, err
 	}
 	if !tailClear(f.node.words, int64(h.numNodeBits)) {
 		return nil, fmt.Errorf("core: sketch file has node bits past its last node code")
-	}
-	var marked int64
-	f.samp, marked = sampleRanks(f.first)
-	if err := validateSteps(f.first, e, marked, int64(h.numSteps)); err != nil {
-		return nil, err
 	}
 	c := &f.steps
 	c.n = int64(h.numSteps)
@@ -793,12 +784,11 @@ type ColumnSize struct {
 }
 
 // ColumnBytes lists what each part of the file costs, in file order:
-// header, offsets (OffsetBits bits each), bit offsets, nodes
-// (NodeBitsPerEntry bits an entry on average), step bits, then either
-// step codes and the dictionary of distances they
-// index or, where a dictionary would be no smaller, steps (8 bytes a
-// distance step), then betas where held — every packed column rounded up
-// to a word.
+// header, offsets (OffsetBits bits each), bit offsets, step offsets, nodes
+// (NodeBitsPerEntry bits an entry on average, run lengths included), then
+// either step codes and the dictionary of distances they index or, where
+// a dictionary would be no smaller, steps (8 bytes a distance step), then
+// betas where held — every packed column rounded up to a word.
 func (s *SketchFile) ColumnBytes() []ColumnSize {
 	h := headerOf(s.set)
 	return h.columns()
@@ -811,8 +801,8 @@ func (h *frameHdr) columns() []ColumnSize {
 		{"header", h.headerSize()},
 		{"offsets", h.offsetsSize()},
 		{"bit offsets", h.bitOffsetsSize()},
+		{"step offsets", h.stepOffsetsSize()},
 		{"nodes", h.nodesSize()},
-		{"step bits", bitWords(e) * 8},
 	}
 	if h.numDistinct > 0 {
 		out = append(out, ColumnSize{"step codes", h.codesSize()}, ColumnSize{"dictionary", h.stepsSize()})

@@ -434,15 +434,17 @@ func FuzzOpenSketchFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(part.Bytes())
-	// Every kind eight ways: as written now — a uniform set's node codes
-	// rank-ordered at adaptive parameters, the owners' implied — and in the
-	// seven retired layouts the parser refuses (the IDs' own Rice codes
-	// being the current layout of the other kinds, and rank-ordered codes
-	// no layout of theirs); and as written now with its node codes
-	// corrupted — bits flipped, a word of them zeroed, a word set — which
-	// the openers trust.
+	// Every kind nine ways: as written now — run lengths in the node stream
+	// and step offsets, a uniform set's node codes rank-ordered at adaptive
+	// parameters, the owners' implied — and in the eight retired layouts the
+	// parser refuses (the last two with step bits: the IDs' own Rice codes
+	// being the layout they replaced for the other kinds, and adapted
+	// rank-ordered codes for a uniform set's); and as written now with its
+	// node codes corrupted — bits flipped, a word of them zeroed, a word set
+	// — which the openers trust.
 	for _, data := range v3Files(f) {
 		f.Add(data)
+		f.Add(adaptiveV3(f, data))
 		f.Add(riceV3(f, data))
 		f.Add(rankedV3(f, data))
 		f.Add(compactV3(f, data))

@@ -28,7 +28,7 @@ func FreezeBottomK(o Options, lists [][]Entry) (*Set, error) {
 // otherwise (every node base lacks must be present).  Only the changed
 // lists are checked and validated — base's were when it was frozen — and
 // the entries of unchanged nodes are block-copied from base's columns —
-// step-bit range, step range, and each node's code range — so the cost
+// offsets, step range, and each node's code range — so the cost
 // follows the change, not the set; the exceptions are a freeze that grows
 // the node count, which puts new nodes into the rank order every list is
 // coded in and so codes every unchanged list's moved positions again —
@@ -83,12 +83,12 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 	// The changed lists' steps are collected raw, and the step column put
 	// together once they are all known (stepsOver): its dictionary depends
 	// on every one of them.
-	w := newStepWriter(total, nil, int64(8*len(nodes)))
-	f.first = w.first
-	fresh := make([]int64, len(nodes)) // fresh[i]: the steps in w after nodes[i]'s list
-	pos := int64(0)
-	// keep copies the offsets and step bits of base nodes [from, to), none
-	// of them changed.
+	var raw []float64
+	fresh := make([]int64, len(nodes)) // fresh[i]: the steps in raw after nodes[i]'s list
+	soff := make([]uint64, n+1)        // packed once the step count is known
+	pos, step := int64(0), int64(0)
+	// keep copies the offsets and step offsets of base nodes [from, to),
+	// none of them changed.
 	keep := func(from, to int) error {
 		if from >= to {
 			return nil
@@ -96,12 +96,12 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 		if to > bf.n {
 			return fmt.Errorf("core: FreezeBottomKOver: node %d has no entries (every node holds itself at distance 0)", max(from, bf.n))
 		}
-		lo, hi := bf.offAt(from), bf.offAt(to)
-		copyBits(w.first, pos, bf.first, lo, hi-lo)
+		lo, slo := bf.offAt(from), bf.stepAt(from)
 		for v := from; v < to; v++ {
 			f.off.put(int64(v), uint64(pos+bf.offAt(v)-lo))
+			soff[v] = uint64(step + bf.stepAt(v) - slo)
 		}
-		pos += hi - lo
+		pos, step = pos+bf.offAt(to)-lo, step+bf.stepAt(to)-slo
 		return nil
 	}
 	next := 0
@@ -110,17 +110,23 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 			return nil, err
 		}
 		f.off.put(int64(v), uint64(pos))
-		w.list()
-		for _, e := range changed[v] {
-			w.add(pos, e.Dist)
-			pos++
+		soff[v] = uint64(step)
+		l := changed[v]
+		for j, e := range l {
+			if isStep(l, j) {
+				raw = append(raw, e.Dist)
+				step++
+			}
 		}
-		fresh[i], next = w.steps.n, int(v)+1
+		pos += int64(len(l))
+		fresh[i], next = int64(len(raw)), int(v)+1
 	}
 	if err := keep(next, n); err != nil {
 		return nil, err
 	}
 	f.off.put(int64(n), uint64(pos))
+	soff[n] = uint64(step)
+	f.soff = packOffsets(soff)
 	workers := 1 // copies are cheap: only a recode takes every core
 	if shift != nil {
 		workers = 0
@@ -144,12 +150,10 @@ func FreezeBottomKOver(base *Set, n int, changed map[int32][]Entry) (*Set, error
 	if err != nil {
 		return nil, fmt.Errorf("core: FreezeBottomKOver: %w", err)
 	}
-	f.steps = stepsOver(bf, nodes, w.steps.raw, fresh)
-	f.samp, _ = sampleRanks(w.first)
+	f.steps = stepsOver(bf, nodes, raw, fresh)
 	var ranks rankScratch
 	for _, v := range nodes {
-		lo, hi := f.span(int(v))
-		view, _ := ranks.filled(f.colsOver(lo, hi, f.rank1(lo)), f.nodesAt(int(v)))
+		view, _ := ranks.filled(f.colsOver(int(v)), f.nodesAt(int(v)))
 		if err := f.validateCols(view, int(v), changed[v]); err != nil {
 			return nil, fmt.Errorf("core: FreezeBottomKOver: %w", err)
 		}
@@ -173,8 +177,7 @@ func stepsOver(bf *Frame, nodes []int32, steps []float64, fresh []int64) stepCol
 	bs := &bf.steps
 	// kept returns the range of bf's steps of base nodes [from, to).
 	kept := func(from, to int) (lo, hi int64) {
-		from, to = min(from, bf.n), min(to, bf.n)
-		return bf.rank1(bf.offAt(from)), bf.rank1(bf.offAt(to))
+		return bf.stepAt(min(from, bf.n)), bf.stepAt(min(to, bf.n))
 	}
 	slo, shi := bf.stepRange()
 	total, removed := shi-slo+int64(len(steps)), int64(0)

@@ -17,13 +17,13 @@ import "unsafe"
 // stores exactly that distance -> cumulative weight mapping.
 //
 // Storage is columnar, the entry distances step-coded (stepcode.go) the
-// way a frame's are: the unique distances are the steps.  An index built
-// standalone (NewHIPIndex) owns its columns, preallocated to exact size,
-// its nodes as they are and its steps raw; the index of a node of a set
-// (Frame.Index, what Engine serves) views the frame's node codes
-// (nodepack.go), step bits and steps, which may be codes into the frame's
-// dictionary of distances, and owns one slice holding a weight per entry
-// and a prefix sum per step.
+// way a frame's are: the unique distances are the steps, one a run of the
+// nodes.  An index built standalone (NewHIPIndex) owns its columns,
+// exactly sized — its nodes as they are, its runs' ends, its steps raw;
+// the index of a node of a set (Frame.Index, what Engine serves) views the
+// frame's node codes (nodepack.go), runs and all, and steps, which may be
+// codes into the frame's dictionary, and owns one slice holding a weight
+// per entry and a prefix sum per step.
 //
 // All accumulations scan the entries in canonical order, so every readout
 // is bit-identical to the corresponding direct estimator (EstimateQ,
@@ -35,9 +35,9 @@ type HIPIndex struct {
 	// each node's sums.
 	total, totalD, totalH float64
 
-	enode nodeCodes // HIP entry nodes, canonical order: coded, or a standalone index's own
+	enode nodeCodes // HIP entry nodes and runs, canonical order: coded, or a standalone index's own
 	ew    []float64 // HIP adjusted weights, parallel to enode
-	sd    StepDists // HIP entry distances, step-coded: its steps are the unique distances, ascending
+	sd    StepDists // HIP entry distances, one a run of enode: the unique distances, ascending
 	cum   []float64 // cum[i]: total adjusted weight at distance <= sd.steps[i]
 }
 
@@ -55,32 +55,36 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 	}
 	// The IDs as they are: a standalone sketch's nodes can be any int32.
 	ids := make([]int32, len(entries))
-	stream := &nodeStream{ids: ids}
+	stream := &nodeStream{ids: ids, ends: make([]int32, 0, unique)}
+	steps := &stepColumn{n: int64(unique), raw: make([]float64, 0, unique)}
 	idx := &HIPIndex{
 		enode: nodeCodes{s: stream},
 		ew:    make([]float64, len(entries)),
+		sd:    StepDists{col: steps, n: unique},
 		cum:   make([]float64, 0, unique),
 	}
-	w := newStepWriter(len(entries), nil, int64(unique))
 	for i, e := range entries {
-		ids[i] = e.Node
-		idx.ew[i] = e.Weight
-		w.add(int64(i), e.Dist)
+		ids[i], idx.ew[i] = e.Node, e.Weight
+		if i == 0 || e.Dist != entries[i-1].Dist {
+			steps.raw = append(steps.raw, e.Dist)
+		}
+		if i+1 == len(entries) || entries[i+1].Dist != e.Dist {
+			stream.ends = append(stream.ends, int32(i+1))
+		}
 	}
-	idx.sd = StepDists{first: w.first, col: &w.steps, n: unique}
-	idx.sum()
+	idx.sum(stream.ends)
 	return idx
 }
 
 // sum appends to the index's empty prefix-sum column, per step, the
-// running total of the weights over the entries up to the step's last,
-// and sets the totals of the weights, weight·distance and
-// weight·(1/distance).
-func (x *HIPIndex) sum() {
+// running total of the weights over the entries of its run, which ends
+// lists the ends of, and sets the totals of the weights, weight·distance
+// and weight·(1/distance).
+func (x *HIPIndex) sum(ends []int32) {
 	total, totalD, totalH := 0.0, 0.0, 0.0
-	w, s := x.ew, x.sd
-	for i, j := 0, 0; i < len(w); j++ {
-		end, d := s.runEnd(i, len(w)), s.step(j)
+	w, s, i := x.ew, x.sd, 0
+	for j, end := range ends {
+		d := s.step(j)
 		inv := KernelHarmonic(d)
 		for _, wi := range w[i:end] {
 			total += wi
@@ -88,7 +92,7 @@ func (x *HIPIndex) sum() {
 			totalH += wi * inv
 		}
 		x.cum = append(x.cum, total)
-		i = end
+		i = int(end)
 	}
 	x.total, x.totalD, x.totalH = total, totalD, totalH
 }
@@ -99,7 +103,7 @@ func (x *HIPIndex) sum() {
 func (x *HIPIndex) Bytes() int64 {
 	b := int64(unsafe.Sizeof(*x)) + 8*int64(len(x.ew)+len(x.cum))
 	if s := x.enode.s; s.ids != nil {
-		b += int64(unsafe.Sizeof(*s)) + 4*int64(len(s.ids)) + 8*int64(len(x.sd.first)+len(x.sd.col.raw))
+		b += int64(unsafe.Sizeof(*s)) + 4*int64(len(s.ids)+len(s.ends)) + 8*int64(len(x.sd.col.raw))
 	}
 	return b
 }
@@ -109,7 +113,7 @@ func (x *HIPIndex) Len() int { return len(x.ew) }
 
 // nodes returns the indexed entries' nodes.
 func (x *HIPIndex) nodes() Nodes {
-	return Nodes{nodeCodes: x.enode, first: x.sd.first, lo: x.sd.lo, n: len(x.ew)}
+	return Nodes{nodeCodes: x.enode, n: len(x.ew), steps: x.sd.n}
 }
 
 // Entries materializes the indexed HIP entries in canonical order (a
@@ -117,13 +121,9 @@ func (x *HIPIndex) nodes() Nodes {
 func (x *HIPIndex) Entries() []WeightedEntry {
 	out := make([]WeightedEntry, len(x.ew))
 	nodes := x.nodes().cursor()
-	j, d := -1, 0.0
 	for i := range out {
-		if x.sd.starts(i) {
-			j++
-			d = x.sd.step(j)
-		}
-		out[i] = WeightedEntry{Node: nodes.Next(), Dist: d, Weight: x.ew[i]}
+		u := nodes.Next()
+		out[i] = WeightedEntry{Node: u, Dist: x.sd.step(nodes.step()), Weight: x.ew[i]}
 	}
 	return out
 }
@@ -137,7 +137,8 @@ func (x *HIPIndex) EntryAt(i int) WeightedEntry {
 	for range i {
 		nodes.Next()
 	}
-	return WeightedEntry{Node: nodes.Next(), Dist: x.sd.at(i), Weight: x.ew[i]}
+	u := nodes.Next()
+	return WeightedEntry{Node: u, Dist: x.sd.step(nodes.step()), Weight: x.ew[i]}
 }
 
 // search returns the position of the last indexed distance <= d, or -1.
@@ -180,13 +181,9 @@ func (x *HIPIndex) Harmonic() float64 { return x.totalH }
 func (x *HIPIndex) EstimateQ(g func(node int32, dist float64) float64) float64 {
 	sum := 0.0
 	nodes := x.nodes().cursor()
-	j, d := -1, 0.0
-	for i := range x.ew {
-		if x.sd.starts(i) {
-			j++
-			d = x.sd.step(j)
-		}
-		sum += x.ew[i] * g(nodes.Next(), d)
+	for _, w := range x.ew {
+		u := nodes.Next()
+		sum += w * g(u, x.sd.step(nodes.step()))
 	}
 	return sum
 }

@@ -16,26 +16,27 @@ import (
 // [i·w, (i+1)·w), numbered from the least significant bit of word 0, and
 // the bits past the last value are zero.
 //
-// A run of m entries of equal distance, which the step bits delimit, is
-// coded as m numbers that ascend strictly below a bound M: as their gaps
-// xᵢ − xᵢ₋₁ − 1 (x₋₁ = −1), each a Rice code of a parameter b — gap>>b
-// zero bits, a one, the b low bits — stored nowhere, so a list has one
-// encoding.  In a uniform set the numbers are the entries' positions in
-// the set's rank order π, its nodes sorted by (rank, node): a bottom-k
-// sketch holds a node only if its rank is below the k-th smallest of the
-// nodes closer than it, so a run's positions are all below M, the k-th
-// smallest position among the list's entries at smaller distances — or
-// total, the set's node count, while there are fewer than k — which the
-// decoder works out as it goes, mapping the positions back through π and
-// sorting the run's IDs back into canonical order.  That threshold falls
-// as entries are admitted, so positions crowd the low end of [0, M): a
-// gap's b adapts to the run's gaps before it (adaptive).  Entry 0, the
-// owner at distance 0, has no code (rankOrder.position finds it).  The
-// ranks of weighted sets are no function of the node alone, and
-// approximate sets' entries need not keep below the threshold, so their
-// numbers are the IDs themselves, M is total and a run's b ⌊log₂(M/m)⌋
-// (0 when M < 2m).  A decoder reads no bit outside its list, whatever it
-// holds.
+// A list is runs of equal distance, the owner alone and then one a step,
+// and a run of m entries is coded as its length m−1 (newLengths) — but the
+// owner's and the list's last, which its entry and step counts imply —
+// and m numbers ascending below a bound M, as their gaps xᵢ − xᵢ₋₁ − 1
+// (x₋₁ = −1), each a Rice code of a parameter b — gap>>b zero bits, a one,
+// the b low bits — stored nowhere, so a list has one encoding.  In a
+// uniform set the numbers are the entries' positions in the set's rank
+// order π, its nodes sorted by (rank, node): a bottom-k sketch holds a node
+// only if its rank is below the k-th smallest of the nodes closer than it,
+// so a run's positions are all below M, the k-th smallest position among
+// the list's entries at smaller distances — or total, the set's node
+// count, while there are fewer than k — which the decoder works out as it
+// goes, mapping the positions back through π and sorting the run's IDs
+// back into canonical order.  That threshold falls as entries are
+// admitted, so positions crowd the low end of [0, M): a gap's b adapts to
+// the run's gaps before it (adaptive).  Entry 0, the owner, has no code
+// (rankOrder.position finds it).  The ranks of weighted sets are no
+// function of the node alone, and approximate sets' entries need not keep
+// below the threshold, so their numbers are the IDs themselves, M is total
+// and a run's b ⌊log₂(M/m)⌋ (0 when M < 2m).  A decoder reads no bit
+// outside its list, whatever it holds.
 
 // widthBelow returns the bits per value of a column whose values are all
 // below bound: enough for bound-1, and at least 1.
@@ -120,10 +121,10 @@ func riceParam(bound, m int) uint {
 // seed, ⌊M/(4m)⌋+1, and n their count and 1, both halved when n reaches
 // 16, but at least floor, b₀−3 for the run's one parameter b₀ =
 // riceParam(M, m).  The gaps sum to under M < m·2^(b₀+1), so their
-// quotients to under 16m, and a < 2M keeps b <= 33: a run of m codes takes
-// under 50m bits, below the 64 an entry a header admits, however dense its
-// first positions and far its last.  A decoder that reads past M holds a
-// at M, so a and b stay bounded whatever it reads.
+// quotients to under 16m, and a < 2M <= 2^31 keeps b <= 31: a run of m
+// codes takes under 48m bits, below the 64 an entry a header admits,
+// however dense its first positions and far its last.  A decoder that
+// reads past M holds a at M, so a and b stay bounded whatever it reads.
 type adaptive struct {
 	a, n  uint64
 	floor uint
@@ -152,6 +153,21 @@ func (s *adaptive) add(gap uint64) {
 		s.a, s.n = s.a>>1, 8
 	}
 }
+
+// maxLengthParam caps a length's parameter: a run's length takes at most
+// m+15 bits, with its gaps (adaptive) under the 64m a header admits.
+const maxLengthParam = 15
+
+// newLengths returns the parameter of the coded run lengths m−1 of a list
+// of n entries in runs runs: adaptive's sum and count, seeded with the
+// mean run after the owner's, ⌊(n−1)/(runs−1)⌋, and 1.
+func newLengths(n, runs int) adaptive {
+	return adaptive{a: uint64(max(n-1, 0) / max(runs-1, 1)), n: 1}
+}
+
+// lengthParam returns the largest b with n·2^b <= a, or 0: a length is a
+// few bits, where rounding up as a gap's parameter does costs a bit a run.
+func (s adaptive) lengthParam() uint { return min(riceParam(int(s.a), int(s.n)), maxLengthParam) }
 
 // rankOrder is the order a uniform set's node codes number its nodes in:
 // node perm[p] is at position p of the nodes sorted by (rank, node), which
@@ -350,8 +366,11 @@ type nodeWriter struct {
 	set   []uint64 // sortDense's bit set, clear between runs
 	owner int32    // the owner of the open list
 	own   int32    // a uniform set's: the owner's position, which entry 0 must have
-	entry int      // entries of the open list before the open run
-	err   error    // the first entry with no code, which ends the writing
+	// The open list's entry count, and its entries and runs before the open
+	// run.
+	entries, entry, runs int
+	lens                 adaptive // the open list's length parameter
+	err                  error    // the first entry with no code, which ends the writing
 }
 
 // newNodeWriter returns a writer for a total-node set, with room for bits
@@ -364,10 +383,12 @@ func newNodeWriter(total int, bits int64, pos []int32, k int) nodeWriter {
 	return w
 }
 
-// list starts the entry list of node owner.
-func (w *nodeWriter) list(owner int32) {
+// list starts the entry list of node owner, of entries entries in steps
+// runs of equal distance, which imply its last run's length.
+func (w *nodeWriter) list(owner int32, entries, steps int) {
 	w.flush()
-	w.owner, w.entry, w.low.n = owner, 0, 0
+	w.owner, w.entries, w.entry, w.runs, w.low.n = owner, entries, 0, 0, 0
+	w.lens = newLengths(entries, steps)
 	if w.pos != nil {
 		w.own = w.pos[owner]
 	}
@@ -431,16 +452,19 @@ func (w *nodeWriter) refuse(i int, id int32, why string) {
 // flush codes the open run, or refuses it: an ID outside the set, or, in
 // the order the run is coded in, one that does not ascend strictly below
 // the run's bound — a rank too large for the sketch, a node twice, IDs
-// out of order — has no code, and neither has a rank-ordered list whose
-// entry 0 is not its owner.  A run of m codes takes under 64·m bits
-// (adaptive), less than m+1 words.
+// out of order — has no code, and neither has a list whose first run is
+// more than its owner, or a rank-ordered one whose entry 0 is not its
+// owner.  A run of m codes takes under 64·m bits (maxLengthParam), less
+// than m+1 words.
 func (w *nodeWriter) flush() {
 	run := w.run
-	if len(run) == 0 {
+	m := len(run)
+	if m == 0 {
 		return
 	}
 	w.run = run[:0]
-	defer func() { w.entry += len(run) }()
+	j, last := w.runs, w.entry+m >= w.entries
+	defer func() { w.entry, w.runs = w.entry+m, w.runs+1 }()
 	if w.err != nil {
 		return
 	}
@@ -450,35 +474,42 @@ func (w *nodeWriter) flush() {
 			return
 		}
 	}
+	if j == 0 {
+		switch {
+		case w.pos != nil && w.pos[run[0]] != w.own:
+			w.refuse(0, run[0], "is not its owner: a rank-ordered list starts with its owner at distance 0")
+			return
+		case m > 1:
+			w.err = fmt.Errorf("core: ADS(%d) does not start with the owner alone at distance 0", w.owner)
+			return
+		case w.pos != nil: // the owner, whose code is implied
+			mergeLow(&w.low, []int32{w.own})
+			return
+		}
+	}
 	code, bound, adapt := run, w.total, adaptive{}
 	if w.pos != nil {
-		if w.entry == 0 { // the owner, whose code is implied
-			if w.pos[run[0]] != w.own {
-				w.refuse(0, run[0], "is not its owner: a rank-ordered list starts with its owner at distance 0")
-				return
-			}
-			mergeLow(&w.low, []int32{w.own})
-			if run, w.entry = run[1:], 1; len(run) == 0 {
-				return
-			}
-		}
-		code = slices.Grow(w.code[:0], len(run))[:len(run)]
+		code = slices.Grow(w.code[:0], m)[:m]
 		for i, id := range run {
 			code[i] = w.pos[id]
 		}
 		w.code, bound = code, w.low.bound(w.total)
 		if !slices.IsSorted(code) && !w.sortDense(code, bound) {
-			w.tmp = slices.Grow(w.tmp[:0], len(run))[:len(run)]
+			w.tmp = slices.Grow(w.tmp[:0], m)[:m]
 			sortRun(code, w.tmp, bits.Len(uint(w.total)))
 		}
 		mergeLow(&w.low, code)
-		adapt = newAdaptive(bound, len(code))
+		adapt = newAdaptive(bound, m)
 	}
-	b := riceParam(bound, len(code))
-	prev, mask := int64(-1), uint64(1)<<b-1
-	words, acc, nacc := slices.Grow(w.words, len(code)+1), w.acc, w.nacc
+	b := riceParam(bound, m)
+	prev := int64(-1)
+	words, acc, nacc := slices.Grow(w.words, m+1), w.acc, w.nacc
 	n := len(words)
 	words = words[:cap(words)]
+	if j > 0 && !last {
+		n, acc, nacc = putRice(words, n, acc, nacc, uint64(m-1), w.lens.lengthParam())
+		w.lens.add(uint64(m - 1))
+	}
 	for i, c := range code {
 		x := int64(c)
 		if x <= prev || x >= int64(bound) { // what is written is dropped with the writer
@@ -495,25 +526,32 @@ func (w *nodeWriter) flush() {
 		gap := uint64(x - prev - 1)
 		if adapt.n > 0 {
 			b = adapt.param()
-			mask = 1<<b - 1
 			adapt.add(gap)
 		}
-		q := gap >> b
-		for ; q+1+uint64(b) > 63; q -= 32 { // a long quotient's first zeros
-			if nacc += 32; nacc >= 64 {
-				words[n], n, acc, nacc = acc, n+1, 0, nacc-64
-			}
-		}
-		// The quotient's zeros, its stop bit and the remainder: k <= 63 bits.
-		cw, k := (1|(gap&mask)<<1)<<(q&63), uint(q)+1+b
-		acc |= cw << (nacc & 63)
-		if nacc += k; nacc >= 64 {
-			words[n], n, nacc = acc, n+1, nacc-64
-			acc = cw >> ((k - nacc) & 63) // the bits that did not fit
-		}
+		n, acc, nacc = putRice(words, n, acc, nacc, gap, b)
 		prev = x
 	}
 	w.words, w.acc, w.nacc = words[:n], acc, nacc
+}
+
+// putRice appends the Rice code of x at parameter b — x>>b zeros, a one
+// and the b low bits — to a stream of n whole words and the nacc bits of
+// acc, words having room for it, and returns the stream's new ends.
+func putRice(words []uint64, n int, acc uint64, nacc uint, x uint64, b uint) (int, uint64, uint) {
+	q := x >> b
+	for ; q+1+uint64(b) > 63; q -= 32 { // a long quotient's first zeros
+		if nacc += 32; nacc >= 64 {
+			words[n], n, acc, nacc = acc, n+1, 0, nacc-64
+		}
+	}
+	// The quotient's zeros, its stop bit and the remainder: k <= 63 bits.
+	cw, k := (1|(x&(1<<b-1))<<1)<<(q&63), uint(q)+1+b
+	acc |= cw << (nacc & 63)
+	if nacc += k; nacc >= 64 {
+		words[n], n, nacc = acc, n+1, nacc-64
+		acc = cw >> ((k - nacc) & 63) // the bits that did not fit
+	}
+	return n, acc, nacc
 }
 
 // sortDense sorts a run's positions when they are dense below its bound —
@@ -568,18 +606,19 @@ func (w *nodeWriter) copy(src []uint64, from, n int64) {
 
 // nodeStream is a frame's node codes, the set's node count and, for a
 // uniform set, the rank order they are coded in and the k that bounds a
-// run; or a standalone index's IDs as they are.
+// run; or a standalone index's IDs as they are and its runs' ends.
 type nodeStream struct {
 	words []uint64
 	total int
 	order *rankOrder // nil: the codes are of the IDs as they are
 	k     int
 	ids   []int32 // the IDs as they are, when not coded (non-nil)
+	ends  []int32 // with them: the end of each run of equal distance
 }
 
 // nodeCodes places one list's codes in a node stream: bits [bit, end),
-// what an index keeps beside the step bits it has anyway, and its owner,
-// which a rank-ordered list's bits do not code.
+// what an index keeps beside its steps, and its owner, which a
+// rank-ordered list's bits do not code.
 type nodeCodes struct {
 	s        *nodeStream
 	bit, end int64
@@ -587,12 +626,11 @@ type nodeCodes struct {
 }
 
 // Nodes is the node column of one entry list, aliasing its frame's node
-// stream; AppendTo decodes it.
+// stream, and the list's entry and step counts, which its runs' lengths
+// are coded against; AppendRuns decodes it.
 type Nodes struct {
 	nodeCodes
-	first []uint64 // the frame's step bits, which delimit the runs
-	lo    int64    // position of the list's entry 0 in first
-	n     int
+	n, steps int
 }
 
 // Len returns the number of entries.
@@ -601,53 +639,65 @@ func (p Nodes) Len() int { return p.n }
 // cursor returns a cursor at the list's first entry.
 func (p Nodes) cursor() nodeCursor {
 	if p.s.ids != nil {
-		return nodeCursor{ids: p.s.ids, eEnd: int64(p.n)}
+		return nodeCursor{ids: p.s.ids, ends: p.s.ends, eEnd: p.n, runs: p.steps}
 	}
-	c := nodeCursor{words: p.s.words, next: p.bit, end: p.end, first: p.first, total: p.s.total, e: p.lo, eEnd: p.lo + int64(p.n), owner: -1}
+	c := nodeCursor{words: p.s.words, next: p.bit, end: p.end, total: p.s.total, eEnd: p.n, runs: p.steps, lens: newLengths(p.n, p.steps), owner: -1}
 	if p.s.order != nil {
 		c.perm, c.low.k, c.owner = p.s.order.nodes(), p.s.k, p.s.order.position(p.own)
 	}
 	return c
 }
 
-// AppendTo appends the node of every entry, in order, to dst.
-func (p Nodes) AppendTo(dst []int32) []int32 {
-	dst, _ = p.decode(dst)
-	return dst
-}
-
-// decode is AppendTo that also reports whether the list's bits are
+// AppendRuns appends the node of every entry, in order, to ids, and the
+// end of each run of equal distance — one a distance step, what
+// StepDists.Runs walks — to ends, and reports whether the list's bits are
 // exactly its entries' codes.
-func (p Nodes) decode(dst []int32) ([]int32, bool) {
-	at := len(dst)
-	dst = slices.Grow(dst, p.n)[:at+p.n]
-	return dst, decodeTo(&p, dst[at:])
+func (p Nodes) AppendRuns(ids, ends []int32) ([]int32, []int32, bool) {
+	at, eat := len(ids), len(ends)
+	ids = slices.Grow(ids, p.n)[:at+p.n]
+	ends = slices.Grow(ends, p.steps)[:eat+p.steps]
+	return ids, ends, decodeTo(&p, ids[at:], ends[eat:])
 }
 
-// decodeTo is decode into dst, which has room for the list.
-func decodeTo(p *Nodes, dst []int32) bool {
+// decodeTo is AppendRuns into dst and ends, which have room for the list
+// and, unless nil, its steps (fillEnds).
+func decodeTo(p *Nodes, dst, ends []int32) bool {
 	c := p.cursor()
 	for i := 0; i < len(dst); {
 		i += decodeRun(&c, dst[i:])
+		if j := c.run - 1; j < len(ends) {
+			ends[j] = int32(i)
+		}
 	}
+	fillEnds(ends, c.run, len(dst))
 	return c.Done()
+}
+
+// fillEnds ends the runs from from on, which the bits did not reach, and
+// the last, at the list's n entries, whatever its bits hold.
+func fillEnds(ends []int32, from, n int) {
+	for j := min(from, max(len(ends)-1, 0)); j < len(ends); j++ {
+		ends[j] = int32(n)
+	}
 }
 
 // runInline is how many IDs of a run Next holds in place: a longer run
 // takes a slice.
 const runInline = 64
 
-// nodeCursor decodes a list's node IDs in order.  Past the list's end, or
-// through bits that are not codes, it reads arbitrary IDs, none of them
-// from outside the list's bits; Done tells.
+// nodeCursor decodes a list's node IDs in order, run by run.  Past the
+// list's end, or through bits that are not codes, it reads arbitrary IDs,
+// in runs of one entry to the entries left, none from outside its bits.
 type nodeCursor struct {
 	words     []uint64
 	next, end int64    // the next bit to load into cur, and the list's end
 	cur       uint64   // the loaded bits not read, from the lowest
 	avail     uint     // how many: at most 63
-	first     []uint64 // the step bits
 	ids       []int32  // a standalone list's IDs, when not coded (non-nil)
-	e, eEnd   int64    // the next entry's position in first, and the list's end
+	ends      []int32  // and its runs' ends
+	e, eEnd   int      // the entries read, and the list's count
+	run, runs int      // the runs started, and the list's count
+	lens      adaptive // the run lengths' parameter
 	left      int      // the entries left in the current run
 	b         uint     // the run's Rice parameter, when it has one
 	adapt     adaptive // a rank-ordered run's, gap by gap
@@ -668,7 +718,7 @@ type nodeCursor struct {
 	tmp      [runInline]int32 // room to sort a short run in
 }
 
-// Next returns the node of the next entry.
+// Next returns the node of the next entry, which is in run step().
 func (c *nodeCursor) Next() int32 {
 	if c.perm == nil {
 		var id [1]int32
@@ -683,6 +733,10 @@ func (c *nodeCursor) Next() int32 {
 	return c.runBuf(c.have)[c.at-1]
 }
 
+// step returns the run of the entry Next last returned: its distance step,
+// which is one of the list's, whatever its bits hold.
+func (c *nodeCursor) step() int { return min(c.run, c.runs) - 1 }
+
 // runBuf returns room for m IDs of Next's run.
 func (c *nodeCursor) runBuf(m int) []int32 {
 	if m <= runInline {
@@ -694,25 +748,40 @@ func (c *nodeCursor) runBuf(m int) []int32 {
 	return c.long[:m]
 }
 
-// Done reports whether every entry was read and the list's bits were
-// exactly their codes.
+// Done reports whether every entry was read, in as many runs as the list
+// has steps, and the list's bits were exactly their codes.
 func (c *nodeCursor) Done() bool {
-	return !c.over && c.e == c.eEnd && c.next-int64(c.avail) == c.end
+	return !c.over && c.e == c.eEnd && c.run == c.runs && c.next-int64(c.avail) == c.end
 }
 
 // startRun opens the run at c's entry, unless one is open: its length, its
-// bound and its Rice parameter.  A rank-ordered list's entry 0, its owner,
-// is a run of its own.
+// bound and its Rice parameter.  The owner's run is entry 0 alone and the
+// last run the entries left; a length between is read off the bits, and
+// one that leaves a later run no entry leaves the runs short (Done).
 func (c *nodeCursor) startRun() {
 	if c.left > 0 {
 		return
 	}
-	if c.owner >= 0 {
-		c.left = 1
+	j, left := c.run, c.eEnd-c.e
+	c.run++
+	m := left
+	switch {
+	case c.ids != nil:
+		if j < len(c.ends) {
+			m = int(c.ends[j]) - c.e
+		}
+	case j == 0:
+		m = 1
+	case j < c.runs-1:
+		m = 1 + int(min(c.readLength(), uint64(max(left, 1))))
+	}
+	if m < 1 || m > left {
+		m, c.over = max(1, min(m, left)), true
+	}
+	c.left, c.prev, c.bound = m, -1, c.total
+	if c.ids != nil || c.owner >= 0 {
 		return
 	}
-	m := int(max(nextSet(c.first, c.e, c.eEnd)-c.e, 1))
-	c.left, c.prev, c.bound = m, -1, c.total
 	if c.perm != nil {
 		c.bound = c.low.bound(c.total)
 		c.adapt = newAdaptive(c.bound, m)
@@ -720,15 +789,20 @@ func (c *nodeCursor) startRun() {
 	c.b = riceParam(c.bound, m)
 }
 
+// readLength reads a run length less one, Rice-coded at the lengths'
+// parameter, and counts it: paid per run, not entry.
+func (c *nodeCursor) readLength() uint64 {
+	x, next, ok := readCode(c.words, c.next-int64(c.avail), c.end, c.lens.lengthParam())
+	c.next, c.cur, c.avail, c.over = next, 0, 0, c.over || !ok
+	c.lens.add(x)
+	return x
+}
+
 // decodeRun decodes the IDs from c's entry to the end of its run or of
 // dst into dst, and returns how many; a rank-ordered list's dst has room
 // for the whole run, whose positions are mapped through π and sorted back
 // into canonical order.
 func decodeRun(c *nodeCursor, dst []int32) int {
-	if c.ids != nil { // a standalone index's IDs, read by Next
-		dst[0], c.e = c.ids[c.e], c.e+1
-		return 1
-	}
 	c.startRun()
 	dst = dst[:readRun(c, dst)]
 	if c.perm != nil {
@@ -751,10 +825,17 @@ func decodeRun(c *nodeCursor, dst []int32) int {
 // returns how many.  Each code starts where the last ends, so the reader is
 // in locals and a word is loaded every 31 bits.  A position at or past its
 // run's bound, which no code spells, is read as the set's last.  The owner
-// of a rank-ordered list is read off no bits.
+// of a rank-ordered list is read off no bits, and a standalone list's IDs
+// are copied (zeros past its end).
 func readRun(c *nodeCursor, dst []int32) int {
 	dst = dst[:min(len(dst), c.left)]
-	if c.owner >= 0 && len(dst) > 0 {
+	switch {
+	case c.ids != nil:
+		clear(dst[copy(dst, c.ids[min(c.e, len(c.ids)):]):])
+		c.left -= len(dst)
+		c.e += len(dst)
+		return len(dst)
+	case c.owner >= 0 && len(dst) > 0:
 		dst[0], c.owner, c.left, c.e = c.owner, -1, 0, c.e+1
 		return 1
 	}
@@ -800,7 +881,7 @@ func readRun(c *nodeCursor, dst []int32) int {
 	}
 	c.next, c.cur, c.avail, c.adapt, c.prev, c.over = next, cur, avail, adapt, prev, c.over || !ok
 	c.left -= len(dst)
-	c.e += int64(len(dst))
+	c.e += len(dst)
 	return len(dst)
 }
 
@@ -811,8 +892,9 @@ func readRun(c *nodeCursor, dst []int32) int {
 // bytes, paired with their nodes and sorted by node, and the k smallest
 // positions so far, which the decoder keeps anyway, name τ, whose rank the
 // order holds.  It is hipWeightsBottomK over the ranks of the list's
-// nodes, bit for bit, with no rank derived, and reports what Done does.
-func rankedWeights(p *Nodes, w []float64) bool {
+// nodes, bit for bit, with no rank derived; it sets ends as decodeTo does
+// and reports what Done does.
+func rankedWeights(p *Nodes, w []float64, ends []int32) bool {
 	c := p.cursor()
 	perm, ranks, k, top := p.s.order.perm, p.s.order.ranks, c.low.k, 32+bits.Len(uint(c.total))
 	keys := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(w))), len(w))
@@ -844,7 +926,11 @@ func rankedWeights(p *Nodes, w []float64) bool {
 			offerLow(&c.low, v, int32(uint32(key)))
 		}
 		i += len(run)
+		if j := c.run - 1; j < len(ends) {
+			ends[j] = int32(i)
+		}
 	}
+	fillEnds(ends, c.run, len(w))
 	return c.Done()
 }
 
@@ -887,15 +973,4 @@ func readCode(words []uint64, pos, end int64, b uint) (gap uint64, next int64, o
 		q, pos = q+uint64(tz), pos+int64(tz)+1
 	}
 	return q<<b | peek()&(1<<b-1), pos + int64(b), w != 0
-}
-
-// nextSet returns the position of the first set bit of w in (p, end), or
-// end.
-func nextSet(w []uint64, p, end int64) int64 {
-	for p++; p < end; p = (p>>6 + 1) << 6 {
-		if x := w[p>>6] >> (uint(p) & 63); x != 0 {
-			return min(p+int64(bits.TrailingZeros64(x)), end)
-		}
-	}
-	return end
 }

@@ -45,10 +45,10 @@ func TestPackedColumnMatchesSlice(t *testing.T) {
 }
 
 // randomRuns returns a random entry list's worth of node IDs below total,
-// in runs — each strictly ascending, of the lengths given — and the step
-// bit of each entry.
+// in runs — an owner's of one ID, then each strictly ascending, of the
+// lengths given — and whether each entry starts a run.
 func randomRuns(rng *rand.Rand, total int, lengths []int) (ids []int32, steps []bool) {
-	for _, m := range lengths {
+	for _, m := range append([]int{1}, lengths...) {
 		m = min(m, total)
 		run := rng.Perm(total)[:m]
 		slices.Sort(run)
@@ -60,11 +60,12 @@ func randomRuns(rng *rand.Rand, total int, lengths []int) (ids []int32, steps []
 	return ids, steps
 }
 
-// writeNodes codes lists — their IDs and step bits, back to back — as a
-// frame's node stream, in the rank order order (nil: the IDs as they are)
-// under k, a list's codes starting where the returned bit offsets say, and
-// returns the stream's Nodes views.  A rank-ordered list's entry 0 is its
-// owner.  It fails the test when a list has no code.
+// writeNodes codes lists — their IDs, in the runs steps marks the starts
+// of, back to back — as a frame's node stream, in the rank order order
+// (nil: the IDs as they are) under k, a list's codes starting where the
+// returned bit offsets say, and returns the stream's Nodes views.  A
+// list's first run is its owner, its entry 0.  It fails the test when a
+// list has no code.
 func writeNodes(t testing.TB, total int, order *rankOrder, k int, lists [][]int32, steps [][]bool) []Nodes {
 	t.Helper()
 	var pos []int32
@@ -72,35 +73,28 @@ func writeNodes(t testing.TB, total int, order *rankOrder, k int, lists [][]int3
 		pos = order.positions()
 	}
 	w := newNodeWriter(total, 0, pos, k)
-	var first []uint64
-	var marks []bool
-	var boff, off []int64
+	out := make([]Nodes, len(lists))
+	var boff []int64
 	for i, l := range lists {
-		boff, off = append(boff, w.bits()), append(off, int64(len(marks)))
+		boff = append(boff, w.bits())
+		out[i].n, out[i].steps = len(l), countTrue(steps[i])
 		owner := int32(i)
 		if order != nil && len(l) > 0 {
 			owner = l[0]
 		}
-		w.list(owner)
+		w.list(owner, len(l), out[i].steps)
 		for j, id := range l {
 			w.add(id, steps[i][j])
-			marks = append(marks, steps[i][j])
 		}
 	}
-	boff, off = append(boff, w.bits()), append(off, int64(len(marks)))
-	first = make([]uint64, bitWords(int64(len(marks))))
-	for i, m := range marks {
-		if m {
-			setBit(first, int64(i))
-		}
-	}
+	w.flush()
+	boff = append(boff, w.bits())
 	stream := &nodeStream{words: w.stream(), total: total, order: order, k: k}
 	if w.err != nil {
 		t.Fatal(w.err)
 	}
-	out := make([]Nodes, len(lists))
 	for i := range lists {
-		out[i] = Nodes{nodeCodes: nodeCodes{s: stream, bit: boff[i], end: boff[i+1]}, first: first, lo: off[i], n: int(off[i+1] - off[i])}
+		out[i].nodeCodes = nodeCodes{s: stream, bit: boff[i], end: boff[i+1]}
 		if len(lists[i]) > 0 {
 			out[i].own = lists[i][0]
 		}
@@ -108,9 +102,24 @@ func writeNodes(t testing.TB, total int, order *rankOrder, k int, lists [][]int3
 	return out
 }
 
+// countTrue returns how many of marks are set.
+func countTrue(marks []bool) int {
+	n := 0
+	for _, m := range marks {
+		if m {
+			n++
+		}
+	}
+	return n
+}
+
+func bitAt(w []uint64, i int64) bool { return w[i>>6]>>(uint(i)&63)&1 != 0 }
+
+func setBit(w []uint64, i int64) { w[i>>6] |= 1 << (uint(i) & 63) }
+
 // TestNodesViewMatchesSlice: lists of runs of every length, from one ID to
 // every ID of the set, at node counts around the powers of two where a
-// run's parameter moves, decode — through a cursor, AppendTo and at — to
+// run's parameter moves, decode — through a cursor, AppendRuns and at — to
 // the IDs they were coded from, in exactly the bits the reference
 // (testRiceBits) works out, from every alignment of a list in the stream;
 // copied as a bit range to another alignment they decode the same.
@@ -144,7 +153,7 @@ func TestNodesViewMatchesSlice(t *testing.T) {
 			if got := p.end - p.bit; got != testRiceBits(l, uint64(total), nil, 0) {
 				t.Fatalf("total %d list %d: %d bits of codes, the reference works out %d", total, i, got, testRiceBits(l, uint64(total), nil, 0))
 			}
-			got, exact := p.decode([]int32{-7})
+			got, _, exact := p.AppendRuns([]int32{-7}, nil)
 			if !exact || got[0] != -7 || !slices.Equal(got[1:], want) {
 				t.Fatalf("total %d list %d: decoded %v (exact %v), want %v", total, i, got[1:], exact, want)
 			}
@@ -164,7 +173,7 @@ func TestNodesViewMatchesSlice(t *testing.T) {
 				w.copy(p.s.words, p.bit, p.end-p.bit)
 				q, end := p, w.bits()
 				q.s, q.bit, q.end = &nodeStream{words: w.stream(), total: total}, shift, end
-				if got := q.AppendTo(nil); !slices.Equal(got, want) {
+				if got, _, _ := q.AppendRuns(nil, nil); !slices.Equal(got, want) {
 					t.Fatalf("total %d list %d copied to bit %d: %v, want %v", total, i, shift, got, want)
 				}
 			}
@@ -217,7 +226,7 @@ func TestNodeCursorStaysInRange(t *testing.T) {
 			p := valid
 			p.s = &nodeStream{words: words[:bitWords(64+c.end-c.bit)], total: valid.s.total}
 			p.bit, p.end = 64, 64+c.end-c.bit
-			got, exact := p.decode(nil)
+			got, _, exact := p.AppendRuns(nil, nil)
 			if exact != c.exact || len(got) != len(ids) {
 				t.Fatalf("%s, filler %#x: %d IDs, exact %v; want %d, %v", c.name, filler, len(got), exact, len(ids), c.exact)
 			}
@@ -231,7 +240,7 @@ func TestNodeCursorStaysInRange(t *testing.T) {
 				}
 			}
 			p.s = clear
-			if again, _ := p.decode(nil); !slices.Equal(again, got) {
+			if again, _, _ := p.AppendRuns(nil, nil); !slices.Equal(again, got) {
 				t.Fatalf("%s: the bits around the list change what it decodes to", c.name)
 			}
 		}
@@ -394,6 +403,35 @@ func TestFreezeRefusesListWithoutItsOwner(t *testing.T) {
 	}
 }
 
+// TestListsHoldTheirOwnerAlone: a second entry at distance 0, which no
+// graph makes, is refused by every kind's validator and every freeze in
+// the same words, before or while its list is coded.
+func TestListsHoldTheirOwnerAlone(t *testing.T) {
+	o := Options{K: 3, Seed: 42}
+	set := pathSet(t, 6, o)
+	lists, _ := segmentLists(set.frame)
+	rank := o.rankFn()
+	l := []Entry{{Node: 2, Rank: rank(2)}, {Node: 5, Rank: rank(5)}}
+	bad := slices.Clone(lists)
+	bad[2] = l
+	weighted := colsFromEntries(l)
+	weighted.beta = []float64{1, 1}
+	_, errK := FreezeBottomK(o, bad)
+	_, errL := FreezeLists(Params{Kind: KindUniform, Options: o}, 0, 0, len(bad), bad, nil, true)
+	_, errO := FreezeBottomKOver(set, len(bad), map[int32][]Entry{2: l})
+	_, errP := FreezePartition(Params{Kind: KindUniform, Options: o}, 0, 2, len(bad), bad[:3], nil)
+	for what, err := range map[string]error{
+		"ADS.Validate":         adsOf(2, 3, l).Validate(),
+		"WeightedADS.Validate": (&WeightedADS{k: 3, node: 2, c: weighted}).Validate(),
+		"validateApproxView":   validateApproxView(adsOf(2, 3, l)),
+		"FreezeBottomK":        errK, "FreezeLists": errL, "FreezeBottomKOver": errO, "FreezePartition": errP,
+	} {
+		if err == nil || !strings.Contains(err.Error(), "ADS(2) does not start with the owner alone at distance 0") {
+			t.Errorf("%s: %v, want ADS(2) refused", what, err)
+		}
+	}
+}
+
 // hostileNodeFiles returns valid files and damaged copies, one per way the
 // node codes can lie.  trusted marks the damage the file openers must
 // catch too — it would misplace every column after the nodes, send a
@@ -486,6 +524,20 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 		// every sketch, and refuse codes that run past their sketch's bits or
 		// stop short of them, and IDs the set does not have.
 		add(name+": a sketch's codes a bit into the next sketch's", false, rebuilt(data, func(p *v3Parts) { p.boffs[1]++ }))
+		// A uniform sketch's codes start with its first coded run length's,
+		// the owner having none: 64 zeros ahead of it grow the length past
+		// the sketch's entries.
+		add(name+": a run length past its sketch's entries", false, rebuilt(data, func(p *v3Parts) {
+			v := 0
+			for p.soffs[v+1]-p.soffs[v] < 3 {
+				v++
+			}
+			p.nodes = insertZeros(p.nodes, int64(p.boffs[v]), 64)
+			for u := v + 1; u < len(p.boffs); u++ {
+				p.boffs[u] += 64
+			}
+			p.h.numNodeBits += 64
+		}))
 		add(name+": a code bit flipped", false, edit(data, func(b []byte) { b[p.nodesAt+3] ^= 0x10 }))
 		// A run's rank-order positions ascend below its bound, which the
 		// gaps of its codes can only say so much of: a position at the
@@ -515,9 +567,67 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 	one := valid["one node"]
 	oneNodesAt := splitV3(t, one).nodesAt
 	add("one node: a position of 1 in a set of 1", false, canonicalV3(headerOf(pathSet(t, 1, Options{K: 4, Seed: 42})), [][]Entry{{{Node: 0}, {Node: 1, Dist: 1}}}, nil))
-	add("one node: a node bit past the only entry", true, edit(one, func(b []byte) { b[oneNodesAt] |= 2 }))
+	add("one node: a step offset bit past the only sketch's", true, edit(one, func(b []byte) { b[oneNodesAt-1] |= 0x80 }))
 	add("no nodes: a word of nodes", true, append(append([]byte(nil), valid["no nodes"]...), make([]byte, 8)...))
 	return valid, damaged, trusted
+}
+
+// insertZeros returns the bit vector b (bytes, little-endian) with k zero
+// bits put in at bit at, padded to a whole word.
+func insertZeros(b []byte, at, k int64) []byte {
+	n := int64(len(b)) * 8
+	out := make([]byte, (n+k+63)/64*8)
+	for i := int64(0); i < n; i++ {
+		if b[i/8]>>(i%8)&1 != 0 {
+			j := i
+			if i >= at {
+				j += k
+			}
+			out[j/8] |= 1 << (j % 8)
+		}
+	}
+	return out
+}
+
+// TestNodeCursorRefusesBadRuns: a list's runs are its entry and step
+// counts' — the owner's alone, one a step after it — and a decoder that
+// reads a run length past the entries left, or counts that leave a run
+// no entry, or more entries than the runs hold, reads as many IDs as the
+// list has, within its bits, and is not done; a writer refuses a list
+// whose first run is more than its owner.
+func TestNodeCursorRefusesBadRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ids, steps := randomRuns(rng, 1000, []int{5, 1, 1}) // 8 entries in 4 runs: run 1's length coded as 4
+	valid := writeNodes(t, 1000, nil, 0, [][]int32{ids}, [][]bool{steps})[0]
+	for _, c := range []struct {
+		name     string
+		n, steps int
+	}{
+		{"a run length past the entries", 7, 4}, // the same mean run, so the same parameter
+		{"a zero-length run", 3, 4},
+		{"more runs than the steps", 8, 3},
+		{"fewer runs than the steps", 8, 5},
+		{"no runs", 8, 0},
+	} {
+		p := valid
+		p.n, p.steps = c.n, c.steps
+		got, ends, exact := p.AppendRuns(nil, nil)
+		if exact || len(got) != c.n || len(ends) != c.steps || len(ends) > 0 && ends[len(ends)-1] != int32(c.n) {
+			t.Errorf("%s: %d IDs, runs ending at %v, exact %v", c.name, len(got), ends, exact)
+		}
+	}
+	if _, _, exact := valid.AppendRuns(nil, nil); !exact {
+		t.Error("the valid list does not decode exactly")
+	}
+	w := newNodeWriter(1000, 0, nil, 0)
+	w.list(7, 3, 2)
+	w.add(7, true)
+	w.add(9, false)
+	w.add(3, true)
+	w.flush()
+	if w.err == nil || !strings.Contains(w.err.Error(), "ADS(7) does not start with the owner alone at distance 0") {
+		t.Errorf("a second entry at the owner's distance: %v", w.err)
+	}
 }
 
 // TestPackedNodesRejectHostileInput: every way the node codes can lie is an
@@ -618,20 +728,21 @@ func TestFreezeRefusesEntryPastBound(t *testing.T) {
 	}
 }
 
-// BenchmarkNodesAppendTo: decoding sketch-sized lists — 127 IDs below
-// 10000 in five runs of equal distance, as at PA(10000,5), k=16.
-func BenchmarkNodesAppendTo(b *testing.B) {
+// BenchmarkNodesAppendRuns: decoding sketch-sized lists — 127 IDs below
+// 10000 in five runs of equal distance, the owner's first, as at
+// PA(10000,5), k=16.
+func BenchmarkNodesAppendRuns(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	lists := make([][]int32, 64)
 	steps := make([][]bool, len(lists))
 	for i := range lists {
-		lists[i], steps[i] = randomRuns(rng, 10000, []int{1, 6, 30, 70, 20})
+		lists[i], steps[i] = randomRuns(rng, 10000, []int{6, 30, 70, 20})
 	}
 	views := writeNodes(b, 10000, nil, 0, lists, steps)
-	buf := make([]int32, 0, 127)
+	buf, ends := make([]int32, 0, 127), make([]int32, 0, 5)
 	b.SetBytes(127 * 4)
 	for i := 0; i < b.N; i++ {
-		buf = views[i%len(views)].AppendTo(buf[:0])
+		buf, ends, _ = views[i%len(views)].AppendRuns(buf[:0], ends[:0])
 	}
 }
 
@@ -689,16 +800,17 @@ func TestNodeCodeLongQuotient(t *testing.T) {
 	if b := riceParam(total, m); (total-m)>>b+1+int(b) <= 64 {
 		t.Fatalf("the first code takes %d bits, no more than a word", (total-m)>>b+1+int(b))
 	}
-	ids, steps := make([]int32, m), make([]bool, m)
-	l := make([]Entry, m)
-	for j := range ids {
-		ids[j], steps[j], l[j] = int32(total-m+j), j == 0, Entry{Node: int32(total - m + j), Dist: 1}
+	ids, steps := make([]int32, m+1), make([]bool, m+1)
+	l := make([]Entry, m+1)
+	steps[0], steps[1] = true, true // the owner, node 0, then the run
+	for j := 1; j <= m; j++ {
+		ids[j], l[j] = int32(total-m+j-1), Entry{Node: int32(total - m + j - 1), Dist: 1}
 	}
 	p := writeNodes(t, total, nil, 0, [][]int32{ids}, [][]bool{steps})[0]
 	if got := p.end - p.bit; got != testRiceBits(l, uint64(total), nil, 0) {
 		t.Fatalf("%d bits of codes, the reference works out %d", got, testRiceBits(l, uint64(total), nil, 0))
 	}
-	if got, exact := p.decode(nil); !exact || !slices.Equal(got, ids) {
+	if got, _, exact := p.AppendRuns(nil, nil); !exact || !slices.Equal(got, ids) {
 		t.Fatalf("decoded %v (exact %v), want %v", got, exact, ids)
 	}
 }
@@ -763,10 +875,10 @@ func rangeInt32(lo, hi int32) []int32 {
 // below each run's bound, their Rice parameters adapted gap by gap (a
 // bottom-k list drawn under that order, its owner first and alone, and one
 // whose run is dense from the bottom of the order and then far); and the
-// input's bytes taken as a list's code bits, under step bits also drawn
+// input's bytes taken as a list's code bits, under a step count also drawn
 // from them, decode without a panic, in both codings, to the same IDs
 // whatever the bits around the list hold — no read outside its range — through
-// AppendTo, a cursor's Next and the index's weights alike, the adaptive
+// AppendRuns, a cursor's Next and the index's weights alike, the adaptive
 // parameter's sum and its b bounded by the run's.
 func FuzzNodeCode(f *testing.F) {
 	f.Add(uint32(10000), int64(1), []byte{16, 3, 40})
@@ -775,12 +887,30 @@ func FuzzNodeCode(f *testing.F) {
 	f.Add(uint32(1<<30), int64(4), []byte{1, 1, 1, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0x7f})
 	f.Add(uint32(300), int64(5), []byte{0, 7, 30, 200, 1, 0xff, 9})
 	f.Add(uint32(4094), int64(63), []byte{62, 0})
+	// Real node streams' first bytes as the arbitrary bits: a set's now, run
+	// lengths among the gaps, and in the two layouts they replaced, 0xfe's
+	// adapted gaps and 0x3e's IDs' own codes, with step bits.
+	set, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), Options{K: 4, Seed: 42})
+	if err != nil {
+		f.Fatal(err)
+	}
+	data := v3Bytes(f, set)
+	for i, b := range [][]byte{data, adaptiveV3(f, data), riceV3(f, data)} {
+		le := binary.LittleEndian
+		n, e, bits := le.Uint64(b[56:]), le.Uint64(b[64:]), le.Uint64(b[88:])
+		at := 96 + 8*(((n+1)*testWidth(e+1)+63)/64) + 8*(((n+1)*testWidth(bits+1)+63)/64)
+		if i == 0 {
+			at = uint64(splitV3(f, b).nodesAt)
+		}
+		f.Add(uint32(61), int64(3*i+1), b[at:at+16])
+		f.Add(uint32(61), int64(3*i+3), b[at:at+16])
+	}
 	f.Fuzz(func(t *testing.T, count uint32, seed int64, raw []byte) {
 		total := int(count%(1<<30)) + 1
 		rng := rand.New(rand.NewSource(seed))
-		// The round trip: a run per input byte, of its value's length.
-		var ids []int32
-		var steps []bool
+		// The round trip: an owner, then a run per input byte, of its
+		// value's length.
+		ids, steps := []int32{int32(rng.Intn(total))}, []bool{true}
 		for _, x := range raw[:min(len(raw), 8)] {
 			m := min(int(x)+1, total)
 			run := map[int32]bool{}
@@ -796,11 +926,9 @@ func FuzzNodeCode(f *testing.F) {
 				ids, steps = append(ids, id), append(steps, j == 0)
 			}
 		}
-		if len(ids) > 0 {
-			p := writeNodes(t, total, nil, 0, [][]int32{ids}, [][]bool{steps})[0]
-			if got, exact := p.decode(nil); !exact || !slices.Equal(got, ids) {
-				t.Fatalf("total %d: %v decoded as %v (exact %v)", total, ids, got, exact)
-			}
+		p := writeNodes(t, total, nil, 0, [][]int32{ids}, [][]bool{steps})[0]
+		if got, _, exact := p.AppendRuns(nil, nil); !exact || !slices.Equal(got, ids) {
+			t.Fatalf("total %d: %v decoded as %v (exact %v)", total, ids, got, exact)
 		}
 		// A rank order of up to 2^12 nodes, and a bottom-k list under it.
 		small, k := total%(1<<12)+1, 1+int(uint64(seed)%64)
@@ -823,13 +951,13 @@ func FuzzNodeCode(f *testing.F) {
 		for j, id := range run {
 			ids, steps = append(ids, id), append(steps, j == 0)
 		}
-		p := writeNodes(t, small, order, k, [][]int32{ids}, [][]bool{steps})[0]
-		if got, exact := p.decode(nil); !exact || !slices.Equal(got, ids) || p.end-p.bit >= 50*int64(max(len(run), 1)) {
+		p = writeNodes(t, small, order, k, [][]int32{ids}, [][]bool{steps})[0]
+		if got, _, exact := p.AppendRuns(nil, nil); !exact || !slices.Equal(got, ids) || p.end-p.bit >= 50*int64(max(len(run), 1)) {
 			t.Fatalf("%d nodes in rank order, k=%d: %v decoded as %v (exact %v) from %d bits", small, k, ids, got, exact, p.end-p.bit)
 		}
 		ids, steps = fuzzRankedList(rng, order, k, raw[:min(len(raw), 8)])
 		p = writeNodes(t, small, order, k, [][]int32{ids}, [][]bool{steps})[0]
-		if got, exact := p.decode(nil); !exact || !slices.Equal(got, ids) {
+		if got, _, exact := p.AppendRuns(nil, nil); !exact || !slices.Equal(got, ids) {
 			t.Fatalf("%d nodes in rank order, k=%d: %v decoded as %v (exact %v)", small, k, ids, got, exact)
 		}
 		c := p.cursor()
@@ -839,7 +967,7 @@ func FuzzNodeCode(f *testing.F) {
 			}
 		}
 		w := make([]float64, len(ids))
-		if !rankedWeights(&p, w) {
+		if !rankedWeights(&p, w, nil) {
 			t.Fatalf("%d nodes in rank order, k=%d: the weights' decoder is not done", small, k)
 		}
 		r := make([]float64, len(ids))
@@ -849,20 +977,21 @@ func FuzzNodeCode(f *testing.F) {
 		if want := hipWeightsBottomK(r, k, newKSmallest(k), nil); !slices.Equal(w, want) {
 			t.Fatalf("%d nodes in rank order, k=%d: weights %v, want %v", small, k, w, want)
 		}
-		// Arbitrary bits: the input as the list's codes, and its step bits
-		// one an input byte, from the byte's lowest bit (the first entry
-		// always steps), between words of filler.
+		// Arbitrary bits: the input as the codes of a list of an entry an
+		// input byte, in as many runs as the bytes whose lowest bit is set
+		// (the first always starts one) — or one more run than entries —
+		// between words of filler.
 		n := len(raw)
 		bits := int64(8 * n)
 		own := int32(rng.Intn(small))
-		var first []uint64
-		if n > 0 {
-			first = make([]uint64, bitWords(int64(n)))
-			for i, x := range raw {
-				if i == 0 || x&1 != 0 {
-					setBit(first, int64(i))
-				}
+		runs := 0
+		for i, x := range raw {
+			if i == 0 || x&1 != 0 {
+				runs++
 			}
+		}
+		if seed%3 == 0 {
+			runs = n + 1
 		}
 		decodeAll := func(filler uint64, s *nodeStream) (all, next []int32, done bool, w []float64) {
 			words := make([]uint64, 1+bitWords(bits)+1)
@@ -879,8 +1008,14 @@ func FuzzNodeCode(f *testing.F) {
 			// The stream ends with the list's last word: a read past it
 			// would panic.
 			s.words = words[:bitWords(64+bits)]
-			p := Nodes{nodeCodes: nodeCodes{s: s, bit: 64, end: 64 + bits, own: own}, first: first, n: n}
-			all, _ = p.decode(nil)
+			p := Nodes{nodeCodes: nodeCodes{s: s, bit: 64, end: 64 + bits, own: own}, n: n, steps: runs}
+			var ends []int32
+			all, ends, _ = p.AppendRuns(nil, nil)
+			for j, end := range ends {
+				if end < 0 || int(end) > n || j > 0 && end < ends[j-1] || j == len(ends)-1 && int(end) != n {
+					t.Fatalf("the runs of %d entries end at %v", n, ends)
+				}
+			}
 			c := p.cursor()
 			for range n {
 				next = append(next, c.Next())
@@ -890,7 +1025,7 @@ func FuzzNodeCode(f *testing.F) {
 			}
 			if s.order != nil {
 				w = make([]float64, n)
-				rankedWeights(&p, w)
+				rankedWeights(&p, w, nil)
 			}
 			return all, next, c.Done(), w
 		}
@@ -927,7 +1062,7 @@ func bitsLen(x int) int { return bits.Len(uint(x)) }
 // fuzzRankedList returns a bottom-k list under order — its owner, a node
 // drawn at random, alone, then a run per length byte, each of positions
 // below the run's bound not taken yet, as many as the byte says and there
-// are, ascending by node — and its step bits.
+// are, ascending by node — and whether each entry starts a run.
 func fuzzRankedList(rng *rand.Rand, order *rankOrder, k int, lengths []byte) (ids []int32, steps []bool) {
 	perm := order.nodes()
 	taken := []int32{int32(rng.Intn(order.total))} // positions, ascending

@@ -240,7 +240,8 @@ func hopFrame(g *graph.Graph, p Params, workers int) (*Frame, error) {
 			last = hop
 		}
 	}
-	err := pk.f.codeNodes(builtRankOrder(cands, ranks, pk.f.by), idBits(len(ps.keys), n), workers, func(w *nodeWriter, v int) {
+	f := pk.frame()
+	err := f.codeNodes(builtRankOrder(cands, ranks, f.by), f.codeBits(), workers, func(w *nodeWriter, v int) {
 		last := uint64(noKey)
 		for _, key := range ps.keys[ps.off[v]:ps.off[v+1]] {
 			hop := key >> 32
@@ -251,7 +252,7 @@ func hopFrame(g *graph.Graph, p Params, workers int) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pk.frame(), nil
+	return f, nil
 }
 
 // adsKey is a weighted entry's canonical sort key.

@@ -45,6 +45,7 @@ func plainV3(t testing.TB, data []byte) []byte    { return retiredAs(t, data, re
 func compactV3(t testing.TB, data []byte) []byte  { return retiredAs(t, data, retired.Compact) }
 func riceV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Rice) }
 func rankedV3(t testing.TB, data []byte) []byte   { return retiredAs(t, data, retired.RankOrdered) }
+func adaptiveV3(t testing.TB, data []byte) []byte { return retiredAs(t, data, retired.Adaptive) }
 
 // v3Files returns the rank-free file of every set kind and of one
 // partition.

@@ -2,21 +2,16 @@ package core
 
 import (
 	"math"
-	"math/bits"
 	"slices"
 )
 
 // Step-coded distances.  In canonical (distance, node ID) order the
 // distances of an entry list are a non-decreasing staircase — on an
 // unweighted graph a hundred entries share half a dozen values — so a
-// frame stores one bit per entry and one distance per step instead of a
-// float per entry: bit i of first is set where entry i's distance differs
-// from its predecessor's in the list (always at a list start), and
-// the step column holds one distance per set bit, in entry order.  The code
-// is canonical — runs are maximal — so equal entry lists have equal bytes,
-// and a list of all-distinct distances costs one bit per entry more than
-// the plain column.  Bits are numbered from the least significant bit of
-// word 0, which on disk (little-endian words) is bit i%8 of byte i/8.
+// frame stores one distance per step instead of a float per entry, a list
+// after another, a step offset a list, and the node stream codes each
+// step's entry count (nodepack.go: run lengths).  The code is canonical —
+// runs are maximal — so equal entry lists have equal bytes.
 //
 // The step column comes in two forms.  Hop distances take a handful of
 // values in a whole frame — six at ten thousand nodes — so there a step is
@@ -209,17 +204,13 @@ func (c *stepColumn) copy(src *stepColumn, same bool, lo, hi int64) {
 }
 
 // StepDists is the distance column of one entry list in step-coded form:
-// a view of the frame's bit vector from the list's first entry, and of the
-// frame's step column from the list's first step — the list's distinct
-// distances in ascending order, one per entry that starts a step (entry 0
-// of a non-empty list always does).  It aliases its frame's storage; Runs
-// walks it.
+// a view of its frame's steps from the list's first — its distinct
+// distances, ascending, one a run, whose lengths the node stream holds
+// (Nodes.AppendRuns); Runs walks the two together.
 type StepDists struct {
-	first []uint64    // the frame's bit vector
-	lo    int64       // position of the list's entry 0 in it
-	col   *stepColumn // the frame's step column; nil for the empty zero value
-	slo   int64       // position of the list's step 0 in it
-	n     int         // the list's steps
+	col *stepColumn // the frame's step column; nil for the empty zero value
+	slo int64       // position of the list's step 0 in it
+	n   int         // the list's steps
 }
 
 // step returns the distance of the list's step j.
@@ -272,74 +263,48 @@ func (s *StepDists) searchLE(d float64) int {
 	return at
 }
 
-// starts reports whether entry i begins a new distance step.
-func (s StepDists) starts(i int) bool { return bitAt(s.first, s.lo+int64(i)) }
-
-// at returns the distance of entry i: a popcount over the list's bits
-// before it, so cheap for the few words a sketch spans, not O(1).
-func (s StepDists) at(i int) float64 {
-	return s.step(countBits(s.first, s.lo, s.lo+int64(i)+1) - 1)
-}
-
-// runEnd returns the end of the run of equal distances that entry i
-// belongs to, in a list of n entries: the next entry that starts a step,
-// or n.  Walking a list run by run costs a word scan per step, not a bit
-// test per entry.
-func (s StepDists) runEnd(i, n int) int {
-	return int(nextSet(s.first, s.lo+int64(i), s.lo+int64(n)) - s.lo)
-}
-
-// Runs calls fn for each run of equal distances of a list of n entries,
-// in order — entries [from, to) lie at distance d — until fn returns
-// false.
-func (s StepDists) Runs(n int, fn func(from, to int, d float64) bool) {
-	for i, j := 0, 0; i < n; j++ {
-		end := s.runEnd(i, n)
-		if !fn(i, end, s.step(j)) {
+// Runs calls fn for each run of equal distances, in order — entries
+// [from, to) lie at distance d — until fn returns false: ends holds each
+// run's end, as Nodes.AppendRuns decodes them.
+func (s StepDists) Runs(ends []int32, fn func(from, to int, d float64) bool) {
+	from := 0
+	for j, end := range ends[:min(len(ends), s.n)] {
+		if !fn(from, int(end), s.step(j)) {
 			return
 		}
-		i = end
+		from = int(end)
 	}
 }
 
-// expand fills dst with the distances of entries 0..len(dst)-1.
-func (s StepDists) expand(dst []float64) {
-	for i, j := 0, 0; i < len(dst); j++ {
-		end, d := s.runEnd(i, len(dst)), s.step(j)
-		for ; i < end; i++ {
+// expand fills dst with the distances of the entries of the runs that end
+// at ends.
+func (s StepDists) expand(dst []float64, ends []int32) {
+	s.Runs(ends, func(from, to int, d float64) bool {
+		for i := from; i < to; i++ {
 			dst[i] = d
 		}
-	}
+		return true
+	})
 }
-
-func bitAt(w []uint64, i int64) bool { return w[i>>6]>>(uint(i)&63)&1 != 0 }
-
-func setBit(w []uint64, i int64) { w[i>>6] |= 1 << (uint(i) & 63) }
 
 // bitWords returns the word count of an n-bit vector.
 func bitWords(n int64) int64 { return (n + 63) >> 6 }
 
-// countBits returns the number of set bits in positions [from, to).
-func countBits(w []uint64, from, to int64) int {
-	if from >= to {
-		return 0
-	}
-	lw, hw := from>>6, (to-1)>>6
-	head := ^uint64(0) << (uint(from) & 63)
-	tail := ^uint64(0) >> (63 - uint(to-1)&63)
-	if lw == hw {
-		return bits.OnesCount64(w[lw] & head & tail)
-	}
-	n := bits.OnesCount64(w[lw]&head) + bits.OnesCount64(w[hw]&tail)
-	for _, x := range w[lw+1 : hw] {
-		n += bits.OnesCount64(x)
-	}
-	return n
-}
-
 // tailClear reports whether the bits of w from position n on are all zero.
 func tailClear(w []uint64, n int64) bool {
-	return countBits(w, n, int64(len(w))*64) == 0
+	k := n >> 6
+	if k >= int64(len(w)) {
+		return true
+	}
+	if w[k]>>(uint(n)&63) != 0 {
+		return false
+	}
+	for _, x := range w[k+1:] {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // copyBits copies n bits of src starting at srcPos to dst starting at
@@ -382,65 +347,4 @@ func readBits(src []uint64, pos, n int64) uint64 {
 		x &= 1<<uint(n) - 1
 	}
 	return x
-}
-
-// rankSampleWords is the sampling interval of a frame's popcount index:
-// one cumulative count per 8 words (512 entries), 1/64 of the bit vector.
-const rankSampleWords = 8
-
-// sampleRanks returns the cumulative popcounts rank1 reads — out[b] is the
-// number of set bits before word b*rankSampleWords — and the total.
-func sampleRanks(w []uint64) (out []int64, total int64) {
-	out = make([]int64, len(w)/rankSampleWords+1)
-	for i, x := range w {
-		if i%rankSampleWords == 0 {
-			out[i/rankSampleWords] = total
-		}
-		total += int64(bits.OnesCount64(x))
-	}
-	if len(w)%rankSampleWords == 0 {
-		out[len(w)/rankSampleWords] = total
-	}
-	return out, total
-}
-
-// rank1 returns the number of set bits of the frame's vector before
-// position i — the index into step of the step that starts at i.
-func (f *Frame) rank1(i int64) int64 {
-	w := i >> 6
-	b := w / rankSampleWords
-	return f.samp[b] + int64(countBits(f.first, b*rankSampleWords<<6, i))
-}
-
-// stepWriter appends entries' distances to a step code under
-// construction.
-type stepWriter struct {
-	first []uint64
-	steps stepColumn
-	open  bool    // the current list has an entry
-	last  float64 // its latest distance
-}
-
-// newStepWriter sizes a code for e entries holding steps steps, coded
-// through dict or, when it is nil, raw (newStepColumn).
-func newStepWriter(e int, dict []float64, steps int64) stepWriter {
-	return stepWriter{first: make([]uint64, bitWords(int64(e))), steps: newStepColumn(dict, steps)}
-}
-
-// list starts a new entry list: its first entry opens a step whatever its
-// distance.
-func (w *stepWriter) list() { w.open = false }
-
-// add records the distance of the entry at position pos.  The common
-// case — the distance of the entry before — is all that inlines.
-func (w *stepWriter) add(pos int64, d float64) {
-	if !w.open || d != w.last {
-		w.start(pos, d)
-	}
-}
-
-func (w *stepWriter) start(pos int64, d float64) {
-	setBit(w.first, pos)
-	w.steps.add(d)
-	w.open, w.last = true, d
 }

@@ -60,27 +60,27 @@ func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 		pos = testRankPositions(h.params(), total)
 	}
 	var beta []byte
-	var offs, boffs, nodes, marks, codes []uint64
+	var offs, boffs, soffs, nodes, codes []uint64
 	var steps []float64
 	for s, l := range lists {
 		offs = append(offs, uint64(len(nodes)))
 		boffs = append(boffs, uint64(len(codes)))
+		soffs = append(soffs, uint64(len(steps)))
 		for i, e := range l {
 			nodes = append(nodes, uint64(uint32(e.Node)))
 			if i == 0 || e.Dist != l[i-1].Dist {
-				marks = append(marks, 1)
 				steps = append(steps, e.Dist)
-			} else {
-				marks = append(marks, 0)
 			}
 			if betas != nil {
 				beta = le.AppendUint64(beta, math.Float64bits(betas[s][i]))
 			}
 		}
-		codes = append(codes, testNodeCodes(l, total, pos, int(h.k))...)
+		code, _ := testNodeCodes(l, total, pos, int(h.k))
+		codes = append(codes, code...)
 	}
 	offs = append(offs, uint64(len(nodes)))
 	boffs = append(boffs, uint64(len(codes)))
+	soffs = append(soffs, uint64(len(steps)))
 	dict := append([]float64(nil), steps...)
 	sort.Float64s(dict)
 	dict = dedupe(dict)
@@ -101,14 +101,14 @@ func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 	for _, d := range steps {
 		stepBytes = le.AppendUint64(stepBytes, math.Float64bits(d))
 	}
-	h.flags |= frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes
+	h.flags |= frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes | frameFlagRunLengths
 	if pos != nil {
 		h.flags |= frameFlagsRanked
 	}
 	out := append(h.appendHeader(nil), pack(offs, width(uint64(len(nodes))+1))...)
 	out = append(out, pack(boffs, width(uint64(len(codes))+1))...)
+	out = append(out, pack(soffs, width(h.numSteps+1))...)
 	out = append(out, pack(codes, 1)...)
-	out = append(out, pack(marks, 1)...)
 	out = append(out, stepBytes...)
 	return append(out, beta...)
 }
@@ -134,17 +134,33 @@ func testRankPositions(p Params, total uint64) []uint64 {
 }
 
 // testNodeCodes returns the node codes of l in a set of total nodes, a bit
-// each, run by run, spelled out: the numbers of a run of m — IDs, or, with
-// pos, the IDs' positions (an ID outside the set as itself) in ascending
-// order — below a bound M, total or, with pos and k earlier entries, the
-// k-th smallest of their positions, as gaps, each the quotient by 2^b in
-// unary, a stop bit and b bits.  With pos, entry 0 — the owner — has no
+// each, and how many of them code run lengths, run by run, spelled out: a run's length, then the numbers of a run
+// of m — IDs, or, with pos, the IDs' positions (an ID outside the set as
+// itself) in ascending order — below a bound M, total or, with pos and k
+// earlier entries, the k-th smallest of their positions, as gaps, each the
+// quotient by 2^b in unary, a stop bit and b bits.  The length m−1 of
+// every run but the first and the last of a list of n entries in R runs is
+// coded so, at the largest b with n'·2^b <= a', or 0, up to 15, a' the sum of the
+// list's earlier coded lengths and ⌊(n−1)/(R−1)⌋, n' their count and 1,
+// both halved as n' reaches 16.  With pos, entry 0 — the owner — has no
 // code, and a gap's b is the least with n·2^b >= a, a the sum of the
 // run's earlier gaps and ⌊M/(4m)⌋+1, n their count and 1, both halved as
 // n reaches 16, but no less than b₀−3; without, b is b₀, the largest with
 // m·2^b <= M.
-func testNodeCodes(l []Entry, total uint64, pos []uint64, k int) []uint64 {
-	var codes, earlier []uint64
+func testNodeCodes(l []Entry, total uint64, pos []uint64, k int) (codes []uint64, lengthBits int) {
+	var earlier []uint64
+	rice := func(x, b uint64) {
+		for q := x >> b; q > 0; q-- {
+			codes = append(codes, 0)
+		}
+		codes = append(codes, 1)
+		for k := uint64(0); k < b; k++ {
+			codes = append(codes, x>>k&1)
+		}
+	}
+	runs := countSteps(l)
+	la, ln := uint64(max(len(l)-1, 0)/max(runs-1, 1)), uint64(1)
+	j := 0 // the run
 	number := func(e Entry) uint64 {
 		x := uint64(uint32(e.Node))
 		if pos != nil && x < total {
@@ -153,17 +169,29 @@ func testNodeCodes(l []Entry, total uint64, pos []uint64, k int) []uint64 {
 		return x
 	}
 	i := 0
-	if pos != nil && len(l) > 0 {
-		earlier, i = append(earlier, number(l[0])), 1
+	if pos != nil && len(l) > 0 && (len(l) == 1 || l[1].Dist != l[0].Dist) {
+		earlier, i, j = append(earlier, number(l[0])), 1, 1
 	}
-	for i < len(l) {
+	for ; i < len(l); j++ {
 		m := 1
 		for i+m < len(l) && l[i+m].Dist == l[i].Dist {
 			m++
 		}
+		if j > 0 && j < runs-1 {
+			b := uint64(0)
+			for ln<<(b+1) <= la && b < 15 {
+				b++
+			}
+			at := len(codes)
+			rice(uint64(m-1), b)
+			lengthBits += len(codes) - at
+			if la, ln = la+uint64(m-1), ln+1; ln == 16 {
+				la, ln = la/2, ln/2
+			}
+		}
 		bound, run := total, make([]uint64, m)
-		for j, e := range l[i : i+m] {
-			run[j] = number(e)
+		for t, e := range l[i : i+m] {
+			run[t] = number(e)
 		}
 		if pos != nil {
 			sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
@@ -190,18 +218,12 @@ func testNodeCodes(l []Entry, total uint64, pos []uint64, k int) []uint64 {
 					a, n = a/2, n/2
 				}
 			}
-			for q := gap >> b; q > 0; q-- {
-				codes = append(codes, 0)
-			}
-			codes = append(codes, 1)
-			for k := uint64(0); k < b; k++ {
-				codes = append(codes, gap>>k&1)
-			}
+			rice(gap, b)
 			prev = int64(x)
 		}
 		i += m
 	}
-	return codes
+	return codes, lengthBits
 }
 
 // countSteps returns the number of steps the entries of one segment
@@ -543,21 +565,21 @@ func v3Fixtures(tag string) []v3Fixture {
 // coding — a distance per entry, 32 bits a node ID, flags bits 2 and 3
 // clear — are refused.
 func TestV3PerEntryDistFixtures(t *testing.T) {
-	checkV3Fixtures(t, v3Fixtures("v3dist"), frameFlagDerivedRanks, perEntryV3, false)
+	checkV3Fixtures(t, v3Fixtures("v3dist"), frameFlagDerivedRanks, perEntryV3, -1)
 }
 
 // TestV3WideNodeFixtures: the files of the last release before node IDs
 // were packed — step-coded, 32 bits a node ID, flags bit 3 clear — are
 // refused.
 func TestV3WideNodeFixtures(t *testing.T) {
-	checkV3Fixtures(t, v3Fixtures("v3step"), frameFlagDerivedRanks|frameFlagStepDists, wideV3, false)
+	checkV3Fixtures(t, v3Fixtures("v3step"), frameFlagDerivedRanks|frameFlagStepDists, wideV3, -1)
 }
 
 // TestV3WideColumnFixtures: the files of the last release before the
 // compact columns — step-coded, packed IDs, 64 bits an offset and a float
 // a step, flags bit 4 clear — are refused.
 func TestV3WideColumnFixtures(t *testing.T) {
-	checkV3Fixtures(t, v3Fixtures("v3pack"), frameFlagDerivedRanks|frameFlagStepDists|frameFlagPackedNodes, plainV3, false)
+	checkV3Fixtures(t, v3Fixtures("v3pack"), frameFlagDerivedRanks|frameFlagStepDists|frameFlagPackedNodes, plainV3, -1)
 }
 
 // TestV3CompactFixtures: the files of the last release before node IDs
@@ -567,7 +589,7 @@ func TestV3WideColumnFixtures(t *testing.T) {
 // codes save about what the bit offsets cost: the 30-node partition is
 // 600 bytes in both layouts.
 func TestV3CompactFixtures(t *testing.T) {
-	checkV3Fixtures(t, v3Fixtures("v3compact")[:3], frameFlagDerivedRanks|frameFlagStepDists|frameFlagPackedNodes|frameFlagCompact, compactV3, true)
+	checkV3Fixtures(t, v3Fixtures("v3compact")[:3], frameFlagDerivedRanks|frameFlagStepDists|frameFlagPackedNodes|frameFlagCompact, compactV3, 0)
 }
 
 // TestV3RankFixtures: the files of the last release before the Rice
@@ -575,18 +597,31 @@ func TestV3CompactFixtures(t *testing.T) {
 // the owner's code was implied — one parameter a run, flags 0x7e — are
 // refused, whole and as a partition.
 func TestV3RankFixtures(t *testing.T) {
-	checkV3Fixtures(t, v3Fixtures("v3rank")[:2], frameFlagsLayout|frameFlagRankNodes, rankedV3, false)
+	checkV3Fixtures(t, v3Fixtures("v3rank")[:2], frameFlagsLayout&^frameFlagRunLengths|frameFlagRankNodes, rankedV3, -1)
+}
+
+// TestV3AdaptFixtures: the files of the last release before run lengths
+// in the node stream and step offsets replaced the step bits — a uniform
+// set's adapted rank-ordered codes, flags 0xfe, whole and as a partition,
+// and a weighted set's IDs' own codes, flags 0x3e — are refused.  At 60
+// nodes and k=4 a sketch has 13 entries in 4 runs, so the step offsets and
+// run lengths cost about what the step bits did: the whole files are a
+// word larger now (TestFileBytesNoLargerPerFamily has the sizes at scale).
+func TestV3AdaptFixtures(t *testing.T) {
+	checkV3Fixtures(t, v3Fixtures("v3adapt")[:2], frameFlagsLayout&^frameFlagRunLengths|frameFlagsRanked, adaptiveV3, 8)
+	checkV3Fixtures(t, v3Fixtures("v3rice")[2:3], frameFlagsLayout&^frameFlagRunLengths, riceV3, 8)
 }
 
 // checkV3Fixtures: every committed file of an earlier layout (its flags,
-// less the β bit, being layout) is larger than a fresh build's file — or,
-// when orEqual, no smaller — and is refused by every reader, naming
+// less the β bit, being layout) is larger than a fresh build's file, less
+// slack — -1 asks for strictly larger, 0 for no smaller — and is refused
+// by every reader, naming
 // adsconvert (internal/legacy's tests of these names read them) — or,
 // holding k-mins sketches, naming those, as no reader serves them in any
 // layout.  The fixtures also pin rewrite, the
 // test-only writer of that layout, to what the release really wrote, where
 // this tree still builds what the file holds.
-func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite func(testing.TB, []byte) []byte, orEqual bool) {
+func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite func(testing.TB, []byte) []byte, slack int) {
 	g := graph.PreferentialAttachment(60, 3, 9)
 	beta := make([]float64, g.NumNodes())
 	for i := range beta {
@@ -614,7 +649,7 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 			if !bytes.Equal(rewrite(t, want), data) {
 				t.Errorf("%s: the test's writer of that layout does not turn a fresh build into the committed file", fx.file)
 			}
-			if len(want) > len(data) || len(want) == len(data) && !orEqual {
+			if len(want) > len(data)+slack {
 				t.Errorf("%s: %d bytes as written now, %d as committed", fx.file, len(want), len(data))
 			}
 		}
@@ -630,12 +665,13 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 }
 
 // hostileStepFiles returns a valid whole-set bottom-k file and damaged
-// copies of it, one per way its step code can lie.  trusted marks the
-// damage the file openers must catch too (it would index the step column
-// out of step); the rest leaves a well-formed code over invalid or
-// non-canonical distances, which is the validating stream readers' to
-// refuse.  The file's steps go through a dictionary; hostileCompactFiles
-// has the ways that can lie, and the same damage to raw steps.
+// copies of it, one per way its steps and step offsets can lie.  trusted
+// marks the damage the file openers must catch too (it would index the
+// step column out of range); the rest leaves well-formed columns over
+// invalid or non-canonical distances, or steps the sketches' runs do not
+// fill, which is the validating stream readers' to refuse.  The file's
+// steps go through a dictionary; hostileCompactFiles has the ways that can
+// lie, and the same damage to raw steps.
 func hostileStepFiles(t testing.TB) (valid []byte, damaged map[string][]byte, trusted map[string]bool) {
 	t.Helper()
 	set, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), Options{K: 4, Seed: 42})
@@ -645,49 +681,52 @@ func hostileStepFiles(t testing.TB) (valid []byte, damaged map[string][]byte, tr
 	valid = v3Bytes(t, set)
 	le := binary.LittleEndian
 	whole := splitV3(t, valid)
-	e, steps := int64(whole.h.numEntries), whole.h.numSteps
-	if e%64 == 0 || whole.offs[1] < 3 || whole.h.numDistinct == 0 {
-		t.Fatalf("the seed set has %d entries, %d in node 0, %d dictionary values: pick one with padding bits, a longer first sketch and a dictionary", e, whole.offs[1], whole.h.numDistinct)
+	e, steps, last := int64(whole.h.numEntries), whole.h.numSteps, len(whole.soffs)-1
+	if int64(len(whole.soffs))*int64(testWidth(steps+1))%64 == 0 || whole.soffs[1] < 3 || whole.h.numDistinct == 0 {
+		t.Fatalf("the seed set has %d step offsets, %d steps in node 0, %d dictionary values: pick one with padding bits, a longer first sketch and a dictionary", len(whole.soffs), whole.soffs[1], whole.h.numDistinct)
 	}
-	stepsAt := int64(framePreambleSize + frameHdrSize - 8)
-	flip := func(b []byte, bit int64) { b[whole.bitsAt+bit/8] ^= 1 << (bit % 8) }
-	// Node 0's sketch: owner at 0, then neighbours at 1, then at 2: a clear
-	// bit inside the run at distance 1 is position 2.
-	if f := set.frame; bitAt(f.first, 2) || !bitAt(f.first, 1) || f.colsAt(0).sd.n < 3 {
+	// Node 0's sketch: owner at 0, then neighbours at 1, then at 2.
+	if f := set.frame; f.colsAt(0).sd.step(1) != 1 || whole.dists[whole.codes[0]] != 0 {
 		t.Fatal("the seed set's first sketch does not have the assumed shape")
 	}
+	stepsAt := int64(framePreambleSize + frameHdrSize - 8)
 	damaged, trusted = map[string][]byte{}, map[string]bool{}
 	add := func(name string, open bool, fn func(b []byte)) {
 		b := append([]byte(nil), valid...)
 		fn(b)
 		damaged[name], trusted[name] = b, open
 	}
-	add("one bit more than steps", true, func(b []byte) { flip(b, 2) })
-	add("one bit fewer than steps", true, func(b []byte) { flip(b, 1) })
-	add("clear bit at a segment start", true, func(b []byte) { flip(b, int64(whole.offs[1])); flip(b, 2) })
-	add("set bit in the padding", true, func(b []byte) { flip(b, e) })
-	add("set bit in the padding, count kept", true, func(b []byte) { flip(b, e); flip(b, 1) })
+	rebuilt := func(name string, open bool, fn func(p *v3Parts)) {
+		p := splitV3(t, valid)
+		fn(&p)
+		damaged[name], trusted[name] = p.bytes(), open
+	}
+	add("a step offset bit past the last", true, func(b []byte) { b[whole.nodesAt-1] |= 0x80 })
 	add("step count past the entries", true, func(b []byte) { le.PutUint64(b[stepsAt:], uint64(e)+1) })
 	add("step count overflowing the body", true, func(b []byte) { le.PutUint64(b[stepsAt:], 1<<61) })
 	add("step count one short", true, func(b []byte) { le.PutUint64(b[stepsAt:], steps-1) })
 	add("step count with the flag clear", true, func(b []byte) {
 		le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagStepDists)
 	})
-	rebuilt := func(name string, fn func(p *v3Parts)) {
-		p := splitV3(t, valid)
-		fn(&p)
-		damaged[name], trusted[name] = p.bytes(), false
-	}
-	rebuilt("equal steps", func(p *v3Parts) { p.codes[2] = p.codes[1] })
-	rebuilt("decreasing steps", func(p *v3Parts) { p.codes[1], p.codes[2] = p.codes[2], p.codes[1] })
-	// A redundant step: the run at distance 1 split in two, by a bit and an
-	// inserted step.  Entry order and every distance stay what they were;
-	// only the encoding stops being canonical.
-	rebuilt("split run", func(p *v3Parts) {
-		p.bits[2/8] ^= 1 << 2
-		p.codes = append(p.codes[:2], p.codes[1:]...)
-		p.h.numSteps++
+	add("step offsets without the run-length flag", true, func(b []byte) {
+		le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagRunLengths)
 	})
+	// The step offsets place every sketch's steps in the column.
+	rebuilt("step offsets that decrease", true, func(p *v3Parts) { p.soffs[2], p.soffs[3] = p.soffs[3], p.soffs[2] })
+	rebuilt("a sketch with no steps", true, func(p *v3Parts) { p.soffs[2] = p.soffs[1] })
+	rebuilt("step offsets that start past 0", true, func(p *v3Parts) { p.soffs[0] = 1 })
+	rebuilt("step offsets that end short of the steps", true, func(p *v3Parts) { p.soffs[last]-- })
+	rebuilt("step offsets that end past the steps", true, func(p *v3Parts) { p.soffs[last]++ })
+	// Within the column the steps are trusted: the stream readers decode
+	// every sketch's runs, and refuse a sketch whose steps its entries
+	// cannot fill, or its runs do not.
+	rebuilt("a step moved to the next sketch", false, func(p *v3Parts) { p.soffs[1]-- })
+	rebuilt("a step moved from the next sketch", false, func(p *v3Parts) { p.soffs[1]++ })
+	// Sketch 0's entries but one of its steps' worth moved to sketch 1.
+	rebuilt("a sketch with more steps than entries", false, func(p *v3Parts) { p.offs[1] = p.soffs[1] - 1 })
+	rebuilt("equal steps", false, func(p *v3Parts) { p.codes[2] = p.codes[1] })
+	rebuilt("a second entry at distance 0", false, func(p *v3Parts) { p.codes[1] = p.codes[0] })
+	rebuilt("decreasing steps", false, func(p *v3Parts) { p.codes[1], p.codes[2] = p.codes[2], p.codes[1] })
 	return valid, damaged, trusted
 }
 
@@ -701,6 +740,12 @@ func TestStepCodeRejectsHostileInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkHostileFiles(t, damaged, trusted)
+	// What only the stream readers refuse, they refuse naming the sketch.
+	for name, data := range damaged {
+		if _, err := ReadSketchSet(bytes.NewReader(data)); !trusted[name] && (err == nil || !strings.Contains(err.Error(), "ADS(")) {
+			t.Errorf("%s: stream reader: %v, want the sketch named", name, err)
+		}
+	}
 }
 
 // checkHostileFiles: the parser refuses every damaged file marked trusted,
@@ -719,7 +764,7 @@ func checkHostileFiles(t *testing.T, damaged map[string][]byte, trusted map[stri
 			// What the parser trusts, every decoder reads without a panic.
 			for v := 0; v < set.NumNodes(); v++ {
 				set.Index(int32(v)).Entries()
-				set.frame.nodesAt(v).AppendTo(nil)
+				set.frame.nodesAt(v).AppendRuns(nil, nil)
 			}
 		}
 		if _, serr := ReadSketchSet(bytes.NewReader(data)); serr == nil {
@@ -840,7 +885,7 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 					return "totals differ from the standalone index's"
 				}
 				sums := header + 8*int64(got.Len()+len(wd))
-				code := int64(unsafe.Sizeof(nodeStream{})) + 4*int64(got.Len()) + 8*(bitWords(int64(got.Len()))+int64(len(wd)))
+				code := int64(unsafe.Sizeof(nodeStream{})) + 4*int64(got.Len()+len(wd)) + 8*int64(len(wd))
 				if want.Bytes() != sums+code || got.Bytes() != sums {
 					return fmt.Sprintf("%d B of its own (standalone %d B): want %d B of sums, %d more of code standalone", got.Bytes(), want.Bytes(), sums, code)
 				}

@@ -104,10 +104,9 @@ func (a *WeightedADS) HIPEntries() []WeightedEntry {
 	return a.c.weighted(w)
 }
 
-// Validate checks the structural invariants: canonical order, the
-// bottom-k inclusion condition over the biased ranks, the owner as first
-// entry, and positive finite per-entry weights.  It returns the first
-// violation found.
+// Validate checks the structural invariants: canonical order, bottom-k
+// inclusion over the biased ranks, the owner first, alone at distance 0,
+// and positive finite weights.  It returns the first violation found.
 func (a *WeightedADS) Validate() error {
 	if len(a.c.beta) != a.c.len() {
 		return fmt.Errorf("core: WeightedADS(%d) has %d weights for %d entries", a.node, len(a.c.beta), a.c.len())
@@ -127,8 +126,8 @@ func (a *WeightedADS) Validate() error {
 		}
 		h.offer(e.Rank)
 	}
-	if a.c.len() == 0 || a.c.node[0] != a.node || a.c.distAt(0) != 0 {
-		return fmt.Errorf("core: WeightedADS(%d) does not start with the owner at distance 0", a.node)
+	if n := a.c.len(); n == 0 || a.c.node[0] != a.node || a.c.distAt(0) != 0 || n > 1 && a.c.distAt(1) == 0 {
+		return fmt.Errorf("core: WeightedADS(%d) does not start with the owner alone at distance 0", a.node)
 	}
 	return nil
 }

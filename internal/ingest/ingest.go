@@ -81,6 +81,7 @@ type Maintainer struct {
 	queue []candidate
 	kern  core.OfferKernel
 	ids   []int32 // the decoded IDs of base node idsOf-1, none for 0 (baseIDs)
+	ends  []int32 // and the ends of their runs of equal distance
 	idsOf int32
 
 	baseEdges int // edges of the graph the maintainer started from
@@ -127,10 +128,10 @@ func New(g *graph.Graph, base *core.Set) (*Maintainer, error) {
 	// decode through its rank order to nodes of the set whatever the bits
 	// of an unvalidated file hold; checked all the same, as the lookups
 	// would index past the table.
-	var ids []int32
+	var ids, ends []int32
 	for v := 0; v < m.n; v++ {
 		nodes, _ := base.Columns(int32(v))
-		ids = nodes.AppendTo(ids[:0])
+		ids, ends, _ = nodes.AppendRuns(ids[:0], ends[:0])
 		for _, u := range ids {
 			if u < 0 || int(u) >= m.n {
 				return nil, fmt.Errorf("ingest: base sketch of node %d names node %d outside [0, %d)", v, u, m.n)
@@ -242,8 +243,8 @@ func (m *Maintainer) drain() {
 // each calls fn with node x's current entries in canonical order: the
 // overlay list when the node has pending deltas (new nodes always enter
 // the overlay in grow), else the base set's columns, whose ranks are
-// m.rank's, whose distances are walked run by run off the step code and
-// whose nodes are decoded (baseIDs).
+// m.rank's, whose distances are walked run by run off the steps and whose
+// nodes and runs are decoded (baseIDs).
 func (m *Maintainer) each(x int32, fn func(core.Entry)) {
 	if sl, ok := m.overlay[x]; ok {
 		for _, e := range sl {
@@ -252,8 +253,8 @@ func (m *Maintainer) each(x int32, fn func(core.Entry)) {
 		return
 	}
 	nodes, dists := m.base.Columns(x)
-	ids := m.baseIDs(x, nodes)
-	dists.Runs(len(ids), func(from, to int, d float64) bool {
+	ids, ends := m.baseIDs(x, nodes)
+	dists.Runs(ends, func(from, to int, d float64) bool {
 		for _, u := range ids[from:to] {
 			fn(core.Entry{Node: u, Dist: d, Rank: m.rank[u]})
 		}
@@ -261,13 +262,15 @@ func (m *Maintainer) each(x int32, fn func(core.Entry)) {
 	})
 }
 
-// baseIDs returns base node x's IDs, decoding its codes unless they were
-// the last decoded: an offer the scan accepts reads the list again (each).
-func (m *Maintainer) baseIDs(x int32, nodes core.Nodes) []int32 {
+// baseIDs returns base node x's IDs and the ends of their runs, decoding
+// its codes unless they were the last decoded: an offer the scan accepts
+// reads the list again (each).
+func (m *Maintainer) baseIDs(x int32, nodes core.Nodes) (ids, ends []int32) {
 	if m.idsOf != x+1 {
-		m.idsOf, m.ids = x+1, nodes.AppendTo(m.ids[:0])
+		m.ids, m.ends, _ = nodes.AppendRuns(m.ids[:0], m.ends[:0])
+		m.idsOf = x + 1
 	}
-	return m.ids
+	return m.ids, m.ends
 }
 
 // scanBase is the kernel's Scan over a base node's columns, walked by runs
@@ -278,8 +281,8 @@ func (m *Maintainer) baseIDs(x int32, nodes core.Nodes) []int32 {
 func (m *Maintainer) scanBase(x int32, nodes core.Nodes, dists core.StepDists, e core.Entry) (pos, old int, ok bool) {
 	m.kern.Reset()
 	pos, old, ok = -1, -1, true
-	ids := m.baseIDs(x, nodes)
-	dists.Runs(len(ids), func(from, to int, d float64) bool {
+	ids, ends := m.baseIDs(x, nodes)
+	dists.Runs(ends, func(from, to int, d float64) bool {
 		if pos < 0 && d > e.Dist {
 			pos = from
 		}

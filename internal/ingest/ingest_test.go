@@ -349,11 +349,13 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After the 96-byte header, whose last word is the node codes' length
-	// in bits, 11 offsets in the bits of the entry count and 11 in those of
-	// that length.
+	// in bits and third last the step count, 11 offsets in the bits of the
+	// entry count, 11 in those of that length and 11 in those of the step
+	// count.
 	entries := mustBuild(t, g, core.Options{K: 2, Seed: 1}).TotalEntries()
-	codes := binary.LittleEndian.Uint64(file.Bytes()[88:])
-	header, offsets := 96, 8*((11*bits.Len(uint(entries))+63)/64)+8*((11*bits.Len(uint(codes))+63)/64)
+	steps, codes := binary.LittleEndian.Uint64(file.Bytes()[72:]), binary.LittleEndian.Uint64(file.Bytes()[88:])
+	header := 96
+	offsets := 8*((11*bits.Len(uint(entries))+63)/64) + 8*((11*bits.Len(uint(codes))+63)/64) + 8*((11*bits.Len(uint(steps))+63)/64)
 	binary.LittleEndian.PutUint32(file.Bytes()[header+offsets+4:], 1000)
 	path := filepath.Join(t.TempDir(), "foreign.ads")
 	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
@@ -366,7 +368,8 @@ func TestNewValidation(t *testing.T) {
 	defer foreign.Close()
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
 		nodes, _ := foreign.Set().Columns(v)
-		for _, u := range nodes.AppendTo(nil) {
+		ids, _, _ := nodes.AppendRuns(nil, nil)
+		for _, u := range ids {
 			if u < 0 || int(u) >= g.NumNodes() {
 				t.Fatalf("damaged codes of node %d name node %d, outside the set", v, u)
 			}

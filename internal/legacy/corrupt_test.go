@@ -130,6 +130,29 @@ func TestRankOrderedPartitionRefusesHostileTotal(t *testing.T) {
 	}
 }
 
+// TestAdaptedPartitionRefusesHostileEnvelope: an adapted partition's
+// owners are looked up by its envelope, so one that places its sketches
+// past the set it claims — a total below its nodes, or nodes from 2^31 —
+// is refused naming the envelope, not read out of range.
+func TestAdaptedPartitionRefusesHostileEnvelope(t *testing.T) {
+	intact := readFixture(t, "uniform_v3adapt_k4.p1of2.ads")
+	le := binary.LittleEndian
+	lo, hi := le.Uint32(intact[24:]), le.Uint32(intact[28:])
+	for name, damage := range map[string]func([]byte){
+		"total below its nodes": func(b []byte) { le.PutUint32(b[32:], hi-1) },
+		"nodes from 2^31": func(b []byte) {
+			le.PutUint32(b[24:], 1<<31)
+			le.PutUint32(b[28:], 1<<31+hi-lo)
+		},
+	} {
+		data := append([]byte(nil), intact...)
+		damage(data)
+		if _, err := Read(bytes.NewReader(data), nil); err == nil || !strings.Contains(err.Error(), "partition claims nodes") {
+			t.Errorf("%s: got %v, want the envelope refused", name, err)
+		}
+	}
+}
+
 // TestEncodeDetectsCorruption: damaged input of version 2 — a committed
 // fixture; nothing writes that format any more — is refused.
 func TestEncodeDetectsCorruption(t *testing.T) {
@@ -184,6 +207,11 @@ func FuzzReadSet(f *testing.F) {
 	addDamaged(f, files["weighted-partition"])
 	addDamaged(f, legacyV3(f, files["weighted-partition"]))
 	addDamaged(f, rankedV3(f, files["uniform-partition"]))
+	// The current layout and the two it replaced: 0xfe, a uniform set's,
+	// and 0x3e, every other kind's.
+	addDamaged(f, files["uniform-partition"])
+	addDamaged(f, adaptiveV3(f, files["uniform-partition"]))
+	addDamaged(f, riceV3(f, files["weighted-partition"]))
 	for _, fx := range v2Fixtures {
 		addDamaged(f, readFixture(f, fx.file))
 	}

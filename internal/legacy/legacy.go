@@ -72,8 +72,16 @@
 // run's positions in the set's rank order — its nodes sorted by (rank,
 // node) — ascending, below M, the k-th smallest position of the sketch's
 // entries at smaller distances (the node count while there are fewer than
-// k), b the largest with m·2^b <= M.  These layouts are frozen bytes, so
-// this copy of their header cannot drift from the writers'.
+// k), b the largest with m·2^b <= M.  An eighth, flags 0xfe (the
+// *_v3adapt_* fixtures), was a uniform set's before run lengths in the
+// node stream and step offsets replaced the step bits (bit 8, which the
+// current layout of every kind has, and no retired one): bit 7 implies a
+// sketch's entry 0, its owner, with no code, and adapts a gap's b — the
+// least with n·2^b >= a, a the sum of the run's gaps before it and
+// ⌊M/(4m)⌋+1, n their count and 1, both halved as n reaches 16 — but no
+// less than b₀−3, b₀ the 0x7e layout's.  Weighted and approximate sets
+// were written in the 0x3e layout until then.  These layouts are frozen
+// bytes, so this copy of their header cannot drift from the writers'.
 //
 // Stored ranks are checked against the ones the frame derives, and
 // dropped.  A uniform header records the seed that derives them; a weighted
@@ -115,7 +123,8 @@ const (
 	flagCompact      = 1 << 4
 	flagRiceNodes    = 1 << 5
 	flagRankNodes    = 1 << 6 // a uniform file's: rank-ordered codes
-	flagAdaptNodes   = 1 << 7 // a current uniform file's; no retired one has it
+	flagAdaptNodes   = 1 << 7 // a uniform file's: adapted gap parameters, implied owners
+	flagRunLengths   = 1 << 8 // a current file's; no retired one has it
 	flagsCompact     = flagDerivedRanks | flagStepDists | flagPackedNodes | flagCompact
 	flagsRice        = flagsCompact | flagRiceNodes
 )
@@ -124,9 +133,9 @@ const (
 // of kind kind: a uniform set's node codes are rank-ordered and adapt.
 func currentFlags(kind uint32) uint32 {
 	if core.Kind(kind) == core.KindUniform {
-		return flagsRice | flagRankNodes | flagAdaptNodes
+		return flagsRice | flagRankNodes | flagAdaptNodes | flagRunLengths
 	}
-	return flagsRice
+	return flagsRice | flagRunLengths
 }
 
 // Read reads a sketch file of any layout a release wrote — version 2, a
@@ -321,7 +330,7 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	scheme, segs := c.u32(), c.u32()
 	p.Eps = c.f64()
 	n, e, numSteps := c.u64(), int64(c.u64()), c.u64()
-	compact, rice, ranked := flags&flagCompact != 0, flags&flagRiceNodes != 0, flags&flagRankNodes != 0
+	compact, rice, ranked, adapted := flags&flagCompact != 0, flags&flagRiceNodes != 0, flags&flagRankNodes != 0, flags&flagAdaptNodes != 0
 	var numDistinct, numNodeBits uint64
 	if compact {
 		numDistinct = c.u64()
@@ -339,12 +348,17 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 			return nil, err
 		}
 	}
+	implied := uint64(0) // the entries with no code: an adapted file's owners
+	if adapted && e >= 0 {
+		implied = min(uint64(e), n)
+	}
 	switch {
 	case c.err != nil:
 		return nil, fmt.Errorf("legacy: truncated sketch file header")
-	case flags&^uint32(flagsRice|flagRankNodes|flagBeta) != 0:
+	case flags&^uint32(flagsRice|flagRankNodes|flagAdaptNodes|flagBeta) != 0:
 		return nil, fmt.Errorf("legacy: sketch file has unknown flags %#x", flags)
-	case ranked && !rice, rice && (flags&^(flagBeta|flagRankNodes) != flagsRice || p.Kind != core.KindUniform),
+	case ranked && !rice, adapted && !ranked, ranked && p.Kind != core.KindUniform,
+		rice && flags&^(flagBeta|flagRankNodes|flagAdaptNodes) != flagsRice,
 		!rice && compact && flags&^flagBeta != flagsCompact:
 		return nil, fmt.Errorf("legacy: sketch file has flags %#x, a layout no release wrote for a %v set", flags, p.Kind)
 	case kind == kindPartition:
@@ -358,9 +372,13 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	// The bounds that keep the column sizes below from overflowing.
 	case n > 1<<30 || total > 1<<30:
 		return nil, fmt.Errorf("legacy: implausible node count %d (of %d)", n, total)
+	// The owners are looked up by the envelope's nodes.
+	case env != nil && uint64(env.hi) > total:
+		return nil, fmt.Errorf("legacy: partition claims nodes [%d, %d) of a %d-node set", env.lo, env.hi, total)
 	case e < 0 || e > 1<<40 || numSteps > uint64(e) || numDistinct > numSteps:
 		return nil, fmt.Errorf("legacy: implausible entry count %d, or %d distance steps over %d values", e, numSteps, numDistinct)
-	case rice && (numNodeBits < uint64(e) || numNodeBits > 64*uint64(e)):
+	// A code is a bit at least; an adapted file's owners have none.
+	case rice && (numNodeBits < uint64(e)-implied || numNodeBits > 64*uint64(e)):
 		return nil, fmt.Errorf("legacy: sketch file claims %d bits of node codes for %d entries", numNodeBits, e)
 	// A rank-ordered file is read through the order of every node of the
 	// set, 12 bytes a node: a partition's envelope, which alone says how
@@ -438,13 +456,19 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 		beta = make([]float64, e)
 	}
 	var codes *riceReader
-	var perm []int32 // a rank-ordered file's rank order
+	var perm, pos []int32 // a rank-ordered file's rank order, and an adapted one's positions
 	var run, earlier []uint64
 	if rice {
-		codes = &riceReader{body: body[nodesAt:distsAt], end: int64(numNodeBits)}
+		codes = &riceReader{body: body[nodesAt:distsAt], end: int64(numNodeBits), adapted: adapted}
 	}
 	if ranked {
 		perm = retired.Order(p.Seed, p.BaseB, int(total))
+	}
+	if adapted {
+		pos = make([]int32, total)
+		for at, v := range perm {
+			pos[v] = int32(at)
+		}
 	}
 	lo, step := int64(0), int64(0)
 	for s := range lists {
@@ -457,10 +481,16 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 				return nil, fmt.Errorf("legacy: sketch file sketch %d's node codes start at bit %d, not %d", s, bit, codes.pos)
 			}
 		}
+		owner := int32(s)
+		if env != nil {
+			owner += int32(env.lo)
+		}
 		for i := lo; i < hi; i++ {
 			x := &entries[i]
-			if rice {
-				if body[distsAt+i/8]>>(i%8)&1 != 0 || i == lo {
+			if adapted && i == lo { // the owner, which has no code
+				x.Node, earlier, run = owner, append(earlier[:0], uint64(pos[owner])), run[:0]
+			} else if rice {
+				if body[distsAt+i/8]>>(i%8)&1 != 0 || i == lo+1 && adapted || i == lo {
 					m := int64(1) // the run's length: to the next step bit
 					for i+m < hi && body[distsAt+(i+m)/8]>>((i+m)%8)&1 == 0 {
 						m++
@@ -531,14 +561,16 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	return freeze(p, env, int(n), lists, beta, stored, seed)
 }
 
-// riceReader reads the node codes of the layouts of flags 0x3e and 0x7e:
-// a run of m numbers below a bound is coded as its gaps xᵢ − xᵢ₋₁ − 1
-// (x₋₁ = −1), each gap>>b zero bits, a one and the b low bits, b the
-// largest with m·2^b <= the bound.
+// riceReader reads the node codes of the layouts of flags 0x3e, 0x7e and
+// 0xfe: a run of m numbers below a bound is coded as its gaps
+// xᵢ − xᵢ₋₁ − 1 (x₋₁ = −1), each gap>>b zero bits, a one and the b low
+// bits, b the largest with m·2^b <= the bound — or, adapted, the 0xfe
+// layout's parameter, gap by gap.
 type riceReader struct {
-	body []byte
-	pos  int64 // the next bit
-	end  int64 // the codes' length in bits
+	body    []byte
+	pos     int64 // the next bit
+	end     int64 // the codes' length in bits
+	adapted bool
 }
 
 // run appends the m numbers of a run below bound to dst, stopping short
@@ -548,9 +580,17 @@ func (r *riceReader) run(dst []uint64, bound uint64, m int64) []uint64 {
 	for uint64(m)<<(b+1) <= bound {
 		b++
 	}
+	a, n, floor := bound/(4*uint64(m))+1, uint64(1), b-min(b, 3)
 	prev := int64(-1)
 	for range m {
+		if r.adapted {
+			for b = floor; n<<b < a; b++ {
+			}
+		}
 		gap, ok := r.code(b)
+		if a, n = a+min(gap, bound), n+1; n == 16 {
+			a, n = a/2, n/2
+		}
 		if prev += 1 + int64(gap); !ok || gap > math.MaxInt32 || prev > math.MaxInt32 {
 			break
 		}

@@ -85,12 +85,13 @@ func retiredAs(t testing.TB, data []byte, write func([]byte, [][]retired.Entry) 
 	return write(data, lists)
 }
 
-// legacyV3, perEntryV3, wideV3, plainV3, compactV3, riceV3 and rankedV3
-// rewrite a file of the current layout in each retired one: flags 0x00
-// (ranks stored, and no seed for a weighted or approximate set), 0x02,
-// 0x06, 0x0e, 0x1e, 0x3e (a uniform set's node IDs Rice-coded as they
-// are) and 0x7e (its rank-order positions, one Rice parameter a run, the
-// owner's code included).
+// legacyV3, perEntryV3, wideV3, plainV3, compactV3, riceV3, rankedV3 and
+// adaptiveV3 rewrite a file of the current layout in each retired one:
+// flags 0x00 (ranks stored, and no seed for a weighted or approximate
+// set), 0x02, 0x06, 0x0e, 0x1e, 0x3e (node IDs Rice-coded as they are),
+// 0x7e (a uniform set's rank-order positions, one Rice parameter a run,
+// the owner's code included) and 0xfe (adapted parameters, the owner's
+// code implied), the last three with step bits.
 func legacyV3(t testing.TB, data []byte) []byte   { return retiredAs(t, data, retired.Ranks) }
 func perEntryV3(t testing.TB, data []byte) []byte { return retiredAs(t, data, retired.PerEntry) }
 func wideV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Wide) }
@@ -98,6 +99,7 @@ func plainV3(t testing.TB, data []byte) []byte    { return retiredAs(t, data, re
 func compactV3(t testing.TB, data []byte) []byte  { return retiredAs(t, data, retired.Compact) }
 func riceV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Rice) }
 func rankedV3(t testing.TB, data []byte) []byte   { return retiredAs(t, data, retired.RankOrdered) }
+func adaptiveV3(t testing.TB, data []byte) []byte { return retiredAs(t, data, retired.Adaptive) }
 
 // v3Files returns the rank-free file of every set kind and of one
 // partition.
@@ -279,12 +281,61 @@ func TestV3CompactFixtures(t *testing.T) {
 
 // TestV3RiceFixtures: the files of the last release before a uniform
 // set's runs were coded in rank order — its node IDs' own Rice codes, flags
-// 0x3e, which weighted and approximate sets keep — whole and as a
-// partition: Read turns them into the bytes a fresh build and split write,
-// which is what adsconvert writes of them.
+// 0x3e, which weighted and approximate sets kept until run lengths replaced
+// the step bits — whole and as a partition, and a weighted set's: Read
+// turns them into the bytes a fresh build and split write, which is what
+// adsconvert writes of them.
 func TestV3RiceFixtures(t *testing.T) {
-	fixtures := v3Fixtures("v3rice")[:2] // a weighted set of this layout is of the current one
-	checkV3Fixtures(t, fixtures, flagsRice, riceV3)
+	checkV3Fixtures(t, v3Fixtures("v3rice"), flagsRice, riceV3)
+}
+
+// TestV3AdaptFixtures: the files of the last release before run lengths
+// in the node stream and step offsets replaced the step bits — a uniform
+// set's adapted rank-ordered codes, flags 0xfe — whole and as a partition,
+// read as TestV3RiceFixtures' are; and an approximate set of that release,
+// flags 0x3e (the 0.25-approximate build of fixtureGraph at `-k 4 -seed
+// 42`, internal/core's testdata/approx_pa60_k4.ads before it was
+// converted), reads as the converted file, byte for byte.
+func TestV3AdaptFixtures(t *testing.T) {
+	checkV3Fixtures(t, v3Fixtures("v3adapt")[:2], flagsRice|flagRankNodes|flagAdaptNodes, adaptiveV3)
+	data := readFixture(t, "approx_v3rice_k4.ads")
+	if flags := binary.LittleEndian.Uint32(data[12:]); flags != flagsRice {
+		t.Fatalf("approx_v3rice_k4.ads: flags %#x, want %#x", flags, flagsRice)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "core", "testdata", "approx_pa60_k4.ads"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v3Bytes(t, read(t, data, nil)); !bytes.Equal(got, want) {
+		t.Errorf("approx_v3rice_k4.ads: written back as %d bytes, not the %d of the converted file", len(got), len(want))
+	}
+	if !bytes.Equal(riceV3(t, want), data) {
+		t.Error("approx_v3rice_k4.ads: the test's writer of that layout does not turn the converted file into the committed one")
+	}
+}
+
+// TestAdaptedSparseSet: an adapted file's owners have no code, so a set
+// of mostly isolated nodes — here 40 nodes and one edge — holds fewer
+// bits of node codes than entries.  It reads, whole and as each
+// partition, as the file a fresh build writes.
+func TestAdaptedSparseSet(t *testing.T) {
+	b := graph.NewBuilder(40, false)
+	b.AddEdge(0, 1)
+	set, err := core.BuildSet(b.Build(), core.Options{K: 4, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := core.SplitSketchSet(set, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range append([]*core.Set{set}, parts...) {
+		want := v3Bytes(t, s)
+		old := adaptiveV3(t, want)
+		if got := v3Bytes(t, read(t, old, nil)); !bytes.Equal(got, want) {
+			t.Errorf("set %d: written back as %d bytes, not the %d a fresh build writes", i, len(got), len(want))
+		}
+	}
 }
 
 // TestV3RankFixtures: the files of the last release before the Rice
@@ -344,10 +395,10 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 // weighted, approximate — is refused without one and read with it.
 func TestLegacyDoorReadsRetiredLayouts(t *testing.T) {
 	seed := uint64(42)
-	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3, "compact": compactV3, "rice": riceV3, "rank": rankedV3}
+	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3, "compact": compactV3, "rice": riceV3, "rank": rankedV3, "adapt": adaptiveV3}
 	for name, data := range v3Files(t) {
 		for layout, rewrite := range layouts {
-			if layout == "rank" && !strings.HasPrefix(name, "uniform") {
+			if (layout == "rank" || layout == "adapt") && !strings.HasPrefix(name, "uniform") {
 				continue // only a uniform set's codes were rank-ordered
 			}
 			old, label := rewrite(t, data), name+" "+layout

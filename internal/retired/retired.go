@@ -5,7 +5,10 @@
 // also derives the rank order of a rank-ordered file here (Order).  It
 // imports neither, so both can: a writer takes a file of the current
 // layout, for its header and the columns the retired layout shares with
-// it, and the set's entry lists, for the columns it does not.
+// it, and the set's entry lists, for the columns it does not — the node
+// codes, and the bit an entry (first) that marked where each distance step
+// starts, which every retired layout from 0x06 on has in place of the
+// current step offsets.
 //
 // The layouts, by the flags they carry (bit 0, β, as the set has it):
 //
@@ -15,14 +18,18 @@
 //	Plain    0x0e  IDs packed at the bits the node count needs
 //	Compact  0x1e  packed offsets, the numDistinct word, dictionary-coded steps
 //	Rice     0x3e  IDs Rice-coded per run of equal distance below the node
-//	               count, with the numNodeBits word and bit offsets — the
-//	               layout of weighted and approximate sets still, retired
-//	               for uniform ones, whose runs are coded in rank order
+//	               count, with the numNodeBits word and bit offsets —
+//	               retired for uniform sets when their runs came to be
+//	               coded in rank order, for weighted and approximate ones
+//	               when run lengths replaced the step bits
 //	RankOrdered
 //	         0x7e  a uniform set's runs coded as rank-order positions below
 //	               their bottom-k bound, one Rice parameter a run and the
 //	               owner's code included — retired when the parameters came
 //	               to adapt gap by gap and the owner's code to be implied
+//	Adaptive 0xfe  a uniform set's, so adapted — retired when run lengths
+//	               in the node stream and step offsets replaced the step
+//	               bits (flags bit 8, every kind)
 //
 // The first four have no numDistinct or numNodeBits word.  A weighted or
 // approximate file that stores its ranks (Ranks) records no seed.
@@ -52,7 +59,9 @@ const (
 	flagRiceNodes    = 1 << 5
 	flagRankNodes    = 1 << 6
 	flagAdaptNodes   = 1 << 7
+	flagRunLengths   = 1 << 8
 	flagsRanked      = flagRankNodes | flagAdaptNodes
+	flagsNew         = flagsRanked | flagRunLengths // what the current layout has that a writer here clears
 
 	kindUniform   = 0
 	kindPartition = 3
@@ -68,7 +77,7 @@ type current struct {
 	kind, flags                   uint32
 	n, e, steps, distinct, nbits  uint64
 	total                         uint64
-	offsAt, nodesAt, firstAt, end int
+	offsAt, nodesAt, stepsAt, end int
 }
 
 func parse(data []byte) current {
@@ -84,9 +93,31 @@ func parse(data []byte) current {
 		c.total = c.n
 	}
 	c.offsAt = c.hdr + 16
-	c.nodesAt = c.offsAt + words(c.n+1, width(c.e+1)) + words(c.n+1, width(c.nbits+1))
-	c.firstAt = c.nodesAt + words(c.nbits, 1)
+	c.nodesAt = c.offsAt + words(c.n+1, width(c.e+1)) + words(c.n+1, width(c.nbits+1)) + words(c.n+1, width(c.steps+1))
+	c.stepsAt = c.nodesAt + words(c.nbits, 1)
 	return c
+}
+
+// stepTail returns the retired layouts' step bits of lists — a bit an
+// entry, set where its distance differs from the entry's before in its
+// list — then the current file's step codes and dictionary, or steps, and
+// β: the columns that follow their node IDs.
+func (c *current) stepTail(lists [][]Entry) []byte {
+	first := make([]uint64, (c.e+63)/64)
+	i := uint64(0)
+	for _, l := range lists {
+		for j, x := range l {
+			if j == 0 || x.Dist != l[j-1].Dist {
+				first[i/64] |= 1 << (i % 64)
+			}
+			i++
+		}
+	}
+	var out []byte
+	for _, w := range first {
+		out = le.AppendUint64(out, w)
+	}
+	return append(out, c.data[c.stepsAt:]...)
 }
 
 // width returns the bits a packed value below bound takes: at least 1.
@@ -133,7 +164,7 @@ func Plain(cur []byte, lists [][]Entry) []byte { return perEntry(cur, lists, fal
 func perEntry(cur []byte, lists [][]Entry, storeRanks, stepCoded, packed bool) []byte {
 	c := parse(cur)
 	out := append([]byte(nil), cur[:c.hdr]...)
-	flags := c.flags &^ (flagCompact | flagRiceNodes | flagsRanked)
+	flags := c.flags &^ (flagCompact | flagRiceNodes | flagsNew)
 	if !packed {
 		flags &^= flagPackedNodes
 	}
@@ -197,7 +228,7 @@ func perEntry(cur []byte, lists [][]Entry, storeRanks, stepCoded, packed bool) [
 func Compact(cur []byte, lists [][]Entry) []byte {
 	c := parse(cur)
 	out := append([]byte(nil), cur[:c.hdr+8]...)
-	le.PutUint32(out[12:], c.flags&^(flagRiceNodes|flagsRanked))
+	le.PutUint32(out[12:], c.flags&^(flagRiceNodes|flagsNew))
 	out = append(out, cur[c.offsAt:c.offsAt+words(c.n+1, width(c.e+1))]...)
 	var ids []uint64
 	for _, l := range lists {
@@ -206,15 +237,15 @@ func Compact(cur []byte, lists [][]Entry) []byte {
 		}
 	}
 	out = append(out, pack(ids, width(c.total))...)
-	return append(out, cur[c.firstAt:]...)
+	return append(out, c.stepTail(lists)...)
 }
 
 // Rice writes the layout of flags 0x3e: a run of m IDs of equal distance
 // is coded as its gaps xᵢ − xᵢ₋₁ − 1 (x₋₁ = −1), each a Rice code of the
 // largest b with m·2^b <= total — gap>>b zero bits, a one, the b low bits
-// — with the bit offsets and numNodeBits of those codes; the offsets, the
-// step code and the β column as they are.
-func Rice(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, false) }
+// — with the bit offsets and numNodeBits of those codes; the offsets and
+// the step code and β column of the current file, with step bits.
+func Rice(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, false, false) }
 
 // RankOrdered writes the layout of flags 0x7e, a uniform set's: as Rice,
 // but a run's numbers are its entries' positions in the set's rank order
@@ -222,18 +253,29 @@ func Rice(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, fa
 // derive — ascending, below the k-th smallest position of the list's
 // entries at smaller distances (the node count while there are fewer than
 // k), which is the M of the run's one b, the largest with m·2^b <= M.
-func RankOrdered(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, true) }
+func RankOrdered(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, true, false) }
 
-// riceLayout writes Rice, or RankOrdered when ranked.
-func riceLayout(cur []byte, lists [][]Entry, ranked bool) []byte {
+// Adaptive writes the layout of flags 0xfe, a uniform set's: as
+// RankOrdered, but a list's entry 0, its owner, has no code, and a gap's b
+// is the least with n·2^b >= a, a the sum of the run's gaps before it and
+// ⌊M/(4m)⌋+1, n their count and 1, both halved as n reaches 16, but at
+// least b₀−3, b₀ being RankOrdered's b.
+func Adaptive(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, true, true) }
+
+// riceLayout writes Rice, or RankOrdered when ranked, or Adaptive when
+// adapted too.
+func riceLayout(cur []byte, lists [][]Entry, ranked, adapted bool) []byte {
 	c := parse(cur)
 	out := append([]byte(nil), cur[:c.hdr+16]...)
-	flags := c.flags &^ flagsRanked
+	flags := c.flags &^ flagsNew
 	var pos []uint64
 	k := uint64(le.Uint32(cur[c.hdr-64:]))
 	if ranked {
 		flags |= flagRankNodes
 		pos = positions(le.Uint64(cur[c.hdr-56:]), math.Float64frombits(le.Uint64(cur[c.hdr-48:])), c.total)
+	}
+	if adapted {
+		flags |= flagAdaptNodes
 	}
 	le.PutUint32(out[12:], flags)
 	var codes bitList
@@ -242,6 +284,10 @@ func riceLayout(cur []byte, lists [][]Entry, ranked bool) []byte {
 		boffs = append(boffs, codes.n)
 		var low []uint64 // the list's k smallest positions so far, ascending
 		for i := 0; i < len(l); {
+			if adapted && i == 0 { // the owner, which has no code
+				low, i = []uint64{pos[l[0].Node]}, 1
+				continue
+			}
 			m := 1
 			for i+m < len(l) && l[i+m].Dist == l[i].Dist {
 				m++
@@ -262,18 +308,26 @@ func riceLayout(cur []byte, lists [][]Entry, ranked bool) []byte {
 				slices.Sort(low)
 				low = low[:min(uint64(len(low)), k)]
 			}
-			b := max(bits.Len64(bound)-bits.Len64(uint64(m)), 0)
+			b := uint64(max(bits.Len64(bound)-bits.Len64(uint64(m)), 0))
 			if b > 0 && uint64(m)<<b > bound {
 				b--
 			}
+			a, n, floor := bound/(4*uint64(m))+1, uint64(1), b-min(b, 3)
 			prev := int64(-1)
 			for _, x := range run {
 				gap := uint64(int64(x) - prev - 1)
+				if adapted {
+					for b = floor; n<<b < a; b++ {
+					}
+					if a, n = a+gap, n+1; n == 16 {
+						a, n = a/2, n/2
+					}
+				}
 				for q := gap >> b; q > 0; q-- {
 					codes.add(0)
 				}
 				codes.add(1)
-				for k := 0; k < b; k++ {
+				for k := uint64(0); k < b; k++ {
 					codes.add(gap >> k & 1)
 				}
 				prev = int64(x)
@@ -288,7 +342,7 @@ func riceLayout(cur []byte, lists [][]Entry, ranked bool) []byte {
 	for _, w := range codes.words {
 		out = le.AppendUint64(out, w)
 	}
-	return append(out, cur[c.firstAt:]...)
+	return append(out, c.stepTail(lists)...)
 }
 
 // bitList is a column of bits, appended one at a time.

@@ -8,35 +8,43 @@ import (
 	"testing"
 
 	"adsketch"
+	"adsketch/internal/retired"
 )
 
 // approxDigests are the leading 16 hex digits of the SHA-256 of the v3
-// file of each BuildApprox build, and its entry count, recorded from the
-// core builder of the (1+ε) rounds the serving library held before they
-// moved here: on a hop graph and on the same graph with random lengths,
-// where the rule drops entries the exact build keeps.
+// file of each BuildApprox build, and its entry count: digest in the
+// current layout, and retired in the 0x3e layout (internal/retired's
+// writer of it), the one recorded from the core builder of the (1+ε)
+// rounds the serving library held before they moved here — on a hop graph
+// and on the same graph with random lengths, where the rule drops entries
+// the exact build keeps.
 var approxDigests = []struct {
-	graph   string
-	k       int
-	seed    uint64
-	eps     float64
-	entries int
-	digest  string
+	graph           string
+	k               int
+	seed            uint64
+	eps             float64
+	entries         int
+	digest, retired string
 }{
-	{"pa300", 8, 42, 0, 12318, "f2616c04ad26e4b4"},
-	{"pa300", 8, 42, 0.1, 12318, "cb3717f3b74df540"},
-	{"pa300", 8, 42, 0.5, 12318, "b941ba614e14f315"},
-	{"pa300-lengths", 8, 42, 0, 18677, "1dd6331f6f7ce023"},
-	{"pa300-lengths", 8, 42, 0.1, 16851, "c1519e790d6c0913"},
-	{"pa300-lengths", 8, 42, 0.5, 13995, "d762098c521c4f01"},
+	{"pa300", 8, 42, 0, 12318, "2571c0f44425ac8e", "f2616c04ad26e4b4"},
+	{"pa300", 8, 42, 0.1, 12318, "0e6604f515f62092", "cb3717f3b74df540"},
+	{"pa300", 8, 42, 0.5, 12318, "fd9a2cd30f21bf63", "b941ba614e14f315"},
+	{"pa300-lengths", 8, 42, 0, 18677, "c01f231cc1d43c2f", "1dd6331f6f7ce023"},
+	{"pa300-lengths", 8, 42, 0.1, 16851, "5de7ae9a8066d778", "c1519e790d6c0913"},
+	{"pa300-lengths", 8, 42, 0.5, 13995, "c5e7ed683d836484", "d762098c521c4f01"},
 }
 
 // TestBuildApproxMatchesRecordedDigests: BuildApprox writes, byte for
-// byte, the files the serving library's approximate build wrote.
+// byte, the files the serving library's approximate build wrote, in the
+// layout it wrote them in.
 func TestBuildApproxMatchesRecordedDigests(t *testing.T) {
 	graphs := map[string]*adsketch.Graph{
 		"pa300":         adsketch.PreferentialAttachment(300, 3, 7),
 		"pa300-lengths": adsketch.WithRandomWeights(adsketch.PreferentialAttachment(300, 3, 7), 1, 10, 5),
+	}
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:8])
 	}
 	for _, c := range approxDigests {
 		set, err := BuildApprox(graphs[c.graph], c.k, c.seed, c.eps)
@@ -53,9 +61,14 @@ func TestBuildApproxMatchesRecordedDigests(t *testing.T) {
 		if _, err := set.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(buf.Bytes())
-		if d := hex.EncodeToString(sum[:8]); d != c.digest {
-			t.Errorf("%s ε=%g: digest %s, recorded %s", c.graph, c.eps, d, c.digest)
+		lists := make([][]retired.Entry, set.NumNodes())
+		for v := range lists {
+			for _, e := range set.BottomK(int32(v)).Entries() {
+				lists[v] = append(lists[v], retired.Entry{Node: e.Node, Dist: e.Dist, Rank: e.Rank})
+			}
+		}
+		if d, r := digest(buf.Bytes()), digest(retired.Rice(buf.Bytes(), lists)); d != c.digest || r != c.retired {
+			t.Errorf("%s ε=%g: digest %s, %s in the 0x3e layout; recorded %s, %s", c.graph, c.eps, d, r, c.digest, c.retired)
 		}
 	}
 }
