@@ -12,7 +12,7 @@ COVER_BASELINE ?= 80.0
 # fail above it.  Lower it when the closure shrinks; raising it needs a
 # CHANGES.md line giving the reason.  A plain constant, so the
 # environment cannot override it.
-CLOSURE_BUDGET = 16817
+CLOSURE_BUDGET = 16716
 
 .PHONY: test loc race cpus analyze benchmark-smoke cover fuzz-smoke memprofile ingest-smoke load-smoke wire-smoke distbuild-smoke clean
 
@@ -52,10 +52,14 @@ race:
 # from GOMAXPROCS: Build's output against the core reference entry points
 # (the BuildParity tests), the scan inline on the caller and in chunks
 # across several workers, and the scatter barrier, whose shard calls must
-# all be in flight at once even on one core.
+# all be in flight at once even on one core.  Then the coordinator's
+# failure semantics (the attempt schedule's retries, failover, hedging and
+# policies): the hedge timer and an attempt on the calling goroutine
+# interleave differently on one core than on several.
 cpus:
 	$(GO) test -cpu 1,2,4 -run 'Differential|ParallelBuilder|BuildersAgree|FrameIndex|HIPIndex' ./internal/core
 	$(GO) test -cpu 1,2,4 -run 'BuildParity|Engine|Scatter|IndexCache|ForEach' . ./internal/query ./internal/cluster
+	$(GO) test -cpu 1,2,4 -run 'Coordinator|Replica|Hedge|Policy|Schedule|SingleRequest|Pairwise' .
 
 # Static-analysis gate, also a required CI step: gofmt, the serving
 # binaries' closure (none of SERVING_BINS may link the paper lab —

@@ -1,6 +1,7 @@
 package adsketch
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -89,16 +90,13 @@ var (
 // a coordinator degrades around it instead of failing the query.
 var ErrShardUnavailable = errors.New("adsketch: shard unavailable")
 
-// coordConfig is the failure-semantics configuration of a Coordinator.
+// coordConfig is the failure-semantics configuration of a Coordinator:
+// the policy data of doShardBatch's attempt schedule.
 type coordConfig struct {
 	timeout time.Duration // per-attempt shard deadline; 0 = none
 	retries int           // extra attempt rounds over a replica group
-	backoff time.Duration // base sleep before a retry, doubled per attempt
-	hedge   time.Duration // hedged replica request delay; 0 = failover only
-}
-
-func defaultCoordConfig() coordConfig {
-	return coordConfig{backoff: 25 * time.Millisecond}
+	backoff time.Duration // the base of cluster.Backoff before a retry
+	hedge   time.Duration // how long an attempt runs alone; 0 = never hedge
 }
 
 // CoordinatorOption configures the failure semantics of a Coordinator:
@@ -123,9 +121,9 @@ func WithShardTimeout(d time.Duration) CoordinatorOption {
 
 // WithShardRetries grants n extra rounds over a partition's replica
 // group after the first: with retries 1 and two replicas, a shard call
-// attempts primary, replica, then (after backoff) primary and replica
-// again.  Retries apply only to transient failures — bad requests and
-// unsupported queries fail immediately.
+// attempts primary, replica, primary and replica, each attempt after a
+// failed one waiting its backoff.  Retries apply only to transient
+// failures — bad requests and unsupported queries fail immediately.
 func WithShardRetries(n int) CoordinatorOption {
 	return func(c *coordConfig) error {
 		if n < 0 {
@@ -137,7 +135,8 @@ func WithShardRetries(n int) CoordinatorOption {
 }
 
 // WithRetryBackoff sets the base sleep inserted before each retried
-// attempt; it doubles per attempt (capped at 1s).  The default is 25ms.
+// attempt; it doubles per attempt in the call's order (capped at 1s).
+// The default is 25ms.
 func WithRetryBackoff(d time.Duration) CoordinatorOption {
 	return func(c *coordConfig) error {
 		if d < 0 {
@@ -149,10 +148,10 @@ func WithRetryBackoff(d time.Duration) CoordinatorOption {
 }
 
 // WithHedgeDelay arms hedged requests on partitions that have replicas:
-// when the primary has not answered within d, the same request is
-// launched on a replica concurrently and the first success wins.  0 (the
-// default) disables hedging; replicas then serve only as sequential
-// failover targets after the primary fails.
+// when an attempt has not answered within d, the next attempt in the
+// replica order starts beside it, once per call, and the first success
+// wins.  0 (the default) disables hedging; replicas then serve only as
+// sequential failover targets after an attempt fails.
 func WithHedgeDelay(d time.Duration) CoordinatorOption {
 	return func(c *coordConfig) error {
 		if d < 0 {
@@ -163,16 +162,11 @@ func WithHedgeDelay(d time.Duration) CoordinatorOption {
 	}
 }
 
-// shardCounters is the per-partition failure-semantics telemetry.  All
-// fields are atomics; a Coordinator is read under full query concurrency.
+// shardCounters is the per-partition failure-semantics telemetry, whose
+// meanings doShardBatch states.  All fields are atomics; a Coordinator is
+// read under full query concurrency.
 type shardCounters struct {
-	calls     atomic.Int64 // shard calls issued (one per scatter leg)
-	errors    atomic.Int64 // individual failed attempts
-	failures  atomic.Int64 // calls that exhausted every attempt
-	retries   atomic.Int64 // attempts beyond the first within one chain
-	hedges    atomic.Int64 // hedged replica requests launched
-	hedgeWins atomic.Int64 // hedged requests that produced the answer
-	timeouts  atomic.Int64 // attempts cut by the per-shard deadline
+	calls, errors, failures, retries, hedges, hedgeWins, timeouts atomic.Int64
 }
 
 // ShardCallStats is one partition's failure-semantics counters.
@@ -251,11 +245,12 @@ func NewCoordinator(backends []ShardBackend, opts ...CoordinatorOption) (*Coordi
 // group per partition, each holding that partition's primary backend
 // first and any number of replicas after it.  Every backend in a group
 // must serve the identical shard (same node range, split position, and
-// sketch parameters).  Replicas are sequential failover targets when the
-// primary fails its attempts, and — with WithHedgeDelay — hedged
-// concurrent targets when the primary is merely slow.
+// sketch parameters).  A shard call's attempts walk the group in order:
+// a replica is the failover target when the attempt before it fails, and
+// — with WithHedgeDelay — a hedged concurrent target when it is merely
+// slow.
 func NewReplicatedCoordinator(groups [][]ShardBackend, opts ...CoordinatorOption) (*Coordinator, error) {
-	cfg := defaultCoordConfig()
+	cfg := coordConfig{backoff: 25 * time.Millisecond}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -668,179 +663,136 @@ func retryableShardErr(err error) bool {
 	return true
 }
 
-// attemptShard makes one batched attempt against one backend under the
-// per-attempt deadline, maintaining the error/timeout counters.
-func (c *Coordinator) attemptShard(ctx context.Context, part int, be ShardBackend, reqs []Request) ([]Response, error) {
-	actx := ctx
-	if c.cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, c.cfg.timeout)
-		defer cancel()
-	}
-	resps, err := be.DoBatch(actx, reqs)
-	if err != nil {
-		st := &c.stats[part]
-		st.errors.Add(1)
-		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			st.timeouts.Add(1)
-			err = fmt.Errorf("attempt exceeded the %v shard deadline: %w", c.cfg.timeout, err)
-		}
-	}
-	return resps, err
-}
-
-// chainShard tries the given backends sequentially — every backend in
-// order, then cfg.retries more rounds with exponential backoff between
-// failed attempts — returning the first success or the first error
-// observed once the budget is spent.  Deterministic protocol errors and
-// parent-context cancellation stop the chain immediately.
-func (c *Coordinator) chainShard(ctx context.Context, part int, backends []ShardBackend, reqs []Request) ([]Response, error) {
-	var firstErr error
-	st := &c.stats[part]
-	attempt := 0
-	for round := 0; round <= c.cfg.retries; round++ {
-		for _, be := range backends {
-			if attempt > 0 {
-				st.retries.Add(1)
-				if d := backoffDelay(c.cfg.backoff, attempt); d > 0 {
-					t := time.NewTimer(d)
-					select {
-					case <-ctx.Done():
-						t.Stop()
-						return nil, firstOf(firstErr, ctx.Err())
-					case <-t.C:
-					}
-				}
-			}
-			attempt++
-			resps, err := c.attemptShard(ctx, part, be, reqs)
-			if err == nil {
-				return resps, nil
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-			if !retryableShardErr(err) {
-				return nil, err
-			}
-			if ctx.Err() != nil {
-				return nil, firstErr
-			}
-		}
-	}
-	return nil, firstErr
-}
-
-// backoffDelay is the sleep before retry attempt n (1-based beyond the
-// first attempt): base doubled per attempt, capped at 1s.
-func backoffDelay(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	d := base << (attempt - 1)
-	if d > time.Second || d <= 0 { // <= 0 guards shift overflow
-		d = time.Second
-	}
-	return d
-}
-
-func firstOf(err, fallback error) error {
-	if err != nil {
-		return err
-	}
-	return fallback
+// attemptResult is one attempt of a shard call: its place in the call's
+// attempt order and the backend's answer.
+type attemptResult struct {
+	i     int
+	resps []Response
+	err   error
 }
 
 // doShardBatch is every scatter leg's entry point: it answers one request
-// batch on partition part's replica group under the coordinator's
-// failure semantics — per-attempt deadline, bounded retries with
-// backoff, sequential replica failover, and (when WithHedgeDelay armed
-// it) a hedged concurrent replica request racing a slow primary.
-// Protocol queries are read-only, so a retried or hedged batch is safe
-// to repeat.  A failure comes back tagged with the shard's partition.
-func (c *Coordinator) doShardBatch(ctx context.Context, part int, reqs []Request) ([]Response, error) {
+// batch on partition part's replica group under the one attempt schedule,
+// and tags a failure with the partition.  Protocol queries are read-only,
+// so a repeated batch is safe.
+//
+// The attempt order is the group's backends in turn, for retries+1
+// rounds.  Attempt i runs under the per-attempt deadline, after
+// cluster.Backoff(backoff, i) when it follows a failed attempt.  The
+// first success answers; a deterministic error (retryableShardErr) or ctx
+// ending ends the call.  Hedging is the one branch: with a hedge delay and
+// a replica, an attempt still running after the delay starts the next
+// one beside it, once a call; then a failed attempt is replaced by the
+// next, and the first success cancels the rest.  Unhedged, attempts run
+// on the caller's goroutine; only a retry's pause takes a timer.
+//
+// The counters (ShardCallStats): calls, one a leg; errors, attempts
+// failed while ctx was live, and timeouts, those the per-attempt deadline
+// cut; retries, attempts after a failed one; hedges, attempts started
+// beside a slow one; hedge wins, calls answered by the hedge or a later
+// attempt, not the one it raced; failures, calls that returned an error.
+func (c *Coordinator) doShardBatch(ctx context.Context, part int, reqs []Request) (resps []Response, err error) {
 	st := &c.stats[part]
 	st.calls.Add(1)
+	defer func() {
+		if err == nil && len(resps) != len(reqs) {
+			err = fmt.Errorf("worker answered %d of %d batched requests", len(resps), len(reqs))
+		}
+		if err != nil {
+			st.failures.Add(1)
+			resps, err = nil, c.shardErr(part, err)
+		}
+	}()
 	group := c.groups[part]
-	var resps []Response
-	var err error
+	n := len(group) * (c.cfg.retries + 1)
+	var results chan attemptResult // hedged calls only: finished attempts
+	var hedge *time.Timer          // hedged calls only: the running attempt's hedge clock
 	if c.cfg.hedge > 0 && len(group) > 1 {
-		resps, err = c.hedgedCall(ctx, part, reqs)
-	} else {
-		resps, err = c.chainShard(ctx, part, group, reqs)
-	}
-	if err != nil {
-		st.failures.Add(1)
-		return nil, c.shardErr(part, err)
-	}
-	if len(resps) != len(reqs) {
-		return nil, c.shardErr(part, fmt.Errorf("worker answered %d of %d batched requests", len(resps), len(reqs)))
-	}
-	return resps, nil
-}
-
-// hedgedCall races the primary chain against a delayed replica chain:
-// the replica launches when the primary has not answered within the
-// hedge delay (or immediately, as failover, when the primary chain
-// fails first), and the first success wins.  Both chains share the
-// parent context; the loser is cancelled.
-func (c *Coordinator) hedgedCall(ctx context.Context, part int, reqs []Request) ([]Response, error) {
-	group := c.groups[part]
-	st := &c.stats[part]
-	type result struct {
-		resps  []Response
-		err    error
-		hedged bool
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan result, 2) // buffered: the losing chain must not leak
-	run := func(backends []ShardBackend, hedged bool) {
-		resps, err := c.chainShard(cctx, part, backends, reqs)
-		ch <- result{resps, err, hedged}
-	}
-	go run(group[:1], false)
-	timer := time.NewTimer(c.cfg.hedge)
-	defer timer.Stop()
-	pending := 1
-	launched := false
-	launch := func() {
-		launched = true
-		pending++
-		st.hedges.Add(1)
-		go run(group[1:], true)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx) // done only when the call returns
+		defer cancel()
+		results = make(chan attemptResult, n) // buffered: an abandoned attempt never blocks
+		hedge = time.NewTimer(c.cfg.hedge)
+		defer hedge.Stop()
 	}
 	var firstErr error
-	for pending > 0 {
-		var r result
-		if launched {
-			r = <-ch
+	// next is the order's next attempt, running how many are in flight
+	// (hedged calls only), width how many may be, hedgeAt the hedge's
+	// place in the order (n until the call hedges).
+	next, running, width, hedgeAt := 0, 0, 1, n
+	for {
+		var r attemptResult
+		if running < width && next < n {
+			r.i, next = next, next+1
+			var pause time.Duration
+			if r.i > 0 && r.i != hedgeAt {
+				st.retries.Add(1)
+				pause = cluster.Backoff(c.cfg.backoff, r.i)
+			}
+			be := group[r.i%len(group)]
+			if results != nil {
+				running++
+				go func(r attemptResult, ctx context.Context, be ShardBackend, pause time.Duration, results chan<- attemptResult) {
+					r.resps, r.err = c.callBackend(ctx, be, reqs, pause)
+					results <- r
+				}(r, ctx, be, pause, results)
+				if hedgeAt == n {
+					hedge.Reset(pause + c.cfg.hedge)
+				}
+				continue
+			}
+			r.resps, r.err = c.callBackend(ctx, be, reqs, pause)
+		} else if running == 0 {
+			return nil, firstErr
 		} else {
 			select {
-			case r = <-ch:
-			case <-timer.C:
-				launch()
+			case r = <-results:
+				running--
+			case <-hedge.C:
+				if next < n {
+					hedgeAt, width = next, 2
+					st.hedges.Add(1)
+				}
 				continue
 			}
 		}
-		pending--
 		if r.err == nil {
-			if r.hedged {
+			if r.i >= hedgeAt {
 				st.hedgeWins.Add(1)
 			}
 			return r.resps, nil
 		}
-		if firstErr == nil {
-			firstErr = r.err
+		if ctx.Err() != nil {
+			return nil, cmp.Or(firstErr, r.err)
 		}
-		// The primary chain failed before the hedge fired: launch the
-		// replica chain immediately as failover rather than waiting out
-		// the timer.
-		if !launched && ctx.Err() == nil {
-			launch()
+		st.errors.Add(1)
+		if c.cfg.timeout > 0 && errors.Is(r.err, context.DeadlineExceeded) {
+			st.timeouts.Add(1)
+			r.err = fmt.Errorf("attempt exceeded the %v shard deadline: %w", c.cfg.timeout, r.err)
+		}
+		if !retryableShardErr(r.err) {
+			return nil, r.err
+		}
+		firstErr = cmp.Or(firstErr, r.err)
+	}
+}
+
+// callBackend is one attempt: its backoff pause, then the batch on be
+// under the per-attempt deadline.
+func (c *Coordinator) callBackend(ctx context.Context, be ShardBackend, reqs []Request, pause time.Duration) ([]Response, error) {
+	if pause > 0 {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(pause):
 		}
 	}
-	return nil, firstErr
+	if c.cfg.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.cfg.timeout)
+		defer cancel()
+	}
+	return be.DoBatch(ctx, reqs)
 }
 
 // planNodes validates a query's nodes and routes them to their owning

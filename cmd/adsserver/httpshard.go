@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"adsketch"
+	"adsketch/internal/cluster"
 	"adsketch/internal/wire"
 )
 
@@ -57,11 +58,11 @@ var shardTransport = func() *http.Transport {
 type clusterConfig struct {
 	dialTimeout   time.Duration // per-attempt budget for a worker's /v1/meta
 	dialRetries   int           // extra dial attempts per worker
-	dialBackoff   time.Duration // delay before the first dial retry (doubles per attempt)
+	dialBackoff   time.Duration // base of the dial retries' cluster.Backoff
 	shardTimeout  time.Duration // per-attempt shard call deadline (0 = none)
 	shardRetries  int           // extra rounds through a partition's replica chain
-	retryBackoff  time.Duration // delay before the first shard retry
-	hedgeDelay    time.Duration // hedge a second replica after this wait (0 = off)
+	retryBackoff  time.Duration // base of the shard retries' cluster.Backoff
+	hedgeDelay    time.Duration // start the next attempt beside one this slow (0 = off)
 	probeInterval time.Duration // /healthz polling interval (0 = no probing)
 }
 
@@ -116,11 +117,7 @@ func dialShard(base string, cfg clusterConfig) (*httpShard, error) {
 		if attempt >= cfg.dialRetries {
 			return nil, err
 		}
-		delay := cfg.dialBackoff << attempt
-		if max := time.Second; delay > max || delay <= 0 {
-			delay = max
-		}
-		time.Sleep(delay)
+		time.Sleep(cluster.Backoff(cfg.dialBackoff, attempt+1))
 	}
 }
 

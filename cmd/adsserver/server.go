@@ -40,12 +40,6 @@ func isBinaryContentType(ct string) bool {
 	return err == nil && mt == wire.ContentType
 }
 
-// cacheStatser is the optional backend face for index-cache counters
-// (both Engine and Coordinator provide it; a future backend might not).
-type cacheStatser interface {
-	CacheStats() adsketch.CacheStats
-}
-
 // setInfo is the optional backend face for sketch-set payload counters.
 type setInfo interface {
 	Set() adsketch.SketchSet

@@ -16,6 +16,7 @@ package cluster
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 // ScatterAll is the fan-out half of the scatter-gather cycle.  It runs
@@ -51,4 +52,16 @@ func ScatterAll(ctx context.Context, n int, fn func(i int) error) ([]error, erro
 	}
 	wg.Wait()
 	return errs, ctx.Err()
+}
+
+// Backoff is the pause before retry n of a call, n ≥ 1 counting the
+// attempts that follow a failed one: base doubled per retry, capped at
+// one second.  A base ≤ 0 pauses not at all.  The coordinator's shard
+// calls and adsserver's worker dials both back off by it.
+func Backoff(base time.Duration, n int) time.Duration {
+	d := max(base, 0)
+	for ; n > 1 && d < time.Second; n-- {
+		d *= 2
+	}
+	return min(d, time.Second)
 }

@@ -279,3 +279,31 @@ func TestMergeScoresPartial(t *testing.T) {
 		t.Error("short surviving partial merged successfully")
 	}
 }
+
+// Backoff doubles its base per retry up to one second, and a base of zero
+// or less never pauses: the rule both the coordinator's shard retries and
+// adsserver's worker dials follow.
+func TestBackoff(t *testing.T) {
+	for _, tc := range []struct {
+		base time.Duration
+		n    int
+		want time.Duration
+	}{
+		{25 * time.Millisecond, 1, 25 * time.Millisecond},
+		{25 * time.Millisecond, 2, 50 * time.Millisecond},
+		{25 * time.Millisecond, 6, 800 * time.Millisecond},
+		{25 * time.Millisecond, 7, time.Second},
+		{25 * time.Millisecond, 200, time.Second},
+		{250 * time.Millisecond, 1, 250 * time.Millisecond},
+		{250 * time.Millisecond, 2, 500 * time.Millisecond},
+		{250 * time.Millisecond, 3, time.Second},
+		{3 * time.Second, 1, time.Second},
+		{time.Duration(1) << 62, 2, time.Second},
+		{0, 5, 0},
+		{-time.Millisecond, 1, 0},
+	} {
+		if got := Backoff(tc.base, tc.n); got != tc.want {
+			t.Errorf("Backoff(%v, %d) = %v, want %v", tc.base, tc.n, got, tc.want)
+		}
+	}
+}

@@ -85,9 +85,9 @@ type Params struct {
 	Eps    float64
 }
 
-// validate is the one check of a set's parameters, for the builders and
-// the file readers alike.
-func (p Params) validate() error {
+// Validate is the one check of a set's parameters, for the builders, the
+// file readers and the distributed build alike.
+func (p Params) Validate() error {
 	if err := p.Options.validate(); err != nil {
 		return err
 	}
@@ -113,6 +113,14 @@ func (p Params) validate() error {
 		return fmt.Errorf("core: %+v sets a field a %v set does not have", p, p.Kind)
 	}
 	return nil
+}
+
+// Ranker returns the rank function of a set of valid parameters p: the
+// rank of node, of node weight beta on a weighted set, as every builder
+// draws it.
+func (p Params) Ranker() func(node int32, beta float64) float64 {
+	by := newRanker(p)
+	return by.rank
 }
 
 // Set holds the sketches of a node range of one graph — all of its nodes,
@@ -205,7 +213,7 @@ func BuildSet(g *graph.Graph, o Options) (*Set, error) {
 // goroutine.  The output is identical for every worker count.
 func BuildSetParallel(g *graph.Graph, o Options, workers int) (*Set, error) {
 	p := Params{Kind: KindUniform, Options: o}
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	var f *Frame

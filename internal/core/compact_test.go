@@ -200,7 +200,7 @@ func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, truste
 		})
 		rebuilt("codes that decrease within a segment", false, from, func(p *v3Parts) { p.codes[1], p.codes[2] = p.codes[2], p.codes[1] })
 		rebuilt("codes that repeat within a segment", false, from, func(p *v3Parts) { p.codes[2] = p.codes[1] })
-		// A uniform set has no weight scheme or epsilon (Params.validate).
+		// A uniform set has no weight scheme or epsilon (Params.Validate).
 		at := distinctAt - frameHdrSize
 		edit("a weight scheme on a uniform set", true, from, func(b []byte) { le.PutUint32(b[at+24:], uint32(PriorityWeights)) })
 		edit("an epsilon on a uniform set", true, from, func(b []byte) { le.PutUint64(b[at+32:], math.Float64bits(0.5)) })

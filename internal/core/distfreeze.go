@@ -86,7 +86,7 @@ func FreezePartition(p Params, index, count, total int, lists [][]Entry, betas [
 // validated; the entries' Rank fields must be the ones p derives when
 // ranked, and are ignored otherwise.
 func FreezeLists(p Params, index, count, total int, lists [][]Entry, beta []float64, ranked bool) (*Set, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	lo, hi, err := partRange(index, max(count, 1), total)

@@ -302,7 +302,7 @@ func (h *frameHdr) validate() error {
 		return fmt.Errorf("core: implausible node count %d", h.n)
 	}
 	p := h.params()
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return err
 	}
 	if hasBeta := h.flags&frameFlagBeta != 0; hasBeta != (p.Kind == KindWeighted) {

@@ -179,7 +179,7 @@ func BuildPriorityWeightedSet(g *graph.Graph, k int, seed uint64, beta []float64
 // GOMAXPROCS, and the output is identical for every worker count.
 func BuildWeightedSetParallel(g *graph.Graph, k int, seed uint64, beta []float64, scheme WeightScheme, workers int) (*Set, error) {
 	p := Params{Kind: KindWeighted, Options: Options{K: k, Seed: seed}, Scheme: scheme}
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if len(beta) != g.NumNodes() {

@@ -40,39 +40,28 @@ package distbuild
 
 import (
 	"fmt"
-	"math"
 
+	"adsketch/internal/cluster"
 	"adsketch/internal/core"
 	"adsketch/internal/wire"
 )
 
-// Kind selects the sketch kind a distributed build produces.  The
-// values match the wire frontier-frame kind codes.
-type Kind int
+// Kind selects the sketch kind a distributed build produces: core's set
+// kinds, whose codes the wire frontier frames carry.
+type Kind = core.Kind
 
+// The kinds a distributed build makes.
 const (
 	// KindUniform builds bottom-k sketches with uniform full-precision
 	// ranks — the distributed analogue of core.BuildSet.
-	KindUniform Kind = wire.FrontierKindUniform
+	KindUniform = core.KindUniform
 	// KindWeighted builds weighted bottom-k sketches (exponential or
 	// priority ranks) — the analogue of core.BuildWeightedSet.
-	KindWeighted Kind = wire.FrontierKindWeighted
+	KindWeighted = core.KindWeighted
 	// KindApprox builds (1+ε)-approximate sketches (Section 3), which
 	// no in-process serving build makes.
-	KindApprox Kind = wire.FrontierKindApprox
+	KindApprox = core.KindApprox
 )
-
-func (k Kind) String() string {
-	switch k {
-	case KindUniform:
-		return "uniform"
-	case KindWeighted:
-		return "weighted"
-	case KindApprox:
-		return "approx"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
 
 // Candidate is one relaxation candidate in flight between partitions.
 // It is the wire frame element verbatim, so the in-process and HTTP
@@ -103,38 +92,15 @@ type Spec struct {
 	Parts int
 }
 
-// Validate checks the spec's invariants.
+// Validate checks the spec's invariants: its split, and everything else
+// as the spec of one worker that owns every node.
 func (s *Spec) Validate() error {
-	if s.Path == "" {
-		return fmt.Errorf("distbuild: spec has no edge-list path")
-	}
-	if s.N < 1 {
-		return fmt.Errorf("distbuild: node count %d, want >= 1", s.N)
-	}
-	if s.K < 1 {
-		return fmt.Errorf("distbuild: k = %d, want >= 1", s.K)
+	whole := s.worker(0, 1, s.Beta)
+	if err := whole.Validate(); err != nil {
+		return err
 	}
 	if s.Parts < 1 || s.Parts > s.N {
 		return fmt.Errorf("distbuild: cannot split %d nodes across %d workers", s.N, s.Parts)
-	}
-	switch s.Kind {
-	case KindUniform:
-	case KindWeighted:
-		if s.Scheme != core.ExponentialWeights && s.Scheme != core.PriorityWeights {
-			return fmt.Errorf("distbuild: unknown weight scheme %d", s.Scheme)
-		}
-		if len(s.Beta) != s.N {
-			return fmt.Errorf("distbuild: beta has %d weights for %d nodes", len(s.Beta), s.N)
-		}
-		if err := core.CheckWeights(s.Beta, 0); err != nil {
-			return fmt.Errorf("distbuild: %w", err)
-		}
-	case KindApprox:
-		if s.Eps < 0 || math.IsNaN(s.Eps) || math.IsInf(s.Eps, 1) {
-			return fmt.Errorf("distbuild: invalid epsilon %g", s.Eps)
-		}
-	default:
-		return fmt.Errorf("distbuild: unknown kind %d", int(s.Kind))
 	}
 	return nil
 }
@@ -145,26 +111,24 @@ func (s *Spec) Worker(index int) (WorkerSpec, error) {
 	if err := s.Validate(); err != nil {
 		return WorkerSpec{}, err
 	}
-	if index < 0 || index >= s.Parts {
-		return WorkerSpec{}, fmt.Errorf("distbuild: worker index %d out of range [0, %d)", index, s.Parts)
-	}
-	w := WorkerSpec{
-		Path:     s.Path,
-		Directed: s.Directed,
-		N:        s.N,
-		K:        s.K,
-		Seed:     s.Seed,
-		Kind:     int(s.Kind),
-		Scheme:   int(s.Scheme),
-		Eps:      s.Eps,
-		Parts:    s.Parts,
-		Index:    index,
+	ws := s.worker(index, s.Parts, nil)
+	r, err := ws.owned()
+	if err != nil {
+		return WorkerSpec{}, err
 	}
 	if s.Kind == KindWeighted {
-		lo, hi := index*s.N/s.Parts, (index+1)*s.N/s.Parts
-		w.Beta = s.Beta[lo:hi]
+		ws.Beta = s.Beta[r.Lo:r.Hi]
 	}
-	return w, nil
+	return ws, nil
+}
+
+// worker is worker index's spec in a parts-way split, holding beta.
+func (s *Spec) worker(index, parts int, beta []float64) WorkerSpec {
+	return WorkerSpec{
+		Path: s.Path, Directed: s.Directed, N: s.N, K: s.K, Seed: s.Seed,
+		Kind: int(s.Kind), Scheme: int(s.Scheme), Eps: s.Eps,
+		Parts: parts, Index: index, Beta: beta,
+	}
 }
 
 // WorkerSpec is one worker's configuration: the whole-build parameters
@@ -187,29 +151,49 @@ type WorkerSpec struct {
 
 // Validate checks the worker spec's invariants.
 func (ws *WorkerSpec) Validate() error {
-	s := Spec{
-		Path: ws.Path, Directed: ws.Directed, N: ws.N, K: ws.K, Seed: ws.Seed,
-		Kind: Kind(ws.Kind), Scheme: core.WeightScheme(ws.Scheme), Eps: ws.Eps, Parts: ws.Parts,
+	r, err := ws.owned()
+	if err != nil || Kind(ws.Kind) != KindWeighted {
+		return err
+	}
+	if len(ws.Beta) != int(r.Hi-r.Lo) {
+		return fmt.Errorf("distbuild: %d weights for the %d nodes [%d, %d)", len(ws.Beta), r.Hi-r.Lo, r.Lo, r.Hi)
+	}
+	if err := core.CheckWeights(ws.Beta, int(r.Lo)); err != nil {
+		return fmt.Errorf("distbuild: %w", err)
+	}
+	return nil
+}
+
+// owned checks the spec but for Beta and returns the node range the
+// worker owns, its cluster.SplitRanges range.
+func (ws *WorkerSpec) owned() (cluster.Range, error) {
+	if ws.Path == "" {
+		return cluster.Range{}, fmt.Errorf("distbuild: spec has no edge-list path")
+	}
+	if ws.N < 1 {
+		return cluster.Range{}, fmt.Errorf("distbuild: node count %d, want >= 1", ws.N)
+	}
+	if err := ws.params().Validate(); err != nil {
+		return cluster.Range{}, fmt.Errorf("distbuild: %w", err)
+	}
+	ranges, err := cluster.SplitRanges(ws.N, ws.Parts)
+	if err != nil {
+		return cluster.Range{}, fmt.Errorf("distbuild: %w", err)
 	}
 	if ws.Index < 0 || ws.Index >= ws.Parts {
-		return fmt.Errorf("distbuild: worker index %d out of range [0, %d)", ws.Index, ws.Parts)
+		return cluster.Range{}, fmt.Errorf("distbuild: worker index %d out of range [0, %d)", ws.Index, ws.Parts)
 	}
-	if Kind(ws.Kind) == KindWeighted {
-		lo, hi := ws.Index*ws.N/ws.Parts, (ws.Index+1)*ws.N/ws.Parts
-		if len(ws.Beta) != hi-lo {
-			return fmt.Errorf("distbuild: worker %d owns %d nodes but got %d weights", ws.Index, hi-lo, len(ws.Beta))
-		}
-		if err := core.CheckWeights(ws.Beta, lo); err != nil {
-			return fmt.Errorf("distbuild: %w", err)
-		}
-		// Spec.Validate checks Beta against the full node count; the
-		// worker only carries its slice, so stand in a valid vector.
-		s.Beta = make([]float64, ws.N)
-		for i := range s.Beta {
-			s.Beta[i] = 1
-		}
+	return ranges[ws.Index], nil
+}
+
+// params returns the parameters of the set the build makes.
+func (ws *WorkerSpec) params() core.Params {
+	return core.Params{
+		Kind:    Kind(ws.Kind),
+		Options: core.Options{K: ws.K, Seed: ws.Seed},
+		Scheme:  core.WeightScheme(ws.Scheme),
+		Eps:     ws.Eps,
 	}
-	return s.Validate()
 }
 
 // Stats is a point-in-time snapshot of one worker.  The sizes scale

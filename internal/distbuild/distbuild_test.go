@@ -3,11 +3,13 @@ package distbuild
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"adsketch/internal/core"
@@ -340,9 +342,36 @@ func TestDistBuildValidation(t *testing.T) {
 		"bad eps":       {Path: "x", N: 10, K: 4, Parts: 2, Kind: KindApprox, Eps: -1},
 		"bad scheme":    {Path: "x", N: 10, K: 4, Parts: 2, Kind: KindWeighted, Scheme: 9, Beta: make([]float64, 10)},
 		"negative beta": {Path: "x", N: 10, K: 4, Parts: 2, Kind: KindWeighted, Beta: make([]float64, 10)},
+		"eps on exact":  {Path: "x", N: 10, K: 4, Parts: 2, Kind: KindUniform, Eps: 0.5},
+		"k too large":   {Path: "x", N: 10, K: core.MaxK + 1, Parts: 2},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: spec %+v validated", name, bad)
+		}
+	}
+
+	// A worker's weights are its own range's, checked against that range:
+	// worker 1 of a 3-way split of 10 nodes owns [3, 6).
+	beta := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	weighted := Spec{Path: "x", N: 10, K: 4, Parts: 3, Kind: KindWeighted, Beta: beta}
+	ws, err := weighted.Worker(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ws.Beta) != "[4 5 6]" || ws.Validate() != nil {
+		t.Errorf("worker 1 of 3 holds weights %v (%v), want [4 5 6]", ws.Beta, ws.Validate())
+	}
+	for name, mutate := range map[string]func(*WorkerSpec){
+		"short beta":     func(ws *WorkerSpec) { ws.Beta = ws.Beta[:2] },
+		"bad weight":     func(ws *WorkerSpec) { ws.Beta = []float64{4, -1, 6} },
+		"index too high": func(ws *WorkerSpec) { ws.Index = 3 },
+		"bad kind":       func(ws *WorkerSpec) { ws.Kind = 9 },
+	} {
+		bad := ws
+		bad.Beta = slices.Clone(ws.Beta)
+		mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: worker spec %+v validated", name, bad)
 		}
 	}
 

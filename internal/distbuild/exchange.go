@@ -3,7 +3,8 @@ package distbuild
 import (
 	"context"
 	"fmt"
-	"sync"
+
+	"adsketch/internal/cluster"
 )
 
 // Exchanger is one worker as the driver sees it, whatever transport it
@@ -55,32 +56,17 @@ func Run(ctx context.Context, exs []Exchanger) (*Result, error) {
 		return nil, fmt.Errorf("distbuild: no workers")
 	}
 	outs := make([][][]Candidate, p)
-	err := inParallel(p, func(i int) error {
-		o, err := exs[i].Init(ctx)
-		if err != nil {
-			return fmt.Errorf("distbuild: worker %d init: %w", i, err)
-		}
-		if len(o) != p {
-			return fmt.Errorf("distbuild: worker %d returned %d outboxes for %d workers", i, len(o), p)
-		}
-		outs[i] = o
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{}
-	for round := 1; ; round++ {
-		inboxes, total := regroup(outs, p)
-		if total == 0 {
-			res.Rounds = round - 1
-			break
-		}
-		res.Candidates += total
-		err := inParallel(p, func(i int) error {
-			o, err := exs[i].Step(ctx, round, inboxes[i])
-			if err != nil {
+	// exchange runs one round on every worker, Init as round 0, and
+	// keeps their outboxes.
+	exchange := func(round int, inboxes [][]Candidate) error {
+		return firstErr(cluster.ScatterAll(ctx, p, func(i int) error {
+			var o [][]Candidate
+			var err error
+			if round == 0 {
+				if o, err = exs[i].Init(ctx); err != nil {
+					return fmt.Errorf("distbuild: worker %d init: %w", i, err)
+				}
+			} else if o, err = exs[i].Step(ctx, round, inboxes[i]); err != nil {
 				return fmt.Errorf("distbuild: worker %d round %d: %w", i, round, err)
 			}
 			if len(o) != p {
@@ -88,21 +74,33 @@ func Run(ctx context.Context, exs []Exchanger) (*Result, error) {
 			}
 			outs[i] = o
 			return nil
-		})
-		if err != nil {
+		}))
+	}
+	if err := exchange(0, nil); err != nil {
+		return nil, err
+	}
+	res := &Result{}
+	for {
+		inboxes, total := regroup(outs, p)
+		if total == 0 {
+			break
+		}
+		res.Rounds++
+		res.Candidates += total
+		if err := exchange(res.Rounds, inboxes); err != nil {
 			return nil, err
 		}
 	}
 
 	res.Partitions = make([][]byte, p)
-	err = inParallel(p, func(i int) error {
+	err := firstErr(cluster.ScatterAll(ctx, p, func(i int) error {
 		b, err := exs[i].Freeze(ctx)
 		if err != nil {
 			return fmt.Errorf("distbuild: worker %d freeze: %w", i, err)
 		}
 		res.Partitions[i] = b
 		return nil
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -134,23 +132,13 @@ func regroup(outs [][][]Candidate, p int) ([][]Candidate, int64) {
 	return inboxes, total
 }
 
-// inParallel runs fn(0..n-1) concurrently and returns the first error
-// by index order.
-func inParallel(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+// firstErr is the lowest-indexed worker's error of a cluster.ScatterAll
+// over the workers, or the error of its ctx ending.
+func firstErr(errs []error, err error) error {
+	for _, e := range errs {
+		if e != nil {
+			return e
 		}
 	}
-	return nil
+	return err
 }

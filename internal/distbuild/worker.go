@@ -11,7 +11,6 @@ import (
 	"adsketch/internal/cluster"
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
-	"adsketch/internal/rank"
 )
 
 // arc is one reverse-adjacency edge of an owned node: the node has an
@@ -31,10 +30,9 @@ type arc struct {
 // calls each exchanger once at a time, and WorkerHandler locks.
 type Worker struct {
 	spec   WorkerSpec
-	kind   Kind
+	params core.Params
 	lo, hi int32
 	router *cluster.Router
-	src    rank.Source
 
 	in    [][]arc        // in-arcs of owned nodes, local index
 	lists [][]core.Entry // entry lists of owned nodes, local index
@@ -63,20 +61,13 @@ func NewWorker(spec WorkerSpec) (*Worker, error) {
 	r := ranges[spec.Index]
 	return &Worker{
 		spec:   spec,
-		kind:   Kind(spec.Kind),
+		params: spec.params(),
 		lo:     r.Lo,
 		hi:     r.Hi,
 		router: router,
-		src:    rank.NewSource(spec.Seed),
 		kern:   core.NewOfferKernel(spec.K),
 	}, nil
 }
-
-// Index returns the worker's partition index.
-func (w *Worker) Index() int { return w.spec.Index }
-
-// Range returns the owned node range [lo, hi).
-func (w *Worker) Range() (lo, hi int32) { return w.lo, w.hi }
 
 // Stats snapshots the worker.
 func (w *Worker) Stats() Stats {
@@ -89,21 +80,6 @@ func (w *Worker) Stats() Stats {
 		st.Arcs += len(a)
 	}
 	return st
-}
-
-// rankOf returns owned node v's deterministic rank under the build's
-// kind — the same value the sequential builders draw.
-func (w *Worker) rankOf(v int32) float64 {
-	switch w.kind {
-	case KindWeighted:
-		beta := w.spec.Beta[v-w.lo]
-		if core.WeightScheme(w.spec.Scheme) == core.PriorityWeights {
-			return w.src.PriorityRank(int64(v), beta)
-		}
-		return w.src.ExpRank(int64(v), beta)
-	default:
-		return w.src.Rank(int64(v))
-	}
 }
 
 // Init streams the worker's slice of the edge list — only lines with an
@@ -168,18 +144,18 @@ func (w *Worker) Init(ctx context.Context) ([][]Candidate, error) {
 	w.lists = make([][]core.Entry, local)
 	w.betas = make([][]float64, local)
 	outs := make([][]Candidate, w.spec.Parts)
+	rank := w.params.Ranker() // the rank every builder draws for a node
 	for v := w.lo; v < w.hi; v++ {
 		li := int(v - w.lo)
-		rk := w.rankOf(v)
-		w.lists[li] = []core.Entry{{Node: v, Dist: 0, Rank: rk}}
-		if w.kind == KindWeighted {
-			w.betas[li] = []float64{w.spec.Beta[li]}
+		var beta float64
+		if w.params.Kind == KindWeighted {
+			beta = w.spec.Beta[li]
+			w.betas[li] = []float64{beta}
 		}
+		rk := rank(v, beta)
+		w.lists[li] = []core.Entry{{Node: v, Dist: 0, Rank: rk}}
 		for _, a := range w.in[li] {
-			c := Candidate{Target: a.From, Node: v, Dist: a.W, Rank: rk}
-			if w.kind == KindWeighted {
-				c.Beta = w.spec.Beta[li]
-			}
+			c := Candidate{Target: a.From, Node: v, Dist: a.W, Rank: rk, Beta: beta}
 			dst, err := w.router.Owner(a.From)
 			if err != nil {
 				return nil, err
@@ -231,7 +207,7 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 		// acceptance, or the exact insert-and-clean-up with c.Beta carried
 		// into the parallel weight column of a weighted build.
 		var ok bool
-		if w.kind == KindApprox {
+		if w.params.Kind == KindApprox {
 			w.lists[li], ok = w.kern.OfferApprox(w.lists[li], e, w.spec.Eps)
 		} else {
 			var evicted int
@@ -266,17 +242,7 @@ func (w *Worker) Freeze(ctx context.Context) ([]byte, error) {
 		return nil, err
 	}
 	w.frozen = true
-	p := core.Params{Kind: core.KindUniform, Options: core.Options{K: w.spec.K, Seed: w.spec.Seed}}
-	switch w.kind {
-	case KindUniform:
-	case KindWeighted:
-		p.Kind, p.Scheme = core.KindWeighted, core.WeightScheme(w.spec.Scheme)
-	case KindApprox:
-		p.Kind, p.Eps = core.KindApprox, w.spec.Eps
-	default:
-		return nil, fmt.Errorf("distbuild: unknown kind %d", int(w.kind))
-	}
-	part, err := core.FreezePartition(p, w.spec.Index, w.spec.Parts, w.spec.N, w.lists, w.betas)
+	part, err := core.FreezePartition(w.params, w.spec.Index, w.spec.Parts, w.spec.N, w.lists, w.betas)
 	if err != nil {
 		return nil, err
 	}
