@@ -220,16 +220,18 @@ type Coordinator struct {
 	stats  []shardCounters  // per-partition failure telemetry
 	every  []cluster.Sub    // one node-less sub per shard: a topk's fan-out
 	cfg    coordConfig
-	router *cluster.Router
 	total  int
 	k      int
 	kind   string
 }
 
 // NewCoordinator builds a coordinator over a complete split: one backend
-// per partition, covering every node exactly once, with equal sketch
-// parameters.  Backends may be local engines, remote workers, or nested
-// coordinators, in any order.  Options configure the failure semantics
+// per partition of a P-way split of n nodes, partition i over the nodes
+// [i·n/P, (i+1)·n/P) (core.PartRange, the rule SplitSketchSet cuts by),
+// with equal sketch parameters; any other cover is refused, naming the
+// backend.  Backends may be local engines, remote workers, or nested
+// coordinators, in any order; the coordinator keeps them in partition
+// order.  Options configure the failure semantics
 // (per-shard timeouts, bounded retries with backoff); for replicated
 // partitions and hedged requests see NewReplicatedCoordinator, of which
 // this is the single-replica form.
@@ -259,48 +261,57 @@ func NewReplicatedCoordinator(groups [][]ShardBackend, opts ...CoordinatorOption
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("%w: NewCoordinator with no shard backends", ErrBadOption)
 	}
-	backends := make([]ShardBackend, len(groups))
+	// The groups must be partitions 0..P-1 of one split, each over the
+	// range core.PartRange gives it; they are kept in partition order, so
+	// that a routed sub's Shard is its group's index.
+	byPart := make([][]ShardBackend, len(groups))
+	var first ShardMeta
 	for i, g := range groups {
 		if len(g) == 0 {
-			return nil, fmt.Errorf("%w: partition %d has no backends", ErrBadOption, i)
+			return nil, fmt.Errorf("%w: shard %d has no backends", ErrBadOption, i)
 		}
-		prim := g[0].Meta()
+		m := g[0].Meta()
 		for r, b := range g[1:] {
-			if b.Meta() != prim {
-				return nil, fmt.Errorf("%w: partition %d replica %d serves %+v, primary %+v",
-					ErrBadOption, i, r+1, b.Meta(), prim)
+			if b.Meta() != m {
+				return nil, fmt.Errorf("%w: shard %d replica %d serves %+v, primary %+v",
+					ErrBadOption, i, r+1, b.Meta(), m)
 			}
 		}
-		backends[i] = g[0]
-	}
-	first := backends[0].Meta()
-	ranges := make([]cluster.Range, len(backends))
-	every := make([]cluster.Sub, len(backends))
-	for i, b := range backends {
-		every[i].Shard = i
-		m := b.Meta()
+		if i == 0 {
+			first = m
+		}
 		if m.TotalNodes != first.TotalNodes || m.K != first.K || m.Kind != first.Kind {
 			return nil, fmt.Errorf("%w: shard %d serves (%d nodes, k=%d, %s), shard 0 (%d nodes, k=%d, %s)",
-				ErrBadOption, i, m.TotalNodes, m.K, m.Kind,
-				first.TotalNodes, first.K, first.Kind)
+				ErrBadOption, i, m.TotalNodes, m.K, m.Kind, first.TotalNodes, first.K, first.Kind)
 		}
-		ranges[i] = cluster.Range{Shard: i, Lo: m.Lo, Hi: m.Hi}
+		err := core.CheckPartRange(m.Index, m.Count, m.TotalNodes, int64(m.Lo), int64(m.Hi))
+		switch {
+		case err != nil:
+		case m.Count != len(groups):
+			err = fmt.Errorf("it is partition %d of %d, but the coordinator has %d", m.Index, m.Count, len(groups))
+		case byPart[m.Index] != nil:
+			err = fmt.Errorf("another shard serves partition %d too", m.Index)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: shard %d: %v", ErrBadOption, i, err)
+		}
+		byPart[m.Index] = g
 	}
-	router, err := cluster.NewRouter(ranges, first.TotalNodes)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadOption, err)
-	}
-	return &Coordinator{
-		shards: backends,
-		groups: groups,
-		stats:  make([]shardCounters, len(groups)),
-		every:  every,
+	c := &Coordinator{
+		groups: byPart,
+		shards: make([]ShardBackend, len(byPart)),
+		stats:  make([]shardCounters, len(byPart)),
+		every:  make([]cluster.Sub, len(byPart)),
 		cfg:    cfg,
-		router: router,
 		total:  first.TotalNodes,
 		k:      first.K,
 		kind:   first.Kind,
-	}, nil
+	}
+	for i, g := range byPart {
+		c.shards[i] = g[0]
+		c.every[i].Shard = i
+	}
+	return c, nil
 }
 
 // NumNodes returns the global node count.
@@ -315,7 +326,8 @@ func (c *Coordinator) Kind() string { return c.kind }
 // NumShards returns the number of shard backends.
 func (c *Coordinator) NumShards() int { return len(c.shards) }
 
-// ShardMetas returns the metadata of every backend, in backend order.
+// ShardMetas returns the metadata of every primary backend, in partition
+// order.
 func (c *Coordinator) ShardMetas() []ShardMeta {
 	out := make([]ShardMeta, len(c.shards))
 	for i, b := range c.shards {
@@ -547,7 +559,7 @@ func (c *Coordinator) merge(p *batchPlan, answers []shardAnswer) (Response, erro
 	for j, sub := range p.subs {
 		resps, err := c.slots(sub.Shard, p.spans[j], answers)
 		if err != nil {
-			failed = append(failed, c.shards[sub.Shard].Meta().Index)
+			failed = append(failed, sub.Shard)
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -567,7 +579,7 @@ func (c *Coordinator) merge(p *batchPlan, answers []shardAnswer) (Response, erro
 	if p.explain {
 		m := &MergeMeta{Partials: answered}
 		for _, sub := range p.subs {
-			m.Shards = append(m.Shards, c.shards[sub.Shard].Meta().Index)
+			m.Shards = append(m.Shards, sub.Shard)
 		}
 		if len(failed) > 0 {
 			sort.Ints(failed)
@@ -801,11 +813,7 @@ func (c *Coordinator) planNodes(nodes []int32) ([]cluster.Sub, error) {
 	if err := query.CheckNodes(c.total, nodes); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	subs, err := c.router.Plan(nodes)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return subs, nil
+	return cluster.Plan(nodes, len(c.shards), c.total), nil
 }
 
 // requireCoordinated gates the cross-sketch queries (jaccard, influence,

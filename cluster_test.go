@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -254,6 +255,76 @@ func TestCoordinatorValidation(t *testing.T) {
 	// overlap).
 	if _, err := adsketch.NewCoordinator([]adsketch.ShardBackend{eng, shard0}); err == nil {
 		t.Error("overlapping shards accepted")
+	}
+}
+
+// metaShard is a backend that reports the meta it is given and serves
+// nothing: a coordinator must judge a split by its metas alone.
+type metaShard struct{ meta adsketch.ShardMeta }
+
+func (s metaShard) Meta() adsketch.ShardMeta { return s.meta }
+
+func (metaShard) Do(context.Context, adsketch.Request) (adsketch.Response, error) {
+	return adsketch.Response{}, errors.New("metaShard serves nothing")
+}
+
+func (metaShard) DoBatch(context.Context, []adsketch.Request) ([]adsketch.Response, error) {
+	return nil, errors.New("metaShard serves nothing")
+}
+
+// shardsOf returns one metaShard per [lo, hi) pair, shard i claiming
+// partition i of len(bounds)/2 of total nodes.
+func shardsOf(total int, bounds ...int32) []adsketch.ShardBackend {
+	out := make([]adsketch.ShardBackend, len(bounds)/2)
+	for i := range out {
+		out[i] = metaShard{adsketch.ShardMeta{Index: i, Count: len(out), Lo: bounds[2*i], Hi: bounds[2*i+1],
+			TotalNodes: total, K: 8, Kind: adsketch.KindUniform}}
+	}
+	return out
+}
+
+// TestCoordinatorCoverValidation: a coordinator takes exactly the
+// partitions 0..P-1 of one split, each over the range core.PartRange
+// gives it, in any order, and refuses any other cover at construction,
+// naming the backend — a contiguous tiling that is not the canonical one
+// too, which would otherwise fail query by query.  A node outside the
+// split is a bad request.
+func TestCoordinatorCoverValidation(t *testing.T) {
+	good := shardsOf(10, 0, 5, 5, 10)
+	if _, err := adsketch.NewCoordinator(good); err != nil {
+		t.Errorf("canonical 2-way split of 10 nodes refused: %v", err)
+	}
+	coord, err := adsketch.NewCoordinator([]adsketch.ShardBackend{good[1], good[0]})
+	if err != nil {
+		t.Fatalf("canonical split in reverse order refused: %v", err)
+	}
+	bad := []struct {
+		name     string
+		backends []adsketch.ShardBackend
+		shard    int // the backend the error names
+	}{
+		{"not canonical", shardsOf(10, 0, 6, 6, 10), 0},
+		{"gap", shardsOf(10, 0, 3, 7, 10), 0},
+		{"hole", shardsOf(10, 0, 5, 7, 10), 1},
+		{"overlap", shardsOf(10, 0, 5, 3, 10), 1},
+		{"inverted", shardsOf(10, 5, 3, 5, 10), 0},
+		{"not from zero", shardsOf(10, 2, 10), 0},
+		{"overshoot", shardsOf(10, 0, 5, 5, 12), 1},
+		{"empty range", shardsOf(10, 0, 3, 3, 3, 3, 10), 1},
+		{"duplicate", []adsketch.ShardBackend{good[0], good[0]}, 1},
+		{"missing", good[:1], 0},
+	}
+	for _, tc := range bad {
+		_, err := adsketch.NewCoordinator(tc.backends)
+		if !errors.Is(err, adsketch.ErrBadOption) || !strings.Contains(err.Error(), fmt.Sprintf("shard %d", tc.shard)) {
+			t.Errorf("%s: err = %v, want ErrBadOption naming shard %d", tc.name, err, tc.shard)
+		}
+	}
+	for _, v := range []int32{-1, 10, 100} {
+		_, err := coord.Do(context.Background(), adsketch.Request{Closeness: &adsketch.ClosenessQuery{Nodes: []int32{v}}})
+		if !errors.Is(err, adsketch.ErrBadRequest) {
+			t.Errorf("node %d: err = %v, want ErrBadRequest", v, err)
+		}
 	}
 }
 

@@ -1,16 +1,20 @@
 // Package cluster provides the machinery of the partitioned serving
-// tier: a node-ID router over the contiguous shard ranges of a split
-// sketch set, a scatter-gather runner for fanning one batch out to the
-// shards that own its nodes, and the partial-response merges that
-// reassemble shard answers into the single-set answer.
+// tier: a node-ID router (Plan) over a split sketch set, a scatter-gather
+// runner for fanning one batch out to the shards that own its nodes, and
+// the partial-response merges that reassemble shard answers into the
+// single-set answer.
 //
 // The design target is the DegreeSketch-style topology (Priest,
 // arXiv:2004.04289): per-node sketches distributed across workers by
 // node ID, with a coordinator that scatters each query to the owning
-// workers and aggregates the partials.  Everything here is deliberately
-// deterministic — routing depends only on the ranges, and every merge
-// reproduces the single-set evaluation order — so a scattered answer is
-// bit-for-bit identical to the unpartitioned one.
+// workers and aggregates the partials.  Node ownership is one rule, held
+// by internal/core: partition i of a P-way split of n nodes owns
+// [i·n/P, (i+1)·n/P) (core.PartRange), and node v belongs to partition
+// core.PartOf(v, P, n).  Plan routes by it, and the partition files and
+// the distributed build place nodes by it too.  Everything here is
+// deliberately deterministic — routing depends only on the split, and
+// every merge reproduces the single-set evaluation order — so a scattered
+// answer is bit-for-bit identical to the unpartitioned one.
 package cluster
 
 import (

@@ -14,89 +14,36 @@ import (
 	"adsketch/internal/query"
 )
 
-func ranges(bounds ...int32) []Range {
-	out := make([]Range, len(bounds)-1)
-	for i := range out {
-		out[i] = Range{Shard: i, Lo: bounds[i], Hi: bounds[i+1]}
-	}
-	return out
-}
-
-func TestRouterCoverValidation(t *testing.T) {
-	if _, err := NewRouter(ranges(0, 3, 7, 10), 10); err != nil {
-		t.Errorf("valid cover rejected: %v", err)
-	}
-	// Empty ranges are tolerated.
-	if _, err := NewRouter(ranges(0, 3, 3, 10), 10); err != nil {
-		t.Errorf("cover with empty range rejected: %v", err)
-	}
-	bad := []struct {
-		name   string
-		ranges []Range
-		total  int
-	}{
-		{"gap", ranges(0, 3, 7), 10},
-		{"hole", []Range{{0, 0, 3}, {1, 5, 10}}, 10},
-		{"overlap", []Range{{0, 0, 5}, {1, 3, 10}}, 10},
-		{"inverted", []Range{{0, 5, 3}, {1, 5, 10}}, 10},
-		{"not-from-zero", []Range{{0, 2, 10}}, 10},
-		{"overshoot", ranges(0, 4, 12), 10},
-	}
-	for _, tc := range bad {
-		if _, err := NewRouter(tc.ranges, tc.total); err == nil {
-			t.Errorf("%s: invalid cover accepted", tc.name)
-		}
-	}
-}
-
+// TestRouterOwnerAndPlan: Plan routes each node to the partition
+// core.PartRange gives it — for a 4-way split of 10 nodes [0, 2), [2, 5),
+// [5, 7) and [7, 10) — and orders the groups by first appearance.
 func TestRouterOwnerAndPlan(t *testing.T) {
-	r, err := NewRouter(ranges(0, 3, 3, 7, 10), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owners := map[int32]int{0: 0, 2: 0, 3: 2, 6: 2, 7: 3, 9: 3}
+	owners := map[int32]int{0: 0, 1: 0, 2: 1, 4: 1, 5: 2, 6: 2, 7: 3, 9: 3}
 	for v, want := range owners {
-		got, err := r.Owner(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("Owner(%d) = %d, want %d", v, got, want)
-		}
-	}
-	for _, v := range []int32{-1, 10, 100} {
-		if _, err := r.Owner(v); err == nil {
-			t.Errorf("Owner(%d) succeeded", v)
+		if subs := Plan([]int32{v}, 4, 10); len(subs) != 1 || subs[0].Shard != want {
+			t.Errorf("Plan([%d]) = %+v, want one sub of shard %d", v, subs, want)
 		}
 	}
 
 	nodes := []int32{9, 0, 4, 1, 8}
-	subs, err := r.Plan(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Groups in first-appearance order: shard 3 (node 9), shard 0 (0, 1),
-	// shard 2 (4).
+	// shard 1 (4).
 	want := []Sub{
 		{Shard: 3, Nodes: []int32{9, 8}, Pos: []int{0, 4}},
 		{Shard: 0, Nodes: []int32{0, 1}, Pos: []int{1, 3}},
-		{Shard: 2, Nodes: []int32{4}, Pos: []int{2}},
+		{Shard: 1, Nodes: []int32{4}, Pos: []int{2}},
 	}
-	if !reflect.DeepEqual(subs, want) {
+	if subs := Plan(nodes, 4, 10); !reflect.DeepEqual(subs, want) {
 		t.Errorf("Plan = %+v, want %+v", subs, want)
+	}
+	if subs := Plan(nil, 4, 10); subs != nil {
+		t.Errorf("Plan(nil) = %+v, want no subs", subs)
 	}
 }
 
 func TestMergeScores(t *testing.T) {
-	r, err := NewRouter(ranges(0, 5, 10), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nodes := []int32{7, 2, 9, 0}
-	subs, err := r.Plan(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	subs := Plan(nodes, 2, 10)
 	// Shard score = node*10, to make merged positions checkable.
 	partial := make([][]float64, len(subs))
 	for i, sub := range subs {
@@ -239,15 +186,8 @@ func TestScatterAllStartsEveryShard(t *testing.T) {
 }
 
 func TestMergeScoresPartial(t *testing.T) {
-	r, err := NewRouter(ranges(0, 5, 10), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nodes := []int32{7, 2, 9, 0}
-	subs, err := r.Plan(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	subs := Plan(nodes, 2, 10)
 	partial := make([][]float64, len(subs))
 	ok := make([]bool, len(subs))
 	for i, sub := range subs {

@@ -1,94 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Range is one shard's node ownership: the contiguous global node IDs
-// [Lo, Hi).  Shard is the caller's index for the backend serving the
-// range.
-type Range struct {
-	Shard int
-	Lo    int32
-	Hi    int32
-}
-
-// Router maps global node IDs to the shards that own them.  A router is
-// built from the ranges of a complete split and validates at
-// construction that they cover every node exactly once, so routing can
-// never drop or double-serve a node.
-type Router struct {
-	ranges []Range // sorted by Lo, empty ranges removed
-	total  int
-}
-
-// NewRouter builds a router over the given ranges, which must tile
-// [0, total) exactly: sorted ranges are contiguous, non-overlapping, and
-// cover every node.  Empty ranges (Lo == Hi) are permitted and ignored
-// for routing.
-func NewRouter(ranges []Range, total int) (*Router, error) {
-	sorted := append([]Range(nil), ranges...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Lo != sorted[j].Lo {
-			return sorted[i].Lo < sorted[j].Lo
-		}
-		return sorted[i].Hi < sorted[j].Hi
-	})
-	expect := int32(0)
-	kept := sorted[:0]
-	for _, r := range sorted {
-		if r.Lo > r.Hi {
-			return nil, fmt.Errorf("cluster: shard %d has inverted range [%d, %d)", r.Shard, r.Lo, r.Hi)
-		}
-		if r.Lo != expect {
-			return nil, fmt.Errorf("cluster: shard ranges leave nodes [%d, %d) unowned or doubly owned", expect, r.Lo)
-		}
-		expect = r.Hi
-		if r.Lo < r.Hi {
-			kept = append(kept, r)
-		}
-	}
-	if int(expect) != total {
-		return nil, fmt.Errorf("cluster: shard ranges cover nodes [0, %d) of %d", expect, total)
-	}
-	return &Router{ranges: kept, total: total}, nil
-}
-
-// SplitRanges returns the canonical parts-way split of [0, total):
-// partition i owns nodes [i·total/parts, (i+1)·total/parts), with Shard
-// set to the partition index.  These are exactly the ranges
-// core.SplitSketchSet produces, so routers, partition files, and the
-// distributed builder all agree on node ownership by construction.
-func SplitRanges(total, parts int) ([]Range, error) {
-	if parts < 1 {
-		return nil, fmt.Errorf("cluster: cannot split into %d ranges, want >= 1", parts)
-	}
-	if parts > total {
-		return nil, fmt.Errorf("cluster: cannot split %d nodes into %d ranges", total, parts)
-	}
-	out := make([]Range, parts)
-	for i := 0; i < parts; i++ {
-		out[i] = Range{Shard: i, Lo: int32(i * total / parts), Hi: int32((i + 1) * total / parts)}
-	}
-	return out, nil
-}
-
-// Total returns the global node count.
-func (r *Router) Total() int { return r.total }
-
-// Owner returns the caller's shard index for the shard owning node v.
-func (r *Router) Owner(v int32) (int, error) {
-	if v < 0 || int(v) >= r.total {
-		return 0, fmt.Errorf("cluster: node %d out of range [0, %d)", v, r.total)
-	}
-	i := sort.Search(len(r.ranges), func(i int) bool { return r.ranges[i].Hi > v })
-	// The cover invariant guarantees a hit; the check guards corruption.
-	if i == len(r.ranges) || v < r.ranges[i].Lo {
-		return 0, fmt.Errorf("cluster: node %d not covered by any shard range", v)
-	}
-	return r.ranges[i].Shard, nil
-}
+import "adsketch/internal/core"
 
 // Sub is one shard's slice of a scattered node batch: the nodes routed
 // to Shard and, parallel to them, each node's position in the original
@@ -99,25 +11,22 @@ type Sub struct {
 	Pos   []int
 }
 
-// Plan routes a node batch: it groups the nodes by owning shard,
-// preserving request order within each group, with groups ordered by
-// first appearance.  Every node must be in [0, Total()).
-func (r *Router) Plan(nodes []int32) ([]Sub, error) {
+// Plan routes a node batch over a parts-way split of total nodes: it
+// groups the nodes by owning partition (core.PartOf), preserving request
+// order within each group, with groups ordered by first appearance.
+// Every node must be in [0, total).
+func Plan(nodes []int32, parts, total int) []Sub {
 	var subs []Sub
-	bySub := make(map[int]int) // shard -> index into subs
+	at := make([]int, parts) // partition -> 1 + its index into subs
 	for i, v := range nodes {
-		shard, err := r.Owner(v)
-		if err != nil {
-			return nil, err
+		p := core.PartOf(v, parts, total)
+		if at[p] == 0 {
+			subs = append(subs, Sub{Shard: p})
+			at[p] = len(subs)
 		}
-		si, ok := bySub[shard]
-		if !ok {
-			si = len(subs)
-			subs = append(subs, Sub{Shard: shard})
-			bySub[shard] = si
-		}
-		subs[si].Nodes = append(subs[si].Nodes, v)
-		subs[si].Pos = append(subs[si].Pos, i)
+		s := &subs[at[p]-1]
+		s.Nodes = append(s.Nodes, v)
+		s.Pos = append(s.Pos, i)
 	}
-	return subs, nil
+	return subs
 }

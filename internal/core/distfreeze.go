@@ -12,36 +12,6 @@ import "fmt"
 // compact worker-local frame and a SplitSketchSet slice of the full frame
 // render the same bytes.
 
-// partRange returns the node range [lo, hi) of partition index of a
-// count-way split of total nodes — the i·n/P arithmetic of SplitSketchSet
-// and cluster.SplitRanges, so the one range every writer records for that
-// position — or why no split has that partition.
-func partRange(index, count, total int) (lo, hi int32, err error) {
-	switch {
-	case count < 1 || count > maxCodecPartitions:
-		return 0, 0, fmt.Errorf("implausible partition count %d", count)
-	case index < 0 || index >= count:
-		return 0, 0, fmt.Errorf("partition index %d out of range [0, %d)", index, count)
-	case total > 1<<30 || total < count && !(total == 0 && count == 1):
-		return 0, 0, fmt.Errorf("cannot split %d nodes into %d partitions", total, count)
-	}
-	return int32(index * total / count), int32((index + 1) * total / count), nil
-}
-
-// checkPartRange checks that partition index of a count-way split of total
-// nodes covers [lo, hi), the range partRange gives it, naming both when it
-// does not.
-func checkPartRange(index, count, total int, lo, hi int64) error {
-	wlo, whi, err := partRange(index, count, total)
-	if err == nil && (lo != int64(wlo) || hi != int64(whi)) {
-		err = fmt.Errorf("a %d-way split of %d nodes puts it at [%d, %d)", count, total, wlo, whi)
-	}
-	if err != nil {
-		return fmt.Errorf("core: partition %d/%d claims nodes [%d, %d): %w", index, count, lo, hi, err)
-	}
-	return nil
-}
-
 // FreezePartition assembles one partition of a set of parameters p from its
 // per-node entry lists — lists[i] belongs to global node lo+i, in canonical
 // order, satisfying the kind's inclusion condition, with the ranks p
@@ -55,7 +25,7 @@ func checkPartRange(index, count, total int, lo, hi int64) error {
 // the corresponding SplitSketchSet slice of a whole-set build producing the
 // same entries.
 func FreezePartition(p Params, index, count, total int, lists [][]Entry, betas [][]float64) (*Set, error) {
-	lo, _, err := partRange(index, count, total)
+	lo, _, err := PartRange(index, count, total)
 	if err != nil {
 		return nil, fmt.Errorf("core: FreezePartition: %w", err)
 	}
@@ -89,7 +59,7 @@ func FreezeLists(p Params, index, count, total int, lists [][]Entry, beta []floa
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	lo, hi, err := partRange(index, max(count, 1), total)
+	lo, hi, err := PartRange(index, max(count, 1), total)
 	if err == nil && len(lists) != int(hi-lo) {
 		err = fmt.Errorf("nodes [%d, %d) take %d entry lists, got %d", lo, hi, int(hi-lo), len(lists))
 	}

@@ -346,9 +346,9 @@ func TestPartOfInvertsNodeRange(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 40, 1000} {
 		for parts := 1; parts <= min(n, 9); parts++ {
 			for p := 0; p < parts; p++ {
-				lo, hi := nodeRange(p, parts, n)
+				lo, hi := splitSpan(p, parts, n)
 				for v := lo; v < hi; v++ {
-					if got := partOf(int32(v), parts, n); got != p {
+					if got := PartOf(int32(v), parts, n); got != p {
 						t.Fatalf("n=%d parts=%d: node %d of range %d [%d, %d) maps to partition %d", n, parts, v, p, lo, hi, got)
 					}
 				}

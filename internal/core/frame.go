@@ -329,7 +329,7 @@ const minCoderNodes = 1024
 // offsets and step offsets are in place, in the rank order order (nil for
 // the IDs as they are): fill adds list i's IDs to a writer that has
 // started it.  Up to workers goroutines (<= 0: GOMAXPROCS) each code a
-// node range (nodeRange) into a stream of their own, sized by bits, a
+// node range (splitSpan) into a stream of their own, sized by bits, a
 // guess at the column's length (codeBits), and the streams are joined as
 // bit ranges, so the bytes are the same for every count.  It returns the
 // first list, in node order, whose IDs have no code.
@@ -343,7 +343,7 @@ func (f *Frame) codeNodes(order *rankOrder, bits int64, workers int, fill func(w
 	ws := make([]nodeWriter, workers)
 	boff := make([]uint64, n+1)
 	fanOut(workers, func(w int) {
-		lo, hi := nodeRange(w, workers, n)
+		lo, hi := splitSpan(w, workers, n)
 		wr := newNodeWriter(f.total, bits/int64(workers), pos, f.p.K)
 		for i := lo; i < hi && wr.err == nil; i++ {
 			boff[i] = uint64(wr.bits())
@@ -357,7 +357,7 @@ func (f *Frame) codeNodes(order *rankOrder, bits int64, workers int, fill func(w
 	})
 	var at int64
 	for w := range ws {
-		lo, hi := nodeRange(w, workers, n)
+		lo, hi := splitSpan(w, workers, n)
 		if err := ws[w].err; err != nil {
 			return err
 		}

@@ -288,7 +288,7 @@ func (h *frameHdr) validate() error {
 		return fmt.Errorf("core: sketch partitions cannot nest")
 	}
 	if h.partitioned() {
-		if err := checkPartRange(int(h.index), int(h.count), int(h.total), int64(h.lo), int64(h.hi)); err != nil {
+		if err := CheckPartRange(int(h.index), int(h.count), int(h.total), int64(h.lo), int64(h.hi)); err != nil {
 			return err
 		}
 		if uint64(h.hi-h.lo) != h.n {

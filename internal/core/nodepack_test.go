@@ -716,7 +716,7 @@ func TestFreezeRefusesEntryPastBound(t *testing.T) {
 	check("FreezeLists", err)
 	_, err = FreezeBottomKOver(set, len(bad), map[int32][]Entry{int32(v): bad[v]})
 	check("FreezeBottomKOver", err)
-	lo, hi := nodeRange(1, 2, len(bad))
+	lo, hi := splitSpan(1, 2, len(bad))
 	if v >= lo && v < hi {
 		_, err = FreezePartition(Params{Kind: KindUniform, Options: o}, 1, 2, len(bad), bad[lo:hi], nil)
 		check("FreezePartition", err)

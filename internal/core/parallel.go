@@ -32,15 +32,6 @@ func fanOutItems(p, n int, fn func(w, i int)) {
 	})
 }
 
-// nodeRange returns the node range [lo, hi) of partition p of a parts-way
-// split of n nodes — the i·n/P arithmetic of SplitSketchSet.
-func nodeRange(p, parts, n int) (lo, hi int) { return p * n / parts, (p + 1) * n / parts }
-
-// partOf returns the partition of that split whose range holds node v.
-func partOf(v int32, parts, n int) int {
-	return int(((int64(v)+1)*int64(parts) - 1) / int64(n))
-}
-
 // batchEnd returns the end of the batch of rank-ordered candidates that
 // starts at position start.  The first batch is the first k candidates —
 // no node prunes before it holds k entries, so traversing them against
@@ -155,7 +146,7 @@ type span struct{ w, lo, hi int }
 // Appendix B.4 idea — traverse a batch of candidates concurrently against
 // the thresholds earlier batches left, then reconcile — with the
 // reconciliation partitioned too.  parts[w] is worker w's kernel in the
-// first phase and the kernel of node range w (nodeRange) in the second;
+// first phase and the kernel of node range w (splitSpan) in the second;
 // all of them share the thresholds and heads.  Each batch (batchEnd) has
 // two phases:
 //

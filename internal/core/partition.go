@@ -15,6 +15,53 @@ import "fmt"
 // sketches keep their global node IDs, so every HIP estimate computed from
 // a partitioned sketch is identical to the one computed from the whole
 // set.
+//
+// PartRange and its inverse PartOf are the one rule of node ownership: the
+// partition files, the scatter coordinator, the distributed build and the
+// builders' work split all place nodes by them.
+
+// PartRange returns the node range [lo, hi) = [index·total/count,
+// (index+1)·total/count) of partition index of a count-way split of total
+// nodes, or why no split has that partition.
+func PartRange(index, count, total int) (lo, hi int32, err error) {
+	switch {
+	case count < 1 || count > maxCodecPartitions:
+		return 0, 0, fmt.Errorf("implausible partition count %d", count)
+	case index < 0 || index >= count:
+		return 0, 0, fmt.Errorf("partition index %d out of range [0, %d)", index, count)
+	case total > 1<<30 || total < count && !(total == 0 && count == 1):
+		return 0, 0, fmt.Errorf("cannot split %d nodes into %d partitions", total, count)
+	}
+	l, h := splitSpan(index, count, total)
+	return int32(l), int32(h), nil
+}
+
+// splitSpan is PartRange's arithmetic without its refusals, for the
+// builders' work split of n nodes among 1..max(n, 1) goroutines, which is
+// no file's split and may span more than 2³⁰ nodes.
+func splitSpan(index, count, total int) (lo, hi int) {
+	return index * total / count, (index + 1) * total / count
+}
+
+// PartOf returns the partition of a count-way split of total nodes whose
+// range holds node v, which must be in [0, total).
+func PartOf(v int32, count, total int) int {
+	return int(((int64(v)+1)*int64(count) - 1) / int64(total))
+}
+
+// CheckPartRange checks that partition index of a count-way split of total
+// nodes covers [lo, hi), the range PartRange gives it, naming both when it
+// does not.
+func CheckPartRange(index, count, total int, lo, hi int64) error {
+	wlo, whi, err := PartRange(index, count, total)
+	if err == nil && (lo != int64(wlo) || hi != int64(whi)) {
+		err = fmt.Errorf("a %d-way split of %d nodes puts it at [%d, %d)", count, total, wlo, whi)
+	}
+	if err != nil {
+		return fmt.Errorf("core: partition %d/%d claims nodes [%d, %d): %w", index, count, lo, hi, err)
+	}
+	return nil
+}
 
 // SplitSketchSet partitions a whole sketch set by node ID into parts
 // contiguous shards of near-equal size (partition i owns
@@ -27,14 +74,14 @@ func SplitSketchSet(s *Set, parts int) ([]*Set, error) {
 		return nil, fmt.Errorf("core: SplitSketchSet: the set is partition %d of a %d-way split; split the whole set", s.index, s.count)
 	}
 	n := s.NumNodes()
-	if _, _, err := partRange(0, parts, n); err != nil {
+	if _, _, err := PartRange(0, parts, n); err != nil {
 		return nil, fmt.Errorf("core: SplitSketchSet: %w", err)
 	}
 	out := make([]*Set, parts)
 	for i := range out {
 		// Splitting a columnar frame is offset re-slicing: the sub-frame
 		// shares the parent's entry columns, so no entry is copied.
-		lo, hi, _ := partRange(i, parts, n)
+		lo, hi, _ := PartRange(i, parts, n)
 		out[i] = &Set{frame: s.frame.slice(int(lo), int(hi)), index: i, count: parts}
 	}
 	return out, nil
@@ -63,7 +110,7 @@ func MergeSketchSets(parts []*Set) (*Set, error) {
 			return nil, fmt.Errorf("core: partition %d belongs to a different split (%d partitions of %d nodes, want %d of %d)",
 				index, c, p.TotalNodes(), count, total)
 		}
-		if err := checkPartRange(index, count, total, int64(p.Lo()), int64(p.Hi())); err != nil {
+		if err := CheckPartRange(index, count, total, int64(p.Lo()), int64(p.Hi())); err != nil {
 			return nil, err
 		}
 		if byIndex[index] != nil {

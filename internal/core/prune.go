@@ -49,13 +49,13 @@ type pass[H any] struct {
 
 // freezePass lays a pass out: every node's head, then its tail entries,
 // latest first.  The parts' heads are shared, and tails[p] holds the tail
-// entries of node range p (nodeRange), which each lays out on a goroutine
+// entries of node range p (splitSpan), which each lays out on a goroutine
 // of its own; a sequential pass has one.
 func freezePass[H any](heads [][]H, tails []*offerLog[offer[H]]) pass[H] {
 	n, parts := len(heads), len(tails)
 	off := make([]int, n+1)
 	fanOut(parts, func(p int) {
-		lo, hi := nodeRange(p, parts, n)
+		lo, hi := splitSpan(p, parts, n)
 		for v := lo; v < hi; v++ {
 			off[v+1] = len(heads[v])
 		}
@@ -69,7 +69,7 @@ func freezePass[H any](heads [][]H, tails []*offerLog[offer[H]]) pass[H] {
 	keys := make([]H, off[n])
 	next := slices.Clone(off[:n])
 	fanOut(parts, func(p int) {
-		lo, hi := nodeRange(p, parts, n)
+		lo, hi := splitSpan(p, parts, n)
 		for v := lo; v < hi; v++ {
 			next[v] += copy(keys[next[v]:], heads[v])
 		}
@@ -161,7 +161,7 @@ func (st *hopState) traverse(u int32, logs []offerLog[offer[uint64]]) {
 // for a collecting traversal, logs it.
 func (st *hopState) accept(v int32, key, t uint64, logs []offerLog[offer[uint64]]) {
 	if logs != nil {
-		logs[partOf(v, len(logs), len(st.thr))].push(offer[uint64]{key: key, v: v})
+		logs[PartOf(v, len(logs), len(st.thr))].push(offer[uint64]{key: key, v: v})
 		return
 	}
 	h := st.heads[v]
@@ -310,7 +310,7 @@ func (st *floatState) traverse(u int32, logs []offerLog[offer[adsKey]]) {
 // accept is hopState.accept over float keys.
 func (st *floatState) accept(v int32, key adsKey, logs []offerLog[offer[adsKey]]) {
 	if logs != nil {
-		logs[partOf(v, len(logs), len(st.thr))].push(offer[adsKey]{key: key, v: v})
+		logs[PartOf(v, len(logs), len(st.thr))].push(offer[adsKey]{key: key, v: v})
 		return
 	}
 	h := st.heads[v]

@@ -1,9 +1,10 @@
 // Package distbuild constructs All-Distances Sketch sets partition by
 // partition across P workers, none of which ever materializes the full
 // graph or the full sketch set.  Worker i owns the contiguous node
-// range [i·n/P, (i+1)·n/P) — the same ranges core.SplitSketchSet cuts
-// and cluster.Router serves — and streams only the edges incident to
-// its range from the shared edge list (graph.ScanEdgesFiltered).
+// range [i·n/P, (i+1)·n/P) — core.PartRange, the rule by which
+// core.SplitSketchSet cuts and the coordinator routes — and streams only
+// the edges incident to its range from the shared edge list
+// (graph.ScanEdgesFiltered).
 //
 // Construction is bulk-synchronous (Pregel-style): each round a worker
 // relaxes the frontier candidates addressed to its partition against
@@ -41,7 +42,6 @@ package distbuild
 import (
 	"fmt"
 
-	"adsketch/internal/cluster"
 	"adsketch/internal/core"
 	"adsketch/internal/wire"
 )
@@ -99,8 +99,8 @@ func (s *Spec) Validate() error {
 	if err := whole.Validate(); err != nil {
 		return err
 	}
-	if s.Parts < 1 || s.Parts > s.N {
-		return fmt.Errorf("distbuild: cannot split %d nodes across %d workers", s.N, s.Parts)
+	if _, _, err := core.PartRange(0, s.Parts, s.N); err != nil {
+		return fmt.Errorf("distbuild: %w", err)
 	}
 	return nil
 }
@@ -112,12 +112,12 @@ func (s *Spec) Worker(index int) (WorkerSpec, error) {
 		return WorkerSpec{}, err
 	}
 	ws := s.worker(index, s.Parts, nil)
-	r, err := ws.owned()
+	lo, hi, err := ws.owned()
 	if err != nil {
 		return WorkerSpec{}, err
 	}
 	if s.Kind == KindWeighted {
-		ws.Beta = s.Beta[r.Lo:r.Hi]
+		ws.Beta = s.Beta[lo:hi]
 	}
 	return ws, nil
 }
@@ -151,39 +151,35 @@ type WorkerSpec struct {
 
 // Validate checks the worker spec's invariants.
 func (ws *WorkerSpec) Validate() error {
-	r, err := ws.owned()
+	lo, hi, err := ws.owned()
 	if err != nil || Kind(ws.Kind) != KindWeighted {
 		return err
 	}
-	if len(ws.Beta) != int(r.Hi-r.Lo) {
-		return fmt.Errorf("distbuild: %d weights for the %d nodes [%d, %d)", len(ws.Beta), r.Hi-r.Lo, r.Lo, r.Hi)
+	if len(ws.Beta) != int(hi-lo) {
+		return fmt.Errorf("distbuild: %d weights for the %d nodes [%d, %d)", len(ws.Beta), hi-lo, lo, hi)
 	}
-	if err := core.CheckWeights(ws.Beta, int(r.Lo)); err != nil {
+	if err := core.CheckWeights(ws.Beta, int(lo)); err != nil {
 		return fmt.Errorf("distbuild: %w", err)
 	}
 	return nil
 }
 
 // owned checks the spec but for Beta and returns the node range the
-// worker owns, its cluster.SplitRanges range.
-func (ws *WorkerSpec) owned() (cluster.Range, error) {
+// worker owns, its core.PartRange range.
+func (ws *WorkerSpec) owned() (lo, hi int32, err error) {
 	if ws.Path == "" {
-		return cluster.Range{}, fmt.Errorf("distbuild: spec has no edge-list path")
+		return 0, 0, fmt.Errorf("distbuild: spec has no edge-list path")
 	}
 	if ws.N < 1 {
-		return cluster.Range{}, fmt.Errorf("distbuild: node count %d, want >= 1", ws.N)
+		return 0, 0, fmt.Errorf("distbuild: node count %d, want >= 1", ws.N)
 	}
 	if err := ws.params().Validate(); err != nil {
-		return cluster.Range{}, fmt.Errorf("distbuild: %w", err)
+		return 0, 0, fmt.Errorf("distbuild: %w", err)
 	}
-	ranges, err := cluster.SplitRanges(ws.N, ws.Parts)
-	if err != nil {
-		return cluster.Range{}, fmt.Errorf("distbuild: %w", err)
+	if lo, hi, err = core.PartRange(ws.Index, ws.Parts, ws.N); err != nil {
+		return 0, 0, fmt.Errorf("distbuild: worker %d of %d: %w", ws.Index, ws.Parts, err)
 	}
-	if ws.Index < 0 || ws.Index >= ws.Parts {
-		return cluster.Range{}, fmt.Errorf("distbuild: worker index %d out of range [0, %d)", ws.Index, ws.Parts)
-	}
-	return ranges[ws.Index], nil
+	return lo, hi, nil
 }
 
 // params returns the parameters of the set the build makes.

@@ -8,7 +8,6 @@ import (
 	"os"
 	"slices"
 
-	"adsketch/internal/cluster"
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
 )
@@ -32,7 +31,6 @@ type Worker struct {
 	spec   WorkerSpec
 	params core.Params
 	lo, hi int32
-	router *cluster.Router
 
 	in    [][]arc        // in-arcs of owned nodes, local index
 	lists [][]core.Entry // entry lists of owned nodes, local index
@@ -50,21 +48,12 @@ func NewWorker(spec WorkerSpec) (*Worker, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	ranges, err := cluster.SplitRanges(spec.N, spec.Parts)
-	if err != nil {
-		return nil, err
-	}
-	router, err := cluster.NewRouter(ranges, spec.N)
-	if err != nil {
-		return nil, err
-	}
-	r := ranges[spec.Index]
+	lo, hi, _ := spec.owned() // Validate has checked it
 	return &Worker{
 		spec:   spec,
 		params: spec.params(),
-		lo:     r.Lo,
-		hi:     r.Hi,
-		router: router,
+		lo:     lo,
+		hi:     hi,
 		kern:   core.NewOfferKernel(spec.K),
 	}, nil
 }
@@ -155,12 +144,8 @@ func (w *Worker) Init(ctx context.Context) ([][]Candidate, error) {
 		rk := rank(v, beta)
 		w.lists[li] = []core.Entry{{Node: v, Dist: 0, Rank: rk}}
 		for _, a := range w.in[li] {
-			c := Candidate{Target: a.From, Node: v, Dist: a.W, Rank: rk, Beta: beta}
-			dst, err := w.router.Owner(a.From)
-			if err != nil {
-				return nil, err
-			}
-			outs[dst] = append(outs[dst], c)
+			dst := core.PartOf(a.From, w.spec.Parts, w.spec.N)
+			outs[dst] = append(outs[dst], Candidate{Target: a.From, Node: v, Dist: a.W, Rank: rk, Beta: beta})
 		}
 	}
 	return outs, nil
@@ -219,12 +204,8 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 		}
 		w.stats.Accepts++
 		for _, a := range w.in[li] {
-			nc := Candidate{Target: a.From, Node: c.Node, Dist: c.Dist + a.W, Rank: c.Rank, Beta: c.Beta}
-			dst, err := w.router.Owner(a.From)
-			if err != nil {
-				return nil, err
-			}
-			outs[dst] = append(outs[dst], nc)
+			dst := core.PartOf(a.From, w.spec.Parts, w.spec.N)
+			outs[dst] = append(outs[dst], Candidate{Target: a.From, Node: c.Node, Dist: c.Dist + a.W, Rank: c.Rank, Beta: c.Beta})
 		}
 	}
 	return outs, nil

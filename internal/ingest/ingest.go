@@ -73,8 +73,9 @@ type Maintainer struct {
 	directed bool
 
 	n       int
-	in      [][]arc
-	rank    []float64 // rank of every node, beside the adjacency: the base set stores none
+	rev     *graph.Graph // the base graph's reverse adjacency: g, or its transpose when directed
+	added   [][]arc      // the arcs inserted since, by head: node x's in-arcs are rev's, then added[x]
+	rank    []float64    // rank of every node, beside the adjacency: the base set stores none
 	base    *core.Set
 	overlay map[int32][]core.Entry
 
@@ -93,10 +94,11 @@ type Maintainer struct {
 }
 
 // New returns a maintainer over the given graph and its built sketch set.
-// The set must have been built from g (same node count), a uniform bottom-k
-// set with full-precision ranks.  g's directedness fixes how future
-// insertions are interpreted.  The maintainer copies the reverse adjacency
-// and never mutates g or base.
+// The set must have been built from g (same node count), a whole uniform
+// bottom-k set with full-precision ranks.  g's directedness fixes how
+// future insertions are interpreted.  The maintainer adopts both as they
+// are, reading g's adjacency (its transpose when directed) in place, and
+// never mutates g or base.
 func New(g *graph.Graph, base *core.Set) (*Maintainer, error) {
 	if g == nil || base == nil {
 		return nil, fmt.Errorf("ingest: nil graph or base set")
@@ -104,6 +106,15 @@ func New(g *graph.Graph, base *core.Set) (*Maintainer, error) {
 	p := base.Params()
 	if p.Kind != core.KindUniform || p.BaseB != 0 {
 		return nil, fmt.Errorf("ingest: incremental maintenance supports uniform bottom-k sets at full precision, base set is %v at base %g", p.Kind, p.BaseB)
+	}
+	// Base entries are looked up in rank by node.  A uniform set's codes
+	// decode through its rank order to nodes of its envelope whatever the
+	// bits of an unvalidated file hold, so no list needs decoding here:
+	// a whole set's envelope is the rank table's range.
+	if base.IsPartition() || base.TotalNodes() != base.NumNodes() {
+		index, count := base.Part()
+		return nil, fmt.Errorf("ingest: base set is partition %d of %d, nodes [%d, %d) of %d; maintain the whole set",
+			index, count, base.Lo(), base.Hi(), base.TotalNodes())
 	}
 	o := p.Options
 	if g.NumNodes() != base.NumNodes() {
@@ -115,7 +126,8 @@ func New(g *graph.Graph, base *core.Set) (*Maintainer, error) {
 		directed:  g.Directed(),
 		baseEdges: g.NumEdges(),
 		n:         g.NumNodes(),
-		in:        make([][]arc, g.NumNodes()),
+		rev:       g.Transpose(),
+		added:     make([][]arc, g.NumNodes()),
 		rank:      make([]float64, g.NumNodes()),
 		base:      base,
 		overlay:   make(map[int32][]core.Entry),
@@ -124,26 +136,6 @@ func New(g *graph.Graph, base *core.Set) (*Maintainer, error) {
 	for v := range m.rank {
 		m.rank[v] = m.src.Rank(int64(v))
 	}
-	// Base entries are looked up in rank by node.  A uniform set's codes
-	// decode through its rank order to nodes of the set whatever the bits
-	// of an unvalidated file hold; checked all the same, as the lookups
-	// would index past the table.
-	var ids, ends []int32
-	for v := 0; v < m.n; v++ {
-		nodes, _ := base.Columns(int32(v))
-		ids, ends, _ = nodes.AppendRuns(ids[:0], ends[:0])
-		for _, u := range ids {
-			if u < 0 || int(u) >= m.n {
-				return nil, fmt.Errorf("ingest: base sketch of node %d names node %d outside [0, %d)", v, u, m.n)
-			}
-		}
-	}
-	// Reverse adjacency: arcs u->v land in in[v].  For undirected graphs
-	// every edge is stored as two arcs, so this also yields the (identical)
-	// neighbor lists.
-	g.ForEachArc(func(u, v int32, w float64) {
-		m.in[v] = append(m.in[v], arc{From: u, W: w})
-	})
 	return m, nil
 }
 
@@ -182,9 +174,9 @@ func (m *Maintainer) InsertWeighted(u, v int32, w float64) error {
 			u, v, hi, edges, graph.NodeLimit(edges))
 	}
 	m.grow(int(hi) + 1)
-	m.in[v] = append(m.in[v], arc{From: u, W: w})
+	m.added[v] = append(m.added[v], arc{From: u, W: w})
 	if !m.directed {
-		m.in[u] = append(m.in[u], arc{From: v, W: w})
+		m.added[u] = append(m.added[u], arc{From: v, W: w})
 	}
 	m.edges++
 	m.seed(u, v, w)
@@ -200,7 +192,7 @@ func (m *Maintainer) InsertWeighted(u, v int32, w float64) error {
 func (m *Maintainer) grow(n int) {
 	for ; m.n < n; m.n++ {
 		v := int32(m.n)
-		m.in = append(m.in, nil)
+		m.added = append(m.added, nil)
 		m.rank = append(m.rank, m.src.Rank(int64(v)))
 		m.overlay[v] = []core.Entry{{Node: v, Dist: 0, Rank: m.rank[v]}}
 	}
@@ -234,9 +226,26 @@ func (m *Maintainer) drain() {
 			continue
 		}
 		m.accepts++
-		for _, a := range m.in[c.X] {
-			m.push(candidate{X: a.From, E: core.Entry{Node: c.E.Node, Dist: c.E.Dist + a.W, Rank: c.E.Rank}})
+		m.propagate(c.X, c.E)
+	}
+}
+
+// propagate pushes entry e, accepted at x, to every in-neighbor of x,
+// shifted by the arc's length: along the base graph's arcs, then the
+// inserted ones in the order they arrived.
+func (m *Maintainer) propagate(x int32, e core.Entry) {
+	if int(x) < m.rev.NumNodes() {
+		from, ws := m.rev.Neighbors(x)
+		for i, u := range from {
+			w := 1.0
+			if ws != nil {
+				w = ws[i]
+			}
+			m.push(candidate{X: u, E: core.Entry{Node: e.Node, Dist: e.Dist + w, Rank: e.Rank}})
 		}
+	}
+	for _, a := range m.added[x] {
+		m.push(candidate{X: a.From, E: core.Entry{Node: e.Node, Dist: e.Dist + a.W, Rank: e.Rank}})
 	}
 }
 

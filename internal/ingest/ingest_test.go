@@ -380,6 +380,44 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesPartition: the maintainer indexes its rank table and
+// adjacency by the base's node IDs, so a base must be a whole set; a
+// partition of a set twice the graph's size, which has the graph's node
+// count, is refused.
+func TestNewRefusesPartition(t *testing.T) {
+	g := graph.Cycle(10)
+	parts, err := core.SplitSketchSet(mustBuild(t, graph.Cycle(20), core.Options{K: 2, Seed: 1}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, part := range parts {
+		if _, err := New(g, part); err == nil || !strings.Contains(err.Error(), "partition") {
+			t.Errorf("New accepted partition %d of 2 as a base: %v", i, err)
+		}
+	}
+}
+
+// TestNewAllocs: New adopts the base set and the graph as they are — it
+// decodes no list and copies no arc — so its allocations do not grow with
+// the edge count, directed (one transpose) or not.
+func TestNewAllocs(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		var got []float64
+		for _, p := range []float64{0.002, 0.008} {
+			g := graph.GNP(2000, p, directed, 3)
+			base := mustBuild(t, g, core.Options{K: 16, Seed: 42})
+			got = append(got, testing.AllocsPerRun(5, func() {
+				if _, err := New(g, base); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if got[0] != got[1] || got[1] > 16 {
+			t.Errorf("directed=%v: New allocates %v times over 2000 nodes as the edges quadruple, want the same few", directed, got)
+		}
+	}
+}
+
 func TestInsertValidation(t *testing.T) {
 	g := graph.Cycle(5)
 	m, err := New(g, mustBuild(t, g, core.Options{K: 2, Seed: 1}))
