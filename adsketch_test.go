@@ -102,7 +102,7 @@ func TestFacadeWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, ok := set.Sketch(0).(*core.WeightedADS)
+	ws, ok := set.SketchOf(0).(*core.WeightedADS)
 	if !ok {
 		t.Fatalf("weighted build holds %T sketches", set.SketchOf(0))
 	}

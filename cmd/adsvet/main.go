@@ -1,18 +1,25 @@
-// Command adsvet is the repository's custom vet suite: five analyzers
-// (detorder, refpair, wireformat, kindswitch, lockheld) encoding the
-// invariants the HIP/ADS correctness and serving claims rest on.  See
-// the package docs under internal/analysis/... for what each enforces
-// and README.md for the suppression convention.
+// Command adsvet is the repository's custom vet suite: five per-package
+// analyzers (detorder, refpair, wireformat, kindswitch, lockheld)
+// encoding the invariants the HIP/ADS correctness and serving claims rest
+// on, and one whole-program report (deadsurface: the exported surface of
+// the serving binaries' packages that only tests use).  See the package
+// docs under internal/analysis/... for what each enforces and README.md
+// for the suppression convention.
 //
-// It runs two ways:
+// It runs three ways:
 //
 //	adsvet [packages]          standalone: load, type-check, analyze
 //	go vet -vettool=adsvet ... as a vet tool, speaking the unitchecker
 //	                           protocol (-V=full, -flags, <pkg>.cfg)
+//	adsvet deadsurface [packages]
+//	                           the whole-program report over the packages
+//	                           (default ./...), judging those the serving
+//	                           binaries link; exit 1 when it finds any
 //
 // The vet-tool form is what Makefile and CI use: cmd/go hands the tool
 // pre-planned package configs with export data, so the whole tree is
-// analyzed with build-cache sharing.
+// analyzed with build-cache sharing.  deadsurface needs every package at
+// once, so it runs standalone.
 package main
 
 import (
@@ -28,6 +35,7 @@ import (
 	"strings"
 
 	"adsketch/internal/analysis"
+	"adsketch/internal/analysis/deadsurface"
 	"adsketch/internal/analysis/detorder"
 	"adsketch/internal/analysis/driver"
 	"adsketch/internal/analysis/kindswitch"
@@ -66,6 +74,9 @@ func main() {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(runUnitchecker(args[0]))
 	}
+	if len(args) > 0 && args[0] == "deadsurface" {
+		os.Exit(runDeadSurface("", args[1:]))
+	}
 	if len(args) == 1 && args[0] == "help" {
 		printHelp()
 		return
@@ -95,6 +106,7 @@ func printHelp() {
 	for _, a := range suite {
 		fmt.Printf("  %-11s %s\n", a.Name, a.Doc)
 	}
+	fmt.Printf("  %-11s %s\n", deadsurface.Name, deadsurface.Doc)
 	fmt.Println()
 	fmt.Println("suppress a deliberate exception with: //adsvet:ignore <analyzer> <reason>")
 }
@@ -206,4 +218,50 @@ func printDiagnostics(fset *token.FileSet, diags []analysis.Diagnostic) {
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
+}
+
+// servingBins are the binaries whose packages deadsurface judges: what
+// `make loc` counts as the serving closure.
+var servingBins = []string{"./cmd/adsserver", "./cmd/adstool", "./cmd/adsload"}
+
+// outOfScope are packages the serving binaries must not link, judged
+// never: the paper lab and the decoders and writers of retired layouts.
+var outOfScope = []string{"lab", "internal/simulate", "internal/stats", "internal/legacy", "internal/retired"}
+
+// runDeadSurface loads the packages (rooted at dir; "" = current
+// directory), lists the exported identifiers of the serving binaries'
+// packages that no non-test code uses, and returns 1 when there are any,
+// 2 when loading fails.
+func runDeadSurface(dir string, patterns []string) int {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	pkgs, err := driver.Load(dir, patterns...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "adsvet: %v\n", err)
+		return 2
+	}
+	deps, err := driver.Deps(dir, servingBins...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "adsvet: %v\n", err)
+		return 2
+	}
+	scope := make(map[string]bool, len(deps))
+	for _, p := range deps {
+		scope[p] = !analysis.PathMatches(p, outOfScope...)
+	}
+	diags := deadsurface.Check(pkgs, func(path string) bool { return scope[path] })
+	root, _ := filepath.Abs(dir)
+	for _, d := range diags {
+		posn := pkgs[0].Fset.Position(d.Pos)
+		if rel, err := filepath.Rel(root, posn.Filename); err == nil {
+			posn.Filename = rel
+		}
+		fmt.Printf("%s: %s [%s]\n", posn, d.Message, d.Analyzer)
+	}
+	fmt.Printf("deadsurface: %d finding(s) in %d serving package(s)\n", len(diags), len(deps))
+	if len(diags) > 0 {
+		return 1
+	}
+	return 0
 }

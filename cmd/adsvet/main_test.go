@@ -134,7 +134,7 @@ func TestHelpListsAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("adsvet help: %v\n%s", err, out)
 	}
-	for _, name := range []string{"detorder", "refpair", "wireformat", "kindswitch", "lockheld"} {
+	for _, name := range []string{"detorder", "refpair", "wireformat", "kindswitch", "lockheld", "deadsurface"} {
 		if !strings.Contains(string(out), name) {
 			t.Errorf("help output missing analyzer %s:\n%s", name, out)
 		}
@@ -161,6 +161,60 @@ func Make() wireHeader { return wireHeader{1, 2} }
 	}
 	if code := runStandalone(dir, []string{"./does/not/exist"}); code != 1 {
 		t.Fatalf("runStandalone on bad pattern = %d, want 1", code)
+	}
+}
+
+// TestRunDeadSurface drives the whole-program report on a scratch module
+// with the three serving binaries: their library has an exported function
+// only its test uses, which is listed (exit 1); a package no binary links
+// is not judged; and a pattern that does not load fails (exit 2).
+func TestRunDeadSurface(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, "go.mod"), "module scratch\n\ngo 1.24\n")
+	for _, d := range []string{"lib", "tool", "cmd/adsserver", "cmd/adstool", "cmd/adsload"} {
+		if err := os.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeFile(t, filepath.Join(dir, "lib", "lib.go"), `package lib
+
+func Used() int { return 1 }
+
+func OnlyTested() int { return 2 }
+`)
+	writeFile(t, filepath.Join(dir, "lib", "lib_test.go"), `package lib
+
+import "testing"
+
+func TestOnlyTested(t *testing.T) { OnlyTested() }
+`)
+	writeFile(t, filepath.Join(dir, "tool", "tool.go"), "package tool\n\nfunc NobodyCalls() {}\n")
+	writeFile(t, filepath.Join(dir, "cmd", "adsserver", "main.go"), `package main
+
+import "scratch/lib"
+
+func main() { lib.Used() }
+`)
+	for _, bin := range []string{"adstool", "adsload"} {
+		writeFile(t, filepath.Join(dir, "cmd", bin, "main.go"), "package main\n\nfunc main() {}\n")
+	}
+	if code := runDeadSurface(dir, []string{"./..."}); code != 1 {
+		t.Fatalf("runDeadSurface with a test-only function = %d, want 1", code)
+	}
+	writeFile(t, filepath.Join(dir, "lib", "lib.go"), `package lib
+
+func Used() int { return 1 }
+
+// OnlyTested stays for its test.
+//
+//adsvet:ignore deadsurface the scratch module's kept name
+func OnlyTested() int { return 2 }
+`)
+	if code := runDeadSurface(dir, nil); code != 0 {
+		t.Fatalf("runDeadSurface with the name kept = %d, want 0 (tool is not linked, so not judged)", code)
+	}
+	if code := runDeadSurface(dir, []string{"./does/not/exist"}); code != 2 {
+		t.Fatalf("runDeadSurface on a bad pattern = %d, want 2", code)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"adsketch/internal/atomicfile"
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
 	"adsketch/internal/ingest"
@@ -182,16 +183,22 @@ func NewEmptyIngestor(directed bool, k int, seed uint64, opts ...IngestorOption)
 }
 
 // Dataset returns the publish target name ("" when not publishing).
+//
+//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (in *Ingestor) Dataset() string { return in.dataset }
 
 // Insert ingests an edge of length 1 (both directions for undirected
 // ingestors), propagating all sketch updates and freezing/publishing when
 // a configured trigger fires.
+//
+//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (in *Ingestor) Insert(u, v int32) error { return in.InsertWeighted(u, v, 0) }
 
 // InsertWeighted ingests an edge of length w: 0 means unit length, and
 // any other w must be positive and finite, or the edge is refused and
 // changes nothing.
+//
+//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (in *Ingestor) InsertWeighted(u, v int32, w float64) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -214,6 +221,8 @@ func (in *Ingestor) InsertBatch(edges []Edge) (int, error) {
 
 // Replay drains an EdgeSource into the ingestor, returning how many edges
 // were applied.
+//
+//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (in *Ingestor) Replay(src EdgeSource) (int, error) {
 	return stream.Replay(src, func(e Edge) error {
 		return in.InsertWeighted(e.U, e.V, e.W)
@@ -273,16 +282,11 @@ func (in *Ingestor) freezeLocked() (*FreezeResult, error) {
 	if in.dir != "" {
 		in.seq++
 		path := filepath.Join(in.dir, fmt.Sprintf("%s-%08d.v3", in.dataset, in.seq))
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, fmt.Errorf("adsketch: writing frozen version: %w", err)
-		}
-		if _, err := set.WriteTo(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("adsketch: writing frozen version: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return nil, fmt.Errorf("adsketch: writing frozen version: %w", err)
+		// Replaced whole, never truncated: a restarted ingestor numbers
+		// its versions from 1 again, and another process may map the
+		// file of that name.
+		if _, err := atomicfile.Write(path, set.WriteTo); err != nil {
+			return nil, fmt.Errorf("adsketch: publishing frozen version: %w", err)
 		}
 		if in.mmapPub {
 			src = MmapSource(path)

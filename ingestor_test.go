@@ -235,6 +235,73 @@ func TestIngestorPublishDir(t *testing.T) {
 	}
 }
 
+// TestIngestorPublishReplacesFile: a restarted ingestor numbers its
+// versions from 1 again, so it publishes over the path of a file another
+// process may still hold (or map).  The publish must replace that file,
+// not truncate it: the holder keeps the old inode and bytes, the path
+// names a new inode, and no temporary file is left beside it.
+func TestIngestorPublishReplacesFile(t *testing.T) {
+	dir := t.TempDir()
+	publish := func(seed uint64) string {
+		cat, err := adsketch.NewCatalog()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cat.Close()
+		ing, err := adsketch.NewEmptyIngestor(false, 4, seed, adsketch.WithPublish(cat, "live"), adsketch.WithPublishDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int32(0); i < 20; i++ {
+			if err := ing.Insert(i, (i+1)%20); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := ing.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Path
+	}
+	path := publish(9)
+	held, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	before, err := held.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := publish(10); again != path {
+		t.Fatalf("the restarted ingestor published %s, want %s again", again, path)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(before, after) {
+		t.Fatal("the publish rewrote the held file in place; want a new file renamed over the path")
+	}
+	kept := make([]byte, len(old)+1)
+	if n, err := held.ReadAt(kept, 0); n != len(old) || !bytes.Equal(kept[:n], old) {
+		t.Fatalf("the held file reads %d bytes (%v), want its own %d", n, err, len(old))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			t.Errorf("temporary file %s left in the publish directory", e.Name())
+		}
+	}
+}
+
 // TestIngestorReplayDeterminism: the same seeded stream replayed into two
 // ingestors freezes to identical bytes; a different seed does not.
 func TestIngestorReplayDeterminism(t *testing.T) {

@@ -12,6 +12,8 @@
 // encoding, exhaustive enum dispatch, mutex-guarded field access).  They
 // run over every PR via `go vet -vettool` (see cmd/adsvet) and are
 // tested with the analysistest subpackage against testdata fixtures.
+// deadsurface, which needs every package at once, is not an Analyzer: it
+// runs standalone and filters its findings through Suppress.
 //
 // # Suppression
 //
@@ -154,6 +156,15 @@ func Check(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *typ
 		}
 	}
 
+	return Suppress(fset, files, raw), nil
+}
+
+// Suppress applies the files' adsvet:ignore directives to raw findings
+// of those files and returns the survivors sorted by position, plus a
+// finding of the pseudo-analyzer "adsvet" for every directive without a
+// reason.  Check uses it per package; a whole-program check calls it once
+// per package it reports on.
+func Suppress(fset *token.FileSet, files []*ast.File, raw []Diagnostic) []Diagnostic {
 	var dirs []directive
 	for _, f := range files {
 		dirs = append(dirs, collectDirectives(fset, f)...)
@@ -174,7 +185,7 @@ func Check(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *typ
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
-	return out, nil
+	return out
 }
 
 // suppressed reports whether a directive with a reason covers the

@@ -10,7 +10,14 @@
 //
 // Each backquoted or double-quoted string after "want" is a regexp that
 // must match one diagnostic reported on that line.  Lines without a
-// want comment must produce no diagnostics.
+// want comment must produce no diagnostics.  A line whose own trailing
+// comment cannot hold the want — an adsvet:ignore directive, which would
+// take it for its reason — carries it in a block comment before it:
+//
+//	func Bare() {} /* want `needs a reason` */ //adsvet:ignore deadsurface
+//
+// Run checks per-package analyzers; RunProgram checks a whole-program
+// analysis (deadsurface), whose findings depend on every package at once.
 package analysistest
 
 import (
@@ -47,7 +54,7 @@ func (i *fixtureImporter) Import(path string) (*types.Package, error) {
 
 // wantRE finds a want comment; string literals are extracted separately.
 var (
-	wantRE = regexp.MustCompile(`//\s*want\b(.*)$`)
+	wantRE = regexp.MustCompile(`^(?://|/\*)\s*want\b(.*?)(?:\*/)?$`)
 	strRE  = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 )
 
@@ -67,9 +74,38 @@ type expectation struct {
 // standard library and fixture packages listed earlier in pkgPaths.
 func Run(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
+	for _, p := range load(t, testdata, pkgPaths) {
+		diags, err := analysis.Check(p.Fset, p.Files, p.Pkg, p.TypesInfo, analyzers)
+		if err != nil {
+			t.Fatalf("running analyzers on %s: %v", p.PkgPath, err)
+		}
+		diff(t, p.Fset, p.Files, diags)
+	}
+}
+
+// RunProgram type-checks the fixture packages as Run does, hands them all
+// at once to check, and diffs its findings against the want comments of
+// every fixture file.  Each package's _test.go files are type-checked with
+// it; check decides what they count for.
+func RunProgram(t *testing.T, testdata string, check func([]*driver.Package) []analysis.Diagnostic, pkgPaths ...string) {
+	t.Helper()
+	pkgs := load(t, testdata, pkgPaths)
+	var files []*ast.File
+	for _, p := range pkgs {
+		files = append(files, p.Files...)
+	}
+	if len(pkgs) > 0 {
+		diff(t, pkgs[0].Fset, files, check(pkgs))
+	}
+}
+
+// load parses and type-checks the fixture packages, in order, in one
+// FileSet.
+func load(t *testing.T, testdata string, pkgPaths []string) []*driver.Package {
+	t.Helper()
 	fset := token.NewFileSet()
 	local := make(map[string]*types.Package)
-
+	var out []*driver.Package
 	for _, pkgPath := range pkgPaths {
 		dir := filepath.Join(testdata, "src", filepath.FromSlash(pkgPath))
 		entries, err := os.ReadDir(dir)
@@ -112,22 +148,25 @@ func Run(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgPaths
 			t.Fatalf("type-checking fixture %s: %v", pkgPath, err)
 		}
 		local[pkgPath] = pkg
+		out = append(out, &driver.Package{PkgPath: pkgPath, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info})
+	}
+	return out
+}
 
-		diags, err := analysis.Check(fset, files, pkg, info, analyzers)
-		if err != nil {
-			t.Fatalf("running analyzers on %s: %v", pkgPath, err)
+// diff reports every diagnostic no want comment of the files expects, and
+// every want comment no diagnostic met.
+func diff(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+	t.Helper()
+	wants := collectWants(t, fset, files)
+	for _, d := range diags {
+		posn := fset.Position(d.Pos)
+		if !match(wants, posn.Filename, posn.Line, d.Message) {
+			t.Errorf("%s: unexpected diagnostic [%s]: %s", posn, d.Analyzer, d.Message)
 		}
-		wants := collectWants(t, fset, files)
-		for _, d := range diags {
-			posn := fset.Position(d.Pos)
-			if !match(wants, posn.Filename, posn.Line, d.Message) {
-				t.Errorf("%s: unexpected diagnostic [%s]: %s", posn, d.Analyzer, d.Message)
-			}
-		}
-		for _, w := range wants {
-			if !w.hit {
-				t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
-			}
+	}
+	for _, w := range wants {
+		if !w.hit {
+			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
 		}
 	}
 }

@@ -142,6 +142,23 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
+// Deps returns the import paths of the packages outside the standard
+// library that the patterns (relative to dir; "" = current directory)
+// match or depend on.
+func Deps(dir string, patterns ...string) ([]string, error) {
+	listed, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, p := range listed {
+		if !p.Standard {
+			out = append(out, p.ImportPath)
+		}
+	}
+	return out, nil
+}
+
 // TypeCheck type-checks one package's parsed files with the given
 // importer, returning the package and a fully populated types.Info.
 func TypeCheck(fset *token.FileSet, pkgPath string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {

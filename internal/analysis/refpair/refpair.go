@@ -3,10 +3,10 @@
 //
 // The serving tier's zero-downtime guarantees rest on reference counts:
 // Catalog.Acquire pairs with Dataset.Release, the registry's pin with
-// unpin, and SketchFile handles from OpenSketchFile / MmapSketchFile /
-// Retain pair with Close / Release.  A leaked count pins a retired
-// dataset version in memory forever (and keeps its mmap mapped); a
-// missing Close leaks a file descriptor per request.
+// unpin, and SketchFile handles from OpenSketchFile / MmapSketchFile
+// with Close.  A leaked count pins a retired dataset version in memory
+// forever (and keeps its mmap mapped); a missing Close leaks a mapping
+// or a file's bytes per request.
 //
 // The walk is lostcancel-style but lexical rather than CFG-based: an
 // acquisition whose handle stays local to the function must either be
@@ -28,8 +28,8 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "refpair",
-	Doc: "flag acquisitions of pinned resources (Catalog.Acquire, registry pin, SketchFile " +
-		"Retain/Open/Mmap) that can return without the matching Release/unpin/Close",
+	Doc: "flag acquisitions of pinned resources (Catalog.Acquire, registry pin, " +
+		"OpenSketchFile/MmapSketchFile) that can return without the matching Release/unpin/Close",
 	Run: run,
 }
 
@@ -37,7 +37,6 @@ var Analyzer = &analysis.Analyzer{
 var pairs = map[string]string{
 	"Acquire":         "Release",
 	"AcquireResident": "Release",
-	"Retain":          "Release",
 	"pin":             "unpin",
 	"OpenSketchFile":  "Close",
 	"MmapSketchFile":  "Close",
@@ -65,9 +64,8 @@ type acquisition struct {
 	handle  types.Object // the variable holding the resource
 	errObj  types.Object // the paired error variable, if any
 	pos     token.Pos
-	call    string   // acquiring call name
-	release string   // expected release name
-	exempt  ast.Node // failure branch of an `if h.Retain()` guard, if any
+	call    string // acquiring call name
+	release string // expected release name
 }
 
 // checkFunc analyzes one function body.  Closure bodies are analyzed as
@@ -99,12 +97,11 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 }
 
 // findAcquisitions collects tracked acquire sites: assignments whose RHS
-// is a call to a paired acquisition, and `if h.Retain()` conditions.
+// is a call to a paired acquisition.
 func findAcquisitions(pass *analysis.Pass, body *ast.BlockStmt) []*acquisition {
 	var acqs []*acquisition
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
+		if n, ok := n.(*ast.AssignStmt); ok {
 			for i, rhs := range n.Rhs {
 				call, ok := rhs.(*ast.CallExpr)
 				if !ok {
@@ -112,7 +109,7 @@ func findAcquisitions(pass *analysis.Pass, body *ast.BlockStmt) []*acquisition {
 				}
 				name := calleeName(call)
 				rel, tracked := pairs[name]
-				if !tracked || name == "Retain" {
+				if !tracked {
 					continue
 				}
 				a := &acquisition{pos: call.Pos(), call: name, release: rel}
@@ -128,28 +125,6 @@ func findAcquisitions(pass *analysis.Pass, body *ast.BlockStmt) []*acquisition {
 					a.handle = identObject(pass, n.Lhs[i])
 				}
 				acqs = append(acqs, a)
-			}
-		case *ast.IfStmt:
-			// if h.Retain() { ... } / if !h.Retain() { return }: the
-			// handle is the receiver; on the success path a Release must
-			// follow.
-			cond, negated := n.Cond, false
-			if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
-				cond, negated = u.X, true
-			}
-			if call, ok := cond.(*ast.CallExpr); ok && calleeName(call) == "Retain" {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-					if h := identObject(pass, sel.X); h != nil {
-						a := &acquisition{handle: h, pos: call.Pos(), call: "Retain", release: "Release"}
-						// Retain failed ⇒ nothing to release on that branch.
-						if negated {
-							a.exempt = n.Body
-						} else {
-							a.exempt = n.Else
-						}
-						acqs = append(acqs, a)
-					}
-				}
 			}
 		}
 		return true
@@ -273,9 +248,6 @@ func checkReturns(pass *analysis.Pass, body *ast.BlockStmt, a *acquisition, rele
 			if g.Body.Pos() <= ret.Pos() && ret.Pos() <= g.Body.End() {
 				return true
 			}
-		}
-		if a.exempt != nil && a.exempt.Pos() <= ret.Pos() && ret.Pos() <= a.exempt.End() {
-			return true
 		}
 		for _, rel := range releases {
 			if a.pos < rel && rel < ret.Pos() {

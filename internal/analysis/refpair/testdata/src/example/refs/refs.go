@@ -15,8 +15,6 @@ func (c *Catalog) Acquire(name string) (*Dataset, error) { return nil, nil }
 
 type SketchFile struct{}
 
-func (s *SketchFile) Retain() bool { return true }
-func (s *SketchFile) Release()     {}
 func (s *SketchFile) Close() error { return nil }
 func (s *SketchFile) Nodes() int   { return 0 }
 
@@ -119,23 +117,4 @@ func transferArg(c *Catalog) error {
 	}
 	sink(d)
 	return nil
-}
-
-// retainGuard is the Retain idiom: failure branch returns bare, success
-// branch releases.
-func retainGuard(sf *SketchFile) (int, error) {
-	if !sf.Retain() {
-		return 0, errBoom
-	}
-	n := sf.Nodes()
-	sf.Release()
-	return n, nil
-}
-
-// retainLeak keeps the extra reference it took.
-func retainLeak(sf *SketchFile) (int, error) {
-	if !sf.Retain() { // want `sf acquired via Retain is never released`
-		return 0, errBoom
-	}
-	return sf.Nodes(), nil
 }

@@ -393,15 +393,6 @@ func (r *Registry[T]) Names() []string {
 	return out
 }
 
-// Stats snapshots every entry's lifecycle counters, sorted by name.
-func (r *Registry[T]) Stats() []Stats {
-	var out []Stats
-	r.Each(func(st Stats, _ T, _ bool) {
-		out = append(out, st)
-	})
-	return out
-}
-
 // Each calls f once per entry, sorted by name, under the registry lock.
 // For resident entries, value is the current version's value (resident
 // true); for evicted ones it is the zero T.  f must be fast and must not

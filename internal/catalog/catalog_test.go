@@ -81,7 +81,7 @@ func TestSwapDrainsOldVersion(t *testing.T) {
 	if h1.Value != "old" {
 		t.Fatal("pinned handle's value changed under swap")
 	}
-	st := r.Stats()[0]
+	st := stats(r)[0]
 	if st.Draining != 1 || st.Version != 2 || st.Refs != 1 {
 		t.Fatalf("stats during drain: %+v", st)
 	}
@@ -92,7 +92,7 @@ func TestSwapDrainsOldVersion(t *testing.T) {
 	if rel1.Load() != 1 {
 		t.Fatal("old version not released after last reader")
 	}
-	if st := r.Stats()[0]; st.Draining != 0 {
+	if st := stats(r)[0]; st.Draining != 0 {
 		t.Fatalf("stats after drain: %+v", st)
 	}
 	h2.Release()
@@ -155,7 +155,7 @@ func TestEvictionBudgetLRU(t *testing.T) {
 	if got := r.Resident(); got != 200 {
 		t.Fatalf("resident = %d after attach wave, want 200", got)
 	}
-	sts := r.Stats()
+	sts := stats(r)
 	if sts[0].Name != "a" || sts[0].Resident || sts[0].Evictions != 1 {
 		t.Fatalf("expected a evicted: %+v", sts[0])
 	}
@@ -177,7 +177,7 @@ func TestEvictionBudgetLRU(t *testing.T) {
 		t.Fatalf("a opens = %d, want 2 (attach + reload)", opensA.Load())
 	}
 	ha.Release() // release path re-runs maintain: 300 resident > 250
-	sts = r.Stats()
+	sts = stats(r)
 	byName := map[string]Stats{}
 	for _, st := range sts {
 		byName[st.Name] = st
@@ -203,7 +203,7 @@ func TestEvictionSkipsPinned(t *testing.T) {
 	if err := r.Attach("other", opener("other", 100, nil, nil), true); err != nil {
 		t.Fatal(err)
 	}
-	sts := r.Stats()
+	sts := stats(r)
 	byName := map[string]Stats{}
 	for _, st := range sts {
 		byName[st.Name] = st
@@ -224,7 +224,7 @@ func TestEvictionSkipsNonReloadable(t *testing.T) {
 	if err := r.Attach("mem", opener("mem", 100, nil, nil), false); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Stats()[0]; !st.Resident {
+	if st := stats(r)[0]; !st.Resident {
 		t.Fatal("non-reloadable entry evicted")
 	}
 }
@@ -324,7 +324,7 @@ func TestConcurrentReloadDiscardsLosers(t *testing.T) {
 	if err := r.Attach("d", opener("d", 100, &opens, &releases), true); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Stats()[0]; st.Resident {
+	if st := stats(r)[0]; st.Resident {
 		t.Fatal("over-budget idle entry not evicted at attach")
 	}
 	for round := 0; round < 20; round++ {
@@ -369,10 +369,17 @@ func TestNamesAndStatsSorted(t *testing.T) {
 			t.Fatalf("Names() = %v, want %v", names, want)
 		}
 	}
-	sts := r.Stats()
+	sts := stats(r)
 	for i, n := range want {
 		if sts[i].Name != n {
 			t.Fatalf("Stats() order = %v", sts)
 		}
 	}
+}
+
+// stats snapshots every entry's lifecycle counters, sorted by name.
+func stats[T any](r *Registry[T]) []Stats {
+	var out []Stats
+	r.Each(func(st Stats, _ T, _ bool) { out = append(out, st) })
+	return out
 }

@@ -108,12 +108,8 @@ func (a *ADS) Node() int32 { return a.node }
 func (a *ADS) Size() int { return a.c.len() }
 
 // Entries materializes the entries in canonical order.  The sketch
-// stores its entries columnarly, so the returned slice is a fresh copy;
-// iterate with Size/EntryAt to avoid the allocation.
+// stores its entries columnarly, so the returned slice is a fresh copy.
 func (a *ADS) Entries() []Entry { return a.c.entries() }
-
-// EntryAt returns entry i in canonical order.
-func (a *ADS) EntryAt(i int) Entry { return a.c.at(i) }
 
 // SizeWithin returns |{entries with Dist <= d}|, the input of the size-only
 // estimator (Section 8).

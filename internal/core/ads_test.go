@@ -303,7 +303,7 @@ func TestMinHashEntriesWithinUnderfull(t *testing.T) {
 // approximate set's sketches; a weighted set holds another type.
 func TestSetBottomKPanicsOnWrongFlavor(t *testing.T) {
 	g := graphPathForTest(4)
-	set, err := BuildWeightedSet(g, 2, 1, []float64{1, 2, 1, 2})
+	set, err := BuildWeightedSetParallel(g, 2, 1, []float64{1, 2, 1, 2}, ExponentialWeights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,11 +165,8 @@ func (s *Set) Part() (index, count int) { return s.index, max(s.count, 1) }
 // — and so writes the partition envelope.
 func (s *Set) IsPartition() bool { return s.count > 0 }
 
-// Sketch returns node v's sketch view, of the type the kind makes it:
+// SketchOf returns node v's sketch view, of the type the kind makes it:
 // *ADS for uniform and approximate sets, *WeightedADS for weighted ones.
-func (s *Set) Sketch(v int32) Sketch { return s.frame.viewSketch(int(v)) }
-
-// SketchOf is Sketch, the method of the query layers' set interface.
 func (s *Set) SketchOf(v int32) Sketch { return s.frame.viewSketch(int(v)) }
 
 // BottomK returns node v's sketch as a bottom-k ADS; it panics on a

@@ -77,7 +77,7 @@ func TestBuildersAgreeUnweighted(t *testing.T) {
 			ref := bruteForceSet(g, o)
 			for v := int32(0); int(v) < g.NumNodes(); v++ {
 				label := fmt.Sprintf("%s/k=%d/node %d", name, k, v)
-				equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
+				equalSketches(t, label, ref.SketchOf(v), got.SketchOf(v))
 			}
 		}
 	}
@@ -95,7 +95,7 @@ func TestBuildersAgreeWeighted(t *testing.T) {
 		ref := bruteForceSet(g, o)
 		for v := int32(0); int(v) < g.NumNodes(); v++ {
 			label := fmt.Sprintf("%s/node %d", name, v)
-			equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
+			equalSketches(t, label, ref.SketchOf(v), got.SketchOf(v))
 		}
 	}
 }
@@ -118,7 +118,7 @@ func TestBuildersAgreeBaseB(t *testing.T) {
 			ref := bruteForceSet(g, o)
 			for v := int32(0); int(v) < g.NumNodes(); v++ {
 				label := fmt.Sprintf("%s/b=%g/node %d", name, b, v)
-				equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
+				equalSketches(t, label, ref.SketchOf(v), got.SketchOf(v))
 			}
 		}
 	}
@@ -238,7 +238,7 @@ func TestSetAccessors(t *testing.T) {
 	}
 	total := 0
 	for v := int32(0); v < 10; v++ {
-		total += set.Sketch(v).Size()
+		total += set.SketchOf(v).Size()
 	}
 	if set.TotalEntries() != total {
 		t.Errorf("TotalEntries = %d, want %d", set.TotalEntries(), total)
@@ -309,7 +309,7 @@ func TestBuildersHandleMultiEdges(t *testing.T) {
 			t.Fatal(err)
 		}
 		for v := int32(0); int(v) < g.NumNodes(); v++ {
-			equalSketches(t, fmt.Sprintf("multi-edge/%d workers node %d", workers, v), ref.Sketch(v), got.Sketch(v))
+			equalSketches(t, fmt.Sprintf("multi-edge/%d workers node %d", workers, v), ref.SketchOf(v), got.SketchOf(v))
 		}
 	}
 }
@@ -361,8 +361,8 @@ func TestPrunedDijkstraDifferential(t *testing.T) {
 		for v := range beta {
 			beta[v] = []float64{0.5, 1, 2}[rng.Intn(3)]
 		}
-		desc := fmt.Sprintf("graph seed %d (n=%d arcs=%d directed=%v weighted=%v)",
-			seed, n, g.NumArcs(), g.Directed(), g.Weighted())
+		desc := fmt.Sprintf("graph seed %d (n=%d edges=%d directed=%v weighted=%v)",
+			seed, n, g.NumEdges(), g.Directed(), g.Weighted())
 		for _, k := range []int{1, 2, 5} {
 			for _, baseB := range []float64{0, 2} {
 				o := Options{K: k, Seed: uint64(seed), BaseB: baseB}

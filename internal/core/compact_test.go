@@ -478,7 +478,7 @@ func TestFileBytesNoLargerPerFamily(t *testing.T) {
 	for i := range beta {
 		beta[i] = 1 + float64(i%7)
 	}
-	weighted, err := BuildWeightedSet(pa, 16, 42, beta)
+	weighted, err := BuildWeightedSetParallel(pa, 16, 42, beta, ExponentialWeights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

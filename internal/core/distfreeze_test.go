@@ -35,7 +35,7 @@ func TestFreezePartitionByteParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wtd, err := BuildWeightedSet(wg, 8, 42, beta)
+	wtd, err := BuildWeightedSetParallel(wg, 8, 42, beta, ExponentialWeights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func TestQgOnGraphUnbiased(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc.Add(EstimateQ(set.Sketch(0), gfun))
+		acc.Add(EstimateQ(set.SketchOf(0), gfun))
 	}
 	if bias := acc.Bias(); math.Abs(bias) > 0.05 {
 		t.Errorf("Q_g bias = %+.3f, want ~0", bias)
@@ -146,7 +146,7 @@ func TestCentralityOnGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc.Add(EstimateCentrality(set.Sketch(5), KernelHarmonic, UnitBeta))
+		acc.Add(EstimateCentrality(set.SketchOf(5), KernelHarmonic, UnitBeta))
 	}
 	if bias := acc.Bias(); math.Abs(bias) > 0.05 {
 		t.Errorf("harmonic centrality bias = %+.3f", bias)
@@ -181,7 +181,7 @@ func TestBetaFilteredCentrality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc.Add(EstimateCentrality(set.Sketch(7), KernelThreshold(d), beta))
+		acc.Add(EstimateCentrality(set.SketchOf(7), KernelThreshold(d), beta))
 	}
 	if bias := acc.Bias(); math.Abs(bias) > 0.06 {
 		t.Errorf("filtered centrality bias = %+.3f (exact %g)", bias, exact)
@@ -202,11 +202,11 @@ func TestWeightedADSUnbiased(t *testing.T) {
 	const runs = 300
 	acc := stats.NewErrAccum(exact)
 	for run := 0; run < runs; run++ {
-		set, err := BuildWeightedSet(g, 8, uint64(run)+3000, beta)
+		set, err := BuildWeightedSetParallel(g, 8, uint64(run)+3000, beta, ExponentialWeights, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc.Add(set.Sketch(9).(*WeightedADS).EstimateNeighborhoodWeight(d))
+		acc.Add(set.SketchOf(9).(*WeightedADS).EstimateNeighborhoodWeight(d))
 	}
 	if bias := acc.Bias(); math.Abs(bias) > 0.05 {
 		t.Errorf("weighted neighborhood bias = %+.3f (exact %g)", bias, exact)
@@ -227,11 +227,11 @@ func TestWeightedADSFavorsHeavyNodes(t *testing.T) {
 	counts := 0
 	const runs = 100
 	for run := 0; run < runs; run++ {
-		set, err := BuildWeightedSet(g, 4, uint64(run)+12, beta)
+		set, err := BuildWeightedSetParallel(g, 4, uint64(run)+12, beta, ExponentialWeights, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range set.Sketch(0).(*WeightedADS).Entries() {
+		for _, e := range set.SketchOf(0).(*WeightedADS).Entries() {
 			if e.Node == 42 {
 				counts++
 			}
@@ -261,10 +261,10 @@ func TestWeightedADSValidate(t *testing.T) {
 
 func TestBuildWeightedSetErrors(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := BuildWeightedSet(g, 0, 1, []float64{1, 1, 1, 1}); err == nil {
+	if _, err := BuildWeightedSetParallel(g, 0, 1, []float64{1, 1, 1, 1}, ExponentialWeights, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := BuildWeightedSet(g, 2, 1, []float64{1, 1}); err == nil {
+	if _, err := BuildWeightedSetParallel(g, 2, 1, []float64{1, 1}, ExponentialWeights, 0); err == nil {
 		t.Error("short beta accepted")
 	}
 	// A node weight must be positive and finite: NaN passes a "b <= 0"
@@ -272,10 +272,8 @@ func TestBuildWeightedSetErrors(t *testing.T) {
 	// under either rank scheme, naming the node.
 	for _, b := range []float64{math.NaN(), math.Inf(1), 0, -1} {
 		beta := []float64{1, 1, b, 1}
-		for name, build := range map[string]func(*graph.Graph, int, uint64, []float64) (*Set, error){
-			"exponential": BuildWeightedSet, "priority": BuildPriorityWeightedSet,
-		} {
-			set, err := build(g, 2, 1, beta)
+		for name, scheme := range map[string]WeightScheme{"exponential": ExponentialWeights, "priority": PriorityWeights} {
+			set, err := BuildWeightedSetParallel(g, 2, 1, beta, scheme, 0)
 			if set != nil || err == nil || !strings.Contains(err.Error(), "beta[2]") {
 				t.Errorf("%s, beta[2] = %g: (%v, %v), want an error naming beta[2]", name, b, set, err)
 			}
@@ -337,11 +335,11 @@ func TestPriorityWeightedADSUnbiased(t *testing.T) {
 	const runs = 300
 	acc := stats.NewErrAccum(exact)
 	for run := 0; run < runs; run++ {
-		set, err := BuildPriorityWeightedSet(g, 8, uint64(run)+7000, beta)
+		set, err := BuildWeightedSetParallel(g, 8, uint64(run)+7000, beta, PriorityWeights, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc.Add(set.Sketch(9).(*WeightedADS).EstimateNeighborhoodWeight(d))
+		acc.Add(set.SketchOf(9).(*WeightedADS).EstimateNeighborhoodWeight(d))
 	}
 	if bias := acc.Bias(); math.Abs(bias) > 0.05 {
 		t.Errorf("priority weighted bias = %+.3f (exact %g)", bias, exact)

@@ -40,7 +40,7 @@ func TestEncodeRoundTripAllFlavors(t *testing.T) {
 		}
 		for v := int32(0); int(v) < g.NumNodes(); v++ {
 			equalSketches(t, fmt.Sprintf("roundtrip b=%g node %d", baseB, v),
-				set.Sketch(v), got.Sketch(v))
+				set.SketchOf(v), got.SketchOf(v))
 		}
 	}
 }
@@ -257,7 +257,7 @@ func TestParallelBuilderMatchesSequential(t *testing.T) {
 			}
 			for v := int32(0); int(v) < g.NumNodes(); v++ {
 				label := fmt.Sprintf("parallel %s/b=%g/node %d", name, baseB, v)
-				equalSketches(t, label, ref.Sketch(v), got.Sketch(v))
+				equalSketches(t, label, ref.SketchOf(v), got.SketchOf(v))
 			}
 		}
 	}
@@ -471,7 +471,7 @@ func TestParallelBuilderNodeCodes(t *testing.T) {
 	for i := range beta {
 		beta[i] = 1 + float64(i%5)
 	}
-	weighted, err := BuildWeightedSet(g, 8, 42, beta)
+	weighted, err := BuildWeightedSetParallel(g, 8, 42, beta, ExponentialWeights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -744,30 +743,12 @@ func openFrameBytes(data []byte) (*Set, error) {
 
 // SketchFile is an opened sketch file: the set it holds — a whole one or a
 // partition — plus the backing memory when the file was opened zero-copy.
-//
-// Release of the backing memory is reference-counted, so an mmap'd file
-// can be swapped out from under live traffic without ever unmapping
-// pages a query is still reading: every reader that may outlive the
-// owner brackets its reads with Retain / Release, and Close — the
-// owner's release — only marks the file draining.  The munmap happens
-// when the last reference drops, whichever call that is.
+// Its owner closes it once nothing reads it any more: a served file is
+// closed by the catalog's version drain, after the last query that
+// acquired the version has released it.
 type SketchFile struct {
 	set    *Set
 	mapped []byte // non-nil iff the columns view an mmap region
-
-	// refs counts live references: the opener's (dropped by Close) plus
-	// one per outstanding Retain.  The reference that drops it to zero
-	// unmaps.  A non-positive count means fully released.
-	refs   atomic.Int64
-	closed atomic.Bool // the opener's reference has been dropped
-}
-
-// newSketchFile assembles an opened file holding the opener's single
-// reference.
-func newSketchFile(set *Set, mapped []byte) *SketchFile {
-	s := &SketchFile{set: set, mapped: mapped}
-	s.refs.Store(1)
-	return s
 }
 
 // Set returns the set the file holds: a whole set, or a partition
@@ -834,67 +815,19 @@ func (s *SketchFile) DistanceSteps() (steps, distinct int64) {
 }
 
 // Mapped reports whether the columns view an mmap'd region (in which
-// case the final Close/Release invalidates every sketch and index
-// derived from the file).
+// case Close invalidates every sketch and index derived from the file).
 func (s *SketchFile) Mapped() bool { return s.mapped != nil }
 
-// Refs returns the current reference count: the opener's reference
-// (until Close) plus one per outstanding Retain.  Zero means fully
-// released.  It is a monitoring value; do not branch program logic on
-// it — use Retain's return instead.
-func (s *SketchFile) Refs() int64 {
-	if r := s.refs.Load(); r > 0 {
-		return r
-	}
-	return 0
-}
-
-// Draining reports whether Close has been called while other references
-// keep the file alive.
-func (s *SketchFile) Draining() bool { return s.closed.Load() && s.refs.Load() > 0 }
-
-// Retain takes an additional reference on the file, keeping its backing
-// memory valid across a concurrent Close, and reports whether it
-// succeeded: false means the last reference already dropped (the mapping
-// may be gone) and the file must not be read.  Every successful Retain
-// must be paired with exactly one Release.
-func (s *SketchFile) Retain() bool {
-	for {
-		r := s.refs.Load()
-		if r <= 0 {
-			return false
-		}
-		if s.refs.CompareAndSwap(r, r+1) {
-			return true
-		}
-	}
-}
-
-// Release drops one reference.  The call that drops the count to zero
-// unmaps the backing region (if any); after that, every sketch, view,
-// and index derived from the file is invalid.
-func (s *SketchFile) Release() error {
-	if s.refs.Add(-1) != 0 {
-		return nil
-	}
+// Close releases the file: it unmaps the backing region, if any, after
+// which every sketch, view and index derived from the file is invalid, and
+// Set returns nil.  A second Close does nothing.
+func (s *SketchFile) Close() error {
 	m := s.mapped
-	s.mapped = nil
-	s.set = nil
+	s.mapped, s.set = nil, nil
 	if m == nil {
 		return nil
 	}
 	return munmapFile(m)
-}
-
-// Close drops the opener's reference, marking the file draining: new
-// Retains fail once the count reaches zero, and the backing memory is
-// released by whichever call — this one, or the last outstanding
-// Release — drops the final reference.  Close is idempotent.
-func (s *SketchFile) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	return s.Release()
 }
 
 // OpenSketchFile opens a sketch file of the current layout — everything
@@ -912,7 +845,7 @@ func OpenSketchFile(path string) (*SketchFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSketchFile(set, nil), nil
+	return &SketchFile{set: set}, nil
 }
 
 // MmapSketchFile opens a sketch file of the current layout by mapping it
@@ -946,7 +879,7 @@ func MmapSketchFile(path string) (*SketchFile, error) {
 		munmapFile(data)
 		return nil, err
 	}
-	return newSketchFile(set, data), nil
+	return &SketchFile{set: set, mapped: data}, nil
 }
 
 // currentLayout reports whether the bytes begin a version-3 file of the

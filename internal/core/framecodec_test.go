@@ -31,12 +31,12 @@ func frameKinds(t *testing.T) map[string]*Set {
 	for i := range beta {
 		beta[i] = 1 + float64(i%7)
 	}
-	weighted, err := BuildWeightedSet(g, 8, 42, beta)
+	weighted, err := BuildWeightedSetParallel(g, 8, 42, beta, ExponentialWeights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["weighted"] = weighted
-	priority, err := BuildPriorityWeightedSet(g, 8, 42, beta)
+	priority, err := BuildWeightedSetParallel(g, 8, 42, beta, PriorityWeights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func FuzzOpenSketchFile(f *testing.F) {
 		n := set.NumNodes()
 		for v := 0; v < n; v++ {
 			x := set.Index(int32(v))
-			_, _, _ = x.Entries(), x.Closeness(), x.EstimateQ(func(node int32, d float64) float64 { return d })
+			_, _, _ = indexEntries(x), x.Closeness(), x.EstimateQ(func(node int32, d float64) float64 { return d })
 			if v < 8 {
 				_ = set.SketchOf(int32(v)).HIPEntries()
 			}

@@ -29,11 +29,11 @@ import "unsafe"
 // is bit-identical to the corresponding direct estimator (EstimateQ,
 // EstimateCentrality, EstimateNeighborhoodHIP) on the same sketch.
 type HIPIndex struct {
-	// The totals of the weights, weight·distance and weight/distance,
-	// which the unbounded readouts return: beside the header, so a scan
-	// of every node's total reads one cache line a node, not a line of
-	// each node's sums.
-	total, totalD, totalH float64
+	// The totals of weight·distance and weight/distance, which the
+	// unbounded readouts return: beside the header, so a scan of every
+	// node's total reads one cache line a node, not a line of each node's
+	// sums.
+	totalD, totalH float64
 
 	enode nodeCodes // HIP entry nodes and runs, canonical order: coded, or a standalone index's own
 	ew    []float64 // HIP adjusted weights, parallel to enode
@@ -78,8 +78,8 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 
 // sum appends to the index's empty prefix-sum column, per step, the
 // running total of the weights over the entries of its run, which ends
-// lists the ends of, and sets the totals of the weights, weight·distance
-// and weight·(1/distance).
+// lists the ends of, and sets the totals of weight·distance and
+// weight·(1/distance).
 func (x *HIPIndex) sum(ends []int32) {
 	total, totalD, totalH := 0.0, 0.0, 0.0
 	w, s, i := x.ew, x.sd, 0
@@ -94,7 +94,7 @@ func (x *HIPIndex) sum(ends []int32) {
 		x.cum = append(x.cum, total)
 		i = int(end)
 	}
-	x.total, x.totalD, x.totalH = total, totalD, totalH
+	x.totalD, x.totalH = totalD, totalH
 }
 
 // Bytes returns the heap the index holds of its own: its header, weights
@@ -116,31 +116,6 @@ func (x *HIPIndex) nodes() Nodes {
 	return Nodes{nodeCodes: x.enode, n: len(x.ew), steps: x.sd.n}
 }
 
-// Entries materializes the indexed HIP entries in canonical order (a
-// fresh copy; the index stores them columnarly).
-func (x *HIPIndex) Entries() []WeightedEntry {
-	out := make([]WeightedEntry, len(x.ew))
-	nodes := x.nodes().cursor()
-	for i := range out {
-		u := nodes.Next()
-		out[i] = WeightedEntry{Node: u, Dist: x.sd.step(nodes.step()), Weight: x.ew[i]}
-	}
-	return out
-}
-
-// EntryAt returns indexed HIP entry i in canonical order.  It costs
-// O(i): the node codes decode in order from the list's first, so a loop
-// over EntryAt is quadratic, and Entries or EstimateQ, which decode the
-// list once, are the way to scan every entry.
-func (x *HIPIndex) EntryAt(i int) WeightedEntry {
-	nodes := x.nodes().cursor()
-	for range i {
-		nodes.Next()
-	}
-	u := nodes.Next()
-	return WeightedEntry{Node: u, Dist: x.sd.step(nodes.step()), Weight: x.ew[i]}
-}
-
 // search returns the position of the last indexed distance <= d, or -1.
 func (x *HIPIndex) search(d float64) int { return x.sd.searchLE(d) }
 
@@ -152,9 +127,6 @@ func (x *HIPIndex) Neighborhood(d float64) float64 {
 	}
 	return 0
 }
-
-// Total returns the estimate of the number of reachable nodes.
-func (x *HIPIndex) Total() float64 { return x.total }
 
 // SumDistances returns the HIP estimate of Σ_j d_vj over reachable nodes
 // (the inverse of classic closeness centrality) — equal to
@@ -187,9 +159,3 @@ func (x *HIPIndex) EstimateQ(g func(node int32, dist float64) float64) float64 {
 	}
 	return sum
 }
-
-// Distances returns the unique entry distances, ascending (the points at
-// which the neighborhood estimate steps): the index's own column where it
-// holds them as floats, a fresh slice where it holds codes into its
-// frame's dictionary.  Callers must not modify it.
-func (x *HIPIndex) Distances() []float64 { return x.sd.steps() }

@@ -26,8 +26,8 @@ func TestHIPIndexMatchesDirectEstimates(t *testing.T) {
 			t.Errorf("d=%g: index %g, direct %g", d, got, want)
 		}
 	}
-	if math.Abs(idx.Total()-EstimateNeighborhoodHIP(a, math.Inf(1))) > 1e-9 {
-		t.Error("Total mismatch")
+	if math.Abs(idx.Neighborhood(math.Inf(1))-EstimateNeighborhoodHIP(a, math.Inf(1))) > 1e-9 {
+		t.Error("unbounded neighborhood mismatch")
 	}
 }
 
@@ -43,10 +43,10 @@ func TestHIPIndexProperty(t *testing.T) {
 
 func TestHIPIndexEmpty(t *testing.T) {
 	idx := NewHIPIndex(adsOf(0, 3, nil))
-	if idx.Total() != 0 || idx.Neighborhood(5) != 0 {
+	if idx.Neighborhood(math.Inf(1)) != 0 || idx.Neighborhood(5) != 0 {
 		t.Error("empty index should report zeros")
 	}
-	if len(idx.Distances()) != 0 {
+	if len(idx.sd.steps()) != 0 {
 		t.Error("empty index has distances")
 	}
 }
@@ -54,7 +54,7 @@ func TestHIPIndexEmpty(t *testing.T) {
 func TestHIPIndexMonotone(t *testing.T) {
 	_, idx := buildIndexedADS(9, 500)
 	prev := -1.0
-	for _, d := range idx.Distances() {
+	for _, d := range idx.sd.steps() {
 		cur := idx.Neighborhood(d)
 		if cur <= prev {
 			t.Fatal("cumulative weights not strictly increasing at step points")
@@ -127,7 +127,18 @@ func TestFrameIndexKBound(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
 		t.Errorf("indexing a 5-entry sketch at k = MaxK allocated %d B", got)
 	}
-	if got := x.Total(); got != 5 {
+	if got := x.Neighborhood(math.Inf(1)); got != 5 {
 		t.Errorf("estimate %g, want the exact 5", got)
 	}
+}
+
+// indexEntries materializes an index's HIP entries in canonical order.
+func indexEntries(x *HIPIndex) []WeightedEntry {
+	out := make([]WeightedEntry, x.Len())
+	nodes := x.nodes().cursor()
+	for i := range out {
+		u := nodes.Next()
+		out[i] = WeightedEntry{Node: u, Dist: x.sd.step(nodes.step()), Weight: x.ew[i]}
+	}
+	return out
 }

@@ -180,15 +180,19 @@ func distbuildAgrees(t *testing.T, n, parts int) {
 			t.Fatal(err)
 		}
 		lo, hi, _ := core.PartRange(i, parts, n)
-		if got := w.Stats().OwnedNodes; got != int(hi-lo) {
-			t.Errorf("distbuild worker %d owns %d nodes, the rule %d", i, got, hi-lo)
-		}
+		// Round 0 offers each owned node to its neighbours on the cycle,
+		// so the candidates name every node the worker owns.
+		seeded := make(map[int32]bool)
 		for dst, out := range outs {
 			for _, c := range out {
 				if c.Node < lo || c.Node >= hi || core.PartOf(c.Target, parts, n) != dst {
 					t.Fatalf("distbuild worker %d sends a candidate of node %d for node %d to worker %d", i, c.Node, c.Target, dst)
 				}
+				seeded[c.Node] = true
 			}
+		}
+		if len(seeded) != int(hi-lo) {
+			t.Errorf("distbuild worker %d seeds %d nodes, the rule gives it %d", i, len(seeded), hi-lo)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func splitKinds(t *testing.T) map[string]*Set {
 	for i := range beta {
 		beta[i] = 1 + float64(i%5)
 	}
-	weighted, err := BuildWeightedSet(g, 8, 42, beta)
+	weighted, err := BuildWeightedSetParallel(g, 8, 42, beta, ExponentialWeights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestPartitionCorruption(t *testing.T) {
 
 func TestADSFromEntries(t *testing.T) {
 	set := buildUniform(t, Options{K: 4, Seed: 1})
-	a := set.Sketch(3).(*ADS)
+	a := set.SketchOf(3).(*ADS)
 	rebuilt, err := ADSFromEntries(3, a.K(), append([]Entry(nil), a.Entries()...))
 	if err != nil {
 		t.Fatal(err)

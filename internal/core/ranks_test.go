@@ -64,7 +64,7 @@ func v3Files(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := BuildPriorityWeightedSet(g, 4, 42, beta)
+	weighted, err := BuildWeightedSetParallel(g, 4, 42, beta, PriorityWeights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFreezeRejectsForeignRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := BuildWeightedSet(g, 4, 42, beta)
+	weighted, err := BuildWeightedSetParallel(g, 4, 42, beta, ExponentialWeights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestMergeRefusesMixedRanks(t *testing.T) {
 		beta[i] = 1 + float64(i%3)
 	}
 	split := func(seed uint64) []*Set {
-		set, err := BuildWeightedSet(g, 4, seed, beta)
+		set, err := BuildWeightedSetParallel(g, 4, seed, beta, ExponentialWeights, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

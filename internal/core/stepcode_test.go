@@ -277,7 +277,7 @@ func stepKinds(t *testing.T) map[string]*Set {
 		for i := range beta {
 			beta[i] = 1 + float64(i%7)
 		}
-		weighted, err := BuildWeightedSet(g, 8, 42, beta)
+		weighted, err := BuildWeightedSetParallel(g, 8, 42, beta, ExponentialWeights, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -555,7 +555,7 @@ func v3Fixtures(tag string) []v3Fixture {
 		{"uniform_" + tag + "_k4.ads", -1, uniform},
 		{"uniform_" + tag + "_k4.p1of2.ads", 1, uniform},
 		{"weighted_" + tag + "_k4.ads", -1, func(g *graph.Graph, beta []float64) (*Set, error) {
-			return BuildWeightedSet(g, 4, 42, beta)
+			return BuildWeightedSetParallel(g, 4, 42, beta, ExponentialWeights, 0)
 		}},
 		{"kmins_base2_" + tag + "_k4.ads", -1, nil},
 	}
@@ -763,7 +763,7 @@ func checkHostileFiles(t *testing.T, damaged map[string][]byte, trusted map[stri
 		if err == nil {
 			// What the parser trusts, every decoder reads without a panic.
 			for v := 0; v < set.NumNodes(); v++ {
-				set.Index(int32(v)).Entries()
+				indexEntries(set.Index(int32(v)))
 				set.frame.nodesAt(v).AppendRuns(nil, nil)
 			}
 		}
@@ -862,16 +862,16 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 			}
 			check := func(v int) string {
 				got, want := f.Index(int32(v)), NewHIPIndex(f.viewSketch(v))
-				ge, we := got.Entries(), want.Entries()
+				ge, we := indexEntries(got), indexEntries(want)
 				if len(ge) != len(we) || got.Len() != want.Len() {
 					return fmt.Sprintf("%d entries, standalone %d", len(ge), len(we))
 				}
 				for i := range we {
-					if ge[i] != we[i] || got.EntryAt(i) != we[i] {
-						return fmt.Sprintf("entry %d: %+v / %+v, standalone %+v", i, ge[i], got.EntryAt(i), we[i])
+					if ge[i] != we[i] {
+						return fmt.Sprintf("entry %d: %+v, standalone %+v", i, ge[i], we[i])
 					}
 				}
-				gd, wd := got.Distances(), want.Distances()
+				gd, wd := got.sd.steps(), want.sd.steps()
 				if len(gd) != len(wd) || len(got.cum) != len(wd) {
 					return fmt.Sprintf("%d steps (%d sums), standalone %d", len(gd), len(got.cum), len(wd))
 				}
@@ -880,7 +880,7 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 						return fmt.Sprintf("step %d (distance %g) reads out differently", j, d)
 					}
 				}
-				if got.Total() != want.Total() || got.Closeness() != want.Closeness() || got.Harmonic() != want.Harmonic() ||
+				if got.Neighborhood(math.Inf(1)) != want.Neighborhood(math.Inf(1)) || got.Closeness() != want.Closeness() || got.Harmonic() != want.Harmonic() ||
 					got.EstimateQ(g) != want.EstimateQ(g) || got.EstimateQ(g) != EstimateQ(f.viewSketch(v), g) {
 					return "totals differ from the standalone index's"
 				}

@@ -74,9 +74,6 @@ func (a *WeightedADS) Node() int32 { return a.node }
 // Size returns the number of entries.
 func (a *WeightedADS) Size() int { return a.c.len() }
 
-// Scheme returns the weighted sampling scheme the ranks were drawn under.
-func (a *WeightedADS) Scheme() WeightScheme { return a.scheme }
-
 // EstimateNeighborhood returns the HIP estimate of the weighted
 // neighborhood cardinality Σ_{j: d_vj <= d} β(j).  Under weight-biased
 // ranks the Section 4 basic estimator does not apply, so the HIP estimate
@@ -88,10 +85,9 @@ func (a *WeightedADS) EstimateNeighborhood(d float64) float64 {
 
 // Entries materializes the entries in canonical order (a fresh copy; the
 // storage is columnar).
+//
+//adsvet:ignore deadsurface the weighted twin of ADS.Entries: the only way to read a weighted view's ranks from outside core, which the rank-derivation and conversion tests check
 func (a *WeightedADS) Entries() []Entry { return a.c.entries() }
-
-// EntryAt returns entry i in canonical order.
-func (a *WeightedADS) EntryAt(i int) Entry { return a.c.at(i) }
 
 // HIPEntries returns each entry with its adjusted weight β_j/p_j, where
 // p_j is the scheme's inclusion probability against τ_j, the k-th smallest
@@ -138,16 +134,6 @@ func (a *WeightedADS) EstimateNeighborhoodWeight(d float64) float64 {
 	return sumWithin(a.HIPEntries(), d)
 }
 
-// EstimateCentrality returns the HIP estimate of C_α over node weights:
-// Σ_j α(d_vj)·β(j) for a non-increasing kernel α.
-func (a *WeightedADS) EstimateCentrality(alpha func(float64) float64) float64 {
-	sum := 0.0
-	for _, e := range a.HIPEntries() {
-		sum += e.Weight * alpha(e.Dist)
-	}
-	return sum
-}
-
 // CheckWeights refuses node weights that are not positive and finite,
 // the one rule every weighted build applies: a zero, negative or NaN β
 // has no Exp(β) rank, and an infinite one gives rank 0.  The error names
@@ -161,22 +147,13 @@ func CheckWeights(beta []float64, first int) error {
 	return nil
 }
 
-// BuildWeightedSet computes the weighted bottom-k ADS of every node using
-// PrunedDijkstra with exponential ranks.  beta[v] is the weight of node v
-// and must be positive and finite (CheckWeights).
-func BuildWeightedSet(g *graph.Graph, k int, seed uint64, beta []float64) (*Set, error) {
-	return BuildWeightedSetParallel(g, k, seed, beta, ExponentialWeights, 0)
-}
-
-// BuildPriorityWeightedSet is BuildWeightedSet with Sequential Poisson
-// (priority) ranks r(i) = r'(i)/β(i) — the Section 9 alternative.
-func BuildPriorityWeightedSet(g *graph.Graph, k int, seed uint64, beta []float64) (*Set, error) {
-	return BuildWeightedSetParallel(g, k, seed, beta, PriorityWeights, 0)
-}
-
-// BuildWeightedSetParallel is BuildWeightedSet under either scheme with
-// BuildSetParallel's worker bound for the PrunedDijkstra pass: <= 0 means
-// GOMAXPROCS, and the output is identical for every worker count.
+// BuildWeightedSetParallel computes the weighted bottom-k ADS of every
+// node using PrunedDijkstra with ranks under the scheme — exponential, or
+// the Section 9 alternative, Sequential Poisson (priority) ranks
+// r(i) = r'(i)/β(i).  beta[v] is the weight of node v and must be
+// positive and finite (CheckWeights).  workers bounds the PrunedDijkstra
+// pass as BuildSetParallel's does: <= 0 means GOMAXPROCS, and the output
+// is identical for every worker count.
 func BuildWeightedSetParallel(g *graph.Graph, k int, seed uint64, beta []float64, scheme WeightScheme, workers int) (*Set, error) {
 	p := Params{Kind: KindWeighted, Options: Options{K: k, Seed: seed}, Scheme: scheme}
 	if err := p.Validate(); err != nil {

@@ -56,7 +56,7 @@ const (
 	// ranks — the distributed analogue of core.BuildSet.
 	KindUniform = core.KindUniform
 	// KindWeighted builds weighted bottom-k sketches (exponential or
-	// priority ranks) — the analogue of core.BuildWeightedSet.
+	// priority ranks) — the analogue of core.BuildWeightedSetParallel.
 	KindWeighted = core.KindWeighted
 	// KindApprox builds (1+ε)-approximate sketches (Section 3), which
 	// no in-process serving build makes.
@@ -190,25 +190,6 @@ func (ws *WorkerSpec) params() core.Params {
 		Scheme:  core.WeightScheme(ws.Scheme),
 		Eps:     ws.Eps,
 	}
-}
-
-// Stats is a point-in-time snapshot of one worker.  The sizes scale
-// with the worker's partition, not the whole graph — the memory test
-// pins that.
-type Stats struct {
-	// OwnedNodes and Arcs size the worker's slice of the graph: the
-	// nodes of its range and the in-arcs it loaded for them.
-	OwnedNodes int `json:"owned_nodes"`
-	Arcs       int `json:"arcs"`
-	// Entries counts the entries currently held across owned sketches.
-	Entries int `json:"entries"`
-	// Offers counts candidates evaluated; Accepts the subset that
-	// changed a sketch; Evictions the entries dropped by acceptances.
-	Offers    int64 `json:"offers"`
-	Accepts   int64 `json:"accepts"`
-	Evictions int64 `json:"evictions"`
-	// MaxInbox is the largest single-round delivery the worker saw.
-	MaxInbox int `json:"max_inbox"`
 }
 
 // Result summarizes a completed distributed build.

@@ -31,16 +31,6 @@ func (h *WorkerHandler) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathFreeze, h.handleFreeze)
 }
 
-// Stats snapshots the current build's worker (zero value when idle).
-func (h *WorkerHandler) Stats() Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.w == nil {
-		return Stats{}
-	}
-	return h.w.Stats()
-}
-
 func (h *WorkerHandler) handleInit(w http.ResponseWriter, r *http.Request) {
 	var spec WorkerSpec
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&spec); err != nil {

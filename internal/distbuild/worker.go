@@ -39,7 +39,6 @@ type Worker struct {
 	kern   core.OfferKernel
 	inited bool
 	frozen bool
-	stats  Stats
 }
 
 // NewWorker returns an idle worker for one slice of a build.  Init
@@ -56,19 +55,6 @@ func NewWorker(spec WorkerSpec) (*Worker, error) {
 		hi:     hi,
 		kern:   core.NewOfferKernel(spec.K),
 	}, nil
-}
-
-// Stats snapshots the worker.
-func (w *Worker) Stats() Stats {
-	st := w.stats
-	st.OwnedNodes = int(w.hi - w.lo)
-	for _, l := range w.lists {
-		st.Entries += len(l)
-	}
-	for _, a := range w.in {
-		st.Arcs += len(a)
-	}
-	return st
 }
 
 // Init streams the worker's slice of the edge list — only lines with an
@@ -166,9 +152,6 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(inbox) > w.stats.MaxInbox {
-		w.stats.MaxInbox = len(inbox)
-	}
 	slices.SortFunc(inbox, func(a, b Candidate) int {
 		switch {
 		case a.Dist != b.Dist:
@@ -185,7 +168,6 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 			return nil, fmt.Errorf("distbuild: worker %d received a candidate for node %d outside [%d, %d)",
 				w.spec.Index, c.Target, w.lo, w.hi)
 		}
-		w.stats.Offers++
 		li := int(c.Target - w.lo)
 		e := core.Entry{Node: c.Node, Dist: c.Dist, Rank: c.Rank}
 		// The build kind's rule, both core.OfferKernel's: the relaxed (1+ε)
@@ -195,14 +177,11 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 		if w.params.Kind == KindApprox {
 			w.lists[li], ok = w.kern.OfferApprox(w.lists[li], e, w.spec.Eps)
 		} else {
-			var evicted int
-			w.lists[li], w.betas[li], evicted, ok = w.kern.Offer(w.lists[li], w.betas[li], e, c.Beta)
-			w.stats.Evictions += int64(evicted)
+			w.lists[li], w.betas[li], _, ok = w.kern.Offer(w.lists[li], w.betas[li], e, c.Beta)
 		}
 		if !ok {
 			continue
 		}
-		w.stats.Accepts++
 		for _, a := range w.in[li] {
 			dst := core.PartOf(a.From, w.spec.Parts, w.spec.N)
 			outs[dst] = append(outs[dst], Candidate{Target: a.From, Node: c.Node, Dist: c.Dist + a.W, Rank: c.Rank, Beta: c.Beta})

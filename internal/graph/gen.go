@@ -273,6 +273,8 @@ func WithRandomWeights(g *Graph, lo, hi float64, seed uint64) *Graph {
 // directed or not, sparse enough to be disconnected about as often as not,
 // with self-loops and duplicate edges, and — when weighted — edge lengths
 // from {1,2,3}, so that many distinct paths have exactly equal length.
+//
+//adsvet:ignore deadsurface the random graphs core's and ingest's differential tests share, which a _test.go file cannot export across packages
 func RandomSmall(rng *rand.Rand) *Graph {
 	n := 1 + rng.Intn(40)
 	weighted := rng.Intn(2) == 0

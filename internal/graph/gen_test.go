@@ -30,7 +30,7 @@ func TestPathCycleGridComplete(t *testing.T) {
 	if g := Complete(6); g.NumEdges() != 15 {
 		t.Errorf("K6 edges = %d", g.NumEdges())
 	}
-	if g := Star(5); g.NumEdges() != 4 || g.OutDegree(0) != 4 {
+	if g := Star(5); g.NumEdges() != 4 || outDegree(g, 0) != 4 {
 		t.Error("star shape wrong")
 	}
 }
@@ -124,7 +124,7 @@ func TestPreferentialAttachment(t *testing.T) {
 	// Degree skew: max degree should far exceed the mean (scale-free-ish).
 	maxDeg, sum := 0, 0
 	for v := int32(0); v < 1000; v++ {
-		d := g.OutDegree(v)
+		d := outDegree(g, v)
 		sum += d
 		if d > maxDeg {
 			maxDeg = d

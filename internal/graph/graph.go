@@ -32,10 +32,6 @@ type Graph struct {
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return g.n }
 
-// NumArcs returns the number of stored arcs.  For an undirected graph each
-// edge is stored as two arcs.
-func (g *Graph) NumArcs() int { return len(g.dst) }
-
 // NumEdges returns the number of logical edges (arcs for directed graphs,
 // arcs/2 for undirected graphs).
 func (g *Graph) NumEdges() int {
@@ -50,11 +46,6 @@ func (g *Graph) Directed() bool { return g.directed }
 
 // Weighted reports whether the graph carries explicit edge lengths.
 func (g *Graph) Weighted() bool { return g.w != nil }
-
-// OutDegree returns the out-degree of v.
-func (g *Graph) OutDegree(v int32) int {
-	return int(g.off[v+1] - g.off[v])
-}
 
 // Neighbors returns the adjacency slice of v and the parallel weight slice.
 // The weight slice is nil for unweighted graphs (every edge has length 1).
@@ -121,33 +112,40 @@ func (g *Graph) Transpose() *Graph {
 }
 
 // sortAdjacency orders each adjacency list by (target, weight) so traversal
-// order is deterministic.
+// order is deterministic.  A weighted list is sorted as (target, weight)
+// pairs in one scratch buffer the size of the longest list, so the sort
+// allocates once, not per node.
 func (g *Graph) sortAdjacency() {
+	if g.w == nil {
+		for v := 0; v < g.n; v++ {
+			slices.Sort(g.dst[g.off[v]:g.off[v+1]])
+		}
+		return
+	}
+	longest := int64(0)
+	for v := 0; v < g.n; v++ {
+		longest = max(longest, g.off[v+1]-g.off[v])
+	}
+	scratch := make([]arc, longest)
 	for v := 0; v < g.n; v++ {
 		lo, hi := g.off[v], g.off[v+1]
-		if g.w == nil {
-			slices.Sort(g.dst[lo:hi])
-			continue
+		pairs := scratch[:hi-lo]
+		for i := range pairs {
+			pairs[i] = arc{v: g.dst[lo+int64(i)], w: g.w[lo+int64(i)]}
 		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = i
+		slices.SortFunc(pairs, byTarget)
+		for i, p := range pairs {
+			g.dst[lo+int64(i)], g.w[lo+int64(i)] = p.v, p.w
 		}
-		d, w := g.dst[lo:hi], g.w[lo:hi]
-		slices.SortFunc(idx, func(i, j int) int {
-			if c := cmp.Compare(d[i], d[j]); c != 0 {
-				return c
-			}
-			return cmp.Compare(w[i], w[j])
-		})
-		nd := make([]int32, len(idx))
-		nw := make([]float64, len(idx))
-		for i, j := range idx {
-			nd[i], nw[i] = d[j], w[j]
-		}
-		copy(d, nd)
-		copy(w, nw)
 	}
+}
+
+// byTarget orders arcs of one adjacency list by (target, weight).
+func byTarget(a, b arc) int {
+	if c := cmp.Compare(a.v, b.v); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.w, b.w)
 }
 
 // arc is a staging edge inside a Builder.

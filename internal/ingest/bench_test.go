@@ -29,7 +29,7 @@ func BenchmarkInsertOverBase(b *testing.B) {
 		b.StartTimer()
 		for e := 0; e < 64; e++ {
 			u, v := int32((e*977+13)%4000), int32((e*3331+7)%4000)
-			if err := m.Insert(u, v); err != nil {
+			if err := m.InsertWeighted(u, v, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

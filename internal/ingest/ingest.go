@@ -146,21 +146,12 @@ func (m *Maintainer) NumNodes() int { return m.n }
 // K returns the sketch parameter.
 func (m *Maintainer) K() int { return m.opts.K }
 
-// Options returns the build options shared by the base and every Freeze.
-func (m *Maintainer) Options() core.Options { return m.opts }
-
-// Directed reports how insertions are interpreted.
-func (m *Maintainer) Directed() bool { return m.directed }
-
-// Insert adds an edge of length 1 from u to v (both directions for
-// undirected maintainers) and propagates all sketch updates it causes.
+// InsertWeighted adds an edge of length w from u to v (both directions
+// for undirected maintainers) and propagates all sketch updates it
+// causes.  The length must be positive and finite (graph.ValidLength).
 // Node IDs beyond the current node count grow the node set, up to
-// graph.NodeLimit of the edges counting this one; an edge past it is
-// refused and changes nothing.
-func (m *Maintainer) Insert(u, v int32) error { return m.InsertWeighted(u, v, 1) }
-
-// InsertWeighted adds an edge with the given length, positive and finite
-// (graph.ValidLength); any other is refused and changes nothing.
+// graph.NodeLimit of the edges counting this one.  An edge refused for
+// either reason changes nothing.
 func (m *Maintainer) InsertWeighted(u, v int32, w float64) error {
 	if u < 0 || v < 0 {
 		return fmt.Errorf("ingest: edge (%d,%d) has a negative node ID", u, v)

@@ -115,7 +115,7 @@ func replayParity(t *testing.T, g *graph.Graph, weighted bool, baseCnt int, o co
 		if weighted {
 			err = m.InsertWeighted(e.u, e.v, e.w)
 		} else {
-			err = m.Insert(e.u, e.v)
+			err = m.InsertWeighted(e.u, e.v, 1)
 		}
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
@@ -193,7 +193,7 @@ func TestParityOrderIndependence(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		for _, e := range perm {
-			if err := m.Insert(e.u, e.v); err != nil {
+			if err := m.InsertWeighted(e.u, e.v, 1); err != nil {
 				t.Fatalf("Insert: %v", err)
 			}
 		}
@@ -252,8 +252,8 @@ func TestParityDifferentialReplay(t *testing.T) {
 				t.Fatalf("graph seed %d: Freeze: %v", seed, err)
 			}
 			if !bytes.Equal(serialize(t, frozen), serialize(t, mustBuild(t, g, o))) {
-				t.Fatalf("graph seed %d (n=%d arcs=%d directed=%v weighted=%v) k=%d: replay differs from a full build",
-					seed, g.NumNodes(), g.NumArcs(), g.Directed(), g.Weighted(), k)
+				t.Fatalf("graph seed %d (n=%d edges=%d directed=%v weighted=%v) k=%d: replay differs from a full build",
+					seed, g.NumNodes(), g.NumEdges(), g.Directed(), g.Weighted(), k)
 			}
 		}
 	}
@@ -271,7 +271,7 @@ func TestRepeatedFreeze(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	for i, e := range edges {
-		if err := m.Insert(e.u, e.v); err != nil {
+		if err := m.InsertWeighted(e.u, e.v, 1); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 		if i%17 == 0 {
@@ -305,7 +305,7 @@ func TestFreezeAcrossIDWidths(t *testing.T) {
 	var edges []edge
 	for v := int32(1); v <= 70; v++ {
 		edges = append(edges, edge{u: v / 3, v: v}) // a ternary tree: node v arrives with edge v
-		if err := m.Insert(v/3, v); err != nil {
+		if err := m.InsertWeighted(v/3, v, 1); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 		frozen, err := m.Freeze()
@@ -324,7 +324,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, nil); err == nil {
 		t.Fatal("New(nil, nil) succeeded")
 	}
-	weighted, err := core.BuildWeightedSet(g, 2, 1, []float64{1, 2, 1, 2, 1, 2, 1, 2, 1, 2})
+	weighted, err := core.BuildWeightedSetParallel(g, 2, 1, []float64{1, 2, 1, 2, 1, 2, 1, 2, 1, 2}, core.ExponentialWeights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestInsertValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := m.Insert(-1, 2); err == nil {
+	if err := m.InsertWeighted(-1, 2, 1); err == nil {
 		t.Fatal("Insert(-1, 2) succeeded")
 	}
 	if err := m.InsertWeighted(0, 1, 0); err == nil {
@@ -455,7 +455,7 @@ func TestInsertNodeLimit(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	for _, e := range []edge{{u: math.MaxInt32, v: 0}, {u: 0, v: 1 << 20}} {
-		err := m.Insert(e.u, e.v)
+		err := m.InsertWeighted(e.u, e.v, 1)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(max(e.u, e.v))) {
 			t.Fatalf("Insert(%d, %d) = %v, want a refusal naming the ID", e.u, e.v, err)
 		}
@@ -463,7 +463,7 @@ func TestInsertNodeLimit(t *testing.T) {
 			t.Fatalf("refused edge changed the maintainer: %+v", st)
 		}
 	}
-	if err := m.Insert(0, 1); err != nil {
+	if err := m.InsertWeighted(0, 1, 1); err != nil {
 		t.Fatalf("Insert(0, 1) after the refusals: %v", err)
 	}
 	if st := m.Stats(); st.Nodes != 2 || st.Edges != 1 {
@@ -480,11 +480,11 @@ func TestEvictionHappens(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	// Connect the two ends; long-range entries get displaced by closer ones.
-	if err := m.Insert(0, 39); err != nil {
+	if err := m.InsertWeighted(0, 39, 1); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
 	for i := int32(0); i < 40; i += 7 {
-		if err := m.Insert(i, (i+20)%40); err != nil {
+		if err := m.InsertWeighted(i, (i+20)%40, 1); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
@@ -514,7 +514,7 @@ func TestMultiEdgesAndSelfLoops(t *testing.T) {
 	}
 	extra := []edge{{3, 3, 1}, {2, 7, 1}, {2, 7, 1}, {5, 5, 1}}
 	for _, e := range extra {
-		if err := m.Insert(e.u, e.v); err != nil {
+		if err := m.InsertWeighted(e.u, e.v, 1); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
@@ -545,7 +545,7 @@ func TestStatsPinned(t *testing.T) {
 		if i%10 == 9 {
 			v = int32(2000 + rng.Intn(40))
 		}
-		if err := m.Insert(u, v); err != nil {
+		if err := m.InsertWeighted(u, v, 1); err != nil {
 			t.Fatal(err)
 		}
 		if i == 199 {

@@ -37,7 +37,7 @@ func TestIndexCacheStats(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for v := int32(0); int(v) < n; v++ {
-				if got, want := c.Get(v).Total(), core.EstimateNeighborhoodHIP(set.SketchOf(v), 1e18); got != want {
+				if got, want := c.Get(v).Neighborhood(1e18), core.EstimateNeighborhoodHIP(set.SketchOf(v), 1e18); got != want {
 					t.Errorf("node %d: cache total %v, direct %v", v, got, want)
 					return
 				}
@@ -113,7 +113,7 @@ func TestIndexCacheLazyAndStable(t *testing.T) {
 	if c.Stats().Built != 1 {
 		t.Errorf("Built = %d, want 1", c.Stats().Built)
 	}
-	if got, want := first.Total(), core.EstimateNeighborhoodHIP(set.SketchOf(5), 1e18); got != want {
+	if got, want := first.Neighborhood(1e18), core.EstimateNeighborhoodHIP(set.SketchOf(5), 1e18); got != want {
 		t.Errorf("index total %v, direct estimate %v", got, want)
 	}
 }

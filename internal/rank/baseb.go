@@ -51,8 +51,3 @@ func (d BaseB) Value(h int) float64 {
 func (d BaseB) Round(r float64) float64 {
 	return d.Value(d.Exponent(r))
 }
-
-// VarianceFactor returns (1+b)/2, the paper's back-of-the-envelope factor by
-// which base-b discretization inflates the HIP adjusted-weight variance
-// (Section 5.6).
-func (d BaseB) VarianceFactor() float64 { return (1 + d.b) / 2 }

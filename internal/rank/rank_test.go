@@ -215,15 +215,6 @@ func TestBaseBPanicsOnBadBase(t *testing.T) {
 	NewBaseB(1)
 }
 
-func TestVarianceFactor(t *testing.T) {
-	if got := NewBaseB(2).VarianceFactor(); got != 1.5 {
-		t.Errorf("VarianceFactor(2) = %g, want 1.5", got)
-	}
-	if got := NewBaseB(3).VarianceFactor(); got != 2 {
-		t.Errorf("VarianceFactor(3) = %g, want 2", got)
-	}
-}
-
 func TestRNGDeterministic(t *testing.T) {
 	a, b := NewRNG(9), NewRNG(9)
 	for i := 0; i < 1000; i++ {

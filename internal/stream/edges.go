@@ -22,36 +22,11 @@ type Edge struct {
 	W    float64
 }
 
-// Unit reports whether the edge carries no explicit length.
-func (e Edge) Unit() bool { return e.W == 0 }
-
 // EdgeSource yields the edges of a stream in order.  Next returns false
 // when the stream is exhausted.
 type EdgeSource interface {
 	Next() (Edge, bool)
 }
-
-// SliceSource replays a fixed edge slice.
-type SliceSource struct {
-	edges []Edge
-	pos   int
-}
-
-// NewSliceSource returns a source over the given edges (not copied).
-func NewSliceSource(edges []Edge) *SliceSource { return &SliceSource{edges: edges} }
-
-// Next yields the next edge.
-func (s *SliceSource) Next() (Edge, bool) {
-	if s.pos >= len(s.edges) {
-		return Edge{}, false
-	}
-	e := s.edges[s.pos]
-	s.pos++
-	return e, true
-}
-
-// Reset rewinds the source to the start of the stream.
-func (s *SliceSource) Reset() { s.pos = 0 }
 
 // RandomSource is a deterministic random edge stream over a fixed node-ID
 // range: the same (nodes, weighted, seed) triple always yields the same

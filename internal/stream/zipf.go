@@ -21,6 +21,8 @@ type Zipf struct {
 
 // NewZipf returns a generator over universe [0, n) with exponent s > 0,
 // s != 1 handled via the generalized harmonic integral.
+//
+//adsvet:ignore deadsurface ROADMAP item 2(e) draws its skewed query mix from it
 func NewZipf(n int, s float64, seed uint64) *Zipf {
 	if n < 1 {
 		panic("stream: Zipf universe must be non-empty")
@@ -51,6 +53,8 @@ func (z *Zipf) hInv(y float64) float64 {
 }
 
 // Next returns the next element ID in [0, n).
+//
+//adsvet:ignore deadsurface ROADMAP item 2(e) draws its skewed query mix from it
 func (z *Zipf) Next() int64 {
 	u := z.rng.Float64()
 	x := z.hInv(u * z.hn)
@@ -63,6 +67,3 @@ func (z *Zipf) Next() int64 {
 	}
 	return i - 1
 }
-
-// Universe returns n.
-func (z *Zipf) Universe() int { return z.n }

@@ -14,8 +14,8 @@ func TestZipfRangeAndDeterminism(t *testing.T) {
 			t.Fatalf("element %d out of range", x)
 		}
 	}
-	if a.Universe() != 1000 {
-		t.Error("Universe accessor")
+	if a.n != 1000 {
+		t.Error("universe size")
 	}
 }
 

@@ -245,6 +245,11 @@ func (h *BaseBHIP) K() int { return h.k }
 // Base returns the rank base.
 func (h *BaseBHIP) Base() float64 { return h.base.Base() }
 
+// VarianceFactor returns (1+b)/2, the paper's back-of-the-envelope factor
+// by which base-b discretization inflates the HIP adjusted-weight variance
+// (Section 5.6).
+func (h *BaseBHIP) VarianceFactor() float64 { return (1 + h.Base()) / 2 }
+
 // Add folds an element in and reports whether a register grew.
 func (h *BaseBHIP) Add(id int64) bool {
 	b := bucket(h.src, id, h.k)

@@ -276,3 +276,12 @@ func TestBaseBSmallerBaseIsMoreAccurate(t *testing.T) {
 		t.Error("accessors")
 	}
 }
+
+func TestVarianceFactor(t *testing.T) {
+	if got := NewBaseBHIP(16, 2, 31, 1).VarianceFactor(); got != 1.5 {
+		t.Errorf("VarianceFactor(2) = %g, want 1.5", got)
+	}
+	if got := NewBaseBHIP(16, 3, 31, 1).VarianceFactor(); got != 2 {
+		t.Errorf("VarianceFactor(3) = %g, want 2", got)
+	}
+}

@@ -255,15 +255,15 @@ func TestBuildParityWeighted(t *testing.T) {
 	}
 	for _, priority := range []bool{false, true} {
 		name := "exponential"
-		directBuild := core.BuildWeightedSet
+		scheme := core.ExponentialWeights
 		opts := []adsketch.Option{adsketch.WithK(5), adsketch.WithSeed(11), adsketch.WithNodeWeights(beta)}
 		if priority {
 			name = "priority"
-			directBuild = core.BuildPriorityWeightedSet
+			scheme = core.PriorityWeights
 			opts = append(opts, adsketch.WithPriorityRanks())
 		}
 		t.Run(name, func(t *testing.T) {
-			legacy, err := directBuild(g, 5, 11, beta)
+			legacy, err := core.BuildWeightedSetParallel(g, 5, 11, beta, scheme, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,7 +275,7 @@ func TestBuildParityWeighted(t *testing.T) {
 				t.Fatalf("Build made a set of %+v, want %+v", ws.Params(), legacy.Params())
 			}
 			for v := int32(0); int(v) < g.NumNodes(); v++ {
-				a, b := legacy.Sketch(v).(*core.WeightedADS).Entries(), ws.Sketch(v).(*core.WeightedADS).Entries()
+				a, b := legacy.SketchOf(v).(*core.WeightedADS).Entries(), ws.SketchOf(v).(*core.WeightedADS).Entries()
 				if len(a) != len(b) {
 					t.Fatalf("node %d: %d vs %d entries", v, len(a), len(b))
 				}

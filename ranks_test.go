@@ -141,21 +141,14 @@ func ranksCases(t *testing.T) []ranksCase {
 	return append(cases, ranksCase{"distbuild-frozen/p3", merged, uniform})
 }
 
-// entriesOf returns a view's entries, read both ways a view offers them.
-func entriesOf(t *testing.T, s adsketch.NodeSketch) (byIndex, bulk []core.Entry) {
+// entriesOf returns a view's entries.
+func entriesOf(t *testing.T, s adsketch.NodeSketch) []core.Entry {
 	t.Helper()
-	x, ok := s.(interface {
-		EntryAt(int) core.Entry
-		Entries() []core.Entry
-	})
+	x, ok := s.(interface{ Entries() []core.Entry })
 	if !ok {
 		t.Fatalf("unknown sketch view %T", s)
 	}
-	byIndex = make([]core.Entry, s.Size())
-	for i := range byIndex {
-		byIndex[i] = x.EntryAt(i)
-	}
-	return byIndex, x.Entries()
+	return x.Entries()
 }
 
 func TestFrameRanksDerived(t *testing.T) {
@@ -173,16 +166,9 @@ func TestFrameRanksDerived(t *testing.T) {
 		}
 		for v := int32(0); int(v) < c.set.NumNodes(); v++ {
 			view := c.set.SketchOf(v)
-			byIndex, bulk := entriesOf(t, view)
-			if len(byIndex) != len(bulk) {
-				t.Fatalf("%s: node %d: EntryAt yields %d entries, Entries %d", c.name, v, len(byIndex), len(bulk))
-			}
-			for i, e := range byIndex {
+			for i, e := range entriesOf(t, view) {
 				if want := c.want(e.Node); math.Float64bits(e.Rank) != math.Float64bits(want) {
 					t.Fatalf("%s: node %d entry %d (node %d): rank %v, the rank source gives %v", c.name, v, i, e.Node, e.Rank, want)
-				}
-				if e != bulk[i] {
-					t.Fatalf("%s: node %d entry %d: EntryAt %+v, Entries %+v", c.name, v, i, e, bulk[i])
 				}
 				put(entries, float64(e.Node), e.Dist, e.Rank)
 			}
