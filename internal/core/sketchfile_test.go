@@ -29,10 +29,11 @@ func mmapTestFile(t *testing.T, seed uint64) (*SketchFile, *Set) {
 	return sf, set
 }
 
-// Close unmaps at once — the catalog's version drain calls it after the
-// last reader, and nothing else holds a reference — and a second Close
-// does nothing.
-func TestSketchFileCloseUnreferenced(t *testing.T) {
+// The file's lifecycle now that it counts no references of its own: the
+// opener holds the only one, reads through the live mapping see the set
+// that was written, releasing it is Close (the catalog's version drain
+// calls it after the last reader), and a second Close does nothing.
+func TestSketchFileRetainRelease(t *testing.T) {
 	sf, set := mmapTestFile(t, 42)
 	if mmapSupported && !sf.Mapped() {
 		t.Fatal("MmapSketchFile did not map the file")
@@ -45,13 +46,27 @@ func TestSketchFileCloseUnreferenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sf.Mapped() {
+		t.Fatal("region still mapped after Close released it")
+	}
+	if err := sf.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if sf.Mapped() || sf.Set() != nil {
+		t.Fatal("second Close brought the file back")
+	}
+}
+
+// Close unmaps at once and clears the set: nothing else holds a reference.
+func TestSketchFileCloseUnreferenced(t *testing.T) {
+	sf, _ := mmapTestFile(t, 42)
+	if err := sf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sf.Mapped() {
 		t.Fatal("Close left the region mapped")
 	}
 	if sf.Set() != nil {
 		t.Fatal("Set() still accessible after Close")
-	}
-	if err := sf.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
 	}
 }
 
