@@ -12,7 +12,7 @@ COVER_BASELINE ?= 80.0
 # fail above it.  Lower it when the closure shrinks; raising it needs a
 # CHANGES.md line giving the reason.  A plain constant, so the
 # environment cannot override it.
-CLOSURE_BUDGET = 16429
+CLOSURE_BUDGET = 16389
 
 .PHONY: test loc race cpus analyze benchmark-smoke cover fuzz-smoke memprofile ingest-smoke load-smoke wire-smoke distbuild-smoke clean
 
@@ -71,8 +71,9 @@ cpus:
 # own invariant analyzers (cmd/adsvet — detorder, refpair, wireformat,
 # kindswitch, lockheld; see README "Static analysis"), the report of
 # `adsvet deadsurface` — the exported names of the serving binaries'
-# packages that only tests use, printed and never failing the target (a
-# failure to load the packages still does) — and staticcheck when
+# packages, the root API package excepted, that only tests use, printed
+# and never failing the target (a failure to load the packages still
+# does) — and staticcheck when
 # installed (CI installs a pinned version; locally the step is skipped
 # with a notice).  The per-package analyzers run through `go vet
 # -vettool` so package loading shares the build cache.
@@ -88,7 +89,7 @@ analyze:
 	$(GO) vet ./...
 	$(GO) build -o adsvet.bin ./cmd/adsvet
 	$(GO) vet -vettool=./adsvet.bin ./...
-	@./adsvet.bin deadsurface ./... || [ $$? -eq 1 ]
+	@./adsvet.bin deadsurface || [ $$? -eq 1 ]
 	@rm -f adsvet.bin
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "analyze: staticcheck not installed; skipped (CI runs the pinned version)"; fi

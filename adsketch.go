@@ -128,16 +128,16 @@ func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, 
 
 // Deterministic graph generators (see package graph for details).
 var (
-	Path                   = graph.Path  //adsvet:ignore deadsurface public API, pinned by testdata/api.txt
-	Cycle                  = graph.Cycle //adsvet:ignore deadsurface public API, pinned by testdata/api.txt
+	Path                   = graph.Path
+	Cycle                  = graph.Cycle
 	Grid                   = graph.Grid
-	Complete               = graph.Complete //adsvet:ignore deadsurface public API, pinned by testdata/api.txt
-	Star                   = graph.Star     //adsvet:ignore deadsurface public API, pinned by testdata/api.txt
+	Complete               = graph.Complete
+	Star                   = graph.Star
 	RandomTree             = graph.RandomTree
 	GNP                    = graph.GNP
 	PreferentialAttachment = graph.PreferentialAttachment
 	WattsStrogatz          = graph.WattsStrogatz
-	WithRandomWeights      = graph.WithRandomWeights //adsvet:ignore deadsurface public API, pinned by testdata/api.txt
+	WithRandomWeights      = graph.WithRandomWeights
 )
 
 // Set holds the bottom-k sketches of one graph's nodes, of any kind —
@@ -150,8 +150,6 @@ var (
 type Set = core.Set
 
 // NodeSketch is the per-node query interface shared by all kinds.
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 type NodeSketch = core.Sketch
 
 // Ranked is one node with its centrality score, as returned by the
@@ -232,8 +230,6 @@ func NeighborhoodJaccard(a *core.ADS, da float64, b *core.ADS, db float64) float
 
 // UnionNeighborhood estimates |∪_s N_d(s)| over seed nodes — the timed-
 // influence primitive — from coordinated bottom-k sketches.
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func UnionNeighborhood(set *Set, seeds []int32, d float64) float64 {
 	return core.UnionNeighborhoodEstimate(set, seeds, d)
 }
@@ -253,8 +249,6 @@ func DistanceUpperBound(a, b *core.ADS) float64 {
 
 // EstimateNeighborhoodHIP returns the HIP estimate of n_d(v) from a node
 // sketch.
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func EstimateNeighborhoodHIP(s NodeSketch, d float64) float64 {
 	return core.EstimateNeighborhoodHIP(s, d)
 }
@@ -264,22 +258,16 @@ func EstimateNeighborhoodHIP(s NodeSketch, d float64) float64 {
 type HIPIndex = core.HIPIndex
 
 // NewHIPIndex builds the query index for a node sketch.
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func NewHIPIndex(s NodeSketch) *HIPIndex { return core.NewHIPIndex(s) }
 
 // EstimateQ returns the HIP estimate of Q_g(v) = Σ_j g(j, d_vj)
 // (equation (5) of the paper).
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func EstimateQ(s NodeSketch, g func(node int32, dist float64) float64) float64 {
 	return core.EstimateQ(s, g)
 }
 
 // EstimateCentrality returns the HIP estimate of C_{α,β}(v)
 // (equation (3) of the paper); α must be non-increasing, β >= 0.
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func EstimateCentrality(s NodeSketch, alpha func(float64) float64, beta func(int32) float64) float64 {
 	return core.EstimateCentrality(s, alpha, beta)
 }
@@ -287,9 +275,9 @@ func EstimateCentrality(s NodeSketch, alpha func(float64) float64, beta func(int
 // Query-time centrality kernels.
 var (
 	KernelThreshold    = core.KernelThreshold
-	KernelReachability = core.KernelReachability //adsvet:ignore deadsurface public API, pinned by testdata/api.txt
+	KernelReachability = core.KernelReachability
 	KernelExponential  = core.KernelExponential
-	KernelHarmonic     = core.KernelHarmonic //adsvet:ignore deadsurface public API, pinned by testdata/api.txt
-	KernelIdentity     = core.KernelIdentity //adsvet:ignore deadsurface public API, pinned by testdata/api.txt
-	UnitBeta           = core.UnitBeta       //adsvet:ignore deadsurface public API, pinned by testdata/api.txt
+	KernelHarmonic     = core.KernelHarmonic
+	KernelIdentity     = core.KernelIdentity
+	UnitBeta           = core.UnitBeta
 )

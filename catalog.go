@@ -316,8 +316,6 @@ func (d *Dataset) Backend() ShardBackend { return d.h.Value.be }
 
 // Version returns the pinned version number (1 on first attach, bumped
 // by every swap).
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (d *Dataset) Version() int { return d.h.Version }
 
 // Release drops the pin.

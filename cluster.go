@@ -39,8 +39,8 @@ import (
 // Names of sketch set kinds in serving metadata (ShardMeta.Kind).
 const (
 	KindUniform     = "uniform"
-	KindWeighted    = "weighted"    //adsvet:ignore deadsurface public API, pinned by testdata/api.txt
-	KindApproximate = "approximate" //adsvet:ignore deadsurface public API, pinned by testdata/api.txt
+	KindWeighted    = "weighted"
+	KindApproximate = "approximate"
 )
 
 // ShardMeta identifies what one serving backend holds: its position in
@@ -321,13 +321,9 @@ func (c *Coordinator) NumNodes() int { return c.total }
 func (c *Coordinator) K() int { return c.k }
 
 // Kind returns the served set kind (uniform, weighted, approximate).
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (c *Coordinator) Kind() string { return c.kind }
 
 // NumShards returns the number of shard backends.
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (c *Coordinator) NumShards() int { return len(c.shards) }
 
 // ShardMetas returns the metadata of every primary backend, in partition

@@ -11,9 +11,8 @@
 //	adsvet [packages]          standalone: load, type-check, analyze
 //	go vet -vettool=adsvet ... as a vet tool, speaking the unitchecker
 //	                           protocol (-V=full, -flags, <pkg>.cfg)
-//	adsvet deadsurface [packages]
-//	                           the whole-program report over the packages
-//	                           (default ./...), judging those the serving
+//	adsvet deadsurface         the whole-program report over the module's
+//	                           packages, judging those the serving
 //	                           binaries link; exit 1 when it finds any
 //
 // The vet-tool form is what Makefile and CI use: cmd/go hands the tool
@@ -75,7 +74,12 @@ func main() {
 		os.Exit(runUnitchecker(args[0]))
 	}
 	if len(args) > 0 && args[0] == "deadsurface" {
-		os.Exit(runDeadSurface("", args[1:]))
+		if len(args) > 1 {
+			// A narrower load would hide the uses in the packages left out.
+			fmt.Fprintln(os.Stderr, "adsvet: deadsurface takes no packages; it always loads ./...")
+			os.Exit(2)
+		}
+		os.Exit(runDeadSurface(""))
 	}
 	if len(args) == 1 && args[0] == "help" {
 		printHelp()
@@ -228,15 +232,12 @@ var servingBins = []string{"./cmd/adsserver", "./cmd/adstool", "./cmd/adsload"}
 // never: the paper lab and the decoders and writers of retired layouts.
 var outOfScope = []string{"lab", "internal/simulate", "internal/stats", "internal/legacy", "internal/retired"}
 
-// runDeadSurface loads the packages (rooted at dir; "" = current
-// directory), lists the exported identifiers of the serving binaries'
-// packages that no non-test code uses, and returns 1 when there are any,
-// 2 when loading fails.
-func runDeadSurface(dir string, patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := driver.Load(dir, patterns...)
+// runDeadSurface loads every package of the module (rooted at dir; "" =
+// current directory), lists the exported identifiers of the serving
+// binaries' packages but the root one that no non-test code uses, and
+// returns 1 when there are any, 2 when loading fails.
+func runDeadSurface(dir string) int {
+	pkgs, err := driver.Load(dir, "./...")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "adsvet: %v\n", err)
 		return 2
@@ -250,8 +251,15 @@ func runDeadSurface(dir string, patterns []string) int {
 	for _, p := range deps {
 		scope[p] = !analysis.PathMatches(p, outOfScope...)
 	}
-	diags := deadsurface.Check(pkgs, func(path string) bool { return scope[path] })
+	// The root package's exported names are the public API, which
+	// testdata/api.txt pins: judged never, though its references count.
 	root, _ := filepath.Abs(dir)
+	for _, p := range pkgs {
+		if len(p.Files) > 0 && filepath.Dir(p.Fset.Position(p.Files[0].Pos()).Filename) == root {
+			scope[p.PkgPath] = false
+		}
+	}
+	diags := deadsurface.Check(pkgs, func(path string) bool { return scope[path] })
 	for _, d := range diags {
 		posn := pkgs[0].Fset.Position(d.Pos)
 		if rel, err := filepath.Rel(root, posn.Filename); err == nil {

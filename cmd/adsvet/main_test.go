@@ -167,7 +167,9 @@ func Make() wireHeader { return wireHeader{1, 2} }
 // TestRunDeadSurface drives the whole-program report on a scratch module
 // with the three serving binaries: their library has an exported function
 // only its test uses, which is listed (exit 1); a package no binary links
-// is not judged; and a pattern that does not load fails (exit 2).
+// is not judged; the root package, which a binary links, is not judged
+// either, though what its exported names use counts as used; and a module
+// that does not type-check fails (exit 2).
 func TestRunDeadSurface(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, "go.mod"), "module scratch\n\ngo 1.24\n")
@@ -180,6 +182,8 @@ func TestRunDeadSurface(t *testing.T) {
 
 func Used() int { return 1 }
 
+func ViaAPI() int { return 3 }
+
 func OnlyTested() int { return 2 }
 `)
 	writeFile(t, filepath.Join(dir, "lib", "lib_test.go"), `package lib
@@ -189,32 +193,44 @@ import "testing"
 func TestOnlyTested(t *testing.T) { OnlyTested() }
 `)
 	writeFile(t, filepath.Join(dir, "tool", "tool.go"), "package tool\n\nfunc NobodyCalls() {}\n")
-	writeFile(t, filepath.Join(dir, "cmd", "adsserver", "main.go"), `package main
+	writeFile(t, filepath.Join(dir, "scratch.go"), `package scratch
 
 import "scratch/lib"
+
+func API() int { return lib.ViaAPI() }
+`)
+	writeFile(t, filepath.Join(dir, "cmd", "adsserver", "main.go"), `package main
+
+import (
+	_ "scratch"
+	"scratch/lib"
+)
 
 func main() { lib.Used() }
 `)
 	for _, bin := range []string{"adstool", "adsload"} {
 		writeFile(t, filepath.Join(dir, "cmd", bin, "main.go"), "package main\n\nfunc main() {}\n")
 	}
-	if code := runDeadSurface(dir, []string{"./..."}); code != 1 {
+	if code := runDeadSurface(dir); code != 1 {
 		t.Fatalf("runDeadSurface with a test-only function = %d, want 1", code)
 	}
 	writeFile(t, filepath.Join(dir, "lib", "lib.go"), `package lib
 
 func Used() int { return 1 }
 
+func ViaAPI() int { return 3 }
+
 // OnlyTested stays for its test.
 //
 //adsvet:ignore deadsurface the scratch module's kept name
 func OnlyTested() int { return 2 }
 `)
-	if code := runDeadSurface(dir, nil); code != 0 {
-		t.Fatalf("runDeadSurface with the name kept = %d, want 0 (tool is not linked, so not judged)", code)
+	if code := runDeadSurface(dir); code != 0 {
+		t.Fatalf("runDeadSurface with the name kept = %d, want 0 (tool is not linked and the root package is the API, so neither is judged)", code)
 	}
-	if code := runDeadSurface(dir, []string{"./does/not/exist"}); code != 2 {
-		t.Fatalf("runDeadSurface on a bad pattern = %d, want 2", code)
+	writeFile(t, filepath.Join(dir, "tool", "broken.go"), "package tool\n\nvar Broken int = \"not an int\"\n")
+	if code := runDeadSurface(dir); code != 2 {
+		t.Fatalf("runDeadSurface on a module with a type error = %d, want 2", code)
 	}
 }
 

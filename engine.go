@@ -82,8 +82,6 @@ func NewPartitionedEngine(set *Set, partitions int) (*Coordinator, error) {
 
 // Set returns the underlying sketch set: the partition, for a shard
 // engine.
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (e *Engine) Set() *Set { return e.set }
 
 // Meta identifies what the engine serves: its node range, partition
@@ -206,8 +204,6 @@ func (e *Engine) TopCloseness(ctx context.Context, n int) ([]Ranked, error) {
 }
 
 // TopHarmonic returns the estimated top-n nodes by harmonic centrality.
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (e *Engine) TopHarmonic(ctx context.Context, n int) ([]Ranked, error) {
 	return e.top(ctx, MetricHarmonic, n)
 }

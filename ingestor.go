@@ -183,22 +183,16 @@ func NewEmptyIngestor(directed bool, k int, seed uint64, opts ...IngestorOption)
 }
 
 // Dataset returns the publish target name ("" when not publishing).
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (in *Ingestor) Dataset() string { return in.dataset }
 
 // Insert ingests an edge of length 1 (both directions for undirected
 // ingestors), propagating all sketch updates and freezing/publishing when
 // a configured trigger fires.
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (in *Ingestor) Insert(u, v int32) error { return in.InsertWeighted(u, v, 0) }
 
 // InsertWeighted ingests an edge of length w: 0 means unit length, and
 // any other w must be positive and finite, or the edge is refused and
 // changes nothing.
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (in *Ingestor) InsertWeighted(u, v int32, w float64) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -221,8 +215,6 @@ func (in *Ingestor) InsertBatch(edges []Edge) (int, error) {
 
 // Replay drains an EdgeSource into the ingestor, returning how many edges
 // were applied.
-//
-//adsvet:ignore deadsurface public API, pinned by testdata/api.txt
 func (in *Ingestor) Replay(src EdgeSource) (int, error) {
 	return stream.Replay(src, func(e Edge) error {
 		return in.InsertWeighted(e.U, e.V, e.W)

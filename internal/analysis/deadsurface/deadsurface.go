@@ -4,7 +4,7 @@
 // identifier's own declaration.
 //
 // It is a whole-program check, so it does not run under `go vet`: it
-// takes every package of the program at once (`adsvet deadsurface ./...`
+// takes every package of the program at once (`adsvet deadsurface`
 // loads them through internal/analysis/driver, test files left out), and
 // a reference counts only from live code.  The walk is a least fixpoint:
 //
@@ -45,7 +45,7 @@ const Name = "deadsurface"
 
 // Doc is the description `adsvet help` prints.
 const Doc = "list exported identifiers of the serving packages that only tests use " +
-	"(whole program: `adsvet deadsurface ./...`, report-only in `make analyze`)"
+	"(whole program: `adsvet deadsurface`, report-only in `make analyze`)"
 
 // decl is one package-level declaration or method.
 type decl struct {

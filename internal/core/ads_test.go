@@ -79,7 +79,7 @@ func TestADSOfferAndThreshold(t *testing.T) {
 		{Entry{Node: 4, Dist: 4, Rank: 0.6}, false}, // threshold 0.5, 2nd of {0.8, 0.5, 0.1}
 	} {
 		var kept bool
-		list, _, _, kept = kern.Offer(list, nil, c.e, 0)
+		list, _, kept = kern.Offer(list, nil, c.e, 0)
 		if kept != c.kept {
 			t.Errorf("offer of %+v: kept %v, want %v", c.e, kept, c.kept)
 		}

@@ -820,7 +820,9 @@ func (s *SketchFile) Mapped() bool { return s.mapped != nil }
 
 // Close releases the file: it unmaps the backing region, if any, after
 // which every sketch, view and index derived from the file is invalid, and
-// Set returns nil.  A second Close does nothing.
+// Set returns nil.  The file's owner calls it once, after the last read;
+// it is not safe concurrently with reads or with another Close.  A second
+// Close made after the first returns does nothing.
 func (s *SketchFile) Close() error {
 	m := s.mapped
 	s.mapped, s.set = nil, nil

@@ -46,7 +46,7 @@ func TestHIPIndexEmpty(t *testing.T) {
 	if idx.Neighborhood(math.Inf(1)) != 0 || idx.Neighborhood(5) != 0 {
 		t.Error("empty index should report zeros")
 	}
-	if len(idx.sd.steps()) != 0 {
+	if len(indexSteps(idx)) != 0 {
 		t.Error("empty index has distances")
 	}
 }
@@ -54,7 +54,7 @@ func TestHIPIndexEmpty(t *testing.T) {
 func TestHIPIndexMonotone(t *testing.T) {
 	_, idx := buildIndexedADS(9, 500)
 	prev := -1.0
-	for _, d := range idx.sd.steps() {
+	for _, d := range indexSteps(idx) {
 		cur := idx.Neighborhood(d)
 		if cur <= prev {
 			t.Fatal("cumulative weights not strictly increasing at step points")
@@ -130,6 +130,14 @@ func TestFrameIndexKBound(t *testing.T) {
 	if got := x.Neighborhood(math.Inf(1)); got != 5 {
 		t.Errorf("estimate %g, want the exact 5", got)
 	}
+}
+
+// indexSteps returns an index's distinct distances, ascending.
+func indexSteps(x *HIPIndex) []float64 {
+	if x.sd.n == 0 {
+		return nil
+	}
+	return x.sd.col.appendRaw(nil, x.sd.slo, x.sd.slo+int64(x.sd.n))
 }
 
 // indexEntries materializes an index's HIP entries in canonical order.

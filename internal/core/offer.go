@@ -111,13 +111,13 @@ func (o *OfferKernel) Apply(list []Entry, betas []float64, pos, old int, e Entry
 
 // Offer is Scan then Apply: the whole exact rule over a plain list.
 // changed is false, and nothing is touched, when e is rejected.
-func (o *OfferKernel) Offer(list []Entry, betas []float64, e Entry, beta float64) (_ []Entry, _ []float64, evicted int, changed bool) {
+func (o *OfferKernel) Offer(list []Entry, betas []float64, e Entry, beta float64) (_ []Entry, _ []float64, changed bool) {
 	pos, old, ok := o.Scan(list, e)
 	if !ok {
-		return list, betas, 0, false
+		return list, betas, false
 	}
-	list, betas, evicted = o.Apply(list, betas, pos, old, e, beta)
-	return list, betas, evicted, true
+	list, betas, _ = o.Apply(list, betas, pos, old, e, beta)
+	return list, betas, true
 }
 
 // OfferApprox is the (1+ε) rule of Section 3: an existing entry for e's

@@ -31,11 +31,12 @@ func definitionalADS(pairs []Entry, k int) []Entry {
 // TestOfferKernelProperty feeds the exact kernel every (node, dist) pair of
 // a random graph node's reachable set in random order, salted with
 // duplicates of the same node at equal and larger distances — so a held
-// node is offered again closer, as close and farther — and checks after
-// every offer that the list is the definitional bottom-k ADS of the
-// smallest distance offered so far per node, that the eviction count is the
-// number of nodes that left the list, that a rejected offer touches
-// nothing, and that a β column stays parallel to the entries.
+// node is offered again closer, as close and farther — through Scan and
+// Apply, the two steps Offer composes, and checks after every offer that
+// the list is the definitional bottom-k ADS of the smallest distance
+// offered so far per node, that Apply's eviction count is the number of
+// nodes that left the list, that an offer Scan admits changes the list,
+// and that a β column stays parallel to the entries.
 func TestOfferKernelProperty(t *testing.T) {
 	trials := 200
 	if testing.Short() {
@@ -76,9 +77,11 @@ func TestOfferKernelProperty(t *testing.T) {
 			best := map[int32]Entry{} // smallest distance offered so far, per node
 			for step, e := range offers {
 				before := slices.Clone(list)
-				var evicted int
-				var changed bool
-				list, betas, evicted, changed = kern.Offer(list, betas, e, betaOf(e.Node))
+				evicted := 0
+				pos, old, changed := kern.Scan(list, e)
+				if changed {
+					list, betas, evicted = kern.Apply(list, betas, pos, old, e, betaOf(e.Node))
+				}
 
 				if b, seen := best[e.Node]; !seen || e.Dist < b.Dist {
 					best[e.Node] = e

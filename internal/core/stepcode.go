@@ -216,18 +216,6 @@ type StepDists struct {
 // step returns the distance of the list's step j.
 func (s StepDists) step(j int) float64 { return s.col.at(s.slo + int64(j)) }
 
-// steps returns the list's distinct distances, ascending, as a slice: the
-// raw column's own, or a fresh one decoded through the dictionary.
-func (s StepDists) steps() []float64 {
-	if s.n == 0 {
-		return nil
-	}
-	if s.col.dict == nil {
-		return s.col.raw[s.slo : s.slo+int64(s.n) : s.slo+int64(s.n)]
-	}
-	return s.col.appendRaw(make([]float64, 0, s.n), s.slo, s.slo+int64(s.n))
-}
-
 // searchLE returns the position of the list's last step at distance <= d,
 // or -1: a binary search of the list's few ascending steps, each read
 // through the dictionary where there is one — a probe is then a code and

@@ -871,7 +871,7 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 						return fmt.Sprintf("entry %d: %+v, standalone %+v", i, ge[i], we[i])
 					}
 				}
-				gd, wd := got.sd.steps(), want.sd.steps()
+				gd, wd := indexSteps(got), indexSteps(want)
 				if len(gd) != len(wd) || len(got.cum) != len(wd) {
 					return fmt.Sprintf("%d steps (%d sums), standalone %d", len(gd), len(got.cum), len(wd))
 				}

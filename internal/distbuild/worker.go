@@ -177,7 +177,7 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 		if w.params.Kind == KindApprox {
 			w.lists[li], ok = w.kern.OfferApprox(w.lists[li], e, w.spec.Eps)
 		} else {
-			w.lists[li], w.betas[li], _, ok = w.kern.Offer(w.lists[li], w.betas[li], e, c.Beta)
+			w.lists[li], w.betas[li], ok = w.kern.Offer(w.lists[li], w.betas[li], e, c.Beta)
 		}
 		if !ok {
 			continue
