@@ -130,9 +130,9 @@ func runDistBuild(fs *flag.FlagSet, path string, directed bool, dist int, worker
 	if workers != "" {
 		transport = "wire"
 	}
-	fmt.Printf("distributed %s build (k=%d) of %d nodes / %d edge lines across %d workers (%s): %d rounds, %d candidates in %v\n",
+	fmt.Printf("distributed %s build (k=%d) of %d nodes / %d edge lines across %d workers (%s): %d rounds, %d candidates, %d entries examined in %v\n",
 		spec.Kind, spec.K, spec.N, edges, spec.Parts, transport,
-		res.Rounds, res.Candidates, time.Since(start).Round(time.Millisecond))
+		res.Rounds, res.Candidates, res.Examined, time.Since(start).Round(time.Millisecond))
 	for i, b := range res.Partitions {
 		name := fmt.Sprintf("%s.p%dof%d.ads", out, i, spec.Parts)
 		if err := os.WriteFile(name, b, 0o644); err != nil {

@@ -304,7 +304,7 @@ type IngestorStats struct {
 	// Dataset is the publish target ("" when not publishing).
 	Dataset string `json:"dataset,omitempty"`
 	// Maintainer carries the propagation counters (nodes, edges, offers,
-	// accepts, evictions, frontier high-water, pending overlay sizes).
+	// accepts, evictions, examined, frontier high-water, overlay sizes).
 	Maintainer ingest.Stats `json:"maintainer"`
 	// PendingEdges counts edges ingested since the last freeze — the
 	// ingest lag in edges.

@@ -62,9 +62,9 @@ func TestMaxHeapProperty(t *testing.T) {
 }
 
 // TestADSOfferAndThreshold offers a stream in canonical order through the
-// offer rule: an entry is kept iff its rank is below the k-th smallest
-// rank kept before it (1 while fewer than k are), and the kept list is a
-// valid ADS.
+// offer rule, one-entry batches merged in turn: an entry is kept iff its
+// rank is below the k-th smallest rank kept before it (1 while fewer than
+// k are), and the kept list is a valid ADS.
 func TestADSOfferAndThreshold(t *testing.T) {
 	kern := NewOfferKernel(2)
 	var list []Entry
@@ -78,9 +78,9 @@ func TestADSOfferAndThreshold(t *testing.T) {
 		{Entry{Node: 3, Dist: 3, Rank: 0.1}, true},  // threshold 0.8
 		{Entry{Node: 4, Dist: 4, Rank: 0.6}, false}, // threshold 0.5, 2nd of {0.8, 0.5, 0.1}
 	} {
-		var kept bool
-		list, _, kept = kern.Offer(list, nil, c.e, 0)
-		if kept != c.kept {
+		var accepted []int
+		list, _, accepted, _ = kern.Merge(list, nil, []Entry{c.e}, nil)
+		if kept := len(accepted) == 1; kept != c.kept {
 			t.Errorf("offer of %+v: kept %v, want %v", c.e, kept, c.kept)
 		}
 	}

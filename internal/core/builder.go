@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 
 	"adsketch/internal/graph"
 	"adsketch/internal/rank"
@@ -173,13 +174,18 @@ func (s *Set) SketchOf(v int32) Sketch { return s.frame.viewSketch(int(v)) }
 // weighted set.
 func (s *Set) BottomK(v int32) *ADS { return s.frame.viewSketch(int(v)).(*ADS) }
 
-// Columns returns a bottom-k set's node v as column views — its entries'
-// nodes in canonical order and their distances, both as the frame holds
-// them, Rice-coded and step-coded, for the caller to decode with their
-// runs (AppendRuns) and walk by Runs — the scan for callers that know the
-// ranks already.  Both alias the set's storage.
-func (s *Set) Columns(v int32) (nodes Nodes, dists StepDists) {
-	return s.frame.nodesAt(int(v)), s.frame.stepsAt(int(v))
+// AppendEntries appends a bottom-k set's node v's entries to dst in
+// canonical order, decoded in one allocation, and returns the slice.
+func (s *Set) AppendEntries(dst []Entry, v int32) []Entry {
+	c := s.frame.colsAt(int(v))
+	dst = slices.Grow(dst, c.len())
+	c.sd.Runs(c.ends, func(from, to int, d float64) bool {
+		for i := from; i < to; i++ {
+			dst = append(dst, Entry{Node: c.node[i], Dist: d, Rank: c.rankAt(i)})
+		}
+		return true
+	})
+	return dst
 }
 
 // Index builds local node v's columnar HIP query index over the frame's

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 )
 
@@ -105,19 +107,26 @@ func ReadSketchSet(r io.Reader) (*Set, error) {
 
 // validateFrame checks the structural invariants of every sketch of a
 // frame and — lists being the entry lists it was frozen from, when
-// non-nil — that their ranks are the ones the frame derives.
+// non-nil — that their ranks are the ones the frame derives.  Up to
+// GOMAXPROCS goroutines each check a node range (splitSpan) with a
+// rankScratch of their own, their memos sharing rankMemoSlots, and the
+// error is the first bad sketch's in node order, whatever their count.
 func validateFrame(f *Frame, lists [][]Entry) error {
-	var ranks rankScratch
-	for v := 0; v < f.n; v++ {
-		var given []Entry
-		if lists != nil {
-			given = lists[v]
+	workers := max(1, min(passWorkers(0, f.n), f.n/minCoderNodes))
+	slots := rankMemoSlots >> bits.Len(uint(workers-1))
+	errs := make([]error, workers)
+	fanOut(workers, func(w int) {
+		ranks := rankScratch{memo: make([]rankMemoSlot, slots)}
+		lo, hi := splitSpan(w, workers, f.n)
+		for v := lo; v < hi && errs[w] == nil; v++ {
+			var given []Entry
+			if lists != nil {
+				given = lists[v]
+			}
+			errs[w] = f.validate(&ranks, v, given)
 		}
-		if err := f.validate(&ranks, v, given); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
+	return cmp.Or(errs...)
 }
 
 // validateApproxView checks the invariants an approximate sketch

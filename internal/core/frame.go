@@ -565,7 +565,8 @@ func mergeFrames(frames []*Frame) *Frame {
 	return out
 }
 
-// rankMemoSlots sizes the memo rankScratch derives through.  It is fixed —
+// rankMemoSlots sizes the memo rankScratch derives through, or the memos
+// of the goroutines that derive a frame's ranks together.  It is fixed —
 // independent of the node count and of how many nodes a partition's
 // entries name — so deriving costs a frame O(1) memory.  A sketch samples
 // node j with probability ~k/π_vj, so the nodes that fill most entries
@@ -579,7 +580,7 @@ const rankMemoSlots = 1 << 14
 // nothing per node.  The zero value is ready to use, and serves one frame:
 // the memo does not key on the ranker.
 type rankScratch struct {
-	memo *[rankMemoSlots]rankMemoSlot
+	memo []rankMemoSlot // a power of two long: rankMemoSlots unless preset
 	buf  []float64
 	dbuf []float64 // the per-entry distances filled expands
 	nbuf []int32   // the per-entry nodes filled unpacks
@@ -605,15 +606,16 @@ func growFloats(buf *[]float64, n int) []float64 {
 // betas, when non-nil), through the memo.
 func (s *rankScratch) derive(dst []float64, by *ranker, nodes []int32, betas []float64) {
 	if s.memo == nil {
-		s.memo = new([rankMemoSlots]rankMemoSlot)
+		s.memo = make([]rankMemoSlot, rankMemoSlots)
 	}
+	mask := uint32(len(s.memo) - 1)
 	for j, node := range nodes {
 		var beta float64
 		if betas != nil {
 			beta = betas[j]
 		}
 		key := uint64(uint32(node)) + 1
-		m := &s.memo[uint32(node)%rankMemoSlots]
+		m := &s.memo[uint32(node)&mask]
 		if m.key != key || m.beta != beta {
 			*m = rankMemoSlot{key: key, beta: beta, rank: by.rank(node, beta)}
 		}

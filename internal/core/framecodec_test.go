@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -504,4 +505,40 @@ func FuzzOpenSketchFile(f *testing.F) {
 		}
 		_ = set.TotalEntries()
 	})
+}
+
+// TestValidateFrameFirstBadSketch: the validating reader checks node
+// ranges on GOMAXPROCS goroutines, and of two corrupt sketches in
+// different ranges it reports the first in node order, the same error at
+// every core count (make cpus runs it at 1, 2 and 4).
+func TestValidateFrameFirstBadSketch(t *testing.T) {
+	const n = 4096 // four ranges of minCoderNodes
+	set, err := BuildSet(graph.PreferentialAttachment(n, 3, 5), Options{K: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := v3Bytes(t, set)
+	parts := splitV3(t, data)
+	// A byte wholly inside node v's codes, renamed.
+	corrupt := func(v int) {
+		lo, hi := (parts.boffs[v]+7)/8, parts.boffs[v+1]/8
+		if lo >= hi {
+			t.Fatalf("node %d's codes hold no whole byte", v)
+		}
+		data[parts.nodesAt+int64(lo)] ^= 0x5a
+	}
+	first, second := 100, 3000
+	corrupt(second)
+	_, errSecond := ReadSketchSet(bytes.NewReader(data))
+	corrupt(first)
+	_, err = ReadSketchSet(bytes.NewReader(data))
+	if err == nil || errSecond == nil {
+		t.Fatalf("corrupt sketches accepted: %v, %v", err, errSecond)
+	}
+	if want := fmt.Sprintf("ADS(%d)", first); !strings.Contains(err.Error(), want) {
+		t.Errorf("got %v, want the error of %s, the first corrupt sketch", err, want)
+	}
+	if want := fmt.Sprintf("ADS(%d)", second); !strings.Contains(errSecond.Error(), want) {
+		t.Errorf("with only node %d corrupt: got %v, want the error of %s", second, errSecond, want)
+	}
 }

@@ -633,9 +633,6 @@ type Nodes struct {
 	n, steps int
 }
 
-// Len returns the number of entries.
-func (p Nodes) Len() int { return p.n }
-
 // cursor returns a cursor at the list's first entry.
 func (p Nodes) cursor() nodeCursor {
 	if p.s.ids != nil {

@@ -6,118 +6,128 @@ import (
 )
 
 // OfferKernel is the update rule of Algorithm 2 (LOCALUPDATES, Section 3)
-// for entries that arrive out of canonical order: insert (x, a) iff fewer
+// for entries that arrive out of canonical order — insert (x, a) iff fewer
 // than k canonically-earlier entries have a smaller rank, then clean up the
-// entries after it whose own test the insertion broke — and the relaxed
-// (1+ε) variant.  The ingest maintainer and the distributed build workers
-// call it (and lab.BuildApprox, the in-process approximate rounds); each
-// owns one kernel, whose scratch slots are reused across offers, and its
-// own lists.
+// entries after it whose own test the insertion broke — applied to a sorted
+// run of candidates at once (Merge), and the relaxed (1+ε) variant applied
+// to one (OfferApprox).  The ingest maintainer and the distributed build
+// workers call it (and lab.BuildApprox, the in-process approximate rounds);
+// each owns one kernel, whose scratch is reused across calls, and its own
+// lists.
 type OfferKernel struct {
-	h kSmallest
+	h     kSmallest
+	nodes []int32   // the batch's distinct nodes, ascending
+	state []uint8   // parallel to nodes: unseen, dropped or kept so far
+	out   []Entry   // the merged list, before it is copied back
+	outB  []float64 // and its weights
+	acc   []int     // the positions in the batch of the entries kept
+	// Examined counts the entries Merge and OfferApprox have read, list
+	// and candidate alike: the kernel's work, whatever the batches.
+	Examined int64
 }
+
+// The states of a batch node in a merge.
+const (
+	unseen uint8 = iota
+	dropped
+	kept
+)
 
 // NewOfferKernel returns the kernel for sketch parameter k.
 func NewOfferKernel(k int) OfferKernel {
 	return OfferKernel{h: kSmallest{k: k, v: make([]float64, 0, k)}}
 }
 
-// Reset starts the scan of a new offer.  Callers that walk a
-// representation of their own (ingest's packed base columns) call Reset,
-// Witness for every entry before the candidate, then Admits and Apply;
-// everyone else calls Scan or Offer.
-func (o *OfferKernel) Reset() { o.h.reset() }
-
-// Witness records the rank of an entry that canonically precedes the
-// candidate; the k smallest are the inclusion threshold of Lemma 5.1.
-func (o *OfferKernel) Witness(rank float64) { o.h.offer(rank) }
-
-// Admits reports whether rank is strictly below the k-th smallest rank
-// witnessed so far.
-func (o *OfferKernel) Admits(rank float64) bool {
-	return o.h.size() < o.h.k || rank < o.h.max()
-}
-
-// Scan finds, in one pass over a canonical list, the insertion position of
-// e and an existing entry for e's node (old, -1 when there is none).  Such
-// an entry can only sit at or after pos: were it before, its distance would
-// be no larger and e no improvement.  ok is false when e is no improvement
-// or k smaller ranks precede it — and then e fails at every node upstream
-// too (its k witnesses shift with it), so the caller stops propagating.
-func (o *OfferKernel) Scan(list []Entry, e Entry) (pos, old int, ok bool) {
+// Merge merges batch, candidates in canonical order that may repeat a node
+// and name or tie list's nodes, into list, a canonical list of distinct
+// nodes, in one pass in canonical order: an entry is kept iff no entry for
+// its node came before it and its rank is below the k-th smallest rank kept
+// so far (Lemma 5.1's inclusion threshold; an entry the test drops has k
+// smaller ranks before it, so it changes nothing after it either).  The
+// result is bit for bit the list that offering batch's entries one by one
+// in canonical order would leave.
+//
+// betas, when non-nil, is a column parallel to list (the Section 9 node
+// weights) that is kept parallel, batchBetas holding the batch's; both
+// are rewritten in place and grown by append.  accepted is the positions
+// in batch of the entries kept, in order — the ones to propagate — valid
+// until the next call; evicted counts the list's nodes the merge dropped.
+// A batch that has nothing accepted changes nothing, and the merge reads
+// the list no further than the batch's last entry.
+func (o *OfferKernel) Merge(list []Entry, betas []float64, batch []Entry, batchBetas []float64) (_ []Entry, _ []float64, accepted []int, evicted int) {
 	o.h.reset()
-	pos, old = -1, -1
-	for i, ent := range list {
-		if ent.Node == e.Node {
-			if ent.Dist <= e.Dist {
-				return 0, 0, false
-			}
-			old = i
+	o.out, o.outB, o.acc = o.out[:0], o.outB[:0], o.acc[:0]
+	o.index(batch)
+	for i, j := 0, 0; i < len(list) || j < len(batch); {
+		if j == len(batch) && len(o.acc) == 0 {
+			return list, betas, o.acc, 0
 		}
-		if pos < 0 {
-			if ent.before(e) {
-				o.h.offer(ent.Rank)
-			} else {
-				pos = i
+		e, beta, from := Entry{}, 0.0, -1 // from: e's position in batch, or -1
+		if j < len(batch) && (i == len(list) || batch[j].before(list[i])) {
+			e, from = batch[j], j
+			if betas != nil {
+				beta = batchBetas[j]
 			}
+			j++
+		} else {
+			e = list[i]
+			if betas != nil {
+				beta = betas[i]
+			}
+			i++
 		}
-		if pos >= 0 && old >= 0 {
-			break
+		o.Examined++
+		keep, superseded := o.admit(e.Node, e.Rank)
+		switch {
+		case keep:
+			o.out = append(o.out, e)
+			o.outB = append(o.outB, beta)
+			if from >= 0 {
+				o.acc = append(o.acc, from)
+			}
+		case from < 0 && !superseded:
+			evicted++
 		}
 	}
-	if pos < 0 {
-		pos = len(list)
+	list = append(list[:0], o.out...)
+	if betas != nil {
+		betas = append(betas[:0], o.outB...)
 	}
-	return pos, old, o.Admits(e.Rank)
+	return list, betas, o.acc, evicted
 }
 
-// Apply inserts an admitted e at pos, drops the superseded entry at old
-// (>= pos, so the deletion never shifts pos) and continues the threshold
-// scan past the insertion, dropping every later entry whose rank stopped
-// winning; it returns the list and how many entries that evicted.  betas,
-// when non-nil, is a column parallel to list (the Section 9 node weights)
-// that is kept parallel, with beta as e's value.  Both slices are edited in
-// place and grown by append.
-func (o *OfferKernel) Apply(list []Entry, betas []float64, pos, old int, e Entry, beta float64) ([]Entry, []float64, int) {
-	if old >= 0 {
-		list = slices.Delete(list, old, old+1)
+// index records batch's distinct nodes, all unseen.
+func (o *OfferKernel) index(batch []Entry) {
+	o.nodes = o.nodes[:0]
+	for _, e := range batch {
+		o.nodes = append(o.nodes, e.Node)
 	}
-	list = slices.Insert(list, pos, e)
-	if betas != nil {
-		if old >= 0 {
-			betas = slices.Delete(betas, old, old+1)
-		}
-		betas = slices.Insert(betas, pos, beta)
-	}
-	o.h.offer(e.Rank)
-	keep := pos + 1
-	for i := keep; i < len(list); i++ {
-		if !o.Admits(list[i].Rank) {
-			continue
-		}
-		o.h.offer(list[i].Rank)
-		list[keep] = list[i]
-		if betas != nil {
-			betas[keep] = betas[i]
-		}
-		keep++
-	}
-	evicted := len(list) - keep
-	if betas != nil {
-		betas = betas[:keep]
-	}
-	return list[:keep], betas, evicted
+	slices.Sort(o.nodes)
+	o.nodes = slices.Compact(o.nodes)
+	o.state = slices.Grow(o.state[:0], len(o.nodes))[:len(o.nodes)]
+	clear(o.state)
 }
 
-// Offer is Scan then Apply: the whole exact rule over a plain list.
-// changed is false, and nothing is touched, when e is rejected.
-func (o *OfferKernel) Offer(list []Entry, betas []float64, e Entry, beta float64) (_ []Entry, _ []float64, changed bool) {
-	pos, old, ok := o.Scan(list, e)
-	if !ok {
-		return list, betas, false
+// admit decides the entry for node, of rank r, that a merge reads next: it
+// is kept iff no entry for node has been decided and r is below the
+// threshold.  superseded reports an entry for node kept before it.
+func (o *OfferKernel) admit(node int32, r float64) (keep, superseded bool) {
+	var st *uint8
+	if at, ok := slices.BinarySearch(o.nodes, node); ok {
+		st = &o.state[at]
+		if *st != unseen {
+			return false, *st == kept
+		}
+		*st = dropped
 	}
-	list, betas, _ = o.Apply(list, betas, pos, old, e, beta)
-	return list, betas, true
+	if o.h.size() == o.h.k && r >= o.h.max() {
+		return false, false
+	}
+	o.h.offer(r)
+	if st != nil {
+		*st = kept
+	}
+	return true, false
 }
 
 // OfferApprox is the (1+ε) rule of Section 3: an existing entry for e's
@@ -125,10 +135,12 @@ func (o *OfferKernel) Offer(list []Entry, betas []float64, e Entry, beta float64
 // entries within that distance, and nothing is cleaned up.  A farther entry
 // for the node is dropped even when e then fails the threshold, which that
 // entry fails with it.  accepted tells the caller to propagate e; the
-// returned list replaces the caller's either way.
+// returned list replaces the caller's either way.  The kind has no
+// order-free fixpoint, so candidates are offered one at a time.
 func (o *OfferKernel) OfferApprox(list []Entry, e Entry, eps float64) (_ []Entry, accepted bool) {
 	limit := e.Dist * (1 + eps)
 	for i, ent := range list {
+		o.Examined++
 		if ent.Node == e.Node {
 			if ent.Dist <= limit {
 				return list, false
@@ -142,9 +154,10 @@ func (o *OfferKernel) OfferApprox(list []Entry, e Entry, eps float64) (_ []Entry
 		if ent.Dist > limit {
 			break
 		}
+		o.Examined++
 		o.h.offer(ent.Rank)
 	}
-	if !o.Admits(e.Rank) {
+	if o.h.size() == o.h.k && e.Rank >= o.h.max() {
 		return list, false
 	}
 	pos := sort.Search(len(list), func(i int) bool { return !list[i].before(e) })

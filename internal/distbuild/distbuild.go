@@ -7,11 +7,13 @@
 // (graph.ScanEdgesFiltered).
 //
 // Construction is bulk-synchronous (Pregel-style): each round a worker
-// relaxes the frontier candidates addressed to its partition against
-// its growable sketch columns with core.OfferKernel — Algorithm 2's
-// insert-and-clean-up rule and its (1+ε) variant, the one copy the
-// incremental maintainer (package ingest) also calls — buffers the
-// candidates its acceptances generate by destination partition, and
+// checks the frontier candidates addressed to its partition, refusing the
+// whole round for one it cannot apply, sorts them by (target, dist, node)
+// and relaxes each target's slice against its growable sketch columns
+// with core.OfferKernel — Algorithm 2's insert-and-clean-up rule as one
+// merge of the slice, or its (1+ε) variant a candidate at a time, the one
+// copy the incremental maintainer (package ingest) also calls — buffers
+// the candidates its acceptances generate by destination partition, and
 // exchanges at the round barrier.  The build converges when a round
 // generates no candidates.  Workers then freeze their ranges directly
 // to v3 partition files.
@@ -24,10 +26,11 @@
 //
 // # Determinism and byte parity
 //
-// Each worker applies its inbox in one canonical order, (dist, target,
-// node), for every kind, and the candidates to one target reach one
-// worker, so a round's outcome depends neither on the worker count nor on
-// the transport's delivery order: the partition files of every P are the
+// Each worker applies a target's candidates in one canonical order,
+// (dist, node), for every kind, a target's candidates change no other
+// target's list, and the candidates to one target reach one worker, so a
+// round's outcome depends neither on the worker count nor on the
+// transport's delivery order: the partition files of every P are the
 // same bytes.  For the exact kinds (uniform and weighted bottom-k) the
 // candidate fixpoint is schedule-independent besides — acceptance depends
 // only on the receiving sketch and the candidate, so any delivery order
@@ -199,6 +202,10 @@ type Result struct {
 	Rounds int
 	// Candidates counts every candidate exchanged across all rounds.
 	Candidates int64
+	// Examined counts the entries the workers' offer rule read, candidates
+	// and sketch entries alike; -1 when some exchanger does not report it
+	// (ExaminedCounter).
+	Examined int64
 	// Partitions holds each worker's frozen v3 partition file bytes,
 	// in worker order.
 	Partitions [][]byte

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"adsketch/internal/core"
@@ -401,23 +402,85 @@ func TestDistBuildValidation(t *testing.T) {
 	}
 }
 
-func TestDistBuildRejectsForeignCandidates(t *testing.T) {
+// TestDistBuildRefusesBadCandidates: a round whose inbox holds a candidate
+// the worker cannot apply is refused, naming the worker, the round and the
+// candidate, before any candidate of it is applied — so a refused [good,
+// foreign] round leaves the worker's sketches exactly as a worker that
+// never received it holds them.
+func TestDistBuildRefusesBadCandidates(t *testing.T) {
 	g := graph.GNP(20, 0.2, false, 1)
 	path, _ := writeGraph(t, g)
-	spec := Spec{Path: path, N: 20, K: 4, Seed: 1, Kind: KindUniform, Parts: 2}
-	ws, err := spec.Worker(0)
+	newWorker := func(spec Spec) *Worker {
+		t.Helper()
+		ws, err := spec.Worker(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorker(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Init(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	uniform := Spec{Path: path, N: 20, K: 4, Seed: 1, Kind: KindUniform, Parts: 2}
+	weighted := uniform
+	weighted.Kind, weighted.Scheme, weighted.Beta = KindWeighted, core.ExponentialWeights, betaFor(20)
+	approx := uniform
+	approx.Kind, approx.Eps = KindApprox, 0.25
+	whole := uniform.worker(0, 1, nil)
+	good := Candidate{Target: 0, Node: 9, Dist: 0.5, Rank: whole.params().Ranker()(9, 0)}
+	for _, c := range []struct {
+		name string
+		spec Spec
+		edit func(*Candidate)
+	}{
+		{"foreign target", uniform, func(c *Candidate) { c.Target = 19 }},
+		{"negative node", uniform, func(c *Candidate) { c.Node = -1 }},
+		{"node past N", uniform, func(c *Candidate) { c.Node = 20 }},
+		{"NaN distance", uniform, func(c *Candidate) { c.Dist = math.NaN() }},
+		{"zero distance", uniform, func(c *Candidate) { c.Dist = 0 }},
+		{"negative distance", uniform, func(c *Candidate) { c.Dist = -1 }},
+		{"infinite distance", uniform, func(c *Candidate) { c.Dist = math.Inf(1) }},
+		{"NaN rank", uniform, func(c *Candidate) { c.Rank = math.NaN() }},
+		{"zero rank", uniform, func(c *Candidate) { c.Rank = 0 }},
+		{"uniform rank above 1", uniform, func(c *Candidate) { c.Rank = 1.5 }},
+		{"approximate rank above 1", approx, func(c *Candidate) { c.Rank = 1.5 }},
+		{"infinite weighted rank", weighted, func(c *Candidate) { c.Rank, c.Beta = math.Inf(1), 1 }},
+		{"NaN weight", weighted, func(c *Candidate) { c.Beta = math.NaN() }},
+		{"zero weight", weighted, func(c *Candidate) { c.Beta = 0 }},
+	} {
+		w := newWorker(c.spec)
+		bad := good
+		bad.Beta = 1
+		c.edit(&bad)
+		_, err := w.Step(context.Background(), 3, []Candidate{bad})
+		if err == nil {
+			t.Errorf("%s: candidate %+v accepted", c.name, bad)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "worker 0 round 3 refused candidate 0") {
+			t.Errorf("%s: error %q does not name the worker, round and candidate", c.name, msg)
+		}
+	}
+
+	// A refused round changes nothing, wherever the bad candidate sits.
+	hit, untouched := newWorker(uniform), newWorker(uniform)
+	if _, err := hit.Step(context.Background(), 1, []Candidate{good, {Target: 19, Node: 0, Dist: 1, Rank: 0.5}}); err == nil {
+		t.Fatal("a round with a foreign candidate was accepted")
+	}
+	got, err := hit.Freeze(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorker(ws)
+	want, err := untouched.Freeze(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Init(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Step(context.Background(), 1, []Candidate{{Target: 19, Node: 0, Dist: 1, Rank: 0.5}}); err == nil {
-		t.Error("worker 0 accepted a candidate for worker 1's node")
+	if !bytes.Equal(got, want) {
+		t.Error("a refused round left the worker's sketches changed")
 	}
 }
 
@@ -528,4 +591,95 @@ func approxSlack(g *graph.Graph, set *core.Set, u int32, seed uint64) float64 {
 		}
 	}
 	return worst
+}
+
+// TestDistBuildRoundsPinned pins every kind's per-round outcome on one
+// fixed graph, lengths drawn from [0.25, 4): the rounds until convergence
+// and the candidates exchanged, the same at P = 1, 2 and 4 and over HTTP.
+// Those two figures were recorded when a round still offered its inbox to
+// the sketches one candidate at a time, in (dist, target, node) order, so
+// a change to how a round applies its inbox that accepts different
+// candidates shows here even when the files still agree.  The entries the
+// workers' offer rule read are pinned too, as a merge of each target's
+// slice reads them.
+func TestDistBuildRoundsPinned(t *testing.T) {
+	g := graph.WithRandomWeights(graph.GNP(150, 0.04, false, 13), 0.25, 4.0, 17)
+	path, _ := writeGraph(t, g)
+	for _, c := range []struct {
+		name       string
+		spec       Spec
+		rounds     int
+		candidates int64
+		examined   int64
+	}{
+		{"uniform", Spec{Kind: KindUniform}, 10, 44754, 70803},
+		{"weighted", Spec{Kind: KindWeighted, Scheme: core.ExponentialWeights, Beta: betaFor(150)}, 10, 45059, 71122},
+		{"approx", Spec{Kind: KindApprox, Eps: 0.25}, 8, 36271, 1211906},
+	} {
+		for _, r := range []struct {
+			parts int
+			http  bool
+		}{{1, false}, {2, false}, {4, false}, {2, true}} {
+			spec := c.spec
+			spec.Path, spec.N, spec.K, spec.Seed, spec.Parts = path, g.NumNodes(), 8, testSeed, r.parts
+			run := runLocal
+			if r.http {
+				run = runHTTP
+			}
+			res := run(t, spec)
+			if got, want := [3]int64{int64(res.Rounds), res.Candidates, res.Examined}, [3]int64{int64(c.rounds), c.candidates, c.examined}; got != want {
+				t.Errorf("%s at P=%d (HTTP %v): rounds, candidates, examined = %v; want %v", c.name, r.parts, r.http, got, want)
+			}
+		}
+	}
+}
+
+// TestRunExaminedUnknownThroughWrapper: an Exchanger that wraps a worker
+// without forwarding Examined builds the same files, and Run reports the
+// build's count as unknown (-1), never as a partial sum.
+func TestRunExaminedUnknownThroughWrapper(t *testing.T) {
+	g := graph.GNP(60, 0.08, false, 3)
+	path, _ := writeGraph(t, g)
+	spec := Spec{Path: path, N: g.NumNodes(), K: 4, Seed: testSeed, Parts: 2, Kind: KindUniform}
+	want := runLocal(t, spec)
+	exs, err := NewLocalExchangers(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exs[1] = struct{ Exchanger }{exs[1]}
+	res, err := Run(context.Background(), exs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Examined <= 0 || res.Examined != -1 {
+		t.Fatalf("Examined = %d through a wrapper (%d without); want -1", res.Examined, want.Examined)
+	}
+	for i := range want.Partitions {
+		if !bytes.Equal(res.Partitions[i], want.Partitions[i]) {
+			t.Fatalf("partition %d differs through a wrapper", i)
+		}
+	}
+}
+
+// runHTTP is runLocal over HTTP: WorkerHandlers behind httptest servers,
+// driven by HTTPExchangers.
+func runHTTP(t *testing.T, spec Spec) *Result {
+	t.Helper()
+	urls := make([]string, spec.Parts)
+	for i := range urls {
+		mux := http.NewServeMux()
+		NewWorkerHandler().Register(mux)
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	exs, err := NewHTTPExchangers(spec, urls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), exs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

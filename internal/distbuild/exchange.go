@@ -25,6 +25,11 @@ type Exchanger interface {
 	Freeze(ctx context.Context) ([]byte, error)
 }
 
+// ExaminedCounter reports the entries an Exchanger's worker has read
+// (core.OfferKernel.Examined), -1 if unknown.  Worker and HTTPExchanger
+// implement it; a wrapper must forward it, or Run reports the count as -1.
+type ExaminedCounter interface{ Examined() int64 }
+
 // NewLocalExchangers builds the spec's P workers in-process, one
 // exchanger per partition: each *Worker is its own Exchanger.
 func NewLocalExchangers(spec Spec) ([]Exchanger, error) {
@@ -103,6 +108,14 @@ func Run(ctx context.Context, exs []Exchanger) (*Result, error) {
 	}))
 	if err != nil {
 		return nil, err
+	}
+	for _, ex := range exs {
+		c, ok := ex.(ExaminedCounter)
+		if !ok || c.Examined() < 0 {
+			res.Examined = -1
+			break
+		}
+		res.Examined += c.Examined()
 	}
 	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"adsketch/internal/wire"
@@ -103,6 +104,7 @@ func (h *WorkerHandler) handleFreeze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set(examinedHeader, strconv.FormatInt(h.w.Examined(), 10))
 	w.Write(b)
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"adsketch/internal/wire"
@@ -15,11 +16,14 @@ import (
 // HTTP build-worker endpoints, served by `adsserver -buildworker` and
 // driven by HTTPExchanger.  Init carries the worker's spec as JSON;
 // candidate exchange rides the binary frontier frames of package wire;
-// Freeze returns the raw v3 partition file.
+// Freeze returns the raw v3 partition file, the worker's Examined count
+// in examinedHeader.
 const (
 	PathInit   = "/v1/build/init"
 	PathStep   = "/v1/build/step"
 	PathFreeze = "/v1/build/freeze"
+
+	examinedHeader = "Ads-Examined"
 )
 
 // HTTPExchanger drives one remote build worker over HTTP.  The remote
@@ -33,6 +37,8 @@ type HTTPExchanger struct {
 	Spec WorkerSpec
 	// Client is the HTTP client; nil means http.DefaultClient.
 	Client *http.Client
+
+	exam int64 // the worker's Examined count as its freeze reported it, or -1
 }
 
 // NewHTTPExchangers pairs spec's P workers with P worker base URLs.
@@ -61,31 +67,31 @@ func (h *HTTPExchanger) client() *http.Client {
 	return http.DefaultClient
 }
 
-// post sends one request and returns the response body, mapping
-// non-200 statuses to errors carrying the worker's message.
-func (h *HTTPExchanger) post(ctx context.Context, path, contentType string, body []byte) ([]byte, error) {
+// post sends one request and returns the response body and header,
+// mapping non-200 statuses to errors carrying the worker's message.
+func (h *HTTPExchanger) post(ctx context.Context, path, contentType string, body []byte) ([]byte, http.Header, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.Base+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
 	resp, err := h.client().Do(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, fmt.Errorf("distbuild: reading %s response: %w", path, err)
+		return nil, nil, fmt.Errorf("distbuild: reading %s response: %w", path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg := strings.TrimSpace(string(data))
 		if msg == "" {
 			msg = resp.Status
 		}
-		return nil, fmt.Errorf("distbuild: worker %d %s: %s", h.Spec.Index, path, msg)
+		return nil, nil, fmt.Errorf("distbuild: worker %d %s: %s", h.Spec.Index, path, msg)
 	}
-	return data, nil
+	return data, resp.Header, nil
 }
 
 // Init implements Exchanger: it configures the remote worker with the
@@ -95,7 +101,7 @@ func (h *HTTPExchanger) Init(ctx context.Context) ([][]Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := h.post(ctx, PathInit, "application/json", body)
+	data, _, err := h.post(ctx, PathInit, "application/json", body)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +117,7 @@ func (h *HTTPExchanger) Step(ctx context.Context, round int, inbox []Candidate) 
 	if err := wire.EncodeFrontierFrame(buf, frame); err != nil {
 		return nil, err
 	}
-	data, err := h.post(ctx, PathStep, wire.ContentType, buf.B)
+	data, _, err := h.post(ctx, PathStep, wire.ContentType, buf.B)
 	if err != nil {
 		return nil, err
 	}
@@ -120,8 +126,18 @@ func (h *HTTPExchanger) Step(ctx context.Context, round int, inbox []Candidate) 
 
 // Freeze implements Exchanger: the response body is the partition file.
 func (h *HTTPExchanger) Freeze(ctx context.Context) ([]byte, error) {
-	return h.post(ctx, PathFreeze, "application/octet-stream", nil)
+	data, header, err := h.post(ctx, PathFreeze, "application/octet-stream", nil)
+	if err != nil {
+		return nil, err
+	}
+	if h.exam, err = strconv.ParseInt(header.Get(examinedHeader), 10, 64); err != nil {
+		h.exam = -1 // a worker that does not count
+	}
+	return data, nil
 }
+
+// Examined implements ExaminedCounter: the freeze reply's count, or -1.
+func (h *HTTPExchanger) Examined() int64 { return h.exam }
 
 func (h *HTTPExchanger) decodeOutboxes(data []byte, round int) ([][]Candidate, error) {
 	f, err := wire.DecodeFrontierFrame(data)

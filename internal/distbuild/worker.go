@@ -5,22 +5,13 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
 )
-
-// arc is one reverse-adjacency edge of an owned node: the node has an
-// in-neighbor From at distance W, so an entry accepted at the node
-// propagates to From shifted by W.  Arcs are kept sorted by (From, W),
-// matching the transpose adjacency order the sequential builders
-// expand in.
-type arc struct {
-	From int32
-	W    float64
-}
 
 // Worker owns one partition of a distributed build: the in-arcs of its
 // node range and the growable entry lists of its sketches.  Its memory
@@ -32,11 +23,13 @@ type Worker struct {
 	params core.Params
 	lo, hi int32
 
-	in    [][]arc        // in-arcs of owned nodes, local index
+	in    [][]graph.Arc  // in-arcs of owned nodes, local index, by (From, W): the transpose's order
 	lists [][]core.Entry // entry lists of owned nodes, local index
 	betas [][]float64    // per-entry node weights, parallel to lists (nil columns unless weighted)
 
 	kern   core.OfferKernel
+	batch  []core.Entry // one target's candidates as entries (relax)
+	batchB []float64    // and their node weights
 	inited bool
 	frozen bool
 }
@@ -70,7 +63,7 @@ func (w *Worker) Init(ctx context.Context) ([][]Candidate, error) {
 	}
 	w.inited = true
 	local := int(w.hi - w.lo)
-	w.in = make([][]arc, local)
+	w.in = make([][]graph.Arc, local)
 
 	f, err := os.Open(w.spec.Path)
 	if err != nil {
@@ -100,10 +93,10 @@ func (w *Worker) Init(ctx context.Context) ([][]Candidate, error) {
 		// edges are two arcs; a self-loop therefore contributes both,
 		// exactly like the in-memory builder's adjacency.
 		if owns(v) {
-			w.in[v-w.lo] = append(w.in[v-w.lo], arc{From: u, W: ew})
+			w.in[v-w.lo] = append(w.in[v-w.lo], graph.Arc{From: u, W: ew})
 		}
 		if !w.spec.Directed && owns(u) {
-			w.in[u-w.lo] = append(w.in[u-w.lo], arc{From: v, W: ew})
+			w.in[u-w.lo] = append(w.in[u-w.lo], graph.Arc{From: v, W: ew})
 		}
 		return nil
 	})
@@ -111,7 +104,7 @@ func (w *Worker) Init(ctx context.Context) ([][]Candidate, error) {
 		return nil, err
 	}
 	for _, a := range w.in {
-		slices.SortFunc(a, func(x, y arc) int {
+		slices.SortFunc(a, func(x, y graph.Arc) int {
 			return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.W, y.W))
 		})
 	}
@@ -127,21 +120,18 @@ func (w *Worker) Init(ctx context.Context) ([][]Candidate, error) {
 			beta = w.spec.Beta[li]
 			w.betas[li] = []float64{beta}
 		}
-		rk := rank(v, beta)
-		w.lists[li] = []core.Entry{{Node: v, Dist: 0, Rank: rk}}
-		for _, a := range w.in[li] {
-			dst := core.PartOf(a.From, w.spec.Parts, w.spec.N)
-			outs[dst] = append(outs[dst], Candidate{Target: a.From, Node: v, Dist: a.W, Rank: rk, Beta: beta})
-		}
+		self := Candidate{Target: v, Node: v, Rank: rank(v, beta), Beta: beta}
+		w.lists[li] = []core.Entry{{Node: v, Dist: 0, Rank: self.Rank}}
+		w.propagate(li, self, outs)
 	}
 	return outs, nil
 }
 
 // Step applies one round's delivery to the owned sketches and returns
 // the candidates the acceptances generate, indexed by destination
-// worker.  Delivery order on entry does not matter: the worker sorts
-// the inbox into the canonical order (dist, target, node) first, so
-// every transport and worker count replays the same schedule.
+// worker.  It refuses an inbox holding a candidate it cannot apply
+// (check) before it applies any, then relaxes each target's slice in
+// (dist, node) order, whatever the order of delivery.
 func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Candidate, error) {
 	if !w.inited {
 		return nil, fmt.Errorf("distbuild: worker %d stepped before Init", w.spec.Index)
@@ -152,43 +142,86 @@ func (w *Worker) Step(ctx context.Context, round int, inbox []Candidate) ([][]Ca
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if err := w.check(round, inbox); err != nil {
+		return nil, err
+	}
 	slices.SortFunc(inbox, func(a, b Candidate) int {
-		switch {
-		case a.Dist != b.Dist:
-			return cmp.Compare(a.Dist, b.Dist)
-		case a.Target != b.Target:
-			return cmp.Compare(a.Target, b.Target)
-		}
-		return cmp.Compare(a.Node, b.Node)
+		return cmp.Or(cmp.Compare(a.Target, b.Target), cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Node, b.Node))
 	})
 	outs := make([][]Candidate, w.spec.Parts)
-	for ci := range inbox {
-		c := &inbox[ci]
-		if c.Target < w.lo || c.Target >= w.hi {
-			return nil, fmt.Errorf("distbuild: worker %d received a candidate for node %d outside [%d, %d)",
-				w.spec.Index, c.Target, w.lo, w.hi)
+	for lo, hi := 0, 0; lo < len(inbox); lo = hi {
+		for hi = lo + 1; hi < len(inbox) && inbox[hi].Target == inbox[lo].Target; hi++ {
 		}
-		li := int(c.Target - w.lo)
-		e := core.Entry{Node: c.Node, Dist: c.Dist, Rank: c.Rank}
-		// The build kind's rule, both core.OfferKernel's: the relaxed (1+ε)
-		// acceptance, or the exact insert-and-clean-up with c.Beta carried
-		// into the parallel weight column of a weighted build.
-		var ok bool
-		if w.params.Kind == KindApprox {
-			w.lists[li], ok = w.kern.OfferApprox(w.lists[li], e, w.spec.Eps)
-		} else {
-			w.lists[li], w.betas[li], ok = w.kern.Offer(w.lists[li], w.betas[li], e, c.Beta)
-		}
-		if !ok {
-			continue
-		}
-		for _, a := range w.in[li] {
-			dst := core.PartOf(a.From, w.spec.Parts, w.spec.N)
-			outs[dst] = append(outs[dst], Candidate{Target: a.From, Node: c.Node, Dist: c.Dist + a.W, Rank: c.Rank, Beta: c.Beta})
-		}
+		w.relax(inbox[lo:hi], outs)
 	}
 	return outs, nil
 }
+
+// check refuses an inbox holding a candidate this worker cannot apply,
+// naming the first and what is wrong with it.
+func (w *Worker) check(round int, inbox []Candidate) error {
+	weighted := w.params.Kind == KindWeighted
+	for i, c := range inbox {
+		var bad string
+		switch {
+		case c.Target < w.lo || c.Target >= w.hi:
+			bad = fmt.Sprintf("target outside [%d, %d)", w.lo, w.hi)
+		case c.Node < 0 || int(c.Node) >= w.spec.N:
+			bad = fmt.Sprintf("node outside [0, %d)", w.spec.N)
+		case !graph.ValidLength(c.Dist):
+			bad = "distance not positive and finite"
+		case !(c.Rank > 0) || math.IsInf(c.Rank, 1) || !weighted && c.Rank > 1:
+			bad = "rank not in the kind's range"
+		case weighted && !graph.ValidLength(c.Beta):
+			bad = "node weight not positive and finite"
+		default:
+			continue
+		}
+		return fmt.Errorf("distbuild: worker %d round %d refused candidate %d (target %d, node %d, dist %g, rank %g, beta %g): %s",
+			w.spec.Index, round, i, c.Target, c.Node, c.Dist, c.Rank, c.Beta, bad)
+	}
+	return nil
+}
+
+// relax applies one target's candidates, sorted by (dist, node), with the
+// kind's rule — one Merge for the exact kinds, node weights in its parallel
+// column, or OfferApprox a candidate at a time — and queues on outs what
+// every acceptance generates.
+func (w *Worker) relax(cs []Candidate, outs [][]Candidate) {
+	li := int(cs[0].Target - w.lo)
+	if w.params.Kind == KindApprox {
+		for _, c := range cs {
+			var ok bool
+			w.lists[li], ok = w.kern.OfferApprox(w.lists[li], core.Entry{Node: c.Node, Dist: c.Dist, Rank: c.Rank}, w.spec.Eps)
+			if ok {
+				w.propagate(li, c, outs)
+			}
+		}
+		return
+	}
+	w.batch, w.batchB = w.batch[:0], w.batchB[:0]
+	for _, c := range cs {
+		w.batch = append(w.batch, core.Entry{Node: c.Node, Dist: c.Dist, Rank: c.Rank})
+		w.batchB = append(w.batchB, c.Beta)
+	}
+	var accepted []int
+	w.lists[li], w.betas[li], accepted, _ = w.kern.Merge(w.lists[li], w.betas[li], w.batch, w.batchB)
+	for _, at := range accepted {
+		w.propagate(li, cs[at], outs)
+	}
+}
+
+// propagate queues candidate c, accepted at local node li, for every
+// in-neighbor of the node, shifted by the arc's length.
+func (w *Worker) propagate(li int, c Candidate, outs [][]Candidate) {
+	for _, a := range w.in[li] {
+		dst := core.PartOf(a.From, w.spec.Parts, w.spec.N)
+		outs[dst] = append(outs[dst], Candidate{Target: a.From, Node: c.Node, Dist: c.Dist + a.W, Rank: c.Rank, Beta: c.Beta})
+	}
+}
+
+// Examined implements ExaminedCounter (core.OfferKernel.Examined).
+func (w *Worker) Examined() int64 { return w.kern.Examined }
 
 // Freeze assembles the owned lists into a v3 partition file and returns
 // its bytes — byte-identical to Set.WriteTo of the corresponding

@@ -29,6 +29,16 @@ type Graph struct {
 	w        []float64 // edge lengths; nil means every edge has length 1
 }
 
+// Arc is one edge of a reverse adjacency kept outside a Graph: its head
+// has the in-neighbor From at length W, so an entry accepted at the head
+// propagates to From shifted by W.  The incremental maintainer keeps the
+// arcs inserted since its base graph, and a distributed build worker the
+// in-arcs of the nodes it owns.
+type Arc struct {
+	From int32
+	W    float64
+}
+
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return g.n }
 

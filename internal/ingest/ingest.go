@@ -4,20 +4,22 @@
 // (node, dist, rank) candidate.  The Maintainer keeps a frozen base set
 // (built by core.BuildSet or a previous Freeze) plus a per-node overlay of
 // updated entry lists, and propagates candidates along reverse edges with
-// the bottom-k win rule of Algorithm 2 (core.OfferKernel, the copy the
-// distributed build calls too) — so a Freeze is
-// bit-for-bit the set a full rebuild of the final graph would produce.
-// The package's own part of the rule is scanBase, which feeds the kernel
-// from a frozen base's columns: its step code as it is, its node codes
-// decoded (baseIDs).
+// the bottom-k win rule of Algorithm 2 (core.OfferKernel's Merge, the copy
+// the distributed build calls too) — so a Freeze is bit-for-bit the set a
+// full rebuild of the final graph would produce.
 //
 // # Candidate propagation
 //
-// Inserting edge (u,v) of length w creates exactly the new paths that pass
-// through it, and every such path reaches targets v reaches.  So the seed
-// candidates at u are {(j, w + d_vj, r_j) : j in ADS(v)}, and an accepted
-// candidate at x re-propagates to each in-neighbor p shifted by the arc
-// length.  Two prunings keep the frontier bounded, both exact:
+// Candidates travel in batches: sorted runs of entries bound for one node,
+// each shifted by one arc length.  Inserting edge (u,v) of length w creates
+// exactly the new paths that pass through it, and every such path reaches
+// targets v reaches.  So the seed is one batch at u, ADS(v) shifted by w:
+// {(j, w + d_vj, r_j) : j in ADS(v)}, in ADS(v)'s canonical order.  The
+// kernel merges a batch into the node's list in one pass, and the entries
+// it accepts at x — a sorted run again — re-propagate to each in-neighbor
+// p as one batch shifted by that arc's length.  A base node's list is
+// decoded once per batch.  Two prunings keep the frontier bounded, both
+// exact:
 //
 //   - No improvement: x already records j at distance <= d.  Every upstream
 //     node then also records (or already rejected) a candidate at least as
@@ -43,24 +45,21 @@
 package ingest
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"adsketch/internal/core"
 	"adsketch/internal/graph"
 	"adsketch/internal/rank"
 )
 
-// arc is one reverse-adjacency edge: node x has an in-neighbor From at
-// distance W, so a candidate accepted at x propagates to From shifted by W.
-type arc struct {
-	From int32
-	W    float64
-}
-
-// candidate is a pending offer of entry E to node X's sketch.
-type candidate struct {
-	X int32
-	E core.Entry
+// batch is a sorted run of candidates bound for node X: the entries of
+// Run, each shifted by W.
+type batch struct {
+	X   int32
+	W   float64
+	Run []core.Entry
 }
 
 // Maintainer holds the mutable incremental state: the growable reverse
@@ -68,22 +67,20 @@ type candidate struct {
 // that differ from the base.  It is not safe for concurrent use; callers
 // (the root Ingestor) serialize access.
 type Maintainer struct {
-	opts     core.Options
 	src      rank.Source
 	directed bool
 
 	n       int
-	rev     *graph.Graph // the base graph's reverse adjacency: g, or its transpose when directed
-	added   [][]arc      // the arcs inserted since, by head: node x's in-arcs are rev's, then added[x]
-	rank    []float64    // rank of every node, beside the adjacency: the base set stores none
+	rev     *graph.Graph  // the base graph's reverse adjacency: g, or its transpose when directed
+	added   [][]graph.Arc // the arcs inserted since, by head: node x's in-arcs are rev's, then added[x]
 	base    *core.Set
 	overlay map[int32][]core.Entry
 
-	queue []candidate
-	kern  core.OfferKernel
-	ids   []int32 // the decoded IDs of base node idsOf-1, none for 0 (baseIDs)
-	ends  []int32 // and the ends of their runs of equal distance
-	idsOf int32
+	queue   []batch
+	queued  int          // the candidates the queue's batches hold
+	cands   []core.Entry // the batch being merged, shifted
+	decoded []core.Entry // a base node's list, decoded to merge into
+	kern    core.OfferKernel
 
 	baseEdges int // edges of the graph the maintainer started from
 	edges     int64
@@ -107,44 +104,30 @@ func New(g *graph.Graph, base *core.Set) (*Maintainer, error) {
 	if p.Kind != core.KindUniform || p.BaseB != 0 {
 		return nil, fmt.Errorf("ingest: incremental maintenance supports uniform bottom-k sets at full precision, base set is %v at base %g", p.Kind, p.BaseB)
 	}
-	// Base entries are looked up in rank by node.  A uniform set's codes
-	// decode through its rank order to nodes of its envelope whatever the
-	// bits of an unvalidated file hold, so no list needs decoding here:
-	// a whole set's envelope is the rank table's range.
+	// A uniform set's codes decode through its rank order to nodes of its
+	// envelope whatever the bits of an unvalidated file hold, so no list
+	// needs decoding here: a whole set's envelope is the graph's nodes.
 	if base.IsPartition() || base.TotalNodes() != base.NumNodes() {
 		index, count := base.Part()
 		return nil, fmt.Errorf("ingest: base set is partition %d of %d, nodes [%d, %d) of %d; maintain the whole set",
 			index, count, base.Lo(), base.Hi(), base.TotalNodes())
 	}
-	o := p.Options
 	if g.NumNodes() != base.NumNodes() {
 		return nil, fmt.Errorf("ingest: graph has %d nodes but base set has %d", g.NumNodes(), base.NumNodes())
 	}
 	m := &Maintainer{
-		opts:      o,
-		src:       o.Source(),
+		src:       p.Source(),
 		directed:  g.Directed(),
 		baseEdges: g.NumEdges(),
 		n:         g.NumNodes(),
 		rev:       g.Transpose(),
-		added:     make([][]arc, g.NumNodes()),
-		rank:      make([]float64, g.NumNodes()),
+		added:     make([][]graph.Arc, g.NumNodes()),
 		base:      base,
 		overlay:   make(map[int32][]core.Entry),
-		kern:      core.NewOfferKernel(o.K),
-	}
-	for v := range m.rank {
-		m.rank[v] = m.src.Rank(int64(v))
+		kern:      core.NewOfferKernel(p.K),
 	}
 	return m, nil
 }
-
-// NumNodes returns the current node count (grows as insertions name new
-// node IDs).
-func (m *Maintainer) NumNodes() int { return m.n }
-
-// K returns the sketch parameter.
-func (m *Maintainer) K() int { return m.opts.K }
 
 // InsertWeighted adds an edge of length w from u to v (both directions
 // for undirected maintainers) and propagates all sketch updates it
@@ -165,14 +148,14 @@ func (m *Maintainer) InsertWeighted(u, v int32, w float64) error {
 			u, v, hi, edges, graph.NodeLimit(edges))
 	}
 	m.grow(int(hi) + 1)
-	m.added[v] = append(m.added[v], arc{From: u, W: w})
-	if !m.directed {
-		m.added[u] = append(m.added[u], arc{From: v, W: w})
-	}
 	m.edges++
-	m.seed(u, v, w)
+	// The arc u<-v seeds u with ADS(v) shifted by its length (v's own
+	// distance-0 entry covers v itself).
+	m.added[v] = append(m.added[v], graph.Arc{From: u, W: w})
+	m.push(batch{X: u, W: w, Run: m.Entries(v)})
 	if !m.directed {
-		m.seed(v, u, w)
+		m.added[u] = append(m.added[u], graph.Arc{From: v, W: w})
+		m.push(batch{X: v, W: w, Run: m.Entries(u)})
 	}
 	m.drain()
 	return nil
@@ -184,187 +167,91 @@ func (m *Maintainer) grow(n int) {
 	for ; m.n < n; m.n++ {
 		v := int32(m.n)
 		m.added = append(m.added, nil)
-		m.rank = append(m.rank, m.src.Rank(int64(v)))
-		m.overlay[v] = []core.Entry{{Node: v, Dist: 0, Rank: m.rank[v]}}
+		m.overlay[v] = []core.Entry{{Node: v, Dist: 0, Rank: m.src.Rank(int64(v))}}
 	}
 }
 
-// seed enqueues the candidates the new arc u<-v creates: every entry of
-// ADS(v) shifted by the arc length (v's own distance-0 entry covers v
-// itself).
-func (m *Maintainer) seed(u, v int32, w float64) {
-	m.each(v, func(e core.Entry) {
-		m.push(candidate{X: u, E: core.Entry{Node: e.Node, Dist: e.Dist + w, Rank: e.Rank}})
-	})
+// push queues batch b, keeping the high-water mark of queued candidates.
+func (m *Maintainer) push(b batch) {
+	m.queue = append(m.queue, b)
+	m.queued += len(b.Run)
+	m.frontier = max(m.frontier, m.queued)
 }
 
-func (m *Maintainer) push(c candidate) {
-	m.queue = append(m.queue, c)
-	if len(m.queue) > m.frontier {
-		m.frontier = len(m.queue)
-	}
-}
-
-// drain processes the candidate worklist to exhaustion.  Order does not
+// drain merges the worklist's batches to exhaustion.  Order does not
 // affect the result (acceptance depends only on the receiving sketch and
 // the candidate), so a LIFO stack keeps the frontier small.
 func (m *Maintainer) drain() {
 	for len(m.queue) > 0 {
-		c := m.queue[len(m.queue)-1]
+		b := m.queue[len(m.queue)-1]
 		m.queue = m.queue[:len(m.queue)-1]
-		m.offers++
-		if !m.offer(c.X, c.E) {
-			continue
-		}
-		m.accepts++
-		m.propagate(c.X, c.E)
+		m.queued -= len(b.Run)
+		m.merge(b)
 	}
 }
 
-// propagate pushes entry e, accepted at x, to every in-neighbor of x,
-// shifted by the arc's length: along the base graph's arcs, then the
-// inserted ones in the order they arrived.
-func (m *Maintainer) propagate(x int32, e core.Entry) {
-	if int(x) < m.rev.NumNodes() {
-		from, ws := m.rev.Neighbors(x)
+// merge applies batch b to node b.X's sketch with the kernel's rule —
+// inserting, replacing worse entries for the same nodes, evicting later
+// entries whose ranks stop winning — and pushes the entries it accepted,
+// one batch to every in-neighbor of b.X shifted by the arc's length: along
+// the base graph's arcs, then the inserted ones in the order they arrived.
+func (m *Maintainer) merge(b batch) {
+	m.cands = m.cands[:0]
+	for _, e := range b.Run {
+		m.cands = append(m.cands, core.Entry{Node: e.Node, Dist: e.Dist + b.W, Rank: e.Rank})
+	}
+	// Adding one length to a sorted run can round two distances to one
+	// double and leave that tie out of node order: Merge needs it back.
+	slices.SortFunc(m.cands, func(a, b core.Entry) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Node, b.Node))
+	})
+	lst, inOverlay := m.overlay[b.X]
+	if !inOverlay {
+		m.decoded = m.base.AppendEntries(m.decoded[:0], b.X)
+		lst = m.decoded
+	}
+	lst, _, accepted, evicted := m.kern.Merge(lst, nil, m.cands, nil)
+	m.offers += int64(len(m.cands))
+	m.accepts += int64(len(accepted))
+	m.evictions += int64(evicted)
+	if len(accepted) == 0 {
+		return
+	}
+	if !inOverlay {
+		m.decoded = nil // the overlay takes the list
+	}
+	m.overlay[b.X] = lst
+	run := make([]core.Entry, len(accepted))
+	for i, at := range accepted {
+		run[i] = m.cands[at]
+	}
+	if int(b.X) < m.rev.NumNodes() {
+		from, ws := m.rev.Neighbors(b.X)
 		for i, u := range from {
 			w := 1.0
 			if ws != nil {
 				w = ws[i]
 			}
-			m.push(candidate{X: u, E: core.Entry{Node: e.Node, Dist: e.Dist + w, Rank: e.Rank}})
+			m.push(batch{X: u, W: w, Run: run})
 		}
 	}
-	for _, a := range m.added[x] {
-		m.push(candidate{X: a.From, E: core.Entry{Node: e.Node, Dist: e.Dist + a.W, Rank: e.Rank}})
+	for _, a := range m.added[b.X] {
+		m.push(batch{X: a.From, W: a.W, Run: run})
 	}
 }
 
-// each calls fn with node x's current entries in canonical order: the
+// Entries returns node x's current entry list in canonical order: the
 // overlay list when the node has pending deltas (new nodes always enter
-// the overlay in grow), else the base set's columns, whose ranks are
-// m.rank's, whose distances are walked run by run off the steps and whose
-// nodes and runs are decoded (baseIDs).
-func (m *Maintainer) each(x int32, fn func(core.Entry)) {
-	if sl, ok := m.overlay[x]; ok {
-		for _, e := range sl {
-			fn(e)
-		}
-		return
-	}
-	nodes, dists := m.base.Columns(x)
-	ids, ends := m.baseIDs(x, nodes)
-	dists.Runs(ends, func(from, to int, d float64) bool {
-		for _, u := range ids[from:to] {
-			fn(core.Entry{Node: u, Dist: d, Rank: m.rank[u]})
-		}
-		return true
-	})
-}
-
-// baseIDs returns base node x's IDs and the ends of their runs, decoding
-// its codes unless they were the last decoded: an offer the scan accepts
-// reads the list again (each).
-func (m *Maintainer) baseIDs(x int32, nodes core.Nodes) (ids, ends []int32) {
-	if m.idsOf != x+1 {
-		m.ids, m.ends, _ = nodes.AppendRuns(m.ids[:0], m.ends[:0])
-		m.idsOf = x + 1
-	}
-	return m.ids, m.ends
-}
-
-// scanBase is the kernel's Scan over a base node's columns, walked by runs
-// of equal distance, so that an entry costs a node comparison and — before
-// e — a witnessed rank, never a distance: a run is wholly before e, wholly
-// after it (where only an entry for e's node is looked for), or shares e's
-// distance and splits at e's node ID.
-func (m *Maintainer) scanBase(x int32, nodes core.Nodes, dists core.StepDists, e core.Entry) (pos, old int, ok bool) {
-	m.kern.Reset()
-	pos, old, ok = -1, -1, true
-	ids, ends := m.baseIDs(x, nodes)
-	dists.Runs(ends, func(from, to int, d float64) bool {
-		if pos < 0 && d > e.Dist {
-			pos = from
-		}
-		switch {
-		case pos >= 0:
-			for i := from; i < to; i++ {
-				if ids[i] == e.Node {
-					old = i
-					return false
-				}
-			}
-		case d < e.Dist:
-			for i := from; i < to; i++ {
-				u := ids[i]
-				if u == e.Node {
-					ok = false
-					return false
-				}
-				m.kern.Witness(m.rank[u])
-			}
-		default: // d == e.Dist, and node IDs ascend along the run
-			for i := from; i < to; i++ {
-				u := ids[i]
-				if u >= e.Node {
-					ok = u > e.Node
-					pos = i
-					return ok
-				}
-				m.kern.Witness(m.rank[u])
-			}
-		}
-		return true
-	})
-	if pos < 0 {
-		pos = nodes.Len()
-	}
-	return pos, old, ok && m.kern.Admits(e.Rank)
-}
-
-// offer tests candidate e against node x's sketch with the kernel's rule,
-// applying it (insert, possibly replacing a worse entry for the same node,
-// possibly evicting later entries whose ranks stop winning) when it wins.
-// It reports whether the sketch changed; a rejected candidate — no
-// improvement, or k smaller ranks before it — fails everywhere upstream too.
-func (m *Maintainer) offer(x int32, e core.Entry) bool {
-	lst, inOverlay := m.overlay[x]
-	var pos, old int
-	var ok bool
-	if inOverlay {
-		pos, old, ok = m.kern.Scan(lst, e)
-	} else {
-		nodes, dists := m.base.Columns(x)
-		pos, old, ok = m.scanBase(x, nodes, dists, e)
-	}
-	if !ok {
-		return false
-	}
-	// Accepted: materialize the node in the overlay and apply the change.
-	if !inOverlay {
-		lst = m.Entries(x)
-	}
-	lst, _, evicted := m.kern.Apply(lst, nil, pos, old, e, 0)
-	m.overlay[x] = lst
-	m.evictions += int64(evicted)
-	return true
-}
-
-// Entries returns node x's current entry list (base or overlay) in
-// canonical order.  The slice is a fresh copy.
+// the overlay in grow), else the base set's, decoded.  The slice is a
+// fresh copy.
 func (m *Maintainer) Entries(x int32) []core.Entry {
 	if x < 0 || int(x) >= m.n {
 		return nil
 	}
-	sl, ok := m.overlay[x]
-	size := len(sl)
-	if !ok {
-		nodes, _ := m.base.Columns(x)
-		size = nodes.Len()
+	if sl, ok := m.overlay[x]; ok {
+		return slices.Clone(sl)
 	}
-	out := make([]core.Entry, 0, size+1) // room for the entry offer is about to insert
-	m.each(x, func(e core.Entry) { out = append(out, e) })
-	return out
+	return m.base.AppendEntries(nil, x)
 }
 
 // Freeze assembles base + overlay into a new frozen sketch set, re-bases
@@ -379,7 +266,6 @@ func (m *Maintainer) Freeze() (*core.Set, error) {
 	}
 	m.base = set
 	m.overlay = make(map[int32][]core.Entry)
-	m.idsOf = 0
 	return set, nil
 }
 
@@ -394,7 +280,10 @@ type Stats struct {
 	Offers    int64 `json:"offers"`
 	Accepts   int64 `json:"accepts"`
 	Evictions int64 `json:"evictions"`
-	// FrontierMax is the high-water mark of the propagation worklist.
+	// Examined counts the entries the offer rule read, candidates and the
+	// receiving lists' entries alike (core.OfferKernel.Examined).
+	Examined int64 `json:"examined"`
+	// FrontierMax is the most candidates the propagation worklist held.
 	FrontierMax int `json:"frontier_max"`
 	// OverlayNodes / OverlayEntries size the pending deltas not yet frozen.
 	OverlayNodes   int `json:"overlay_nodes"`
@@ -409,6 +298,7 @@ func (m *Maintainer) Stats() Stats {
 		Offers:       m.offers,
 		Accepts:      m.accepts,
 		Evictions:    m.evictions,
+		Examined:     m.kern.Examined,
 		FrontierMax:  m.frontier,
 		OverlayNodes: len(m.overlay),
 	}

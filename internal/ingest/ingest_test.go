@@ -69,8 +69,8 @@ func mustBuild(t *testing.T, g *graph.Graph, o core.Options) *core.Set {
 // built reference set, entry by entry.
 func checkEntriesEqual(t *testing.T, m *Maintainer, ref *core.Set, step int) {
 	t.Helper()
-	if m.NumNodes() != ref.NumNodes() {
-		t.Fatalf("step %d: maintainer has %d nodes, rebuild has %d", step, m.NumNodes(), ref.NumNodes())
+	if m.n != ref.NumNodes() {
+		t.Fatalf("step %d: maintainer has %d nodes, rebuild has %d", step, m.n, ref.NumNodes())
 	}
 	for v := 0; v < ref.NumNodes(); v++ {
 		got := m.Entries(int32(v))
@@ -165,6 +165,43 @@ func TestParityWeightedDirected(t *testing.T) {
 	g := graph.WithRandomWeights(graph.GNP(40, 0.09, true, 21), 0.25, 3, 31)
 	edges := edgesOf(g)
 	replayParity(t, g, true, len(edges)/2, core.Options{K: 2, Seed: 23})
+}
+
+// TestParityRoundedTies inserts an arc whose length, added to two
+// different distances, rounds both to one double: ADS(1) holds node 5 at
+// 0.3 and node 3 at 0.2+0.1 = 0.30000000000000004, and behind the arc
+// (0,1) of length 1 both lie at exactly 1.3, node 5 ahead of node 3 in the
+// shifted run.  The maintained sketches must still be a rebuild's, in
+// canonical order, whichever ranks the seed draws.
+func TestParityRoundedTies(t *testing.T) {
+	base := []edge{{1, 2, 0.1}, {2, 3, 0.2}, {1, 5, 0.3}}
+	all := append(base[:len(base):len(base)], edge{0, 1, 1})
+	for _, directed := range []bool{true, false} {
+		for k := 1; k <= 4; k++ {
+			for seed := uint64(1); seed <= 16; seed++ {
+				t.Run(fmt.Sprintf("directed=%v/k=%d/seed=%d", directed, k, seed), func(t *testing.T) {
+					o := core.Options{K: k, Seed: seed}
+					g := buildPrefix(6, directed, true, base, len(base))
+					m, err := New(g, mustBuild(t, g, o))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := m.InsertWeighted(0, 1, 1); err != nil {
+						t.Fatal(err)
+					}
+					ref := mustBuild(t, buildPrefix(6, directed, true, all, len(all)), o)
+					checkEntriesEqual(t, m, ref, 1)
+					frozen, err := m.Freeze()
+					if err != nil {
+						t.Fatalf("Freeze: %v", err)
+					}
+					if !bytes.Equal(serialize(t, frozen), serialize(t, ref)) {
+						t.Fatal("frozen set is not byte-identical to a rebuild")
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestParityEmptyStart(t *testing.T) {
@@ -284,7 +321,7 @@ func TestRepeatedFreeze(t *testing.T) {
 	if err != nil {
 		t.Fatalf("final Freeze: %v", err)
 	}
-	n := m.NumNodes()
+	n := m.n
 	full := mustBuild(t, buildPrefix(n, false, false, edges, len(edges)), o)
 	if !bytes.Equal(serialize(t, frozen), serialize(t, full)) {
 		t.Fatal("frozen set after interleaved freezes differs from full rebuild")
@@ -367,10 +404,8 @@ func TestNewValidation(t *testing.T) {
 	}
 	defer foreign.Close()
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		nodes, _ := foreign.Set().Columns(v)
-		ids, _, _ := nodes.AppendRuns(nil, nil)
-		for _, u := range ids {
-			if u < 0 || int(u) >= g.NumNodes() {
+		for _, e := range foreign.Set().AppendEntries(nil, v) {
+			if u := e.Node; u < 0 || int(u) >= g.NumNodes() {
 				t.Fatalf("damaged codes of node %d name node %d, outside the set", v, u)
 			}
 		}
@@ -491,7 +526,7 @@ func TestEvictionHappens(t *testing.T) {
 	if st := m.Stats(); st.Evictions == 0 {
 		t.Skip("no evictions triggered by this stream (rank layout)")
 	}
-	n := m.NumNodes()
+	n := m.n
 	edges := append(edgesOf(graph.Path(40)),
 		edge{0, 39, 1}, edge{0, 20, 1}, edge{7, 27, 1}, edge{14, 34, 1},
 		edge{21, 1, 1}, edge{28, 8, 1}, edge{35, 15, 1})
@@ -524,14 +559,13 @@ func TestMultiEdgesAndSelfLoops(t *testing.T) {
 }
 
 // TestStatsPinned: the maintainer's counters over a fixed stream are
-// exact figures, not just consistent ones — every offer the base's
-// columns are scanned for, every accept and every eviction — so a change
-// to how a base sketch is read (scanBase) that changes which candidates
-// win, or how many are tried, shows here even when the final sketches
-// still agree.  The stream, over PA(2000,5) at k=16, inserts 400 seeded
-// random edges, a tenth of them naming a node past the base, with a
-// freeze half way; the figures were recorded with the fixed-width node
-// column, before node IDs were Rice-coded.
+// exact figures, not just consistent ones — every candidate offered, every
+// accept, every eviction and every entry the offer rule read — so a change
+// to how batches are formed, ordered or merged that changes which
+// candidates win, or how many are tried, shows here even when the final
+// sketches still agree.  The stream, over PA(2000,5) at k=16, inserts 400
+// seeded random edges, a tenth of them naming a node past the base, with a
+// freeze half way.
 func TestStatsPinned(t *testing.T) {
 	g := graph.PreferentialAttachment(2000, 5, 3)
 	o := core.Options{K: 16, Seed: 42}
@@ -555,7 +589,8 @@ func TestStatsPinned(t *testing.T) {
 		}
 	}
 	st := m.Stats()
-	if want := [3]int64{122191, 8148, 4953}; [3]int64{st.Offers, st.Accepts, st.Evictions} != want {
-		t.Errorf("offers, accepts, evictions = %d, %d, %d; want %d, %d, %d", st.Offers, st.Accepts, st.Evictions, want[0], want[1], want[2])
+	if want := [4]int64{120528, 7772, 4471, 2033717}; [4]int64{st.Offers, st.Accepts, st.Evictions, st.Examined} != want {
+		t.Errorf("offers, accepts, evictions, examined = %d, %d, %d, %d; want %d, %d, %d, %d",
+			st.Offers, st.Accepts, st.Evictions, st.Examined, want[0], want[1], want[2], want[3])
 	}
 }

@@ -27,10 +27,10 @@ import (
 // v.  Rounds deliver the whole inbox in arrival order until no messages
 // remain, the MapReduce execution model the paper targets.  The kind is
 // schedule-dependent: the serving binaries build it with internal/distbuild,
-// whose rounds apply each inbox in (dist, target, node) order instead, so
-// its sets are valid approximate sets but not these.  Ranks are the
-// full-precision uniform ranks adsketch.Build draws under the same seed, and
-// the set is frozen by core.FreezeLists, which derives every rank again.
+// whose rounds apply each target's candidates in (dist, node) order
+// instead, so its sets are valid approximate sets but not these.  Ranks are
+// the full-precision uniform ranks adsketch.Build draws under the same seed,
+// and the set is frozen by core.FreezeLists, which derives every rank again.
 func BuildApprox(g *adsketch.Graph, k int, seed uint64, eps float64) (*adsketch.Set, error) {
 	if k < 1 || k > core.MaxK {
 		return nil, fmt.Errorf("lab: BuildApprox with k = %d, must be in [1, %d]", k, core.MaxK)
