@@ -579,8 +579,8 @@ func TestCatalogDoBatchMixedDatasets(t *testing.T) {
 // flavor.
 func TestCatalogRefusesOlderFiles(t *testing.T) {
 	fixtures, err := filepath.Glob("internal/legacy/testdata/*.ads")
-	if err != nil || len(fixtures) != 29 {
-		t.Fatalf("%d fixtures (%v), want 29", len(fixtures), err)
+	if err != nil || len(fixtures) != 33 {
+		t.Fatalf("%d fixtures (%v), want 33", len(fixtures), err)
 	}
 	cat, err := adsketch.NewCatalog()
 	if err != nil {

@@ -23,8 +23,8 @@ func TestServerRefusesOlderFiles(t *testing.T) {
 		return
 	}
 	fixtures, err := filepath.Glob("../../internal/legacy/testdata/*.ads")
-	if err != nil || len(fixtures) != 29 {
-		t.Fatalf("%d fixtures (%v), want 29", len(fixtures), err)
+	if err != nil || len(fixtures) != 33 {
+		t.Fatalf("%d fixtures (%v), want 33", len(fixtures), err)
 	}
 	for _, path := range fixtures {
 		want := "adsconvert"

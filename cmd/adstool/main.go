@@ -359,7 +359,7 @@ func runInfo(args []string) error {
 		fmt.Printf("bytes/node      %.1f\n", float64(st.Size())/float64(nodes))
 	}
 	cols := sf.ColumnBytes()
-	fmt.Printf("offsets         packed (%d bits)\n", sf.OffsetBits())
+	fmt.Printf("bit offsets     packed (%d bits)\n", sf.BitOffsetBits())
 	if steps, distinct := sf.DistanceSteps(); nodes > 0 {
 		over := ""
 		if distinct > 0 {

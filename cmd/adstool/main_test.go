@@ -232,12 +232,9 @@ func TestInfo(t *testing.T) {
 		if v := got["node IDs"]; !strings.HasPrefix(v, codes) || !strings.HasSuffix(v, " bits/entry)") {
 			t.Errorf("%s: node IDs %q, want %q… bits/entry)", filepath.Base(tc.path), v, codes)
 		}
-		// Every kind's columns: step offsets where step bits were, the run
-		// lengths among the node codes, then the steps, and β if weighted.
-		cols := "header, offsets, bit offsets, step offsets, nodes, step codes, dictionary"
-		if tc.want["kind"] == "weighted" {
-			cols += ", betas"
-		}
+		// Every kind's columns: a bit offset a sketch, the sketches — their
+		// counts, steps, node codes and β if weighted — and the dictionary.
+		cols := "header, bit offsets, nodes, dictionary"
 		if v := got["column names"]; v != cols {
 			t.Errorf("%s: columns %q, want %q", filepath.Base(tc.path), v, cols)
 		}

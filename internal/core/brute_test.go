@@ -29,13 +29,13 @@ func bruteForceRun(g *graph.Graph, s runSpec) [][]Entry {
 // bruteForceSet is the reference uniform set of o over g.
 func bruteForceSet(g *graph.Graph, o Options) *Set {
 	p := Params{Kind: KindUniform, Options: o}
-	return &Set{frame: mustFreezeWhole(p, bruteForceRun(g, runSpec{k: o.K, rank: o.rankFn()}))}
+	return &Set{frame: mustFreezeWhole(p, bruteForceRun(g, runSpec{k: o.K, rank: o.rankFn()}), nil)}
 }
 
 // mustFreezeWhole is freezeWhole of lists that have their codes: a
 // reference's, or a test's own.
-func mustFreezeWhole(p Params, lists [][]Entry) *Frame {
-	f, err := freezeWhole(p, lists)
+func mustFreezeWhole(p Params, lists [][]Entry, beta []float64) *Frame {
+	f, err := freezeWhole(p, lists, beta)
 	if err != nil {
 		panic(err)
 	}
@@ -47,14 +47,13 @@ func mustFreezeWhole(p Params, lists [][]Entry) *Frame {
 func bruteForceWeightedSet(g *graph.Graph, p Params, beta []float64) *Set {
 	by := newRanker(p)
 	lists := bruteForceRun(g, runSpec{k: p.K, rank: func(v int32) float64 { return by.rank(v, beta[v]) }})
-	f := mustFreezeWhole(p, lists)
-	f.beta = make([]float64, 0, f.totalEntries())
+	var b []float64
 	for _, l := range lists {
 		for _, e := range l {
-			f.beta = append(f.beta, beta[e.Node])
+			b = append(b, beta[e.Node])
 		}
 	}
-	return &Set{frame: f}
+	return &Set{frame: mustFreezeWhole(p, lists, b)}
 }
 
 // adsOf is the ADS of owner over entries as given, unchecked: the fixture

@@ -193,8 +193,8 @@ func (s *Set) AppendEntries(dst []Entry, v int32) []Entry {
 func (s *Set) Index(v int32) *HIPIndex { return s.frame.Index(v) }
 
 // TotalEntries returns the summed entry count over all sketches — the
-// quantity Lemma 2.2 predicts as ~n·k(1 + ln n - ln k) for bottom-k.
-// With columnar storage this is an offsets lookup, not a scan.
+// quantity Lemma 2.2 predicts as ~n·k(1 + ln n - ln k) for bottom-k: a
+// count the set keeps, not a scan.
 func (s *Set) TotalEntries() int { return s.frame.totalEntries() }
 
 // WriteTo serializes the set in the version-3 format (framecodec.go), a
@@ -224,7 +224,7 @@ func BuildSetParallel(g *graph.Graph, o Options, workers int) (*Set, error) {
 	if !g.Weighted() {
 		f, err = hopFrame(g, p, workers)
 	} else {
-		f, err = freezeWhole(p, prunedDijkstraRun(g, runSpec{k: p.K, rank: o.rankFn()}, workers))
+		f, err = freezeWhole(p, prunedDijkstraRun(g, runSpec{k: p.K, rank: o.rankFn()}, workers), nil)
 	}
 	if err != nil {
 		return nil, err

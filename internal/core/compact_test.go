@@ -5,30 +5,27 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"adsketch/internal/graph"
 )
 
-// v3Parts is a compact version-3 file taken apart, for tests that put it
-// back together wrong: the header as parsed, the packed integer columns
-// unpacked to a value each (bit by bit, with none of packedColumn), the
-// rest as bytes.  bytes() re-emits it under whatever the header then says,
-// deriving every width from the header's counts the way a reader will, and
-// enforcing nothing.
+// v3Parts is a version-3 file taken apart, for tests that put it back
+// together wrong: the header as parsed, the bit offsets unpacked to a
+// value each (bit by bit, with none of packedColumn), the node stream and
+// the dictionary.  bytes() re-emits it under whatever the header then
+// says, deriving the offsets' width from the header's counts the way a
+// reader will, and enforcing nothing.
 type v3Parts struct {
 	h     frameHdr
-	offs  []uint64
-	boffs []uint64 // the bit offsets of the node codes
-	soffs []uint64 // the step offsets
-	nodes []byte
-	codes []uint64  // one per step, when the header has a dictionary
-	dists []float64 // the dictionary, or the raw steps
-	tail  []byte    // betas
+	boffs []uint64 // the bit offsets of the sketches
+	nodes []byte   // the node stream, whole words
+	dict  []float64
 
 	// Where the columns start in the file the parts were split from.
-	offsAt, boffsAt, soffsAt, nodesAt, codesAt, distsAt int64
+	boffsAt, nodesAt, dictAt int64
 }
 
 // testWidth is the width of a packed column of values below bound, spelled
@@ -80,50 +77,171 @@ func splitV3(t testing.TB, data []byte) v3Parts {
 		pos += n
 		return b
 	}
-	p.offsAt = pos
-	p.offs = testUnpack(next(h.offsetsSize()), h.n+1, testWidth(h.numEntries+1))
 	p.boffsAt = pos
 	p.boffs = testUnpack(next(h.bitOffsetsSize()), h.n+1, testWidth(h.numNodeBits+1))
-	p.soffsAt = pos
-	p.soffs = testUnpack(next(h.stepOffsetsSize()), h.n+1, testWidth(h.numSteps+1))
 	p.nodesAt = pos
 	p.nodes = next(h.nodesSize())
-	p.codesAt = pos
-	if h.numDistinct > 0 {
-		p.codes = testUnpack(next(h.codesSize()), h.numSteps, testWidth(h.numDistinct))
+	p.dictAt = pos
+	for b := next(8 * int64(h.numDistinct)); len(b) > 0; b = b[8:] {
+		p.dict = append(p.dict, math.Float64frombits(binary.LittleEndian.Uint64(b)))
 	}
-	p.distsAt = pos
-	for b := next(h.stepsSize()); len(b) > 0; b = b[8:] {
-		p.dists = append(p.dists, math.Float64frombits(binary.LittleEndian.Uint64(b)))
-	}
-	p.tail = next(int64(len(data)) - pos)
 	return p
 }
 
 func (p *v3Parts) bytes() []byte {
 	out := p.h.appendHeader(nil)
-	out = append(out, testPack(p.offs, testWidth(p.h.numEntries+1))...)
 	out = append(out, testPack(p.boffs, testWidth(p.h.numNodeBits+1))...)
-	out = append(out, testPack(p.soffs, testWidth(p.h.numSteps+1))...)
 	out = append(out, p.nodes...)
-	if p.h.numDistinct > 0 {
-		out = append(out, testPack(p.codes, testWidth(p.h.numDistinct))...)
-	}
-	for _, d := range p.dists {
+	for _, d := range p.dict {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(d))
 	}
-	return append(out, p.tail...)
+	return out
+}
+
+// list returns sketch i's bits, a bit each.
+func (p *v3Parts) list(i int) []uint64 { return p.lists()[i] }
+
+// setLists makes lists, a bit each, the node stream: its words, its bit
+// offsets and the header's numNodeBits.
+func (p *v3Parts) setLists(lists [][]uint64) {
+	var bits []uint64
+	p.boffs = p.boffs[:0]
+	for _, l := range lists {
+		p.boffs = append(p.boffs, uint64(len(bits)))
+		bits = append(bits, l...)
+	}
+	p.boffs = append(p.boffs, uint64(len(bits)))
+	p.h.numNodeBits, p.nodes = uint64(len(bits)), testPack(bits, 1)
+}
+
+// lists returns every sketch's bits.
+func (p *v3Parts) lists() [][]uint64 {
+	bits := testUnpack(p.nodes, p.h.numNodeBits, 1)
+	out := make([][]uint64, p.h.n)
+	for i := range out {
+		out[i] = slices.Clone(bits[p.boffs[i]:p.boffs[i+1]])
+	}
+	return out
+}
+
+// testList is a sketch's bits taken apart under its file's header: its
+// entry and step counts, the codes of its steps after the owner's — index
+// deltas less one, or a raw float's bits — and the rest, its node codes
+// and β, a bit each.
+type testList struct {
+	n, r  uint64
+	codes []uint64
+	rest  []uint64
+}
+
+// testReadRice reads a Rice code of parameter b at bit at of bits, and
+// returns it and the position past it.
+func testReadRice(bits []uint64, at int, b uint64) (uint64, int) {
+	q := uint64(0)
+	for ; bits[at] == 0; at++ {
+		q++
+	}
+	x := q << b
+	for k := range b {
+		x |= bits[at+1+int(k)] << k
+	}
+	return x, at + 1 + int(b)
+}
+
+// decode takes sketch i apart.
+func (p *v3Parts) decode(i int) testList {
+	eb, sb, db := testParams(p.h)
+	bits := p.list(i)
+	var l testList
+	at := 0
+	l.n, at = testReadRice(bits, at, eb)
+	l.r, at = testReadRice(bits, at, sb)
+	l.n, l.r = l.n+1, l.r+1
+	for range l.r - 1 {
+		var c uint64
+		if p.h.numDistinct > 0 {
+			c, at = testReadRice(bits, at, db)
+		} else {
+			for k := range 64 {
+				c |= bits[at+k] << k
+			}
+			at += 64
+		}
+		l.codes = append(l.codes, c)
+	}
+	l.rest = bits[at:]
+	return l
+}
+
+// encode returns the bits of l under the file's header.
+func (p *v3Parts) encode(l testList) []uint64 {
+	eb, sb, db := testParams(p.h)
+	out := append(testRice(l.n-1, eb), testRice(l.r-1, sb)...)
+	for _, c := range l.codes {
+		if p.h.numDistinct > 0 {
+			out = append(out, testRice(c, db)...)
+		} else {
+			out = append(out, testRaw(c)...)
+		}
+	}
+	return append(out, l.rest...)
+}
+
+// recode changes sketch i by fn.
+func (p *v3Parts) recode(i int, fn func(l *testList)) {
+	lists := p.lists()
+	l := p.decode(i)
+	fn(&l)
+	lists[i] = p.encode(l)
+	p.setLists(lists)
+}
+
+// restep takes every sketch's steps apart into distances, lets fn change
+// the header and the dictionary, and codes the steps again under what it
+// left: through the dictionary, by index, or raw.
+func (p *v3Parts) restep(fn func(p *v3Parts)) {
+	dists := make([][]float64, p.h.n)
+	ls := make([]testList, p.h.n)
+	for i := range ls {
+		ls[i] = p.decode(i)
+		idx := uint64(0)
+		for _, c := range ls[i].codes {
+			if p.h.numDistinct > 0 {
+				idx += c + 1
+				dists[i] = append(dists[i], p.dict[idx])
+			} else {
+				dists[i] = append(dists[i], math.Float64frombits(c))
+			}
+		}
+	}
+	fn(p)
+	lists := make([][]uint64, p.h.n)
+	for i, l := range ls {
+		l.codes = l.codes[:0]
+		prev := uint64(0)
+		for _, d := range dists[i] {
+			if p.h.numDistinct > 0 {
+				at := uint64(slices.Index(p.dict, d))
+				l.codes, prev = append(l.codes, at-prev-1), at
+			} else {
+				l.codes = append(l.codes, math.Float64bits(d))
+			}
+		}
+		lists[i] = p.encode(l)
+	}
+	p.setLists(lists)
 }
 
 // hostileCompactFiles returns valid files — hop distances, whose steps go
 // through a dictionary, whole and as a partition; random edge lengths,
-// whose steps stay raw — and damaged copies, one per way the compact
-// columns can lie.  trusted marks the damage the file openers must catch
-// too: whatever would misplace a column, index the entries out of range,
-// or search a dictionary that is not one.  What is merely not the one
-// encoding of its entries — a code past the dictionary (read as its last
+// whose steps stay raw — and damaged copies, one per way the header's
+// counts, the dictionary and the steps can lie.  trusted marks the damage
+// the file openers must catch too: whatever would misplace a column, or
+// search a dictionary that is not one.  What is merely not the one
+// encoding of its entries — a step past the dictionary (read as its last
 // value), a dictionary value no step uses, raw steps a dictionary would
-// beat, codes out of order — is the validating stream readers' to refuse.
+// beat, counts the header's do not sum to — is the validating stream
+// readers' to refuse.
 func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, trusted map[string]bool) {
 	t.Helper()
 	o := Options{K: 4, Seed: 42}
@@ -155,59 +273,57 @@ func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, truste
 		damaged[from+": "+name], trusted[from+": "+name] = p.bytes(), open
 	}
 	raw := splitV3(t, valid["lengths"])
-	if raw.h.numDistinct != 0 || raw.offs[1] < 3 {
-		t.Fatalf("the random-length set codes its steps through %d values, %d entries in node 0: want raw steps and a longer first sketch", raw.h.numDistinct, raw.offs[1])
+	if raw.h.numDistinct != 0 || raw.decode(0).r < 3 {
+		t.Fatalf("the random-length set codes its steps through %d values, %d steps in node 0: want raw steps and a longer first sketch", raw.h.numDistinct, raw.decode(0).r)
 	}
 	for _, from := range []string{"hops", "partition"} {
 		p := splitV3(t, valid[from])
-		d, steps, nOff := p.h.numDistinct, p.h.numSteps, uint64(len(p.offs))
-		wc, wo := testWidth(d), testWidth(p.h.numEntries+1)
-		if d < 3 || d&(d-1) == 0 || steps*wc%64 == 0 || nOff*wo%64 == 0 || p.codes[0] != 0 || p.codes[1] != 1 || p.codes[2] != 2 {
-			t.Fatalf("%s: %d steps over %d values, %d offsets, first codes %v: want a dictionary that is not a power of two, spare bits in both packed columns and a first sketch reaching distance 2", from, steps, d, nOff, p.codes[:3])
+		d, steps := p.h.numDistinct, p.h.numSteps
+		if l := p.decode(1); d < 3 || l.r < 3 || l.codes[0] != 0 || l.codes[1] != 0 {
+			t.Fatalf("%s: %d steps over %d values, sketch 1's step codes %v: want a dictionary of 3 values at least and a second sketch reaching distance 2", from, steps, d, l.codes)
 		}
-		distinctAt := p.offsAt - 16
-		// The dictionary has to be one: non-negative, strictly ascending.
-		rebuilt("equal dictionary values", true, from, func(p *v3Parts) { p.dists[2] = p.dists[1] })
-		rebuilt("descending dictionary", true, from, func(p *v3Parts) { p.dists[1], p.dists[2] = p.dists[2], p.dists[1] })
-		rebuilt("NaN in the dictionary", true, from, func(p *v3Parts) { p.dists[1] = math.NaN() })
-		rebuilt("NaN ending the dictionary", true, from, func(p *v3Parts) { p.dists[d-1] = math.NaN() })
-		rebuilt("negative dictionary value", true, from, func(p *v3Parts) { p.dists[0] = -1 })
-		rebuilt("-0 after +0 in the dictionary", true, from, func(p *v3Parts) { p.dists[1] = math.Copysign(0, -1) })
-		// A code past it reads as its last value, never out of range; only
+		distinctAt := p.boffsAt - 16
+		// The dictionary has to be one: strictly ascending from 0.
+		rebuilt("equal dictionary values", true, from, func(p *v3Parts) { p.dict[2] = p.dict[1] })
+		rebuilt("descending dictionary", true, from, func(p *v3Parts) { p.dict[1], p.dict[2] = p.dict[2], p.dict[1] })
+		rebuilt("NaN in the dictionary", true, from, func(p *v3Parts) { p.dict[1] = math.NaN() })
+		rebuilt("NaN ending the dictionary", true, from, func(p *v3Parts) { p.dict[d-1] = math.NaN() })
+		rebuilt("negative dictionary value", true, from, func(p *v3Parts) { p.dict[0] = -1 })
+		rebuilt("a dictionary starting past 0", true, from, func(p *v3Parts) { p.dict[0] = 0.5 })
+		rebuilt("-0 after +0 in the dictionary", true, from, func(p *v3Parts) { p.dict[1] = math.Copysign(0, -1) })
+		// A step past it reads as its last value, never out of range; only
 		// the stream readers look.
-		rebuilt("a code past the dictionary", false, from, func(p *v3Parts) { p.codes[steps/2] = d })
-		rebuilt("the largest code the width spells", false, from, func(p *v3Parts) { p.codes[steps-1] = 1<<wc - 1 })
-		// One encoding: every value used, the smaller form, codes ascending.
+		rebuilt("a step past the dictionary", false, from, func(p *v3Parts) {
+			p.recode(1, func(l *testList) { l.codes[len(l.codes)-1] += d })
+		})
+		// One encoding: every value used, the smaller form.
 		rebuilt("an unused dictionary value", false, from, func(p *v3Parts) {
-			p.dists = append(p.dists, 99)
-			p.h.numDistinct++
+			p.restep(func(p *v3Parts) {
+				p.dict = append(p.dict, 99)
+				p.h.numDistinct++
+			})
 		})
 		rebuilt("an unused dictionary value in the middle", false, from, func(p *v3Parts) {
-			p.dists = append(p.dists[:2], append([]float64{1.5}, p.dists[2:]...)...)
-			for j, c := range p.codes {
-				if c >= 2 {
-					p.codes[j]++
-				}
-			}
-			p.h.numDistinct++
+			p.restep(func(p *v3Parts) {
+				p.dict = append(p.dict[:2], append([]float64{1.5}, p.dict[2:]...)...)
+				p.h.numDistinct++
+			})
 		})
 		rebuilt("raw steps where a dictionary is smaller", false, from, func(p *v3Parts) {
-			steps := make([]float64, len(p.codes))
-			for j, c := range p.codes {
-				steps[j] = p.dists[c]
-			}
-			p.dists, p.codes, p.h.numDistinct = steps, nil, 0
+			p.restep(func(p *v3Parts) { p.dict, p.h.numDistinct = nil, 0 })
 		})
-		rebuilt("codes that decrease within a segment", false, from, func(p *v3Parts) { p.codes[1], p.codes[2] = p.codes[2], p.codes[1] })
-		rebuilt("codes that repeat within a segment", false, from, func(p *v3Parts) { p.codes[2] = p.codes[1] })
 		// A uniform set has no weight scheme or epsilon (Params.Validate).
 		at := distinctAt - frameHdrSize
 		edit("a weight scheme on a uniform set", true, from, func(b []byte) { le.PutUint32(b[at+24:], uint32(PriorityWeights)) })
 		edit("an epsilon on a uniform set", true, from, func(b []byte) { le.PutUint64(b[at+32:], math.Float64bits(0.5)) })
-		// The header's counts place every column after them.
+		// The header's counts place every column after them, and fix the
+		// parameters of the sketches' codes.
 		edit("more values than steps", true, from, func(b []byte) { le.PutUint64(b[distinctAt:], steps+1) })
 		edit("no dictionary over codes", true, from, func(b []byte) { le.PutUint64(b[distinctAt:], 0) })
 		edit("a dictionary of one value fewer", true, from, func(b []byte) { le.PutUint64(b[distinctAt:], d-1) })
+		edit("fewer steps than sketches", true, from, func(b []byte) { le.PutUint64(b[distinctAt-8:], p.h.n-1) })
+		edit("a step more than the sketches hold", false, from, func(b []byte) { le.PutUint64(b[distinctAt-8:], steps+1) })
+		edit("an entry more than the sketches hold", false, from, func(b []byte) { le.PutUint64(b[distinctAt-16:], p.h.numEntries+1) })
 		for _, huge := range []uint64{1 << 61, 1<<61 - 1, 1 << 63, math.MaxUint64} {
 			edit(fmt.Sprintf("a dictionary of %#x values overflowing the body", huge), true, from, func(b []byte) { le.PutUint64(b[distinctAt:], huge) })
 			edit(fmt.Sprintf("%#x steps and half as many values overflowing the body", huge), true, from, func(b []byte) {
@@ -215,22 +331,12 @@ func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, truste
 				le.PutUint64(b[distinctAt:], huge/2)
 			})
 		}
-		// No bit of a packed column is set past its last value.
-		edit("a code bit past the last step", true, from, func(b []byte) { b[p.distsAt-1] |= 0x80 })
-		edit("an offset bit past the last offset", true, from, func(b []byte) { b[p.boffsAt-1] |= 0x80 })
 		cut := func(b []byte, at int64) []byte { return append(append([]byte(nil), b[:at]...), b[at+8:]...) }
 		pad := func(b []byte, at int64) []byte {
 			return append(append(append([]byte(nil), b[:at]...), make([]byte, 8)...), b[at:]...)
 		}
-		damaged[from+": offsets a word short"], trusted[from+": offsets a word short"] = cut(valid[from], p.boffsAt-8), true
-		damaged[from+": offsets a word long"], trusted[from+": offsets a word long"] = pad(valid[from], p.boffsAt), true
-		damaged[from+": codes a word short"], trusted[from+": codes a word short"] = cut(valid[from], p.distsAt-8), true
-		damaged[from+": codes a word long"], trusted[from+": codes a word long"] = pad(valid[from], p.distsAt), true
-		// The offsets still have to be offsets.
-		rebuilt("offsets that decrease", true, from, func(p *v3Parts) { p.offs[3], p.offs[4] = p.offs[4], p.offs[3] })
-		rebuilt("offsets that start past 0", true, from, func(p *v3Parts) { p.offs[0] = 1 })
-		rebuilt("offsets that end short of the entries", true, from, func(p *v3Parts) { p.offs[nOff-1]-- })
-		rebuilt("offsets that end past the entries", true, from, func(p *v3Parts) { p.offs[nOff-1]++ })
+		damaged[from+": dictionary a word short"], trusted[from+": dictionary a word short"] = cut(valid[from], p.dictAt), true
+		damaged[from+": dictionary a word long"], trusted[from+": dictionary a word long"] = pad(valid[from], p.dictAt), true
 		// Bit 4 is the layout: set on a body without it, clear on one with.
 		damaged[from+": the compact flag on 64-bit offsets"], trusted[from+": the compact flag on 64-bit offsets"] = func() []byte {
 			b := plainV3(t, valid[from])
@@ -243,22 +349,33 @@ func hostileCompactFiles(t testing.TB) (valid, damaged map[string][]byte, truste
 	// A dictionary where raw steps are smaller is refused on the header
 	// alone, however well it is formed.
 	rebuilt("a dictionary where raw is smaller", true, "lengths", func(p *v3Parts) {
-		dict := append([]float64(nil), p.dists...)
-		sort.Float64s(dict)
-		dict = dedupe(dict)
-		p.codes = make([]uint64, len(p.dists))
-		for j, d := range p.dists {
-			for dict[p.codes[j]] != d {
-				p.codes[j]++
+		p.restep(func(p *v3Parts) {
+			var all []float64
+			for i := range p.h.n {
+				l := p.decode(int(i))
+				all = append(all, 0)
+				for _, c := range l.codes {
+					all = append(all, math.Float64frombits(c))
+				}
 			}
-		}
-		p.dists, p.h.numDistinct = dict, uint64(len(dict))
+			sort.Float64s(all)
+			p.dict = dedupe(all)
+			p.h.numDistinct = uint64(len(p.dict))
+		})
 	})
 	// Raw steps lie the way steps always could.
-	rebuilt("equal steps", false, "lengths", func(p *v3Parts) { p.dists[2] = p.dists[1] })
-	rebuilt("decreasing steps", false, "lengths", func(p *v3Parts) { p.dists[1], p.dists[2] = p.dists[2], p.dists[1] })
-	rebuilt("NaN step", false, "lengths", func(p *v3Parts) { p.dists[1] = math.NaN() })
-	rebuilt("negative step", false, "lengths", func(p *v3Parts) { p.dists[0] = -1 })
+	rebuilt("equal steps", false, "lengths", func(p *v3Parts) {
+		p.recode(0, func(l *testList) { l.codes[1] = l.codes[0] })
+	})
+	rebuilt("decreasing steps", false, "lengths", func(p *v3Parts) {
+		p.recode(0, func(l *testList) { l.codes[0], l.codes[1] = l.codes[1], l.codes[0] })
+	})
+	rebuilt("NaN step", false, "lengths", func(p *v3Parts) {
+		p.recode(0, func(l *testList) { l.codes[0] = math.Float64bits(math.NaN()) })
+	})
+	rebuilt("negative step", false, "lengths", func(p *v3Parts) {
+		p.recode(0, func(l *testList) { l.codes[0] = math.Float64bits(-1) })
+	})
 	return valid, damaged, trusted
 }
 
@@ -270,49 +387,32 @@ func testRiceBits(l []Entry, total uint64, pos []uint64, k int) int64 {
 }
 
 // referenceSizes returns what the frame's own entries cost as a file,
-// worked out from the entries alone: in the layout every writer emits
-// (compact, its node IDs Rice-coded), in the one with 64 bits an offset, a
+// worked out from the entries alone: in the layout every writer emits (the
+// reference encoder's, canonicalV3), in the one with 64 bits an offset, a
 // float a step and fixed-width IDs (plain), with how many distance steps
 // they make and how many distinct values those are coded through (0: raw,
 // a dictionary being no smaller).
 func referenceSizes(f *Frame, partition bool) (compact, plain, steps, coded int64) {
 	words := func(n int64, w uint64) int64 { return (n*int64(w) + 63) / 64 }
-	var all []float64
-	var pos []uint64
-	if f.p.Kind == KindUniform {
-		pos = testRankPositions(f.p, uint64(f.total))
-	}
-	rice := int64(0)
-	for v := 0; v < f.n; v++ {
-		c := f.colsAt(v)
-		l := c.entries()
-		rice += testRiceBits(l, uint64(f.total), pos, f.p.K)
-		for i := range l {
-			if i == 0 || l[i].Dist != l[i-1].Dist {
-				all = append(all, l[i].Dist)
-			}
-		}
-	}
-	steps = int64(len(all))
-	sort.Float64s(all)
-	distinct := int64(len(dedupe(all)))
+	lists, betas := segmentLists(f)
+	h := headerOf(&Set{frame: f})
 	header := int64(framePreambleSize + frameHdrSize)
 	if partition {
+		h.innerKind, h.kind, h.total = h.kind, kindPartition, uint32(f.total)
 		header += framePartHdrSize
 	}
+	data := canonicalV3(h, lists, betas)
+	at := header // numDistinct
 	e, nOff := int64(f.totalEntries()), int64(f.n+1)
+	for _, l := range lists {
+		steps += int64(countSteps(l))
+	}
 	perEntry := int64(0)
 	if f.p.Kind == KindWeighted {
 		perEntry += 8 * e
 	}
-	stepBytes := 8 * steps
-	if b := 8*distinct + 8*words(steps, testWidth(uint64(distinct))); b < stepBytes {
-		stepBytes, coded = b, distinct
-	}
-	compact = header + 16 + 8*words(nOff, testWidth(uint64(e)+1)) + 8*words(nOff, testWidth(uint64(rice)+1)) +
-		8*words(nOff, testWidth(uint64(steps)+1)) + 8*words(rice, 1) + perEntry + stepBytes
 	plain = header + 8*nOff + 8*words(e, testWidth(uint64(f.total))) + 8*words(e, 1) + perEntry + 8*steps
-	return compact, plain, steps, coded
+	return int64(len(data)), plain, steps, int64(binary.LittleEndian.Uint64(data[at:]))
 }
 
 func dedupe(v []float64) []float64 {
@@ -345,10 +445,21 @@ func TestCompactColumnsRejectHostileInput(t *testing.T) {
 			t.Errorf("%s: the test does not put the file back together as it was", name)
 		}
 	}
-	if len(damaged) != 83 {
+	if len(damaged) != 69 {
 		t.Errorf("only %d damaged files: some cases share a name", len(damaged))
 	}
 	checkHostileFiles(t, damaged, trusted)
+}
+
+// testCodeBits returns the bits of the frame's node codes — its sketches'
+// bits less their counts, steps and β.
+func testCodeBits(f *Frame) int64 {
+	bits := int64(0)
+	for v := range f.n {
+		p := f.listAt(v).nodes
+		bits += p.end - p.bit
+	}
+	return bits
 }
 
 // testLengthBits returns the bits of the frame's run-length codes, as
@@ -386,9 +497,9 @@ func TestNodeCodesAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := set.frame
-	e, lengths := float64(f.totalEntries()), testLengthBits(f)
-	gaps := float64(f.nodeBits()-lengths) / e
-	t.Logf("%d entries, %d bits of node codes: %.3f an entry of gaps and %.3f of run lengths", f.totalEntries(), f.nodeBits(), gaps, float64(lengths)/e)
+	e, lengths, codes := float64(f.totalEntries()), testLengthBits(f), testCodeBits(f)
+	gaps := float64(codes-lengths) / e
+	t.Logf("%d entries, %d bits of node codes: %.3f an entry of gaps and %.3f of run lengths", f.totalEntries(), codes, gaps, float64(lengths)/e)
 	if gaps > 8.0 || float64(lengths)/e > 0.25 {
 		t.Errorf("the node codes take %.3f bits an entry of gaps and %.3f of run lengths, want at most 8.0 and 0.25", gaps, float64(lengths)/e)
 	}
@@ -437,7 +548,7 @@ func TestNodeCodesNoLargerPerFamily(t *testing.T) {
 		// numNodeBits, the header's last word.
 		at := framePreambleSize + frameHdrSize + 8
 		data := v3Bytes(t, set)
-		now, before := uint64(set.frame.nodeBits()-testLengthBits(set.frame)), binary.LittleEndian.Uint64(rankedV3(t, data)[at:])
+		now, before := uint64(testCodeBits(set.frame)-testLengthBits(set.frame)), binary.LittleEndian.Uint64(rankedV3(t, data)[at:])
 		t.Logf("%s: %d bits of gap codes, %d at one parameter a run (%+.1f%%)", tc.name, now, before, 100*(float64(now)/float64(before)-1))
 		if float64(now) > 1.01*float64(before) {
 			t.Errorf("%s: %d bits of gap codes, more than 1%% over the %d of one parameter a run", tc.name, now, before)
@@ -447,19 +558,18 @@ func TestNodeCodesNoLargerPerFamily(t *testing.T) {
 
 // TestFileBytesNoLargerPerFamily: on every graph family (familyGraphs),
 // on preferential attachment with random edge lengths, and for a weighted
-// set, the file takes at most 1% more bytes than the layout before run
-// lengths and step offsets replaced the step bits (the retired 0xfe
-// layout's writer, and 0x3e's for the weighted set): the step offsets and
-// lengths must not buy the benchmark's saving with another family's
-// bytes.  Skipped under -short: the builds take a few seconds.
+// set, the file takes no more bytes than the layout before each sketch's
+// counts, steps and β came inline in its bit range (the retired 0x1fe
+// layout's writer, and 0x13e's for the weighted set): the inline counts
+// and step codes must not buy the benchmark's saving with another
+// family's bytes.  Skipped under -short: the builds take a few seconds.
 func TestFileBytesNoLargerPerFamily(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds ten-thousand-node sets")
 	}
 	type family struct {
-		name   string
-		set    *Set
-		parent func(testing.TB, []byte) []byte
+		name string
+		set  *Set
 	}
 	var families []family
 	build := func(name string, g *graph.Graph, k int) {
@@ -467,7 +577,7 @@ func TestFileBytesNoLargerPerFamily(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		families = append(families, family{name, set, adaptiveV3})
+		families = append(families, family{name, set})
 	}
 	for _, tc := range familyGraphs() {
 		build(tc.name, tc.g, tc.k)
@@ -482,13 +592,14 @@ func TestFileBytesNoLargerPerFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	families = append(families, family{"pa weighted", weighted, riceV3})
+	families = append(families, family{"pa weighted", weighted})
 	for _, fm := range families {
 		data := v3Bytes(t, fm.set)
-		now, before := len(data), len(fm.parent(t, data))
-		t.Logf("%s: %d bytes, %d with step bits (%+.1f%%)", fm.name, now, before, 100*(float64(now)/float64(before)-1))
-		if float64(now) > 1.01*float64(before) {
-			t.Errorf("%s: %d bytes, more than 1%% over the %d with step bits", fm.name, now, before)
+		now, before := len(data), len(runLengthsV3(t, data))
+		nodes := float64(fm.set.NumNodes())
+		t.Logf("%s: %d bytes, %d with offset columns (%+.1f%%, %.1f B/node less)", fm.name, now, before, 100*(float64(now)/float64(before)-1), float64(before-now)/nodes)
+		if now > before {
+			t.Errorf("%s: %d bytes, more than the %d with offset columns", fm.name, now, before)
 		}
 	}
 }
@@ -507,12 +618,14 @@ func TestBenchmarkFrameBytes(t *testing.T) {
 	h := headerOf(set)
 	want := []ColumnSize{
 		{"header", 96},
-		{"offsets", 26256},      // 10001 offsets × 21 bits
-		{"bit offsets", 28760},  // 10001 offsets × 23 bits
-		{"step offsets", 20008}, // 10001 offsets × 16 bits
-		{"nodes", 1018976},      // 1272677 entries' adaptive rank-ordered Rice codes, 7929839 bits, and 32617 run lengths', 221917: 6.41 an entry, against 14 fixed
-		{"step codes", 19736},   // 52617 steps × 3 bits
-		{"dictionary", 48},      // 6 distances
+		{"bit offsets", 28760}, // 10001 offsets × 23 bits
+		// 8318628 bits: the counts' codes, 124255 (eb 6, sb 2: 12.4 a
+		// sketch); the steps', 42617, one bit a step past the owner's, each
+		// the next distance of the dictionary; and 1272677 entries' adaptive
+		// rank-ordered Rice codes, 7929839 bits, with 32617 run lengths',
+		// 221917: 6.41 an entry, against 14 fixed.
+		{"nodes", 1039832},
+		{"dictionary", 48}, // 6 distances
 	}
 	got := h.columns()
 	total := int64(0)
@@ -522,18 +635,27 @@ func TestBenchmarkFrameBytes(t *testing.T) {
 			t.Errorf("column %d is %+v, want %+v", i, c, want[min(i, len(want)-1)])
 		}
 	}
-	if len(got) != len(want) || total != 1113880 || int64(len(v3Bytes(t, set))) != total {
-		t.Errorf("%d columns, %d bytes in all, %d written: want %d columns and 1113880 bytes", len(got), total, len(v3Bytes(t, set)), len(want))
+	if len(got) != len(want) || total != 1068736 || int64(len(v3Bytes(t, set))) != total {
+		t.Errorf("%d columns, %d bytes in all, %d written: want %d columns and 1068736 bytes", len(got), total, len(v3Bytes(t, set)), len(want))
 	}
-	if h.numEntries != 1272677 || h.numSteps != 52617 || h.numDistinct != 6 || h.numNodeBits != 8151756 {
-		t.Errorf("%d entries, %d steps, %d distinct distances, %d bits of node codes: want 1272677, 52617, 6, 8151756", h.numEntries, h.numSteps, h.numDistinct, h.numNodeBits)
+	if h.numEntries != 1272677 || h.numSteps != 52617 || h.numDistinct != 6 || h.numNodeBits != 8318628 {
+		t.Errorf("%d entries, %d steps, %d distinct distances, %d bits of sketches: want 1272677, 52617, 6, 8318628", h.numEntries, h.numSteps, h.numDistinct, h.numNodeBits)
 	}
-	// The gaps' codes are the retired 0xfe layout's, bit for bit: what the
-	// nodes grew by is the lengths.
-	if before := binary.LittleEndian.Uint64(adaptiveV3(t, v3Bytes(t, set))[framePreambleSize+frameHdrSize+8:]); before != 7929839 {
+	if codes := testCodeBits(set.frame); codes != 8151756 {
+		t.Errorf("the node codes take %d bits, want 8151756", codes)
+	}
+	// The gaps' codes are the retired 0xfe layout's, bit for bit, and the
+	// node codes with their lengths the 0x1fe layout's, whose offsets,
+	// step offsets and step codes the counts and steps replace: that file
+	// is 1113880 bytes, 111.39 a node.
+	data := v3Bytes(t, set)
+	if before := binary.LittleEndian.Uint64(adaptiveV3(t, data)[framePreambleSize+frameHdrSize+8:]); before != 7929839 {
 		t.Errorf("the same set's codes without run lengths take %d bits, want 7929839", before)
 	}
-	if frame := MemoryOf(set); frame != total-96+48+12*10000 {
-		t.Errorf("the frame holds %d bytes, want the file's columns, the dictionary's use counts and the rank order's node and rank a node", frame)
+	if runs := runLengthsV3(t, data); len(runs) != 1113880 || binary.LittleEndian.Uint64(runs[framePreambleSize+frameHdrSize+8:]) != 8151756 {
+		t.Errorf("the same set in the 0x1fe layout is %d bytes, want 1113880 with 8151756 bits of node codes", len(runs))
+	}
+	if frame := MemoryOf(set); frame != total-96+12*10000 {
+		t.Errorf("the frame holds %d bytes, want the file's columns and the rank order's node and rank a node", frame)
 	}
 }

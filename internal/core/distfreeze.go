@@ -7,10 +7,10 @@ import "fmt"
 // entry lists directly into a partition *Set, without the full set ever
 // existing in one process.  FreezePartition produces partitions whose
 // serialization is byte-identical to splitting a whole-set build of the
-// same entries — writeFrameV3 rebases offsets to the frame's first entry
-// and headerOf takes the envelope from the set's place in the split, so a
-// compact worker-local frame and a SplitSketchSet slice of the full frame
-// render the same bytes.
+// same entries — writeFrameV3 codes a slice's sketches under its own
+// counts and dictionary (Frame.own) and headerOf takes the envelope from
+// the set's place in the split, so a compact worker-local frame and a
+// SplitSketchSet slice of the full frame render the same bytes.
 
 // FreezePartition assembles one partition of a set of parameters p from its
 // per-node entry lists — lists[i] belongs to global node lo+i, in canonical
@@ -66,14 +66,20 @@ func FreezeLists(p Params, index, count, total int, lists [][]Entry, beta []floa
 	if err != nil {
 		return nil, fmt.Errorf("core: FreezeLists: %w", err)
 	}
-	f, err := freezeFrame(p, lo, total, lists)
+	entries := 0
+	for _, l := range lists {
+		entries += len(l)
+	}
+	if weighted := p.Kind == KindWeighted; weighted && len(beta) != entries || !weighted && len(beta) != 0 {
+		return nil, fmt.Errorf("core: FreezeLists: %d weights for %d entries of a %v set", len(beta), entries, p.Kind)
+	}
+	if len(beta) == 0 {
+		beta = nil
+	}
+	f, err := freezeFrame(p, lo, total, lists, beta)
 	if err != nil {
 		return nil, fmt.Errorf("core: FreezeLists: %w", err)
 	}
-	if weighted := p.Kind == KindWeighted; weighted && len(beta) != f.totalEntries() || !weighted && len(beta) != 0 {
-		return nil, fmt.Errorf("core: FreezeLists: %d weights for %d entries of a %v set", len(beta), f.totalEntries(), p.Kind)
-	}
-	f.beta = beta
 	if !ranked {
 		lists = nil
 	}

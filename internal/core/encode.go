@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 )
 
 // The stream reader.  Everything this tree writes — and everything it
@@ -33,7 +34,8 @@ const (
 const kindPartition uint32 = 3
 
 // MemoryOf reports what a set's columns hold in memory (heap, or mapping
-// for an mmap'd file): offsets, packed nodes, distance step code, β.  The
+// for an mmap'd file): bit offsets, the sketches' bits, the dictionary and
+// a uniform set's rank order.  The
 // HIP indexes a server builds per queried node are its cache's to count.
 func MemoryOf(s *Set) int64 { return s.frame.bytes() }
 
@@ -99,10 +101,44 @@ func ReadSketchSet(r io.Reader) (*Set, error) {
 	if err := validateFrame(f, nil); err != nil {
 		return nil, fmt.Errorf("core: corrupt sketch file: %w", err)
 	}
-	if !f.steps.canonical() {
-		return nil, fmt.Errorf("core: corrupt sketch file: its %d distance steps are not in their one encoding (%d dictionary values)", f.steps.n, len(f.steps.dict))
+	if err := f.canonical(); err != nil {
+		return nil, fmt.Errorf("core: corrupt sketch file: %w", err)
 	}
 	return set, nil
+}
+
+// canonical checks that the frame's sketches hold the entries and steps its
+// header claims, and that their steps are the one coding of their values:
+// through a dictionary of exactly their distinct values where one wins
+// (which the header's counts showed it does), raw where none would.
+func (f *Frame) canonical() error {
+	dict := f.node.lc.dict
+	var entries, steps int64
+	var raw []float64
+	used := make([]bool, len(dict))
+	for v := range f.n {
+		l := f.listAt(v)
+		entries, steps = entries+int64(l.nodes.n), steps+int64(l.sd.n)
+		if dict == nil {
+			raw = l.sd.appendSteps(raw)
+			continue
+		}
+		r := l.sd.reader()
+		for range l.sd.n {
+			r.next()
+			used[r.idx] = true
+		}
+	}
+	if entries != f.entries || steps != f.steps {
+		return fmt.Errorf("its sketches hold %d entries in %d distance steps, its header claims %d in %d", entries, steps, f.entries, f.steps)
+	}
+	if at := slices.Index(used, false); at >= 0 {
+		return fmt.Errorf("its distance dictionary holds %g, which no step is at", dict[at])
+	}
+	if d := distinctSteps(raw); dict == nil && dictWins(int64(len(d)), steps, int64(f.n)) {
+		return fmt.Errorf("its %d distance steps are raw, where a dictionary of their %d values is smaller", steps, len(d))
+	}
+	return nil
 }
 
 // validateFrame checks the structural invariants of every sketch of a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -12,30 +13,31 @@ import (
 
 // Frozen columnar sketch storage.  A built sketch set never mutates, so
 // instead of one heap object (and one entry slice) per node, every set
-// owns a single Frame: an offsets array plus parallel entry columns shared
-// by all of its sketches.  The sketch types (ADS, WeightedADS) are
-// lightweight views over column slices — constructing
-// one allocates a small header, never entry data — and a node's HIP query
-// index views them too, holding only its weights and sums (Index).  A
-// million-node set is a handful of large allocations instead of millions
-// of small ones, splitting a set into partitions is offset slicing, and
-// the version-3 codec serializes the columns verbatim, so opening a
-// prebuilt file is O(columns) work (and zero copies when mmapped).
+// owns a single Frame: a bit offset a node into one stream that holds
+// every list, each in a bit range of its own.  The sketch types (ADS,
+// WeightedADS) are lightweight views over the stream — constructing one
+// allocates its decoded nodes, never a copy of the frame — and a node's
+// HIP query index views it too, holding only its weights and sums
+// (Index).  A million-node set is a handful of large allocations instead
+// of millions of small ones, splitting a set into partitions is offset
+// slicing, and the version-3 codec serializes the stream verbatim, so
+// opening a prebuilt file is O(columns) work (and zero copies when
+// mmapped).
 //
-// A frame holds, per entry, a node ID Rice-coded within its run of equal
+// A list's range holds its entry and step counts, Rice-coded; its steps
+// but the owner's, each a code of a few bits into the frame's dictionary
+// of distances where they are few, a float where they are not
+// (stepcode.go); per entry, a node ID Rice-coded within its run of equal
 // distance — in a uniform set as its position in the set's rank order,
-// below the run's bottom-k bound, at a parameter adapted gap by gap, and
-// no code for the owner (nodepack.go: 6.2 bits at ten thousand nodes) —
-// and — for weighted sets — β; per run, a code of its length (but the
-// owner's and the last of a list, which its counts imply); per distinct
-// distance of a sketch, one step: a code of a few bits into the frame's
-// dictionary of distances where they are few, a float where they are not
-// (stepcode.go); per node, an entry offset, a bit offset and a step
-// offset; and no ranks.  No integer column is wider than the frame's own
-// counts make it.  Distances are a staircase in canonical order, so they
-// are stored as its steps, each as many entries long as its run.  A rank
-// is a pure function of the seed and the node (and of β, which travels
-// with the entry), so it is derived when asked for.
+// below the run's bottom-k bound, at a parameter adapted gap by gap, and no
+// code for the owner (nodepack.go: 6.2 bits at ten thousand nodes) — and
+// per run a code of its length (but the owner's and the last of a list,
+// which its counts imply); and, for weighted sets, a β an entry.  No
+// integer is wider than the frame's own counts make it, and no rank is
+// stored.  Distances are a staircase in canonical order, so they are
+// stored as its steps, each as many entries long as its run.  A rank is a
+// pure function of the seed and the node (and of β, which travels with
+// the entry), so it is derived when asked for.
 
 // ranker derives the rank of an entry from what its frame records: the
 // seed, the base of a uniform set, the scheme of a weighted one.  It is the
@@ -75,10 +77,9 @@ func (r *ranker) rank(node int32, beta float64) float64 {
 	return x
 }
 
-// cols is one columnar entry list: the columns of a contiguous entry
-// range, in canonical (distance, node ID) order.  A cols either views a
-// frame's shared columns (frozen sketches) or owns private slices (a
-// sketch rebuilt from entries, colsFromEntries).  Its nodes are per entry,
+// cols is one columnar entry list, in canonical (distance, node ID)
+// order.  A cols either views a frame's stream (frozen sketches) or owns
+// private slices (a sketch rebuilt from entries, colsFromEntries).  Its nodes are per entry,
 // a frame's decoded from its codes, which decode in order only, with its
 // runs' ends; its ranks and distances are per entry when rank and dist are
 // non-nil — a rebuilt sketch's own columns, or the scratch rankScratch
@@ -186,44 +187,51 @@ func colsFromEntries(entries []Entry) cols {
 }
 
 // Frame is the frozen columnar storage of one sketch set: one entry list
-// per node, described by an offsets column over shared entry columns.
-// Offsets are absolute positions into the columns (local node v's entries
-// start at entry off[v], its node codes at bit boff[v] of node and its
-// steps at step soff[v]), so slicing a frame to a node range
-// (partitioning) is a window on the offsets — off0 moves, no entry does.
-// A slice also shares its parent's step column, dictionary and all; only a
-// written partition carries the dictionary of its own steps.  base is the global ID of local
+// per node, each a bit range of the node stream, which the bit offsets
+// column places.  Offsets are absolute positions into the stream (local
+// node v's list is bits [boff[v], boff[v+1])), so slicing a frame to a
+// node range (partitioning) is a window on the offsets — off0 moves, no
+// bit does.  A slice also shares its parent's stream, and so the counts,
+// dictionary and all its lists were coded under; only a written partition
+// codes its lists under its own (own).  base is the global ID of local
 // node 0 (non-zero for partition frames) and total the node count of the
-// whole set the frame is (a range of): what its entries' IDs are below, and
-// so what fixes their codes' parameters.
+// whole set the frame is (a range of): what its entries' IDs are below,
+// and so what fixes their codes' parameters.
 type Frame struct {
-	p     Params // what the set is; the ranker derives from it
-	n     int
-	base  int32
-	total int
-	off   packedColumn // absolute entry positions, offsetWidth(the column's last) bits each, packed
-	boff  packedColumn // absolute positions in node of each list's codes, packed likewise
-	soff  packedColumn // absolute positions in steps of each list's first step, packed likewise
-	off0  int64        // position in off, boff and soff of local node 0's offset; n+1 of them are the frame's
-	node  nodeStream   // every list's IDs and run lengths, Rice-coded run by run (nodepack.go); its total is the frame's
-	steps stepColumn   // one distance per run of equal distance of a list
-	beta  []float64    // weighted sets: β per entry, parallel to the entries
-	by    ranker       // derives the ranks
+	p              Params // what the set is; the ranker derives from it
+	n              int
+	base           int32
+	total          int
+	entries, steps int64        // what the frame's own lists hold
+	boff           packedColumn // absolute positions in node of each list, offsetWidth(the column's last) bits each, packed
+	off0           int64        // position in boff of local node 0's offset; n+1 of them are the frame's
+	node           nodeStream   // every list: its counts, steps, IDs and run lengths, and β (nodepack.go)
+	by             ranker       // derives the ranks
+}
+
+// newFrame returns the frame, its lists still to code, of the nodes lists
+// of nodes base, base+1, ... of a total-node set of p, which hold entries
+// entries whose distance steps, list by list, are raw, their node codes in
+// the rank order order.
+func newFrame(p Params, base int32, total, nodes int, entries int64, raw []float64, order *rankOrder) *Frame {
+	f := &Frame{p: p, n: nodes, base: base, total: total, entries: entries, steps: int64(len(raw)), by: newRanker(p)}
+	f.node = nodeStream{lc: newListCodec(int64(nodes), entries, f.steps, raw), total: total, order: order, k: p.K}
+	return f
 }
 
 // freezeWhole is freezeFrame for a whole set: local node 0 is node 0, and
 // the lists are all there are.
-func freezeWhole(p Params, lists [][]Entry) (*Frame, error) {
-	return freezeFrame(p, 0, len(lists), lists)
+func freezeWhole(p Params, lists [][]Entry, beta []float64) (*Frame, error) {
+	return freezeFrame(p, 0, len(lists), lists, beta)
 }
 
 // freezeFrame assembles the entry lists of nodes base... (node base+i's is
-// lists[i]) of a total-node set of parameters p into one frame.  The
-// entries' Rank fields are not kept; a list whose node IDs have no code
-// (nodeWriter.flush) is refused, and callers that did not draw the entries
-// from p and the set themselves check the rest against the frame's
-// (validate).
-func freezeFrame(p Params, base int32, total int, lists [][]Entry) (*Frame, error) {
+// lists[i]) of a total-node set of parameters p into one frame, beta being
+// a weighted set's β an entry, list after list.  The entries' Rank fields
+// are not kept; a list that has no code (nodeWriter) is refused, and
+// callers that did not draw the entries from p and the set themselves
+// check the rest against the frame's (validate).
+func freezeFrame(p Params, base int32, total int, lists [][]Entry, beta []float64) (*Frame, error) {
 	entries, steps := 0, 0
 	for _, l := range lists {
 		entries += len(l)
@@ -233,18 +241,32 @@ func freezeFrame(p Params, base int32, total int, lists [][]Entry) (*Frame, erro
 			}
 		}
 	}
-	pk := newFramePacker(p, base, total, len(lists), entries, steps)
+	raw := make([]float64, 0, steps)
 	for _, l := range lists {
-		pk.list()
-		for j, e := range l {
-			pk.add(e.Dist, isStep(l, j))
+		for j := range l {
+			if isStep(l, j) {
+				raw = append(raw, l[j].Dist)
+			}
 		}
 	}
-	f := pk.frame()
-	err := f.codeNodes(newRankOrder(p, total), f.codeBits(), 0, func(w *nodeWriter, i int) {
-		for j, e := range lists[i] {
-			w.add(e.Node, isStep(lists[i], j))
+	f := newFrame(p, base, total, len(lists), int64(entries), raw, newRankOrder(p, total))
+	var at []int // a weighted set's: where each list's β start
+	if beta != nil {
+		at = make([]int, len(lists)+1)
+		for i, l := range lists {
+			at[i+1] = at[i] + len(l)
 		}
+	}
+	var pos []int32
+	if f.node.order != nil {
+		pos = f.node.order.positions()
+	}
+	err := f.codeNodes(pos, f.codeBits(), 0, func(w *nodeWriter, i int) {
+		var b []float64
+		if at != nil {
+			b = beta[at[i]:at[i+1]]
+		}
+		w.entryList(f.owner(i), lists[i], b)
 	})
 	if err != nil {
 		return nil, err
@@ -255,101 +277,91 @@ func freezeFrame(p Params, base int32, total int, lists [][]Entry) (*Frame, erro
 // isStep reports whether entry j of l starts a distance step.
 func isStep(l []Entry, j int) bool { return j == 0 || l[j].Dist != l[j-1].Dist }
 
-// framePacker packs a frame's offsets and steps from its entries, fed in
-// order — list starts each entry list, add appends an entry's distance to
-// it — in one pass, and frame hands the frame over for its node codes
-// (Frame.codeNodes): freezeFrame feeds it entry lists, and an Algorithm 1
-// build on an unweighted graph (hopFrame) its passes' packed keys.
-type framePacker struct {
-	f      *Frame
-	step   []float64
-	listAt int64 // lists started
-	pos    int64 // entries added
-}
-
-// newFramePacker returns the packer of the frame of the entry lists of
-// nodes base, base+1, ... — nodes of them — of a total-node set of
-// parameters p, which hold entries entries and steps distance steps in
-// all.
-func newFramePacker(p Params, base int32, total, nodes, entries, steps int) framePacker {
-	return framePacker{
-		f: &Frame{
-			p: p, n: nodes, base: base, total: total,
-			off:  makePackedColumn(int64(nodes+1), offsetWidth(int64(entries))),
-			soff: makePackedColumn(int64(nodes+1), offsetWidth(int64(steps))),
-			by:   newRanker(p),
-		},
-		step: make([]float64, 0, steps),
+// entryList codes the list l of node owner whole — its counts, steps and
+// IDs — and, when beta is non-nil, its entries' β.
+func (w *nodeWriter) entryList(owner int32, l []Entry, beta []float64) {
+	steps := 0
+	for j := range l {
+		if isStep(l, j) {
+			steps++
+		}
+	}
+	w.list(owner, len(l), steps)
+	for j := range l {
+		if isStep(l, j) {
+			w.step(l[j].Dist)
+		}
+	}
+	for j, e := range l {
+		w.add(e.Node, isStep(l, j))
+	}
+	w.flush()
+	for _, b := range beta {
+		w.putRaw(math.Float64bits(b))
 	}
 }
 
-func (pk *framePacker) list() {
-	pk.f.off.put(pk.listAt, uint64(pk.pos))
-	pk.f.soff.put(pk.listAt, uint64(len(pk.step)))
-	pk.listAt++
-}
-
-// add appends an entry at distance dist, which starts a distance step of
-// its list when step is set.
-func (pk *framePacker) add(dist float64, step bool) {
-	if step {
-		pk.step = append(pk.step, dist)
+// copyList appends local node v's list of src, whose lists are coded as
+// w's are when same: its bits as they are, or else its counts and steps
+// coded afresh and its node codes and β copied.
+func (w *nodeWriter) copyList(src *Frame, v int, same bool) {
+	lo, hi := src.bitAt(v), src.bitAt(v+1)
+	if same {
+		w.copy(src.node.words, lo, hi-lo)
+		return
 	}
-	pk.pos++
+	l := src.listAt(v)
+	w.list(src.owner(v), l.nodes.n, l.nodes.steps)
+	r := l.sd.reader()
+	for range l.nodes.steps {
+		w.step(r.next())
+	}
+	w.copy(src.node.words, l.nodes.bit, hi-l.nodes.bit)
 }
 
-// codeBits returns what the frame's node codes are expected to take, to
-// size their writers: b+2 bits an entry, b the Rice parameter of the mean
-// run m below the node count or, rank-ordered, below √(k·total) — the
-// bound's geometric mean along a list — and log₂ m + 1 bits a run.
+// codeBits returns what the frame's lists are expected to take, to size
+// their writers: b+2 bits an entry, b the Rice parameter of the mean run m
+// below the node count or, rank-ordered, below √(k·total) — the bound's
+// geometric mean along a list — log₂ m + 1 bits a run, the counts' codes
+// and the steps', and 64 bits a β.
 func (f *Frame) codeBits() int64 {
-	elo, ehi := f.entryRange()
-	slo, shi := f.stepRange()
-	e, runs := ehi-elo, max(shi-slo, 1)
+	e, runs, n, lc := f.entries, max(f.steps, 1), int64(f.n), &f.node.lc
 	lm, lt, lk := int64(bits.Len64(uint64(e/runs))), int64(bits.Len64(uint64(f.total))), int64(bits.Len64(uint64(f.p.K)))
 	half := 2*(lt-lm) + 4 // 2(b+2): b to the half bit
 	if f.p.Kind == KindUniform {
 		half = 2*lk + lt - lk - 2*lm + 4
 	}
-	return e*max(half, 2)/2 + runs*(lm+1)
-}
-
-// frame returns the packed frame, its node codes still to code.
-func (pk *framePacker) frame() *Frame {
-	pk.f.off.put(pk.listAt, uint64(pk.pos))
-	pk.f.soff.put(pk.listAt, uint64(len(pk.step)))
-	pk.f.steps = makeStepColumn(pk.step)
-	return pk.f
+	b := e*max(half, 2)/2 + runs*(lm+1) + n*int64(lc.eb+lc.sb+4) + (f.steps-n)*64
+	if lc.dict != nil {
+		b -= (f.steps - n) * int64(63-lc.db)
+	}
+	if f.p.Kind == KindWeighted {
+		b += 64 * e
+	}
+	return max(b, 0) // lists with no entries, which the writer refuses, make it negative
 }
 
 // minCoderNodes is the fewest lists codeNodes gives a goroutine of its own.
 const minCoderNodes = 1024
 
-// codeNodes codes the node column of the frame's entry lists, whose
-// offsets and step offsets are in place, in the rank order order (nil for
-// the IDs as they are): fill adds list i's IDs to a writer that has
-// started it.  Up to workers goroutines (<= 0: GOMAXPROCS) each code a
-// node range (splitSpan) into a stream of their own, sized by bits, a
-// guess at the column's length (codeBits), and the streams are joined as
-// bit ranges, so the bytes are the same for every count.  It returns the
-// first list, in node order, whose IDs have no code.
-func (f *Frame) codeNodes(order *rankOrder, bits int64, workers int, fill func(w *nodeWriter, i int)) error {
+// codeNodes codes the node stream of the frame's lists, under the codec
+// and rank order f.node holds — pos being the order's positions, or nil
+// where fill does not code IDs under them: fill codes list i whole with a
+// writer that has ended list i−1.  Up to workers goroutines (<= 0:
+// GOMAXPROCS) each code a node range (splitSpan) into a stream of their
+// own, sized by bits, a guess at the stream's length (codeBits), and the
+// streams are joined as bit ranges, so the bytes are the same for every
+// count.  It returns the first list, in node order, that has no code.
+func (f *Frame) codeNodes(pos []int32, bits int64, workers int, fill func(w *nodeWriter, i int)) error {
 	n := f.n
-	var pos []int32
-	if order != nil {
-		pos = order.positions()
-	}
 	workers = max(1, min(passWorkers(workers, n), n/minCoderNodes))
 	ws := make([]nodeWriter, workers)
 	boff := make([]uint64, n+1)
 	fanOut(workers, func(w int) {
 		lo, hi := splitSpan(w, workers, n)
-		wr := newNodeWriter(f.total, bits/int64(workers), pos, f.p.K)
+		wr := newNodeWriter(&f.node.lc, f.total, bits/int64(workers), pos, f.p.K)
 		for i := lo; i < hi && wr.err == nil; i++ {
 			boff[i] = uint64(wr.bits())
-			elo, ehi := f.span(i)
-			slo, shi := f.stepSpan(i)
-			wr.list(f.base+int32(i), int(ehi-elo), int(shi-slo))
 			fill(&wr, i)
 		}
 		wr.flush()
@@ -377,117 +389,179 @@ func (f *Frame) codeNodes(order *rankOrder, bits int64, workers int, fill func(w
 			at += b
 		}
 	}
-	f.boff, f.node = packOffsets(boff), nodeStream{words: words, total: f.total, order: order, k: f.p.K}
+	f.boff, f.node.words = packOffsets(boff), words
 	return nil
 }
 
-// ownSteps returns the frame's steps as a column of their own: the
-// frame's, when its node range uses all of it, and otherwise — a slice of
-// a larger frame, whose dictionary may hold distances only its siblings
-// reach — the canonical column of just those steps, which is what a
-// partition file carries.
-func (f *Frame) ownSteps() *stepColumn {
-	slo, shi := f.stepRange()
-	if slo == 0 && shi == f.steps.n {
-		return &f.steps
+// own returns the frame as the one encoding of its own node range: itself,
+// when its stream was coded for exactly its lists, and otherwise — a slice
+// of a larger frame, whose counts and dictionary are its siblings' too —
+// its lists coded under their own (joinFrames), which is what a partition
+// file carries.
+func (f *Frame) own() *Frame {
+	if f.off0 == 0 && int64(f.n) == f.node.lc.nodes {
+		return f
 	}
-	own := makeStepColumn(f.steps.appendRaw(make([]float64, 0, shi-slo), slo, shi))
-	return &own
+	return joinFrames([]*Frame{f}, f.base, f.total)
 }
 
-// ownOffsets returns the frame's offsets c — f.off or f.boff — as a
-// column of their own, from 0: the frame's, when they are that already,
-// and otherwise — a slice's window on its parent's — rebased and packed at
-// the width the frame's own range needs, so that a sliced partition is
-// written as the bytes of one that was loaded or frozen by itself.
-func (f *Frame) ownOffsets(c *packedColumn) *packedColumn {
-	n := int64(f.numOffsets())
-	lo, hi := int64(c.get(f.off0)), int64(c.get(f.off0+n-1))
-	if f.off0 == 0 && lo == 0 && c.w == offsetWidth(hi) && c.holds(n) {
-		return c
+// joinFrames codes the lists of frames, in order — nodes base... of a
+// total-node set — as one frame of their own, under the counts and
+// dictionary of their own steps: each list's bits copied where its frame
+// codes it as the result does, and otherwise its counts and steps coded
+// afresh around its node codes and β, which are copied as bit ranges.  The
+// frames share the set's node count and rank order, which their node codes
+// are coded under.
+func joinFrames(frames []*Frame, base int32, total int) *Frame {
+	first := frames[0]
+	nodes, entries, steps, bits := 0, int64(0), int64(0), int64(0)
+	for _, f := range frames {
+		nodes, entries, steps, bits = nodes+f.n, entries+f.entries, steps+f.steps, bits+f.nodeBits()
 	}
-	own := makePackedColumn(n, offsetWidth(hi-lo))
-	for i := int64(0); i < n; i++ {
-		own.put(i, c.get(f.off0+i)-uint64(lo))
+	raw := make([]float64, 0, steps)
+	for _, f := range frames {
+		for v := range f.n {
+			raw = f.listAt(v).sd.appendSteps(raw)
+		}
 	}
-	return &own
+	out := newFrame(first.p, base, total, nodes, entries, raw, first.node.order)
+	fi, at := 0, 0 // the frame of list i, and its first list's i
+	same := frames[0].node.lc.same(&out.node.lc)
+	out.codeNodes(nil, bits+bits/16, 1, func(w *nodeWriter, i int) {
+		for i-at >= frames[fi].n {
+			at += frames[fi].n
+			fi++
+			same = frames[fi].node.lc.same(&out.node.lc)
+		}
+		w.copyList(frames[fi], i-at, same)
+	})
+	return out
 }
-
-// offAt returns offset i of the frame: the position of the first entry of
-// local node i, or the end of its last node's.
-func (f *Frame) offAt(i int) int64 { return int64(f.off.get(f.off0 + int64(i))) }
 
 // bitAt returns bit offset i of the frame: the position in the node stream
-// of local node i's first code, or the end of its last node's codes.
+// of local node i's list, or the end of its last node's.
 func (f *Frame) bitAt(i int) int64 { return int64(f.boff.get(f.off0 + int64(i))) }
 
-// stepAt returns step offset i of the frame: the position in the step
-// column of local node i's first step, or the end of its last node's.
-func (f *Frame) stepAt(i int) int64 { return int64(f.soff.get(f.off0 + int64(i))) }
-
-// numOffsets returns the frame's offset count.
-func (f *Frame) numOffsets() int { return f.n + 1 }
-
-// entryRange returns the range of entry positions of the frame's own node
-// range.
-func (f *Frame) entryRange() (lo, hi int64) { return f.offAt(0), f.offAt(f.n) }
-
-// stepRange returns the range of the step column that the frame's own
-// entries use.
-func (f *Frame) stepRange() (lo, hi int64) { return f.stepAt(0), f.stepAt(f.n) }
-
 // totalEntries returns the entry count of the frame's own node range
-// (the columns may be shared with sibling partition frames).
-func (f *Frame) totalEntries() int {
-	lo, hi := f.entryRange()
-	return int(hi - lo)
-}
+// (the stream may be shared with sibling partition frames).
+func (f *Frame) totalEntries() int { return int(f.entries) }
 
-// nodeBits returns the length of the node codes of the frame's own node
-// range.
+// nodeBits returns the length of the lists of the frame's own node range.
 func (f *Frame) nodeBits() int64 { return f.bitAt(f.n) - f.bitAt(0) }
 
 // owner returns the global ID of local node v.
 func (f *Frame) owner(local int) int32 { return f.base + int32(local) }
 
-// nodesAt returns local node v's node codes.
-func (f *Frame) nodesAt(local int) Nodes {
-	lo, hi := f.span(local)
-	slo, shi := f.stepSpan(local)
-	return Nodes{nodeCodes: nodeCodes{s: &f.node, bit: f.bitAt(local), end: f.bitAt(local + 1), own: f.owner(local)}, n: int(hi - lo), steps: int(shi - slo)}
+// listView is one list of a frame as its counts place it: its node codes,
+// its steps, where its β start, and, when its counts and steps are not
+// exactly codes inside its range, why not — what the stream readers refuse
+// it for.  Whatever its bits hold, every part lies inside the range.
+type listView struct {
+	nodes Nodes // ending where a weighted set's β start
+	sd    StepDists
+	bad   string // "" for a list whose counts and steps are codes
 }
 
-// stepsAt returns local node v's steps.
-func (f *Frame) stepsAt(local int) StepDists {
-	lo, hi := f.stepSpan(local)
-	return StepDists{col: &f.steps, slo: lo, n: int(hi - lo)}
+// listAt returns local node v's list.
+func (f *Frame) listAt(local int) listView {
+	return f.node.list(f.bitAt(local), f.bitAt(local+1), f.owner(local), f.p.Kind == KindWeighted)
+}
+
+// list parses the counts of the list of owner in bits [bit, end) of the
+// stream, and finds its steps: an entry count is cut to what the range can
+// hold — an entry a bit, but a uniform list's owner, or a β's 64 bits — a
+// step count to the entries, and raw steps to the range.
+func (s *nodeStream) list(bit, end int64, owner int32, weighted bool) listView {
+	lc := &s.lc
+	r := bitIn{words: s.words, next: bit, end: end}
+	n, steps := r.code(lc.eb)+1, r.code(lc.sb)+1
+	at := r.pos()
+	var bad string // the first reason the list is not exactly codes
+	why := func(reason string) {
+		if bad == "" {
+			bad = reason
+		}
+	}
+	if r.over {
+		why("has no entry or step count inside its bits")
+	}
+	room := uint64(end - at)
+	most := room + 1
+	if weighted {
+		most = room / 64
+	}
+	if n > most {
+		n = most
+		why("has an entry count its bits cannot hold")
+	}
+	if steps > n {
+		steps = n
+		why("has more distance steps than entries")
+	}
+	beta := end
+	if weighted {
+		beta -= int64(64 * n)
+	}
+	sd := StepDists{s: s, at: at, end: at, n: int(steps)}
+	if lc.dict == nil {
+		if fit := uint64(beta-at) / 64; steps > fit+1 {
+			steps = fit + 1
+			sd.n = int(steps)
+			why("has distance steps its bits cannot hold")
+		}
+		sd.end = at + 64*int64(max(steps, 1)-1)
+	} else if steps > 1 {
+		cr := bitIn{words: s.words, next: at, end: beta}
+		idx := uint64(0)
+		for j := uint64(1); j < steps && !cr.over; j++ {
+			idx += cr.code(lc.db) + 1
+		}
+		if cr.over {
+			why("has distance steps its bits cannot hold")
+		}
+		if idx >= uint64(len(lc.dict)) {
+			why(fmt.Sprintf("codes a distance step %d values into a dictionary of %d", idx, len(lc.dict)))
+		}
+		sd.end = cr.pos()
+	}
+	if weighted && n == 0 {
+		why("has no room for its weights")
+	}
+	return listView{
+		nodes: Nodes{nodeCodes: nodeCodes{s: s, bit: sd.end, end: beta, own: owner}, n: int(n), steps: int(steps)},
+		sd:    sd, bad: bad,
+	}
+}
+
+// betas appends the list's β, one an entry, to dst.
+func (l *listView) betas(dst []float64) []float64 {
+	for i := range int64(l.nodes.n) {
+		dst = append(dst, math.Float64frombits(readBits(l.nodes.s.words, l.nodes.end+64*i, 64)))
+	}
+	return dst
 }
 
 // colsAt returns local node v's entry list as a column view, its nodes
-// and runs decoded, in one allocation.  The slices carry full capacity
-// bounds so an (erroneous) append cannot overwrite a neighboring sketch.
+// and runs decoded, in one allocation (and its β in another).  The slices
+// carry full capacity bounds so an (erroneous) append cannot overwrite a
+// neighboring sketch.
 func (f *Frame) colsAt(local int) cols {
-	c, p := f.colsOver(local), f.nodesAt(local)
+	c, p := f.colsOver(local)
 	buf := make([]int32, p.n+p.steps)
 	c.node, c.ends, _ = p.AppendRuns(buf[:0:p.n], buf[p.n:p.n])
 	return c
 }
 
-// colsOver is colsAt with its nodes and runs not filled in.
-func (f *Frame) colsOver(local int) cols {
-	c := cols{sd: f.stepsAt(local), by: &f.by}
-	if f.beta != nil {
-		lo, hi := f.span(local)
-		c.beta = f.beta[lo:hi:hi]
+// colsOver is colsAt with its nodes and runs not filled in, and the list's
+// node codes, which decode them.
+func (f *Frame) colsOver(local int) (cols, Nodes) {
+	l := f.listAt(local)
+	c := cols{sd: l.sd, by: &f.by}
+	if f.p.Kind == KindWeighted {
+		c.beta = l.betas(make([]float64, 0, l.nodes.n))
 	}
-	return c
+	return c, l.nodes
 }
-
-// span returns the absolute entry range of local node v.
-func (f *Frame) span(local int) (lo, hi int64) { return f.offAt(local), f.offAt(local + 1) }
-
-// stepSpan returns the absolute step range of local node v.
-func (f *Frame) stepSpan(local int) (lo, hi int64) { return f.stepAt(local), f.stepAt(local + 1) }
 
 // viewSketch constructs the kind's view of local node v.
 func (f *Frame) viewSketch(local int) Sketch {
@@ -499,69 +573,17 @@ func (f *Frame) viewSketch(local int) Sketch {
 }
 
 // slice returns the sub-frame of local nodes [lo, hi): a window on the
-// offsets over the same shared columns.  No entry data is allocated or
-// copied.
+// offsets over the same stream, its counts read off its lists'.  No entry
+// data is allocated or copied.
 func (f *Frame) slice(lo, hi int) *Frame {
-	return &Frame{
-		p: f.p, n: hi - lo, base: f.base + int32(lo), total: f.total,
-		off: f.off, boff: f.boff, soff: f.soff, off0: f.off0 + int64(lo),
-		node: f.node, steps: f.steps,
-		beta: f.beta, by: f.by,
-	}
-}
-
-// mergeFrames concatenates frames (already validated to be a consistent,
-// ordered split) into one whole frame with compact columns.  The
-// partitions of a split share the whole set's node count and rank order,
-// so their node codes are copied as bit ranges; their steps may be coded through as
-// many dictionaries as there are frames, so they are read back as
-// distances and coded afresh.
-func mergeFrames(frames []*Frame) *Frame {
-	first := frames[0]
-	total, steps, nodes, stream := int64(0), int64(0), 0, int64(0)
-	for _, f := range frames {
-		total += int64(f.totalEntries())
-		slo, shi := f.stepRange()
-		steps += shi - slo
-		nodes += f.n
-		stream += f.nodeBits()
-	}
 	out := &Frame{
-		p: first.p, n: nodes, base: 0, total: nodes,
-		off:  makePackedColumn(int64(nodes+1), offsetWidth(total)),
-		boff: makePackedColumn(int64(nodes+1), offsetWidth(stream)),
-		soff: makePackedColumn(int64(nodes+1), offsetWidth(steps)),
-		node: nodeStream{words: make([]uint64, bitWords(stream)), total: nodes, order: first.node.order, k: first.p.K},
-		by:   first.by,
+		p: f.p, n: hi - lo, base: f.base + int32(lo), total: f.total,
+		boff: f.boff, off0: f.off0 + int64(lo), node: f.node, by: f.by,
 	}
-	step := make([]float64, 0, steps)
-	if first.p.Kind == KindWeighted {
-		out.beta = make([]float64, total)
+	for v := range out.n {
+		p := out.listAt(v).nodes
+		out.entries, out.steps = out.entries+int64(p.n), out.steps+int64(p.steps)
 	}
-	pos, bit, at := int64(0), int64(0), int64(0)
-	for _, f := range frames {
-		flo, fhi := f.entryRange()
-		blo, bhi := f.bitAt(0), f.bitAt(f.n)
-		slo, shi := f.stepRange()
-		copyBits(out.node.words, bit, f.node.words, blo, bhi-blo)
-		s := int64(len(step))
-		step = f.steps.appendRaw(step, slo, shi)
-		if out.beta != nil {
-			copy(out.beta[pos:], f.beta[flo:fhi])
-		}
-		for i := 0; i < f.n; i++ {
-			out.off.put(at, uint64(pos+f.offAt(i)-flo))
-			out.boff.put(at, uint64(bit+f.bitAt(i)-blo))
-			out.soff.put(at, uint64(s+f.stepAt(i)-slo))
-			at++
-		}
-		pos += fhi - flo
-		bit += bhi - blo
-	}
-	out.off.put(at, uint64(pos))
-	out.boff.put(at, uint64(bit))
-	out.soff.put(at, uint64(len(step)))
-	out.steps = makeStepColumn(step)
 	return out
 }
 
@@ -583,6 +605,7 @@ type rankScratch struct {
 	memo []rankMemoSlot // a power of two long: rankMemoSlots unless preset
 	buf  []float64
 	dbuf []float64 // the per-entry distances filled expands
+	bbuf []float64 // a weighted list's β, which validate reads
 	nbuf []int32   // the per-entry nodes filled unpacks
 	ebuf []int32   // and the ends of their runs
 }
@@ -640,17 +663,25 @@ func (s *rankScratch) filled(c cols, pn Nodes) (cols, bool) {
 	return c, exact
 }
 
-// validate checks the structural invariants of local node v's sketch,
-// and that its node codes are exactly the codes of its entries in as many
-// runs as it has steps.  given, when non-nil, is the caller-built entry
-// list the node was frozen from: its Rank fields, which the frame did not
-// keep, must be the ones the frame derives, so that a frame cannot
-// disagree with its own seed.
+// validate checks the structural invariants of local node v's sketch:
+// that its counts and steps are codes inside its bits, and its node codes
+// exactly the codes of its entries in as many runs as it has steps.
+// given, when non-nil, is the caller-built entry list the node was frozen
+// from: its Rank fields, which the frame did not keep, must be the ones
+// the frame derives, so that a frame cannot disagree with its own seed.
 func (f *Frame) validate(s *rankScratch, local int, given []Entry) error {
-	p := f.nodesAt(local)
-	c, exact := s.filled(f.colsOver(local), p)
+	l := f.listAt(local)
+	if l.bad != "" {
+		return fmt.Errorf("core: ADS(%d) %s", f.owner(local), l.bad)
+	}
+	c := cols{sd: l.sd, by: &f.by}
+	if f.p.Kind == KindWeighted {
+		s.bbuf = l.betas(s.bbuf[:0])
+		c.beta = s.bbuf
+	}
+	c, exact := s.filled(c, l.nodes)
 	if !exact {
-		return fmt.Errorf("core: ADS(%d)'s node codes are not the codes of its %d entries in %d runs", f.owner(local), c.len(), p.steps)
+		return fmt.Errorf("core: ADS(%d)'s node codes are not the codes of its %d entries in %d runs", f.owner(local), c.len(), l.nodes.steps)
 	}
 	return f.validateCols(c, local, given)
 }
@@ -690,24 +721,28 @@ func (f *Frame) validateCols(c cols, local int, given []Entry) error {
 	// The entries are in canonical order; so must their code be — maximal
 	// runs, hence strictly ascending steps — or equal entries would not
 	// mean equal bytes.  Only a file can get this wrong.
+	r, prev := c.sd.reader(), 0.0
 	for j := 0; j < c.sd.n; j++ {
-		if d := c.sd.step(j); !(d >= 0) || j > 0 && d == c.sd.step(j-1) {
+		if d := r.next(); !(d >= 0) || j > 0 && d == prev {
 			return fmt.Errorf("core: ADS(%d) has a redundant or invalid distance step %g at %d", owner, d, j)
+		} else {
+			prev = d
 		}
 	}
 	return nil
 }
 
 // Index builds the HIP query index of local node v.  A node's HIP
-// entries are its entries, so the index views the frame's node column
-// and steps and holds of its own one slice: a weight per entry — the
-// ranks derived into it, then turned into weights in place — and a prefix
-// sum per step, over the runs the nodes decode in.  Every readout is
+// entries are its entries, so the index views the frame's node codes and
+// steps and holds of its own one slice: a weight per entry — the ranks
+// derived into it, then turned into weights in place — and a prefix sum
+// per step, over the runs the nodes decode in.  Every readout is
 // bit-identical to NewHIPIndex over the node's view; callers cache the
 // result (query.IndexCache).
 func (f *Frame) Index(local int32) *HIPIndex {
-	c, pn := f.colsOver(int(local)), f.nodesAt(int(local))
-	e, s := pn.n, c.sd.n
+	l := f.listAt(int(local))
+	pn := l.nodes
+	e, s := pn.n, l.sd.n
 	buf := make([]float64, e+s)
 	w := buf[:e:e]
 	var inline [64]int32 // the runs' ends, on the stack while they fit
@@ -719,6 +754,10 @@ func (f *Frame) Index(local int32) *HIPIndex {
 	case pn.s.order != nil:
 		rankedWeights(&pn, w, ends)
 	default:
+		var beta []float64
+		if f.p.Kind == KindWeighted {
+			beta = l.betas(make([]float64, 0, e))
+		}
 		// The nodes, decoded into the first half of the weights' bytes, and
 		// their ranks derived into the weights from the last: rank i's slot
 		// holds nodes 2i and 2i+1, which are read by then.
@@ -726,42 +765,30 @@ func (f *Frame) Index(local int32) *HIPIndex {
 		decodeTo(&pn, ids, ends)
 		for i := e - 1; i >= 0; i-- {
 			var b float64
-			if c.beta != nil {
-				b = c.beta[i]
+			if beta != nil {
+				b = beta[i]
 			}
-			w[i] = c.by.rank(ids[i], b)
+			w[i] = f.by.rank(ids[i], b)
 		}
 		h := newKSmallest(min(f.p.K, e)) // it never holds more than the entries
 		if f.p.Kind == KindWeighted {
-			w = hipWeightsWeighted(w, c.beta, f.p.Scheme, f.p.K, h, w[:0])
+			w = hipWeightsWeighted(w, beta, f.p.Scheme, f.p.K, h, w[:0])
 		} else {
 			w = hipWeightsBottomK(w, f.p.K, h, w[:0])
 		}
 	}
-	x := &HIPIndex{enode: pn.nodeCodes, ew: w, sd: c.sd, cum: buf[e:e]}
+	x := &HIPIndex{enode: pn.nodeCodes, stepAt: l.sd.at, steps: s, ew: w, cum: buf[e:e]}
 	x.sum(ends)
 	return x
 }
 
 // bytes returns the heap (or mapping) the frame's own node range
-// occupies: offsets, bit offsets and step offsets, node codes, the steps —
-// codes and dictionary, or raw — β where held, and a uniform set's rank
-// order, which its node codes are decoded through and which the frames
-// sliced from one share: 12 bytes a node of the whole set, counted as held
-// once built.
+// occupies: the bit offsets, the lists — counts, steps, node codes and β
+// where held — the dictionary, and a uniform set's rank order, which its
+// node codes are decoded through and which the frames sliced from one
+// share: 12 bytes a node of the whole set, counted as held once built.
 func (f *Frame) bytes() int64 {
-	e := int64(f.totalEntries())
-	slo, shi := f.stepRange()
-	o := int64(f.numOffsets())
-	b := 8*packedWords(o, f.off.w) + 8*packedWords(o, f.boff.w) + 8*packedWords(o, f.soff.w) + 8*bitWords(f.nodeBits())
-	if c := &f.steps; c.dict != nil {
-		b += 8*packedWords(shi-slo, c.code.w) + 8*int64(len(c.dict)+len(c.uses))
-	} else {
-		b += 8 * (shi - slo)
-	}
-	if f.beta != nil {
-		b += 8 * e
-	}
+	b := 8*packedWords(int64(f.n)+1, f.boff.w) + 8*bitWords(f.nodeBits()) + 8*int64(len(f.node.lc.dict))
 	return b + f.node.order.bytes()
 }
 

@@ -11,10 +11,9 @@ import (
 )
 
 // Version-3 sketch files: the on-disk layout is the in-memory frame
-// layout.  After a fixed little-endian header come the raw columns —
-// packed offsets, bit offsets and step offsets, the node codes, the
-// distance steps (and betas for weighted sets) — every one a whole number
-// of 8-byte words:
+// layout.  After a fixed little-endian header come the raw columns — the
+// packed bit offsets, the node stream, the dictionary of distances — every
+// one a whole number of 8-byte words:
 //
 //	magic "ADSK" | version u32 = 3 | kind u32 | flags u32 |
 //	[kind 3 only: index u32 | count u32 | lo u32 | hi u32 |
@@ -22,42 +21,39 @@ import (
 //	k u32 | flavor u32 | seed u64 | baseB f64 | scheme u32 | segs u32 |
 //	eps f64 | numNodes u64 | numEntries u64 | numSteps u64 |
 //	numDistinct u64 | numNodeBits u64 |
-//	offsets ceil((numNodes+1)·wo/64)×u64 |
 //	bit offsets ceil((numNodes+1)·wb/64)×u64 |
-//	step offsets ceil((numNodes+1)·ws/64)×u64 |
 //	nodes ceil(numNodeBits/64)×u64 |
-//	codes ceil(numSteps·wc/64)×u64 | dict numDistinct×f64,
-//	    when numDistinct > 0 — else steps numSteps×f64 |
-//	[betas numEntries×f64, when flags bit 0 is set]
+//	dict numDistinct×f64
 //
 // so a file is 96 bytes of header (120 for a partition) +
-// 8·ceil((numNodes+1)·wo/64) + 8·ceil((numNodes+1)·wb/64) +
-// 8·ceil((numNodes+1)·ws/64) + 8·ceil(numNodeBits/64) + either
-// 8·ceil(numSteps·wc/64) + 8·numDistinct or 8·numSteps, plus
-// 8·numEntries of betas when weighted.  The widths are derived from the
-// header's counts and stored nowhere:
+// 8·ceil((numNodes+1)·wb/64) + 8·ceil(numNodeBits/64) + 8·numDistinct.
+// The width is derived from the header's counts and stored nowhere,
+// wb = max(1, bitlen(numNodeBits)), and bit b of a packed column is bit
+// b%64 of word b/64, counted from the least significant; the bits past a
+// column's last value are zero.
 //
-//	wo = max(1, bitlen(numEntries))
-//	wb = max(1, bitlen(numNodeBits))
-//	ws = max(1, bitlen(numSteps))
-//	wc = max(1, bitlen(numDistinct−1))
-//
-// and bit b of a packed column is bit b%64 of word b/64, counted from the
-// least significant; the bits past a column's last value are zero.
-//
-// The nodes are one stream of numNodeBits bits, sketch i's Rice codes
-// (nodepack.go) being bits [bit offset i, bit offset i+1); total, the
-// node count the IDs are below, is numNodes, or the envelope's total in a
-// partition file.  Sketch i's n entries are its R steps' runs, [step
-// offset i, step offset i+1): the owner's, then one a step, each but those
-// two led by its length m−1, at a parameter adapted from ⌊(n−1)/(R−1)⌋.  A uniform
-// set's runs code the nodes' positions in the set's rank order — its
-// total nodes sorted by (rank, node), which the seed and base derive —
-// below the k-th smallest position of the sketch's entries at smaller
-// distances (total while there are fewer than k), each gap's Rice
-// parameter adapted to the run's gaps before it, and a sketch's entry 0,
-// its owner, has no code; a weighted or approximate set's code the IDs
-// below total, every entry, a run's gaps at one parameter.
+// The nodes are one stream of numNodeBits bits, sketch i's being bits
+// [bit offset i, bit offset i+1): its entry count n−1 and step count R−1,
+// Rice codes at the parameters ⌊log₂((numEntries−numNodes)/numNodes)⌋ and
+// ⌊log₂((numSteps−numNodes)/numNodes)⌋ (0 below 1) — the mean counts a
+// sketch, which the header fixes, so a sketch still has one encoding —
+// then its R−1 steps after the owner's, then its node codes, and, when
+// flags bit 0 is set, a β an entry, 64 bits each.  A step is its
+// distance's index into dict, as the delta from the step before's (the
+// owner's, at distance 0, is index 0) less one, Rice-coded at the largest
+// b with 2^b·⌊numSteps/numNodes⌋ <= numDistinct; or, when numDistinct = 0,
+// the raw float64.  total, the node count the IDs are below, is numNodes,
+// or the envelope's total in a partition file.  The node codes of sketch
+// i's n entries are its R steps' runs (nodepack.go): the owner's, then one
+// a step, each but those two led by its length m−1, at a parameter
+// adapted from ⌊(n−1)/(R−1)⌋.  A uniform set's runs code the nodes'
+// positions in the set's rank order — its total nodes sorted by (rank,
+// node), which the seed and base derive — below the k-th smallest position
+// of the sketch's entries at smaller distances (total while there are
+// fewer than k), each gap's Rice parameter adapted to the run's gaps
+// before it, and a sketch's entry 0, its owner, has no code; a weighted or
+// approximate set's code the IDs below total, every entry, a run's gaps at
+// one parameter.
 //
 // Every sketch is bottom-k: flavor is 0 and segs 1, one entry list a
 // node.  Earlier releases also wrote k-mins (flavor 1) and k-partition
@@ -65,44 +61,45 @@ import (
 // whatever their layout.
 //
 // The distances are step-coded (stepcode.go): a sketch's steps are its
-// distinct distances, ascending, one a run, so the step offsets ascend
-// strictly from 0 to numSteps.  The code is canonical — steps ascend
-// strictly within a sketch — so equal entries are equal bytes.  The steps are codes into a dictionary when numDistinct > 0: dict
-// is then exactly the distinct step values, strictly ascending, every one
-// in use, and step j's distance is dict[code j].  The dictionary is used
-// iff it is strictly smaller, numDistinct + ceil(numSteps·wc/64) <
-// numSteps, which the values decide and no option does; numDistinct = 0
-// means raw steps.  A file holds no ranks: a rank is a pure function of
-// the header's seed (recorded for every kind) and the node.
+// distinct distances, ascending, one a run.  The code is canonical — steps
+// ascend strictly within a sketch — so equal entries are equal bytes.  The
+// steps are codes into the dictionary when numDistinct > 0: dict is then
+// exactly the distinct step values, strictly ascending from 0, every one
+// in use.  The dictionary is used iff a bound on its bits is below the raw
+// steps' (dictWins), which the counts and values decide and no option
+// does.  A file holds no ranks: a rank is a pure function of the header's
+// seed (recorded for every kind) and the node.
 //
 // The flags are frameFlagsLayout, plus bit 0 — a β per entry — for
 // weighted sets and no others, and bits 6 and 7 for uniform sets and no
-// others.  Bits 1 to 8 name the steps by which the layout became this
+// others.  Bits 1 to 9 name the steps by which the layout became this
 // one: ranks derived rather than stored (1), distances step-coded (2),
 // node IDs packed (3), the numDistinct word with packed offsets and
 // dictionary-coded steps (4), node IDs Rice-coded per run, with the
 // numNodeBits word and the bit offsets (5), a uniform set's runs coded in
 // rank order below their bottom-k bound (6), their Rice parameters
-// adapted gap by gap, the owner's code implied (7), and the runs' lengths
+// adapted gap by gap, the owner's code implied (7), the runs' lengths
 // coded in the node stream with step offsets in place of a bit an entry
-// marking where a step starts (8).  A file with any other flags is
-// refused: one without all of its kind's is of an earlier release, which
-// adsconvert (internal/legacy) rewrites — a uniform file with flags 0x3e,
-// 0x7e or 0xfe, a weighted or approximate one with 0x3e, among them — and
-// a reader from before a bit refuses a file that has it, as it must.
+// marking where a step starts (8), and each sketch one bit range, its
+// counts, steps and β inline, in place of the offsets, step offsets, step
+// codes and β columns (9).  A file with any other flags is refused: one
+// without all of its kind's is of an earlier release, which adsconvert
+// (internal/legacy) rewrites — a uniform file with flags 0x1fe, a weighted
+// or approximate one with 0x13e, among them — and a reader from before a
+// bit refuses a file that has it, as it must.
 //
 // Encoding is therefore near-memcpy, and decoding a trusted file is
-// O(columns): validate the header, the body size it implies, the offsets',
-// bit offsets' and step offsets' monotonicity, that the dictionary
-// ascends, and that no bit of a column is set past its last value, then
-// view the columns in place.  What the openers do not check is inside the
-// columns — node bits that are not their sketch's codes or lengths (which
-// no decoder reads past, nor runs past its sketch's entries or steps), a
-// sketch's steps that its entries cannot fill, an ID at or above total, a
-// non-canonical step, a code past the dictionary (which reads as its last
-// value, never out of range), a dictionary value no step uses, raw steps a
-// dictionary would have beaten — which is the stream reader's
-// (ReadSketchSet) to refuse.
+// O(columns): validate the header, the body size it implies, the bit
+// offsets' monotonicity, that the dictionary ascends from 0, and that no
+// bit of a column is set past its last value, then view the columns in
+// place.  What the openers do not check is inside the sketches — counts
+// and steps that are not codes inside their bits, or that the header's do
+// not sum to, node bits that are not their sketch's codes or lengths
+// (which no decoder reads past, nor runs past its sketch's entries or
+// steps), an ID at or above total, a non-canonical step, a step past the
+// dictionary (which reads as its last value, never out of range), a
+// dictionary value no step uses, raw steps a dictionary would have beaten
+// — which is the stream reader's (ReadSketchSet) to refuse.
 // OpenSketchFile reads the file once and performs O(1) allocations per
 // set; MmapSketchFile maps it (on linux) so even the read is deferred to
 // page faults — a worker serving a prebuilt shard file starts in
@@ -127,11 +124,12 @@ const (
 	frameFlagRankNodes    = 1 << 6 // uniform sets only: a run's codes are of rank-order positions below its bottom-k bound
 	frameFlagAdaptNodes   = 1 << 7 // uniform sets only: a gap's Rice parameter adapts to its run's gaps before it; the owner has no code
 	frameFlagRunLengths   = 1 << 8 // run lengths in the node stream, step offsets in place of a step bit an entry
+	frameFlagInlineLists  = 1 << 9 // a sketch's counts, steps and β inline in its bit range: no offsets, step offsets, step codes or β columns
 
 	// frameFlagsLayout is the flags of the one layout every writer emits
 	// and openFrameBytes views, less β and, for a uniform set, its node
 	// codes' bits (layoutFlags).
-	frameFlagsLayout = frameFlagDerivedRanks | frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes | frameFlagRunLengths
+	frameFlagsLayout = frameFlagDerivedRanks | frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes | frameFlagRunLengths | frameFlagInlineLists
 	frameFlagsRanked = frameFlagRankNodes | frameFlagAdaptNodes
 )
 
@@ -202,58 +200,17 @@ func (h *frameHdr) totalNodes() int {
 	return int(h.n)
 }
 
-// implied returns how many entries have no node code: a uniform set's
-// owners, one a sketch.
-func (h *frameHdr) implied() uint64 {
-	if Kind(h.setKind()) == KindUniform {
-		return h.n
-	}
-	return 0
-}
-
 // nodesSize returns the byte length of the node stream.
 func (h *frameHdr) nodesSize() int64 { return bitWords(int64(h.numNodeBits)) * 8 }
-
-// offsetsSize returns the byte length of the offsets column.
-func (h *frameHdr) offsetsSize() int64 {
-	return packedWords(int64(h.n)+1, offsetWidth(int64(h.numEntries))) * 8
-}
 
 // bitOffsetsSize returns the byte length of the bit offsets column.
 func (h *frameHdr) bitOffsetsSize() int64 {
 	return packedWords(int64(h.n)+1, offsetWidth(int64(h.numNodeBits))) * 8
 }
 
-// stepOffsetsSize returns the byte length of the step offsets column.
-func (h *frameHdr) stepOffsetsSize() int64 {
-	return packedWords(int64(h.n)+1, offsetWidth(int64(h.numSteps))) * 8
-}
-
-// codesSize returns the byte length of the step codes: 0 for raw steps.
-func (h *frameHdr) codesSize() int64 {
-	if h.numDistinct == 0 {
-		return 0
-	}
-	return packedWords(int64(h.numSteps), widthBelow(int64(h.numDistinct))) * 8
-}
-
-// stepsSize returns the byte length of the step distances: the
-// dictionary's, or the raw steps'.
-func (h *frameHdr) stepsSize() int64 {
-	if h.numDistinct == 0 {
-		return int64(h.numSteps) * 8
-	}
-	return int64(h.numDistinct) * 8
-}
-
 // bodySize returns the total byte length of the columns.
 func (h *frameHdr) bodySize() int64 {
-	e := int64(h.numEntries)
-	s := h.offsetsSize() + h.bitOffsetsSize() + h.stepOffsetsSize() + h.nodesSize() + h.codesSize() + h.stepsSize()
-	if h.flags&frameFlagBeta != 0 {
-		s += e * 8
-	}
-	return s
+	return h.bitOffsetsSize() + h.nodesSize() + int64(h.numDistinct)*8
 }
 
 // params returns the set parameters the header records.
@@ -310,31 +267,32 @@ func (h *frameHdr) validate() error {
 	if h.numEntries > 1<<40 {
 		return fmt.Errorf("core: implausible entry count %d", h.numEntries)
 	}
-	// At most one step an entry; this also keeps bodySize from overflowing.
-	if h.numSteps > h.numEntries {
-		return fmt.Errorf("core: sketch file claims %d distance steps for %d entries", h.numSteps, h.numEntries)
+	// At least one step a sketch, holding its owner, and at most one an
+	// entry; this also keeps bodySize from overflowing.
+	if h.numSteps < h.n || h.numSteps > h.numEntries {
+		return fmt.Errorf("core: sketch file claims %d distance steps for %d entries of %d sketches", h.numSteps, h.numEntries, h.n)
 	}
 	// A dictionary is there only where it is the smaller form; this also
 	// bounds it by the steps.
-	if h.numDistinct != 0 && (h.numDistinct > h.numSteps || !dictWins(int64(h.numDistinct), int64(h.numSteps))) {
+	if h.numDistinct != 0 && (h.numDistinct > h.numSteps || !dictWins(int64(h.numDistinct), int64(h.numSteps), int64(h.n))) {
 		return fmt.Errorf("core: sketch file codes %d distance steps through %d values, which is no smaller than the steps", h.numSteps, h.numDistinct)
 	}
-	// A code takes a bit at least, and under 64, and a uniform sketch's
-	// owner none; this also keeps bodySize from overflowing.
-	if h.numNodeBits < h.numEntries-min(h.numEntries, h.implied()) || h.numNodeBits > 64*h.numEntries {
-		return fmt.Errorf("core: sketch file claims %d bits of node codes for %d entries", h.numNodeBits, h.numEntries)
+	// A sketch's counts take two bits at least, and each of its steps,
+	// entries and β under 64 bits a piece more than their values; this also
+	// keeps bodySize from overflowing.
+	if h.numNodeBits < 2*h.n || h.numNodeBits > 512*h.numEntries {
+		return fmt.Errorf("core: sketch file claims %d bits of sketches for %d entries", h.numNodeBits, h.numEntries)
 	}
 	return nil
 }
 
 // headerOf extracts the version-3 header of a set — with the partition
 // envelope when it is one — for writing.
-func headerOf(s *Set) frameHdr { return headerWith(s, s.frame.ownSteps()) }
+func headerOf(s *Set) frameHdr { return headerWith(s, s.frame.own()) }
 
-// headerWith is headerOf for a caller that holds own, the frame's
-// ownSteps(), already.
-func headerWith(s *Set, own *stepColumn) frameHdr {
-	f := s.frame
+// headerWith is headerOf for a caller that holds f, the frame's own(),
+// already.
+func headerWith(s *Set, f *Frame) frameHdr {
 	h := frameHdr{
 		kind:       uint32(f.p.Kind),
 		k:          uint32(f.p.K),
@@ -344,9 +302,9 @@ func headerWith(s *Set, own *stepColumn) frameHdr {
 		segs:       1,
 		eps:        f.p.Eps,
 		n:          uint64(f.n),
-		numEntries: uint64(f.totalEntries()),
+		numEntries: uint64(f.entries),
 	}
-	h.numSteps, h.numDistinct = uint64(own.n), uint64(len(own.dict))
+	h.numSteps, h.numDistinct = uint64(f.steps), uint64(len(f.node.lc.dict))
 	h.numNodeBits = uint64(f.nodeBits())
 	h.flags = layoutFlags(h.kind)
 	if f.p.Kind == KindWeighted {
@@ -407,10 +365,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // writeFrameV3 writes a set's frame (behind the partition envelope when
 // the set is a partition) in the version-3 format.  On little-endian hosts
 // every column is one Write of the slice's underlying bytes — near-memcpy.
+// A slice of a larger frame is written as the bytes of one that was loaded
+// or frozen by itself: its lists coded under their own counts and
+// dictionary, from bit 0 (own).
 func writeFrameV3(w io.Writer, s *Set) (int64, error) {
-	f := s.frame
-	steps := f.ownSteps()
-	h := headerWith(s, steps)
+	f := s.frame.own()
+	h := headerWith(s, f)
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
 	if _, err := bw.Write(h.appendHeader(make([]byte, 0, h.headerSize()))); err != nil {
@@ -427,48 +387,13 @@ func writeFrameV3(w io.Writer, s *Set) (int64, error) {
 		}
 		return writeRaw(bw, buf)
 	}
-	writeF64s := func(vals []float64) error {
-		if nativeLittleEndian {
-			return writeRaw(bw, f64Bytes(vals))
-		}
-		buf := growBuf(&scratch, len(vals)*8)
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-		}
-		return writeRaw(bw, buf)
+	dict := f.node.lc.dict
+	bitsOf := make([]uint64, len(dict))
+	for i, d := range dict {
+		bitsOf[i] = math.Float64bits(d)
 	}
-	// Offsets count from 0, and the steps are coded through the dictionary
-	// of their own values, so a sliced partition frame is written as the
-	// bytes of an independently loaded or frozen one (ownOffsets, ownSteps).
-	if err := writeU64s(f.ownOffsets(&f.off).words); err != nil {
-		return cw.n, err
-	}
-	if err := writeU64s(f.ownOffsets(&f.boff).words); err != nil {
-		return cw.n, err
-	}
-	if err := writeU64s(f.ownOffsets(&f.soff).words); err != nil {
-		return cw.n, err
-	}
-	// The entries' node codes start at bit 0 of the file's column: a frame
-	// that owns its column from there writes the words as they are, a
-	// partition's slice of a shared one — coded under the whole set's
-	// count, as a partition's are — is shifted out first.
-	base, e := f.offAt(0), int64(f.totalEntries())
-	if err := writeU64s(bitsFrom(f.node.words, f.bitAt(0), f.nodeBits())); err != nil {
-		return cw.n, err
-	}
-	dists := steps.raw
-	if steps.dict != nil {
-		if err := writeU64s(steps.code.words); err != nil {
-			return cw.n, err
-		}
-		dists = steps.dict
-	}
-	if err := writeF64s(dists); err != nil {
-		return cw.n, err
-	}
-	if h.flags&frameFlagBeta != 0 {
-		if err := writeF64s(f.beta[base : base+e]); err != nil {
+	for _, col := range [][]uint64{f.boff.words, bitsFrom(f.node.words, 0, f.nodeBits()), bitsOf} {
+		if err := writeU64s(col); err != nil {
 			return cw.n, err
 		}
 	}
@@ -498,13 +423,6 @@ func writeRaw(bw *bufio.Writer, b []byte) error {
 // in-memory representation equals the wire representation.
 
 func u64Bytes(v []uint64) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
-}
-
-func f64Bytes(v []float64) []byte {
 	if len(v) == 0 {
 		return nil
 	}
@@ -596,9 +514,12 @@ func parseFrameHdr(data []byte) (frameHdr, int, error) {
 // header.
 func frameFromHdr(h frameHdr) *Frame {
 	p := h.params()
-	f := &Frame{p: p, n: int(h.n), total: h.totalNodes(), by: newRanker(p)}
-	f.node.total, f.node.order, f.node.k = f.total, newRankOrder(p, f.total), p.K
-	f.off.w, f.boff.w, f.soff.w = offsetWidth(int64(h.numEntries)), offsetWidth(int64(h.numNodeBits)), offsetWidth(int64(h.numSteps))
+	f := &Frame{p: p, n: int(h.n), total: h.totalNodes(), entries: int64(h.numEntries), steps: int64(h.numSteps), by: newRanker(p)}
+	f.node = nodeStream{lc: headCodec(int64(h.n), f.entries, f.steps), total: f.total, order: newRankOrder(p, f.total), k: p.K}
+	if h.numDistinct > 0 {
+		f.node.lc.db = dictParam(int64(h.numDistinct), f.steps, int64(h.n))
+	}
+	f.boff.w = offsetWidth(int64(h.numNodeBits))
 	if h.partitioned() {
 		f.base = int32(h.lo)
 	}
@@ -615,43 +536,39 @@ func (h *frameHdr) wrap(f *Frame) *Set {
 	return set
 }
 
-// validateOffsets checks that the n offsets of the column what start at
-// 0, ascend — strictly when strict: no sketch is empty, every one holding
-// its owner at a step of its own, and its codes taking a bit an entry but
-// the ones implied — and end at last, what they cover: the entries, the
-// bits of node codes, or the steps.  Everything else about a version-3
-// file is trusted (it is a serving-format for files the operator built).
-func validateOffsets(what, of string, off *packedColumn, n, last int64, strict bool) error {
+// validateOffsets checks that the n bit offsets of the column off start
+// at 0, ascend strictly — every sketch's counts take two bits at least —
+// and end at last, the length of the node stream: what keeps every decoder
+// inside it.  Everything else about a version-3 file is trusted (it is a
+// serving-format for files the operator built).
+func validateOffsets(off *packedColumn, n, last int64) error {
 	if !off.holds(n) {
-		return fmt.Errorf("core: sketch file has %s bits past its last", what)
+		return fmt.Errorf("core: sketch file has bit offsets bits past its last")
 	}
 	if off.get(0) != 0 {
-		return fmt.Errorf("core: sketch file %s do not start at 0", what)
+		return fmt.Errorf("core: sketch file bit offsets do not start at 0")
 	}
 	prev := int64(0)
 	for i := int64(1); i < n; i++ {
 		o := int64(off.get(i))
-		if o < prev || strict && o == prev {
-			return fmt.Errorf("core: sketch file sketch %d has no %s, or its %s decrease (every sketch holds its owner)", i-1, of, what)
+		if o <= prev {
+			return fmt.Errorf("core: sketch file sketch %d has no bits, or its bit offsets decrease (every sketch codes its counts)", i-1)
 		}
 		prev = o
 	}
 	if prev != last {
-		return fmt.Errorf("core: sketch file %s end at %d, want %d", what, prev, last)
+		return fmt.Errorf("core: sketch file bit offsets end at %d, want %d", prev, last)
 	}
 	return nil
 }
 
-// validateDict checks that no code bit is set past the last step and that
-// the dictionary is one: non-negative and strictly ascending.  The codes
-// themselves are trusted like any entry (stepColumn.codeAt).
-func validateDict(c *stepColumn) error {
-	if !c.code.holds(c.n) {
-		return fmt.Errorf("core: sketch file has distance code bits past its last step")
-	}
-	for i, d := range c.dict {
-		if !(d >= 0) || i > 0 && !(d > c.dict[i-1]) {
-			return fmt.Errorf("core: sketch file's distance dictionary does not ascend at %d (%g)", i, d)
+// validateDict checks that the dictionary is one: strictly ascending from
+// 0, the owners' distance.  The steps' codes are trusted like any entry
+// (stepReader.next).
+func validateDict(dict []float64) error {
+	for i, d := range dict {
+		if i == 0 && d != 0 || i > 0 && !(d > dict[i-1]) {
+			return fmt.Errorf("core: sketch file's distance dictionary does not ascend from 0 at %d (%g)", i, d)
 		}
 	}
 	return nil
@@ -679,15 +596,14 @@ func openFrameBytes(data []byte) (*Set, error) {
 		return nil, fmt.Errorf("core: sketch file body holds %d bytes, header implies %d", len(body), h.bodySize())
 	}
 	f := frameFromHdr(h)
-	e := int64(h.numEntries)
 	// The body-size check above is what licenses every slice below.
 	next := func(n int64) []byte {
 		b := body[:n]
 		body = body[n:]
 		return b
 	}
-	// Every column is 8-byte words of one of two kinds, viewed in place when
-	// the host is little-endian and the buffer 8-aligned.
+	// Every column is 8-byte words, viewed in place when the host is
+	// little-endian and the buffer 8-aligned.
 	u64s := func(b []byte) []uint64 { return viewU64s(b, int64(len(b)/8)) }
 	f64s := func(b []byte) []float64 { return viewF64s(b, int64(len(b)/8)) }
 	if !nativeLittleEndian || !aligned8(body) {
@@ -707,36 +623,19 @@ func openFrameBytes(data []byte) (*Set, error) {
 			return out
 		}
 	}
-	f.off.words = u64s(next(h.offsetsSize()))
 	f.boff.words = u64s(next(h.bitOffsetsSize()))
-	f.soff.words = u64s(next(h.stepOffsetsSize()))
 	f.node.words = u64s(next(h.nodesSize()))
-	if err := validateOffsets("offsets", "entries", &f.off, int64(h.n)+1, e, true); err != nil {
-		return nil, err
-	}
-	// What keeps every decoder inside the node stream and the steps.
-	if err := validateOffsets("bit offsets", "node codes", &f.boff, int64(h.n)+1, int64(h.numNodeBits), h.implied() == 0); err != nil {
-		return nil, err
-	}
-	if err := validateOffsets("step offsets", "steps", &f.soff, int64(h.n)+1, int64(h.numSteps), true); err != nil {
+	if err := validateOffsets(&f.boff, int64(h.n)+1, int64(h.numNodeBits)); err != nil {
 		return nil, err
 	}
 	if !tailClear(f.node.words, int64(h.numNodeBits)) {
-		return nil, fmt.Errorf("core: sketch file has node bits past its last node code")
+		return nil, fmt.Errorf("core: sketch file has node bits past its last sketch")
 	}
-	c := &f.steps
-	c.n = int64(h.numSteps)
 	if h.numDistinct > 0 {
-		c.code = packedColumn{words: u64s(next(h.codesSize())), w: widthBelow(int64(h.numDistinct))}
-		c.dict = f64s(next(h.stepsSize()))
-		if err := validateDict(c); err != nil {
+		f.node.lc.dict = f64s(next(int64(h.numDistinct) * 8))
+		if err := validateDict(f.node.lc.dict); err != nil {
 			return nil, err
 		}
-	} else {
-		c.raw = f64s(next(h.stepsSize()))
-	}
-	if h.flags&frameFlagBeta != 0 {
-		f.beta = f64s(next(e * 8))
 	}
 	return h.wrap(f), nil
 }
@@ -765,11 +664,11 @@ type ColumnSize struct {
 }
 
 // ColumnBytes lists what each part of the file costs, in file order:
-// header, offsets (OffsetBits bits each), bit offsets, step offsets, nodes
-// (NodeBitsPerEntry bits an entry on average, run lengths included), then
-// either step codes and the dictionary of distances they index or, where
-// a dictionary would be no smaller, steps (8 bytes a distance step), then
-// betas where held — every packed column rounded up to a word.
+// header, bit offsets (BitOffsetBits bits each), nodes — every sketch's
+// counts, steps, node codes (NodeBitsPerEntry bits an entry on average,
+// run lengths included) and β — and, where the steps are coded through
+// one, the dictionary of distances — every packed column rounded up to a
+// word.
 func (s *SketchFile) ColumnBytes() []ColumnSize {
 	h := headerOf(s.set)
 	return h.columns()
@@ -777,41 +676,39 @@ func (s *SketchFile) ColumnBytes() []ColumnSize {
 
 // columns lists the parts of a file with this header, in file order.
 func (h *frameHdr) columns() []ColumnSize {
-	e := int64(h.numEntries)
 	out := []ColumnSize{
 		{"header", h.headerSize()},
-		{"offsets", h.offsetsSize()},
 		{"bit offsets", h.bitOffsetsSize()},
-		{"step offsets", h.stepOffsetsSize()},
 		{"nodes", h.nodesSize()},
 	}
 	if h.numDistinct > 0 {
-		out = append(out, ColumnSize{"step codes", h.codesSize()}, ColumnSize{"dictionary", h.stepsSize()})
-	} else {
-		out = append(out, ColumnSize{"steps", h.stepsSize()})
-	}
-	if h.flags&frameFlagBeta != 0 {
-		out = append(out, ColumnSize{"betas", e * 8})
+		out = append(out, ColumnSize{"dictionary", int64(h.numDistinct) * 8})
 	}
 	return out
 }
 
-// NodeBitsPerEntry returns the mean length of an entry's node code, 0 for
-// no entries.
+// NodeBitsPerEntry returns the mean length of an entry's node code, run
+// lengths included and the sketches' counts, steps and β not: 0 for no
+// entries.
 func (s *SketchFile) NodeBitsPerEntry() float64 {
-	return float64(s.frame().nodeBits()) / float64(max(1, s.frame().totalEntries()))
+	f, bits := s.frame(), int64(0)
+	for v := range f.n {
+		p := f.listAt(v).nodes
+		bits += p.end - p.bit
+	}
+	return float64(bits) / float64(max(1, f.entries))
 }
 
-// OffsetBits returns the bits an offset takes in the offsets column: what
-// the file's entry count needs.
-func (s *SketchFile) OffsetBits() int { return int(offsetWidth(int64(s.frame().totalEntries()))) }
+// BitOffsetBits returns the bits an offset takes in the bit offsets
+// column: what the length of the file's node stream needs.
+func (s *SketchFile) BitOffsetBits() int { return int(s.frame().boff.w) }
 
 // DistanceSteps returns how many distance steps the file's sketches have
 // in all, and how many distinct distances the file codes them through — 0
 // when it holds a float a step, because a dictionary would be no smaller.
 func (s *SketchFile) DistanceSteps() (steps, distinct int64) {
-	own := s.frame().ownSteps()
-	return own.n, int64(len(own.dict))
+	f := s.frame()
+	return f.steps, int64(len(f.node.lc.dict))
 }
 
 // Mapped reports whether the columns view an mmap'd region (in which

@@ -354,9 +354,9 @@ func TestOpenFrameBytesRejectsCorruption(t *testing.T) {
 			copy(b, p.bytes())
 		}
 	}
-	mutate("offsets decrease", rebuilt(func(p *v3Parts) { p.offs[1] = 1<<testWidth(p.h.numEntries+1) - 1 }))
-	// Last offset claims other than the entries the columns hold.
-	mutate("offsets overrun", rebuilt(func(p *v3Parts) { p.offs[60] ^= 1 }))
+	mutate("bit offsets decrease", rebuilt(func(p *v3Parts) { p.boffs[1] = 1<<testWidth(p.h.numNodeBits+1) - 1 }))
+	// Last offset claims other than the bits the stream holds.
+	mutate("bit offsets overrun", rebuilt(func(p *v3Parts) { p.boffs[60] ^= 1 }))
 	for _, cut := range []int{1, 8, 15, 16 + frameHdrSize - 1, len(valid) / 2, len(valid) - 1} {
 		b := valid[:cut]
 		if _, err := openFrameBytes(b); err == nil {
@@ -366,10 +366,13 @@ func TestOpenFrameBytesRejectsCorruption(t *testing.T) {
 			t.Errorf("truncation at %d accepted by the stream reader", cut)
 		}
 	}
-	// A plausible claim — 2^29 nodes, 4 GB of offsets — over a 100-byte
-	// stream: refused by the body-size check, with nothing allocated for it.
+	// A plausible claim — 2^29 nodes of four entries in two steps each, 2
+	// GB of bit offsets — over a 100-byte stream: refused by the body-size
+	// check, with nothing allocated for it.
 	b := append([]byte(nil), valid[:100]...)
-	le.PutUint64(b[16+40:], 1<<29)
+	for at, x := range map[int]uint64{40: 1 << 29, 48: 1 << 31, 56: 1 << 30, 72: 1 << 33} {
+		le.PutUint64(b[16+at:], x)
+	}
 	if _, err := ReadSketchSet(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "header implies") {
 		t.Errorf("2^29 nodes over 100 bytes: got %v, want the body-size error", err)
 	}
@@ -435,16 +438,19 @@ func FuzzOpenSketchFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(part.Bytes())
-	// Every kind nine ways: as written now — run lengths in the node stream
-	// and step offsets, a uniform set's node codes rank-ordered at adaptive
-	// parameters, the owners' implied — and in the eight retired layouts the
-	// parser refuses (the last two with step bits: the IDs' own Rice codes
-	// being the layout they replaced for the other kinds, and adapted
-	// rank-ordered codes for a uniform set's); and as written now with its
-	// node codes corrupted — bits flipped, a word of them zeroed, a word set
-	// — which the openers trust.
+	// Every kind ten ways: as written now — each sketch one bit range of its
+	// counts, steps, node codes and β, a uniform set's node codes
+	// rank-ordered at adaptive parameters, the owners' implied — and in the
+	// nine retired layouts the parser refuses (the first with offset, step
+	// offset, step code and β columns beside the run lengths, 0x1fe and
+	// 0x13e; the next two with step bits: the IDs' own Rice codes being the
+	// layout they replaced for the other kinds, and adapted rank-ordered
+	// codes for a uniform set's); and as written now with its sketches'
+	// bits corrupted — bits flipped, a word of them zeroed, a word set —
+	// which the openers trust.
 	for _, data := range v3Files(f) {
 		f.Add(data)
+		f.Add(runLengthsV3(f, data))
 		f.Add(adaptiveV3(f, data))
 		f.Add(riceV3(f, data))
 		f.Add(rankedV3(f, data))
@@ -459,6 +465,7 @@ func FuzzOpenSketchFile(f *testing.F) {
 			func(b []byte) { b[nodesAt+9] ^= 0x01 },
 			func(b []byte) { copy(b[nodesAt:nodesAt+8], make([]byte, 8)) },
 			func(b []byte) { copy(b[nodesAt+8:nodesAt+16], bytes.Repeat([]byte{0xff}, 8)) },
+			func(b []byte) { b[nodesAt] = 0xff }, // the first sketch's counts
 		} {
 			b := append([]byte(nil), data...)
 			corrupt(b)

@@ -55,11 +55,13 @@ func FuzzReadSet(f *testing.F) {
 // whose sketches pass validation and answer estimator queries without
 // panicking.
 func FuzzReadSketchSet(f *testing.F) {
-	// Seed with the version-3 file of every kind and the committed
-	// version-2 files, which it refuses, plus truncations and mutations of
-	// each.
+	// Seed with the version-3 file of every kind, in the current layout and
+	// in the one it replaced (0x1fe and 0x13e, which it refuses), and the
+	// committed version-2 files, which it refuses too, plus truncations and
+	// mutations of each.
 	for _, data := range v3Files(f) {
 		addDamaged(f, data)
+		addDamaged(f, runLengthsV3(f, data))
 	}
 	for _, name := range v2Fixtures {
 		addDamaged(f, readLegacyFixture(f, name))

@@ -35,10 +35,16 @@ type HIPIndex struct {
 	// sums.
 	totalD, totalH float64
 
-	enode nodeCodes // HIP entry nodes and runs, canonical order: coded, or a standalone index's own
-	ew    []float64 // HIP adjusted weights, parallel to enode
-	sd    StepDists // HIP entry distances, one a run of enode: the unique distances, ascending
-	cum   []float64 // cum[i]: total adjusted weight at distance <= sd.steps[i]
+	enode  nodeCodes // HIP entry nodes and runs, canonical order: coded, or a standalone index's own
+	stepAt int64     // where the codes of the entries' distances start, which end where enode's do
+	steps  int       // how many: the unique distances, ascending, one a run of enode
+	ew     []float64 // HIP adjusted weights, parallel to enode
+	cum    []float64 // cum[i]: total adjusted weight at distance <= step i
+}
+
+// sd returns the indexed entries' distances.
+func (x *HIPIndex) sd() StepDists {
+	return StepDists{s: x.enode.s, at: x.stepAt, end: x.enode.bit, n: x.steps}
 }
 
 // NewHIPIndex builds a standalone index for any sketch, with
@@ -55,18 +61,18 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 	}
 	// The IDs as they are: a standalone sketch's nodes can be any int32.
 	ids := make([]int32, len(entries))
-	stream := &nodeStream{ids: ids, ends: make([]int32, 0, unique)}
-	steps := &stepColumn{n: int64(unique), raw: make([]float64, 0, unique)}
+	steps := make([]float64, unique)
+	stream := &nodeStream{ids: ids, ends: make([]int32, 0, unique), steps: steps}
 	idx := &HIPIndex{
 		enode: nodeCodes{s: stream},
+		steps: unique,
 		ew:    make([]float64, len(entries)),
-		sd:    StepDists{col: steps, n: unique},
 		cum:   make([]float64, 0, unique),
 	}
 	for i, e := range entries {
 		ids[i], idx.ew[i] = e.Node, e.Weight
 		if i == 0 || e.Dist != entries[i-1].Dist {
-			steps.raw = append(steps.raw, e.Dist)
+			steps[len(stream.ends)] = e.Dist
 		}
 		if i+1 == len(entries) || entries[i+1].Dist != e.Dist {
 			stream.ends = append(stream.ends, int32(i+1))
@@ -82,9 +88,10 @@ func NewHIPIndex(s Sketch) *HIPIndex {
 // weight·(1/distance).
 func (x *HIPIndex) sum(ends []int32) {
 	total, totalD, totalH := 0.0, 0.0, 0.0
-	w, s, i := x.ew, x.sd, 0
-	for j, end := range ends {
-		d := s.step(j)
+	sd := x.sd()
+	w, r, i := x.ew, sd.reader(), 0
+	for _, end := range ends {
+		d := r.next()
 		inv := KernelHarmonic(d)
 		for _, wi := range w[i:end] {
 			total += wi
@@ -103,7 +110,7 @@ func (x *HIPIndex) sum(ends []int32) {
 func (x *HIPIndex) Bytes() int64 {
 	b := int64(unsafe.Sizeof(*x)) + 8*int64(len(x.ew)+len(x.cum))
 	if s := x.enode.s; s.ids != nil {
-		b += int64(unsafe.Sizeof(*s)) + 4*int64(len(s.ids)+len(s.ends)) + 8*int64(len(x.sd.col.raw))
+		b += int64(unsafe.Sizeof(*s)) + 4*int64(len(s.ids)+len(s.ends)) + 8*int64(len(s.steps))
 	}
 	return b
 }
@@ -113,11 +120,14 @@ func (x *HIPIndex) Len() int { return len(x.ew) }
 
 // nodes returns the indexed entries' nodes.
 func (x *HIPIndex) nodes() Nodes {
-	return Nodes{nodeCodes: x.enode, n: len(x.ew), steps: x.sd.n}
+	return Nodes{nodeCodes: x.enode, n: len(x.ew), steps: x.steps}
 }
 
 // search returns the position of the last indexed distance <= d, or -1.
-func (x *HIPIndex) search(d float64) int { return x.sd.searchLE(d) }
+func (x *HIPIndex) search(d float64) int {
+	sd := x.sd()
+	return sd.searchLE(d)
+}
 
 // Neighborhood returns the HIP estimate of n_d: the cumulative adjusted
 // weight at distance <= d.
@@ -151,11 +161,15 @@ func (x *HIPIndex) Harmonic() float64 { return x.totalH }
 // cached entries, without re-deriving the adjusted weights — equal to
 // EstimateQ(s, g) on the indexed sketch.
 func (x *HIPIndex) EstimateQ(g func(node int32, dist float64) float64) float64 {
-	sum := 0.0
-	nodes := x.nodes().cursor()
+	sum, d, j := 0.0, 0.0, -1
+	sd := x.sd()
+	nodes, steps := x.nodes().cursor(), sd.reader()
 	for _, w := range x.ew {
 		u := nodes.Next()
-		sum += w * g(u, x.sd.step(nodes.step()))
+		for ; j < nodes.step(); j++ {
+			d = steps.next()
+		}
+		sum += w * g(u, d)
 	}
 	return sum
 }

@@ -134,10 +134,10 @@ func TestFrameIndexKBound(t *testing.T) {
 
 // indexSteps returns an index's distinct distances, ascending.
 func indexSteps(x *HIPIndex) []float64 {
-	if x.sd.n == 0 {
+	if x.steps == 0 {
 		return nil
 	}
-	return x.sd.col.appendRaw(nil, x.sd.slo, x.sd.slo+int64(x.sd.n))
+	return x.sd().appendSteps(nil)
 }
 
 // indexEntries materializes an index's HIP entries in canonical order.
@@ -146,7 +146,7 @@ func indexEntries(x *HIPIndex) []WeightedEntry {
 	nodes := x.nodes().cursor()
 	for i := range out {
 		u := nodes.Next()
-		out[i] = WeightedEntry{Node: u, Dist: x.sd.step(nodes.step()), Weight: x.ew[i]}
+		out[i] = WeightedEntry{Node: u, Dist: x.sd().step(nodes.step()), Weight: x.ew[i]}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -10,11 +11,16 @@ import (
 	"adsketch/internal/rank"
 )
 
-// Bit-packed integer columns and Rice-coded node IDs.  The offsets, bit
-// offsets and step codes (stepcode.go) of a frame are stored at the width
-// their bound, which the header's counts fix, needs: value i is bits
-// [i·w, (i+1)·w), numbered from the least significant bit of word 0, and
-// the bits past the last value are zero.
+// Bit-packed integer columns and Rice-coded node IDs.  A frame's bit
+// offsets are stored at the width their bound, which the header's counts
+// fix, needs: value i is bits [i·w, (i+1)·w), numbered from the least
+// significant bit of word 0, and the bits past the last value are zero.
+//
+// Each list is one bit range of the node stream, addressed by its bit
+// offset alone: its entry count n−1 and step count R−1, each a Rice code
+// of the parameter the frame's mean count a list fixes (headCodec), then
+// its steps but the owner's (stepcode.go), then its runs' codes, and, in a
+// weighted set, a β an entry, 64 bits each.
 //
 // A list is runs of equal distance, the owner alone and then one a step,
 // and a run of m entries is coded as its length m−1 (newLengths) — but the
@@ -356,9 +362,10 @@ const runBuckets = 128
 type nodeWriter struct {
 	words []uint64
 	acc   uint64
-	nacc  uint    // the bits in acc: under 64
-	total int     // the set's node count
-	pos   []int32 // a uniform set's: the rank-order position of every node; nil codes IDs as they are
+	nacc  uint       // the bits in acc: under 64
+	lc    *listCodec // how the lists' counts and steps are coded
+	total int        // the set's node count
+	pos   []int32    // a uniform set's: the rank-order position of every node; nil codes IDs as they are
 	low   lowSlots
 	run   []int32  // the open run's IDs
 	code  []int32  // the open run's positions, sorted
@@ -369,28 +376,84 @@ type nodeWriter struct {
 	// The open list's entry count, and its entries and runs before the open
 	// run.
 	entries, entry, runs int
+	idx                  int      // the dictionary index of the open list's last step coded; -1 before its owner's
+	far                  bool     // the open list's first step is not at distance 0
 	lens                 adaptive // the open list's length parameter
 	err                  error    // the first entry with no code, which ends the writing
 }
 
-// newNodeWriter returns a writer for a total-node set, with room for bits
-// of codes.  pos, when non-nil, is the set's rank order's positions (a
-// uniform set's), and k the set's sketch parameter, which with them bounds
-// a run.
-func newNodeWriter(total int, bits int64, pos []int32, k int) nodeWriter {
-	w := nodeWriter{words: make([]uint64, 0, bitWords(bits)), total: total, pos: pos}
+// newNodeWriter returns a writer for a total-node set whose lists code
+// their counts and steps under lc, with room for bits of codes.  pos, when
+// non-nil, is the set's rank order's positions (a uniform set's), and k the
+// set's sketch parameter, which with them bounds a run.
+func newNodeWriter(lc *listCodec, total int, bits int64, pos []int32, k int) nodeWriter {
+	w := nodeWriter{words: make([]uint64, 0, bitWords(bits)), lc: lc, total: total, pos: pos}
 	w.low.k = k
 	return w
 }
 
 // list starts the entry list of node owner, of entries entries in steps
-// runs of equal distance, which imply its last run's length.
+// runs of equal distance, which imply its last run's length: its counts'
+// codes.  Its steps follow (step), then its IDs (add), then, in a weighted
+// set, its β.
 func (w *nodeWriter) list(owner int32, entries, steps int) {
 	w.flush()
-	w.owner, w.entries, w.entry, w.runs, w.low.n = owner, entries, 0, 0, 0
+	w.owner, w.entries, w.entry, w.runs, w.low.n, w.idx, w.far = owner, entries, 0, 0, 0, -1, false
 	w.lens = newLengths(entries, steps)
 	if w.pos != nil {
 		w.own = w.pos[owner]
+	}
+	if entries < 1 || steps < 1 || steps > entries {
+		w.fail(fmt.Errorf("core: ADS(%d) has %d entries in %d distance steps: every list holds its owner at a step of its own", owner, entries, steps))
+	}
+	w.putCode(uint64(entries-1), w.lc.eb)
+	w.putCode(uint64(steps-1), w.lc.sb)
+}
+
+// step codes the open list's next distance step, at d: the owner's, the
+// first, has no code and must be at distance 0; a later one is the delta
+// of its index into the dictionary, less one, or the raw float.  A step
+// that does not ascend, or is not in the dictionary, has no code.
+func (w *nodeWriter) step(d float64) {
+	if w.idx < 0 {
+		w.idx, w.far = 0, d != 0 // refused with the owner's run, whose other faults name its entry
+		return
+	}
+	dict := w.lc.dict
+	if dict == nil {
+		w.putRaw(math.Float64bits(d))
+		return
+	}
+	at, found := slices.BinarySearch(dict, d)
+	if !found || at <= w.idx {
+		w.fail(fmt.Errorf("core: ADS(%d) has a redundant or invalid distance step %g", w.owner, d))
+		return
+	}
+	w.putCode(uint64(at-w.idx-1), w.lc.db)
+	w.idx = at
+}
+
+// fail records err unless an earlier list failed.
+func (w *nodeWriter) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+// putCode appends the Rice code of x at parameter b.
+func (w *nodeWriter) putCode(x uint64, b uint) {
+	words := slices.Grow(w.words, int(bitWords(int64(x>>b)+1+int64(b)))+1)
+	n := len(words)
+	n, w.acc, w.nacc = putRice(words[:cap(words)], n, w.acc, w.nacc, x, b)
+	w.words = words[:n]
+}
+
+// putRaw appends the 64 bits of x.
+func (w *nodeWriter) putRaw(x uint64) {
+	w.words = append(w.words, w.acc|x<<(w.nacc&63))
+	w.acc = 0
+	if w.nacc > 0 {
+		w.acc = x >> (64 - w.nacc)
 	}
 }
 
@@ -444,9 +507,7 @@ func (w *nodeWriter) stream() []uint64 {
 // refuse records that the open run's entry i, of node id, has no code,
 // unless an earlier entry had none.
 func (w *nodeWriter) refuse(i int, id int32, why string) {
-	if w.err == nil {
-		w.err = fmt.Errorf("core: ADS(%d) entry %d (node %d) %s", w.owner, w.entry+i, id, why)
-	}
+	w.fail(fmt.Errorf("core: ADS(%d) entry %d (node %d) %s", w.owner, w.entry+i, id, why))
 }
 
 // flush codes the open run, or refuses it: an ID outside the set, or, in
@@ -479,8 +540,8 @@ func (w *nodeWriter) flush() {
 		case w.pos != nil && w.pos[run[0]] != w.own:
 			w.refuse(0, run[0], "is not its owner: a rank-ordered list starts with its owner at distance 0")
 			return
-		case m > 1:
-			w.err = fmt.Errorf("core: ADS(%d) does not start with the owner alone at distance 0", w.owner)
+		case m > 1 || w.far:
+			w.fail(fmt.Errorf("core: ADS(%d) does not start with the owner alone at distance 0", w.owner))
 			return
 		case w.pos != nil: // the owner, whose code is implied
 			mergeLow(&w.low, []int32{w.own})
@@ -609,11 +670,13 @@ func (w *nodeWriter) copy(src []uint64, from, n int64) {
 // run; or a standalone index's IDs as they are and its runs' ends.
 type nodeStream struct {
 	words []uint64
+	lc    listCodec // how its lists' counts and steps are coded
 	total int
 	order *rankOrder // nil: the codes are of the IDs as they are
 	k     int
-	ids   []int32 // the IDs as they are, when not coded (non-nil)
-	ends  []int32 // with them: the end of each run of equal distance
+	ids   []int32   // the IDs as they are, when not coded (non-nil)
+	ends  []int32   // with them: the end of each run of equal distance
+	steps []float64 // and the distance of each
 }
 
 // nodeCodes places one list's codes in a node stream: bits [bit, end),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -72,29 +73,32 @@ func writeNodes(t testing.TB, total int, order *rankOrder, k int, lists [][]int3
 	if order != nil {
 		pos = order.positions()
 	}
-	w := newNodeWriter(total, 0, pos, k)
+	w := newNodeWriter(&listCodec{}, total, 0, pos, k)
 	out := make([]Nodes, len(lists))
-	var boff []int64
+	var boff, ends []int64 // where each list's node codes start, after its counts, and end
 	for i, l := range lists {
-		boff = append(boff, w.bits())
 		out[i].n, out[i].steps = len(l), countTrue(steps[i])
 		owner := int32(i)
 		if order != nil && len(l) > 0 {
 			owner = l[0]
 		}
+		if i > 0 {
+			ends = append(ends, w.bits())
+		}
 		w.list(owner, len(l), out[i].steps)
+		boff = append(boff, w.bits())
 		for j, id := range l {
 			w.add(id, steps[i][j])
 		}
 	}
 	w.flush()
-	boff = append(boff, w.bits())
+	ends = append(ends, w.bits())
 	stream := &nodeStream{words: w.stream(), total: total, order: order, k: k}
 	if w.err != nil {
 		t.Fatal(w.err)
 	}
 	for i := range lists {
-		out[i].nodeCodes = nodeCodes{s: stream, bit: boff[i], end: boff[i+1]}
+		out[i].nodeCodes = nodeCodes{s: stream, bit: boff[i], end: ends[i]}
 		if len(lists[i]) > 0 {
 			out[i].own = lists[i][0]
 		}
@@ -168,7 +172,7 @@ func TestNodesViewMatchesSlice(t *testing.T) {
 			}
 			// The same codes, a bit range copied behind every alignment.
 			for shift := int64(0); shift < 64; shift += 13 {
-				w := newNodeWriter(total, 0, nil, 0)
+				w := newNodeWriter(&listCodec{}, total, 0, nil, 0)
 				w.nacc = uint(shift) // zeros
 				w.copy(p.s.words, p.bit, p.end-p.bit)
 				q, end := p, w.bits()
@@ -487,14 +491,13 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 		add(name+": nodes one word long", true, long)
 		// The bit offsets place every sketch's codes in the stream.
 		add(name+": bit offsets that decrease", true, rebuilt(data, func(p *v3Parts) { p.boffs[3], p.boffs[4] = p.boffs[4], p.boffs[3] }))
-		// A sketch of its owner alone takes no bits, so only the stream
-		// readers can tell one of more entries whose codes are gone.
-		add(name+": a sketch with no node codes", false, rebuilt(data, func(p *v3Parts) { p.boffs[2] = p.boffs[1] }))
+		// A sketch's counts take two bits at least.
+		add(name+": a sketch with no bits", true, rebuilt(data, func(p *v3Parts) { p.boffs[2] = p.boffs[1] }))
 		add(name+": bit offsets that start past 0", true, rebuilt(data, func(p *v3Parts) { p.boffs[0] = 1 }))
 		add(name+": bit offsets that end short of the codes", true, rebuilt(data, func(p *v3Parts) { p.boffs[last]-- }))
 		add(name+": bit offsets that end past the codes", true, rebuilt(data, func(p *v3Parts) { p.boffs[last]++ }))
-		add(name+": fewer bits of node codes than entries", true, rebuilt(data, func(p *v3Parts) { p.h.numNodeBits = p.h.numEntries - 1 }))
-		add(name+": 65 bits of node codes an entry", true, rebuilt(data, func(p *v3Parts) { p.h.numNodeBits = 65 * p.h.numEntries }))
+		add(name+": fewer bits than two a sketch", true, rebuilt(data, func(p *v3Parts) { p.h.numNodeBits = 2*p.h.n - 1 }))
+		add(name+": 513 bits an entry", true, rebuilt(data, func(p *v3Parts) { p.h.numNodeBits = 513 * p.h.numEntries }))
 		// Bit 5 is the layout: set on fixed-width IDs, clear on codes.
 		add(name+": fixed-width IDs under the Rice flag", true, edit(compactV3(t, data), func(b []byte) {
 			le.PutUint32(b[12:], le.Uint32(b[12:])|frameFlagRiceNodes)
@@ -529,16 +532,31 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 		// the sketch's entries.
 		add(name+": a run length past its sketch's entries", false, rebuilt(data, func(p *v3Parts) {
 			v := 0
-			for p.soffs[v+1]-p.soffs[v] < 3 {
+			for p.decode(v).r < 3 {
 				v++
 			}
-			p.nodes = insertZeros(p.nodes, int64(p.boffs[v]), 64)
-			for u := v + 1; u < len(p.boffs); u++ {
-				p.boffs[u] += 64
-			}
-			p.h.numNodeBits += 64
+			p.recode(v, func(l *testList) { l.rest = append(make([]uint64, 64), l.rest...) })
 		}))
-		add(name+": a code bit flipped", false, edit(data, func(b []byte) { b[p.nodesAt+3] ^= 0x10 }))
+		add(name+": an entry count bit flipped", false, edit(data, func(b []byte) { b[p.nodesAt] ^= 0x01 }))
+		// A sketch's counts and steps lie about its bits, which the stream
+		// readers refuse naming it: an entry count past them, bits that end
+		// in the step count, more steps than entries, a step past the
+		// dictionary.
+		eb, _, _ := testParams(p.h)
+		add(name+": an entry count past its sketch's bits", false, rebuilt(data, func(p *v3Parts) {
+			p.recode(3, func(l *testList) { l.n = 1 << 20 })
+		}))
+		add(name+": a sketch's bits ending in its step count", false, rebuilt(data, func(p *v3Parts) {
+			lists := p.lists()
+			lists[3] = testRice(p.decode(3).n-1, eb)
+			p.setLists(lists)
+		}))
+		add(name+": more steps than entries", false, rebuilt(data, func(p *v3Parts) {
+			p.recode(3, func(l *testList) { l.r = l.n + 1 })
+		}))
+		add(name+": a step past the dictionary", false, rebuilt(data, func(p *v3Parts) {
+			p.recode(3, func(l *testList) { l.codes[len(l.codes)-1] += p.h.numDistinct })
+		}))
 		// A run's rank-order positions ascend below its bound, which the
 		// gaps of its codes can only say so much of: a position at the
 		// bound, or past the set's last (the reference codes an ID outside
@@ -567,7 +585,7 @@ func hostileNodeFiles(t testing.TB) (valid, damaged map[string][]byte, trusted m
 	one := valid["one node"]
 	oneNodesAt := splitV3(t, one).nodesAt
 	add("one node: a position of 1 in a set of 1", false, canonicalV3(headerOf(pathSet(t, 1, Options{K: 4, Seed: 42})), [][]Entry{{{Node: 0}, {Node: 1, Dist: 1}}}, nil))
-	add("one node: a step offset bit past the only sketch's", true, edit(one, func(b []byte) { b[oneNodesAt-1] |= 0x80 }))
+	add("one node: a bit offset bit past the only sketch's", true, edit(one, func(b []byte) { b[oneNodesAt-1] |= 0x80 }))
 	add("no nodes: a word of nodes", true, append(append([]byte(nil), valid["no nodes"]...), make([]byte, 8)...))
 	return valid, damaged, trusted
 }
@@ -593,8 +611,10 @@ func insertZeros(b []byte, at, k int64) []byte {
 // counts' — the owner's alone, one a step after it — and a decoder that
 // reads a run length past the entries left, or counts that leave a run
 // no entry, or more entries than the runs hold, reads as many IDs as the
-// list has, within its bits, and is not done; a writer refuses a list
-// whose first run is more than its owner.
+// list has, within its bits, and is not done; counts that the list's bits
+// cannot hold, or that have no code in them, and steps past the
+// dictionary are cut to the bits and named; a writer refuses a list whose
+// first run is more than its owner.
 func TestNodeCursorRefusesBadRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ids, steps := randomRuns(rng, 1000, []int{5, 1, 1}) // 8 entries in 4 runs: run 1's length coded as 4
@@ -619,7 +639,48 @@ func TestNodeCursorRefusesBadRuns(t *testing.T) {
 	if _, _, exact := valid.AppendRuns(nil, nil); !exact {
 		t.Error("the valid list does not decode exactly")
 	}
-	w := newNodeWriter(1000, 0, nil, 0)
+	// A sketch's counts and steps lie: each parses cut to its bits, named
+	// for the stream readers, and reads the same whatever lies around it.
+	eb, sb, db := uint64(2), uint64(1), uint64(0)
+	dict := []float64{0, 1, 2}
+	for _, c := range []struct {
+		name     string
+		weighted bool
+		bits     []uint64
+		bad      string
+	}{
+		{"an entry count past its bits", false, append(testRice(1000, eb), testRice(0, sb)...), "entry count"},
+		{"no step count", false, testRice(2, eb), "no entry or step count"},
+		{"a step count above the entry count", false, append(append(testRice(2, eb), testRice(5, sb)...), 1, 1, 1, 1), "more distance steps than entries"},
+		{"a step-index delta past the dictionary", false, append(append(testRice(2, eb), testRice(1, sb)...), testRice(5, db)...), "dictionary of 3"},
+		{"a truncated β", true, append(append(testRice(2, eb), testRice(0, sb)...), make([]uint64, 100)...), "entry count"},
+	} {
+		var got [2]string
+		for i, filler := range []uint64{0, ^uint64(0)} {
+			words := slices.Repeat([]uint64{filler}, 2+int(bitWords(int64(len(c.bits)))))
+			for j, b := range c.bits {
+				at := int64(64 + j)
+				words[at>>6] &^= 1 << (at & 63)
+				words[at>>6] |= b << (at & 63)
+			}
+			end := int64(64 + len(c.bits))
+			s := &nodeStream{words: words[:bitWords(end)], total: 1000, lc: listCodec{eb: uint(eb), sb: uint(sb), db: uint(db), dict: dict}}
+			l := s.list(64, end, 7, c.weighted)
+			if !strings.Contains(l.bad, c.bad) || l.nodes.n > len(c.bits)+1 || l.sd.n > l.nodes.n || l.nodes.end > end || c.weighted && 64*l.nodes.n > int(end-l.nodes.bit) {
+				t.Fatalf("%s: %d entries in %d steps to bit %d of %d, refused for %q", c.name, l.nodes.n, l.sd.n, l.nodes.end, end, l.bad)
+			}
+			ids, ends, exact := l.nodes.AppendRuns(nil, nil)
+			var beta []float64
+			if c.weighted {
+				beta = l.betas(nil)
+			}
+			got[i] = fmt.Sprint(ids, ends, exact, l.sd.appendSteps(nil), beta)
+		}
+		if got[0] != got[1] {
+			t.Errorf("%s: the bits around the sketch change what it decodes to: %s, %s", c.name, got[0], got[1])
+		}
+	}
+	w := newNodeWriter(&listCodec{}, 1000, 0, nil, 0)
 	w.list(7, 3, 2)
 	w.add(7, true)
 	w.add(9, false)
@@ -649,6 +710,11 @@ func TestPackedNodesRejectHostileInput(t *testing.T) {
 	}
 	checkHostileFiles(t, damaged, trusted)
 	for name, data := range damaged {
+		for _, lie := range []string{"past its sketch's bits", "ending in its step count", "more steps than entries", "past the dictionary"} {
+			if _, err := ReadSketchSet(bytes.NewReader(data)); strings.Contains(name, lie) && (err == nil || !strings.Contains(err.Error(), "ADS(")) {
+				t.Errorf("%s: stream reader: %v, want the sketch named", name, err)
+			}
+		}
 		if !strings.Contains(name, "a position of") && !strings.Contains(name, "bound") {
 			continue
 		}
@@ -838,8 +904,8 @@ func TestNodeCodeDenseThenFar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := headerOf(set); h.numNodeBits > 64*h.numEntries || h.numNodeBits > 50*(h.numEntries-uint64(n)) {
-		t.Fatalf("%d bits of node codes for %d entries, %d of them owners", h.numNodeBits, h.numEntries, n)
+	if codes, e := testCodeBits(set.frame), int64(set.TotalEntries()); codes > 64*e || codes > 50*(e-n) {
+		t.Fatalf("%d bits of node codes for %d entries, %d of them owners", codes, e, n)
 	}
 	data := v3Bytes(t, set)
 	if _, err := ReadSketchSet(bytes.NewReader(data)); err != nil {
@@ -887,20 +953,24 @@ func FuzzNodeCode(f *testing.F) {
 	f.Add(uint32(1<<30), int64(4), []byte{1, 1, 1, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0x7f})
 	f.Add(uint32(300), int64(5), []byte{0, 7, 30, 200, 1, 0xff, 9})
 	f.Add(uint32(4094), int64(63), []byte{62, 0})
-	// Real node streams' first bytes as the arbitrary bits: a set's now, run
-	// lengths among the gaps, and in the two layouts they replaced, 0xfe's
-	// adapted gaps and 0x3e's IDs' own codes, with step bits.
+	// Real node streams' first bytes as the arbitrary bits: a set's now, its
+	// first sketch's counts and steps ahead of its codes; in the layout that
+	// replaced, 0x1fe's, run lengths among the gaps; and in the two before,
+	// 0xfe's adapted gaps and 0x3e's IDs' own codes, with step bits.
 	set, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), Options{K: 4, Seed: 42})
 	if err != nil {
 		f.Fatal(err)
 	}
 	data := v3Bytes(f, set)
-	for i, b := range [][]byte{data, adaptiveV3(f, data), riceV3(f, data)} {
+	for i, b := range [][]byte{data, runLengthsV3(f, data), adaptiveV3(f, data), riceV3(f, data)} {
 		le := binary.LittleEndian
-		n, e, bits := le.Uint64(b[56:]), le.Uint64(b[64:]), le.Uint64(b[88:])
+		n, e, steps, bits := le.Uint64(b[56:]), le.Uint64(b[64:]), le.Uint64(b[72:]), le.Uint64(b[88:])
 		at := 96 + 8*(((n+1)*testWidth(e+1)+63)/64) + 8*(((n+1)*testWidth(bits+1)+63)/64)
-		if i == 0 {
+		switch i {
+		case 0:
 			at = uint64(splitV3(f, b).nodesAt)
+		case 1: // and the step offsets
+			at += 8 * (((n+1)*testWidth(steps+1) + 63) / 64)
 		}
 		f.Add(uint32(61), int64(3*i+1), b[at:at+16])
 		f.Add(uint32(61), int64(3*i+3), b[at:at+16])
@@ -993,6 +1063,14 @@ func FuzzNodeCode(f *testing.F) {
 		if seed%3 == 0 {
 			runs = n + 1
 		}
+		// The same bits as a whole sketch: counts, steps — raw, or through a
+		// dictionary — node codes and, for a weighted one, β.
+		weighted := uint64(seed)%5 == 0
+		var dict []float64
+		if seed%2 == 0 {
+			dict = []float64{0, 1, 2.5, 7}
+		}
+		lc := listCodec{eb: uint(uint64(seed) % 4), sb: uint(uint64(seed) % 3), db: uint(uint64(seed) % 2), dict: dict}
 		decodeAll := func(filler uint64, s *nodeStream) (all, next []int32, done bool, w []float64) {
 			words := make([]uint64, 1+bitWords(bits)+1)
 			for i := range words {
@@ -1027,6 +1105,27 @@ func FuzzNodeCode(f *testing.F) {
 				w = make([]float64, n)
 				rankedWeights(&p, w, nil)
 			}
+			// Parsed as a sketch, every part stays in the bits, which decode
+			// to the same counts, steps, IDs and β whatever lies around them.
+			s.lc = lc
+			l := s.list(64, 64+bits, own, weighted)
+			if l.sd.at < 64 || l.sd.end > l.nodes.bit || l.nodes.bit > l.nodes.end || l.nodes.end > 64+bits || l.nodes.end+64*int64(l.nodes.n) != 64+bits && weighted ||
+				int64(l.nodes.n) > bits+1 || l.sd.n > l.nodes.n || weighted && 64*int64(l.nodes.n) > 64+bits-l.nodes.bit {
+				t.Fatalf("a sketch of %d bits parses as %d entries in %d steps at %d, codes %d..%d", bits, l.nodes.n, l.sd.n, l.sd.at, l.nodes.bit, l.nodes.end)
+			}
+			ids, _, _ := l.nodes.AppendRuns(nil, nil)
+			w = append(w, float64(l.nodes.n), float64(l.sd.n))
+			var beta []float64
+			if weighted {
+				beta = l.betas(nil)
+			}
+			for _, x := range l.sd.appendSteps(beta) {
+				w = append(w, float64(math.Float64bits(x)))
+			}
+			for _, id := range ids {
+				w = append(w, float64(id))
+			}
+			s.lc = listCodec{}
 			return all, next, c.Done(), w
 		}
 		for _, s := range []nodeStream{{total: total}, {total: small, order: order, k: k}} {

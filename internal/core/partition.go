@@ -127,7 +127,11 @@ func MergeSketchSets(parts []*Set) (*Set, error) {
 			return nil, fmt.Errorf("core: partition %d holds a set of %+v, partition 0 one of %+v", i, frames[i].p, first)
 		}
 	}
-	merged := &Set{frame: mergeFrames(frames)}
+	// The partitions of a split share the whole set's node count and rank
+	// order, so their node codes are copied as bit ranges; their counts and
+	// steps are coded afresh where their own counts and dictionaries differ
+	// from the whole set's.
+	merged := &Set{frame: joinFrames(frames, 0, total)}
 	// Cross-check the sketch owners against their global positions, so a
 	// merge of tampered partitions cannot silently misattribute sketches.
 	for v := 0; v < total; v++ {

@@ -214,8 +214,8 @@ func (ps pass[H]) lists(entry func(H) Entry) [][]Entry {
 }
 
 // hopFrame is BuildSetParallel's Algorithm 1 on an unweighted graph: the
-// one pass of a uniform set of p, on workers, packed straight into the
-// frame's columns from its keys, its node codes in the rank order the pass
+// one pass of a uniform set of p, on workers, coded straight into the
+// frame's lists from its keys, its node codes in the rank order the pass
 // drew its candidates in, a node range a worker.
 func hopFrame(g *graph.Graph, p Params, workers int) (*Frame, error) {
 	n := g.NumNodes()
@@ -230,20 +230,33 @@ func hopFrame(g *graph.Graph, p Params, workers int) (*Frame, error) {
 			}
 		}
 	}
-	pk := newFramePacker(p, 0, n, n, len(ps.keys), steps)
+	raw := make([]float64, 0, steps)
 	for v := range n {
-		pk.list()
-		last := uint64(noKey)
-		for _, key := range ps.keys[ps.off[v]:ps.off[v+1]] {
-			hop := key >> 32
-			pk.add(float64(hop), hop != last)
-			last = hop
+		for j := ps.off[v]; j < ps.off[v+1]; j++ {
+			if j == ps.off[v] || ps.keys[j]>>32 != ps.keys[j-1]>>32 {
+				raw = append(raw, float64(ps.keys[j]>>32))
+			}
 		}
 	}
-	f := pk.frame()
-	err := f.codeNodes(builtRankOrder(cands, ranks, f.by), f.codeBits(), workers, func(w *nodeWriter, v int) {
-		last := uint64(noKey)
-		for _, key := range ps.keys[ps.off[v]:ps.off[v+1]] {
+	f := newFrame(p, 0, n, n, int64(len(ps.keys)), raw, builtRankOrder(cands, ranks, newRanker(p)))
+	err := f.codeNodes(f.node.order.positions(), f.codeBits(), workers, func(w *nodeWriter, v int) {
+		keys := ps.keys[ps.off[v]:ps.off[v+1]]
+		steps, last := 0, uint64(noKey)
+		for _, key := range keys {
+			if hop := key >> 32; hop != last {
+				steps, last = steps+1, hop
+			}
+		}
+		w.list(int32(v), len(keys), steps)
+		last = noKey
+		for _, key := range keys {
+			if hop := key >> 32; hop != last {
+				w.step(float64(hop))
+				last = hop
+			}
+		}
+		last = noKey
+		for _, key := range keys {
 			hop := key >> 32
 			w.add(keyNode(key), hop != last)
 			last = hop

@@ -24,9 +24,13 @@ func retiredAs(t testing.TB, data []byte, write func([]byte, [][]retired.Entry) 
 	var rs rankScratch
 	lists := make([][]retired.Entry, f.n)
 	for v := range lists {
-		c, _ := rs.filled(f.colsAt(v), f.nodesAt(v))
+		c, _ := rs.filled(f.colsOver(v))
 		for i, node := range c.node {
-			lists[v] = append(lists[v], retired.Entry{Node: node, Dist: c.dist[i], Rank: c.rank[i]})
+			e := retired.Entry{Node: node, Dist: c.dist[i], Rank: c.rank[i]}
+			if c.beta != nil {
+				e.Beta = c.beta[i]
+			}
+			lists[v] = append(lists[v], e)
 		}
 	}
 	return write(data, lists)
@@ -46,6 +50,12 @@ func compactV3(t testing.TB, data []byte) []byte  { return retiredAs(t, data, re
 func riceV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Rice) }
 func rankedV3(t testing.TB, data []byte) []byte   { return retiredAs(t, data, retired.RankOrdered) }
 func adaptiveV3(t testing.TB, data []byte) []byte { return retiredAs(t, data, retired.Adaptive) }
+
+// runLengthsV3 rewrites a file of the current layout in the one it
+// replaced, flags 0x1fe for a uniform set and 0x13e for another kind: run
+// lengths in the node stream beside columns of offsets, step offsets, step
+// codes and β.
+func runLengthsV3(t testing.TB, data []byte) []byte { return retiredAs(t, data, retired.RunLengths) }
 
 // v3Files returns the rank-free file of every set kind and of one
 // partition.

@@ -71,7 +71,8 @@ func TestSketchFileCloseUnreferenced(t *testing.T) {
 }
 
 // TestReadersRefuseEmptySketch: every ADS holds its owner at distance 0,
-// so a file in which a node's sketch has no entries is corrupt, and every
+// so no writer codes a sketch of no entries — its count, n−1, has no code
+// — and a file in which a node's sketch has no bits is corrupt: every
 // reader refuses it naming the sketch — the validating stream reader and
 // both openers, which trust everything but the offsets.
 func TestReadersRefuseEmptySketch(t *testing.T) {
@@ -85,13 +86,21 @@ func TestReadersRefuseEmptySketch(t *testing.T) {
 			nil,
 			{{Node: 2, Dist: 0, Rank: rank(2)}},
 		}
-		b := v3Bytes(t, &Set{frame: mustFreezeWhole(p, lists)})
+		if _, err := freezeWhole(p, lists, nil); err == nil || !strings.Contains(err.Error(), "ADS(1) has 0 entries") {
+			t.Errorf("%v set: freezing an empty sketch: %v, want ADS(1) refused", p.Kind, err)
+		}
+		lists[1] = []Entry{{Node: 1, Dist: 0, Rank: rank(1)}}
+		parts := splitV3(t, v3Bytes(t, &Set{frame: mustFreezeWhole(p, lists, nil)}))
+		bits := parts.lists()
+		bits[1] = nil
+		parts.setLists(bits)
+		b := parts.bytes()
 		path := filepath.Join(t.TempDir(), "empty.ads")
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		check := func(reader string, err error) {
-			if err == nil || !strings.Contains(err.Error(), "sketch 1 has no entries") {
+			if err == nil || !strings.Contains(err.Error(), "sketch 1 has no bits") {
 				t.Errorf("%v set, %s: got %v, want the empty sketch 1 refused", p.Kind, reader, err)
 			}
 		}

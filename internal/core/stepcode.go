@@ -2,106 +2,89 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
 // Step-coded distances.  In canonical (distance, node ID) order the
 // distances of an entry list are a non-decreasing staircase — on an
 // unweighted graph a hundred entries share half a dozen values — so a
-// frame stores one distance per step instead of a float per entry, a list
-// after another, a step offset a list, and the node stream codes each
-// step's entry count (nodepack.go: run lengths).  The code is canonical —
-// runs are maximal — so equal entry lists have equal bytes.
+// list stores one distance per step instead of a float per entry, and its
+// node codes each step's entry count (nodepack.go: run lengths).  The code
+// is canonical — runs are maximal — so equal entry lists have equal bytes.
 //
-// The step column comes in two forms.  Hop distances take a handful of
-// values in a whole frame — six at ten thousand nodes — so there a step is
-// a code into the frame's dictionary: dict holds exactly the distinct step
-// values in use, strictly ascending, and code one index into it per step,
-// at widthBelow(len(dict)) bits (nodepack.go).  Random real edge lengths
-// make nearly every step its own value, so there the steps stay raw
-// float64s.  Which form a column takes is a function of its values alone —
-// the dictionary is used iff it is strictly smaller, 8·D + 8·⌈S·w/64⌉ <
-// 8·S for S steps of D distinct values at w bits a code — so a step list
-// still has one encoding, and either way step j reads back the float64 bit
-// pattern that was stored.
+// A list's steps are coded inline, in its own bit range of the node stream,
+// after its entry and step counts: step 0 is the owner's, at distance 0,
+// and has no code; each later one is either an index into the frame's
+// dictionary, coded as its delta from the step before's, less one (the
+// steps ascend strictly, so the delta is at least one), at a Rice
+// parameter the header's counts fix (dictParam) — unary, on a hop graph,
+// where a step is nearly always the next distance — or a raw float64.
+// Hop distances take a handful of values in a whole frame — six at ten
+// thousand nodes — so there the dictionary holds exactly the distinct step
+// values in use, strictly ascending, 0 first; random real edge lengths
+// make nearly every step its own value, so there the steps stay raw.
+// Which form a frame takes is a function of its counts and values alone —
+// the dictionary is used iff a bound on its bits is below the raw steps'
+// (dictWins) — so a list still has one encoding, and either way a step
+// reads back the float64 bit pattern that was stored.
 
-// stepColumn is the distance of every step of a frame (or index), in
-// step order: raw, or coded through dict when that is smaller.
-type stepColumn struct {
-	n    int64        // steps
-	raw  []float64    // one distance per step; nil when dict is in use
-	dict []float64    // the distinct step values, strictly ascending
-	code packedColumn // one index into dict per step
-	uses []int64      // uses[c]: how many of the column's steps code to dict[c]; nil for a column opened from a file, which nothing has counted
-	// dlo is, for a raw column, a lower bound on its count of distinct
-	// values (0: none known) — what lets a freeze over it rule the
-	// dictionary out without counting them again.
-	dlo int64
+// listCodec is how a frame's lists are coded beyond their node codes: the
+// Rice parameters of a list's entry and step counts, eb and sb, and its
+// steps — deltas of indexes into dict at Rice parameter db, or raw floats
+// when dict is nil.  Every field derives from the counts and the distinct
+// step values of the frame the stream was coded for, its nodes lists
+// holding entries entries in steps steps; nothing of it is stored but the
+// dictionary.
+type listCodec struct {
+	nodes, entries, steps int64
+	eb, sb, db            uint
+	dict                  []float64
 }
 
-// dictWins reports whether s steps of d distinct values are strictly
-// smaller as codes and a dictionary than raw.  It is monotone: when d
-// values do not win, no larger count does.
-func dictWins(d, s int64) bool {
-	return d > 0 && d+packedWords(s, widthBelow(d)) < s
-}
-
-// codeAt returns the code of step j of a dictionary-coded column, as an
-// index into dict.  A code is read through here and nowhere else, and one
-// past the dictionary — which the width can spell unless the dictionary's
-// size is a power of two, and only a file can hold — reads as the last
-// value: the file openers trust the codes as they trust every entry, so
-// they do not scan them, and a bad one cannot index anything out of range.
-// The stream readers refuse it (canonical).
-func (c *stepColumn) codeAt(j int64) int {
-	return int(min(c.code.get(j), uint64(len(c.dict)-1)))
-}
-
-// at returns the distance of step j.
-func (c *stepColumn) at(j int64) float64 {
-	if c.dict != nil {
-		return c.dict[c.codeAt(j)]
-	}
-	return c.raw[j]
-}
-
-// appendRaw appends the distances of steps [lo, hi) to dst.
-func (c *stepColumn) appendRaw(dst []float64, lo, hi int64) []float64 {
-	if c.dict == nil {
-		return append(dst, c.raw[lo:hi]...)
-	}
-	for j := lo; j < hi; j++ {
-		dst = append(dst, c.dict[c.codeAt(j)])
-	}
-	return dst
-}
-
-// usesIn returns the use counts of the dictionary over steps [lo, hi) only
-// — a copy of uses when that is every step, and they were kept.
-func (c *stepColumn) usesIn(lo, hi int64) []int64 {
-	if lo == 0 && hi == c.n && c.uses != nil {
-		return slices.Clone(c.uses)
-	}
-	uses := make([]int64, len(c.dict))
-	for j := lo; j < hi; j++ {
-		uses[c.codeAt(j)]++
-	}
-	return uses
-}
-
-// makeStepColumn returns the canonical column of the steps raw, which it
-// keeps where the dictionary does not win.
-func makeStepColumn(raw []float64) stepColumn {
-	dict := distinctSteps(raw)
-	if !dictWins(int64(len(dict)), int64(len(raw))) {
-		return stepColumn{n: int64(len(raw)), raw: raw, dlo: int64(len(dict))}
-	}
-	c := newStepColumn(dict, int64(len(raw)))
-	c.uses = make([]int64, len(dict))
-	for _, d := range raw {
-		c.uses[c.add(d)]++
+// newListCodec returns the codec of a frame of nodes lists holding entries
+// entries in steps steps whose distances, list by list, are raw: a
+// dictionary of their distinct values where it wins, raw steps otherwise.
+func newListCodec(nodes, entries, steps int64, raw []float64) listCodec {
+	c := headCodec(nodes, entries, steps)
+	if d := distinctSteps(raw); dictWins(int64(len(d)), steps, nodes) {
+		c.dict, c.db = d, dictParam(int64(len(d)), steps, nodes)
 	}
 	return c
+}
+
+// headCodec returns the codec of a frame of those counts with raw steps.
+func headCodec(nodes, entries, steps int64) listCodec {
+	c := listCodec{nodes: nodes, entries: entries, steps: steps}
+	if nodes > 0 {
+		c.eb, c.sb = riceParam(int(max(entries-nodes, 0)), int(nodes)), riceParam(int(max(steps-nodes, 0)), int(nodes))
+	}
+	return c
+}
+
+// same reports whether a list coded under c is coded under o bit for bit.
+func (c *listCodec) same(o *listCodec) bool {
+	return c.eb == o.eb && c.sb == o.sb && c.db == o.db && (c.dict == nil) == (o.dict == nil) && slices.Equal(c.dict, o.dict)
+}
+
+// dictParam returns the Rice parameter of the step-index deltas of a frame
+// of nodes lists and steps steps over d distinct distances: the largest b
+// with 2^b times the mean steps a list at most d.
+func dictParam(d, steps, nodes int64) uint {
+	return riceParam(int(d), int(max(steps/max(nodes, 1), 1)))
+}
+
+// dictWins reports whether steps steps of d distinct values, in nodes
+// lists, are strictly smaller coded through a dictionary: 64·d bits of
+// dictionary and, a list's index deltas summing to under d, at most d>>b
+// bits of quotients a list and 1+b a step (b = dictParam) — against 64 bits
+// a step but the owners'.
+func dictWins(d, steps, nodes int64) bool {
+	if d == 0 {
+		return false
+	}
+	b := dictParam(d, steps, nodes)
+	return 64*d+nodes*(d>>b)+(steps-nodes)*int64(1+b) < 64*(steps-nodes)
 }
 
 // distinctSteps returns the distinct values of steps, ascending — nil when
@@ -140,113 +123,96 @@ func distinctSteps(steps []float64) []float64 {
 	return dict
 }
 
-// canonical reports whether the column is the form makeStepColumn gives
-// its steps: every code inside the dictionary, every dictionary value in
-// use and the dictionary winning, or raw steps no dictionary would beat.
-// (That a dictionary ascends is checked when a file is opened.)
-func (c *stepColumn) canonical() bool {
-	if c.dict == nil {
-		return !dictWins(int64(len(distinctSteps(c.raw))), c.n)
-	}
-	for j := int64(0); j < c.n; j++ {
-		if c.code.get(j) >= uint64(len(c.dict)) {
-			return false
-		}
-	}
-	return dictWins(int64(len(c.dict)), c.n) && !slices.Contains(c.usesIn(0, c.n), 0)
-}
-
-// newStepColumn returns an empty column for steps steps to be added in
-// order: coded through dict when it is non-nil — every step added must
-// then be one of its values — and raw otherwise, where steps is only a
-// capacity.
-func newStepColumn(dict []float64, steps int64) stepColumn {
-	if dict == nil {
-		return stepColumn{raw: make([]float64, 0, steps)}
-	}
-	return stepColumn{dict: dict, code: makePackedColumn(steps, widthBelow(int64(len(dict))))}
-}
-
-// add appends a step at distance d and returns its code (0 for a raw
-// column).  A d the dictionary lacks — a caller's bug, or a NaN it is
-// about to be refused for — is stored as the nearest code, not out of
-// range.
-func (c *stepColumn) add(d float64) int {
-	if c.dict == nil {
-		c.raw = append(c.raw, d)
-		c.n++
-		return 0
-	}
-	at, _ := slices.BinarySearch(c.dict, d)
-	at = min(at, len(c.dict)-1)
-	c.code.put(c.n, uint64(at))
-	c.n++
-	return at
-}
-
-// copy appends steps [lo, hi) of src: a slice or a bit range when both
-// columns are raw or both code through the same dictionary (same, which
-// the caller works out once per source), step by step otherwise.
-func (c *stepColumn) copy(src *stepColumn, same bool, lo, hi int64) {
-	switch {
-	case c.dict == nil && src.dict == nil:
-		c.raw = append(c.raw, src.raw[lo:hi]...)
-		c.n += hi - lo
-	case same: // one dictionary, one width
-		w := int64(c.code.w)
-		copyBits(c.code.words, c.n*w, src.code.words, lo*w, (hi-lo)*w)
-		c.n += hi - lo
-	default:
-		for j := lo; j < hi; j++ {
-			c.add(src.at(j))
-		}
-	}
-}
-
 // StepDists is the distance column of one entry list in step-coded form:
-// a view of its frame's steps from the list's first — its distinct
-// distances, ascending, one a run, whose lengths the node stream holds
-// (Nodes.AppendRuns); Runs walks the two together.
+// its distinct distances, ascending, one a run, whose lengths the node
+// stream holds (Nodes.AppendRuns); Runs walks the two together.  A frame
+// list's view its codes; a standalone index's stream holds them as they
+// are.
 type StepDists struct {
-	col *stepColumn // the frame's step column; nil for the empty zero value
-	slo int64       // position of the list's step 0 in it
-	n   int         // the list's steps
+	s       *nodeStream // the stream the steps are coded in, or held by
+	at, end int64       // the bits of a frame list's steps' codes, step 1's on
+	n       int         // the list's steps
 }
 
-// step returns the distance of the list's step j.
-func (s StepDists) step(j int) float64 { return s.col.at(s.slo + int64(j)) }
+// stepReader reads a list's steps in order.
+type stepReader struct {
+	sd  *StepDists
+	j   int   // the steps read
+	idx int   // a dictionary-coded list's: the index of the last step read
+	br  bitIn // the codes not read
+}
+
+func (s *StepDists) reader() stepReader {
+	return stepReader{sd: s, br: bitIn{words: s.s.words, next: s.at, end: s.end}}
+}
+
+// next returns the distance of the next step: one of the dictionary's
+// however its bits read — a delta past it reads as its last value.
+func (r *stepReader) next() float64 {
+	s, j := r.sd, r.j
+	r.j++
+	switch {
+	case s.s.steps != nil:
+		return s.s.steps[j]
+	case j == 0:
+		return 0
+	case s.s.lc.dict == nil:
+		return s.step(j)
+	}
+	dict := s.s.lc.dict
+	r.idx = int(min(uint64(r.idx)+r.br.code(s.s.lc.db)+1, uint64(len(dict)-1)))
+	return dict[r.idx]
+}
+
+// step returns the distance of the list's step j: a read of the steps
+// before it, where they are coded.
+func (s StepDists) step(j int) float64 {
+	switch {
+	case s.s.steps != nil:
+		return s.s.steps[j]
+	case j == 0:
+		return 0
+	case s.s.lc.dict == nil:
+		return math.Float64frombits(readBits(s.s.words, s.at+64*int64(j-1), 64))
+	}
+	r := s.reader()
+	d := 0.0
+	for range j + 1 {
+		d = r.next()
+	}
+	return d
+}
 
 // searchLE returns the position of the list's last step at distance <= d,
-// or -1: a binary search of the list's few ascending steps, each read
-// through the dictionary where there is one — a probe is then a code and
-// a dictionary load, and the dictionary, however large, is never searched.
+// or -1: a binary search of raw steps, and otherwise a walk through the
+// list's few codes, each a load from the dictionary, which however large
+// is never searched.
 func (s *StepDists) searchLE(d float64) int {
-	c, at, n := s.col, 0, s.n
+	n := s.n
 	if n == 0 {
 		return -1
 	}
-	// The answer is in [at-1, at+n-1]; a probe that only ever adds to at
-	// compiles without a branch to mispredict.  Two loops, not one over
-	// step(): the call per probe doubled the look-up's time.
-	if c.dict == nil {
-		steps := c.raw[s.slo : s.slo+int64(n)]
+	if s.s.lc.dict == nil {
+		// The answer is in [at-1, at+n-1]; a probe that only ever adds to
+		// at compiles without a branch to mispredict.
+		at := 0
 		for ; n > 1; n -= n >> 1 {
-			if half := n >> 1; !(steps[at+half] > d) {
+			if half := n >> 1; !(s.step(at+half) > d) {
 				at += half
 			}
 		}
-		if steps[at] > d {
+		if s.step(at) > d {
 			at--
 		}
 		return at
 	}
-	for ; n > 1; n -= n >> 1 {
-		if half := n >> 1; !(c.dict[c.codeAt(s.slo+int64(at+half))] > d) {
-			at += half
-		}
+	if 0 > d {
+		return -1
 	}
-	if c.dict[c.codeAt(s.slo+int64(at))] > d {
-		at--
+	r := s.reader()
+	r.j = 1
+	at := 0
+	for ; at+1 < n && !(r.next() > d); at++ {
 	}
 	return at
 }
@@ -255,9 +221,9 @@ func (s *StepDists) searchLE(d float64) int {
 // [from, to) lie at distance d — until fn returns false: ends holds each
 // run's end, as Nodes.AppendRuns decodes them.
 func (s StepDists) Runs(ends []int32, fn func(from, to int, d float64) bool) {
-	from := 0
-	for j, end := range ends[:min(len(ends), s.n)] {
-		if !fn(from, int(end), s.step(j)) {
+	from, r := 0, s.reader()
+	for _, end := range ends[:min(len(ends), s.n)] {
+		if !fn(from, int(end), r.next()) {
 			return
 		}
 		from = int(end)
@@ -273,6 +239,49 @@ func (s StepDists) expand(dst []float64, ends []int32) {
 		}
 		return true
 	})
+}
+
+// appendSteps appends the list's steps to dst.
+func (s StepDists) appendSteps(dst []float64) []float64 {
+	r := s.reader()
+	for range s.n {
+		dst = append(dst, r.next())
+	}
+	return dst
+}
+
+// bitIn reads codes off a bit range in order, a word at a time: bits
+// [next, end) not yet loaded, and avail bits loaded into cur, from the
+// lowest.  Nothing outside the range is read; past its end it reads zeros.
+type bitIn struct {
+	words     []uint64
+	next, end int64
+	cur       uint64
+	avail     uint // at most 63
+	over      bool // a code ran past the range
+}
+
+// pos returns the position of the next unread bit.
+func (r *bitIn) pos() int64 { return r.next - int64(r.avail) }
+
+// code reads a Rice code of parameter b.
+func (r *bitIn) code(b uint) uint64 {
+	if r.avail <= 32 && r.next < r.end {
+		n := min(31, r.end-r.next)
+		r.cur |= readBits(r.words, r.next, n) << (r.avail & 63)
+		r.avail, r.next = r.avail+uint(n), r.next+n
+	}
+	// Bit 63, past the loaded bits, spares the count a zero check.
+	tz := uint(bits.TrailingZeros64(r.cur | 1<<63))
+	if n := tz + 1 + b; n <= r.avail {
+		x := uint64(tz)<<(b&63) | r.cur>>(tz&63)>>1&(1<<b-1)
+		r.cur >>= n & 63
+		r.avail -= n
+		return x
+	}
+	x, next, ok := readCode(r.words, r.pos(), r.end, b)
+	r.next, r.cur, r.avail, r.over = min(next, r.end), 0, 0, r.over || !ok || next > r.end
+	return x
 }
 
 // bitWords returns the word count of an n-bit vector.

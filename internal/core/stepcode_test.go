@@ -22,35 +22,14 @@ import (
 // canonicalV3 is the reference encoder: the version-3 bytes of the entry
 // lists (node-major segments, with β lists for a weighted set) under
 // header h, written value by value and bit by bit with none of the
-// writer's block copies, shifts, rank look-ups or use counts.  The width of
-// a packed column is spelled out here rather than taken from widthBelow —
-// the smallest w, at least 1, with every value below 2^w — and so is a
-// run's Rice parameter (testNodeCodes) — and the dictionary is its own
-// pass: collect the steps, sort, drop repeats, and use it iff that is
-// strictly fewer bytes.  A list whose IDs are not the set's, or not in
-// order, still has its codes.
+// writer's block copies, shifts, rank look-ups or dictionary searches.
+// Each sketch's bits are spelled out (testListBits): its counts, its
+// steps, its node codes (testNodeCodes) and its β; the dictionary is its
+// own pass — collect the steps, sort, drop repeats, and use it iff its
+// bound is strictly below the raw steps' bits (testDictWins).  A list
+// whose IDs are not the set's, or not in order, still has its codes.
 func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 	le := binary.LittleEndian
-	width := func(bound uint64) uint64 {
-		w := uint64(1)
-		for bound > 1<<w {
-			w++
-		}
-		return w
-	}
-	pack := func(vals []uint64, w uint64) (out []byte) {
-		words := make([]uint64, (uint64(len(vals))*w+63)/64)
-		for i, v := range vals {
-			for b := uint64(0); b < w; b++ {
-				at := uint64(i)*w + b
-				words[at/64] |= v >> b & 1 << (at % 64)
-			}
-		}
-		for _, x := range words {
-			out = le.AppendUint64(out, x)
-		}
-		return out
-	}
 	total := h.n
 	if h.kind == kindPartition {
 		total = uint64(h.total)
@@ -59,58 +38,125 @@ func canonicalV3(h frameHdr, lists [][]Entry, betas [][]float64) []byte {
 	if Kind(h.setKind()) == KindUniform {
 		pos = testRankPositions(h.params(), total)
 	}
-	var beta []byte
-	var offs, boffs, soffs, nodes, codes []uint64
 	var steps []float64
-	for s, l := range lists {
-		offs = append(offs, uint64(len(nodes)))
-		boffs = append(boffs, uint64(len(codes)))
-		soffs = append(soffs, uint64(len(steps)))
+	entries := uint64(0)
+	for _, l := range lists {
+		entries += uint64(len(l))
 		for i, e := range l {
-			nodes = append(nodes, uint64(uint32(e.Node)))
 			if i == 0 || e.Dist != l[i-1].Dist {
 				steps = append(steps, e.Dist)
 			}
-			if betas != nil {
-				beta = le.AppendUint64(beta, math.Float64bits(betas[s][i]))
-			}
 		}
-		code, _ := testNodeCodes(l, total, pos, int(h.k))
-		codes = append(codes, code...)
 	}
-	offs = append(offs, uint64(len(nodes)))
-	boffs = append(boffs, uint64(len(codes)))
-	soffs = append(soffs, uint64(len(steps)))
 	dict := append([]float64(nil), steps...)
 	sort.Float64s(dict)
 	dict = dedupe(dict)
-	h.numEntries, h.numSteps, h.numDistinct = uint64(len(nodes)), uint64(len(steps)), 0
-	h.numNodeBits = uint64(len(codes))
-	var stepBytes []byte
-	if codeWords := (uint64(len(steps))*width(uint64(len(dict))) + 63) / 64; 8*uint64(len(dict))+8*codeWords < 8*uint64(len(steps)) {
+	h.numEntries, h.numSteps, h.numDistinct = entries, uint64(len(steps)), 0
+	if testDictWins(uint64(len(dict)), h.numSteps, h.n) && !slices.ContainsFunc(dict, math.IsNaN) {
 		h.numDistinct = uint64(len(dict))
-		codes := make([]uint64, len(steps))
-		for j, d := range steps {
-			for dict[codes[j]] != d {
-				codes[j]++
-			}
+	} else {
+		dict = nil
+	}
+	var bits, boffs []uint64
+	for s, l := range lists {
+		boffs = append(boffs, uint64(len(bits)))
+		code, _ := testNodeCodes(l, total, pos, int(h.k))
+		var beta []float64
+		if betas != nil {
+			beta = betas[s]
 		}
-		stepBytes = pack(codes, width(uint64(len(dict))))
-		steps = dict
+		bits = append(bits, testListBits(h, dict, l, code, beta)...)
 	}
-	for _, d := range steps {
-		stepBytes = le.AppendUint64(stepBytes, math.Float64bits(d))
-	}
-	h.flags |= frameFlagStepDists | frameFlagPackedNodes | frameFlagCompact | frameFlagRiceNodes | frameFlagRunLengths
+	boffs = append(boffs, uint64(len(bits)))
+	h.numNodeBits = uint64(len(bits))
+	h.flags |= frameFlagsLayout
 	if pos != nil {
 		h.flags |= frameFlagsRanked
 	}
-	out := append(h.appendHeader(nil), pack(offs, width(uint64(len(nodes))+1))...)
-	out = append(out, pack(boffs, width(uint64(len(codes))+1))...)
-	out = append(out, pack(soffs, width(h.numSteps+1))...)
-	out = append(out, pack(codes, 1)...)
-	out = append(out, stepBytes...)
-	return append(out, beta...)
+	out := append(h.appendHeader(nil), testPack(boffs, testWidth(h.numNodeBits+1))...)
+	out = append(out, testPack(bits, 1)...)
+	for _, d := range dict {
+		out = le.AppendUint64(out, math.Float64bits(d))
+	}
+	return out
+}
+
+// testParams returns the Rice parameters a file of header h codes its
+// sketches' entry counts, step counts and step-index deltas at, spelled
+// out: each the largest b with m·2^b <= a bound, or 0 — m the node count
+// and the bound the entries or steps beyond one a node, or m the mean
+// steps a node (at least 1) and the bound the dictionary's size.
+func testParams(h frameHdr) (eb, sb, db uint64) {
+	largest := func(bound, m uint64) uint64 {
+		b := uint64(0)
+		for m > 0 && m<<(b+1) <= bound {
+			b++
+		}
+		return b
+	}
+	if h.n == 0 {
+		return 0, 0, 0
+	}
+	return largest(h.numEntries-h.n, h.n), largest(h.numSteps-h.n, h.n), largest(h.numDistinct, max(h.numSteps/h.n, 1))
+}
+
+// testDictWins reports whether s steps of d distinct values in n sketches
+// go through a dictionary: 64 bits a value, and a bound on the codes — a
+// sketch's deltas sum to under d, so their quotients to d>>b, and a code
+// is 1+b bits more — below the 64 bits of each raw step but the owners'.
+func testDictWins(d, s, n uint64) bool {
+	_, _, b := testParams(frameHdr{n: n, numSteps: s, numEntries: s, numDistinct: d})
+	return d > 0 && 64*d+n*(d>>b)+(s-n)*(1+b) < 64*(s-n)
+}
+
+// testRice returns the Rice code of x at parameter b, a bit each: x>>b
+// zeros, a one, the b low bits.
+func testRice(x, b uint64) []uint64 {
+	var out []uint64
+	for q := x >> b; q > 0; q-- {
+		out = append(out, 0)
+	}
+	out = append(out, 1)
+	for k := uint64(0); k < b; k++ {
+		out = append(out, x>>k&1)
+	}
+	return out
+}
+
+// testRaw returns the 64 bits of x, a bit each, from the lowest.
+func testRaw(x uint64) []uint64 {
+	out := make([]uint64, 64)
+	for k := range out {
+		out[k] = x >> k & 1
+	}
+	return out
+}
+
+// testListBits returns the bits of the list l under header h and the
+// dictionary dict (nil: raw steps), code being its node codes: its entry
+// and step counts less one, its steps after the owner's — index deltas
+// less one, or the raw floats — the codes, and β.
+func testListBits(h frameHdr, dict []float64, l []Entry, code []uint64, beta []float64) []uint64 {
+	eb, sb, db := testParams(h)
+	out := append(testRice(uint64(len(l)-1), eb), testRice(uint64(countSteps(l)-1), sb)...)
+	prev := uint64(0)
+	for i, e := range l {
+		if i == 0 || e.Dist == l[i-1].Dist {
+			continue
+		}
+		if dict == nil {
+			out = append(out, testRaw(math.Float64bits(e.Dist))...)
+			continue
+		}
+		at := uint64(slices.Index(dict, e.Dist))
+		out = append(out, testRice(at-prev-1, db)...)
+		prev = at
+	}
+	out = append(out, code...)
+	for _, b := range beta {
+		out = append(out, testRaw(math.Float64bits(b))...)
+	}
+	return out
 }
 
 // testRankPositions returns the position of every node of a total-node
@@ -244,8 +290,8 @@ func segmentLists(f *Frame) (lists [][]Entry, betas [][]float64) {
 	for v := 0; v < f.n; v++ {
 		c := f.colsAt(v)
 		lists = append(lists, c.entries())
-		if f.beta != nil {
-			betas = append(betas, append([]float64(nil), c.beta...))
+		if c.beta != nil {
+			betas = append(betas, c.beta)
 		}
 	}
 	return lists, betas
@@ -294,15 +340,34 @@ func stepKinds(t *testing.T) map[string]*Set {
 func TestStepCodeCanonicalBytes(t *testing.T) {
 	sets := stepKinds(t)
 	// A path and as many isolated nodes after it: the second half of a
-	// two-way split has distance 0 alone, so the dictionary its file
-	// carries is a strict subset of the one its slice shares in memory.
+	// two-way split has distance 0 alone, no step but the owners' to code,
+	// so its file carries no dictionary where its slice shares one in
+	// memory.
 	sets["path and isolated nodes"] = pathSetPlus(t, 8, 8, Options{K: 8, Seed: 42})
+	// The same graph weighted: an isolated node's sketch is its owner's
+	// code alone, after counts of one entry in one step.
+	b := graph.NewBuilder(16, false)
+	for v := int32(1); v < 8; v++ {
+		b.AddEdge(v-1, v)
+	}
+	weighted, err := BuildWeightedSetParallel(b.Build(), 8, 42, slices.Repeat([]float64{2}, 16), ExponentialWeights, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets["weighted path and isolated nodes"] = weighted
 	for name, set := range sets {
 		f := set.frame
 		lists, betas := segmentLists(f)
 		want := canonicalV3(headerOf(set), lists, betas)
 		if got := v3Bytes(t, set); !bytes.Equal(got, want) {
 			t.Fatalf("%s: the built frame is not the canonical encoding of its entries (%d vs %d bytes)", name, len(got), len(want))
+		}
+		// Read back, every sketch — an isolated node's of one step too —
+		// decodes where its counts place it.
+		if back, err := ReadSketchSet(bytes.NewReader(want)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		} else if again, _ := segmentLists(back.frame); !slices.EqualFunc(again, lists, slices.Equal) {
+			t.Fatalf("%s: read back as other entries", name)
 		}
 		for _, p := range []int{2, 3, 7} {
 			parts, err := SplitSketchSet(set, p)
@@ -318,7 +383,7 @@ func TestStepCodeCanonicalBytes(t *testing.T) {
 					t.Fatalf("%s: partition %d/%d is not the canonical encoding of its entries", name, part.index, p)
 				}
 				if name == "path and isolated nodes" && p == 2 {
-					if whole, own := len(pf.steps.dict), splitV3(t, got).h.numDistinct; whole != 8 || own != []uint64{8, 1}[part.index] {
+					if whole, own := len(pf.node.lc.dict), splitV3(t, got).h.numDistinct; whole != 8 || own != []uint64{8, 0}[part.index] {
 						t.Fatalf("%s: partition %d/2 shares a dictionary of %d distances and writes one of %d", name, part.index, whole, own)
 					}
 				}
@@ -379,16 +444,13 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if raw := base.frame.steps.dict == nil; raw != (name == "directed") || raw && base.frame.steps.dlo == 0 {
-			t.Fatalf("%s: the base's steps go through %d values (raw with a bound of %d)", name, len(base.frame.steps.dict), base.frame.steps.dlo)
+		if raw := base.frame.node.lc.dict == nil; raw != (name == "directed") {
+			t.Fatalf("%s: the base's steps go through %d values", name, len(base.frame.node.lc.dict))
 		}
-		// The same base through a file: no use counts, no bound.
+		// The same base through a file.
 		loaded, err := ReadSketchSet(bytes.NewReader(v3Bytes(t, base)))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if c := &loaded.frame.steps; c.uses != nil || c.dlo != 0 {
-			t.Fatalf("%s: a frame from a file has use counts or a bound", name)
 		}
 		baseLists, _ := segmentLists(base.frame)
 		otherLists, _ := segmentLists(other.frame)
@@ -424,7 +486,7 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 			if !bytes.Equal(v3Bytes(t, got), canonicalV3(h, lists, nil)) {
 				t.Fatalf("%s trial %d: freezing %d changed nodes over the base is not the canonical encoding", name, trial, len(changed))
 			}
-			if !slices.Equal(got.frame.steps.dict, base.frame.steps.dict) {
+			if !slices.Equal(got.frame.node.lc.dict, base.frame.node.lc.dict) {
 				moved++
 			}
 			// And it is a base like any other.
@@ -465,10 +527,10 @@ func TestFreezeOverCanonicalBytes(t *testing.T) {
 			}
 			if !bytes.Equal(v3Bytes(t, got), canonicalV3(headerOf(fresh), lists, nil)) || !bytes.Equal(v3Bytes(t, got), v3Bytes(t, fresh)) {
 				t.Fatalf("a path of %d, %s (%d → %d distances, %d → %d entries), is not the canonical encoding", n, name,
-					base.frame.steps.n, fresh.frame.steps.n, base.frame.totalEntries(), fresh.frame.totalEntries())
+					len(base.frame.node.lc.dict), len(fresh.frame.node.lc.dict), base.frame.totalEntries(), fresh.frame.totalEntries())
 			}
 		}
-		if f := pathSet(t, n, o).frame; f.totalEntries() != n*n || len(distinctSteps(f.steps.appendRaw(nil, 0, f.steps.n))) != n {
+		if f := pathSet(t, n, o).frame; f.totalEntries() != n*n || len(distinctSteps(f.listAt(0).sd.appendSteps(nil))) != n {
 			t.Fatalf("a path of %d has %d entries", n, f.totalEntries())
 		}
 	}
@@ -597,7 +659,7 @@ func TestV3CompactFixtures(t *testing.T) {
 // the owner's code was implied — one parameter a run, flags 0x7e — are
 // refused, whole and as a partition.
 func TestV3RankFixtures(t *testing.T) {
-	checkV3Fixtures(t, v3Fixtures("v3rank")[:2], frameFlagsLayout&^frameFlagRunLengths|frameFlagRankNodes, rankedV3, -1)
+	checkV3Fixtures(t, v3Fixtures("v3rank")[:2], frameFlagsLayout&^(frameFlagRunLengths|frameFlagInlineLists)|frameFlagRankNodes, rankedV3, -1)
 }
 
 // TestV3AdaptFixtures: the files of the last release before run lengths
@@ -605,11 +667,24 @@ func TestV3RankFixtures(t *testing.T) {
 // set's adapted rank-ordered codes, flags 0xfe, whole and as a partition,
 // and a weighted set's IDs' own codes, flags 0x3e — are refused.  At 60
 // nodes and k=4 a sketch has 13 entries in 4 runs, so the step offsets and
-// run lengths cost about what the step bits did: the whole files are a
-// word larger now (TestFileBytesNoLargerPerFamily has the sizes at scale).
+// run lengths cost about what the step bits did, and the inline counts
+// and steps that replaced them less.
 func TestV3AdaptFixtures(t *testing.T) {
-	checkV3Fixtures(t, v3Fixtures("v3adapt")[:2], frameFlagsLayout&^frameFlagRunLengths|frameFlagsRanked, adaptiveV3, 8)
-	checkV3Fixtures(t, v3Fixtures("v3rice")[2:3], frameFlagsLayout&^frameFlagRunLengths, riceV3, 8)
+	retired := uint32(frameFlagsLayout &^ (frameFlagRunLengths | frameFlagInlineLists))
+	checkV3Fixtures(t, v3Fixtures("v3adapt")[:2], retired|frameFlagsRanked, adaptiveV3, -1)
+	checkV3Fixtures(t, v3Fixtures("v3rice")[2:3], retired, riceV3, -1)
+}
+
+// TestV3RunsFixtures: the files of the last release before each sketch's
+// counts, steps and β came inline in its bit range — run lengths in the
+// node stream beside offsets, step offsets, step codes and β columns,
+// flags 0x1fe for a uniform set, whole and as a partition, and 0x13e
+// (0x13f) for a weighted one — are refused, and are larger than a fresh
+// build's (TestFileBytesNoLargerPerFamily has the sizes at scale).
+func TestV3RunsFixtures(t *testing.T) {
+	retired := uint32(frameFlagsLayout &^ frameFlagInlineLists)
+	checkV3Fixtures(t, v3Fixtures("v3runs")[:2], retired|frameFlagsRanked, runLengthsV3, -1)
+	checkV3Fixtures(t, v3Fixtures("v3runs")[2:3], retired, runLengthsV3, -1)
 }
 
 // checkV3Fixtures: every committed file of an earlier layout (its flags,
@@ -665,29 +740,35 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 }
 
 // hostileStepFiles returns a valid whole-set bottom-k file and damaged
-// copies of it, one per way its steps and step offsets can lie.  trusted
-// marks the damage the file openers must catch too (it would index the
-// step column out of range); the rest leaves well-formed columns over
-// invalid or non-canonical distances, or steps the sketches' runs do not
-// fill, which is the validating stream readers' to refuse.  The file's
-// steps go through a dictionary; hostileCompactFiles has the ways that can
-// lie, and the same damage to raw steps.
+// copies of it, one per way a sketch's counts and steps can lie, and a
+// weighted one's β.  trusted marks the damage the file openers must catch
+// too (the header's); the rest leaves well-formed columns over sketches
+// whose counts, steps or β are not codes inside their bits, which is the
+// validating stream readers' to refuse, naming the sketch.  The file's
+// steps go through a dictionary, whose index deltas cannot spell steps
+// that repeat or descend; hostileCompactFiles has the ways the dictionary
+// can lie, and the same damage to raw steps.
 func hostileStepFiles(t testing.TB) (valid []byte, damaged map[string][]byte, trusted map[string]bool) {
 	t.Helper()
-	set, err := BuildSet(graph.PreferentialAttachment(61, 3, 9), Options{K: 4, Seed: 42})
+	g := graph.PreferentialAttachment(61, 3, 9)
+	set, err := BuildSet(g, Options{K: 4, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	beta := make([]float64, g.NumNodes())
+	for i := range beta {
+		beta[i] = 1 + float64(i%7)
+	}
+	weighted, err := BuildWeightedSetParallel(g, 4, 42, beta, ExponentialWeights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	valid = v3Bytes(t, set)
 	le := binary.LittleEndian
 	whole := splitV3(t, valid)
-	e, steps, last := int64(whole.h.numEntries), whole.h.numSteps, len(whole.soffs)-1
-	if int64(len(whole.soffs))*int64(testWidth(steps+1))%64 == 0 || whole.soffs[1] < 3 || whole.h.numDistinct == 0 {
-		t.Fatalf("the seed set has %d step offsets, %d steps in node 0, %d dictionary values: pick one with padding bits, a longer first sketch and a dictionary", len(whole.soffs), whole.soffs[1], whole.h.numDistinct)
-	}
-	// Node 0's sketch: owner at 0, then neighbours at 1, then at 2.
-	if f := set.frame; f.colsAt(0).sd.step(1) != 1 || whole.dists[whole.codes[0]] != 0 {
-		t.Fatal("the seed set's first sketch does not have the assumed shape")
+	e, d := int64(whole.h.numEntries), whole.h.numDistinct
+	if l := whole.decode(1); l.r < 3 || d == 0 {
+		t.Fatalf("the seed set has %d steps in node 1, %d dictionary values: pick one with a longer second sketch and a dictionary", l.r, d)
 	}
 	stepsAt := int64(framePreambleSize + frameHdrSize - 8)
 	damaged, trusted = map[string][]byte{}, map[string]bool{}
@@ -696,37 +777,51 @@ func hostileStepFiles(t testing.TB) (valid []byte, damaged map[string][]byte, tr
 		fn(b)
 		damaged[name], trusted[name] = b, open
 	}
-	rebuilt := func(name string, open bool, fn func(p *v3Parts)) {
-		p := splitV3(t, valid)
+	rebuilt := func(name string, from []byte, fn func(p *v3Parts)) {
+		p := splitV3(t, from)
 		fn(&p)
-		damaged[name], trusted[name] = p.bytes(), open
+		damaged[name], trusted[name] = p.bytes(), false
 	}
-	add("a step offset bit past the last", true, func(b []byte) { b[whole.nodesAt-1] |= 0x80 })
 	add("step count past the entries", true, func(b []byte) { le.PutUint64(b[stepsAt:], uint64(e)+1) })
 	add("step count overflowing the body", true, func(b []byte) { le.PutUint64(b[stepsAt:], 1<<61) })
-	add("step count one short", true, func(b []byte) { le.PutUint64(b[stepsAt:], steps-1) })
 	add("step count with the flag clear", true, func(b []byte) {
 		le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagStepDists)
 	})
-	add("step offsets without the run-length flag", true, func(b []byte) {
-		le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagRunLengths)
+	add("inline sketches without their flag", true, func(b []byte) {
+		le.PutUint32(b[12:], le.Uint32(b[12:])&^frameFlagInlineLists)
 	})
-	// The step offsets place every sketch's steps in the column.
-	rebuilt("step offsets that decrease", true, func(p *v3Parts) { p.soffs[2], p.soffs[3] = p.soffs[3], p.soffs[2] })
-	rebuilt("a sketch with no steps", true, func(p *v3Parts) { p.soffs[2] = p.soffs[1] })
-	rebuilt("step offsets that start past 0", true, func(p *v3Parts) { p.soffs[0] = 1 })
-	rebuilt("step offsets that end short of the steps", true, func(p *v3Parts) { p.soffs[last]-- })
-	rebuilt("step offsets that end past the steps", true, func(p *v3Parts) { p.soffs[last]++ })
-	// Within the column the steps are trusted: the stream readers decode
-	// every sketch's runs, and refuse a sketch whose steps its entries
-	// cannot fill, or its runs do not.
-	rebuilt("a step moved to the next sketch", false, func(p *v3Parts) { p.soffs[1]-- })
-	rebuilt("a step moved from the next sketch", false, func(p *v3Parts) { p.soffs[1]++ })
-	// Sketch 0's entries but one of its steps' worth moved to sketch 1.
-	rebuilt("a sketch with more steps than entries", false, func(p *v3Parts) { p.offs[1] = p.soffs[1] - 1 })
-	rebuilt("equal steps", false, func(p *v3Parts) { p.codes[2] = p.codes[1] })
-	rebuilt("a second entry at distance 0", false, func(p *v3Parts) { p.codes[1] = p.codes[0] })
-	rebuilt("decreasing steps", false, func(p *v3Parts) { p.codes[1], p.codes[2] = p.codes[2], p.codes[1] })
+	// Within the stream the counts and steps are trusted: the stream
+	// readers decode every sketch, and refuse one whose counts its bits
+	// cannot hold, or whose steps its runs do not fill.
+	rebuilt("an entry count past the sketch's bits", valid, func(p *v3Parts) {
+		p.recode(1, func(l *testList) { l.n = 1 << 20 })
+	})
+	rebuilt("a sketch whose bits end before its step count", valid, func(p *v3Parts) {
+		lists := p.lists()
+		eb, _, _ := testParams(p.h)
+		lists[1] = testRice(p.decode(1).n-1, eb)
+		p.setLists(lists)
+	})
+	rebuilt("a step count above the entry count", valid, func(p *v3Parts) {
+		p.recode(1, func(l *testList) { l.r = l.n + 1 })
+	})
+	rebuilt("a step count one short", valid, func(p *v3Parts) {
+		p.recode(1, func(l *testList) { l.r-- })
+	})
+	rebuilt("a step-index delta past the dictionary", valid, func(p *v3Parts) {
+		p.recode(1, func(l *testList) { l.codes[len(l.codes)-1] += d })
+	})
+	wdata := v3Bytes(t, weighted)
+	rebuilt("a truncated inline β", wdata, func(p *v3Parts) {
+		lists := p.lists()
+		lists[1] = lists[1][:len(lists[1])-8]
+		p.setLists(lists)
+	})
+	rebuilt("a sketch short of its β", wdata, func(p *v3Parts) {
+		lists := p.lists()
+		lists[1] = lists[1][:len(lists[1])-64*int(p.decode(1).n)+1]
+		p.setLists(lists)
+	})
 	return valid, damaged, trusted
 }
 
@@ -764,7 +859,8 @@ func checkHostileFiles(t *testing.T, damaged map[string][]byte, trusted map[stri
 			// What the parser trusts, every decoder reads without a panic.
 			for v := 0; v < set.NumNodes(); v++ {
 				indexEntries(set.Index(int32(v)))
-				set.frame.nodesAt(v).AppendRuns(nil, nil)
+				set.frame.listAt(v).nodes.AppendRuns(nil, nil)
+				set.SketchOf(int32(v)).HIPEntries()
 			}
 		}
 		if _, serr := ReadSketchSet(bytes.NewReader(data)); serr == nil {
@@ -857,7 +953,7 @@ func TestFrameIndexMatchesStandalone(t *testing.T) {
 		}
 		for _, s := range []*Set{set, parts[1]} {
 			f := s.frame
-			if e := int64(f.totalEntries()); MemoryOf(s) < 8*bitWords(f.nodeBits())+e/8 {
+			if e := int64(f.totalEntries()); MemoryOf(s) < 8*bitWords(f.nodeBits())+8*int64(len(f.node.lc.dict)) {
 				t.Errorf("%s: frame %d B for %d entries", name, MemoryOf(s), e)
 			}
 			check := func(v int) string {

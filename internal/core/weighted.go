@@ -173,15 +173,15 @@ func BuildWeightedSetParallel(g *graph.Graph, k int, seed uint64, beta []float64
 func weightedSetFrom(g *graph.Graph, p Params, beta []float64, workers int) (*Set, error) {
 	by := newRanker(p)
 	lists := prunedDijkstraRun(g, runSpec{k: p.K, rank: func(v int32) float64 { return by.rank(v, beta[v]) }}, workers)
-	f, err := freezeWhole(p, lists)
-	if err != nil {
-		return nil, err
-	}
-	f.beta = make([]float64, 0, f.totalEntries())
+	var b []float64
 	for _, l := range lists {
 		for _, e := range l {
-			f.beta = append(f.beta, beta[e.Node])
+			b = append(b, beta[e.Node])
 		}
+	}
+	f, err := freezeWhole(p, lists, b)
+	if err != nil {
+		return nil, err
 	}
 	return &Set{frame: f}, nil
 }

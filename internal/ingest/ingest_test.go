@@ -385,14 +385,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := mustBuild(t, g, core.Options{K: 2, Seed: 1}).WriteTo(&file); err != nil {
 		t.Fatal(err)
 	}
-	// After the 96-byte header, whose last word is the node codes' length
-	// in bits and third last the step count, 11 offsets in the bits of the
-	// entry count, 11 in those of that length and 11 in those of the step
-	// count.
-	entries := mustBuild(t, g, core.Options{K: 2, Seed: 1}).TotalEntries()
-	steps, codes := binary.LittleEndian.Uint64(file.Bytes()[72:]), binary.LittleEndian.Uint64(file.Bytes()[88:])
+	// After the 96-byte header, whose last word is the node stream's length
+	// in bits, 11 bit offsets in the bits of that length.
+	codes := binary.LittleEndian.Uint64(file.Bytes()[88:])
 	header := 96
-	offsets := 8*((11*bits.Len(uint(entries))+63)/64) + 8*((11*bits.Len(uint(codes))+63)/64) + 8*((11*bits.Len(uint(steps))+63)/64)
+	offsets := 8 * ((11*bits.Len(uint(codes)) + 63) / 64)
 	binary.LittleEndian.PutUint32(file.Bytes()[header+offsets+4:], 1000)
 	path := filepath.Join(t.TempDir(), "foreign.ads")
 	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {

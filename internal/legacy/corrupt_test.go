@@ -207,10 +207,13 @@ func FuzzReadSet(f *testing.F) {
 	addDamaged(f, files["weighted-partition"])
 	addDamaged(f, legacyV3(f, files["weighted-partition"]))
 	addDamaged(f, rankedV3(f, files["uniform-partition"]))
-	// The current layout and the two it replaced: 0xfe, a uniform set's,
-	// and 0x3e, every other kind's.
+	// The current layout, the two it replaced — 0x1fe, a uniform set's,
+	// and 0x13e, every other kind's — and the two those replaced: 0xfe and
+	// 0x3e.
 	addDamaged(f, files["uniform-partition"])
 	addDamaged(f, adaptiveV3(f, files["uniform-partition"]))
+	addDamaged(f, runLengthsV3(f, files["uniform-partition"]))
+	addDamaged(f, runLengthsV3(f, files["weighted"]))
 	addDamaged(f, riceV3(f, files["weighted-partition"]))
 	for _, fx := range v2Fixtures {
 		addDamaged(f, readFixture(f, fx.file))

@@ -74,14 +74,22 @@
 // entries at smaller distances (the node count while there are fewer than
 // k), b the largest with m·2^b <= M.  An eighth, flags 0xfe (the
 // *_v3adapt_* fixtures), was a uniform set's before run lengths in the
-// node stream and step offsets replaced the step bits (bit 8, which the
-// current layout of every kind has, and no retired one): bit 7 implies a
+// node stream and step offsets replaced the step bits: bit 7 implies a
 // sketch's entry 0, its owner, with no code, and adapts a gap's b — the
 // least with n·2^b >= a, a the sum of the run's gaps before it and
 // ⌊M/(4m)⌋+1, n their count and 1, both halved as n reaches 16 — but no
 // less than b₀−3, b₀ the 0x7e layout's.  Weighted and approximate sets
-// were written in the 0x3e layout until then.  These layouts are frozen
-// bytes, so this copy of their header cannot drift from the writers'.
+// were written in the 0x3e layout until then.  A ninth, flags 0x1fe for a
+// uniform set and 0x13e for another kind (the *_v3runs_* fixtures), was
+// written before each sketch's counts, steps and β came inline in its bit
+// range (bit 9, which the current layout of every kind has, and no retired
+// one): bit 8 adds, after the bit offsets, (numNodes+1) step offsets
+// packed at the bits numSteps needs, drops the first bits, and leads each
+// run of a sketch but its first and its last with its length m−1, Rice
+// coded at the largest b <= 15 with n·2^b <= a, a the sum of the sketch's
+// lengths before it and ⌊(entries−1)/(steps−1)⌋, n their count and 1, both
+// halved as n reaches 16.  These layouts are frozen bytes, so this copy of
+// their header cannot drift from the writers'.
 //
 // Stored ranks are checked against the ones the frame derives, and
 // dropped.  A uniform header records the seed that derives them; a weighted
@@ -124,7 +132,8 @@ const (
 	flagRiceNodes    = 1 << 5
 	flagRankNodes    = 1 << 6 // a uniform file's: rank-ordered codes
 	flagAdaptNodes   = 1 << 7 // a uniform file's: adapted gap parameters, implied owners
-	flagRunLengths   = 1 << 8 // a current file's; no retired one has it
+	flagRunLengths   = 1 << 8 // run lengths in the node stream, step offsets for step bits
+	flagInlineLists  = 1 << 9 // a current file's; no retired one has it
 	flagsCompact     = flagDerivedRanks | flagStepDists | flagPackedNodes | flagCompact
 	flagsRice        = flagsCompact | flagRiceNodes
 )
@@ -133,9 +142,9 @@ const (
 // of kind kind: a uniform set's node codes are rank-ordered and adapt.
 func currentFlags(kind uint32) uint32 {
 	if core.Kind(kind) == core.KindUniform {
-		return flagsRice | flagRankNodes | flagAdaptNodes | flagRunLengths
+		return flagsRice | flagRankNodes | flagAdaptNodes | flagRunLengths | flagInlineLists
 	}
-	return flagsRice | flagRunLengths
+	return flagsRice | flagRunLengths | flagInlineLists
 }
 
 // Read reads a sketch file of any layout a release wrote — version 2, a
@@ -331,6 +340,7 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	p.Eps = c.f64()
 	n, e, numSteps := c.u64(), int64(c.u64()), c.u64()
 	compact, rice, ranked, adapted := flags&flagCompact != 0, flags&flagRiceNodes != 0, flags&flagRankNodes != 0, flags&flagAdaptNodes != 0
+	lengths := flags&flagRunLengths != 0
 	var numDistinct, numNodeBits uint64
 	if compact {
 		numDistinct = c.u64()
@@ -355,10 +365,11 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	switch {
 	case c.err != nil:
 		return nil, fmt.Errorf("legacy: truncated sketch file header")
-	case flags&^uint32(flagsRice|flagRankNodes|flagAdaptNodes|flagBeta) != 0:
+	case flags&^uint32(flagsRice|flagRankNodes|flagAdaptNodes|flagRunLengths|flagBeta) != 0:
 		return nil, fmt.Errorf("legacy: sketch file has unknown flags %#x", flags)
 	case ranked && !rice, adapted && !ranked, ranked && p.Kind != core.KindUniform,
-		rice && flags&^(flagBeta|flagRankNodes|flagAdaptNodes) != flagsRice,
+		lengths && (p.Kind == core.KindUniform) != adapted,
+		rice && flags&^(flagBeta|flagRankNodes|flagAdaptNodes|flagRunLengths) != flagsRice,
 		!rice && compact && flags&^flagBeta != flagsCompact:
 		return nil, fmt.Errorf("legacy: sketch file has flags %#x, a layout no release wrote for a %v set", flags, p.Kind)
 	case kind == kindPartition:
@@ -394,10 +405,15 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	nodesAt := ((int64(n)+1)*offWidth + 63) / 64 * 8
 	distsAt := nodesAt + (4*e+7)&^7
 	boffsAt := int64(-1) // the bit offsets', when the IDs are Rice-coded
+	soffsAt := int64(-1) // the step offsets', when the runs' lengths are coded
 	switch {
 	case rice:
 		boffsAt = nodesAt
 		nodesAt += ((int64(n)+1)*widthBelow(numNodeBits+1) + 63) / 64 * 8
+		if lengths {
+			soffsAt = nodesAt
+			nodesAt += ((int64(n)+1)*widthBelow(numSteps+1) + 63) / 64 * 8
+		}
 		distsAt = nodesAt + (int64(numNodeBits)+63)/64*8
 	case flags&flagPackedNodes != 0:
 		distsAt = nodesAt + (e*width+63)/64*8
@@ -405,7 +421,9 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 	stepsAt, ranksAt := distsAt, distsAt+8*e
 	codesAt := int64(-1) // the step codes', when the steps are coded
 	if stepped {
-		stepsAt = distsAt + (e+63)/64*8
+		if stepsAt = distsAt + (e+63)/64*8; lengths {
+			stepsAt = distsAt // no step bits
+		}
 		ranksAt = stepsAt + 8*int64(numSteps)
 		if numDistinct > 0 {
 			codesAt = stepsAt
@@ -485,15 +503,53 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 		if env != nil {
 			owner += int32(env.lo)
 		}
+		// A run-length file's runs: its step offsets' count, their lengths'
+		// parameter, and how many started, ending where.
+		var runs, runAt, runEnd, la, ln int64
+		if lengths {
+			sw := widthBelow(numSteps + 1)
+			slo, shi := int64(packed(soffsAt, int64(s), sw)), int64(packed(soffsAt, int64(s+1), sw))
+			if slo != step || shi <= slo || shi > int64(numSteps) {
+				return nil, fmt.Errorf("legacy: sketch file sketch %d's steps are [%d, %d), not from %d in %d", s, slo, shi, step, numSteps)
+			}
+			runs, runEnd, la, ln = shi-slo, lo, (hi-lo-1)/max(shi-slo-1, 1), 1
+		}
 		for i := lo; i < hi; i++ {
 			x := &entries[i]
+			start := i == runEnd
+			if !lengths {
+				start = stepped && body[distsAt+i/8]>>(i%8)&1 != 0
+			} else if start {
+				m := hi - i
+				switch {
+				case runAt >= runs:
+					return nil, fmt.Errorf("legacy: sketch file sketch %d has more runs than its %d steps", s, runs)
+				case i == lo:
+					m = 1
+				case runAt < runs-1:
+					b := 0
+					for ln<<(b+1) <= la && b < 15 {
+						b++
+					}
+					length, ok := codes.code(b)
+					if !ok || length >= uint64(hi-i) {
+						return nil, fmt.Errorf("legacy: sketch file sketch %d's run %d has no length its entries can hold", s, runAt)
+					}
+					m = int64(length) + 1
+					if la, ln = la+int64(length), ln+1; ln == 16 {
+						la, ln = la/2, 8
+					}
+				}
+				runEnd, runAt = i+m, runAt+1
+			}
 			if adapted && i == lo { // the owner, which has no code
 				x.Node, earlier, run = owner, append(earlier[:0], uint64(pos[owner])), run[:0]
 			} else if rice {
-				if body[distsAt+i/8]>>(i%8)&1 != 0 || i == lo+1 && adapted || i == lo {
-					m := int64(1) // the run's length: to the next step bit
-					for i+m < hi && body[distsAt+(i+m)/8]>>((i+m)%8)&1 == 0 {
-						m++
+				if start || i == lo+1 && adapted || i == lo {
+					m := runEnd - i // the run's length: coded, or to the next step bit
+					if !lengths {
+						for m = 1; i+m < hi && body[distsAt+(i+m)/8]>>((i+m)%8)&1 == 0; m++ {
+						}
 					}
 					if i == lo {
 						earlier = earlier[:0]
@@ -524,7 +580,7 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 			if !stepped {
 				x.Dist = f64(distsAt + 8*i)
 			} else {
-				if body[distsAt+i/8]>>(i%8)&1 != 0 {
+				if start {
 					step++
 				} else if i == lo {
 					return nil, fmt.Errorf("legacy: sketch file sketch %d does not start with a distance step", s)
@@ -546,6 +602,9 @@ func readRetiredV3(data []byte, seed *uint64) (*core.Set, error) {
 			if beta != nil {
 				beta[i] = f64(betasAt + 8*i)
 			}
+		}
+		if runAt != runs {
+			return nil, fmt.Errorf("legacy: sketch file sketch %d has %d runs, its step offsets %d", s, runAt, runs)
 		}
 		lists[s], lo = entries[lo:hi:hi], hi
 	}

@@ -69,17 +69,19 @@ func entries(set *core.Set, v int32) []core.Entry {
 
 // retiredAs rewrites a file of the current layout in a retired one with
 // write, that layout's one writer (internal/retired), which core's tests
-// use too: Read reads what it writes.
+// use too: Read reads what it writes.  Every weighted set here is of
+// fixtureGraph's node weights, which give its entries' β.
 func retiredAs(t testing.TB, data []byte, write func([]byte, [][]retired.Entry) []byte) []byte {
 	t.Helper()
 	set, err := core.ReadSketchSet(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, beta := fixtureGraph()
 	lists := make([][]retired.Entry, set.NumNodes())
 	for v := range lists {
 		for _, e := range entries(set, int32(v)) {
-			lists[v] = append(lists[v], retired.Entry{Node: e.Node, Dist: e.Dist, Rank: e.Rank})
+			lists[v] = append(lists[v], retired.Entry{Node: e.Node, Dist: e.Dist, Rank: e.Rank, Beta: beta[e.Node]})
 		}
 	}
 	return write(data, lists)
@@ -100,6 +102,12 @@ func compactV3(t testing.TB, data []byte) []byte  { return retiredAs(t, data, re
 func riceV3(t testing.TB, data []byte) []byte     { return retiredAs(t, data, retired.Rice) }
 func rankedV3(t testing.TB, data []byte) []byte   { return retiredAs(t, data, retired.RankOrdered) }
 func adaptiveV3(t testing.TB, data []byte) []byte { return retiredAs(t, data, retired.Adaptive) }
+
+// runLengthsV3 rewrites a file of the current layout in the one of flags
+// 0x1fe (a uniform set's) or 0x13e (another kind's): run lengths in the
+// node stream and a step offset a sketch, with offsets, step codes and β
+// in columns of their own.
+func runLengthsV3(t testing.TB, data []byte) []byte { return retiredAs(t, data, retired.RunLengths) }
 
 // v3Files returns the rank-free file of every set kind and of one
 // partition.
@@ -314,6 +322,34 @@ func TestV3AdaptFixtures(t *testing.T) {
 	}
 }
 
+// TestV3RunsFixtures: the files of the last release before each sketch's
+// counts, steps and β came inline in its bit range — run lengths in the
+// node stream, a step offset a sketch, flags 0x1fe for a uniform set and
+// 0x13e (0x13f) for a weighted one — whole and as a partition, read as
+// TestV3RiceFixtures' are; and an approximate set of that release, flags
+// 0x13e (the 0.25-approximate build of fixtureGraph at `-k 4 -seed 42`,
+// `-dist 1` and merged), reads as internal/core's
+// testdata/approx_pa60_k4.ads, byte for byte.
+func TestV3RunsFixtures(t *testing.T) {
+	fixtures := v3Fixtures("v3runs")
+	checkV3Fixtures(t, fixtures[:2], flagsRice|flagRankNodes|flagAdaptNodes|flagRunLengths, runLengthsV3)
+	checkV3Fixtures(t, fixtures[2:], flagsRice|flagRunLengths, runLengthsV3)
+	data := readFixture(t, "approx_v3runs_k4.ads")
+	if flags := binary.LittleEndian.Uint32(data[12:]); flags != flagsRice|flagRunLengths {
+		t.Fatalf("approx_v3runs_k4.ads: flags %#x, want %#x", flags, flagsRice|flagRunLengths)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "core", "testdata", "approx_pa60_k4.ads"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v3Bytes(t, read(t, data, nil)); !bytes.Equal(got, want) {
+		t.Errorf("approx_v3runs_k4.ads: written back as %d bytes, not the %d of the converted file", len(got), len(want))
+	}
+	if !bytes.Equal(runLengthsV3(t, want), data) {
+		t.Error("approx_v3runs_k4.ads: the test's writer of that layout does not turn the converted file into the committed one")
+	}
+}
+
 // TestAdaptedSparseSet: an adapted file's owners have no code, so a set
 // of mostly isolated nodes — here 40 nodes and one edge — holds fewer
 // bits of node codes than entries.  It reads, whole and as each
@@ -395,7 +431,7 @@ func checkV3Fixtures(t *testing.T, fixtures []v3Fixture, layout uint32, rewrite 
 // weighted, approximate — is refused without one and read with it.
 func TestLegacyDoorReadsRetiredLayouts(t *testing.T) {
 	seed := uint64(42)
-	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3, "compact": compactV3, "rice": riceV3, "rank": rankedV3, "adapt": adaptiveV3}
+	layouts := map[string]func(testing.TB, []byte) []byte{"ranks": legacyV3, "per-entry": perEntryV3, "wide": wideV3, "plain": plainV3, "compact": compactV3, "rice": riceV3, "rank": rankedV3, "adapt": adaptiveV3, "runs": runLengthsV3}
 	for name, data := range v3Files(t) {
 		for layout, rewrite := range layouts {
 			if (layout == "rank" || layout == "adapt") && !strings.HasPrefix(name, "uniform") {

@@ -4,11 +4,8 @@
 // (internal/core) and of the one that reads them (internal/legacy), which
 // also derives the rank order of a rank-ordered file here (Order).  It
 // imports neither, so both can: a writer takes a file of the current
-// layout, for its header and the columns the retired layout shares with
-// it, and the set's entry lists, for the columns it does not — the node
-// codes, and the bit an entry (first) that marked where each distance step
-// starts, which every retired layout from 0x06 on has in place of the
-// current step offsets.
+// layout, for its header, and the set's entry lists, β included, for every
+// column.
 //
 // The layouts, by the flags they carry (bit 0, β, as the set has it):
 //
@@ -30,9 +27,16 @@
 //	Adaptive 0xfe  a uniform set's, so adapted — retired when run lengths
 //	               in the node stream and step offsets replaced the step
 //	               bits (flags bit 8, every kind)
+//	RunLengths
+//	         0x1fe a uniform set's, 0x13e another kind's: run lengths in
+//	               the node stream, step offsets in place of the step bits —
+//	               retired when each sketch's counts, steps and β came to be
+//	               inline in its bit range (flags bit 9)
 //
 // The first four have no numDistinct or numNodeBits word.  A weighted or
-// approximate file that stores its ranks (Ranks) records no seed.
+// approximate file that stores its ranks (Ranks) records no seed.  Every
+// layout from Compact on codes its steps through a dictionary of their
+// distinct values iff that is strictly fewer bytes than a float a step.
 package retired
 
 import (
@@ -44,10 +48,11 @@ import (
 	"adsketch/internal/rank"
 )
 
-// Entry is one entry of a sketch, as the retired layouts store it.
+// Entry is one entry of a sketch, as the retired layouts store it: β is a
+// weighted set's node weight of the entry's node, and zero otherwise.
 type Entry struct {
-	Node       int32
-	Dist, Rank float64
+	Node             int32
+	Dist, Rank, Beta float64
 }
 
 const (
@@ -60,8 +65,9 @@ const (
 	flagRankNodes    = 1 << 6
 	flagAdaptNodes   = 1 << 7
 	flagRunLengths   = 1 << 8
+	flagInlineLists  = 1 << 9
 	flagsRanked      = flagRankNodes | flagAdaptNodes
-	flagsNew         = flagsRanked | flagRunLengths // what the current layout has that a writer here clears
+	flagsNew         = flagsRanked | flagRunLengths | flagInlineLists // what the current layout has that a writer here clears
 
 	kindUniform   = 0
 	kindPartition = 3
@@ -69,15 +75,13 @@ const (
 
 var le = binary.LittleEndian
 
-// current is a file of the current layout taken apart where a retired
-// layout needs it.
+// current is the header of a file of the current layout.
 type current struct {
-	data                          []byte
-	hdr                           int // the header's bytes through numSteps
-	kind, flags                   uint32
-	n, e, steps, distinct, nbits  uint64
-	total                         uint64
-	offsAt, nodesAt, stepsAt, end int
+	data        []byte
+	hdr         int // the header's bytes through numSteps
+	kind, flags uint32
+	n, e, steps uint64
+	total       uint64
 }
 
 func parse(data []byte) current {
@@ -88,20 +92,80 @@ func parse(data []byte) current {
 		c.total = uint64(le.Uint32(data[16+16:]))
 	}
 	c.n, c.e, c.steps = le.Uint64(data[c.hdr-24:]), le.Uint64(data[c.hdr-16:]), le.Uint64(data[c.hdr-8:])
-	c.distinct, c.nbits = le.Uint64(data[c.hdr:]), le.Uint64(data[c.hdr+8:])
 	if c.total == 0 && le.Uint32(data[8:]) != kindPartition {
 		c.total = c.n
 	}
-	c.offsAt = c.hdr + 16
-	c.nodesAt = c.offsAt + words(c.n+1, width(c.e+1)) + words(c.n+1, width(c.nbits+1)) + words(c.n+1, width(c.steps+1))
-	c.stepsAt = c.nodesAt + words(c.nbits, 1)
 	return c
+}
+
+// offsets returns the packed column of the lists' entry offsets.
+func offsets(lists [][]Entry, e uint64) []byte {
+	offs := []uint64{0}
+	for _, l := range lists {
+		offs = append(offs, offs[len(offs)-1]+uint64(len(l)))
+	}
+	return pack(offs, width(e+1))
+}
+
+// stepsOf returns the lists' distance steps, list after list, and the end
+// of each list's.
+func stepsOf(lists [][]Entry) (steps []float64, ends []uint64) {
+	ends = []uint64{0}
+	for _, l := range lists {
+		for j, x := range l {
+			if j == 0 || x.Dist != l[j-1].Dist {
+				steps = append(steps, x.Dist)
+			}
+		}
+		ends = append(ends, uint64(len(steps)))
+	}
+	return steps, ends
+}
+
+// stepColumn returns the step column of the lists, codes and dictionary
+// where that is strictly fewer bytes than a float a step, raw otherwise,
+// and the dictionary's size, 0 for raw steps.
+func stepColumn(lists [][]Entry) ([]byte, uint64) {
+	steps, _ := stepsOf(lists)
+	dict := slices.Clone(steps)
+	slices.Sort(dict)
+	dict = slices.Compact(dict)
+	d, s := uint64(len(dict)), uint64(len(steps))
+	var out []byte
+	if d == 0 || slices.ContainsFunc(dict, math.IsNaN) || d+uint64(words(s, width(d)))/8 >= s {
+		for _, x := range steps {
+			out = le.AppendUint64(out, math.Float64bits(x))
+		}
+		return out, 0
+	}
+	codes := make([]uint64, len(steps))
+	for j, x := range steps {
+		codes[j] = uint64(slices.Index(dict, x))
+	}
+	out = pack(codes, width(d))
+	for _, x := range dict {
+		out = le.AppendUint64(out, math.Float64bits(x))
+	}
+	return out, d
+}
+
+// betas returns a weighted set's β column, and nothing for another kind.
+func (c *current) betas(lists [][]Entry) []byte {
+	var out []byte
+	if c.flags&flagBeta != 0 {
+		for _, l := range lists {
+			for _, x := range l {
+				out = le.AppendUint64(out, math.Float64bits(x.Beta))
+			}
+		}
+	}
+	return out
 }
 
 // stepTail returns the retired layouts' step bits of lists — a bit an
 // entry, set where its distance differs from the entry's before in its
-// list — then the current file's step codes and dictionary, or steps, and
-// β: the columns that follow their node IDs.
+// list — then the step codes and dictionary, or steps, and β: the columns
+// that follow their node IDs.
 func (c *current) stepTail(lists [][]Entry) []byte {
 	first := make([]uint64, (c.e+63)/64)
 	i := uint64(0)
@@ -117,7 +181,15 @@ func (c *current) stepTail(lists [][]Entry) []byte {
 	for _, w := range first {
 		out = le.AppendUint64(out, w)
 	}
-	return append(out, c.data[c.stepsAt:]...)
+	col, _ := stepColumn(lists)
+	return append(append(out, col...), c.betas(lists)...)
+}
+
+// header returns the current file's header through numSteps, then the
+// numDistinct word of the lists' step column.
+func (c *current) header(lists [][]Entry) []byte {
+	_, d := stepColumn(lists)
+	return le.AppendUint64(append([]byte(nil), c.data[:c.hdr]...), d)
 }
 
 // width returns the bits a packed value below bound takes: at least 1.
@@ -215,21 +287,18 @@ func perEntry(cur []byte, lists [][]Entry, storeRanks, stepCoded, packed bool) [
 	if storeRanks {
 		out = append(out, ranks...)
 	}
-	if c.flags&flagBeta != 0 {
-		out = append(out, cur[len(cur)-8*int(c.e):]...)
-	}
-	return out
+	return append(out, c.betas(lists)...)
 }
 
 // Compact writes the layout of flags 0x1e: the numDistinct word but no
 // numNodeBits, no bit offsets, and node IDs packed at the bits the set's
-// node count needs; the offsets, the step code and the β column as they
-// are.
+// node count needs, after packed offsets; then the step bits, the step
+// column and β.
 func Compact(cur []byte, lists [][]Entry) []byte {
 	c := parse(cur)
-	out := append([]byte(nil), cur[:c.hdr+8]...)
+	out := c.header(lists)
 	le.PutUint32(out[12:], c.flags&^(flagRiceNodes|flagsNew))
-	out = append(out, cur[c.offsAt:c.offsAt+words(c.n+1, width(c.e+1))]...)
+	out = append(out, offsets(lists, c.e)...)
 	var ids []uint64
 	for _, l := range lists {
 		for _, x := range l {
@@ -243,9 +312,9 @@ func Compact(cur []byte, lists [][]Entry) []byte {
 // Rice writes the layout of flags 0x3e: a run of m IDs of equal distance
 // is coded as its gaps xᵢ − xᵢ₋₁ − 1 (x₋₁ = −1), each a Rice code of the
 // largest b with m·2^b <= total — gap>>b zero bits, a one, the b low bits
-// — with the bit offsets and numNodeBits of those codes; the offsets and
-// the step code and β column of the current file, with step bits.
-func Rice(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, false, false) }
+// — with the bit offsets and numNodeBits of those codes; packed offsets
+// before them, the step bits, the step column and β after.
+func Rice(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, false, false, false) }
 
 // RankOrdered writes the layout of flags 0x7e, a uniform set's: as Rice,
 // but a run's numbers are its entries' positions in the set's rank order
@@ -253,21 +322,37 @@ func Rice(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, fa
 // derive — ascending, below the k-th smallest position of the list's
 // entries at smaller distances (the node count while there are fewer than
 // k), which is the M of the run's one b, the largest with m·2^b <= M.
-func RankOrdered(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, true, false) }
+func RankOrdered(cur []byte, lists [][]Entry) []byte {
+	return riceLayout(cur, lists, true, false, false)
+}
 
 // Adaptive writes the layout of flags 0xfe, a uniform set's: as
 // RankOrdered, but a list's entry 0, its owner, has no code, and a gap's b
 // is the least with n·2^b >= a, a the sum of the run's gaps before it and
 // ⌊M/(4m)⌋+1, n their count and 1, both halved as n reaches 16, but at
 // least b₀−3, b₀ being RankOrdered's b.
-func Adaptive(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, true, true) }
+func Adaptive(cur []byte, lists [][]Entry) []byte { return riceLayout(cur, lists, true, true, false) }
+
+// RunLengths writes the layout of flags 0x1fe, a uniform set's, or 0x13e,
+// another kind's: as Adaptive, or as Rice, but each run of a list but its
+// first and its last is led by its length m−1, a Rice code of the largest
+// b <= 15 with n·2^b <= a — a the sum of the list's lengths before it and
+// ⌊(entries−1)/(steps−1)⌋, n their count and 1, both halved as n reaches
+// 16 — and a step offset a list takes the place of the step bits.
+func RunLengths(cur []byte, lists [][]Entry) []byte {
+	uniform := parse(cur).kind == kindUniform
+	return riceLayout(cur, lists, uniform, uniform, true)
+}
 
 // riceLayout writes Rice, or RankOrdered when ranked, or Adaptive when
-// adapted too.
-func riceLayout(cur []byte, lists [][]Entry, ranked, adapted bool) []byte {
+// adapted too, or RunLengths when lengths.
+func riceLayout(cur []byte, lists [][]Entry, ranked, adapted, lengths bool) []byte {
 	c := parse(cur)
-	out := append([]byte(nil), cur[:c.hdr+16]...)
+	out := append(c.header(lists), 0, 0, 0, 0, 0, 0, 0, 0)
 	flags := c.flags &^ flagsNew
+	if lengths {
+		flags |= flagRunLengths
+	}
 	var pos []uint64
 	k := uint64(le.Uint32(cur[c.hdr-64:]))
 	if ranked {
@@ -283,14 +368,31 @@ func riceLayout(cur []byte, lists [][]Entry, ranked, adapted bool) []byte {
 	for _, l := range lists {
 		boffs = append(boffs, codes.n)
 		var low []uint64 // the list's k smallest positions so far, ascending
-		for i := 0; i < len(l); {
-			if adapted && i == 0 { // the owner, which has no code
-				low, i = []uint64{pos[l[0].Node]}, 1
-				continue
+		runs := uint64(0)
+		for j, x := range l {
+			if j == 0 || x.Dist != l[j-1].Dist {
+				runs++
 			}
+		}
+		la, ln, run := uint64(len(l)-1)/max(runs-1, 1), uint64(1), uint64(0)
+		for i := 0; i < len(l); run++ {
 			m := 1
 			for i+m < len(l) && l[i+m].Dist == l[i].Dist {
 				m++
+			}
+			if lengths && run > 0 && run < runs-1 {
+				b := uint64(0)
+				for ln<<(b+1) <= la && b < 15 {
+					b++
+				}
+				codes.rice(uint64(m-1), b)
+				if la, ln = la+uint64(m-1), ln+1; ln == 16 {
+					la, ln = la/2, 8
+				}
+			}
+			if adapted && i == 0 { // the owner, which has no code
+				low, i = []uint64{pos[l[0].Node]}, 1
+				continue
 			}
 			run, bound := make([]uint64, m), c.total
 			for j, x := range l[i : i+m] {
@@ -323,13 +425,7 @@ func riceLayout(cur []byte, lists [][]Entry, ranked, adapted bool) []byte {
 						a, n = a/2, n/2
 					}
 				}
-				for q := gap >> b; q > 0; q-- {
-					codes.add(0)
-				}
-				codes.add(1)
-				for k := uint64(0); k < b; k++ {
-					codes.add(gap >> k & 1)
-				}
+				codes.rice(gap, b)
 				prev = int64(x)
 			}
 			i += m
@@ -337,10 +433,18 @@ func riceLayout(cur []byte, lists [][]Entry, ranked, adapted bool) []byte {
 	}
 	boffs = append(boffs, codes.n)
 	le.PutUint64(out[c.hdr+8:], codes.n)
-	out = append(out, cur[c.offsAt:c.offsAt+words(c.n+1, width(c.e+1))]...)
+	out = append(out, offsets(lists, c.e)...)
 	out = append(out, pack(boffs, width(codes.n+1))...)
+	if lengths {
+		_, ends := stepsOf(lists)
+		out = append(out, pack(ends, width(c.steps+1))...)
+	}
 	for _, w := range codes.words {
 		out = le.AppendUint64(out, w)
+	}
+	if lengths {
+		col, _ := stepColumn(lists)
+		return append(append(out, col...), c.betas(lists)...)
 	}
 	return append(out, c.stepTail(lists)...)
 }
@@ -349,6 +453,18 @@ func riceLayout(cur []byte, lists [][]Entry, ranked, adapted bool) []byte {
 type bitList struct {
 	words []uint64
 	n     uint64
+}
+
+// rice appends the Rice code of x at parameter b: x>>b zeros, a one, the
+// b low bits.
+func (l *bitList) rice(x, b uint64) {
+	for q := x >> b; q > 0; q-- {
+		l.add(0)
+	}
+	l.add(1)
+	for k := uint64(0); k < b; k++ {
+		l.add(x >> k & 1)
+	}
 }
 
 func (l *bitList) add(x uint64) {
